@@ -149,7 +149,7 @@ func BenchmarkAblationBuckshot(b *testing.B) {
 }
 
 // BenchmarkAblationLinkWeight sweeps the hyperlink evidence weight λ_L of
-// the combined classifier (design decision S7 / DESIGN.md §4.4).
+// the combined classifier (DESIGN.md §4).
 func BenchmarkAblationLinkWeight(b *testing.B) {
 	corpus, trace := e1World(b)
 	seen := map[int64]bool{}

@@ -1,6 +1,6 @@
 // Command memex-bench regenerates every figure and falsifiable claim of
 // the Memex paper as text tables (the per-experiment index is DESIGN.md
-// §3; results are recorded in EXPERIMENTS.md).
+// §3).
 //
 // Usage:
 //

@@ -1,7 +1,7 @@
 // Command memexd runs a Memex server over a synthetic Web world.
 //
 // In the paper's deployment the server tapped volunteers' Netscape
-// browsers; this daemon substitutes the DESIGN.md S17 world (a generated
+// browsers; this daemon substitutes the DESIGN.md §2 world (a generated
 // topical Web plus, optionally, a pre-played community trace) and exposes
 // the full servlet API on -addr. Point cmd/memexctl or any HTTP client at
 // it.

@@ -26,8 +26,8 @@ import (
 // assigned per process, so a stored vector blob would go stale across a
 // restart, while term strings and page ids never do. On reopen the
 // engine replays the recovered records through reloadDerived to rebuild
-// the dictionary, corpus statistics, inverted index and link graph, and
-// the fetch path skips every recovered page instead of re-crawling it.
+// the dictionary, inverted index (and with it N and DF) and link graph,
+// and the fetch path skips every recovered page instead of re-crawling it.
 
 // tfKey names a page's derived term-count record in the version store.
 func tfKey(page int64) string { return "tf/" + strconv.FormatInt(page, 10) }
@@ -41,12 +41,12 @@ func pageOfTFKey(key string) (int64, bool) {
 	return id, err == nil
 }
 
-// reloadDerived rebuilds the in-memory text machinery — dictionary ids,
-// corpus document frequencies, the inverted index — the fetch claim set,
-// and the link-graph authority from the derived records the version
-// store recovered from its cold tier, so a restarted server answers
-// search/profile/theme/trail queries, resumes Discover's crawl frontier,
-// and never re-crawls a page whose derived state survived. Recovered
+// reloadDerived rebuilds the in-memory text machinery — dictionary ids
+// and the inverted index, whose map sizes are the collection's N and DF —
+// the fetch claims, and the link-graph authority from the derived records
+// the version store recovered from its cold tier, so a restarted server
+// answers search/profile/theme/trail queries, resumes Discover's crawl
+// frontier, and never re-crawls a page whose derived state survived. Recovered
 // lnk/ records rebuild both adjacency directions (every reverse edge is
 // the inversion of some out-edge, so rin/ records need no replay — they
 // exist for pinned-view reads). Recovered rinD/ delta chunks and rin/
@@ -56,10 +56,9 @@ func pageOfTFKey(key string) (int64, bool) {
 // start (so consolidation tombstones only the live window) — an
 // overwritten chunk would shadow the old one's edge out of every later
 // view. Runs during Open, single-threaded, before any demon starts.
-func (e *Engine) reloadDerived() int {
+func (e *Engine) reloadDerived() {
 	view := e.DerivedSnapshot()
 	defer view.Release()
-	n := 0
 	chunkSeq := map[int64]int{}
 	starts := map[int64]int{}
 	view.sn.Range(func(key string, raw []byte) bool {
@@ -85,43 +84,31 @@ func (e *Engine) reloadDerived() int {
 		if !ok {
 			return true
 		}
+		// An undecodable record leaves the page unclaimed, so its next
+		// visit re-fetches it and republishes over the bad blob.
 		tf := decodeCounts(raw)
 		if tf == nil {
 			return true
 		}
-		// Same order as the fetch path: corpus before index visibility.
-		e.corp.AddDoc(text.VectorFromCounts(e.dict, tf))
 		e.idx.AddCounts(page, tf)
-		e.fetched[page] = true
-		n++
+		rec := e.meta[page]
+		rec.fetched = true
+		e.meta[page] = rec
 		return true
 	})
 	e.links.resumeChunks(chunkSeq, starts)
-	return n
 }
 
 // derivedPublished reports whether the page's derived stats are (or are
-// being) archived — the reader-facing "already fetched" check. The claim
-// set answers first: it covers every page this process fetched or
-// recovered, costs one brief RLock, and — now that GC folds derived
-// records to disk — spares the common skip case a kvstore read (a
-// chain-missed snapshot Get falls through to the cold tier). Pages
-// beyond the claim set (not seen by this process) fall back to the
-// snapshot check, whose cold fallthrough is exactly the read that makes
-// a restarted server skip re-crawling. A publish still in flight can
-// read as false; callers that go on to fetch must let the claim set
-// arbitrate under e.mu.
+// being) archived — the reader-facing "already fetched" check, answered
+// from the page's claim flag alone: it covers every page this process
+// fetched and every tf/ record reloadDerived could decode, so there is
+// nothing further a store read could add. A caller that goes on to fetch
+// must still let the claim arbitrate under the full lock.
 func (e *Engine) derivedPublished(pageID int64) bool {
 	e.mu.RLock()
-	claimed := e.fetched[pageID]
-	e.mu.RUnlock()
-	if claimed {
-		return true
-	}
-	sn := e.vs.Acquire()
-	_, ok := sn.Get(tfKey(pageID))
-	sn.Release()
-	return ok
+	defer e.mu.RUnlock()
+	return e.meta[pageID].fetched
 }
 
 // DerivedView is a consistent read view over the engine's published

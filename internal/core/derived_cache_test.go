@@ -32,9 +32,11 @@ func uncachedTwin(v *DerivedView) *DerivedView {
 // records to read).
 func fetchedPages(e *Engine) []int64 {
 	e.mu.RLock()
-	pages := make([]int64, 0, len(e.fetched))
-	for p := range e.fetched {
-		pages = append(pages, p)
+	var pages []int64
+	for p, rec := range e.meta {
+		if rec.fetched {
+			pages = append(pages, p)
+		}
 	}
 	e.mu.RUnlock()
 	slices.Sort(pages)

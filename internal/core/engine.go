@@ -17,8 +17,8 @@
 // graph), held in RAM while hot and folded to the engine's kvstore
 // ("vc/" keyspace) by the version-gc demon, so the archive grows on disk
 // and survives restarts (Open replays the recovered records back into
-// the dictionary, corpus stats, inverted index and link-graph authority,
-// and the fetch path skips recovered pages instead of re-crawling).
+// the dictionary, inverted index and link-graph authority, and the fetch
+// path skips recovered pages instead of re-crawling).
 // There is no live map shadowing it. Every derived-data reader pins a
 // DerivedView snapshot for its whole pass and is therefore
 // snapshot-consistent:
@@ -30,20 +30,23 @@
 //   - trail popularity (HITS), recommend's link-proximity boost and
 //     Discover's crawl frontier decode lnk/rin adjacency from the same
 //     pinned view as their term-stat reads (graph.AdjacencySource);
-//   - classifier retraining trains every user against a single epoch;
-//   - even ingest's own "already fetched?" fast path is a lock-free
-//     snapshot read, with the small e.fetched claim set (under e.mu)
-//     arbitrating publish races authoritatively.
+//   - classifier retraining trains every user against a single epoch.
 //
 // The only in-memory link structure is the producer-side authority in
 // links.go: a graph rebuilt from recovered records at Open, consulted
 // and updated under one lock so each published adjacency record is the
 // union of everything published before it. Read passes never touch it.
 //
-// e.mu consequently guards page-metadata bookkeeping only — folder
-// trees, models, the taxonomy pointer, url/title/visibility maps, and
-// the claim set — and is never held across derived-data decoding,
-// clustering, or training work.
+// # One in-RAM home per page fact
+//
+// What the engine keeps in memory about a page is held once (DESIGN.md
+// tabulates every fact's durable and in-RAM home). Collection statistics
+// — N and each term's DF — are the inverted index's own map sizes, read
+// through idx.TFIDF; there is no separate corpus. Page metadata and the
+// fetch claim are one pageRec per page; visibility is a visited set per
+// user. e.mu guards exactly that bookkeeping — folder trees, models, the
+// taxonomy pointer, the page records and the visited sets — and is never
+// held across derived-data decoding, clustering, or training work.
 package core
 
 import (
@@ -73,7 +76,7 @@ type Content struct {
 }
 
 // PageSource resolves URLs to content. Production Memex fetches the live
-// Web; this reproduction plugs in the synthetic webcorpus (DESIGN.md S17).
+// Web; this reproduction plugs in the synthetic webcorpus (DESIGN.md §2).
 type PageSource interface {
 	Lookup(url string) (Content, bool)
 }
@@ -117,13 +120,12 @@ const defaultDecodedCacheBytes = 32 << 20
 
 // Engine is an embedded Memex server core.
 type Engine struct {
-	cfg   Config
-	db    *rdbms.DB
-	kv    *kvstore.Store
-	vs    *version.Store
-	dict  *text.Dict
-	corp  *text.Corpus
-	idx   *textindex.Index
+	cfg  Config
+	db   *rdbms.DB
+	kv   *kvstore.Store
+	vs   *version.Store
+	dict *text.Dict
+	idx  *textindex.Index // full-text search, and the collection's N and DF
 	// links is the link-graph producer: every edge write publishes
 	// lnk/rin adjacency records through the version store before touching
 	// the in-memory authority graph (see links.go). Read passes never use
@@ -143,27 +145,18 @@ type Engine struct {
 	bookmarks *rdbms.Table
 	usersTbl  *rdbms.Table
 
-	// mu guards page-metadata bookkeeping only: folder trees, models, the
-	// taxonomy pointer, url/title maps, visibility sets, and the fetch
-	// claim set. Derived page data (term counts, vectors) lives solely in
-	// the version store and is read through pinned DerivedView snapshots,
-	// never under this lock.
+	// mu guards page-metadata bookkeeping only (see the package doc);
+	// derived page data is read through pinned DerivedView snapshots, never
+	// under this lock.
 	mu      sync.RWMutex
 	trees   map[int64]*folders.Tree   // per-user folder space
 	models  map[int64]*classify.Bayes // per-user folder classifier
 	tax     *themes.Taxonomy
-	urlOf   map[int64]string
-	idByURL map[string]int64
-	titleOf map[int64]string
-	// fetched is the fetch path's claim set: the page's derived stats
-	// have been (or are being) published, or were recovered from the cold
-	// tier at open. It arbitrates the two-workers-one-URL race under the
-	// full lock, and serves as derivedPublished's first, disk-free answer
-	// for "is this page fetched?".
-	fetched map[int64]bool
-	// visibility: users who visited each page; community flag.
-	seenBy    map[int64]map[int64]bool
-	community map[int64]bool
+	meta    map[int64]pageRec // every known page, by id
+	idByURL map[string]int64  // reverse lookup into meta
+	// visited is visibility, held per user: the pages each user has a
+	// visit row for (any privacy mode).
+	visited map[int64]map[int64]bool
 
 	// pushed/processed (plus the queue's drop counter) account for
 	// background work precisely, so DrainBackground cannot return while an
@@ -175,12 +168,25 @@ type Engine struct {
 	closed    bool
 }
 
+// pageRec is everything the engine keeps in RAM about one page. Records
+// are map values: update one by writing the changed copy back under e.mu.
+type pageRec struct {
+	url   string
+	title string
+	// fetched is the fetch path's claim and the one answer to "is this
+	// page fetched?": the page's derived stats have been (or are being)
+	// published, or were recovered from the cold tier at open. It
+	// arbitrates the two-workers-one-URL race under the full lock.
+	fetched bool
+	// community is set once any visit archived the page for community use.
+	community bool
+}
+
 // Counters reports engine activity.
 type Counters struct {
 	VisitsLogged    atomic.Int64
 	BookmarksLogged atomic.Int64
 	PagesFetched    atomic.Int64
-	PagesIndexed    atomic.Int64
 	EventsDropped   atomic.Uint64
 	ClassifierRuns  atomic.Int64
 	ThemeRebuilds   atomic.Int64
@@ -228,24 +234,20 @@ func Open(cfg Config) (*Engine, error) {
 		return nil, err
 	}
 	e := &Engine{
-		cfg:       cfg,
-		db:        db,
-		kv:        kv,
-		vs:        vs,
-		dict:      text.NewDict(),
-		corp:      text.NewCorpus(),
-		links:     newLinkIndex(vs),
-		cache:     newRecordCache(cfg.DecodedCacheBytes),
-		queue:     events.NewQueue(cfg.QueueSize),
-		pool:      demon.NewPool(),
-		trees:     map[int64]*folders.Tree{},
-		models:    map[int64]*classify.Bayes{},
-		fetched:   map[int64]bool{},
-		urlOf:     map[int64]string{},
-		idByURL:   map[string]int64{},
-		titleOf:   map[int64]string{},
-		seenBy:    map[int64]map[int64]bool{},
-		community: map[int64]bool{},
+		cfg:     cfg,
+		db:      db,
+		kv:      kv,
+		vs:      vs,
+		dict:    text.NewDict(),
+		links:   newLinkIndex(vs),
+		cache:   newRecordCache(cfg.DecodedCacheBytes),
+		queue:   events.NewQueue(cfg.QueueSize),
+		pool:    demon.NewPool(),
+		trees:   map[int64]*folders.Tree{},
+		models:  map[int64]*classify.Bayes{},
+		meta:    map[int64]pageRec{},
+		idByURL: map[string]int64{},
+		visited: map[int64]map[int64]bool{},
 	}
 	e.idx = textindex.New(e.dict)
 	if err := e.createTables(); err != nil {
@@ -257,8 +259,8 @@ func Open(cfg Config) (*Engine, error) {
 		return nil, err
 	}
 	// Replay recovered derived records into the in-memory text machinery
-	// (dictionary, corpus DF, inverted index) so queries work immediately
-	// after a restart and the fetch path skips every recovered page.
+	// (dictionary, inverted index) so queries work immediately after a
+	// restart and the fetch path skips every recovered page.
 	e.reloadDerived()
 	e.startDemons()
 	return e, nil
@@ -322,16 +324,23 @@ func (e *Engine) createTables() error {
 	return err
 }
 
-// reload rebuilds in-memory state (folder trees, page metadata, visibility)
-// from the persistent tables after a restart.
+// reload rebuilds in-memory state (users, page metadata, folder trees,
+// visibility) from the persistent tables after a restart.
 func (e *Engine) reload() error {
+	// Registered users: a user with visits but no bookmarks must still
+	// count in Status and stand as a Recommend peer.
+	err := e.usersTbl.Select().Each(func(r rdbms.Row) bool {
+		e.treeLocked(r.MustInt("id"))
+		return true
+	})
+	if err != nil {
+		return err
+	}
 	// Page metadata.
-	err := e.pages.Select().Each(func(r rdbms.Row) bool {
-		id := r.MustInt("id")
-		url := r.MustString("url")
-		e.urlOf[id] = url
+	err = e.pages.Select().Each(func(r rdbms.Row) bool {
+		id, url := r.MustInt("id"), r.MustString("url")
+		e.meta[id] = pageRec{url: url, title: r.MustString("title")}
 		e.idByURL[url] = id
-		e.titleOf[id] = r.MustString("title")
 		return true
 	})
 	if err != nil {
@@ -339,13 +348,12 @@ func (e *Engine) reload() error {
 	}
 	// Folder trees from bookmarks.
 	err = e.bookmarks.Select().Each(func(r rdbms.Row) bool {
-		user := r.MustInt("user")
 		page := r.MustInt("page")
-		tree := e.treeLocked(user)
-		tree.Add(r.MustString("folder"), folders.Entry{
+		rec := e.meta[page]
+		e.treeLocked(r.MustInt("user")).Add(r.MustString("folder"), folders.Entry{
 			Page:  page,
-			URL:   e.urlOf[page],
-			Title: e.titleOf[page],
+			URL:   rec.url,
+			Title: rec.title,
 			Added: r.MustTime("time"),
 		})
 		return true
@@ -355,17 +363,26 @@ func (e *Engine) reload() error {
 	}
 	// Visibility from visits.
 	return e.visits.Select().Each(func(r rdbms.Row) bool {
-		page := r.MustInt("page")
-		user := r.MustInt("user")
-		if e.seenBy[page] == nil {
-			e.seenBy[page] = map[int64]bool{}
-		}
-		e.seenBy[page][user] = true
-		if events.Privacy(r.MustInt("privacy")) == events.Community {
-			e.community[page] = true
-		}
+		e.markVisitedLocked(r.MustInt("user"), r.MustInt("page"), events.Privacy(r.MustInt("privacy")))
 		return true
 	})
+}
+
+// markVisitedLocked records that user has a visit row for page, and that
+// the page is community-visible when the visit was archived for community
+// use. Caller must hold e.mu or be in single-threaded setup.
+func (e *Engine) markVisitedLocked(user, page int64, privacy events.Privacy) {
+	set := e.visited[user]
+	if set == nil {
+		set = map[int64]bool{}
+		e.visited[user] = set
+	}
+	set[page] = true
+	if privacy == events.Community {
+		rec := e.meta[page]
+		rec.community = true
+		e.meta[page] = rec
+	}
 }
 
 func (e *Engine) startDemons() {
@@ -439,7 +456,9 @@ type Stats struct {
 	PagesFetched  int64
 	Visits        int64
 	Bookmarks     int64
-	QueueDepth    int
+	QueueDepth    int    // Pressure.QueueDepth as of this snapshot
+	QueueCap      int    // Pressure.QueueCap
+	FoldLag       uint64 // Pressure.FoldLag as of this snapshot
 	EventsDropped uint64
 	Themes        int
 	DiskBytes     int64
@@ -468,8 +487,9 @@ func (e *Engine) Status() Stats {
 	if e.tax != nil {
 		themesN = len(e.tax.Themes)
 	}
-	pages := len(e.urlOf)
+	pages := len(e.meta)
 	e.mu.RUnlock()
+	p := e.Pressure()
 	nodes, edges := e.links.Counts()
 	var cs CacheStats
 	if e.cache != nil {
@@ -485,7 +505,9 @@ func (e *Engine) Status() Stats {
 		PagesFetched:  e.stats.PagesFetched.Load(),
 		Visits:        e.stats.VisitsLogged.Load(),
 		Bookmarks:     e.stats.BookmarksLogged.Load(),
-		QueueDepth:    e.queue.Len(),
+		QueueDepth:    p.QueueDepth,
+		QueueCap:      p.QueueCap,
+		FoldLag:       p.FoldLag,
 		EventsDropped: e.queue.Dropped(),
 		Themes:        themesN,
 		DiskBytes:     e.kv.DiskBytes(),

@@ -331,7 +331,7 @@ func TestThemesAndRecommend(t *testing.T) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	for _, r := range recs {
-		if e.seenBy[r.ID][1] {
+		if e.visited[1][r.ID] {
 			t.Fatalf("recommended a page user 1 already saw: %d", r.ID)
 		}
 	}

@@ -62,13 +62,7 @@ func (e *Engine) RecordVisit(user int64, url, referrer string, at time.Time, pri
 		return err
 	}
 	e.mu.Lock()
-	if e.seenBy[pageID] == nil {
-		e.seenBy[pageID] = map[int64]bool{}
-	}
-	e.seenBy[pageID][user] = true
-	if privacy == events.Community {
-		e.community[pageID] = true
-	}
+	e.markVisitedLocked(user, pageID, privacy)
 	e.mu.Unlock()
 	if refID != 0 {
 		// The referrer→page transition is link-graph evidence like any
@@ -111,7 +105,7 @@ func (e *Engine) AddBookmark(user int64, url, folder string, at time.Time) error
 	}
 	e.mu.Lock()
 	e.treeLocked(user).Add(folder, folders.Entry{
-		Page: pageID, URL: url, Title: e.titleOf[pageID], Added: at,
+		Page: pageID, URL: url, Title: e.meta[pageID].title, Added: at,
 	})
 	e.mu.Unlock()
 	e.stats.BookmarksLogged.Add(1)
@@ -137,7 +131,7 @@ func (e *Engine) CorrectPlacement(user int64, url, folder string) error {
 	err := tree.MovePage(pageID, folder)
 	if err != nil {
 		// Not filed yet: treat as a fresh placement.
-		tree.Add(folder, folders.Entry{Page: pageID, URL: url, Title: e.titleOf[pageID], Added: e.cfg.Now()})
+		tree.Add(folder, folders.Entry{Page: pageID, URL: url, Title: e.meta[pageID].title, Added: e.cfg.Now()})
 		err = nil
 	}
 	e.mu.Unlock()
@@ -201,18 +195,15 @@ func (e *Engine) ensurePage(url string) (int64, error) {
 	}
 	e.mu.RUnlock()
 
-	// Slow path: check the index, insert when truly absent.
+	// Slow path: check the index, insert when truly absent. A row found
+	// here lost the race to a concurrent insert below, which filled the
+	// in-memory record in the same critical section as the row.
 	row, ok, err := e.pages.Select().Where(rdbms.Eq("url", rdbms.String(url))).First()
 	if err != nil {
 		return 0, err
 	}
 	if ok {
-		id := row.MustInt("id")
-		e.mu.Lock()
-		e.urlOf[id] = url
-		e.idByURL[url] = id
-		e.mu.Unlock()
-		return id, nil
+		return row.MustInt("id"), nil
 	}
 	// Serialise the insert race on a fresh URL: re-check under the lock.
 	e.mu.Lock()
@@ -234,7 +225,7 @@ func (e *Engine) ensurePage(url string) (int64, error) {
 		e.mu.Unlock()
 		return 0, err
 	}
-	e.urlOf[id] = url
+	e.meta[id] = pageRec{url: url}
 	e.idByURL[url] = id
 	e.mu.Unlock()
 	return id, nil
@@ -291,9 +282,8 @@ func (e *Engine) process(ev events.Event) {
 // term stats plus out-link adjacency through the version store as one
 // batch. It returns the freshly computed term counts when this call
 // performed the fetch, nil otherwise (already fetched, or content
-// unavailable). The "already fetched" fast path is a lock-free
-// version-store read — the hot event loop never touches e.mu just to
-// skip a done page.
+// unavailable). The "already fetched" fast path is one brief read-lock
+// on the page's claim flag — no store read, no tokenizing.
 func (e *Engine) fetchAndIndex(pageID int64, url string) map[string]int {
 	if e.derivedPublished(pageID) {
 		return nil
@@ -313,15 +303,13 @@ func (e *Engine) fetchAndIndexSlow(pageID int64, url string) map[string]int {
 		return nil
 	}
 	tf := text.TermCounts(content.Title + " " + content.Text)
-	vec := text.VectorFromCounts(e.dict, tf)
 
 	// Claim the page under the metadata lock before any side effects: two
-	// workers can race here on the same URL (and the snapshot fast path
-	// above can miss a publish still below the watermark), so only the
-	// claim winner may publish, count the doc in the corpus, or index it
-	// (a double AddDoc would permanently skew every DF/IDF weight).
+	// workers can race here on the same URL, so only the claim winner may
+	// publish or index it.
 	e.mu.Lock()
-	if e.fetched[pageID] {
+	rec := e.meta[pageID]
+	if rec.fetched {
 		e.mu.Unlock()
 		// Lost the claim: the winner owns the tf publish, but may still
 		// be resolving link URLs ahead of its own adjacency publish.
@@ -332,15 +320,15 @@ func (e *Engine) fetchAndIndexSlow(pageID int64, url string) map[string]int {
 		e.links.publish(pageID, e.resolveLinks(content.Links), nil)
 		return tf
 	}
-	e.fetched[pageID] = true
-	e.titleOf[pageID] = content.Title
+	rec.fetched, rec.title = true, content.Title
+	e.meta[pageID] = rec
 	e.mu.Unlock()
 	e.stats.PagesFetched.Add(1)
 
-	// The corpus must count the doc before its vector becomes visible to
+	// The index must count the doc before its vector becomes visible to
 	// snapshot readers, or a TFIDF pass could weight the page against DF
 	// stats that don't include it yet.
-	e.corp.AddDoc(vec)
+	e.idx.AddCounts(pageID, tf)
 
 	// Resolve out-link URLs to stable page ids first (seen-but-unfetched
 	// targets get their pages-table row here — the durable half of the
@@ -351,8 +339,6 @@ func (e *Engine) fetchAndIndexSlow(pageID int64, url string) map[string]int {
 	// after a restart recovers the fold.
 	e.links.publish(pageID, e.resolveLinks(content.Links), encodeCounts(tf))
 
-	e.idx.AddCounts(pageID, tf)
-	e.stats.PagesIndexed.Add(1)
 	e.pages.Update(rdbms.Int(pageID), func(r rdbms.Row) rdbms.Row {
 		r["title"] = rdbms.String(content.Title)
 		r["fetched"] = rdbms.Bool(true)
@@ -381,8 +367,7 @@ func (e *Engine) resolveLinks(urls []string) []int64 {
 func (e *Engine) classifyForUser(user, pageID int64, tf map[string]int) {
 	e.mu.RLock()
 	model := e.models[user]
-	url := e.urlOf[pageID]
-	title := e.titleOf[pageID]
+	rec := e.meta[pageID]
 	e.mu.RUnlock()
 	if model == nil {
 		return
@@ -402,7 +387,7 @@ func (e *Engine) classifyForUser(user, pageID int64, tf map[string]int) {
 	e.stats.ClassifierRuns.Add(1)
 	e.mu.Lock()
 	e.treeLocked(user).Add(folder, folders.Entry{
-		Page: pageID, URL: url, Title: title,
+		Page: pageID, URL: rec.url, Title: rec.title,
 		Added: e.cfg.Now(), Guessed: true,
 	})
 	e.mu.Unlock()

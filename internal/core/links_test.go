@@ -147,11 +147,11 @@ func TestLinkGraphSurvivesRestart(t *testing.T) {
 	// Snapshot one fetched page's adjacency and the frontier: graph nodes
 	// the fetch path has not archived (no tf/ record, only link evidence).
 	view1 := e1.DerivedSnapshot()
-	e1.mu.RLock()
-	fetched := make(map[int64]bool, len(e1.fetched))
-	for p := range e1.fetched {
+	fetched := map[int64]bool{}
+	for _, p := range fetchedPages(e1) {
 		fetched[p] = true
 	}
+	e1.mu.RLock()
 	probe := e1.idByURL[c.Page(c.LeafPages[leaf.ID][0]).URL]
 	e1.mu.RUnlock()
 	out1 := slices.Clone(view1.Out(probe))
@@ -190,10 +190,10 @@ func TestLinkGraphSurvivesRestart(t *testing.T) {
 	// crawl can propose and resolve it without re-fetching its referrer.
 	e2.mu.RLock()
 	for _, p := range frontier1 {
-		if e2.urlOf[p] == "" {
+		if e2.meta[p].url == "" {
 			t.Fatalf("frontier page %d lost its URL across restart", p)
 		}
-		if e2.fetched[p] {
+		if e2.meta[p].fetched {
 			t.Fatalf("frontier page %d spuriously marked fetched", p)
 		}
 	}
@@ -517,11 +517,9 @@ func TestLinkRestartPreChunkArchive(t *testing.T) {
 		in   []int64
 	}
 	var probes []probe
-	e1.mu.RLock()
-	for p := range e1.fetched {
+	for _, p := range fetchedPages(e1) {
 		probes = append(probes, probe{p, slices.Clone(view1.In(p))})
 	}
-	e1.mu.RUnlock()
 	view1.Release()
 	if err := e1.Close(); err != nil {
 		t.Fatal(err)

@@ -26,6 +26,13 @@ type PageInfo struct {
 	Score float64
 }
 
+// pageInfoLocked decorates a page id with its metadata for a query
+// answer (mu held, either mode).
+func (e *Engine) pageInfoLocked(id int64, score float64) PageInfo {
+	rec := e.meta[id]
+	return PageInfo{ID: id, URL: rec.url, Title: rec.title, Score: score}
+}
+
 // Search runs ranked full-text retrieval over pages the user may see:
 // their own archive plus all community-visible pages. Scope widens to the
 // whole archive when user is 0 (an administrative/community query).
@@ -35,12 +42,10 @@ func (e *Engine) Search(user int64, query string, k int) []PageInfo {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	for _, h := range hits {
-		if user != 0 && !e.community[h.Doc] && !e.seenBy[h.Doc][user] {
+		if user != 0 && !e.meta[h.Doc].community && !e.visited[user][h.Doc] {
 			continue
 		}
-		out = append(out, PageInfo{
-			ID: h.Doc, URL: e.urlOf[h.Doc], Title: e.titleOf[h.Doc], Score: h.Score,
-		})
+		out = append(out, e.pageInfoLocked(h.Doc, h.Score))
 		if len(out) == k {
 			break
 		}
@@ -73,7 +78,7 @@ func (e *Engine) SearchWhen(user int64, query string, k int, from, to time.Time)
 		if !window[h.Doc] {
 			continue
 		}
-		out = append(out, PageInfo{ID: h.Doc, URL: e.urlOf[h.Doc], Title: e.titleOf[h.Doc], Score: h.Score})
+		out = append(out, e.pageInfoLocked(h.Doc, h.Score))
 		if len(out) == k {
 			break
 		}
@@ -186,12 +191,10 @@ func (e *Engine) Trails(user int64, folder string, k int) TrailContext {
 	popular := trails.Popular(tg, view, k)
 	e.mu.RLock()
 	for _, p := range top {
-		ctx.Pages = append(ctx.Pages, PageInfo{
-			ID: p, URL: e.urlOf[p], Title: e.titleOf[p], Score: tg.Weight[p],
-		})
+		ctx.Pages = append(ctx.Pages, e.pageInfoLocked(p, tg.Weight[p]))
 	}
 	for _, p := range popular {
-		ctx.Popular = append(ctx.Popular, PageInfo{ID: p, URL: e.urlOf[p], Title: e.titleOf[p]})
+		ctx.Popular = append(ctx.Popular, e.pageInfoLocked(p, 0))
 	}
 	e.mu.RUnlock()
 	return ctx
@@ -254,7 +257,7 @@ func (e *Engine) RebuildThemes() themes.Stats {
 			if !ok {
 				continue
 			}
-			uf.Docs = append(uf.Docs, themes.DocVec{ID: page, Vec: e.corp.TFIDF(raw)})
+			uf.Docs = append(uf.Docs, themes.DocVec{ID: page, Vec: e.idx.TFIDF(raw)})
 		}
 		if len(uf.Docs) > 0 {
 			ufs = append(ufs, uf)
@@ -327,25 +330,19 @@ func (e *Engine) userDocs(user int64) []themes.DocVec {
 // userDocsInView is userDocs against a caller-pinned view, letting one
 // snapshot serve several users' profile computations (Recommend).
 func (e *Engine) userDocsInView(user int64, view *DerivedView) []themes.DocVec {
-	pageSet := map[int64]bool{}
 	e.mu.RLock()
-	for page, by := range e.seenBy {
-		if by[user] {
-			pageSet[page] = true
-		}
+	pages := make([]int64, 0, len(e.visited[user]))
+	for page := range e.visited[user] {
+		pages = append(pages, page)
 	}
 	e.mu.RUnlock()
 	// Deterministic page order: profile weights are float accumulations,
 	// and downstream ranking must not depend on map iteration order.
-	pages := make([]int64, 0, len(pageSet))
-	for page := range pageSet {
-		pages = append(pages, page)
-	}
 	sort.Slice(pages, func(i, j int) bool { return pages[i] < pages[j] })
 	var docs []themes.DocVec
 	for _, page := range pages {
 		if raw, ok := view.Vector(page); ok {
-			docs = append(docs, themes.DocVec{ID: page, Vec: e.corp.TFIDF(raw)})
+			docs = append(docs, themes.DocVec{ID: page, Vec: e.idx.TFIDF(raw)})
 		}
 	}
 	return docs
@@ -379,9 +376,9 @@ func (e *Engine) Recommend(user int64, k int, byProfile bool) []PageInfo {
 		profiles[u] = profile.Build(u, docs, tax)
 		set := map[int64]bool{}
 		e.mu.RLock()
-		for page, by := range e.seenBy {
+		for page := range e.visited[u] {
 			// Only community-visible pages are candidates from peers.
-			if by[u] && (u == user || e.community[page]) {
+			if u == user || e.meta[page].community {
 				set[page] = true
 			}
 		}
@@ -434,7 +431,7 @@ func (e *Engine) Recommend(user int64, k int, byProfile bool) []PageInfo {
 	out := make([]PageInfo, 0, len(recs))
 	e.mu.RLock()
 	for _, p := range recs {
-		out = append(out, PageInfo{ID: p, URL: e.urlOf[p], Title: e.titleOf[p]})
+		out = append(out, e.pageInfoLocked(p, 0))
 	}
 	e.mu.RUnlock()
 	return out
@@ -500,7 +497,7 @@ func (e *Engine) Discover(user int64, folder string, budget, k int) []PageInfo {
 	out := make([]PageInfo, 0, len(top))
 	e.mu.RLock()
 	for _, p := range top {
-		out = append(out, PageInfo{ID: p, URL: e.urlOf[p], Title: e.titleOf[p], Score: res.Scores[p]})
+		out = append(out, e.pageInfoLocked(p, res.Scores[p]))
 	}
 	e.mu.RUnlock()
 	return out
@@ -536,7 +533,7 @@ func (f *engineFetcher) Fetch(page int64) (crawler.FetchResult, bool) {
 		return crawler.FetchResult{}, false
 	}
 	e.mu.RLock()
-	url := e.urlOf[page]
+	url := e.meta[page].url
 	e.mu.RUnlock()
 	if url == "" {
 		return crawler.FetchResult{}, false

@@ -5,7 +5,7 @@
 // baseline. Experiment E6 reproduces the harvest-rate comparison.
 //
 // The crawler fetches from a Fetcher abstraction; in this reproduction the
-// Fetcher serves the synthetic webcorpus (substitution S17), preserving
+// Fetcher serves the synthetic webcorpus (DESIGN.md §2), preserving
 // the behaviour that matters: relevance-skewed link frontiers.
 package crawler
 

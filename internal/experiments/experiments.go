@@ -1,8 +1,7 @@
 // Package experiments regenerates every figure and falsifiable claim of
-// the Memex paper (the per-experiment index lives in DESIGN.md §3, the
-// measured results in EXPERIMENTS.md). Each experiment is a pure function
-// from a seed to a Report so that cmd/memex-bench and the root benchmark
-// suite share one implementation.
+// the Memex paper (the per-experiment index lives in DESIGN.md §3). Each
+// experiment is a pure function from a seed to a Report so that
+// cmd/memex-bench and the root benchmark suite share one implementation.
 package experiments
 
 import (

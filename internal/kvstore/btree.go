@@ -362,7 +362,7 @@ func (t *btree) splitInternalInsert(p *page, pos int, k []byte, child pageID) (*
 }
 
 // delete removes k. Leaves may become under-full; we do not rebalance
-// (documented in DESIGN.md §4.1), matching Berkeley DB's behaviour under
+// (DESIGN.md §4), matching Berkeley DB's behaviour under
 // random deletes. Empty leaves are unlinked lazily by scans.
 func (t *btree) delete(k []byte) (bool, error) {
 	if t.root == nilPage {

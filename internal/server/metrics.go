@@ -206,7 +206,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 	// Ingest / publish pipeline.
 	g("memex_engine_queue_depth", "Background event queue depth.", float64(st.QueueDepth))
-	g("memex_engine_queue_capacity", "Background event queue capacity.", float64(s.engine.Pressure().QueueCap))
+	g("memex_engine_queue_capacity", "Background event queue capacity.", float64(st.QueueCap))
 	c("memex_engine_events_dropped_total", "Events shed by the queue's drop-oldest overflow.", float64(st.EventsDropped))
 	c("memex_engine_visits_total", "Visits logged.", float64(st.Visits))
 	c("memex_engine_bookmarks_total", "Bookmarks logged.", float64(st.Bookmarks))
@@ -222,8 +222,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	g("memex_version_pending_epochs", "Published epochs awaiting watermark coverage.", float64(st.Version.PendingEpochs))
 	c("memex_version_gc_reclaimed_total", "Versions compacted away by GC.", float64(st.Version.GCReclaimed))
 	if cold := st.Version.Cold; cold != nil {
-		g("memex_version_fold_lag_epochs", "Published watermark minus durable fold watermark.",
-			float64(st.Version.Watermark-min(st.Version.Watermark, cold.Watermark)))
+		g("memex_version_fold_lag_epochs", "Published watermark minus durable fold watermark.", float64(st.FoldLag))
 		g("memex_version_cold_records", "Record versions on disk.", float64(cold.Records))
 		c("memex_version_folds_total", "Completed fold rounds.", float64(cold.Folds))
 		c("memex_version_cold_reads_total", "Snapshot gets that fell through to disk.", float64(cold.Reads))

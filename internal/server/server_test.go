@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -191,6 +192,11 @@ func TestInFlightCapAnswers503(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("/metrics refused at capacity: %d", resp.StatusCode)
 	}
+	// The /metrics handler gives its own slot back only after its reply is
+	// on the wire; wait for that before freeing the simulated one.
+	for deadline := time.Now().Add(5 * time.Second); srv.metrics.inFlight.Load() > 1 && time.Now().Before(deadline); {
+		runtime.Gosched()
+	}
 	srv.metrics.inFlight.Add(-1)
 	resp, err = http.Get(ts.URL + "/api/themes")
 	if err != nil {
@@ -261,8 +267,22 @@ func TestMetricsEndpointMovesWithTraffic(t *testing.T) {
 	resp.Body.Close()
 	e.DrainBackground()
 
+	// The engine gauges render the same Stats snapshot /api/status serves.
+	st := e.Status()
+	if p := e.Pressure(); st.QueueCap != p.QueueCap || st.QueueCap == 0 {
+		t.Fatalf("Stats.QueueCap = %d, Pressure says %d", st.QueueCap, p.QueueCap)
+	}
 	body := fetchMetrics(t, ts.URL)
+	if st.FoldLag == 0 {
+		t.Fatal("Stats.FoldLag = 0 with unfolded publishes")
+	}
+	if e.Status().FoldLag == st.FoldLag { // no fold ran between the two reads
+		if want := fmt.Sprintf("memex_version_fold_lag_epochs %d\n", st.FoldLag); !strings.Contains(body, want) {
+			t.Errorf("metrics missing %q", want)
+		}
+	}
 	for _, want := range []string{
+		fmt.Sprintf("memex_engine_queue_capacity %d\n", st.QueueCap),
 		`memex_http_requests_total{endpoint="POST /api/event"} 3`,
 		`memex_http_request_duration_seconds_count{endpoint="POST /api/event"} 3`,
 		`memex_http_errors_total{endpoint="GET /api/profile",class="4xx"} 1`,

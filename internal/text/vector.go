@@ -262,21 +262,34 @@ func (c *Corpus) DF(id int32) int {
 func (c *Corpus) IDF(id int32) float64 {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return math.Log(float64(1+c.docs) / float64(1+c.df[id]))
+	return idf(c.docs, c.df[id])
 }
 
 // TFIDF returns a copy of v with weights tf·idf, unit-normalized.
 func (c *Corpus) TFIDF(v Vector) Vector {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return TFIDF(v, c.docs, func(id int32) int { return c.df[id] })
+}
+
+// idf is the smoothed inverse document frequency of a term found in df of
+// docs documents.
+func idf(docs, df int) float64 {
+	return math.Log(float64(1+docs) / float64(1+df))
+}
+
+// TFIDF returns a copy of the raw term-frequency vector v with weights
+// (1+ln tf)·idf, unit-normalized, against a collection of docs documents
+// whose document frequencies df reports. It is the one tf·idf weighting
+// in the repo: Corpus.TFIDF and the engine's inverted index both call it
+// with their own statistics.
+func TFIDF(v Vector, docs int, df func(id int32) int) Vector {
 	out := Vector{
 		IDs:     append([]int32(nil), v.IDs...),
 		Weights: make([]float64, len(v.Weights)),
 	}
-	c.mu.RLock()
 	for i, id := range v.IDs {
-		tf := 1 + math.Log(v.Weights[i])
-		idf := math.Log(float64(1+c.docs) / float64(1+c.df[id]))
-		out.Weights[i] = tf * idf
+		out.Weights[i] = (1 + math.Log(v.Weights[i])) * idf(docs, df(id))
 	}
-	c.mu.RUnlock()
 	return out.Normalize()
 }

@@ -1,20 +1,21 @@
 // Package textindex implements Memex's full-text search over all pages a
-// community has visited: an in-memory inverted index with incremental
-// updates, deletions, boolean filtering, and ranked retrieval under both
-// classic TF-IDF cosine and BM25 scoring. Postings can be persisted into a
-// kvstore keyspace and reloaded (the paper keeps term-level indices in its
-// Berkeley DB layer).
+// community has visited: an in-memory, append-only inverted index with
+// ranked retrieval under both classic TF-IDF cosine and BM25 scoring. It
+// is also the archive's one in-RAM home for collection statistics — the
+// document count and every term's document frequency are the sizes of its
+// own maps — so TFIDF weights vectors for the mining passes from the same
+// numbers Search ranks with. The index is never persisted: its durable
+// home is the per-page tf/ records of the version store, from which the
+// engine rebuilds it at open.
 package textindex
 
 import (
 	"container/heap"
-	"encoding/binary"
-	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
-	"memex/internal/kvstore"
 	"memex/internal/text"
 )
 
@@ -30,9 +31,7 @@ type Index struct {
 	dict     *text.Dict
 	postings map[int32][]Posting // term id → postings sorted by Doc
 	docLen   map[int64]int       // doc → token count
-	docTerms map[int64][]int32   // doc → term ids (for precise removal)
 	totalLen int64
-	deleted  map[int64]bool
 }
 
 // New returns an empty index sharing the given dictionary (pass nil to
@@ -45,114 +44,48 @@ func New(dict *text.Dict) *Index {
 		dict:     dict,
 		postings: make(map[int32][]Posting),
 		docLen:   make(map[int64]int),
-		docTerms: make(map[int64][]int32),
-		deleted:  make(map[int64]bool),
 	}
 }
 
-// Dict returns the index's term dictionary.
-func (ix *Index) Dict() *text.Dict { return ix.dict }
-
-// Add indexes document content under id doc. Re-adding an id replaces the
-// previous version (via tombstone + fresh postings).
+// Add indexes document content under id doc; see AddCounts.
 func (ix *Index) Add(doc int64, content string) {
-	tf := text.TermCounts(content)
-	ix.AddCounts(doc, tf)
+	ix.AddCounts(doc, text.TermCounts(content))
 }
 
-// AddCounts indexes a precomputed term-count map.
+// AddCounts indexes a precomputed term-count map. A document is indexed
+// once: adding an id that is already present is a no-op (first write
+// wins), which is what lets a posting list's length be the term's
+// document frequency with no per-document bookkeeping.
 func (ix *Index) AddCounts(doc int64, tf map[string]int) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	if _, exists := ix.docLen[doc]; exists {
-		ix.removePostingsLocked(doc)
-		ix.deleteLocked(doc)
+		return
 	}
-	delete(ix.deleted, doc)
 	total := 0
-	terms := make([]int32, 0, len(tf))
 	for term, n := range tf {
 		id := ix.dict.ID(term)
 		pl := ix.postings[id]
 		i := sort.Search(len(pl), func(i int) bool { return pl[i].Doc >= doc })
-		if i < len(pl) && pl[i].Doc == doc {
-			pl[i].TF = int32(n)
-		} else {
-			pl = append(pl, Posting{})
-			copy(pl[i+1:], pl[i:])
-			pl[i] = Posting{Doc: doc, TF: int32(n)}
-		}
-		ix.postings[id] = pl
-		terms = append(terms, id)
+		ix.postings[id] = slices.Insert(pl, i, Posting{Doc: doc, TF: int32(n)})
 		total += n
 	}
-	ix.docTerms[doc] = terms
 	ix.docLen[doc] = total
 	ix.totalLen += int64(total)
 }
 
-// Delete removes doc from the index (lazy: postings are filtered at query
-// time and compacted by Vacuum).
-func (ix *Index) Delete(doc int64) {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	ix.deleteLocked(doc)
+// TFIDF returns a copy of the raw term-frequency vector v (ids from the
+// index's dictionary) weighted by text.TFIDF against the indexed
+// collection: N is the number of indexed documents and a term's DF the
+// length of its posting list, read under one lock hold so the weights
+// describe a single state of the index.
+func (ix *Index) TFIDF(v text.Vector) text.Vector {
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	return text.TFIDF(v, len(ix.docLen), func(id int32) int { return len(ix.postings[id]) })
 }
 
-func (ix *Index) deleteLocked(doc int64) {
-	if n, ok := ix.docLen[doc]; ok {
-		ix.totalLen -= int64(n)
-		delete(ix.docLen, doc)
-		ix.deleted[doc] = true
-	}
-}
-
-// removePostingsLocked physically removes doc's postings (used on re-add so
-// the fresh postings are authoritative immediately).
-func (ix *Index) removePostingsLocked(doc int64) {
-	for _, id := range ix.docTerms[doc] {
-		pl := ix.postings[id]
-		i := sort.Search(len(pl), func(i int) bool { return pl[i].Doc >= doc })
-		if i < len(pl) && pl[i].Doc == doc {
-			pl = append(pl[:i], pl[i+1:]...)
-			if len(pl) == 0 {
-				delete(ix.postings, id)
-			} else {
-				ix.postings[id] = pl
-			}
-		}
-	}
-	delete(ix.docTerms, doc)
-}
-
-// Vacuum rewrites posting lists dropping deleted documents.
-func (ix *Index) Vacuum() {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	if len(ix.deleted) == 0 {
-		return
-	}
-	//memexvet:ignore lockiter Vacuum rewrites the shared posting lists in place; the write lock is the operation, not incidental to it
-	for id, pl := range ix.postings {
-		out := pl[:0]
-		for _, p := range pl {
-			if !ix.deleted[p.Doc] {
-				out = append(out, p)
-			}
-		}
-		if len(out) == 0 {
-			delete(ix.postings, id)
-		} else {
-			ix.postings[id] = out
-		}
-	}
-	for doc := range ix.deleted {
-		delete(ix.docTerms, doc)
-	}
-	ix.deleted = make(map[int64]bool)
-}
-
-// Docs returns the number of live documents.
+// Docs returns the number of indexed documents.
 func (ix *Index) Docs() int {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
@@ -164,27 +97,6 @@ func (ix *Index) Terms() int {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	return len(ix.postings)
-}
-
-// DF returns the document frequency of a raw (unstemmed) query term.
-func (ix *Index) DF(term string) int {
-	stems := text.Terms(term)
-	if len(stems) == 0 {
-		return 0
-	}
-	id, ok := ix.dict.Lookup(stems[0])
-	if !ok {
-		return 0
-	}
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	n := 0
-	for _, p := range ix.postings[id] {
-		if !ix.deleted[p.Doc] {
-			n++
-		}
-	}
-	return n
 }
 
 // Scoring selects the ranking function.
@@ -234,12 +146,7 @@ func (ix *Index) Search(query string, k int, scoring Scoring) []Hit {
 			continue
 		}
 		pl := ix.postings[id]
-		df := 0
-		for _, p := range pl {
-			if !ix.deleted[p.Doc] {
-				df++
-			}
-		}
+		df := len(pl)
 		if df == 0 {
 			continue
 		}
@@ -248,9 +155,6 @@ func (ix *Index) Search(query string, k int, scoring Scoring) []Hit {
 			idf := math.Log(1 + (float64(nDocs)-float64(df)+0.5)/(float64(df)+0.5))
 			const k1, b = 1.2, 0.75
 			for _, p := range pl {
-				if ix.deleted[p.Doc] {
-					continue
-				}
 				tf := float64(p.TF)
 				dl := float64(ix.docLen[p.Doc])
 				norm := tf * (k1 + 1) / (tf + k1*(1-b+b*dl/avgLen))
@@ -260,9 +164,6 @@ func (ix *Index) Search(query string, k int, scoring Scoring) []Hit {
 			idf := math.Log(float64(1+nDocs) / float64(1+df))
 			qw := (1 + math.Log(float64(qn))) * idf
 			for _, p := range pl {
-				if ix.deleted[p.Doc] {
-					continue
-				}
 				dw := (1 + math.Log(float64(p.TF))) * idf
 				dl := float64(ix.docLen[p.Doc])
 				if dl > 0 {
@@ -273,47 +174,6 @@ func (ix *Index) Search(query string, k int, scoring Scoring) []Hit {
 		}
 	}
 	return topK(scores, k)
-}
-
-// SearchAll returns top-k documents containing every query term (boolean
-// AND), ranked by the selected scoring.
-func (ix *Index) SearchAll(query string, k int, scoring Scoring) []Hit {
-	terms := text.Terms(query)
-	if len(terms) == 0 {
-		return nil
-	}
-	required := make(map[int64]int)
-	distinct := map[string]bool{}
-	for _, t := range terms {
-		distinct[t] = true
-	}
-
-	ix.mu.RLock()
-	for t := range distinct {
-		id, ok := ix.dict.Lookup(t)
-		if !ok {
-			ix.mu.RUnlock()
-			return nil
-		}
-		for _, p := range ix.postings[id] {
-			if !ix.deleted[p.Doc] {
-				required[p.Doc]++
-			}
-		}
-	}
-	ix.mu.RUnlock()
-
-	hits := ix.Search(query, len(required)+k, scoring)
-	out := hits[:0]
-	for _, h := range hits {
-		if required[h.Doc] == len(distinct) {
-			out = append(out, h)
-			if len(out) == k {
-				break
-			}
-		}
-	}
-	return out
 }
 
 // topK selects the k highest-scoring docs using a min-heap.
@@ -352,91 +212,4 @@ func (h *hitHeap) Pop() any {
 	x := old[n-1]
 	*h = old[:n-1]
 	return x
-}
-
-// --- persistence into a kvstore keyspace ---
-
-// Save writes the index into store under prefix. Layout:
-//
-//	<prefix>/t/<term>  → packed postings (varint doc deltas + tf)
-//	<prefix>/d/<doc>   → doc length (varint)
-func (ix *Index) Save(store *kvstore.Store, prefix string) error {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	var batch []kvstore.KV
-	//memexvet:ignore lockiter Save needs one consistent cut of an in-place index; copying every posting list to shorten the hold would double memory for a checkpoint-rate call
-	for id, pl := range ix.postings {
-		term := ix.dict.Term(id)
-		var buf []byte
-		var prev int64
-		for _, p := range pl {
-			if ix.deleted[p.Doc] {
-				continue
-			}
-			buf = binary.AppendUvarint(buf, uint64(p.Doc-prev))
-			buf = binary.AppendUvarint(buf, uint64(p.TF))
-			prev = p.Doc
-		}
-		if len(buf) == 0 {
-			continue
-		}
-		batch = append(batch, kvstore.KV{
-			Key:   []byte(fmt.Sprintf("%s/t/%s", prefix, term)),
-			Value: buf,
-		})
-	}
-	for doc, n := range ix.docLen {
-		var buf []byte
-		buf = binary.AppendUvarint(buf, uint64(n))
-		batch = append(batch, kvstore.KV{
-			Key:   []byte(fmt.Sprintf("%s/d/%016x", prefix, uint64(doc))),
-			Value: buf,
-		})
-	}
-	return store.PutBatch(batch)
-}
-
-// Load reads an index previously written by Save.
-func Load(store *kvstore.Store, prefix string, dict *text.Dict) (*Index, error) {
-	ix := New(dict)
-	err := store.ScanPrefix([]byte(prefix+"/t/"), func(k, v []byte) bool {
-		term := string(k[len(prefix)+3:])
-		id := ix.dict.ID(term)
-		var pl []Posting
-		var prev int64
-		for len(v) > 0 {
-			delta, n := binary.Uvarint(v)
-			if n <= 0 {
-				break
-			}
-			v = v[n:]
-			tf, n2 := binary.Uvarint(v)
-			if n2 <= 0 {
-				break
-			}
-			v = v[n2:]
-			prev += int64(delta)
-			pl = append(pl, Posting{Doc: prev, TF: int32(tf)})
-		}
-		ix.postings[id] = pl
-		for _, p := range pl {
-			ix.docTerms[p.Doc] = append(ix.docTerms[p.Doc], id)
-		}
-		return true
-	})
-	if err != nil {
-		return nil, err
-	}
-	err = store.ScanPrefix([]byte(prefix+"/d/"), func(k, v []byte) bool {
-		var doc uint64
-		fmt.Sscanf(string(k[len(prefix)+3:]), "%016x", &doc)
-		n, _ := binary.Uvarint(v)
-		ix.docLen[int64(doc)] = int(n)
-		ix.totalLen += int64(n)
-		return true
-	})
-	if err != nil {
-		return nil, err
-	}
-	return ix, nil
 }

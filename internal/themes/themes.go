@@ -49,7 +49,7 @@ type UserFolder struct {
 // Options tunes discovery. Zero values take the documented defaults.
 type Options struct {
 	// MergeSim is the cosine threshold above which folders coalesce into a
-	// theme (default 0.5; DESIGN.md §4.5).
+	// theme (default 0.5; DESIGN.md §4).
 	MergeSim float64
 	// SplitDispersion triggers refinement when a theme's dispersion
 	// (1 − mean member-to-centroid cosine) exceeds it (default 0.3: a tight

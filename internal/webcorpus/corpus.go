@@ -1,5 +1,5 @@
 // Package webcorpus generates the synthetic Web that stands in for the
-// live Web of the paper's deployment (substitution S17 in DESIGN.md).
+// live Web of the paper's deployment (DESIGN.md §2).
 //
 // The generator builds a two-level topic taxonomy; each leaf topic owns a
 // vocabulary, each page samples terms from a mixture of its topic's

@@ -125,7 +125,7 @@ func Open(cfg Config) (*Memex, error) {
 
 // WorldConfig configures the synthetic Web + surfer population used by the
 // examples and experiments (the substitution for the paper's volunteers;
-// see DESIGN.md).
+// see DESIGN.md §2).
 type WorldConfig struct {
 	Seed int64
 	// Web tunes the synthetic corpus (zero values take defaults).
