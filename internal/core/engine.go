@@ -51,6 +51,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -163,7 +164,6 @@ type Engine struct {
 	// event is between Pop and completion.
 	pushed    atomic.Int64
 	processed atomic.Int64
-	inflight  atomic.Int64
 	stats     Counters
 	closed    bool
 }
@@ -187,9 +187,6 @@ type Counters struct {
 	VisitsLogged    atomic.Int64
 	BookmarksLogged atomic.Int64
 	PagesFetched    atomic.Int64
-	EventsDropped   atomic.Uint64
-	ClassifierRuns  atomic.Int64
-	ThemeRebuilds   atomic.Int64
 }
 
 // Open builds the engine over the given directory.
@@ -262,10 +259,13 @@ func Open(cfg Config) (*Engine, error) {
 	// (dictionary, inverted index) so queries work immediately after a
 	// restart and the fetch path skips every recovered page.
 	e.reloadDerived()
+	e.requeueUnfetched()
 	e.startDemons()
 	return e, nil
 }
 
+// createTables declares the durable layout (DESIGN.md §1). EnsureTable
+// refuses a catalog that holds any other schema, and Open passes that on.
 func (e *Engine) createTables() error {
 	var err error
 	e.pages, err = e.db.EnsureTable(rdbms.Schema{
@@ -274,10 +274,8 @@ func (e *Engine) createTables() error {
 			{Name: "id", Type: rdbms.TInt},
 			{Name: "url", Type: rdbms.TString},
 			{Name: "title", Type: rdbms.TString},
-			{Name: "fetched", Type: rdbms.TBool},
 		},
-		Key:     "id",
-		Indexes: []string{"url"},
+		Key: "id",
 	})
 	if err != nil {
 		return err
@@ -293,7 +291,7 @@ func (e *Engine) createTables() error {
 			{Name: "privacy", Type: rdbms.TInt},
 		},
 		Key:     "id",
-		Indexes: []string{"user", "time"},
+		Indexes: []string{"user"}, // read by windowQuery
 	})
 	if err != nil {
 		return err
@@ -307,8 +305,7 @@ func (e *Engine) createTables() error {
 			{Name: "folder", Type: rdbms.TString},
 			{Name: "time", Type: rdbms.TTime},
 		},
-		Key:     "id",
-		Indexes: []string{"user"},
+		Key: "id",
 	})
 	if err != nil {
 		return err
@@ -366,6 +363,40 @@ func (e *Engine) reload() error {
 		e.markVisitedLocked(r.MustInt("user"), r.MustInt("page"), events.Privacy(r.MustInt("privacy")))
 		return true
 	})
+}
+
+// requeueUnfetched queues a fetch for every visited or bookmarked page
+// that came back without a tf/ record: the event queue is memory-only and
+// Close does not drain it, so a fetch still queued at shutdown, or one the
+// source could not serve that life, would otherwise wait for a revisit.
+// Sorted id order keeps the refetch order reproducible. Runs during Open,
+// single-threaded, after reloadDerived.
+func (e *Engine) requeueUnfetched() {
+	var pages []int64
+	note := func(page int64) {
+		if !e.meta[page].fetched {
+			pages = append(pages, page)
+		}
+	}
+	for _, set := range e.visited {
+		for page := range set {
+			note(page)
+		}
+	}
+	for _, tree := range e.trees {
+		tree.Walk(func(f *folders.Folder) {
+			for _, entry := range f.Entries {
+				note(entry.Page)
+			}
+		})
+	}
+	slices.Sort(pages)
+	for _, page := range slices.Compact(pages) {
+		// An event of no Kind is fetch-only: process fetches and indexes
+		// the page and classifies it for nobody.
+		e.pushed.Add(1)
+		e.queue.Push(events.Event{URL: e.meta[page].url})
+	}
 }
 
 // markVisitedLocked records that user has a visit row for page, and that

@@ -73,10 +73,7 @@ func (e *Engine) RecordVisit(user int64, url, referrer string, at time.Time, pri
 	}
 	e.stats.VisitsLogged.Add(1)
 	e.pushed.Add(1)
-	e.queue.Push(events.Event{
-		Kind: events.VisitEvent, User: user, URL: url,
-		Referrer: referrer, Time: at, Privacy: privacy,
-	})
+	e.queue.Push(events.Event{Kind: events.VisitEvent, User: user, URL: url, Privacy: privacy})
 	return nil
 }
 
@@ -111,10 +108,7 @@ func (e *Engine) AddBookmark(user int64, url, folder string, at time.Time) error
 	e.stats.BookmarksLogged.Add(1)
 	// Ensure the page is fetched/indexed so training has text.
 	e.pushed.Add(1)
-	e.queue.Push(events.Event{
-		Kind: events.BookmarkEvent, User: user, URL: url,
-		Folder: folder, Time: at, Privacy: events.Community,
-	})
+	e.queue.Push(events.Event{Kind: events.BookmarkEvent, User: user, URL: url})
 	return nil
 }
 
@@ -122,7 +116,7 @@ func (e *Engine) AddBookmark(user int64, url, folder string, at time.Time) error
 // reinforcement of Figure 1) and counts as a fresh training signal.
 func (e *Engine) CorrectPlacement(user int64, url, folder string) error {
 	e.mu.Lock()
-	pageID, ok := e.pageIDByURLLocked(url)
+	pageID, ok := e.idByURL[url]
 	if !ok {
 		e.mu.Unlock()
 		return fmt.Errorf("core: unknown page %q", url)
@@ -189,23 +183,15 @@ func (e *Engine) ExportBookmarks(user int64, w io.Writer) error {
 // ensurePage returns the stable page id for url, creating the row if new.
 func (e *Engine) ensurePage(url string) (int64, error) {
 	e.mu.RLock()
-	if id, ok := e.pageIDByURLLocked(url); ok {
+	if id, ok := e.idByURL[url]; ok {
 		e.mu.RUnlock()
 		return id, nil
 	}
 	e.mu.RUnlock()
 
-	// Slow path: check the index, insert when truly absent. A row found
-	// here lost the race to a concurrent insert below, which filled the
-	// in-memory record in the same critical section as the row.
-	row, ok, err := e.pages.Select().Where(rdbms.Eq("url", rdbms.String(url))).First()
-	if err != nil {
-		return 0, err
-	}
-	if ok {
-		return row.MustInt("id"), nil
-	}
-	// Serialise the insert race on a fresh URL: re-check under the lock.
+	// A map miss means no row: reload fills idByURL from every row, and a
+	// row and its map entry are written in the one critical section below.
+	// Re-check under the full lock to serialise the race on a fresh URL.
 	e.mu.Lock()
 	if id, ok := e.idByURL[url]; ok {
 		e.mu.Unlock()
@@ -217,10 +203,9 @@ func (e *Engine) ensurePage(url string) (int64, error) {
 		return 0, err
 	}
 	if err := e.pages.Insert(rdbms.Row{
-		"id":      rdbms.Int(id),
-		"url":     rdbms.String(url),
-		"title":   rdbms.String(""),
-		"fetched": rdbms.Bool(false),
+		"id":    rdbms.Int(id),
+		"url":   rdbms.String(url),
+		"title": rdbms.String(""),
 	}); err != nil {
 		e.mu.Unlock()
 		return 0, err
@@ -229,12 +214,6 @@ func (e *Engine) ensurePage(url string) (int64, error) {
 	e.idByURL[url] = id
 	e.mu.Unlock()
 	return id, nil
-}
-
-// pageIDByURLLocked consults the in-memory reverse map (mu held, either mode).
-func (e *Engine) pageIDByURLLocked(url string) (int64, bool) {
-	id, ok := e.idByURL[url]
-	return id, ok
 }
 
 // analyzerLoop is the background demon body: it drains the event queue and
@@ -250,24 +229,16 @@ func (e *Engine) analyzerLoop(stop <-chan struct{}) {
 		if !ok {
 			return
 		}
-		e.processOne(ev)
+		e.process(ev)
 	}
 }
 
-// processOne wraps process with panic-safe accounting so a failure in one
-// event can neither wedge DrainBackground nor kill the demon supervisor's
-// restart accounting.
-func (e *Engine) processOne(ev events.Event) {
-	e.inflight.Add(1)
-	defer func() {
-		e.inflight.Add(-1)
-		e.processed.Add(1)
-	}()
-	e.process(ev)
-}
-
-// process performs the per-event background analysis.
+// process performs the per-event background analysis. The event counts as
+// processed even when its analysis panics, so a failure in one event can
+// neither wedge DrainBackground nor skew the demon supervisor's restart
+// accounting.
 func (e *Engine) process(ev events.Event) {
+	defer e.processed.Add(1)
 	pageID, err := e.ensurePage(ev.URL)
 	if err != nil {
 		return
@@ -341,7 +312,6 @@ func (e *Engine) fetchAndIndexSlow(pageID int64, url string) map[string]int {
 
 	e.pages.Update(rdbms.Int(pageID), func(r rdbms.Row) rdbms.Row {
 		r["title"] = rdbms.String(content.Title)
-		r["fetched"] = rdbms.Bool(true)
 		return r
 	})
 	return tf
@@ -384,7 +354,6 @@ func (e *Engine) classifyForUser(user, pageID int64, tf map[string]int) {
 	if conf < 0.4 {
 		return // too uncertain to bother the user with a guess
 	}
-	e.stats.ClassifierRuns.Add(1)
 	e.mu.Lock()
 	e.treeLocked(user).Add(folder, folders.Entry{
 		Page: pageID, URL: rec.url, Title: rec.title,

@@ -110,6 +110,8 @@ func windowQuery(visits *rdbms.Table, user int64, from, to time.Time) *rdbms.Que
 
 // visitRows loads visits as trail events, filtered to what `user` may see
 // (their own visits plus community-public visits when includeCommunity).
+// A full scan sorted in memory by design: community visits belong to every
+// user, so no index narrows it, and rdbms never orders by an index.
 func (e *Engine) visitRows(user int64, includeCommunity bool) []trails.Visit {
 	var out []trails.Visit
 	e.visits.Select().OrderBy("time", false).Each(func(r rdbms.Row) bool {
@@ -268,7 +270,6 @@ func (e *Engine) RebuildThemes() themes.Stats {
 	e.mu.Lock()
 	e.tax = tax
 	e.mu.Unlock()
-	e.stats.ThemeRebuilds.Add(1)
 	return tax.Stats()
 }
 
@@ -468,7 +469,7 @@ func (e *Engine) Discover(user int64, folder string, budget, k int) []PageInfo {
 		// tier served the page.
 		counts := fr.Counts
 		if counts == nil {
-			counts = textTermCounts(fr.Text)
+			counts = text.TermCounts(fr.Text)
 		}
 		post := model.Posteriors(counts)
 		return post[ci]
@@ -552,9 +553,4 @@ func (f *engineFetcher) Fetch(page int64) (crawler.FetchResult, bool) {
 	sorted := e.links.Out(page)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
 	return crawler.FetchResult{Page: page, Counts: tf, Links: sorted}, true
-}
-
-// textTermCounts converts raw content into the classifier's term counts.
-func textTermCounts(s string) map[string]int {
-	return text.TermCounts(s)
 }

@@ -5,10 +5,7 @@
 // recovers … even if it has to discard a few client events").
 package events
 
-import (
-	"sync"
-	"time"
-)
+import "sync"
 
 // Privacy is the per-event archiving mode the user selects in the client.
 type Privacy int
@@ -42,21 +39,15 @@ const (
 	VisitEvent Kind = iota + 1
 	// BookmarkEvent is a deliberate filing of a page into a folder.
 	BookmarkEvent
-	// FolderEvent is a folder-structure edit (create/move/correct).
-	FolderEvent
 )
 
-// Event is one client action.
+// Event is one client action, reduced to what the analyzers read; the
+// foreground path has already written the rest to the tables.
 type Event struct {
-	Kind     Kind
-	User     int64
-	URL      string
-	Referrer string
-	Folder   string
-	Time     time.Time
-	Privacy  Privacy
-	// Correct marks FolderEvents that fix a classifier guess.
-	Correct bool
+	Kind    Kind
+	User    int64
+	URL     string
+	Privacy Privacy
 }
 
 // Queue is a bounded MPSC event queue with drop-oldest overflow semantics:
@@ -107,19 +98,6 @@ func (q *Queue) Pop() (Event, bool) {
 	for len(q.buf) == 0 && !q.closed {
 		q.cond.Wait()
 	}
-	if len(q.buf) == 0 {
-		return Event{}, false
-	}
-	e := q.buf[0]
-	copy(q.buf, q.buf[1:])
-	q.buf = q.buf[:len(q.buf)-1]
-	return e, true
-}
-
-// TryPop dequeues without blocking.
-func (q *Queue) TryPop() (Event, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
 	if len(q.buf) == 0 {
 		return Event{}, false
 	}

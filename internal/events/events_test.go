@@ -12,13 +12,13 @@ func TestQueueFIFO(t *testing.T) {
 		q.Push(Event{User: int64(i)})
 	}
 	for i := 0; i < 5; i++ {
-		e, ok := q.TryPop()
+		e, ok := q.Pop()
 		if !ok || e.User != int64(i) {
 			t.Fatalf("pop %d: %v ok=%v", i, e.User, ok)
 		}
 	}
-	if _, ok := q.TryPop(); ok {
-		t.Fatal("pop from empty queue succeeded")
+	if q.Len() != 0 {
+		t.Fatalf("Len = %d after draining", q.Len())
 	}
 }
 
@@ -33,7 +33,7 @@ func TestQueueDropOldest(t *testing.T) {
 	if q.Dropped() != 4 {
 		t.Fatalf("Dropped = %d", q.Dropped())
 	}
-	e, _ := q.TryPop()
+	e, _ := q.Pop()
 	if e.User != 4 {
 		t.Fatalf("oldest surviving event = %d, want 4", e.User)
 	}

@@ -125,15 +125,20 @@ func (db *DB) Table(name string) (*Table, error) {
 	return t, nil
 }
 
-// EnsureTable returns the named table, creating it with schema s when absent.
+// EnsureTable returns the named table, creating it with schema s when
+// absent. A stored table whose schema differs from s is refused: code
+// written against s could neither encode its rows nor rely on its indexes.
 func (db *DB) EnsureTable(s Schema) (*Table, error) {
 	db.mu.RLock()
 	t, ok := db.tables[s.Name]
 	db.mu.RUnlock()
-	if ok {
-		return t, nil
+	if !ok {
+		return db.CreateTable(s)
 	}
-	return db.CreateTable(s)
+	if d := t.schema.diff(&s); d != "" {
+		return nil, fmt.Errorf("rdbms: table %q: stored schema differs from the requested one: %s", s.Name, d)
+	}
+	return t, nil
 }
 
 // DropTable removes a table and all its rows and index entries.
@@ -163,17 +168,6 @@ func (db *DB) DropTable(name string) error {
 		return err
 	}
 	return db.kv.Delete([]byte("seq/" + name))
-}
-
-// Tables lists table names in the catalog.
-func (db *DB) Tables() []string {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	names := make([]string, 0, len(db.tables))
-	for n := range db.tables {
-		names = append(names, n)
-	}
-	return names
 }
 
 // NextID returns an auto-incrementing int64 for the table, persisted so ids
@@ -227,6 +221,3 @@ func (t *Table) idxKey(col int, val, pk Value) []byte {
 	p := encodeOrdered(val, t.idxPrefix(col))
 	return encodeOrdered(pk, p)
 }
-
-// Schema returns a copy of the table's schema.
-func (t *Table) Schema() Schema { return t.schema }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -463,6 +464,26 @@ func TestEnsureTable(t *testing.T) {
 	}
 	if t1 != t2 {
 		t.Fatal("EnsureTable created a second table")
+	}
+
+	// A stored schema that differs from the requested one is refused, and
+	// the error names the table and what differs.
+	other := pagesSchema()
+	other.Columns = append(other.Columns[:3:3], other.Columns[4:]...) // no "fetched"
+	other.Indexes = []string{"score"}                                 // no "url"
+	_, err = db.EnsureTable(other)
+	if err == nil {
+		t.Fatal("EnsureTable accepted a schema that differs from the stored one")
+	}
+	for _, want := range []string{`"pages"`, "has column fetched TIME", "has index url"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not mention %s", err, want)
+		}
+	}
+	reordered := pagesSchema()
+	reordered.Columns[1], reordered.Columns[2] = reordered.Columns[2], reordered.Columns[1]
+	if _, err := db.EnsureTable(reordered); err == nil || !strings.Contains(err.Error(), "in another order") {
+		t.Fatalf("reordered columns: err = %v", err)
 	}
 }
 

@@ -13,6 +13,8 @@ package rdbms
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 	"time"
 )
 
@@ -113,6 +115,43 @@ func (s *Schema) Validate() error {
 	return nil
 }
 
+// layout lists what fixes how the table's rows and index entries are
+// stored, in storage order.
+func (s *Schema) layout() []string {
+	out := []string{"key " + s.Key}
+	for _, c := range s.Columns {
+		out = append(out, "column "+c.Name+" "+c.Type.String())
+	}
+	for _, idx := range s.Indexes {
+		out = append(out, "index "+idx)
+	}
+	return out
+}
+
+// diff says how the stored schema s departs from want, "" when the two
+// lay rows and index entries out identically.
+func (s *Schema) diff(want *Schema) string {
+	have, need := s.layout(), want.layout()
+	if slices.Equal(have, need) {
+		return ""
+	}
+	var d []string
+	for _, h := range have {
+		if !slices.Contains(need, h) {
+			d = append(d, "has "+h)
+		}
+	}
+	for _, n := range need {
+		if !slices.Contains(have, n) {
+			d = append(d, "lacks "+n)
+		}
+	}
+	if d == nil {
+		return "same columns and indexes in another order"
+	}
+	return strings.Join(d, "; ")
+}
+
 // Value is a dynamically typed cell value. Exactly one arm is meaningful,
 // selected by Type.
 type Value struct {
@@ -194,12 +233,6 @@ func (v Value) String() string {
 // Row maps column names to values.
 type Row map[string]Value
 
-// Get returns the named cell, with ok=false for absent columns.
-func (r Row) Get(col string) (Value, bool) {
-	v, ok := r[col]
-	return v, ok
-}
-
 // MustInt returns the int64 in column col, or 0.
 func (r Row) MustInt(col string) int64 { return r[col].Int }
 
@@ -211,6 +244,3 @@ func (r Row) MustFloat(col string) float64 { return r[col].Float }
 
 // MustTime returns the time in column col.
 func (r Row) MustTime(col string) time.Time { return r[col].Time }
-
-// MustBool returns the bool in column col.
-func (r Row) MustBool(col string) bool { return r[col].Bool }
