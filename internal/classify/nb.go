@@ -8,12 +8,19 @@
 //     hyperlink neighbour evidence (iterative relaxation labelling) and
 //     folder co-placement priors, lifting accuracy to roughly 80%
 //     (experiment E1 regenerates this comparison).
+//
+// A trained Bayes model carries its scoring table: one row of per-class
+// log-probabilities per term that counts, keyed by the term string. Scoring
+// a page is one map lookup per term and a sum, over the counting terms in
+// sorted order, that is a pure function of (model, page).
 package classify
 
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"strings"
 
 	"memex/internal/text"
 )
@@ -74,11 +81,19 @@ type Bayes struct {
 	Classes  []string
 	classIdx map[string]int
 	logPrior []float64
-	// termLog[c] maps selected term id → log P(t|c); absent terms use
-	// defaultLog[c].
-	termLog    []map[int32]float64
+	// rows is the scoring table, prepared once by Train: for every term
+	// that counts — the selected features, or with no selection every term
+	// some class was trained on — log P(t|c) for each class c in Classes
+	// order, the smoothed default where the class never saw the term. It
+	// is keyed by the term string, so scoring a document costs one map
+	// lookup per term and never touches the shared dictionary's lock.
+	rows map[string][]float64
+	// defaultLog[c] is log P(t|c) for a term no class was trained on.
 	defaultLog []float64
-	features   map[int32]bool // nil when no selection
+	// selected is false when training kept the whole vocabulary: a term
+	// absent from rows then still counts, at defaultLog, provided the
+	// dictionary knows it.
+	selected bool
 }
 
 // Train builds the model from the accumulated documents.
@@ -105,29 +120,39 @@ func (tr *Trainer) Train(opts Options) (*Bayes, error) {
 		Classes:    classes,
 		classIdx:   map[string]int{},
 		logPrior:   make([]float64, len(classes)),
-		termLog:    make([]map[int32]float64, len(classes)),
 		defaultLog: make([]float64, len(classes)),
-		features:   features,
+		selected:   features != nil,
 	}
 	totalDocs := 0
 	for _, acc := range tr.classes {
 		totalDocs += acc.docs
 	}
 	vocabSize := tr.dict.Size()
+	denom := make([]float64, len(classes))
+	counted := map[int32]bool{} // every term that gets a row
 	for ci, c := range classes {
 		m.classIdx[c] = ci
 		acc := tr.classes[c]
 		m.logPrior[ci] = math.Log(float64(acc.docs) / float64(totalDocs))
-		tl := make(map[int32]float64, len(acc.termCounts))
-		denom := float64(acc.totalTerms) + opts.Smoothing*float64(vocabSize)
-		for id, n := range acc.termCounts {
-			if features != nil && !features[id] {
-				continue
+		denom[ci] = float64(acc.totalTerms) + opts.Smoothing*float64(vocabSize)
+		m.defaultLog[ci] = math.Log(opts.Smoothing / denom[ci])
+		for id := range acc.termCounts {
+			if features == nil || features[id] {
+				counted[id] = true
 			}
-			tl[id] = math.Log((float64(n) + opts.Smoothing) / denom)
 		}
-		m.termLog[ci] = tl
-		m.defaultLog[ci] = math.Log(opts.Smoothing / denom)
+	}
+	m.rows = make(map[string][]float64, len(counted))
+	table := make([]float64, 0, len(counted)*len(classes))
+	for id := range counted {
+		for ci, c := range classes {
+			lp := m.defaultLog[ci]
+			if n, ok := tr.classes[c].termCounts[id]; ok {
+				lp = math.Log((float64(n) + opts.Smoothing) / denom[ci])
+			}
+			table = append(table, lp)
+		}
+		m.rows[tr.dict.Term(id)] = table[len(table)-len(classes):]
 	}
 	return m, nil
 }
@@ -203,28 +228,32 @@ func (tr *Trainer) selectFeatures(classes []string, k int) map[int32]bool {
 // Terms are accumulated in sorted order so the float sums — and therefore
 // every downstream posterior, classification and crawl-frontier priority —
 // are a pure function of (model, document), not of map iteration order.
+// Only the terms that count are sorted: the rest add nothing, in any order.
 func (m *Bayes) LogScores(tf map[string]int) []float64 {
-	terms := make([]string, 0, len(tf))
-	for term := range tf {
-		terms = append(terms, term)
+	type hit struct {
+		term string
+		n    float64
+		row  []float64
 	}
-	sort.Strings(terms)
-	scores := append([]float64(nil), m.logPrior...)
-	for _, term := range terms {
-		id, ok := m.dict.Lookup(term)
+	hits := make([]hit, 0, len(tf))
+	for term, n := range tf {
+		row, ok := m.rows[term]
 		if !ok {
-			continue
-		}
-		if m.features != nil && !m.features[id] {
-			continue
-		}
-		n := tf[term]
-		for ci := range scores {
-			lp, ok := m.termLog[ci][id]
-			if !ok {
-				lp = m.defaultLog[ci]
+			if m.selected {
+				continue
 			}
-			scores[ci] += float64(n) * lp
+			if _, known := m.dict.Lookup(term); !known {
+				continue
+			}
+			row = m.defaultLog
+		}
+		hits = append(hits, hit{term, float64(n), row})
+	}
+	slices.SortFunc(hits, func(a, b hit) int { return strings.Compare(a.term, b.term) })
+	scores := append([]float64(nil), m.logPrior...)
+	for _, h := range hits {
+		for ci, lp := range h.row {
+			scores[ci] += float64(h.n * lp)
 		}
 	}
 	return scores
@@ -261,7 +290,12 @@ func (m *Bayes) ClassIndex(class string) int {
 }
 
 // FeatureCount reports the number of selected features (0 = all).
-func (m *Bayes) FeatureCount() int { return len(m.features) }
+func (m *Bayes) FeatureCount() int {
+	if !m.selected {
+		return 0
+	}
+	return len(m.rows)
+}
 
 // softmax converts log scores to a probability distribution, guarding
 // against underflow by subtracting the max.

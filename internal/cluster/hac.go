@@ -4,6 +4,13 @@
 // scatter/gather (Cutting, Karger, Pedersen 1993), plus the buckshot
 // sampling trick that gives constant interaction time on large
 // collections, and cluster digests (top terms per cluster).
+//
+// Similarities are cosines, and a vector's norm is computed once per
+// vector, not once per comparison: HAC scores its initial all-pairs
+// candidates and Buckshot assigns items to seeds through a text.Matrix
+// (one pass per item against all rows), and the comparisons against
+// centroids that change — merges, k-means rounds, Dispersion — carry the
+// norms in. The scores are the bits text.Cosine would give.
 package cluster
 
 import (
@@ -44,8 +51,9 @@ func (c *Cluster) Dispersion() float64 {
 		return 0
 	}
 	var s float64
+	nc := c.Centroid.Norm()
 	for _, it := range c.Items {
-		s += text.Cosine(it.Vec, c.Centroid)
+		s += text.CosineWithNorms(it.Vec, c.Centroid, it.Vec.Norm(), nc)
 	}
 	return 1 - s/float64(len(c.Items))
 }
@@ -75,10 +83,14 @@ func HAC(items []Item, k int, minSim float64) []*Cluster {
 		k = 1
 	}
 	clusters := make([]*Cluster, n)
+	norms := make([]float64, n) // of clusters[i].Centroid, kept current across merges
 	active := make([]bool, n)
+	vecs := make([]text.Vector, n)
 	for i, it := range items {
 		clusters[i] = &Cluster{Items: []Item{it}, Centroid: it.Vec}
+		norms[i] = it.Vec.Norm()
 		active[i] = true
+		vecs[i] = it.Vec
 	}
 	live := n
 
@@ -88,10 +100,14 @@ func HAC(items []Item, k int, minSim float64) []*Cluster {
 	pq := &pairHeap{}
 	heap.Init(pq)
 	ver := make([]int, n) // bumped on merge
+	// The initial all-pairs similarities: each item scored against all the
+	// items at once, term-at-a-time, instead of n²/2 separate merges.
+	all := text.NewMatrix(vecs)
+	var sims []float64
 	for i := 0; i < n; i++ {
+		sims = all.Cosines(vecs[i], sims)
 		for j := i + 1; j < n; j++ {
-			s := groupAvg(clusters[i], clusters[j])
-			heap.Push(pq, pair{i, j, ver[i], ver[j], s})
+			heap.Push(pq, pair{i, j, ver[i], ver[j], sims[j]})
 		}
 	}
 
@@ -112,6 +128,7 @@ func HAC(items []Item, k int, minSim float64) []*Cluster {
 		}
 		merged.Centroid = weightedCentroid(ci, cj)
 		clusters[p.i] = merged
+		norms[p.i] = merged.Centroid.Norm()
 		active[p.j] = false
 		ver[p.i]++
 		live--
@@ -119,7 +136,7 @@ func HAC(items []Item, k int, minSim float64) []*Cluster {
 			if x == p.i || !active[x] {
 				continue
 			}
-			s := groupAvg(clusters[p.i], clusters[x])
+			s := text.CosineWithNorms(merged.Centroid, clusters[x].Centroid, norms[p.i], norms[x])
 			a, b := p.i, x
 			if a > b {
 				a, b = b, a
@@ -157,10 +174,6 @@ func (h *pairHeap) Pop() any {
 	return x
 }
 
-func groupAvg(a, b *Cluster) float64 {
-	return text.Cosine(a.Centroid, b.Centroid)
-}
-
 func weightedCentroid(a, b *Cluster) text.Vector {
 	na, nb := float64(a.Size()), float64(b.Size())
 	wa := text.Vector{IDs: a.Centroid.IDs, Weights: append([]float64(nil), a.Centroid.Weights...)}
@@ -195,14 +208,19 @@ func Buckshot(items []Item, k int, rng *rand.Rand) []*Cluster {
 	seeds := HAC(sample, k, 0)
 
 	out := make([]*Cluster, len(seeds))
+	cents := make([]text.Vector, len(seeds))
 	for i, s := range seeds {
 		out[i] = &Cluster{Centroid: s.Centroid}
+		cents[i] = s.Centroid
 	}
+	seedMatrix := text.NewMatrix(cents)
+	var sims []float64
 	for _, it := range items {
-		best, bestSim := 0, -1.0
-		for i, c := range out {
-			if s := text.Cosine(it.Vec, c.Centroid); s > bestSim {
-				best, bestSim = i, s
+		sims = seedMatrix.Cosines(it.Vec, sims)
+		best := 0
+		for i, s := range sims {
+			if s > sims[best] {
+				best = i
 			}
 		}
 		out[best].Items = append(out[best].Items, it)
@@ -232,13 +250,17 @@ func KMeans2(items []Item, rng *rand.Rand, iterations int) []*Cluster {
 		iterations = 10
 	}
 	// Seed with two far-apart items: a random one and its least similar.
+	norms := make([]float64, len(items))
+	for i, it := range items {
+		norms[i] = it.Vec.Norm()
+	}
 	a := rng.Intn(len(items))
 	b, worst := -1, math.Inf(1)
 	for i, it := range items {
 		if i == a {
 			continue
 		}
-		if s := text.Cosine(it.Vec, items[a].Vec); s < worst {
+		if s := text.CosineWithNorms(it.Vec, items[a].Vec, norms[i], norms[a]); s < worst {
 			worst, b = s, i
 		}
 	}
@@ -246,9 +268,10 @@ func KMeans2(items []Item, rng *rand.Rand, iterations int) []*Cluster {
 	assign := make([]int, len(items))
 	for it := 0; it < iterations; it++ {
 		changed := false
+		n0, n1 := cents[0].Norm(), cents[1].Norm()
 		for i, item := range items {
 			best := 0
-			if text.Cosine(item.Vec, cents[1]) > text.Cosine(item.Vec, cents[0]) {
+			if text.CosineWithNorms(item.Vec, cents[1], norms[i], n1) > text.CosineWithNorms(item.Vec, cents[0], norms[i], n0) {
 				best = 1
 			}
 			if assign[i] != best {

@@ -161,8 +161,8 @@ func TestRecordCacheMaxEntrySize(t *testing.T) {
 	cases := []struct {
 		max, want int64
 	}{
-		{256 << 10, oversizeFloor},        // small budget: floor wins (max/8 = 32 KiB)
-		{32 << 20, (32 << 20) / 8},        // default budget: max/8 = 4 MiB
+		{256 << 10, oversizeFloor},         // small budget: floor wins (max/8 = 32 KiB)
+		{32 << 20, (32 << 20) / 8},         // default budget: max/8 = 4 MiB
 		{8 * oversizeFloor, oversizeFloor}, // boundary: exactly the floor
 	}
 	for _, tc := range cases {
@@ -185,11 +185,11 @@ func TestAdaptiveRinThreshold(t *testing.T) {
 	cases := []struct {
 		base, lifetime, want int
 	}{
-		{8, 0, 8},    // cold page: full base threshold
-		{8, 63, 8},   // just under the first churn tier
-		{8, 64, 4},   // 8×base: half
-		{8, 255, 4},  // still in the half tier
-		{8, 256, 2},  // 32×base: quarter
+		{8, 0, 8},   // cold page: full base threshold
+		{8, 63, 8},  // just under the first churn tier
+		{8, 64, 4},  // 8×base: half
+		{8, 255, 4}, // still in the half tier
+		{8, 256, 2}, // 32×base: quarter
 		{8, 10000, 2},
 		{4, 32, 2},   // 8×4=32: half of 4
 		{4, 128, 2},  // quarter of 4 floors at 2

@@ -493,7 +493,9 @@ type Stats struct {
 	EventsDropped uint64
 	Themes        int
 	DiskBytes     int64
-	DemonRestarts map[string]int
+	// Demons lists every demon that has panicked: how often the pool
+	// restarted it, and the last panic value and time.
+	Demons map[string]demon.Status
 	// GraphNodes/GraphEdges size the recovered+live link graph (pages
 	// known to the hyperlink structure and directed edges between them).
 	// After a restart they are nonzero before any fetch: the adjacency
@@ -542,7 +544,7 @@ func (e *Engine) Status() Stats {
 		EventsDropped: e.queue.Dropped(),
 		Themes:        themesN,
 		DiskBytes:     e.kv.DiskBytes(),
-		DemonRestarts: e.pool.Restarts(),
+		Demons:        e.pool.Status(),
 		Version:       e.vs.StoreStats(),
 	}
 }

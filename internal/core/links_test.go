@@ -362,9 +362,9 @@ func TestRinMixedArchiveDecode(t *testing.T) {
 	}
 	// Page 7 gains post-migration chunks — seq 1 corrupt.
 	b2 := vs.Begin()
-	b2.Put(rinChunkKey(7, 0), encodeIDSet([]int64{9}))       //memexvet:ignore epochbatch this batch models a later epoch: post-migration chunks legitimately arrive after the legacy record
-	b2.Put(rinChunkKey(7, 1), []byte{0xff})                  //memexvet:ignore epochbatch same staged migration scenario: the corrupt chunk under test
-	b2.Put(rinChunkKey(7, 2), encodeIDSet([]int64{2, 11}))   //memexvet:ignore epochbatch same staged migration scenario: the chunk past the corruption
+	b2.Put(rinChunkKey(7, 0), encodeIDSet([]int64{9}))     //memexvet:ignore epochbatch this batch models a later epoch: post-migration chunks legitimately arrive after the legacy record
+	b2.Put(rinChunkKey(7, 1), []byte{0xff})                //memexvet:ignore epochbatch same staged migration scenario: the corrupt chunk under test
+	b2.Put(rinChunkKey(7, 2), encodeIDSet([]int64{2, 11})) //memexvet:ignore epochbatch same staged migration scenario: the chunk past the corruption
 	if err := b2.Publish(); err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -158,7 +159,7 @@ func (e *Engine) Trails(user int64, folder string, k int) TrailContext {
 	view := e.DerivedSnapshot()
 	defer view.Release()
 
-	topicFilter := func(page int64) bool {
+	onTopic := func(page int64) bool {
 		if model == nil {
 			// Untrained: fall back to the user's explicit folder content.
 			e.mu.RLock()
@@ -176,6 +177,18 @@ func (e *Engine) Trails(user int64, folder string, k int) TrailContext {
 		}
 		got, _ := model.Classify(tf)
 		return got == folder || strings.HasPrefix(got+"/", folder+"/")
+	}
+	// A page's topic is a function of the page, the model and the pinned
+	// view, none of which change during the pass: decide it at the page's
+	// first visit and remember it for the revisits.
+	topic := map[int64]bool{}
+	topicFilter := func(page int64) bool {
+		on, ok := topic[page]
+		if !ok {
+			on = onTopic(page)
+			topic[page] = on
+		}
+		return on
 	}
 
 	visits := e.visitRows(user, true)
@@ -349,6 +362,9 @@ func (e *Engine) userDocsInView(user int64, view *DerivedView) []themes.DocVec {
 	return docs
 }
 
+// recommendPeers is how many nearest peers' pages Recommend draws from.
+const recommendPeers = 10
+
 // Recommend suggests up to k community pages for the user via theme-profile
 // peer similarity (method ByProfile) or the URL-overlap baseline.
 func (e *Engine) Recommend(user int64, k int, byProfile bool) []PageInfo {
@@ -364,45 +380,79 @@ func (e *Engine) Recommend(user int64, k int, byProfile bool) []PageInfo {
 	}
 
 	// All peers' profiles are built from the same pinned snapshot so the
-	// similarity comparison is apples-to-apples even under live ingest.
+	// similarity comparison is apples-to-apples even under live ingest. A
+	// page's tf·idf weighting and theme assignment do not depend on who
+	// visited it, so each is computed at the page's first visitor and
+	// shared by the rest.
 	view := e.DerivedSnapshot()
 	defer view.Release()
+	assigner := profile.NewAssigner(tax)
+	type pageShares struct {
+		fetched bool
+		shares  []profile.Share
+	}
+	assigned := map[int64]pageShares{}
 	profiles := map[int64]profile.Profile{}
 	visited := map[int64]map[int64]bool{}
 	for _, u := range users {
-		docs := e.userDocsInView(u, view)
-		if len(docs) == 0 {
-			continue
-		}
-		profiles[u] = profile.Build(u, docs, tax)
 		set := map[int64]bool{}
 		e.mu.RLock()
+		pages := make([]int64, 0, len(e.visited[u]))
 		for page := range e.visited[u] {
+			pages = append(pages, page)
 			// Only community-visible pages are candidates from peers.
 			if u == user || e.meta[page].community {
 				set[page] = true
 			}
 		}
 		e.mu.RUnlock()
+		// Deterministic page order: profile weights are float accumulations,
+		// and downstream ranking must not depend on map iteration order.
+		slices.Sort(pages)
+		var docs [][]profile.Share
+		for _, page := range pages {
+			ps, ok := assigned[page]
+			if !ok {
+				if raw, ok := view.Vector(page); ok {
+					ps = pageShares{true, assigner.Shares(e.idx.TFIDF(raw))}
+				}
+				assigned[page] = ps
+			}
+			if ps.fetched {
+				docs = append(docs, ps.shares)
+			}
+		}
+		if len(docs) == 0 {
+			continue
+		}
+		profiles[u] = assigner.Profile(u, docs)
 		visited[u] = set
 	}
 	eng := recommend.NewEngine(profiles, visited)
+	method := recommend.ByProfile
+	if !byProfile {
+		method = recommend.ByURLOverlap
+	}
 	// Link-proximity signal: a candidate page a hop away from something
 	// the user already surfed (either direction, at the view's epoch)
 	// outranks an unconnected candidate with the same peer mass — the
 	// trail-mining intuition that nearby pages extend the user's own
 	// paths. Reading the same pinned view keeps the boost consistent with
-	// the profiles and reproducible from recovered records.
+	// the profiles and reproducible from recovered records. Only pages of
+	// the nearest peers can be recommended, so only they are scored: every
+	// other peer's pages would cost two adjacency decodes each for a boost
+	// nothing reads.
 	mine := visited[user]
 	boost := map[int64]float64{}
 	scanned := map[int64]bool{}
-	for u, set := range visited {
-		if u == user || len(mine) == 0 {
-			// No history ⇒ no page can be near it; skip the record
-			// decodes rather than compute a guaranteed-empty boost.
+	for _, peer := range eng.Peers(user, method, recommendPeers) {
+		if peer.Score <= 0 || len(mine) == 0 {
+			// A peer of no similarity contributes no candidates; and no
+			// history ⇒ no page can be near it: skip the record decodes
+			// rather than compute a boost nothing reads.
 			continue
 		}
-		for p := range set {
+		for p := range visited[peer.User] {
 			if mine[p] || scanned[p] {
 				continue
 			}
@@ -424,11 +474,7 @@ func (e *Engine) Recommend(user int64, k int, byProfile bool) []PageInfo {
 		}
 	}
 	eng.SetPageScores(boost)
-	method := recommend.ByProfile
-	if !byProfile {
-		method = recommend.ByURLOverlap
-	}
-	recs := eng.Recommend(user, method, 10, k)
+	recs := eng.Recommend(user, method, recommendPeers, k)
 	out := make([]PageInfo, 0, len(recs))
 	e.mu.RLock()
 	for _, p := range recs {

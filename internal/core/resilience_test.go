@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -69,8 +70,13 @@ func TestEngineSurvivesPanickingSource(t *testing.T) {
 	if st.PagesIndexed == 0 {
 		t.Fatal("nothing indexed despite most lookups succeeding")
 	}
-	if len(e.pool.Restarts()) == 0 {
+	if len(st.Demons) == 0 {
 		t.Fatal("expected demon restarts to be recorded")
+	}
+	for name, d := range st.Demons {
+		if d.Restarts == 0 || !strings.HasPrefix(d.LastPanic, "synthetic fetch crash") || d.LastPanicAt.IsZero() {
+			t.Fatalf("Status.Demons[%s] = %+v, want the restart count and the last panic", name, d)
+		}
 	}
 	// New events still flow end to end.
 	p := c.Page(c.LeafPages[c.Leaves()[1].ID][0])

@@ -51,7 +51,7 @@ func (e *Engine) UsageBreakdown(user int64, since time.Time) []UsageSlice {
 	view := e.DerivedSnapshot()
 	defer view.Release()
 
-	folderOf := func(page int64) string {
+	attribute := func(page int64) string {
 		// Explicit placement wins over classifier guesses.
 		e.mu.RLock()
 		if tree := e.trees[user]; tree != nil {
@@ -70,6 +70,18 @@ func (e *Engine) UsageBreakdown(user int64, since time.Time) []UsageSlice {
 			}
 		}
 		return "/unfiled"
+	}
+	// A history revisits pages: a page's folder is decided at its first
+	// visit and remembered (same page, model and pinned view give the same
+	// answer every time).
+	folders := map[int64]string{}
+	folderOf := func(page int64) string {
+		folder, ok := folders[page]
+		if !ok {
+			folder = attribute(page)
+			folders[page] = folder
+		}
+		return folder
 	}
 
 	const dwellCap = 30 * time.Minute

@@ -3,12 +3,15 @@
 // decoupled from the foreground servlet path, coordinated through the
 // loosely-consistent version store. A Pool supervises demons, restarting
 // any that panic (§3: "the server recovers from network and programming
-// errors quickly").
+// errors quickly") — after a pause that doubles with every panic in a row,
+// so a demon that cannot start does not spin — and remembers what each one
+// last panicked with, and when, for Status.
 package demon
 
 import (
 	"fmt"
 	"log"
+	"maps"
 	"sync"
 	"time"
 )
@@ -22,21 +25,49 @@ type Demon interface {
 
 // Pool supervises a set of demons.
 type Pool struct {
-	mu       sync.Mutex
-	demons   []Demon
-	stop     chan struct{}
-	wg       sync.WaitGroup
-	running  bool
-	restarts map[string]int
+	mu      sync.Mutex
+	demons  []Demon
+	stop    chan struct{}
+	wg      sync.WaitGroup
+	running bool
+	status  map[string]Status // demons that have panicked, by name
 	// Logger receives supervision messages (defaults to log.Printf).
 	Logger func(format string, args ...any)
+}
+
+// Status is what the pool remembers of one demon's failures.
+type Status struct {
+	// Restarts counts the panics the pool absorbed and restarted from.
+	Restarts int
+	// LastPanic is the most recent panic value, formatted, and LastPanicAt
+	// when it was caught.
+	LastPanic   string
+	LastPanicAt time.Time
+}
+
+// A panicked demon restarts after restartBase, doubled for every panic in
+// a row up to restartCap. A run that stayed up for restartCap counts as
+// healthy and starts the sequence over.
+const (
+	restartBase = 50 * time.Millisecond
+	restartCap  = 5 * time.Second
+)
+
+// restartDelay is the pause before the restart that follows the streak-th
+// panic in a row (streak ≥ 1).
+func restartDelay(streak int) time.Duration {
+	d := restartBase
+	for i := 1; i < streak && d < restartCap; i++ {
+		d *= 2
+	}
+	return min(d, restartCap)
 }
 
 // NewPool returns an empty pool.
 func NewPool() *Pool {
 	return &Pool{
-		restarts: map[string]int{},
-		Logger:   log.Printf,
+		status: map[string]Status{},
+		Logger: log.Printf,
 	}
 }
 
@@ -74,15 +105,22 @@ func (p *Pool) launch(d Demon, stop <-chan struct{}) {
 	p.wg.Add(1)
 	go func() {
 		defer p.wg.Done()
+		streak := 0 // panics in a row
 		for {
+			started := time.Now()
 			if done := p.runOnce(d, stop); done {
 				return
 			}
+			if time.Since(started) >= restartCap {
+				streak = 0
+			}
+			streak++
+			delay := time.NewTimer(restartDelay(streak))
 			select {
 			case <-stop:
+				delay.Stop()
 				return
-			case <-time.After(50 * time.Millisecond):
-				// brief backoff, then restart the panicked demon
+			case <-delay.C:
 			}
 		}
 	}()
@@ -94,7 +132,10 @@ func (p *Pool) runOnce(d Demon, stop <-chan struct{}) (done bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			p.mu.Lock()
-			p.restarts[d.Name()]++
+			st := p.status[d.Name()]
+			st.Restarts++
+			st.LastPanic, st.LastPanicAt = fmt.Sprint(r), time.Now()
+			p.status[d.Name()] = st
 			p.mu.Unlock()
 			p.Logger("demon %s panicked: %v (restarting)", d.Name(), r)
 			done = false
@@ -117,15 +158,12 @@ func (p *Pool) Stop() {
 	p.wg.Wait()
 }
 
-// Restarts reports panic-restart counts per demon name.
-func (p *Pool) Restarts() map[string]int {
+// Status reports, for every demon that has panicked, how often it was
+// restarted and what it last panicked with.
+func (p *Pool) Status() map[string]Status {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	out := make(map[string]int, len(p.restarts))
-	for k, v := range p.restarts {
-		out[k] = v
-	}
-	return out
+	return maps.Clone(p.status)
 }
 
 // Periodic adapts a tick function into a Demon running every interval.

@@ -1,6 +1,8 @@
 package demon
 
 import (
+	"fmt"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -26,27 +28,63 @@ func TestPoolStartStop(t *testing.T) {
 	}
 }
 
-func TestPoolRestartsPanickedDemon(t *testing.T) {
+// TestPoolBacksOffAndRemembersPanic runs a demon that panics four times and
+// then stays up: the pause before each restart must double, and Status must
+// hold the count and the last panic, not the first.
+func TestPoolBacksOffAndRemembersPanic(t *testing.T) {
+	const panics = 4
 	p := NewPool()
 	p.Logger = func(string, ...any) {}
-	var runs atomic.Int64
+	var mu sync.Mutex
+	var starts []time.Time
+	up := make(chan struct{})
 	p.Add(&Func{TaskName: "flaky", Body: func(stop <-chan struct{}) {
-		if runs.Add(1) < 3 {
-			panic("synthetic crash")
+		mu.Lock()
+		starts = append(starts, time.Now())
+		n := len(starts)
+		mu.Unlock()
+		if n <= panics {
+			panic(fmt.Sprintf("synthetic crash %d", n))
 		}
+		close(up)
 		<-stop
 	}})
+	before := time.Now()
 	p.Start()
-	deadline := time.Now().Add(2 * time.Second)
-	for runs.Load() < 3 && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
+	select {
+	case <-up:
+	case <-time.After(10 * time.Second):
+		t.Fatal("demon never came back up")
 	}
 	p.Stop()
-	if runs.Load() < 3 {
-		t.Fatalf("demon restarted %d times, want >= 3", runs.Load())
+
+	if len(starts) != panics+1 {
+		t.Fatalf("demon started %d times, want %d", len(starts), panics+1)
 	}
-	if p.Restarts()["flaky"] < 2 {
-		t.Fatalf("Restarts = %v", p.Restarts())
+	for i := 1; i < len(starts); i++ {
+		// Timers fire late, never early: each gap is at least its delay.
+		if gap, want := starts[i].Sub(starts[i-1]), restartDelay(i); gap < want {
+			t.Errorf("restart %d came after %v, want at least %v", i, gap, want)
+		}
+	}
+	st := p.Status()["flaky"]
+	if st.Restarts != panics || st.LastPanic != "synthetic crash 4" {
+		t.Fatalf("Status = %+v, want %d restarts and the last panic value", st, panics)
+	}
+	if st.LastPanicAt.Before(before) || st.LastPanicAt.After(time.Now()) {
+		t.Fatalf("LastPanicAt = %v, outside the test's run", st.LastPanicAt)
+	}
+}
+
+func TestRestartDelayDoublesToACap(t *testing.T) {
+	if got := restartDelay(1); got != restartBase {
+		t.Fatalf("first delay = %v, want %v", got, restartBase)
+	}
+	for streak := 2; streak < 64; streak++ {
+		prev, got := restartDelay(streak-1), restartDelay(streak)
+		if got != min(2*prev, restartCap) {
+			t.Fatalf("delay after %d panics = %v, after %d = %v", streak-1, prev, streak, got)
+		}
 	}
 }
 

@@ -2,6 +2,14 @@
 // module shares: tokenization, stopword filtering, Porter stemming, a
 // term dictionary that interns strings to dense ids, and sparse TF/TF-IDF
 // document vectors with cosine operations.
+//
+// Two ways to compare vectors. Cosine (and Dot) merge two sorted vectors:
+// right for one comparison. Matrix prepares a fixed set of rows — theme
+// centroids, cluster seeds — so that Cosines scores a document against all
+// of them in one pass over the document's terms, with the row norms
+// computed once; it accumulates each row's sum in term-id order, as the
+// merge does, so its scores are the same bits as Cosine's. Centroid is the
+// same idea for sums: one accumulate pass, not a chain of Add.
 package text
 
 import (

@@ -114,7 +114,11 @@ func (v Vector) Norm() float64 {
 	return math.Sqrt(s)
 }
 
-// Dot returns the dot product of two vectors (both sorted by id).
+// Dot returns the dot product of two vectors (both sorted by id). The
+// explicit conversion keeps the compiler from fusing the multiply into the
+// add on platforms that have the instruction: Matrix.Cosines promises the
+// same bits, and a product rounded in one place and not the other would
+// break that.
 func Dot(a, b Vector) float64 {
 	var s float64
 	i, j := 0, 0
@@ -125,7 +129,7 @@ func Dot(a, b Vector) float64 {
 		case a.IDs[i] > b.IDs[j]:
 			j++
 		default:
-			s += a.Weights[i] * b.Weights[j]
+			s += float64(a.Weights[i] * b.Weights[j])
 			i++
 			j++
 		}
@@ -136,7 +140,12 @@ func Dot(a, b Vector) float64 {
 // Cosine returns the cosine similarity in [0,1] for nonnegative vectors;
 // zero when either vector is empty.
 func Cosine(a, b Vector) float64 {
-	na, nb := a.Norm(), b.Norm()
+	return CosineWithNorms(a, b, a.Norm(), b.Norm())
+}
+
+// CosineWithNorms is Cosine for a caller that already holds a.Norm() and
+// b.Norm(): a loop comparing one vector with many computes its norm once.
+func CosineWithNorms(a, b Vector, na, nb float64) float64 {
 	if na == 0 || nb == 0 {
 		return 0
 	}
@@ -187,16 +196,36 @@ func Add(a, b Vector) Vector {
 	return out
 }
 
-// Centroid returns the mean of the given vectors (empty input → zero vector).
+// Centroid returns the mean of the given vectors (empty input → zero
+// vector) as a new vector that shares no storage with any of them, so the
+// caller may Scale or Normalize it. One pass accumulates every term's sum
+// in the order the vectors come — the order a chain of Add calls would sum
+// them in, so the weights are the same bits — through a term-id → slot
+// table sized by the largest id present.
 func Centroid(vs []Vector) Vector {
 	if len(vs) == 0 {
 		return Vector{}
 	}
-	acc := vs[0]
-	for _, v := range vs[1:] {
-		acc = Add(acc, v)
+	slot := make([]int32, idSpan(vs)) // 1 + the term's index in sums; 0 = not yet seen
+	var sums []float64
+	for _, v := range vs {
+		for i, id := range v.IDs {
+			if s := slot[id]; s != 0 {
+				sums[s-1] += v.Weights[i]
+				continue
+			}
+			sums = append(sums, v.Weights[i])
+			slot[id] = int32(len(sums))
+		}
 	}
-	return acc.Scale(1 / float64(len(vs)))
+	out := Vector{IDs: make([]int32, 0, len(sums)), Weights: make([]float64, 0, len(sums))}
+	for id, s := range slot {
+		if s != 0 {
+			out.IDs = append(out.IDs, int32(id))
+			out.Weights = append(out.Weights, sums[s-1])
+		}
+	}
+	return out.Scale(1 / float64(len(vs)))
 }
 
 // Top returns the k heaviest components as (id, weight) pairs, descending.

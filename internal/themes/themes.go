@@ -28,6 +28,7 @@ import (
 	"math/rand"
 	"sort"
 	"strings"
+	"sync"
 
 	"memex/internal/cluster"
 	"memex/internal/text"
@@ -110,12 +111,38 @@ func (t *Taxonomy) Size(id int) int {
 	return n
 }
 
-// Taxonomy is the discovered community topic structure.
+// Taxonomy is the discovered community topic structure. It is finished
+// when Discover returns (or a test has filled in a literal): the scoring
+// table below is built from Themes on first use and never again, so a
+// Taxonomy must not be copied or have its themes changed after it has
+// scored a document.
 type Taxonomy struct {
 	Themes []Theme
 	Roots  []int
 	// DocTheme maps document id → owning theme id.
 	DocTheme map[int64]int
+
+	// The leaf themes' ids and their centroids prepared for term-at-a-time
+	// scoring: part of the model, living and dying with it.
+	scoring   sync.Once
+	leaves    []int
+	centroids *text.Matrix
+}
+
+// LeafCosines scores v against every leaf theme in one pass over v's
+// terms: sims[i] is bit-for-bit text.Cosine(v, Themes[leaves[i]].Centroid),
+// leaves in increasing theme id. sims uses buf's storage when it is large
+// enough; leaves is shared and read-only.
+func (tax *Taxonomy) LeafCosines(v text.Vector, buf []float64) (leaves []int, sims []float64) {
+	tax.scoring.Do(func() {
+		tax.leaves = tax.Leaves()
+		rows := make([]text.Vector, len(tax.leaves))
+		for i, id := range tax.leaves {
+			rows[i] = tax.Themes[id].Centroid
+		}
+		tax.centroids = text.NewMatrix(rows)
+	})
+	return tax.leaves, tax.centroids.Cosines(v, buf)
 }
 
 // Discover runs the consolidation over all users' folders.
@@ -248,20 +275,24 @@ func (tax *Taxonomy) refine(id int, docs []DocVec, dict *text.Dict, opts Options
 // (leaf-first) whose centroid is most similar. ok=false for an empty
 // taxonomy.
 func (tax *Taxonomy) Assign(v text.Vector) (int, bool) {
-	best, bestSim := -1, -1.0
-	for i := range tax.Themes {
-		th := &tax.Themes[i]
-		if len(th.Children) > 0 {
-			continue // prefer leaves; inner themes are summaries
-		}
-		if s := text.Cosine(v, th.Centroid); s > bestSim {
-			best, bestSim = i, s
-		}
-	}
+	leaves, sims := tax.LeafCosines(v, nil)
+	best := nearest(sims)
 	if best < 0 {
 		return 0, false
 	}
-	return best, true
+	return leaves[best], true
+}
+
+// nearest returns the index of the largest score, the first among equals,
+// or -1 when there are no scores.
+func nearest(sims []float64) int {
+	best, bestSim := -1, -1.0
+	for i, s := range sims {
+		if s > bestSim {
+			best, bestSim = i, s
+		}
+	}
+	return best
 }
 
 // Fit measures how well the taxonomy describes a document set: the mean
@@ -272,12 +303,12 @@ func (tax *Taxonomy) Fit(docs []DocVec) float64 {
 		return 0
 	}
 	var sum float64
+	var sims []float64
 	for _, d := range docs {
-		id, ok := tax.Assign(d.Vec)
-		if !ok {
-			continue
+		_, sims = tax.LeafCosines(d.Vec, sims)
+		if best := nearest(sims); best >= 0 {
+			sum += sims[best]
 		}
-		sum += text.Cosine(d.Vec, tax.Themes[id].Centroid)
 	}
 	return sum / float64(len(docs))
 }

@@ -2,7 +2,9 @@ package themes
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"memex/internal/text"
@@ -268,4 +270,130 @@ func BenchmarkDiscover(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		Discover(ufs, d, Options{Seed: 14})
 	}
+}
+
+// referenceAssign is Assign as it was written before the scoring table:
+// one text.Cosine per leaf theme. Kept as the reference.
+func referenceAssign(tax *Taxonomy, v text.Vector) (int, bool) {
+	best, bestSim := -1, -1.0
+	for i := range tax.Themes {
+		th := &tax.Themes[i]
+		if len(th.Children) > 0 {
+			continue
+		}
+		if s := text.Cosine(v, th.Centroid); s > bestSim {
+			best, bestSim = i, s
+		}
+	}
+	if best < 0 {
+		return 0, false
+	}
+	return best, true
+}
+
+// refinedTaxonomy discovers a taxonomy with inner themes as well as
+// leaves, and returns documents to score against it: every training
+// document, documents of a vocabulary no theme holds, and an empty one.
+func refinedTaxonomy(t *testing.T) (*Taxonomy, []DocVec) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(21))
+	d := text.NewDict()
+	ufs, _ := buildFolders(rng, d, 12, 4, 10)
+	// A dispersed folder, so that refinement gives the taxonomy depth.
+	mixed := UserFolder{User: 99, Path: "/mixed"}
+	for k := 0; k < 60; k++ {
+		tf := map[string]int{}
+		for w := 0; w < 20; w++ {
+			tf[fmt.Sprintf("sub%dword%d", k%2, rng.Intn(12))]++
+		}
+		mixed.Docs = append(mixed.Docs, DocVec{ID: int64(10000 + k), Vec: text.VectorFromCounts(d, tf).Normalize()})
+	}
+	ufs = append(ufs, mixed)
+	tax := Discover(ufs, d, Options{Seed: 22, MinSplitDocs: 30})
+	if st := tax.Stats(); st.Refined == 0 || st.Leaves < 3 {
+		t.Fatalf("taxonomy too plain to test against: %+v", st)
+	}
+	var docs []DocVec
+	for _, uf := range ufs {
+		docs = append(docs, uf.Docs...)
+	}
+	for k := 0; k < 10; k++ {
+		tf := map[string]int{fmt.Sprintf("stranger%d", k): 1 + k, fmt.Sprintf("t1term%d", k): 1}
+		docs = append(docs, DocVec{ID: int64(20000 + k), Vec: text.VectorFromCounts(d, tf).Normalize()})
+	}
+	docs = append(docs, DocVec{ID: 30000})
+	return tax, docs
+}
+
+func TestAssignAndFitMatchReference(t *testing.T) {
+	tax, docs := refinedTaxonomy(t)
+	var sum float64
+	for _, doc := range docs {
+		got, gotOK := tax.Assign(doc.Vec)
+		want, wantOK := referenceAssign(tax, doc.Vec)
+		if got != want || gotOK != wantOK {
+			t.Fatalf("doc %d: Assign = %d,%v, reference %d,%v", doc.ID, got, gotOK, want, wantOK)
+		}
+		sum += text.Cosine(doc.Vec, tax.Themes[want].Centroid)
+	}
+	if got, want := tax.Fit(docs), sum/float64(len(docs)); math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("Fit = %v, reference %v", got, want)
+	}
+
+	leaves, sims := tax.LeafCosines(docs[0].Vec, nil)
+	if len(leaves) != tax.Stats().Leaves || len(sims) != len(leaves) {
+		t.Fatalf("LeafCosines returned %d leaves and %d scores, taxonomy has %d leaves", len(leaves), len(sims), tax.Stats().Leaves)
+	}
+	for i, id := range leaves {
+		if want := text.Cosine(docs[0].Vec, tax.Themes[id].Centroid); math.Float64bits(sims[i]) != math.Float64bits(want) {
+			t.Fatalf("leaf %d: score %v, Cosine %v", id, sims[i], want)
+		}
+	}
+}
+
+// TestDiscoverLeavesDocumentsAlone: a folder of one document used to get
+// that document's own vector back as its centroid and normalise it in
+// place, so discovery rescaled its input.
+func TestDiscoverLeavesDocumentsAlone(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	d := text.NewDict()
+	ufs, _ := buildFolders(rng, d, 6, 3, 1) // one document per folder
+	for i := range ufs {
+		ufs[i].Docs[0].Vec.Scale(3) // not unit length: a Normalize would show
+	}
+	var before [][]float64
+	for _, uf := range ufs {
+		before = append(before, append([]float64(nil), uf.Docs[0].Vec.Weights...))
+	}
+	Discover(ufs, d, Options{Seed: 24})
+	for i, uf := range ufs {
+		for j, w := range uf.Docs[0].Vec.Weights {
+			if w != before[i][j] {
+				t.Fatalf("folder %s: Discover changed its document's weight %d from %v to %v", uf.Path, j, before[i][j], w)
+			}
+		}
+	}
+}
+
+// TestFirstScoringIsSafeFromManyGoroutines: the scoring table is built at
+// the first score, and a server's requests share one taxonomy.
+func TestFirstScoringIsSafeFromManyGoroutines(t *testing.T) {
+	tax, docs := refinedTaxonomy(t)
+	want := make([]int, len(docs))
+	for i, doc := range docs {
+		want[i], _ = referenceAssign(tax, doc.Vec)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i, doc := range docs {
+				if got, _ := tax.Assign(doc.Vec); got != want[i] {
+					t.Errorf("doc %d: Assign = %d, want %d", doc.ID, got, want[i])
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

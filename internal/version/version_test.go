@@ -366,13 +366,13 @@ func TestBatchMisusePanics(t *testing.T) {
 	if err := b.Publish(); err != nil {
 		t.Fatal(err)
 	}
-	mustPanic(t, "version: Put on already-published batch", func() { b.Put("k2", []byte("v2")) })    //memexvet:ignore epochbatch deliberately exercises the misuse diagnostic
-	mustPanic(t, "version: Delete on already-published batch", func() { b.Delete("k") })            //memexvet:ignore epochbatch deliberately exercises the misuse diagnostic
+	mustPanic(t, "version: Put on already-published batch", func() { b.Put("k2", []byte("v2")) }) //memexvet:ignore epochbatch deliberately exercises the misuse diagnostic
+	mustPanic(t, "version: Delete on already-published batch", func() { b.Delete("k") })          //memexvet:ignore epochbatch deliberately exercises the misuse diagnostic
 
 	ab := s.Begin()
 	ab.Abort()
-	mustPanic(t, "version: Put on aborted batch", func() { ab.Put("k", []byte("v")) })              //memexvet:ignore epochbatch deliberately exercises the misuse diagnostic
-	mustPanic(t, "version: Delete on aborted batch", func() { ab.Delete("k") })                     //memexvet:ignore epochbatch deliberately exercises the misuse diagnostic
+	mustPanic(t, "version: Put on aborted batch", func() { ab.Put("k", []byte("v")) }) //memexvet:ignore epochbatch deliberately exercises the misuse diagnostic
+	mustPanic(t, "version: Delete on aborted batch", func() { ab.Delete("k") })        //memexvet:ignore epochbatch deliberately exercises the misuse diagnostic
 	if err := ab.Publish(); err == nil {
 		t.Fatal("Publish after Abort accepted")
 	}
