@@ -1,6 +1,7 @@
-// Command memexvet runs the repo's invariant analyzers (pinleak, lockiter,
-// detmap, epochbatch, atomicmix, replyorder, detsched, viewescape — see
-// internal/analysis) over Go packages.
+// Command memexvet runs the repo's invariant analyzers (lockiter, detmap,
+// epochbatch, detsched, atomicban — all syntactic; see internal/analysis
+// for each contract and for the ones held by construction instead) over
+// Go packages.
 //
 // Standalone, as CI runs it:
 //

@@ -62,10 +62,9 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s:%d:%d: [%s] %s", d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Analyzer, d.Message)
 }
 
-// All returns the full memexvet suite in stable order: the four original
-// AST-level checkers, then the CFG/dataflow generation.
+// All returns the full memexvet suite in stable order.
 func All() []*Analyzer {
-	return []*Analyzer{PinLeak, LockIter, DetMap, EpochBatch, AtomicMix, ReplyOrder, DetSched, ViewEscape}
+	return []*Analyzer{LockIter, DetMap, EpochBatch, DetSched, AtomicBan}
 }
 
 // metaName is the pseudo-analyzer that owns diagnostics about the

@@ -2,19 +2,16 @@ package analysis
 
 import "testing"
 
-func TestPinLeak(t *testing.T)    { RunGolden(t, PinLeak, "testdata/src/pinleak") }
 func TestLockIter(t *testing.T)   { RunGolden(t, LockIter, "testdata/src/lockiter") }
 func TestDetMap(t *testing.T)     { RunGolden(t, DetMap, "testdata/src/detmap") }
 func TestEpochBatch(t *testing.T) { RunGolden(t, EpochBatch, "testdata/src/epochbatch") }
-func TestAtomicMix(t *testing.T)  { RunGolden(t, AtomicMix, "testdata/src/atomicmix") }
-func TestReplyOrder(t *testing.T) { RunGolden(t, ReplyOrder, "testdata/src/replyorder") }
 func TestDetSched(t *testing.T)   { RunGolden(t, DetSched, "testdata/src/detsched") }
-func TestViewEscape(t *testing.T) { RunGolden(t, ViewEscape, "testdata/src/viewescape") }
+func TestAtomicBan(t *testing.T)  { RunGolden(t, AtomicBan, "testdata/src/atomicban") }
 
 // TestTreeClean is the merge gate in test form: the suite run over the
 // whole repository must come back empty. Reintroducing a PageRank-style
-// lock-hold, an unsorted encodeCounts, a leaked pin, or a torn batch
-// fails this test (and the memexvet CI job) immediately.
+// lock-hold, an unsorted encodeCounts, a torn batch, or an
+// atomic.AddUint64 fails this test (and the memexvet CI job) immediately.
 func TestTreeClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("invokes go list -export over the whole module")

@@ -7,24 +7,6 @@ import (
 
 // Small AST helpers shared by the analyzers.
 
-// inspectWithStack walks root in depth-first order like ast.Inspect, but
-// passes each node's ancestor stack (outermost first, immediate parent
-// last). Returning false skips the node's children.
-func inspectWithStack(root ast.Node, visit func(n ast.Node, stack []ast.Node) bool) {
-	var stack []ast.Node
-	ast.Inspect(root, func(n ast.Node) bool {
-		if n == nil {
-			stack = stack[:len(stack)-1]
-			return true
-		}
-		if !visit(n, stack) {
-			return false
-		}
-		stack = append(stack, n)
-		return true
-	})
-}
-
 // methodCall unpacks a call of the form recv.Name(...).
 func methodCall(n ast.Node) (recv ast.Expr, name string, call *ast.CallExpr, ok bool) {
 	c, isCall := n.(*ast.CallExpr)
@@ -56,52 +38,6 @@ func hasMethod(pkg *types.Package, t types.Type, name string) bool {
 	return isFunc
 }
 
-// enclosingFuncBody returns the body of the innermost enclosing function
-// (declaration or literal) on the stack.
-func enclosingFuncBody(stack []ast.Node) *ast.BlockStmt {
-	for i := len(stack) - 1; i >= 0; i-- {
-		switch fn := stack[i].(type) {
-		case *ast.FuncDecl:
-			return fn.Body
-		case *ast.FuncLit:
-			return fn.Body
-		}
-	}
-	return nil
-}
-
-// enclosingStmtList locates the statement list holding the statement that
-// contains the current node, returning the list, the statement's index in
-// it, and the statement itself. Works for blocks and switch/select clauses.
-func enclosingStmtList(stack []ast.Node) (list []ast.Stmt, idx int, stmt ast.Stmt) {
-	for i := len(stack) - 1; i >= 0; i-- {
-		var l []ast.Stmt
-		switch b := stack[i].(type) {
-		case *ast.BlockStmt:
-			l = b.List
-		case *ast.CaseClause:
-			l = b.Body
-		case *ast.CommClause:
-			l = b.Body
-		default:
-			continue
-		}
-		if i+1 >= len(stack) {
-			continue
-		}
-		s, isStmt := stack[i+1].(ast.Stmt)
-		if !isStmt {
-			continue
-		}
-		for j, x := range l {
-			if x == s {
-				return l, j, s
-			}
-		}
-	}
-	return nil, -1, nil
-}
-
 // stmtLists collects every statement list in the subtree rooted at n.
 func stmtLists(n ast.Node) [][]ast.Stmt {
 	var out [][]ast.Stmt
@@ -125,4 +61,19 @@ func usedObject(info *types.Info, id *ast.Ident) types.Object {
 		return o
 	}
 	return info.Defs[id]
+}
+
+// calleeFunc resolves the called function or method object, or nil.
+func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
+	var id *ast.Ident
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		id = fun
+	case *ast.SelectorExpr:
+		id = fun.Sel
+	default:
+		return nil
+	}
+	fn, _ := usedObject(info, id).(*types.Func)
+	return fn
 }

@@ -2,25 +2,17 @@
 // at build time, the repo-specific invariants this codebase has broken —
 // and re-fixed — once per subsystem. Every analyzer encodes a bug class
 // that shipped in an earlier PR and that no off-the-shelf linter checks;
-// the suite runs in CI (the memexvet job and the Go 1.24 test leg) and
-// via `go run ./cmd/memexvet ./...`, so the next regression of one of
-// these contracts fails a merge instead of a production pass.
+// the suite runs in CI (the memexvet job) and via
+// `go run ./cmd/memexvet ./...`, so the next regression of one of these
+// contracts fails a merge instead of a production pass.
+//
+// The suite is small on purpose. An invariant belongs here only while the
+// code can still express its violation; the ones an API can rule out are
+// held by construction instead (listed below), and what is checked here is
+// purely syntactic: AST walks over type-checked packages, no control-flow
+// graph, no dataflow.
 //
 // # The invariants, and the bugs that motivated them
-//
-// pinleak — every version-store pin is released.
-//
-//	A version.Snapshot (Store.Acquire) or core.DerivedView
-//	(Engine.DerivedSnapshot) pins an entire immutable state of the
-//	store. GC's fold floor never exceeds the minimum pinned epoch, so
-//	one leaked pin freezes compaction and the cold-tier fold for the
-//	life of the process: the heap grows with every publish and the
-//	archive stops moving to disk. The analyzer requires every
-//	acquisition to be released on all paths — `defer v.Release()` or a
-//	dominating explicit call — and flags discarded or chained
-//	acquisitions (`s.Acquire().Get(k)`) whose pin can never be
-//	released. (Motivated by the pin-floor design of PRs 1–3, where a
-//	single leaked snapshot disables GC silently.)
 //
 // lockiter — no bulk iteration or blocking calls while holding a mutex.
 //
@@ -54,37 +46,6 @@
 //	derived records for one page split across two batches in a
 //	function, and staging into a batch after its Publish/Abort.
 //
-// atomicmix — a field updated via sync/atomic is never accessed plainly.
-//
-//	PR 8's first metrics draft bumped per-endpoint counters with plain
-//	`m.requests++` on the hot path while the scrape path read them with
-//	atomic.LoadUint64: the increment is a read-modify-write race and the
-//	mixed access tears on 32-bit or under the race detector. The
-//	analyzer records every field whose address reaches a sync/atomic
-//	package-level function (`atomic.AddUint64(&m.requests, 1)`) and
-//	flags any other access to that field that is not itself under an
-//	atomic call. The sanctioned shape is all-atomic access — or better,
-//	the typed atomic.Uint64/Int64 wrappers internal/server now uses,
-//	which make plain access unrepresentable and which this analyzer
-//	therefore never flags.
-//
-// replyorder — HTTP replies commit once, buffered, and shed politely.
-//
-//	Three shipped bug shapes, one ordering contract. (1) handleExport
-//	streamed the bookmark tree straight into the ResponseWriter; the
-//	first byte committed a 200, so a mid-walk failure truncated the
-//	body under a success status. Flagged: passing the writer to a
-//	fallible producer (a callee that both takes w and returns error) —
-//	render to a buffer, check, then write. The fmt.Fprint*/io.WriteString
-//	families are exempt: streaming infallible formatting is the
-//	/metrics idiom, not the bug. (2) WriteHeader or a Header() mutation
-//	on a path where the response is already committed (the
-//	missing-return fallthrough); headers set after the first write are
-//	silently dropped. (3) A 429/503 rejection without Retry-After on
-//	some path (must-analysis: every path has to set it, or call an
-//	intra-package helper that does) — PR 8's bare 503 made a shed robot
-//	fleet retry in lockstep one RTT later.
-//
 // detsched — a load schedule is a pure function of (scenario, seed).
 //
 //	The synthetic harness's whole contract is replayability: same
@@ -97,19 +58,35 @@
 //	local generator are the sanctioned pattern), and map iteration that
 //	reaches the emitted schedule without a sort in between.
 //
-// viewescape — a pinned view's reference never outlives its pin.
+// atomicban — sync/atomic's package-level functions are not called.
 //
-//	pinleak proves every Acquire has a Release; viewescape proves the
-//	Release is not a lie. Storing a pinned Snapshot/DerivedView into a
-//	struct field, global, channel, or goroutine and then releasing it
-//	on the same path leaves the consumer a reference whose epoch GC is
-//	now free to fold away — reads go stale or the record vanishes
-//	mid-use. Flagged: an escape followed by Release on one path, a
-//	Release followed by an escape (handing out a dead view), and any
-//	escape when the Release is deferred. The sanctioned shape is
-//	ownership transfer: the goroutine or branch that keeps the
-//	reference becomes responsible for the Release and the original path
-//	never calls it (escape and Release on disjoint paths is clean).
+//	PR 8's first metrics draft bumped per-endpoint counters with plain
+//	`m.requests++` on the hot path while the scrape path read them with
+//	atomic.LoadUint64: a read-modify-write race that tears under the
+//	race detector. The pointer-taking functions (atomic.AddUint64(&x, 1)
+//	and the rest) are what allow it — x stays an ordinary variable. The
+//	analyzer bans calling them; the typed wrappers (atomic.Uint64,
+//	atomic.Int64, atomic.Pointer[T], …) are the only spelling, and make
+//	plain access a compile error.
+//
+// # Held by construction
+//
+// Contracts that need no analyzer, because the code cannot express their
+// violation (DESIGN.md §4):
+//
+//   - A version-store pin is released on every path, and no reference to
+//     the pinned view outlives it: core.Engine hands out a DerivedView
+//     only inside withView(func(*DerivedView)), which unpins when the
+//     closure returns or panics; a view used after that panics on every
+//     accessor.
+//   - An HTTP reply commits once, from a complete body: a server handler
+//     is a function from *http.Request to (reply, error) and never sees
+//     the ResponseWriter; one writer in the route wrapper sets
+//     Content-Type, status and body, once.
+//   - Every 429/503 carries Retry-After: only the wrapper's reject
+//     produces those codes, and it sets the header.
+//   - A variable updated atomically is never accessed plainly: with
+//     atomicban, the typed wrappers are the only atomics there are.
 //
 // # Suppressions
 //
@@ -120,13 +97,12 @@
 //
 // written either as a trailing comment on the flagged line or as a
 // standalone comment on the line immediately above it; each directive
-// governs exactly one line. The analyzer name must be one of pinleak,
-// lockiter, detmap, epochbatch, atomicmix, replyorder, detsched,
-// viewescape; the reason is mandatory. Suppressions are
-// themselves checked: a malformed directive (unknown analyzer, missing
-// reason) and a stale one (its line no longer triggers the named
-// analyzer) are both errors, so dead suppressions cannot accumulate and
-// hide future regressions.
+// governs exactly one line. The analyzer name must be one of lockiter,
+// detmap, epochbatch, detsched, atomicban; the reason is mandatory.
+// Suppressions are themselves checked: a malformed directive (unknown
+// analyzer, missing reason) and a stale one (its line no longer triggers
+// the named analyzer) are both errors, so dead suppressions cannot
+// accumulate and hide future regressions.
 //
 // # Running it
 //
@@ -146,9 +122,6 @@
 // analysistest-style golden tests) but is built on the standard library
 // only — this module is dependency-free by policy — loading type
 // information from the build cache's export data via `go list -export`.
-// Path-sensitive analyzers (pinleak, replyorder, viewescape) share an
-// intra-procedural CFG builder (cfg.go) and a forward iterative dataflow
-// framework (dataflow.go) that likewise mirror x/tools/go/cfg in shape.
 // If the repo ever takes on x/tools, each Analyzer.Run ports across
 // nearly verbatim.
 package analysis

@@ -13,11 +13,11 @@ import (
 // name, a reason-less directive, a directive outliving the finding it
 // silenced — and each must fail loud, as a metaName diagnostic that is
 // itself unsuppressible. These tests drive RunPackage over tiny in-memory
-// packages with a stub analyzer standing in for pinleak.
+// packages with a stub analyzer standing in for lockiter.
 
-// stubPinLeak flags every call to a function literally named "leak".
-var stubPinLeak = &Analyzer{
-	Name: "pinleak",
+// stubLockIter flags every call to a function literally named "leak".
+var stubLockIter = &Analyzer{
+	Name: "lockiter",
 	Doc:  "test stub: flags leak() calls",
 	Run: func(pass *Pass) error {
 		for _, f := range pass.Files {
@@ -36,7 +36,7 @@ var stubPinLeak = &Analyzer{
 	},
 }
 
-// checkSource runs stubPinLeak over src and returns the diagnostics.
+// checkSource runs stubLockIter over src and returns the diagnostics.
 func checkSource(t *testing.T, src string) []Diagnostic {
 	t.Helper()
 	dir := t.TempDir()
@@ -52,7 +52,7 @@ func checkSource(t *testing.T, src string) []Diagnostic {
 	for _, terr := range pkg.TypeErrors {
 		t.Fatalf("test source does not type-check: %v", terr)
 	}
-	diags, err := RunPackage(pkg, []*Analyzer{stubPinLeak})
+	diags, err := RunPackage(pkg, []*Analyzer{stubLockIter})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ const prologue = "package p\n\nfunc leak() {}\nfunc fine() {}\n\n"
 
 func TestSuppressTrailing(t *testing.T) {
 	diags := checkSource(t, prologue+`func f() {
-	leak() //memexvet:ignore pinleak audited: stub case
+	leak() //memexvet:ignore lockiter audited: stub case
 }
 `)
 	if len(diags) != 0 {
@@ -87,7 +87,7 @@ func TestSuppressTrailing(t *testing.T) {
 
 func TestSuppressLineAbove(t *testing.T) {
 	diags := checkSource(t, prologue+`func f() {
-	//memexvet:ignore pinleak audited: stub case
+	//memexvet:ignore lockiter audited: stub case
 	leak()
 }
 `)
@@ -100,7 +100,7 @@ func TestSuppressionDoesNotReachFurther(t *testing.T) {
 	// Two lines below the directive is out of range: the finding survives
 	// and the directive is stale — both must surface.
 	diags := checkSource(t, prologue+`func f() {
-	//memexvet:ignore pinleak audited: stub case
+	//memexvet:ignore lockiter audited: stub case
 
 	leak()
 }
@@ -112,15 +112,15 @@ func TestSuppressionDoesNotReachFurther(t *testing.T) {
 
 func TestUnknownAnalyzerFailsLoud(t *testing.T) {
 	diags := checkSource(t, prologue+`func f() {
-	fine() //memexvet:ignore pinlek typo in the analyzer name
+	fine() //memexvet:ignore lockitr typo in the analyzer name
 }
 `)
-	wantOne(t, diags, metaName, `unknown analyzer "pinlek"`)
+	wantOne(t, diags, metaName, `unknown analyzer "lockitr"`)
 }
 
 func TestMissingReasonFailsLoud(t *testing.T) {
 	diags := checkSource(t, prologue+`func f() {
-	leak() //memexvet:ignore pinleak
+	leak() //memexvet:ignore lockiter
 }
 `)
 	// The malformed directive suppresses nothing: the finding survives
@@ -136,12 +136,12 @@ func TestMissingReasonFailsLoud(t *testing.T) {
 			if !strings.Contains(d.Message, "missing reason") {
 				t.Errorf("meta message %q does not mention the missing reason", d.Message)
 			}
-		case "pinleak":
+		case "lockiter":
 			sawFinding = true
 		}
 	}
 	if !sawMeta || !sawFinding {
-		t.Errorf("want one meta and one pinleak diagnostic, got %v", diags)
+		t.Errorf("want one meta and one lockiter diagnostic, got %v", diags)
 	}
 }
 
@@ -155,7 +155,7 @@ func TestMissingNameFailsLoud(t *testing.T) {
 
 func TestStaleSuppressionFailsLoud(t *testing.T) {
 	diags := checkSource(t, prologue+`func f() {
-	fine() //memexvet:ignore pinleak line no longer triggers
+	fine() //memexvet:ignore lockiter line no longer triggers
 }
 `)
 	wantOne(t, diags, metaName, "stale //memexvet:ignore")
@@ -163,7 +163,7 @@ func TestStaleSuppressionFailsLoud(t *testing.T) {
 
 func TestStaleNotReportedWhenAnalyzerDidNotRun(t *testing.T) {
 	// A detmap directive cannot be judged stale by a run that only
-	// included pinleak.
+	// included lockiter.
 	diags := checkSource(t, prologue+`func f() {
 	fine() //memexvet:ignore detmap sorted upstream by the caller
 }
@@ -176,9 +176,9 @@ func TestStaleNotReportedWhenAnalyzerDidNotRun(t *testing.T) {
 func TestOneDirectivePerFinding(t *testing.T) {
 	// A single directive must not blanket two findings on different lines.
 	diags := checkSource(t, prologue+`func f() {
-	leak() //memexvet:ignore pinleak audited: stub case
+	leak() //memexvet:ignore lockiter audited: stub case
 	leak()
 }
 `)
-	wantOne(t, diags, "pinleak", "stub finding")
+	wantOne(t, diags, "lockiter", "stub finding")
 }

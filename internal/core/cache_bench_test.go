@@ -46,13 +46,13 @@ func benchEngine(b *testing.B, cacheBytes int64) *Engine {
 // recommendation — all reading the same epoch's records.
 func miningPass(e *Engine, pages []int64) {
 	e.RebuildThemes()
-	v := e.DerivedSnapshot()
-	for _, p := range pages {
-		v.Out(p)
-		v.In(p)
-		v.Vector(p)
-	}
-	v.Release()
+	e.withView(func(v *DerivedView) {
+		for _, p := range pages {
+			v.Out(p)
+			v.In(p)
+			v.Vector(p)
+		}
+	})
 	e.Recommend(1, 5, true)
 }
 

@@ -57,11 +57,9 @@ func pageOfTFKey(key string) (int64, bool) {
 // overwritten chunk would shadow the old one's edge out of every later
 // view. Runs during Open, single-threaded, before any demon starts.
 func (e *Engine) reloadDerived() {
-	view := e.DerivedSnapshot()
-	defer view.Release()
 	chunkSeq := map[int64]int{}
 	starts := map[int64]int{}
-	view.sn.Range(func(key string, raw []byte) bool {
+	visit := func(key string, raw []byte) bool {
 		if page, ok := pageOfLnkKey(key); ok {
 			if outs, ok := decodeIDSet(raw); ok {
 				e.links.applyRecovered(page, outs)
@@ -95,7 +93,8 @@ func (e *Engine) reloadDerived() {
 		rec.fetched = true
 		e.meta[page] = rec
 		return true
-	})
+	}
+	e.withView(func(view *DerivedView) { view.sn.Range(visit) })
 	e.links.resumeChunks(chunkSeq, starts)
 }
 
@@ -112,10 +111,11 @@ func (e *Engine) derivedPublished(pageID int64) bool {
 }
 
 // DerivedView is a consistent read view over the engine's published
-// derived data, pinned at one version-store epoch. Reads are lock-free
-// and repeatable for the lifetime of the view: a page fetched after the
-// view was pinned stays invisible to it (its TermCounts stay nil for the
-// whole pass), exactly like a page that was never fetched.
+// derived data, pinned at one version-store epoch for the duration of one
+// withView call. Reads are lock-free and repeatable for the lifetime of
+// the view: a page fetched after the view was pinned stays invisible to
+// it (its TermCounts stay nil for the whole pass), exactly like a page
+// that was never fetched.
 //
 // The view is also the pinned face of the link graph: Out, In and Has
 // decode the page's adjacency records at the view's epoch — lnk/ for
@@ -149,10 +149,14 @@ type DerivedView struct {
 	in    map[int64][]int64
 }
 
-// DerivedSnapshot pins the current derived-data epoch.
-func (e *Engine) DerivedSnapshot() *DerivedView {
-	return &DerivedView{
-		sn:    e.vs.Acquire(),
+// withView runs fn over the derived data pinned at the current epoch and
+// unpins when fn returns or panics. It is the only way to obtain a view, so
+// a pin cannot leak; fn must not let the view outlive the call (no field,
+// channel or goroutine hand-off) — a view used after its scope panics.
+func (e *Engine) withView(fn func(*DerivedView)) {
+	sn := e.vs.Acquire()
+	v := &DerivedView{
+		sn:    sn,
 		dict:  e.dict,
 		cache: e.cache,
 		hints: e.links,
@@ -161,22 +165,36 @@ func (e *Engine) DerivedSnapshot() *DerivedView {
 		out:   map[int64][]int64{},
 		in:    map[int64][]int64{},
 	}
+	defer func() {
+		v.sn = nil
+		sn.Release()
+	}()
+	fn(v)
+}
+
+// pinned returns the view's snapshot, or panics once the pin's scope has
+// ended. Every accessor starts here, before its memo and the shared cache:
+// both could otherwise keep answering from an epoch the store is free to
+// fold away.
+func (v *DerivedView) pinned() *version.Snapshot {
+	if v.sn == nil {
+		panic("core: DerivedView used after its withView scope ended")
+	}
+	return v.sn
 }
 
 // Epoch returns the pinned version-store epoch.
-func (v *DerivedView) Epoch() uint64 { return v.sn.Epoch() }
-
-// Release unpins the view, letting the version store compact past it.
-func (v *DerivedView) Release() { v.sn.Release() }
+func (v *DerivedView) Epoch() uint64 { return v.pinned().Epoch() }
 
 // TermCounts returns the page's term counts as of the view's epoch (nil
 // when the page had no fetched text as of the pin). The result is shared
 // through the record cache: treat it as read-only.
 func (v *DerivedView) TermCounts(page int64) map[string]int {
+	sn := v.pinned()
 	if tf, ok := v.tf[page]; ok {
 		return tf
 	}
-	ck := cacheKey{epoch: v.sn.Epoch(), page: page, kind: kindTF}
+	ck := cacheKey{epoch: sn.Epoch(), page: page, kind: kindTF}
 	if v.cache != nil {
 		if val, ok := v.cache.get(ck); ok {
 			tf := val.(map[string]int)
@@ -185,7 +203,7 @@ func (v *DerivedView) TermCounts(page int64) map[string]int {
 		}
 	}
 	var tf map[string]int
-	if raw, ok := v.sn.Get(tfKey(page)); ok {
+	if raw, ok := sn.Get(tfKey(page)); ok {
 		tf = decodeCounts(raw)
 	}
 	v.tf[page] = tf
@@ -200,10 +218,11 @@ func (v *DerivedView) TermCounts(page int64) map[string]int {
 // a non-nil (possibly empty) slice for a known page, mirroring
 // decodeIDSet's contract.
 func (v *DerivedView) adj(memo map[int64][]int64, kind cacheKind, key string, page int64) []int64 {
+	sn := v.pinned()
 	if ids, ok := memo[page]; ok {
 		return ids
 	}
-	ck := cacheKey{epoch: v.sn.Epoch(), page: page, kind: kind}
+	ck := cacheKey{epoch: sn.Epoch(), page: page, kind: kind}
 	if v.cache != nil {
 		if val, ok := v.cache.get(ck); ok {
 			ids := val.([]int64)
@@ -212,7 +231,7 @@ func (v *DerivedView) adj(memo map[int64][]int64, kind cacheKind, key string, pa
 		}
 	}
 	var ids []int64
-	if raw, ok := v.sn.Get(key); ok {
+	if raw, ok := sn.Get(key); ok {
 		if dec, ok := decodeIDSet(raw); ok {
 			ids = dec
 		}
@@ -242,29 +261,29 @@ func (v *DerivedView) OutKnown(page int64) ([]int64, bool) {
 // base rin/ record merged with every rinD/ delta chunk, canonicalised
 // (sorted, deduped) and memoized. Chunk seqs are monotone per page and
 // dense within a generation, the base record carries the generation's
-// first live seq (its trailing start-seq — zero for legacy and
-// first-edge records), and the watermark only advances contiguously, so
-// probing from that start until the first miss sees exactly the chunks
-// published at or below the pinned epoch — including across a
-// consolidation, whose batch replaces the chunks with tombstones and
-// the new base atomically.
+// first live seq (its trailing start-seq, omitted when zero), and the
+// watermark only advances contiguously, so probing from that start until
+// the first miss sees exactly the chunks published at or below the pinned
+// epoch — including across a consolidation, whose batch replaces the
+// chunks with tombstones and the new base atomically.
 //
 // The probe window's upper bound comes from the producer's live chunk
 // counter (v.hints): seqs are never reused, so the counter is always at
 // or past one-past the view's last visible chunk. A fully consolidated
-// page therefore probes nothing at all — start == bound — where the old
-// scheme paid a guaranteed final probe miss that fell through the
-// chains to a cold-tier scan on every single In() call. Without hints
-// (bare test views), the probe walks to the first miss as before.
+// page therefore probes nothing at all — start == bound — instead of
+// paying a final probe miss that falls through the chains to a cold-tier
+// scan on every In() call. Without hints (bare test views), the probe
+// walks to the first miss.
 //
 // A page with neither base nor decodable chunks stays nil (unknown),
 // preserving the nil-vs-empty contract of graph.AdjacencySource. In
 // implements part of graph.AdjacencySource.
 func (v *DerivedView) In(page int64) []int64 {
+	sn := v.pinned()
 	if ids, ok := v.in[page]; ok {
 		return ids
 	}
-	ck := cacheKey{epoch: v.sn.Epoch(), page: page, kind: kindIn}
+	ck := cacheKey{epoch: sn.Epoch(), page: page, kind: kindIn}
 	if v.cache != nil {
 		if val, ok := v.cache.get(ck); ok {
 			ids := val.([]int64)
@@ -275,7 +294,7 @@ func (v *DerivedView) In(page int64) []int64 {
 	var ids []int64
 	known := false
 	start := 0
-	if raw, ok := v.sn.Get(rinKey(page)); ok {
+	if raw, ok := sn.Get(rinKey(page)); ok {
 		if dec, s, ok := decodeIDSetStart(raw); ok {
 			ids, known, start = dec, true, s
 		}
@@ -285,7 +304,7 @@ func (v *DerivedView) In(page int64) []int64 {
 		bound = v.hints.chunkNext(page)
 	}
 	for seq := start; bound < 0 || seq < bound; seq++ {
-		raw, ok := v.sn.Get(rinChunkKey(page, seq))
+		raw, ok := sn.Get(rinChunkKey(page, seq))
 		if !ok {
 			break
 		}
@@ -336,10 +355,11 @@ func (v *DerivedView) Has(page int64) bool {
 // from the shared dictionary — identical to what the fetch path computed,
 // and valid across restarts because the record stores terms, not ids).
 func (v *DerivedView) Vector(page int64) (text.Vector, bool) {
+	sn := v.pinned()
 	if vec, ok := v.vec[page]; ok {
 		return vec, len(vec.IDs) > 0
 	}
-	ck := cacheKey{epoch: v.sn.Epoch(), page: page, kind: kindVec}
+	ck := cacheKey{epoch: sn.Epoch(), page: page, kind: kindVec}
 	if v.cache != nil {
 		if val, ok := v.cache.get(ck); ok {
 			vec := val.(text.Vector)

@@ -80,45 +80,45 @@ func TestCachedReadsMatchUncached(t *testing.T) {
 	defer e.Close()
 	seedEngine(t, e, c, 20)
 
-	v := e.DerivedSnapshot()
-	defer v.Release()
-	if v.cache == nil || v.hints == nil {
-		t.Fatal("engine view lacks the shared cache or the chunk hint")
-	}
-	truth := uncachedTwin(v)
-	warm := &DerivedView{
-		sn: v.sn, dict: v.dict, cache: v.cache, hints: v.hints,
-		tf:  map[int64]map[string]int{},
-		vec: map[int64]text.Vector{},
-		out: map[int64][]int64{},
-		in:  map[int64][]int64{},
-	}
-	pages := fetchedPages(e)
-	if len(pages) == 0 {
-		t.Fatal("no fetched pages")
-	}
-	for _, view := range []*DerivedView{v, warm} {
-		for _, p := range pages {
-			if got, want := view.TermCounts(p), truth.TermCounts(p); !maps.Equal(got, want) {
-				t.Fatalf("page %d: cached TermCounts diverged", p)
-			}
-			if got, want := view.Out(p), truth.Out(p); !slices.Equal(got, want) {
-				t.Fatalf("page %d: cached Out = %v, want %v", p, got, want)
-			}
-			if got, want := view.In(p), truth.In(p); !slices.Equal(got, want) {
-				t.Fatalf("page %d: cached In = %v, want %v", p, got, want)
-			}
-			gv, gok := view.Vector(p)
-			wv, wok := truth.Vector(p)
-			if gok != wok || !slices.Equal(gv.IDs, wv.IDs) {
-				t.Fatalf("page %d: cached Vector diverged", p)
+	e.withView(func(v *DerivedView) {
+		if v.cache == nil || v.hints == nil {
+			t.Fatal("engine view lacks the shared cache or the chunk hint")
+		}
+		truth := uncachedTwin(v)
+		warm := &DerivedView{
+			sn: v.sn, dict: v.dict, cache: v.cache, hints: v.hints,
+			tf:  map[int64]map[string]int{},
+			vec: map[int64]text.Vector{},
+			out: map[int64][]int64{},
+			in:  map[int64][]int64{},
+		}
+		pages := fetchedPages(e)
+		if len(pages) == 0 {
+			t.Fatal("no fetched pages")
+		}
+		for _, view := range []*DerivedView{v, warm} {
+			for _, p := range pages {
+				if got, want := view.TermCounts(p), truth.TermCounts(p); !maps.Equal(got, want) {
+					t.Fatalf("page %d: cached TermCounts diverged", p)
+				}
+				if got, want := view.Out(p), truth.Out(p); !slices.Equal(got, want) {
+					t.Fatalf("page %d: cached Out = %v, want %v", p, got, want)
+				}
+				if got, want := view.In(p), truth.In(p); !slices.Equal(got, want) {
+					t.Fatalf("page %d: cached In = %v, want %v", p, got, want)
+				}
+				gv, gok := view.Vector(p)
+				wv, wok := truth.Vector(p)
+				if gok != wok || !slices.Equal(gv.IDs, wv.IDs) {
+					t.Fatalf("page %d: cached Vector diverged", p)
+				}
 			}
 		}
-	}
-	st := e.cache.stats()
-	if st.Hits == 0 || st.Misses == 0 {
-		t.Fatalf("cache accounting dead: %+v", st)
-	}
+		st := e.cache.stats()
+		if st.Hits == 0 || st.Misses == 0 {
+			t.Fatalf("cache accounting dead: %+v", st)
+		}
+	})
 }
 
 // TestSecondPassDecodeCollapse is the tentpole's headline property as a
@@ -141,14 +141,14 @@ func TestSecondPassDecodeCollapse(t *testing.T) {
 
 	pages := fetchedPages(e)
 	pass := func() {
-		v := e.DerivedSnapshot()
-		defer v.Release()
-		for _, p := range pages {
-			v.TermCounts(p)
-			v.Out(p)
-			v.In(p)
-			v.Vector(p)
-		}
+		e.withView(func(v *DerivedView) {
+			for _, p := range pages {
+				v.TermCounts(p)
+				v.Out(p)
+				v.In(p)
+				v.Vector(p)
+			}
+		})
 	}
 	m0 := e.cache.stats().Misses
 	pass()
@@ -184,14 +184,14 @@ func TestConsolidatedInZeroColdFallthrough(t *testing.T) {
 	seedEngine(t, e, c, 20)
 
 	// Find the pages that actually have in-link bases.
-	pre := e.DerivedSnapshot()
 	var linked []int64
-	for _, p := range fetchedPages(e) {
-		if pre.In(p) != nil {
-			linked = append(linked, p)
+	e.withView(func(pre *DerivedView) {
+		for _, p := range fetchedPages(e) {
+			if pre.In(p) != nil {
+				linked = append(linked, p)
+			}
 		}
-	}
-	pre.Release()
+	})
 	if len(linked) == 0 {
 		t.Fatal("no pages with in-links")
 	}
@@ -213,29 +213,29 @@ func TestConsolidatedInZeroColdFallthrough(t *testing.T) {
 		}
 		return cs.Reads, cs.ReadMisses
 	}
-	v := e.DerivedSnapshot()
-	defer v.Release()
-	_, miss0 := coldStats()
-	for _, p := range linked {
-		if v.In(p) == nil {
-			t.Fatalf("page %d lost its in-links after consolidation", p)
+	e.withView(func(v *DerivedView) {
+		_, miss0 := coldStats()
+		for _, p := range linked {
+			if v.In(p) == nil {
+				t.Fatalf("page %d lost its in-links after consolidation", p)
+			}
 		}
-	}
-	_, miss1 := coldStats()
-	if miss1 != miss0 {
-		t.Fatalf("hinted In() paid %d cold-tier fallthrough misses, want 0", miss1-miss0)
-	}
+		_, miss1 := coldStats()
+		if miss1 != miss0 {
+			t.Fatalf("hinted In() paid %d cold-tier fallthrough misses, want 0", miss1-miss0)
+		}
 
-	// The ground-truth twin (no hint) probes one seq past the window per
-	// page and pays the cold miss every time.
-	truth := uncachedTwin(v)
-	for _, p := range linked {
-		truth.In(p)
-	}
-	_, miss2 := coldStats()
-	if int(miss2-miss1) < len(linked) {
-		t.Fatalf("unhinted twin paid %d cold misses over %d pages — the hint isn't measuring anything", miss2-miss1, len(linked))
-	}
+		// The ground-truth twin (no hint) probes one seq past the window per
+		// page and pays the cold miss every time.
+		truth := uncachedTwin(v)
+		for _, p := range linked {
+			truth.In(p)
+		}
+		_, miss2 := coldStats()
+		if int(miss2-miss1) < len(linked) {
+			t.Fatalf("unhinted twin paid %d cold misses over %d pages — the hint isn't measuring anything", miss2-miss1, len(linked))
+		}
+	})
 }
 
 // TestCacheEvictionRespectsPinFloor drives the evict-only invalidation
@@ -256,38 +256,38 @@ func TestCacheEvictionRespectsPinFloor(t *testing.T) {
 	defer e.Close()
 	seedEngine(t, e, c, 12)
 
-	v := e.DerivedSnapshot()
 	pages := fetchedPages(e)
-	want := map[int64][]int64{}
-	for _, p := range pages {
-		want[p] = slices.Clone(v.In(p))
-	}
-	epoch := v.Epoch()
-
-	// Publish past the pinned epoch, then sweep at the pin floor: the
-	// pinned epoch's entries must survive (floor ≤ pinned epoch).
-	seedEngine(t, e, c, 24)
-	e.cache.evictBelow(e.vs.PinFloor())
-	h0 := e.cache.stats().Hits
-	warm := &DerivedView{
-		sn: v.sn, dict: v.dict, cache: v.cache, hints: v.hints,
-		tf:  map[int64]map[string]int{},
-		vec: map[int64]text.Vector{},
-		out: map[int64][]int64{},
-		in:  map[int64][]int64{},
-	}
-	for _, p := range pages {
-		if got := warm.In(p); !slices.Equal(got, want[p]) {
-			t.Fatalf("page %d: post-sweep cached In = %v, want %v", p, got, want[p])
+	var epoch uint64
+	e.withView(func(v *DerivedView) {
+		want := map[int64][]int64{}
+		for _, p := range pages {
+			want[p] = slices.Clone(v.In(p))
 		}
-	}
-	if h1 := e.cache.stats().Hits; h1 == h0 {
-		t.Fatal("pinned epoch's entries were swept below the pin floor")
-	}
+		epoch = v.Epoch()
 
-	// Release the pin; the floor moves past the epoch and the sweep may
+		// Publish past the pinned epoch, then sweep at the pin floor: the
+		// pinned epoch's entries must survive (floor ≤ pinned epoch).
+		seedEngine(t, e, c, 24)
+		e.cache.evictBelow(e.vs.PinFloor())
+		h0 := e.cache.stats().Hits
+		warm := &DerivedView{
+			sn: v.sn, dict: v.dict, cache: v.cache, hints: v.hints,
+			tf:  map[int64]map[string]int{},
+			vec: map[int64]text.Vector{},
+			out: map[int64][]int64{},
+			in:  map[int64][]int64{},
+		}
+		for _, p := range pages {
+			if got := warm.In(p); !slices.Equal(got, want[p]) {
+				t.Fatalf("page %d: post-sweep cached In = %v, want %v", p, got, want[p])
+			}
+		}
+		if h1 := e.cache.stats().Hits; h1 == h0 {
+			t.Fatal("pinned epoch's entries were swept below the pin floor")
+		}
+	})
+	// The pin is gone; the floor moves past the epoch and the sweep may
 	// now reclaim it.
-	v.Release()
 	if floor := e.vs.PinFloor(); floor <= epoch {
 		t.Fatalf("pin floor %d did not pass released epoch %d", floor, epoch)
 	}
@@ -372,24 +372,24 @@ func TestDerivedCacheConcurrentMiningAndIngest(t *testing.T) {
 					return
 				default:
 				}
-				v := e.DerivedSnapshot()
-				truth := uncachedTwin(v)
-				pages := fetchedPages(e)
-				if len(pages) > 24 {
-					pages = pages[:24]
-				}
-				for _, p := range pages {
-					if got, want := v.In(p), truth.In(p); !slices.Equal(got, want) {
-						t.Errorf("page %d: cached In %v != uncached %v at epoch %d", p, got, want, v.Epoch())
+				e.withView(func(v *DerivedView) {
+					truth := uncachedTwin(v)
+					pages := fetchedPages(e)
+					if len(pages) > 24 {
+						pages = pages[:24]
 					}
-					if got, want := v.TermCounts(p), truth.TermCounts(p); !maps.Equal(got, want) {
-						t.Errorf("page %d: cached TermCounts diverged at epoch %d", p, v.Epoch())
+					for _, p := range pages {
+						if got, want := v.In(p), truth.In(p); !slices.Equal(got, want) {
+							t.Errorf("page %d: cached In %v != uncached %v at epoch %d", p, got, want, v.Epoch())
+						}
+						if got, want := v.TermCounts(p), truth.TermCounts(p); !maps.Equal(got, want) {
+							t.Errorf("page %d: cached TermCounts diverged at epoch %d", p, v.Epoch())
+						}
+						if first, again := v.Out(p), v.Out(p); !slices.Equal(first, again) {
+							t.Errorf("page %d: Out not repeatable within one view", p)
+						}
 					}
-					if first, again := v.Out(p), v.Out(p); !slices.Equal(first, again) {
-						t.Errorf("page %d: Out not repeatable within one view", p)
-					}
-				}
-				v.Release()
+				})
 			}
 		}()
 	}

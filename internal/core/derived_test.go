@@ -103,22 +103,22 @@ func TestVectorDerivedFromCounts(t *testing.T) {
 	}
 	e.DrainBackground()
 
-	view := e.DerivedSnapshot()
-	defer view.Release()
-	id := e.idByURL[p.URL]
-	got, ok := view.Vector(id)
-	if !ok {
-		t.Fatal("no derived vector for fetched page")
-	}
-	want := text.VectorFromCounts(e.dict, text.TermCounts(p.Title+" "+p.Text))
-	if !reflect.DeepEqual(got.IDs, want.IDs) || !reflect.DeepEqual(got.Weights, want.Weights) {
-		t.Fatal("derived vector diverges from fetch-path computation")
-	}
-	// And it memoizes: a second read returns the identical value.
-	again, _ := view.Vector(id)
-	if !reflect.DeepEqual(again, got) {
-		t.Fatal("memoized vector changed between reads")
-	}
+	e.withView(func(view *DerivedView) {
+		id := e.idByURL[p.URL]
+		got, ok := view.Vector(id)
+		if !ok {
+			t.Fatal("no derived vector for fetched page")
+		}
+		want := text.VectorFromCounts(e.dict, text.TermCounts(p.Title+" "+p.Text))
+		if !reflect.DeepEqual(got.IDs, want.IDs) || !reflect.DeepEqual(got.Weights, want.Weights) {
+			t.Fatal("derived vector diverges from fetch-path computation")
+		}
+		// And it memoizes: a second read returns the identical value.
+		again, _ := view.Vector(id)
+		if !reflect.DeepEqual(again, got) {
+			t.Fatal("memoized vector changed between reads")
+		}
+	})
 }
 
 // TestDerivedViewConsistency: a pinned view must keep serving the state
@@ -135,44 +135,95 @@ func TestDerivedViewConsistency(t *testing.T) {
 	}
 	e.DrainBackground()
 
-	view := e.DerivedSnapshot()
-	defer view.Release()
-	id0 := e.idByURL[p0.URL]
-	if tf := view.TermCounts(id0); len(tf) == 0 {
-		t.Fatal("view missing fetched page's term counts")
-	}
-	if _, ok := view.Vector(id0); !ok {
-		t.Fatal("view missing fetched page's vector")
-	}
+	e.withView(func(view *DerivedView) {
+		id0 := e.idByURL[p0.URL]
+		if tf := view.TermCounts(id0); len(tf) == 0 {
+			t.Fatal("view missing fetched page's term counts")
+		}
+		if _, ok := view.Vector(id0); !ok {
+			t.Fatal("view missing fetched page's vector")
+		}
 
-	// Fetch a second page after the view was pinned.
-	p1 := c.Page(pages[1])
-	if err := e.RecordVisit(1, p1.URL, "", tBase.Add(time.Minute), events.Community); err != nil {
+		// Fetch a second page after the view was pinned.
+		p1 := c.Page(pages[1])
+		if err := e.RecordVisit(1, p1.URL, "", tBase.Add(time.Minute), events.Community); err != nil {
+			t.Fatal(err)
+		}
+		e.DrainBackground()
+		id1 := e.idByURL[p1.URL]
+
+		// The pinned view must not see the later page — repeatable reads:
+		// a page fetched mid-pass stays invisible for the whole pass instead
+		// of flipping from unclassifiable to classifiable between two reads.
+		if _, ok := view.sn.Get(tfKey(id1)); ok {
+			t.Fatal("pinned view's snapshot observed a later publish")
+		}
+		if tf := view.TermCounts(id1); tf != nil {
+			t.Fatal("pinned view resolved a post-snapshot page")
+		}
+		if _, ok := view.Vector(id1); ok {
+			t.Fatal("pinned view resolved a post-snapshot vector")
+		}
+
+		e.withView(func(fresh *DerivedView) {
+			if _, ok := fresh.sn.Get(tfKey(id1)); !ok {
+				t.Fatal("fresh view missing the second page")
+			}
+			if fresh.Epoch() <= view.Epoch() {
+				t.Fatalf("epochs did not advance: %d then %d", view.Epoch(), fresh.Epoch())
+			}
+		})
+	})
+}
+
+// TestViewDiesWithItsScope: the pin is a scope, not a value. A view
+// smuggled out of withView panics from every accessor — also for a page
+// it had memoised, where a released pin used to keep answering from the
+// memo and the shared cache — and a closure that panics leaves no pin.
+func TestViewDiesWithItsScope(t *testing.T) {
+	c, e := testWorld(t)
+	e.RegisterUser(1, "alice")
+	p := c.Page(c.LeafPages[c.Leaves()[0].ID][0])
+	if err := e.RecordVisit(1, p.URL, "", tBase, events.Community); err != nil {
 		t.Fatal(err)
 	}
 	e.DrainBackground()
-	id1 := e.idByURL[p1.URL]
+	id := e.idByURL[p.URL]
 
-	// The pinned view must not see the later page — repeatable reads:
-	// a page fetched mid-pass stays invisible for the whole pass instead
-	// of flipping from unclassifiable to classifiable between two reads.
-	if _, ok := view.sn.Get(tfKey(id1)); ok {
-		t.Fatal("pinned view's snapshot observed a later publish")
-	}
-	if tf := view.TermCounts(id1); tf != nil {
-		t.Fatal("pinned view resolved a post-snapshot page")
-	}
-	if _, ok := view.Vector(id1); ok {
-		t.Fatal("pinned view resolved a post-snapshot vector")
+	var escaped *DerivedView
+	e.withView(func(view *DerivedView) {
+		if view.TermCounts(id) == nil || !view.Has(id) {
+			t.Fatal("view missing the fetched page")
+		}
+		view.Vector(id)
+		view.In(id)
+		escaped = view
+	})
+	for name, read := range map[string]func(page int64){
+		"TermCounts": func(page int64) { escaped.TermCounts(page) },
+		"Vector":     func(page int64) { escaped.Vector(page) },
+		"Out":        func(page int64) { escaped.Out(page) },
+		"In":         func(page int64) { escaped.In(page) },
+		"Has":        func(page int64) { escaped.Has(page) },
+	} {
+		for _, page := range []int64{id, id + 1000} { // memoised, never read
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s(%d) answered after the view's scope ended", name, page)
+					}
+				}()
+				read(page)
+			}()
+		}
 	}
 
-	fresh := e.DerivedSnapshot()
-	defer fresh.Release()
-	if _, ok := fresh.sn.Get(tfKey(id1)); !ok {
-		t.Fatal("fresh view missing the second page")
-	}
-	if fresh.Epoch() <= view.Epoch() {
-		t.Fatalf("epochs did not advance: %d then %d", view.Epoch(), fresh.Epoch())
+	func() {
+		defer func() { recover() }()
+		e.withView(func(*DerivedView) { panic("pass failed") })
+	}()
+	if pinned := e.Status().Version.Pinned; pinned != 0 {
+		t.Fatalf("Pinned = %d after a panicking closure, want 0", pinned)
 	}
 }
 
@@ -194,33 +245,33 @@ func TestDerivedPublishMatchesSource(t *testing.T) {
 	}
 	e.DrainBackground()
 
-	view := e.DerivedSnapshot()
-	defer view.Release()
-	checked := 0
-	for _, pid := range pages {
-		p := c.Page(pid)
-		e.mu.RLock()
-		id, ok := e.idByURL[p.URL]
-		e.mu.RUnlock()
-		if !ok {
-			t.Fatalf("page %q never registered", p.URL)
+	e.withView(func(view *DerivedView) {
+		checked := 0
+		for _, pid := range pages {
+			p := c.Page(pid)
+			e.mu.RLock()
+			id, ok := e.idByURL[p.URL]
+			e.mu.RUnlock()
+			if !ok {
+				t.Fatalf("page %q never registered", p.URL)
+			}
+			wantTF := text.TermCounts(p.Title + " " + p.Text)
+			if got := view.TermCounts(id); !reflect.DeepEqual(got, wantTF) {
+				t.Fatalf("page %d: snapshot tf diverges from source content", id)
+			}
+			// The dict already holds every term from the fetch, so the same
+			// ids come back deterministically.
+			wantVec := text.VectorFromCounts(e.dict, wantTF)
+			gotVec, ok := view.Vector(id)
+			if !ok || !reflect.DeepEqual(gotVec.IDs, wantVec.IDs) {
+				t.Fatalf("page %d: snapshot vector diverges from source content", id)
+			}
+			checked++
 		}
-		wantTF := text.TermCounts(p.Title + " " + p.Text)
-		if got := view.TermCounts(id); !reflect.DeepEqual(got, wantTF) {
-			t.Fatalf("page %d: snapshot tf diverges from source content", id)
+		if checked == 0 {
+			t.Fatal("no fetched pages")
 		}
-		// The dict already holds every term from the fetch, so the same
-		// ids come back deterministically.
-		wantVec := text.VectorFromCounts(e.dict, wantTF)
-		gotVec, ok := view.Vector(id)
-		if !ok || !reflect.DeepEqual(gotVec.IDs, wantVec.IDs) {
-			t.Fatalf("page %d: snapshot vector diverges from source content", id)
-		}
-		checked++
-	}
-	if checked == 0 {
-		t.Fatal("no fetched pages")
-	}
+	})
 }
 
 // TestStatusReportsVersionStore: the engine surfaces version-store
@@ -415,23 +466,23 @@ func TestSnapshotConsistencyUnderLoad(t *testing.T) {
 					return
 				default:
 				}
-				view := e.DerivedSnapshot()
-				for _, id := range ids {
-					rawTF, okTF := view.sn.Get(tfKey(id))
-					rawTF2, okTF2 := view.sn.Get(tfKey(id))
-					if okTF != okTF2 || !bytes.Equal(rawTF, rawTF2) {
-						report(fmt.Errorf("page %d: non-repeatable read within pinned view at epoch %d",
-							id, view.Epoch()))
+				e.withView(func(view *DerivedView) {
+					for _, id := range ids {
+						rawTF, okTF := view.sn.Get(tfKey(id))
+						rawTF2, okTF2 := view.sn.Get(tfKey(id))
+						if okTF != okTF2 || !bytes.Equal(rawTF, rawTF2) {
+							report(fmt.Errorf("page %d: non-repeatable read within pinned view at epoch %d",
+								id, view.Epoch()))
+						}
+						if (view.TermCounts(id) != nil) != okTF {
+							report(fmt.Errorf("page %d: TermCounts disagrees with snapshot at epoch %d", id, view.Epoch()))
+						}
+						if _, okVec := view.Vector(id); okVec != okTF {
+							report(fmt.Errorf("page %d: derived vector disagrees with term counts at epoch %d (tf=%v vec=%v)",
+								id, view.Epoch(), okTF, okVec))
+						}
 					}
-					if (view.TermCounts(id) != nil) != okTF {
-						report(fmt.Errorf("page %d: TermCounts disagrees with snapshot at epoch %d", id, view.Epoch()))
-					}
-					if _, okVec := view.Vector(id); okVec != okTF {
-						report(fmt.Errorf("page %d: derived vector disagrees with term counts at epoch %d (tf=%v vec=%v)",
-							id, view.Epoch(), okTF, okVec))
-					}
-				}
-				view.Release()
+				})
 			}
 		}()
 	}
@@ -448,14 +499,14 @@ func TestSnapshotConsistencyUnderLoad(t *testing.T) {
 	}
 
 	// After quiescence every ingested page's derived pair is visible.
-	view := e.DerivedSnapshot()
-	defer view.Release()
-	for _, id := range ids {
-		if view.TermCounts(id) == nil {
-			t.Fatalf("page %d: derived stats missing after ingest", id)
+	e.withView(func(view *DerivedView) {
+		for _, id := range ids {
+			if view.TermCounts(id) == nil {
+				t.Fatalf("page %d: derived stats missing after ingest", id)
+			}
+			if _, ok := view.Vector(id); !ok {
+				t.Fatalf("page %d: vector missing after ingest", id)
+			}
 		}
-		if _, ok := view.Vector(id); !ok {
-			t.Fatalf("page %d: vector missing after ingest", id)
-		}
-	}
+	})
 }

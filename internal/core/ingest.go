@@ -343,9 +343,7 @@ func (e *Engine) classifyForUser(user, pageID int64, tf map[string]int) {
 		return
 	}
 	if tf == nil {
-		view := e.DerivedSnapshot()
-		tf = view.TermCounts(pageID)
-		view.Release()
+		e.withView(func(view *DerivedView) { tf = view.TermCounts(pageID) })
 	}
 	if tf == nil {
 		return
@@ -375,54 +373,53 @@ func (e *Engine) RetrainClassifiers() {
 	}
 	e.mu.RUnlock()
 
-	view := e.DerivedSnapshot()
-	defer view.Release()
-
 	type example struct {
 		path string
 		page int64
 	}
-	for _, u := range users {
-		// Collect (folder, page) pairs under the metadata lock, then
-		// resolve term counts from the snapshot with no lock held.
-		var examples []example
-		e.mu.RLock()
-		tree := e.trees[u]
-		if tree == nil {
-			e.mu.RUnlock()
-			continue
-		}
-		tree.Walk(func(f *folders.Folder) {
-			if f.Parent == nil {
-				return
+	e.withView(func(view *DerivedView) {
+		for _, u := range users {
+			// Collect (folder, page) pairs under the metadata lock, then
+			// resolve term counts from the snapshot with no lock held.
+			var examples []example
+			e.mu.RLock()
+			tree := e.trees[u]
+			if tree == nil {
+				e.mu.RUnlock()
+				continue
 			}
-			path := f.Path()
-			for _, entry := range f.Entries {
-				if entry.Guessed {
-					continue
+			tree.Walk(func(f *folders.Folder) {
+				if f.Parent == nil {
+					return
 				}
-				examples = append(examples, example{path, entry.Page})
-			}
-		})
-		e.mu.RUnlock()
+				path := f.Path()
+				for _, entry := range f.Entries {
+					if entry.Guessed {
+						continue
+					}
+					examples = append(examples, example{path, entry.Page})
+				}
+			})
+			e.mu.RUnlock()
 
-		trainer := classify.NewTrainer(e.dict)
-		perClass := map[string]bool{}
-		for _, ex := range examples {
-			if tf := view.TermCounts(ex.page); tf != nil {
-				trainer.AddCounts(ex.path, tf)
-				perClass[ex.path] = true
+			trainer := classify.NewTrainer(e.dict)
+			perClass := map[string]bool{}
+			for _, ex := range examples {
+				if tf := view.TermCounts(ex.page); tf != nil {
+					trainer.AddCounts(ex.path, tf)
+					perClass[ex.path] = true
+				}
 			}
+			if len(perClass) < 2 {
+				continue
+			}
+			model, err := trainer.Train(classify.Options{MaxFeatures: 4000})
+			if err != nil {
+				continue
+			}
+			e.mu.Lock()
+			e.models[u] = model
+			e.mu.Unlock()
 		}
-		if len(perClass) < 2 {
-			continue
-		}
-		model, err := trainer.Train(classify.Options{MaxFeatures: 4000})
-		if err != nil {
-			continue
-		}
-		e.mu.Lock()
-		e.models[u] = model
-		e.mu.Unlock()
-	}
+	})
 }

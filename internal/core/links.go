@@ -58,12 +58,10 @@ import (
 //     (adaptiveRinThreshold): the monotone counter doubles as a lifetime
 //     churn metric, so hub pages — the ones whose chains grow fastest —
 //     consolidate earlier than cold pages.
-//   - Backward compatibility: an archive written before chunking existed
-//     holds only full rin/ records, which are exactly a base with zero
-//     chunks and a zero start-seq (the trailing uvarint is omitted when
-//     zero, so first-edge bases still encode byte-identically to legacy
-//     records) — DerivedView.In merges base + chunks, so pre-chunk,
-//     mixed, and fully chunked archives all decode through the same
+//   - A base record whose generation starts at seq 0 — every page's
+//     first, and a chunk-free page's only one — omits the trailing
+//     uvarint: that is the compact encoding, and DerivedView.In decodes
+//     a base alone, a base with chunks and chunks alone through the same
 //     path.
 //
 // Every edge write — a fetch's discovered out-links, a visit's
@@ -212,8 +210,7 @@ func newLinkIndex(vs *version.Store) *linkIndex {
 // rinPut is one staged in-link record: the base record of a target's
 // first in-link, or a delta chunk for a target that already has some.
 // start is the generation start-seq a base record persists (always 0 for
-// delta chunks and for a genuinely fresh page, where it encodes to the
-// legacy byte shape).
+// delta chunks and for a fresh page, where it takes no bytes).
 type rinPut struct {
 	key   string
 	ids   []int64
@@ -541,10 +538,9 @@ func decodeIDSetRest(b []byte) ([]int64, []byte, bool) {
 }
 
 // encodeIDSetStart is encodeIDSet plus the generation start-seq appended
-// as a trailing uvarint. A zero start is omitted, so fresh-page base
-// records (and every delta chunk, which always passes 0) stay
-// byte-identical to the legacy encoding — old archives and new readers
-// meet in the middle.
+// as a trailing uvarint. A zero start is omitted — the compact encoding —
+// so a fresh page's base record (and every delta chunk, which always
+// passes 0) is exactly its id set.
 func encodeIDSetStart(ids []int64, startSeq int) []byte {
 	buf := encodeIDSet(ids)
 	if startSeq > 0 {
@@ -554,9 +550,8 @@ func encodeIDSetStart(ids []int64, startSeq int) []byte {
 }
 
 // decodeIDSetStart decodes a base rin/ record: the id set plus its
-// generation start-seq (0 when the suffix is absent — legacy records and
-// fresh-page bases). A malformed suffix fails the whole record, like any
-// other corruption.
+// generation start-seq (0 when the suffix is absent). A malformed suffix
+// fails the whole record, like any other corruption.
 func decodeIDSetStart(b []byte) ([]int64, int, bool) {
 	ids, rest, ok := decodeIDSetRest(b)
 	if !ok {

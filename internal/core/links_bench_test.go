@@ -78,7 +78,7 @@ func BenchmarkRinChunkMerge(b *testing.B) {
 				if got := view.In(hub); len(got) != chunks+1 {
 					b.Fatalf("merge lost edges: got %d, want %d", len(got), chunks+1)
 				}
-				view.Release()
+				view.sn.Release()
 			}
 		})
 	}

@@ -76,38 +76,38 @@ func TestLinkPublishViewsAndIdempotence(t *testing.T) {
 	refID, dstID := e.idByURL[ref.URL], e.idByURL[dst.URL]
 	e.mu.RUnlock()
 
-	view := e.DerivedSnapshot()
-	defer view.Release()
-	if !view.Has(refID) || !view.Has(dstID) {
-		t.Fatal("pages missing from the pinned link view")
-	}
-	if !slices.Contains(view.Out(refID), dstID) {
-		t.Fatalf("lnk/%d record lacks referrer edge to %d: %v", refID, dstID, view.Out(refID))
-	}
-	if !slices.Contains(view.In(dstID), refID) {
-		t.Fatalf("rin/%d record lacks reverse edge from %d: %v", dstID, refID, view.In(dstID))
-	}
-	// The fetch path archived ref's content links too: the record is the
-	// union of content out-links and the referral edge, sorted.
-	outs := view.Out(refID)
-	if !slices.IsSorted(outs) {
-		t.Fatalf("adjacency record not sorted: %v", outs)
-	}
-	if len(outs) < 1+0 { // referral edge at minimum
-		t.Fatalf("out record too small: %v", outs)
-	}
+	e.withView(func(view *DerivedView) {
+		if !view.Has(refID) || !view.Has(dstID) {
+			t.Fatal("pages missing from the pinned link view")
+		}
+		if !slices.Contains(view.Out(refID), dstID) {
+			t.Fatalf("lnk/%d record lacks referrer edge to %d: %v", refID, dstID, view.Out(refID))
+		}
+		if !slices.Contains(view.In(dstID), refID) {
+			t.Fatalf("rin/%d record lacks reverse edge from %d: %v", dstID, refID, view.In(dstID))
+		}
+		// The fetch path archived ref's content links too: the record is the
+		// union of content out-links and the referral edge, sorted.
+		outs := view.Out(refID)
+		if !slices.IsSorted(outs) {
+			t.Fatalf("adjacency record not sorted: %v", outs)
+		}
+		if len(outs) < 1+0 { // referral edge at minimum
+			t.Fatalf("out record too small: %v", outs)
+		}
 
-	// Re-publishing a known edge must not open an epoch (idempotence: a
-	// hot revisit loop cannot churn the version store).
-	wm := e.vs.Watermark()
-	e.links.publish(refID, []int64{dstID}, nil)
-	if got := e.vs.Watermark(); got != wm {
-		t.Fatalf("idempotent publish advanced watermark %d→%d", wm, got)
-	}
-	// The view pinned before is immutable regardless.
-	if !slices.Equal(view.Out(refID), outs) {
-		t.Fatal("pinned view changed under publish")
-	}
+		// Re-publishing a known edge must not open an epoch (idempotence: a
+		// hot revisit loop cannot churn the version store).
+		wm := e.vs.Watermark()
+		e.links.publish(refID, []int64{dstID}, nil)
+		if got := e.vs.Watermark(); got != wm {
+			t.Fatalf("idempotent publish advanced watermark %d→%d", wm, got)
+		}
+		// The view pinned before is immutable regardless.
+		if !slices.Equal(view.Out(refID), outs) {
+			t.Fatal("pinned view changed under publish")
+		}
+	})
 }
 
 // TestLinkGraphSurvivesRestart is the core-level half of the tentpole
@@ -146,7 +146,6 @@ func TestLinkGraphSurvivesRestart(t *testing.T) {
 	}
 	// Snapshot one fetched page's adjacency and the frontier: graph nodes
 	// the fetch path has not archived (no tf/ record, only link evidence).
-	view1 := e1.DerivedSnapshot()
 	fetched := map[int64]bool{}
 	for _, p := range fetchedPages(e1) {
 		fetched[p] = true
@@ -154,15 +153,17 @@ func TestLinkGraphSurvivesRestart(t *testing.T) {
 	e1.mu.RLock()
 	probe := e1.idByURL[c.Page(c.LeafPages[leaf.ID][0]).URL]
 	e1.mu.RUnlock()
-	out1 := slices.Clone(view1.Out(probe))
-	in1 := slices.Clone(view1.In(probe))
+	var out1, in1 []int64
+	e1.withView(func(view1 *DerivedView) {
+		out1 = slices.Clone(view1.Out(probe))
+		in1 = slices.Clone(view1.In(probe))
+	})
 	var frontier1 []int64
 	for _, p := range out1 {
 		if !fetched[p] {
 			frontier1 = append(frontier1, p)
 		}
 	}
-	view1.Release()
 	if len(frontier1) == 0 {
 		t.Skip("probe page's links all archived; frontier not exercised by this seed")
 	}
@@ -180,29 +181,29 @@ func TestLinkGraphSurvivesRestart(t *testing.T) {
 	if st2.PagesFetched != 0 {
 		t.Fatalf("restart re-fetched %d pages", st2.PagesFetched)
 	}
-	view2 := e2.DerivedSnapshot()
-	defer view2.Release()
-	if !slices.Equal(view2.Out(probe), out1) || !slices.Equal(view2.In(probe), in1) {
-		t.Fatalf("adjacency diverged after restart: out %v→%v in %v→%v",
-			out1, view2.Out(probe), in1, view2.In(probe))
-	}
-	// Every frontier target is still a known graph node with a URL, so a
-	// crawl can propose and resolve it without re-fetching its referrer.
-	e2.mu.RLock()
-	for _, p := range frontier1 {
-		if e2.meta[p].url == "" {
-			t.Fatalf("frontier page %d lost its URL across restart", p)
+	e2.withView(func(view2 *DerivedView) {
+		if !slices.Equal(view2.Out(probe), out1) || !slices.Equal(view2.In(probe), in1) {
+			t.Fatalf("adjacency diverged after restart: out %v→%v in %v→%v",
+				out1, view2.Out(probe), in1, view2.In(probe))
 		}
-		if e2.meta[p].fetched {
-			t.Fatalf("frontier page %d spuriously marked fetched", p)
+		// Every frontier target is still a known graph node with a URL, so a
+		// crawl can propose and resolve it without re-fetching its referrer.
+		e2.mu.RLock()
+		for _, p := range frontier1 {
+			if e2.meta[p].url == "" {
+				t.Fatalf("frontier page %d lost its URL across restart", p)
+			}
+			if e2.meta[p].fetched {
+				t.Fatalf("frontier page %d spuriously marked fetched", p)
+			}
 		}
-	}
-	e2.mu.RUnlock()
-	for _, p := range frontier1 {
-		if !view2.Has(p) {
-			t.Fatalf("frontier page %d missing from recovered link view", p)
+		e2.mu.RUnlock()
+		for _, p := range frontier1 {
+			if !view2.Has(p) {
+				t.Fatalf("frontier page %d missing from recovered link view", p)
+			}
 		}
-	}
+	})
 }
 
 // testView builds a DerivedView over a bare version store — the pinned
@@ -233,7 +234,7 @@ func TestRinChunkScheme(t *testing.T) {
 	}
 
 	view := testView(vs)
-	defer view.Release()
+	defer view.sn.Release()
 	want := []int64{1, 2, 3, 4, 5}
 	if got := view.In(hub); !slices.Equal(got, want) {
 		t.Fatalf("merged In = %v, want %v", got, want)
@@ -265,7 +266,7 @@ func TestRinChunkScheme(t *testing.T) {
 		t.Fatalf("consolidate folded %d pages, want 1", n)
 	}
 	after := testView(vs)
-	defer after.Release()
+	defer after.sn.Release()
 	if got := after.In(hub); !slices.Equal(got, want) {
 		t.Fatalf("In after consolidation = %v, want %v", got, want)
 	}
@@ -292,7 +293,7 @@ func TestRinChunkScheme(t *testing.T) {
 	// whose persisted startSeq tells readers where live chunks begin.
 	li.publish(6, []int64{hub}, nil)
 	gen2 := testView(vs)
-	defer gen2.Release()
+	defer gen2.sn.Release()
 	if got := gen2.In(hub); !slices.Equal(got, []int64{1, 2, 3, 4, 5, 6}) {
 		t.Fatalf("In after new generation = %v", got)
 	}
@@ -324,7 +325,7 @@ func TestRinChunkMergeMatchesAuthority(t *testing.T) {
 		}
 	}
 	view := testView(vs)
-	defer view.Release()
+	defer view.sn.Release()
 	for p := int64(0); p < pages; p++ {
 		want := li.g.In(p)
 		slices.Sort(want)
@@ -370,7 +371,7 @@ func TestRinMixedArchiveDecode(t *testing.T) {
 	}
 
 	view := testView(vs)
-	defer view.Release()
+	defer view.sn.Release()
 	if got := view.In(7); !slices.Equal(got, []int64{1, 2, 3, 9, 11}) {
 		t.Fatalf("mixed base+chunks In = %v, want [1 2 3 9 11]", got)
 	}
@@ -433,9 +434,8 @@ func TestLinkRestartChunkedArchive(t *testing.T) {
 	if nChunks == 0 {
 		t.Skip("corpus seed produced no under-threshold chunk chains")
 	}
-	view1 := e1.DerivedSnapshot()
-	in1 := slices.Clone(view1.In(target))
-	view1.Release()
+	var in1 []int64
+	e1.withView(func(view1 *DerivedView) { in1 = slices.Clone(view1.In(target)) })
 	if err := e1.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -445,11 +445,11 @@ func TestLinkRestartChunkedArchive(t *testing.T) {
 	if got := e2.Status().PagesFetched; got != 0 {
 		t.Fatalf("restart re-fetched %d pages", got)
 	}
-	view2 := e2.DerivedSnapshot()
-	if got := view2.In(target); !slices.Equal(got, in1) {
-		t.Fatalf("recovered In = %v, want %v", got, in1)
-	}
-	view2.Release()
+	e2.withView(func(view2 *DerivedView) {
+		if got := view2.In(target); !slices.Equal(got, in1) {
+			t.Fatalf("recovered In = %v, want %v", got, in1)
+		}
+	})
 	// The recovered seq counters must sit above the live chunks.
 	e2.links.mu.Lock()
 	resumed := e2.links.chunks[target]
@@ -463,13 +463,13 @@ func TestLinkRestartChunkedArchive(t *testing.T) {
 	// overwrote a recovered one.
 	const newSrc = int64(1 << 40)
 	e2.links.publish(newSrc, []int64{target}, nil)
-	view3 := e2.DerivedSnapshot()
-	defer view3.Release()
-	want := append(slices.Clone(in1), newSrc)
-	slices.Sort(want)
-	if got := view3.In(target); !slices.Equal(got, want) {
-		t.Fatalf("In after second-life append = %v, want %v", got, want)
-	}
+	e2.withView(func(view3 *DerivedView) {
+		want := append(slices.Clone(in1), newSrc)
+		slices.Sort(want)
+		if got := view3.In(target); !slices.Equal(got, want) {
+			t.Fatalf("In after second-life append = %v, want %v", got, want)
+		}
+	})
 }
 
 // TestLinkRestartPreChunkArchive reopens an archive shaped exactly like
@@ -511,16 +511,16 @@ func TestLinkRestartPreChunkArchive(t *testing.T) {
 		t.Fatalf("%d chunks survived full consolidation", got)
 	}
 	st1 := e1.Status()
-	view1 := e1.DerivedSnapshot()
 	type probe struct {
 		page int64
 		in   []int64
 	}
 	var probes []probe
-	for _, p := range fetchedPages(e1) {
-		probes = append(probes, probe{p, slices.Clone(view1.In(p))})
-	}
-	view1.Release()
+	e1.withView(func(view1 *DerivedView) {
+		for _, p := range fetchedPages(e1) {
+			probes = append(probes, probe{p, slices.Clone(view1.In(p))})
+		}
+	})
 	if err := e1.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -538,13 +538,13 @@ func TestLinkRestartPreChunkArchive(t *testing.T) {
 	if got := e2.links.pendingChunks(); got != 0 {
 		t.Fatalf("phantom chunk counters (%d) recovered from a chunk-free archive", got)
 	}
-	view2 := e2.DerivedSnapshot()
-	defer view2.Release()
-	for _, pr := range probes {
-		if got := view2.In(pr.page); !slices.Equal(got, pr.in) {
-			t.Fatalf("page %d: In diverged across restart: %v, want %v", pr.page, got, pr.in)
+	e2.withView(func(view2 *DerivedView) {
+		for _, pr := range probes {
+			if got := view2.In(pr.page); !slices.Equal(got, pr.in) {
+				t.Fatalf("page %d: In diverged across restart: %v, want %v", pr.page, got, pr.in)
+			}
 		}
-	}
+	})
 
 	// New edges on top of a recovered base start a chunk generation at the
 	// base's persisted startSeq (0 for a truly legacy suffix-free record,
@@ -562,25 +562,25 @@ func TestLinkRestartPreChunkArchive(t *testing.T) {
 		t.Fatal("no page with in-links to probe")
 	}
 	var wantSeq int
-	view2b := e2.DerivedSnapshot()
-	if raw, ok := view2b.sn.Get(rinKey(hub)); ok {
-		if _, s, ok := decodeIDSetStart(raw); ok {
-			wantSeq = s
+	e2.withView(func(view2b *DerivedView) {
+		if raw, ok := view2b.sn.Get(rinKey(hub)); ok {
+			if _, s, ok := decodeIDSetStart(raw); ok {
+				wantSeq = s
+			}
 		}
-	}
-	view2b.Release()
+	})
 	const newSrc = int64(1 << 40)
 	e2.links.publish(newSrc, []int64{hub}, nil)
-	view3 := e2.DerivedSnapshot()
-	defer view3.Release()
-	if raw, ok := view3.sn.Get(rinChunkKey(hub, wantSeq)); !ok {
-		t.Fatalf("new edge on recovered base did not start a chunk generation at seq %d", wantSeq)
-	} else if ids, _ := decodeIDSet(raw); !slices.Equal(ids, []int64{newSrc}) {
-		t.Fatalf("first chunk = %v, want [%d]", ids, newSrc)
-	}
-	want := append(slices.Clone(hubIn), newSrc)
-	slices.Sort(want)
-	if got := view3.In(hub); !slices.Equal(got, want) {
-		t.Fatalf("legacy-base merge = %v, want %v", got, want)
-	}
+	e2.withView(func(view3 *DerivedView) {
+		if raw, ok := view3.sn.Get(rinChunkKey(hub, wantSeq)); !ok {
+			t.Fatalf("new edge on recovered base did not start a chunk generation at seq %d", wantSeq)
+		} else if ids, _ := decodeIDSet(raw); !slices.Equal(ids, []int64{newSrc}) {
+			t.Fatalf("first chunk = %v, want [%d]", ids, newSrc)
+		}
+		want := append(slices.Clone(hubIn), newSrc)
+		slices.Sort(want)
+		if got := view3.In(hub); !slices.Equal(got, want) {
+			t.Fatalf("legacy-base merge = %v, want %v", got, want)
+		}
+	})
 }

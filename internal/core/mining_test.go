@@ -75,44 +75,44 @@ func replayWorld(tb testing.TB, web webcorpus.Config, surf sim.Config, maxVisits
 // the link-proximity boost computed over all peers' pages. They are kept
 // as the references the present versions must equal exactly.
 
-func referenceTrails(e *Engine, user int64, folder string, k int) TrailContext {
+func referenceTrails(e *Engine, user int64, folder string, k int) (ctx TrailContext) {
 	e.mu.RLock()
 	model := e.models[user]
 	e.mu.RUnlock()
-	view := e.DerivedSnapshot()
-	defer view.Release()
-	topicFilter := func(page int64) bool {
-		if model == nil {
-			e.mu.RLock()
-			defer e.mu.RUnlock()
-			t := e.trees[user]
-			if t == nil {
+	e.withView(func(view *DerivedView) {
+		topicFilter := func(page int64) bool {
+			if model == nil {
+				e.mu.RLock()
+				defer e.mu.RUnlock()
+				t := e.trees[user]
+				if t == nil {
+					return false
+				}
+				of := t.FolderOfPage(page)
+				return of != nil && strings.HasPrefix(of.Path()+"/", folder+"/")
+			}
+			tf := view.TermCounts(page)
+			if tf == nil {
 				return false
 			}
-			of := t.FolderOfPage(page)
-			return of != nil && strings.HasPrefix(of.Path()+"/", folder+"/")
+			got, _ := model.Classify(tf)
+			return got == folder || strings.HasPrefix(got+"/", folder+"/")
 		}
-		tf := view.TermCounts(page)
-		if tf == nil {
-			return false
+		tg := trails.Replay(e.visitRows(user, true), trails.Filter{Topic: topicFilter}, 0, e.cfg.Now(), 0)
+		ctx = TrailContext{Folder: folder, Edges: tg.Transitions()}
+		e.mu.RLock()
+		defer e.mu.RUnlock()
+		for _, p := range tg.Top(k) {
+			ctx.Pages = append(ctx.Pages, e.pageInfoLocked(p, tg.Weight[p]))
 		}
-		got, _ := model.Classify(tf)
-		return got == folder || strings.HasPrefix(got+"/", folder+"/")
-	}
-	tg := trails.Replay(e.visitRows(user, true), trails.Filter{Topic: topicFilter}, 0, e.cfg.Now(), 0)
-	ctx := TrailContext{Folder: folder, Edges: tg.Transitions()}
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	for _, p := range tg.Top(k) {
-		ctx.Pages = append(ctx.Pages, e.pageInfoLocked(p, tg.Weight[p]))
-	}
-	for _, p := range trails.Popular(tg, view, k) {
-		ctx.Popular = append(ctx.Popular, e.pageInfoLocked(p, 0))
-	}
+		for _, p := range trails.Popular(tg, view, k) {
+			ctx.Popular = append(ctx.Popular, e.pageInfoLocked(p, 0))
+		}
+	})
 	return ctx
 }
 
-func referenceUsage(e *Engine, user int64, since time.Time) []UsageSlice {
+func referenceUsage(e *Engine, user int64, since time.Time) (out []UsageSlice) {
 	e.mu.RLock()
 	model := e.models[user]
 	e.mu.RUnlock()
@@ -129,64 +129,64 @@ func referenceUsage(e *Engine, user int64, since time.Time) []UsageSlice {
 		return nil
 	}
 	sort.Slice(visits, func(i, j int) bool { return visits[i].at.Before(visits[j].at) })
-	view := e.DerivedSnapshot()
-	defer view.Release()
-	folderOf := func(page int64) string {
-		e.mu.RLock()
-		if tree := e.trees[user]; tree != nil {
-			if f := tree.FolderOfPage(page); f != nil {
-				e.mu.RUnlock()
-				return f.Path()
-			}
-		}
-		e.mu.RUnlock()
-		if model != nil {
-			if tf := view.TermCounts(page); tf != nil {
-				if folder, conf := model.Classify(tf); conf >= 0.4 {
-					return folder
+	e.withView(func(view *DerivedView) {
+		folderOf := func(page int64) string {
+			e.mu.RLock()
+			if tree := e.trees[user]; tree != nil {
+				if f := tree.FolderOfPage(page); f != nil {
+					e.mu.RUnlock()
+					return f.Path()
 				}
 			}
-		}
-		return "/unfiled"
-	}
-	agg := map[string]*UsageSlice{}
-	var total time.Duration
-	for i, v := range visits {
-		dwell := 30 * time.Second
-		if i+1 < len(visits) {
-			if gap := visits[i+1].at.Sub(v.at); gap > 0 && gap <= 30*time.Minute {
-				dwell = gap
+			e.mu.RUnlock()
+			if model != nil {
+				if tf := view.TermCounts(page); tf != nil {
+					if folder, conf := model.Classify(tf); conf >= 0.4 {
+						return folder
+					}
+				}
 			}
+			return "/unfiled"
 		}
-		folder := folderOf(v.page)
-		s := agg[folder]
-		if s == nil {
-			s = &UsageSlice{Folder: folder}
-			agg[folder] = s
+		agg := map[string]*UsageSlice{}
+		var total time.Duration
+		for i, v := range visits {
+			dwell := 30 * time.Second
+			if i+1 < len(visits) {
+				if gap := visits[i+1].at.Sub(v.at); gap > 0 && gap <= 30*time.Minute {
+					dwell = gap
+				}
+			}
+			folder := folderOf(v.page)
+			s := agg[folder]
+			if s == nil {
+				s = &UsageSlice{Folder: folder}
+				agg[folder] = s
+			}
+			s.Visits++
+			s.Time += dwell
+			total += dwell
 		}
-		s.Visits++
-		s.Time += dwell
-		total += dwell
-	}
-	out := make([]UsageSlice, 0, len(agg))
-	for _, s := range agg {
-		if total > 0 {
-			s.Share = float64(s.Time) / float64(total)
+		out = make([]UsageSlice, 0, len(agg))
+		for _, s := range agg {
+			if total > 0 {
+				s.Share = float64(s.Time) / float64(total)
+			}
+			out = append(out, *s)
 		}
-		out = append(out, *s)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Time != out[j].Time {
-			return out[i].Time > out[j].Time
-		}
-		return out[i].Folder < out[j].Folder
+		sort.Slice(out, func(i, j int) bool {
+			if out[i].Time != out[j].Time {
+				return out[i].Time > out[j].Time
+			}
+			return out[i].Folder < out[j].Folder
+		})
 	})
 	return out
 }
 
 // referenceRecommend also returns the boost it computed, over all peers,
 // so that a test can see which pages the present version no longer scores.
-func referenceRecommend(e *Engine, user int64, k int, byProfile bool) ([]PageInfo, map[int64]float64) {
+func referenceRecommend(e *Engine, user int64, k int, byProfile bool) (out []PageInfo, boost map[int64]float64) {
 	e.mu.RLock()
 	tax := e.tax
 	users := make([]int64, 0, len(e.trees))
@@ -197,67 +197,67 @@ func referenceRecommend(e *Engine, user int64, k int, byProfile bool) ([]PageInf
 	if tax == nil {
 		return nil, nil
 	}
-	view := e.DerivedSnapshot()
-	defer view.Release()
-	profiles := map[int64]profile.Profile{}
-	visited := map[int64]map[int64]bool{}
-	for _, u := range users {
-		docs := e.userDocsInView(u, view)
-		if len(docs) == 0 {
-			continue
-		}
-		profiles[u] = profile.Build(u, docs, tax)
-		set := map[int64]bool{}
-		e.mu.RLock()
-		for page := range e.visited[u] {
-			if u == user || e.meta[page].community {
-				set[page] = true
-			}
-		}
-		e.mu.RUnlock()
-		visited[u] = set
-	}
-	eng := recommend.NewEngine(profiles, visited)
-	mine := visited[user]
-	boost := map[int64]float64{}
-	scanned := map[int64]bool{}
-	for u, set := range visited {
-		if u == user || len(mine) == 0 {
-			continue
-		}
-		for p := range set {
-			if mine[p] || scanned[p] {
+	e.withView(func(view *DerivedView) {
+		profiles := map[int64]profile.Profile{}
+		visited := map[int64]map[int64]bool{}
+		for _, u := range users {
+			docs := e.userDocsInView(u, view)
+			if len(docs) == 0 {
 				continue
 			}
-			scanned[p] = true
-			near := 0
-			for _, q := range view.Out(p) {
-				if mine[q] {
-					near++
+			profiles[u] = profile.Build(u, docs, tax)
+			set := map[int64]bool{}
+			e.mu.RLock()
+			for page := range e.visited[u] {
+				if u == user || e.meta[page].community {
+					set[page] = true
 				}
 			}
-			for _, q := range view.In(p) {
-				if mine[q] {
-					near++
-				}
+			e.mu.RUnlock()
+			visited[u] = set
+		}
+		eng := recommend.NewEngine(profiles, visited)
+		mine := visited[user]
+		boost = map[int64]float64{}
+		scanned := map[int64]bool{}
+		for u, set := range visited {
+			if u == user || len(mine) == 0 {
+				continue
 			}
-			if near > 0 {
-				boost[p] = 1 + math.Log1p(float64(near))
+			for p := range set {
+				if mine[p] || scanned[p] {
+					continue
+				}
+				scanned[p] = true
+				near := 0
+				for _, q := range view.Out(p) {
+					if mine[q] {
+						near++
+					}
+				}
+				for _, q := range view.In(p) {
+					if mine[q] {
+						near++
+					}
+				}
+				if near > 0 {
+					boost[p] = 1 + math.Log1p(float64(near))
+				}
 			}
 		}
-	}
-	eng.SetPageScores(boost)
-	method := recommend.ByProfile
-	if !byProfile {
-		method = recommend.ByURLOverlap
-	}
-	recs := eng.Recommend(user, method, 10, k)
-	out := make([]PageInfo, 0, len(recs))
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	for _, p := range recs {
-		out = append(out, e.pageInfoLocked(p, 0))
-	}
+		eng.SetPageScores(boost)
+		method := recommend.ByProfile
+		if !byProfile {
+			method = recommend.ByURLOverlap
+		}
+		recs := eng.Recommend(user, method, 10, k)
+		out = make([]PageInfo, 0, len(recs))
+		e.mu.RLock()
+		defer e.mu.RUnlock()
+		for _, p := range recs {
+			out = append(out, e.pageInfoLocked(p, 0))
+		}
+	})
 	return out, boost
 }
 

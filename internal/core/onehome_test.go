@@ -21,34 +21,34 @@ import (
 // page's vector, so a DF off by one anywhere moves a weight somewhere.
 func checkIndexStatistics(t *testing.T, e *Engine) {
 	t.Helper()
-	view := e.DerivedSnapshot()
-	defer view.Release()
-	ref := text.NewCorpus()
-	var pages []int64
-	view.sn.Range(func(key string, raw []byte) bool {
-		if page, ok := pageOfTFKey(key); ok && decodeCounts(raw) != nil {
+	e.withView(func(view *DerivedView) {
+		ref := text.NewCorpus()
+		var pages []int64
+		view.sn.Range(func(key string, raw []byte) bool {
+			if page, ok := pageOfTFKey(key); ok && decodeCounts(raw) != nil {
+				raw, _ := view.Vector(page)
+				ref.AddDoc(raw)
+				pages = append(pages, page)
+			}
+			return true
+		})
+		slices.Sort(pages)
+		if len(pages) == 0 {
+			t.Fatal("no tf/ records to check against")
+		}
+		if got := e.idx.Docs(); got != len(pages) {
+			t.Fatalf("index N = %d, decodable tf/ records = %d", got, len(pages))
+		}
+		if claimed := fetchedPages(e); !slices.Equal(claimed, pages) {
+			t.Fatalf("claimed pages %v, tf/ records %v", claimed, pages)
+		}
+		for _, page := range pages {
 			raw, _ := view.Vector(page)
-			ref.AddDoc(raw)
-			pages = append(pages, page)
+			if got, want := e.idx.TFIDF(raw), ref.TFIDF(raw); !reflect.DeepEqual(got, want) {
+				t.Fatalf("page %d: index weights %v, reference corpus weights %v", page, got, want)
+			}
 		}
-		return true
 	})
-	slices.Sort(pages)
-	if len(pages) == 0 {
-		t.Fatal("no tf/ records to check against")
-	}
-	if got := e.idx.Docs(); got != len(pages) {
-		t.Fatalf("index N = %d, decodable tf/ records = %d", got, len(pages))
-	}
-	if claimed := fetchedPages(e); !slices.Equal(claimed, pages) {
-		t.Fatalf("claimed pages %v, tf/ records %v", claimed, pages)
-	}
-	for _, page := range pages {
-		raw, _ := view.Vector(page)
-		if got, want := e.idx.TFIDF(raw), ref.TFIDF(raw); !reflect.DeepEqual(got, want) {
-			t.Fatalf("page %d: index weights %v, reference corpus weights %v", page, got, want)
-		}
-	}
 }
 
 func TestIndexStatisticsMatchRecords(t *testing.T) {

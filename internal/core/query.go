@@ -156,62 +156,62 @@ func (e *Engine) Trails(user int64, folder string, k int) TrailContext {
 	// The whole replay classifies pages against one pinned snapshot of
 	// the derived term stats, so a concurrent fetch can't flip a page's
 	// topic mid-replay.
-	view := e.DerivedSnapshot()
-	defer view.Release()
-
-	onTopic := func(page int64) bool {
-		if model == nil {
-			// Untrained: fall back to the user's explicit folder content.
-			e.mu.RLock()
-			defer e.mu.RUnlock()
-			t := e.trees[user]
-			if t == nil {
+	ctx := TrailContext{Folder: folder}
+	e.withView(func(view *DerivedView) {
+		onTopic := func(page int64) bool {
+			if model == nil {
+				// Untrained: fall back to the user's explicit folder content.
+				e.mu.RLock()
+				defer e.mu.RUnlock()
+				t := e.trees[user]
+				if t == nil {
+					return false
+				}
+				of := t.FolderOfPage(page)
+				return of != nil && strings.HasPrefix(of.Path()+"/", folder+"/")
+			}
+			tf := view.TermCounts(page)
+			if tf == nil {
 				return false
 			}
-			of := t.FolderOfPage(page)
-			return of != nil && strings.HasPrefix(of.Path()+"/", folder+"/")
+			got, _ := model.Classify(tf)
+			return got == folder || strings.HasPrefix(got+"/", folder+"/")
 		}
-		tf := view.TermCounts(page)
-		if tf == nil {
-			return false
+		// A page's topic is a function of the page, the model and the pinned
+		// view, none of which change during the pass: decide it at the page's
+		// first visit and remember it for the revisits.
+		topic := map[int64]bool{}
+		topicFilter := func(page int64) bool {
+			on, ok := topic[page]
+			if !ok {
+				on = onTopic(page)
+				topic[page] = on
+			}
+			return on
 		}
-		got, _ := model.Classify(tf)
-		return got == folder || strings.HasPrefix(got+"/", folder+"/")
-	}
-	// A page's topic is a function of the page, the model and the pinned
-	// view, none of which change during the pass: decide it at the page's
-	// first visit and remember it for the revisits.
-	topic := map[int64]bool{}
-	topicFilter := func(page int64) bool {
-		on, ok := topic[page]
-		if !ok {
-			on = onTopic(page)
-			topic[page] = on
-		}
-		return on
-	}
 
-	visits := e.visitRows(user, true)
-	tg := trails.Replay(visits, trails.Filter{Topic: topicFilter}, 0, e.cfg.Now(), 0)
+		visits := e.visitRows(user, true)
+		tg := trails.Replay(visits, trails.Filter{Topic: topicFilter}, 0, e.cfg.Now(), 0)
 
-	ctx := TrailContext{Folder: folder, Edges: tg.Transitions()}
-	// Resolve graph ranking before touching metadata, then decorate both
-	// page lists under a single read lock — the per-element lock churn
-	// here used to cost one RLock/RUnlock round trip per popular page.
-	// The popularity ranking reads the same pinned view as the topic
-	// classification: HITS runs over the lnk/rin adjacency records at the
-	// view's epoch, so a concurrent fetch can't warp the neighbourhood
-	// mid-ranking, and a restarted server ranks from recovered records.
-	top := tg.Top(k)
-	popular := trails.Popular(tg, view, k)
-	e.mu.RLock()
-	for _, p := range top {
-		ctx.Pages = append(ctx.Pages, e.pageInfoLocked(p, tg.Weight[p]))
-	}
-	for _, p := range popular {
-		ctx.Popular = append(ctx.Popular, e.pageInfoLocked(p, 0))
-	}
-	e.mu.RUnlock()
+		ctx.Edges = tg.Transitions()
+		// Resolve graph ranking before touching metadata, then decorate both
+		// page lists under a single read lock — the per-element lock churn
+		// here used to cost one RLock/RUnlock round trip per popular page.
+		// The popularity ranking reads the same pinned view as the topic
+		// classification: HITS runs over the lnk/rin adjacency records at the
+		// view's epoch, so a concurrent fetch can't warp the neighbourhood
+		// mid-ranking, and a restarted server ranks from recovered records.
+		top := tg.Top(k)
+		popular := trails.Popular(tg, view, k)
+		e.mu.RLock()
+		for _, p := range top {
+			ctx.Pages = append(ctx.Pages, e.pageInfoLocked(p, tg.Weight[p]))
+		}
+		for _, p := range popular {
+			ctx.Popular = append(ctx.Popular, e.pageInfoLocked(p, 0))
+		}
+		e.mu.RUnlock()
+	})
 	return ctx
 }
 
@@ -222,9 +222,6 @@ func (e *Engine) Trails(user int64, folder string, k int) TrailContext {
 // whole clustering pass sees a consistent epoch; the metadata lock is
 // held only long enough to skeletonise the folder trees.
 func (e *Engine) RebuildThemes() themes.Stats {
-	view := e.DerivedSnapshot()
-	defer view.Release()
-
 	type folderSkel struct {
 		user  int64
 		path  string
@@ -265,19 +262,21 @@ func (e *Engine) RebuildThemes() themes.Stats {
 
 	// TF-IDF weighting and clustering run with no lock held at all.
 	var ufs []themes.UserFolder
-	for _, sk := range skels {
-		uf := themes.UserFolder{User: sk.user, Path: sk.path}
-		for _, page := range sk.pages {
-			raw, ok := view.Vector(page)
-			if !ok {
-				continue
+	e.withView(func(view *DerivedView) {
+		for _, sk := range skels {
+			uf := themes.UserFolder{User: sk.user, Path: sk.path}
+			for _, page := range sk.pages {
+				raw, ok := view.Vector(page)
+				if !ok {
+					continue
+				}
+				uf.Docs = append(uf.Docs, themes.DocVec{ID: page, Vec: e.idx.TFIDF(raw)})
 			}
-			uf.Docs = append(uf.Docs, themes.DocVec{ID: page, Vec: e.idx.TFIDF(raw)})
+			if len(uf.Docs) > 0 {
+				ufs = append(ufs, uf)
+			}
 		}
-		if len(uf.Docs) > 0 {
-			ufs = append(ufs, uf)
-		}
-	}
+	})
 
 	tax := themes.Discover(ufs, e.dict, themes.Options{Seed: 1})
 	e.mu.Lock()
@@ -335,10 +334,9 @@ func (e *Engine) Profile(user int64) *profile.Profile {
 // userDocs gathers TF-IDF vectors of the user's visited, fetched pages.
 // The vectors come from one pinned version-store snapshot, so the profile
 // is computed over a consistent view even while ingest publishes.
-func (e *Engine) userDocs(user int64) []themes.DocVec {
-	view := e.DerivedSnapshot()
-	defer view.Release()
-	return e.userDocsInView(user, view)
+func (e *Engine) userDocs(user int64) (docs []themes.DocVec) {
+	e.withView(func(view *DerivedView) { docs = e.userDocsInView(user, view) })
+	return docs
 }
 
 // userDocsInView is userDocs against a caller-pinned view, letting one
@@ -384,97 +382,98 @@ func (e *Engine) Recommend(user int64, k int, byProfile bool) []PageInfo {
 	// page's tf·idf weighting and theme assignment do not depend on who
 	// visited it, so each is computed at the page's first visitor and
 	// shared by the rest.
-	view := e.DerivedSnapshot()
-	defer view.Release()
-	assigner := profile.NewAssigner(tax)
-	type pageShares struct {
-		fetched bool
-		shares  []profile.Share
-	}
-	assigned := map[int64]pageShares{}
-	profiles := map[int64]profile.Profile{}
-	visited := map[int64]map[int64]bool{}
-	for _, u := range users {
-		set := map[int64]bool{}
-		e.mu.RLock()
-		pages := make([]int64, 0, len(e.visited[u]))
-		for page := range e.visited[u] {
-			pages = append(pages, page)
-			// Only community-visible pages are candidates from peers.
-			if u == user || e.meta[page].community {
-				set[page] = true
-			}
+	var recs []int64
+	e.withView(func(view *DerivedView) {
+		assigner := profile.NewAssigner(tax)
+		type pageShares struct {
+			fetched bool
+			shares  []profile.Share
 		}
-		e.mu.RUnlock()
-		// Deterministic page order: profile weights are float accumulations,
-		// and downstream ranking must not depend on map iteration order.
-		slices.Sort(pages)
-		var docs [][]profile.Share
-		for _, page := range pages {
-			ps, ok := assigned[page]
-			if !ok {
-				if raw, ok := view.Vector(page); ok {
-					ps = pageShares{true, assigner.Shares(e.idx.TFIDF(raw))}
+		assigned := map[int64]pageShares{}
+		profiles := map[int64]profile.Profile{}
+		visited := map[int64]map[int64]bool{}
+		for _, u := range users {
+			set := map[int64]bool{}
+			e.mu.RLock()
+			pages := make([]int64, 0, len(e.visited[u]))
+			for page := range e.visited[u] {
+				pages = append(pages, page)
+				// Only community-visible pages are candidates from peers.
+				if u == user || e.meta[page].community {
+					set[page] = true
 				}
-				assigned[page] = ps
 			}
-			if ps.fetched {
-				docs = append(docs, ps.shares)
+			e.mu.RUnlock()
+			// Deterministic page order: profile weights are float accumulations,
+			// and downstream ranking must not depend on map iteration order.
+			slices.Sort(pages)
+			var docs [][]profile.Share
+			for _, page := range pages {
+				ps, ok := assigned[page]
+				if !ok {
+					if raw, ok := view.Vector(page); ok {
+						ps = pageShares{true, assigner.Shares(e.idx.TFIDF(raw))}
+					}
+					assigned[page] = ps
+				}
+				if ps.fetched {
+					docs = append(docs, ps.shares)
+				}
 			}
-		}
-		if len(docs) == 0 {
-			continue
-		}
-		profiles[u] = assigner.Profile(u, docs)
-		visited[u] = set
-	}
-	eng := recommend.NewEngine(profiles, visited)
-	method := recommend.ByProfile
-	if !byProfile {
-		method = recommend.ByURLOverlap
-	}
-	// Link-proximity signal: a candidate page a hop away from something
-	// the user already surfed (either direction, at the view's epoch)
-	// outranks an unconnected candidate with the same peer mass — the
-	// trail-mining intuition that nearby pages extend the user's own
-	// paths. Reading the same pinned view keeps the boost consistent with
-	// the profiles and reproducible from recovered records. Only pages of
-	// the nearest peers can be recommended, so only they are scored: every
-	// other peer's pages would cost two adjacency decodes each for a boost
-	// nothing reads.
-	mine := visited[user]
-	boost := map[int64]float64{}
-	scanned := map[int64]bool{}
-	for _, peer := range eng.Peers(user, method, recommendPeers) {
-		if peer.Score <= 0 || len(mine) == 0 {
-			// A peer of no similarity contributes no candidates; and no
-			// history ⇒ no page can be near it: skip the record decodes
-			// rather than compute a boost nothing reads.
-			continue
-		}
-		for p := range visited[peer.User] {
-			if mine[p] || scanned[p] {
+			if len(docs) == 0 {
 				continue
 			}
-			scanned[p] = true
-			near := 0
-			for _, q := range view.Out(p) {
-				if mine[q] {
-					near++
-				}
+			profiles[u] = assigner.Profile(u, docs)
+			visited[u] = set
+		}
+		eng := recommend.NewEngine(profiles, visited)
+		method := recommend.ByProfile
+		if !byProfile {
+			method = recommend.ByURLOverlap
+		}
+		// Link-proximity signal: a candidate page a hop away from something
+		// the user already surfed (either direction, at the view's epoch)
+		// outranks an unconnected candidate with the same peer mass — the
+		// trail-mining intuition that nearby pages extend the user's own
+		// paths. Reading the same pinned view keeps the boost consistent with
+		// the profiles and reproducible from recovered records. Only pages of
+		// the nearest peers can be recommended, so only they are scored: every
+		// other peer's pages would cost two adjacency decodes each for a boost
+		// nothing reads.
+		mine := visited[user]
+		boost := map[int64]float64{}
+		scanned := map[int64]bool{}
+		for _, peer := range eng.Peers(user, method, recommendPeers) {
+			if peer.Score <= 0 || len(mine) == 0 {
+				// A peer of no similarity contributes no candidates; and no
+				// history ⇒ no page can be near it: skip the record decodes
+				// rather than compute a boost nothing reads.
+				continue
 			}
-			for _, q := range view.In(p) {
-				if mine[q] {
-					near++
+			for p := range visited[peer.User] {
+				if mine[p] || scanned[p] {
+					continue
 				}
-			}
-			if near > 0 {
-				boost[p] = 1 + math.Log1p(float64(near))
+				scanned[p] = true
+				near := 0
+				for _, q := range view.Out(p) {
+					if mine[q] {
+						near++
+					}
+				}
+				for _, q := range view.In(p) {
+					if mine[q] {
+						near++
+					}
+				}
+				if near > 0 {
+					boost[p] = 1 + math.Log1p(float64(near))
+				}
 			}
 		}
-	}
-	eng.SetPageScores(boost)
-	recs := eng.Recommend(user, method, recommendPeers, k)
+		eng.SetPageScores(boost)
+		recs = eng.Recommend(user, method, recommendPeers, k)
+	})
 	out := make([]PageInfo, 0, len(recs))
 	e.mu.RLock()
 	for _, p := range recs {
@@ -525,22 +524,24 @@ func (e *Engine) Discover(user int64, folder string, budget, k int) []PageInfo {
 	// the same epoch, so a concurrent fetch demon can't flip a page's
 	// status mid-crawl. The crawl is single-goroutine, matching the
 	// view's contract.
-	view := e.DerivedSnapshot()
-	defer view.Release()
-	fetcher := &engineFetcher{e: e, view: view}
-	res := crawler.Crawl(fetcher, rel, seeds, crawler.Options{
-		Budget: budget, Focused: true, Threshold: 0.5,
-	})
-	// Discovery ranks by link mass. Pages archived before the pin read
-	// their adjacency record from the view; pages this very crawl fetched
-	// published after the pin, so they fall back to the live authority.
-	outLinks := func(p int64) []int64 {
-		if outs, ok := view.OutKnown(p); ok {
-			return outs
+	var res *crawler.Result
+	var top []int64
+	e.withView(func(view *DerivedView) {
+		fetcher := &engineFetcher{e: e, view: view}
+		res = crawler.Crawl(fetcher, rel, seeds, crawler.Options{
+			Budget: budget, Focused: true, Threshold: 0.5,
+		})
+		// Discovery ranks by link mass. Pages archived before the pin read
+		// their adjacency record from the view; pages this very crawl fetched
+		// published after the pin, so they fall back to the live authority.
+		outLinks := func(p int64) []int64 {
+			if outs, ok := view.OutKnown(p); ok {
+				return outs
+			}
+			return e.links.Out(p)
 		}
-		return e.links.Out(p)
-	}
-	top := crawler.Discovery(res, outLinks, k)
+		top = crawler.Discovery(res, outLinks, k)
+	})
 	out := make([]PageInfo, 0, len(top))
 	e.mu.RLock()
 	for _, p := range top {

@@ -45,67 +45,66 @@ func (e *Engine) UsageBreakdown(user int64, since time.Time) []UsageSlice {
 	}
 	sort.Slice(visits, func(i, j int) bool { return visits[i].at.Before(visits[j].at) })
 
+	agg := map[string]*UsageSlice{}
+	var total time.Duration
 	// One pinned snapshot serves the whole pass: every visit is attributed
 	// against the same consistent view of the derived term stats, no
 	// matter how much the ingest path publishes while we classify.
-	view := e.DerivedSnapshot()
-	defer view.Release()
-
-	attribute := func(page int64) string {
-		// Explicit placement wins over classifier guesses.
-		e.mu.RLock()
-		if tree := e.trees[user]; tree != nil {
-			if f := tree.FolderOfPage(page); f != nil {
-				e.mu.RUnlock()
-				return f.Path()
-			}
-		}
-		e.mu.RUnlock()
-		if model != nil {
-			if tf := view.TermCounts(page); tf != nil {
-				folder, conf := model.Classify(tf)
-				if conf >= 0.4 {
-					return folder
+	e.withView(func(view *DerivedView) {
+		attribute := func(page int64) string {
+			// Explicit placement wins over classifier guesses.
+			e.mu.RLock()
+			if tree := e.trees[user]; tree != nil {
+				if f := tree.FolderOfPage(page); f != nil {
+					e.mu.RUnlock()
+					return f.Path()
 				}
 			}
-		}
-		return "/unfiled"
-	}
-	// A history revisits pages: a page's folder is decided at its first
-	// visit and remembered (same page, model and pinned view give the same
-	// answer every time).
-	folders := map[int64]string{}
-	folderOf := func(page int64) string {
-		folder, ok := folders[page]
-		if !ok {
-			folder = attribute(page)
-			folders[page] = folder
-		}
-		return folder
-	}
-
-	const dwellCap = 30 * time.Minute
-	const defaultDwell = 30 * time.Second
-	agg := map[string]*UsageSlice{}
-	var total time.Duration
-	for i, v := range visits {
-		dwell := defaultDwell
-		if i+1 < len(visits) {
-			gap := visits[i+1].at.Sub(v.at)
-			if gap > 0 && gap <= dwellCap {
-				dwell = gap
+			e.mu.RUnlock()
+			if model != nil {
+				if tf := view.TermCounts(page); tf != nil {
+					folder, conf := model.Classify(tf)
+					if conf >= 0.4 {
+						return folder
+					}
+				}
 			}
+			return "/unfiled"
 		}
-		folder := folderOf(v.page)
-		s := agg[folder]
-		if s == nil {
-			s = &UsageSlice{Folder: folder}
-			agg[folder] = s
+		// A history revisits pages: a page's folder is decided at its first
+		// visit and remembered (same page, model and pinned view give the same
+		// answer every time).
+		folders := map[int64]string{}
+		folderOf := func(page int64) string {
+			folder, ok := folders[page]
+			if !ok {
+				folder = attribute(page)
+				folders[page] = folder
+			}
+			return folder
 		}
-		s.Visits++
-		s.Time += dwell
-		total += dwell
-	}
+
+		const dwellCap = 30 * time.Minute
+		const defaultDwell = 30 * time.Second
+		for i, v := range visits {
+			dwell := defaultDwell
+			if i+1 < len(visits) {
+				gap := visits[i+1].at.Sub(v.at)
+				if gap > 0 && gap <= dwellCap {
+					dwell = gap
+				}
+			}
+			folder := folderOf(v.page)
+			s := agg[folder]
+			if s == nil {
+				s = &UsageSlice{Folder: folder}
+				agg[folder] = s
+			}
+			s.Visits++
+			s.Time += dwell
+			total += dwell
+		}
+	})
 	out := make([]UsageSlice, 0, len(agg))
 	for _, s := range agg {
 		if total > 0 {

@@ -57,9 +57,7 @@
 //	    -seed 1 -world-seed 7 -slo-p99-status 750ms -out LOAD_local.json
 //
 // memexload exits 1 on budget violations and writes the same
-// LOAD_<date>_<sha>.json trajectory point CI commits on main pushes;
-// `go run ./cmd/benchjson -load < LOAD_local.json` round-trips it
-// through the trajectory tooling. `-print-schedule` dumps the expanded
-// schedule without touching the server (run it twice to see the
-// determinism contract hold).
+// LOAD_<date>_<sha>.json report the CI job does. `-print-schedule` dumps
+// the expanded schedule without touching the server (run it twice to see
+// the determinism contract hold).
 package load

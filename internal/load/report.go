@@ -1,12 +1,10 @@
 package load
 
-// The machine-readable half of the harness: LOAD_<date>_<sha>.json is
-// to request latency what BENCH_<date>_<sha>.json is to benchmark
-// ns/op — one trajectory point per CI run, committed on main pushes, so
-// SLO history accumulates in-repo the same way perf history does.
-// cmd/benchjson -load round-trips these files (parse → validate →
-// re-emit byte-identically), which is what keeps history-walking tools
-// honest about the schema.
+// The machine-readable half of the harness: one LOAD_<date>_<sha>.json
+// report per run — what the SLO gate judged, kept as a CI artifact when it
+// fails. ReadReport and WriteJSON round-trip a report byte-identically
+// (parse → validate → re-emit), which is what keeps any tool that reads
+// them honest about the schema.
 
 import (
 	"encoding/json"

@@ -125,7 +125,7 @@ func TestRunAgainstLiveServer(t *testing.T) {
 	}
 
 	// Round-trip: the canonical encoding must survive parse → re-emit
-	// byte-identically (the benchjson -load contract).
+	// byte-identically.
 	var buf1, buf2 bytes.Buffer
 	if err := rep.WriteJSON(&buf1); err != nil {
 		t.Fatal(err)
@@ -139,6 +139,16 @@ func TestRunAgainstLiveServer(t *testing.T) {
 	}
 	if !bytes.Equal(buf1.Bytes(), buf2.Bytes()) {
 		t.Fatal("report did not round-trip byte-identically")
+	}
+	// And the parser refuses what the schema forbids: unsorted endpoint
+	// rows would break every reader that bisects by name.
+	back.Endpoints[0], back.Endpoints[1] = back.Endpoints[1], back.Endpoints[0]
+	buf2.Reset()
+	if err := back.WriteJSON(&buf2); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadReport(&buf2); err == nil {
+		t.Fatal("ReadReport accepted unsorted endpoint rows")
 	}
 }
 
@@ -246,7 +256,7 @@ func TestGateFailsOnLostWrites(t *testing.T) {
 func TestGateFailsOnShedWithoutRetryAfter(t *testing.T) {
 	ts := stubTarget(func(w http.ResponseWriter, r *http.Request) {
 		// Deliberately no Retry-After header.
-		http.Error(w, "overloaded", http.StatusServiceUnavailable) //memexvet:ignore replyorder this stub reproduces the bare-503 misbehavior the gate must catch
+		http.Error(w, "overloaded", http.StatusServiceUnavailable) // bare on purpose: the misbehavior the gate must catch
 	})
 	defer ts.Close()
 

@@ -13,6 +13,7 @@ package server
 // counts of the run itself rather than requiring a quiet machine.
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"net/http"
@@ -190,8 +191,8 @@ func (m *metricsSet) writeHTTPMetrics(w io.Writer) {
 // gauges wired from the engine's own counter snapshot (queue depth,
 // fold/GC activity, cache hit ratio, pin count), so one scrape shows
 // both how the server is answering and why it might stop.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+func (s *Server) handleMetrics(*http.Request) (reply, error) {
+	w := new(bytes.Buffer)
 	s.metrics.writeHTTPMetrics(w)
 
 	st := s.engine.Status()
@@ -247,4 +248,5 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	g("memex_disk_bytes", "Backing kvstore size on disk.", float64(st.DiskBytes))
 	g("memex_graph_nodes", "Pages known to the link graph.", float64(st.GraphNodes))
 	g("memex_graph_edges", "Directed edges in the link graph.", float64(st.GraphEdges))
+	return reply{"text/plain; version=0.0.4; charset=utf-8", w.Bytes()}, nil
 }

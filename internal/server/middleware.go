@@ -267,22 +267,11 @@ func shedReason(p core.Pressure, cfg Config) string {
 	return ""
 }
 
-// statusRecorder captures the status code a handler writes so the
-// middleware can classify the response after the fact.
-type statusRecorder struct {
-	http.ResponseWriter
-	code int
-}
-
-func (sr *statusRecorder) WriteHeader(code int) {
-	sr.code = code
-	sr.ResponseWriter.WriteHeader(code)
-}
-
 // handle registers pattern on the mux wrapped in the full middleware
-// chain: admission first (cheap, before any handler work), then
-// instrumentation of whatever ran.
-func (s *Server) handle(pattern string, class routeClass, h http.HandlerFunc) {
+// chain: admission first (cheap, before any handler work), then the
+// handler, then the one place a reply is committed — Content-Type, status
+// and body written once each, so the code instrumented is the code sent.
+func (s *Server) handle(pattern string, class routeClass, h handler) {
 	em := s.metrics.register(pattern)
 	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
 		start := s.cfg.Now()
@@ -290,18 +279,15 @@ func (s *Server) handle(pattern string, class routeClass, h http.HandlerFunc) {
 		n := s.metrics.inFlight.Add(1)
 		defer s.metrics.inFlight.Add(-1)
 
+		code, rep := 0, reply{} // code 0: admitted
 		if class != opsRoute {
 			if s.limiter != nil && !s.limiter.allow(clientKey(r)) {
-				s.reject(w, em, rejectRate, http.StatusTooManyRequests, minRetryAfterSec,
-					fmt.Errorf("rate limit exceeded"), start)
-				return
-			}
-			if s.cfg.MaxInFlight > 0 && n > int64(s.cfg.MaxInFlight) {
-				s.reject(w, em, rejectInFlight, http.StatusServiceUnavailable, minRetryAfterSec,
-					fmt.Errorf("server at capacity (%d requests in flight)", s.cfg.MaxInFlight), start)
-				return
-			}
-			if class == writeRoute {
+				code, rep = s.reject(w, em, rejectRate, minRetryAfterSec,
+					fmt.Errorf("rate limit exceeded"))
+			} else if s.cfg.MaxInFlight > 0 && n > int64(s.cfg.MaxInFlight) {
+				code, rep = s.reject(w, em, rejectInFlight, minRetryAfterSec,
+					fmt.Errorf("server at capacity (%d requests in flight)", s.cfg.MaxInFlight))
+			} else if class == writeRoute {
 				p := s.pressure()
 				s.drain.observe(p.QueueDepth, start)
 				if reason := shedReason(p, s.cfg); reason != "" {
@@ -311,26 +297,30 @@ func (s *Server) handle(pattern string, class routeClass, h http.HandlerFunc) {
 					// only the fold is behind — the queue estimator knows
 					// nothing about fold progress.
 					retry := s.drain.retryAfter(p.QueueDepth, shedTarget(p, s.cfg))
-					s.reject(w, em, reason, http.StatusServiceUnavailable, retry,
-						fmt.Errorf("overloaded (%s): retry later", reason), start)
-					return
+					code, rep = s.reject(w, em, reason, retry,
+						fmt.Errorf("overloaded (%s): retry later", reason))
 				}
 			}
 		}
-
-		sr := &statusRecorder{ResponseWriter: w, code: http.StatusOK}
-		h(sr, r)
-		em.observe(sr.code, s.cfg.Now().Sub(start))
+		if code == 0 {
+			code, rep = answer(h, r)
+		}
+		w.Header().Set("Content-Type", rep.contentType)
+		w.WriteHeader(code)
+		w.Write(rep.body) // a failed write means the client is gone: nobody left to tell
+		em.observe(code, s.cfg.Now().Sub(start))
 	})
 }
 
-// reject refuses a request with the admission-control envelope: the
-// refusal is counted per reason, classified like any other response,
+// reject refuses a request with the admission-control envelope, and is
+// the only producer of a 429 or 503: the refusal is counted per reason
 // and carries Retry-After so well-behaved clients back off —
 // drain-rate-derived for pressure sheds, the 1s floor otherwise.
-func (s *Server) reject(w http.ResponseWriter, em *endpointMetrics, reason string, code, retryAfterSec int, err error, start time.Time) {
+func (s *Server) reject(w http.ResponseWriter, em *endpointMetrics, reason string, retryAfterSec int, err error) (int, reply) {
 	em.rejected[reason].Add(1)
 	w.Header().Set("Retry-After", strconv.Itoa(retryAfterSec))
-	writeErr(w, code, err)
-	em.observe(code, s.cfg.Now().Sub(start))
+	if reason == rejectRate {
+		return http.StatusTooManyRequests, errorReply(err)
+	}
+	return http.StatusServiceUnavailable, errorReply(err)
 }

@@ -42,6 +42,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -154,25 +155,67 @@ type ErrBody struct {
 	Error string `json:"error"`
 }
 
-func parsePrivacy(s string) events.Privacy {
+// parsePrivacy maps the wire value to the archiving mode. Empty takes the
+// documented default; anything else unrecognised is refused, not widened —
+// a typo must not publish to the community a visit meant to stay private.
+func parsePrivacy(s string) (events.Privacy, error) {
 	switch s {
 	case "off":
-		return events.Off
+		return events.Off, nil
 	case "private":
-		return events.Private
-	default:
-		return events.Community
+		return events.Private, nil
+	case "community", "":
+		return events.Community, nil
 	}
+	return 0, badRequestf(`bad privacy %q: want "off", "private" or "community"`, s)
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(v)
+// reply is a route's answer: body bytes and their content type. Handlers
+// return one and never see the response writer; handle (middleware.go)
+// commits it, so a reply has one status, one Content-Type and a body that
+// was complete before its first byte left.
+type reply struct {
+	contentType string
+	body        []byte
 }
 
-func writeErr(w http.ResponseWriter, code int, err error) {
-	writeJSON(w, code, ErrBody{Error: err.Error()})
+// A handler computes one route's answer from the request alone. A nil
+// error is a 200; a badRequest is a 400; any other error is a 500.
+type handler func(r *http.Request) (reply, error)
+
+// badRequest marks an error as the client's to fix: the only way to a 400.
+type badRequest string
+
+func (b badRequest) Error() string { return string(b) }
+
+func badRequestf(format string, args ...any) error {
+	return badRequest(fmt.Sprintf(format, args...))
+}
+
+func jsonReply(v any) (reply, error) {
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(v); err != nil {
+		return reply{}, err
+	}
+	return reply{"application/json", buf.Bytes()}, nil
+}
+
+// answer runs h and picks the status and body to commit.
+func answer(h handler, r *http.Request) (int, reply) {
+	rep, err := h(r)
+	if err == nil {
+		return http.StatusOK, rep
+	}
+	code := http.StatusInternalServerError
+	if errors.As(err, new(badRequest)) {
+		code = http.StatusBadRequest
+	}
+	return code, errorReply(err)
+}
+
+func errorReply(err error) reply {
+	rep, _ := jsonReply(ErrBody{Error: err.Error()}) // one string field: cannot fail to encode
+	return rep
 }
 
 func decode[T any](r *http.Request) (T, error) {
@@ -180,15 +223,14 @@ func decode[T any](r *http.Request) (T, error) {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&v); err != nil {
-		return v, fmt.Errorf("bad request body: %w", err)
+		return v, badRequestf("bad request body: %v", err)
 	}
 	return v, nil
 }
 
-// qint64 parses an integer query param. A missing param yields (0, nil);
-// a malformed one yields an error, which handlers surface as a 400
-// distinct from "param required" — `?user=abc` must not silently become
-// user 0 and then masquerade as a missing parameter.
+// qint64 is the one integer query-param parser. A missing param yields
+// (0, nil); a malformed one is a 400 distinct from "param required" —
+// `?user=abc` must not silently become user 0, nor `?k=abc` the default.
 func qint64(r *http.Request, name string) (int64, error) {
 	raw := r.URL.Query().Get(name)
 	if raw == "" {
@@ -196,226 +238,227 @@ func qint64(r *http.Request, name string) (int64, error) {
 	}
 	v, err := strconv.ParseInt(raw, 10, 64)
 	if err != nil {
-		return 0, fmt.Errorf("bad %s", name)
+		return 0, badRequestf("bad %s", name)
 	}
 	return v, nil
 }
 
-// requireUser parses the mandatory user param, writing the appropriate
-// 400 ("bad user" for malformed, "user required" for absent) and
-// returning ok=false when the handler should stop.
-func requireUser(w http.ResponseWriter, r *http.Request) (int64, bool) {
+// requireUser parses the mandatory user param ("bad user" for malformed,
+// "user required" for absent).
+func requireUser(r *http.Request) (int64, error) {
 	user, err := qint64(r, "user")
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return 0, false
+	if err == nil && user == 0 {
+		err = badRequestf("user required")
 	}
-	if user == 0 {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("user required"))
-		return 0, false
-	}
-	return user, true
+	return user, err
 }
 
-func qint(r *http.Request, name string, def int) int {
-	v, err := strconv.Atoi(r.URL.Query().Get(name))
+// qint parses a count param; absent or ≤ 0 takes def.
+func qint(r *http.Request, name string, def int) (int, error) {
+	v, err := qint64(r, name)
 	if err != nil || v <= 0 {
-		return def
+		return def, err
 	}
-	return v
+	return int(v), nil
+}
+
+// requireFolder reads the mandatory folder param.
+func requireFolder(r *http.Request) (string, error) {
+	folder := r.URL.Query().Get("folder")
+	if folder == "" {
+		return "", badRequestf("folder required")
+	}
+	return folder, nil
 }
 
 // --- handlers ---
 
-func (s *Server) handleUser(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleUser(r *http.Request) (reply, error) {
 	req, err := decode[UserReq](r)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
+		return reply{}, err
 	}
 	if req.ID == 0 || req.Name == "" {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("id and name required"))
-		return
+		return reply{}, badRequestf("id and name required")
 	}
 	if err := s.engine.RegisterUser(req.ID, req.Name); err != nil {
-		writeErr(w, http.StatusInternalServerError, err)
-		return
+		return reply{}, err
 	}
-	writeJSON(w, http.StatusOK, OK{true})
+	return jsonReply(OK{true})
 }
 
-func (s *Server) handleEvent(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleEvent(r *http.Request) (reply, error) {
 	req, err := decode[EventReq](r)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
+		return reply{}, err
 	}
 	if req.User == 0 || req.URL == "" {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("user and url required"))
-		return
+		return reply{}, badRequestf("user and url required")
 	}
-	if err := s.engine.RecordVisit(req.User, req.URL, req.Referrer, req.Time, parsePrivacy(req.Privacy)); err != nil {
-		writeErr(w, http.StatusInternalServerError, err)
-		return
+	privacy, err := parsePrivacy(req.Privacy)
+	if err != nil {
+		return reply{}, err
 	}
-	writeJSON(w, http.StatusOK, OK{true})
+	if err := s.engine.RecordVisit(req.User, req.URL, req.Referrer, req.Time, privacy); err != nil {
+		return reply{}, err
+	}
+	return jsonReply(OK{true})
 }
 
-func (s *Server) handleBookmark(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleBookmark(r *http.Request) (reply, error) {
 	req, err := decode[BookmarkReq](r)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
+		return reply{}, err
 	}
 	if req.User == 0 || req.URL == "" || req.Folder == "" {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("user, url and folder required"))
-		return
+		return reply{}, badRequestf("user, url and folder required")
 	}
 	if err := s.engine.AddBookmark(req.User, req.URL, req.Folder, req.Time); err != nil {
-		writeErr(w, http.StatusInternalServerError, err)
-		return
+		return reply{}, err
 	}
-	writeJSON(w, http.StatusOK, OK{true})
+	return jsonReply(OK{true})
 }
 
-func (s *Server) handleCorrect(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleCorrect(r *http.Request) (reply, error) {
 	req, err := decode[CorrectReq](r)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
+		return reply{}, err
 	}
 	if err := s.engine.CorrectPlacement(req.User, req.URL, req.Folder); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
+		return reply{}, badRequest(err.Error())
 	}
-	writeJSON(w, http.StatusOK, OK{true})
+	return jsonReply(OK{true})
 }
 
-func (s *Server) handleImport(w http.ResponseWriter, r *http.Request) {
-	user, ok := requireUser(w, r)
-	if !ok {
-		return
+func (s *Server) handleImport(r *http.Request) (reply, error) {
+	user, err := requireUser(r)
+	if err != nil {
+		return reply{}, err
 	}
 	n, err := s.engine.ImportBookmarks(user, r.Body)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
+		return reply{}, badRequest(err.Error())
 	}
-	writeJSON(w, http.StatusOK, map[string]int{"imported": n})
+	return jsonReply(map[string]int{"imported": n})
 }
 
-// handleExport renders the tree to a buffer before any header is
-// written: streaming straight to the ResponseWriter committed a 200
-// before ExportBookmarks could fail, leaving clients a truncated
-// bookmark file and no error signal. An engine failure is now a 500.
-func (s *Server) handleExport(w http.ResponseWriter, r *http.Request) {
-	user, ok := requireUser(w, r)
-	if !ok {
-		return
+// handleExport renders the whole tree before anything is committed, like
+// every route: an engine failure half way is a 500, never a truncated
+// bookmark file under a 200.
+func (s *Server) handleExport(r *http.Request) (reply, error) {
+	user, err := requireUser(r)
+	if err != nil {
+		return reply{}, err
 	}
 	var buf bytes.Buffer
 	if err := s.engine.ExportBookmarks(user, &buf); err != nil {
-		writeErr(w, http.StatusInternalServerError, err)
-		return
+		return reply{}, err
 	}
-	w.Header().Set("Content-Type", "text/html; charset=utf-8")
-	w.Write(buf.Bytes())
+	return reply{"text/html; charset=utf-8", buf.Bytes()}, nil
 }
 
-func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleSearch(r *http.Request) (reply, error) {
 	q := r.URL.Query().Get("q")
 	if q == "" {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("q required"))
-		return
+		return reply{}, badRequestf("q required")
 	}
 	// user is optional for search (anonymous queries see only community
 	// pages) but must still parse when present.
 	user, err := qint64(r, "user")
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
+		return reply{}, err
 	}
-	hits := s.engine.Search(user, q, qint(r, "k", 10))
-	writeJSON(w, http.StatusOK, hits)
-}
-
-func (s *Server) handleTrails(w http.ResponseWriter, r *http.Request) {
-	user, ok := requireUser(w, r)
-	if !ok {
-		return
+	k, err := qint(r, "k", 10)
+	if err != nil {
+		return reply{}, err
 	}
-	folder := r.URL.Query().Get("folder")
-	if folder == "" {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("folder required"))
-		return
+	return jsonReply(s.engine.Search(user, q, k))
+}
+
+func (s *Server) handleTrails(r *http.Request) (reply, error) {
+	user, err := requireUser(r)
+	if err != nil {
+		return reply{}, err
 	}
-	ctx := s.engine.Trails(user, folder, qint(r, "k", 20))
-	writeJSON(w, http.StatusOK, ctx)
+	folder, err := requireFolder(r)
+	if err != nil {
+		return reply{}, err
+	}
+	k, err := qint(r, "k", 20)
+	if err != nil {
+		return reply{}, err
+	}
+	return jsonReply(s.engine.Trails(user, folder, k))
 }
 
-func (s *Server) handleThemes(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.engine.Themes())
+func (s *Server) handleThemes(*http.Request) (reply, error) {
+	return jsonReply(s.engine.Themes())
 }
 
-func (s *Server) handleRebuild(w http.ResponseWriter, r *http.Request) {
-	st := s.engine.RebuildThemes()
-	writeJSON(w, http.StatusOK, st)
+func (s *Server) handleRebuild(*http.Request) (reply, error) {
+	return jsonReply(s.engine.RebuildThemes())
 }
 
-func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
-	user, ok := requireUser(w, r)
-	if !ok {
-		return
+func (s *Server) handleRecommend(r *http.Request) (reply, error) {
+	user, err := requireUser(r)
+	if err != nil {
+		return reply{}, err
+	}
+	k, err := qint(r, "k", 10)
+	if err != nil {
+		return reply{}, err
 	}
 	byProfile := r.URL.Query().Get("method") != "url"
-	writeJSON(w, http.StatusOK, s.engine.Recommend(user, qint(r, "k", 10), byProfile))
+	return jsonReply(s.engine.Recommend(user, k, byProfile))
 }
 
-func (s *Server) handleDiscover(w http.ResponseWriter, r *http.Request) {
-	user, ok := requireUser(w, r)
-	if !ok {
-		return
+func (s *Server) handleDiscover(r *http.Request) (reply, error) {
+	user, err := requireUser(r)
+	if err != nil {
+		return reply{}, err
 	}
-	folder := r.URL.Query().Get("folder")
-	if folder == "" {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("folder required"))
-		return
+	folder, err := requireFolder(r)
+	if err != nil {
+		return reply{}, err
 	}
-	out := s.engine.Discover(user, folder, qint(r, "budget", 200), qint(r, "k", 10))
-	writeJSON(w, http.StatusOK, out)
+	budget, err := qint(r, "budget", 200)
+	if err != nil {
+		return reply{}, err
+	}
+	k, err := qint(r, "k", 10)
+	if err != nil {
+		return reply{}, err
+	}
+	return jsonReply(s.engine.Discover(user, folder, budget, k))
 }
 
-func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
-	user, ok := requireUser(w, r)
-	if !ok {
-		return
+func (s *Server) handleProfile(r *http.Request) (reply, error) {
+	user, err := requireUser(r)
+	if err != nil {
+		return reply{}, err
 	}
 	p := s.engine.Profile(user)
 	if p == nil {
-		writeJSON(w, http.StatusOK, map[string]any{"user": user, "weights": map[int]float64{}})
-		return
+		return jsonReply(map[string]any{"user": user, "weights": map[int]float64{}})
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"user": p.User, "weights": p.Weights})
+	return jsonReply(map[string]any{"user": p.User, "weights": p.Weights})
 }
 
 // handleUsage rejects a malformed `since` instead of silently falling
 // back to the all-time breakdown — quietly wrong data is worse than a
 // 400 the client can fix.
-func (s *Server) handleUsage(w http.ResponseWriter, r *http.Request) {
-	user, ok := requireUser(w, r)
-	if !ok {
-		return
+func (s *Server) handleUsage(r *http.Request) (reply, error) {
+	user, err := requireUser(r)
+	if err != nil {
+		return reply{}, err
 	}
 	var since time.Time
 	if v := r.URL.Query().Get("since"); v != "" {
-		t, err := time.Parse(time.RFC3339, v)
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("bad since: want RFC3339"))
-			return
+		if since, err = time.Parse(time.RFC3339, v); err != nil {
+			return reply{}, badRequestf("bad since: want RFC3339")
 		}
-		since = t
 	}
-	writeJSON(w, http.StatusOK, s.engine.UsageBreakdown(user, since))
+	return jsonReply(s.engine.UsageBreakdown(user, since))
 }
 
 // handleStatus serves the engine's full counter snapshot (core.Stats) as
@@ -426,6 +469,6 @@ func (s *Server) handleUsage(w http.ResponseWriter, r *http.Request) {
 // and Cache (the shared decoded-record cache — Hits/Misses measure
 // cross-pass reuse, EvictedLRU/EvictedFloor split evictions by cause,
 // Bytes/MaxBytes/Entries size the decoded footprint against its bound).
-func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.engine.Status())
+func (s *Server) handleStatus(*http.Request) (reply, error) {
+	return jsonReply(s.engine.Status())
 }

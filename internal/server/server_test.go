@@ -38,36 +38,67 @@ func newTestEngine(t *testing.T) *core.Engine {
 }
 
 // TestBadParamsReturn400 is the regression table for the silent-parse
-// bugs: a malformed user must say "bad user" (not masquerade as
-// missing), a missing one must say "user required", and a malformed
-// since must be refused instead of quietly widening to all time.
+// bugs, over all 16 routes: a malformed user must say "bad user" (not
+// masquerade as missing), a missing one must say "user required", a
+// malformed since, k or budget must be refused instead of quietly taking
+// a default, and an unknown privacy mode must not widen to community.
+// Every refusal is a 400 with the JSON error envelope; a route that takes
+// no params ignores junk ones (wantErr "" wants a 200).
 func TestBadParamsReturn400(t *testing.T) {
-	ts := httptest.NewServer(New(newTestEngine(t)))
+	srv := New(newTestEngine(t))
+	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
+	const visit = `{"user":1,"url":"http://x/",`
 	cases := []struct {
 		name    string
 		method  string
 		path    string
+		body    string
 		wantErr string
 	}{
-		{"search bad user", "GET", "/api/search?q=x&user=abc", "bad user"},
-		{"usage bad user", "GET", "/api/usage?user=abc", "bad user"},
-		{"usage missing user", "GET", "/api/usage", "user required"},
-		{"usage bad since", "GET", "/api/usage?user=1&since=yesterday", "bad since"},
-		{"export bad user", "GET", "/api/folders/export?user=abc", "bad user"},
-		{"export missing user", "GET", "/api/folders/export", "user required"},
-		{"import bad user", "POST", "/api/folders/import?user=abc", "bad user"},
-		{"recommend bad user", "GET", "/api/recommend?user=abc", "bad user"},
-		{"profile bad user", "GET", "/api/profile?user=abc", "bad user"},
-		{"trails bad user", "GET", "/api/trails?user=abc&folder=f", "bad user"},
-		{"trails missing folder", "GET", "/api/trails?user=1", "folder required"},
-		{"discover bad user", "GET", "/api/discover?user=abc&folder=f", "bad user"},
-		{"discover missing folder", "GET", "/api/discover?user=1", "folder required"},
+		{"search bad user", "GET", "/api/search?q=x&user=abc", "", "bad user"},
+		{"usage bad user", "GET", "/api/usage?user=abc", "", "bad user"},
+		{"usage missing user", "GET", "/api/usage", "", "user required"},
+		{"usage bad since", "GET", "/api/usage?user=1&since=yesterday", "", "bad since"},
+		{"export bad user", "GET", "/api/folders/export?user=abc", "", "bad user"},
+		{"export missing user", "GET", "/api/folders/export", "", "user required"},
+		{"import bad user", "POST", "/api/folders/import?user=abc", "", "bad user"},
+		{"recommend bad user", "GET", "/api/recommend?user=abc", "", "bad user"},
+		{"profile bad user", "GET", "/api/profile?user=abc", "", "bad user"},
+		{"trails bad user", "GET", "/api/trails?user=abc&folder=f", "", "bad user"},
+		{"trails missing folder", "GET", "/api/trails?user=1", "", "folder required"},
+		{"discover bad user", "GET", "/api/discover?user=abc&folder=f", "", "bad user"},
+		{"discover missing folder", "GET", "/api/discover?user=1", "", "folder required"},
+
+		{"search bad k", "GET", "/api/search?q=x&k=abc", "", "bad k"},
+		{"search missing q", "GET", "/api/search?k=3", "", "q required"},
+		{"search negative k takes the default", "GET", "/api/search?q=x&k=-1", "", ""},
+		{"trails bad k", "GET", "/api/trails?user=1&folder=f&k=abc", "", "bad k"},
+		{"recommend bad k", "GET", "/api/recommend?user=1&k=1.5", "", "bad k"},
+		{"discover bad budget", "GET", "/api/discover?user=1&folder=f&budget=x", "", "bad budget"},
+		{"discover bad k", "GET", "/api/discover?user=1&folder=f&k=abc", "", "bad k"},
+		{"user missing name", "POST", "/api/user", `{"id":1}`, "id and name required"},
+		{"user unknown field", "POST", "/api/user", `{"id":1,"name":"a","extra":2}`, "bad request body"},
+		{"event privacy typo", "POST", "/api/event", visit + `"privacy":"privat"}`, `want \"off\", \"private\" or \"community\"`},
+		{"event privacy wrong case", "POST", "/api/event", visit + `"privacy":"Private"}`, "bad privacy"},
+		{"event missing url", "POST", "/api/event", `{"user":1}`, "user and url required"},
+		{"event empty privacy is the default", "POST", "/api/event", visit + `"privacy":""}`, ""},
+		{"event private", "POST", "/api/event", visit + `"privacy":"private"}`, ""},
+		{"bookmark missing folder", "POST", "/api/bookmark", `{"user":1,"url":"http://x/"}`, "user, url and folder required"},
+		{"correct malformed body", "POST", "/api/correct", `{`, "bad request body"},
+		{"correct unknown page", "POST", "/api/correct", `{"user":1,"url":"http://never-seen/","folder":"/f"}`, "unknown page"},
+		{"themes ignores params", "GET", "/api/themes?k=abc", "", ""},
+		{"rebuild ignores params", "POST", "/api/themes/rebuild?user=abc", "", ""},
+		{"status ignores params", "GET", "/api/status?user=abc", "", ""},
+		{"metrics ignores params", "GET", "/metrics?k=abc", "", ""},
 	}
+	covered := map[string]bool{}
 	for _, tc := range cases {
+		route, _, _ := strings.Cut(tc.path, "?")
+		covered[tc.method+" "+route] = true
 		t.Run(tc.name, func(t *testing.T) {
-			req, err := http.NewRequest(tc.method, ts.URL+tc.path, nil)
+			req, err := http.NewRequest(tc.method, ts.URL+tc.path, strings.NewReader(tc.body))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -77,13 +108,60 @@ func TestBadParamsReturn400(t *testing.T) {
 			}
 			body, _ := io.ReadAll(resp.Body)
 			resp.Body.Close()
+			if tc.wantErr == "" {
+				if resp.StatusCode != http.StatusOK {
+					t.Fatalf("status = %d, want 200 (body %s)", resp.StatusCode, body)
+				}
+				return
+			}
 			if resp.StatusCode != http.StatusBadRequest {
 				t.Fatalf("status = %d, want 400 (body %s)", resp.StatusCode, body)
 			}
 			if !strings.Contains(string(body), tc.wantErr) {
 				t.Fatalf("body = %s, want error containing %q", body, tc.wantErr)
 			}
+			if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+				t.Fatalf("Content-Type = %q, want application/json", ct)
+			}
+			if !strings.HasPrefix(string(body), `{"error":"`) {
+				t.Fatalf("body = %s, want the error envelope", body)
+			}
 		})
+	}
+	for route := range srv.metrics.endpoints {
+		if !covered[route] {
+			t.Errorf("route %q has no case in the table", route)
+		}
+	}
+	if len(covered) != 16 {
+		t.Errorf("table covers %d routes, want 16", len(covered))
+	}
+}
+
+// TestFailedHandlerCommitsOnlyTheError is the export-truncation bug as a
+// property of every route: whatever a handler had rendered when it
+// failed, the client gets a 500 and the JSON envelope, and none of it.
+func TestFailedHandlerCommitsOnlyTheError(t *testing.T) {
+	srv := New(newTestEngine(t))
+	srv.handle("GET /half", readRoute, func(*http.Request) (reply, error) {
+		return reply{"text/html; charset=utf-8", []byte("<DL><DT>half a tree")}, fmt.Errorf("walk failed")
+	})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	resp, err := http.Get(ts.URL + "/half")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusInternalServerError || resp.Header.Get("Content-Type") != "application/json" {
+		t.Fatalf("status %d, Content-Type %q, want 500 application/json", resp.StatusCode, resp.Header.Get("Content-Type"))
+	}
+	if got, want := string(body), `{"error":"walk failed"}`+"\n"; got != want {
+		t.Fatalf("body = %q, want %q", got, want)
+	}
+	if m := fetchMetrics(t, ts.URL); !strings.Contains(m, `memex_http_errors_total{endpoint="GET /half",class="5xx"} 1`) {
+		t.Fatalf("the 500 was not the code instrumented:\n%s", grepMetrics(m, "/half"))
 	}
 }
 

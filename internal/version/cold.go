@@ -165,23 +165,26 @@ type Options struct {
 // Open builds a store whose cold tier lives under prefix in kv, and
 // recovers it: the watermark and shard count are read back, every record
 // above the watermark (a torn fold's leftovers) is purged, and the store
-// resumes publishing at watermark+1. The caller keeps ownership of kv and
-// must close it after the store (Close folds through it).
+// resumes publishing at watermark+1. A meta record that is present but
+// malformed is an error, returned before anything is written. The caller
+// keeps ownership of kv and must close it after the store (Close folds
+// through it).
 func Open(kv *kvstore.Store, prefix string, o Options) (*Store, error) {
 	c := &coldTier{kv: kv, rd: kv.ReadView(), prefix: []byte(prefix)}
 
+	// All four meta records are read, and a malformed one refused, before
+	// anything below writes: a guessed watermark would purge every record
+	// as torn, a guessed shard count would misroute every key.
 	shards := o.Shards
-	if raw, ok, err := kv.Get(c.metaKey("shards")); err != nil {
-		return nil, fmt.Errorf("version: read shard meta: %w", err)
-	} else if ok && len(raw) == 4 {
-		shards = int(binary.BigEndian.Uint32(raw))
+	if n, ok, err := c.readUintMeta(kv, "shards", 4); err != nil {
+		return nil, err
+	} else if ok {
+		shards = int(n)
 	}
 	s := NewStoreSharded(shards)
-	wm := uint64(0)
-	if raw, ok, err := kv.Get(c.metaKey("wm")); err != nil {
-		return nil, fmt.Errorf("version: read watermark meta: %w", err)
-	} else if ok && len(raw) == 8 {
-		wm = binary.BigEndian.Uint64(raw)
+	wm, _, err := c.readUintMeta(kv, "wm", 8)
+	if err != nil {
+		return nil, err
 	}
 	c.wm.Store(wm)
 	c.records = make([]atomic.Int64, s.Shards())
@@ -194,7 +197,7 @@ func Open(kv *kvstore.Store, prefix string, o Options) (*Store, error) {
 	// flight at shutdown, so no record above the watermark can exist and
 	// the persisted counts are authoritative: reopen is O(meta), not
 	// O(cold tier).
-	gen, hasGen, err := c.readGenMeta(kv, "gen")
+	gen, hasGen, err := c.readUintMeta(kv, "gen", 8)
 	if err != nil {
 		return nil, err
 	}
@@ -285,35 +288,59 @@ func (c *coldTier) metaKey(name string) []byte {
 	return append(k, name...)
 }
 
-// readGenMeta reads an 8-byte big-endian generation meta record.
-func (c *coldTier) readGenMeta(kv *kvstore.Store, name string) (uint64, bool, error) {
+// getMeta reads the m/<name> record; absent is legal (a fresh keyspace,
+// or one that never folded).
+func (c *coldTier) getMeta(kv *kvstore.Store, name string) ([]byte, bool, error) {
 	raw, ok, err := kv.Get(c.metaKey(name))
 	if err != nil {
-		return 0, false, fmt.Errorf("version: read %s meta: %w", name, err)
+		return nil, false, fmt.Errorf("version: read %s: %w", c.metaKey(name), err)
 	}
-	if !ok || len(raw) != 8 {
-		return 0, false, nil
+	return raw, ok, nil
+}
+
+// malformedMeta is Open's refusal of a present meta record of the wrong
+// shape: there is no migration and no safe guess, so it names the key and
+// the length found and leaves the archive untouched.
+func (c *coldTier) malformedMeta(name string, raw []byte, want string) error {
+	return fmt.Errorf("version: meta record %s is %d bytes, want %s: refusing to open a malformed archive",
+		c.metaKey(name), len(raw), want)
+}
+
+// readUintMeta reads a big-endian unsigned meta record of exactly size
+// (4 or 8) bytes.
+func (c *coldTier) readUintMeta(kv *kvstore.Store, name string, size int) (uint64, bool, error) {
+	raw, ok, err := c.getMeta(kv, name)
+	if !ok || err != nil {
+		return 0, false, err
+	}
+	switch {
+	case len(raw) != size:
+		return 0, false, c.malformedMeta(name, raw, fmt.Sprint(size))
+	case size == 4:
+		return uint64(binary.BigEndian.Uint32(raw)), true, nil
 	}
 	return binary.BigEndian.Uint64(raw), true, nil
 }
 
 // readDoneMeta reads the fold-completion record: generation (8B BE)
-// followed by one uvarint live-record count per shard. A malformed record
-// reads as absent, degrading the reopen to the full purge scan.
+// followed by one uvarint live-record count per shard. A record cut inside
+// the generation or inside a count is malformed; one whose counts do not
+// match the shard count is well-formed but not trusted, and Open falls
+// back to the full purge scan.
 func (c *coldTier) readDoneMeta(kv *kvstore.Store) (gen uint64, counts []int64, ok bool, err error) {
-	raw, found, err := kv.Get(c.metaKey("done"))
-	if err != nil {
-		return 0, nil, false, fmt.Errorf("version: read done meta: %w", err)
+	raw, ok, err := c.getMeta(kv, "done")
+	if !ok || err != nil {
+		return 0, nil, false, err
 	}
-	if !found || len(raw) < 8 {
-		return 0, nil, false, nil
+	if len(raw) < 8 {
+		return 0, nil, false, c.malformedMeta("done", raw, "at least 8")
 	}
 	gen = binary.BigEndian.Uint64(raw)
 	rest := raw[8:]
 	for len(rest) > 0 {
 		n, w := binary.Uvarint(rest)
 		if w <= 0 {
-			return 0, nil, false, nil
+			return 0, nil, false, c.malformedMeta("done", raw, "8 and whole uvarint shard counts")
 		}
 		counts = append(counts, int64(n))
 		rest = rest[w:]

@@ -2,6 +2,7 @@ package version
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -130,5 +131,71 @@ func TestCorruptDoneMetaForcesScan(t *testing.T) {
 	}
 	if cs.Records != 20 {
 		t.Fatalf("rescan counted %d records, want 20", cs.Records)
+	}
+}
+
+// TestMalformedMetaRefusedAtOpen: a present m/ record of the wrong shape
+// is an error naming the key and the length found — never a guess. (A
+// short m/wm used to read as watermark 0, after which the recovery scan
+// purged every record as "above the watermark"; a short m/shards fell
+// back to the default count and misrouted every key.) Open must refuse
+// before it writes anything, so repairing the key recovers every record.
+func TestMalformedMetaRefusedAtOpen(t *testing.T) {
+	for _, tc := range []struct {
+		key    string
+		mangle func(raw []byte) []byte
+	}{
+		{"wm", func(raw []byte) []byte { return raw[:7] }},
+		{"shards", func(raw []byte) []byte { return append(raw, 0) }},
+		{"gen", func(raw []byte) []byte { return raw[:4] }},
+		{"done", func(raw []byte) []byte { return raw[:5] }},
+		{"done", func(raw []byte) []byte { return append(raw, 0x80) }}, // cut inside a shard count
+	} {
+		t.Run(tc.key, func(t *testing.T) {
+			kv := openKV(t, t.TempDir())
+			defer kv.Close()
+			s := openCold(t, kv, Options{Shards: 8}) // not the default: a guessed count misroutes
+			for i := 0; i < 40; i++ {
+				publishKV(t, s, map[string]string{fmt.Sprintf("k%03d", i): fmt.Sprintf("v%03d", i)})
+			}
+			if err := s.Close(); err != nil {
+				t.Fatalf("Close: %v", err)
+			}
+
+			key := (&coldTier{prefix: []byte("vc/")}).metaKey(tc.key)
+			good, ok, err := kv.Get(key)
+			if err != nil || !ok {
+				t.Fatalf("read %s: %v ok=%v", key, err, ok)
+			}
+			bad := tc.mangle(append([]byte(nil), good...))
+			if err := kv.Put(key, bad); err != nil {
+				t.Fatal(err)
+			}
+			_, err = Open(kv, "vc/", Options{})
+			if err == nil {
+				t.Fatalf("Open accepted a %d-byte %s", len(bad), key)
+			}
+			for _, want := range []string{string(key), fmt.Sprintf("%d bytes", len(bad))} {
+				if !strings.Contains(err.Error(), want) {
+					t.Errorf("error %q does not mention %q", err, want)
+				}
+			}
+
+			if err := kv.Put(key, good); err != nil {
+				t.Fatal(err)
+			}
+			s2 := openCold(t, kv, Options{})
+			defer s2.Close()
+			if cs := s2.StoreStats().Cold; cs.Records != 40 {
+				t.Fatalf("repaired reopen counted %d records, want 40", cs.Records)
+			}
+			sn := s2.Acquire()
+			defer sn.Release()
+			for i := 0; i < 40; i++ {
+				if v, ok := sn.Get(fmt.Sprintf("k%03d", i)); !ok || string(v) != fmt.Sprintf("v%03d", i) {
+					t.Fatalf("k%03d = %q ok=%v after the repaired reopen", i, v, ok)
+				}
+			}
+		})
 	}
 }

@@ -13,10 +13,13 @@
 // for experiments) lives in internal/ packages and is documented in
 // DESIGN.md.
 //
-// The repo enforces its own cross-cutting invariants — pins released,
-// no iteration under locks, deterministic codecs, atomic derived-record
-// publishes — with a static-analysis suite run in CI; see
-// internal/analysis and `go run ./cmd/memexvet ./...`.
+// The repo holds its cross-cutting invariants by construction where an
+// API can — a version-store pin is a closure scope, an HTTP handler
+// returns its reply instead of writing it — and enforces the rest — no
+// iteration under locks, deterministic codecs and schedules, atomic
+// derived-record publishes, typed atomics only — with a small syntactic
+// static-analysis suite run in CI; see internal/analysis and
+// `go run ./cmd/memexvet ./...`.
 //
 // Quickstart:
 //
