@@ -119,6 +119,11 @@ type Config struct {
 // config leaves it zero.
 const defaultDecodedCacheBytes = 32 << 20
 
+// stemMemoEntries caps the engine's stem memo: with tokens of at most
+// text's 64 remembered bytes, a few MiB at the very most — room for a
+// large community's working vocabulary.
+const stemMemoEntries = 1 << 16
+
 // Engine is an embedded Memex server core.
 type Engine struct {
 	cfg  Config
@@ -127,6 +132,9 @@ type Engine struct {
 	vs   *version.Store
 	dict *text.Dict
 	idx  *textindex.Index // full-text search, and the collection's N and DF
+	// stems memoises the stop list and stemmer per raw token for the fetch
+	// path's tokenizing; a bounded cache with no durable home.
+	stems *text.StemMemo
 	// links is the link-graph producer: every edge write publishes
 	// lnk/rin adjacency records through the version store before touching
 	// the in-memory authority graph (see links.go). Read passes never use
@@ -187,6 +195,7 @@ type Counters struct {
 	VisitsLogged    atomic.Int64
 	BookmarksLogged atomic.Int64
 	PagesFetched    atomic.Int64
+	FetchesFailed   atomic.Int64
 }
 
 // Open builds the engine over the given directory.
@@ -236,6 +245,7 @@ func Open(cfg Config) (*Engine, error) {
 		kv:      kv,
 		vs:      vs,
 		dict:    text.NewDict(),
+		stems:   text.NewStemMemo(stemMemoEntries),
 		links:   newLinkIndex(vs),
 		cache:   newRecordCache(cfg.DecodedCacheBytes),
 		queue:   events.NewQueue(cfg.QueueSize),
@@ -484,7 +494,12 @@ type Stats struct {
 	// restarted server serving recovered derived state keeps it at zero
 	// until a genuinely new page arrives (the fetch path skips recovered
 	// pages instead of re-crawling).
-	PagesFetched  int64
+	PagesFetched int64
+	// FetchesFailed counts fetches whose claim winner gave the claim back
+	// because a row could not be written (the one bump site is that revert).
+	// Such a page stays unfetched — nothing of it is indexed or published —
+	// and its next visit, or the next Open, retries.
+	FetchesFailed int64
 	Visits        int64
 	Bookmarks     int64
 	QueueDepth    int    // Pressure.QueueDepth as of this snapshot
@@ -493,6 +508,10 @@ type Stats struct {
 	EventsDropped uint64
 	Themes        int
 	DiskBytes     int64
+	// KV reports the backing kvstore: buffer-pool counters, and the WAL
+	// commits and bytes this process has written — rows, sequence values
+	// and cold-tier folds alike.
+	KV kvstore.Stats
 	// Demons lists every demon that has panicked: how often the pool
 	// restarted it, and the last panic value and time.
 	Demons map[string]demon.Status
@@ -536,6 +555,7 @@ func (e *Engine) Status() Stats {
 		Pages:         pages,
 		PagesIndexed:  e.idx.Docs(),
 		PagesFetched:  e.stats.PagesFetched.Load(),
+		FetchesFailed: e.stats.FetchesFailed.Load(),
 		Visits:        e.stats.VisitsLogged.Load(),
 		Bookmarks:     e.stats.BookmarksLogged.Load(),
 		QueueDepth:    p.QueueDepth,
@@ -544,6 +564,7 @@ func (e *Engine) Status() Stats {
 		EventsDropped: e.queue.Dropped(),
 		Themes:        themesN,
 		DiskBytes:     e.kv.DiskBytes(),
+		KV:            e.kv.Stats(),
 		Demons:        e.pool.Status(),
 		Version:       e.vs.StoreStats(),
 	}

@@ -9,7 +9,6 @@ import (
 	"memex/internal/events"
 	"memex/internal/folders"
 	"memex/internal/rdbms"
-	"memex/internal/text"
 )
 
 // RegisterUser creates (or refreshes) a user record.
@@ -47,12 +46,7 @@ func (e *Engine) RecordVisit(user int64, url, referrer string, at time.Time, pri
 			return err
 		}
 	}
-	vid, err := e.visits.NextID()
-	if err != nil {
-		return err
-	}
-	if err := e.visits.Insert(rdbms.Row{
-		"id":      rdbms.Int(vid),
+	if _, err := e.visits.InsertSeq(rdbms.Row{
 		"user":    rdbms.Int(user),
 		"page":    rdbms.Int(pageID),
 		"ref":     rdbms.Int(refID),
@@ -87,12 +81,7 @@ func (e *Engine) AddBookmark(user int64, url, folder string, at time.Time) error
 	if err != nil {
 		return err
 	}
-	bid, err := e.bookmarks.NextID()
-	if err != nil {
-		return err
-	}
-	if err := e.bookmarks.Insert(rdbms.Row{
-		"id":     rdbms.Int(bid),
+	if _, err := e.bookmarks.InsertSeq(rdbms.Row{
 		"user":   rdbms.Int(user),
 		"page":   rdbms.Int(pageID),
 		"folder": rdbms.String(folder),
@@ -129,12 +118,7 @@ func (e *Engine) CorrectPlacement(user int64, url, folder string) error {
 		err = nil
 	}
 	e.mu.Unlock()
-	bid, idErr := e.bookmarks.NextID()
-	if idErr != nil {
-		return idErr
-	}
-	if insErr := e.bookmarks.Insert(rdbms.Row{
-		"id":     rdbms.Int(bid),
+	if _, insErr := e.bookmarks.InsertSeq(rdbms.Row{
 		"user":   rdbms.Int(user),
 		"page":   rdbms.Int(pageID),
 		"folder": rdbms.String(folder),
@@ -183,37 +167,77 @@ func (e *Engine) ExportBookmarks(user int64, w io.Writer) error {
 // ensurePage returns the stable page id for url, creating the row if new.
 func (e *Engine) ensurePage(url string) (int64, error) {
 	e.mu.RLock()
-	if id, ok := e.idByURL[url]; ok {
-		e.mu.RUnlock()
+	id, ok := e.idByURL[url]
+	e.mu.RUnlock()
+	if ok {
 		return id, nil
+	}
+	ids, err := e.ensurePages([]string{url})
+	if err != nil {
+		return 0, err
+	}
+	return ids[0], nil
+}
+
+// ensurePages returns the stable page id of every url, in order, creating
+// the rows of all the never-seen ones together: one read-locked pass over
+// idByURL, then — only if something was missing — one write-locked pass
+// that re-checks (another goroutine may have created a URL in between),
+// drops repeats within the list, numbers the new pages in first-sight
+// order from one id range and writes their rows as one commit. A fetched
+// page's out-links are the bulk caller: six never-seen links are one turn
+// under e.mu and one commit, not six of each.
+//
+// A map miss means no row: reload fills idByURL from every row, and the
+// rows and their map entries are written in the one critical section
+// below (DESIGN.md §1). On an error nothing was written and no id is
+// returned.
+func (e *Engine) ensurePages(urls []string) ([]int64, error) {
+	ids := make([]int64, len(urls))
+	missing := 0
+	e.mu.RLock()
+	for i, url := range urls {
+		if ids[i] = e.idByURL[url]; ids[i] == 0 { // ids start at 1
+			missing++
+		}
 	}
 	e.mu.RUnlock()
+	if missing == 0 {
+		return ids, nil
+	}
 
-	// A map miss means no row: reload fills idByURL from every row, and a
-	// row and its map entry are written in the one critical section below.
-	// Re-check under the full lock to serialise the race on a fresh URL.
 	e.mu.Lock()
-	if id, ok := e.idByURL[url]; ok {
-		e.mu.Unlock()
-		return id, nil
+	defer e.mu.Unlock()
+	var fresh []string
+	var rows []rdbms.Row
+	queued := make(map[string]bool, missing)
+	for i, url := range urls {
+		if ids[i] != 0 || queued[url] {
+			continue
+		}
+		if _, known := e.idByURL[url]; known {
+			continue
+		}
+		queued[url] = true
+		fresh = append(fresh, url)
+		rows = append(rows, rdbms.Row{"url": rdbms.String(url), "title": rdbms.String("")})
 	}
-	id, err := e.pages.NextID()
-	if err != nil {
-		e.mu.Unlock()
-		return 0, err
+	if len(fresh) > 0 {
+		first, err := e.pages.InsertSeq(rows...)
+		if err != nil {
+			return nil, err
+		}
+		for i, url := range fresh {
+			e.meta[first+int64(i)] = pageRec{url: url}
+			e.idByURL[url] = first + int64(i)
+		}
 	}
-	if err := e.pages.Insert(rdbms.Row{
-		"id":    rdbms.Int(id),
-		"url":   rdbms.String(url),
-		"title": rdbms.String(""),
-	}); err != nil {
-		e.mu.Unlock()
-		return 0, err
+	for i, url := range urls {
+		if ids[i] == 0 {
+			ids[i] = e.idByURL[url]
+		}
 	}
-	e.meta[id] = pageRec{url: url}
-	e.idByURL[url] = id
-	e.mu.Unlock()
-	return id, nil
+	return ids, nil
 }
 
 // analyzerLoop is the background demon body: it drains the event queue and
@@ -265,15 +289,23 @@ func (e *Engine) fetchAndIndex(pageID int64, url string) map[string]int {
 // fetchAndIndexSlow is the publish half of the fetch path. Callers have
 // already decided the page looks unfetched; the claim set arbitrates
 // races authoritatively. It returns the page's term counts, nil when
-// content was unavailable. By the time it returns, the page's lnk/
-// adjacency record — and the authority graph — hold its full out-link
-// union (the claim winner publishes synchronously).
+// content was unavailable or a row could not be written. By the time it
+// returns, the page's lnk/ adjacency record — and the authority graph —
+// hold its full out-link union (the claim winner publishes synchronously).
+//
+// The order is claim → row writes → index → publish. The rows come first
+// because they are the step that can fail: a page whose tf/ record exists
+// counts as fetched in every later life and is never fetched again, so
+// publishing ahead of a title write that then failed would leave the row
+// without its title for good. If a row write fails the claim is released
+// and nothing is indexed or published: the page stays unfetched, and its
+// next visit — or requeueUnfetched at the next Open — tries again.
 func (e *Engine) fetchAndIndexSlow(pageID int64, url string) map[string]int {
 	content, ok := e.cfg.Source.Lookup(url)
 	if !ok {
 		return nil
 	}
-	tf := text.TermCounts(content.Title + " " + content.Text)
+	tf := e.stems.TermCounts(content.Title + " " + content.Text)
 
 	// Claim the page under the metadata lock before any side effects: two
 	// workers can race here on the same URL, so only the claim winner may
@@ -288,12 +320,37 @@ func (e *Engine) fetchAndIndexSlow(pageID int64, url string) map[string]int {
 		// serialized with the winner under the link lock, so whichever
 		// side lands last leaves the full union — because our caller may
 		// read the authority's adjacency the moment we return.
-		e.links.publish(pageID, e.resolveLinks(content.Links), nil)
+		links, err := e.ensurePages(content.Links)
+		if err != nil {
+			return nil
+		}
+		e.links.publish(pageID, links, nil)
 		return tf
 	}
+	oldTitle := rec.title
 	rec.fetched, rec.title = true, content.Title
 	e.meta[pageID] = rec
 	e.mu.Unlock()
+
+	// Resolve out-link URLs to stable page ids (seen-but-unfetched targets
+	// get their pages-table row here — the durable half of the crawl
+	// frontier), then record the title.
+	links, err := e.ensurePages(content.Links)
+	if err == nil {
+		_, err = e.pages.Update(rdbms.Int(pageID), func(r rdbms.Row) rdbms.Row {
+			r["title"] = rdbms.String(content.Title)
+			return r
+		})
+	}
+	if err != nil {
+		e.mu.Lock()
+		rec = e.meta[pageID]
+		rec.fetched, rec.title = false, oldTitle
+		e.meta[pageID] = rec
+		e.mu.Unlock()
+		e.stats.FetchesFailed.Add(1)
+		return nil
+	}
 	e.stats.PagesFetched.Add(1)
 
 	// The index must count the doc before its vector becomes visible to
@@ -301,32 +358,13 @@ func (e *Engine) fetchAndIndexSlow(pageID int64, url string) map[string]int {
 	// stats that don't include it yet.
 	e.idx.AddCounts(pageID, tf)
 
-	// Resolve out-link URLs to stable page ids first (seen-but-unfetched
-	// targets get their pages-table row here — the durable half of the
-	// crawl frontier), then publish the page's derived state as one batch:
-	// the tf/ term record, the lnk/ adjacency record, and the rin/ delta
-	// of every target. Consumers see all of it or none of it, from memory
-	// while hot, from the kvstore cold tier once GC folds it, and again
-	// after a restart recovers the fold.
-	e.links.publish(pageID, e.resolveLinks(content.Links), encodeCounts(tf))
-
-	e.pages.Update(rdbms.Int(pageID), func(r rdbms.Row) rdbms.Row {
-		r["title"] = rdbms.String(content.Title)
-		return r
-	})
+	// Publish the page's derived state as one batch: the tf/ term record,
+	// the lnk/ adjacency record, and the rin/ delta of every target.
+	// Consumers see all of it or none of it, from memory while hot, from
+	// the kvstore cold tier once GC folds it, and again after a restart
+	// recovers the fold.
+	e.links.publish(pageID, links, encodeCounts(tf))
 	return tf
-}
-
-// resolveLinks maps out-link URLs to stable page ids, creating rows for
-// URLs never seen before (the durable half of the crawl frontier).
-func (e *Engine) resolveLinks(urls []string) []int64 {
-	links := make([]int64, 0, len(urls))
-	for _, l := range urls {
-		if lid, err := e.ensurePage(l); err == nil {
-			links = append(links, lid)
-		}
-	}
-	return links
 }
 
 // classifyForUser places the page into the user's folder space as a guess

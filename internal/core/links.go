@@ -260,27 +260,23 @@ func (li *linkIndex) publish(from int64, targets []int64, tfBlob []byte) {
 	b.Publish()
 }
 
-// stage is publish's locked half: dedupe the new edges, allocate the
-// epoch, capture the post-union out-adjacency, route each fresh target to
-// its in-link record (base for a first in-link, a freshly allocated delta
-// chunk otherwise), and apply the edges to the authority. A panic
+// stage is publish's locked half: union the new edges into the authority
+// (one graph-lock acquisition reports which were fresh, the post-union
+// out-adjacency and which targets had no in-link before), allocate the
+// epoch, and route each fresh target to its in-link record — base for a
+// first in-link, a freshly allocated delta chunk otherwise. A panic
 // anywhere inside still releases the lock and completes the epoch (both
 // deferred), so a wedged worker cannot stall every future publish or the
 // watermark. Returns a nil batch when there is nothing to publish.
 func (li *linkIndex) stage(from int64, targets []int64, force bool) (b *version.Batch, outs []int64, rins []rinPut) {
 	li.mu.Lock()
 	defer li.mu.Unlock()
-	seen := map[int64]bool{}
-	var fresh []int64
-	for _, t := range targets {
-		if t == from || seen[t] || li.g.HasEdge(from, t) {
-			continue
+	fresh, first, outs := li.g.UnionOut(from, targets)
+	if len(fresh) == 0 {
+		if !force {
+			return nil, nil, nil
 		}
-		seen[t] = true
-		fresh = append(fresh, t)
-	}
-	if !force && len(fresh) == 0 {
-		return nil, nil, nil
+		li.g.AddNode(from) // a fetched page is known to the graph, links or none
 	}
 	b = li.vs.BeginSized(2 + len(fresh))
 	committed := false
@@ -290,10 +286,9 @@ func (li *linkIndex) stage(from int64, targets []int64, force bool) (b *version.
 			b = nil
 		}
 	}()
-	outs = append(li.g.Out(from), fresh...)
 	rins = make([]rinPut, len(fresh))
 	for i, t := range fresh {
-		if li.g.InDegree(t) == 0 {
+		if first[i] {
 			// First in-link ever: the base record is born with it, keeping
 			// the invariant that any page with chunks also has a base —
 			// and a page whose in-degree stays 1 (the common case in a
@@ -308,7 +303,6 @@ func (li *linkIndex) stage(from int64, targets []int64, force bool) (b *version.
 		li.chunks[t] = seq + 1
 		rins[i] = rinPut{key: rinChunkKey(t, seq), ids: []int64{from}}
 	}
-	li.g.ApplyOut(from, fresh)
 	committed = true
 	return b, outs, rins
 }

@@ -88,18 +88,43 @@ func (g *Graph) ApplyOut(from int64, outs []int64) {
 	defer g.mu.Unlock()
 	g.ensure(from)
 	for _, to := range outs {
-		if to == from {
-			continue
-		}
-		key := [2]int64{from, to}
-		if g.edges[key] {
-			continue
-		}
-		g.edges[key] = true
-		g.ensure(to)
-		g.out[from] = append(g.out[from], to)
-		g.in[to] = append(g.in[to], from)
+		g.addEdgeLocked(from, to)
 	}
+}
+
+// UnionOut is ApplyOut for a producer that must publish what the merge
+// changed, answered under the one lock acquisition that makes the change:
+// fresh lists the targets that were not out-neighbours of from before
+// (first-seen order; self-loops and repeats dropped), first[i] reports
+// whether fresh[i] had no in-link at all until now, and outs is from's
+// out-adjacency after the union (a copy). Unlike ApplyOut it creates no
+// node when it adds no edge.
+func (g *Graph) UnionOut(from int64, targets []int64) (fresh []int64, first []bool, outs []int64) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	for _, to := range targets {
+		virgin := len(g.in[to]) == 0
+		if g.addEdgeLocked(from, to) {
+			fresh = append(fresh, to)
+			first = append(first, virgin)
+		}
+	}
+	return fresh, first, append([]int64(nil), g.out[from]...)
+}
+
+// addEdgeLocked adds from→to unless it is a self-loop or already there,
+// and reports whether it did. Caller holds mu.
+func (g *Graph) addEdgeLocked(from, to int64) bool {
+	key := [2]int64{from, to}
+	if from == to || g.edges[key] {
+		return false
+	}
+	g.edges[key] = true
+	g.ensure(from)
+	g.ensure(to)
+	g.out[from] = append(g.out[from], to)
+	g.in[to] = append(g.in[to], from)
+	return true
 }
 
 // HasEdge reports whether from→to exists.
@@ -129,15 +154,6 @@ func (g *Graph) In(id int64) []int64 {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
 	return append([]int64(nil), g.in[id]...)
-}
-
-// InDegree returns the number of in-neighbours of id without copying the
-// adjacency (the producer-side "does this page have any in-links yet"
-// check on every staged edge).
-func (g *Graph) InDegree(id int64) int {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	return len(g.in[id])
 }
 
 // Neighbors returns the union of in- and out-neighbours.

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -223,18 +224,45 @@ func TestPageRankConcurrentWithApplyOut(t *testing.T) {
 	<-done
 }
 
-func TestInDegree(t *testing.T) {
+// TestUnionOut: one call reports exactly what the union changed — the fresh
+// targets in first-seen order, which of them had no in-link before, and
+// the out-list afterwards — and leaves the graph as ApplyOut would.
+func TestUnionOut(t *testing.T) {
 	g := New()
-	if g.InDegree(9) != 0 {
-		t.Fatal("unknown node has in-degree")
-	}
 	g.AddEdge(1, 9)
 	g.AddEdge(2, 9)
 	g.AddEdge(2, 9) // duplicate
-	if got := g.InDegree(9); got != 2 {
-		t.Fatalf("InDegree = %d, want 2", got)
+	g.AddEdge(3, 4)
+
+	// 3→4 is known, 3→3 is a self-loop, 7 repeats; 9 already has in-links
+	// (two of them, the duplicate counted once), 7 and 5 have none.
+	fresh, first, outs := g.UnionOut(3, []int64{4, 9, 3, 7, 7, 5})
+	if want := []int64{9, 7, 5}; !reflect.DeepEqual(fresh, want) {
+		t.Fatalf("fresh = %v, want %v", fresh, want)
 	}
-	if got := g.InDegree(1); got != 0 {
-		t.Fatalf("source InDegree = %d, want 0", got)
+	if want := []bool{false, true, true}; !reflect.DeepEqual(first, want) {
+		t.Fatalf("first = %v, want %v", first, want)
+	}
+	if want := []int64{4, 9, 7, 5}; !reflect.DeepEqual(outs, want) {
+		t.Fatalf("outs = %v, want %v", outs, want)
+	}
+	if got, want := g.In(9), []int64{1, 2, 3}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("In(9) = %v, want %v", got, want)
+	}
+	outs[0] = -1
+	if got := g.Out(3); got[0] != 4 {
+		t.Fatal("UnionOut returned the graph's own out-list, not a copy")
+	}
+
+	// Nothing fresh: nothing reported but the standing out-list, no node made.
+	fresh, first, outs = g.UnionOut(3, []int64{9, 3})
+	if len(fresh) != 0 || len(first) != 0 || len(outs) != 4 {
+		t.Fatalf("repeat union = %v, %v, %v; want nothing fresh and the 4 standing out-links", fresh, first, outs)
+	}
+	if fresh, _, outs := g.UnionOut(42, []int64{42}); len(fresh) != 0 || len(outs) != 0 || g.Has(42) {
+		t.Fatalf("a pure self-loop changed the graph: fresh %v, outs %v, Has(42) = %v", fresh, outs, g.Has(42))
+	}
+	if g.EdgeCount() != 6 {
+		t.Fatalf("EdgeCount = %d, want 6", g.EdgeCount())
 	}
 }

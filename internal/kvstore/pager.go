@@ -234,13 +234,20 @@ func (pg *Pager) close() error {
 	return pg.f.Close()
 }
 
-// Stats reports buffer-pool effectiveness counters.
+// Stats reports buffer-pool effectiveness counters and how much the store
+// has written since it was opened.
 type Stats struct {
 	Pages     int
 	CacheSize int
 	Hits      uint64
 	Misses    uint64
 	Evictions uint64
+	// Commits counts WAL commits — one per Put, Delete or batch, each a
+	// turn under the write lock and (SyncGroup) a flush to the OS.
+	// WALBytes counts the log bytes appended, commit records included.
+	// Both only grow; a checkpoint truncates the file, not the counters.
+	Commits  uint64
+	WALBytes uint64
 }
 
 func (pg *Pager) stats() Stats {

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 )
 
 // SyncPolicy controls WAL durability on commit.
@@ -47,6 +48,9 @@ type Store struct {
 	sinceCkp int
 	dir      string
 	closed   bool
+	// commits counts WAL commits in this life (Stats.Commits); read
+	// without the lock, hence atomic.
+	commits atomic.Uint64
 }
 
 // Open opens (creating if necessary) a store rooted at dir. The directory
@@ -291,6 +295,7 @@ func (s *Store) commitWAL() error {
 	if err := s.wal.append(walCommit, nil, nil); err != nil {
 		return err
 	}
+	s.commits.Add(1)
 	switch s.opts.Sync {
 	case SyncAlways:
 		return s.wal.sync()
@@ -342,9 +347,11 @@ func (s *Store) Len() int {
 	return int(s.count)
 }
 
-// Stats returns buffer-pool counters plus key count.
+// Stats returns the buffer-pool counters plus this life's write counts.
 func (s *Store) Stats() Stats {
 	st := s.pager.stats()
+	st.Commits = s.commits.Load()
+	st.WALBytes = s.wal.bytes.Load()
 	return st
 }
 

@@ -495,6 +495,47 @@ func TestStatsCounters(t *testing.T) {
 	if st.Evictions == 0 {
 		t.Fatal("expected evictions with tiny cache")
 	}
+	if st.Commits != 3000 {
+		t.Fatalf("Commits = %d after 3000 puts, want 3000", st.Commits)
+	}
+}
+
+// TestWriteCountersCountCommitsAndLogBytes: a batch is one commit however
+// many pairs it holds, a delete is one more, and WALBytes is exactly what
+// reached the log file — and keeps counting across the checkpoint that
+// truncates it.
+func TestWriteCountersCountCommitsAndLogBytes(t *testing.T) {
+	s := openTemp(t, Options{Sync: SyncGroup})
+	pairs := make([]KV, 10)
+	for i := range pairs {
+		pairs[i] = KV{Key: []byte(fmt.Sprintf("k%02d", i)), Value: []byte("value")}
+	}
+	if err := s.PutBatch(pairs); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Delete([]byte("k03")); err != nil {
+		t.Fatal(err)
+	}
+	st := s.Stats()
+	if st.Commits != 2 {
+		t.Fatalf("Commits = %d after one batch and one delete, want 2", st.Commits)
+	}
+	fi, err := os.Stat(filepath.Join(s.dir, "wal.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.WALBytes != uint64(fi.Size()) {
+		t.Fatalf("WALBytes = %d, wal.log holds %d", st.WALBytes, fi.Size())
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put([]byte("after"), []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	if after := s.Stats(); after.Commits != 3 || after.WALBytes <= st.WALBytes {
+		t.Fatalf("after a checkpoint and a put: %+v, want 3 commits and more than %d bytes", after, st.WALBytes)
+	}
 }
 
 func BenchmarkPut(b *testing.B) {

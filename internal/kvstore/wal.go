@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"sync/atomic"
 )
 
 // wal is a redo-only write-ahead log. Records:
@@ -22,6 +23,9 @@ type wal struct {
 	f   *os.File
 	w   *bufio.Writer
 	lsn uint64
+	// bytes counts every byte appended in this life (Stats.WALBytes); read
+	// without the store lock, hence atomic.
+	bytes atomic.Uint64
 }
 
 const (
@@ -67,6 +71,7 @@ func (w *wal) append(op byte, key, val []byte) error {
 	var sum [4]byte
 	binary.LittleEndian.PutUint32(sum[:], crc.Sum32())
 	_, err := w.w.Write(sum[:])
+	w.bytes.Add(uint64(len(hdr) + len(key) + len(val) + len(sum)))
 	return err
 }
 

@@ -34,6 +34,11 @@ type Table struct {
 	schema Schema
 	keyIdx int
 	mu     sync.Mutex // serialises multi-key mutations for this table
+	// seq is the last id handed out, once seqRead says it was read from
+	// seq/<table>; mu serialises every id assignment, so the stored value
+	// is only ever written from here. Guarded by mu.
+	seq     int64
+	seqRead bool
 }
 
 type catalogEntry struct {
@@ -171,23 +176,46 @@ func (db *DB) DropTable(name string) error {
 }
 
 // NextID returns an auto-incrementing int64 for the table, persisted so ids
-// survive restarts. Useful for synthetic primary keys.
+// survive restarts. It shares the sequence InsertSeq draws from.
 func (t *Table) NextID() (int64, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	key := []byte("seq/" + t.schema.Name)
-	var next int64 = 1
-	if v, ok, err := t.db.kv.Get(key); err != nil {
-		return 0, err
-	} else if ok {
-		next = int64(binary.LittleEndian.Uint64(v)) + 1
-	}
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], uint64(next))
-	if err := t.db.kv.Put(key, buf[:]); err != nil {
+	last, err := t.lastIDLocked()
+	if err != nil {
 		return 0, err
 	}
-	return next, nil
+	if err := t.db.kv.Put(t.seqKey(), encodeSeq(last+1)); err != nil {
+		t.seqRead = false
+		return 0, err
+	}
+	t.seq = last + 1
+	return t.seq, nil
+}
+
+func (t *Table) seqKey() []byte { return []byte("seq/" + t.schema.Name) }
+
+func encodeSeq(last int64) []byte {
+	return binary.LittleEndian.AppendUint64(nil, uint64(last))
+}
+
+// lastIDLocked returns the last id the sequence handed out (0 before the
+// first), reading seq/<table> on first use. Caller holds mu.
+func (t *Table) lastIDLocked() (int64, error) {
+	if !t.seqRead {
+		v, ok, err := t.db.kv.Get(t.seqKey())
+		if err != nil {
+			return 0, err
+		}
+		t.seq = 0
+		if ok {
+			if len(v) != 8 {
+				return 0, fmt.Errorf("rdbms: %s: sequence record is %d bytes, want 8", t.schema.Name, len(v))
+			}
+			t.seq = int64(binary.LittleEndian.Uint64(v))
+		}
+		t.seqRead = true
+	}
+	return t.seq, nil
 }
 
 func (t *Table) rowPrefix() []byte {

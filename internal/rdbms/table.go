@@ -23,6 +23,46 @@ func (t *Table) Insert(r Row) error {
 	return t.writeRow(key, pk, r, nil)
 }
 
+// InsertSeq assigns consecutive ids from the table's sequence to rows —
+// first, first+1, … in argument order, stored in each row's key column —
+// and writes the advanced seq/<table> value, the rows and their index
+// entries as one kvstore commit, so a row and the sequence value that
+// covers it land together or not at all. If an assigned key is already
+// taken (a caller Inserted explicit ids above the sequence), nothing is
+// written and the sequence does not move.
+func (t *Table) InsertSeq(rows ...Row) (first int64, err error) {
+	if want := t.schema.Columns[t.keyIdx].Type; want != TInt {
+		return 0, fmt.Errorf("rdbms: %s: InsertSeq needs an int key, have %s", t.schema.Name, want)
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	last, err := t.lastIDLocked()
+	if err != nil || len(rows) == 0 {
+		return last + 1, err
+	}
+	batch := make([]kvstore.KV, 1, 1+len(rows)*(1+len(t.schema.Indexes)))
+	batch[0] = kvstore.KV{Key: t.seqKey(), Value: encodeSeq(last + int64(len(rows)))}
+	for i, r := range rows {
+		pk := Int(last + 1 + int64(i))
+		r[t.schema.Key] = pk
+		key := t.rowKey(pk)
+		if _, taken, err := t.db.kv.Get(key); err != nil {
+			return 0, err
+		} else if taken {
+			return 0, fmt.Errorf("rdbms: %s: duplicate key %s", t.schema.Name, pk)
+		}
+		if batch, err = t.appendRow(batch, key, pk, r); err != nil {
+			return 0, err
+		}
+	}
+	if err := t.db.kv.PutBatch(batch); err != nil {
+		t.seqRead = false // how much of the batch landed is the store's to say
+		return 0, err
+	}
+	t.seq = last + int64(len(rows))
+	return last + 1, nil
+}
+
 // Upsert inserts or replaces the row with the same primary key.
 func (t *Table) Upsert(r Row) error {
 	t.mu.Lock()
@@ -76,7 +116,7 @@ func (t *Table) Update(pk Value, fn func(Row) Row) (bool, error) {
 // removed first). All kvstore mutations for one row go in a single batch so
 // that WAL recovery cannot observe a row without its index entries.
 func (t *Table) writeRow(key []byte, pk Value, r Row, oldRow Row) error {
-	blob, err := encodeRow(&t.schema, r, make([]byte, 0, 256))
+	batch, err := t.appendRow(make([]kvstore.KV, 0, 1+len(t.schema.Indexes)), key, pk, r)
 	if err != nil {
 		return err
 	}
@@ -93,8 +133,17 @@ func (t *Table) writeRow(key []byte, pk Value, r Row, oldRow Row) error {
 			}
 		}
 	}
+	return t.db.kv.PutBatch(batch)
+}
+
+// appendRow appends the kvstore pairs that store r at key: the encoded row
+// and one entry per secondary index.
+func (t *Table) appendRow(batch []kvstore.KV, key []byte, pk Value, r Row) ([]kvstore.KV, error) {
+	blob, err := encodeRow(&t.schema, r, make([]byte, 0, 256))
+	if err != nil {
+		return batch, err
+	}
 	pkEnc := encodeOrdered(pk, nil)
-	batch := make([]kvstore.KV, 0, 1+len(t.schema.Indexes))
 	batch = append(batch, kvstore.KV{Key: key, Value: blob})
 	for _, idxCol := range t.schema.Indexes {
 		ci := t.schema.colIndex(idxCol)
@@ -102,7 +151,7 @@ func (t *Table) writeRow(key []byte, pk Value, r Row, oldRow Row) error {
 		// no key parsing.
 		batch = append(batch, kvstore.KV{Key: t.idxKey(ci, r[idxCol], pk), Value: pkEnc})
 	}
-	return t.db.kv.PutBatch(batch)
+	return batch, nil
 }
 
 // Get fetches the row with primary key pk.

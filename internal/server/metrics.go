@@ -212,6 +212,7 @@ func (s *Server) handleMetrics(*http.Request) (reply, error) {
 	c("memex_engine_visits_total", "Visits logged.", float64(st.Visits))
 	c("memex_engine_bookmarks_total", "Bookmarks logged.", float64(st.Bookmarks))
 	c("memex_engine_pages_fetched_total", "Pages fetched from the source by this process.", float64(st.PagesFetched))
+	c("memex_engine_fetches_failed_total", "Background fetches given up on a failed row write; the page stays unfetched and is retried.", float64(st.FetchesFailed))
 	g("memex_engine_pages_indexed", "Pages in the inverted index.", float64(st.PagesIndexed))
 	g("memex_engine_users", "Registered users.", float64(st.Users))
 
@@ -221,7 +222,7 @@ func (s *Server) handleMetrics(*http.Request) (reply, error) {
 	g("memex_version_entries", "Total version count across shards.", float64(st.Version.Entries))
 	g("memex_version_pinned", "Snapshots currently pinning a state.", float64(st.Version.Pinned))
 	g("memex_version_pending_epochs", "Published epochs awaiting watermark coverage.", float64(st.Version.PendingEpochs))
-	c("memex_version_gc_reclaimed_total", "Versions compacted away by GC.", float64(st.Version.GCReclaimed))
+	c("memex_version_gc_reclaimed_total", "Versions dropped from memory by tiering, compaction or fold.", float64(st.Version.GCReclaimed))
 	if cold := st.Version.Cold; cold != nil {
 		g("memex_version_fold_lag_epochs", "Published watermark minus durable fold watermark.", float64(st.FoldLag))
 		g("memex_version_cold_records", "Record versions on disk.", float64(cold.Records))
@@ -246,6 +247,8 @@ func (s *Server) handleMetrics(*http.Request) (reply, error) {
 	}
 
 	g("memex_disk_bytes", "Backing kvstore size on disk.", float64(st.DiskBytes))
+	c("memex_kv_commits_total", "Kvstore WAL commits by this process (one write-lock turn and flush each).", float64(st.KV.Commits))
+	c("memex_kv_wal_bytes_total", "Kvstore WAL bytes appended by this process.", float64(st.KV.WALBytes))
 	g("memex_graph_nodes", "Pages known to the link graph.", float64(st.GraphNodes))
 	g("memex_graph_edges", "Directed edges in the link graph.", float64(st.GraphEdges))
 	return reply{"text/plain; version=0.0.4; charset=utf-8", w.Bytes()}, nil

@@ -368,10 +368,16 @@ func TestMetricsEndpointMovesWithTraffic(t *testing.T) {
 		"memex_engine_queue_depth",
 		"memex_version_watermark",
 		"memex_cache_hit_ratio",
+		"memex_kv_commits_total ",
+		"memex_kv_wal_bytes_total ",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics missing %q", want)
 		}
+	}
+	// Three visits are at least three row commits; a fold may add more.
+	if st.KV.Commits < 3 || st.KV.WALBytes == 0 {
+		t.Errorf("Stats.KV = %+v after three visits, want >= 3 commits and some WAL bytes", st.KV)
 	}
 }
 

@@ -5,14 +5,8 @@ package text
 // follows the original five-step description; it operates on lowercase
 // ASCII words and returns non-ASCII or very short words unchanged.
 func Stem(word string) string {
-	if len(word) <= 2 {
+	if !stemmable(word) {
 		return word
-	}
-	for i := 0; i < len(word); i++ {
-		c := word[i]
-		if c < 'a' || c > 'z' {
-			return word // only stem plain lowercase ASCII words
-		}
 	}
 	w := []byte(word)
 	w = step1a(w)
@@ -24,6 +18,21 @@ func Stem(word string) string {
 	w = step5a(w)
 	w = step5b(w)
 	return string(w)
+}
+
+// stemmable reports whether Stem works on word at all: longer than two
+// letters and plain lowercase ASCII throughout. Anything else it returns
+// as it came.
+func stemmable(word string) bool {
+	if len(word) <= 2 {
+		return false
+	}
+	for i := 0; i < len(word); i++ {
+		if c := word[i]; c < 'a' || c > 'z' {
+			return false
+		}
+	}
+	return true
 }
 
 // isCons reports whether w[i] is a consonant in Porter's sense.

@@ -1,8 +1,9 @@
 package version
 
 // This file is the store's persistent cold tier: the disk half of the
-// fresh → mid → cold tiering described in the package doc. GC folds every
-// layer at or below the pin floor into the owning kvstore B+tree (one
+// hot → cold tiering described in the package doc. GC folds every
+// layer at or below the fold floor (the pin floor, or the nearest epoch
+// below it that no merged layer spans) into the owning kvstore B+tree (one
 // keyspace per shard) and splices the folded layers out of the in-memory
 // chains, so RAM holds only the data published since the last fold while
 // the archive's full history lives on disk. Snapshot.Get falls through a
@@ -32,7 +33,10 @@ package version
 // A fold writes all of a round's records (chunked, so concurrent readers
 // interleave), then persists the watermark, then splices memory, then
 // deletes superseded versions. The kvstore WAL replays in write order, so
-// a durable watermark implies every record at or below it is durable too.
+// a durable watermark implies every record at or below it is durable too —
+// given that the round wrote every such record, in every shard, which is
+// why its floor never falls inside a layer that tiering merged across it
+// (Store.foldFloorLocked): a fold moves whole layers or none of one.
 // Open purges any record above the persisted watermark — a torn fold
 // leaves a prefix of its records on disk, invisible and reclaimed — and
 // resumes epoch allocation at watermark+1, so a recovered epoch number is
@@ -51,6 +55,7 @@ package version
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -259,7 +264,7 @@ func Open(kv *kvstore.Store, prefix string, o Options) (*Store, error) {
 	// allocation restarts above it so no recovered record's epoch is ever
 	// reissued to a new batch.
 	s.mu.Lock()
-	st := &state{watermark: wm, shards: make([]shard, s.Shards())}
+	st := &state{watermark: wm, shards: make([]*layer, s.Shards())}
 	s.current.Store(st)
 	s.history = []*state{st}
 	s.nextEpoch = wm + 1
@@ -632,12 +637,16 @@ func (c *coldTier) scanShard(shard uint32, max uint64, fn func(key string, value
 
 // --- fold ---
 
-// Fold folds every shard's layers at or below the pin floor into the cold
+// Fold folds every shard's layers at or below the fold floor into the cold
 // tier and splices them out of the in-memory chains, returning the number
-// of in-memory entries moved to disk. It is the cold-tier analogue of GC:
-// safe to run concurrently with Publish and snapshot reads (pinned
-// snapshots keep their captured chains, and everything folded is at or
-// below every pin by construction). Concurrent folds serialise.
+// of in-memory entries moved to disk. The floor is the pin floor when no
+// merged layer spans it, and otherwise the nearest epoch below that every
+// chain splits at — no lower than the watermark at which the previous
+// round started, unless a GCShard compaction crossed that too. It is the
+// cold-tier analogue of GC: safe to run concurrently with Publish and
+// snapshot reads (pinned snapshots keep their captured chains, and
+// everything folded is at or below every pin by construction). Concurrent
+// folds serialise.
 func (s *Store) Fold() (int, error) {
 	if s.cold == nil {
 		return 0, fmt.Errorf("version: store has no cold tier")
@@ -645,8 +654,9 @@ func (s *Store) Fold() (int, error) {
 	return s.fold()
 }
 
-// foldableEntries counts the in-memory entries a fold at the current pin
-// floor would move to disk (GC's "is a fold worthwhile yet" check).
+// foldableEntries counts the in-memory entries at or below the current pin
+// floor (GC's "is a fold worthwhile yet" check; the round itself may settle
+// for a lower floor, see foldFloorLocked).
 func (s *Store) foldableEntries() int {
 	s.mu.Lock()
 	cur := s.current.Load()
@@ -654,7 +664,7 @@ func (s *Store) foldableEntries() int {
 	s.mu.Unlock()
 	n := 0
 	for i := range cur.shards {
-		for l := splitAt(cur.shards[i].head, floor); l != nil; l = l.next {
+		for l := splitAt(cur.shards[i], floor); l != nil; l = l.next {
 			n += len(l.entries)
 		}
 	}
@@ -672,9 +682,17 @@ func (s *Store) fold() (int, error) {
 	s.foldMu.Lock()
 	defer s.foldMu.Unlock()
 
+	// The floor is the pin floor lowered to an epoch every chain splits at
+	// (foldFloorLocked): the watermark written below vouches for every batch
+	// at or below it, in every shard. Planting the tier fence in the same
+	// critical section that captures the chains keeps the splice below
+	// possible — from here on no publish re-tiers a layer this round may
+	// write — and gives the next round an epoch no merge spans to fall back
+	// to.
 	s.mu.Lock()
 	cur := s.current.Load()
-	floor := s.pinFloorLocked(cur)
+	floor := s.foldFloorLocked(cur)
+	s.tierFence = cur.watermark
 	s.mu.Unlock()
 	wm := c.wm.Load()
 	// Nothing new below the floor since the last fold — unless a prior
@@ -715,7 +733,7 @@ func (s *Store) fold() (int, error) {
 	resident := make([]int, n) // in-memory entry count of each folded sub-chain
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
-		heads[i] = splitAt(cur.shards[i].head, floor)
+		heads[i] = splitAt(cur.shards[i], floor)
 		if heads[i] == nil {
 			continue
 		}
@@ -786,7 +804,7 @@ func (s *Store) fold() (int, error) {
 	}
 
 	// Splice the folded layers out of each chain. Per-shard
-	// abandon-on-conflict, exactly like GC: if the Publish backstop
+	// abandon-on-conflict, exactly like GC: if a concurrent GCShard
 	// replaced a sub-chain while we folded, that shard keeps its memory
 	// until the next round — its records are on disk either way, and the
 	// in-memory chain shadows them, so dropping the splice is always safe.
@@ -796,18 +814,16 @@ func (s *Store) fold() (int, error) {
 	reclaimed := 0
 	s.mu.Lock()
 	cur2 := s.current.Load()
-	shards := make([]shard, len(cur2.shards))
-	copy(shards, cur2.shards)
+	shards := slices.Clone(cur2.shards)
 	for i := range shards {
 		if heads[i] == nil {
 			continue
 		}
-		if splitAt(cur2.shards[i].head, floor) != heads[i] {
+		if splitAt(cur2.shards[i], floor) != heads[i] {
 			c.reprobe[i] = true // layers stay in memory; next fold re-writes them
 			continue
 		}
-		head, spine := spliceAbove(cur2.shards[i].head, heads[i], nil)
-		shards[i] = shard{head: head, depth: spine}
+		shards[i] = spliceAbove(cur2.shards[i], heads[i], nil)
 		c.reprobe[i] = false
 		reclaimed += resident[i]
 	}
@@ -978,7 +994,7 @@ func (sn *Snapshot) Range(fn func(key string, value []byte) bool) {
 	for i := range st.shards {
 		seen := make(map[string]bool)
 		stopped := false
-		l, _ := descendTo(st.shards[i].head, st.watermark)
+		l, _ := descendTo(st.shards[i], st.watermark)
 		for ; l != nil; l = l.next {
 			for k, e := range l.entries {
 				if seen[k] {

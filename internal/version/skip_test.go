@@ -38,7 +38,7 @@ func TestDeepChainGetLogProbes(t *testing.T) {
 	for _, depth := range []int{64, 256, 1024} {
 		s, stall := stallChain(t, depth)
 		st := s.current.Load()
-		head := st.shards[0].head
+		head := st.shards[0]
 		if head == nil || head.epoch <= st.watermark {
 			t.Fatalf("depth %d: chain did not stall above the watermark", depth)
 		}
@@ -74,7 +74,7 @@ func TestSkipLadderShape(t *testing.T) {
 	s, stall := stallChain(t, 128)
 	defer stall.Abort()
 	st := s.current.Load()
-	for l := st.shards[0].head; l != nil; l = l.next {
+	for l := st.shards[0]; l != nil; l = l.next {
 		if l.next == nil {
 			if len(l.skips) != 0 {
 				t.Fatalf("epoch %d: tail layer has %d skips", l.epoch, len(l.skips))

@@ -61,25 +61,71 @@
 // pinned snapshot's chains are frozen, and the watermark never ran ahead
 // of the gap in the first place.
 //
-// # Tiering: fresh → mid → cold (disk)
+// # Tiering: a bounded hot chain in RAM, the archive on disk
 //
-// A store opened with Open (as opposed to NewStore) has three tiers:
+//	Publish ──> level-0 layer ──tier: k of a level carry──> level-1 … ──fold──> cold tier
+//	                │                                          │                   │
+//	Snapshot.Get ───┴── chain walk, at most (k-1) per level ───┴── miss ───────────┴─> kvstore read
 //
-//	fresh   per-shard chains of just-published immutable layers (RAM)
-//	mid     per-shard merged layers built by in-memory compaction (RAM)
-//	cold    the kvstore B+tree keyspace the fold writes (disk)
+// The hot chain is a counter. Every Publish, under the producer lock it
+// already holds, keeps each shard it touched a base-k number (k is
+// tierFanout): a published layer is level 0, and once k layers of one
+// level lead the visible chain they merge, newest first, into one
+// immutable layer of the next level (see tier). A snapshot therefore
+// walks at most (k-1)·(⌊log_k publishes⌋+1) layers plus the not-yet-
+// visible prefix the skip ladder crosses, each entry is copied at most
+// ⌊log_k publishes⌋ times, and none of it touches the disk: the merge
+// builds new layers beside the old ones and installs them behind the one
+// atomic pointer like any other state, so Get stays lock-free and a
+// pinned snapshot keeps the chains it captured.
 //
-//	Publish ──> fresh layer ──GC merge──> mid layer ──fold──> cold tier
-//	                │                        │                  │
-//	Snapshot.Get ───┴── chain walk ──────────┴── miss ──────────┴─> kvstore read
+// What a RAM merge must respect, and what it may leave to the fold:
 //
-// GC folds everything at or below the pin floor to disk and splices it
-// out of the chains, so RAM holds only the data published since the last
-// fold — the archive grows on disk, not in the heap. Reads fall through a
-// missed chain walk to a read-only kvstore handle; because the fold floor
-// never exceeds the minimum pinned epoch, every cold record is at or
-// below every live snapshot's epoch, and the in-memory chains (which a
-// pinned snapshot captured immutably) shadow the cold tier for every key
+//   - the watermark. A merged layer carries its newest member's epoch, so
+//     merging a layer above the watermark would hide the older members
+//     from every current snapshot (Get skips what is above its epoch).
+//     At or below the watermark it is invisible: the state being
+//     installed and every later one pin at or above that epoch and would
+//     have read all the members anyway.
+//   - the tier fence: the watermark at which the newest fold started
+//     (Store.tierFence, set in the critical section in which the fold
+//     captures its chains). A fold writes the sub-chain at or below its
+//     floor outside the lock and afterwards recognises it by pointer to
+//     splice it out; had a merge replaced those layers the splice would be
+//     abandoned and the next round would write the same records again
+//     under other epochs. The floor never exceeds that watermark, so the
+//     fence covers them.
+//   - not the pin floor — no reader needs it. A snapshot pinned below a
+//     merged layer's epoch never reads that layer: it holds the state it
+//     pinned, whose chains no later install touches.
+//
+// A merge across a pinned epoch does bind the fold, which works in whole
+// layers: it can neither write nor splice out half of one. Every layer
+// records the oldest epoch merged into it (layer.oldest), and a fold
+// lowers its floor from the pin floor until no layer's [oldest, epoch]
+// range contains it (foldFloorLocked), because the watermark the fold
+// persists vouches for every batch at or below it in every shard; a floor
+// inside a merged layer would put other shards' halves of those batches on
+// disk, call them durable, and leave this shard's half in RAM for a crash
+// to tear off. Shards carry out of step, so one spanned pin can push the
+// floor through layer after layer; what stops the fall is the fence, which
+// no merge ever crosses. A fold under constant reader load therefore
+// trails the watermark by at most one round more than a fold with nothing
+// pinned, and with nothing pinned the floor is the watermark itself, which
+// no layer spans.
+//
+// The fold needs the pin floor as its ceiling, because it does what a RAM
+// merge never does: it removes data. A store opened with Open (as opposed
+// to NewStore) has a cold tier — the kvstore B+tree keyspace — below every
+// chain. GC folds everything at or below the fold floor to disk and
+// splices it out of the chains, so RAM holds only the data published
+// since the last fold — the archive grows on disk, not in the heap — and
+// then deletes the disk versions the folded ones supersede. A snapshot
+// pinned below the floor would look for exactly those versions. Reads fall
+// through a missed chain walk to a read-only kvstore handle; because the
+// fold floor never exceeds the minimum pinned epoch, every cold record is
+// at or below every live snapshot's epoch, and the in-memory chains (which
+// a pinned snapshot captured immutably) shadow the cold tier for every key
 // they contain — so the fallthrough needs no coordination with folds. On
 // reopen the store recovers the durable fold watermark, purges any record
 // a torn fold left above it, and resumes publishing at watermark+1 (see
@@ -87,19 +133,24 @@
 //
 // # GC policy and shard parallelism
 //
-// GC (run off the hot path, e.g. by a periodic demon) compacts each
-// shard's layers at or below the minimum pinned epoch into a tiered
-// bottom, dropping superseded versions and dangling tombstones. The
-// expensive part — merging layer maps — runs *outside* the store mutex,
-// one goroutine per shard, so compaction cost no longer serialises
-// behind one chain: GC wall-clock shrinks with shard count. Each shard's
-// merge then installs under the mutex by splicing the untouched spine
-// above the compaction floor onto the merged bottom; if another actor
-// (the Publish depth backstop) replaced that shard's sub-chain in the
-// meantime, the merge is simply abandoned — compaction is advisory, so
-// dropping a round is always safe. Snapshots pinned on older states keep
-// their captured chains — compaction can never invalidate them — so GC
-// is pure compaction, never a data hazard.
+// Read depth is Publish's business (above); GC reclaims memory. With a
+// cold tier it folds once enough entries sit at or below the pin floor.
+// Otherwise — an in-memory store, or too little to fold — it compacts
+// each shard's layers at or below the pin floor into a [mid, base] bottom,
+// dropping superseded versions and, where nothing lies beneath, dangling
+// tombstones, which tiering always keeps. (Such a compaction may cross the
+// tier fence; it is the fold's own lowering, not the fence, that the crash
+// contract rests on.) The expensive part — merging layer maps — runs
+// *outside* the store mutex, one goroutine per shard, so GC wall-clock
+// shrinks with shard count. Each shard's merge then
+// installs under the mutex by splicing the untouched spine above the
+// compaction floor onto the merged bottom; if a publish re-tiered that
+// sub-chain in the meantime the round is simply abandoned — compaction is
+// advisory, so dropping one is always safe — and the next tick starts from
+// the new chain. A compacted layer keeps its members' highest level, so
+// the counter above it still reads true. Snapshots pinned on older states
+// keep their captured chains — compaction can never invalidate them — so
+// GC is pure compaction, never a data hazard.
 //
 // Consistency guarantee (verified by experiment E9): a snapshot never
 // observes a partially published batch — across shards too — and two
@@ -108,6 +159,7 @@ package version
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -125,11 +177,21 @@ type entry struct {
 // smaller epoch). No field is ever written after the layer is linked
 // into an installed state.
 type layer struct {
-	epoch   uint64
+	epoch uint64
+	// oldest is the lowest epoch of any batch merged into the layer (epoch
+	// itself for a published batch), so the layer stands for its shard's
+	// writes in [oldest, epoch]. A fold may write and splice whole layers
+	// only, so its floor must not fall inside such a range (foldFloorLocked).
+	oldest  uint64
 	entries map[string]entry
 	// tombs counts deleted entries, so compaction can tell an idle
 	// tombstone-free chain apart without rescanning every entry.
 	tombs int
+	// level is the layer's digit position in its shard's base-tierFanout
+	// counter (see tier): 0 for a published batch, ℓ+1 for a merge of at
+	// least tierFanout layers of level ℓ — so a level-ℓ layer holds at
+	// least tierFanout^ℓ batches. A GC compaction keeps its members' highest.
+	level uint8
 	next  *layer
 	// skips are binary-lifting pointers into the same chain: skips[0] is
 	// next, and skips[i] is skips[i-1].skips[i-1] — the layer 2^i links
@@ -163,18 +225,32 @@ func linkLayer(l, next *layer) {
 	l.skips = skips
 }
 
+// relinked returns a copy of l (entries shared) linked onto next: the
+// path-copy step for every chain edit below an existing layer.
+func relinked(l, next *layer) *layer {
+	cp := &layer{epoch: l.epoch, oldest: l.oldest, entries: l.entries, tombs: l.tombs, level: l.level}
+	linkLayer(cp, next)
+	return cp
+}
+
 // descendTo returns the first layer of the chain with epoch <= target,
 // hopping the skip ladder so the walk is O(log prefix) instead of
 // O(prefix). probes counts layers examined (the scaling tests assert the
 // logarithmic bound); production callers ignore it.
 func descendTo(head *layer, target uint64) (*layer, int) {
-	l := head
-	if l == nil || l.epoch <= target {
-		return l, 0
+	if head == nil || head.epoch <= target {
+		return head, 0
 	}
+	l, probes := lastAbove(head, target)
+	return l.next, probes
+}
+
+// lastAbove returns the last layer of the chain with epoch > target — the
+// one whose next is descendTo's answer. head.epoch must be above target.
+func lastAbove(head *layer, target uint64) (*layer, int) {
 	// Invariant: l.epoch > target. Take the longest skip that stays above
-	// the target; when even next lands at or below it, next is the answer.
-	probes := 1
+	// the target; when even next lands at or below it, l is the answer.
+	l, probes := head, 1
 	for i := len(l.skips) - 1; i >= 0; {
 		if i >= len(l.skips) {
 			i = len(l.skips) - 1
@@ -187,36 +263,17 @@ func descendTo(head *layer, target uint64) (*layer, int) {
 			i--
 		}
 	}
-	return l.next, probes
-}
-
-// shard is one key-hash partition's chain inside a state: its head layer
-// and chain depth (maintained so Publish can trigger amortized
-// auto-compaction when reads would otherwise degrade).
-type shard struct {
-	head  *layer
-	depth int
+	return l, probes
 }
 
 // state is one immutable published view of the store: the watermark plus
-// every shard's chain head. pins counts the snapshots currently holding
-// it (used only as the GC compaction floor — correctness of pinned reads
-// never depends on it).
+// the chain head of every key-hash shard. pins counts the snapshots
+// currently holding it (used only as the GC compaction floor — correctness
+// of pinned reads never depends on it).
 type state struct {
 	watermark uint64
-	shards    []shard
+	shards    []*layer
 	pins      atomic.Int64
-}
-
-// maxDepth returns the deepest shard chain (the worst-case read walk).
-func (st *state) maxDepth() int {
-	d := 0
-	for i := range st.shards {
-		if st.shards[i].depth > d {
-			d = st.shards[i].depth
-		}
-	}
-	return d
 }
 
 // Store is an in-memory multi-version key-value map with watermark
@@ -239,20 +296,22 @@ type Store struct {
 	// waiting for the gap below them to close.
 	completed map[uint64]bool
 	// history lists states that may still be pinned (plus the current
-	// one). Publish appends; Publish and GC prune unpinned entries.
+	// one). Every install appends; a publish that merged, GC and the
+	// maxHistory backstop prune unpinned entries.
 	history     []*state
 	gcReclaimed uint64
-	// compactAt is the max shard-chain depth at which Publish triggers
-	// inline compaction of the offending shard — the backstop for stores
-	// whose owner never calls GC. Raised past the post-compaction depth
-	// so a long-pinned snapshot (which caps how much compaction can
-	// reclaim) cannot make every Publish retry a futile O(depth) merge.
-	compactAt int
+	// tierFence is the watermark at which the newest fold started; tier
+	// leaves every layer at or below it alone. That fold's layers (all at
+	// or below its floor, which the watermark bounds) may be on their way
+	// to disk, identified by pointer; and an epoch no merge spans is one
+	// the next fold's floor can fall back to, whatever was merged across
+	// the pins above it (foldFloorLocked).
+	tierFence uint64
 
 	// gcMu serialises compactions of the same shard against each other
 	// (different shards compact in parallel). Lock order: gcMu[i] before
-	// mu; the Publish backstop, which already holds mu, therefore never
-	// touches gcMu and relies on the splice-time conflict check instead.
+	// mu; Publish's tiering, which already holds mu, therefore never
+	// touches gcMu and GCShard relies on its splice-time conflict check.
 	gcMu []sync.Mutex
 
 	// cold is the disk tier (nil for purely in-memory stores). foldMu
@@ -271,13 +330,16 @@ type Store struct {
 const DefaultShards = 8
 
 // maxHistory bounds how many superseded states Publish tolerates before
-// pruning unpinned ones inline (GC prunes too; this is the backstop for
-// stores that publish heavily between GCs).
+// pruning unpinned ones inline (a tier merge and GC prune too; this is the
+// backstop for stores that publish heavily without either).
 const maxHistory = 1024
 
-// autoCompactDepth is the default per-shard chain depth that triggers
-// inline compaction during Publish.
-const autoCompactDepth = 1024
+// tierFanout is k, the base of the per-shard layer counter tier keeps: a
+// visible chain is at most (k-1)·(⌊log_k(publishes)⌋+1) layers deep and
+// each entry is copied at most ⌊log_k(publishes)⌋ times. 16 keeps the
+// post-burst read walk near 20 layers at three copies per entry; 8 would
+// halve the walk for a fourth copy.
+const tierFanout = 16
 
 // NewStore returns an empty versioned store at watermark 0 with
 // DefaultShards shards.
@@ -301,10 +363,9 @@ func NewStoreSharded(n int) *Store {
 		mask:      uint32(pow - 1),
 		nextEpoch: 1,
 		completed: make(map[uint64]bool),
-		compactAt: autoCompactDepth,
 		gcMu:      make([]sync.Mutex, pow),
 	}
-	st := &state{shards: make([]shard, pow)}
+	st := &state{shards: make([]*layer, pow)}
 	s.current.Store(st)
 	s.history = append(s.history, st)
 	return s
@@ -443,12 +504,14 @@ func (b *Batch) Publish() error {
 
 	// Freeze the per-shard layers outside the lock: the batch owns its
 	// staging maps, so this is safe, and it keeps the critical section at
-	// O(touched shards) pointer work.
-	layers := make([]*layer, len(writes))
-	touched := false
+	// O(touched shards) pointer work plus the amortised tier merge.
+	var layers []*layer // one slot per shard; nil while the batch is empty
 	for i, m := range writes {
 		if len(m) == 0 {
 			continue
+		}
+		if layers == nil {
+			layers = make([]*layer, len(writes))
 		}
 		tombs := 0
 		for _, e := range m {
@@ -456,36 +519,13 @@ func (b *Batch) Publish() error {
 				tombs++
 			}
 		}
-		layers[i] = &layer{epoch: b.epoch, entries: m, tombs: tombs}
-		touched = true
+		layers[i] = &layer{epoch: b.epoch, oldest: b.epoch, entries: m, tombs: tombs}
 	}
 
 	s := b.s
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	cur := s.current.Load()
-	shards := cur.shards
-	if touched {
-		shards = make([]shard, len(cur.shards))
-		copy(shards, cur.shards)
-		for i, l := range layers {
-			if l == nil {
-				continue
-			}
-			shards[i].head = insertLayer(shards[i].head, l)
-			shards[i].depth++
-		}
-	}
-	s.completed[b.epoch] = true
-	s.installLocked(shards, cur.watermark)
-	// Amortized backstop for stores whose owner never calls GC: once some
-	// shard's chain is deep enough to hurt reads, compact that shard
-	// inline and move the trigger past whatever depth pinned snapshots
-	// forced us to keep.
-	if d := s.current.Load().maxDepth(); d >= s.compactAt {
-		s.compactAllLocked()
-		s.compactAt = s.current.Load().maxDepth() + autoCompactDepth
-	}
+	s.completeLocked(b.epoch, layers)
 	return nil
 }
 
@@ -501,31 +541,132 @@ func (b *Batch) Abort() {
 	s := b.s
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	cur := s.current.Load()
-	s.completed[b.epoch] = true
-	s.installLocked(cur.shards, cur.watermark)
+	s.completeLocked(b.epoch, nil)
 }
 
-// installLocked advances the watermark over contiguously completed epochs
-// and installs a new state when anything changed. shards may be the
-// current state's own slice (meaning "unchanged"). Caller holds mu.
-func (s *Store) installLocked(shards []shard, watermark uint64) {
-	advanced := false
-	for s.completed[watermark+1] {
-		delete(s.completed, watermark+1)
-		watermark++
-		advanced = true
-	}
+// completeLocked marks epoch completed, links its frozen layers (one slot
+// per shard, nil where the batch wrote nothing; no slice at all for an
+// empty or aborted batch), advances the watermark over contiguously
+// completed epochs, re-tiers every shard that gained a visible layer, and
+// installs the new state when anything changed. Caller holds mu.
+func (s *Store) completeLocked(epoch uint64, layers []*layer) {
 	cur := s.current.Load()
-	if !advanced && &shards[0] == &cur.shards[0] {
+	s.completed[epoch] = true
+	wm := cur.watermark
+	for s.completed[wm+1] {
+		delete(s.completed, wm+1)
+		wm++
+	}
+	if wm == cur.watermark && layers == nil {
 		return
 	}
-	next := &state{watermark: watermark, shards: shards}
+	shards := slices.Clone(cur.shards)
+	for i, l := range layers {
+		if l != nil {
+			shards[i] = insertLayer(shards[i], l)
+		}
+	}
+	merged := false
+	if wm > cur.watermark {
+		// A watermark that moved onto this epoch alone made only this
+		// batch's layers visible; one that also swallowed epochs completed
+		// earlier may have uncovered layers in any shard.
+		alone := wm == epoch && wm == cur.watermark+1
+		for i := range shards {
+			if alone && (layers == nil || layers[i] == nil) {
+				continue
+			}
+			head, reclaimed := tier(shards[i], s.tierFence, wm)
+			merged = merged || head != shards[i]
+			shards[i] = head
+			s.gcReclaimed += uint64(reclaimed)
+		}
+	}
+	next := &state{watermark: wm, shards: shards}
 	s.current.Store(next)
 	s.history = append(s.history, next)
-	if len(s.history) > maxHistory {
+	// A merge copied its members' entries into a new map; the superseded
+	// states are what still reaches the members, so they go now — unless
+	// pinned — rather than at the next GC, or RAM holds the run twice.
+	if merged || len(s.history) > maxHistory {
 		s.pruneHistoryLocked(next)
 	}
+}
+
+// tier keeps the part of one shard's chain that a snapshot at watermark wm
+// reads and that lies above the tier fence — epochs in (fence, wm] — a
+// base-tierFanout counter, and returns the new head with the number of
+// superseded versions the merge dropped. Levels never decrease down that
+// part (new layers arrive on top at level 0, and a merge always swallows
+// the whole run above its result). Adding layers on top is an increment:
+// once tierFanout layers of level ℓ or lower lead the part, they carry
+// into one layer of level ℓ+1 — all of them, not tierFanout of them, so a
+// watermark jump that uncovers hundreds of layers at once leaves none
+// stranded under a higher level — and the carry repeats one level up with
+// that layer counted in. So at rest each level holds fewer than tierFanout
+// layers, and a level-ℓ layer holds at least tierFanout^ℓ batches, which
+// together give the depth and copy bounds stated at tierFanout.
+//
+// The cascade is planned on the levels alone and executed as one merge,
+// newest-first (first write wins), so an entry is copied once however many
+// levels the carry climbs. Tombstones stay: deeper layers or the cold tier
+// may hold what they shadow. The result carries its newest member's epoch.
+// That is sound for every reader because the part is at or below wm: the
+// state being installed, and every later one, pins at or above that epoch
+// and would have read all of the members anyway, while snapshots pinned
+// earlier keep the chains they captured. It is unsound at or below the
+// fence for a different reason: a fold recognises the sub-chain it wrote by
+// pointer, and leans on the fence as an epoch no layer spans.
+func tier(head *layer, fence, wm uint64) (*layer, int) {
+	top, _ := descendTo(head, wm)
+	// Plan: the layers from top down to end (exclusive) merge into one
+	// layer of level lvl; nothing merges while end is still top.
+	lvl, end := uint8(0), top
+	for {
+		e, run := end, 0
+		if end != top {
+			run = 1 // the planned layer itself sits at level lvl
+		}
+		for e != nil && e.epoch > fence && e.level <= lvl {
+			e = e.next
+			run++
+		}
+		if run < tierFanout {
+			break
+		}
+		lvl, end = lvl+1, e
+	}
+	if end == top {
+		return head, 0
+	}
+	merged, members := mergeRun(top, end, lvl)
+	linkLayer(merged, end)
+	return spliceAbove(head, top, merged), members - len(merged.entries)
+}
+
+// mergeRun merges the layers from top down to end (exclusive) into one
+// unlinked layer of the given level under top's epoch — newest first, the
+// first write of a key wins, tombstones kept — and also returns how many
+// entries the members held between them.
+func mergeRun(top, end *layer, level uint8) (merged *layer, members int) {
+	oldest := top.oldest
+	for l := top; l != end; l = l.next {
+		members += len(l.entries)
+		oldest = l.oldest
+	}
+	merged = &layer{epoch: top.epoch, oldest: oldest, entries: make(map[string]entry, members), level: level}
+	for l := top; l != end; l = l.next {
+		for k, e := range l.entries {
+			if _, shadowed := merged.entries[k]; shadowed {
+				continue
+			}
+			merged.entries[k] = e
+			if e.deleted {
+				merged.tombs++
+			}
+		}
+	}
+	return merged, members
 }
 
 // pruneHistoryLocked drops superseded states no snapshot is pinning.
@@ -548,24 +689,9 @@ func (s *Store) pruneHistoryLocked(cur *state) {
 // in-order case l becomes the new head in O(1); an out-of-order publish
 // copies one node per already-published higher epoch in l's shard.
 func insertLayer(head *layer, l *layer) *layer {
-	if head == nil || l.epoch > head.epoch {
-		linkLayer(l, head)
-		return l
-	}
-	var above []*layer
-	cur := head
-	for cur != nil && cur.epoch > l.epoch {
-		above = append(above, cur)
-		cur = cur.next
-	}
-	linkLayer(l, cur)
-	newHead := l
-	for i := len(above) - 1; i >= 0; i-- {
-		cp := &layer{epoch: above[i].epoch, entries: above[i].entries, tombs: above[i].tombs}
-		linkLayer(cp, newHead)
-		newHead = cp
-	}
-	return newHead
+	below, _ := descendTo(head, l.epoch)
+	linkLayer(l, below)
+	return spliceAbove(head, below, l)
 }
 
 // Snapshot is a consistent read view pinned at one epoch. Get and Keys
@@ -610,7 +736,7 @@ func (sn *Snapshot) view(op string) *state {
 func (sn *Snapshot) Get(key string) ([]byte, bool) {
 	st := sn.view("Get")
 	shard := sn.s.shardOf(key)
-	l := st.shards[shard].head
+	l := st.shards[shard]
 	if l != nil && l.epoch > st.watermark {
 		// Skip the not-yet-visible prefix (epochs published above a still
 		// open lower epoch) in O(log prefix); the chain below is strictly
@@ -639,7 +765,7 @@ func (sn *Snapshot) Keys() []string {
 	var keys []string
 	for i := range st.shards {
 		seen := make(map[string]bool)
-		l, _ := descendTo(st.shards[i].head, st.watermark)
+		l, _ := descendTo(st.shards[i], st.watermark)
 		for ; l != nil; l = l.next {
 			for k, e := range l.entries {
 				if seen[k] {
@@ -700,6 +826,35 @@ func (s *Store) pinFloorLocked(cur *state) uint64 {
 	return floor
 }
 
+// foldFloorLocked returns the floor a fold of cur may use: the highest epoch
+// at or below the pin floor that no layer's [oldest, epoch] range contains
+// without ending there. A fold writes and splices whole layers, and the
+// watermark it persists promises that every batch at or below it is on disk
+// in every shard; a floor inside a merged layer's range would leave that
+// layer's older batches in RAM while other shards' layers of the same
+// epochs went to disk under that promise. Tiering merges across pinned
+// epochs, so the pin floor can sit inside such a range; the floor then drops
+// below the range, which may land it inside another shard's, until it rests
+// at an epoch every chain splits at. Each chain's ranges are disjoint and
+// descending, so only the last layer above the floor can reach it. Caller
+// holds mu.
+func (s *Store) foldFloorLocked(cur *state) uint64 {
+	floor := s.pinFloorLocked(cur)
+	for lowered := true; lowered; {
+		lowered = false
+		for _, head := range cur.shards {
+			if head == nil || head.epoch <= floor {
+				continue
+			}
+			if l, _ := lastAbove(head, floor); l.oldest <= floor {
+				floor = l.oldest - 1
+				lowered = true
+			}
+		}
+	}
+	return floor
+}
+
 // GC compacts every shard's layers at or below the minimum pinned epoch,
 // dropping superseded versions and tombstones with nothing left to
 // shadow. The merge work runs one goroutine per shard, entirely off the
@@ -754,9 +909,9 @@ func (s *Store) GCShard(i int) int {
 	// sub-chain at or below the floor is immutable and — because epochs
 	// above the watermark are the only ones still publishing and the
 	// floor never exceeds the watermark — no new layer at or below the
-	// floor can appear while we merge. Only the same shard's backstop
-	// compaction could replace it, which the splice detects below.
-	mergeHead := splitAt(cur.shards[i].head, floor)
+	// floor can appear while we merge. Only Publish's tiering of the same
+	// shard could replace it, which the splice detects below.
+	mergeHead := splitAt(cur.shards[i], floor)
 	bottom, _, reclaimed, changed := compactChain(mergeHead, s.cold == nil)
 	if !changed {
 		return 0
@@ -765,16 +920,14 @@ func (s *Store) GCShard(i int) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	cur2 := s.current.Load()
-	if splitAt(cur2.shards[i].head, floor) != mergeHead {
-		// The Publish backstop compacted this shard while we merged.
+	if splitAt(cur2.shards[i], floor) != mergeHead {
+		// A publish re-tiered this shard's merge region while we merged.
 		// Compaction is advisory: abandon this round, the next tick
 		// starts from the new chain.
 		return 0
 	}
-	shards := make([]shard, len(cur2.shards))
-	copy(shards, cur2.shards)
-	head, spine := spliceAbove(cur2.shards[i].head, mergeHead, bottom)
-	shards[i] = shard{head: head, depth: spine + chainLen(bottom)}
+	shards := slices.Clone(cur2.shards)
+	shards[i] = spliceAbove(cur2.shards[i], mergeHead, bottom)
 	next := &state{watermark: cur2.watermark, shards: shards}
 	s.current.Store(next)
 	s.history = append(s.history, next)
@@ -791,29 +944,21 @@ func splitAt(head *layer, floor uint64) *layer {
 }
 
 // spliceAbove rebuilds the spine of layers strictly above oldBottom
-// (path-copied, maps shared) on top of newBottom, returning the new head
-// and the spine length. Layers above the compaction floor are only ever
-// prepended, so the spine is exactly the chain's prefix before oldBottom.
-func spliceAbove(head, oldBottom, newBottom *layer) (*layer, int) {
+// (path-copied, maps shared) on top of newBottom and returns the new head.
+// oldBottom must be in the chain (or nil, for its end).
+func spliceAbove(head, oldBottom, newBottom *layer) *layer {
+	if head == oldBottom {
+		return newBottom
+	}
 	var above []*layer
 	for cur := head; cur != oldBottom; cur = cur.next {
 		above = append(above, cur)
 	}
 	newHead := newBottom
 	for i := len(above) - 1; i >= 0; i-- {
-		cp := &layer{epoch: above[i].epoch, entries: above[i].entries, tombs: above[i].tombs}
-		linkLayer(cp, newHead)
-		newHead = cp
+		newHead = relinked(above[i], newHead)
 	}
-	return newHead, len(above)
-}
-
-func chainLen(l *layer) int {
-	n := 0
-	for ; l != nil; l = l.next {
-		n++
-	}
-	return n
+	return newHead
 }
 
 // compactChain merges one shard's sub-chain (everything from mergeHead
@@ -852,26 +997,18 @@ func compactChain(mergeHead *layer, dropTombs bool) (bottom *layer, post, reclai
 		pre += len(l.entries)
 	}
 
-	// Tier 1: collapse the non-base layers into one mid layer
-	// (newest-first, first write wins). A single upper needs no copy.
+	// Tier 1: collapse the non-base layers into one mid layer. A single
+	// upper needs no copy.
 	var mid *layer
 	switch {
 	case len(uppers) == 1:
 		mid = uppers[0]
 	case len(uppers) > 1:
-		entries := make(map[string]entry, len(uppers[len(uppers)-1].entries))
-		tombs := 0
+		level := uint8(0)
 		for _, l := range uppers {
-			for k, e := range l.entries {
-				if _, ok := entries[k]; !ok {
-					entries[k] = e
-					if e.deleted {
-						tombs++
-					}
-				}
-			}
+			level = max(level, l.level)
 		}
-		mid = &layer{epoch: uppers[0].epoch, entries: entries, tombs: tombs}
+		mid, _ = mergeRun(mergeHead, base, level)
 	}
 
 	// Tier 2: fold mid into the base when it reclaims something
@@ -896,12 +1033,12 @@ func compactChain(mergeHead *layer, dropTombs bool) (bottom *layer, post, reclai
 		for k, e := range base.entries {
 			merged[k] = e
 		}
-		epoch := base.epoch
+		epoch, level := base.epoch, base.level
 		if mid != nil {
 			for k, e := range mid.entries {
 				merged[k] = e
 			}
-			epoch = mid.epoch
+			epoch, level = mid.epoch, max(level, mid.level)
 		}
 		tombs := 0
 		if dropTombs {
@@ -922,7 +1059,7 @@ func compactChain(mergeHead *layer, dropTombs bool) (bottom *layer, post, reclai
 		if len(merged) == 0 {
 			return nil, 0, pre, true
 		}
-		return &layer{epoch: epoch, entries: merged, tombs: tombs}, len(merged), pre - len(merged), true
+		return &layer{epoch: epoch, oldest: base.oldest, entries: merged, tombs: tombs, level: level}, len(merged), pre - len(merged), true
 	}
 	if len(uppers) == 1 {
 		return mergeHead, pre, 0, false // already in [single-upper, base] shape
@@ -932,44 +1069,13 @@ func compactChain(mergeHead *layer, dropTombs bool) (bottom *layer, post, reclai
 	return mid, len(mid.entries) + len(base.entries), pre - (len(mid.entries) + len(base.entries)), true
 }
 
-// compactAllLocked compacts every shard inline under mu — the Publish
-// depth backstop. It cannot run the parallel path (that path takes gcMu
-// then mu; we already hold mu), so it pays the serial cost, which is
-// acceptable for a rare amortized backstop.
-func (s *Store) compactAllLocked() {
-	cur := s.current.Load()
-	floor := s.pinFloorLocked(cur)
-	shards := make([]shard, len(cur.shards))
-	copy(shards, cur.shards)
-	total := 0
-	dirty := false
-	for i := range shards {
-		mergeHead := splitAt(shards[i].head, floor)
-		bottom, _, reclaimed, changed := compactChain(mergeHead, s.cold == nil)
-		if !changed {
-			continue
-		}
-		head, spine := spliceAbove(shards[i].head, mergeHead, bottom)
-		shards[i] = shard{head: head, depth: spine + chainLen(bottom)}
-		total += reclaimed
-		dirty = true
-	}
-	if !dirty {
-		return
-	}
-	next := &state{watermark: cur.watermark, shards: shards}
-	s.current.Store(next)
-	s.history = append(s.history, next)
-	s.gcReclaimed += uint64(total)
-}
-
 // VersionCount reports the total number of stored versions across every
 // shard of the current state (for E9 and GC tests). Lock-free.
 func (s *Store) VersionCount() int {
 	st := s.current.Load()
 	n := 0
 	for i := range st.shards {
-		for l := st.shards[i].head; l != nil; l = l.next {
+		for l := st.shards[i]; l != nil; l = l.next {
 			n += len(l.entries)
 		}
 	}
@@ -978,8 +1084,8 @@ func (s *Store) VersionCount() int {
 
 // ShardStats summarises one shard's chain.
 type ShardStats struct {
-	// Layers is the shard's chain length (publishes touching it since
-	// its last compaction).
+	// Layers is the shard's chain length: the tiered visible part plus
+	// any not-yet-visible prefix.
 	Layers int
 	// Entries is the shard's total version count.
 	Entries int
@@ -998,7 +1104,8 @@ type Stats struct {
 	// PendingEpochs counts published/aborted epochs still waiting for a
 	// lower epoch to complete before the watermark can cover them.
 	PendingEpochs int
-	// GCReclaimed is the cumulative number of versions compacted away.
+	// GCReclaimed is the cumulative number of versions dropped from
+	// memory: superseded by a tier merge or a compaction, or folded.
 	GCReclaimed uint64
 	// Shards is the per-shard breakdown (length = shard count).
 	Shards []ShardStats
@@ -1029,7 +1136,7 @@ func (s *Store) StoreStats() Stats {
 	st.Shards = make([]ShardStats, len(cur.shards))
 	for i := range cur.shards {
 		sh := &st.Shards[i]
-		for l := cur.shards[i].head; l != nil; l = l.next {
+		for l := cur.shards[i]; l != nil; l = l.next {
 			sh.Layers++
 			sh.Entries += len(l.entries)
 		}

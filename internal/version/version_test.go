@@ -518,27 +518,6 @@ func TestConcurrentOutOfOrderPublishersWithGC(t *testing.T) {
 	}
 }
 
-// TestPublishAutoCompacts: a store whose owner never calls GC must still
-// bound its chain depth (and therefore read cost) via the Publish-side
-// compaction backstop.
-func TestPublishAutoCompacts(t *testing.T) {
-	s := NewStore()
-	n := autoCompactDepth + 10
-	for i := 0; i < n; i++ {
-		b := s.Begin()
-		b.Put("k", []byte{byte(i)})
-		b.Publish()
-	}
-	if st := s.StoreStats(); st.Layers > autoCompactDepth {
-		t.Fatalf("chain depth %d not bounded by auto-compaction", st.Layers)
-	}
-	snap := s.Acquire()
-	defer snap.Release()
-	if v, ok := snap.Get("k"); !ok || v[0] != byte(n-1) {
-		t.Fatalf("Get after auto-compact = %v ok=%v, want [%d]", v, ok, byte(n-1))
-	}
-}
-
 // TestStoreStats sanity-checks the introspection surface.
 func TestStoreStats(t *testing.T) {
 	s := NewStore()
@@ -763,7 +742,7 @@ func TestGCShardIsolated(t *testing.T) {
 // TestParallelShardGCUnderPublish drives concurrent per-shard compactions
 // against a live producer and live readers (run with -race): the merge
 // work happens outside the store mutex, so this exercises the optimistic
-// splice including its abandon-on-conflict path via the Publish backstop.
+// splice including its abandon-on-conflict path via Publish's tiering.
 func TestParallelShardGCUnderPublish(t *testing.T) {
 	s := NewStoreSharded(8)
 	const keys = 64
