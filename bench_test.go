@@ -1,7 +1,7 @@
-// Root benchmark suite: one testing.B benchmark per experiment in
-// DESIGN.md §3 (regenerating the paper's figures/claims and reporting the
-// headline numbers as custom metrics), plus the A1–A4 ablation benches for
-// the design decisions DESIGN.md §4 calls out.
+// Root benchmark suite: the A1–A4 ablation benches for the design
+// decisions DESIGN.md §3 calls out. (E1–E10 have one runner,
+// internal/experiments: cmd/memex-bench prints them, its own tests
+// assert them.)
 //
 // Run with: go test -bench=. -benchmem
 package memex
@@ -13,40 +13,11 @@ import (
 
 	"memex/internal/classify"
 	"memex/internal/cluster"
-	"memex/internal/experiments"
 	"memex/internal/kvstore"
 	"memex/internal/sim"
 	"memex/internal/text"
 	"memex/internal/webcorpus"
 )
-
-// benchExperiment runs one experiment per iteration and republishes its
-// headline metrics through the benchmark framework.
-func benchExperiment(b *testing.B, id string) {
-	b.Helper()
-	var last map[string]float64
-	for i := 0; i < b.N; i++ {
-		r := experiments.ByID(id, 7)
-		if r == nil {
-			b.Fatalf("unknown experiment %s", id)
-		}
-		last = r.Metrics
-	}
-	for k, v := range last {
-		b.ReportMetric(v, k)
-	}
-}
-
-func BenchmarkE1Classification(b *testing.B)  { benchExperiment(b, "E1") }
-func BenchmarkE2TrailReplay(b *testing.B)     { benchExperiment(b, "E2") }
-func BenchmarkE3EventPipeline(b *testing.B)   { benchExperiment(b, "E3") }
-func BenchmarkE4ThemeDiscovery(b *testing.B)  { benchExperiment(b, "E4") }
-func BenchmarkE5StorageDivision(b *testing.B) { benchExperiment(b, "E5") }
-func BenchmarkE6FocusedCrawl(b *testing.B)    { benchExperiment(b, "E6") }
-func BenchmarkE7Recommendation(b *testing.B)  { benchExperiment(b, "E7") }
-func BenchmarkE8Search(b *testing.B)          { benchExperiment(b, "E8") }
-func BenchmarkE9Versioning(b *testing.B)      { benchExperiment(b, "E9") }
-func BenchmarkE10Corrections(b *testing.B)    { benchExperiment(b, "E10") }
 
 // --- Ablation benches (DESIGN.md §3) ---
 

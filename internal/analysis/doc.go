@@ -23,7 +23,7 @@
 //	time.Sleep, io.ReadAll/Copy) executed while a sync.Mutex or
 //	sync.RWMutex is held. The sanctioned shape is snapshot-then-work:
 //	copy what you need under the lock, release it, then iterate
-//	(PageRank, StoreStats and Graph.Subgraph all do this now).
+//	(StoreStats does; PageRank did until it was deleted unused).
 //
 // detmap — codec output must not depend on map iteration order.
 //

@@ -15,8 +15,8 @@ import (
 // so before this cache a themes rebuild, a Trails HITS pass and a
 // Recommend call over the same epoch each re-decoded every tf/, lnk/ and
 // rin* record from scratch. The cache is keyed by (epoch, page, kind):
-// published epochs are immutable — no publish, GC round or cold fold
-// ever rewrites a record under an installed state — so a decoded value
+// published epochs are immutable — no publish and no cold fold ever
+// rewrites a record under an installed state — so a decoded value
 // can never go stale. Invalidation is therefore evict-only: entries
 // leave under LRU memory pressure, or when their epoch falls below the
 // version store's pin floor (no live view can ever ask for them again;
@@ -200,7 +200,7 @@ func (c *recordCache) put(k cacheKey, val any, size int64) {
 
 // evictBelow drops every entry whose epoch is below floor — the version
 // store's pin floor, below which no live or future view can pin. Driven
-// by the engine's version-gc demon after each GC/fold round.
+// by the engine's version-gc demon after each fold round.
 func (c *recordCache) evictBelow(floor uint64) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -202,8 +202,8 @@ func TestConsolidatedInZeroColdFallthrough(t *testing.T) {
 	}
 	// Fold everything to the cold tier so every probe that misses the
 	// in-memory chains would fall through to disk.
-	for i := 0; i < 3; i++ {
-		e.vs.GC()
+	if _, err := e.vs.Fold(); err != nil {
+		t.Fatal(err)
 	}
 
 	coldStats := func() (reads, misses uint64) {

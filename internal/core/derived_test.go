@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"reflect"
 	"sync"
@@ -11,6 +12,7 @@ import (
 
 	"memex/internal/events"
 	"memex/internal/text"
+	"memex/internal/version"
 )
 
 func TestCountsCodecRoundTrip(t *testing.T) {
@@ -275,7 +277,8 @@ func TestDerivedPublishMatchesSource(t *testing.T) {
 }
 
 // TestStatusReportsVersionStore: the engine surfaces version-store
-// health (watermark advancing with fetches, GC accounting) in Status.
+// health (watermark advancing with fetches, the chain inside the tier
+// bound whatever the gc tick does, fold accounting) in Status.
 func TestStatusReportsVersionStore(t *testing.T) {
 	c, e := testWorld(t)
 	e.RegisterUser(1, "alice")
@@ -293,10 +296,56 @@ func TestStatusReportsVersionStore(t *testing.T) {
 	if st.Version.Entries == 0 {
 		t.Fatal("version store holds no derived entries")
 	}
-	e.vs.GC()
+	// Four pages are far below the fold threshold: the tick leaves them in
+	// memory, where Publish keeps every chain a base-16 counter.
+	if n := e.vs.GC(); n != 0 {
+		t.Fatalf("gc tick below the fold threshold reclaimed %d entries", n)
+	}
+	if st = e.Status(); st.Version.Layers == 0 || st.Version.Layers > 15 {
+		t.Fatalf("Layers after the gc tick = %d, want 1..15 (one base-16 digit)", st.Version.Layers)
+	}
+	if _, err := e.vs.Fold(); err != nil {
+		t.Fatal(err)
+	}
 	st = e.Status()
-	if st.Version.Layers != 1 {
-		t.Fatalf("Layers after GC = %d, want 1", st.Version.Layers)
+	if st.Version.Layers != 0 || st.Version.Cold.Records == 0 || st.Version.Cold.FoldErrors != 0 {
+		t.Fatalf("after a fold: %d layers, cold %+v", st.Version.Layers, st.Version.Cold)
+	}
+}
+
+// TestStatusReportsFailedFold: a fold round that fails is not silent — the
+// gc tick discards the error, so Status is where an operator finds it — and
+// costs nothing but memory: every record stays readable and the next round
+// folds it.
+func TestStatusReportsFailedFold(t *testing.T) {
+	c, e := testWorld(t)
+	e.RegisterUser(1, "alice")
+	p := c.Page(c.LeafPages[c.Leaves()[0].ID][0])
+	if err := e.RecordVisit(1, p.URL, "", tBase, events.Community); err != nil {
+		t.Fatal(err)
+	}
+	e.DrainBackground()
+	e.vs.SetFoldHook(func(version.FoldPoint) error { return errors.New("disk full") })
+	if _, err := e.vs.Fold(); err == nil {
+		t.Fatal("Fold succeeded through a failing hook")
+	}
+	e.vs.SetFoldHook(nil)
+	cold := e.Status().Version.Cold
+	if cold.FoldErrors != 1 || cold.LastFoldError != "disk full" {
+		t.Fatalf("after a failed fold: FoldErrors = %d, LastFoldError = %q", cold.FoldErrors, cold.LastFoldError)
+	}
+	e.withView(func(v *DerivedView) {
+		for _, pg := range fetchedPages(e) {
+			if len(v.TermCounts(pg)) == 0 {
+				t.Fatalf("page %d lost its term counts to the failed fold", pg)
+			}
+		}
+	})
+	if _, err := e.vs.Fold(); err != nil {
+		t.Fatal(err)
+	}
+	if st := e.Status().Version; st.Entries != 0 || st.Cold.FoldErrors != 1 {
+		t.Fatalf("after the next fold: %d entries resident, FoldErrors = %d", st.Entries, st.Cold.FoldErrors)
 	}
 }
 

@@ -100,8 +100,9 @@ type Config struct {
 	// TrainInterval retrains per-user classifiers periodically
 	// (0 = only on demand via RetrainClassifiers).
 	TrainInterval time.Duration
-	// VersionGCInterval compacts superseded version-store layers off the
-	// hot path (default 2s; negative disables the demon).
+	// VersionGCInterval folds version-store layers below the pin floor to
+	// the cold tier off the hot path, once 4096 entries have gathered there
+	// (default 2s; negative disables the demon, and Close still folds).
 	VersionGCInterval time.Duration
 	// DecodedCacheBytes bounds the shared decoded-record cache that sits
 	// between DerivedView and the version store (cache.go): 0 takes the
@@ -448,7 +449,7 @@ func (e *Engine) startDemons() {
 		})
 	}
 	if e.cfg.VersionGCInterval > 0 {
-		// Compaction of superseded version-store layers runs as its own
+		// Folding version-store layers to the cold tier runs as its own
 		// demon so neither the publish path nor snapshot readers pay it.
 		// In-link chunk consolidation runs first: folding each hub page's
 		// accumulated rinD/ delta chunks into its base record (plus

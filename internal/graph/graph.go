@@ -1,24 +1,24 @@
 // Package graph stores the hypertext graph Memex accumulates from surf
 // trails: pages (nodes) and links (directed edges), with in/out adjacency,
-// neighbourhood expansion, and the link-analysis primitives the mining
+// neighbourhood expansion, and the link-analysis primitive the mining
 // demons use — HITS hubs/authorities over a focused subgraph (resource
-// discovery) and PageRank (popularity near the community trail graph).
+// discovery, popularity near the community trail graph).
 //
 // # Adjacency sources and pinned views
 //
 // The analysis primitives are written against AdjacencySource, not the
 // concrete Graph: any per-page adjacency provider — the mutable in-memory
-// Graph here, or a snapshot-pinned view decoding versioned adjacency
+// Graph here (the producer's authority over which edges are new, and the
+// bench's fixture), or a snapshot-pinned view decoding versioned adjacency
 // records (core.DerivedView, whose In lazily merges a page's base in-link
 // record with its append-only delta chunks) — can feed neighbourhood
 // expansion (ExpandFrom) and HITS (HITSOver). That is what lets the
 // engine run a whole trail-replay or discovery pass against one frozen
 // epoch of the link graph while ingest keeps publishing edges. The
 // primitives read each page's adjacency a bounded number of times (HITS
-// materialises the induced subgraph once; PageRank snapshots the whole
-// adjacency before iterating), so a source that decodes records on demand
-// is never re-decoded per iteration — and the Graph's lock is never held
-// across an iteration loop.
+// materialises the induced subgraph once), so a source that decodes
+// records on demand is never re-decoded per iteration — and the Graph's
+// lock is never held across an iteration loop.
 package graph
 
 import (
@@ -127,13 +127,6 @@ func (g *Graph) addEdgeLocked(from, to int64) bool {
 	return true
 }
 
-// HasEdge reports whether from→to exists.
-func (g *Graph) HasEdge(from, to int64) bool {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	return g.edges[[2]int64{from, to}]
-}
-
 // Has reports whether the node is known to the graph.
 func (g *Graph) Has(id int64) bool {
 	g.mu.RLock()
@@ -156,39 +149,6 @@ func (g *Graph) In(id int64) []int64 {
 	return append([]int64(nil), g.in[id]...)
 }
 
-// Neighbors returns the union of in- and out-neighbours.
-func (g *Graph) Neighbors(id int64) []int64 {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	seen := map[int64]bool{}
-	var out []int64
-	for _, n := range g.out[id] {
-		if !seen[n] {
-			seen[n] = true
-			out = append(out, n)
-		}
-	}
-	for _, n := range g.in[id] {
-		if !seen[n] {
-			seen[n] = true
-			out = append(out, n)
-		}
-	}
-	return out
-}
-
-// Nodes returns all node ids (sorted, for determinism).
-func (g *Graph) Nodes() []int64 {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	out := make([]int64, 0, len(g.out))
-	for id := range g.out {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // NodeCount and EdgeCount report graph size.
 func (g *Graph) NodeCount() int {
 	g.mu.RLock()
@@ -202,15 +162,10 @@ func (g *Graph) EdgeCount() int {
 	return len(g.edges)
 }
 
-// Expand returns the radius-r undirected neighbourhood of the seed set
-// (including the seeds), capped at maxNodes (0 = unlimited). This is the
-// "limited radius neighbourhood" expansion used for trail context graphs.
-func (g *Graph) Expand(seeds []int64, radius, maxNodes int) []int64 {
-	return ExpandFrom(g, seeds, radius, maxNodes)
-}
-
-// ExpandFrom is Expand over any adjacency source: seeds unknown to the
-// source are dropped, then the undirected neighbourhood grows breadth-
+// ExpandFrom returns the radius-r undirected neighbourhood of the seed set
+// (including the seeds), capped at maxNodes (0 = unlimited) — the "limited
+// radius neighbourhood" expansion used for trail context graphs. Seeds
+// unknown to the source are dropped, then the neighbourhood grows breadth-
 // first (out-neighbours before in-neighbours, source order) until the
 // radius or the node cap is reached. Against a pinned view the whole
 // expansion reads one frozen epoch of the link graph.
@@ -250,32 +205,6 @@ func ExpandFrom(src AdjacencySource, seeds []int64, radius, maxNodes int) []int6
 	return out
 }
 
-// Subgraph returns the induced edge list among the given nodes.
-func (g *Graph) Subgraph(nodes []int64) (edges [][2]int64) {
-	in := map[int64]bool{}
-	for _, n := range nodes {
-		in[n] = true
-	}
-	// Capture the out-adjacency slice headers under the lock, then build
-	// the edge list outside it. The headers stay valid off-lock: ApplyOut
-	// only ever appends, so a captured header's [0:len) window is
-	// immutable even if the backing array is grown concurrently.
-	outs := make([][]int64, len(nodes))
-	g.mu.RLock()
-	for i, u := range nodes {
-		outs[i] = g.out[u]
-	}
-	g.mu.RUnlock()
-	for i, u := range nodes {
-		for _, v := range outs[i] {
-			if in[v] {
-				edges = append(edges, [2]int64{u, v})
-			}
-		}
-	}
-	return edges
-}
-
 // Scores holds a node-score assignment from a link analysis run.
 type Scores map[int64]float64
 
@@ -297,14 +226,9 @@ func (s Scores) Top(k int) []int64 {
 	return ids
 }
 
-// HITS runs Kleinberg's algorithm on the subgraph induced by nodes for the
-// given iterations, returning hub and authority scores (L2-normalized).
-func (g *Graph) HITS(nodes []int64, iterations int) (hubs, auths Scores) {
-	return HITSOver(g, nodes, iterations)
-}
-
-// HITSOver is HITS over any adjacency source. The induced subgraph is
-// materialised once up front (one Out/In read per node), so the power
+// HITSOver runs Kleinberg's algorithm on the subgraph induced by nodes for
+// the given iterations, returning hub and authority scores (L2-normalized).
+// The induced subgraph is materialised once up front (one Out/In read per node), so the power
 // iterations touch the source — which may be decoding versioned records —
 // exactly |nodes| times regardless of the iteration count.
 func HITSOver(src AdjacencySource, nodes []int64, iterations int) (hubs, auths Scores) {
@@ -355,62 +279,6 @@ func HITSOver(src AdjacencySource, nodes []int64, iterations int) (hubs, auths S
 		normalizeScores(hubs)
 	}
 	return hubs, auths
-}
-
-// PageRank runs the standard damped power iteration over the whole graph.
-//
-// The graph lock is held only long enough to snapshot the adjacency — one
-// O(V+E) copy — not across the power loop: holding the RLock for the full
-// run stalled every concurrent ApplyOut (i.e. every ingest publish) for
-// ~30 iterations over the whole graph. The slices must be copied, not
-// shared: ApplyOut grows them with append, which can write in place.
-func (g *Graph) PageRank(damping float64, iterations int) Scores {
-	if damping <= 0 || damping >= 1 {
-		damping = 0.85
-	}
-	if iterations <= 0 {
-		iterations = 30
-	}
-	g.mu.RLock()
-	n := len(g.out)
-	if n == 0 {
-		g.mu.RUnlock()
-		return Scores{}
-	}
-	out := make(map[int64][]int64, n)
-	for id, outs := range g.out {
-		out[id] = append([]int64(nil), outs...)
-	}
-	g.mu.RUnlock()
-
-	pr := make(Scores, n)
-	for id := range out {
-		pr[id] = 1 / float64(n)
-	}
-	for it := 0; it < iterations; it++ {
-		next := make(Scores, n)
-		var dangling float64
-		for id, outs := range out {
-			if len(outs) == 0 {
-				dangling += pr[id]
-			}
-		}
-		base := (1-damping)/float64(n) + damping*dangling/float64(n)
-		for id := range out {
-			next[id] = base
-		}
-		for id, outs := range out {
-			if len(outs) == 0 {
-				continue
-			}
-			share := damping * pr[id] / float64(len(outs))
-			for _, v := range outs {
-				next[v] += share
-			}
-		}
-		pr = next
-	}
-	return pr
 }
 
 func normalizeScores(s Scores) {

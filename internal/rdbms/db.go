@@ -146,35 +146,6 @@ func (db *DB) EnsureTable(s Schema) (*Table, error) {
 	return t, nil
 }
 
-// DropTable removes a table and all its rows and index entries.
-func (db *DB) DropTable(name string) error {
-	db.mu.Lock()
-	t, ok := db.tables[name]
-	if !ok {
-		db.mu.Unlock()
-		return fmt.Errorf("rdbms: no such table %q", name)
-	}
-	delete(db.tables, name)
-	db.mu.Unlock()
-
-	var doomed [][]byte
-	collect := func(k, v []byte) bool {
-		doomed = append(doomed, k)
-		return true
-	}
-	db.kv.ScanPrefix(t.rowPrefix(), collect)
-	db.kv.ScanPrefix(t.idxPrefixAll(), collect)
-	for _, k := range doomed {
-		if err := db.kv.Delete(k); err != nil {
-			return err
-		}
-	}
-	if err := db.kv.Delete([]byte("cat/" + name)); err != nil {
-		return err
-	}
-	return db.kv.Delete([]byte("seq/" + name))
-}
-
 // NextID returns an auto-incrementing int64 for the table, persisted so ids
 // survive restarts. It shares the sequence InsertSeq draws from.
 func (t *Table) NextID() (int64, error) {
@@ -230,16 +201,11 @@ func (t *Table) rowKey(pk Value) []byte {
 	return encodeOrdered(pk, t.rowPrefix())
 }
 
-func (t *Table) idxPrefixAll() []byte {
+func (t *Table) idxPrefix(col int) []byte {
 	p := make([]byte, 0, 16)
 	p = append(p, "idx/"...)
 	p = binary.BigEndian.AppendUint32(p, t.id)
 	p = append(p, '/')
-	return p
-}
-
-func (t *Table) idxPrefix(col int) []byte {
-	p := t.idxPrefixAll()
 	p = binary.BigEndian.AppendUint16(p, uint16(col))
 	p = append(p, '/')
 	return p

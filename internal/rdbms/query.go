@@ -20,22 +20,16 @@ type Op int
 const (
 	OpEq Op = iota + 1
 	OpLt
-	OpLe
-	OpGt
 	OpGe
-	OpNe
 	OpBetween // Val <= col < Hi
 )
 
 // Eq builds an equality predicate.
 func Eq(col string, v Value) Pred { return Pred{Col: col, Op: OpEq, Val: v} }
 
-// Gt / Ge / Lt / Le / Ne build comparison predicates.
-func Gt(col string, v Value) Pred { return Pred{Col: col, Op: OpGt, Val: v} }
+// Ge / Lt build the one-sided range predicates col >= v and col < v.
 func Ge(col string, v Value) Pred { return Pred{Col: col, Op: OpGe, Val: v} }
 func Lt(col string, v Value) Pred { return Pred{Col: col, Op: OpLt, Val: v} }
-func Le(col string, v Value) Pred { return Pred{Col: col, Op: OpLe, Val: v} }
-func Ne(col string, v Value) Pred { return Pred{Col: col, Op: OpNe, Val: v} }
 
 // Between builds a half-open range predicate lo <= col < hi.
 func Between(col string, lo, hi Value) Pred {
@@ -50,14 +44,8 @@ func (p Pred) eval(r Row) bool {
 	switch p.Op {
 	case OpEq:
 		return v.Equal(p.Val)
-	case OpNe:
-		return !v.Equal(p.Val)
 	case OpLt:
 		return v.Less(p.Val)
-	case OpLe:
-		return v.Less(p.Val) || v.Equal(p.Val)
-	case OpGt:
-		return p.Val.Less(v)
 	case OpGe:
 		return p.Val.Less(v) || p.Val.Equal(v)
 	case OpBetween:
@@ -68,25 +56,22 @@ func (p Pred) eval(r Row) bool {
 	return false
 }
 
-// Query is a fluent select over one table. The planner uses a secondary
-// index for the first indexable predicate (equality or range on an indexed
-// or primary-key column); remaining predicates are applied as filters.
+// Query is a fluent select over one table. The planner drives the scan
+// from the first predicate on the primary key, else the first on an
+// indexed column (every operator is an equality or a range); remaining
+// predicates are applied as filters.
 type Query struct {
 	t       *Table
 	preds   []Pred
-	limit   int
 	orderBy string
 	desc    bool
 }
 
 // Select starts a query on the table.
-func (t *Table) Select() *Query { return &Query{t: t, limit: -1} }
+func (t *Table) Select() *Query { return &Query{t: t} }
 
 // Where adds a predicate (conjunctive).
 func (q *Query) Where(p Pred) *Query { q.preds = append(q.preds, p); return q }
-
-// Limit caps the number of rows returned (applied after ordering).
-func (q *Query) Limit(n int) *Query { q.limit = n; return q }
 
 // OrderBy sorts results by the given column ascending (desc=false).
 func (q *Query) OrderBy(col string, desc bool) *Query {
@@ -108,18 +93,12 @@ type Plan struct {
 func (q *Query) plan() (Plan, *Pred) {
 	for i := range q.preds {
 		p := &q.preds[i]
-		if !indexableOp(p.Op) {
-			continue
-		}
 		if p.Col == q.t.schema.Key {
 			return Plan{Access: "pk", Column: p.Col}, p
 		}
 	}
 	for i := range q.preds {
 		p := &q.preds[i]
-		if !indexableOp(p.Op) {
-			continue
-		}
 		for _, idx := range q.t.schema.Indexes {
 			if p.Col == idx {
 				return Plan{Access: "index", Column: p.Col}, p
@@ -133,14 +112,6 @@ func (q *Query) plan() (Plan, *Pred) {
 func (q *Query) Explain() Plan {
 	p, _ := q.plan()
 	return p
-}
-
-func indexableOp(op Op) bool {
-	switch op {
-	case OpEq, OpLt, OpLe, OpGt, OpGe, OpBetween:
-		return true
-	}
-	return false
 }
 
 // Rows executes the query and returns all matching rows.
@@ -187,9 +158,6 @@ func (q *Query) Each(fn func(Row) bool) error {
 			}
 			return rows[i][col].Less(rows[j][col])
 		})
-		if q.limit >= 0 && len(rows) > q.limit {
-			rows = rows[:q.limit]
-		}
 		for _, r := range rows {
 			if !fn(r) {
 				return nil
@@ -197,14 +165,7 @@ func (q *Query) Each(fn func(Row) bool) error {
 		}
 		return nil
 	}
-	n := 0
-	return q.each(func(r Row) bool {
-		if q.limit >= 0 && n >= q.limit {
-			return false
-		}
-		n++
-		return fn(r)
-	})
+	return q.each(fn)
 }
 
 func (q *Query) collect() ([]Row, error) {
@@ -216,22 +177,14 @@ func (q *Query) collect() ([]Row, error) {
 	return rows, err
 }
 
-// each is the unordered, unlimited row stream.
+// each is the unordered row stream.
 func (q *Query) each(fn func(Row) bool) error {
 	plan, driver := q.plan()
+	// The scan bounds already enforce the driving predicate; re-checking
+	// it with the rest is cheap.
 	filter := func(r Row) bool {
 		for i := range q.preds {
-			p := &q.preds[i]
-			if driver != nil && p == driver && p.Op != OpNe {
-				// The driving predicate is enforced by the scan bounds for
-				// Eq/Between; for open ranges bounds are one-sided, so
-				// re-check to be safe (cheap).
-				if !p.eval(r) {
-					return false
-				}
-				continue
-			}
-			if !p.eval(r) {
+			if !q.preds[i].eval(r) {
 				return false
 			}
 		}
@@ -302,18 +255,12 @@ func (t *Table) pkBounds(p *Pred) (lo, hi []byte) {
 	case OpEq:
 		lo = encodeOrdered(p.Val, append([]byte(nil), prefix...))
 		hi = append(append([]byte(nil), lo...), 0x00)
-	case OpGe, OpGt:
+	case OpGe:
 		lo = encodeOrdered(p.Val, append([]byte(nil), prefix...))
-		if p.Op == OpGt {
-			lo = append(lo, 0xff)
-		}
 		hi = prefixEnd(prefix)
-	case OpLt, OpLe:
+	case OpLt:
 		lo = append([]byte(nil), prefix...)
 		hi = encodeOrdered(p.Val, append([]byte(nil), prefix...))
-		if p.Op == OpLe {
-			hi = append(hi, 0x00)
-		}
 	case OpBetween:
 		lo = encodeOrdered(p.Val, append([]byte(nil), prefix...))
 		hi = encodeOrdered(p.Hi, append([]byte(nil), prefix...))
@@ -331,18 +278,12 @@ func (t *Table) idxBounds(ci int, p *Pred) (lo, hi []byte) {
 	case OpEq:
 		lo = encodeOrdered(p.Val, append([]byte(nil), prefix...))
 		hi = prefixEnd(lo)
-	case OpGe, OpGt:
+	case OpGe:
 		lo = encodeOrdered(p.Val, append([]byte(nil), prefix...))
-		if p.Op == OpGt {
-			lo = prefixEnd(lo)
-		}
 		hi = prefixEnd(prefix)
-	case OpLt, OpLe:
+	case OpLt:
 		lo = append([]byte(nil), prefix...)
 		hi = encodeOrdered(p.Val, append([]byte(nil), prefix...))
-		if p.Op == OpLe {
-			hi = prefixEnd(hi)
-		}
 	case OpBetween:
 		lo = encodeOrdered(p.Val, append([]byte(nil), prefix...))
 		hi = encodeOrdered(p.Hi, append([]byte(nil), prefix...))

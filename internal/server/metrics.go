@@ -21,6 +21,8 @@ import (
 	"strconv"
 	"sync/atomic"
 	"time"
+
+	"memex/internal/core"
 )
 
 // latencyBuckets are the histogram's fixed upper bounds: log-spaced
@@ -194,8 +196,13 @@ func (m *metricsSet) writeHTTPMetrics(w io.Writer) {
 func (s *Server) handleMetrics(*http.Request) (reply, error) {
 	w := new(bytes.Buffer)
 	s.metrics.writeHTTPMetrics(w)
+	writeEngineMetrics(w, s.engine.Status())
+	return reply{"text/plain; version=0.0.4; charset=utf-8", w.Bytes()}, nil
+}
 
-	st := s.engine.Status()
+// writeEngineMetrics renders one Stats snapshot — the one /api/status
+// serves — as gauges and counters.
+func writeEngineMetrics(w io.Writer, st core.Stats) {
 	g := func(name, help string, v float64) {
 		promHeader(w, name, help, "gauge")
 		fmt.Fprintf(w, "%s %s\n", name, fmtFloat(v))
@@ -216,17 +223,18 @@ func (s *Server) handleMetrics(*http.Request) (reply, error) {
 	g("memex_engine_pages_indexed", "Pages in the inverted index.", float64(st.PagesIndexed))
 	g("memex_engine_users", "Registered users.", float64(st.Users))
 
-	// Version store: watermark, pins, GC and fold activity.
+	// Version store: watermark, pins, tier and fold activity.
 	g("memex_version_watermark", "Highest contiguously published epoch.", float64(st.Version.Watermark))
 	g("memex_version_layers", "Deepest shard chain (worst-case read walk).", float64(st.Version.Layers))
 	g("memex_version_entries", "Total version count across shards.", float64(st.Version.Entries))
 	g("memex_version_pinned", "Snapshots currently pinning a state.", float64(st.Version.Pinned))
 	g("memex_version_pending_epochs", "Published epochs awaiting watermark coverage.", float64(st.Version.PendingEpochs))
-	c("memex_version_gc_reclaimed_total", "Versions dropped from memory by tiering, compaction or fold.", float64(st.Version.GCReclaimed))
+	c("memex_version_gc_reclaimed_total", "Versions dropped from memory: superseded inside a tier merge, or folded to disk.", float64(st.Version.GCReclaimed))
 	if cold := st.Version.Cold; cold != nil {
 		g("memex_version_fold_lag_epochs", "Published watermark minus durable fold watermark.", float64(st.FoldLag))
 		g("memex_version_cold_records", "Record versions on disk.", float64(cold.Records))
 		c("memex_version_folds_total", "Completed fold rounds.", float64(cold.Folds))
+		c("memex_version_fold_errors_total", "Fold rounds that failed; their layers stay resident (last error in /api/status).", float64(cold.FoldErrors))
 		c("memex_version_cold_reads_total", "Snapshot gets that fell through to disk.", float64(cold.Reads))
 	}
 
@@ -251,5 +259,4 @@ func (s *Server) handleMetrics(*http.Request) (reply, error) {
 	c("memex_kv_wal_bytes_total", "Kvstore WAL bytes appended by this process.", float64(st.KV.WALBytes))
 	g("memex_graph_nodes", "Pages known to the link graph.", float64(st.GraphNodes))
 	g("memex_graph_edges", "Directed edges in the link graph.", float64(st.GraphEdges))
-	return reply{"text/plain; version=0.0.4; charset=utf-8", w.Bytes()}, nil
 }

@@ -18,7 +18,8 @@
 //     log-spaced buckets (100µs ×2 … ~13s);
 //   - engine gauges wired from core.Stats: memex_engine_queue_depth /
 //     _capacity / events_dropped_total, memex_version_watermark /
-//     _pinned / _fold_lag_epochs / gc_reclaimed_total,
+//     _pinned / _fold_lag_epochs / gc_reclaimed_total /
+//     fold_errors_total,
 //     memex_cache_hit_ratio / _bytes / evicted_total{cause}, and the
 //     link-graph/disk gauges.
 //

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"net/http"
@@ -13,6 +14,7 @@ import (
 
 	"memex/internal/core"
 	"memex/internal/kvstore"
+	"memex/internal/version"
 )
 
 // stubSource resolves every URL to a tiny page: enough for the ingest
@@ -367,6 +369,7 @@ func TestMetricsEndpointMovesWithTraffic(t *testing.T) {
 		"memex_engine_visits_total 3",
 		"memex_engine_queue_depth",
 		"memex_version_watermark",
+		"memex_version_fold_errors_total 0\n",
 		"memex_cache_hit_ratio",
 		"memex_kv_commits_total ",
 		"memex_kv_wal_bytes_total ",
@@ -378,6 +381,18 @@ func TestMetricsEndpointMovesWithTraffic(t *testing.T) {
 	// Three visits are at least three row commits; a fold may add more.
 	if st.KV.Commits < 3 || st.KV.WALBytes == 0 {
 		t.Errorf("Stats.KV = %+v after three visits, want >= 3 commits and some WAL bytes", st.KV)
+	}
+}
+
+// TestMetricsShowFailedFolds: a fold round that failed is on the scrape, not
+// only in /api/status (core's TestStatusReportsFailedFold puts it there).
+func TestMetricsShowFailedFolds(t *testing.T) {
+	var buf bytes.Buffer
+	writeEngineMetrics(&buf, core.Stats{Version: version.Stats{Cold: &version.ColdStats{Folds: 7, FoldErrors: 2}}})
+	for _, want := range []string{"memex_version_folds_total 7\n", "memex_version_fold_errors_total 2\n"} {
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("metrics missing %q", want)
+		}
 	}
 }
 

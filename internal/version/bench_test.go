@@ -5,7 +5,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 )
 
 // The microbenchmarks below pin down the three costs the epoch-layer
@@ -13,8 +12,8 @@ import (
 // size), snapshot read throughput as reader count grows (lock-free, so
 // per-op cost must stay flat instead of collapsing on a store mutex —
 // on multicore hardware aggregate throughput then scales linearly), and
-// the GC pause (compaction happens off the read path; only the producer
-// side ever waits for it).
+// what tiering adds to the producer's critical section (the merge happens
+// off the read path; only the producer side ever waits for it).
 
 func benchStore(keys int) (*Store, []string) {
 	s := NewStore()
@@ -29,7 +28,7 @@ func benchStore(keys int) (*Store, []string) {
 }
 
 // BenchmarkPublish128 measures producer throughput at the E9 batch shape
-// (128 keys per epoch) with periodic compaction.
+// (128 keys per epoch), tier merges included.
 func BenchmarkPublish128(b *testing.B) {
 	s, names := benchStore(128)
 	val := []byte("v")
@@ -41,9 +40,6 @@ func BenchmarkPublish128(b *testing.B) {
 			batch.Put(k, val)
 		}
 		batch.Publish()
-		if i%256 == 255 {
-			s.GC()
-		}
 	}
 }
 
@@ -102,9 +98,6 @@ func BenchmarkSnapshotReadUnderPublish(b *testing.B) {
 					}
 					batch.Publish()
 					published++
-					if published%256 == 0 {
-						s.GC()
-					}
 				}
 			}()
 			var next atomic.Int64
@@ -148,34 +141,10 @@ func BenchmarkAcquireRelease(b *testing.B) {
 	}
 }
 
-// BenchmarkGCPause reports the wall-clock cost of one compaction after
-// 256 published epochs of 64 keys — the pause the version-gc demon (not
-// any reader) absorbs.
-func BenchmarkGCPause(b *testing.B) {
-	var total time.Duration
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		s, names := benchStore(64)
-		for e := 0; e < 256; e++ {
-			batch := s.BeginSized(len(names))
-			for _, k := range names {
-				batch.Put(k, []byte("v"))
-			}
-			batch.Publish()
-		}
-		b.StartTimer()
-		t0 := time.Now()
-		s.GC()
-		total += time.Since(t0)
-	}
-	b.ReportMetric(float64(total.Nanoseconds())/float64(b.N), "ns/gc")
-}
-
 // --- shard scaling ---
 //
 // The benchmarks below pin the sharding claims: publish throughput under
-// concurrent batch builders, GC wall-clock shrinking as shards compact in
-// parallel, and single-reader Get latency staying flat from 1 shard (the
+// concurrent batch builders and single-reader Get latency staying flat from 1 shard (the
 // PR 1 layout) to many.
 
 func shardCounts() []int {
@@ -211,9 +180,6 @@ func BenchmarkPublishShardScaling(b *testing.B) {
 					batch.Put(k, val)
 				}
 				batch.Publish()
-				if i%256 == 255 {
-					s.GC()
-				}
 			}
 		})
 	}
@@ -234,37 +200,6 @@ func BenchmarkGetShardScaling(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				snap.Get(names[i%len(names)])
 			}
-		})
-	}
-}
-
-// BenchmarkGCShardScaling measures one full-store compaction of a large
-// archive (8192 keys × 24 superseded epochs), across shard counts: the
-// merge work is fixed, each shard's slice of it runs on its own
-// goroutine outside the store mutex, so on multicore hardware wall-clock
-// drops as shards compact in parallel. On a single-CPU box the numbers
-// degenerate to the serial merge cost (flat across shard counts) — the
-// concurrency itself is exercised by TestParallelShardGCUnderPublish.
-func BenchmarkGCShardScaling(b *testing.B) {
-	for _, shards := range shardCounts() {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			var total time.Duration
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				s, names := benchShardedStore(shards, 8192)
-				for e := 0; e < 24; e++ {
-					batch := s.BeginSized(len(names))
-					for _, k := range names {
-						batch.Put(k, []byte("v"))
-					}
-					batch.Publish()
-				}
-				b.StartTimer()
-				t0 := time.Now()
-				s.GC()
-				total += time.Since(t0)
-			}
-			b.ReportMetric(float64(total.Nanoseconds())/float64(b.N), "ns/gc")
 		})
 	}
 }
@@ -295,9 +230,6 @@ func BenchmarkParallelPublishers(b *testing.B) {
 							batch.Put(k, val)
 						}
 						batch.Publish()
-						if i%256 == 255 {
-							s.GC()
-						}
 					}
 				}()
 			}

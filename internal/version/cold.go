@@ -51,6 +51,13 @@ package version
 // two in agreement knows no round was torn, trusts the counts, and skips
 // the O(cold tier) scan entirely. Only an archive whose last round died
 // mid-flight — or one predating the meta — pays the full scan-and-purge.
+//
+// A round that fails in process (a kvstore error, or a fold hook) is the
+// same event seen from inside: what it wrote stays on disk, shadowed by the
+// layers it did not splice, and the next round writes those layers again.
+// The running counts cannot follow that, so a failed round leaves them
+// marked and the next round to complete recounts them with the scan Open
+// uses (coldTier.scanRecords) before it vouches for them in m/done.
 
 import (
 	"encoding/binary"
@@ -72,10 +79,15 @@ const MaxColdKeyLen = 256
 const (
 	coldFlagTomb = 1 << 0 // record is a tombstone (no payload)
 
-	// defaultFoldMin is the foldable-entry count below which a periodic
+	// foldMinEntries is the foldable-entry count below which a periodic
 	// GC leaves data in memory (tiny folds would churn the WAL for no
 	// memory win). Fold and Close always fold everything.
-	defaultFoldMin = 4096
+	foldMinEntries = 4096
+
+	// foldChunk is the number of kvstore records per bulk-write chunk
+	// during a fold: concurrent kvstore readers wait on the write lock for
+	// one chunk at most.
+	foldChunk = kvstore.DefaultWriteChunk
 )
 
 // coldTier is the store's handle on its disk keyspace.
@@ -90,7 +102,12 @@ type coldTier struct {
 
 	// records counts live part-0 records per shard (logical versions on
 	// disk, superseded versions included until cleanup catches up).
+	// recount says the counts cannot be trusted: a fold sets it before its
+	// first record write and clears it when it completes, so it is still set
+	// after a round that failed, and the next round to complete replaces the
+	// counts with a scan. Guarded by foldMu.
 	records []atomic.Int64
+	recount bool
 
 	// gen is the fold-round generation: m/gen is persisted before a
 	// round's record writes and m/done (same gen + per-shard counts) after
@@ -105,18 +122,13 @@ type coldTier struct {
 	readMisses atomic.Uint64 // fallthrough gets that found nothing
 	folds      atomic.Uint64 // completed fold rounds
 	foldedN    atomic.Uint64 // in-memory entries folded to disk, cumulative
+	foldErrs   atomic.Uint64 // fold rounds that returned an error
+	lastErr    atomic.Pointer[string]
 
 	// recoveryScanned is the number of record keys Open's purge scan
 	// examined (0 after a clean open, which skips the scan entirely).
 	recoveryScanned int64
 	cleanOpen       bool
-
-	// reprobe marks shards whose last fold's splice was abandoned: their
-	// layers stayed in memory, so the next fold re-writes the same
-	// (key, epoch) records — overwrites, not new disk records — and must
-	// probe before counting, or Records would drift upward. Fold-only
-	// state, guarded by foldMu.
-	reprobe []bool
 }
 
 // FoldPoint names a crash-injection point inside a fold, in execution
@@ -158,13 +170,6 @@ type Options struct {
 	// before remembers its count — key→shard routing must match the keys
 	// already on disk — and overrides this value.
 	Shards int
-	// FoldMinEntries is the foldable-entry count below which periodic GC
-	// keeps data in memory (default 4096). Fold and Close ignore it.
-	FoldMinEntries int
-	// FoldChunk is the number of kvstore records per bulk-write chunk
-	// during a fold (default kvstore.DefaultWriteChunk). Smaller chunks
-	// bound how long concurrent kvstore readers wait on the write lock.
-	FoldChunk int
 }
 
 // Open builds a store whose cold tier lives under prefix in kv, and
@@ -193,7 +198,6 @@ func Open(kv *kvstore.Store, prefix string, o Options) (*Store, error) {
 	}
 	c.wm.Store(wm)
 	c.records = make([]atomic.Int64, s.Shards())
-	c.reprobe = make([]bool, s.Shards())
 
 	// Fast path: a cleanly-finished archive carries matching m/gen and
 	// m/done generation records (the fold writes gen before a round's
@@ -227,38 +231,19 @@ func Open(kv *kvstore.Store, prefix string, o Options) (*Store, error) {
 		// its watermark write; serving it would leak an epoch the
 		// contract says was lost, and colliding with a reissued epoch
 		// number would be worse.
-		var stale [][]byte
-		err := kv.ScanPrefix(c.recPrefix(), func(k, v []byte) bool {
-			c.recoveryScanned++
-			shard, _, epoch, part, ok := c.parseRecordKey(k)
-			if !ok {
-				return true // foreign or corrupt key: leave it alone
-			}
-			if epoch > wm {
-				stale = append(stale, append([]byte(nil), k...))
-				return true
-			}
-			if part == 0 && int(shard) < len(c.records) {
-				c.records[shard].Add(1)
-			}
-			return true
-		})
+		stale, scanned, err := c.scanRecords(wm)
 		if err != nil {
 			return nil, fmt.Errorf("version: recover cold tier: %w", err)
 		}
+		c.recoveryScanned = scanned
 		if len(stale) > 0 {
-			if err := kv.DeleteBatchChunked(stale, o.FoldChunk); err != nil {
+			if err := kv.DeleteBatchChunked(stale, foldChunk); err != nil {
 				return nil, fmt.Errorf("version: purge torn fold: %w", err)
 			}
 		}
 	}
 
 	s.cold = c
-	s.foldMin = o.FoldMinEntries
-	if s.foldMin <= 0 {
-		s.foldMin = defaultFoldMin
-	}
-	s.foldChunk = o.FoldChunk
 
 	// Resume: new snapshots pin the recovered watermark, and epoch
 	// allocation restarts above it so no recovered record's epoch is ever
@@ -494,6 +479,51 @@ func (c *coldTier) appendRecord(dst []kvstore.KV, shard uint32, key string, epoc
 
 // --- read path ---
 
+// runDecoder steps through one key's version run — its records in key
+// order, newest version first, a version's parts adjacent — and assembles
+// the newest version at or below max. Both readers of a run drive it: get
+// over one key's prefix, scanShard over a whole shard, one decoder per key.
+type runDecoder struct {
+	max   uint64 // the snapshot's epoch: versions above it are skipped
+	val   []byte
+	epoch uint64 // the version being assembled
+	need  int    // its part count; 0 while no version is being assembled
+	have  int    // parts collected so far
+	live  bool   // decided: val is the key's value
+	dead  bool   // decided: a tombstone ends the key
+}
+
+// step consumes the run's next record and reports whether the run is decided
+// (live or dead); the caller stops feeding a decided run.
+func (d *runDecoder) step(epoch uint64, part uint16, v []byte) bool {
+	if d.need > 0 && (epoch != d.epoch || int(part) != d.have) {
+		// Torn multi-part record (cannot happen for a version at or below
+		// the durable watermark — see the crash contract — but degrade to
+		// the next older version rather than a false miss).
+		d.val, d.need = nil, 0
+	}
+	if d.need > 0 {
+		d.val = append(d.val, v...)
+		d.have++
+	} else {
+		if epoch > d.max || part != 0 || len(v) < 1 {
+			return false // above the snapshot, or a torn version's stray part
+		}
+		if v[0]&coldFlagTomb != 0 {
+			d.dead = true
+			return true
+		}
+		n, w := binary.Uvarint(v[1:])
+		if w <= 0 || n == 0 {
+			return false
+		}
+		d.epoch, d.need, d.have = epoch, int(n), 1
+		d.val = append(d.val, v[1+w:]...)
+	}
+	d.live = d.have == d.need
+	return d.live
+}
+
 // get returns the newest cold value for key with epoch <= max. It runs on
 // the snapshot read path: one short prefix scan of the key's version run,
 // through the read-only kvstore handle. kvstore-level failures count as a
@@ -501,59 +531,19 @@ func (c *coldTier) appendRecord(dst []kvstore.KV, shard uint32, key string, epoc
 // has no error channel on Get, and a miss degrades to a refetch upstream.
 func (c *coldTier) get(shard uint32, key string, max uint64) ([]byte, bool) {
 	c.reads.Add(1)
-	var (
-		val      []byte
-		found    bool
-		done     bool
-		tomb     bool
-		want     uint64
-		need     int
-		lastPart = -1
-	)
+	d := runDecoder{max: max}
 	err := c.rd.ScanPrefix(c.runPrefix(shard, key), func(k, v []byte) bool {
 		_, _, epoch, part, ok := c.parseRecordKey(k)
-		if !ok {
-			return true
-		}
-		if found && (epoch != want || int(part) != lastPart+1) {
-			// Torn multi-part record (cannot happen for a version at or
-			// below the durable watermark — see the crash contract — but
-			// degrade to the next older version rather than a false miss).
-			val, found = nil, false
-		}
-		if !found {
-			if epoch > max || part != 0 || len(v) < 1 {
-				return true // above the snapshot, or a torn run's stray part
-			}
-			if v[0]&coldFlagTomb != 0 {
-				tomb, done = true, true
-				return false
-			}
-			n, w := binary.Uvarint(v[1:])
-			if w <= 0 {
-				return true
-			}
-			found, want, need, lastPart = true, epoch, int(n), 0
-			val = append(val, v[1+w:]...)
-			done = need == 1
-			return !done
-		}
-		// Collect this version's remaining parts (adjacent in the run).
-		lastPart = int(part)
-		val = append(val, v...)
-		done = lastPart+1 == need
-		return !done
+		return !ok || !d.step(epoch, part, v)
 	})
 	if err != nil {
 		c.readErrs.Add(1)
+	}
+	if err != nil || !d.live {
 		c.readMisses.Add(1)
 		return nil, false
 	}
-	if tomb || !found || !done {
-		c.readMisses.Add(1)
-		return nil, false
-	}
-	return val, true
+	return d.val, true
 }
 
 // scanShard walks one shard's keyspace yielding each key's newest live
@@ -561,78 +551,30 @@ func (c *coldTier) get(shard uint32, key string, max uint64) ([]byte, bool) {
 // multi-part values reassembled). fn returning false stops the scan.
 func (c *coldTier) scanShard(shard uint32, max uint64, fn func(key string, value []byte) bool) error {
 	var (
-		curKey   string
-		started  bool
-		done     bool // emitted (or tombstoned) the current key already
-		val      []byte
-		have     bool
-		need     int
-		want     uint64
-		lastPart int
+		curKey  string
+		started bool
+		d       runDecoder
 	)
-	emit := func() bool {
-		if !have || lastPart+1 != need {
-			have = false
-			return true
-		}
-		have = false
-		return fn(curKey, val)
-	}
 	err := c.rd.ScanPrefix(c.shardPrefix(shard), func(k, v []byte) bool {
 		_, key, epoch, part, ok := c.parseRecordKey(k)
 		if !ok {
 			return true
 		}
 		if !started || key != curKey {
-			if started && have {
-				if !emit() {
-					return false
-				}
-			}
-			curKey, started, done, have = key, true, false, false
+			curKey, started, d = key, true, runDecoder{max: max}
 		}
-		if done {
-			return true
+		if d.live || d.dead {
+			return true // the rest of a decided run is older versions
 		}
-		if have && (epoch != want || int(part) != lastPart+1) {
-			have = false // torn record: fall through to older versions
-		}
-		if !have {
-			if epoch > max || part != 0 || len(v) < 1 {
-				return true
-			}
-			if v[0]&coldFlagTomb != 0 {
-				done = true
-				return true
-			}
-			n, w := binary.Uvarint(v[1:])
-			if w <= 0 {
-				return true
-			}
-			have, want, need, lastPart = true, epoch, int(n), 0
-			val = append([]byte(nil), v[1+w:]...)
-			if need == 1 {
-				done = true
-				return emit()
-			}
-			return true
-		}
-		lastPart = int(part)
-		val = append(val, v...)
-		if lastPart+1 == need {
-			done = true
-			return emit()
+		if d.step(epoch, part, v) && d.live {
+			return fn(curKey, d.val)
 		}
 		return true
 	})
 	if err != nil {
 		c.readErrs.Add(1)
-		return err
 	}
-	if started && have {
-		emit()
-	}
-	return nil
+	return err
 }
 
 // --- fold ---
@@ -642,11 +584,9 @@ func (c *coldTier) scanShard(shard uint32, max uint64, fn func(key string, value
 // of in-memory entries moved to disk. The floor is the pin floor when no
 // merged layer spans it, and otherwise the nearest epoch below that every
 // chain splits at — no lower than the watermark at which the previous
-// round started, unless a GCShard compaction crossed that too. It is the
-// cold-tier analogue of GC: safe to run concurrently with Publish and
-// snapshot reads (pinned snapshots keep their captured chains, and
-// everything folded is at or below every pin by construction). Concurrent
-// folds serialise.
+// round started. It is safe to run concurrently with Publish and snapshot
+// reads (pinned snapshots keep their captured chains, and everything folded
+// is at or below every pin by construction). Concurrent folds serialise.
 func (s *Store) Fold() (int, error) {
 	if s.cold == nil {
 		return 0, fmt.Errorf("version: store has no cold tier")
@@ -677,37 +617,73 @@ type coldRec struct {
 	epoch uint64
 }
 
-func (s *Store) fold() (int, error) {
+// scanRecords walks every record key once and resets the per-shard counts
+// to what is on disk at or below wm: Open's recovery path, and the recount
+// a fold owes after a round that failed. It returns the keys above wm — a
+// torn round's leftovers, which Open purges — and how many keys it examined.
+func (c *coldTier) scanRecords(wm uint64) (stale [][]byte, scanned int64, err error) {
+	counts := make([]int64, len(c.records))
+	err = c.rd.ScanPrefix(c.recPrefix(), func(k, _ []byte) bool {
+		scanned++
+		shard, _, epoch, part, ok := c.parseRecordKey(k)
+		switch {
+		case !ok: // foreign or corrupt key: leave it alone
+		case epoch > wm:
+			stale = append(stale, append([]byte(nil), k...))
+		case part == 0 && int(shard) < len(counts):
+			counts[shard]++
+		}
+		return true
+	})
+	if err != nil {
+		return nil, scanned, err
+	}
+	for i, n := range counts {
+		c.records[i].Store(n)
+	}
+	return stale, scanned, nil
+}
+
+func (s *Store) fold() (reclaimed int, err error) {
 	c := s.cold
 	s.foldMu.Lock()
 	defer s.foldMu.Unlock()
+	defer func() {
+		if err != nil {
+			c.foldErrs.Add(1)
+			msg := err.Error()
+			c.lastErr.Store(&msg)
+		}
+	}()
 
 	// The floor is the pin floor lowered to an epoch every chain splits at
 	// (foldFloorLocked): the watermark written below vouches for every batch
 	// at or below it, in every shard. Planting the tier fence in the same
-	// critical section that captures the chains keeps the splice below
-	// possible — from here on no publish re-tiers a layer this round may
-	// write — and gives the next round an epoch no merge spans to fall back
-	// to.
+	// critical section that captures the chains is what makes the splice
+	// below certain — from here on no publish re-tiers a layer this round may
+	// write, and nothing else replaces layers — and gives the next round an
+	// epoch no merge spans to fall back to.
 	s.mu.Lock()
 	cur := s.current.Load()
 	floor := s.foldFloorLocked(cur)
 	s.tierFence = cur.watermark
 	s.mu.Unlock()
 	wm := c.wm.Load()
-	// Nothing new below the floor since the last fold — unless a prior
-	// round's splice was abandoned: those shards' layers are durable but
-	// still resident, and with idle ingest the floor never advances, so
-	// without a retry here they would stay in RAM forever.
-	retry := false
-	for i := range c.reprobe {
-		if c.reprobe[i] {
-			retry = true
-			break
-		}
+
+	// The sub-chain at or below the floor is immutable, and no new layer can
+	// appear below the floor (epochs still publishing are all above the
+	// watermark ≥ floor). Layers at or below the durable watermark are
+	// resident only after a round that failed past its watermark write; this
+	// round writes them again and finishes that one's work.
+	n := s.Shards()
+	heads := make([]*layer, n)
+	idle := floor <= wm // no new epoch to vouch for
+	for i := range heads {
+		heads[i] = splitAt(cur.shards[i], floor)
+		idle = idle && heads[i] == nil
 	}
-	if floor <= wm && !retry {
-		return 0, nil
+	if idle {
+		return 0, nil // and nothing to move
 	}
 
 	// Open the fold round's generation before any record lands: while
@@ -724,16 +700,11 @@ func (s *Store) fold() (int, error) {
 	c.gen.Store(gen)
 
 	// Merge each shard's foldable sub-chain newest-first (first write
-	// wins), entirely outside any lock — the sub-chain at or below the
-	// floor is immutable, and no new layer can appear below the floor
-	// (epochs still publishing are all above the watermark ≥ floor).
-	n := s.Shards()
-	heads := make([]*layer, n)
+	// wins), entirely outside any lock.
 	merged := make([]map[string]coldRec, n)
 	resident := make([]int, n) // in-memory entry count of each folded sub-chain
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
-		heads[i] = splitAt(cur.shards[i], floor)
 		if heads[i] == nil {
 			continue
 		}
@@ -756,11 +727,7 @@ func (s *Store) fold() (int, error) {
 
 	// Write the round's records, chunked so concurrent kvstore readers
 	// (cold fallthroughs, the engine's RDBMS) interleave between chunks.
-	// A record only counts toward the shard's disk total when it is new:
-	// after an abandoned splice the same (key, epoch) records fold again
-	// as pure overwrites, so those shards probe before counting.
 	var pairs []kvstore.KV
-	written := make([]int64, n)
 	//memexvet:ignore lockiter foldMu only serialises background folds; no reader or publisher path ever waits on it
 	for i, m := range merged {
 		for k, r := range m {
@@ -769,12 +736,16 @@ func (s *Store) fold() (int, error) {
 			if err != nil {
 				return 0, err
 			}
-			if !c.reprobe[i] || !c.recordExists(uint32(i), k, r.epoch) {
-				written[i]++
-			}
 		}
 	}
-	if err := c.kv.PutBatchChunked(pairs, s.foldChunk); err != nil {
+	// From the first record write until the round completes the running
+	// counts are behind the disk; an error return anywhere below leaves them
+	// marked. A round that found them marked — the one before it failed, and
+	// some of what this one writes is that round's records over again — does
+	// not add to them: it recounts once the disk has settled.
+	recount := c.recount
+	c.recount = true
+	if err := c.kv.PutBatchChunked(pairs, foldChunk); err != nil {
 		return 0, err
 	}
 	if err := s.foldPoint(FoldAfterWrite); err != nil {
@@ -784,8 +755,8 @@ func (s *Store) fold() (int, error) {
 	// Persist shard count (idempotent) and the new watermark. The
 	// watermark write is the fold's commit point: it follows every record
 	// in WAL order, so "watermark durable" implies "records durable". A
-	// retry round at an unchanged floor re-wrote only already-durable
-	// records, so it has nothing to commit.
+	// round at an unchanged floor re-wrote only already-durable records, so
+	// it has nothing to commit.
 	if floor > wm {
 		var meta [8]byte
 		binary.BigEndian.PutUint64(meta[:], floor)
@@ -803,15 +774,11 @@ func (s *Store) fold() (int, error) {
 		}
 	}
 
-	// Splice the folded layers out of each chain. Per-shard
-	// abandon-on-conflict, exactly like GC: if a concurrent GCShard
-	// replaced a sub-chain while we folded, that shard keeps its memory
-	// until the next round — its records are on disk either way, and the
-	// in-memory chain shadows them, so dropping the splice is always safe.
-	// Only spliced shards count toward the reclaimed/folded totals: an
-	// abandoned shard's entries are still resident and will be counted by
-	// the round that finally reclaims them.
-	reclaimed := 0
+	// Splice the folded layers out of each chain. Every captured sub-chain
+	// is still where it was: tier stops at the fence planted above and
+	// nothing else replaces a layer. Were one not, its records are durable
+	// and its layers shadow them, so leaving every chain as it is loses
+	// nothing; the round fails loudly instead of guessing.
 	s.mu.Lock()
 	cur2 := s.current.Load()
 	shards := slices.Clone(cur2.shards)
@@ -820,11 +787,10 @@ func (s *Store) fold() (int, error) {
 			continue
 		}
 		if splitAt(cur2.shards[i], floor) != heads[i] {
-			c.reprobe[i] = true // layers stay in memory; next fold re-writes them
-			continue
+			s.mu.Unlock()
+			return 0, fmt.Errorf("version: fold at floor %d: shard %d's sub-chain was replaced while the round wrote it; its layers stay resident", floor, i)
 		}
 		shards[i] = spliceAbove(cur2.shards[i], heads[i], nil)
-		c.reprobe[i] = false
 		reclaimed += resident[i]
 	}
 	if reclaimed > 0 {
@@ -834,17 +800,26 @@ func (s *Store) fold() (int, error) {
 		s.gcReclaimed += uint64(reclaimed)
 	}
 	s.mu.Unlock()
-
-	for i := range written {
-		c.records[i].Add(written[i])
-	}
 	c.folds.Add(1)
 	c.foldedN.Add(uint64(reclaimed))
 
 	// Reclaim superseded disk versions. Safe only now: the watermark
 	// covering the new versions is durable, so deleting what they shadow
 	// can never lose the newest-at-or-below-watermark value, even torn.
-	s.cleanupSuperseded(merged)
+	freed, err := s.cleanupSuperseded(merged)
+	if err != nil {
+		return reclaimed, fmt.Errorf("version: fold cleanup: %w", err)
+	}
+	if recount {
+		if _, _, err := c.scanRecords(floor); err != nil {
+			return reclaimed, fmt.Errorf("version: fold recount: %w", err)
+		}
+	} else {
+		for i, m := range merged {
+			c.records[i].Add(int64(len(m)) - freed[i])
+		}
+	}
+	c.recount = false
 
 	// Close the generation: the round is fully complete, so persist the
 	// final per-shard record counts alongside the gen. Failure is
@@ -853,22 +828,16 @@ func (s *Store) fold() (int, error) {
 	return reclaimed, nil
 }
 
-// recordExists reports whether the (key, epoch) record's first part is
-// already on disk (used only on the abandoned-splice re-fold path).
-func (c *coldTier) recordExists(shard uint32, key string, epoch uint64) bool {
-	_, ok, err := c.rd.Get(c.recordKey(shard, key, epoch, 0))
-	return err == nil && ok
-}
-
 // cleanupSuperseded deletes, for every key a fold just rewrote, all older
 // disk versions — and, when the newest surviving version is a tombstone,
-// the tombstone itself (nothing is left for it to shadow). Failures are
-// ignored: leftover versions are invisible behind newer ones and the next
-// fold of the key retries.
-func (s *Store) cleanupSuperseded(merged []map[string]coldRec) {
+// the tombstone itself (nothing is left for it to shadow) — and returns how
+// many part-0 records it freed per shard. A failure may have deleted some
+// of them: the round ends there with the counts marked, leftover versions
+// stay invisible behind newer ones, and the next fold of the key retries.
+func (s *Store) cleanupSuperseded(merged []map[string]coldRec) (freed []int64, err error) {
 	c := s.cold
 	var dead [][]byte
-	freed := make([]int64, len(merged))
+	freed = make([]int64, len(merged))
 	for i, m := range merged {
 		for k, r := range m {
 			var tombRun [][]byte
@@ -897,14 +866,9 @@ func (s *Store) cleanupSuperseded(merged []map[string]coldRec) {
 		}
 	}
 	if len(dead) == 0 {
-		return
+		return freed, nil
 	}
-	if err := c.kv.DeleteBatchChunked(dead, s.foldChunk); err != nil {
-		return
-	}
-	for i := range freed {
-		c.records[i].Add(-freed[i])
-	}
+	return freed, c.kv.DeleteBatchChunked(dead, foldChunk)
 }
 
 // ColdStats summarises the disk tier.
@@ -921,6 +885,11 @@ type ColdStats struct {
 	// number of in-memory entries moved to disk.
 	Folds         uint64
 	FoldedEntries uint64
+	// FoldErrors counts fold rounds that failed, LastFoldError is the newest
+	// one's text. A failed round loses nothing — its layers stay resident
+	// and shadow whatever it wrote — but memory is not coming down.
+	FoldErrors    uint64
+	LastFoldError string
 	// Reads counts snapshot gets that fell through the in-memory chains
 	// to disk; ReadMisses is the subset that found nothing there (the
 	// cost the rin/ chunk-window hint exists to eliminate — see
@@ -943,6 +912,7 @@ func (c *coldTier) stats() *ColdStats {
 		Watermark:       c.wm.Load(),
 		Folds:           c.folds.Load(),
 		FoldedEntries:   c.foldedN.Load(),
+		FoldErrors:      c.foldErrs.Load(),
 		Reads:           c.reads.Load(),
 		ReadMisses:      c.readMisses.Load(),
 		ReadErrors:      c.readErrs.Load(),
@@ -950,6 +920,9 @@ func (c *coldTier) stats() *ColdStats {
 		CleanOpen:       c.cleanOpen,
 		RecoveryScanned: c.recoveryScanned,
 		Shards:          make([]int64, len(c.records)),
+	}
+	if msg := c.lastErr.Load(); msg != nil {
+		st.LastFoldError = *msg
 	}
 	for i := range c.records {
 		n := c.records[i].Load()

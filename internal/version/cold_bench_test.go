@@ -25,20 +25,20 @@ func openBenchCold(b *testing.B, o Options) (*kvstore.Store, *Store) {
 }
 
 // BenchmarkFoldBoundedMemory is the ISSUE 3 acceptance benchmark: ingest
-// 10× the fold threshold with periodic GC and report the heap high-water
+// 10× the fold threshold with a GC tick per threshold's worth and report the heap high-water
 // and the in-memory entry high-water. With the cold tier the heap curve
 // stays flat at roughly the threshold's working set no matter how much is
 // ingested; TestFoldBoundsMemory asserts the deterministic half (entry
 // count bounded, zero lost epochs across restart).
 func BenchmarkFoldBoundedMemory(b *testing.B) {
-	const threshold = 4096
+	const threshold = foldMinEntries
 	val := make([]byte, 256)
 	for i := range val {
 		val[i] = byte(i)
 	}
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		kv, s := openBenchCold(b, Options{Shards: 8, FoldMinEntries: threshold})
+		kv, s := openBenchCold(b, Options{Shards: 8})
 		runtime.GC()
 		var base runtime.MemStats
 		runtime.ReadMemStats(&base)
@@ -81,7 +81,7 @@ func BenchmarkFoldBoundedMemory(b *testing.B) {
 // cold tier's bulk writes: in-memory chain hits never touch the kvstore,
 // so their ~20ns latency must hold while folds run in the background.
 func BenchmarkSnapshotGetHotDuringFold(b *testing.B) {
-	kv, s := openBenchCold(b, Options{Shards: 8, FoldMinEntries: 1})
+	kv, s := openBenchCold(b, Options{Shards: 8})
 	defer kv.Close()
 	// A cold base (folded) plus a hot working set that keeps re-folding.
 	for i := 0; i < 4096; i++ {

@@ -135,9 +135,17 @@ func TestColdHotShadowsCold(t *testing.T) {
 	}
 	sn.Release()
 
-	// And the shadowing must survive the next fold + a restart.
+	// And the shadowing must survive the next fold + a restart. The fold
+	// writes the tombstone through, and once it is durable reclaims it
+	// together with the record it shadowed: only a's new version is left.
 	if _, err := s.Fold(); err != nil {
 		t.Fatal(err)
+	}
+	if got := s.VersionCount(); got != 0 {
+		t.Fatalf("%d versions still resident after the fold", got)
+	}
+	if got, phys := s.ColdRecords(), physicalRecords(s, kv); got != 1 || phys != 1 {
+		t.Fatalf("ColdRecords = %d, %d on disk; want 1 (b's record went with its tombstone, a's old version with the new one)", got, phys)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -273,94 +281,120 @@ func TestCrashRecoveryMidFold(t *testing.T) {
 	}
 }
 
-// TestColdRecordsSurviveAbandonedSplice: when an in-memory compaction
-// replaces a shard's sub-chain while a fold is writing (the
-// abandon-on-conflict path), the layers stay in memory and the next fold
-// re-writes records it already wrote — some at identical epochs. Reads
-// must stay correct and the Records stat must match the physical record
-// count on disk, not drift upward with every re-fold.
-func TestColdRecordsSurviveAbandonedSplice(t *testing.T) {
-	dir := t.TempDir()
-	kv := openKV(t, dir)
-	defer kv.Close()
-	s := openCold(t, kv, Options{Shards: 2})
-
-	model := map[string]string{}
-	for i := 0; i < 20; i++ {
-		k, v := fmt.Sprintf("k%02d", i), fmt.Sprintf("v%02d", i)
-		publishKV(t, s, map[string]string{k: v})
-		model[k] = v
-	}
-	// Last batch carries several keys, so after the conflicting merge
-	// those entries keep their epoch — the exact-overwrite case.
-	last := map[string]string{}
-	for i := 20; i < 25; i++ {
-		last[fmt.Sprintf("k%02d", i)] = fmt.Sprintf("v%02d", i)
-	}
-	publishKV(t, s, last)
-	for k, v := range last {
-		model[k] = v
-	}
-
-	// While the fold is mid-flight (records written, watermark durable,
-	// splice not yet attempted), compact every shard in memory: the
-	// sub-chains change under the fold, so its splice is abandoned and
-	// every layer stays resident for the next round.
-	s.SetFoldHook(func(p FoldPoint) error {
-		if p == FoldAfterWatermark {
-			for i := 0; i < s.Shards(); i++ {
-				s.GCShard(i)
-			}
-		}
-		return nil
-	})
-	if _, err := s.Fold(); err != nil {
-		t.Fatal(err)
-	}
-	s.SetFoldHook(nil)
-
-	// The abandoned shards' layers are durable but still resident. With
-	// ingest idle the floor cannot advance, yet the very next fold must
-	// retry the splice and reclaim the memory — not no-op forever.
-	if s.VersionCount() == 0 {
-		t.Fatal("test setup: splice was not abandoned")
-	}
-	if _, err := s.Fold(); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.VersionCount(); got != 0 {
-		t.Fatalf("%d entries still resident after idle-floor retry fold", got)
-	}
-
-	// Publish once more (the fold floor advances) and re-fold twice.
-	publishKV(t, s, map[string]string{"extra": "x"})
-	model["extra"] = "x"
-	if _, err := s.Fold(); err != nil {
-		t.Fatal(err)
-	}
-	publishKV(t, s, map[string]string{"extra2": "y"})
-	model["extra2"] = "y"
-	if _, err := s.Fold(); err != nil {
-		t.Fatal(err)
-	}
-
-	sn := s.Acquire()
-	defer sn.Release()
-	for k, v := range model {
-		if got, ok := sn.Get(k); !ok || string(got) != v {
-			t.Fatalf("Get(%s) = %q,%v after abandoned-splice churn, want %q", k, got, ok, v)
-		}
-	}
-	// The stat must agree with a physical recount of part-0 records.
-	physical := int64(0)
+// physicalRecords counts the part-0 records on disk: what ColdRecords claims
+// to know without looking.
+func physicalRecords(s *Store, kv *kvstore.Store) int64 {
+	n := int64(0)
 	kv.ScanPrefix([]byte("vc/r/"), func(k, _ []byte) bool {
 		if _, _, _, part, ok := s.cold.parseRecordKey(k); ok && part == 0 {
-			physical++
+			n++
 		}
 		return true
 	})
-	if got := s.ColdRecords(); got != physical {
-		t.Fatalf("ColdRecords = %d, physical part-0 records = %d: stat drifted", got, physical)
+	return n
+}
+
+// TestColdRecordsSurviveAbandonedSplice: a fold that fails after its record
+// writes — before or after its watermark write — abandons its splice. The
+// data is never at risk: the layers stay resident and shadow whatever the
+// round wrote, and had the process died instead, Open would have purged
+// what lies above the watermark. What is at risk is the bookkeeping: the
+// round's records are on disk uncounted, the next round overwrites some and
+// its cleanup deletes others, and m/done vouches for the result to every
+// later clean reopen. So: the failure is counted where an operator sees it,
+// every key reads its newest value throughout, the next fold — with ingest
+// idle or after republishes — reclaims the memory, and ColdRecords equals a
+// physical recount, in process and after a clean reopen that scans nothing.
+func TestColdRecordsSurviveAbandonedSplice(t *testing.T) {
+	errInjected := errors.New("injected fold failure")
+	for _, point := range []FoldPoint{FoldAfterWrite, FoldAfterWatermark} {
+		for _, idle := range []bool{true, false} {
+			t.Run(fmt.Sprintf("point=%d/idle=%v", point, idle), func(t *testing.T) {
+				kv := openKV(t, t.TempDir())
+				defer kv.Close()
+				s := openCold(t, kv, Options{Shards: 2})
+				model := map[string]string{}
+				round := func(tag string) {
+					for i := 0; i < 10; i++ {
+						k := fmt.Sprintf("k%02d", i)
+						model[k] = tag + k
+						publishKV(t, s, map[string]string{k: model[k]})
+					}
+				}
+				check := func(when string) {
+					t.Helper()
+					sn := s.Acquire()
+					defer sn.Release()
+					for k, v := range model {
+						if got, ok := sn.Get(k); !ok || string(got) != v {
+							t.Fatalf("%s: Get(%s) = %q,%v, want %q", when, k, got, ok, v)
+						}
+					}
+				}
+
+				round("r1-")
+				if _, err := s.Fold(); err != nil {
+					t.Fatal(err)
+				}
+				round("r2-")
+				s.SetFoldHook(func(p FoldPoint) error {
+					if p == point {
+						return errInjected
+					}
+					return nil
+				})
+				if _, err := s.Fold(); !errors.Is(err, errInjected) {
+					t.Fatalf("Fold error = %v, want the injected failure", err)
+				}
+				s.SetFoldHook(nil)
+				if st := s.StoreStats().Cold; st.FoldErrors != 1 || st.LastFoldError != errInjected.Error() {
+					t.Fatalf("FoldErrors = %d, LastFoldError = %q after one failed round", st.FoldErrors, st.LastFoldError)
+				}
+				if s.VersionCount() == 0 {
+					t.Fatal("the failed round spliced its layers out")
+				}
+				check("after the failed round")
+
+				if idle {
+					// With ingest idle the floor cannot advance, yet the very
+					// next fold must finish the job — not no-op forever.
+					if _, err := s.Fold(); err != nil {
+						t.Fatal(err)
+					}
+					if got := s.VersionCount(); got != 0 {
+						t.Fatalf("%d entries still resident after the idle-floor fold", got)
+					}
+					check("after the idle-floor fold")
+					if got, phys := s.ColdRecords(), physicalRecords(s, kv); got != phys {
+						t.Fatalf("ColdRecords = %d after the idle-floor fold, %d part-0 records on disk", got, phys)
+					}
+				}
+				round("r3-")
+				if _, err := s.Fold(); err != nil {
+					t.Fatal(err)
+				}
+				check("after the next round")
+				if got, phys := s.ColdRecords(), physicalRecords(s, kv); got != phys || phys != int64(len(model)) {
+					t.Fatalf("ColdRecords = %d, %d part-0 records on disk, %d live keys", got, phys, len(model))
+				}
+				if got := s.StoreStats().Cold.FoldErrors; got != 1 {
+					t.Fatalf("FoldErrors = %d at the end, want 1", got)
+				}
+
+				if err := s.Close(); err != nil {
+					t.Fatal(err)
+				}
+				s = openCold(t, kv, Options{})
+				st := s.StoreStats().Cold
+				if !st.CleanOpen || st.RecoveryScanned != 0 {
+					t.Fatalf("reopen after completed rounds: CleanOpen = %v, RecoveryScanned = %d", st.CleanOpen, st.RecoveryScanned)
+				}
+				if got, phys := s.ColdRecords(), physicalRecords(s, kv); got != phys {
+					t.Fatalf("after reopen ColdRecords = %d, %d part-0 records on disk: m/done vouched for a wrong count", got, phys)
+				}
+				check("after reopen")
+			})
+		}
 	}
 }
 
@@ -538,17 +572,24 @@ func TestColdRangeUnion(t *testing.T) {
 // readable, and a restart recovers the full keyspace with zero lost
 // epochs.
 func TestFoldBoundsMemory(t *testing.T) {
-	const threshold = 512
+	const threshold = foldMinEntries
 	dir := t.TempDir()
 	kv := openKV(t, dir)
 	defer kv.Close()
-	s := openCold(t, kv, Options{Shards: 4, FoldMinEntries: threshold})
+	s := openCold(t, kv, Options{Shards: 4})
 
+	const perBatch = 8
 	total := 10 * threshold
 	high := 0
-	for i := 0; i < total; i++ {
-		publishKV(t, s, map[string]string{fmt.Sprintf("page-%05d", i): fmt.Sprintf("derived-%05d", i)})
-		if i%64 == 0 {
+	for i := 0; i < total; i += perBatch {
+		b := s.BeginSized(perBatch)
+		for j := i; j < i+perBatch; j++ {
+			b.Put(fmt.Sprintf("page-%05d", j), []byte(fmt.Sprintf("derived-%05d", j)))
+		}
+		if err := b.Publish(); err != nil {
+			t.Fatal(err)
+		}
+		if i%512 == 0 {
 			s.GC()
 			if n := s.VersionCount(); n > high {
 				high = n
@@ -596,28 +637,43 @@ func TestFoldBoundsMemory(t *testing.T) {
 }
 
 // TestGCFallsBackToInMemoryBelowThreshold: with little foldable data the
-// periodic GC compacts in memory instead of churning the disk.
+// periodic GC leaves it in memory — it writes nothing at all, the chain stays
+// as tiering keeps it, everything stays readable — and Close folds it.
 func TestGCFallsBackToInMemoryBelowThreshold(t *testing.T) {
 	dir := t.TempDir()
 	kv := openKV(t, dir)
 	defer kv.Close()
-	s := openCold(t, kv, Options{Shards: 2, FoldMinEntries: 1 << 20})
+	s := openCold(t, kv, Options{Shards: 2})
 
 	for i := 0; i < 50; i++ {
 		publishKV(t, s, map[string]string{"k": fmt.Sprintf("v%d", i)})
 	}
-	s.GC()
-	if s.ColdRecords() != 0 {
-		t.Fatal("GC folded to disk below the threshold")
+	commits := kv.Stats().Commits
+	if n := s.GC(); n != 0 {
+		t.Fatalf("GC below the threshold reclaimed %d entries", n)
 	}
-	st := s.StoreStats()
-	if st.Layers != 1 {
-		t.Fatalf("in-memory GC did not compact: %d layers", st.Layers)
+	if got := kv.Stats().Commits; got != commits || s.ColdRecords() != 0 {
+		t.Fatalf("GC below the threshold wrote to disk: %d commits, %d cold records", got-commits, s.ColdRecords())
+	}
+	if st := s.StoreStats(); st.Layers > depthBound(50) || st.Entries == 0 {
+		t.Fatalf("after GC: %d layers (bound %d), %d entries resident", st.Layers, depthBound(50), st.Entries)
 	}
 	sn := s.Acquire()
-	defer sn.Release()
 	if v, _ := sn.Get("k"); string(v) != "v49" {
 		t.Fatalf("Get(k) = %q, want v49", v)
+	}
+	sn.Release()
+
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if s.VersionCount() != 0 || s.ColdRecords() != 1 {
+		t.Fatalf("after Close: %d versions resident, %d cold records; want 0 and 1", s.VersionCount(), s.ColdRecords())
+	}
+	sn2 := openCold(t, kv, Options{}).Acquire()
+	defer sn2.Release()
+	if v, _ := sn2.Get("k"); string(v) != "v49" {
+		t.Fatalf("after reopen Get(k) = %q, want v49", v)
 	}
 }
 

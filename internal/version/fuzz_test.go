@@ -15,7 +15,7 @@ import (
 )
 
 // This file is the ISSUE 3 property suite for the hot→cold fallthrough:
-// under arbitrary interleavings of Publish / Acquire / GC / Fold (and
+// under arbitrary interleavings of Publish / Acquire / Fold (and
 // out-of-order, aborted, multi-batch publishes), a pinned snapshot must
 // always return the newest record at or below its epoch — whether that
 // record lives in an in-memory chain or on disk — and the same must hold
@@ -82,15 +82,16 @@ func verifySnapshot(t *testing.T, sn *Snapshot, o oracle, when string) {
 }
 
 // FuzzHotColdFallthrough drives the store through an op-coded script of
-// staged writes, out-of-order publishes, aborts, folds, GCs and pinned
+// staged writes, out-of-order publishes, aborts, folds and pinned
 // verifications, then restarts it and verifies the recovered keyspace.
 // Run the checked-in seeds under -race via plain `go test`; CI adds a
 // `-fuzz` smoke on top.
 func FuzzHotColdFallthrough(f *testing.F) {
 	// Ops are (opcode, arg) byte pairs; opcode%8 selects put / delete /
-	// open-batch / publish / abort / fold / gc / verify.
+	// open-batch / publish / abort / fold / fold / verify (two opcodes fold,
+	// so the checked-in corpus keeps its scripts crossing hot→cold).
 	f.Add([]byte{0, 1, 0, 2, 3, 0, 7, 0, 5, 0, 7, 0})                               // put put publish verify fold verify
-	f.Add([]byte{0, 5, 1, 5, 3, 0, 5, 0, 0, 5, 3, 0, 6, 0, 7, 0})                   // tombstone over cold, republish, gc
+	f.Add([]byte{0, 5, 1, 5, 3, 0, 5, 0, 0, 5, 3, 0, 6, 0, 7, 0})                   // tombstone over cold, republish, fold
 	f.Add([]byte{2, 0, 0, 3, 2, 0, 0, 7, 3, 1, 7, 0, 3, 0, 5, 0, 7, 0})             // out-of-order publish across the fold
 	f.Add([]byte{2, 0, 0, 4, 2, 0, 0, 8, 4, 0, 3, 0, 5, 0, 7, 0, 6, 0})             // abort leaves a watermark gap, then fold
 	f.Add([]byte{0, 9, 3, 0, 5, 0, 1, 9, 3, 0, 7, 0, 5, 0, 7, 0, 0, 9, 3, 0, 7, 0}) // delete-refill churn on one key
@@ -103,7 +104,7 @@ func FuzzHotColdFallthrough(f *testing.F) {
 			t.Fatal(err)
 		}
 		defer kv.Close()
-		s, err := Open(kv, "vc/", Options{Shards: 4, FoldMinEntries: 1})
+		s, err := Open(kv, "vc/", Options{Shards: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -166,12 +167,10 @@ func FuzzHotColdFallthrough(f *testing.F) {
 					open[i].b.Abort()
 					open = append(open[:i], open[i+1:]...)
 				}
-			case 5: // fold to disk
+			case 5, 6: // fold to disk
 				if _, err := s.Fold(); err != nil {
 					t.Fatalf("Fold: %v", err)
 				}
-			case 6: // GC (folds or compacts, depending on volume)
-				s.GC()
 			case 7: // pin and verify against the oracle
 				sn := s.Acquire()
 				verifySnapshot(t, sn, o, "mid-script")
@@ -214,7 +213,7 @@ func TestPropertyConcurrentHotColdInterleavings(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer kv.Close()
-	s, err := Open(kv, "vc/", Options{Shards: 4, FoldMinEntries: 64})
+	s, err := Open(kv, "vc/", Options{Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"path/filepath"
 	"sort"
+	"sync"
 	"testing"
 
 	"memex/internal/kvstore"
@@ -204,11 +205,10 @@ func verifyRange(t *testing.T, sn *Snapshot, o oracle, when string) {
 // TestTieredStoreMatchesModel is the differential test for the tiered
 // chain: a seeded script of puts, deletes, in- and out-of-order publishes
 // and aborts runs against the store and a naive model (key → every
-// version), with snapshots pinned across hundreds of publishes and folds,
-// whole-store GCs and single-shard compactions interleaved. Every live
-// snapshot — however old, however often the chain under it was merged —
-// must answer Get, Keys and Range as the model does at its epoch, and so
-// must the store after Close → Open.
+// version), with snapshots pinned across hundreds of publishes and folds
+// interleaved. Every live snapshot — however old, however often the chain
+// under it was merged — must answer Get, Keys and Range as the model does
+// at its epoch, and so must the store after Close → Open.
 func TestTieredStoreMatchesModel(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		t.Run(fmt.Sprint("seed=", seed), func(t *testing.T) {
@@ -218,7 +218,7 @@ func TestTieredStoreMatchesModel(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer kv.Close()
-			s, err := Open(kv, "vc/", Options{Shards: 2, FoldMinEntries: 1})
+			s, err := Open(kv, "vc/", Options{Shards: 2})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -305,16 +305,11 @@ func TestTieredStoreMatchesModel(t *testing.T) {
 						pins[i].Release()
 						pins = append(pins[:i], pins[i+1:]...)
 					}
-				case r < 97:
+				default:
 					if _, err := s.Fold(); err != nil {
 						t.Fatal(err)
 					}
 					verifyDurable(fmt.Sprint("fold at step ", step))
-				case r < 98:
-					s.GC()
-					verifyDurable(fmt.Sprint("GC at step ", step))
-				default:
-					s.GCShard(rng.Intn(s.Shards()))
 				}
 				if step%150 == 0 {
 					verifyAll(fmt.Sprint("step ", step))
@@ -345,11 +340,13 @@ func TestTieredStoreMatchesModel(t *testing.T) {
 	}
 }
 
-// TestFoldSplicesUnderPublishBurst: a fold whose write phase is overtaken
-// by tierFanout² publishes per shard — enough for the layers above its
-// floor to carry twice — must still find the sub-chains it wrote by
-// pointer and splice every shard: nothing left to re-probe, nothing
-// written twice, one cold record per live key.
+// TestFoldSplicesUnderPublishBurst: a fold overtaken, after its record
+// writes and again after its watermark write, by tierFanout² publishes per
+// shard — enough for the layers above its floor to carry twice — and by the
+// gc tick both times must still find the sub-chains it wrote by pointer and
+// splice every shard. Nothing but tier replaces a layer and tier stops at
+// the fence, so a sub-chain that moved is an error now, not a second path:
+// no failed round, nothing written twice, one cold record per live key.
 func TestFoldSplicesUnderPublishBurst(t *testing.T) {
 	kv := openKV(t, t.TempDir())
 	defer kv.Close()
@@ -369,37 +366,46 @@ func TestFoldSplicesUnderPublishBurst(t *testing.T) {
 	for p := 0; p < 3*tierFanout; p++ {
 		publish(p)
 	}
-	before := len(live)
-	hookRan := false
+	floor := s.Watermark() // nothing is pinned: the round's floor
+	hooks := 0
+	var ticks sync.WaitGroup
+	var once [FoldAfterWatermark + 1]sync.Once // the ticks' own rounds pass through the hook too
 	s.SetFoldHook(func(p FoldPoint) error {
-		if p == FoldAfterWrite {
-			hookRan = true
+		once[p].Do(func() {
+			hooks++
 			for q := 0; q < tierFanout*tierFanout+3; q++ {
-				publish(1000 + q)
+				publish(1000*int(p) + q)
 			}
-		}
+			// The tick waits its turn behind this round, then folds the burst.
+			ticks.Add(1)
+			go func() {
+				defer ticks.Done()
+				s.GC()
+			}()
+		})
 		return nil
 	})
 	if _, err := s.Fold(); err != nil {
 		t.Fatal(err)
 	}
 	s.SetFoldHook(nil)
-	if !hookRan {
-		t.Fatal("fold hook never ran")
+	if hooks != 2 {
+		t.Fatalf("fold hook ran %d times, want once per fold point", hooks)
 	}
-	for i, again := range s.cold.reprobe {
-		if again {
-			t.Fatalf("shard %d: the fold abandoned its splice under the burst", i)
+	for i, head := range s.current.Load().shards {
+		if l := splitAt(head, floor); l != nil {
+			t.Fatalf("shard %d: layers at or below the round's floor %d are still resident (epoch %d)", i, floor, l.epoch)
 		}
 	}
-	if got := s.ColdRecords(); got != int64(before) {
-		t.Fatalf("ColdRecords = %d after the first fold, want %d (one per key published before it)", got, before)
-	}
+	ticks.Wait()
 	if _, err := s.Fold(); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.ColdRecords(); got != int64(len(live)) {
-		t.Fatalf("ColdRecords = %d, want %d distinct live keys", got, len(live))
+	if st := s.StoreStats().Cold; st.FoldErrors != 0 {
+		t.Fatalf("FoldErrors = %d (%s)", st.FoldErrors, st.LastFoldError)
+	}
+	if got, phys := s.ColdRecords(), physicalRecords(s, kv); got != int64(len(live)) || phys != got {
+		t.Fatalf("ColdRecords = %d, %d part-0 records on disk, want %d distinct live keys", got, phys, len(live))
 	}
 	if n := s.VersionCount(); n != 0 {
 		t.Fatalf("%d versions still resident after folding everything", n)

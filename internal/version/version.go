@@ -36,11 +36,11 @@
 //     skip pointers (layer.skips), so the not-yet-visible prefix a
 //     stalled low epoch piles up — hundreds of published-but-invisible
 //     layers above the watermark — is crossed in O(log prefix) hops
-//     rather than walked layer by layer; GC's split at the compaction
-//     floor rides the same ladder.
+//     rather than walked layer by layer; the fold's split at its floor
+//     rides the same ladder.
 //
-// Published epochs are immutable: no publish, GC round, or fold ever
-// rewrites a record under an installed state. Layers above the store
+// Published epochs are immutable: no publish and no fold ever rewrites a
+// record under an installed state. Layers above the store
 // (the engine's shared decoded-record cache in internal/core) lean on
 // that — an entry cached under its (epoch, key) can only ever be dropped
 // (memory pressure, or its epoch falling below PinFloor), never
@@ -91,10 +91,9 @@
 //     (Store.tierFence, set in the critical section in which the fold
 //     captures its chains). A fold writes the sub-chain at or below its
 //     floor outside the lock and afterwards recognises it by pointer to
-//     splice it out; had a merge replaced those layers the splice would be
-//     abandoned and the next round would write the same records again
-//     under other epochs. The floor never exceeds that watermark, so the
-//     fence covers them.
+//     splice it out. The floor never exceeds that watermark, so the fence
+//     covers them, and tier is the only thing that ever replaces a layer:
+//     no layer spans the fence, and a fold always finds what it captured.
 //   - not the pin floor — no reader needs it. A snapshot pinned below a
 //     merged layer's epoch never reads that layer: it holds the state it
 //     pinned, whose chains no later install touches.
@@ -131,26 +130,15 @@
 // a torn fold left above it, and resumes publishing at watermark+1 (see
 // cold.go for the crash contract).
 //
-// # GC policy and shard parallelism
+// # Reclamation
 //
-// Read depth is Publish's business (above); GC reclaims memory. With a
-// cold tier it folds once enough entries sit at or below the pin floor.
-// Otherwise — an in-memory store, or too little to fold — it compacts
-// each shard's layers at or below the pin floor into a [mid, base] bottom,
-// dropping superseded versions and, where nothing lies beneath, dangling
-// tombstones, which tiering always keeps. (Such a compaction may cross the
-// tier fence; it is the fold's own lowering, not the fence, that the crash
-// contract rests on.) The expensive part — merging layer maps — runs
-// *outside* the store mutex, one goroutine per shard, so GC wall-clock
-// shrinks with shard count. Each shard's merge then
-// installs under the mutex by splicing the untouched spine above the
-// compaction floor onto the merged bottom; if a publish re-tiered that
-// sub-chain in the meantime the round is simply abandoned — compaction is
-// advisory, so dropping one is always safe — and the next tick starts from
-// the new chain. A compacted layer keeps its members' highest level, so
-// the counter above it still reads true. Snapshots pinned on older states
-// keep their captured chains — compaction can never invalidate them — so
-// GC is pure compaction, never a data hazard.
+// The store has two merges. tier, at Publish, bounds read depth and
+// drops the versions superseded inside a run; it is all the reclamation a
+// store without a cold tier (NewStore) has, and GC on such a store does
+// nothing. fold, at the GC tick, bounds memory: GC folds once foldMinEntries
+// entries sit at or below the pin floor, and Fold and Close fold whatever is
+// there. Snapshots pinned on older states keep their captured chains either
+// way, so neither merge is ever a data hazard.
 //
 // Consistency guarantee (verified by experiment E9): a snapshot never
 // observes a partially published batch — across shards too — and two
@@ -184,13 +172,10 @@ type layer struct {
 	// only, so its floor must not fall inside such a range (foldFloorLocked).
 	oldest  uint64
 	entries map[string]entry
-	// tombs counts deleted entries, so compaction can tell an idle
-	// tombstone-free chain apart without rescanning every entry.
-	tombs int
 	// level is the layer's digit position in its shard's base-tierFanout
 	// counter (see tier): 0 for a published batch, ℓ+1 for a merge of at
 	// least tierFanout layers of level ℓ — so a level-ℓ layer holds at
-	// least tierFanout^ℓ batches. A GC compaction keeps its members' highest.
+	// least tierFanout^ℓ batches.
 	level uint8
 	next  *layer
 	// skips are binary-lifting pointers into the same chain: skips[0] is
@@ -228,7 +213,7 @@ func linkLayer(l, next *layer) {
 // relinked returns a copy of l (entries shared) linked onto next: the
 // path-copy step for every chain edit below an existing layer.
 func relinked(l, next *layer) *layer {
-	cp := &layer{epoch: l.epoch, oldest: l.oldest, entries: l.entries, tombs: l.tombs, level: l.level}
+	cp := &layer{epoch: l.epoch, oldest: l.oldest, entries: l.entries, level: l.level}
 	linkLayer(cp, next)
 	return cp
 }
@@ -268,8 +253,8 @@ func lastAbove(head *layer, target uint64) (*layer, int) {
 
 // state is one immutable published view of the store: the watermark plus
 // the chain head of every key-hash shard. pins counts the snapshots
-// currently holding it (used only as the GC compaction floor — correctness
-// of pinned reads never depends on it).
+// currently holding it (used only as the fold's ceiling — correctness of
+// pinned reads never depends on it).
 type state struct {
 	watermark uint64
 	shards    []*layer
@@ -288,15 +273,15 @@ type Store struct {
 
 	// mu guards the producer/install side only: epoch allocation, the
 	// completed-epoch set, the pinned-state history, and state installs.
-	// Snapshot reads never acquire it, and shard compaction holds it only
-	// for the final splice, not the merge.
+	// Snapshot reads never acquire it, and a fold holds it only to capture
+	// the chains and for the final splice, not while it writes.
 	mu        sync.Mutex
 	nextEpoch uint64
 	// completed holds published/aborted epochs above the watermark,
 	// waiting for the gap below them to close.
 	completed map[uint64]bool
 	// history lists states that may still be pinned (plus the current
-	// one). Every install appends; a publish that merged, GC and the
+	// one). Every install appends; a publish that merged, a fold and the
 	// maxHistory backstop prune unpinned entries.
 	history     []*state
 	gcReclaimed uint64
@@ -308,30 +293,21 @@ type Store struct {
 	// the pins above it (foldFloorLocked).
 	tierFence uint64
 
-	// gcMu serialises compactions of the same shard against each other
-	// (different shards compact in parallel). Lock order: gcMu[i] before
-	// mu; Publish's tiering, which already holds mu, therefore never
-	// touches gcMu and GCShard relies on its splice-time conflict check.
-	gcMu []sync.Mutex
-
 	// cold is the disk tier (nil for purely in-memory stores). foldMu
 	// serialises fold rounds; foldHook is the crash-injection point for
-	// recovery tests; foldMin/foldChunk are Options knobs. Lock order:
-	// foldMu before mu.
-	cold      *coldTier
-	foldMu    sync.Mutex
-	foldHook  func(FoldPoint) error
-	foldMin   int
-	foldChunk int
+	// recovery tests. Lock order: foldMu before mu.
+	cold     *coldTier
+	foldMu   sync.Mutex
+	foldHook func(FoldPoint) error
 }
 
-// DefaultShards is the shard count NewStore uses: enough for parallel
-// compaction and short chains without bloating tiny stores' states.
+// DefaultShards is the shard count NewStore uses: enough for short chains
+// and a parallel fold merge without bloating tiny stores' states.
 const DefaultShards = 8
 
 // maxHistory bounds how many superseded states Publish tolerates before
-// pruning unpinned ones inline (a tier merge and GC prune too; this is the
-// backstop for stores that publish heavily without either).
+// pruning unpinned ones inline (a tier merge and a fold prune too; this is
+// the backstop for stores that publish heavily without either).
 const maxHistory = 1024
 
 // tierFanout is k, the base of the per-shard layer counter tier keeps: a
@@ -349,8 +325,8 @@ func NewStore() *Store {
 
 // NewStoreSharded returns an empty store partitioned into the given
 // number of shards (rounded up to a power of two; n <= 0 means
-// DefaultShards). More shards shorten chains and parallelise compaction;
-// a single shard reproduces the unsharded PR 1 layout exactly.
+// DefaultShards). More shards shorten chains; a single shard reproduces
+// the unsharded PR 1 layout exactly.
 func NewStoreSharded(n int) *Store {
 	if n <= 0 {
 		n = DefaultShards
@@ -363,7 +339,6 @@ func NewStoreSharded(n int) *Store {
 		mask:      uint32(pow - 1),
 		nextEpoch: 1,
 		completed: make(map[uint64]bool),
-		gcMu:      make([]sync.Mutex, pow),
 	}
 	st := &state{shards: make([]*layer, pow)}
 	s.current.Store(st)
@@ -513,13 +488,7 @@ func (b *Batch) Publish() error {
 		if layers == nil {
 			layers = make([]*layer, len(writes))
 		}
-		tombs := 0
-		for _, e := range m {
-			if e.deleted {
-				tombs++
-			}
-		}
-		layers[i] = &layer{epoch: b.epoch, oldest: b.epoch, entries: m, tombs: tombs}
+		layers[i] = &layer{epoch: b.epoch, oldest: b.epoch, entries: m}
 	}
 
 	s := b.s
@@ -587,7 +556,7 @@ func (s *Store) completeLocked(epoch uint64, layers []*layer) {
 	s.history = append(s.history, next)
 	// A merge copied its members' entries into a new map; the superseded
 	// states are what still reaches the members, so they go now — unless
-	// pinned — rather than at the next GC, or RAM holds the run twice.
+	// pinned — rather than at the next fold, or RAM holds the run twice.
 	if merged || len(s.history) > maxHistory {
 		s.pruneHistoryLocked(next)
 	}
@@ -661,9 +630,6 @@ func mergeRun(top, end *layer, level uint8) (merged *layer, members int) {
 				continue
 			}
 			merged.entries[k] = e
-			if e.deleted {
-				merged.tombs++
-			}
 		}
 	}
 	return merged, members
@@ -696,7 +662,7 @@ func insertLayer(head *layer, l *layer) *layer {
 
 // Snapshot is a consistent read view pinned at one epoch. Get and Keys
 // are lock-free: they walk the snapshot's own captured shard chains,
-// which no publish or GC ever mutates.
+// which no publish or fold ever mutates.
 type Snapshot struct {
 	s     *Store
 	st    *state
@@ -718,7 +684,7 @@ func (sn *Snapshot) Epoch() uint64 { return sn.epoch }
 
 // view returns the pinned state or fails loudly on use-after-Release.
 // Before this check a released snapshot would silently read whatever the
-// store had GC'd under it; now misuse is an immediate diagnostic.
+// store had folded out from under it; now misuse is an immediate diagnostic.
 func (sn *Snapshot) view(op string) *state {
 	st := sn.st
 	if st == nil {
@@ -785,7 +751,7 @@ func (sn *Snapshot) Keys() []string {
 	return keys
 }
 
-// Release unpins the snapshot, letting GC compact past its epoch and the
+// Release unpins the snapshot, letting the fold move past its epoch and the
 // runtime reclaim its layers. Release is idempotent; Get/Keys after
 // Release panic.
 func (sn *Snapshot) Release() {
@@ -802,7 +768,7 @@ func (s *Store) Watermark() uint64 {
 }
 
 // PinFloor returns the minimum epoch any pinned snapshot may still be
-// reading — the same floor GC compaction and the cold fold respect.
+// reading — the ceiling the cold fold respects.
 // Cache layers above the store (e.g. the engine's decoded-record cache)
 // use it to drop entries no live view can reference anymore; published
 // epochs are immutable, so that eviction is the only invalidation they
@@ -813,8 +779,8 @@ func (s *Store) PinFloor() uint64 {
 	return s.pinFloorLocked(s.current.Load())
 }
 
-// pinFloorLocked computes the compaction floor: the minimum epoch any
-// pinned snapshot may still be reading. Caller holds mu.
+// pinFloorLocked computes the minimum epoch any pinned snapshot may still
+// be reading. Caller holds mu.
 func (s *Store) pinFloorLocked(cur *state) uint64 {
 	s.pruneHistoryLocked(cur)
 	floor := cur.watermark
@@ -855,89 +821,23 @@ func (s *Store) foldFloorLocked(cur *state) uint64 {
 	return floor
 }
 
-// GC compacts every shard's layers at or below the minimum pinned epoch,
-// dropping superseded versions and tombstones with nothing left to
-// shadow. The merge work runs one goroutine per shard, entirely off the
-// read path and outside the store mutex, so shards compact in parallel
-// and only each result's O(spine) splice serialises. Returns the total
-// number of versions reclaimed.
-//
-// With a cold tier attached, GC folds to disk instead once enough
-// entries have accumulated below the pin floor (Options.FoldMinEntries);
-// below that it falls back to in-memory compaction, which in cold mode
-// preserves tombstones (they shadow disk records until folded).
+// GC is the periodic reclamation tick. With a cold tier it folds to disk once
+// at least foldMinEntries entries sit at or below the pin floor, and returns
+// how many left memory; below that it writes nothing (Fold and Close ignore
+// the threshold). A failed fold keeps its layers resident and is counted in
+// ColdStats.FoldErrors. On a store without a cold tier GC does nothing:
+// Publish's tiering is all the reclamation such a store has.
 func (s *Store) GC() int {
-	if s.cold != nil && s.foldableEntries() >= s.foldMin {
-		if n, err := s.fold(); err == nil {
-			return n
-		}
-		// Fold failed (kvstore closed or write error): keep the data in
-		// memory and let in-memory compaction at least bound chain depth.
-	}
-	n := s.Shards()
-	if n == 1 {
-		return s.GCShard(0)
-	}
-	var wg sync.WaitGroup
-	var total atomic.Int64
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			total.Add(int64(s.GCShard(i)))
-		}(i)
-	}
-	wg.Wait()
-	return int(total.Load())
-}
-
-// GCShard compacts a single shard (see GC). Concurrent GCShard calls on
-// the same shard serialise; different shards proceed in parallel.
-func (s *Store) GCShard(i int) int {
-	if i < 0 || i > int(s.mask) {
+	if s.cold == nil || s.foldableEntries() < foldMinEntries {
 		return 0
 	}
-	s.gcMu[i].Lock()
-	defer s.gcMu[i].Unlock()
-
-	s.mu.Lock()
-	cur := s.current.Load()
-	floor := s.pinFloorLocked(cur)
-	s.mu.Unlock()
-
-	// The expensive merge runs lock-free against the captured chain: the
-	// sub-chain at or below the floor is immutable and — because epochs
-	// above the watermark are the only ones still publishing and the
-	// floor never exceeds the watermark — no new layer at or below the
-	// floor can appear while we merge. Only Publish's tiering of the same
-	// shard could replace it, which the splice detects below.
-	mergeHead := splitAt(cur.shards[i], floor)
-	bottom, _, reclaimed, changed := compactChain(mergeHead, s.cold == nil)
-	if !changed {
-		return 0
-	}
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	cur2 := s.current.Load()
-	if splitAt(cur2.shards[i], floor) != mergeHead {
-		// A publish re-tiered this shard's merge region while we merged.
-		// Compaction is advisory: abandon this round, the next tick
-		// starts from the new chain.
-		return 0
-	}
-	shards := slices.Clone(cur2.shards)
-	shards[i] = spliceAbove(cur2.shards[i], mergeHead, bottom)
-	next := &state{watermark: cur2.watermark, shards: shards}
-	s.current.Store(next)
-	s.history = append(s.history, next)
-	s.gcReclaimed += uint64(reclaimed)
-	return reclaimed
+	n, _ := s.fold()
+	return n
 }
 
 // splitAt returns the first layer of the chain with epoch <= floor (the
-// immutable merge region), or nil. The descent rides the skip ladder, so
-// GC's pre-merge split is O(log spine) even on deep chains.
+// immutable sub-chain a fold moves), or nil. The descent rides the skip
+// ladder, so the split is O(log spine) even on deep chains.
 func splitAt(head *layer, floor uint64) *layer {
 	l, _ := descendTo(head, floor)
 	return l
@@ -961,116 +861,8 @@ func spliceAbove(head, oldBottom, newBottom *layer) *layer {
 	return newHead
 }
 
-// compactChain merges one shard's sub-chain (everything from mergeHead
-// down) into a tiered bottom. It only reads the immutable chain — safe
-// to run without any lock — and returns the replacement bottom chain,
-// its entry count, the number of versions reclaimed, and whether
-// anything changed.
-//
-// dropTombs says the merged bottom is the true bottom of the store, so
-// tombstones with nothing left to shadow can vanish. A disk-backed store
-// passes false: the cold tier sits below every chain, and an in-memory
-// tombstone must survive compaction to keep shadowing the disk version
-// of its key until a fold writes the tombstone through.
-//
-// Compaction is tiered so a periodic GC tick costs O(data published
-// since the last tick), not O(store): every non-base layer first merges
-// into one mid layer; the mid layer folds into the (potentially huge)
-// base only when that pays — it shadows or deletes base keys, or has
-// grown to a fair fraction of the base. Until a fold, the base map is
-// shared untouched across compactions.
-func compactChain(mergeHead *layer, dropTombs bool) (bottom *layer, post, reclaimed int, changed bool) {
-	if mergeHead == nil {
-		return nil, 0, 0, false
-	}
-	var uppers []*layer
-	base := mergeHead
-	for base.next != nil {
-		uppers = append(uppers, base)
-		base = base.next
-	}
-	if len(uppers) == 0 && (base.tombs == 0 || !dropTombs) {
-		return mergeHead, len(base.entries), 0, false // single already-compact base
-	}
-	pre := len(base.entries)
-	for _, l := range uppers {
-		pre += len(l.entries)
-	}
-
-	// Tier 1: collapse the non-base layers into one mid layer. A single
-	// upper needs no copy.
-	var mid *layer
-	switch {
-	case len(uppers) == 1:
-		mid = uppers[0]
-	case len(uppers) > 1:
-		level := uint8(0)
-		for _, l := range uppers {
-			level = max(level, l.level)
-		}
-		mid, _ = mergeRun(mergeHead, base, level)
-	}
-
-	// Tier 2: fold mid into the base when it reclaims something
-	// (tombstones, or keys shadowing base versions) or when mid has
-	// grown to ≥1/4 of the base (bounding read depth and amortizing the
-	// base copy).
-	fold := dropTombs && base.tombs > 0
-	if mid != nil && !fold {
-		fold = mid.tombs > 0 || len(mid.entries)*4 >= len(base.entries)
-		if !fold {
-			for k := range mid.entries {
-				if _, ok := base.entries[k]; ok {
-					fold = true
-					break
-				}
-			}
-		}
-	}
-
-	if fold {
-		merged := make(map[string]entry, len(base.entries)+8)
-		for k, e := range base.entries {
-			merged[k] = e
-		}
-		epoch, level := base.epoch, base.level
-		if mid != nil {
-			for k, e := range mid.entries {
-				merged[k] = e
-			}
-			epoch, level = mid.epoch, max(level, mid.level)
-		}
-		tombs := 0
-		if dropTombs {
-			// The folded layer is the true bottom: tombstones shadow
-			// nothing.
-			for k, e := range merged {
-				if e.deleted {
-					delete(merged, k)
-				}
-			}
-		} else {
-			for _, e := range merged {
-				if e.deleted {
-					tombs++
-				}
-			}
-		}
-		if len(merged) == 0 {
-			return nil, 0, pre, true
-		}
-		return &layer{epoch: epoch, oldest: base.oldest, entries: merged, tombs: tombs, level: level}, len(merged), pre - len(merged), true
-	}
-	if len(uppers) == 1 {
-		return mergeHead, pre, 0, false // already in [single-upper, base] shape
-	}
-	// mid is freshly built above; base is shared, untouched.
-	linkLayer(mid, base)
-	return mid, len(mid.entries) + len(base.entries), pre - (len(mid.entries) + len(base.entries)), true
-}
-
 // VersionCount reports the total number of stored versions across every
-// shard of the current state (for E9 and GC tests). Lock-free.
+// shard of the current state (for E9 and the fold tests). Lock-free.
 func (s *Store) VersionCount() int {
 	st := s.current.Load()
 	n := 0
@@ -1105,7 +897,7 @@ type Stats struct {
 	// lower epoch to complete before the watermark can cover them.
 	PendingEpochs int
 	// GCReclaimed is the cumulative number of versions dropped from
-	// memory: superseded by a tier merge or a compaction, or folded.
+	// memory: superseded inside a tier merge, or folded to disk.
 	GCReclaimed uint64
 	// Shards is the per-shard breakdown (length = shard count).
 	Shards []ShardStats

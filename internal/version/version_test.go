@@ -110,65 +110,6 @@ func TestAbort(t *testing.T) {
 	}
 }
 
-func TestGCReclaimsSupersededVersions(t *testing.T) {
-	s := NewStore()
-	for i := 0; i < 10; i++ {
-		b := s.Begin()
-		b.Put("k", []byte(fmt.Sprintf("v%d", i)))
-		b.Publish()
-	}
-	if got := s.VersionCount(); got != 10 {
-		t.Fatalf("VersionCount = %d, want 10", got)
-	}
-	n := s.GC()
-	if n != 9 {
-		t.Fatalf("GC reclaimed %d, want 9", n)
-	}
-	snap := s.Acquire()
-	defer snap.Release()
-	v, ok := snap.Get("k")
-	if !ok || string(v) != "v9" {
-		t.Fatalf("after GC: %q ok=%v", v, ok)
-	}
-}
-
-func TestGCRespectsPinnedSnapshots(t *testing.T) {
-	s := NewStore()
-	b := s.Begin()
-	b.Put("k", []byte("old"))
-	b.Publish()
-	snapOld := s.Acquire()
-
-	b2 := s.Begin()
-	b2.Put("k", []byte("new"))
-	b2.Publish()
-
-	s.GC()
-	v, ok := snapOld.Get("k")
-	if !ok || string(v) != "old" {
-		t.Fatalf("pinned snapshot lost its version: %q ok=%v", v, ok)
-	}
-	snapOld.Release()
-	s.GC()
-	if got := s.VersionCount(); got != 1 {
-		t.Fatalf("VersionCount after release+GC = %d, want 1", got)
-	}
-}
-
-func TestGCDropsTombstonedKeys(t *testing.T) {
-	s := NewStore()
-	b := s.Begin()
-	b.Put("k", []byte("v"))
-	b.Publish()
-	b2 := s.Begin()
-	b2.Delete("k")
-	b2.Publish()
-	s.GC()
-	if got := s.VersionCount(); got != 0 {
-		t.Fatalf("VersionCount = %d, want 0 (tombstone collected)", got)
-	}
-}
-
 func TestKeysSorted(t *testing.T) {
 	s := NewStore()
 	b := s.Begin()
@@ -252,9 +193,6 @@ func TestConcurrentProducerConsumers(t *testing.T) {
 			b.Put(fmt.Sprintf("key%d", k), val)
 		}
 		b.Publish()
-		if r%50 == 0 {
-			s.GC()
-		}
 	}
 	close(stop)
 	wg.Wait()
@@ -423,9 +361,12 @@ func TestSnapshotUseAfterRelease(t *testing.T) {
 // TestConcurrentOutOfOrderPublishersWithGC exercises the full producer
 // surface under the race detector: several concurrently-publishing
 // batches (which acquire epochs in order but publish out of order),
-// consumers verifying per-batch atomicity, and GC running throughout.
+// consumers verifying per-batch atomicity, and the store's reclamation —
+// tier merges at every publish, folds to disk — running throughout.
 func TestConcurrentOutOfOrderPublishersWithGC(t *testing.T) {
-	s := NewStore()
+	kv := openKV(t, t.TempDir())
+	defer kv.Close()
+	s := openCold(t, kv, Options{})
 	const keys = 4
 	const rounds = 100
 	seed := s.Begin()
@@ -476,7 +417,12 @@ func TestConcurrentOutOfOrderPublishersWithGC(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 20; i++ {
-			s.GC()
+			if _, err := s.Fold(); err != nil {
+				select {
+				case errCh <- err:
+				default:
+				}
+			}
 		}
 	}()
 	// Publish pairs out of order: the higher epoch goes first.
@@ -532,10 +478,19 @@ func TestStoreStats(t *testing.T) {
 		t.Fatalf("StoreStats = %+v", st)
 	}
 	snap.Release()
-	s.GC()
+	// A store without a cold tier has nothing for GC to do; what reclaims
+	// the superseded versions is the carry at the tierFanout-th publish.
+	if n := s.GC(); n != 0 {
+		t.Fatalf("GC on an in-memory store reclaimed %d, want 0", n)
+	}
+	for i := 3; i < tierFanout; i++ {
+		b := s.Begin()
+		b.Put("k", []byte{byte(i)})
+		b.Publish()
+	}
 	st = s.StoreStats()
-	if st.Layers != 1 || st.Entries != 1 || st.Pinned != 0 || st.GCReclaimed != 2 {
-		t.Fatalf("StoreStats after GC = %+v", st)
+	if st.Layers != 1 || st.Entries != 1 || st.Pinned != 0 || st.GCReclaimed != tierFanout-1 {
+		t.Fatalf("StoreStats after the carry = %+v", st)
 	}
 	if st.PendingEpochs != 0 {
 		t.Fatalf("PendingEpochs = %d, want 0", st.PendingEpochs)
@@ -549,9 +504,6 @@ func BenchmarkPublish(b *testing.B) {
 		batch.Put("k1", []byte("v"))
 		batch.Put("k2", []byte("v"))
 		batch.Publish()
-		if i%1024 == 0 {
-			s.GC()
-		}
 	}
 }
 
@@ -676,9 +628,6 @@ func TestCrossShardPublishAtomicity(t *testing.T) {
 			b.Put(k, val)
 		}
 		b.Publish()
-		if r%64 == 0 {
-			s.GC()
-		}
 	}
 	close(stop)
 	wg.Wait()
@@ -686,152 +635,6 @@ func TestCrossShardPublishAtomicity(t *testing.T) {
 	case err := <-errCh:
 		t.Fatal(err)
 	default:
-	}
-}
-
-// TestGCShardIsolated: compacting one shard reclaims only that shard's
-// superseded versions and leaves every other chain untouched.
-func TestGCShardIsolated(t *testing.T) {
-	s := NewStoreSharded(4)
-	const rounds = 6
-	names := []string{"alpha", "bravo", "charlie", "delta", "echo", "foxtrot"}
-	for r := 0; r < rounds; r++ {
-		b := s.Begin()
-		for _, k := range names {
-			b.Put(k, []byte(fmt.Sprint(r)))
-		}
-		b.Publish()
-	}
-	before := s.StoreStats()
-	target := -1
-	for i, sh := range before.Shards {
-		if sh.Entries > 0 {
-			target = i
-			break
-		}
-	}
-	if target < 0 {
-		t.Fatal("no shard holds data")
-	}
-	reclaimed := s.GCShard(target)
-	if reclaimed == 0 {
-		t.Fatalf("GCShard(%d) reclaimed nothing", target)
-	}
-	after := s.StoreStats()
-	for i := range after.Shards {
-		if i == target {
-			if after.Shards[i].Layers >= before.Shards[i].Layers {
-				t.Fatalf("shard %d not compacted: %d -> %d layers", i, before.Shards[i].Layers, after.Shards[i].Layers)
-			}
-			continue
-		}
-		if after.Shards[i] != before.Shards[i] {
-			t.Fatalf("shard %d changed by GCShard(%d): %+v -> %+v", i, target, before.Shards[i], after.Shards[i])
-		}
-	}
-	// Data is still all readable at the newest values.
-	snap := s.Acquire()
-	defer snap.Release()
-	for _, k := range names {
-		if v, ok := snap.Get(k); !ok || string(v) != fmt.Sprint(rounds-1) {
-			t.Fatalf("Get(%s) = %q ok=%v after shard GC", k, v, ok)
-		}
-	}
-}
-
-// TestParallelShardGCUnderPublish drives concurrent per-shard compactions
-// against a live producer and live readers (run with -race): the merge
-// work happens outside the store mutex, so this exercises the optimistic
-// splice including its abandon-on-conflict path via Publish's tiering.
-func TestParallelShardGCUnderPublish(t *testing.T) {
-	s := NewStoreSharded(8)
-	const keys = 64
-	names := make([]string, keys)
-	seed := s.Begin()
-	for i := range names {
-		names[i] = fmt.Sprintf("key%04d", i)
-		seed.Put(names[i], []byte("0"))
-	}
-	seed.Publish()
-
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for g := 0; g < s.Shards(); g++ {
-		wg.Add(1)
-		go func(shard int) {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				s.GCShard(shard)
-			}
-		}(g)
-	}
-	errCh := make(chan error, 2)
-	for c := 0; c < 2; c++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				snap := s.Acquire()
-				var first string
-				for i, k := range names {
-					v, ok := snap.Get(k)
-					if !ok {
-						select {
-						case errCh <- fmt.Errorf("missing %s", k):
-						default:
-						}
-						break
-					}
-					if i == 0 {
-						first = string(v)
-					} else if string(v) != first {
-						select {
-						case errCh <- fmt.Errorf("torn read under parallel GC: %q vs %q", first, v):
-						default:
-						}
-						break
-					}
-				}
-				snap.Release()
-			}
-		}()
-	}
-	for r := 1; r <= 400; r++ {
-		b := s.BeginSized(keys)
-		val := []byte(fmt.Sprint(r))
-		for _, k := range names {
-			b.Put(k, val)
-		}
-		b.Publish()
-	}
-	close(stop)
-	wg.Wait()
-	select {
-	case err := <-errCh:
-		t.Fatal(err)
-	default:
-	}
-	// Once quiescent, a full GC leaves at most one layer per shard and the
-	// newest values visible.
-	s.GC()
-	st := s.StoreStats()
-	if st.Layers > 2 {
-		t.Fatalf("max shard depth %d after quiescent GC", st.Layers)
-	}
-	snap := s.Acquire()
-	defer snap.Release()
-	if v, ok := snap.Get(names[0]); !ok || string(v) != "400" {
-		t.Fatalf("final Get = %q ok=%v", v, ok)
 	}
 }
 
@@ -849,8 +652,13 @@ func TestSingleShardStore(t *testing.T) {
 	if len(st.Shards) != 1 || st.Layers != 5 || st.Entries != 10 {
 		t.Fatalf("single-shard stats = %+v", st)
 	}
-	if n := s.GC(); n != 8 {
-		t.Fatalf("GC reclaimed %d, want 8", n)
+	// GC has nothing to do without a cold tier: the chain stays as tiering
+	// left it, inside the counter's bound.
+	if n := s.GC(); n != 0 {
+		t.Fatalf("GC on an in-memory store reclaimed %d, want 0", n)
+	}
+	if st := s.StoreStats(); st.Layers != 5 {
+		t.Fatalf("single-shard stats after GC = %+v, want the 5 layers left alone", st)
 	}
 	snap := s.Acquire()
 	defer snap.Release()

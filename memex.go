@@ -69,8 +69,8 @@ type Config struct {
 	// (0 = on demand only).
 	ThemeInterval time.Duration
 	TrainInterval time.Duration
-	// GCInterval runs the version-store GC demon, which compacts
-	// superseded derived-data layers and folds cold ones to disk
+	// GCInterval runs the version-store GC demon, which folds
+	// derived-data layers no reader pins any more to disk
 	// (0 = engine default of 2s; negative disables the demon).
 	GCInterval time.Duration
 	// CacheBytes bounds the shared decoded-record cache that keeps the
