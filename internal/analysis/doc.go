@@ -38,8 +38,8 @@
 //
 // epochbatch — one page's derived records publish in one batch.
 //
-//	A page's derived state — tf/ term counts, lnk/ out-links, rin*/
-//	in-link records — must land in a single version-store Batch so a
+//	A page's derived state — tf/ term counts, lnk/ out-links, rin/
+//	in-links — must land in a single version-store Batch so a
 //	snapshot can never observe a page's text without its place in the
 //	link graph (the torn-publish hole the PR 2 out-of-order-publish fix
 //	and PR 4's same-batch adjacency publish closed). The analyzer flags

@@ -7,19 +7,19 @@ import (
 )
 
 // EpochBatch enforces the torn-publish invariant: all derived records for
-// one page — term counts (tf/), out-links (lnk/), in-link records (rin/,
-// rin chunks) — must be staged into a single version-store Batch, so one
-// atomic Publish installs them in one epoch. Split across batches, a
-// snapshot taken between the publishes observes a page's text without its
-// place in the link graph (or vice versa), the exact hole PR 2's
-// out-of-order-publish fix and PR 4's same-batch adjacency publish closed.
+// one page — term counts (tf/), out-links (lnk/), in-links (rin/) — must be
+// staged into a single version-store Batch, so one atomic Publish installs
+// them in one epoch. Split across batches, a snapshot taken between the
+// publishes observes a page's text without its place in the link graph (or
+// vice versa), the exact hole PR 2's out-of-order-publish fix and PR 4's
+// same-batch adjacency publish closed.
 //
 // Two shapes are flagged: derived records for the same page staged into
 // two different batch variables within one function, and staging into a
 // batch after its Publish or Abort.
 var EpochBatch = &Analyzer{
 	Name: "epochbatch",
-	Doc: "check that a page's derived records (tf/, lnk/, rin*) are staged into one Batch " +
+	Doc: "check that a page's derived records (tf/, lnk/, rin/) are staged into one Batch " +
 		"and that no batch is used after Publish/Abort",
 	Run: runEpochBatch,
 }
@@ -201,7 +201,7 @@ func keyHelperFamily(name string) (string, bool) {
 		return "tf", true
 	case "lnkKey":
 		return "lnk", true
-	case "rinKey", "rinChunkKey":
+	case "rinKey":
 		return "rin", true
 	}
 	return "", false

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"testing"
-)
+import "testing"
 
 func ck(epoch uint64, page int64) cacheKey {
 	return cacheKey{epoch: epoch, page: page, kind: kindIn}
@@ -178,63 +175,5 @@ func TestRecordCacheDisabled(t *testing.T) {
 	}
 	if c := newRecordCache(-1); c != nil {
 		t.Fatal("negative budget built a cache")
-	}
-}
-
-func TestAdaptiveRinThreshold(t *testing.T) {
-	cases := []struct {
-		base, lifetime, want int
-	}{
-		{8, 0, 8},   // cold page: full base threshold
-		{8, 63, 8},  // just under the first churn tier
-		{8, 64, 4},  // 8×base: half
-		{8, 255, 4}, // still in the half tier
-		{8, 256, 2}, // 32×base: quarter
-		{8, 10000, 2},
-		{4, 32, 2},   // 8×4=32: half of 4
-		{4, 128, 2},  // quarter of 4 floors at 2
-		{2, 1000, 2}, // floor never exceeds base
-		{1, 0, 1},    // caller's base of 1 (Close, tests) wins over the floor
-		{1, 1000, 1},
-		{0, 0, 1}, // degenerate base clamps to 1
-	}
-	for _, tc := range cases {
-		if got := adaptiveRinThreshold(tc.base, tc.lifetime); got != tc.want {
-			t.Errorf("adaptiveRinThreshold(%d, %d) = %d, want %d", tc.base, tc.lifetime, got, tc.want)
-		}
-	}
-}
-
-func TestStartSeqCodecRoundtrip(t *testing.T) {
-	ids := []int64{3, 1, 4, 1, 5}
-	for _, start := range []int{0, 1, 7, 1000} {
-		blob := encodeIDSetStart(ids, start)
-		got, s, ok := decodeIDSetStart(blob)
-		if !ok || s != start {
-			t.Fatalf("start %d: decoded start %d ok=%v", start, s, ok)
-		}
-		want, _ := decodeIDSet(encodeIDSet(ids))
-		if fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Fatalf("start %d: ids %v, want %v", start, got, want)
-		}
-		// The plain decoder must read the same id set regardless of the
-		// suffix (old readers on new records).
-		if plain, ok := decodeIDSet(blob); !ok || fmt.Sprint(plain) != fmt.Sprint(want) {
-			t.Fatalf("start %d: plain decode %v ok=%v", start, plain, ok)
-		}
-	}
-	// startSeq 0 must encode byte-identically to the legacy format.
-	if a, b := fmt.Sprint(encodeIDSetStart(ids, 0)), fmt.Sprint(encodeIDSet(ids)); a != b {
-		t.Fatalf("zero start not byte-identical to legacy: %s vs %s", a, b)
-	}
-	// A legacy suffix-free record decodes with start 0.
-	if _, s, ok := decodeIDSetStart(encodeIDSet(ids)); !ok || s != 0 {
-		t.Fatalf("legacy record: start %d ok=%v, want 0 true", s, ok)
-	}
-	// Trailing garbage that is not a valid whole-suffix uvarint is
-	// rejected, not misread as a start seq.
-	blob := append(encodeIDSet(ids), 0xff, 0xff, 0xff)
-	if _, s, ok := decodeIDSetStart(blob); ok {
-		t.Fatalf("garbage suffix decoded as start %d", s)
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/binary"
+	"fmt"
 	"sort"
 	"strconv"
 	"strings"
@@ -46,35 +47,24 @@ func pageOfTFKey(key string) (int64, bool) {
 // the fetch claims, and the link-graph authority from the derived records
 // the version store recovered from its cold tier, so a restarted server
 // answers search/profile/theme/trail queries, resumes Discover's crawl
-// frontier, and never re-crawls a page whose derived state survived. Recovered
-// lnk/ records rebuild both adjacency directions (every reverse edge is
-// the inversion of some out-edge, so rin/ records need no replay — they
-// exist for pinned-view reads). Recovered rinD/ delta chunks and rin/
-// base records feed the per-page seq counters and generation starts:
-// chunk seqs are monotone per page, so the next life must resume both
-// the counter (past every live chunk and the base's start-seq) and the
-// start (so consolidation tombstones only the live window) — an
-// overwritten chunk would shadow the old one's edge out of every later
-// view. Runs during Open, single-threaded, before any demon starts.
-func (e *Engine) reloadDerived() {
-	chunkSeq := map[int64]int{}
-	starts := map[int64]int{}
+// frontier, and never re-crawls a page whose derived state survived.
+// Recovered lnk/ records rebuild both adjacency directions (every reverse
+// edge is the inversion of some out-edge, so rin/ records need no replay —
+// they exist for pinned-view reads). An archive that still holds a rinD/
+// in-link delta chunk — written while in-links were chunked, and read by
+// nothing now — is refused: opening it would silently drop those edges from
+// every In. A failed scan is an error too, never a partial index. Runs
+// during Open, single-threaded, before any demon starts.
+func (e *Engine) reloadDerived() error {
+	var err error
 	visit := func(key string, raw []byte) bool {
+		if strings.HasPrefix(key, "rinD/") {
+			err = fmt.Errorf("core: archive holds in-link delta chunk %q, a record format this version does not read; there is no migration", key)
+			return false
+		}
 		if page, ok := pageOfLnkKey(key); ok {
 			if outs, ok := decodeIDSet(raw); ok {
 				e.links.applyRecovered(page, outs)
-			}
-			return true
-		}
-		if page, ok := pageOfRinKey(key); ok {
-			if _, s, ok := decodeIDSetStart(raw); ok && s > 0 {
-				starts[page] = s
-			}
-			return true
-		}
-		if page, seq, ok := pageOfRinChunkKey(key); ok {
-			if seq+1 > chunkSeq[page] {
-				chunkSeq[page] = seq + 1
 			}
 			return true
 		}
@@ -94,8 +84,12 @@ func (e *Engine) reloadDerived() {
 		e.meta[page] = rec
 		return true
 	}
-	e.withView(func(view *DerivedView) { view.sn.Range(visit) })
-	e.links.resumeChunks(chunkSeq, starts)
+	e.withView(func(view *DerivedView) {
+		if scanErr := view.sn.Range(visit); scanErr != nil {
+			err = scanErr
+		}
+	})
+	return err
 }
 
 // derivedPublished reports whether the page's derived stats are (or are
@@ -119,11 +113,9 @@ func (e *Engine) derivedPublished(pageID int64) bool {
 //
 // The view is also the pinned face of the link graph: Out, In and Has
 // decode the page's adjacency records at the view's epoch — lnk/ for
-// out-links, and for in-links the base rin/ record merged with its
-// rinD/ delta chunks (see links.go for the chunk scheme) — satisfying
-// graph.AdjacencySource, so trail ranking, link-proximity recommendation
-// and crawl-frontier checks all read the same frozen graph their
-// term-stat reads come from.
+// out-links, rin/ for in-links — satisfying graph.AdjacencySource, so
+// trail ranking, link-proximity recommendation and crawl-frontier checks
+// all read the same frozen graph their term-stat reads come from.
 //
 // Decoded records are memoized per view — a usage or replay pass reads
 // the same few pages many times — so a DerivedView is for a single
@@ -142,7 +134,6 @@ type DerivedView struct {
 	sn    *version.Snapshot
 	dict  *text.Dict
 	cache *recordCache // shared decoded-record cache; nil = uncached
-	hints *linkIndex   // live chunk-window bound for In; nil = probe to miss
 	tf    map[int64]map[string]int
 	vec   map[int64]text.Vector
 	out   map[int64][]int64
@@ -159,7 +150,6 @@ func (e *Engine) withView(fn func(*DerivedView)) {
 		sn:    sn,
 		dict:  e.dict,
 		cache: e.cache,
-		hints: e.links,
 		tf:    map[int64]map[string]int{},
 		vec:   map[int64]text.Vector{},
 		out:   map[int64][]int64{},
@@ -257,90 +247,11 @@ func (v *DerivedView) OutKnown(page int64) ([]int64, bool) {
 	return ids, ids != nil
 }
 
-// In returns the page's in-link adjacency as of the view's epoch: the
-// base rin/ record merged with every rinD/ delta chunk, canonicalised
-// (sorted, deduped) and memoized. Chunk seqs are monotone per page and
-// dense within a generation, the base record carries the generation's
-// first live seq (its trailing start-seq, omitted when zero), and the
-// watermark only advances contiguously, so probing from that start until
-// the first miss sees exactly the chunks published at or below the pinned
-// epoch — including across a consolidation, whose batch replaces the
-// chunks with tombstones and the new base atomically.
-//
-// The probe window's upper bound comes from the producer's live chunk
-// counter (v.hints): seqs are never reused, so the counter is always at
-// or past one-past the view's last visible chunk. A fully consolidated
-// page therefore probes nothing at all — start == bound — instead of
-// paying a final probe miss that falls through the chains to a cold-tier
-// scan on every In() call. Without hints (bare test views), the probe
-// walks to the first miss.
-//
-// A page with neither base nor decodable chunks stays nil (unknown),
-// preserving the nil-vs-empty contract of graph.AdjacencySource. In
-// implements part of graph.AdjacencySource.
+// In returns the page's in-link adjacency as of the view's epoch (nil
+// when the page has no decodable rin/ record; callers must not mutate the
+// slice). In implements part of graph.AdjacencySource.
 func (v *DerivedView) In(page int64) []int64 {
-	sn := v.pinned()
-	if ids, ok := v.in[page]; ok {
-		return ids
-	}
-	ck := cacheKey{epoch: sn.Epoch(), page: page, kind: kindIn}
-	if v.cache != nil {
-		if val, ok := v.cache.get(ck); ok {
-			ids := val.([]int64)
-			v.in[page] = ids
-			return ids
-		}
-	}
-	var ids []int64
-	known := false
-	start := 0
-	if raw, ok := sn.Get(rinKey(page)); ok {
-		if dec, s, ok := decodeIDSetStart(raw); ok {
-			ids, known, start = dec, true, s
-		}
-	}
-	bound := -1 // no hint: probe to the first miss
-	if v.hints != nil {
-		bound = v.hints.chunkNext(page)
-	}
-	for seq := start; bound < 0 || seq < bound; seq++ {
-		raw, ok := sn.Get(rinChunkKey(page, seq))
-		if !ok {
-			break
-		}
-		// A corrupt chunk is skipped but does not stop the probe: the
-		// chunks behind it are independent deltas, still worth merging.
-		if dec, ok := decodeIDSet(raw); ok {
-			ids = append(ids, dec...)
-			known = true
-		}
-	}
-	if known {
-		ids = canonIDs(ids)
-	}
-	v.in[page] = ids
-	if v.cache != nil {
-		v.cache.put(ck, ids, sizeofIDs(ids))
-	}
-	return ids
-}
-
-// canonIDs sorts and dedupes ids in place, returning a non-nil slice even
-// for empty input (the "known, no links" shape).
-func canonIDs(ids []int64) []int64 {
-	if ids == nil {
-		return []int64{}
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	n := 0
-	for i, id := range ids {
-		if i > 0 && id == ids[n-1] {
-			continue
-		}
-		ids[n] = id
-		n++
-	}
-	return ids[:n]
+	return v.adj(v.in, kindIn, rinKey(page), page)
 }
 
 // Has reports whether the page is known to the link graph at the view's

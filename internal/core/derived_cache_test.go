@@ -14,9 +14,8 @@ import (
 )
 
 // uncachedTwin wraps the same pinned snapshot in a view with no shared
-// cache and no chunk-window hint: the ground-truth read path (probe to
-// the first miss, decode every blob). Only the original view may
-// Release.
+// cache: the ground-truth read path (decode every blob). Only the original
+// view may Release.
 func uncachedTwin(v *DerivedView) *DerivedView {
 	return &DerivedView{
 		sn:   v.sn,
@@ -64,7 +63,7 @@ func seedEngine(t testing.TB, e *Engine, c *webcorpus.Corpus, visits int) {
 
 // TestCachedReadsMatchUncached pins one snapshot and reads every derived
 // record through three paths — the shared cache cold (first view), the
-// ground-truth uncached/unhinted twin, and the cache warm (second view
+// ground-truth uncached twin, and the cache warm (second view
 // at the same epoch) — and requires identical results from all three.
 func TestCachedReadsMatchUncached(t *testing.T) {
 	c := webcorpus.Generate(webcorpus.Config{Seed: 11, TopTopics: 3, SubPerTopic: 2, PagesPerLeaf: 12})
@@ -81,12 +80,12 @@ func TestCachedReadsMatchUncached(t *testing.T) {
 	seedEngine(t, e, c, 20)
 
 	e.withView(func(v *DerivedView) {
-		if v.cache == nil || v.hints == nil {
-			t.Fatal("engine view lacks the shared cache or the chunk hint")
+		if v.cache == nil {
+			t.Fatal("engine view lacks the shared cache")
 		}
 		truth := uncachedTwin(v)
 		warm := &DerivedView{
-			sn: v.sn, dict: v.dict, cache: v.cache, hints: v.hints,
+			sn: v.sn, dict: v.dict, cache: v.cache,
 			tf:  map[int64]map[string]int{},
 			vec: map[int64]text.Vector{},
 			out: map[int64][]int64{},
@@ -164,11 +163,9 @@ func TestSecondPassDecodeCollapse(t *testing.T) {
 	}
 }
 
-// TestConsolidatedInZeroColdFallthrough pins the chunk-window hint's
-// payoff: after consolidation and a full fold to the cold tier, In() on
-// a consolidated page does zero cold-tier fallthrough probes (the old
-// probe-to-miss scheme paid one guaranteed cold miss per call — the
-// unhinted twin still does, which the second half asserts).
+// TestConsolidatedInZeroColdFallthrough: a page's in-links are one record,
+// so after a full fold to the cold tier In() on a page that has some costs
+// exactly one cold read and never a miss.
 func TestConsolidatedInZeroColdFallthrough(t *testing.T) {
 	c := webcorpus.Generate(webcorpus.Config{Seed: 13, TopTopics: 3, SubPerTopic: 2, PagesPerLeaf: 12})
 	e, err := Open(Config{
@@ -183,7 +180,6 @@ func TestConsolidatedInZeroColdFallthrough(t *testing.T) {
 	defer e.Close()
 	seedEngine(t, e, c, 20)
 
-	// Find the pages that actually have in-link bases.
 	var linked []int64
 	e.withView(func(pre *DerivedView) {
 		for _, p := range fetchedPages(e) {
@@ -196,12 +192,8 @@ func TestConsolidatedInZeroColdFallthrough(t *testing.T) {
 		t.Fatal("no pages with in-links")
 	}
 
-	e.links.consolidate(1)
-	if got := e.links.pendingChunks(); got != 0 {
-		t.Fatalf("%d live chunks after full consolidation", got)
-	}
-	// Fold everything to the cold tier so every probe that misses the
-	// in-memory chains would fall through to disk.
+	// Fold everything to the cold tier so every read that misses the
+	// in-memory chains falls through to disk.
 	if _, err := e.vs.Fold(); err != nil {
 		t.Fatal(err)
 	}
@@ -214,26 +206,20 @@ func TestConsolidatedInZeroColdFallthrough(t *testing.T) {
 		return cs.Reads, cs.ReadMisses
 	}
 	e.withView(func(v *DerivedView) {
-		_, miss0 := coldStats()
+		// The uncached twin, so every In() reaches the store.
+		truth := uncachedTwin(v)
+		reads0, miss0 := coldStats()
 		for _, p := range linked {
-			if v.In(p) == nil {
-				t.Fatalf("page %d lost its in-links after consolidation", p)
+			if truth.In(p) == nil {
+				t.Fatalf("page %d lost its in-links in the fold", p)
 			}
 		}
-		_, miss1 := coldStats()
+		reads1, miss1 := coldStats()
+		if got := reads1 - reads0; got != uint64(len(linked)) {
+			t.Fatalf("In() over %d folded pages cost %d cold reads, want one each", len(linked), got)
+		}
 		if miss1 != miss0 {
-			t.Fatalf("hinted In() paid %d cold-tier fallthrough misses, want 0", miss1-miss0)
-		}
-
-		// The ground-truth twin (no hint) probes one seq past the window per
-		// page and pays the cold miss every time.
-		truth := uncachedTwin(v)
-		for _, p := range linked {
-			truth.In(p)
-		}
-		_, miss2 := coldStats()
-		if int(miss2-miss1) < len(linked) {
-			t.Fatalf("unhinted twin paid %d cold misses over %d pages — the hint isn't measuring anything", miss2-miss1, len(linked))
+			t.Fatalf("In() paid %d cold-tier misses, want 0", miss1-miss0)
 		}
 	})
 }
@@ -271,7 +257,7 @@ func TestCacheEvictionRespectsPinFloor(t *testing.T) {
 		e.cache.evictBelow(e.vs.PinFloor())
 		h0 := e.cache.stats().Hits
 		warm := &DerivedView{
-			sn: v.sn, dict: v.dict, cache: v.cache, hints: v.hints,
+			sn: v.sn, dict: v.dict, cache: v.cache,
 			tf:  map[int64]map[string]int{},
 			vec: map[int64]text.Vector{},
 			out: map[int64][]int64{},
@@ -303,7 +289,7 @@ func TestCacheEvictionRespectsPinFloor(t *testing.T) {
 
 // TestDerivedCacheConcurrentMiningAndIngest is the -race exercise: theme
 // rebuilds, recommendation and raw cached read passes run against live
-// ingest, the GC/fold/consolidation demon and explicit pin-floor cache
+// ingest, the GC/fold demon and explicit pin-floor cache
 // sweeps, with every cached read checked against the uncached
 // ground-truth twin on the same pinned snapshot.
 func TestDerivedCacheConcurrentMiningAndIngest(t *testing.T) {

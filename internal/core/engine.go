@@ -144,7 +144,7 @@ type Engine struct {
 	links *linkIndex
 	// cache is the shared decoded-record cache (cache.go): every
 	// DerivedView of this engine consults it before decoding a tf/, lnk/
-	// or rin* record, so repeated passes over an unchanged epoch pay
+	// or rin/ record, so repeated passes over an unchanged epoch pay
 	// decode cost once. nil when DecodedCacheBytes < 0.
 	cache *recordCache
 	queue *events.Queue
@@ -269,7 +269,10 @@ func Open(cfg Config) (*Engine, error) {
 	// Replay recovered derived records into the in-memory text machinery
 	// (dictionary, inverted index) so queries work immediately after a
 	// restart and the fetch path skips every recovered page.
-	e.reloadDerived()
+	if err := e.reloadDerived(); err != nil {
+		kv.Close()
+		return nil, err
+	}
 	e.requeueUnfetched()
 	e.startDemons()
 	return e, nil
@@ -451,16 +454,10 @@ func (e *Engine) startDemons() {
 	if e.cfg.VersionGCInterval > 0 {
 		// Folding version-store layers to the cold tier runs as its own
 		// demon so neither the publish path nor snapshot readers pay it.
-		// In-link chunk consolidation runs first: folding each hub page's
-		// accumulated rinD/ delta chunks into its base record (plus
-		// tombstones) right before GC means the fold writes one
-		// consolidated record to the cold tier and reclaims the chunk
-		// records, keeping read-side merge chains and reopen scans short.
 		e.pool.Add(&demon.Periodic{
 			TaskName: "version-gc",
 			Interval: e.cfg.VersionGCInterval,
 			Tick: func() {
-				e.links.consolidate(rinConsolidateThreshold)
 				e.vs.GC()
 				// Published epochs are immutable, so the decoded-record
 				// cache never needs write invalidation — but once the pin
@@ -629,11 +626,6 @@ func (e *Engine) Close() error {
 	e.mu.Unlock()
 	e.queue.Close()
 	e.pool.Stop()
-	// Consolidate long in-link chunk chains before the final fold so the
-	// archive reopens from short chains (chains under the threshold stay
-	// chunked — cheaper than rewriting every base at every shutdown, and
-	// the next life's reads merge them identically).
-	e.links.consolidate(rinConsolidateThreshold)
 	if err := e.vs.Close(); err != nil {
 		e.kv.Close()
 		return err

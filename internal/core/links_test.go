@@ -1,13 +1,22 @@
 package core
 
 import (
+	"encoding/binary"
+	"fmt"
+	"io/fs"
+	"maps"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"slices"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"memex/internal/events"
 	"memex/internal/kvstore"
+	"memex/internal/sim"
 	"memex/internal/text"
 	"memex/internal/version"
 	"memex/internal/webcorpus"
@@ -207,7 +216,7 @@ func TestLinkGraphSurvivesRestart(t *testing.T) {
 }
 
 // testView builds a DerivedView over a bare version store — the pinned
-// read face the chunk tests drive without a full engine.
+// read face the link tests drive without a full engine.
 func testView(vs *version.Store) *DerivedView {
 	return &DerivedView{
 		sn:   vs.Acquire(),
@@ -219,265 +228,226 @@ func testView(vs *version.Store) *DerivedView {
 	}
 }
 
-// TestRinChunkScheme drives the chunked in-link records end to end on a
-// bare store: the first in-link creates the base record, every later one
-// appends a delta chunk, the pinned view merges base+chunks, and
-// consolidation folds the generation back into one base (tombstoning the
-// chunks) without changing what any view reads — while views pinned
-// before the consolidation keep the chunked shape.
-func TestRinChunkScheme(t *testing.T) {
-	vs := version.NewStore()
-	li := newLinkIndex(vs)
-	hub := int64(100)
-	for src := int64(1); src <= 5; src++ {
-		li.publish(src, []int64{hub}, nil)
-	}
-
-	view := testView(vs)
-	defer view.sn.Release()
-	want := []int64{1, 2, 3, 4, 5}
-	if got := view.In(hub); !slices.Equal(got, want) {
-		t.Fatalf("merged In = %v, want %v", got, want)
-	}
-	// Record shapes: base from the first edge, one chunk per later edge.
-	if raw, ok := view.sn.Get(rinKey(hub)); !ok {
-		t.Fatal("no base rin/ record after first in-link")
-	} else if ids, _ := decodeIDSet(raw); !slices.Equal(ids, []int64{1}) {
-		t.Fatalf("base record = %v, want [1]", ids)
-	}
-	for seq := 0; seq < 4; seq++ {
-		raw, ok := view.sn.Get(rinChunkKey(hub, seq))
-		if !ok {
-			t.Fatalf("missing chunk seq %d", seq)
-		}
-		if ids, _ := decodeIDSet(raw); len(ids) != 1 || ids[0] != int64(seq+2) {
-			t.Fatalf("chunk %d = %v, want [%d]", seq, ids, seq+2)
-		}
-	}
-	if _, ok := view.sn.Get(rinChunkKey(hub, 4)); ok {
-		t.Fatal("phantom chunk past the generation")
-	}
-	if got := li.pendingChunks(); got != 4 {
-		t.Fatalf("pendingChunks = %d, want 4", got)
-	}
-
-	// Consolidate: one base, no live chunks, identical merged reads.
-	if n := li.consolidate(1); n != 1 {
-		t.Fatalf("consolidate folded %d pages, want 1", n)
-	}
-	after := testView(vs)
-	defer after.sn.Release()
-	if got := after.In(hub); !slices.Equal(got, want) {
-		t.Fatalf("In after consolidation = %v, want %v", got, want)
-	}
-	if raw, ok := after.sn.Get(rinKey(hub)); !ok {
-		t.Fatal("no base record after consolidation")
-	} else if ids, _ := decodeIDSet(raw); !slices.Equal(ids, want) {
-		t.Fatalf("consolidated base = %v, want %v", ids, want)
-	} else if _, start, ok := decodeIDSetStart(raw); !ok || start != 4 {
-		t.Fatalf("consolidated base startSeq = %d (ok=%v), want 4", start, ok)
-	}
-	if _, ok := after.sn.Get(rinChunkKey(hub, 0)); ok {
-		t.Fatal("chunk survived consolidation")
-	}
-	if got := li.pendingChunks(); got != 0 {
-		t.Fatalf("pendingChunks after consolidation = %d, want 0", got)
-	}
-	// The view pinned before consolidation still sees the chunked shape.
-	if _, ok := view.sn.Get(rinChunkKey(hub, 0)); !ok {
-		t.Fatal("pre-consolidation view lost its chunks")
-	}
-
-	// Chunk seqs are monotone per page: the next generation continues at
-	// seq 4 (where the folded one left off) and merges on top of the base,
-	// whose persisted startSeq tells readers where live chunks begin.
-	li.publish(6, []int64{hub}, nil)
-	gen2 := testView(vs)
-	defer gen2.sn.Release()
-	if got := gen2.In(hub); !slices.Equal(got, []int64{1, 2, 3, 4, 5, 6}) {
-		t.Fatalf("In after new generation = %v", got)
-	}
-	if _, ok := gen2.sn.Get(rinChunkKey(hub, 0)); ok {
-		t.Fatal("new generation reused a folded chunk seq")
-	}
-	if raw, ok := gen2.sn.Get(rinChunkKey(hub, 4)); !ok {
-		t.Fatal("new generation's first chunk not at seq 4")
-	} else if ids, _ := decodeIDSet(raw); !slices.Equal(ids, []int64{6}) {
-		t.Fatalf("new generation chunk = %v, want [6]", ids)
-	}
-}
-
 // TestRinChunkMergeMatchesAuthority is the property check: for a random
-// edge stream, the pinned view's merged base+chunk in-adjacency must
-// equal the producer-side authority graph's, for every target, with and
-// without interleaved consolidation.
+// edge stream, a view pinned after any publish reads, for every target, the
+// producer-side authority's in-adjacency as of that epoch — and goes on
+// reading it however many edges are published afterwards.
 func TestRinChunkMergeMatchesAuthority(t *testing.T) {
 	vs := version.NewStore()
 	li := newLinkIndex(vs)
 	rng := rand.New(rand.NewSource(42))
 	const pages = 20
-	for i := 0; i < 400; i++ {
-		from := int64(rng.Intn(pages))
-		to := int64(rng.Intn(pages))
-		li.publish(from, []int64{to}, nil)
-		if i%97 == 0 {
-			li.consolidate(2)
+	check := func(view *DerivedView, want [][]int64, when string) {
+		t.Helper()
+		for p := int64(0); p < pages; p++ {
+			got := view.In(p)
+			if len(want[p]) == 0 {
+				// Never linked-to: the view may know it (empty) or not (nil).
+				if len(got) != 0 {
+					t.Fatalf("%s, page %d: view has in-links %v, authority none", when, p, got)
+				}
+				continue
+			}
+			if !slices.Equal(got, want[p]) {
+				t.Fatalf("%s, page %d: view In = %v, authority %v", when, p, got, want[p])
+			}
 		}
 	}
-	view := testView(vs)
-	defer view.sn.Release()
-	for p := int64(0); p < pages; p++ {
-		want := li.g.In(p)
-		slices.Sort(want)
-		got := view.In(p)
-		if len(want) == 0 {
-			// Never linked-to: the view may know it (empty) or not (nil).
-			if len(got) != 0 {
-				t.Fatalf("page %d: view has in-links %v, authority none", p, got)
-			}
-			continue
+	type pinned struct {
+		view *DerivedView
+		want [][]int64
+	}
+	var kept []pinned
+	for i := 0; i < 400; i++ {
+		li.publish(int64(rng.Intn(pages)), []int64{int64(rng.Intn(pages))}, nil)
+		want := make([][]int64, pages)
+		for p := range want {
+			want[p] = li.g.In(int64(p))
+			slices.Sort(want[p])
 		}
-		if !slices.Equal(got, want) {
-			t.Fatalf("page %d: view In = %v, authority %v", p, got, want)
+		view := testView(vs)
+		check(view, want, "at its own epoch")
+		if i%50 == 0 {
+			// A second view of the epoch, its memo still empty at the end.
+			kept = append(kept, pinned{testView(vs), want})
 		}
+		view.sn.Release()
+	}
+	for _, k := range kept {
+		check(k.view, k.want, "after later publishes")
+		k.view.sn.Release()
 	}
 }
 
-// TestRinMixedArchiveDecode crafts records the way three different
-// "generations" of the codebase would have written them — a pre-chunk
-// full rin/ record, delta chunks on top of it, and a chunk-only page with
-// no base — plus a corrupt chunk in the middle of a chain, and checks the
-// merge handles all of them.
-func TestRinMixedArchiveDecode(t *testing.T) {
+// TestHubInLinksNeverOutrunOutLinks is the torn-pair invariant under
+// contention: eight publishers add 2 000 distinct sources to one target
+// while readers pin views, and in every view the hub's rin/ record lists
+// exactly the sources whose lnk/ record that same view can read.
+func TestHubInLinksNeverOutrunOutLinks(t *testing.T) {
+	const publishers, sources, readers = 8, 2000, 3
 	vs := version.NewStore()
+	li := newLinkIndex(vs)
+	hub := int64(1 << 40)
 
-	b := vs.Begin()
-	// Page 7: legacy full record, as PR-4 code wrote it.
-	b.Put(rinKey(7), encodeIDSet([]int64{1, 2, 3}))
-	// Page 8: chunks with no base (defensive: the writer never produces
-	// this, but the reader must not depend on that).
-	b.Put(rinChunkKey(8, 0), encodeIDSet([]int64{5}))
-	b.Put(rinChunkKey(8, 1), encodeIDSet([]int64{4}))
-	if err := b.Publish(); err != nil {
+	check := func() error {
+		view := testView(vs)
+		defer view.sn.Release()
+		in := view.In(hub)
+		if !slices.IsSorted(in) {
+			return fmt.Errorf("epoch %d: In(hub) not sorted", view.Epoch())
+		}
+		for src := int64(1); src <= sources; src++ {
+			_, listed := slices.BinarySearch(in, src)
+			if linked := slices.Contains(view.Out(src), hub); linked != listed {
+				return fmt.Errorf("epoch %d: source %d in rin/ = %v, hub in its lnk/ = %v", view.Epoch(), src, listed, linked)
+			}
+		}
+		return nil
+	}
+
+	var pubs, reads sync.WaitGroup
+	done := make(chan struct{})
+	errs := make(chan error, readers)
+	for r := 0; r < readers; r++ {
+		reads.Add(1)
+		go func() {
+			defer reads.Done()
+			for {
+				if err := check(); err != nil {
+					errs <- err
+					return
+				}
+				select {
+				case <-done:
+					return
+				default:
+				}
+			}
+		}()
+	}
+	for w := 0; w < publishers; w++ {
+		pubs.Add(1)
+		go func(w int) {
+			defer pubs.Done()
+			for src := 1 + w; src <= sources; src += publishers {
+				li.publish(int64(src), []int64{hub}, nil)
+			}
+		}(w)
+	}
+	pubs.Wait()
+	close(done)
+	reads.Wait()
+	close(errs)
+	for err := range errs {
 		t.Fatal(err)
 	}
-	// Page 7 gains post-migration chunks — seq 1 corrupt.
-	b2 := vs.Begin()
-	b2.Put(rinChunkKey(7, 0), encodeIDSet([]int64{9}))     //memexvet:ignore epochbatch this batch models a later epoch: post-migration chunks legitimately arrive after the legacy record
-	b2.Put(rinChunkKey(7, 1), []byte{0xff})                //memexvet:ignore epochbatch same staged migration scenario: the corrupt chunk under test
-	b2.Put(rinChunkKey(7, 2), encodeIDSet([]int64{2, 11})) //memexvet:ignore epochbatch same staged migration scenario: the chunk past the corruption
-	if err := b2.Publish(); err != nil {
+	if err := check(); err != nil {
+		t.Fatal(err)
+	}
+	view := testView(vs)
+	defer view.sn.Release()
+	if got := len(view.In(hub)); got != sources {
+		t.Fatalf("final In(hub) holds %d sources, want %d", got, sources)
+	}
+}
+
+// TestRinMixedArchiveDecode reads rin/ records as every writer this
+// archive format has had left them — the plain id set, and the same with
+// the start-seq suffix a chunk consolidation appended — and one no writer
+// produced: an undecodable record reads as unknown, never a panic.
+func TestRinMixedArchiveDecode(t *testing.T) {
+	vs := version.NewStore()
+	b := vs.Begin()
+	b.Put(rinKey(7), encodeIDSet([]int64{1, 2, 3}))
+	b.Put(rinKey(8), binary.AppendUvarint(encodeIDSet([]int64{5, 4}), 4))
+	b.Put(rinKey(9), []byte{0xff})
+	if err := b.Publish(); err != nil {
 		t.Fatal(err)
 	}
 
 	view := testView(vs)
 	defer view.sn.Release()
-	if got := view.In(7); !slices.Equal(got, []int64{1, 2, 3, 9, 11}) {
-		t.Fatalf("mixed base+chunks In = %v, want [1 2 3 9 11]", got)
+	if got := view.In(7); !slices.Equal(got, []int64{1, 2, 3}) {
+		t.Fatalf("plain record In = %v, want [1 2 3]", got)
 	}
 	if got := view.In(8); !slices.Equal(got, []int64{4, 5}) {
-		t.Fatalf("chunk-only In = %v, want [4 5]", got)
+		t.Fatalf("suffixed record In = %v, want [4 5]", got)
 	}
-	if !view.Has(8) {
-		t.Fatal("chunk-only page not Has()")
+	if got := view.In(9); got != nil || view.Has(9) {
+		t.Fatalf("corrupt record In = %v, Has = %v; want unknown", got, view.Has(9))
 	}
-	// Unknown page stays nil.
 	if got := view.In(99); got != nil {
 		t.Fatalf("unknown page In = %v, want nil", got)
 	}
 }
 
-// TestLinkRestartChunkedArchive closes an engine while delta chunks are
-// still live (chains under the consolidation threshold survive shutdown
-// chunked), reopens it, and proves the next life resumes each page's
-// chunk seq past the recovered generation: a new in-link must append,
-// not overwrite — an overwrite would shadow a recovered chunk's edge out
-// of every later view.
+// dirBytes reads every file under dir, for before/after comparison.
+func dirBytes(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	files := map[string]string{}
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		raw, err := os.ReadFile(path)
+		files[path] = string(raw)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
+}
+
+// TestLinkRestartChunkedArchive: an archive that still holds an in-link
+// delta chunk (rinD/<page>/<seq>, the format before a page's in-links were
+// one record) is refused at Open with an error naming the key, and the
+// refusal leaves the directory byte for byte as it found it. Opening it
+// anyway would drop the chunk's edges from every In without a word.
 func TestLinkRestartChunkedArchive(t *testing.T) {
 	c := webcorpus.Generate(webcorpus.Config{Seed: 7, TopTopics: 3, SubPerTopic: 2, PagesPerLeaf: 20})
 	dir := t.TempDir()
-	open := func() *Engine {
-		e, err := Open(Config{
-			Dir:    dir,
-			Source: corpusSource{c},
-			KV:     kvstore.Options{Sync: kvstore.SyncNever},
-			// Keep the GC demon from consolidating mid-test.
-			VersionGCInterval: -1,
-		})
-		if err != nil {
-			t.Fatalf("Open: %v", err)
-		}
-		return e
+	cfg := Config{
+		Dir:               dir,
+		Source:            corpusSource{c},
+		KV:                kvstore.Options{Sync: kvstore.SyncNever},
+		VersionGCInterval: -1,
 	}
-
-	e1 := open()
-	e1.RegisterUser(1, "alice")
-	for i, pid := range c.LeafPages[c.Leaves()[0].ID][:8] {
-		p := c.Page(pid)
-		if err := e1.RecordVisit(1, p.URL, "", tBase.Add(time.Duration(i)*time.Minute), events.Community); err != nil {
-			t.Fatal(err)
-		}
+	e1, err := Open(cfg)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
 	}
-	e1.DrainBackground()
-
-	// Pick a target that will still hold live chunks after Close (Close
-	// consolidates only chains at or past the threshold).
-	e1.links.mu.Lock()
-	var target int64
-	var nChunks int
-	for p, n := range e1.links.chunks {
-		if n >= 1 && n < rinConsolidateThreshold && n > nChunks {
-			target, nChunks = p, n
-		}
+	seedEngine(t, e1, c, 8)
+	const chunk = "rinD/3/0"
+	b := e1.vs.Begin()
+	b.Put(chunk, encodeIDSet([]int64{1 << 40}))
+	if err := b.Publish(); err != nil {
+		t.Fatal(err)
 	}
-	e1.links.mu.Unlock()
-	if nChunks == 0 {
-		t.Skip("corpus seed produced no under-threshold chunk chains")
-	}
-	var in1 []int64
-	e1.withView(func(view1 *DerivedView) { in1 = slices.Clone(view1.In(target)) })
 	if err := e1.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	e2 := open()
-	defer e2.Close()
-	if got := e2.Status().PagesFetched; got != 0 {
-		t.Fatalf("restart re-fetched %d pages", got)
-	}
-	e2.withView(func(view2 *DerivedView) {
-		if got := view2.In(target); !slices.Equal(got, in1) {
-			t.Fatalf("recovered In = %v, want %v", got, in1)
+	before := dirBytes(t, dir)
+	for life := 2; life <= 3; life++ {
+		e, err := Open(cfg)
+		if err == nil {
+			e.Close()
+			t.Fatalf("life %d: Open accepted an archive holding %s", life, chunk)
 		}
-	})
-	// The recovered seq counters must sit above the live chunks.
-	e2.links.mu.Lock()
-	resumed := e2.links.chunks[target]
-	e2.links.mu.Unlock()
-	if resumed != nChunks {
-		t.Fatalf("chunk seq resumed at %d, want %d", resumed, nChunks)
-	}
-
-	// Append a new in-link in the second life: the union must grow by
-	// exactly the new source — losing any element means the new chunk
-	// overwrote a recovered one.
-	const newSrc = int64(1 << 40)
-	e2.links.publish(newSrc, []int64{target}, nil)
-	e2.withView(func(view3 *DerivedView) {
-		want := append(slices.Clone(in1), newSrc)
-		slices.Sort(want)
-		if got := view3.In(target); !slices.Equal(got, want) {
-			t.Fatalf("In after second-life append = %v, want %v", got, want)
+		if !strings.Contains(err.Error(), chunk) {
+			t.Fatalf("life %d: refusal does not name the key: %v", life, err)
 		}
-	})
+		if after := dirBytes(t, dir); !maps.Equal(before, after) {
+			t.Fatalf("life %d: the refused Open changed the archive on disk", life)
+		}
+	}
 }
 
-// TestLinkRestartPreChunkArchive reopens an archive shaped exactly like
-// one written before delta chunks existed — every page's in-links in one
-// full rin/ record, zero chunks (produced by consolidating everything
-// down before close) — and checks the second life recovers it with zero
-// fetches, reads identical adjacency, and starts chunking on top of the
-// legacy bases.
+// TestLinkRestartPreChunkArchive closes an archive whose every in-list is
+// one full rin/ record and checks the second life recovers it with zero
+// fetches, reads identical adjacency, and that a new in-link on a recovered
+// page leaves one rin/ record holding the old sources and the new one.
 func TestLinkRestartPreChunkArchive(t *testing.T) {
 	c := webcorpus.Generate(webcorpus.Config{Seed: 9, TopTopics: 3, SubPerTopic: 2, PagesPerLeaf: 20})
 	dir := t.TempDir()
@@ -495,21 +465,7 @@ func TestLinkRestartPreChunkArchive(t *testing.T) {
 	}
 
 	e1 := open()
-	e1.RegisterUser(1, "alice")
-	for i, pid := range c.LeafPages[c.Leaves()[0].ID][:8] {
-		p := c.Page(pid)
-		if err := e1.RecordVisit(1, p.URL, "", tBase.Add(time.Duration(i)*time.Minute), events.Community); err != nil {
-			t.Fatal(err)
-		}
-	}
-	e1.DrainBackground()
-	// Flatten every chunk chain into its base: the archive on disk now
-	// holds only full rin/ records, indistinguishable from a pre-chunk
-	// writer's output.
-	e1.links.consolidate(1)
-	if got := e1.links.pendingChunks(); got != 0 {
-		t.Fatalf("%d chunks survived full consolidation", got)
-	}
+	seedEngine(t, e1, c, 8)
 	st1 := e1.Status()
 	type probe struct {
 		page int64
@@ -535,9 +491,6 @@ func TestLinkRestartPreChunkArchive(t *testing.T) {
 		t.Fatalf("restart lost graph: %d/%d nodes, %d/%d edges",
 			st2.GraphNodes, st1.GraphNodes, st2.GraphEdges, st1.GraphEdges)
 	}
-	if got := e2.links.pendingChunks(); got != 0 {
-		t.Fatalf("phantom chunk counters (%d) recovered from a chunk-free archive", got)
-	}
 	e2.withView(func(view2 *DerivedView) {
 		for _, pr := range probes {
 			if got := view2.In(pr.page); !slices.Equal(got, pr.in) {
@@ -546,10 +499,6 @@ func TestLinkRestartPreChunkArchive(t *testing.T) {
 		}
 	})
 
-	// New edges on top of a recovered base start a chunk generation at the
-	// base's persisted startSeq (0 for a truly legacy suffix-free record,
-	// the folded-chunk count for one written by consolidation — seqs are
-	// monotone per page and never reused).
 	var hub int64
 	var hubIn []int64
 	for _, pr := range probes {
@@ -561,26 +510,84 @@ func TestLinkRestartPreChunkArchive(t *testing.T) {
 	if hubIn == nil {
 		t.Fatal("no page with in-links to probe")
 	}
-	var wantSeq int
-	e2.withView(func(view2b *DerivedView) {
-		if raw, ok := view2b.sn.Get(rinKey(hub)); ok {
-			if _, s, ok := decodeIDSetStart(raw); ok {
-				wantSeq = s
-			}
-		}
-	})
 	const newSrc = int64(1 << 40)
 	e2.links.publish(newSrc, []int64{hub}, nil)
 	e2.withView(func(view3 *DerivedView) {
-		if raw, ok := view3.sn.Get(rinChunkKey(hub, wantSeq)); !ok {
-			t.Fatalf("new edge on recovered base did not start a chunk generation at seq %d", wantSeq)
-		} else if ids, _ := decodeIDSet(raw); !slices.Equal(ids, []int64{newSrc}) {
-			t.Fatalf("first chunk = %v, want [%d]", ids, newSrc)
-		}
 		want := append(slices.Clone(hubIn), newSrc)
 		slices.Sort(want)
+		raw, ok := view3.sn.Get(rinKey(hub))
+		if !ok {
+			t.Fatalf("no rin/ record for page %d after a new in-link", hub)
+		}
+		if ids, _ := decodeIDSet(raw); !slices.Equal(ids, want) {
+			t.Fatalf("rin/%d = %v, want the recovered sources and the new one %v", hub, ids, want)
+		}
 		if got := view3.In(hub); !slices.Equal(got, want) {
-			t.Fatalf("legacy-base merge = %v, want %v", got, want)
+			t.Fatalf("In(%d) = %v, want %v", hub, got, want)
+		}
+		for _, key := range view3.sn.Keys() {
+			if strings.HasPrefix(key, "rinD/") {
+				t.Fatalf("second life wrote a delta chunk: %s", key)
+			}
 		}
 	})
+}
+
+// TestBenchWorldInDegrees replays the repository benchmark's world (what
+// recall-query preloads) and folds it: the measurement DESIGN.md §4 quotes
+// for keeping a page's in-links as one record. It logs the in-degree table
+// and the cold record count, and fails the day the world grows hubs — the
+// day to measure the O(in-degree) rewrite before trusting it further.
+func TestBenchWorldInDegrees(t *testing.T) {
+	if testing.Short() {
+		t.Skip("replays 8 000 visits")
+	}
+	c := webcorpus.Generate(benchWeb)
+	tr := sim.Simulate(c, benchSurf)
+	tr.Visits = tr.Visits[:8000]
+	e, err := Open(Config{
+		Dir:               t.TempDir(),
+		Source:            corpusSource{c},
+		KV:                kvstore.Options{Sync: kvstore.SyncNever},
+		QueueSize:         2 * (len(tr.Visits) + len(tr.Bookmarks)),
+		VersionGCInterval: -1,
+	})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer e.Close()
+	replayTrace(t, e, c, tr)
+	if _, err := e.vs.Fold(); err != nil {
+		t.Fatal(err)
+	}
+
+	var indeg []int
+	records := 0
+	e.withView(func(v *DerivedView) {
+		err = v.sn.Range(func(key string, raw []byte) bool {
+			records++
+			if strings.HasPrefix(key, "rinD/") {
+				t.Errorf("delta chunk %s in a fresh archive", key)
+			}
+			if strings.HasPrefix(key, "rin/") {
+				ids, _ := decodeIDSet(raw)
+				indeg = append(indeg, len(ids))
+			}
+			return true
+		})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	slices.Sort(indeg)
+	pct := func(p int) int { return indeg[(len(indeg)-1)*p/100] }
+	st := e.Status()
+	t.Logf("%d graph nodes, %d edges; %d pages with in-links, in-degree p50 %d / p90 %d / p99 %d / max %d; %d cold records, %d rin/ payload bytes published",
+		st.GraphNodes, st.GraphEdges, len(indeg), pct(50), pct(90), pct(99), pct(100), st.Version.Cold.Records, e.links.rinBytes.Load())
+	if got := st.Version.Cold.Records; got != int64(records) {
+		t.Fatalf("%d cold records for %d live keys: the fold left more than one record a key", got, records)
+	}
+	if pct(99) >= 1000 {
+		t.Fatalf("in-degree p99 is %d: measure what a new in-link costs a hub before keeping rin/ one record (DESIGN.md §4)", pct(99))
+	}
 }

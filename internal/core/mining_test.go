@@ -40,6 +40,16 @@ func replayWorld(tb testing.TB, web webcorpus.Config, surf sim.Config, maxVisits
 		tb.Fatalf("Open: %v", err)
 	}
 	tb.Cleanup(func() { e.Close() })
+	replayTrace(tb, e, c, tr)
+	e.RetrainClassifiers()
+	e.RebuildThemes()
+	return e, c, tr
+}
+
+// replayTrace registers the trace's users, files the bookmarks made by the
+// time of its last visit, records its visits, and drains the analyzers.
+func replayTrace(tb testing.TB, e *Engine, c *webcorpus.Corpus, tr *sim.Trace) {
+	tb.Helper()
 	for _, u := range tr.Users {
 		if err := e.RegisterUser(u.ID, u.Name); err != nil {
 			tb.Fatal(err)
@@ -64,9 +74,6 @@ func replayWorld(tb testing.TB, web webcorpus.Config, surf sim.Config, maxVisits
 		}
 	}
 	e.DrainBackground()
-	e.RetrainClassifiers()
-	e.RebuildThemes()
-	return e, c, tr
 }
 
 // The reference* functions are Trails, UsageBreakdown and Recommend as

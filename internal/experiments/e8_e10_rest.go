@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"memex/internal/classify"
-	"memex/internal/sim"
 	"memex/internal/textindex"
 	"memex/internal/version"
 	"memex/internal/webcorpus"
@@ -333,7 +332,6 @@ func E10(seed int64) *Report {
 		Seed: seed, TopTopics: 6, SubPerTopic: 4, PagesPerLeaf: 40,
 		FrontPageFrac: 0.4,
 	})
-	_ = sim.Config{}
 
 	// Task: classify pages into leaf topics. Pool = all pages; start with
 	// 3 labelled per topic; each round the user corrects 2 wrong guesses

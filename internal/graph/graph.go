@@ -10,15 +10,15 @@
 // concrete Graph: any per-page adjacency provider — the mutable in-memory
 // Graph here (the producer's authority over which edges are new, and the
 // bench's fixture), or a snapshot-pinned view decoding versioned adjacency
-// records (core.DerivedView, whose In lazily merges a page's base in-link
-// record with its append-only delta chunks) — can feed neighbourhood
-// expansion (ExpandFrom) and HITS (HITSOver). That is what lets the
-// engine run a whole trail-replay or discovery pass against one frozen
-// epoch of the link graph while ingest keeps publishing edges. The
-// primitives read each page's adjacency a bounded number of times (HITS
-// materialises the induced subgraph once), so a source that decodes
-// records on demand is never re-decoded per iteration — and the Graph's
-// lock is never held across an iteration loop.
+// records (core.DerivedView: one lnk/ record per page's out-links, one
+// rin/ record per page's in-links) — can feed neighbourhood expansion
+// (ExpandFrom) and HITS (HITSOver). That is what lets the engine run a
+// whole trail-replay or discovery pass against one frozen epoch of the
+// link graph while ingest keeps publishing edges. The primitives read each
+// page's adjacency a bounded number of times (HITS materialises the
+// induced subgraph once), so a source that decodes records on demand is
+// never re-decoded per iteration — and the Graph's lock is never held
+// across an iteration loop.
 package graph
 
 import (
@@ -95,21 +95,20 @@ func (g *Graph) ApplyOut(from int64, outs []int64) {
 // UnionOut is ApplyOut for a producer that must publish what the merge
 // changed, answered under the one lock acquisition that makes the change:
 // fresh lists the targets that were not out-neighbours of from before
-// (first-seen order; self-loops and repeats dropped), first[i] reports
-// whether fresh[i] had no in-link at all until now, and outs is from's
-// out-adjacency after the union (a copy). Unlike ApplyOut it creates no
-// node when it adds no edge.
-func (g *Graph) UnionOut(from int64, targets []int64) (fresh []int64, first []bool, outs []int64) {
+// (first-seen order; self-loops and repeats dropped), ins[i] is fresh[i]'s
+// in-adjacency after the union and outs is from's out-adjacency after it
+// (copies, insertion order). Unlike ApplyOut it creates no node when it
+// adds no edge.
+func (g *Graph) UnionOut(from int64, targets []int64) (fresh []int64, ins [][]int64, outs []int64) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	for _, to := range targets {
-		virgin := len(g.in[to]) == 0
 		if g.addEdgeLocked(from, to) {
 			fresh = append(fresh, to)
-			first = append(first, virgin)
+			ins = append(ins, append([]int64(nil), g.in[to]...))
 		}
 	}
-	return fresh, first, append([]int64(nil), g.out[from]...)
+	return fresh, ins, append([]int64(nil), g.out[from]...)
 }
 
 // addEdgeLocked adds from→to unless it is a self-loop or already there,

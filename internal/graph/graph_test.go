@@ -132,8 +132,8 @@ func BenchmarkHITS(b *testing.B) {
 }
 
 // TestUnionOut: one call reports exactly what the union changed — the fresh
-// targets in first-seen order, which of them had no in-link before, and
-// the out-list afterwards — and leaves the graph as ApplyOut would.
+// targets in first-seen order, each one's in-list and the source's out-list
+// afterwards — and leaves the graph as ApplyOut would.
 func TestUnionOut(t *testing.T) {
 	g := New()
 	g.AddEdge(1, 9)
@@ -143,12 +143,12 @@ func TestUnionOut(t *testing.T) {
 
 	// 3→4 is known, 3→3 is a self-loop, 7 repeats; 9 already has in-links
 	// (two of them, the duplicate counted once), 7 and 5 have none.
-	fresh, first, outs := g.UnionOut(3, []int64{4, 9, 3, 7, 7, 5})
+	fresh, ins, outs := g.UnionOut(3, []int64{4, 9, 3, 7, 7, 5})
 	if want := []int64{9, 7, 5}; !reflect.DeepEqual(fresh, want) {
 		t.Fatalf("fresh = %v, want %v", fresh, want)
 	}
-	if want := []bool{false, true, true}; !reflect.DeepEqual(first, want) {
-		t.Fatalf("first = %v, want %v", first, want)
+	if want := [][]int64{{1, 2, 3}, {3}, {3}}; !reflect.DeepEqual(ins, want) {
+		t.Fatalf("ins = %v, want %v", ins, want)
 	}
 	if want := []int64{4, 9, 7, 5}; !reflect.DeepEqual(outs, want) {
 		t.Fatalf("outs = %v, want %v", outs, want)
@@ -156,15 +156,18 @@ func TestUnionOut(t *testing.T) {
 	if got, want := g.In(9), []int64{1, 2, 3}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("In(9) = %v, want %v", got, want)
 	}
-	outs[0] = -1
+	outs[0], ins[0][0] = -1, -1
 	if got := g.Out(3); got[0] != 4 {
 		t.Fatal("UnionOut returned the graph's own out-list, not a copy")
 	}
+	if got := g.In(9); got[0] != 1 {
+		t.Fatal("UnionOut returned the graph's own in-list, not a copy")
+	}
 
 	// Nothing fresh: nothing reported but the standing out-list, no node made.
-	fresh, first, outs = g.UnionOut(3, []int64{9, 3})
-	if len(fresh) != 0 || len(first) != 0 || len(outs) != 4 {
-		t.Fatalf("repeat union = %v, %v, %v; want nothing fresh and the 4 standing out-links", fresh, first, outs)
+	fresh, ins, outs = g.UnionOut(3, []int64{9, 3})
+	if len(fresh) != 0 || len(ins) != 0 || len(outs) != 4 {
+		t.Fatalf("repeat union = %v, %v, %v; want nothing fresh and the 4 standing out-links", fresh, ins, outs)
 	}
 	if fresh, _, outs := g.UnionOut(42, []int64{42}); len(fresh) != 0 || len(outs) != 0 || g.Has(42) {
 		t.Fatalf("a pure self-loop changed the graph: fresh %v, outs %v, Has(42) = %v", fresh, outs, g.Has(42))

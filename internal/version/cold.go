@@ -48,7 +48,7 @@ package version
 // The purge scan is bounded by per-fold generation records: a round
 // writes m/gen before its first record and m/done (with authoritative
 // per-shard record counts) as its last step, so a reopen that finds the
-// two in agreement knows no round was torn, trusts the counts, and skips
+// two in agreement knows no round was torn, trusts the counts, and omits
 // the O(cold tier) scan entirely. Only an archive whose last round died
 // mid-flight — or one predating the meta — pays the full scan-and-purge.
 //
@@ -126,7 +126,7 @@ type coldTier struct {
 	lastErr    atomic.Pointer[string]
 
 	// recoveryScanned is the number of record keys Open's purge scan
-	// examined (0 after a clean open, which skips the scan entirely).
+	// examined (0 after a clean open, which runs no scan).
 	recoveryScanned int64
 	cleanOpen       bool
 }
@@ -831,9 +831,10 @@ func (s *Store) fold() (reclaimed int, err error) {
 // cleanupSuperseded deletes, for every key a fold just rewrote, all older
 // disk versions — and, when the newest surviving version is a tombstone,
 // the tombstone itself (nothing is left for it to shadow) — and returns how
-// many part-0 records it freed per shard. A failure may have deleted some
-// of them: the round ends there with the counts marked, leftover versions
-// stay invisible behind newer ones, and the next fold of the key retries.
+// many part-0 records it freed per shard. A failure — reading a key's run,
+// or the delete, which may have removed some of them — ends the round there
+// with the counts marked; leftover versions stay invisible behind newer
+// ones, and the next fold of the key retries.
 func (s *Store) cleanupSuperseded(merged []map[string]coldRec) (freed []int64, err error) {
 	c := s.cold
 	var dead [][]byte
@@ -841,7 +842,7 @@ func (s *Store) cleanupSuperseded(merged []map[string]coldRec) (freed []int64, e
 	for i, m := range merged {
 		for k, r := range m {
 			var tombRun [][]byte
-			c.rd.ScanPrefix(c.runPrefix(uint32(i), k), func(key, _ []byte) bool {
+			err := c.rd.ScanPrefix(c.runPrefix(uint32(i), k), func(key, _ []byte) bool {
 				_, _, epoch, part, ok := c.parseRecordKey(key)
 				if !ok {
 					return true
@@ -862,6 +863,9 @@ func (s *Store) cleanupSuperseded(merged []map[string]coldRec) (freed []int64, e
 				}
 				return true
 			})
+			if err != nil {
+				return freed, err
+			}
 			dead = append(dead, tombRun...)
 		}
 	}
@@ -891,10 +895,9 @@ type ColdStats struct {
 	FoldErrors    uint64
 	LastFoldError string
 	// Reads counts snapshot gets that fell through the in-memory chains
-	// to disk; ReadMisses is the subset that found nothing there (the
-	// cost the rin/ chunk-window hint exists to eliminate — see
-	// internal/core). ReadErrors counts cold reads that failed at the
-	// kvstore layer (each degraded to a miss).
+	// to disk; ReadMisses is the subset that found nothing there.
+	// ReadErrors counts cold reads that failed at the kvstore layer (each
+	// degraded to a miss).
 	Reads      uint64
 	ReadMisses uint64
 	ReadErrors uint64
@@ -960,15 +963,14 @@ func (s *Store) ColdWatermark() uint64 {
 // Range calls fn for every live key visible in the snapshot with its
 // value, in-memory or cold, in unspecified order; each key is yielded
 // exactly once (the newest version at or below the snapshot epoch wins).
-// fn returning false stops the walk. It panics if the snapshot was
-// released.
-func (sn *Snapshot) Range(fn func(key string, value []byte) bool) {
+// fn returning false stops the walk. A cold-tier scan that fails ends the
+// walk with that error: what fn saw until then is part of the snapshot,
+// not all of it. It panics if the snapshot was released.
+func (sn *Snapshot) Range(fn func(key string, value []byte) bool) error {
 	st := sn.view("Range")
 	for i := range st.shards {
 		seen := make(map[string]bool)
-		stopped := false
-		l, _ := descendTo(st.shards[i], st.watermark)
-		for ; l != nil; l = l.next {
+		for l := descendTo(st.shards[i], st.watermark); l != nil; l = l.next {
 			for k, e := range l.entries {
 				if seen[k] {
 					continue
@@ -976,27 +978,26 @@ func (sn *Snapshot) Range(fn func(key string, value []byte) bool) {
 				seen[k] = true
 				if !e.deleted {
 					if !fn(k, e.value) {
-						return
+						return nil
 					}
 				}
 			}
 		}
 		if c := sn.s.cold; c != nil {
-			c.scanShard(uint32(i), sn.epoch, func(k string, v []byte) bool {
+			stopped := false
+			err := c.scanShard(uint32(i), sn.epoch, func(k string, v []byte) bool {
 				if seen[k] {
 					return true
 				}
-				if !fn(k, v) {
-					stopped = true
-					return false
-				}
-				return true
+				stopped = !fn(k, v)
+				return !stopped
 			})
-			if stopped {
-				return
+			if err != nil || stopped {
+				return err
 			}
 		}
 	}
+	return nil
 }
 
 // coldKeys appends the shard's live cold keys not shadowed by seen.

@@ -543,13 +543,16 @@ func TestColdRangeUnion(t *testing.T) {
 	sn := s.Acquire()
 	defer sn.Release()
 	got := map[string]string{}
-	sn.Range(func(k string, v []byte) bool {
+	err := sn.Range(func(k string, v []byte) bool {
 		if _, dup := got[k]; dup {
 			t.Fatalf("Range yielded %q twice", k)
 		}
 		got[k] = string(v)
 		return true
 	})
+	if err != nil {
+		t.Fatalf("Range: %v", err)
+	}
 	want := map[string]string{"cold-only": "c", "both": "new", "hot-only": "h"}
 	if len(got) != len(want) {
 		t.Fatalf("Range = %v, want %v", got, want)
@@ -560,9 +563,38 @@ func TestColdRangeUnion(t *testing.T) {
 		}
 	}
 	n := 0
-	sn.Range(func(string, []byte) bool { n++; return false })
-	if n != 1 {
-		t.Fatalf("early-stopped Range visited %d keys, want 1", n)
+	if err := sn.Range(func(string, []byte) bool { n++; return false }); err != nil || n != 1 {
+		t.Fatalf("early-stopped Range visited %d keys (err %v), want 1 and no error", n, err)
+	}
+
+	// A cold scan that fails is reported, not passed off as a short archive:
+	// core.Open rebuilds its whole index from this walk.
+	kv.Close()
+	if err := sn.Range(func(string, []byte) bool { return true }); err == nil {
+		t.Fatal("Range over a closed kvstore returned no error")
+	}
+}
+
+// TestFoldCleanupReadFailureIsCounted: a round whose superseded-version
+// cleanup cannot read a key's run has not finished its accounting, so it is
+// an error and a counted one. Nothing is lost either way: the records and
+// the watermark are durable before cleanup starts.
+func TestFoldCleanupReadFailureIsCounted(t *testing.T) {
+	kv := openKV(t, t.TempDir())
+	defer kv.Close()
+	s := openCold(t, kv, Options{Shards: 2})
+	publishKV(t, s, map[string]string{"a": "1", "b": "2"})
+	s.SetFoldHook(func(p FoldPoint) error {
+		if p == FoldAfterWatermark {
+			kv.Close()
+		}
+		return nil
+	})
+	if _, err := s.Fold(); err == nil {
+		t.Fatal("Fold returned no error though its cleanup could not read the disk")
+	}
+	if got := s.StoreStats().Cold.FoldErrors; got != 1 {
+		t.Fatalf("FoldErrors = %d, want 1", got)
 	}
 }
 

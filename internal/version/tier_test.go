@@ -28,7 +28,7 @@ func visibleDepth(s *Store) []int {
 	st := s.current.Load()
 	depth := make([]int, len(st.shards))
 	for i := range st.shards {
-		l, _ := descendTo(st.shards[i], st.watermark)
+		l := descendTo(st.shards[i], st.watermark)
 		for ; l != nil; l = l.next {
 			depth[i]++
 		}

@@ -32,12 +32,7 @@
 //     captured chain, skipping layers above the snapshot epoch. It never
 //     touches a store mutex, so reads scale linearly with reader count,
 //     and sharding keeps each walk short: a chain only grows when its own
-//     shard is written. Each layer additionally carries binary-lifting
-//     skip pointers (layer.skips), so the not-yet-visible prefix a
-//     stalled low epoch piles up — hundreds of published-but-invisible
-//     layers above the watermark — is crossed in O(log prefix) hops
-//     rather than walked layer by layer; the fold's split at its floor
-//     rides the same ladder.
+//     shard is written.
 //
 // Published epochs are immutable: no publish and no fold ever rewrites a
 // record under an installed state. Layers above the store
@@ -73,17 +68,18 @@
 // level lead the visible chain they merge, newest first, into one
 // immutable layer of the next level (see tier). A snapshot therefore
 // walks at most (k-1)·(⌊log_k publishes⌋+1) layers plus the not-yet-
-// visible prefix the skip ladder crosses, each entry is copied at most
-// ⌊log_k publishes⌋ times, and none of it touches the disk: the merge
-// builds new layers beside the old ones and installs them behind the one
-// atomic pointer like any other state, so Get stays lock-free and a
-// pinned snapshot keeps the chains it captured.
+// visible prefix — one layer per batch published above a still open
+// epoch, so no longer than there are publishers running at once — each
+// entry is copied at most ⌊log_k publishes⌋ times, and none of it touches
+// the disk: the merge builds new layers beside the old ones and installs
+// them behind the one atomic pointer like any other state, so Get stays
+// lock-free and a pinned snapshot keeps the chains it captured.
 //
 // What a RAM merge must respect, and what it may leave to the fold:
 //
 //   - the watermark. A merged layer carries its newest member's epoch, so
 //     merging a layer above the watermark would hide the older members
-//     from every current snapshot (Get skips what is above its epoch).
+//     from every current snapshot (Get passes over what is above its epoch).
 //     At or below the watermark it is invisible: the state being
 //     installed and every later one pin at or above that epoch and would
 //     have read all the members anyway.
@@ -178,77 +174,34 @@ type layer struct {
 	// least tierFanout^ℓ batches.
 	level uint8
 	next  *layer
-	// skips are binary-lifting pointers into the same chain: skips[0] is
-	// next, and skips[i] is skips[i-1].skips[i-1] — the layer 2^i links
-	// down. Because chains are strictly epoch-descending, descendTo can
-	// binary-search an epoch boundary in O(log chain) hops instead of
-	// walking every layer, which is what keeps deep out-of-order chains
-	// (a stalled low epoch holding the watermark back while hundreds of
-	// higher epochs publish) readable. Built by linkLayer at construction
-	// time, immutable afterwards like every other field.
-	skips []*layer
-}
-
-// linkLayer points l at next and derives its skip ladder from next's.
-// Must be called before l is linked into an installed state (layers are
-// immutable once published).
-func linkLayer(l, next *layer) {
-	l.next = next
-	if next == nil {
-		l.skips = nil
-		return
-	}
-	skips := make([]*layer, 1, len(next.skips)+1)
-	skips[0] = next
-	for i := 0; ; i++ {
-		hop := skips[i]
-		if i >= len(hop.skips) {
-			break
-		}
-		skips = append(skips, hop.skips[i])
-	}
-	l.skips = skips
 }
 
 // relinked returns a copy of l (entries shared) linked onto next: the
 // path-copy step for every chain edit below an existing layer.
 func relinked(l, next *layer) *layer {
-	cp := &layer{epoch: l.epoch, oldest: l.oldest, entries: l.entries, level: l.level}
-	linkLayer(cp, next)
-	return cp
+	return &layer{epoch: l.epoch, oldest: l.oldest, entries: l.entries, level: l.level, next: next}
 }
 
-// descendTo returns the first layer of the chain with epoch <= target,
-// hopping the skip ladder so the walk is O(log prefix) instead of
-// O(prefix). probes counts layers examined (the scaling tests assert the
-// logarithmic bound); production callers ignore it.
-func descendTo(head *layer, target uint64) (*layer, int) {
-	if head == nil || head.epoch <= target {
-		return head, 0
+// descendTo returns the first layer of the chain with epoch <= target, or
+// nil. A plain walk: above a watermark lies the not-yet-visible prefix (one
+// layer per batch published over a still open epoch), above a fold's floor
+// the tiered spine.
+func descendTo(head *layer, target uint64) *layer {
+	l := head
+	for l != nil && l.epoch > target {
+		l = l.next
 	}
-	l, probes := lastAbove(head, target)
-	return l.next, probes
+	return l
 }
 
 // lastAbove returns the last layer of the chain with epoch > target — the
 // one whose next is descendTo's answer. head.epoch must be above target.
-func lastAbove(head *layer, target uint64) (*layer, int) {
-	// Invariant: l.epoch > target. Take the longest skip that stays above
-	// the target; when even next lands at or below it, l is the answer.
-	l, probes := head, 1
-	for i := len(l.skips) - 1; i >= 0; {
-		if i >= len(l.skips) {
-			i = len(l.skips) - 1
-			continue
-		}
-		if s := l.skips[i]; s.epoch > target {
-			l = s
-			probes++
-		} else {
-			i--
-		}
+func lastAbove(head *layer, target uint64) *layer {
+	l := head
+	for l.next != nil && l.next.epoch > target {
+		l = l.next
 	}
-	return l, probes
+	return l
 }
 
 // state is one immutable published view of the store: the watermark plus
@@ -587,7 +540,7 @@ func (s *Store) completeLocked(epoch uint64, layers []*layer) {
 // fence for a different reason: a fold recognises the sub-chain it wrote by
 // pointer, and leans on the fence as an epoch no layer spans.
 func tier(head *layer, fence, wm uint64) (*layer, int) {
-	top, _ := descendTo(head, wm)
+	top := descendTo(head, wm)
 	// Plan: the layers from top down to end (exclusive) merge into one
 	// layer of level lvl; nothing merges while end is still top.
 	lvl, end := uint8(0), top
@@ -609,7 +562,7 @@ func tier(head *layer, fence, wm uint64) (*layer, int) {
 		return head, 0
 	}
 	merged, members := mergeRun(top, end, lvl)
-	linkLayer(merged, end)
+	merged.next = end
 	return spliceAbove(head, top, merged), members - len(merged.entries)
 }
 
@@ -655,8 +608,8 @@ func (s *Store) pruneHistoryLocked(cur *state) {
 // in-order case l becomes the new head in O(1); an out-of-order publish
 // copies one node per already-published higher epoch in l's shard.
 func insertLayer(head *layer, l *layer) *layer {
-	below, _ := descendTo(head, l.epoch)
-	linkLayer(l, below)
+	below := descendTo(head, l.epoch)
+	l.next = below
 	return spliceAbove(head, below, l)
 }
 
@@ -702,14 +655,10 @@ func (sn *Snapshot) view(op string) *state {
 func (sn *Snapshot) Get(key string) ([]byte, bool) {
 	st := sn.view("Get")
 	shard := sn.s.shardOf(key)
-	l := st.shards[shard]
-	if l != nil && l.epoch > st.watermark {
-		// Skip the not-yet-visible prefix (epochs published above a still
-		// open lower epoch) in O(log prefix); the chain below is strictly
-		// epoch-descending, so no per-layer epoch check is needed after.
-		l, _ = descendTo(l, st.watermark)
-	}
-	for ; l != nil; l = l.next {
+	// Skip the not-yet-visible prefix (epochs published above a still open
+	// lower epoch); the chain below is strictly epoch-descending, so no
+	// per-layer epoch check is needed after.
+	for l := descendTo(st.shards[shard], st.watermark); l != nil; l = l.next {
 		if e, ok := l.entries[key]; ok {
 			if e.deleted {
 				return nil, false
@@ -731,8 +680,7 @@ func (sn *Snapshot) Keys() []string {
 	var keys []string
 	for i := range st.shards {
 		seen := make(map[string]bool)
-		l, _ := descendTo(st.shards[i], st.watermark)
-		for ; l != nil; l = l.next {
+		for l := descendTo(st.shards[i], st.watermark); l != nil; l = l.next {
 			for k, e := range l.entries {
 				if seen[k] {
 					continue
@@ -812,7 +760,7 @@ func (s *Store) foldFloorLocked(cur *state) uint64 {
 			if head == nil || head.epoch <= floor {
 				continue
 			}
-			if l, _ := lastAbove(head, floor); l.oldest <= floor {
+			if l := lastAbove(head, floor); l.oldest <= floor {
 				floor = l.oldest - 1
 				lowered = true
 			}
@@ -836,11 +784,9 @@ func (s *Store) GC() int {
 }
 
 // splitAt returns the first layer of the chain with epoch <= floor (the
-// immutable sub-chain a fold moves), or nil. The descent rides the skip
-// ladder, so the split is O(log spine) even on deep chains.
+// immutable sub-chain a fold moves), or nil.
 func splitAt(head *layer, floor uint64) *layer {
-	l, _ := descendTo(head, floor)
-	return l
+	return descendTo(head, floor)
 }
 
 // spliceAbove rebuilds the spine of layers strictly above oldBottom
