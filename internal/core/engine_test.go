@@ -3,6 +3,8 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -370,6 +372,52 @@ func TestPersistenceAcrossRestart(t *testing.T) {
 	}
 	if tree.FolderOfPage(e2.idByURL[p.URL]) == nil {
 		t.Fatal("bookmark page lost")
+	}
+}
+
+// TestOversizeURLDoesNotPoisonArchive: nothing caps a URL, and one too long
+// for a pages row is refused — by the store, before its log. Logged first,
+// the record made every recovery fail: a copy of the running directory
+// taken after the refused visit would not open.
+func TestOversizeURLDoesNotPoisonArchive(t *testing.T) {
+	c := webcorpus.Generate(webcorpus.Config{Seed: 6, TopTopics: 2, SubPerTopic: 2, PagesPerLeaf: 10})
+	dir := t.TempDir()
+	e, err := Open(Config{Dir: dir, Source: corpusSource{c}, KV: kvstore.Options{Sync: kvstore.SyncGroup}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	e.RegisterUser(1, "alice")
+	p := c.Page(1)
+	if err := e.RecordVisit(1, p.URL, "", tBase, events.Community); err != nil {
+		t.Fatal(err)
+	}
+	long := "http://a.example/" + strings.Repeat("x", 2000)
+	if err := e.RecordVisit(1, long, "", tBase, events.Community); !kvstore.ErrTooLarge(err) {
+		t.Fatalf("visit to a %d-byte URL: %v, want the store's too-large error", len(long), err)
+	}
+	e.DrainBackground()
+
+	snap := t.TempDir()
+	for path, raw := range dirBytes(t, dir) {
+		rel, _ := filepath.Rel(dir, path)
+		if err := os.MkdirAll(filepath.Dir(filepath.Join(snap, rel)), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(snap, rel), []byte(raw), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e2, err := Open(Config{Dir: snap, Source: corpusSource{c}})
+	if err != nil {
+		t.Fatalf("a copy of the running directory does not open: %v", err)
+	}
+	defer e2.Close()
+	if e2.idByURL[p.URL] == 0 {
+		t.Fatal("the visit before the refused one is not in the copy")
+	}
+	if e2.idByURL[long] != 0 {
+		t.Fatal("the refused URL has a page row in the copy")
 	}
 }
 

@@ -591,3 +591,76 @@ func TestBenchWorldInDegrees(t *testing.T) {
 		t.Fatalf("in-degree p99 is %d: measure what a new in-link costs a hub before keeping rin/ one record (DESIGN.md §4)", pct(99))
 	}
 }
+
+// TestBenchWorldDiskPerUserByte holds the archive's size as a number: the
+// benchmark's recall-query preload (the world above, 8 000 visits) through
+// the engine, closed, and then the file against what is stored in it — key
+// and value bytes, by key family. The B+tree's leaves are the overhead: a
+// split-only tree leaves them 0.60 full and the file at 1.86 bytes a user
+// byte; splitting last (DESIGN.md §4) brings it near 1.4.
+func TestBenchWorldDiskPerUserByte(t *testing.T) {
+	if testing.Short() {
+		t.Skip("replays 8 000 visits")
+	}
+	e, _, _ := replayWorld(t, benchWeb, benchSurf, 8000)
+	if _, err := e.vs.Fold(); err != nil {
+		t.Fatal(err)
+	}
+	work := e.Status().KV
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	kv, err := kvstore.Open(e.cfg.Dir, kvstore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer kv.Close()
+	disk := kv.DiskBytes()
+	family := map[string]int64{}
+	var user int64
+	err = kv.Scan(nil, nil, func(k, v []byte) bool {
+		family[keyFamily(k)] += int64(len(k) + len(v))
+		user += int64(len(k) + len(v))
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := make([]string, 0, len(family))
+	for name := range family {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	for _, name := range names {
+		t.Logf("%-12s %8d B", name, family[name])
+	}
+	ratio := float64(disk) / float64(user)
+	t.Logf("%d B on disk for %d B of keys and values: %.2f B per user byte; %d leaf splits, %d rebalances",
+		disk, user, ratio, work.LeafSplits, work.LeafRebalances)
+	if ratio > 1.55 {
+		t.Errorf("%.2f bytes of disk per user byte, want at most 1.55", ratio)
+	}
+	if work.LeafRebalances > 3*work.LeafSplits {
+		t.Errorf("%d rebalances for %d splits, want at most 3 a split", work.LeafRebalances, work.LeafSplits)
+	}
+}
+
+// keyFamily names what a store key belongs to: a table's rows
+// (tbl/<table>), one of its indexes (idx/<table>/<column>), the cold
+// tier's records of one kind whatever their shard (vc/r/tf, vc/r/lnk,
+// vc/r/rin), or else the key's first path element.
+func keyFamily(k []byte) string {
+	switch s := string(k); {
+	case strings.HasPrefix(s, "tbl/") && len(k) >= 8:
+		return fmt.Sprintf("tbl/%d", binary.BigEndian.Uint32(k[4:]))
+	case strings.HasPrefix(s, "idx/") && len(k) >= 11:
+		return fmt.Sprintf("idx/%d/%d", binary.BigEndian.Uint32(k[4:]), binary.BigEndian.Uint16(k[9:]))
+	case strings.HasPrefix(s, "vc/r/") && len(k) >= 7:
+		kind, _, _ := strings.Cut(s[7:], "/")
+		return "vc/r/" + kind
+	default:
+		first, _, _ := strings.Cut(s, "/")
+		return first
+	}
+}

@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -116,5 +119,84 @@ func TestPayloadCapEnforced(t *testing.T) {
 	}
 	if err := s.Put(k, make([]byte, maxPayload)); err == nil || !ErrTooLarge(err) {
 		t.Fatalf("over-cap put: %v", err)
+	}
+}
+
+// TestOversizeLeavesNoLogRecord: a pair the tree cannot hold is refused
+// before it reaches the log. Logged first, it made every later recovery
+// fail on the record the tree refuses again — an archive that would not
+// open.
+func TestOversizeLeavesNoLogRecord(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, Options{Sync: SyncGroup, CheckpointEvery: 1 << 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put([]byte("before"), []byte("1")); err != nil {
+		t.Fatal(err)
+	}
+	before := s.Stats()
+	if err := s.Put([]byte("k"), make([]byte, maxPayload)); !ErrTooLarge(err) {
+		t.Fatalf("oversize Put: %v, want too large", err)
+	}
+	batch := []KV{
+		{Key: []byte("b1"), Value: []byte("x")},
+		{Key: []byte("b2"), Value: make([]byte, PageSize)},
+		{Key: []byte("b3"), Value: []byte("x")},
+	}
+	if err := s.PutBatch(batch); !ErrTooLarge(err) {
+		t.Fatalf("PutBatch with an oversize pair: %v, want too large", err)
+	}
+	if err := s.PutBatch([]KV{{Key: []byte("b4"), Value: []byte("x")}, {Value: []byte("no key")}}); err == nil {
+		t.Fatal("PutBatch with an empty key succeeded")
+	}
+	if after := s.Stats(); after.Commits != before.Commits || after.WALBytes != before.WALBytes {
+		t.Fatalf("refused writes reached the log: commits %d → %d, bytes %d → %d",
+			before.Commits, after.Commits, before.WALBytes, after.WALBytes)
+	}
+	// Crash: drop the handles without Close, so Open replays the log.
+	s.wal.f.Close()
+	s.pager.f.Close()
+
+	s2, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatalf("reopen after refused writes: %v", err)
+	}
+	defer s2.Close()
+	if v, ok, _ := s2.Get([]byte("before")); !ok || string(v) != "1" {
+		t.Fatalf("earlier key after recovery: %q ok=%v", v, ok)
+	}
+	for _, k := range []string{"k", "b1", "b2", "b3", "b4"} {
+		if _, ok, _ := s2.Get([]byte(k)); ok {
+			t.Errorf("key %q of a refused write is in the store", k)
+		}
+	}
+	if s2.Len() != 1 {
+		t.Fatalf("Len = %d, want 1", s2.Len())
+	}
+}
+
+// TestFreeListHeadRefused: no version of the store fed the free list, so a
+// meta page that names a free-list head was not written by one.
+func TestFreeListHeadRefused(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Put([]byte("k"), []byte("v"))
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(filepath.Join(dir, "data.db"), os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt([]byte{7, 0, 0, 0}, metaFreeOff); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	if _, err := Open(dir, Options{}); err == nil || !strings.Contains(err.Error(), "free-list head 7") {
+		t.Fatalf("Open with a free-list head: %v, want an error naming it", err)
 	}
 }

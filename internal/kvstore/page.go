@@ -10,6 +10,15 @@
 // Concurrency model: single writer, many readers, guarded by an RWMutex.
 // Durability: committed batches are redo-logged; recovery replays the WAL
 // onto the last checkpointed tree image.
+//
+// Space: a leaf that cannot take a cell splits last. It first sheds cells
+// into a sibling under the same parent that has room (btree.rebalanceInsert)
+// and only when neither has does it split, so leaves settle near 0.8 full
+// where a split-only tree sits at 0.5 (ascending keys) to 0.7 (random).
+// Deletes do not merge or free pages; the leaf they leave under-full is
+// refilled by its neighbours' overflow before any new page is allocated.
+// The log is logical redo, so neither a split nor a rebalance is logged:
+// both only dirty pages, which reach data.db by eviction or checkpoint.
 package kvstore
 
 import (
@@ -27,7 +36,6 @@ const (
 	pageMeta = iota // page 0: store metadata
 	pageLeaf
 	pageInternal
-	pageFree
 )
 
 const (
@@ -36,8 +44,14 @@ const (
 	// maxPayload caps key+value size per cell. Keeping cells at no more
 	// than a quarter page guarantees that a byte-balanced split (which
 	// redistributes cells *including* the incoming one) always leaves both
-	// halves within page capacity.
+	// halves within page capacity: one page's cells plus one more, cut at
+	// the half, overshoot it by less than a cell. A rebalance has no such
+	// guarantee — it pools two pages' cells, up to 2⅛ pages' worth, and the
+	// half plus a cell can exceed a page — so planCut checks both sides and
+	// the caller falls back to the split.
 	maxPayload = (PageSize - pageHeaderSize) / 4
+	// pageRoom is what one page holds of cell bodies and their slots.
+	pageRoom = PageSize - pageHeaderSize
 )
 
 // pageID identifies a page by index within the store file.
@@ -102,9 +116,22 @@ func (p *page) setSlot(i, off, ln int) {
 	binary.LittleEndian.PutUint16(p.buf[pageHeaderSize+i*slotSize+2:], uint16(ln))
 }
 
+// gap returns the contiguous bytes between the slot directory and the cell
+// bodies; dead bodies elsewhere in the page are not in it until compact.
+func (p *page) gap() int {
+	return p.freeEnd() - (pageHeaderSize + p.nkeys()*slotSize)
+}
+
 // freeSpace returns bytes available for one more cell (slot + body).
-func (p *page) freeSpace() int {
-	return p.freeEnd() - (pageHeaderSize + p.nkeys()*slotSize) - slotSize
+func (p *page) freeSpace() int { return p.gap() - slotSize }
+
+// makeRoom reports whether a cell body of need bytes (and its slot) can be
+// inserted, compacting first when that is what it takes.
+func (p *page) makeRoom(need int) bool {
+	if p.freeSpace() < need && p.liveBytes()+need+slotSize <= PageSize {
+		p.compact()
+	}
+	return p.freeSpace() >= need
 }
 
 // leafKey returns the key of cell i on a leaf page. The returned slice
@@ -136,10 +163,35 @@ func (p *page) intChild(i int) pageID {
 	return pageID(binary.LittleEndian.Uint32(p.buf[off+2:]))
 }
 
-func (p *page) setIntChild(i int, c pageID) {
-	off := p.slotOffset(i)
-	binary.LittleEndian.PutUint32(p.buf[off+2:], uint32(c))
+// childAt returns the child in slot i of an internal page; slot -1 is the
+// leftmost child, held in hdr.next.
+func (p *page) childAt(i int) pageID {
+	if i < 0 {
+		return p.next()
+	}
+	return p.intChild(i)
+}
+
+// replaceIntKey gives cell i of an internal page a new separator key,
+// keeping its child. It reports false, having touched nothing, when the
+// page cannot hold the longer key.
+func (p *page) replaceIntKey(i int, key []byte) bool {
+	off, old, body := p.slotOffset(i), p.slotLen(i), 6+len(key)
+	if body > old {
+		if p.liveBytes()-old+body > PageSize {
+			return false
+		}
+		child := p.intChild(i)
+		p.removeCell(i)
+		p.makeRoom(body)
+		p.insertIntCell(i, key, child)
+		return true
+	}
+	binary.LittleEndian.PutUint16(p.buf[off:], uint16(len(key)))
+	copy(p.buf[off+6:], key)
+	p.setSlot(i, off, body)
 	p.dirty = true
+	return true
 }
 
 // insertLeafCell inserts key/val at slot position pos, shifting later slots.
@@ -185,10 +237,30 @@ func (p *page) shiftSlots(pos, delta int) {
 }
 
 // removeCell deletes slot i. Body space is reclaimed only by compact.
-func (p *page) removeCell(i int) {
-	p.shiftSlots(i+1, -1)
-	p.setNKeys(p.nkeys() - 1)
+func (p *page) removeCell(i int) { p.removeCells(i, 1) }
+
+func (p *page) removeCells(i, n int) {
+	p.shiftSlots(i+n, -n)
+	p.setNKeys(p.nkeys() - n)
 	p.dirty = true
+}
+
+// takeCells moves cells [from, from+n) of src, in order, to slots [at, at+n)
+// of p, body bytes copied page to page. The caller has verified that p's
+// gap holds them.
+func (p *page) takeCells(at int, src *page, from, n int) {
+	p.shiftSlots(at, n)
+	end := p.freeEnd()
+	for j := 0; j < n; j++ {
+		off, ln := src.slotOffset(from+j), src.slotLen(from+j)
+		end -= ln
+		copy(p.buf[end:], src.buf[off:off+ln])
+		p.setSlot(at+j, end, ln)
+	}
+	p.setFreeEnd(end)
+	p.setNKeys(p.nkeys() + n)
+	p.dirty = true
+	src.removeCells(from, n)
 }
 
 // compact rewrites the page, squeezing out dead cell bodies. Needed when

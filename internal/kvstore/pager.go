@@ -8,8 +8,7 @@ import (
 )
 
 // Pager manages the page file and an LRU buffer pool. Page 0 is the meta
-// page; tree pages start at 1. Freed pages are chained through a free list
-// rooted in the meta page.
+// page; tree pages start at 1. Pages are never freed: the file only grows.
 type Pager struct {
 	mu       sync.Mutex
 	f        *os.File
@@ -17,7 +16,6 @@ type Pager struct {
 	cache    map[pageID]*lruEntry
 	lru      *lruEntry // most-recently used; doubly-linked ring sentinel
 	capacity int
-	freeHead pageID // head of free-page chain
 
 	// stats
 	hits, misses, evictions uint64
@@ -72,49 +70,19 @@ func newPager(path string, cacheSize int) (*Pager, error) {
 	return pg, nil
 }
 
-// allocate returns a pinned, zeroed page of the given kind, reusing the free
-// list when possible.
+// allocate returns a pinned, zeroed page of the given kind at the end of
+// the file.
 func (pg *Pager) allocate(kind byte) (*page, error) {
 	pg.mu.Lock()
-	var id pageID
-	if pg.freeHead != nilPage {
-		id = pg.freeHead
-		pg.mu.Unlock()
-		p, err := pg.get(id)
-		if err != nil {
-			return nil, err
-		}
-		pg.mu.Lock()
-		pg.freeHead = p.next()
-		pg.mu.Unlock()
-		p.init(id, kind)
-		p.dirty = true
-		return p, nil
-	}
-	id = pg.npages
-	pg.npages++
-	pg.mu.Unlock()
-
+	defer pg.mu.Unlock()
 	p := &page{}
-	p.init(id, kind)
+	p.init(pg.npages, kind)
 	p.dirty = true
-	pg.mu.Lock()
 	if err := pg.insertLocked(p, true); err != nil {
-		pg.mu.Unlock()
 		return nil, err
 	}
-	pg.mu.Unlock()
+	pg.npages++
 	return p, nil
-}
-
-// free returns a page to the free list.
-func (pg *Pager) free(p *page) {
-	pg.mu.Lock()
-	p.init(p.id, pageFree)
-	p.setNext(pg.freeHead)
-	p.dirty = true
-	pg.freeHead = p.id
-	pg.mu.Unlock()
 }
 
 // get returns a pinned page. Callers must unpin.
@@ -248,6 +216,11 @@ type Stats struct {
 	// Both only grow; a checkpoint truncates the file, not the counters.
 	Commits  uint64
 	WALBytes uint64
+	// LeafSplits counts full leaves that took a new page; LeafRebalances
+	// those that shed cells into a sibling instead. Counts of work done
+	// under the write lock, this life only.
+	LeafSplits     uint64
+	LeafRebalances uint64
 }
 
 func (pg *Pager) stats() Stats {

@@ -120,10 +120,23 @@ func Open(dir string, opts Options) (*Store, error) {
 	return s, nil
 }
 
-// Put stores key→value, replacing any existing value.
-func (s *Store) Put(key, value []byte) error {
+// checkKV refuses a pair the tree cannot hold. Put and PutBatch call it
+// before the first WAL append: a record that is logged and then refused by
+// the tree would be refused again by every recovery that replays it.
+func checkKV(key, value []byte) error {
 	if len(key) == 0 {
 		return fmt.Errorf("kvstore: empty key")
+	}
+	if len(key)+len(value) > maxPayload {
+		return errValueTooLarge
+	}
+	return nil
+}
+
+// Put stores key→value, replacing any existing value.
+func (s *Store) Put(key, value []byte) error {
+	if err := checkKV(key, value); err != nil {
+		return err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -146,17 +159,20 @@ func (s *Store) Put(key, value []byte) error {
 	return s.maybeCheckpoint(1)
 }
 
-// PutBatch applies many puts under one WAL commit (group commit).
+// PutBatch applies many puts under one WAL commit (group commit). A batch
+// holding a pair the tree cannot take is refused whole.
 func (s *Store) PutBatch(pairs []KV) error {
+	for i, kv := range pairs {
+		if err := checkKV(kv.Key, kv.Value); err != nil {
+			return fmt.Errorf("batch pair %d: %w", i, err)
+		}
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return fmt.Errorf("kvstore: store closed")
 	}
 	for _, kv := range pairs {
-		if len(kv.Key) == 0 {
-			return fmt.Errorf("kvstore: empty key in batch")
-		}
 		if err := s.wal.append(walPut, kv.Key, kv.Value); err != nil {
 			return err
 		}
@@ -352,6 +368,8 @@ func (s *Store) Stats() Stats {
 	st := s.pager.stats()
 	st.Commits = s.commits.Load()
 	st.WALBytes = s.wal.bytes.Load()
+	st.LeafSplits = s.tree.splits.Load()
+	st.LeafRebalances = s.tree.rebalances.Load()
 	return st
 }
 

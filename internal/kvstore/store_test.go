@@ -482,7 +482,7 @@ func TestLargeValuesNearLimit(t *testing.T) {
 
 func TestStatsCounters(t *testing.T) {
 	s := openTemp(t, Options{Sync: SyncNever, CacheSize: 16})
-	for i := 0; i < 3000; i++ {
+	for i := 0; i < 8000; i++ {
 		s.Put([]byte(fmt.Sprintf("k%05d", i)), []byte("v"))
 	}
 	st := s.Stats()
@@ -495,8 +495,8 @@ func TestStatsCounters(t *testing.T) {
 	if st.Evictions == 0 {
 		t.Fatal("expected evictions with tiny cache")
 	}
-	if st.Commits != 3000 {
-		t.Fatalf("Commits = %d after 3000 puts, want 3000", st.Commits)
+	if st.Commits != 8000 {
+		t.Fatalf("Commits = %d after 8000 puts, want 8000", st.Commits)
 	}
 }
 

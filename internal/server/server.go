@@ -51,6 +51,7 @@ import (
 
 	"memex/internal/core"
 	"memex/internal/events"
+	"memex/internal/kvstore"
 )
 
 // Server wraps an engine with the HTTP API.
@@ -181,7 +182,9 @@ type reply struct {
 }
 
 // A handler computes one route's answer from the request alone. A nil
-// error is a 200; a badRequest is a 400; any other error is a 500.
+// error is a 200; a badRequest is a 400, and so is a row the store refuses
+// as too large (only the client can shorten its URL, title or folder); any
+// other error is a 500.
 type handler func(r *http.Request) (reply, error)
 
 // badRequest marks an error as the client's to fix: the only way to a 400.
@@ -208,6 +211,9 @@ func answer(h handler, r *http.Request) (int, reply) {
 		return http.StatusOK, rep
 	}
 	code := http.StatusInternalServerError
+	if kvstore.ErrTooLarge(err) {
+		err = badRequestf("%v: a row's key and value may take %d bytes together", err, kvstore.MaxKV)
+	}
 	if errors.As(err, new(badRequest)) {
 		code = http.StatusBadRequest
 	}

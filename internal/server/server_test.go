@@ -87,6 +87,8 @@ func TestBadParamsReturn400(t *testing.T) {
 		{"event missing url", "POST", "/api/event", `{"user":1}`, "user and url required"},
 		{"event empty privacy is the default", "POST", "/api/event", visit + `"privacy":""}`, ""},
 		{"event private", "POST", "/api/event", visit + `"privacy":"private"}`, ""},
+		{"event url over the store's row limit", "POST", "/api/event", `{"user":1,"url":"http://x/` + strings.Repeat("x", 2000) + `"}`,
+			fmt.Sprintf("may take %d bytes", kvstore.MaxKV)},
 		{"bookmark missing folder", "POST", "/api/bookmark", `{"user":1,"url":"http://x/"}`, "user, url and folder required"},
 		{"correct malformed body", "POST", "/api/correct", `{`, "bad request body"},
 		{"correct unknown page", "POST", "/api/correct", `{"user":1,"url":"http://never-seen/","folder":"/f"}`, "unknown page"},
@@ -373,6 +375,8 @@ func TestMetricsEndpointMovesWithTraffic(t *testing.T) {
 		"memex_cache_hit_ratio",
 		"memex_kv_commits_total ",
 		"memex_kv_wal_bytes_total ",
+		"memex_kv_leaf_splits_total ",
+		"memex_kv_leaf_rebalances_total ",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics missing %q", want)
