@@ -202,11 +202,11 @@ func (tr *Trainer) selectFeatures(classes []string, k int) map[int32]bool {
 		}
 		all = append(all, scored{id, tr.dict.Term(id), between / within})
 	}
-	// Ties break on the term string, not the id: dictionary ids are
-	// assigned in process-local order, so an id tiebreak would select a
-	// different feature set after a restart replays the archive in a
-	// different order, and two lives of the same server must train
-	// identical models from identical archives. (Terms are resolved once
+	// Ties break on the term string, not the id: dictionary ids follow
+	// the order a dictionary happened to intern its terms, so an id
+	// tiebreak would select a different feature set from the same examples
+	// under a dictionary built in another order, and the model must be a
+	// function of the examples alone. (Terms are resolved once
 	// above — the comparator must not take the dict lock O(n log n) times.)
 	sort.Slice(all, func(i, j int) bool {
 		if all[i].score != all[j].score {

@@ -239,15 +239,14 @@ func (c *recordCache) stats() CacheStats {
 // --- approximate value sizing ---
 //
 // The bound is a decoded-footprint budget, not an exact accounting; the
-// estimates below charge the dominant terms (string bytes, slice
-// backing arrays, map slots).
+// estimates below charge the dominant terms (slice backing arrays, map
+// slots) the entry owns.
 
+// sizeofCounts charges a decoded term-count map its slots only: the keys
+// are the dictionary's own strings (decodeCounts), which the entry shares
+// and does not own.
 func sizeofCounts(tf map[string]int) int64 {
-	n := int64(48)
-	for term := range tf {
-		n += int64(len(term)) + 32
-	}
-	return n
+	return 48 + 32*int64(len(tf))
 }
 
 func sizeofIDs(ids []int64) int64 {

@@ -1,6 +1,12 @@
 package core
 
-import "testing"
+import (
+	"strings"
+	"testing"
+	"unsafe"
+
+	"memex/internal/text"
+)
 
 func ck(epoch uint64, page int64) cacheKey {
 	return cacheKey{epoch: epoch, page: page, kind: kindIn}
@@ -175,5 +181,25 @@ func TestRecordCacheDisabled(t *testing.T) {
 	}
 	if c := newRecordCache(-1); c != nil {
 		t.Fatal("negative budget built a cache")
+	}
+}
+
+// TestCountsChargeSlotsNotTerms: a decoded term-count map's keys are the
+// dictionary's own strings, so its cache charge counts map slots only —
+// the same for long terms as for short ones — and the budget does not pay
+// again for bytes the dictionary already holds.
+func TestCountsChargeSlotsNotTerms(t *testing.T) {
+	d := text.NewDict()
+	long := strings.Repeat("x", 500)
+	blob, _ := encodeCounts(d, map[string]int{long: 2, "y": 1})
+	tf := decodeCounts(d, blob)
+	for term := range tf {
+		id, _ := d.Lookup(term)
+		if unsafe.StringData(term) != unsafe.StringData(d.Terms()[id]) {
+			t.Fatalf("decoded key %.10q… is a copy, not the dictionary's string", term)
+		}
+	}
+	if got, short := sizeofCounts(tf), sizeofCounts(map[string]int{"a": 2, "b": 1}); got != short || got >= int64(len(long)) {
+		t.Fatalf("a map of two terms is charged %d B with a 500-byte term and %d B without; want the same slot charge", got, short)
 	}
 }

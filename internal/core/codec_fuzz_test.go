@@ -3,9 +3,11 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
-	"reflect"
+	"fmt"
 	"slices"
 	"testing"
+
+	"memex/internal/text"
 )
 
 // Corrupt-input fuzzing for the derived-record codecs. Both decoders face
@@ -14,30 +16,47 @@ import (
 // panic, (b) never allocate beyond the payload's own size — a decoded
 // count is bounded by the input length, so a flipped header byte cannot
 // demand a 2^60-entry structure — and (c) whatever decodes successfully
-// survives a re-encode/decode round trip unchanged.
+// survives a re-encode unchanged.
+
+// fuzzDict is a dictionary of 300 terms, enough for ids that take two
+// varint bytes.
+func fuzzDict() *text.Dict {
+	d := text.NewDict()
+	for i := 0; i < 300; i++ {
+		d.ID(fmt.Sprintf("t%03d", i))
+	}
+	return d
+}
 
 func FuzzDecodeCounts(f *testing.F) {
-	f.Add(encodeCounts(map[string]int{"a": 1, "bb": 2}))
-	f.Add(encodeCounts(map[string]int{}))
+	d := fuzzDict()
+	for _, tf := range []map[string]int{{"t000": 1, "t007": 2}, {}, {"t299": 1 << 40, "t128": 3}} {
+		blob, _ := encodeCounts(d, tf)
+		f.Add(blob)
+	}
 	f.Add([]byte{})
 	f.Add([]byte{0xff})
 	// Header claiming ~2^60 entries: the allocation-bound regression seed.
 	f.Add(binary.AppendUvarint(nil, 1<<60))
-	f.Add(append(binary.AppendUvarint(nil, 1<<60), 1, 'a', 1))
-	// Truncated frames: count says 2, payload carries half an entry.
-	f.Add([]byte{2, 1, 'a'})
-	f.Add([]byte{2, 200, 1})
+	f.Add(append(binary.AppendUvarint(nil, 1<<60), 1, 1, 1))
+	// Truncated frames, a repeated id, an id past the dictionary, a padded
+	// varint and a trailing byte.
+	f.Add([]byte{2, 1, 1})
+	f.Add([]byte{2, 1, 1, 0, 1})
+	f.Add([]byte{1, 0xac, 0x02, 1})
+	f.Add([]byte{1, 0x81, 0x00, 1})
+	f.Add([]byte{1, 1, 1, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		tf := decodeCounts(data)
+		tf := decodeCounts(d, data)
 		if tf == nil {
 			return
 		}
-		if len(tf) > len(data) {
+		if 2*len(tf) > len(data) {
 			t.Fatalf("decoded %d entries from %d bytes", len(tf), len(data))
 		}
-		again := decodeCounts(encodeCounts(tf))
-		if !reflect.DeepEqual(again, tf) {
-			t.Fatalf("round trip diverged: %v → %v", tf, again)
+		again, _ := encodeCounts(d, tf)
+		if !bytes.Equal(again, data) {
+			t.Fatalf("%x decodes to %v, which encodes to %x", data, tf, again)
 		}
 	})
 }

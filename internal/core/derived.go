@@ -3,7 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -19,19 +19,31 @@ import (
 // all-or-nothing, repeatable across the whole pass — while ingest keeps
 // publishing without ever blocking them.
 //
-// The derived records are the term-count record (tf/) and the adjacency
-// records (lnk/, rin/ — see links.go); a page's term vector is a pure
-// function of its counts and the engine dictionary, so DerivedView
-// derives (and memoizes) vectors instead of storing a second blob. That
-// also makes every persisted record process-portable — dict ids are
-// assigned per process, so a stored vector blob would go stale across a
-// restart, while term strings and page ids never do. On reopen the
-// engine replays the recovered records through reloadDerived to rebuild
-// the dictionary, inverted index (and with it N and DF) and link graph,
-// and the fetch path skips every recovered page instead of re-crawling it.
+// The derived records are the term-count record (tf/), which names its
+// terms by dictionary id, the dictionary records (dict/, one per term,
+// published with the first page that names the id — see links.go) and the
+// adjacency records (lnk/, rin/). A page's term vector is a pure function
+// of its counts and the dictionary, so DerivedView derives (and memoizes)
+// vectors instead of storing a second blob. On reopen reloadDerived
+// restores the dictionary with every term at its old id, then replays the
+// recovered records to rebuild the inverted index (and with it N and DF)
+// and the link graph, and the fetch path skips every recovered page
+// instead of re-crawling it.
 
 // tfKey names a page's derived term-count record in the version store.
 func tfKey(page int64) string { return "tf/" + strconv.FormatInt(page, 10) }
+
+// dictKey names a term's dictionary record: its value is the term.
+func dictKey(id int32) string { return "dict/" + strconv.FormatInt(int64(id), 10) }
+
+// idOfDictKey is the inverse of dictKey (ok=false for foreign keys).
+func idOfDictKey(key string) (int32, bool) {
+	if !strings.HasPrefix(key, "dict/") {
+		return 0, false
+	}
+	id, err := strconv.ParseInt(key[5:], 10, 32)
+	return int32(id), err == nil && id >= 0
+}
 
 // pageOfTFKey is the inverse of tfKey (ok=false for foreign keys).
 func pageOfTFKey(key string) (int64, bool) {
@@ -42,7 +54,14 @@ func pageOfTFKey(key string) (int64, bool) {
 	return id, err == nil
 }
 
-// reloadDerived rebuilds the in-memory text machinery — dictionary ids
+// tfRecord is a recovered tf/ record held until the dictionary it names
+// is restored.
+type tfRecord struct {
+	page int64
+	raw  []byte
+}
+
+// reloadDerived rebuilds the in-memory text machinery — the dictionary
 // and the inverted index, whose map sizes are the collection's N and DF —
 // the fetch claims, and the link-graph authority from the derived records
 // the version store recovered from its cold tier, so a restarted server
@@ -50,38 +69,42 @@ func pageOfTFKey(key string) (int64, bool) {
 // frontier, and never re-crawls a page whose derived state survived.
 // Recovered lnk/ records rebuild both adjacency directions (every reverse
 // edge is the inversion of some out-edge, so rin/ records need no replay —
-// they exist for pinned-view reads). An archive that still holds a rinD/
-// in-link delta chunk — written while in-links were chunked, and read by
-// nothing now — is refused: opening it would silently drop those edges from
-// every In. A failed scan is an error too, never a partial index. Runs
-// during Open, single-threaded, before any demon starts.
+// they exist for pinned-view reads). Records arrive in shard order, not id
+// order, so the one scan holds the tf/ blobs (≈0.1 KB a page) until the
+// dictionary is complete and decodes them after restoreDict.
+//
+// An archive that still holds a rinD/ in-link delta chunk — written while
+// in-links were chunked, and read by nothing now — is refused: opening it
+// would silently drop those edges from every In. So is one restoreDict
+// cannot restore. A failed scan is an error too, never a partial index.
+// Runs during Open, single-threaded, before any demon starts.
 func (e *Engine) reloadDerived() error {
-	var err error
+	var (
+		err   error
+		terms = map[int32]string{}
+		tfs   []tfRecord
+	)
 	visit := func(key string, raw []byte) bool {
-		if strings.HasPrefix(key, "rinD/") {
+		switch {
+		case strings.HasPrefix(key, "rinD/"):
 			err = fmt.Errorf("core: archive holds in-link delta chunk %q, a record format this version does not read; there is no migration", key)
 			return false
+		case strings.HasPrefix(key, "dict/"):
+			id, ok := idOfDictKey(key)
+			if !ok {
+				err = fmt.Errorf("core: archive holds dictionary record %q, which names no term id", key)
+				return false
+			}
+			terms[id] = string(raw)
+			return true
 		}
 		if page, ok := pageOfLnkKey(key); ok {
 			if outs, ok := decodeIDSet(raw); ok {
 				e.links.applyRecovered(page, outs)
 			}
-			return true
+		} else if page, ok := pageOfTFKey(key); ok {
+			tfs = append(tfs, tfRecord{page, raw})
 		}
-		page, ok := pageOfTFKey(key)
-		if !ok {
-			return true
-		}
-		// An undecodable record leaves the page unclaimed, so its next
-		// visit re-fetches it and republishes over the bad blob.
-		tf := decodeCounts(raw)
-		if tf == nil {
-			return true
-		}
-		e.idx.AddCounts(page, tf)
-		rec := e.meta[page]
-		rec.fetched = true
-		e.meta[page] = rec
 		return true
 	}
 	e.withView(func(view *DerivedView) {
@@ -89,7 +112,54 @@ func (e *Engine) reloadDerived() error {
 			err = scanErr
 		}
 	})
-	return err
+	if err != nil {
+		return err
+	}
+	if err := e.restoreDict(terms, tfs); err != nil {
+		return err
+	}
+	for _, r := range tfs {
+		// An undecodable record leaves the page unclaimed, so its next
+		// visit re-fetches it and republishes over the bad blob.
+		tf := decodeCounts(e.dict, r.raw)
+		if tf == nil {
+			continue
+		}
+		e.idx.AddCounts(r.page, tf)
+		rec := e.meta[r.page]
+		rec.fetched = true
+		e.meta[r.page] = rec
+	}
+	return nil
+}
+
+// restoreDict interns the recovered dictionary in id order and checks
+// that every term comes back as its own id, so a page keeps its ids — and
+// its vectors their bits — across a restart; the link index then carries
+// dictionary records from the first id past them. It refuses an archive
+// whose tf/ records name terms but which holds no dictionary (records
+// that spell their terms, the format before dict/ records existed) and a
+// dictionary with a gap, which no contiguous epoch prefix can leave (see
+// linkIndex.stage). There is no migration.
+func (e *Engine) restoreDict(terms map[int32]string, tfs []tfRecord) error {
+	if len(terms) == 0 {
+		for _, r := range tfs {
+			if n, w := binary.Uvarint(r.raw); w > 0 && n > 0 {
+				return fmt.Errorf("core: archive holds term-count record %q naming %d terms but no term dictionary (dict/ records): its records spell their terms, a format this version does not read; there is no migration", tfKey(r.page), n)
+			}
+		}
+	}
+	for id := int32(0); int(id) < len(terms); id++ {
+		term, ok := terms[id]
+		if !ok {
+			return fmt.Errorf("core: term dictionary is missing %q: it holds %d records, so ids 0 to %d should all be present; there is no migration", dictKey(id), len(terms), len(terms)-1)
+		}
+		if got := e.dict.ID(term); got != id {
+			return fmt.Errorf("core: term dictionary records %q and %q hold the same term %q", dictKey(got), dictKey(id), term)
+		}
+	}
+	e.links.termsOut = int32(len(terms))
+	return nil
 }
 
 // derivedPublished reports whether the page's derived stats are (or are
@@ -194,7 +264,7 @@ func (v *DerivedView) TermCounts(page int64) map[string]int {
 	}
 	var tf map[string]int
 	if raw, ok := sn.Get(tfKey(page)); ok {
-		tf = decodeCounts(raw)
+		tf = decodeCounts(v.dict, raw)
 	}
 	v.tf[page] = tf
 	if v.cache != nil {
@@ -264,7 +334,8 @@ func (v *DerivedView) Has(page int64) bool {
 // Vector returns the page's raw term vector as of the view's epoch,
 // derived from the term-count record (weights are the counts, ids come
 // from the shared dictionary — identical to what the fetch path computed,
-// and valid across restarts because the record stores terms, not ids).
+// and to what any later life of the archive computes, because the
+// dictionary is restored with every term at its old id).
 func (v *DerivedView) Vector(page int64) (text.Vector, bool) {
 	sn := v.pinned()
 	if vec, ok := v.vec[page]; ok {
@@ -291,64 +362,95 @@ func (v *DerivedView) Vector(page int64) (text.Vector, bool) {
 
 // --- codec ---
 //
-// Derived records are stored as compact binary blobs: uvarint-framed
-// term strings with counts. No reflection, no allocation beyond the
-// result, and nothing process-local — the blob must stay decodable by a
-// future process reading it back from the cold tier.
+// A tf/ record names its terms by dictionary id: uvarint(n), then per term
+// uvarint(id − previous id) and uvarint(count), ids strictly increasing
+// (the first delta counts from 0). Each term's string is stored once, as
+// its dict/<id> record, and ids are durable, so the blob decodes in any
+// later life of the archive.
 
-// encodeCounts serializes term counts as uvarint(n) then per term
-// uvarint(len), bytes, uvarint(count) — terms in sorted order, so equal
-// count maps always encode to byte-identical blobs. Map-order iteration
-// here would break the record-level determinism the restart tests pin
-// (two lives encoding the same counts must produce the same bytes) and
-// churn the cold tier with spurious rewrites of unchanged records.
-func encodeCounts(tf map[string]int) []byte {
-	terms := make([]string, 0, len(tf))
-	size := binary.MaxVarintLen64
-	for term := range tf {
-		terms = append(terms, term)
-		size += len(term) + 2*binary.MaxVarintLen64
+// encodeCounts serializes term counts by id, interning any term the
+// dictionary lacks, and returns the blob with the largest id it names (−1
+// when it names none) — linkIndex.stage publishes the dictionary records up
+// to that id. Ids are sorted, so equal count maps always encode to
+// byte-identical blobs: map order here would break the record-level
+// determinism the restart tests pin and churn the cold tier with rewrites
+// of unchanged records.
+func encodeCounts(d *text.Dict, tf map[string]int) ([]byte, int32) {
+	// A word packs the term's id above its slot in counts, so one sort of
+	// plain integers orders the terms by id.
+	scratch := make([]uint64, 2*len(tf))
+	words, counts := scratch[:len(tf)], scratch[len(tf):]
+	i := 0
+	for term, c := range tf {
+		words[i] = uint64(d.ID(term))<<32 | uint64(i)
+		counts[i] = uint64(c)
+		i++
 	}
-	sort.Strings(terms)
-	buf := make([]byte, 0, size)
-	buf = binary.AppendUvarint(buf, uint64(len(tf)))
-	for _, term := range terms {
-		buf = binary.AppendUvarint(buf, uint64(len(term)))
-		buf = append(buf, term...)
-		buf = binary.AppendUvarint(buf, uint64(tf[term]))
+	slices.Sort(words)
+	buf := make([]byte, 0, binary.MaxVarintLen64+4*len(words))
+	buf = binary.AppendUvarint(buf, uint64(len(words)))
+	prev := uint64(0)
+	for _, w := range words {
+		id := w >> 32
+		buf = binary.AppendUvarint(buf, id-prev)
+		buf = binary.AppendUvarint(buf, counts[uint32(w)])
+		prev = id
 	}
-	return buf
+	top := int32(-1)
+	if len(words) > 0 {
+		top = int32(prev)
+	}
+	return buf, top
 }
 
-// decodeCounts is the inverse of encodeCounts (nil on corrupt input).
-func decodeCounts(b []byte) map[string]int {
-	n, w := binary.Uvarint(b)
+// decodeCounts is the inverse of encodeCounts: nil on corrupt input and on
+// a record naming an id the dictionary does not hold. The map's keys are
+// the dictionary's own strings, read under one lock for the whole record,
+// so nothing is allocated per term. Every value has exactly one encoding
+// the decoder accepts (no padded varint, no repeated id, no trailing
+// bytes), so whatever decodes re-encodes to the same bytes.
+func decodeCounts(d *text.Dict, b []byte) map[string]int {
+	n, w := uvarint(b)
 	if w <= 0 {
 		return nil
 	}
 	b = b[w:]
-	// Every term entry costs at least two bytes (length uvarint + count
-	// uvarint), so a count exceeding the payload is corruption — reject
-	// it before sizing the map, the same bound decodeIDSet enforces. A
-	// corrupt cold-tier record could otherwise demand a ~2^60-entry
+	// Every entry costs at least two bytes (delta and count), so a count
+	// above half the payload is corruption — reject it before sizing the
+	// map. A corrupt cold-tier record could otherwise demand a ~2^60-entry
 	// allocation and OOM the process instead of degrading to "unknown".
-	if n > uint64(len(b)) {
+	if n > uint64(len(b))/2 {
 		return nil
 	}
+	terms := d.Terms()
 	tf := make(map[string]int, n)
+	id := uint64(0)
 	for i := uint64(0); i < n; i++ {
-		l, w := binary.Uvarint(b)
-		if w <= 0 || uint64(len(b)-w) < l {
-			return nil
+		delta, w := uvarint(b)
+		if w <= 0 || (i > 0 && delta == 0) || delta >= uint64(len(terms))-id {
+			return nil // torn, a repeated id, or an id past the dictionary
 		}
-		term := string(b[w : w+int(l)])
-		b = b[w+int(l):]
-		c, w := binary.Uvarint(b)
+		b = b[w:]
+		c, w := uvarint(b)
 		if w <= 0 {
 			return nil
 		}
 		b = b[w:]
-		tf[term] = int(c)
+		id += delta
+		tf[terms[id]] = int(c)
+	}
+	if len(b) != 0 {
+		return nil
 	}
 	return tf
+}
+
+// uvarint is binary.Uvarint refusing a padded encoding (a final 0x00 group
+// after the first byte), so that every value has one spelling.
+func uvarint(b []byte) (uint64, int) {
+	v, w := binary.Uvarint(b)
+	if w > 1 && b[w-1] == 0 {
+		return 0, 0
+	}
+	return v, w
 }

@@ -16,49 +16,78 @@ import (
 )
 
 func TestCountsCodecRoundTrip(t *testing.T) {
+	d := text.NewDict()
+	d.ID("interned-before")
 	cases := []map[string]int{
 		nil,
 		{},
 		{"a": 1},
-		{"term": 3, "другой": 7, "": 12, "long-term-with-dashes": 1 << 30},
+		{"term": 3, "другой": 7, "": 12, "long-term-with-dashes": 1 << 30, "interned-before": 2},
 	}
 	for _, tf := range cases {
-		got := decodeCounts(encodeCounts(tf))
+		blob, top := encodeCounts(d, tf)
+		got := decodeCounts(d, blob)
 		if len(tf) == 0 {
-			if len(got) != 0 {
-				t.Fatalf("roundtrip(%v) = %v", tf, got)
+			if got == nil || len(got) != 0 || top != -1 {
+				t.Fatalf("roundtrip(%v) = %v, top %d", tf, got, top)
 			}
 			continue
 		}
 		if !reflect.DeepEqual(got, tf) {
 			t.Fatalf("roundtrip(%v) = %v", tf, got)
 		}
+		want := int32(-1)
+		for term := range tf {
+			want = max(want, d.ID(term))
+		}
+		if top != want {
+			t.Fatalf("encodeCounts(%v) top = %d, want the largest id %d", tf, top, want)
+		}
 	}
-	if decodeCounts([]byte{0xff}) != nil {
-		t.Fatal("corrupt counts decoded")
+	// The ids are the dictionary's: "interned-before" is id 0, and "term"
+	// follows at its own id, as a delta from 0.
+	blob, _ := encodeCounts(d, map[string]int{"interned-before": 4, "term": 1})
+	if termID := d.ID("term"); !bytes.Equal(blob, []byte{2, 0, 4, byte(termID), 1}) {
+		t.Fatalf("blob % x, want n, then (id delta, count) pairs in id order", blob)
 	}
-	if decodeCounts([]byte{2, 200, 1}) != nil {
-		t.Fatal("truncated counts decoded")
+	for name, bad := range map[string][]byte{
+		"corrupt header":        {0xff},
+		"truncated":             {2, 1, 1},
+		"repeated id":           {2, 1, 1, 0, 1},
+		"id past dictionary":    append(binary.AppendUvarint([]byte{1}, uint64(d.Size())), 1),
+		"delta wraps past 2^64": {2, 1, 1, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 1},
+		"padded varint":         {1, 0x81, 0x00, 1},
+		"trailing byte":         {1, 1, 1, 0},
+	} {
+		if tf := decodeCounts(d, bad); tf != nil {
+			t.Errorf("%s: % x decoded to %v", name, bad, tf)
+		}
 	}
 }
 
 // TestCountsDecodeBoundsAllocation: a corrupt record whose header claims
-// ~2^60 entries must decode to nil instead of sizing a map for it — the
-// count-vs-payload bound decodeIDSet already enforced, now applied to
-// term counts too (a single flipped cold-tier byte is enough to produce
-// such a header).
+// ~2^60 entries must decode to nil instead of sizing a map for it — every
+// entry takes at least two bytes, so n ≤ len(payload)/2 (a single flipped
+// cold-tier byte is enough to produce such a header).
 func TestCountsDecodeBoundsAllocation(t *testing.T) {
+	d := text.NewDict()
+	d.ID("a")
+	d.ID("b")
 	huge := binary.AppendUvarint(nil, 1<<60)
-	if decodeCounts(huge) != nil {
+	if decodeCounts(d, huge) != nil {
 		t.Fatal("decoded a 2^60-entry claim")
 	}
-	// Same header followed by a plausible-looking byte or two.
-	if decodeCounts(append(huge, 1, 'a')) != nil {
+	// Same header followed by a plausible-looking entry.
+	if decodeCounts(d, append(huge, 0, 1)) != nil {
 		t.Fatal("decoded an impossible count with payload")
 	}
-	// The bound must not reject genuine small records whose count equals
-	// the remaining payload exactly (one empty term, count 0 = 2 bytes).
-	if tf := decodeCounts([]byte{1, 0, 7}); tf == nil || tf[""] != 7 {
+	// Two entries claimed, three bytes of payload: over the bound.
+	if decodeCounts(d, []byte{2, 0, 1, 1}) != nil {
+		t.Fatal("decoded two entries from three bytes")
+	}
+	// The bound must not reject genuine records whose entries take exactly
+	// two bytes each.
+	if tf := decodeCounts(d, []byte{2, 0, 7, 1, 9}); tf["a"] != 7 || tf["b"] != 9 || len(tf) != 2 {
 		t.Fatalf("rejected minimal valid record: %v", tf)
 	}
 }
@@ -69,6 +98,7 @@ func TestCountsDecodeBoundsAllocation(t *testing.T) {
 // produce identical cold tiers; re-publishing unchanged counts cannot
 // churn the store with spurious rewrites).
 func TestCountsEncodeDeterministic(t *testing.T) {
+	d := text.NewDict()
 	tf := map[string]int{}
 	for i := 0; i < 200; i++ {
 		tf[fmt.Sprintf("term-%03d", i)] = i + 1
@@ -78,24 +108,64 @@ func TestCountsEncodeDeterministic(t *testing.T) {
 	for i := 199; i >= 0; i-- {
 		tf2[fmt.Sprintf("term-%03d", i)] = i + 1
 	}
-	want := encodeCounts(tf)
+	want, _ := encodeCounts(d, tf)
 	for i := 0; i < 20; i++ {
-		if got := encodeCounts(tf); !bytes.Equal(got, want) {
+		if got, _ := encodeCounts(d, tf); !bytes.Equal(got, want) {
 			t.Fatal("same map encoded differently across calls")
 		}
-		if got := encodeCounts(tf2); !bytes.Equal(got, want) {
+		if got, _ := encodeCounts(d, tf2); !bytes.Equal(got, want) {
 			t.Fatal("equal maps encoded differently")
 		}
 	}
-	if !reflect.DeepEqual(decodeCounts(want), tf) {
+	if !reflect.DeepEqual(decodeCounts(d, want), tf) {
 		t.Fatal("sorted encoding broke the round trip")
 	}
 }
 
+// bench56 is a 56-term record over a 1 528-term vocabulary — the
+// benchmark world's average record (DESIGN.md §4, "terms by id").
+func bench56() (*text.Dict, map[string]int) {
+	d := text.NewDict()
+	for i := 0; i < 1528; i++ {
+		d.ID(fmt.Sprintf("vocab%04d", i))
+	}
+	tf := map[string]int{}
+	for i := 0; i < 56; i++ {
+		tf[fmt.Sprintf("vocab%04d", (i*173)%1528)] = 1 + i%5
+	}
+	return d, tf
+}
+
+// TestDecodeCountsAllocations: decoding a record allocates its map and
+// nothing per term — the keys are the dictionary's own strings.
+func TestDecodeCountsAllocations(t *testing.T) {
+	d, tf := bench56()
+	blob, _ := encodeCounts(d, tf)
+	if allocs := testing.AllocsPerRun(100, func() { decodeCounts(d, blob) }); allocs > 4 {
+		t.Fatalf("decoding a 56-term record allocates %.0f times, want at most 4", allocs)
+	}
+}
+
+func BenchmarkEncodeCounts(b *testing.B) {
+	d, tf := bench56()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		encodeCounts(d, tf)
+	}
+}
+
+func BenchmarkDecodeCounts(b *testing.B) {
+	d, tf := bench56()
+	blob, _ := encodeCounts(d, tf)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		decodeCounts(d, blob)
+	}
+}
+
 // TestVectorDerivedFromCounts: the term vector is not stored — it is a
-// pure function of the term-count record and the shared dictionary
-// (which is what makes every persisted derived record process-portable).
-// The derived vector must match what the fetch path computes directly.
+// pure function of the term-count record and the shared dictionary. The
+// derived vector must match what the fetch path computes directly.
 func TestVectorDerivedFromCounts(t *testing.T) {
 	c, e := testWorld(t)
 	e.RegisterUser(1, "alice")

@@ -16,9 +16,10 @@
 // snapshot can never see a page's text without its place in the link
 // graph), held in RAM while hot and folded to the engine's kvstore
 // ("vc/" keyspace) by the version-gc demon, so the archive grows on disk
-// and survives restarts (Open replays the recovered records back into
-// the dictionary, inverted index and link-graph authority, and the fetch
-// path skips recovered pages instead of re-crawling).
+// and survives restarts (Open restores the term dictionary from its dict/
+// records, every term at its old id, replays the recovered records into
+// the inverted index and link-graph authority, and the fetch path skips
+// recovered pages instead of re-crawling).
 // There is no live map shadowing it. Every derived-data reader pins a
 // DerivedView snapshot for its whole pass and is therefore
 // snapshot-consistent:
@@ -240,14 +241,15 @@ func Open(cfg Config) (*Engine, error) {
 		kv.Close()
 		return nil, err
 	}
+	dict := text.NewDict()
 	e := &Engine{
 		cfg:     cfg,
 		db:      db,
 		kv:      kv,
 		vs:      vs,
-		dict:    text.NewDict(),
+		dict:    dict,
 		stems:   text.NewStemMemo(stemMemoEntries),
-		links:   newLinkIndex(vs),
+		links:   newLinkIndex(vs, dict),
 		cache:   newRecordCache(cfg.DecodedCacheBytes),
 		queue:   events.NewQueue(cfg.QueueSize),
 		pool:    demon.NewPool(),
@@ -519,6 +521,10 @@ type Stats struct {
 	// came back from the version store's recovered lnk/ records.
 	GraphNodes int
 	GraphEdges int
+	// Terms is the term dictionary's size. Every term has its dict/ record
+	// from the batch of the first page that names it, so a restart gives
+	// back the same count and every term its old id.
+	Terms int
 	// Version reports the derived-data version store: watermark, layer
 	// count, pinned snapshots, and cumulative GC work.
 	Version version.Stats
@@ -549,6 +555,7 @@ func (e *Engine) Status() Stats {
 		Cache:         cs,
 		GraphNodes:    nodes,
 		GraphEdges:    edges,
+		Terms:         e.dict.Size(),
 		Users:         users,
 		Pages:         pages,
 		PagesIndexed:  e.idx.Docs(),

@@ -359,11 +359,12 @@ func (e *Engine) fetchAndIndexSlow(pageID int64, url string) map[string]int {
 	e.idx.AddCounts(pageID, tf)
 
 	// Publish the page's derived state as one batch: the tf/ term record,
-	// the lnk/ adjacency record, and the rin/ delta of every target.
+	// the dict/ record of every term no page has named before, the lnk/
+	// adjacency record, and the rin/ record of every newly linked target.
 	// Consumers see all of it or none of it, from memory while hot, from
 	// the kvstore cold tier once GC folds it, and again after a restart
 	// recovers the fold.
-	e.links.publish(pageID, links, encodeCounts(tf))
+	e.links.publish(pageID, links, tf)
 	return tf
 }
 

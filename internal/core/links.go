@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 
 	"memex/internal/graph"
+	"memex/internal/text"
 	"memex/internal/version"
 )
 
@@ -42,6 +43,16 @@ import (
 // A record is rewritten whole, so a new in-link costs O(in-degree) bytes.
 // DESIGN.md §4 has the measured in-degrees that make that the right trade
 // and the point at which to measure again.
+//
+// The same lock carries the term dictionary to the store. A tf/ record
+// names its terms by id, and each id's string is its dict/<id> record,
+// written once: stage puts the records of every id the page's tf/ record
+// reaches that no batch has carried yet (termsOut upward) into the page's
+// own batch, in the critical section that allocates its epoch. Any later
+// batch naming those ids has a later epoch, and snapshots, the fold and
+// crash recovery all take a contiguous epoch prefix, so whatever holds a
+// tf/ record holds the dictionary records it names — with no commit and
+// no lock of their own.
 
 // lnkKey names a page's out-adjacency record in the version store.
 func lnkKey(page int64) string { return "lnk/" + strconv.FormatInt(page, 10) }
@@ -60,72 +71,98 @@ func pageOfLnkKey(key string) (int64, bool) {
 
 // linkIndex is the engine's link-graph producer: the in-memory authority
 // adjacency (a graph.Graph rebuilt from recovered records at Open) plus
-// the mutex that serialises adjacency read-modify-writes against the
-// version store.
+// the mutex that serialises adjacency read-modify-writes — and the
+// dictionary's high-water mark — against the version store.
 type linkIndex struct {
-	vs *version.Store
-	mu sync.Mutex
-	g  *graph.Graph
+	vs   *version.Store
+	dict *text.Dict
+	mu   sync.Mutex
+	g    *graph.Graph
+	// termsOut is the first dictionary id no batch has carried yet (guarded
+	// by mu; restoreDict sets it at Open).
+	termsOut int32
 	// rinBytes accumulates the payload bytes of every published rin/
 	// record — the write-amplification metric
 	// BenchmarkInLinkWriteAmplification reports.
 	rinBytes atomic.Int64
+	// afterStage, set only by tests, runs in publish right after stage:
+	// the window where a panic must not leave the dictionary with a gap.
+	afterStage func()
 }
 
-func newLinkIndex(vs *version.Store) *linkIndex {
-	return &linkIndex{vs: vs, g: graph.New()}
+func newLinkIndex(vs *version.Store, dict *text.Dict) *linkIndex {
+	return &linkIndex{vs: vs, dict: dict, g: graph.New()}
 }
 
 // publish records the edges from→targets: any edge not yet in the
 // authority graph is staged as the updated lnk/ record of from plus the
 // updated rin/ record of each newly linked target, and published as one
-// batch. tfBlob, when non-nil, is the page's term-count record riding in
-// the same batch (the fetch path), making term and link state
+// batch. tf, when non-nil, is the page's term counts, whose tf/ record
+// rides in the same batch (the fetch path), making term and link state
 // snapshot-atomic per page; a tf-carrying call always publishes (even with
 // zero links) so "archived" implies "adjacency known" for every snapshot
 // that sees the page.
 //
-// Only epoch allocation, the adjacency union and the capture of the
-// post-union lists run under the lock. That ordering makes record content
-// monotone in epoch order — a publisher that allocates a later epoch has
-// already observed every earlier publisher's edges — so the expensive half
-// (encoding the records, freezing and installing the batch) runs outside
-// the lock and concurrent fetch workers publish in parallel;
-// last-writer-wins in the store then always yields the full union, even
-// when batches reach Publish out of epoch order.
-func (li *linkIndex) publish(from int64, targets []int64, tfBlob []byte) {
-	b, outs, fresh, ins := li.stage(from, targets, tfBlob != nil)
+// Only epoch allocation, the adjacency union, the capture of the
+// post-union lists and the staging of new dictionary records run under the
+// lock. That ordering makes record content monotone in epoch order — a
+// publisher that allocates a later epoch has already observed every
+// earlier publisher's edges — so the expensive half (encoding the records,
+// freezing and installing the batch) runs outside the lock and concurrent
+// fetch workers publish in parallel; last-writer-wins in the store then
+// always yields the full union, even when batches reach Publish out of
+// epoch order.
+func (li *linkIndex) publish(from int64, targets []int64, tf map[string]int) {
+	var tfBlob []byte
+	top := int32(-1)
+	if tf != nil {
+		tfBlob, top = encodeCounts(li.dict, tf)
+	}
+	b, outs, fresh, ins := li.stage(from, targets, tf != nil, top)
 	if b == nil {
 		return // nothing new: no epoch, no record churn
 	}
-	// The deferred Abort is a no-op after Publish but completes the epoch
-	// if encoding panics — a leaked epoch would stall the watermark
-	// forever under the contiguity rule. (On that panic path the authority
-	// is ahead of the records until the page's next new link rewrites them
-	// whole; edges are never lost in-process, only un-persisted.)
-	defer b.Abort()
+	// The batch publishes on every path. Were encoding to panic, a leaked
+	// epoch would stall the watermark forever under the contiguity rule,
+	// and an aborted one would drop the dictionary records stage put in it
+	// after termsOut had moved past them, leaving a gap under every later
+	// record naming those ids. Every page record is encoded before the
+	// first is put, so on that path the batch holds the dictionary records
+	// alone. (The authority is then ahead of the records until the page's
+	// next new link rewrites them whole; edges are never lost in-process,
+	// only un-persisted.)
+	defer b.Publish()
+	if li.afterStage != nil {
+		li.afterStage()
+	}
+	lnk := encodeIDSet(outs)
+	rins := make([][]byte, len(fresh))
+	for i := range fresh {
+		rins[i] = encodeIDSet(ins[i])
+		li.rinBytes.Add(int64(len(rins[i])))
+	}
 	if tfBlob != nil {
 		b.Put(tfKey(from), tfBlob)
 	}
-	b.Put(lnkKey(from), encodeIDSet(outs))
+	b.Put(lnkKey(from), lnk)
 	for i, t := range fresh {
-		blob := encodeIDSet(ins[i])
-		li.rinBytes.Add(int64(len(blob)))
-		b.Put(rinKey(t), blob)
+		b.Put(rinKey(t), rins[i])
 	}
-	b.Publish()
 }
 
 // stage is publish's locked half: union the new edges into the authority
 // (one graph-lock acquisition reports which targets were fresh, each one's
-// in-adjacency and the source's out-adjacency after the union) and allocate
-// the epoch. The in-lists must be captured here: read after unlock they
-// could absorb an edge whose own batch publishes at a later epoch, and a
-// view pinned between the two would see that edge in rin/ but not in its
-// source's lnk/. A panic anywhere inside still releases the lock (deferred),
-// so a wedged worker cannot stall every future publish. Returns a nil batch
-// when there is nothing to publish.
-func (li *linkIndex) stage(from int64, targets []int64, force bool) (b *version.Batch, outs, fresh []int64, ins [][]int64) {
+// in-adjacency and the source's out-adjacency after the union), allocate
+// the epoch, and put into the batch the dictionary record of every id from
+// termsOut up to top, the largest id the page's tf/ record names. The
+// in-lists must be captured here: read after unlock they could absorb an
+// edge whose own batch publishes at a later epoch, and a view pinned
+// between the two would see that edge in rin/ but not in its source's
+// lnk/. The dictionary records must be staged here for the same reason
+// (see the file comment). A panic anywhere inside still releases the lock
+// (deferred), so a wedged worker cannot stall every future publish.
+// Returns a nil batch when there is nothing to publish.
+func (li *linkIndex) stage(from int64, targets []int64, force bool, top int32) (b *version.Batch, outs, fresh []int64, ins [][]int64) {
 	li.mu.Lock()
 	defer li.mu.Unlock()
 	fresh, ins, outs = li.g.UnionOut(from, targets)
@@ -135,7 +172,16 @@ func (li *linkIndex) stage(from int64, targets []int64, force bool) (b *version.
 		}
 		li.g.AddNode(from) // a fetched page is known to the graph, links or none
 	}
-	return li.vs.BeginSized(2 + len(fresh)), outs, fresh, ins
+	newTerms := max(int(top-li.termsOut+1), 0)
+	b = li.vs.BeginSized(2 + len(fresh) + newTerms)
+	if newTerms > 0 {
+		terms := li.dict.Terms()
+		for id := li.termsOut; id <= top; id++ {
+			b.Put(dictKey(id), []byte(terms[id]))
+		}
+		li.termsOut = top + 1
+	}
+	return b, outs, fresh, ins
 }
 
 // applyRecovered replays one recovered lnk/ record into the authority
@@ -156,9 +202,8 @@ func (li *linkIndex) Counts() (nodes, edges int) {
 // --- adjacency codec ---
 //
 // Adjacency records store a sorted id set, delta-encoded: uvarint(n),
-// then per id uvarint(id - previous). Like the term-count codec, nothing
-// in the blob is process-local, so records written by one life of the
-// server decode in the next.
+// then per id uvarint(id - previous). Page ids are durable, so records
+// written by one life of the server decode in the next.
 
 // encodeIDSet canonicalises ids (sort, dedupe) and serialises them.
 func encodeIDSet(ids []int64) []byte {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"memex/internal/text"
 	"memex/internal/version"
 )
 
@@ -27,7 +28,7 @@ func BenchmarkInLinkWriteAmplification(b *testing.B) {
 					if li != nil {
 						rinBytes += li.rinBytes.Load()
 					}
-					li = newLinkIndex(version.NewStore())
+					li = newLinkIndex(version.NewStore(), text.NewDict())
 					for src := 1; src <= d; src++ {
 						li.applyRecovered(int64(src), []int64{hub})
 					}

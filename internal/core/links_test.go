@@ -234,7 +234,7 @@ func testView(vs *version.Store) *DerivedView {
 // reading it however many edges are published afterwards.
 func TestRinChunkMergeMatchesAuthority(t *testing.T) {
 	vs := version.NewStore()
-	li := newLinkIndex(vs)
+	li := newLinkIndex(vs, text.NewDict())
 	rng := rand.New(rand.NewSource(42))
 	const pages = 20
 	check := func(view *DerivedView, want [][]int64, when string) {
@@ -286,7 +286,7 @@ func TestRinChunkMergeMatchesAuthority(t *testing.T) {
 func TestHubInLinksNeverOutrunOutLinks(t *testing.T) {
 	const publishers, sources, readers = 8, 2000, 3
 	vs := version.NewStore()
-	li := newLinkIndex(vs)
+	li := newLinkIndex(vs, text.NewDict())
 	hub := int64(1 << 40)
 
 	check := func() error {
@@ -597,7 +597,9 @@ func TestBenchWorldInDegrees(t *testing.T) {
 // the engine, closed, and then the file against what is stored in it — key
 // and value bytes, by key family. The B+tree's leaves are the overhead: a
 // split-only tree leaves them 0.60 full and the file at 1.86 bytes a user
-// byte; splitting last (DESIGN.md §4) brings it near 1.4.
+// byte; splitting last (DESIGN.md §4) brings it near 1.4. What is stored is
+// held too: a tf/ record names its terms by id, ≈116 B a record where
+// spelling them took ≈490 (DESIGN.md §4, "terms by id").
 func TestBenchWorldDiskPerUserByte(t *testing.T) {
 	if testing.Short() {
 		t.Skip("replays 8 000 visits")
@@ -605,6 +607,20 @@ func TestBenchWorldDiskPerUserByte(t *testing.T) {
 	e, _, _ := replayWorld(t, benchWeb, benchSurf, 8000)
 	if _, err := e.vs.Fold(); err != nil {
 		t.Fatal(err)
+	}
+	var tfRecords, tfBytes int
+	e.withView(func(v *DerivedView) {
+		v.sn.Range(func(key string, raw []byte) bool {
+			if _, ok := pageOfTFKey(key); ok {
+				tfRecords++
+				tfBytes += len(raw)
+			}
+			return true
+		})
+	})
+	t.Logf("%d tf/ records, %d B of values, %.1f B a record; %d terms", tfRecords, tfBytes, float64(tfBytes)/float64(tfRecords), e.dict.Size())
+	if tfBytes > 150*tfRecords {
+		t.Errorf("tf/ values average %.1f B a record, want at most 150", float64(tfBytes)/float64(tfRecords))
 	}
 	work := e.Status().KV
 	if err := e.Close(); err != nil {

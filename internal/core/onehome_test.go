@@ -25,7 +25,7 @@ func checkIndexStatistics(t *testing.T, e *Engine) {
 		ref := text.NewCorpus()
 		var pages []int64
 		view.sn.Range(func(key string, raw []byte) bool {
-			if page, ok := pageOfTFKey(key); ok && decodeCounts(raw) != nil {
+			if page, ok := pageOfTFKey(key); ok && decodeCounts(e.dict, raw) != nil {
 				raw, _ := view.Vector(page)
 				ref.AddDoc(raw)
 				pages = append(pages, page)

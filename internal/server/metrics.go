@@ -261,4 +261,5 @@ func writeEngineMetrics(w io.Writer, st core.Stats) {
 	c("memex_kv_leaf_rebalances_total", "Full B+tree leaves that shed cells into a sibling instead of splitting.", float64(st.KV.LeafRebalances))
 	g("memex_graph_nodes", "Pages known to the link graph.", float64(st.GraphNodes))
 	g("memex_graph_edges", "Directed edges in the link graph.", float64(st.GraphEdges))
+	g("memex_dict_terms", "Terms in the durable term dictionary.", float64(st.Terms))
 }

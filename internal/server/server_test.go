@@ -377,6 +377,7 @@ func TestMetricsEndpointMovesWithTraffic(t *testing.T) {
 		"memex_kv_wal_bytes_total ",
 		"memex_kv_leaf_splits_total ",
 		"memex_kv_leaf_rebalances_total ",
+		fmt.Sprintf("memex_dict_terms %d\n", st.Terms),
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics missing %q", want)

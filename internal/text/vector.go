@@ -57,6 +57,16 @@ func (d *Dict) Term(id int32) string {
 	return d.terms[id]
 }
 
+// Terms returns every interned term indexed by its id, under one read
+// lock. The slice shares the dictionary's storage, so the caller must not
+// modify it; ids interned after the call are not in it, and the ones it
+// holds never change.
+func (d *Dict) Terms() []string {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	return d.terms[:len(d.terms):len(d.terms)]
+}
+
 // Size returns the number of interned terms.
 func (d *Dict) Size() int {
 	d.mu.RLock()
