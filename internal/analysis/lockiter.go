@@ -8,8 +8,8 @@ import (
 )
 
 // LockIter enforces the snapshot-then-work discipline on every sync.Mutex
-// and sync.RWMutex in the tree (e.mu, Graph.mu, the store's producer and
-// shard locks, …): while a lock is held, a function must not run nested
+// and sync.RWMutex in the tree (e.mu, Graph.mu, the version store's
+// producer and fold locks, …): while a lock is held, a function must not run nested
 // bulk iteration and must not call into blocking APIs (net, net/http,
 // os/exec, time.Sleep, io.ReadAll/Copy). This is the PageRank bug class
 // from PR 5 — a power loop under Graph.mu.RLock stalled every ingest

@@ -69,9 +69,10 @@ type tfRecord struct {
 // frontier, and never re-crawls a page whose derived state survived.
 // Recovered lnk/ records rebuild both adjacency directions (every reverse
 // edge is the inversion of some out-edge, so rin/ records need no replay —
-// they exist for pinned-view reads). Records arrive in shard order, not id
-// order, so the one scan holds the tf/ blobs (≈0.1 KB a page) until the
-// dictionary is complete and decodes them after restoreDict.
+// they exist for pinned-view reads). Records arrive in key order, not id
+// order (dict/10 sorts before dict/9), and restoreDict interns ids in
+// numeric order, so the one scan holds the tf/ blobs (≈0.1 KB a page)
+// until the dictionary is complete and decodes them after restoreDict.
 //
 // An archive that still holds a rinD/ in-link delta chunk — written while
 // in-links were chunked, and read by nothing now — is refused: opening it

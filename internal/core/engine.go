@@ -10,8 +10,8 @@
 //
 // A page's derived data — its term-count record (tf/), from which term
 // vectors are derived on demand, and its link-adjacency records (lnk/
-// out-links, rin/ in-links) — has exactly one home: the sharded
-// epoch-layer store in internal/version, published by the fetch path as
+// out-links, rin/ in-links) — has exactly one home: the epoch-layer
+// store in internal/version, published by the fetch path as
 // one batch per page (terms and links land in the same epoch, so a
 // snapshot can never see a page's text without its place in the link
 // graph), held in RAM while hot and folded to the engine's kvstore
@@ -577,7 +577,7 @@ func (e *Engine) Status() Stats {
 
 // Pressure is the engine's cheap backpressure signal set, read by the
 // HTTP layer's admission control on every write request. Unlike Status
-// (which walks every shard chain), each field costs one queue-mutex
+// (which walks the version chain), each field costs one queue-mutex
 // acquisition or a lock-free atomic load, so polling it per-request is
 // free.
 type Pressure struct {

@@ -6,7 +6,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"memex/internal/graph"
 	"memex/internal/text"
@@ -81,10 +80,6 @@ type linkIndex struct {
 	// termsOut is the first dictionary id no batch has carried yet (guarded
 	// by mu; restoreDict sets it at Open).
 	termsOut int32
-	// rinBytes accumulates the payload bytes of every published rin/
-	// record — the write-amplification metric
-	// BenchmarkInLinkWriteAmplification reports.
-	rinBytes atomic.Int64
 	// afterStage, set only by tests, runs in publish right after stage:
 	// the window where a panic must not leave the dictionary with a gap.
 	afterStage func()
@@ -139,7 +134,6 @@ func (li *linkIndex) publish(from int64, targets []int64, tf map[string]int) {
 	rins := make([][]byte, len(fresh))
 	for i := range fresh {
 		rins[i] = encodeIDSet(ins[i])
-		li.rinBytes.Add(int64(len(rins[i])))
 	}
 	if tfBlob != nil {
 		b.Put(tfKey(from), tfBlob)

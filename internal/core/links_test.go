@@ -562,7 +562,7 @@ func TestBenchWorldInDegrees(t *testing.T) {
 	}
 
 	var indeg []int
-	records := 0
+	records, rinBytes := 0, 0
 	e.withView(func(v *DerivedView) {
 		err = v.sn.Range(func(key string, raw []byte) bool {
 			records++
@@ -572,6 +572,7 @@ func TestBenchWorldInDegrees(t *testing.T) {
 			if strings.HasPrefix(key, "rin/") {
 				ids, _ := decodeIDSet(raw)
 				indeg = append(indeg, len(ids))
+				rinBytes += len(raw)
 			}
 			return true
 		})
@@ -582,8 +583,8 @@ func TestBenchWorldInDegrees(t *testing.T) {
 	slices.Sort(indeg)
 	pct := func(p int) int { return indeg[(len(indeg)-1)*p/100] }
 	st := e.Status()
-	t.Logf("%d graph nodes, %d edges; %d pages with in-links, in-degree p50 %d / p90 %d / p99 %d / max %d; %d cold records, %d rin/ payload bytes published",
-		st.GraphNodes, st.GraphEdges, len(indeg), pct(50), pct(90), pct(99), pct(100), st.Version.Cold.Records, e.links.rinBytes.Load())
+	t.Logf("%d graph nodes, %d edges; %d pages with in-links, in-degree p50 %d / p90 %d / p99 %d / max %d; %d cold records, %d rin/ payload bytes",
+		st.GraphNodes, st.GraphEdges, len(indeg), pct(50), pct(90), pct(99), pct(100), st.Version.Cold.Records, rinBytes)
 	if got := st.Version.Cold.Records; got != int64(records) {
 		t.Fatalf("%d cold records for %d live keys: the fold left more than one record a key", got, records)
 	}
@@ -664,16 +665,16 @@ func TestBenchWorldDiskPerUserByte(t *testing.T) {
 
 // keyFamily names what a store key belongs to: a table's rows
 // (tbl/<table>), one of its indexes (idx/<table>/<column>), the cold
-// tier's records of one kind whatever their shard (vc/r/tf, vc/r/lnk,
-// vc/r/rin), or else the key's first path element.
+// tier's records of one kind (vc/r/tf, vc/r/lnk, vc/r/rin, vc/r/dict), or
+// else the key's first path element.
 func keyFamily(k []byte) string {
 	switch s := string(k); {
 	case strings.HasPrefix(s, "tbl/") && len(k) >= 8:
 		return fmt.Sprintf("tbl/%d", binary.BigEndian.Uint32(k[4:]))
 	case strings.HasPrefix(s, "idx/") && len(k) >= 11:
 		return fmt.Sprintf("idx/%d/%d", binary.BigEndian.Uint32(k[4:]), binary.BigEndian.Uint16(k[9:]))
-	case strings.HasPrefix(s, "vc/r/") && len(k) >= 7:
-		kind, _, _ := strings.Cut(s[7:], "/")
+	case strings.HasPrefix(s, "vc/r/"):
+		kind, _, _ := strings.Cut(s[5:], "/")
 		return "vc/r/" + kind
 	default:
 		first, _, _ := strings.Cut(s, "/")

@@ -144,10 +144,9 @@ func E9(seed int64) *Report {
 	}
 
 	runVersioned := func() (pubPerS, scansPerS float64, pubP99 time.Duration, violations int64, maxStale uint64, st version.Stats) {
-		// The sharded store: each 128-key batch spreads across all shards
-		// and commits atomically store-wide, so the consumers' all-keys-
-		// agree check also verifies cross-shard publish atomicity.
-		s := version.NewStoreSharded(version.DefaultShards)
+		// Each 128-key batch commits atomically, so the consumers'
+		// all-keys-agree check verifies publish atomicity.
+		s := version.NewStore()
 		b := s.BeginSized(keys)
 		for _, k := range keyNames {
 			b.Put(k, []byte("0"))
@@ -277,15 +276,6 @@ func E9(seed int64) *Report {
 	vPub, vReads, vP99, vViol, vStale, vStats := runVersioned()
 	mPub, mReads, mP99 := runMutex()
 
-	// Shard health after the run: how evenly the key space spread, and
-	// how much superseded history the tier merges retired.
-	activeShards := 0
-	for _, sh := range vStats.Shards {
-		if sh.Entries > 0 {
-			activeShards++
-		}
-	}
-
 	r := &Report{
 		ID:     "E9",
 		Title:  "Loosely-consistent versioning: producer vs consumers (§3)",
@@ -298,8 +288,7 @@ func E9(seed int64) *Report {
 			{"combined work/s (pub+scan)", fmt.Sprintf("%.0f", vPub+vReads), fmt.Sprintf("%.0f", mPub+mReads)},
 			{"consistency violations", fmt.Sprint(vViol), "n/a (blocking)"},
 			{"max snapshot staleness (epochs)", fmt.Sprint(vStale), "0 (serial)"},
-			{"store shards (active/total)", fmt.Sprintf("%d/%d", activeShards, len(vStats.Shards)), "1 (monolithic map)"},
-			{"max shard chain depth", fmt.Sprint(vStats.Layers), "n/a"},
+			{"chain depth (layers)", fmt.Sprint(vStats.Layers), "n/a"},
 			{"superseded versions reclaimed (tier merges)", fmt.Sprint(vStats.GCReclaimed), "n/a (overwrites in place)"},
 		},
 		Metrics: map[string]float64{
@@ -308,7 +297,6 @@ func E9(seed int64) *Report {
 			"pub_p99_us_versioned": float64(vP99) / float64(time.Microsecond),
 			"pub_p99_us_mutex":     float64(mP99) / float64(time.Microsecond),
 			"violations":           float64(vViol),
-			"shards":               float64(len(vStats.Shards)),
 			"gc_reclaimed":         float64(vStats.GCReclaimed),
 		},
 		Elapsed: time.Since(start),

@@ -257,7 +257,7 @@ func FuzzTreeAgainstMap(f *testing.F) {
 		// SyncGroup: every commit reaches the log file, so a crash loses
 		// nothing the model holds. The pool is left large: a page evicted
 		// between checkpoints puts data.db ahead of the log's base image,
-		// which logical redo does not survive (ROADMAP item 4).
+		// which logical redo does not survive (ROADMAP item 11(a)).
 		open := func() *Store {
 			s, err := Open(dir, Options{Sync: SyncGroup})
 			if err != nil {

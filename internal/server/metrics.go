@@ -225,8 +225,8 @@ func writeEngineMetrics(w io.Writer, st core.Stats) {
 
 	// Version store: watermark, pins, tier and fold activity.
 	g("memex_version_watermark", "Highest contiguously published epoch.", float64(st.Version.Watermark))
-	g("memex_version_layers", "Deepest shard chain (worst-case read walk).", float64(st.Version.Layers))
-	g("memex_version_entries", "Total version count across shards.", float64(st.Version.Entries))
+	g("memex_version_layers", "Layers in the version chain (worst-case read walk).", float64(st.Version.Layers))
+	g("memex_version_entries", "Versions held in the chain.", float64(st.Version.Entries))
 	g("memex_version_pinned", "Snapshots currently pinning a state.", float64(st.Version.Pinned))
 	g("memex_version_pending_epochs", "Published epochs awaiting watermark coverage.", float64(st.Version.PendingEpochs))
 	c("memex_version_gc_reclaimed_total", "Versions dropped from memory: superseded inside a tier merge, or folded to disk.", float64(st.Version.GCReclaimed))

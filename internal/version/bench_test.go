@@ -141,77 +141,14 @@ func BenchmarkAcquireRelease(b *testing.B) {
 	}
 }
 
-// --- shard scaling ---
-//
-// The benchmarks below pin the sharding claims: publish throughput under
-// concurrent batch builders and single-reader Get latency staying flat from 1 shard (the
-// PR 1 layout) to many.
-
-func shardCounts() []int {
-	return []int{1, 2, 4, 8}
-}
-
-// benchShardedStore seeds a store with the given shard count and keys.
-func benchShardedStore(shards, keys int) (*Store, []string) {
-	s := NewStoreSharded(shards)
-	names := make([]string, keys)
-	b := s.BeginSized(keys)
-	for i := range names {
-		names[i] = fmt.Sprintf("key%05d", i)
-		b.Put(names[i], []byte("value"))
-	}
-	b.Publish()
-	return s, names
-}
-
-// BenchmarkPublishShardScaling measures producer throughput at the E9
-// batch shape across shard counts: staging routes keys to shards, and
-// the install's critical section is O(touched shards) pointer work.
-func BenchmarkPublishShardScaling(b *testing.B) {
-	for _, shards := range shardCounts() {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			s, names := benchShardedStore(shards, 128)
-			val := []byte("v")
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				batch := s.BeginSized(len(names))
-				for _, k := range names {
-					batch.Put(k, val)
-				}
-				batch.Publish()
-			}
-		})
-	}
-}
-
-// BenchmarkGetShardScaling is the regression guard for single-reader Get
-// latency: routing through the shard hash must not cost measurably more
-// at 1 shard than the unsharded PR 1 chain walk did (~22ns), and deeper
-// shard counts must not regress it either.
-func BenchmarkGetShardScaling(b *testing.B) {
-	for _, shards := range shardCounts() {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			s, names := benchShardedStore(shards, 1024)
-			snap := s.Acquire()
-			defer snap.Release()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				snap.Get(names[i%len(names)])
-			}
-		})
-	}
-}
-
 // BenchmarkParallelPublishers measures aggregate publish throughput with
 // several concurrent producers (the paper's many-collection ingest mix):
-// per-shard staging happens outside the store mutex, so producers overlap
-// everything but the O(shards) install.
+// staging and freezing a layer happen outside the store mutex, so producers
+// overlap everything but the install.
 func BenchmarkParallelPublishers(b *testing.B) {
 	for _, producers := range []int{1, 4} {
 		b.Run(fmt.Sprintf("producers=%d", producers), func(b *testing.B) {
-			s, names := benchShardedStore(8, 128)
+			s, names := benchStore(128)
 			var next atomic.Int64
 			var wg sync.WaitGroup
 			val := []byte("v")

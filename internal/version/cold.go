@@ -3,11 +3,11 @@ package version
 // This file is the store's persistent cold tier: the disk half of the
 // hot → cold tiering described in the package doc. GC folds every
 // layer at or below the fold floor (the pin floor, or the nearest epoch
-// below it that no merged layer spans) into the owning kvstore B+tree (one
-// keyspace per shard) and splices the folded layers out of the in-memory
-// chains, so RAM holds only the data published since the last fold while
-// the archive's full history lives on disk. Snapshot.Get falls through a
-// missed in-memory chain walk to a read-only kvstore handle.
+// below it that no merged layer spans) into the owning kvstore B+tree and
+// splices the folded layers out of the in-memory chain, so RAM holds only
+// the data published since the last fold while the archive's full history
+// lives on disk. Snapshot.Get falls through a missed in-memory chain walk
+// to a read-only kvstore handle.
 //
 // # On-disk layout
 //
@@ -15,11 +15,10 @@ package version
 // cold tier coexists with other keyspaces — the engine's RDBMS tables,
 // the text index — in one kvstore):
 //
-//	<prefix>r/<shard:2B><esc(key)>\x00\x00<^epoch:8B><part:2B> → flags ‖ [nparts] ‖ payload
-//	<prefix>m/wm                                              → watermark (8B BE)
-//	<prefix>m/shards                                          → shard count (4B BE)
-//	<prefix>m/gen                                             → fold generation (8B BE), written before a round's records
-//	<prefix>m/done                                            → closed generation (8B BE) ‖ per-shard record counts (uvarints), written after a round completes
+//	<prefix>r/<esc(key)>\x00\x00<^epoch:8B><part:2B> → flags ‖ [nparts] ‖ payload
+//	<prefix>m/wm                                  → watermark (8B BE)
+//	<prefix>m/gen                                 → fold generation (8B BE), written before a round's records
+//	<prefix>m/done                                → closed generation (8B BE) ‖ record count (uvarint), written after a round completes
 //
 // Keys escape 0x00 as 0x00 0xff and terminate with 0x00 0x00, so a
 // prefix scan of one key's "version run" can never bleed into a
@@ -28,14 +27,18 @@ package version
 // snapshot epoch and stops. Records larger than one tree entry
 // (kvstore.MaxKV) are split into parts; part 0 carries the part count.
 //
+// A keyspace holding <prefix>m/shards was written by the key-hash-sharded
+// layout, whose record keys carried a 2-byte shard number after r/; Open
+// refuses it by that name, and there is no migration.
+//
 // # Crash contract
 //
 // A fold writes all of a round's records (chunked, so concurrent readers
 // interleave), then persists the watermark, then splices memory, then
 // deletes superseded versions. The kvstore WAL replays in write order, so
 // a durable watermark implies every record at or below it is durable too —
-// given that the round wrote every such record, in every shard, which is
-// why its floor never falls inside a layer that tiering merged across it
+// given that the round wrote every such record, which is why its floor
+// never falls inside a layer that tiering merged across it
 // (Store.foldFloorLocked): a fold moves whole layers or none of one.
 // Open purges any record above the persisted watermark — a torn fold
 // leaves a prefix of its records on disk, invisible and reclaimed — and
@@ -46,24 +49,22 @@ package version
 // an old value.
 //
 // The purge scan is bounded by per-fold generation records: a round
-// writes m/gen before its first record and m/done (with authoritative
-// per-shard record counts) as its last step, so a reopen that finds the
-// two in agreement knows no round was torn, trusts the counts, and omits
+// writes m/gen before its first record and m/done (with the authoritative
+// record count) as its last step, so a reopen that finds the
+// two in agreement knows no round was torn, trusts the count, and omits
 // the O(cold tier) scan entirely. Only an archive whose last round died
 // mid-flight — or one predating the meta — pays the full scan-and-purge.
 //
 // A round that fails in process (a kvstore error, or a fold hook) is the
 // same event seen from inside: what it wrote stays on disk, shadowed by the
 // layers it did not splice, and the next round writes those layers again.
-// The running counts cannot follow that, so a failed round leaves them
-// marked and the next round to complete recounts them with the scan Open
-// uses (coldTier.scanRecords) before it vouches for them in m/done.
+// The running count cannot follow that, so a failed round leaves it marked
+// and the next round to complete recounts it with the scan Open uses
+// (coldTier.scanRecords) before it vouches for it in m/done.
 
 import (
 	"encoding/binary"
 	"fmt"
-	"slices"
-	"sync"
 	"sync/atomic"
 
 	"memex/internal/kvstore"
@@ -100,19 +101,19 @@ type coldTier struct {
 	// disk; nothing above it is visible after recovery.
 	wm atomic.Uint64
 
-	// records counts live part-0 records per shard (logical versions on
-	// disk, superseded versions included until cleanup catches up).
-	// recount says the counts cannot be trusted: a fold sets it before its
-	// first record write and clears it when it completes, so it is still set
-	// after a round that failed, and the next round to complete replaces the
-	// counts with a scan. Guarded by foldMu.
-	records []atomic.Int64
+	// records counts live part-0 records (logical versions on disk,
+	// superseded versions included until cleanup catches up). recount says
+	// the count cannot be trusted: a fold sets it before its first record
+	// write and clears it when it completes, so it is still set after a
+	// round that failed, and the next round to complete replaces the count
+	// with a scan. Guarded by foldMu.
+	records atomic.Int64
 	recount bool
 
 	// gen is the fold-round generation: m/gen is persisted before a
-	// round's record writes and m/done (same gen + per-shard counts) after
+	// round's record writes and m/done (same gen + the record count) after
 	// the round fully completes, so Open can tell a cleanly-finished
-	// archive (gen == done: trust the counts, skip the purge scan) from a
+	// archive (gen == done: trust the count, skip the purge scan) from a
 	// torn one (scan and purge as before). Guarded by foldMu on the write
 	// side; atomic so stats can read it.
 	gen atomic.Uint64
@@ -163,54 +164,49 @@ func (s *Store) foldPoint(p FoldPoint) error {
 	return nil
 }
 
-// Options configures a store opened over a kvstore cold tier.
-type Options struct {
-	// Shards is the shard count for a fresh keyspace (rounded up to a
-	// power of two; <= 0 means DefaultShards). A keyspace that has folded
-	// before remembers its count — key→shard routing must match the keys
-	// already on disk — and overrides this value.
-	Shards int
-}
+// Options configures a store opened over a kvstore cold tier. It has no
+// fields; Open keeps the parameter so its callers need not change.
+type Options struct{}
 
 // Open builds a store whose cold tier lives under prefix in kv, and
-// recovers it: the watermark and shard count are read back, every record
-// above the watermark (a torn fold's leftovers) is purged, and the store
-// resumes publishing at watermark+1. A meta record that is present but
-// malformed is an error, returned before anything is written. The caller
-// keeps ownership of kv and must close it after the store (Close folds
-// through it).
-func Open(kv *kvstore.Store, prefix string, o Options) (*Store, error) {
+// recovers it: the watermark is read back, every record above it (a torn
+// fold's leftovers) is purged, and the store resumes publishing at
+// watermark+1. A meta record that is present but malformed is an error, and
+// so is a keyspace written by the sharded layout (it holds m/shards); both
+// are returned before anything is written. The caller keeps ownership of kv
+// and must close it after the store (Close folds through it).
+func Open(kv *kvstore.Store, prefix string, _ Options) (*Store, error) {
 	c := &coldTier{kv: kv, rd: kv.ReadView(), prefix: []byte(prefix)}
 
-	// All four meta records are read, and a malformed one refused, before
-	// anything below writes: a guessed watermark would purge every record
-	// as torn, a guessed shard count would misroute every key.
-	shards := o.Shards
-	if n, ok, err := c.readUintMeta(kv, "shards", 4); err != nil {
+	// Every meta record is read, and a malformed or retired one refused,
+	// before anything below writes: a guessed watermark would purge every
+	// record as torn, and a sharded keyspace's records would all read as
+	// foreign keys.
+	if raw, ok, err := c.getMeta(kv, "shards"); err != nil {
 		return nil, err
 	} else if ok {
-		shards = int(n)
+		return nil, fmt.Errorf("version: keyspace holds %s (%d bytes), written by the key-hash-sharded layout whose record keys carry a shard prefix: refusing to open it (there is no migration)",
+			c.metaKey("shards"), len(raw))
 	}
-	s := NewStoreSharded(shards)
-	wm, _, err := c.readUintMeta(kv, "wm", 8)
+	s := NewStore()
+	wm, _, err := c.readUintMeta(kv, "wm")
 	if err != nil {
 		return nil, err
 	}
 	c.wm.Store(wm)
-	c.records = make([]atomic.Int64, s.Shards())
 
 	// Fast path: a cleanly-finished archive carries matching m/gen and
 	// m/done generation records (the fold writes gen before a round's
-	// records and done — with per-shard record counts — only after the
-	// round fully completed). When they match, no fold round was in
-	// flight at shutdown, so no record above the watermark can exist and
-	// the persisted counts are authoritative: reopen is O(meta), not
-	// O(cold tier).
-	gen, hasGen, err := c.readUintMeta(kv, "gen", 8)
+	// records and done — with the record count — only after the round
+	// fully completed). When they match, no fold round was in flight at
+	// shutdown, so no record above the watermark can exist and the
+	// persisted count is authoritative: reopen is O(meta), not O(cold
+	// tier).
+	gen, hasGen, err := c.readUintMeta(kv, "gen")
 	if err != nil {
 		return nil, err
 	}
-	done, counts, hasDone, err := c.readDoneMeta(kv)
+	done, count, hasDone, err := c.readDoneMeta(kv)
 	if err != nil {
 		return nil, err
 	}
@@ -219,10 +215,8 @@ func Open(kv *kvstore.Store, prefix string, o Options) (*Store, error) {
 	} else {
 		c.gen.Store(done)
 	}
-	if hasGen && hasDone && gen == done && len(counts) == s.Shards() {
-		for i, cnt := range counts {
-			c.records[i].Store(cnt)
-		}
+	if hasGen && hasDone && gen == done && count >= 0 {
+		c.records.Store(count)
 		c.cleanOpen = true
 	} else {
 		// Torn fold round or pre-generation-meta archive: purge
@@ -249,7 +243,7 @@ func Open(kv *kvstore.Store, prefix string, o Options) (*Store, error) {
 	// allocation restarts above it so no recovered record's epoch is ever
 	// reissued to a new batch.
 	s.mu.Lock()
-	st := &state{watermark: wm, shards: make([]*layer, s.Shards())}
+	st := &state{watermark: wm}
 	s.current.Store(st)
 	s.history = []*state{st}
 	s.nextEpoch = wm + 1
@@ -296,60 +290,46 @@ func (c *coldTier) malformedMeta(name string, raw []byte, want string) error {
 		c.metaKey(name), len(raw), want)
 }
 
-// readUintMeta reads a big-endian unsigned meta record of exactly size
-// (4 or 8) bytes.
-func (c *coldTier) readUintMeta(kv *kvstore.Store, name string, size int) (uint64, bool, error) {
+// readUintMeta reads a meta record holding one big-endian uint64.
+func (c *coldTier) readUintMeta(kv *kvstore.Store, name string) (uint64, bool, error) {
 	raw, ok, err := c.getMeta(kv, name)
 	if !ok || err != nil {
 		return 0, false, err
 	}
-	switch {
-	case len(raw) != size:
-		return 0, false, c.malformedMeta(name, raw, fmt.Sprint(size))
-	case size == 4:
-		return uint64(binary.BigEndian.Uint32(raw)), true, nil
+	if len(raw) != 8 {
+		return 0, false, c.malformedMeta(name, raw, "8")
 	}
 	return binary.BigEndian.Uint64(raw), true, nil
 }
 
 // readDoneMeta reads the fold-completion record: generation (8B BE)
-// followed by one uvarint live-record count per shard. A record cut inside
-// the generation or inside a count is malformed; one whose counts do not
-// match the shard count is well-formed but not trusted, and Open falls
-// back to the full purge scan.
-func (c *coldTier) readDoneMeta(kv *kvstore.Store) (gen uint64, counts []int64, ok bool, err error) {
+// followed by the live-record count as one uvarint. A record cut inside the
+// generation or inside the count, or running on past the count, is
+// malformed; one that stops after the generation is well-formed but vouches
+// for no count (count is -1), and Open falls back to the full purge scan.
+func (c *coldTier) readDoneMeta(kv *kvstore.Store) (gen uint64, count int64, ok bool, err error) {
 	raw, ok, err := c.getMeta(kv, "done")
 	if !ok || err != nil {
-		return 0, nil, false, err
+		return 0, 0, false, err
 	}
 	if len(raw) < 8 {
-		return 0, nil, false, c.malformedMeta("done", raw, "at least 8")
+		return 0, 0, false, c.malformedMeta("done", raw, "at least 8")
 	}
 	gen = binary.BigEndian.Uint64(raw)
-	rest := raw[8:]
-	for len(rest) > 0 {
-		n, w := binary.Uvarint(rest)
-		if w <= 0 {
-			return 0, nil, false, c.malformedMeta("done", raw, "8 and whole uvarint shard counts")
-		}
-		counts = append(counts, int64(n))
-		rest = rest[w:]
+	if len(raw) == 8 {
+		return gen, -1, true, nil
 	}
-	return gen, counts, true, nil
+	n, w := binary.Uvarint(raw[8:])
+	if w <= 0 || 8+w != len(raw) {
+		return 0, 0, false, c.malformedMeta("done", raw, "8 and one whole uvarint record count")
+	}
+	return gen, int64(n), true, nil
 }
 
-// encodeDoneMeta builds the m/done payload from the live record counts.
+// encodeDoneMeta builds the m/done payload from the live record count.
 func (c *coldTier) encodeDoneMeta(gen uint64) []byte {
-	buf := make([]byte, 8, 8+len(c.records)*binary.MaxVarintLen64)
-	binary.BigEndian.PutUint64(buf, gen)
-	for i := range c.records {
-		n := c.records[i].Load()
-		if n < 0 {
-			n = 0
-		}
-		buf = binary.AppendUvarint(buf, uint64(n))
-	}
-	return buf
+	buf := binary.BigEndian.AppendUint64(nil, gen)
+	return binary.AppendUvarint(buf, uint64(max(c.records.Load(), 0)))
 }
 
 // recPrefix is the prefix of every record key.
@@ -359,22 +339,15 @@ func (c *coldTier) recPrefix() []byte {
 	return append(k, "r/"...)
 }
 
-// shardPrefix is the prefix of one shard's keyspace.
-func (c *coldTier) shardPrefix(shard uint32) []byte {
-	k := c.recPrefix()
-	return binary.BigEndian.AppendUint16(k, uint16(shard))
-}
-
-// runPrefix is the prefix of one key's version run inside its shard.
-func (c *coldTier) runPrefix(shard uint32, key string) []byte {
-	k := c.shardPrefix(shard)
-	k = appendEscaped(k, key)
+// runPrefix is the prefix of one key's version run.
+func (c *coldTier) runPrefix(key string) []byte {
+	k := appendEscaped(c.recPrefix(), key)
 	return append(k, 0x00, 0x00)
 }
 
 // recordKey is one part's full key.
-func (c *coldTier) recordKey(shard uint32, key string, epoch uint64, part uint16) []byte {
-	k := c.runPrefix(shard, key)
+func (c *coldTier) recordKey(key string, epoch uint64, part uint16) []byte {
+	k := c.runPrefix(key)
 	k = binary.BigEndian.AppendUint64(k, ^epoch)
 	return binary.BigEndian.AppendUint16(k, part)
 }
@@ -393,13 +366,11 @@ func appendEscaped(dst []byte, key string) []byte {
 }
 
 // parseRecordKey decodes a full record key back into its parts.
-func (c *coldTier) parseRecordKey(k []byte) (shard uint32, key string, epoch uint64, part uint16, ok bool) {
+func (c *coldTier) parseRecordKey(k []byte) (key string, epoch uint64, part uint16, ok bool) {
 	rest := k[len(c.recPrefix()):]
-	if len(rest) < 2+2+8+2 {
-		return 0, "", 0, 0, false
+	if len(rest) < 2+8+2 {
+		return "", 0, 0, false
 	}
-	shard = uint32(binary.BigEndian.Uint16(rest))
-	rest = rest[2:]
 	// Find the 0x00 0x00 terminator; 0x00 inside the key is always
 	// followed by 0xff.
 	term := -1
@@ -413,7 +384,7 @@ func (c *coldTier) parseRecordKey(k []byte) (shard uint32, key string, epoch uin
 		}
 	}
 	if term < 0 || len(rest)-(term+2) != 8+2 {
-		return 0, "", 0, 0, false
+		return "", 0, 0, false
 	}
 	raw := rest[:term]
 	buf := make([]byte, 0, len(raw))
@@ -427,23 +398,23 @@ func (c *coldTier) parseRecordKey(k []byte) (shard uint32, key string, epoch uin
 	}
 	epoch = ^binary.BigEndian.Uint64(rest[term+2:])
 	part = binary.BigEndian.Uint16(rest[term+2+8:])
-	return shard, string(buf), epoch, part, true
+	return string(buf), epoch, part, true
 }
 
 // partPayload returns how many payload bytes fit in one part of this
 // key's records (the kvstore caps key+value per entry).
 func (c *coldTier) partPayload(key string) int {
-	// Worst-case escaped key doubles; framing = prefix + shard + term +
+	// Worst-case escaped key doubles; framing = prefix + r/ + term +
 	// ^epoch + part; value head = flags + max uvarint part count.
-	overhead := len(c.prefix) + 2 + 2 + 2*len(key) + 2 + 8 + 2 + 1 + binary.MaxVarintLen32
+	overhead := len(c.prefix) + 2 + 2*len(key) + 2 + 8 + 2 + 1 + binary.MaxVarintLen32
 	return kvstore.MaxKV - overhead
 }
 
 // appendRecord encodes one logical record (possibly multi-part) onto dst.
-func (c *coldTier) appendRecord(dst []kvstore.KV, shard uint32, key string, epoch uint64, e entry) ([]kvstore.KV, error) {
+func (c *coldTier) appendRecord(dst []kvstore.KV, key string, epoch uint64, e entry) ([]kvstore.KV, error) {
 	if e.deleted {
 		return append(dst, kvstore.KV{
-			Key:   c.recordKey(shard, key, epoch, 0),
+			Key:   c.recordKey(key, epoch, 0),
 			Value: []byte{coldFlagTomb, 1},
 		}), nil
 	}
@@ -472,7 +443,7 @@ func (c *coldTier) appendRecord(dst []kvstore.KV, shard uint32, key string, epoc
 		} else {
 			val = append([]byte(nil), e.value[lo:hi]...)
 		}
-		dst = append(dst, kvstore.KV{Key: c.recordKey(shard, key, epoch, uint16(p)), Value: val})
+		dst = append(dst, kvstore.KV{Key: c.recordKey(key, epoch, uint16(p)), Value: val})
 	}
 	return dst, nil
 }
@@ -482,7 +453,7 @@ func (c *coldTier) appendRecord(dst []kvstore.KV, shard uint32, key string, epoc
 // runDecoder steps through one key's version run — its records in key
 // order, newest version first, a version's parts adjacent — and assembles
 // the newest version at or below max. Both readers of a run drive it: get
-// over one key's prefix, scanShard over a whole shard, one decoder per key.
+// over one key's prefix, scan over the whole keyspace, one decoder per key.
 type runDecoder struct {
 	max   uint64 // the snapshot's epoch: versions above it are skipped
 	val   []byte
@@ -529,11 +500,11 @@ func (d *runDecoder) step(epoch uint64, part uint16, v []byte) bool {
 // through the read-only kvstore handle. kvstore-level failures count as a
 // miss (and are surfaced in Stats.Cold.ReadErrors) — the versioning layer
 // has no error channel on Get, and a miss degrades to a refetch upstream.
-func (c *coldTier) get(shard uint32, key string, max uint64) ([]byte, bool) {
+func (c *coldTier) get(key string, max uint64) ([]byte, bool) {
 	c.reads.Add(1)
 	d := runDecoder{max: max}
-	err := c.rd.ScanPrefix(c.runPrefix(shard, key), func(k, v []byte) bool {
-		_, _, epoch, part, ok := c.parseRecordKey(k)
+	err := c.rd.ScanPrefix(c.runPrefix(key), func(k, v []byte) bool {
+		_, epoch, part, ok := c.parseRecordKey(k)
 		return !ok || !d.step(epoch, part, v)
 	})
 	if err != nil {
@@ -546,17 +517,17 @@ func (c *coldTier) get(shard uint32, key string, max uint64) ([]byte, bool) {
 	return d.val, true
 }
 
-// scanShard walks one shard's keyspace yielding each key's newest live
-// record at or below max (tombstoned and above-max versions are skipped,
-// multi-part values reassembled). fn returning false stops the scan.
-func (c *coldTier) scanShard(shard uint32, max uint64, fn func(key string, value []byte) bool) error {
+// scan walks the record keyspace yielding each key's newest live record at
+// or below max (tombstoned and above-max versions are skipped, multi-part
+// values reassembled). fn returning false stops the scan.
+func (c *coldTier) scan(max uint64, fn func(key string, value []byte) bool) error {
 	var (
 		curKey  string
 		started bool
 		d       runDecoder
 	)
-	err := c.rd.ScanPrefix(c.shardPrefix(shard), func(k, v []byte) bool {
-		_, key, epoch, part, ok := c.parseRecordKey(k)
+	err := c.rd.ScanPrefix(c.recPrefix(), func(k, v []byte) bool {
+		key, epoch, part, ok := c.parseRecordKey(k)
 		if !ok {
 			return true
 		}
@@ -579,14 +550,14 @@ func (c *coldTier) scanShard(shard uint32, max uint64, fn func(key string, value
 
 // --- fold ---
 
-// Fold folds every shard's layers at or below the fold floor into the cold
-// tier and splices them out of the in-memory chains, returning the number
-// of in-memory entries moved to disk. The floor is the pin floor when no
-// merged layer spans it, and otherwise the nearest epoch below that every
-// chain splits at — no lower than the watermark at which the previous
-// round started. It is safe to run concurrently with Publish and snapshot
-// reads (pinned snapshots keep their captured chains, and everything folded
-// is at or below every pin by construction). Concurrent folds serialise.
+// Fold folds the layers at or below the fold floor into the cold tier and
+// splices them out of the in-memory chain, returning the number of
+// in-memory entries moved to disk. The floor is the pin floor when no
+// merged layer spans it, and otherwise the epoch just below that layer —
+// no lower than the watermark at which the previous round started. It is
+// safe to run concurrently with Publish and snapshot reads (pinned
+// snapshots keep their captured chains, and everything folded is at or
+// below every pin by construction). Concurrent folds serialise.
 func (s *Store) Fold() (int, error) {
 	if s.cold == nil {
 		return 0, fmt.Errorf("version: store has no cold tier")
@@ -602,13 +573,7 @@ func (s *Store) foldableEntries() int {
 	cur := s.current.Load()
 	floor := s.pinFloorLocked(cur)
 	s.mu.Unlock()
-	n := 0
-	for i := range cur.shards {
-		for l := splitAt(cur.shards[i], floor); l != nil; l = l.next {
-			n += len(l.entries)
-		}
-	}
-	return n
+	return entriesFrom(descendTo(cur.head, floor))
 }
 
 // coldRec is one merged record bound for disk.
@@ -617,30 +582,44 @@ type coldRec struct {
 	epoch uint64
 }
 
-// scanRecords walks every record key once and resets the per-shard counts
-// to what is on disk at or below wm: Open's recovery path, and the recount
-// a fold owes after a round that failed. It returns the keys above wm — a
+// mergeForFold merges the sub-chain from sub down newest-first (first write
+// wins), keeping each record's own epoch, and returns it with the number of
+// in-memory entries the sub-chain held.
+func mergeForFold(sub *layer) (merged map[string]coldRec, resident int) {
+	merged = make(map[string]coldRec)
+	for l := sub; l != nil; l = l.next {
+		resident += len(l.entries)
+		for k, e := range l.entries {
+			if _, ok := merged[k]; !ok {
+				merged[k] = coldRec{e: e, epoch: l.epoch}
+			}
+		}
+	}
+	return merged, resident
+}
+
+// scanRecords walks every record key once and resets the record count to
+// what is on disk at or below wm: Open's recovery path, and the recount a
+// fold owes after a round that failed. It returns the keys above wm — a
 // torn round's leftovers, which Open purges — and how many keys it examined.
 func (c *coldTier) scanRecords(wm uint64) (stale [][]byte, scanned int64, err error) {
-	counts := make([]int64, len(c.records))
+	var count int64
 	err = c.rd.ScanPrefix(c.recPrefix(), func(k, _ []byte) bool {
 		scanned++
-		shard, _, epoch, part, ok := c.parseRecordKey(k)
+		_, epoch, part, ok := c.parseRecordKey(k)
 		switch {
 		case !ok: // foreign or corrupt key: leave it alone
 		case epoch > wm:
 			stale = append(stale, append([]byte(nil), k...))
-		case part == 0 && int(shard) < len(counts):
-			counts[shard]++
+		case part == 0:
+			count++
 		}
 		return true
 	})
 	if err != nil {
 		return nil, scanned, err
 	}
-	for i, n := range counts {
-		c.records[i].Store(n)
-	}
+	c.records.Store(count)
 	return stale, scanned, nil
 }
 
@@ -656,13 +635,13 @@ func (s *Store) fold() (reclaimed int, err error) {
 		}
 	}()
 
-	// The floor is the pin floor lowered to an epoch every chain splits at
+	// The floor is the pin floor lowered out of any merged layer spanning it
 	// (foldFloorLocked): the watermark written below vouches for every batch
-	// at or below it, in every shard. Planting the tier fence in the same
-	// critical section that captures the chains is what makes the splice
-	// below certain — from here on no publish re-tiers a layer this round may
-	// write, and nothing else replaces layers — and gives the next round an
-	// epoch no merge spans to fall back to.
+	// at or below it. Planting the tier fence in the same critical section
+	// that captures the chain is what makes the splice below certain — from
+	// here on no publish re-tiers a layer this round may write, and nothing
+	// else replaces layers — and gives the next round an epoch no merge spans
+	// to fall back to.
 	s.mu.Lock()
 	cur := s.current.Load()
 	floor := s.foldFloorLocked(cur)
@@ -675,15 +654,9 @@ func (s *Store) fold() (reclaimed int, err error) {
 	// watermark ≥ floor). Layers at or below the durable watermark are
 	// resident only after a round that failed past its watermark write; this
 	// round writes them again and finishes that one's work.
-	n := s.Shards()
-	heads := make([]*layer, n)
-	idle := floor <= wm // no new epoch to vouch for
-	for i := range heads {
-		heads[i] = splitAt(cur.shards[i], floor)
-		idle = idle && heads[i] == nil
-	}
-	if idle {
-		return 0, nil // and nothing to move
+	sub := descendTo(cur.head, floor)
+	if floor <= wm && sub == nil {
+		return 0, nil // no new epoch to vouch for, and nothing to move
 	}
 
 	// Open the fold round's generation before any record lands: while
@@ -699,50 +672,23 @@ func (s *Store) fold() (reclaimed int, err error) {
 	}
 	c.gen.Store(gen)
 
-	// Merge each shard's foldable sub-chain newest-first (first write
-	// wins), entirely outside any lock.
-	merged := make([]map[string]coldRec, n)
-	resident := make([]int, n) // in-memory entry count of each folded sub-chain
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		if heads[i] == nil {
-			continue
-		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			m := make(map[string]coldRec)
-			for l := heads[i]; l != nil; l = l.next {
-				resident[i] += len(l.entries)
-				for k, e := range l.entries {
-					if _, ok := m[k]; !ok {
-						m[k] = coldRec{e: e, epoch: l.epoch}
-					}
-				}
-			}
-			merged[i] = m
-		}(i)
-	}
-	wg.Wait()
-
-	// Write the round's records, chunked so concurrent kvstore readers
-	// (cold fallthroughs, the engine's RDBMS) interleave between chunks.
+	// Merge the foldable sub-chain outside any store lock, then write the
+	// round's records, chunked so concurrent kvstore readers (cold
+	// fallthroughs, the engine's RDBMS) interleave between chunks.
+	merged, resident := mergeForFold(sub)
 	var pairs []kvstore.KV
-	//memexvet:ignore lockiter foldMu only serialises background folds; no reader or publisher path ever waits on it
-	for i, m := range merged {
-		for k, r := range m {
-			var err error
-			pairs, err = c.appendRecord(pairs, uint32(i), k, r.epoch, r.e)
-			if err != nil {
-				return 0, err
-			}
+	for k, r := range merged {
+		var err error
+		pairs, err = c.appendRecord(pairs, k, r.epoch, r.e)
+		if err != nil {
+			return 0, err
 		}
 	}
 	// From the first record write until the round completes the running
-	// counts are behind the disk; an error return anywhere below leaves them
-	// marked. A round that found them marked — the one before it failed, and
+	// count is behind the disk; an error return anywhere below leaves it
+	// marked. A round that found it marked — the one before it failed, and
 	// some of what this one writes is that round's records over again — does
-	// not add to them: it recounts once the disk has settled.
+	// not add to it: it recounts once the disk has settled.
 	recount := c.recount
 	c.recount = true
 	if err := c.kv.PutBatchChunked(pairs, foldChunk); err != nil {
@@ -752,20 +698,14 @@ func (s *Store) fold() (reclaimed int, err error) {
 		return 0, err
 	}
 
-	// Persist shard count (idempotent) and the new watermark. The
-	// watermark write is the fold's commit point: it follows every record
-	// in WAL order, so "watermark durable" implies "records durable". A
-	// round at an unchanged floor re-wrote only already-durable records, so
+	// Persist the new watermark: the fold's commit point. It follows every
+	// record in WAL order, so "watermark durable" implies "records durable".
+	// A round at an unchanged floor re-wrote only already-durable records, so
 	// it has nothing to commit.
 	if floor > wm {
 		var meta [8]byte
 		binary.BigEndian.PutUint64(meta[:], floor)
-		var shardsMeta [4]byte
-		binary.BigEndian.PutUint32(shardsMeta[:], uint32(n))
-		if err := c.kv.PutBatch([]kvstore.KV{
-			{Key: c.metaKey("shards"), Value: shardsMeta[:]},
-			{Key: c.metaKey("wm"), Value: meta[:]},
-		}); err != nil {
+		if err := c.kv.PutBatch([]kvstore.KV{{Key: c.metaKey("wm"), Value: meta[:]}}); err != nil {
 			return 0, err
 		}
 		c.wm.Store(floor)
@@ -774,32 +714,25 @@ func (s *Store) fold() (reclaimed int, err error) {
 		}
 	}
 
-	// Splice the folded layers out of each chain. Every captured sub-chain
-	// is still where it was: tier stops at the fence planted above and
-	// nothing else replaces a layer. Were one not, its records are durable
-	// and its layers shadow them, so leaving every chain as it is loses
-	// nothing; the round fails loudly instead of guessing.
-	s.mu.Lock()
-	cur2 := s.current.Load()
-	shards := slices.Clone(cur2.shards)
-	for i := range shards {
-		if heads[i] == nil {
-			continue
-		}
-		if splitAt(cur2.shards[i], floor) != heads[i] {
+	// Splice the folded layers out of the chain. The captured sub-chain is
+	// still where it was: tier stops at the fence planted above and nothing
+	// else replaces a layer. Were it not, its records are durable and its
+	// layers shadow them, so leaving the chain as it is loses nothing; the
+	// round fails loudly instead of guessing.
+	if sub != nil {
+		s.mu.Lock()
+		cur2 := s.current.Load()
+		if descendTo(cur2.head, floor) != sub {
 			s.mu.Unlock()
-			return 0, fmt.Errorf("version: fold at floor %d: shard %d's sub-chain was replaced while the round wrote it; its layers stay resident", floor, i)
+			return 0, fmt.Errorf("version: fold at floor %d: the sub-chain was replaced while the round wrote it; its layers stay resident", floor)
 		}
-		shards[i] = spliceAbove(cur2.shards[i], heads[i], nil)
-		reclaimed += resident[i]
-	}
-	if reclaimed > 0 {
-		next := &state{watermark: cur2.watermark, shards: shards}
+		next := &state{watermark: cur2.watermark, head: spliceAbove(cur2.head, sub, nil)}
 		s.current.Store(next)
 		s.history = append(s.history, next)
-		s.gcReclaimed += uint64(reclaimed)
+		s.gcReclaimed += uint64(resident)
+		s.mu.Unlock()
+		reclaimed = resident
 	}
-	s.mu.Unlock()
 	c.folds.Add(1)
 	c.foldedN.Add(uint64(reclaimed))
 
@@ -815,15 +748,13 @@ func (s *Store) fold() (reclaimed int, err error) {
 			return reclaimed, fmt.Errorf("version: fold recount: %w", err)
 		}
 	} else {
-		for i, m := range merged {
-			c.records[i].Add(int64(len(m)) - freed[i])
-		}
+		c.records.Add(int64(len(merged)) - freed)
 	}
 	c.recount = false
 
 	// Close the generation: the round is fully complete, so persist the
-	// final per-shard record counts alongside the gen. Failure is
-	// tolerated — the only cost is one scan-mode reopen.
+	// final record count alongside the gen. Failure is tolerated — the only
+	// cost is one scan-mode reopen.
 	_ = c.kv.PutBatch([]kvstore.KV{{Key: c.metaKey("done"), Value: c.encodeDoneMeta(gen)}})
 	return reclaimed, nil
 }
@@ -831,43 +762,40 @@ func (s *Store) fold() (reclaimed int, err error) {
 // cleanupSuperseded deletes, for every key a fold just rewrote, all older
 // disk versions — and, when the newest surviving version is a tombstone,
 // the tombstone itself (nothing is left for it to shadow) — and returns how
-// many part-0 records it freed per shard. A failure — reading a key's run,
-// or the delete, which may have removed some of them — ends the round there
-// with the counts marked; leftover versions stay invisible behind newer
-// ones, and the next fold of the key retries.
-func (s *Store) cleanupSuperseded(merged []map[string]coldRec) (freed []int64, err error) {
+// many part-0 records it freed. A failure — reading a key's run, or the
+// delete, which may have removed some of them — ends the round there with
+// the count marked; leftover versions stay invisible behind newer ones, and
+// the next fold of the key retries.
+func (s *Store) cleanupSuperseded(merged map[string]coldRec) (freed int64, err error) {
 	c := s.cold
 	var dead [][]byte
-	freed = make([]int64, len(merged))
-	for i, m := range merged {
-		for k, r := range m {
-			var tombRun [][]byte
-			err := c.rd.ScanPrefix(c.runPrefix(uint32(i), k), func(key, _ []byte) bool {
-				_, _, epoch, part, ok := c.parseRecordKey(key)
-				if !ok {
-					return true
-				}
-				switch {
-				case epoch < r.epoch:
-					dead = append(dead, append([]byte(nil), key...))
-					if part == 0 {
-						freed[i]++
-					}
-				case epoch == r.epoch && r.e.deleted:
-					// The key's entire surviving run is this tombstone;
-					// delete it last so a torn batch still shadows.
-					tombRun = append(tombRun, append([]byte(nil), key...))
-					if part == 0 {
-						freed[i]++
-					}
-				}
+	for k, r := range merged {
+		var tombRun [][]byte
+		err := c.rd.ScanPrefix(c.runPrefix(k), func(key, _ []byte) bool {
+			_, epoch, part, ok := c.parseRecordKey(key)
+			if !ok {
 				return true
-			})
-			if err != nil {
-				return freed, err
 			}
-			dead = append(dead, tombRun...)
+			switch {
+			case epoch < r.epoch:
+				dead = append(dead, append([]byte(nil), key...))
+				if part == 0 {
+					freed++
+				}
+			case epoch == r.epoch && r.e.deleted:
+				// The key's entire surviving run is this tombstone;
+				// delete it last so a torn batch still shadows.
+				tombRun = append(tombRun, append([]byte(nil), key...))
+				if part == 0 {
+					freed++
+				}
+			}
+			return true
+		})
+		if err != nil {
+			return freed, err
 		}
+		dead = append(dead, tombRun...)
 	}
 	if len(dead) == 0 {
 		return freed, nil
@@ -883,8 +811,6 @@ type ColdStats struct {
 	// Records is the number of record versions on disk (superseded
 	// versions included until cleanup reclaims them).
 	Records int64
-	// Shards is the per-shard record count.
-	Shards []int64
 	// Folds counts completed fold rounds; FoldedEntries is the cumulative
 	// number of in-memory entries moved to disk.
 	Folds         uint64
@@ -894,7 +820,7 @@ type ColdStats struct {
 	// and shadow whatever it wrote — but memory is not coming down.
 	FoldErrors    uint64
 	LastFoldError string
-	// Reads counts snapshot gets that fell through the in-memory chains
+	// Reads counts snapshot gets that fell through the in-memory chain
 	// to disk; ReadMisses is the subset that found nothing there.
 	// ReadErrors counts cold reads that failed at the kvstore layer (each
 	// degraded to a miss).
@@ -913,6 +839,7 @@ type ColdStats struct {
 func (c *coldTier) stats() *ColdStats {
 	st := &ColdStats{
 		Watermark:       c.wm.Load(),
+		Records:         c.records.Load(),
 		Folds:           c.folds.Load(),
 		FoldedEntries:   c.foldedN.Load(),
 		FoldErrors:      c.foldErrs.Load(),
@@ -922,15 +849,9 @@ func (c *coldTier) stats() *ColdStats {
 		FoldGen:         c.gen.Load(),
 		CleanOpen:       c.cleanOpen,
 		RecoveryScanned: c.recoveryScanned,
-		Shards:          make([]int64, len(c.records)),
 	}
 	if msg := c.lastErr.Load(); msg != nil {
 		st.LastFoldError = *msg
-	}
-	for i := range c.records {
-		n := c.records[i].Load()
-		st.Shards[i] = n
-		st.Records += n
 	}
 	return st
 }
@@ -941,11 +862,7 @@ func (s *Store) ColdRecords() int64 {
 	if s.cold == nil {
 		return 0
 	}
-	var n int64
-	for i := range s.cold.records {
-		n += s.cold.records[i].Load()
-	}
-	return n
+	return s.cold.records.Load()
 }
 
 // ColdWatermark reports the durable fold watermark — the highest epoch
@@ -967,46 +884,31 @@ func (s *Store) ColdWatermark() uint64 {
 // walk with that error: what fn saw until then is part of the snapshot,
 // not all of it. It panics if the snapshot was released.
 func (sn *Snapshot) Range(fn func(key string, value []byte) bool) error {
-	st := sn.view("Range")
-	for i := range st.shards {
-		seen := make(map[string]bool)
-		for l := descendTo(st.shards[i], st.watermark); l != nil; l = l.next {
-			for k, e := range l.entries {
-				if seen[k] {
-					continue
-				}
-				seen[k] = true
-				if !e.deleted {
-					if !fn(k, e.value) {
-						return nil
-					}
-				}
+	return sn.walk("Range", fn)
+}
+
+// walk is Range under the name of the operation that asked (Range or Keys):
+// the chain first, then the cold tier, whose keys the chain's entries — live
+// or tombstone — shadow.
+func (sn *Snapshot) walk(op string, fn func(key string, value []byte) bool) error {
+	st := sn.view(op)
+	seen := make(map[string]bool)
+	for l := st.visible(); l != nil; l = l.next {
+		for k, e := range l.entries {
+			if seen[k] {
+				continue
 			}
-		}
-		if c := sn.s.cold; c != nil {
-			stopped := false
-			err := c.scanShard(uint32(i), sn.epoch, func(k string, v []byte) bool {
-				if seen[k] {
-					return true
-				}
-				stopped = !fn(k, v)
-				return !stopped
-			})
-			if err != nil || stopped {
-				return err
+			seen[k] = true
+			if !e.deleted && !fn(k, e.value) {
+				return nil
 			}
 		}
 	}
-	return nil
-}
-
-// coldKeys appends the shard's live cold keys not shadowed by seen.
-func (sn *Snapshot) coldKeys(shard uint32, seen map[string]bool, keys []string) []string {
-	sn.s.cold.scanShard(shard, sn.epoch, func(k string, _ []byte) bool {
-		if !seen[k] {
-			keys = append(keys, k)
-		}
-		return true
+	c := sn.s.cold
+	if c == nil {
+		return nil
+	}
+	return c.scan(sn.epoch, func(k string, v []byte) bool {
+		return seen[k] || fn(k, v)
 	})
-	return keys
 }

@@ -38,7 +38,7 @@ func BenchmarkFoldBoundedMemory(b *testing.B) {
 	}
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		kv, s := openBenchCold(b, Options{Shards: 8})
+		kv, s := openBenchCold(b, Options{})
 		runtime.GC()
 		var base runtime.MemStats
 		runtime.ReadMemStats(&base)
@@ -81,7 +81,7 @@ func BenchmarkFoldBoundedMemory(b *testing.B) {
 // cold tier's bulk writes: in-memory chain hits never touch the kvstore,
 // so their ~20ns latency must hold while folds run in the background.
 func BenchmarkSnapshotGetHotDuringFold(b *testing.B) {
-	kv, s := openBenchCold(b, Options{Shards: 8})
+	kv, s := openBenchCold(b, Options{})
 	defer kv.Close()
 	// A cold base (folded) plus a hot working set that keeps re-folding.
 	for i := 0; i < 4096; i++ {
@@ -146,7 +146,7 @@ func BenchmarkSnapshotGetHotDuringFold(b *testing.B) {
 // BenchmarkSnapshotGetColdMiss prices the fallthrough itself: a chain
 // miss that resolves from the cold tier (one short B+tree prefix scan).
 func BenchmarkSnapshotGetColdMiss(b *testing.B) {
-	kv, s := openBenchCold(b, Options{Shards: 8})
+	kv, s := openBenchCold(b, Options{})
 	defer kv.Close()
 	const n = 8192
 	keys := make([]string, n)

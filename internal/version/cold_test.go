@@ -50,7 +50,7 @@ func TestColdFoldAndFallthrough(t *testing.T) {
 	dir := t.TempDir()
 	kv := openKV(t, dir)
 	defer kv.Close()
-	s := openCold(t, kv, Options{Shards: 4})
+	s := openCold(t, kv, Options{})
 
 	for i := 0; i < 100; i++ {
 		publishKV(t, s, map[string]string{fmt.Sprintf("k%03d", i): fmt.Sprintf("v%03d", i)})
@@ -109,7 +109,7 @@ func TestColdHotShadowsCold(t *testing.T) {
 	dir := t.TempDir()
 	kv := openKV(t, dir)
 	defer kv.Close()
-	s := openCold(t, kv, Options{Shards: 2})
+	s := openCold(t, kv, Options{})
 
 	publishKV(t, s, map[string]string{"a": "old", "b": "keep"})
 	if _, err := s.Fold(); err != nil {
@@ -172,7 +172,7 @@ func TestCrashRecoveryMidFold(t *testing.T) {
 			dir := t.TempDir()
 			kv := openKV(t, dir)
 			defer kv.Close()
-			s := openCold(t, kv, Options{Shards: 4})
+			s := openCold(t, kv, Options{})
 
 			// Round 1: establish a durable base, including a key the
 			// crashed fold will later overwrite — the overwrite's partial
@@ -246,7 +246,7 @@ func TestCrashRecoveryMidFold(t *testing.T) {
 				}
 				// And nothing above the watermark survives on disk either.
 				kv.ScanPrefix([]byte("vc/r/"), func(k, _ []byte) bool {
-					_, key, epoch, _, ok := s2.cold.parseRecordKey(k)
+					key, epoch, _, ok := s2.cold.parseRecordKey(k)
 					if ok && epoch > wantWM {
 						t.Errorf("stale record %q at epoch %d > watermark %d", key, epoch, wantWM)
 					}
@@ -286,7 +286,7 @@ func TestCrashRecoveryMidFold(t *testing.T) {
 func physicalRecords(s *Store, kv *kvstore.Store) int64 {
 	n := int64(0)
 	kv.ScanPrefix([]byte("vc/r/"), func(k, _ []byte) bool {
-		if _, _, _, part, ok := s.cold.parseRecordKey(k); ok && part == 0 {
+		if _, _, part, ok := s.cold.parseRecordKey(k); ok && part == 0 {
 			n++
 		}
 		return true
@@ -312,7 +312,7 @@ func TestColdRecordsSurviveAbandonedSplice(t *testing.T) {
 			t.Run(fmt.Sprintf("point=%d/idle=%v", point, idle), func(t *testing.T) {
 				kv := openKV(t, t.TempDir())
 				defer kv.Close()
-				s := openCold(t, kv, Options{Shards: 2})
+				s := openCold(t, kv, Options{})
 				model := map[string]string{}
 				round := func(tag string) {
 					for i := 0; i < 10; i++ {
@@ -404,7 +404,7 @@ func TestColdPinBlocksFold(t *testing.T) {
 	dir := t.TempDir()
 	kv := openKV(t, dir)
 	defer kv.Close()
-	s := openCold(t, kv, Options{Shards: 2})
+	s := openCold(t, kv, Options{})
 
 	publishKV(t, s, map[string]string{"x": "1"})
 	sn := s.Acquire()
@@ -438,7 +438,7 @@ func TestColdMultiPartValues(t *testing.T) {
 	dir := t.TempDir()
 	kv := openKV(t, dir)
 	defer kv.Close()
-	s := openCold(t, kv, Options{Shards: 2})
+	s := openCold(t, kv, Options{})
 
 	sizes := []int{0, 1, 100, 900, 1024, 5000, 40000}
 	want := map[string][]byte{}
@@ -496,25 +496,41 @@ func TestColdMultiPartValues(t *testing.T) {
 	}
 }
 
-// TestColdShardCountPinnedByKeyspace: the on-disk keyspace remembers its
-// shard routing; a reopen asking for a different count keeps the
-// persisted one (otherwise key→shard hashes would miss every record).
+// TestColdShardCountPinnedByKeyspace: the on-disk keyspace pins its
+// routing, and the one-chain layout routes by key alone: a fold writes no
+// m/shards count and no shard number ahead of a record's key, so a reopen
+// finds every record where the writer put it.
 func TestColdShardCountPinnedByKeyspace(t *testing.T) {
 	dir := t.TempDir()
 	kv := openKV(t, dir)
 	defer kv.Close()
-	s := openCold(t, kv, Options{Shards: 8})
-	publishKV(t, s, map[string]string{"a": "1", "b": "2", "c": "3"})
+	s := openCold(t, kv, Options{})
+	want := map[string]string{"a": "1", "b": "2", "c": "3"}
+	publishKV(t, s, want)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	s2 := openCold(t, kv, Options{Shards: 2})
-	if got := s2.Shards(); got != 8 {
-		t.Fatalf("reopened shard count = %d, want persisted 8", got)
+	if _, ok, err := kv.Get(s.cold.metaKey("shards")); err != nil || ok {
+		t.Fatalf("the fold wrote %s (ok=%v err=%v)", s.cold.metaKey("shards"), ok, err)
 	}
+	seen := map[string]bool{}
+	kv.ScanPrefix([]byte("vc/r/"), func(k, _ []byte) bool {
+		key, _, _, ok := s.cold.parseRecordKey(k)
+		if _, known := want[key]; !ok || !known {
+			t.Errorf("record key %q does not begin with a published key", k)
+		}
+		seen[key] = true
+		return true
+	})
+	if len(seen) != len(want) {
+		t.Fatalf("cold tier holds keys %v, want %v", seen, want)
+	}
+
+	s2 := openCold(t, kv, Options{})
+	defer s2.Close()
 	sn := s2.Acquire()
 	defer sn.Release()
-	for k, v := range map[string]string{"a": "1", "b": "2", "c": "3"} {
+	for k, v := range want {
 		if got, ok := sn.Get(k); !ok || string(got) != v {
 			t.Fatalf("Get(%s) = %q,%v after reopen", k, got, ok)
 		}
@@ -527,7 +543,7 @@ func TestColdRangeUnion(t *testing.T) {
 	dir := t.TempDir()
 	kv := openKV(t, dir)
 	defer kv.Close()
-	s := openCold(t, kv, Options{Shards: 4})
+	s := openCold(t, kv, Options{})
 
 	publishKV(t, s, map[string]string{"cold-only": "c", "both": "old", "dead": "x"})
 	if _, err := s.Fold(); err != nil {
@@ -582,7 +598,7 @@ func TestColdRangeUnion(t *testing.T) {
 func TestFoldCleanupReadFailureIsCounted(t *testing.T) {
 	kv := openKV(t, t.TempDir())
 	defer kv.Close()
-	s := openCold(t, kv, Options{Shards: 2})
+	s := openCold(t, kv, Options{})
 	publishKV(t, s, map[string]string{"a": "1", "b": "2"})
 	s.SetFoldHook(func(p FoldPoint) error {
 		if p == FoldAfterWatermark {
@@ -608,7 +624,7 @@ func TestFoldBoundsMemory(t *testing.T) {
 	dir := t.TempDir()
 	kv := openKV(t, dir)
 	defer kv.Close()
-	s := openCold(t, kv, Options{Shards: 4})
+	s := openCold(t, kv, Options{})
 
 	const perBatch = 8
 	total := 10 * threshold
@@ -675,7 +691,7 @@ func TestGCFallsBackToInMemoryBelowThreshold(t *testing.T) {
 	dir := t.TempDir()
 	kv := openKV(t, dir)
 	defer kv.Close()
-	s := openCold(t, kv, Options{Shards: 2})
+	s := openCold(t, kv, Options{})
 
 	for i := 0; i < 50; i++ {
 		publishKV(t, s, map[string]string{"k": fmt.Sprintf("v%d", i)})

@@ -104,7 +104,7 @@ func FuzzHotColdFallthrough(f *testing.F) {
 			t.Fatal(err)
 		}
 		defer kv.Close()
-		s, err := Open(kv, "vc/", Options{Shards: 4})
+		s, err := Open(kv, "vc/", Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -213,7 +213,7 @@ func TestPropertyConcurrentHotColdInterleavings(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer kv.Close()
-	s, err := Open(kv, "vc/", Options{Shards: 4})
+	s, err := Open(kv, "vc/", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,13 +8,13 @@ import (
 
 // TestCleanReopenSkipsRecoveryScan pins the bounded-recovery contract:
 // when the last fold round ran to completion (m/gen == m/done), reopen
-// trusts the fold-completion record — no O(cold tier) purge scan, exact
-// per-shard record counts — and still serves every record.
+// trusts the fold-completion record — no O(cold tier) purge scan, the exact
+// record count — and still serves every record.
 func TestCleanReopenSkipsRecoveryScan(t *testing.T) {
 	dir := t.TempDir()
 	kv := openKV(t, dir)
 	defer kv.Close()
-	s := openCold(t, kv, Options{Shards: 4})
+	s := openCold(t, kv, Options{})
 	for i := 0; i < 60; i++ {
 		publishKV(t, s, map[string]string{fmt.Sprintf("k%03d", i): fmt.Sprintf("v%03d", i)})
 	}
@@ -22,7 +22,7 @@ func TestCleanReopenSkipsRecoveryScan(t *testing.T) {
 		t.Fatalf("Close: %v", err)
 	}
 
-	s2 := openCold(t, kv, Options{Shards: 4})
+	s2 := openCold(t, kv, Options{})
 	defer s2.Close()
 	cs := s2.StoreStats().Cold
 	if cs == nil {
@@ -58,7 +58,7 @@ func TestTornReopenRunsRecoveryScan(t *testing.T) {
 	dir := t.TempDir()
 	kv := openKV(t, dir)
 	defer kv.Close()
-	s := openCold(t, kv, Options{Shards: 4})
+	s := openCold(t, kv, Options{})
 	for i := 0; i < 40; i++ {
 		publishKV(t, s, map[string]string{fmt.Sprintf("k%03d", i): fmt.Sprintf("v%03d", i)})
 	}
@@ -72,7 +72,7 @@ func TestTornReopenRunsRecoveryScan(t *testing.T) {
 		t.Fatalf("delete done meta: %v", err)
 	}
 
-	s2 := openCold(t, kv, Options{Shards: 4})
+	s2 := openCold(t, kv, Options{})
 	defer s2.Close()
 	cs := s2.StoreStats().Cold
 	if cs == nil {
@@ -98,14 +98,14 @@ func TestTornReopenRunsRecoveryScan(t *testing.T) {
 }
 
 // TestCorruptDoneMetaForcesScan guards the clean path's last
-// precondition: a completion record whose per-shard counts don't match
-// the shard count (truncated or corrupt) cannot be trusted, so reopen
-// must fall back to the scan — never serve made-up record counts.
+// precondition: a completion record that stops after its generation
+// vouches for no record count, so reopen must fall back to the scan —
+// never serve a made-up count.
 func TestCorruptDoneMetaForcesScan(t *testing.T) {
 	dir := t.TempDir()
 	kv := openKV(t, dir)
 	defer kv.Close()
-	s := openCold(t, kv, Options{Shards: 4})
+	s := openCold(t, kv, Options{})
 	for i := 0; i < 20; i++ {
 		publishKV(t, s, map[string]string{fmt.Sprintf("k%03d", i): fmt.Sprintf("v%03d", i)})
 	}
@@ -113,7 +113,7 @@ func TestCorruptDoneMetaForcesScan(t *testing.T) {
 		t.Fatalf("Close: %v", err)
 	}
 	// Truncate m/done to its generation header: gen still matches m/gen,
-	// but the per-shard counts are gone.
+	// but the record count is gone.
 	tier := &coldTier{prefix: []byte("vc/")}
 	raw, ok, err := kv.Get(tier.metaKey("done"))
 	if err != nil || !ok || len(raw) < 8 {
@@ -123,7 +123,7 @@ func TestCorruptDoneMetaForcesScan(t *testing.T) {
 		t.Fatalf("truncate done meta: %v", err)
 	}
 
-	s2 := openCold(t, kv, Options{Shards: 4})
+	s2 := openCold(t, kv, Options{})
 	defer s2.Close()
 	cs := s2.StoreStats().Cold
 	if cs.CleanOpen {
@@ -137,24 +137,25 @@ func TestCorruptDoneMetaForcesScan(t *testing.T) {
 // TestMalformedMetaRefusedAtOpen: a present m/ record of the wrong shape
 // is an error naming the key and the length found — never a guess. (A
 // short m/wm used to read as watermark 0, after which the recovery scan
-// purged every record as "above the watermark"; a short m/shards fell
-// back to the default count and misrouted every key.) Open must refuse
-// before it writes anything, so repairing the key recovers every record.
+// purged every record as "above the watermark".) m/shards is retired: the
+// one-chain layout never writes it, so it has no right shape and its good
+// state is absence. Open must refuse before it writes anything, so
+// repairing the key recovers every record.
 func TestMalformedMetaRefusedAtOpen(t *testing.T) {
 	for _, tc := range []struct {
 		key    string
 		mangle func(raw []byte) []byte
 	}{
 		{"wm", func(raw []byte) []byte { return raw[:7] }},
-		{"shards", func(raw []byte) []byte { return append(raw, 0) }},
+		{"shards", func([]byte) []byte { return []byte{0, 0, 0, 8} }}, // a sharded layout's count
 		{"gen", func(raw []byte) []byte { return raw[:4] }},
 		{"done", func(raw []byte) []byte { return raw[:5] }},
-		{"done", func(raw []byte) []byte { return append(raw, 0x80) }}, // cut inside a shard count
+		{"done", func(raw []byte) []byte { return append(raw, 0x80) }}, // bytes past the record count
 	} {
 		t.Run(tc.key, func(t *testing.T) {
 			kv := openKV(t, t.TempDir())
 			defer kv.Close()
-			s := openCold(t, kv, Options{Shards: 8}) // not the default: a guessed count misroutes
+			s := openCold(t, kv, Options{})
 			for i := 0; i < 40; i++ {
 				publishKV(t, s, map[string]string{fmt.Sprintf("k%03d", i): fmt.Sprintf("v%03d", i)})
 			}
@@ -163,9 +164,9 @@ func TestMalformedMetaRefusedAtOpen(t *testing.T) {
 			}
 
 			key := (&coldTier{prefix: []byte("vc/")}).metaKey(tc.key)
-			good, ok, err := kv.Get(key)
-			if err != nil || !ok {
-				t.Fatalf("read %s: %v ok=%v", key, err, ok)
+			good, present, err := kv.Get(key)
+			if err != nil || present == (tc.key == "shards") {
+				t.Fatalf("read %s: %v present=%v", key, err, present)
 			}
 			bad := tc.mangle(append([]byte(nil), good...))
 			if err := kv.Put(key, bad); err != nil {
@@ -181,7 +182,11 @@ func TestMalformedMetaRefusedAtOpen(t *testing.T) {
 				}
 			}
 
-			if err := kv.Put(key, good); err != nil {
+			repair := func() error { return kv.Put(key, good) }
+			if !present {
+				repair = func() error { return kv.Delete(key) }
+			}
+			if err := repair(); err != nil {
 				t.Fatal(err)
 			}
 			s2 := openCold(t, kv, Options{})
@@ -197,5 +202,32 @@ func TestMalformedMetaRefusedAtOpen(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestOpenRefusesShardedArchive: a keyspace written by the key-hash-sharded
+// layout — every fold of which wrote m/shards — keeps a shard number in
+// every record key, which this store would read as foreign keys and serve
+// as misses. Open refuses it, naming the key, before it writes anything.
+func TestOpenRefusesShardedArchive(t *testing.T) {
+	kv := openKV(t, t.TempDir())
+	defer kv.Close()
+	key := (&coldTier{prefix: []byte("vc/")}).metaKey("shards")
+	if err := kv.Put(key, []byte{0, 0, 0, 8}); err != nil {
+		t.Fatal(err)
+	}
+	commits := kv.Stats().Commits
+	_, err := Open(kv, "vc/", Options{})
+	if err == nil {
+		t.Fatalf("Open accepted a keyspace holding %s", key)
+	}
+	if !strings.Contains(err.Error(), string(key)) {
+		t.Errorf("error %q does not name %s", err, key)
+	}
+	if got := kv.Stats().Commits; got != commits {
+		t.Fatalf("the refused Open wrote %d commits", got-commits)
+	}
+	if kv.Len() != 1 {
+		t.Fatalf("the refused Open left %d keys, want only %s", kv.Len(), key)
 	}
 }

@@ -5,14 +5,14 @@ import (
 	"testing"
 )
 
-// stallChain builds a single-shard store whose shard chain is depth
-// layers deep above the watermark: epoch 1 publishes the probe key, an
+// stallChain builds a store whose chain is depth layers deep above the
+// watermark: epoch 1 publishes the probe key, an
 // incomplete epoch 2 stalls the watermark there, and depth completed
 // epochs pile up on top. Every snapshot read must descend past all of
 // them to reach epoch 1. The returned batch keeps the stall alive; the
 // caller may Abort it to release the store.
 func stallChain(t testing.TB, depth int) (*Store, *Batch) {
-	s := NewStoreSharded(1)
+	s := NewStore()
 	b := s.Begin()
 	b.Put("k", []byte("v1"))
 	if err := b.Publish(); err != nil {
@@ -35,7 +35,7 @@ func TestDeepChainGet(t *testing.T) {
 	for _, depth := range []int{64, 256, 1024} {
 		s, stall := stallChain(t, depth)
 		st := s.current.Load()
-		head := st.shards[0]
+		head := st.head
 		if head == nil || head.epoch <= st.watermark {
 			t.Fatalf("depth %d: chain did not stall above the watermark", depth)
 		}

@@ -13,8 +13,8 @@ import (
 	"memex/internal/kvstore"
 )
 
-// depthBound is the base-k counter's digit bound: a shard that n publishes
-// have touched shows a snapshot at most (k-1)·(⌊log_k n⌋+1) layers.
+// depthBound is the base-k counter's digit bound: after n publishes a
+// snapshot walks at most (k-1)·(⌊log_k n⌋+1) layers.
 func depthBound(n int) int {
 	digits := 1
 	for ; n >= tierFanout; n /= tierFanout {
@@ -23,15 +23,11 @@ func depthBound(n int) int {
 	return (tierFanout - 1) * digits
 }
 
-// visibleDepth counts the layers of each shard a new snapshot would walk.
-func visibleDepth(s *Store) []int {
-	st := s.current.Load()
-	depth := make([]int, len(st.shards))
-	for i := range st.shards {
-		l := descendTo(st.shards[i], st.watermark)
-		for ; l != nil; l = l.next {
-			depth[i]++
-		}
+// visibleDepth counts the layers a new snapshot would walk.
+func visibleDepth(s *Store) int {
+	depth := 0
+	for l := s.current.Load().visible(); l != nil; l = l.next {
+		depth++
 	}
 	return depth
 }
@@ -39,41 +35,33 @@ func visibleDepth(s *Store) []int {
 // fetchBatch stages what one fetched page publishes: its tf/ and lnk/
 // records plus an in-link record for each of six targets, most of them
 // shared hub pages.
-func fetchBatch(s *Store, page int, touched []int) *Batch {
+func fetchBatch(s *Store, page int) *Batch {
 	b := s.BeginSized(8)
 	keys := []string{fmt.Sprintf("tf/%d", page), fmt.Sprintf("lnk/%d", page)}
 	for j := 0; j < 6; j++ {
 		keys = append(keys, fmt.Sprintf("rinD/%d/%d", (page*7+j*13)%97, page))
 	}
-	seen := map[uint32]bool{}
 	for _, k := range keys {
 		b.Put(k, []byte(k))
-		if sh := s.shardOf(k); touched != nil && !seen[sh] {
-			seen[sh] = true
-			touched[sh]++
-		}
 	}
 	return b
 }
 
 // TestPublishBoundsChainDepth: a store whose owner never calls GC keeps
-// every shard's visible chain inside the counter's digit bound, at every
-// power of the fanout and at the end of a 10 000-page burst, and reads
-// through it still find every record.
+// its visible chain inside the counter's digit bound for the store's
+// publish count, at every power of the fanout and at the end of a
+// 10 000-page burst, and reads through it still find every record.
 func TestPublishBoundsChainDepth(t *testing.T) {
 	s := NewStore()
 	const pages = 10000
-	touched := make([]int, s.Shards())
-	check := func(when int) {
+	check := func(publishes int) {
 		t.Helper()
-		for i, d := range visibleDepth(s) {
-			if bound := depthBound(touched[i]); d > bound {
-				t.Fatalf("after %d publishes shard %d is %d layers deep, bound %d for %d touches", when, i, d, bound, touched[i])
-			}
+		if d, bound := visibleDepth(s), depthBound(publishes); d > bound {
+			t.Fatalf("after %d publishes the chain is %d layers deep, bound %d", publishes, d, bound)
 		}
 	}
 	for p := 0; p < pages; p++ {
-		if err := fetchBatch(s, p, touched).Publish(); err != nil {
+		if err := fetchBatch(s, p).Publish(); err != nil {
 			t.Fatal(err)
 		}
 		if p < 2*tierFanout*tierFanout || p%97 == 0 {
@@ -124,42 +112,40 @@ func TestTieringDropsSupersededVersions(t *testing.T) {
 
 // TestWatermarkJumpStaysInsideBound: a stalled low epoch lets hundreds of
 // layers pile up invisible, and its completion uncovers them all in one
-// install. Every shard must come out of that install inside the bound —
-// including shards the completing batch never wrote — and later publishes
-// must not find layers stranded under a higher level.
+// install. The chain must come out of that install inside the bound for
+// the store's publish count — whether the completing batch published or
+// aborted — and later publishes must not find layers stranded under a
+// higher level.
 func TestWatermarkJumpStaysInsideBound(t *testing.T) {
 	for _, abort := range []bool{false, true} {
 		s := NewStore()
-		touched := make([]int, s.Shards())
 		stalled := s.Begin()
 		stalled.Put("stalled", []byte("x"))
 		const pile = 700
 		for p := 0; p < pile; p++ {
-			fetchBatch(s, p, touched).Publish()
+			fetchBatch(s, p).Publish()
 		}
 		if wm := s.Watermark(); wm != 0 {
 			t.Fatalf("watermark %d moved past the stalled epoch", wm)
 		}
+		publishes := pile
 		if abort {
 			stalled.Abort()
 		} else {
-			touched[s.shardOf("stalled")]++
 			stalled.Publish()
+			publishes++
 		}
 		if wm := s.Watermark(); wm != pile+1 {
 			t.Fatalf("watermark = %d after the gap closed, want %d", wm, pile+1)
 		}
-		for i, d := range visibleDepth(s) {
-			if bound := depthBound(touched[i]); d > bound {
-				t.Fatalf("abort=%v: shard %d is %d layers deep right after the jump, bound %d", abort, i, d, bound)
-			}
+		if d, bound := visibleDepth(s), depthBound(publishes); d > bound {
+			t.Fatalf("abort=%v: the chain is %d layers deep right after the jump, bound %d", abort, d, bound)
 		}
 		for p := pile; p < pile+600; p++ {
-			fetchBatch(s, p, touched).Publish()
-			for i, d := range visibleDepth(s) {
-				if bound := depthBound(touched[i]); d > bound {
-					t.Fatalf("abort=%v: shard %d is %d layers deep %d publishes after the jump, bound %d", abort, i, d, p-pile+1, bound)
-				}
+			fetchBatch(s, p).Publish()
+			publishes++
+			if d, bound := visibleDepth(s), depthBound(publishes); d > bound {
+				t.Fatalf("abort=%v: the chain is %d layers deep %d publishes after the jump, bound %d", abort, d, p-pile+1, bound)
 			}
 		}
 		sn := s.Acquire()
@@ -218,7 +204,7 @@ func TestTieredStoreMatchesModel(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer kv.Close()
-			s, err := Open(kv, "vc/", Options{Shards: 2})
+			s, err := Open(kv, "vc/", Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -276,7 +262,7 @@ func TestTieredStoreMatchesModel(t *testing.T) {
 				t.Helper()
 				wm := s.ColdWatermark()
 				for k := range o {
-					got, ok := s.cold.get(s.shardOf(k), k, wm)
+					got, ok := s.cold.get(k, wm)
 					if want, wantOK := o.lookup(k, wm); ok != wantOK || !bytes.Equal(got, want) {
 						t.Fatalf("%s: disk holds %q,%v for %q at the durable watermark %d; oracle says %q,%v", when, got, ok, k, wm, want, wantOK)
 					}
@@ -341,23 +327,21 @@ func TestTieredStoreMatchesModel(t *testing.T) {
 }
 
 // TestFoldSplicesUnderPublishBurst: a fold overtaken, after its record
-// writes and again after its watermark write, by tierFanout² publishes per
-// shard — enough for the layers above its floor to carry twice — and by the
-// gc tick both times must still find the sub-chains it wrote by pointer and
-// splice every shard. Nothing but tier replaces a layer and tier stops at
-// the fence, so a sub-chain that moved is an error now, not a second path:
+// writes and again after its watermark write, by tierFanout² publishes —
+// enough for the layers above its floor to carry twice — and by the gc tick
+// both times must still find the sub-chain it wrote by pointer and splice
+// it. Nothing but tier replaces a layer and tier stops at the fence, so a
+// sub-chain that moved is an error now, not a second path:
 // no failed round, nothing written twice, one cold record per live key.
 func TestFoldSplicesUnderPublishBurst(t *testing.T) {
 	kv := openKV(t, t.TempDir())
 	defer kv.Close()
-	s := openCold(t, kv, Options{Shards: 2})
+	s := openCold(t, kv, Options{})
 	live := map[string]bool{}
 	publish := func(p int) {
-		b := fetchBatch(s, p, nil)
-		for i := range b.writes {
-			for k := range b.writes[i] {
-				live[k] = true
-			}
+		b := fetchBatch(s, p)
+		for k := range b.writes {
+			live[k] = true
 		}
 		if err := b.Publish(); err != nil {
 			t.Fatal(err)
@@ -392,10 +376,8 @@ func TestFoldSplicesUnderPublishBurst(t *testing.T) {
 	if hooks != 2 {
 		t.Fatalf("fold hook ran %d times, want once per fold point", hooks)
 	}
-	for i, head := range s.current.Load().shards {
-		if l := splitAt(head, floor); l != nil {
-			t.Fatalf("shard %d: layers at or below the round's floor %d are still resident (epoch %d)", i, floor, l.epoch)
-		}
+	if l := descendTo(s.current.Load().head, floor); l != nil {
+		t.Fatalf("layers at or below the round's floor %d are still resident (epoch %d)", floor, l.epoch)
 	}
 	ticks.Wait()
 	if _, err := s.Fold(); err != nil {
@@ -419,37 +401,28 @@ func TestFoldSplicesUnderPublishBurst(t *testing.T) {
 	}
 }
 
-// shardKey returns a key the store routes to the given shard.
-func shardKey(s *Store, shard uint32, name string) string {
-	for n := 0; ; n++ {
-		if k := fmt.Sprintf("%s#%d", name, n); s.shardOf(k) == shard {
-			return k
-		}
-	}
-}
-
 // TestCrashUnderPinRecoversWholeBatches: tiering merges across a pinned
-// epoch, so a shard's chain can hold one layer whose batches lie on both
-// sides of the pin while the other shard's chain still splits there. A fold
-// under that pin must not call the pin's epoch durable: a crash right after
-// its watermark write has to recover every batch at or below the watermark
-// whole — both shards' records — and nothing above it.
+// epoch, so the chain can hold one layer whose batches lie on both sides of
+// the pin. A fold under that pin must not call the pin's epoch durable: a
+// crash right after its watermark write has to recover every batch at or
+// below the watermark whole — every one of its records — and nothing above
+// it.
 func TestCrashUnderPinRecoversWholeBatches(t *testing.T) {
 	errCrash := errors.New("injected crash")
 	kv := openKV(t, t.TempDir())
 	defer kv.Close()
-	s := openCold(t, kv, Options{Shards: 2})
+	s := openCold(t, kv, Options{})
 
 	type batch struct {
 		epoch uint64
 		keys  []string
 	}
 	var batches []batch
-	publish := func(shards ...uint32) {
+	publish := func(parts ...int) {
 		b := s.Begin()
 		rec := batch{epoch: b.Epoch()}
-		for _, sh := range shards {
-			k := shardKey(s, sh, fmt.Sprint("e", b.Epoch()))
+		for _, part := range parts {
+			k := fmt.Sprintf("e%d/%d", b.Epoch(), part)
 			b.Put(k, []byte(k))
 			rec.keys = append(rec.keys, k)
 		}
@@ -458,13 +431,12 @@ func TestCrashUnderPinRecoversWholeBatches(t *testing.T) {
 		}
 		batches = append(batches, rec)
 	}
-	// Both shards carry once, in step; then shard 0 runs three layers
-	// ahead, so that its next carry comes first and spans the pin while
-	// shard 1 still holds the batches around the pin one layer each.
+	// One carry leaves a level-1 layer under an epoch the chain splits at;
+	// the next carry, of the tierFanout batches after it, spans the pin.
 	for i := 0; i < tierFanout; i++ {
 		publish(0, 1)
 	}
-	split := s.Watermark() // every chain splits here: the last clean floor
+	split := s.Watermark() // the chain splits here: the last clean floor
 	for i := 0; i < 3; i++ {
 		publish(0)
 	}
@@ -477,12 +449,9 @@ func TestCrashUnderPinRecoversWholeBatches(t *testing.T) {
 		publish(0, 1)
 	}
 	straddled := false
-	st := s.current.Load()
-	for i := range st.shards {
-		for l := st.shards[i]; l != nil; l = l.next {
-			if l.oldest <= pin.Epoch() && pin.Epoch() < l.epoch {
-				straddled = true
-			}
+	for l := s.current.Load().head; l != nil; l = l.next {
+		if l.oldest <= pin.Epoch() && pin.Epoch() < l.epoch {
+			straddled = true
 		}
 	}
 	if !straddled {
@@ -515,17 +484,15 @@ func TestCrashUnderPinRecoversWholeBatches(t *testing.T) {
 		}
 	}
 	if wm != split {
-		t.Fatalf("recovered watermark = %d, want %d: the highest epoch at or below the pin (%d) that every chain splits at", wm, split, pin.Epoch())
+		t.Fatalf("recovered watermark = %d, want %d: the highest epoch at or below the pin (%d) that the chain splits at", wm, split, pin.Epoch())
 	}
 }
 
 // TestFoldKeepsUpUnderConstantPins: with readers re-pinning all the time
-// some shard has nearly always merged across the oldest pin, and the
-// shards carry out of step, so lowering a fold's floor below one spanned
-// layer lands it in another's, all the way down. The tier fence is what
-// stops that fall: every round must reach at least the watermark at which
-// the round before it started, or durability starves for as long as anyone
-// reads.
+// the chain has often merged across the oldest pin, so a fold's floor falls
+// below the spanning layer. The tier fence bounds that fall: every round
+// must reach at least the watermark at which the round before it started,
+// or durability starves for as long as anyone reads.
 func TestFoldKeepsUpUnderConstantPins(t *testing.T) {
 	kv := openKV(t, t.TempDir())
 	defer kv.Close()
@@ -540,7 +507,7 @@ func TestFoldKeepsUpUnderConstantPins(t *testing.T) {
 	lowered := 0
 	var prevStart uint64
 	for p := 0; p < 5*round; p++ {
-		if err := fetchBatch(s, p, nil).Publish(); err != nil {
+		if err := fetchBatch(s, p).Publish(); err != nil {
 			t.Fatal(err)
 		}
 		wm := s.Watermark()
@@ -596,7 +563,7 @@ func BenchmarkGetAfterBurst(b *testing.B) {
 	s := NewStore()
 	const pages = 10000
 	for p := 0; p < pages; p++ {
-		fetchBatch(s, p, nil).Publish()
+		fetchBatch(s, p).Publish()
 	}
 	sn := s.Acquire()
 	defer sn.Release()

@@ -521,148 +521,3 @@ func BenchmarkSnapshotGet(b *testing.B) {
 		snap.Get(fmt.Sprintf("key%d", i%1000))
 	}
 }
-
-// --- sharding ---
-
-// TestShardedRounding: shard counts round up to a power of two; zero and
-// negative mean the default.
-func TestShardedRounding(t *testing.T) {
-	cases := map[int]int{-1: DefaultShards, 0: DefaultShards, 1: 1, 2: 2, 3: 4, 8: 8, 9: 16}
-	for n, want := range cases {
-		if got := NewStoreSharded(n).Shards(); got != want {
-			t.Fatalf("NewStoreSharded(%d).Shards() = %d, want %d", n, got, want)
-		}
-	}
-	if got := NewStore().Shards(); got != DefaultShards {
-		t.Fatalf("NewStore().Shards() = %d, want %d", got, DefaultShards)
-	}
-}
-
-// TestShardSpread: a wide batch lands in more than one shard, and the
-// per-shard stats account for every entry exactly once.
-func TestShardSpread(t *testing.T) {
-	s := NewStoreSharded(8)
-	b := s.Begin()
-	for i := 0; i < 256; i++ {
-		b.Put(fmt.Sprintf("key%04d", i), []byte("v"))
-	}
-	if b.Len() != 256 {
-		t.Fatalf("Len = %d", b.Len())
-	}
-	b.Publish()
-	st := s.StoreStats()
-	if len(st.Shards) != 8 {
-		t.Fatalf("Shards len = %d", len(st.Shards))
-	}
-	nonEmpty, sum := 0, 0
-	for _, sh := range st.Shards {
-		if sh.Entries > 0 {
-			nonEmpty++
-		}
-		sum += sh.Entries
-	}
-	if nonEmpty < 2 {
-		t.Fatalf("256 keys landed in %d shard(s); hash routing broken", nonEmpty)
-	}
-	if sum != st.Entries || st.Entries != 256 {
-		t.Fatalf("per-shard entries sum %d, Entries %d, want 256", sum, st.Entries)
-	}
-}
-
-// TestCrossShardPublishAtomicity: one batch spanning every shard becomes
-// visible all-or-nothing — a snapshot acquired at any time sees either
-// none or all of the batch's keys, never a shard subset.
-func TestCrossShardPublishAtomicity(t *testing.T) {
-	s := NewStoreSharded(8)
-	const keys = 64
-	names := make([]string, keys)
-	seed := s.Begin()
-	for i := range names {
-		names[i] = fmt.Sprintf("key%04d", i)
-		seed.Put(names[i], []byte("0"))
-	}
-	seed.Publish()
-
-	stop := make(chan struct{})
-	errCh := make(chan error, 4)
-	var wg sync.WaitGroup
-	for c := 0; c < 4; c++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				snap := s.Acquire()
-				var first string
-				for i, k := range names {
-					v, ok := snap.Get(k)
-					if !ok {
-						select {
-						case errCh <- fmt.Errorf("missing %s at epoch %d", k, snap.Epoch()):
-						default:
-						}
-						break
-					}
-					if i == 0 {
-						first = string(v)
-					} else if string(v) != first {
-						select {
-						case errCh <- fmt.Errorf("shard-torn snapshot at epoch %d: %q vs %q", snap.Epoch(), first, v):
-						default:
-						}
-						break
-					}
-				}
-				snap.Release()
-			}
-		}()
-	}
-	for r := 1; r <= 300; r++ {
-		b := s.BeginSized(keys)
-		val := []byte(fmt.Sprint(r))
-		for _, k := range names {
-			b.Put(k, val)
-		}
-		b.Publish()
-	}
-	close(stop)
-	wg.Wait()
-	select {
-	case err := <-errCh:
-		t.Fatal(err)
-	default:
-	}
-}
-
-// TestSingleShardStore: NewStoreSharded(1) reproduces the unsharded
-// layout — all keys in one chain, stats matching the classic shape.
-func TestSingleShardStore(t *testing.T) {
-	s := NewStoreSharded(1)
-	for i := 0; i < 5; i++ {
-		b := s.Begin()
-		b.Put("a", []byte{byte(i)})
-		b.Put("b", []byte{byte(i)})
-		b.Publish()
-	}
-	st := s.StoreStats()
-	if len(st.Shards) != 1 || st.Layers != 5 || st.Entries != 10 {
-		t.Fatalf("single-shard stats = %+v", st)
-	}
-	// GC has nothing to do without a cold tier: the chain stays as tiering
-	// left it, inside the counter's bound.
-	if n := s.GC(); n != 0 {
-		t.Fatalf("GC on an in-memory store reclaimed %d, want 0", n)
-	}
-	if st := s.StoreStats(); st.Layers != 5 {
-		t.Fatalf("single-shard stats after GC = %+v, want the 5 layers left alone", st)
-	}
-	snap := s.Acquire()
-	defer snap.Release()
-	if v, ok := snap.Get("b"); !ok || v[0] != 4 {
-		t.Fatalf("Get(b) = %v ok=%v", v, ok)
-	}
-}
