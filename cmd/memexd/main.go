@@ -16,13 +16,13 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
 	"time"
 
 	"memex"
+	"memex/internal/server"
 )
 
 func main() {
@@ -87,13 +87,13 @@ func main() {
 	// start on this -dir recover every archived derived record instead of
 	// re-crawling. A hard kill loses only what was published after the
 	// last GC fold (the crash contract in internal/version/cold.go).
-	srv := &http.Server{Addr: *addr, Handler: m.HandlerWith(memex.ServeConfig{
+	srv := server.HTTPServer(*addr, m.HandlerWith(memex.ServeConfig{
 		RatePerSec:        *rate,
 		Burst:             *burst,
 		MaxInFlight:       *inflight,
 		ShedQueueFraction: *shedQ,
 		ShedFoldLag:       *shedLag,
-	})}
+	}))
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.ListenAndServe() }()
 	sigCh := make(chan os.Signal, 1)

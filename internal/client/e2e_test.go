@@ -298,6 +298,7 @@ func TestEndToEndRestartRecoversDerivedState(t *testing.T) {
 	if err := e1.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
+	coldAtClose := e1.Status().Version.Cold // Close folded the rest
 
 	// --- second life: same data dir, fresh process state ---
 	atRestart := lookups.Load()
@@ -310,8 +311,8 @@ func TestEndToEndRestartRecoversDerivedState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stPost.Version.Cold == nil || stPost.Version.Cold.Records == 0 {
-		t.Fatal("/api/status reports no cold-tier records after restart")
+	if stPost.Version.Cold == nil || stPost.Version.Cold.Records == 0 || stPost.Version.Cold.Records != coldAtClose.Records {
+		t.Fatalf("/api/status cold tier after restart: %+v; %d records at close", stPost.Version.Cold, coldAtClose.Records)
 	}
 	// The recovered watermark can sit above the observed one only if an
 	// analyzer was still publishing when the status was read (Close itself

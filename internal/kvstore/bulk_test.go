@@ -8,7 +8,9 @@ import (
 	"time"
 )
 
-func TestPutBatchChunkedAndDeleteBatch(t *testing.T) {
+// TestPutBatchMixesPutsAndDeletes: one batch carries puts and deletes,
+// applied in order, as one commit.
+func TestPutBatchMixesPutsAndDeletes(t *testing.T) {
 	s := openTemp(t, Options{Sync: SyncNever})
 	var pairs []KV
 	for i := 0; i < 1000; i++ {
@@ -17,30 +19,48 @@ func TestPutBatchChunkedAndDeleteBatch(t *testing.T) {
 			Value: []byte(fmt.Sprintf("val-%04d", i)),
 		})
 	}
-	if err := s.PutBatchChunked(pairs, 64); err != nil {
-		t.Fatalf("PutBatchChunked: %v", err)
+	if err := s.PutBatch(pairs); err != nil {
+		t.Fatalf("PutBatch: %v", err)
 	}
 	if s.Len() != 1000 {
 		t.Fatalf("Len = %d, want 1000", s.Len())
 	}
-	var dead [][]byte
+	commits := s.Stats().Commits
+	var mixed []KV
 	for i := 0; i < 1000; i += 2 {
-		dead = append(dead, []byte(fmt.Sprintf("bulk-%04d", i)))
+		mixed = append(mixed, KV{Key: []byte(fmt.Sprintf("bulk-%04d", i)), Delete: true})
 	}
-	dead = append(dead, []byte("never-existed")) // absent keys are fine
-	if err := s.DeleteBatchChunked(dead, 100); err != nil {
-		t.Fatalf("DeleteBatchChunked: %v", err)
+	mixed = append(mixed,
+		KV{Key: []byte("never-existed"), Delete: true}, // absent keys are fine
+		KV{Key: []byte("bulk-0001"), Value: []byte("rewritten")},
+		KV{Key: []byte("bulk-0003"), Delete: true}, // in order: the delete wins
+		KV{Key: []byte("bulk-0003"), Value: []byte("back")},
+		KV{Key: []byte("bulk-0005"), Value: []byte("gone")},
+		KV{Key: []byte("bulk-0005"), Delete: true},
+	)
+	if err := s.PutBatch(mixed); err != nil {
+		t.Fatalf("mixed PutBatch: %v", err)
 	}
-	if s.Len() != 500 {
-		t.Fatalf("Len after deletes = %d, want 500", s.Len())
+	if got := s.Stats().Commits - commits; got != 1 {
+		t.Fatalf("a mixed batch took %d commits, want 1", got)
+	}
+	if s.Len() != 499 {
+		t.Fatalf("Len after deletes = %d, want 499", s.Len())
 	}
 	for i := 0; i < 1000; i++ {
-		_, ok, err := s.Get([]byte(fmt.Sprintf("bulk-%04d", i)))
+		v, ok, err := s.Get([]byte(fmt.Sprintf("bulk-%04d", i)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ok != (i%2 == 1) {
-			t.Fatalf("key %d present=%v after batch delete", i, ok)
+		want := fmt.Sprintf("val-%04d", i)
+		switch i {
+		case 1:
+			want = "rewritten"
+		case 3:
+			want = "back"
+		}
+		if ok != (i%2 == 1 && i != 5) || (ok && string(v) != want) {
+			t.Fatalf("key %d = %q present=%v after the mixed batch", i, v, ok)
 		}
 	}
 }
@@ -63,66 +83,53 @@ func TestReadViewDelegates(t *testing.T) {
 	}
 }
 
-// BenchmarkGetDuringBulkWrite is the regression guard for chunked fold
-// writes: a reader's Get latency while a bulk load runs must stay bounded
-// by one chunk's critical section, not by the whole batch. Compare the
-// monolithic and chunked sub-benchmarks — the version store's cold fold
-// uses the chunked path for exactly this reason.
+// BenchmarkGetDuringBulkWrite measures a reader's Get latency while
+// 8192-pair batches commit back to back: the worst case is one batch's
+// hold of the write lock, which is what a version-store fold round costs
+// concurrent readers.
 func BenchmarkGetDuringBulkWrite(b *testing.B) {
 	const batch = 8192
-	mkPairs := func(round int) []KV {
-		pairs := make([]KV, batch)
-		for i := range pairs {
-			pairs[i] = KV{
-				Key:   []byte(fmt.Sprintf("w-%d-%05d", round, i%2048)),
-				Value: []byte("some-bulk-value-payload"),
+	s := openTemp(b, Options{Sync: SyncNever})
+	s.Put([]byte("probe"), []byte("v"))
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	var rounds atomic.Int64
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for r := 0; ; r++ {
+			select {
+			case <-stop:
+				return
+			default:
 			}
+			pairs := make([]KV, batch)
+			for i := range pairs {
+				pairs[i] = KV{
+					Key:   []byte(fmt.Sprintf("w-%d-%05d", r, i%2048)),
+					Value: []byte("some-bulk-value-payload"),
+				}
+			}
+			s.PutBatch(pairs)
+			rounds.Add(1)
 		}
-		return pairs
+	}()
+	// Let the writer get going so reads genuinely contend.
+	time.Sleep(5 * time.Millisecond)
+	var worst time.Duration
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		t0 := time.Now()
+		if _, ok, err := s.Get([]byte("probe")); !ok || err != nil {
+			b.Fatalf("probe read failed: %v %v", ok, err)
+		}
+		if d := time.Since(t0); d > worst {
+			worst = d
+		}
 	}
-	for _, mode := range []string{"monolithic", "chunked"} {
-		b.Run(mode, func(b *testing.B) {
-			s := openTemp(b, Options{Sync: SyncNever})
-			s.Put([]byte("probe"), []byte("v"))
-			stop := make(chan struct{})
-			var wg sync.WaitGroup
-			var rounds atomic.Int64
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for r := 0; ; r++ {
-					select {
-					case <-stop:
-						return
-					default:
-					}
-					pairs := mkPairs(r)
-					if mode == "monolithic" {
-						s.PutBatch(pairs)
-					} else {
-						s.PutBatchChunked(pairs, DefaultWriteChunk)
-					}
-					rounds.Add(1)
-				}
-			}()
-			// Let the writer get going so reads genuinely contend.
-			time.Sleep(5 * time.Millisecond)
-			var worst time.Duration
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				t0 := time.Now()
-				if _, ok, err := s.Get([]byte("probe")); !ok || err != nil {
-					b.Fatalf("probe read failed: %v %v", ok, err)
-				}
-				if d := time.Since(t0); d > worst {
-					worst = d
-				}
-			}
-			b.StopTimer()
-			close(stop)
-			wg.Wait()
-			b.ReportMetric(float64(worst.Microseconds()), "worst-us")
-			b.ReportMetric(float64(rounds.Load()), "write-rounds")
-		})
-	}
+	b.StopTimer()
+	close(stop)
+	wg.Wait()
+	b.ReportMetric(float64(worst.Microseconds()), "worst-us")
+	b.ReportMetric(float64(rounds.Load()), "write-rounds")
 }

@@ -80,30 +80,15 @@ func Open(dir string, opts Options) (*Store, error) {
 	s.count = count
 	s.ckptLSN = lsn
 
-	// Recover: replay WAL records newer than the checkpoint.
+	// Recover: replay the commits newer than the checkpoint, then cut the
+	// log after the last of them.
 	walPath := filepath.Join(dir, "wal.log")
-	maxLSN, err := replayWAL(walPath, lsn, func(r walRecord) error {
-		switch r.op {
-		case walPut:
-			added, err := s.tree.put(r.key, r.val)
-			if added {
-				s.count++
-			}
-			return err
-		case walDelete:
-			removed, err := s.tree.delete(r.key)
-			if removed {
-				s.count--
-			}
-			return err
-		}
-		return nil
-	})
+	maxLSN, end, err := replayWAL(walPath, lsn, s.apply)
 	if err != nil {
 		pager.close()
 		return nil, fmt.Errorf("kvstore: recovery: %w", err)
 	}
-	s.wal, err = openWAL(walPath)
+	s.wal, err = openWAL(walPath, end)
 	if err != nil {
 		pager.close()
 		return nil, err
@@ -123,11 +108,11 @@ func Open(dir string, opts Options) (*Store, error) {
 // checkKV refuses a pair the tree cannot hold. Put and PutBatch call it
 // before the first WAL append: a record that is logged and then refused by
 // the tree would be refused again by every recovery that replays it.
-func checkKV(key, value []byte) error {
-	if len(key) == 0 {
+func checkKV(kv KV) error {
+	if len(kv.Key) == 0 {
 		return fmt.Errorf("kvstore: empty key")
 	}
-	if len(key)+len(value) > maxPayload {
+	if len(kv.Key)+len(kv.Value) > maxPayload {
 		return errValueTooLarge
 	}
 	return nil
@@ -135,36 +120,33 @@ func checkKV(key, value []byte) error {
 
 // Put stores key→value, replacing any existing value.
 func (s *Store) Put(key, value []byte) error {
-	if err := checkKV(key, value); err != nil {
-		return err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return fmt.Errorf("kvstore: store closed")
-	}
-	if err := s.wal.append(walPut, key, value); err != nil {
-		return err
-	}
-	if err := s.commitWAL(); err != nil {
-		return err
-	}
-	added, err := s.tree.put(key, value)
-	if err != nil {
-		return err
-	}
-	if added {
-		s.count++
-	}
-	return s.maybeCheckpoint(1)
+	return s.PutBatch([]KV{{Key: key, Value: value}})
 }
 
-// PutBatch applies many puts under one WAL commit (group commit). A batch
-// holding a pair the tree cannot take is refused whole.
+// Delete removes key; it is not an error if the key is absent.
+func (s *Store) Delete(key []byte) error {
+	return s.PutBatch([]KV{{Key: key, Delete: true}})
+}
+
+// KV is one write of a batch: Key→Value, or with Delete set the removal of
+// Key (Value unused; an absent key is not an error).
+type KV struct {
+	Key    []byte
+	Value  []byte
+	Delete bool
+}
+
+// PutBatch applies a batch of puts and deletes, in order, as one WAL commit:
+// after a crash recovery replays the whole batch or none of it. A batch
+// holding a pair the tree cannot take is refused whole, before anything is
+// logged. The write lock is held for the whole batch.
 func (s *Store) PutBatch(pairs []KV) error {
 	for i, kv := range pairs {
-		if err := checkKV(kv.Key, kv.Value); err != nil {
-			return fmt.Errorf("batch pair %d: %w", i, err)
+		if err := checkKV(kv); err != nil {
+			if len(pairs) > 1 {
+				err = fmt.Errorf("batch pair %d: %w", i, err)
+			}
+			return err
 		}
 	}
 	s.mu.Lock()
@@ -173,7 +155,11 @@ func (s *Store) PutBatch(pairs []KV) error {
 		return fmt.Errorf("kvstore: store closed")
 	}
 	for _, kv := range pairs {
-		if err := s.wal.append(walPut, kv.Key, kv.Value); err != nil {
+		op := byte(walPut)
+		if kv.Delete {
+			op = walDelete
+		}
+		if err := s.wal.append(op, kv.Key, kv.Value); err != nil {
 			return err
 		}
 	}
@@ -181,97 +167,27 @@ func (s *Store) PutBatch(pairs []KV) error {
 		return err
 	}
 	for _, kv := range pairs {
-		added, err := s.tree.put(kv.Key, kv.Value)
-		if err != nil {
+		if err := s.apply(kv); err != nil {
 			return err
-		}
-		if added {
-			s.count++
 		}
 	}
 	return s.maybeCheckpoint(len(pairs))
 }
 
-// KV is one key-value pair for batch operations.
-type KV struct {
-	Key   []byte
-	Value []byte
-}
-
-// DefaultWriteChunk is the batch size PutBatchChunked and DeleteBatchChunked
-// use when the caller passes chunk <= 0: large enough to amortize the WAL
-// commit, small enough that readers waiting on the write lock see a bounded
-// pause instead of stalling for the whole bulk operation.
-const DefaultWriteChunk = 128
-
-// PutBatchChunked applies pairs in chunks of at most chunk puts, releasing
-// the store write lock between chunks so concurrent readers interleave with
-// a long bulk load (e.g. a version-store cold fold) instead of stalling
-// behind it. Each chunk is one WAL group commit; a crash mid-way leaves a
-// prefix of the chunks durable, so callers needing all-or-nothing semantics
-// must layer their own watermark on top (the version store does).
-func (s *Store) PutBatchChunked(pairs []KV, chunk int) error {
-	if chunk <= 0 {
-		chunk = DefaultWriteChunk
-	}
-	for len(pairs) > 0 {
-		n := chunk
-		if n > len(pairs) {
-			n = len(pairs)
-		}
-		if err := s.PutBatch(pairs[:n]); err != nil {
-			return err
-		}
-		pairs = pairs[n:]
-	}
-	return nil
-}
-
-// DeleteBatch removes many keys under one WAL commit (group commit).
-// Absent keys are not an error.
-func (s *Store) DeleteBatch(keys [][]byte) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return fmt.Errorf("kvstore: store closed")
-	}
-	for _, k := range keys {
-		if err := s.wal.append(walDelete, k, nil); err != nil {
-			return err
-		}
-	}
-	if err := s.commitWAL(); err != nil {
-		return err
-	}
-	for _, k := range keys {
-		removed, err := s.tree.delete(k)
-		if err != nil {
-			return err
-		}
+// apply writes one logged pair into the tree and keeps the key count.
+func (s *Store) apply(kv KV) error {
+	if kv.Delete {
+		removed, err := s.tree.delete(kv.Key)
 		if removed {
 			s.count--
 		}
+		return err
 	}
-	return s.maybeCheckpoint(len(keys))
-}
-
-// DeleteBatchChunked is DeleteBatch with the same bounded-pause chunking as
-// PutBatchChunked.
-func (s *Store) DeleteBatchChunked(keys [][]byte, chunk int) error {
-	if chunk <= 0 {
-		chunk = DefaultWriteChunk
+	added, err := s.tree.put(kv.Key, kv.Value)
+	if added {
+		s.count++
 	}
-	for len(keys) > 0 {
-		n := chunk
-		if n > len(keys) {
-			n = len(keys)
-		}
-		if err := s.DeleteBatch(keys[:n]); err != nil {
-			return err
-		}
-		keys = keys[n:]
-	}
-	return nil
+	return err
 }
 
 // Get returns a copy of the value for key, or ok=false.
@@ -282,29 +198,6 @@ func (s *Store) Get(key []byte) (value []byte, ok bool, err error) {
 		return nil, false, fmt.Errorf("kvstore: store closed")
 	}
 	return s.tree.get(key)
-}
-
-// Delete removes key; it is not an error if the key is absent.
-func (s *Store) Delete(key []byte) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return fmt.Errorf("kvstore: store closed")
-	}
-	if err := s.wal.append(walDelete, key, nil); err != nil {
-		return err
-	}
-	if err := s.commitWAL(); err != nil {
-		return err
-	}
-	removed, err := s.tree.delete(key)
-	if err != nil {
-		return err
-	}
-	if removed {
-		s.count--
-	}
-	return s.maybeCheckpoint(1)
 }
 
 func (s *Store) commitWAL() error {

@@ -2,6 +2,7 @@ package kvstore
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"os"
@@ -261,10 +262,7 @@ func TestCrashRecoveryFromWAL(t *testing.T) {
 		}
 	}
 	s.Delete([]byte("k007"))
-	// Simulate crash: flush nothing, just drop the handles.
-	s.wal.w.Flush()
-	s.wal.f.Close()
-	s.pager.f.Close()
+	crash(s)
 
 	s2, err := Open(dir, Options{})
 	if err != nil {
@@ -289,9 +287,7 @@ func TestTornWALTail(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := Open(dir, Options{Sync: SyncAlways, CheckpointEvery: 1 << 30})
 	s.Put([]byte("good"), []byte("1"))
-	s.wal.w.Flush()
-	s.wal.f.Close()
-	s.pager.f.Close()
+	crash(s)
 
 	f, err := os.OpenFile(filepath.Join(dir, "wal.log"), os.O_APPEND|os.O_WRONLY, 0)
 	if err != nil {
@@ -307,6 +303,149 @@ func TestTornWALTail(t *testing.T) {
 	defer s2.Close()
 	if _, ok, _ := s2.Get([]byte("good")); !ok {
 		t.Fatal("committed key lost")
+	}
+}
+
+// crash drops the store's handles the way a killed process does: what the
+// log's buffer holds reaches the file (a SyncGroup commit flushes it
+// anyway), nothing is checkpointed.
+func crash(s *Store) {
+	s.wal.w.Flush()
+	s.wal.f.Close()
+	s.pager.f.Close()
+}
+
+// walRecordEnds returns the offset just past each record of the log at
+// path.
+func walRecordEnds(t *testing.T, path string) []int64 {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ends []int64
+	for off := 0; off+17 <= len(raw); {
+		klen := int(binary.LittleEndian.Uint32(raw[off+9:]))
+		vlen := int(binary.LittleEndian.Uint32(raw[off+13:]))
+		off += 17 + klen + vlen + 4
+		ends = append(ends, int64(off))
+	}
+	return ends
+}
+
+// TestUncommittedBatchIsDropped: a crash that cuts the log inside a batch,
+// after half of its puts, recovers none of them — a batch is one commit,
+// replayed whole or not at all — and the store goes on committing.
+func TestUncommittedBatchIsDropped(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, Options{Sync: SyncGroup, CheckpointEvery: 1 << 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pairs := make([]KV, 10)
+	for i := range pairs {
+		pairs[i] = KV{Key: []byte(fmt.Sprintf("k%02d", i)), Value: []byte("v")}
+	}
+	if err := s.PutBatch(pairs); err != nil {
+		t.Fatal(err)
+	}
+	crash(s)
+	walPath := filepath.Join(dir, "wal.log")
+	ends := walRecordEnds(t, walPath)
+	if len(ends) != 11 {
+		t.Fatalf("log holds %d records, want 10 puts and a commit", len(ends))
+	}
+	if err := os.Truncate(walPath, ends[4]); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, err := Open(dir, Options{Sync: SyncGroup, CheckpointEvery: 1 << 30})
+	if err != nil {
+		t.Fatalf("recovery open: %v", err)
+	}
+	if s2.Len() != 0 {
+		t.Fatalf("recovered %d of the batch's 10 pairs, want none", s2.Len())
+	}
+	for _, kv := range pairs {
+		if _, ok, _ := s2.Get(kv.Key); ok {
+			t.Fatalf("pair %q of the uncommitted batch recovered", kv.Key)
+		}
+	}
+	if err := s2.Put([]byte("after"), []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	crash(s2)
+	s3, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s3.Close()
+	if v, ok, _ := s3.Get([]byte("after")); !ok || string(v) != "x" || s3.Len() != 1 {
+		t.Fatalf("after a second crash: Get = %q,%v, Len %d; want the one committed put", v, ok, s3.Len())
+	}
+}
+
+// TestTornTailDoesNotHideLaterCommits: a torn record alone in the log after
+// a checkpoint is cut at the next Open, so the acknowledged put that follows
+// is not appended behind bytes recovery stops at — a crash image taken after
+// it recovers it.
+func TestTornTailDoesNotHideLaterCommits(t *testing.T) {
+	dir := t.TempDir()
+	opts := Options{Sync: SyncGroup, CheckpointEvery: 1 << 30}
+	s, err := Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put([]byte("base"), []byte("1")); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.wal.append(walPut, []byte("torn"), []byte("value")); err != nil {
+		t.Fatal(err)
+	}
+	crash(s)
+	walPath := filepath.Join(dir, "wal.log")
+	fi, err := os.Stat(walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(walPath, fi.Size()-3); err != nil { // the record's CRC half written
+		t.Fatal(err)
+	}
+
+	s2, err := Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s2.Put([]byte("acked"), []byte("2")); err != nil {
+		t.Fatal(err)
+	}
+	image := t.TempDir()
+	for _, name := range []string{"data.db", "wal.log"} {
+		raw, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(image, name), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	crash(s2)
+
+	s3, err := Open(image, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s3.Close()
+	for k, want := range map[string]string{"base": "1", "acked": "2"} {
+		if v, ok, _ := s3.Get([]byte(k)); !ok || string(v) != want {
+			t.Fatalf("crash image lost %q: %q,%v", k, v, ok)
+		}
+	}
+	if _, ok, _ := s3.Get([]byte("torn")); ok || s3.Len() != 2 {
+		t.Fatalf("crash image holds the torn record, or %d keys, want 2", s3.Len())
 	}
 }
 

@@ -1,10 +1,13 @@
 package kvstore
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"sort"
 	"testing"
 )
@@ -208,18 +211,21 @@ func fuzzOps(ops ...[3]int) []byte {
 	return b
 }
 
-// Op bytes. Three in four are puts and a reopen or a crash is one value
-// each: both end in a checkpoint's fsync, and a mutated input should spend
-// its steps in the tree.
+// Op bytes. Three in four are puts and a torn tail, a reopen or a crash is
+// one value each: all end in a checkpoint's fsync, and a mutated input
+// should spend its steps in the tree.
 const (
 	fuzzPut    = 0   // up to fuzzDelete
-	fuzzDelete = 192 // up to fuzzReopen
+	fuzzDelete = 192 // up to fuzzTorn
+	fuzzTorn   = 253
 	fuzzReopen = 254
 	fuzzCrash  = 255
 )
 
-// FuzzTreeAgainstMap decodes the input into puts, deletes, clean reopens
-// and crashes (handles dropped without Close, the log replayed) and keeps a
+// FuzzTreeAgainstMap decodes the input into puts, deletes, clean reopens,
+// crashes (handles dropped without Close, the log replayed) and torn tails
+// (a crash after a cut prefix of one more record reached the log, which
+// recovery must drop, and later commits must not sit behind) and keeps a
 // map beside the store. Every step checks the tree's shape, Len and the
 // key it touched; every new life of the store and the end of the run
 // compare Get of every key and one full Scan with the map.
@@ -248,7 +254,21 @@ func FuzzTreeAgainstMap(f *testing.F) {
 		refill = append(refill, [3]int{fuzzPut, 256 + i, 300})
 	}
 	grow = append(grow, [3]int{fuzzReopen, 0, 0})
-	for _, seed := range [][][3]int{asc, desc, random, grow, refill, longSep} {
+	// Torn tails cut inside the header, the key or the value, behind
+	// unreplayed commits and alone in a log a crash-reopen just emptied,
+	// and one whole record with no commit; each followed by puts that the
+	// crash after them must keep.
+	var torn [][3]int
+	for i := 0; i < 8; i++ {
+		torn = append(torn, [3]int{fuzzPut, i, 100}, [3]int{fuzzTorn, i * 37, i * 150}, [3]int{fuzzPut, 100 + i, 200}, [3]int{fuzzCrash, 0, 0},
+			[3]int{fuzzTorn, i*37 + 5, 60}, [3]int{fuzzPut, 200 + i, 100}, [3]int{fuzzCrash, 0, 0})
+	}
+	whole := 0 // a key index whose torn op writes all of its 40-byte put
+	for (whole+1)%(21+len(fuzzKey(whole))+40) != 0 {
+		whole++
+	}
+	torn = append(torn, [3]int{fuzzTorn, whole, 40}, [3]int{fuzzPut, 300, 100}, [3]int{fuzzCrash, 0, 0})
+	for _, seed := range [][][3]int{asc, desc, random, grow, refill, longSep, torn} {
 		f.Add(fuzzOps(seed...))
 	}
 
@@ -299,8 +319,24 @@ func FuzzTreeAgainstMap(f *testing.F) {
 			key := fuzzKey(idx)
 			switch {
 			case op == fuzzCrash:
-				s.wal.f.Close()
-				s.pager.f.Close()
+				crash(s)
+				s = open()
+				compare(step)
+			case op == fuzzTorn:
+				// A put of key with a vlen-byte value, cut after idx mod
+				// its length + 1 bytes: the whole record, with no commit,
+				// at most.
+				var rec bytes.Buffer
+				w := &wal{w: bufio.NewWriter(&rec), lsn: s.wal.lsn}
+				w.append(walPut, key, make([]byte, vlen))
+				w.w.Flush()
+				crash(s)
+				f, err := os.OpenFile(filepath.Join(dir, "wal.log"), os.O_APPEND|os.O_WRONLY, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				f.Write(rec.Bytes()[:1+idx%rec.Len()])
+				f.Close()
 				s = open()
 				compare(step)
 			case op == fuzzReopen:

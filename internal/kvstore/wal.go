@@ -16,8 +16,12 @@ import (
 //	lsn(8) op(1) klen(4) vlen(4) key val crc(4)
 //
 // op: 1 = put, 2 = delete, 3 = commit (klen/vlen zero).
-// On recovery, records after the checkpoint LSN are replayed in order;
-// a torn tail (bad CRC / short read) truncates the log at that point.
+// A commit is a group of put and delete records closed by a commit record.
+// Recovery applies a group, in order, only once it has read the group's
+// commit record, so a commit is replayed whole or not at all. A torn tail
+// (bad CRC / short read) ends the log at that point, and Open cuts the file
+// at the end of the last whole commit so that later appends never sit
+// behind bytes recovery stops at.
 // Group commit: Sync() batches are controlled by the store's SyncPolicy.
 type wal struct {
 	f   *os.File
@@ -36,14 +40,26 @@ const (
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-func openWAL(path string) (*wal, error) {
+// openWAL opens the log for appending at end, the length replayWAL
+// vouched for; anything past it (an uncommitted group, a torn record) is
+// cut off first.
+func openWAL(path string, end int64) (*wal, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("kvstore: open wal: %w", err)
 	}
-	if _, err := f.Seek(0, io.SeekEnd); err != nil {
+	fi, err := f.Stat()
+	if err == nil && fi.Size() > end {
+		if err = f.Truncate(end); err == nil {
+			err = f.Sync()
+		}
+	}
+	if err == nil {
+		_, err = f.Seek(end, io.SeekStart)
+	}
+	if err != nil {
 		f.Close()
-		return nil, err
+		return nil, fmt.Errorf("kvstore: cut wal at %d: %w", end, err)
 	}
 	return &wal{f: f, w: bufio.NewWriterSize(f, 1<<16)}, nil
 }
@@ -107,58 +123,58 @@ func (w *wal) close() error {
 	return w.f.Close()
 }
 
-// walRecord is one decoded log record.
-type walRecord struct {
-	lsn uint64
-	op  byte
-	key []byte
-	val []byte
-}
-
-// replay streams records with lsn > afterLSN to fn, stopping cleanly at a
-// torn tail. Returns the highest LSN seen.
-func replayWAL(path string, afterLSN uint64, fn func(walRecord) error) (uint64, error) {
+// replayWAL streams the pairs of every commit with lsn > afterLSN to fn,
+// a group at a time once its commit record has been read; a group the log
+// ends inside (a crash mid-commit, a torn record) is dropped. It returns
+// the highest committed LSN and the length of the log up to the end of its
+// last commit record.
+func replayWAL(path string, afterLSN uint64, fn func(KV) error) (maxLSN uint64, end int64, err error) {
 	f, err := os.Open(path)
 	if err != nil {
 		if errors.Is(err, os.ErrNotExist) {
-			return afterLSN, nil
+			return afterLSN, 0, nil
 		}
-		return afterLSN, err
+		return afterLSN, 0, err
 	}
 	defer f.Close()
 	r := bufio.NewReaderSize(f, 1<<16)
-	maxLSN := afterLSN
-	for {
+	maxLSN = afterLSN
+	var group []KV
+	for off := int64(0); ; {
 		var hdr [17]byte
 		if _, err := io.ReadFull(r, hdr[:]); err != nil {
-			return maxLSN, nil // clean EOF or torn header: stop
+			return maxLSN, end, nil // clean EOF or torn header: stop
 		}
 		lsn := binary.LittleEndian.Uint64(hdr[0:])
 		op := hdr[8]
 		klen := binary.LittleEndian.Uint32(hdr[9:])
 		vlen := binary.LittleEndian.Uint32(hdr[13:])
 		if klen > PageSize || vlen > PageSize || op == 0 || op > walCommit {
-			return maxLSN, nil // corrupt tail
+			return maxLSN, end, nil // corrupt tail
 		}
 		buf := make([]byte, int(klen)+int(vlen)+4)
 		if _, err := io.ReadFull(r, buf); err != nil {
-			return maxLSN, nil
+			return maxLSN, end, nil
 		}
 		crc := crc32.New(crcTable)
 		crc.Write(hdr[:])
 		crc.Write(buf[:klen+vlen])
 		if crc.Sum32() != binary.LittleEndian.Uint32(buf[klen+vlen:]) {
-			return maxLSN, nil // torn record
+			return maxLSN, end, nil // torn record
 		}
-		if lsn > maxLSN {
-			maxLSN = lsn
+		off += int64(len(hdr) + len(buf))
+		if op != walCommit {
+			if lsn > afterLSN { // else already checkpointed
+				group = append(group, KV{Key: buf[:klen], Value: buf[klen : klen+vlen], Delete: op == walDelete})
+			}
+			continue
 		}
-		if lsn <= afterLSN {
-			continue // already checkpointed
+		for _, kv := range group {
+			if err := fn(kv); err != nil {
+				return maxLSN, end, err
+			}
 		}
-		rec := walRecord{lsn: lsn, op: op, key: buf[:klen], val: buf[klen : klen+vlen]}
-		if err := fn(rec); err != nil {
-			return maxLSN, err
-		}
+		group = group[:0]
+		maxLSN, end = max(maxLSN, lsn), off
 	}
 }

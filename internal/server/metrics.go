@@ -232,7 +232,7 @@ func writeEngineMetrics(w io.Writer, st core.Stats) {
 	c("memex_version_gc_reclaimed_total", "Versions dropped from memory: superseded inside a tier merge, or folded to disk.", float64(st.Version.GCReclaimed))
 	if cold := st.Version.Cold; cold != nil {
 		g("memex_version_fold_lag_epochs", "Published watermark minus durable fold watermark.", float64(st.FoldLag))
-		g("memex_version_cold_records", "Record versions on disk.", float64(cold.Records))
+		g("memex_version_cold_records", "Keys on disk (one version each).", float64(cold.Records))
 		c("memex_version_folds_total", "Completed fold rounds.", float64(cold.Folds))
 		c("memex_version_fold_errors_total", "Fold rounds that failed; their layers stay resident (last error in /api/status).", float64(cold.FoldErrors))
 		c("memex_version_cold_reads_total", "Snapshot gets that fell through to disk.", float64(cold.Reads))

@@ -204,6 +204,28 @@ func jsonReply(v any) (reply, error) {
 	return reply{"application/json", buf.Bytes()}, nil
 }
 
+// Request bodies are capped, far above what a well-formed request needs: a
+// JSON body carries one row's fields (kvstore.MaxKV bytes at most), an
+// import one Netscape bookmark file. A read past the cap is a 400 naming it.
+const (
+	maxJSONBody   = 64 << 10
+	maxImportBody = 8 << 20
+)
+
+// Header-read and idle-connection timeouts for every http.Server this API
+// runs under: a client that trickles its request headers, or parks an idle
+// keep-alive connection, is cut off instead of holding it forever.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// HTTPServer returns the http.Server that serves h on addr, with the
+// timeouts above.
+func HTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+}
+
 // answer runs h and picks the status and body to commit.
 func answer(h handler, r *http.Request) (int, reply) {
 	rep, err := h(r)
@@ -211,8 +233,12 @@ func answer(h handler, r *http.Request) (int, reply) {
 		return http.StatusOK, rep
 	}
 	code := http.StatusInternalServerError
-	if kvstore.ErrTooLarge(err) {
+	var overCap *http.MaxBytesError
+	switch {
+	case kvstore.ErrTooLarge(err):
 		err = badRequestf("%v: a row's key and value may take %d bytes together", err, kvstore.MaxKV)
+	case errors.As(err, &overCap):
+		err = badRequestf("request body exceeds the %d-byte cap", overCap.Limit)
 	}
 	if errors.As(err, new(badRequest)) {
 		code = http.StatusBadRequest
@@ -227,9 +253,12 @@ func errorReply(err error) reply {
 
 func decode[T any](r *http.Request) (T, error) {
 	var v T
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, maxJSONBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&v); err != nil {
+		if errors.As(err, new(*http.MaxBytesError)) {
+			return v, err // answer names the cap
+		}
 		return v, badRequestf("bad request body: %v", err)
 	}
 	return v, nil
@@ -342,8 +371,11 @@ func (s *Server) handleImport(r *http.Request) (reply, error) {
 	if err != nil {
 		return reply{}, err
 	}
-	n, err := s.engine.ImportBookmarks(user, r.Body)
-	if err != nil {
+	n, err := s.engine.ImportBookmarks(user, http.MaxBytesReader(nil, r.Body, maxImportBody))
+	switch {
+	case errors.As(err, new(*http.MaxBytesError)):
+		return reply{}, err // answer names the cap
+	case err != nil:
 		return reply{}, badRequest(err.Error())
 	}
 	return jsonReply(map[string]int{"imported": n})
@@ -471,8 +503,7 @@ func (s *Server) handleUsage(r *http.Request) (reply, error) {
 // handleStatus serves the engine's full counter snapshot (core.Stats) as
 // JSON. Beside the page/user/queue counters this includes two nested
 // observability blocks: Version (the derived-data version store —
-// watermark, layers, pins, GC and cold-tier activity, including the
-// fold generation and whether the last open skipped the recovery scan)
+// watermark, layers, pins, GC and cold-tier activity)
 // and Cache (the shared decoded-record cache — Hits/Misses measure
 // cross-pass reuse, EvictedLRU/EvictedFloor split evictions by cause,
 // Bytes/MaxBytes/Entries size the decoded footprint against its bound).

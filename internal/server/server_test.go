@@ -142,6 +142,60 @@ func TestBadParamsReturn400(t *testing.T) {
 	}
 }
 
+// TestOversizeBodiesAreRefused: every route that reads a body caps it. A
+// body one byte past the cap is a 400 naming the cap, and nothing it
+// carried reaches the engine — an import is parsed whole before its first
+// bookmark is filed.
+func TestOversizeBodiesAreRefused(t *testing.T) {
+	e := newTestEngine(t)
+	srv := New(e)
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	pad := func(head, tail string) string {
+		return head + strings.Repeat("x", maxJSONBody+1-len(head)-len(tail)) + tail
+	}
+	const bookmarks = "<!DOCTYPE NETSCAPE-Bookmark-file-1>\n<DL><p>\n<DT><A HREF=\"http://x/\">x</A>\n"
+	cases := []struct {
+		path string
+		body string
+		cap  int
+	}{
+		{"/api/user", pad(`{"id":1,"name":"`, `"}`), maxJSONBody},
+		{"/api/event", pad(`{"user":1,"url":"http://x/`, `"}`), maxJSONBody},
+		{"/api/bookmark", pad(`{"user":1,"url":"http://x/","folder":"/`, `"}`), maxJSONBody},
+		{"/api/correct", pad(`{"user":1,"url":"http://x/","folder":"/`, `"}`), maxJSONBody},
+		{"/api/folders/import?user=1", bookmarks + strings.Repeat("<p>\n", (maxImportBody+1-len(bookmarks)+3)/4), maxImportBody},
+	}
+	covered := map[string]bool{}
+	for _, tc := range cases {
+		route, _, _ := strings.Cut(tc.path, "?")
+		covered["POST "+route] = true
+		t.Run(strings.TrimPrefix(route, "/api/"), func(t *testing.T) {
+			if len(tc.body) <= tc.cap {
+				t.Fatalf("test body of %d bytes is within the %d-byte cap", len(tc.body), tc.cap)
+			}
+			resp, err := http.Post(ts.URL+tc.path, "application/json", strings.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if want := fmt.Sprintf("exceeds the %d-byte cap", tc.cap); resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), want) {
+				t.Fatalf("status %d, body %s; want a 400 saying %q", resp.StatusCode, body, want)
+			}
+		})
+	}
+	for route := range srv.metrics.endpoints {
+		if strings.HasPrefix(route, "POST ") && route != "POST /api/themes/rebuild" && !covered[route] {
+			t.Errorf("body-taking route %q has no case in the table", route)
+		}
+	}
+	if st := e.Status(); st.Users != 0 || st.Visits != 0 || st.Bookmarks != 0 {
+		t.Fatalf("refused bodies reached the engine: %d users, %d visits, %d bookmarks", st.Users, st.Visits, st.Bookmarks)
+	}
+}
+
 // TestFailedHandlerCommitsOnlyTheError is the export-truncation bug as a
 // property of every route: whatever a handler had rendered when it
 // failed, the client gets a 500 and the JSON envelope, and none of it.

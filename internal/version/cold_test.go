@@ -12,8 +12,9 @@ import (
 )
 
 // openKV opens the test kvstore for dir (SyncNever: the crash model under
-// test is the version layer's watermark contract, not fsync behaviour —
-// kvstore's own WAL tests cover torn files).
+// test is the version layer's fold contract, not fsync behaviour —
+// TestFoldCommitCutAtEveryRecord and kvstore's own WAL tests cover torn
+// files).
 func openKV(t *testing.T, dir string) *kvstore.Store {
 	t.Helper()
 	kv, err := kvstore.Open(filepath.Join(dir, "kv"), kvstore.Options{Sync: kvstore.SyncNever})
@@ -96,10 +97,9 @@ func TestColdFoldAndFallthrough(t *testing.T) {
 			t.Fatalf("Get(%s) = %q,%v after fold, want %q", key, v, ok, want)
 		}
 	}
-	// Superseded version and dead tombstone reclaimed on disk: 100 keys
-	// minus the tombstoned one.
-	if got := s.ColdRecords(); got != 99 {
-		t.Fatalf("cold records after cleanup = %d, want 99", got)
+	// One record per key on disk: 100 keys minus the tombstoned one.
+	if got, phys := s.ColdRecords(), physicalRecords(s, kv); got != 99 || phys != 99 {
+		t.Fatalf("ColdRecords = %d, %d on disk; want 99", got, phys)
 	}
 }
 
@@ -136,8 +136,8 @@ func TestColdHotShadowsCold(t *testing.T) {
 	sn.Release()
 
 	// And the shadowing must survive the next fold + a restart. The fold
-	// writes the tombstone through, and once it is durable reclaims it
-	// together with the record it shadowed: only a's new version is left.
+	// deletes b's record and writes a's new version over its old one: only
+	// a's new version is left.
 	if _, err := s.Fold(); err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestColdHotShadowsCold(t *testing.T) {
 		t.Fatalf("%d versions still resident after the fold", got)
 	}
 	if got, phys := s.ColdRecords(), physicalRecords(s, kv); got != 1 || phys != 1 {
-		t.Fatalf("ColdRecords = %d, %d on disk; want 1 (b's record went with its tombstone, a's old version with the new one)", got, phys)
+		t.Fatalf("ColdRecords = %d, %d on disk; want 1 (b's record went with its tombstone, a's old version under the new one)", got, phys)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -161,22 +161,23 @@ func TestColdHotShadowsCold(t *testing.T) {
 	}
 }
 
-// TestCrashRecoveryMidFold is the ISSUE 3 crash test: kill the store
-// mid-fold at each failpoint, reopen, and assert that every published
-// epoch at or below the recovered watermark is readable and that no epoch
-// above the watermark leaks.
+// TestCrashRecoveryMidFold: kill the store mid-fold — before the round's
+// commit, or after it and before its splice — reopen, and assert that the
+// recovered watermark is the previous round's or this one's, that every
+// published epoch at or below it is readable, that nothing above it leaks,
+// and that life goes on above it. (A crash inside the commit is
+// TestFoldCommitCutAtEveryRecord.)
 func TestCrashRecoveryMidFold(t *testing.T) {
 	errCrash := errors.New("injected crash")
-	for _, point := range []FoldPoint{FoldAfterWrite, FoldAfterWatermark} {
+	for _, point := range []FoldPoint{FoldBeforeCommit, FoldAfterCommit} {
 		t.Run(fmt.Sprintf("point=%d", point), func(t *testing.T) {
 			dir := t.TempDir()
 			kv := openKV(t, dir)
 			defer kv.Close()
 			s := openCold(t, kv, Options{})
 
-			// Round 1: establish a durable base, including a key the
-			// crashed fold will later overwrite — the overwrite's partial
-			// records must not destroy the durable old version.
+			// Round 1: establish a durable base, including keys the crashed
+			// round will overwrite.
 			model := map[string]string{}
 			for i := 0; i < 40; i++ {
 				k, v := fmt.Sprintf("k%02d", i), fmt.Sprintf("r1-%02d", i)
@@ -207,15 +208,12 @@ func TestCrashRecoveryMidFold(t *testing.T) {
 				t.Fatalf("Fold error = %v, want injected crash", err)
 			}
 			// The process dies here: drop s on the floor, reopen the
-			// keyspace. (kv survives — the kvstore's own WAL-replay tests
-			// cover torn files; this test pins the version layer's
-			// watermark contract over whatever subset of writes survived.)
+			// keyspace.
 			s2 := openCold(t, kv, Options{})
-
 			wantWM := wm1
-			if point == FoldAfterWatermark {
+			if point == FoldAfterCommit {
 				wantWM = wm2
-				// The watermark committed, so round 2 is durable.
+				// The round committed, so round 2 is durable.
 				for k, v := range round2 {
 					model[k] = v
 				}
@@ -223,7 +221,9 @@ func TestCrashRecoveryMidFold(t *testing.T) {
 			if got := s2.Watermark(); got != wantWM {
 				t.Fatalf("recovered watermark = %d, want %d", got, wantWM)
 			}
-
+			if got := s2.ColdRecords(); got != int64(len(model)) {
+				t.Fatalf("recovered ColdRecords = %d, want %d", got, len(model))
+			}
 			sn := s2.Acquire()
 			for k, v := range model {
 				got, ok := sn.Get(k)
@@ -231,29 +231,13 @@ func TestCrashRecoveryMidFold(t *testing.T) {
 					t.Fatalf("epoch ≤ watermark lost: Get(%s) = %q,%v, want %q", k, got, ok, v)
 				}
 			}
-			if point == FoldAfterWrite {
-				// No epoch above the watermark may leak: the torn fold's
-				// records were purged, so every key reads as round 1.
-				for k := range round2 {
-					got, ok := sn.Get(k)
-					if want, existed := model[k]; existed {
-						if !ok || string(got) != want {
-							t.Fatalf("Get(%s) = %q,%v, want durable %q", k, got, ok, want)
-						}
-					} else if ok {
-						t.Fatalf("epoch > watermark leaked: Get(%s) = %q", k, got)
-					}
+			// No epoch above the watermark leaks: a key only round 2 wrote
+			// reads as absent unless the round committed.
+			for k := range round2 {
+				if got, ok := sn.Get(k); ok != (model[k] != "") {
+					t.Fatalf("epoch > watermark leaked: Get(%s) = %q,%v", k, got, ok)
 				}
-				// And nothing above the watermark survives on disk either.
-				kv.ScanPrefix([]byte("vc/r/"), func(k, _ []byte) bool {
-					key, epoch, _, ok := s2.cold.parseRecordKey(k)
-					if ok && epoch > wantWM {
-						t.Errorf("stale record %q at epoch %d > watermark %d", key, epoch, wantWM)
-					}
-					return true
-				})
 			}
-
 			// Release the verification pin — a pinned snapshot would
 			// (correctly) hold the next fold's floor at the old watermark.
 			sn.Release()
@@ -286,7 +270,7 @@ func TestCrashRecoveryMidFold(t *testing.T) {
 func physicalRecords(s *Store, kv *kvstore.Store) int64 {
 	n := int64(0)
 	kv.ScanPrefix([]byte("vc/r/"), func(k, _ []byte) bool {
-		if _, _, part, ok := s.cold.parseRecordKey(k); ok && part == 0 {
+		if _, part, ok := s.cold.parseRecordKey(k); ok && part == 0 {
 			n++
 		}
 		return true
@@ -294,20 +278,19 @@ func physicalRecords(s *Store, kv *kvstore.Store) int64 {
 	return n
 }
 
-// TestColdRecordsSurviveAbandonedSplice: a fold that fails after its record
-// writes — before or after its watermark write — abandons its splice. The
-// data is never at risk: the layers stay resident and shadow whatever the
-// round wrote, and had the process died instead, Open would have purged
-// what lies above the watermark. What is at risk is the bookkeeping: the
-// round's records are on disk uncounted, the next round overwrites some and
-// its cleanup deletes others, and m/done vouches for the result to every
-// later clean reopen. So: the failure is counted where an operator sees it,
-// every key reads its newest value throughout, the next fold — with ingest
-// idle or after republishes — reclaims the memory, and ColdRecords equals a
-// physical recount, in process and after a clean reopen that scans nothing.
+// TestColdRecordsSurviveAbandonedSplice: a fold that fails — before its
+// commit or after it — abandons its splice. The data is never at risk: the
+// layers stay resident and shadow whatever the round wrote. What is at risk
+// is the bookkeeping: the next round writes the same keys again, over
+// records that may already be on disk, and m/wm carries the key count to
+// every later reopen. So: the failure is
+// counted where an operator sees it, every key reads its newest value
+// throughout, the next fold — with ingest idle or after republishes —
+// reclaims the memory, and ColdRecords equals a physical count, in process
+// and after a reopen.
 func TestColdRecordsSurviveAbandonedSplice(t *testing.T) {
 	errInjected := errors.New("injected fold failure")
-	for _, point := range []FoldPoint{FoldAfterWrite, FoldAfterWatermark} {
+	for _, point := range []FoldPoint{FoldBeforeCommit, FoldAfterCommit} {
 		for _, idle := range []bool{true, false} {
 			t.Run(fmt.Sprintf("point=%d/idle=%v", point, idle), func(t *testing.T) {
 				kv := openKV(t, t.TempDir())
@@ -385,12 +368,8 @@ func TestColdRecordsSurviveAbandonedSplice(t *testing.T) {
 					t.Fatal(err)
 				}
 				s = openCold(t, kv, Options{})
-				st := s.StoreStats().Cold
-				if !st.CleanOpen || st.RecoveryScanned != 0 {
-					t.Fatalf("reopen after completed rounds: CleanOpen = %v, RecoveryScanned = %d", st.CleanOpen, st.RecoveryScanned)
-				}
 				if got, phys := s.ColdRecords(), physicalRecords(s, kv); got != phys {
-					t.Fatalf("after reopen ColdRecords = %d, %d part-0 records on disk: m/done vouched for a wrong count", got, phys)
+					t.Fatalf("after reopen ColdRecords = %d, %d part-0 records on disk: m/wm carried a wrong count", got, phys)
 				}
 				check("after reopen")
 			})
@@ -433,7 +412,8 @@ func TestColdPinBlocksFold(t *testing.T) {
 }
 
 // TestColdMultiPartValues: values beyond one kvstore entry round-trip
-// through fold, fallthrough reads, cleanup, and restart.
+// through fold, fallthrough reads, rewrites that change a key's part count,
+// and restart.
 func TestColdMultiPartValues(t *testing.T) {
 	dir := t.TempDir()
 	kv := openKV(t, dir)
@@ -470,11 +450,12 @@ func TestColdMultiPartValues(t *testing.T) {
 	}
 	check(s, "after fold")
 
-	// Overwrite the big ones and fold again: cleanup must drop every old
-	// part without corrupting the new version.
-	for _, n := range []int{5000, 40000} {
+	// Overwrite the big ones — one keeps its size, one shrinks to a single
+	// part, one grows — and fold again: the round must delete every part the
+	// new value no longer uses without corrupting it.
+	for n, size := range map[int]int{5000: 5000, 40000: 900, 900: 20000} {
 		key := fmt.Sprintf("blob-%d", n)
-		val := bytes.Repeat([]byte("New"), n/3+1)[:n]
+		val := bytes.Repeat([]byte("New"), size/3+1)[:size]
 		b := s.Begin()
 		b.Put(key, val)
 		if err := b.Publish(); err != nil {
@@ -486,6 +467,13 @@ func TestColdMultiPartValues(t *testing.T) {
 		t.Fatal(err)
 	}
 	check(s, "after overwrite fold")
+	parts := 0
+	for k, v := range want {
+		parts += max(1, (len(v)+s.cold.partPayload(k)-1)/s.cold.partPayload(k))
+	}
+	if got := kv.Len(); got != parts+1 {
+		t.Fatalf("kvstore holds %d keys, want %d parts and m/wm", got, parts)
+	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -515,7 +503,7 @@ func TestColdShardCountPinnedByKeyspace(t *testing.T) {
 	}
 	seen := map[string]bool{}
 	kv.ScanPrefix([]byte("vc/r/"), func(k, _ []byte) bool {
-		key, _, _, ok := s.cold.parseRecordKey(k)
+		key, _, ok := s.cold.parseRecordKey(k)
 		if _, known := want[key]; !ok || !known {
 			t.Errorf("record key %q does not begin with a published key", k)
 		}
@@ -588,29 +576,6 @@ func TestColdRangeUnion(t *testing.T) {
 	kv.Close()
 	if err := sn.Range(func(string, []byte) bool { return true }); err == nil {
 		t.Fatal("Range over a closed kvstore returned no error")
-	}
-}
-
-// TestFoldCleanupReadFailureIsCounted: a round whose superseded-version
-// cleanup cannot read a key's run has not finished its accounting, so it is
-// an error and a counted one. Nothing is lost either way: the records and
-// the watermark are durable before cleanup starts.
-func TestFoldCleanupReadFailureIsCounted(t *testing.T) {
-	kv := openKV(t, t.TempDir())
-	defer kv.Close()
-	s := openCold(t, kv, Options{})
-	publishKV(t, s, map[string]string{"a": "1", "b": "2"})
-	s.SetFoldHook(func(p FoldPoint) error {
-		if p == FoldAfterWatermark {
-			kv.Close()
-		}
-		return nil
-	})
-	if _, err := s.Fold(); err == nil {
-		t.Fatal("Fold returned no error though its cleanup could not read the disk")
-	}
-	if got := s.StoreStats().Cold.FoldErrors; got != 1 {
-		t.Fatalf("FoldErrors = %d, want 1", got)
 	}
 }
 

@@ -1,156 +1,31 @@
 package version
 
 import (
+	"encoding/binary"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"memex/internal/kvstore"
 )
 
-// TestCleanReopenSkipsRecoveryScan pins the bounded-recovery contract:
-// when the last fold round ran to completion (m/gen == m/done), reopen
-// trusts the fold-completion record — no O(cold tier) purge scan, the exact
-// record count — and still serves every record.
-func TestCleanReopenSkipsRecoveryScan(t *testing.T) {
-	dir := t.TempDir()
-	kv := openKV(t, dir)
-	defer kv.Close()
-	s := openCold(t, kv, Options{})
-	for i := 0; i < 60; i++ {
-		publishKV(t, s, map[string]string{fmt.Sprintf("k%03d", i): fmt.Sprintf("v%03d", i)})
-	}
-	if err := s.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-
-	s2 := openCold(t, kv, Options{})
-	defer s2.Close()
-	cs := s2.StoreStats().Cold
-	if cs == nil {
-		t.Fatal("no cold stats")
-	}
-	if !cs.CleanOpen {
-		t.Fatal("reopen after a completed fold did not take the clean path")
-	}
-	if cs.RecoveryScanned != 0 {
-		t.Fatalf("clean reopen scanned %d keys, want 0", cs.RecoveryScanned)
-	}
-	if cs.FoldGen == 0 {
-		t.Fatal("fold generation not recovered")
-	}
-	if cs.Records != 60 {
-		t.Fatalf("clean reopen counted %d records, want 60", cs.Records)
-	}
-	sn := s2.Acquire()
-	defer sn.Release()
-	for i := 0; i < 60; i++ {
-		v, ok := sn.Get(fmt.Sprintf("k%03d", i))
-		if !ok || string(v) != fmt.Sprintf("v%03d", i) {
-			t.Fatalf("k%03d = %q ok=%v after clean reopen", i, v, ok)
-		}
-	}
-}
-
-// TestTornReopenRunsRecoveryScan is the other half: without a matching
-// fold-completion record (a crash between a fold's start and its
-// cleanup), reopen must fall back to the full purge scan — and recover
-// the same data.
-func TestTornReopenRunsRecoveryScan(t *testing.T) {
-	dir := t.TempDir()
-	kv := openKV(t, dir)
-	defer kv.Close()
-	s := openCold(t, kv, Options{})
-	for i := 0; i < 40; i++ {
-		publishKV(t, s, map[string]string{fmt.Sprintf("k%03d", i): fmt.Sprintf("v%03d", i)})
-	}
-	if err := s.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	// Simulate the torn fold: the round bumped m/gen but died before
-	// writing m/done.
-	tier := &coldTier{prefix: []byte("vc/")}
-	if err := kv.Delete(tier.metaKey("done")); err != nil {
-		t.Fatalf("delete done meta: %v", err)
-	}
-
-	s2 := openCold(t, kv, Options{})
-	defer s2.Close()
-	cs := s2.StoreStats().Cold
-	if cs == nil {
-		t.Fatal("no cold stats")
-	}
-	if cs.CleanOpen {
-		t.Fatal("reopen without a fold-completion record claimed the clean path")
-	}
-	if cs.RecoveryScanned == 0 {
-		t.Fatal("torn reopen did not scan the cold tier")
-	}
-	if cs.Records != 40 {
-		t.Fatalf("torn reopen counted %d records, want 40", cs.Records)
-	}
-	sn := s2.Acquire()
-	defer sn.Release()
-	for i := 0; i < 40; i++ {
-		v, ok := sn.Get(fmt.Sprintf("k%03d", i))
-		if !ok || string(v) != fmt.Sprintf("v%03d", i) {
-			t.Fatalf("k%03d = %q ok=%v after torn reopen", i, v, ok)
-		}
-	}
-}
-
-// TestCorruptDoneMetaForcesScan guards the clean path's last
-// precondition: a completion record that stops after its generation
-// vouches for no record count, so reopen must fall back to the scan —
-// never serve a made-up count.
-func TestCorruptDoneMetaForcesScan(t *testing.T) {
-	dir := t.TempDir()
-	kv := openKV(t, dir)
-	defer kv.Close()
-	s := openCold(t, kv, Options{})
-	for i := 0; i < 20; i++ {
-		publishKV(t, s, map[string]string{fmt.Sprintf("k%03d", i): fmt.Sprintf("v%03d", i)})
-	}
-	if err := s.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	// Truncate m/done to its generation header: gen still matches m/gen,
-	// but the record count is gone.
-	tier := &coldTier{prefix: []byte("vc/")}
-	raw, ok, err := kv.Get(tier.metaKey("done"))
-	if err != nil || !ok || len(raw) < 8 {
-		t.Fatalf("read done meta: %v ok=%v len=%d", err, ok, len(raw))
-	}
-	if err := kv.Put(tier.metaKey("done"), raw[:8]); err != nil {
-		t.Fatalf("truncate done meta: %v", err)
-	}
-
-	s2 := openCold(t, kv, Options{})
-	defer s2.Close()
-	cs := s2.StoreStats().Cold
-	if cs.CleanOpen {
-		t.Fatal("truncated completion record took the clean path")
-	}
-	if cs.Records != 20 {
-		t.Fatalf("rescan counted %d records, want 20", cs.Records)
-	}
-}
-
-// TestMalformedMetaRefusedAtOpen: a present m/ record of the wrong shape
-// is an error naming the key and the length found — never a guess. (A
-// short m/wm used to read as watermark 0, after which the recovery scan
-// purged every record as "above the watermark".) m/shards is retired: the
-// one-chain layout never writes it, so it has no right shape and its good
-// state is absence. Open must refuse before it writes anything, so
-// repairing the key recovers every record.
+// TestMalformedMetaRefusedAtOpen: m/wm is the one meta record, so any other
+// m/ record — m/shards from the key-hash-sharded layout, m/gen and m/done
+// from the one that kept every version of a key — is refused by name, and
+// so is an m/wm of the wrong length (a guessed watermark would reissue
+// epochs the archive already holds). Open refuses before it writes anything,
+// so repairing the key recovers every record.
 func TestMalformedMetaRefusedAtOpen(t *testing.T) {
 	for _, tc := range []struct {
 		key    string
-		mangle func(raw []byte) []byte
+		mangle func(good []byte) []byte // good is nil for a record the layout never writes
 	}{
-		{"wm", func(raw []byte) []byte { return raw[:7] }},
+		{"wm", func(good []byte) []byte { return good[:7] }},
 		{"shards", func([]byte) []byte { return []byte{0, 0, 0, 8} }}, // a sharded layout's count
-		{"gen", func(raw []byte) []byte { return raw[:4] }},
-		{"done", func(raw []byte) []byte { return raw[:5] }},
-		{"done", func(raw []byte) []byte { return append(raw, 0x80) }}, // bytes past the record count
+		{"gen", func([]byte) []byte { return binary.BigEndian.AppendUint64(nil, 3) }},
+		{"done", func([]byte) []byte { return binary.AppendUvarint(binary.BigEndian.AppendUint64(nil, 3), 40) }},
 	} {
 		t.Run(tc.key, func(t *testing.T) {
 			kv := openKV(t, t.TempDir())
@@ -163,15 +38,16 @@ func TestMalformedMetaRefusedAtOpen(t *testing.T) {
 				t.Fatalf("Close: %v", err)
 			}
 
-			key := (&coldTier{prefix: []byte("vc/")}).metaKey(tc.key)
+			key := s.cold.metaKey(tc.key)
 			good, present, err := kv.Get(key)
-			if err != nil || present == (tc.key == "shards") {
+			if err != nil || present != (tc.key == "wm") {
 				t.Fatalf("read %s: %v present=%v", key, err, present)
 			}
-			bad := tc.mangle(append([]byte(nil), good...))
+			bad := tc.mangle(good)
 			if err := kv.Put(key, bad); err != nil {
 				t.Fatal(err)
 			}
+			commits, keys := kv.Stats().Commits, kv.Len()
 			_, err = Open(kv, "vc/", Options{})
 			if err == nil {
 				t.Fatalf("Open accepted a %d-byte %s", len(bad), key)
@@ -180,6 +56,9 @@ func TestMalformedMetaRefusedAtOpen(t *testing.T) {
 				if !strings.Contains(err.Error(), want) {
 					t.Errorf("error %q does not mention %q", err, want)
 				}
+			}
+			if kv.Stats().Commits != commits || kv.Len() != keys {
+				t.Fatalf("the refused Open wrote to the keyspace")
 			}
 
 			repair := func() error { return kv.Put(key, good) }
@@ -208,7 +87,8 @@ func TestMalformedMetaRefusedAtOpen(t *testing.T) {
 // TestOpenRefusesShardedArchive: a keyspace written by the key-hash-sharded
 // layout — every fold of which wrote m/shards — keeps a shard number in
 // every record key, which this store would read as foreign keys and serve
-// as misses. Open refuses it, naming the key, before it writes anything.
+// as misses. Open refuses it, naming the key, before it writes anything,
+// even when m/shards is the only record there (no m/wm to read).
 func TestOpenRefusesShardedArchive(t *testing.T) {
 	kv := openKV(t, t.TempDir())
 	defer kv.Close()
@@ -229,5 +109,141 @@ func TestOpenRefusesShardedArchive(t *testing.T) {
 	}
 	if kv.Len() != 1 {
 		t.Fatalf("the refused Open left %d keys, want only %s", kv.Len(), key)
+	}
+}
+
+// walRecordEnds returns the offset just past each record of a kvstore log
+// (lsn 8, op 1, klen 4, vlen 4, key, value, crc 4; little-endian).
+func walRecordEnds(log []byte) []int64 {
+	var ends []int64
+	for off := 0; off+17 <= len(log); {
+		off += 17 + int(binary.LittleEndian.Uint32(log[off+9:])) + int(binary.LittleEndian.Uint32(log[off+13:])) + 4
+		ends = append(ends, int64(off))
+	}
+	return ends
+}
+
+// TestFoldCommitCutAtEveryRecord is the crash oracle for a fold round: the
+// round is one kvstore commit, so a crash image whose log is cut after any
+// of the commit's records — or inside one — reopens to exactly the state
+// before the round, and only the whole commit to exactly the state after
+// it: watermark, key count and every key's value. The round overwrites
+// keys, adds keys, tombstones a key on disk and one that never reached it,
+// shrinks a multi-part value and grows another.
+func TestFoldCommitCutAtEveryRecord(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "kv")
+	opts := kvstore.Options{Sync: kvstore.SyncGroup, CheckpointEvery: 1 << 30}
+	kv, err := kvstore.Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer kv.Close()
+	s := openCold(t, kv, Options{})
+
+	pre := map[string]string{
+		"shrinks": strings.Repeat("s", 3000),
+		"grows":   "g",
+		"dies":    strings.Repeat("d", 2500),
+	}
+	for i := 0; i < 12; i++ {
+		pre[fmt.Sprintf("k%02d", i)] = fmt.Sprintf("r1-%02d", i)
+	}
+	publishKV(t, s, pre)
+	if _, err := s.Fold(); err != nil {
+		t.Fatal(err)
+	}
+	if err := kv.Checkpoint(); err != nil { // the log now holds the next round alone
+		t.Fatal(err)
+	}
+	wmPre := s.Watermark()
+
+	post := map[string]string{}
+	for k, v := range pre {
+		post[k] = v
+	}
+	for i := 0; i < 12; i += 3 {
+		k := fmt.Sprintf("k%02d", i)
+		post[k] = "r2-" + k
+		publishKV(t, s, map[string]string{k: post[k]})
+	}
+	post["shrinks"], post["grows"], post["new"] = "s", strings.Repeat("G", 4000), "n"
+	publishKV(t, s, map[string]string{"shrinks": post["shrinks"], "grows": post["grows"], "new": post["new"]})
+	b := s.Begin()
+	b.Delete("dies")
+	b.Delete("never-folded")
+	if err := b.Publish(); err != nil {
+		t.Fatal(err)
+	}
+	delete(post, "dies")
+	commits := kv.Stats().Commits
+	if _, err := s.Fold(); err != nil {
+		t.Fatal(err)
+	}
+	if got := kv.Stats().Commits - commits; got != 1 {
+		t.Fatalf("the round took %d kvstore commits, want 1", got)
+	}
+	wmPost := s.Watermark()
+	if s.ColdRecords() != int64(len(post)) {
+		t.Fatalf("ColdRecords = %d after the round, want %d", s.ColdRecords(), len(post))
+	}
+
+	db, err := os.ReadFile(filepath.Join(dir, "data.db"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	log, err := os.ReadFile(filepath.Join(dir, "wal.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ends := walRecordEnds(log)
+	if len(ends) < 8 || ends[len(ends)-1] != int64(len(log)) {
+		t.Fatalf("log of %d bytes parses into %d records ending at %v", len(log), len(ends), ends)
+	}
+	cuts := append([]int64{0, ends[len(ends)/2] - 5, int64(len(log)) - 2}, ends...)
+	for _, cut := range cuts {
+		img := filepath.Join(t.TempDir(), "kv")
+		if err := os.MkdirAll(img, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(img, "data.db"), db, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(img, "wal.log"), log[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		want, wantWM := pre, wmPre
+		if cut == int64(len(log)) {
+			want, wantWM = post, wmPost
+		}
+		func() {
+			kv2, err := kvstore.Open(img, opts)
+			if err != nil {
+				t.Fatalf("cut at %d: %v", cut, err)
+			}
+			defer kv2.Close()
+			s2 := openCold(t, kv2, Options{})
+			if s2.Watermark() != wantWM || s2.ColdRecords() != int64(len(want)) {
+				t.Fatalf("cut at %d of %d: watermark %d, ColdRecords %d; want %d and %d",
+					cut, len(log), s2.Watermark(), s2.ColdRecords(), wantWM, len(want))
+			}
+			sn := s2.Acquire()
+			defer sn.Release()
+			for _, k := range []string{"dies", "never-folded", "new", "shrinks", "grows", "k00", "k01"} {
+				v, ok := sn.Get(k)
+				if w, has := want[k]; ok != has || string(v) != w {
+					t.Fatalf("cut at %d of %d: Get(%s) = %d bytes, %v; want %d bytes, %v", cut, len(log), k, len(v), ok, len(w), has)
+				}
+			}
+			got := map[string]string{}
+			if err := sn.Range(func(k string, v []byte) bool {
+				got[k] = string(v)
+				return true
+			}); err != nil {
+				t.Fatalf("cut at %d: Range: %v", cut, err)
+			}
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("cut at %d of %d: Range = %v, want %v", cut, len(log), got, want)
+			}
+		}()
 	}
 }

@@ -262,7 +262,7 @@ func TestTieredStoreMatchesModel(t *testing.T) {
 				t.Helper()
 				wm := s.ColdWatermark()
 				for k := range o {
-					got, ok := s.cold.get(k, wm)
+					got, ok := s.cold.get(k)
 					if want, wantOK := o.lookup(k, wm); ok != wantOK || !bytes.Equal(got, want) {
 						t.Fatalf("%s: disk holds %q,%v for %q at the durable watermark %d; oracle says %q,%v", when, got, ok, k, wm, want, wantOK)
 					}
@@ -326,11 +326,11 @@ func TestTieredStoreMatchesModel(t *testing.T) {
 	}
 }
 
-// TestFoldSplicesUnderPublishBurst: a fold overtaken, after its record
-// writes and again after its watermark write, by tierFanout² publishes —
-// enough for the layers above its floor to carry twice — and by the gc tick
-// both times must still find the sub-chain it wrote by pointer and splice
-// it. Nothing but tier replaces a layer and tier stops at the fence, so a
+// TestFoldSplicesUnderPublishBurst: a fold overtaken, before its commit and
+// again after it, by tierFanout² publishes — enough for the layers above its
+// floor to carry twice — and by a gc tick both times must still find the
+// sub-chain it wrote by pointer and splice it. Nothing but tier replaces a
+// layer and tier stops at the fence, so a
 // sub-chain that moved is an error now, not a second path:
 // no failed round, nothing written twice, one cold record per live key.
 func TestFoldSplicesUnderPublishBurst(t *testing.T) {
@@ -353,7 +353,7 @@ func TestFoldSplicesUnderPublishBurst(t *testing.T) {
 	floor := s.Watermark() // nothing is pinned: the round's floor
 	hooks := 0
 	var ticks sync.WaitGroup
-	var once [FoldAfterWatermark + 1]sync.Once // the ticks' own rounds pass through the hook too
+	var once [FoldAfterCommit + 1]sync.Once // the ticks' own rounds pass through the hook too
 	s.SetFoldHook(func(p FoldPoint) error {
 		once[p].Do(func() {
 			hooks++
@@ -404,7 +404,7 @@ func TestFoldSplicesUnderPublishBurst(t *testing.T) {
 // TestCrashUnderPinRecoversWholeBatches: tiering merges across a pinned
 // epoch, so the chain can hold one layer whose batches lie on both sides of
 // the pin. A fold under that pin must not call the pin's epoch durable: a
-// crash right after its watermark write has to recover every batch at or
+// crash right after its commit has to recover every batch at or
 // below the watermark whole — every one of its records — and nothing above
 // it.
 func TestCrashUnderPinRecoversWholeBatches(t *testing.T) {
@@ -459,13 +459,13 @@ func TestCrashUnderPinRecoversWholeBatches(t *testing.T) {
 	}
 
 	s.SetFoldHook(func(p FoldPoint) error {
-		if p == FoldAfterWatermark {
+		if p == FoldAfterCommit {
 			return errCrash
 		}
 		return nil
 	})
 	if _, err := s.Fold(); !errors.Is(err, errCrash) {
-		t.Fatalf("Fold error = %v, want the injected crash after its watermark write", err)
+		t.Fatalf("Fold error = %v, want the injected crash after its commit", err)
 	}
 	// The process dies here; the pinned snapshot dies with it.
 	s2 := openCold(t, kv, Options{})

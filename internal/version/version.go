@@ -22,9 +22,9 @@
 // Because nothing reachable from an installed state is ever mutated,
 // readers need no locks at all:
 //
-//   - Acquire is a single atomic load of the current state plus one atomic
-//     pin increment. The snapshot owns that state — and its chain — forever
-//     after.
+//   - Acquire is an atomic load of the current state, one atomic pin
+//     increment and a second load confirming the state is still current.
+//     The snapshot owns that state — and its chain — forever after.
 //   - Snapshot.Get walks the captured chain, skipping layers above the
 //     snapshot epoch. It never touches a store mutex, so reads scale
 //     linearly with reader count; tiering keeps the walk short.
@@ -108,16 +108,17 @@
 // chain. GC folds everything at or below the fold floor to disk and
 // splices it out of the chain, so RAM holds only the data published
 // since the last fold — the archive grows on disk, not in the heap — and
-// then deletes the disk versions the folded ones supersede. A snapshot
-// pinned below the floor would look for exactly those versions. Reads fall
-// through a missed chain walk to a read-only kvstore handle; because the
-// fold floor never exceeds the minimum pinned epoch, every cold record is
-// at or below every live snapshot's epoch, and the in-memory chain (which
-// a pinned snapshot captured immutably) shadows the cold tier for every key
-// it contains — so the fallthrough needs no coordination with folds. On
-// reopen the store recovers the durable fold watermark, purges any record
-// a torn fold left above it, and resumes publishing at watermark+1 (see
-// cold.go for the crash contract).
+// the disk keeps one version of a key, the newest folded, written over the
+// one before. A snapshot pinned below the floor would read those keys from
+// disk and find versions newer than its epoch. Reads fall through a missed
+// chain walk to a read-only kvstore handle; because the fold floor never
+// exceeds the minimum pinned epoch, every cold record is at or below every
+// live snapshot's epoch, and the in-memory chain (which a pinned snapshot
+// captured immutably) shadows the cold tier for every key it contains — so
+// the fallthrough needs no coordination with folds. A fold round is one
+// kvstore commit, so on reopen the disk is as some round left it; the store
+// reads the durable fold watermark back and resumes publishing at
+// watermark+1 (see cold.go for the crash contract).
 //
 // # Reclamation
 //
@@ -532,13 +533,21 @@ type Snapshot struct {
 	epoch uint64
 }
 
-// Acquire pins a snapshot at the current watermark: one atomic load plus
-// one atomic pin increment, never a lock. The captured state holds the
-// chain head, so the view is consistent by construction.
+// Acquire pins a snapshot at the current watermark: an atomic load, an
+// atomic pin increment and a second load, never a lock. The captured state
+// holds the chain head, so the view is consistent by construction. The
+// second load confirms the pin landed while the state was still current;
+// otherwise a fold may have computed its floor past the state without
+// seeing the pin, and the pin moves to the newer state.
 func (s *Store) Acquire() *Snapshot {
-	st := s.current.Load()
-	st.pins.Add(1)
-	return &Snapshot{s: s, st: st, epoch: st.watermark}
+	for {
+		st := s.current.Load()
+		st.pins.Add(1)
+		if s.current.Load() == st {
+			return &Snapshot{s: s, st: st, epoch: st.watermark}
+		}
+		st.pins.Add(-1)
+	}
 }
 
 // Epoch returns the snapshot's pinned epoch (valid even after Release).
@@ -564,7 +573,8 @@ func (st *state) visible() *layer { return descendTo(st.head, st.watermark) }
 // Get returns the newest value for key with epoch <= the snapshot epoch.
 // It walks the chain; on a miss it falls through to the cold tier (when one
 // is attached), whose records are all at or below every live snapshot's
-// epoch by the fold-floor rule. The hot path stays lock-free; only a
+// epoch by the fold-floor rule, and none of which a round rewrites while a
+// snapshot that could miss it is pinned. The hot path stays lock-free; only a
 // genuine chain miss pays the disk read. It panics if the snapshot was
 // released.
 func (sn *Snapshot) Get(key string) ([]byte, bool) {
@@ -578,7 +588,7 @@ func (sn *Snapshot) Get(key string) ([]byte, bool) {
 		}
 	}
 	if c := sn.s.cold; c != nil {
-		return c.get(key, sn.epoch)
+		return c.get(key)
 	}
 	return nil, false
 }

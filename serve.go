@@ -27,12 +27,11 @@ func (m *Memex) HandlerWith(cfg ServeConfig) http.Handler {
 	return server.NewWith(m.Engine, cfg)
 }
 
-// Serve runs the HTTP API on addr until the server fails. It is a
-// convenience for cmd/memexd; production deployments mount Handler on
-// their own server for TLS/timeouts.
+// Serve runs the HTTP API on addr until the server fails, with the
+// server's header-read and idle timeouts. Deployments that need TLS mount
+// Handler on their own server.
 func (m *Memex) Serve(addr string) error {
-	srv := &http.Server{Addr: addr, Handler: m.Handler()}
-	return srv.ListenAndServe()
+	return server.HTTPServer(addr, m.Handler()).ListenAndServe()
 }
 
 // Client is the typed HTTP client (the applet stand-in).
