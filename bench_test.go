@@ -185,7 +185,6 @@ func BenchmarkAblationWALSync(b *testing.B) {
 	}{
 		{"fsyncAlways", kvstore.SyncAlways},
 		{"groupCommit", kvstore.SyncGroup},
-		{"noSync", kvstore.SyncNever},
 	} {
 		b.Run(variant.name, func(b *testing.B) {
 			s, err := kvstore.Open(b.TempDir(), kvstore.Options{Sync: variant.sync})

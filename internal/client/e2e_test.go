@@ -42,7 +42,7 @@ func newTestServer(t *testing.T) (*webcorpus.Corpus, *core.Engine, *client.Clien
 	e, err := core.Open(core.Config{
 		Dir:    t.TempDir(),
 		Source: corpusSource{c},
-		KV:     kvstore.Options{Sync: kvstore.SyncNever},
+		KV:     kvstore.Options{Sync: kvstore.SyncGroup},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -188,7 +188,7 @@ func TestEndToEndRestartRecoversDerivedState(t *testing.T) {
 		e, err := core.Open(core.Config{
 			Dir:    dir,
 			Source: countingSource{corpusSource{c}, &lookups},
-			KV:     kvstore.Options{Sync: kvstore.SyncNever},
+			KV:     kvstore.Options{Sync: kvstore.SyncGroup},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -528,7 +528,7 @@ func TestEndToEndShedUnderSaturatingBurst(t *testing.T) {
 	e, err := core.Open(core.Config{
 		Dir:       t.TempDir(),
 		Source:    gatedSource{corpusSource{c}, gate},
-		KV:        kvstore.Options{Sync: kvstore.SyncNever},
+		KV:        kvstore.Options{Sync: kvstore.SyncGroup},
 		QueueSize: 16,
 	})
 	if err != nil {
@@ -614,7 +614,7 @@ func TestEndToEndRateLimit429(t *testing.T) {
 	e, err := core.Open(core.Config{
 		Dir:    t.TempDir(),
 		Source: corpusSource{c},
-		KV:     kvstore.Options{Sync: kvstore.SyncNever},
+		KV:     kvstore.Options{Sync: kvstore.SyncGroup},
 	})
 	if err != nil {
 		t.Fatal(err)

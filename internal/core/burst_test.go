@@ -44,7 +44,7 @@ func TestFreshPageCommitCount(t *testing.T) {
 			src := linkedSource{base: "http://burst.example", links: tc.links}
 			e, err := Open(Config{
 				Dir: t.TempDir(), Source: src,
-				KV:                kvstore.Options{Sync: kvstore.SyncNever},
+				KV:                kvstore.Options{Sync: kvstore.SyncGroup},
 				VersionGCInterval: -1, // a fold would commit too
 			})
 			if err != nil {
@@ -84,7 +84,7 @@ func TestFreshPageCommitCount(t *testing.T) {
 // same ids.
 func TestEnsurePagesConcurrentOverlappingLists(t *testing.T) {
 	src := linkedSource{base: "http://burst.example"}
-	cfg := Config{Dir: t.TempDir(), Source: src, KV: kvstore.Options{Sync: kvstore.SyncNever}}
+	cfg := Config{Dir: t.TempDir(), Source: src, KV: kvstore.Options{Sync: kvstore.SyncGroup}}
 	e, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -202,7 +202,7 @@ func TestFailedRowWriteLeavesPageUnfetched(t *testing.T) {
 				page: Content{URL: "http://zoo.example/tapir", Title: "Tapir", Text: "tapir rainforest browsing", Links: links},
 				gate: make(chan struct{}),
 			}
-			e, err := Open(Config{Dir: t.TempDir(), Source: src, KV: kvstore.Options{Sync: kvstore.SyncNever}, VersionGCInterval: -1})
+			e, err := Open(Config{Dir: t.TempDir(), Source: src, KV: kvstore.Options{Sync: kvstore.SyncGroup}, VersionGCInterval: -1})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -18,7 +18,7 @@ func benchEngine(b *testing.B, cacheBytes int64) *Engine {
 	e, err := Open(Config{
 		Dir:               b.TempDir(),
 		Source:            corpusSource{c},
-		KV:                kvstore.Options{Sync: kvstore.SyncNever},
+		KV:                kvstore.Options{Sync: kvstore.SyncGroup},
 		VersionGCInterval: -1,
 		DecodedCacheBytes: cacheBytes,
 	})

@@ -1,0 +1,110 @@
+package core
+
+import (
+	"fmt"
+	"sort"
+	"testing"
+
+	"memex/internal/events"
+	"memex/internal/kvstore"
+	"memex/internal/rdbms"
+	"memex/internal/sim"
+	"memex/internal/webcorpus"
+)
+
+// tableRows renders every row of the engine's visits, bookmarks and pages
+// tables, sorted, per table.
+func tableRows(t *testing.T, e *Engine) map[string][]string {
+	t.Helper()
+	out := map[string][]string{}
+	for name, tbl := range map[string]*rdbms.Table{"visits": e.visits, "bookmarks": e.bookmarks, "pages": e.pages} {
+		var rows []string
+		if err := tbl.Select().Each(func(r rdbms.Row) bool {
+			rows = append(rows, fmt.Sprint(r))
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		sort.Strings(rows)
+		out[name] = rows
+	}
+	return out
+}
+
+// TestCrashCopyOfWorldLargerThanPoolKeepsEveryRow: a community archive
+// that outgrows its 16-page buffer pool, checkpointed half way through the
+// trace, is copied after the analyzers drain — a crash image, no Close —
+// and the copy reopens with every visits, bookmarks and pages row the
+// running engine acknowledged. The version-GC demon is off, so no fold
+// checkpoints behind the test's back.
+func TestCrashCopyOfWorldLargerThanPoolKeepsEveryRow(t *testing.T) {
+	c := webcorpus.Generate(webcorpus.Config{Seed: 16, TopTopics: 4, SubPerTopic: 3, PagesPerLeaf: 30})
+	tr := sim.Simulate(c, sim.Config{Seed: 17, Users: 30, Days: 10})
+	const pool = 16
+	cfg := Config{
+		Dir: t.TempDir(), Source: corpusSource{c},
+		KV:                kvstore.Options{Sync: kvstore.SyncGroup, CacheSize: pool},
+		QueueSize:         2 * (len(tr.Visits) + len(tr.Bookmarks)),
+		VersionGCInterval: -1,
+	}
+	e, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	for _, u := range tr.Users {
+		if err := e.RegisterUser(u.ID, u.Name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, b := range tr.Bookmarks {
+		if err := e.AddBookmark(b.User, c.Page(b.Page).URL, b.Folder, b.Time); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, v := range tr.Visits {
+		if i == len(tr.Visits)/2 {
+			e.DrainBackground()
+			if err := e.kv.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := e.RecordVisit(v.User, c.Page(v.Page).URL, "", v.Time, events.Community); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e.DrainBackground()
+	st := e.Status()
+	if st.KV.Pages <= 2*pool || st.KV.Evictions == 0 {
+		t.Fatalf("%d pages, %d evictions: the archive must outgrow the %d-page pool", st.KV.Pages, st.KV.Evictions, pool)
+	}
+	want := tableRows(t, e)
+	dst := t.TempDir()
+	if err := copyDir(e, dst); err != nil {
+		t.Fatal(err)
+	}
+
+	cfg.Dir = dst
+	e2, err := Open(cfg)
+	if err != nil {
+		t.Fatalf("the crash image does not open: %v", err)
+	}
+	defer e2.Close()
+	got := tableRows(t, e2)
+	for name, rows := range want {
+		have := map[string]bool{}
+		for _, r := range got[name] {
+			have[r] = true
+		}
+		missing := 0
+		for _, r := range rows {
+			if !have[r] {
+				missing++
+			}
+		}
+		if missing > 0 || len(got[name]) != len(rows) {
+			t.Errorf("%s: %d of %d acknowledged rows missing from the crash image, which holds %d", name, missing, len(rows), len(got[name]))
+		}
+	}
+	t.Logf("%d visits, %d bookmarks, %d pages over %d kvstore pages", len(want["visits"]), len(want["bookmarks"]), len(want["pages"]), st.KV.Pages)
+}

@@ -70,7 +70,7 @@ func TestCachedReadsMatchUncached(t *testing.T) {
 	e, err := Open(Config{
 		Dir:               t.TempDir(),
 		Source:            corpusSource{c},
-		KV:                kvstore.Options{Sync: kvstore.SyncNever},
+		KV:                kvstore.Options{Sync: kvstore.SyncGroup},
 		VersionGCInterval: -1,
 	})
 	if err != nil {
@@ -129,7 +129,7 @@ func TestSecondPassDecodeCollapse(t *testing.T) {
 	e, err := Open(Config{
 		Dir:               t.TempDir(),
 		Source:            corpusSource{c},
-		KV:                kvstore.Options{Sync: kvstore.SyncNever},
+		KV:                kvstore.Options{Sync: kvstore.SyncGroup},
 		VersionGCInterval: -1,
 	})
 	if err != nil {
@@ -171,7 +171,7 @@ func TestConsolidatedInZeroColdFallthrough(t *testing.T) {
 	e, err := Open(Config{
 		Dir:               t.TempDir(),
 		Source:            corpusSource{c},
-		KV:                kvstore.Options{Sync: kvstore.SyncNever},
+		KV:                kvstore.Options{Sync: kvstore.SyncGroup},
 		VersionGCInterval: -1,
 	})
 	if err != nil {
@@ -233,7 +233,7 @@ func TestCacheEvictionRespectsPinFloor(t *testing.T) {
 	e, err := Open(Config{
 		Dir:               t.TempDir(),
 		Source:            corpusSource{c},
-		KV:                kvstore.Options{Sync: kvstore.SyncNever},
+		KV:                kvstore.Options{Sync: kvstore.SyncGroup},
 		VersionGCInterval: -1,
 	})
 	if err != nil {
@@ -297,7 +297,7 @@ func TestDerivedCacheConcurrentMiningAndIngest(t *testing.T) {
 	e, err := Open(Config{
 		Dir:               t.TempDir(),
 		Source:            corpusSource{c},
-		KV:                kvstore.Options{Sync: kvstore.SyncNever},
+		KV:                kvstore.Options{Sync: kvstore.SyncGroup},
 		VersionGCInterval: 2 * time.Millisecond,
 	})
 	if err != nil {

@@ -89,7 +89,7 @@ func TestDictionaryRidesWithFirstPage(t *testing.T) {
 	src := pairSource{base: "http://dict.example"}
 	e, err := Open(Config{
 		Dir: t.TempDir(), Source: src,
-		KV:                kvstore.Options{Sync: kvstore.SyncNever},
+		KV:                kvstore.Options{Sync: kvstore.SyncGroup},
 		Workers:           2,
 		VersionGCInterval: -1,
 	})
@@ -268,7 +268,7 @@ func TestMidCrawlCopyDecodesEveryRecord(t *testing.T) {
 // and the next Open would refuse the archive.
 func TestPanicAfterStageLeavesNoGap(t *testing.T) {
 	c := webcorpus.Generate(webcorpus.Config{Seed: 5, TopTopics: 3, SubPerTopic: 2, PagesPerLeaf: 20})
-	cfg := Config{Dir: t.TempDir(), Source: corpusSource{c}, KV: kvstore.Options{Sync: kvstore.SyncNever}, VersionGCInterval: -1}
+	cfg := Config{Dir: t.TempDir(), Source: corpusSource{c}, KV: kvstore.Options{Sync: kvstore.SyncGroup}, VersionGCInterval: -1}
 	e, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -331,7 +331,7 @@ func TestPanicAfterStageLeavesNoGap(t *testing.T) {
 // Open refuses it by name, twice, leaving the directory as it found it.
 func TestOpenRefusesSpelledTermArchive(t *testing.T) {
 	page := Content{URL: "http://zoo.example/quagga", Title: "Quagga", Text: "zebra quagga savannah"}
-	cfg := Config{Dir: t.TempDir(), Source: oneSource{page}, KV: kvstore.Options{Sync: kvstore.SyncNever}, VersionGCInterval: -1}
+	cfg := Config{Dir: t.TempDir(), Source: oneSource{page}, KV: kvstore.Options{Sync: kvstore.SyncGroup}, VersionGCInterval: -1}
 	e, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -370,7 +370,7 @@ func TestOpenRefusesSpelledTermArchive(t *testing.T) {
 // is refused, and the error names the id.
 func TestOpenRefusesDictionaryGap(t *testing.T) {
 	c := webcorpus.Generate(webcorpus.Config{Seed: 7, TopTopics: 3, SubPerTopic: 2, PagesPerLeaf: 20})
-	cfg := Config{Dir: t.TempDir(), Source: corpusSource{c}, KV: kvstore.Options{Sync: kvstore.SyncNever}, VersionGCInterval: -1}
+	cfg := Config{Dir: t.TempDir(), Source: corpusSource{c}, KV: kvstore.Options{Sync: kvstore.SyncGroup}, VersionGCInterval: -1}
 	e, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -403,7 +403,7 @@ func TestOpenRefusesDictionaryGap(t *testing.T) {
 // for it republishes a good record.
 func TestRecordPastDictionaryIsRefetched(t *testing.T) {
 	page := Content{URL: "http://zoo.example/quagga", Title: "Quagga", Text: "zebra quagga savannah"}
-	cfg := Config{Dir: t.TempDir(), Source: oneSource{page}, KV: kvstore.Options{Sync: kvstore.SyncNever}, VersionGCInterval: -1}
+	cfg := Config{Dir: t.TempDir(), Source: oneSource{page}, KV: kvstore.Options{Sync: kvstore.SyncGroup}, VersionGCInterval: -1}
 	e, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -444,7 +444,7 @@ func TestRecordPastDictionaryIsRefetched(t *testing.T) {
 // for bit — ids are durable, not assigned again in replay order.
 func TestTermIDsSurviveRestart(t *testing.T) {
 	c := webcorpus.Generate(webcorpus.Config{Seed: 5, TopTopics: 3, SubPerTopic: 2, PagesPerLeaf: 20})
-	cfg := Config{Dir: t.TempDir(), Source: corpusSource{c}, KV: kvstore.Options{Sync: kvstore.SyncNever}}
+	cfg := Config{Dir: t.TempDir(), Source: corpusSource{c}, KV: kvstore.Options{Sync: kvstore.SyncGroup}}
 	e, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)

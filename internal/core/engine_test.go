@@ -37,7 +37,7 @@ func testWorld(t testing.TB) (*webcorpus.Corpus, *Engine) {
 	e, err := Open(Config{
 		Dir:    t.TempDir(),
 		Source: corpusSource{c},
-		KV:     kvstore.Options{Sync: kvstore.SyncNever},
+		KV:     kvstore.Options{Sync: kvstore.SyncGroup},
 	})
 	if err != nil {
 		t.Fatalf("Open: %v", err)

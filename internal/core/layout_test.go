@@ -19,7 +19,7 @@ import (
 // page insert later.
 func TestOpenRefusesForeignSchema(t *testing.T) {
 	dir := t.TempDir()
-	opts := kvstore.Options{Sync: kvstore.SyncNever}
+	opts := kvstore.Options{Sync: kvstore.SyncGroup}
 	db, err := rdbms.Open(dir, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -175,7 +175,7 @@ func TestUnfetchedVisitIsRefetchedAfterReopen(t *testing.T) {
 	page := Content{URL: "http://zoo.example/okapi", Title: "Okapi", Text: "okapi rainforest giraffid"}
 	for _, how := range []string{"visited", "bookmarked"} {
 		t.Run(how, func(t *testing.T) {
-			cfg := Config{Dir: t.TempDir(), Source: oneSource{}, KV: kvstore.Options{Sync: kvstore.SyncNever}}
+			cfg := Config{Dir: t.TempDir(), Source: oneSource{}, KV: kvstore.Options{Sync: kvstore.SyncGroup}}
 			e, err := Open(cfg)
 			if err != nil {
 				t.Fatal(err)

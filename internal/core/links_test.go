@@ -130,7 +130,7 @@ func TestLinkGraphSurvivesRestart(t *testing.T) {
 		e, err := Open(Config{
 			Dir:    dir,
 			Source: corpusSource{c},
-			KV:     kvstore.Options{Sync: kvstore.SyncNever},
+			KV:     kvstore.Options{Sync: kvstore.SyncGroup},
 		})
 		if err != nil {
 			t.Fatalf("Open: %v", err)
@@ -410,7 +410,7 @@ func TestLinkRestartChunkedArchive(t *testing.T) {
 	cfg := Config{
 		Dir:               dir,
 		Source:            corpusSource{c},
-		KV:                kvstore.Options{Sync: kvstore.SyncNever},
+		KV:                kvstore.Options{Sync: kvstore.SyncGroup},
 		VersionGCInterval: -1,
 	}
 	e1, err := Open(cfg)
@@ -455,7 +455,7 @@ func TestLinkRestartPreChunkArchive(t *testing.T) {
 		e, err := Open(Config{
 			Dir:               dir,
 			Source:            corpusSource{c},
-			KV:                kvstore.Options{Sync: kvstore.SyncNever},
+			KV:                kvstore.Options{Sync: kvstore.SyncGroup},
 			VersionGCInterval: -1,
 		})
 		if err != nil {
@@ -548,7 +548,7 @@ func TestBenchWorldInDegrees(t *testing.T) {
 	e, err := Open(Config{
 		Dir:               t.TempDir(),
 		Source:            corpusSource{c},
-		KV:                kvstore.Options{Sync: kvstore.SyncNever},
+		KV:                kvstore.Options{Sync: kvstore.SyncGroup},
 		QueueSize:         2 * (len(tr.Visits) + len(tr.Bookmarks)),
 		VersionGCInterval: -1,
 	})

@@ -39,7 +39,7 @@ func (e *Engine) pageInfoLocked(id int64, score float64) PageInfo {
 // whole archive when user is 0 (an administrative/community query).
 func (e *Engine) Search(user int64, query string, k int) []PageInfo {
 	hits := e.idx.Search(query, k*4+16, textindex.BM25)
-	out := make([]PageInfo, 0, k)
+	out := make([]PageInfo, 0, min(k, len(hits)))
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	for _, h := range hits {
@@ -72,7 +72,7 @@ func (e *Engine) SearchWhen(user int64, query string, k int, from, to time.Time)
 		return nil
 	}
 	hits := e.idx.Search(query, k*8+32, textindex.BM25)
-	out := make([]PageInfo, 0, k)
+	out := make([]PageInfo, 0, min(k, len(hits)))
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	for _, h := range hits {

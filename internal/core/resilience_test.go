@@ -36,7 +36,7 @@ func TestEngineSurvivesPanickingSource(t *testing.T) {
 	e, err := Open(Config{
 		Dir:     t.TempDir(),
 		Source:  &panickySource{inner: corpusSource{c}, every: 5},
-		KV:      kvstore.Options{Sync: kvstore.SyncNever},
+		KV:      kvstore.Options{Sync: kvstore.SyncGroup},
 		Workers: 2,
 	})
 	if err != nil {
@@ -95,7 +95,7 @@ func TestQueueSheddingUnderOverload(t *testing.T) {
 	e, err := Open(Config{
 		Dir:       t.TempDir(),
 		Source:    slow,
-		KV:        kvstore.Options{Sync: kvstore.SyncNever},
+		KV:        kvstore.Options{Sync: kvstore.SyncGroup},
 		Workers:   1,
 		QueueSize: 16, // deliberately tiny
 	})

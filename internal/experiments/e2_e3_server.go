@@ -147,7 +147,7 @@ func E3(seed int64) *Report {
 	eng, err := core.Open(core.Config{
 		Dir:     dir,
 		Source:  corpusSource{corpus},
-		KV:      kvstore.Options{Sync: kvstore.SyncNever},
+		KV:      kvstore.Options{Sync: kvstore.SyncGroup},
 		Workers: 2,
 	})
 	if err != nil {

@@ -208,7 +208,7 @@ func E5(seed int64) *Report {
 	rdbmsStat := func() stat {
 		dir, _ := os.MkdirTemp("", "memex-e5-rdbms")
 		defer os.RemoveAll(dir)
-		db, err := rdbms.Open(dir, kvstore.Options{Sync: kvstore.SyncNever})
+		db, err := rdbms.Open(dir, kvstore.Options{Sync: kvstore.SyncGroup})
 		if err != nil {
 			return stat{}
 		}
@@ -252,7 +252,7 @@ func E5(seed int64) *Report {
 	kvStat := func() stat {
 		dir, _ := os.MkdirTemp("", "memex-e5-kv")
 		defer os.RemoveAll(dir)
-		store, err := kvstore.Open(dir, kvstore.Options{Sync: kvstore.SyncNever})
+		store, err := kvstore.Open(dir, kvstore.Options{Sync: kvstore.SyncGroup})
 		if err != nil {
 			return stat{}
 		}

@@ -142,10 +142,7 @@ func (t *btree) put(k, v []byte) (bool, error) {
 		return false, errValueTooLarge
 	}
 	if t.root == nilPage {
-		leaf, err := t.pg.allocate(pageLeaf)
-		if err != nil {
-			return false, err
-		}
+		leaf := t.pg.allocate(pageLeaf)
 		leaf.insertLeafCell(0, k, v)
 		t.root = leaf.id
 		t.pg.unpin(leaf)
@@ -157,10 +154,7 @@ func (t *btree) put(k, v []byte) (bool, error) {
 	}
 	if split {
 		// Grow a new root.
-		newRoot, err := t.pg.allocate(pageInternal)
-		if err != nil {
-			return false, err
-		}
+		newRoot := t.pg.allocate(pageInternal)
 		newRoot.setNext(t.root)
 		newRoot.insertIntCell(0, sepKey, sepChild)
 		t.root = newRoot.id
@@ -362,10 +356,7 @@ func shareCells(parent *page, sepSlot int, p, r *page, toRight bool, pos int, k,
 // rebalance with a fresh, empty right sibling. Returns the right sibling's
 // id and the promoted separator (the right page's first key).
 func (t *btree) splitLeafInsert(p *page, pos int, k, v []byte) (pageID, []byte, error) {
-	right, err := t.pg.allocate(pageLeaf)
-	if err != nil {
-		return 0, nil, err
-	}
+	right := t.pg.allocate(pageLeaf)
 	defer t.pg.unpin(right)
 	c, arriving, ok := planCut(p, 0, true, pos, 6+len(k)+len(v)+slotSize)
 	if !ok {
@@ -405,10 +396,7 @@ func (t *btree) splitInternalInsert(p *page, pos int, k []byte, child pageID) (*
 		total += 6 + len(k) + slotSize
 	}
 
-	right, err := t.pg.allocate(pageInternal)
-	if err != nil {
-		return nil, nil, err
-	}
+	right := t.pg.allocate(pageInternal)
 	// Median index by bytes; must leave at least one cell on each side.
 	mid, acc := 0, 0
 	for mid = 0; mid < len(cells)-2; mid++ {

@@ -11,7 +11,7 @@ import (
 // TestPutBatchMixesPutsAndDeletes: one batch carries puts and deletes,
 // applied in order, as one commit.
 func TestPutBatchMixesPutsAndDeletes(t *testing.T) {
-	s := openTemp(t, Options{Sync: SyncNever})
+	s := openTemp(t, Options{Sync: SyncGroup})
 	var pairs []KV
 	for i := 0; i < 1000; i++ {
 		pairs = append(pairs, KV{
@@ -66,7 +66,7 @@ func TestPutBatchMixesPutsAndDeletes(t *testing.T) {
 }
 
 func TestReadViewDelegates(t *testing.T) {
-	s := openTemp(t, Options{Sync: SyncNever})
+	s := openTemp(t, Options{Sync: SyncGroup})
 	s.Put([]byte("a"), []byte("1"))
 	s.Put([]byte("b"), []byte("2"))
 	v := s.ReadView()
@@ -89,7 +89,7 @@ func TestReadViewDelegates(t *testing.T) {
 // concurrent readers.
 func BenchmarkGetDuringBulkWrite(b *testing.B) {
 	const batch = 8192
-	s := openTemp(b, Options{Sync: SyncNever})
+	s := openTemp(b, Options{Sync: SyncGroup})
 	s.Put([]byte("probe"), []byte("v"))
 	stop := make(chan struct{})
 	var wg sync.WaitGroup

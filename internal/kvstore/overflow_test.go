@@ -14,7 +14,7 @@ import (
 // production deadlock found during integration: replacing a key with a
 // larger value on a page with no free space must split, not overflow.
 func TestReplaceWithLargerValueOnFullPage(t *testing.T) {
-	s := openTemp(t, Options{Sync: SyncNever})
+	s := openTemp(t, Options{Sync: SyncGroup})
 	// Fill a leaf to the brim with medium cells.
 	val := make([]byte, 120)
 	for i := 0; i < 30; i++ {
@@ -48,7 +48,7 @@ func TestReplaceWithLargerValueOnFullPage(t *testing.T) {
 // and deletes; any page-arithmetic slip panics, and the final state must
 // match a map model.
 func TestRandomSizeChurn(t *testing.T) {
-	s := openTemp(t, Options{Sync: SyncNever, CacheSize: 32})
+	s := openTemp(t, Options{Sync: SyncGroup, CacheSize: 32})
 	model := map[string][]byte{}
 	rng := rand.New(rand.NewSource(99))
 	for op := 0; op < 8000; op++ {
@@ -83,7 +83,7 @@ func TestRandomSizeChurn(t *testing.T) {
 // TestLongKeysSplitInternalPages drives enough long keys to force internal
 // page splits with large separators.
 func TestLongKeysSplitInternalPages(t *testing.T) {
-	s := openTemp(t, Options{Sync: SyncNever, CacheSize: 64})
+	s := openTemp(t, Options{Sync: SyncGroup, CacheSize: 64})
 	longKey := func(i int) []byte {
 		return []byte(fmt.Sprintf("%0500d", i)) // 500-byte keys
 	}
@@ -112,7 +112,7 @@ func TestLongKeysSplitInternalPages(t *testing.T) {
 
 // TestPayloadCapEnforced verifies the documented cap.
 func TestPayloadCapEnforced(t *testing.T) {
-	s := openTemp(t, Options{Sync: SyncNever})
+	s := openTemp(t, Options{Sync: SyncGroup})
 	k := []byte("k")
 	if err := s.Put(k, make([]byte, maxPayload-len(k))); err != nil {
 		t.Fatalf("at-cap put failed: %v", err)
@@ -128,7 +128,7 @@ func TestPayloadCapEnforced(t *testing.T) {
 // open.
 func TestOversizeLeavesNoLogRecord(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir, Options{Sync: SyncGroup, CheckpointEvery: 1 << 30})
+	s, err := Open(dir, Options{Sync: SyncGroup})
 	if err != nil {
 		t.Fatal(err)
 	}

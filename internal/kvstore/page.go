@@ -9,7 +9,8 @@
 //
 // Concurrency model: single writer, many readers, guarded by an RWMutex.
 // Durability: committed batches are redo-logged; recovery replays the WAL
-// onto the last checkpointed tree image.
+// onto the last checkpointed tree image, which is what data.db holds: a
+// page reaches the file only in a checkpoint (no steal; see Pager).
 //
 // Space: a leaf that cannot take a cell splits last. It first sheds cells
 // into a sibling under the same parent that has room (btree.rebalanceInsert)
@@ -18,7 +19,7 @@
 // Deletes do not merge or free pages; the leaf they leave under-full is
 // refilled by its neighbours' overflow before any new page is allocated.
 // The log is logical redo, so neither a split nor a rebalance is logged:
-// both only dirty pages, which reach data.db by eviction or checkpoint.
+// both only dirty pages, which reach data.db at the next checkpoint.
 package kvstore
 
 import (

@@ -9,6 +9,11 @@ import (
 
 // Pager manages the page file and an LRU buffer pool. Page 0 is the meta
 // page; tree pages start at 1. Pages are never freed: the file only grows.
+//
+// No steal: a dirty page reaches the file only in flush, so data.db always
+// holds the last checkpoint's image, the one the WAL replays over. Eviction
+// takes clean, unpinned pages; when none is left the pool overflows and is
+// marked full, and the store checkpoints after the commit under way.
 type Pager struct {
 	mu       sync.Mutex
 	f        *os.File
@@ -16,6 +21,7 @@ type Pager struct {
 	cache    map[pageID]*lruEntry
 	lru      *lruEntry // most-recently used; doubly-linked ring sentinel
 	capacity int
+	full     bool // overflowed since the last flush
 
 	// stats
 	hits, misses, evictions uint64
@@ -60,29 +66,22 @@ func newPager(path string, cacheSize int) (*Pager, error) {
 	}
 	if pg.npages == 0 {
 		// Fresh file: materialise the meta page.
-		meta, err := pg.allocate(pageMeta)
-		if err != nil {
-			f.Close()
-			return nil, err
-		}
-		pg.unpin(meta)
+		pg.unpin(pg.allocate(pageMeta))
 	}
 	return pg, nil
 }
 
 // allocate returns a pinned, zeroed page of the given kind at the end of
 // the file.
-func (pg *Pager) allocate(kind byte) (*page, error) {
+func (pg *Pager) allocate(kind byte) *page {
 	pg.mu.Lock()
 	defer pg.mu.Unlock()
 	p := &page{}
 	p.init(pg.npages, kind)
 	p.dirty = true
-	if err := pg.insertLocked(p, true); err != nil {
-		return nil, err
-	}
+	pg.insertLocked(p)
 	pg.npages++
-	return p, nil
+	return p
 }
 
 // get returns a pinned page. Callers must unpin.
@@ -112,9 +111,7 @@ func (pg *Pager) get(id pageID) (*page, error) {
 		pg.moveFront(e)
 		return e.p, nil
 	}
-	if err := pg.insertLocked(p, true); err != nil {
-		return nil, err
-	}
+	pg.insertLocked(p)
 	return p, nil
 }
 
@@ -126,32 +123,23 @@ func (pg *Pager) unpin(p *page) {
 	pg.mu.Unlock()
 }
 
-// insertLocked adds a page to the cache, evicting if needed. Lock held.
-func (pg *Pager) insertLocked(p *page, pin bool) error {
-	for len(pg.cache) >= pg.capacity {
-		victim := pg.lru.prev
-		for victim != pg.lru && victim.pinned > 0 {
-			victim = victim.prev
-		}
+// insertLocked adds a pinned page to the cache, evicting clean, unpinned
+// pages, least recently used first, while it is at capacity. With none left
+// the pool overflows until the next flush rather than write a dirty page
+// (or deadlock on a pinned one). Lock held.
+func (pg *Pager) insertLocked(p *page) {
+	for victim := pg.lru.prev; !pg.full && len(pg.cache) >= pg.capacity; victim = victim.prev {
 		if victim == pg.lru {
-			break // everything pinned; allow overflow rather than deadlock
+			pg.full = true
+		} else if victim.pinned == 0 && !victim.p.dirty {
+			pg.evictions++
+			pg.detach(victim)
+			delete(pg.cache, victim.p.id)
 		}
-		if victim.p.dirty {
-			if err := pg.writePageLocked(victim.p); err != nil {
-				return err
-			}
-		}
-		pg.evictions++
-		pg.detach(victim)
-		delete(pg.cache, victim.p.id)
 	}
-	e := &lruEntry{p: p}
-	if pin {
-		e.pinned = 1
-	}
+	e := &lruEntry{p: p, pinned: 1}
 	pg.cache[p.id] = e
 	pg.attachFront(e)
-	return nil
 }
 
 func (pg *Pager) detach(e *lruEntry) {
@@ -179,7 +167,8 @@ func (pg *Pager) writePageLocked(p *page) error {
 	return nil
 }
 
-// flush writes all dirty pages and syncs the file.
+// flush writes all dirty pages and syncs the file: the one way a page
+// reaches data.db. The pool is no longer full; the next miss trims it.
 func (pg *Pager) flush() error {
 	pg.mu.Lock()
 	for _, e := range pg.cache {
@@ -190,6 +179,7 @@ func (pg *Pager) flush() error {
 			}
 		}
 	}
+	pg.full = false
 	pg.mu.Unlock()
 	return pg.f.Sync()
 }
@@ -216,6 +206,10 @@ type Stats struct {
 	// Both only grow; a checkpoint truncates the file, not the counters.
 	Commits  uint64
 	WALBytes uint64
+	// Checkpoints counts checkpoints in this life, Open's and Close's
+	// included: after a commit that overflowed the pool or took the log
+	// past the pool's bytes, and on every Checkpoint call.
+	Checkpoints uint64
 	// LeafSplits counts full leaves that took a new page; LeafRebalances
 	// those that shed cells into a sibling instead. Counts of work done
 	// under the write lock, this life only.

@@ -15,42 +15,38 @@ type SyncPolicy int
 const (
 	// SyncAlways fsyncs the WAL on every commit (safest, slowest).
 	SyncAlways SyncPolicy = iota
-	// SyncGroup flushes buffers on commit but fsyncs only at checkpoints.
-	// A crash may lose the most recent commits but never corrupts the tree.
+	// SyncGroup writes the log to the OS on commit but fsyncs it only at
+	// checkpoints: a commit survives a process crash, not a power cut.
 	SyncGroup
-	// SyncNever leaves flushing to checkpoints entirely (for bulk loads and
-	// benchmarks; crash durability limited to the last checkpoint).
-	SyncNever
 )
 
 // Options configures a Store.
 type Options struct {
-	// CacheSize is the buffer-pool capacity in pages (default DefaultCacheSize).
+	// CacheSize is the buffer-pool capacity in pages (default
+	// DefaultCacheSize). It also paces checkpoints: one follows the commit
+	// that overflows the pool with dirty pages or takes the log past
+	// CacheSize×PageSize bytes.
 	CacheSize int
 	// Sync selects the WAL durability policy (default SyncAlways).
 	Sync SyncPolicy
-	// CheckpointEvery triggers an automatic checkpoint after this many
-	// committed operations (default 65536; 0 disables auto checkpoints).
-	CheckpointEvery int
 }
 
 // Store is a persistent ordered key-value store: a single-file B+tree with a
 // write-ahead log. All operations are safe for concurrent use; writes are
 // serialised, reads proceed concurrently.
 type Store struct {
-	mu       sync.RWMutex
-	pager    *Pager
-	tree     btree
-	wal      *wal
-	opts     Options
-	count    uint64 // live keys
-	ckptLSN  uint64 // LSN covered by the last checkpoint
-	sinceCkp int
-	dir      string
-	closed   bool
-	// commits counts WAL commits in this life (Stats.Commits); read
-	// without the lock, hence atomic.
-	commits atomic.Uint64
+	mu      sync.RWMutex
+	pager   *Pager
+	tree    btree
+	wal     *wal
+	opts    Options
+	count   uint64 // live keys
+	ckptLSN uint64 // LSN covered by the last checkpoint
+	dir     string
+	closed  bool
+	// commits and checkpoints count this life's (Stats.Commits,
+	// Stats.Checkpoints); read without the lock, hence atomic.
+	commits, checkpoints atomic.Uint64
 }
 
 // Open opens (creating if necessary) a store rooted at dir. The directory
@@ -59,9 +55,6 @@ type Store struct {
 func Open(dir string, opts Options) (*Store, error) {
 	if opts.CacheSize == 0 {
 		opts.CacheSize = DefaultCacheSize
-	}
-	if opts.CheckpointEvery == 0 {
-		opts.CheckpointEvery = 65536
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("kvstore: mkdir: %w", err)
@@ -81,7 +74,8 @@ func Open(dir string, opts Options) (*Store, error) {
 	s.ckptLSN = lsn
 
 	// Recover: replay the commits newer than the checkpoint, then cut the
-	// log after the last of them.
+	// log after the last of them. A replay bigger than the pool overflows
+	// it until the checkpoint below.
 	walPath := filepath.Join(dir, "wal.log")
 	maxLSN, end, err := replayWAL(walPath, lsn, s.apply)
 	if err != nil {
@@ -171,7 +165,7 @@ func (s *Store) PutBatch(pairs []KV) error {
 			return err
 		}
 	}
-	return s.maybeCheckpoint(len(pairs))
+	return s.maybeCheckpoint()
 }
 
 // apply writes one logged pair into the tree and keeps the key count.
@@ -205,19 +199,19 @@ func (s *Store) commitWAL() error {
 		return err
 	}
 	s.commits.Add(1)
-	switch s.opts.Sync {
-	case SyncAlways:
+	if s.opts.Sync == SyncAlways {
 		return s.wal.sync()
-	case SyncGroup:
-		return s.wal.flush()
-	default:
-		return nil
 	}
+	return s.wal.flush()
 }
 
-func (s *Store) maybeCheckpoint(nops int) error {
-	s.sinceCkp += nops
-	if s.opts.CheckpointEvery > 0 && s.sinceCkp >= s.opts.CheckpointEvery {
+// maybeCheckpoint runs after a commit is applied, the only time the store
+// checkpoints by itself (reads never do). Dirty pages leave the pool only
+// in a checkpoint, so one is due once the pool has overflowed, or once the
+// log holds a pool's worth of bytes, which bounds replay at Open. The write
+// lock shuts out every other pager user, so full is read without pg.mu.
+func (s *Store) maybeCheckpoint() error {
+	if s.pager.full || s.wal.size >= int64(s.pager.capacity)*PageSize {
 		return s.checkpointLocked()
 	}
 	return nil
@@ -245,7 +239,7 @@ func (s *Store) checkpointLocked() error {
 	if err := s.wal.truncate(); err != nil {
 		return err
 	}
-	s.sinceCkp = 0
+	s.checkpoints.Add(1)
 	return nil
 }
 
@@ -261,6 +255,7 @@ func (s *Store) Stats() Stats {
 	st := s.pager.stats()
 	st.Commits = s.commits.Load()
 	st.WALBytes = s.wal.bytes.Load()
+	st.Checkpoints = s.checkpoints.Load()
 	st.LeafSplits = s.tree.splits.Load()
 	st.LeafRebalances = s.tree.rebalances.Load()
 	return st

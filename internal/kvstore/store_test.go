@@ -25,7 +25,7 @@ func openTemp(t testing.TB, opts Options) *Store {
 }
 
 func TestPutGetRoundTrip(t *testing.T) {
-	s := openTemp(t, Options{Sync: SyncNever})
+	s := openTemp(t, Options{Sync: SyncGroup})
 	if err := s.Put([]byte("hello"), []byte("world")); err != nil {
 		t.Fatalf("Put: %v", err)
 	}
@@ -42,7 +42,7 @@ func TestPutGetRoundTrip(t *testing.T) {
 }
 
 func TestGetMissing(t *testing.T) {
-	s := openTemp(t, Options{Sync: SyncNever})
+	s := openTemp(t, Options{Sync: SyncGroup})
 	_, ok, err := s.Get([]byte("absent"))
 	if err != nil {
 		t.Fatalf("Get: %v", err)
@@ -53,14 +53,14 @@ func TestGetMissing(t *testing.T) {
 }
 
 func TestEmptyKeyRejected(t *testing.T) {
-	s := openTemp(t, Options{Sync: SyncNever})
+	s := openTemp(t, Options{Sync: SyncGroup})
 	if err := s.Put(nil, []byte("v")); err == nil {
 		t.Fatal("Put with empty key should fail")
 	}
 }
 
 func TestOverwrite(t *testing.T) {
-	s := openTemp(t, Options{Sync: SyncNever})
+	s := openTemp(t, Options{Sync: SyncGroup})
 	key := []byte("k")
 	for i := 0; i < 10; i++ {
 		val := []byte(fmt.Sprintf("value-%d", i))
@@ -78,7 +78,7 @@ func TestOverwrite(t *testing.T) {
 }
 
 func TestDelete(t *testing.T) {
-	s := openTemp(t, Options{Sync: SyncNever})
+	s := openTemp(t, Options{Sync: SyncGroup})
 	s.Put([]byte("a"), []byte("1"))
 	s.Put([]byte("b"), []byte("2"))
 	if err := s.Delete([]byte("a")); err != nil {
@@ -100,7 +100,7 @@ func TestDelete(t *testing.T) {
 }
 
 func TestValueTooLarge(t *testing.T) {
-	s := openTemp(t, Options{Sync: SyncNever})
+	s := openTemp(t, Options{Sync: SyncGroup})
 	big := make([]byte, PageSize)
 	err := s.Put([]byte("k"), big)
 	if err == nil || !ErrTooLarge(err) {
@@ -109,7 +109,7 @@ func TestValueTooLarge(t *testing.T) {
 }
 
 func TestManyKeysSplitAndOrder(t *testing.T) {
-	s := openTemp(t, Options{Sync: SyncNever, CacheSize: 64})
+	s := openTemp(t, Options{Sync: SyncGroup, CacheSize: 64})
 	const n = 5000
 	rng := rand.New(rand.NewSource(7))
 	perm := rng.Perm(n)
@@ -155,7 +155,7 @@ func TestManyKeysSplitAndOrder(t *testing.T) {
 }
 
 func TestScanRange(t *testing.T) {
-	s := openTemp(t, Options{Sync: SyncNever})
+	s := openTemp(t, Options{Sync: SyncGroup})
 	for i := 0; i < 100; i++ {
 		s.Put([]byte(fmt.Sprintf("k%03d", i)), []byte{byte(i)})
 	}
@@ -170,7 +170,7 @@ func TestScanRange(t *testing.T) {
 }
 
 func TestScanEarlyStop(t *testing.T) {
-	s := openTemp(t, Options{Sync: SyncNever})
+	s := openTemp(t, Options{Sync: SyncGroup})
 	for i := 0; i < 50; i++ {
 		s.Put([]byte(fmt.Sprintf("k%03d", i)), nil)
 	}
@@ -185,7 +185,7 @@ func TestScanEarlyStop(t *testing.T) {
 }
 
 func TestScanPrefix(t *testing.T) {
-	s := openTemp(t, Options{Sync: SyncNever})
+	s := openTemp(t, Options{Sync: SyncGroup})
 	s.Put([]byte("a/1"), nil)
 	s.Put([]byte("a/2"), nil)
 	s.Put([]byte("b/1"), nil)
@@ -252,7 +252,7 @@ func TestPersistenceAcrossReopen(t *testing.T) {
 // the committed state.
 func TestCrashRecoveryFromWAL(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir, Options{Sync: SyncAlways, CheckpointEvery: 1 << 30})
+	s, err := Open(dir, Options{Sync: SyncAlways})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -285,7 +285,7 @@ func TestCrashRecoveryFromWAL(t *testing.T) {
 // the torn record without failing.
 func TestTornWALTail(t *testing.T) {
 	dir := t.TempDir()
-	s, _ := Open(dir, Options{Sync: SyncAlways, CheckpointEvery: 1 << 30})
+	s, _ := Open(dir, Options{Sync: SyncAlways})
 	s.Put([]byte("good"), []byte("1"))
 	crash(s)
 
@@ -338,7 +338,7 @@ func walRecordEnds(t *testing.T, path string) []int64 {
 // replayed whole or not at all — and the store goes on committing.
 func TestUncommittedBatchIsDropped(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir, Options{Sync: SyncGroup, CheckpointEvery: 1 << 30})
+	s, err := Open(dir, Options{Sync: SyncGroup})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +359,7 @@ func TestUncommittedBatchIsDropped(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s2, err := Open(dir, Options{Sync: SyncGroup, CheckpointEvery: 1 << 30})
+	s2, err := Open(dir, Options{Sync: SyncGroup})
 	if err != nil {
 		t.Fatalf("recovery open: %v", err)
 	}
@@ -391,7 +391,7 @@ func TestUncommittedBatchIsDropped(t *testing.T) {
 // it recovers it.
 func TestTornTailDoesNotHideLaterCommits(t *testing.T) {
 	dir := t.TempDir()
-	opts := Options{Sync: SyncGroup, CheckpointEvery: 1 << 30}
+	opts := Options{Sync: SyncGroup}
 	s, err := Open(dir, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -451,7 +451,7 @@ func TestTornTailDoesNotHideLaterCommits(t *testing.T) {
 
 func TestCheckpointTruncatesWAL(t *testing.T) {
 	dir := t.TempDir()
-	s, _ := Open(dir, Options{Sync: SyncAlways, CheckpointEvery: 1 << 30})
+	s, _ := Open(dir, Options{Sync: SyncAlways})
 	for i := 0; i < 100; i++ {
 		s.Put([]byte(fmt.Sprintf("k%d", i)), []byte("v"))
 	}
@@ -494,8 +494,10 @@ func TestBatchPut(t *testing.T) {
 	}
 }
 
+// TestConcurrentReadersOneWriter runs over the smallest pool, so readers
+// evict and overflow it while the writer dirties it and checkpoints.
 func TestConcurrentReadersOneWriter(t *testing.T) {
-	s := openTemp(t, Options{Sync: SyncNever})
+	s := openTemp(t, Options{Sync: SyncGroup, CacheSize: 8})
 	for i := 0; i < 1000; i++ {
 		s.Put([]byte(fmt.Sprintf("k%04d", i)), []byte(fmt.Sprintf("v%04d", i)))
 	}
@@ -536,7 +538,7 @@ func TestConcurrentReadersOneWriter(t *testing.T) {
 // TestPropertyMatchesMapModel drives random operations against the store and
 // an in-memory map, then verifies full agreement including scan order.
 func TestPropertyMatchesMapModel(t *testing.T) {
-	s := openTemp(t, Options{Sync: SyncNever, CacheSize: 32})
+	s := openTemp(t, Options{Sync: SyncGroup, CacheSize: 32})
 	model := map[string]string{}
 	rng := rand.New(rand.NewSource(42))
 	for op := 0; op < 20000; op++ {
@@ -587,7 +589,7 @@ func TestPropertyMatchesMapModel(t *testing.T) {
 
 // TestQuickPutGet is a testing/quick property: any put is immediately gettable.
 func TestQuickPutGet(t *testing.T) {
-	s := openTemp(t, Options{Sync: SyncNever})
+	s := openTemp(t, Options{Sync: SyncGroup})
 	f := func(k [8]byte, v []byte) bool {
 		key := append([]byte("q/"), k[:]...)
 		if len(v) > 1024 {
@@ -605,7 +607,7 @@ func TestQuickPutGet(t *testing.T) {
 }
 
 func TestLargeValuesNearLimit(t *testing.T) {
-	s := openTemp(t, Options{Sync: SyncNever})
+	s := openTemp(t, Options{Sync: SyncGroup})
 	v := make([]byte, maxPayload-10)
 	for i := range v {
 		v[i] = byte(i)
@@ -620,7 +622,7 @@ func TestLargeValuesNearLimit(t *testing.T) {
 }
 
 func TestStatsCounters(t *testing.T) {
-	s := openTemp(t, Options{Sync: SyncNever, CacheSize: 16})
+	s := openTemp(t, Options{Sync: SyncGroup, CacheSize: 16})
 	for i := 0; i < 8000; i++ {
 		s.Put([]byte(fmt.Sprintf("k%05d", i)), []byte("v"))
 	}
@@ -679,7 +681,7 @@ func TestWriteCountersCountCommitsAndLogBytes(t *testing.T) {
 
 func BenchmarkPut(b *testing.B) {
 	dir := b.TempDir()
-	s, _ := Open(dir, Options{Sync: SyncNever})
+	s, _ := Open(dir, Options{Sync: SyncGroup})
 	defer s.Close()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -689,7 +691,7 @@ func BenchmarkPut(b *testing.B) {
 
 func BenchmarkGet(b *testing.B) {
 	dir := b.TempDir()
-	s, _ := Open(dir, Options{Sync: SyncNever})
+	s, _ := Open(dir, Options{Sync: SyncGroup})
 	defer s.Close()
 	const n = 100000
 	for i := 0; i < n; i++ {

@@ -268,18 +268,29 @@ func FuzzTreeAgainstMap(f *testing.F) {
 		whole++
 	}
 	torn = append(torn, [3]int{fuzzTorn, whole, 40}, [3]int{fuzzPut, 300, 100}, [3]int{fuzzCrash, 0, 0})
-	for _, seed := range [][][3]int{asc, desc, random, grow, refill, longSep, torn} {
+	// A checkpoint (the reopen) between two runs of puts in random key
+	// order, then a crash: the second run outgrows the 8-page pool, and a
+	// dirty page evicted into data.db before the crash would leave the log
+	// replaying over a later image than its own.
+	var evict [][3]int
+	for i := 0; i < 600; i++ {
+		if i == 300 {
+			evict = append(evict, [3]int{fuzzReopen, 0, 0})
+		}
+		evict = append(evict, [3]int{fuzzPut, rng.Intn(512), 200})
+	}
+	evict = append(evict, [3]int{fuzzCrash, 0, 0})
+	for _, seed := range [][][3]int{asc, desc, random, grow, refill, longSep, torn, evict} {
 		f.Add(fuzzOps(seed...))
 	}
 
 	f.Fuzz(func(t *testing.T, in []byte) {
 		dir := t.TempDir()
 		// SyncGroup: every commit reaches the log file, so a crash loses
-		// nothing the model holds. The pool is left large: a page evicted
-		// between checkpoints puts data.db ahead of the log's base image,
-		// which logical redo does not survive (ROADMAP item 11(a)).
+		// nothing the model holds. The smallest pool, so every tree past
+		// eight pages evicts between checkpoints.
 		open := func() *Store {
-			s, err := Open(dir, Options{Sync: SyncGroup})
+			s, err := Open(dir, Options{Sync: SyncGroup, CacheSize: 8})
 			if err != nil {
 				t.Fatalf("Open: %v", err)
 			}
@@ -447,7 +458,7 @@ func putN(tb testing.TB, s *Store, i, vlen int) {
 func TestLeafFillByPattern(t *testing.T) {
 	for _, pat := range fillPatterns {
 		t.Run(pat.name, func(t *testing.T) {
-			s := openTemp(t, Options{Sync: SyncNever})
+			s := openTemp(t, Options{Sync: SyncGroup})
 			pat.load(t, s, 20000)
 			checkStore(t, s)
 			fill, leaves := leafFill(t, s)
@@ -474,7 +485,7 @@ func BenchmarkPutPatterns(b *testing.B) {
 			var puts uint64
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				s, err := Open(b.TempDir(), Options{Sync: SyncNever})
+				s, err := Open(b.TempDir(), Options{Sync: SyncGroup})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -24,9 +24,10 @@ import (
 // behind bytes recovery stops at.
 // Group commit: Sync() batches are controlled by the store's SyncPolicy.
 type wal struct {
-	f   *os.File
-	w   *bufio.Writer
-	lsn uint64
+	f    *os.File
+	w    *bufio.Writer
+	lsn  uint64
+	size int64 // the file's length, buffered bytes included
 	// bytes counts every byte appended in this life (Stats.WALBytes); read
 	// without the store lock, hence atomic.
 	bytes atomic.Uint64
@@ -61,7 +62,7 @@ func openWAL(path string, end int64) (*wal, error) {
 		f.Close()
 		return nil, fmt.Errorf("kvstore: cut wal at %d: %w", end, err)
 	}
-	return &wal{f: f, w: bufio.NewWriterSize(f, 1<<16)}, nil
+	return &wal{f: f, w: bufio.NewWriterSize(f, 1<<16), size: end}, nil
 }
 
 func (w *wal) append(op byte, key, val []byte) error {
@@ -87,7 +88,9 @@ func (w *wal) append(op byte, key, val []byte) error {
 	var sum [4]byte
 	binary.LittleEndian.PutUint32(sum[:], crc.Sum32())
 	_, err := w.w.Write(sum[:])
-	w.bytes.Add(uint64(len(hdr) + len(key) + len(val) + len(sum)))
+	n := len(hdr) + len(key) + len(val) + len(sum)
+	w.size += int64(n)
+	w.bytes.Add(uint64(n))
 	return err
 }
 
@@ -112,6 +115,7 @@ func (w *wal) truncate() error {
 		return err
 	}
 	w.w.Reset(w.f)
+	w.size = 0
 	return nil
 }
 

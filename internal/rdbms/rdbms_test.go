@@ -14,7 +14,7 @@ import (
 
 func openDB(t *testing.T) *DB {
 	t.Helper()
-	db, err := Open(t.TempDir(), kvstore.Options{Sync: kvstore.SyncNever})
+	db, err := Open(t.TempDir(), kvstore.Options{Sync: kvstore.SyncGroup})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -469,7 +469,7 @@ func TestEnsureTable(t *testing.T) {
 }
 
 func BenchmarkInsertIndexed(b *testing.B) {
-	db, _ := Open(b.TempDir(), kvstore.Options{Sync: kvstore.SyncNever})
+	db, _ := Open(b.TempDir(), kvstore.Options{Sync: kvstore.SyncGroup})
 	defer db.Close()
 	tbl, _ := db.CreateTable(pagesSchema())
 	b.ResetTimer()
@@ -479,7 +479,7 @@ func BenchmarkInsertIndexed(b *testing.B) {
 }
 
 func BenchmarkPointLookup(b *testing.B) {
-	db, _ := Open(b.TempDir(), kvstore.Options{Sync: kvstore.SyncNever})
+	db, _ := Open(b.TempDir(), kvstore.Options{Sync: kvstore.SyncGroup})
 	defer db.Close()
 	tbl, _ := db.CreateTable(pagesSchema())
 	const n = 10000

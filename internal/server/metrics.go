@@ -257,6 +257,7 @@ func writeEngineMetrics(w io.Writer, st core.Stats) {
 	g("memex_disk_bytes", "Backing kvstore size on disk.", float64(st.DiskBytes))
 	c("memex_kv_commits_total", "Kvstore WAL commits by this process (one write-lock turn and flush each).", float64(st.KV.Commits))
 	c("memex_kv_wal_bytes_total", "Kvstore WAL bytes appended by this process.", float64(st.KV.WALBytes))
+	c("memex_kv_checkpoints_total", "Kvstore checkpoints by this process: the only writes of data.db pages.", float64(st.KV.Checkpoints))
 	c("memex_kv_leaf_splits_total", "Full B+tree leaves that took a new page.", float64(st.KV.LeafSplits))
 	c("memex_kv_leaf_rebalances_total", "Full B+tree leaves that shed cells into a sibling instead of splitting.", float64(st.KV.LeafRebalances))
 	g("memex_graph_nodes", "Pages known to the link graph.", float64(st.GraphNodes))

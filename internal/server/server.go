@@ -289,11 +289,22 @@ func requireUser(r *http.Request) (int64, error) {
 	return user, err
 }
 
-// qint parses a count param; absent or ≤ 0 takes def.
-func qint(r *http.Request, name string, def int) (int, error) {
+// Caps on the count params, far above every caller (k ≤ 15, budget ≤ 400):
+// k sizes candidate sets and budget is pages crawled on the request's
+// goroutine, so past the cap is a 400 naming it, not a silent clamp.
+const (
+	maxK      = 1000
+	maxBudget = 10000
+)
+
+// qint parses a count param; absent or ≤ 0 takes def, over limit is a 400.
+func qint(r *http.Request, name string, def, limit int) (int, error) {
 	v, err := qint64(r, name)
-	if err != nil || v <= 0 {
+	switch {
+	case err != nil || v <= 0:
 		return def, err
+	case v > int64(limit):
+		return 0, badRequestf("%s %d exceeds the cap of %d", name, v, limit)
 	}
 	return int(v), nil
 }
@@ -407,7 +418,7 @@ func (s *Server) handleSearch(r *http.Request) (reply, error) {
 	if err != nil {
 		return reply{}, err
 	}
-	k, err := qint(r, "k", 10)
+	k, err := qint(r, "k", 10, maxK)
 	if err != nil {
 		return reply{}, err
 	}
@@ -423,7 +434,7 @@ func (s *Server) handleTrails(r *http.Request) (reply, error) {
 	if err != nil {
 		return reply{}, err
 	}
-	k, err := qint(r, "k", 20)
+	k, err := qint(r, "k", 20, maxK)
 	if err != nil {
 		return reply{}, err
 	}
@@ -443,7 +454,7 @@ func (s *Server) handleRecommend(r *http.Request) (reply, error) {
 	if err != nil {
 		return reply{}, err
 	}
-	k, err := qint(r, "k", 10)
+	k, err := qint(r, "k", 10, maxK)
 	if err != nil {
 		return reply{}, err
 	}
@@ -460,11 +471,11 @@ func (s *Server) handleDiscover(r *http.Request) (reply, error) {
 	if err != nil {
 		return reply{}, err
 	}
-	budget, err := qint(r, "budget", 200)
+	budget, err := qint(r, "budget", 200, maxBudget)
 	if err != nil {
 		return reply{}, err
 	}
-	k, err := qint(r, "k", 10)
+	k, err := qint(r, "k", 10, maxK)
 	if err != nil {
 		return reply{}, err
 	}

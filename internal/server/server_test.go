@@ -30,7 +30,7 @@ func newTestEngine(t *testing.T) *core.Engine {
 	e, err := core.Open(core.Config{
 		Dir:    t.TempDir(),
 		Source: stubSource{},
-		KV:     kvstore.Options{Sync: kvstore.SyncNever},
+		KV:     kvstore.Options{Sync: kvstore.SyncGroup},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -193,6 +193,66 @@ func TestOversizeBodiesAreRefused(t *testing.T) {
 	}
 	if st := e.Status(); st.Users != 0 || st.Visits != 0 || st.Bookmarks != 0 {
 		t.Fatalf("refused bodies reached the engine: %d users, %d visits, %d bookmarks", st.Users, st.Visits, st.Bookmarks)
+	}
+}
+
+// TestOversizeCountsAreRefused: every route that reads k or budget caps it.
+// At the cap is a 200; one past it, and 10^11 (an answer sized by that k
+// is beyond any heap), are 400s naming the cap, and the server goes on
+// answering. Every other GET route reads neither param: the same oversize
+// query gets no cap error from it.
+func TestOversizeCountsAreRefused(t *testing.T) {
+	srv := New(newTestEngine(t))
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	get := func(path string) (int, string) {
+		t.Helper()
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(body)
+	}
+	cases := []struct {
+		path, param string
+		cap         int
+	}{
+		{"/api/search?q=x", "k", maxK},
+		{"/api/trails?user=1&folder=f", "k", maxK},
+		{"/api/recommend?user=1", "k", maxK},
+		{"/api/discover?user=1&folder=f", "k", maxK},
+		{"/api/discover?user=1&folder=f", "budget", maxBudget},
+	}
+	covered := map[string]bool{}
+	for _, tc := range cases {
+		route, _, _ := strings.Cut(tc.path, "?")
+		covered["GET "+route] = true
+		t.Run(strings.TrimPrefix(route, "/api/")+" "+tc.param, func(t *testing.T) {
+			if code, body := get(fmt.Sprintf("%s&%s=%d", tc.path, tc.param, tc.cap)); code != http.StatusOK {
+				t.Fatalf("%s at the cap: status %d, body %s", tc.param, code, body)
+			}
+			want := fmt.Sprintf("exceeds the cap of %d", tc.cap)
+			for _, v := range []int64{int64(tc.cap) + 1, 100_000_000_000} {
+				code, body := get(fmt.Sprintf("%s&%s=%d", tc.path, tc.param, v))
+				if code != http.StatusBadRequest || !strings.Contains(body, want) {
+					t.Fatalf("%s=%d: status %d, body %s; want a 400 saying %q", tc.param, v, code, body, want)
+				}
+			}
+			if code, body := get("/api/status"); code != http.StatusOK {
+				t.Fatalf("after the oversize requests /api/status is %d: %s", code, body)
+			}
+		})
+	}
+	for route := range srv.metrics.endpoints {
+		method, path, _ := strings.Cut(route, " ")
+		if method != "GET" || covered[route] {
+			continue
+		}
+		if _, body := get(path + "?user=1&folder=f&q=x&k=100000000000&budget=100000000000"); strings.Contains(body, "exceeds the cap") {
+			t.Errorf("route %q caps a count param but has no case in the table: %s", route, body)
+		}
 	}
 }
 
@@ -429,6 +489,7 @@ func TestMetricsEndpointMovesWithTraffic(t *testing.T) {
 		"memex_cache_hit_ratio",
 		"memex_kv_commits_total ",
 		"memex_kv_wal_bytes_total ",
+		"memex_kv_checkpoints_total ",
 		"memex_kv_leaf_splits_total ",
 		"memex_kv_leaf_rebalances_total ",
 		fmt.Sprintf("memex_dict_terms %d\n", st.Terms),

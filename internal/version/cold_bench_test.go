@@ -13,7 +13,7 @@ import (
 // openBenchCold builds a disk-backed store in a fresh temp dir.
 func openBenchCold(b *testing.B, o Options) (*kvstore.Store, *Store) {
 	b.Helper()
-	kv, err := kvstore.Open(filepath.Join(b.TempDir(), "kv"), kvstore.Options{Sync: kvstore.SyncNever})
+	kv, err := kvstore.Open(filepath.Join(b.TempDir(), "kv"), kvstore.Options{Sync: kvstore.SyncGroup})
 	if err != nil {
 		b.Fatal(err)
 	}

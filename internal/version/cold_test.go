@@ -11,13 +11,13 @@ import (
 	"memex/internal/kvstore"
 )
 
-// openKV opens the test kvstore for dir (SyncNever: the crash model under
+// openKV opens the test kvstore for dir (SyncGroup: the crash model under
 // test is the version layer's fold contract, not fsync behaviour —
 // TestFoldCommitCutAtEveryRecord and kvstore's own WAL tests cover torn
 // files).
 func openKV(t *testing.T, dir string) *kvstore.Store {
 	t.Helper()
-	kv, err := kvstore.Open(filepath.Join(dir, "kv"), kvstore.Options{Sync: kvstore.SyncNever})
+	kv, err := kvstore.Open(filepath.Join(dir, "kv"), kvstore.Options{Sync: kvstore.SyncGroup})
 	if err != nil {
 		t.Fatalf("kvstore.Open: %v", err)
 	}

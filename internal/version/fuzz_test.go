@@ -99,7 +99,7 @@ func FuzzHotColdFallthrough(f *testing.F) {
 		if len(ops) > 4096 {
 			t.Skip("script cap: beyond this length adds interleavings, not coverage")
 		}
-		kv, err := kvstore.Open(filepath.Join(t.TempDir(), "kv"), kvstore.Options{Sync: kvstore.SyncNever})
+		kv, err := kvstore.Open(filepath.Join(t.TempDir(), "kv"), kvstore.Options{Sync: kvstore.SyncGroup})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -208,7 +208,7 @@ func FuzzHotColdFallthrough(f *testing.F) {
 // pinned readers verifying newest-at-or-below-epoch for every sampled
 // key, hot or cold. CI runs this under -race.
 func TestPropertyConcurrentHotColdInterleavings(t *testing.T) {
-	kv, err := kvstore.Open(filepath.Join(t.TempDir(), "kv"), kvstore.Options{Sync: kvstore.SyncNever})
+	kv, err := kvstore.Open(filepath.Join(t.TempDir(), "kv"), kvstore.Options{Sync: kvstore.SyncGroup})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -132,7 +132,7 @@ func walRecordEnds(log []byte) []int64 {
 // shrinks a multi-part value and grows another.
 func TestFoldCommitCutAtEveryRecord(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "kv")
-	opts := kvstore.Options{Sync: kvstore.SyncGroup, CheckpointEvery: 1 << 30}
+	opts := kvstore.Options{Sync: kvstore.SyncGroup}
 	kv, err := kvstore.Open(dir, opts)
 	if err != nil {
 		t.Fatal(err)

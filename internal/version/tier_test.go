@@ -199,7 +199,7 @@ func TestTieredStoreMatchesModel(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		t.Run(fmt.Sprint("seed=", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
-			kv, err := kvstore.Open(filepath.Join(t.TempDir(), "kv"), kvstore.Options{Sync: kvstore.SyncNever})
+			kv, err := kvstore.Open(filepath.Join(t.TempDir(), "kv"), kvstore.Options{Sync: kvstore.SyncGroup})
 			if err != nil {
 				t.Fatal(err)
 			}

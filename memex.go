@@ -60,8 +60,10 @@ type Config struct {
 	// Source resolves URLs to page content (use World.Source() for the
 	// synthetic Web, or any implementation for live use).
 	Source PageSource
-	// Durable selects fsync-per-commit WAL durability (default: group
-	// commit, which is what the benchmarks use).
+	// Durable selects fsync-per-commit WAL durability, so an acknowledged
+	// write also survives a power cut. The default, which the benchmarks
+	// use, writes each commit to the OS and fsyncs at checkpoints: an
+	// acknowledged write survives a process crash, not a power cut.
 	Durable bool
 	// Workers is the number of background analyzer demons (default 2).
 	Workers int
