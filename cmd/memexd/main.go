@@ -64,8 +64,8 @@ func main() {
 	}
 	defer m.Close()
 	if st := m.Status(); st.Version.Cold != nil && st.Version.Cold.Records > 0 {
-		log.Printf("recovered %d cold derived records at watermark %d from %s (%d pages indexed, link graph %d nodes/%d edges, no re-crawl needed)",
-			st.Version.Cold.Records, st.Version.Cold.Watermark, *dir, st.PagesIndexed, st.GraphNodes, st.GraphEdges)
+		log.Printf("recovered %d cold derived records at watermark %d from %s (%d pages indexed, link graph %d edges, no re-crawl needed)",
+			st.Version.Cold.Records, st.Version.Cold.Watermark, *dir, st.PagesIndexed, st.GraphEdges)
 	}
 
 	if *replay > 0 {

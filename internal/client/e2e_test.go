@@ -2,6 +2,7 @@ package client_test
 
 import (
 	"errors"
+	"maps"
 	"net/http/httptest"
 	"slices"
 	"sort"
@@ -15,6 +16,7 @@ import (
 	"memex/internal/core"
 	"memex/internal/kvstore"
 	"memex/internal/server"
+	"memex/internal/version"
 	"memex/internal/webcorpus"
 )
 
@@ -291,7 +293,7 @@ func TestEndToEndRestartRecoversDerivedState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stPre.GraphNodes == 0 || stPre.GraphEdges == 0 {
+	if stPre.GraphEdges == 0 {
 		t.Fatalf("no link graph over HTTP pre-restart: %+v", stPre)
 	}
 	ts1.Close()
@@ -299,6 +301,7 @@ func TestEndToEndRestartRecoversDerivedState(t *testing.T) {
 		t.Fatalf("Close: %v", err)
 	}
 	coldAtClose := e1.Status().Version.Cold // Close folded the rest
+	linksAtClose := linkRecords(t, dir)
 
 	// --- second life: same data dir, fresh process state ---
 	atRestart := lookups.Load()
@@ -324,11 +327,10 @@ func TestEndToEndRestartRecoversDerivedState(t *testing.T) {
 	if stPost.PagesIndexed != stPre.PagesIndexed {
 		t.Fatalf("index rebuilt with %d docs, want %d", stPost.PagesIndexed, stPre.PagesIndexed)
 	}
-	// The link graph came back from the recovered lnk/ records: same
-	// shape, before any fetch or visit in this life.
-	if stPost.GraphNodes != stPre.GraphNodes || stPost.GraphEdges != stPre.GraphEdges {
-		t.Fatalf("restart lost link graph: %d/%d nodes, %d/%d edges",
-			stPost.GraphNodes, stPre.GraphNodes, stPost.GraphEdges, stPre.GraphEdges)
+	// The link graph is the recovered lnk/ records: the same edge count,
+	// before any fetch or visit in this life.
+	if stPost.GraphEdges != stPre.GraphEdges {
+		t.Fatalf("restart lost link graph: %d edges, want %d", stPost.GraphEdges, stPre.GraphEdges)
 	}
 
 	// Search answers must match: the inverted index was rebuilt from the
@@ -399,6 +401,46 @@ func TestEndToEndRestartRecoversDerivedState(t *testing.T) {
 	if n := lookups.Load() - atRestart; n != 0 {
 		t.Fatalf("second life performed %d network fetches; want 0", n)
 	}
+	// Every page's Out and In is its lnk/ and rin/ record: the second life
+	// read the first's records and, publishing nothing, left them as they
+	// were.
+	ts2.Close()
+	if err := e2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := linkRecords(t, dir); !maps.Equal(got, linksAtClose) {
+		t.Fatalf("the second life left %d link records, the first %d, and they differ", len(got), len(linksAtClose))
+	}
+}
+
+// linkRecords reads every lnk/ and rin/ record of a closed archive.
+func linkRecords(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	kv, err := kvstore.Open(dir, kvstore.Options{Sync: kvstore.SyncGroup})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer kv.Close()
+	vs, err := version.Open(kv, "vc/", version.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sn := vs.Acquire()
+	defer sn.Release()
+	recs := map[string]string{}
+	err = sn.Range(func(key string, raw []byte) bool {
+		if strings.HasPrefix(key, "lnk/") || strings.HasPrefix(key, "rin/") {
+			recs[key] = string(raw)
+		}
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) == 0 {
+		t.Fatal("the archive holds no link records")
+	}
+	return recs
 }
 
 // hitURLs projects any result slice with URL fields to its URL set.

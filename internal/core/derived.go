@@ -26,9 +26,10 @@ import (
 // of its counts and the dictionary, so DerivedView derives (and memoizes)
 // vectors instead of storing a second blob. On reopen reloadDerived
 // restores the dictionary with every term at its old id, then replays the
-// recovered records to rebuild the inverted index (and with it N and DF)
-// and the link graph, and the fetch path skips every recovered page
-// instead of re-crawling it.
+// recovered tf/ records to rebuild the inverted index (and with it N and
+// DF), and the fetch path skips every recovered page instead of
+// re-crawling it. The adjacency records need no replay: they are read
+// where they are.
 
 // tfKey names a page's derived term-count record in the version store.
 func tfKey(page int64) string { return "tf/" + strconv.FormatInt(page, 10) }
@@ -63,16 +64,15 @@ type tfRecord struct {
 
 // reloadDerived rebuilds the in-memory text machinery — the dictionary
 // and the inverted index, whose map sizes are the collection's N and DF —
-// the fetch claims, and the link-graph authority from the derived records
-// the version store recovered from its cold tier, so a restarted server
-// answers search/profile/theme/trail queries, resumes Discover's crawl
-// frontier, and never re-crawls a page whose derived state survived.
-// Recovered lnk/ records rebuild both adjacency directions (every reverse
-// edge is the inversion of some out-edge, so rin/ records need no replay —
-// they exist for pinned-view reads). Records arrive in key order, not id
-// order (dict/10 sorts before dict/9), and restoreDict interns ids in
-// numeric order, so the one scan holds the tf/ blobs (≈0.1 KB a page)
-// until the dictionary is complete and decodes them after restoreDict.
+// and the fetch claims from the derived records the version store
+// recovered from its cold tier, so a restarted server answers
+// search/profile/theme/trail queries and never re-crawls a page whose
+// derived state survived. Of the adjacency records it reads only the lnk/
+// count headers, whose sum is the link graph's edge count; readers decode
+// the records where they are. Records arrive in key order, not id order
+// (dict/10 sorts before dict/9), and restoreDict interns ids in numeric
+// order, so the one scan holds the tf/ blobs (≈0.1 KB a page) until the
+// dictionary is complete and decodes them after restoreDict.
 //
 // An archive that still holds a rinD/ in-link delta chunk — written while
 // in-links were chunked, and read by nothing now — is refused: opening it
@@ -97,14 +97,15 @@ func (e *Engine) reloadDerived() error {
 				return false
 			}
 			terms[id] = string(raw)
-			return true
-		}
-		if page, ok := pageOfLnkKey(key); ok {
-			if outs, ok := decodeIDSet(raw); ok {
-				e.links.applyRecovered(page, outs)
+		case strings.HasPrefix(key, "lnk/"):
+			// The id set's count header; each id takes at least a byte.
+			if n, w := binary.Uvarint(raw); w > 0 && n < uint64(len(raw)) {
+				e.links.edges.Add(int64(n))
 			}
-		} else if page, ok := pageOfTFKey(key); ok {
-			tfs = append(tfs, tfRecord{page, raw})
+		default:
+			if page, ok := pageOfTFKey(key); ok {
+				tfs = append(tfs, tfRecord{page, raw})
+			}
 		}
 		return true
 	}
@@ -141,7 +142,7 @@ func (e *Engine) reloadDerived() error {
 // whose tf/ records name terms but which holds no dictionary (records
 // that spell their terms, the format before dict/ records existed) and a
 // dictionary with a gap, which no contiguous epoch prefix can leave (see
-// linkIndex.stage). There is no migration.
+// linkIndex.publish). There is no migration.
 func (e *Engine) restoreDict(terms map[int32]string, tfs []tfRecord) error {
 	if len(terms) == 0 {
 		for _, r := range tfs {
@@ -371,7 +372,7 @@ func (v *DerivedView) Vector(page int64) (text.Vector, bool) {
 
 // encodeCounts serializes term counts by id, interning any term the
 // dictionary lacks, and returns the blob with the largest id it names (−1
-// when it names none) — linkIndex.stage publishes the dictionary records up
+// when it names none) — linkIndex.publish stages the dictionary records up
 // to that id. Ids are sorted, so equal count maps always encode to
 // byte-identical blobs: map order here would break the record-level
 // determinism the restart tests pin and churn the cold tier with rewrites

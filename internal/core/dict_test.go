@@ -25,7 +25,7 @@ import (
 
 // The term dictionary's durable half: every id a tf/ record names has its
 // dict/<id> record in the same batch as the first page that names it, or
-// in an earlier one (linkIndex.stage). These tests hold that epoch rule,
+// in an earlier one (linkIndex.publish). These tests hold that epoch rule,
 // what Open refuses, and that ids survive a restart.
 
 // recordIDs reads the ids a tf/ record names, without a dictionary.
@@ -262,9 +262,9 @@ func TestMidCrawlCopyDecodesEveryRecord(t *testing.T) {
 	}
 }
 
-// TestPanicAfterStageLeavesNoGap: a publish that panics after stage has
-// moved termsOut past the page's new ids must still publish their
-// dictionary records, or the next page's records would sit above a gap
+// TestPanicAfterStageLeavesNoGap: a publish that panics after staging the
+// dictionary records, with termsOut moved past the page's new ids, must
+// still publish them, or the next page's records would sit above a gap
 // and the next Open would refuse the archive.
 func TestPanicAfterStageLeavesNoGap(t *testing.T) {
 	c := webcorpus.Generate(webcorpus.Config{Seed: 5, TopTopics: 3, SubPerTopic: 2, PagesPerLeaf: 20})

@@ -17,9 +17,9 @@
 // graph), held in RAM while hot and folded to the engine's kvstore
 // ("vc/" keyspace) by the version-gc demon, so the archive grows on disk
 // and survives restarts (Open restores the term dictionary from its dict/
-// records, every term at its old id, replays the recovered records into
-// the inverted index and link-graph authority, and the fetch path skips
-// recovered pages instead of re-crawling).
+// records, every term at its old id, replays the recovered tf/ records
+// into the inverted index, and the fetch path skips recovered pages
+// instead of re-crawling).
 // There is no live map shadowing it. Every derived-data reader pins a
 // DerivedView snapshot for its whole pass and is therefore
 // snapshot-consistent:
@@ -33,10 +33,10 @@
 //     pinned view as their term-stat reads (graph.AdjacencySource);
 //   - classifier retraining trains every user against a single epoch.
 //
-// The only in-memory link structure is the producer-side authority in
-// links.go: a graph rebuilt from recovered records at Open, consulted
-// and updated under one lock so each published adjacency record is the
-// union of everything published before it. Read passes never touch it.
+// There is no in-memory link structure. The producer in links.go rewrites
+// a page's adjacency records from the records themselves, read at the
+// latest publish under the one lock that publishes them, so each record is
+// the union of everything published before it.
 //
 // # One in-RAM home per page fact
 //
@@ -137,11 +137,11 @@ type Engine struct {
 	// stems memoises the stop list and stemmer per raw token for the fetch
 	// path's tokenizing; a bounded cache with no durable home.
 	stems *text.StemMemo
-	// links is the link-graph producer: every edge write publishes
-	// lnk/rin adjacency records through the version store before touching
-	// the in-memory authority graph (see links.go). Read passes never use
-	// it directly — they pin a DerivedView, whose Out/In/Has decode the
-	// records at one epoch.
+	// links is the derived-state producer: every edge write and every
+	// fetched page's tf/ record is a read-modify-write of the lnk/rin
+	// adjacency records, published through the version store under its one
+	// lock (see links.go). Read passes pin a DerivedView, whose Out/In/Has
+	// decode the records at one epoch.
 	links *linkIndex
 	// cache is the shared decoded-record cache (cache.go): every
 	// DerivedView of this engine consults it before decoding a tf/, lnk/
@@ -242,14 +242,16 @@ func Open(cfg Config) (*Engine, error) {
 		return nil, err
 	}
 	dict := text.NewDict()
+	idx := textindex.New(dict)
 	e := &Engine{
 		cfg:     cfg,
 		db:      db,
 		kv:      kv,
 		vs:      vs,
 		dict:    dict,
+		idx:     idx,
 		stems:   text.NewStemMemo(stemMemoEntries),
-		links:   newLinkIndex(vs, dict),
+		links:   newLinkIndex(vs, dict, idx),
 		cache:   newRecordCache(cfg.DecodedCacheBytes),
 		queue:   events.NewQueue(cfg.QueueSize),
 		pool:    demon.NewPool(),
@@ -259,7 +261,6 @@ func Open(cfg Config) (*Engine, error) {
 		idByURL: map[string]int64{},
 		visited: map[int64]map[int64]bool{},
 	}
-	e.idx = textindex.New(e.dict)
 	if err := e.createTables(); err != nil {
 		kv.Close()
 		return nil, err
@@ -515,11 +516,9 @@ type Stats struct {
 	// Demons lists every demon that has panicked: how often the pool
 	// restarted it, and the last panic value and time.
 	Demons map[string]demon.Status
-	// GraphNodes/GraphEdges size the recovered+live link graph (pages
-	// known to the hyperlink structure and directed edges between them).
-	// After a restart they are nonzero before any fetch: the adjacency
-	// came back from the version store's recovered lnk/ records.
-	GraphNodes int
+	// GraphEdges counts the link graph's directed edges: the ids in every
+	// lnk/ record. After a restart it is the same before any fetch: Open
+	// sums the recovered records' count headers.
 	GraphEdges int
 	// Terms is the term dictionary's size. Every term has its dict/ record
 	// from the batch of the first page that names it, so a restart gives
@@ -546,15 +545,13 @@ func (e *Engine) Status() Stats {
 	pages := len(e.meta)
 	e.mu.RUnlock()
 	p := e.Pressure()
-	nodes, edges := e.links.Counts()
 	var cs CacheStats
 	if e.cache != nil {
 		cs = e.cache.stats()
 	}
 	return Stats{
 		Cache:         cs,
-		GraphNodes:    nodes,
-		GraphEdges:    edges,
+		GraphEdges:    int(e.links.edges.Load()),
 		Terms:         e.dict.Size(),
 		Users:         users,
 		Pages:         pages,

@@ -45,6 +45,14 @@ func (e *Engine) RecordVisit(user int64, url, referrer string, at time.Time, pri
 		if refID, err = e.ensurePage(referrer); err != nil {
 			return err
 		}
+		// The referrer→page transition is link-graph evidence like any
+		// fetched out-link: publish it as adjacency records (one epoch,
+		// nothing when the edge is already known) so trail mining still
+		// sees it after a restart. It goes first so that an error leaves
+		// no visit row behind for a retry to duplicate.
+		if err := e.links.publish(refID, []int64{pageID}, nil); err != nil {
+			return err
+		}
 	}
 	if _, err := e.visits.InsertSeq(rdbms.Row{
 		"user":    rdbms.Int(user),
@@ -58,13 +66,6 @@ func (e *Engine) RecordVisit(user int64, url, referrer string, at time.Time, pri
 	e.mu.Lock()
 	e.markVisitedLocked(user, pageID, privacy)
 	e.mu.Unlock()
-	if refID != 0 {
-		// The referrer→page transition is link-graph evidence like any
-		// fetched out-link: publish it as adjacency-record deltas (one
-		// epoch, no-op when the edge is already known) so trail mining
-		// still sees it after a restart.
-		e.links.publish(refID, []int64{pageID}, nil)
-	}
 	e.stats.VisitsLogged.Add(1)
 	e.pushed.Add(1)
 	e.queue.Push(events.Event{Kind: events.VisitEvent, User: user, URL: url, Privacy: privacy})
@@ -289,17 +290,19 @@ func (e *Engine) fetchAndIndex(pageID int64, url string) map[string]int {
 // fetchAndIndexSlow is the publish half of the fetch path. Callers have
 // already decided the page looks unfetched; the claim set arbitrates
 // races authoritatively. It returns the page's term counts, nil when
-// content was unavailable or a row could not be written. By the time it
-// returns, the page's lnk/ adjacency record — and the authority graph —
-// hold its full out-link union (the claim winner publishes synchronously).
+// content was unavailable or a row, or a record the publish rewrites,
+// could not be read or written. By the time it returns, the latest
+// published lnk/ adjacency record of the page holds its full out-link
+// union, on both sides of the claim race (each publishes synchronously).
 //
-// The order is claim → row writes → index → publish. The rows come first
+// The order is claim → row writes → index and publish. The rows come first
 // because they are the step that can fail: a page whose tf/ record exists
 // counts as fetched in every later life and is never fetched again, so
 // publishing ahead of a title write that then failed would leave the row
-// without its title for good. If a row write fails the claim is released
-// and nothing is indexed or published: the page stays unfetched, and its
-// next visit — or requeueUnfetched at the next Open — tries again.
+// without its title for good. If a row write, or a read the publish needs,
+// fails the claim is released and nothing is indexed or published: the
+// page stays unfetched, and its next visit — or requeueUnfetched at the
+// next Open — tries again.
 func (e *Engine) fetchAndIndexSlow(pageID int64, url string) map[string]int {
 	content, ok := e.cfg.Source.Lookup(url)
 	if !ok {
@@ -319,12 +322,11 @@ func (e *Engine) fetchAndIndexSlow(pageID int64, url string) map[string]int {
 		// Publish the out-links this call already holds — idempotent and
 		// serialized with the winner under the link lock, so whichever
 		// side lands last leaves the full union — because our caller may
-		// read the authority's adjacency the moment we return.
+		// read the page's lnk/ record the moment we return.
 		links, err := e.ensurePages(content.Links)
-		if err != nil {
+		if err != nil || e.links.publish(pageID, links, nil) != nil {
 			return nil
 		}
-		e.links.publish(pageID, links, nil)
 		return tf
 	}
 	oldTitle := rec.title
@@ -335,6 +337,7 @@ func (e *Engine) fetchAndIndexSlow(pageID int64, url string) map[string]int {
 	// Resolve out-link URLs to stable page ids (seen-but-unfetched targets
 	// get their pages-table row here — the durable half of the crawl
 	// frontier), then record the title.
+	title := oldTitle // the title the row holds
 	links, err := e.ensurePages(content.Links)
 	if err == nil {
 		_, err = e.pages.Update(rdbms.Int(pageID), func(r rdbms.Row) rdbms.Row {
@@ -342,29 +345,29 @@ func (e *Engine) fetchAndIndexSlow(pageID int64, url string) map[string]int {
 			return r
 		})
 	}
+	if err == nil {
+		title = content.Title
+		// Index and publish the page's derived state as one batch: the tf/
+		// term record, the dict/ record of every term no page has named
+		// before, the lnk/ adjacency record, and the rin/ record of every
+		// newly linked target. The index counts the doc before the batch
+		// makes its vector visible to snapshot readers, or a TFIDF pass
+		// could weight the page against DF stats that don't include it yet.
+		// Consumers see all of it or none of it, from memory while hot, from
+		// the kvstore cold tier once GC folds it, and again after a restart
+		// recovers the fold.
+		err = e.links.publish(pageID, links, tf)
+	}
 	if err != nil {
 		e.mu.Lock()
 		rec = e.meta[pageID]
-		rec.fetched, rec.title = false, oldTitle
+		rec.fetched, rec.title = false, title
 		e.meta[pageID] = rec
 		e.mu.Unlock()
 		e.stats.FetchesFailed.Add(1)
 		return nil
 	}
 	e.stats.PagesFetched.Add(1)
-
-	// The index must count the doc before its vector becomes visible to
-	// snapshot readers, or a TFIDF pass could weight the page against DF
-	// stats that don't include it yet.
-	e.idx.AddCounts(pageID, tf)
-
-	// Publish the page's derived state as one batch: the tf/ term record,
-	// the dict/ record of every term no page has named before, the lnk/
-	// adjacency record, and the rin/ record of every newly linked target.
-	// Consumers see all of it or none of it, from memory while hot, from
-	// the kvstore cold tier once GC folds it, and again after a restart
-	// recovers the fold.
-	e.links.publish(pageID, links, tf)
 	return tf
 }
 

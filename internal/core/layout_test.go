@@ -167,6 +167,60 @@ func TestDurableLayoutHasNoUnreadIndex(t *testing.T) {
 	}
 }
 
+// TestCorruptPageRowFailsOpen: a pages row that does not decode is an Open
+// error naming the table and the key. A scan that skipped it forgot the
+// page, and the next visit gave its URL a new id.
+func TestCorruptPageRowFailsOpen(t *testing.T) {
+	cfg := Config{Dir: t.TempDir(), Source: oneSource{}, KV: kvstore.Options{Sync: kvstore.SyncGroup}, VersionGCInterval: -1}
+	e, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= 3; i++ {
+		if id, err := e.ensurePage(fmt.Sprintf("http://zoo.example/p%d", i)); err != nil || id != int64(i) {
+			t.Fatalf("page %d got id %d (err %v)", i, id, err)
+		}
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	kv, err := kvstore.Open(cfg.Dir, cfg.KV)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The row key is tbl/<tid>/<pk-ordered> (rdbms/db.go): an int key is
+	// big-endian with its sign bit flipped.
+	raw, _, err := kv.Get([]byte("cat/pages"))
+	var ent struct{ ID uint32 }
+	if err == nil {
+		err = json.Unmarshal(raw, &ent)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := binary.BigEndian.AppendUint32([]byte("tbl/"), ent.ID)
+	key = binary.BigEndian.AppendUint64(append(key, '/'), 3^(1<<63))
+	if _, ok, err := kv.Get(key); !ok || err != nil {
+		t.Fatalf("no row at %q (err %v)", key, err)
+	}
+	if err := kv.Put(key, []byte{0xff}); err != nil {
+		t.Fatal(err)
+	}
+	if err := kv.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	e, err = Open(cfg)
+	if err == nil {
+		e.Close()
+		t.Fatal("Open accepted an archive with a corrupt pages row")
+	}
+	if msg := err.Error(); !strings.Contains(msg, `"pages"`) || !strings.Contains(msg, "key 3") {
+		t.Fatalf("Open's error %q does not name the table and the key", msg)
+	}
+}
+
 // TestUnfetchedVisitIsRefetchedAfterReopen: the event queue is memory-only,
 // so a visited or bookmarked page whose fetch did not happen in one life
 // (here the source lacked it) is queued again by the next Open, and an

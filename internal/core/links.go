@@ -2,13 +2,14 @@ package core
 
 import (
 	"encoding/binary"
+	"slices"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
+	"sync/atomic"
 
-	"memex/internal/graph"
 	"memex/internal/text"
+	"memex/internal/textindex"
 	"memex/internal/version"
 )
 
@@ -19,25 +20,25 @@ import (
 //	lnk/<page>  the page's full out-link adjacency (sorted page ids)
 //	rin/<page>  the page's full in-link adjacency (sorted page ids)
 //
-// Every edge write — a fetch's discovered out-links, a visit's
-// referrer→page transition — goes through linkIndex.publish, which stages
-// the source's updated lnk/ record plus the updated rin/ record of every
-// newly linked target into one version-store batch (the fetch path adds
-// the page's tf/ record to the same batch, so a snapshot can never see a
-// page's terms without its links, nor an edge in rin/ without it in lnk/).
-// The fold moves the records to the cold tier with everything else, so the
-// link graph survives restarts: reloadDerived replays the recovered lnk/
-// records into the in-memory authority graph at Open, which is what lets
-// Discover resume its crawl frontier without re-fetching anything.
+// The records are the link graph's only home. Every edge write — a fetch's
+// discovered out-links, a visit's referrer→page transition — goes through
+// linkIndex.publish, a read-modify-write of the records under one lock: it
+// reads the source's lnk/ record and the rin/ record of every newly linked
+// target from the latest publish, and stages their unions into one
+// version-store batch (the fetch path adds the page's tf/ record to the
+// same batch, so a snapshot can never see a page's terms without its
+// links, nor an edge in rin/ without it in lnk/). linkIndex is the version
+// store's only producer and publishes its batch before it releases the
+// lock, so the snapshot read at the top of the critical section holds
+// every edge published before it: each record is the union of all edges
+// ever published into it. The fold moves the records to the cold tier
+// with everything else, so the link graph survives restarts with nothing
+// to rebuild at Open, which is what lets Discover resume its crawl
+// frontier without re-fetching anything.
 //
-// Reads never touch the authority graph: analysis passes pin a
-// DerivedView and decode lnk/ and rin/ records at one frozen epoch (the
-// graph.AdjacencySource implementation in derived.go). The authority
-// exists for the producer side only: publish needs the current adjacency
-// to compute the next record (a read-modify-write), and the single lock
-// below makes those RMWs atomic and allocates their epochs in the same
-// order, so every published record is the union of all edges published
-// before it and the store's last-writer-wins yields the full adjacency.
+// Analysis passes pin a DerivedView and decode lnk/ and rin/ records at
+// one frozen epoch (the graph.AdjacencySource implementation in
+// derived.go); the few live readers (Out) read the latest publish.
 //
 // A record is rewritten whole, so a new in-link costs O(in-degree) bytes.
 // DESIGN.md §4 has the measured in-degrees that make that the right trade
@@ -45,7 +46,7 @@ import (
 //
 // The same lock carries the term dictionary to the store. A tf/ record
 // names its terms by id, and each id's string is its dict/<id> record,
-// written once: stage puts the records of every id the page's tf/ record
+// written once: publish puts the records of every id the page's tf/ record
 // reaches that no batch has carried yet (termsOut upward) into the page's
 // own batch, in the critical section that allocates its epoch. Any later
 // batch naming those ids has a later epoch, and snapshots, the fold and
@@ -59,81 +60,104 @@ func lnkKey(page int64) string { return "lnk/" + strconv.FormatInt(page, 10) }
 // rinKey names a page's reverse (in-link) adjacency record.
 func rinKey(page int64) string { return "rin/" + strconv.FormatInt(page, 10) }
 
-// pageOfLnkKey is the inverse of lnkKey (ok=false for foreign keys).
-func pageOfLnkKey(key string) (int64, bool) {
-	if !strings.HasPrefix(key, "lnk/") {
-		return 0, false
-	}
-	id, err := strconv.ParseInt(key[4:], 10, 64)
-	return id, err == nil
-}
-
-// linkIndex is the engine's link-graph producer: the in-memory authority
-// adjacency (a graph.Graph rebuilt from recovered records at Open) plus
-// the mutex that serialises adjacency read-modify-writes — and the
-// dictionary's high-water mark — against the version store.
+// linkIndex is the engine's derived-state producer: the mutex under which
+// every lnk/ and rin/ record is read and rewritten and every batch is
+// published, the dictionary's high-water mark, and the link graph's edge
+// count.
 type linkIndex struct {
 	vs   *version.Store
 	dict *text.Dict
-	mu   sync.Mutex
-	g    *graph.Graph
+	// idx counts a fetched page's terms in publish's critical section, once
+	// every read has succeeded and before the batch makes its tf/ record
+	// visible (nil for a producer that never publishes one).
+	idx *textindex.Index
+	mu  sync.Mutex
 	// termsOut is the first dictionary id no batch has carried yet (guarded
 	// by mu; restoreDict sets it at Open).
 	termsOut int32
-	// afterStage, set only by tests, runs in publish right after stage:
-	// the window where a panic must not leave the dictionary with a gap.
+	// edges is the number of ids in every lnk/ record: summed from the
+	// records' count headers at Open, then raised by each publish.
+	edges atomic.Int64
+	// afterStage, set only by tests, runs in publish right after the
+	// dictionary records are staged: the window where a panic must not
+	// leave the dictionary with a gap.
 	afterStage func()
 }
 
-func newLinkIndex(vs *version.Store, dict *text.Dict) *linkIndex {
-	return &linkIndex{vs: vs, dict: dict, g: graph.New()}
+func newLinkIndex(vs *version.Store, dict *text.Dict, idx *textindex.Index) *linkIndex {
+	return &linkIndex{vs: vs, dict: dict, idx: idx}
 }
 
-// publish records the edges from→targets: any edge not yet in the
-// authority graph is staged as the updated lnk/ record of from plus the
-// updated rin/ record of each newly linked target, and published as one
-// batch. tf, when non-nil, is the page's term counts, whose tf/ record
-// rides in the same batch (the fetch path), making term and link state
-// snapshot-atomic per page; a tf-carrying call always publishes (even with
-// zero links) so "archived" implies "adjacency known" for every snapshot
-// that sees the page.
+// publish records the edges from→targets as one batch: the union of from's
+// lnk/ record with the targets, the rin/ record of each newly linked target
+// with from added, and the dictionary records the batch must carry. tf,
+// when non-nil, is the page's term counts: the index counts them and their
+// tf/ record rides in the same batch (the fetch path), making term and link
+// state snapshot-atomic per page; a tf-carrying call always publishes (even
+// with zero links) so "archived" implies "adjacency known" for every
+// snapshot that sees the page.
 //
-// Only epoch allocation, the adjacency union, the capture of the
-// post-union lists and the staging of new dictionary records run under the
-// lock. That ordering makes record content monotone in epoch order — a
-// publisher that allocates a later epoch has already observed every
-// earlier publisher's edges — so the expensive half (encoding the records,
-// freezing and installing the batch) runs outside the lock and concurrent
-// fetch workers publish in parallel; last-writer-wins in the store then
-// always yields the full union, even when batches reach Publish out of
-// epoch order.
-func (li *linkIndex) publish(from int64, targets []int64, tf map[string]int) {
+// The critical section pins the latest publish, reads the records, stages
+// and publishes the batch, and only then releases the lock (see the file
+// comment). A store read that fails is returned, with nothing indexed,
+// staged or published and no epoch taken: publishing past it would replace
+// a record with a subset of its edges, for good. A link-only call whose
+// every edge the latest lnk/ record already holds returns before taking
+// the lock; edges are never removed, so that read needs no lock.
+func (li *linkIndex) publish(from int64, targets []int64, tf map[string]int) error {
+	if tf == nil && li.known(from, targets) {
+		return nil
+	}
 	var tfBlob []byte
 	top := int32(-1)
 	if tf != nil {
 		tfBlob, top = encodeCounts(li.dict, tf)
 	}
-	b, outs, fresh, ins := li.stage(from, targets, tf != nil, top)
-	if b == nil {
-		return // nothing new: no epoch, no record churn
+	li.mu.Lock()
+	defer li.mu.Unlock()
+	sn := li.vs.Acquire()
+	defer sn.Release()
+	outs, err := readIDs(sn, lnkKey(from))
+	if err != nil {
+		return err
 	}
-	// The batch publishes on every path. Were encoding to panic, a leaked
-	// epoch would stall the watermark forever under the contiguity rule,
-	// and an aborted one would drop the dictionary records stage put in it
-	// after termsOut had moved past them, leaving a gap under every later
-	// record naming those ids. Every page record is encoded before the
-	// first is put, so on that path the batch holds the dictionary records
-	// alone. (The authority is then ahead of the records until the page's
-	// next new link rewrites them whole; edges are never lost in-process,
-	// only un-persisted.)
+	fresh := newTargets(from, outs, targets)
+	if len(fresh) == 0 && tf == nil {
+		return nil // nothing new: no epoch, no record churn
+	}
+	ins := make([][]int64, len(fresh))
+	for i, t := range fresh {
+		if ins[i], err = readIDs(sn, rinKey(t)); err != nil {
+			return err
+		}
+	}
+	if tf != nil {
+		li.idx.AddCounts(from, tf)
+	}
+	newTerms := max(int(top-li.termsOut+1), 0)
+	b := li.vs.BeginSized(2 + len(fresh) + newTerms)
+	// The batch publishes on every path, before the deferred unlock. Were
+	// encoding to panic, a leaked epoch would stall the watermark forever
+	// under the contiguity rule, and an aborted one would drop the
+	// dictionary records staged below after termsOut had moved past them,
+	// leaving a gap under every later record naming those ids. Every page
+	// record is encoded before the first is put, so on that path the batch
+	// holds the dictionary records alone.
 	defer b.Publish()
+	if newTerms > 0 {
+		terms := li.dict.Terms()
+		for id := li.termsOut; id <= top; id++ {
+			b.Put(dictKey(id), []byte(terms[id]))
+		}
+		li.termsOut = top + 1
+	}
 	if li.afterStage != nil {
 		li.afterStage()
 	}
-	lnk := encodeIDSet(outs)
+	lnk := encodeIDSet(append(outs, fresh...))
 	rins := make([][]byte, len(fresh))
 	for i := range fresh {
-		rins[i] = encodeIDSet(ins[i])
+		rins[i] = encodeIDSet(append(ins[i], from))
 	}
 	if tfBlob != nil {
 		b.Put(tfKey(from), tfBlob)
@@ -142,55 +166,53 @@ func (li *linkIndex) publish(from int64, targets []int64, tf map[string]int) {
 	for i, t := range fresh {
 		b.Put(rinKey(t), rins[i])
 	}
+	li.edges.Add(int64(len(fresh)))
+	return nil
 }
 
-// stage is publish's locked half: union the new edges into the authority
-// (one graph-lock acquisition reports which targets were fresh, each one's
-// in-adjacency and the source's out-adjacency after the union), allocate
-// the epoch, and put into the batch the dictionary record of every id from
-// termsOut up to top, the largest id the page's tf/ record names. The
-// in-lists must be captured here: read after unlock they could absorb an
-// edge whose own batch publishes at a later epoch, and a view pinned
-// between the two would see that edge in rin/ but not in its source's
-// lnk/. The dictionary records must be staged here for the same reason
-// (see the file comment). A panic anywhere inside still releases the lock
-// (deferred), so a wedged worker cannot stall every future publish.
-// Returns a nil batch when there is nothing to publish.
-func (li *linkIndex) stage(from int64, targets []int64, force bool, top int32) (b *version.Batch, outs, fresh []int64, ins [][]int64) {
-	li.mu.Lock()
-	defer li.mu.Unlock()
-	fresh, ins, outs = li.g.UnionOut(from, targets)
-	if len(fresh) == 0 {
-		if !force {
-			return nil, nil, nil, nil
+// known reports whether the latest published lnk/ record of from already
+// holds every edge from→targets. A failed read answers false, leaving the
+// error to publish's own read.
+func (li *linkIndex) known(from int64, targets []int64) bool {
+	sn := li.vs.Acquire()
+	defer sn.Release()
+	outs, err := readIDs(sn, lnkKey(from))
+	return err == nil && len(newTargets(from, outs, targets)) == 0
+}
+
+// newTargets returns the targets outs (sorted) lacks, sorted, without
+// repeats and without from itself: a page does not link to itself.
+func newTargets(from int64, outs, targets []int64) []int64 {
+	fresh := make([]int64, 0, len(targets))
+	for _, t := range targets {
+		if _, found := slices.BinarySearch(outs, t); !found && t != from {
+			fresh = append(fresh, t)
 		}
-		li.g.AddNode(from) // a fetched page is known to the graph, links or none
 	}
-	newTerms := max(int(top-li.termsOut+1), 0)
-	b = li.vs.BeginSized(2 + len(fresh) + newTerms)
-	if newTerms > 0 {
-		terms := li.dict.Terms()
-		for id := li.termsOut; id <= top; id++ {
-			b.Put(dictKey(id), []byte(terms[id]))
-		}
-		li.termsOut = top + 1
-	}
-	return b, outs, fresh, ins
+	return canonIDs(fresh)
 }
 
-// applyRecovered replays one recovered lnk/ record into the authority
-// graph (Open's reload path; records already exist, nothing publishes).
-func (li *linkIndex) applyRecovered(from int64, outs []int64) {
-	li.g.ApplyOut(from, outs)
+// readIDs reads one adjacency record through sn: nil when there is none,
+// or when it does not decode (the rewrite replaces it). The error is the
+// store's, when it could not be read.
+func readIDs(sn *version.Snapshot, key string) ([]int64, error) {
+	raw, ok, err := sn.Read(key)
+	if !ok || err != nil {
+		return nil, err
+	}
+	ids, _ := decodeIDSet(raw)
+	return ids, nil
 }
 
-// Out returns the authority graph's current out-adjacency — the live
-// fallback for pages published after a pass pinned its view.
-func (li *linkIndex) Out(page int64) []int64 { return li.g.Out(page) }
-
-// Counts reports authority graph size for Status.
-func (li *linkIndex) Counts() (nodes, edges int) {
-	return li.g.NodeCount(), li.g.EdgeCount()
+// Out reads the page's out-links from the latest publish — the live
+// fallback for pages published after a pass pinned its view (nil when the
+// page has no lnk/ record). A reader degrades a failed read to "unknown",
+// as Snapshot.Get does; the store counts it.
+func (li *linkIndex) Out(page int64) []int64 {
+	sn := li.vs.Acquire()
+	defer sn.Release()
+	ids, _ := readIDs(sn, lnkKey(page))
+	return ids
 }
 
 // --- adjacency codec ---

@@ -13,10 +13,10 @@ import (
 // rin-bytes/op metric (and the time) grows linearly with the target's
 // in-degree. The benchmark's world has in-degree p99 6, max 9 (DESIGN.md
 // §4); the slope is kept a printed number for the day that changes. Each
-// op adds one in-link to a hub holding between d and 2d of them — the
-// authority is rebuilt at d, off the clock, whenever it reaches 2d — and
-// the hub's rin/ record it rewrote is read back through a snapshot, off
-// the clock too.
+// op adds one in-link to a hub holding between d and 2d of them — a fresh
+// store is seeded with d, through publish and off the clock, whenever it
+// reaches 2d — and the hub's rin/ record it rewrote is read back through a
+// snapshot, off the clock too.
 func BenchmarkInLinkWriteAmplification(b *testing.B) {
 	hub := int64(1 << 40)
 	for _, d := range []int{10, 100, 1_000} {
@@ -27,15 +27,19 @@ func BenchmarkInLinkWriteAmplification(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if indeg == 2*d {
 					b.StopTimer()
-					li = newLinkIndex(version.NewStore(), text.NewDict())
+					li = newLinkIndex(version.NewStore(), text.NewDict(), nil)
 					for src := 1; src <= d; src++ {
-						li.applyRecovered(int64(src), []int64{hub})
+						if err := li.publish(int64(src), []int64{hub}, nil); err != nil {
+							b.Fatal(err)
+						}
 					}
 					indeg = d
 					b.StartTimer()
 				}
 				indeg++
-				li.publish(int64(indeg), []int64{hub}, nil)
+				if err := li.publish(int64(indeg), []int64{hub}, nil); err != nil {
+					b.Fatal(err)
+				}
 				b.StopTimer()
 				sn := li.vs.Acquire()
 				rin, _ := sn.Get(rinKey(hub))

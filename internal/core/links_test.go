@@ -108,7 +108,9 @@ func TestLinkPublishViewsAndIdempotence(t *testing.T) {
 		// Re-publishing a known edge must not open an epoch (idempotence: a
 		// hot revisit loop cannot churn the version store).
 		wm := e.vs.Watermark()
-		e.links.publish(refID, []int64{dstID}, nil)
+		if err := e.links.publish(refID, []int64{dstID}, nil); err != nil {
+			t.Fatal(err)
+		}
 		if got := e.vs.Watermark(); got != wm {
 			t.Fatalf("idempotent publish advanced watermark %d→%d", wm, got)
 		}
@@ -119,10 +121,10 @@ func TestLinkPublishViewsAndIdempotence(t *testing.T) {
 	})
 }
 
-// TestLinkGraphSurvivesRestart is the core-level half of the tentpole
-// contract: adjacency published in one life — including the frontier of
-// seen-but-unfetched link targets — is rebuilt from recovered records in
-// the next, with no network fetches and identical pinned-view reads.
+// TestLinkGraphSurvivesRestart: adjacency published in one life —
+// including the frontier of seen-but-unfetched link targets — is read from
+// the recovered records in the next, with no network fetches, the same
+// edge count, and every page's Out and In as before.
 func TestLinkGraphSurvivesRestart(t *testing.T) {
 	c := webcorpus.Generate(webcorpus.Config{Seed: 5, TopTopics: 3, SubPerTopic: 2, PagesPerLeaf: 20})
 	dir := t.TempDir()
@@ -150,8 +152,9 @@ func TestLinkGraphSurvivesRestart(t *testing.T) {
 	e1.DrainBackground()
 
 	st1 := e1.Status()
-	if st1.GraphEdges == 0 || st1.GraphNodes == 0 {
-		t.Fatalf("no link graph accumulated: %+v", st1)
+	graph1 := linkGraphOf(t, e1)
+	if st1.GraphEdges == 0 || st1.GraphEdges != graph1.edges() {
+		t.Fatalf("GraphEdges = %d, the records hold %d edges", st1.GraphEdges, graph1.edges())
 	}
 	// Snapshot one fetched page's adjacency and the frontier: graph nodes
 	// the fetch path has not archived (no tf/ record, only link evidence).
@@ -183,10 +186,10 @@ func TestLinkGraphSurvivesRestart(t *testing.T) {
 	e2 := open()
 	defer e2.Close()
 	st2 := e2.Status()
-	if st2.GraphNodes != st1.GraphNodes || st2.GraphEdges != st1.GraphEdges {
-		t.Fatalf("restart lost graph: %d/%d nodes, %d/%d edges",
-			st2.GraphNodes, st1.GraphNodes, st2.GraphEdges, st1.GraphEdges)
+	if st2.GraphEdges != st1.GraphEdges {
+		t.Fatalf("GraphEdges = %d after restart, %d before", st2.GraphEdges, st1.GraphEdges)
 	}
+	graph1.mustEqual(t, linkGraphOf(t, e2))
 	if st2.PagesFetched != 0 {
 		t.Fatalf("restart re-fetched %d pages", st2.PagesFetched)
 	}
@@ -228,28 +231,21 @@ func testView(vs *version.Store) *DerivedView {
 	}
 }
 
-// TestRinChunkMergeMatchesAuthority is the property check: for a random
-// edge stream, a view pinned after any publish reads, for every target, the
-// producer-side authority's in-adjacency as of that epoch — and goes on
-// reading it however many edges are published afterwards.
-func TestRinChunkMergeMatchesAuthority(t *testing.T) {
+// TestInLinksMatchEdgeModel is the property check: for a random edge
+// stream, a view pinned after any publish reads, for every page, the
+// in-links a map of the edges published so far gives it — and goes on
+// reading them however many edges are published afterwards.
+func TestInLinksMatchEdgeModel(t *testing.T) {
 	vs := version.NewStore()
-	li := newLinkIndex(vs, text.NewDict())
+	li := newLinkIndex(vs, text.NewDict(), nil)
 	rng := rand.New(rand.NewSource(42))
 	const pages = 20
+	edges := map[[2]int64]bool{}
 	check := func(view *DerivedView, want [][]int64, when string) {
 		t.Helper()
 		for p := int64(0); p < pages; p++ {
-			got := view.In(p)
-			if len(want[p]) == 0 {
-				// Never linked-to: the view may know it (empty) or not (nil).
-				if len(got) != 0 {
-					t.Fatalf("%s, page %d: view has in-links %v, authority none", when, p, got)
-				}
-				continue
-			}
-			if !slices.Equal(got, want[p]) {
-				t.Fatalf("%s, page %d: view In = %v, authority %v", when, p, got, want[p])
+			if got := view.In(p); !slices.Equal(got, want[p]) {
+				t.Fatalf("%s, page %d: view In = %v, model %v", when, p, got, want[p])
 			}
 		}
 	}
@@ -259,10 +255,18 @@ func TestRinChunkMergeMatchesAuthority(t *testing.T) {
 	}
 	var kept []pinned
 	for i := 0; i < 400; i++ {
-		li.publish(int64(rng.Intn(pages)), []int64{int64(rng.Intn(pages))}, nil)
+		from, to := int64(rng.Intn(pages)), int64(rng.Intn(pages))
+		if err := li.publish(from, []int64{to}, nil); err != nil {
+			t.Fatal(err)
+		}
+		if from != to {
+			edges[[2]int64{from, to}] = true
+		}
 		want := make([][]int64, pages)
+		for e := range edges {
+			want[e[1]] = append(want[e[1]], e[0])
+		}
 		for p := range want {
-			want[p] = li.g.In(int64(p))
 			slices.Sort(want[p])
 		}
 		view := testView(vs)
@@ -272,6 +276,9 @@ func TestRinChunkMergeMatchesAuthority(t *testing.T) {
 			kept = append(kept, pinned{testView(vs), want})
 		}
 		view.sn.Release()
+	}
+	if got := li.edges.Load(); got != int64(len(edges)) {
+		t.Fatalf("edge count %d, model %d", got, len(edges))
 	}
 	for _, k := range kept {
 		check(k.view, k.want, "after later publishes")
@@ -286,7 +293,7 @@ func TestRinChunkMergeMatchesAuthority(t *testing.T) {
 func TestHubInLinksNeverOutrunOutLinks(t *testing.T) {
 	const publishers, sources, readers = 8, 2000, 3
 	vs := version.NewStore()
-	li := newLinkIndex(vs, text.NewDict())
+	li := newLinkIndex(vs, text.NewDict(), nil)
 	hub := int64(1 << 40)
 
 	check := func() error {
@@ -330,7 +337,10 @@ func TestHubInLinksNeverOutrunOutLinks(t *testing.T) {
 		go func(w int) {
 			defer pubs.Done()
 			for src := 1 + w; src <= sources; src += publishers {
-				li.publish(int64(src), []int64{hub}, nil)
+				if err := li.publish(int64(src), []int64{hub}, nil); err != nil {
+					t.Error(err)
+					return
+				}
 			}
 		}(w)
 	}
@@ -467,6 +477,7 @@ func TestLinkRestartPreChunkArchive(t *testing.T) {
 	e1 := open()
 	seedEngine(t, e1, c, 8)
 	st1 := e1.Status()
+	graph1 := linkGraphOf(t, e1)
 	type probe struct {
 		page int64
 		in   []int64
@@ -487,10 +498,10 @@ func TestLinkRestartPreChunkArchive(t *testing.T) {
 	if st2.PagesFetched != 0 {
 		t.Fatalf("second life fetched %d pages from a full-record archive", st2.PagesFetched)
 	}
-	if st2.GraphNodes != st1.GraphNodes || st2.GraphEdges != st1.GraphEdges {
-		t.Fatalf("restart lost graph: %d/%d nodes, %d/%d edges",
-			st2.GraphNodes, st1.GraphNodes, st2.GraphEdges, st1.GraphEdges)
+	if st2.GraphEdges != st1.GraphEdges || st1.GraphEdges != graph1.edges() {
+		t.Fatalf("GraphEdges = %d after restart, %d before, %d in the records", st2.GraphEdges, st1.GraphEdges, graph1.edges())
 	}
+	graph1.mustEqual(t, linkGraphOf(t, e2))
 	e2.withView(func(view2 *DerivedView) {
 		for _, pr := range probes {
 			if got := view2.In(pr.page); !slices.Equal(got, pr.in) {
@@ -511,7 +522,9 @@ func TestLinkRestartPreChunkArchive(t *testing.T) {
 		t.Fatal("no page with in-links to probe")
 	}
 	const newSrc = int64(1 << 40)
-	e2.links.publish(newSrc, []int64{hub}, nil)
+	if err := e2.links.publish(newSrc, []int64{hub}, nil); err != nil {
+		t.Fatal(err)
+	}
 	e2.withView(func(view3 *DerivedView) {
 		want := append(slices.Clone(hubIn), newSrc)
 		slices.Sort(want)
@@ -563,13 +576,18 @@ func TestBenchWorldInDegrees(t *testing.T) {
 
 	var indeg []int
 	records, rinBytes := 0, 0
+	nodes := map[string]bool{}
 	e.withView(func(v *DerivedView) {
 		err = v.sn.Range(func(key string, raw []byte) bool {
 			records++
+			if page, ok := strings.CutPrefix(key, "lnk/"); ok {
+				nodes[page] = true
+			}
 			if strings.HasPrefix(key, "rinD/") {
 				t.Errorf("delta chunk %s in a fresh archive", key)
 			}
-			if strings.HasPrefix(key, "rin/") {
+			if page, ok := strings.CutPrefix(key, "rin/"); ok {
+				nodes[page] = true
 				ids, _ := decodeIDSet(raw)
 				indeg = append(indeg, len(ids))
 				rinBytes += len(raw)
@@ -584,7 +602,7 @@ func TestBenchWorldInDegrees(t *testing.T) {
 	pct := func(p int) int { return indeg[(len(indeg)-1)*p/100] }
 	st := e.Status()
 	t.Logf("%d graph nodes, %d edges; %d pages with in-links, in-degree p50 %d / p90 %d / p99 %d / max %d; %d cold records, %d rin/ payload bytes",
-		st.GraphNodes, st.GraphEdges, len(indeg), pct(50), pct(90), pct(99), pct(100), st.Version.Cold.Records, rinBytes)
+		len(nodes), st.GraphEdges, len(indeg), pct(50), pct(90), pct(99), pct(100), st.Version.Cold.Records, rinBytes)
 	if got := st.Version.Cold.Records; got != int64(records) {
 		t.Fatalf("%d cold records for %d live keys: the fold left more than one record a key", got, records)
 	}

@@ -533,7 +533,7 @@ func (e *Engine) Discover(user int64, folder string, budget, k int) []PageInfo {
 		})
 		// Discovery ranks by link mass. Pages archived before the pin read
 		// their adjacency record from the view; pages this very crawl fetched
-		// published after the pin, so they fall back to the live authority.
+		// published after the pin, so they read the latest publish.
 		outLinks := func(p int64) []int64 {
 			if outs, ok := view.OutKnown(p); ok {
 				return outs
@@ -590,14 +590,12 @@ func (f *engineFetcher) Fetch(page int64) (crawler.FetchResult, bool) {
 	if tf == nil {
 		return crawler.FetchResult{}, false
 	}
-	// Read the page's links from the authority, not from the raw content:
-	// the published lnk/ record is the union of content out-links and any
-	// earlier visit-referrer edges, which is exactly what a future life
-	// serving this page from the archive will see — the frontier must not
-	// depend on which tier served the page. (fetchAndIndexSlow guarantees
-	// the authority holds at least the content links by the time it
-	// returns, on both sides of the claim race.)
-	sorted := e.links.Out(page)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	return crawler.FetchResult{Page: page, Counts: tf, Links: sorted}, true
+	// Read the page's links from its latest lnk/ record, not from the raw
+	// content: the record is the union of content out-links and any
+	// earlier visit-referrer edges, sorted, which is exactly what a future
+	// life serving this page from the archive will see — the frontier must
+	// not depend on which tier served the page. (fetchAndIndexSlow
+	// publishes at least the content links before it returns, on both
+	// sides of the claim race.)
+	return crawler.FetchResult{Page: page, Counts: tf, Links: e.links.Out(page)}, true
 }

@@ -8,17 +8,17 @@
 //
 // The analysis primitives are written against AdjacencySource, not the
 // concrete Graph: any per-page adjacency provider — the mutable in-memory
-// Graph here (the producer's authority over which edges are new, and the
-// bench's fixture), or a snapshot-pinned view decoding versioned adjacency
-// records (core.DerivedView: one lnk/ record per page's out-links, one
-// rin/ record per page's in-links) — can feed neighbourhood expansion
-// (ExpandFrom) and HITS (HITSOver). That is what lets the engine run a
-// whole trail-replay or discovery pass against one frozen epoch of the
-// link graph while ingest keeps publishing edges. The primitives read each
-// page's adjacency a bounded number of times (HITS materialises the
-// induced subgraph once), so a source that decodes records on demand is
-// never re-decoded per iteration — and the Graph's lock is never held
-// across an iteration loop.
+// Graph here (a fixture for tests and the benchmark's cost ladder), or a
+// snapshot-pinned view decoding versioned adjacency records
+// (core.DerivedView: one lnk/ record per page's out-links, one rin/ record
+// per page's in-links, the engine's only home for the link graph) — can
+// feed neighbourhood expansion (ExpandFrom) and HITS (HITSOver). That is
+// what lets the engine run a whole trail-replay or discovery pass against
+// one frozen epoch of the link graph while ingest keeps publishing edges.
+// The primitives read each page's adjacency a bounded number of times
+// (HITS materialises the induced subgraph once), so a source that decodes
+// records on demand is never re-decoded per iteration — and the Graph's
+// lock is never held across an iteration loop.
 package graph
 
 import (
@@ -43,7 +43,7 @@ type Graph struct {
 	mu  sync.RWMutex
 	out map[int64][]int64
 	in  map[int64][]int64
-	// edge set for O(1) duplicate detection, key = (from<<32)^to packed.
+	// edge set for O(1) duplicate detection.
 	edges map[[2]int64]bool
 }
 
@@ -54,13 +54,6 @@ func New() *Graph {
 		in:    make(map[int64][]int64),
 		edges: make(map[[2]int64]bool),
 	}
-}
-
-// AddNode ensures a node exists (isolated nodes are legal).
-func (g *Graph) AddNode(id int64) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.ensure(id)
 }
 
 func (g *Graph) ensure(id int64) {
@@ -79,51 +72,23 @@ func (g *Graph) AddEdge(from, to int64) {
 	g.ApplyOut(from, []int64{to})
 }
 
-// ApplyOut merges one page's out-adjacency delta into the graph: every
-// edge from→each target is added idempotently and the node exists
-// afterwards even when outs is empty. This is the incremental build step
-// for graphs reconstructed from versioned adjacency records.
+// ApplyOut merges one page's out-adjacency into the graph: every edge
+// from→each target but a self-loop is added idempotently, and the node
+// exists afterwards even when outs is empty.
 func (g *Graph) ApplyOut(from int64, outs []int64) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	g.ensure(from)
 	for _, to := range outs {
-		g.addEdgeLocked(from, to)
-	}
-}
-
-// UnionOut is ApplyOut for a producer that must publish what the merge
-// changed, answered under the one lock acquisition that makes the change:
-// fresh lists the targets that were not out-neighbours of from before
-// (first-seen order; self-loops and repeats dropped), ins[i] is fresh[i]'s
-// in-adjacency after the union and outs is from's out-adjacency after it
-// (copies, insertion order). Unlike ApplyOut it creates no node when it
-// adds no edge.
-func (g *Graph) UnionOut(from int64, targets []int64) (fresh []int64, ins [][]int64, outs []int64) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	for _, to := range targets {
-		if g.addEdgeLocked(from, to) {
-			fresh = append(fresh, to)
-			ins = append(ins, append([]int64(nil), g.in[to]...))
+		key := [2]int64{from, to}
+		if from == to || g.edges[key] {
+			continue
 		}
+		g.edges[key] = true
+		g.ensure(to)
+		g.out[from] = append(g.out[from], to)
+		g.in[to] = append(g.in[to], from)
 	}
-	return fresh, ins, append([]int64(nil), g.out[from]...)
-}
-
-// addEdgeLocked adds from→to unless it is a self-loop or already there,
-// and reports whether it did. Caller holds mu.
-func (g *Graph) addEdgeLocked(from, to int64) bool {
-	key := [2]int64{from, to}
-	if from == to || g.edges[key] {
-		return false
-	}
-	g.edges[key] = true
-	g.ensure(from)
-	g.ensure(to)
-	g.out[from] = append(g.out[from], to)
-	g.in[to] = append(g.in[to], from)
-	return true
 }
 
 // Has reports whether the node is known to the graph.
@@ -146,19 +111,6 @@ func (g *Graph) In(id int64) []int64 {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
 	return append([]int64(nil), g.in[id]...)
-}
-
-// NodeCount and EdgeCount report graph size.
-func (g *Graph) NodeCount() int {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	return len(g.out)
-}
-
-func (g *Graph) EdgeCount() int {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	return len(g.edges)
 }
 
 // ExpandFrom returns the radius-r undirected neighbourhood of the seed set

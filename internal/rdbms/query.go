@@ -2,6 +2,8 @@ package rdbms
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
 	"sort"
 )
 
@@ -194,16 +196,7 @@ func (q *Query) each(fn func(Row) bool) error {
 	switch plan.Access {
 	case "pk":
 		lo, hi := q.t.pkBounds(driver)
-		return q.t.db.kv.Scan(lo, hi, func(k, v []byte) bool {
-			r, err := decodeRow(&q.t.schema, v)
-			if err != nil {
-				return true
-			}
-			if !filter(r) {
-				return true
-			}
-			return fn(r)
-		})
+		return q.t.scanRows(lo, hi, filter, fn)
 	case "index":
 		ci := q.t.schema.colIndex(plan.Column)
 		lo, hi := q.t.idxBounds(ci, driver)
@@ -234,17 +227,28 @@ func (q *Query) each(fn func(Row) bool) error {
 		}
 		return nil
 	default:
-		return q.t.db.kv.ScanPrefix(q.t.rowPrefix(), func(k, v []byte) bool {
-			r, err := decodeRow(&q.t.schema, v)
-			if err != nil {
-				return true
-			}
-			if !filter(r) {
-				return true
-			}
-			return fn(r)
-		})
+		prefix := q.t.rowPrefix()
+		return q.t.scanRows(prefix, prefixEnd(prefix), filter, fn)
 	}
+}
+
+// scanRows streams the rows whose keys lie in [lo, hi) through filter to
+// fn. A row that does not decode ends the scan with an error naming the
+// table and the key: a partial answer with a nil error would look whole.
+func (t *Table) scanRows(lo, hi []byte, filter, fn func(Row) bool) error {
+	var bad error
+	err := t.db.kv.Scan(lo, hi, func(k, v []byte) bool {
+		r, err := decodeRow(&t.schema, v)
+		if err != nil {
+			bad = t.rowError(k[len(t.rowPrefix()):], err)
+			return false
+		}
+		return !filter(r) || fn(r)
+	})
+	if err != nil {
+		return err
+	}
+	return bad
 }
 
 // pkBounds converts the driving predicate into a [lo,hi) byte range over the
@@ -303,9 +307,19 @@ func (t *Table) rowByPKEnc(pkEnc []byte) (Row, bool, error) {
 	}
 	r, err := decodeRow(&t.schema, blob)
 	if err != nil {
-		return nil, false, err
+		return nil, false, t.rowError(pkEnc, err)
 	}
 	return r, true, nil
+}
+
+// rowError names the table and the primary key of a row that does not
+// decode; pkEnc is the key's ordered encoding.
+func (t *Table) rowError(pkEnc []byte, err error) error {
+	key := fmt.Sprintf("%x", pkEnc)
+	if t.schema.Columns[t.keyIdx].Type == TInt && len(pkEnc) == 8 {
+		key = fmt.Sprint(int64(binary.BigEndian.Uint64(pkEnc) ^ 1<<63))
+	}
+	return fmt.Errorf("rdbms: table %q, key %s: %w", t.schema.Name, key, err)
 }
 
 func prefixEnd(prefix []byte) []byte {

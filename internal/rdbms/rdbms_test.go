@@ -167,6 +167,74 @@ func TestDeleteMaintainsIndexes(t *testing.T) {
 	}
 }
 
+// TestIndexedRowChangesAreOneCommit: an Update that moves an indexed
+// column, and a Delete, each write the row and every index entry it
+// touches as one kvstore commit, and leave the index matching the rows.
+func TestIndexedRowChangesAreOneCommit(t *testing.T) {
+	db := openDB(t)
+	tbl, _ := db.CreateTable(pagesSchema())
+	for i := int64(1); i <= 3; i++ {
+		tbl.Insert(samplePage(i))
+	}
+	lookup := func(url string) int {
+		rows, err := tbl.Select().Where(Eq("url", String(url))).Rows()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(rows)
+	}
+	before := db.KV().Stats().Commits
+	if _, err := tbl.Update(Int(2), func(r Row) Row {
+		r["url"], r["score"] = String("http://example.com/moved"), Float(7)
+		return r
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if got := db.KV().Stats().Commits - before; got != 1 {
+		t.Fatalf("an Update moving two indexed columns took %d commits, want 1", got)
+	}
+	if lookup("http://example.com/p2") != 0 || lookup("http://example.com/moved") != 1 {
+		t.Fatal("the url index does not follow the updated row")
+	}
+	before = db.KV().Stats().Commits
+	if err := tbl.Delete(Int(2)); err != nil {
+		t.Fatal(err)
+	}
+	if got := db.KV().Stats().Commits - before; got != 1 {
+		t.Fatalf("a Delete took %d commits, want 1", got)
+	}
+	if lookup("http://example.com/moved") != 0 {
+		t.Fatal("the url index still returns the deleted row")
+	}
+}
+
+// TestCorruptRowIsAnError: a row that does not decode ends every plan
+// that reaches it with an error naming the table and the key — never a
+// shorter answer with a nil error.
+func TestCorruptRowIsAnError(t *testing.T) {
+	db := openDB(t)
+	tbl, _ := db.CreateTable(pagesSchema())
+	for i := int64(1); i <= 3; i++ {
+		tbl.Insert(samplePage(i))
+	}
+	if err := db.KV().Put(tbl.rowKey(Int(3)), []byte{0xff}); err != nil {
+		t.Fatal(err)
+	}
+	for name, q := range map[string]*Query{
+		"scan":  tbl.Select(),
+		"pk":    tbl.Select().Where(Ge("id", Int(1))),
+		"index": tbl.Select().Where(Ge("score", Float(0))),
+	} {
+		rows, err := q.Rows()
+		if err == nil {
+			t.Fatalf("%s: %d rows and no error over a corrupt row", name, len(rows))
+		}
+		if msg := err.Error(); !strings.Contains(msg, `"pages"`) || !strings.Contains(msg, "key 3") {
+			t.Fatalf("%s: error %q does not name the table and the key", name, msg)
+		}
+	}
+}
+
 func TestQueryPlanSelection(t *testing.T) {
 	db := openDB(t)
 	tbl, _ := db.CreateTable(pagesSchema())

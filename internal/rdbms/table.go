@@ -112,26 +112,20 @@ func (t *Table) Update(pk Value, fn func(Row) Row) (bool, error) {
 }
 
 // writeRow encodes and stores r at key, maintaining secondary indexes.
-// oldRow, when non-nil, is the row being replaced (its index entries are
-// removed first). All kvstore mutations for one row go in a single batch so
-// that WAL recovery cannot observe a row without its index entries.
+// oldRow, when non-nil, is the row being replaced: its index entries that
+// r no longer matches are deleted. All kvstore mutations for one row go in
+// a single batch, one commit, so that WAL recovery cannot observe a row
+// without its index entries, nor an index entry its row no longer backs.
 func (t *Table) writeRow(key []byte, pk Value, r Row, oldRow Row) error {
-	batch, err := t.appendRow(make([]kvstore.KV, 0, 1+len(t.schema.Indexes)), key, pk, r)
+	batch := make([]kvstore.KV, 0, 1+2*len(t.schema.Indexes))
+	for _, idxCol := range t.schema.Indexes {
+		if oldVal := oldRow[idxCol]; oldRow != nil && !oldVal.Equal(r[idxCol]) {
+			batch = append(batch, kvstore.KV{Key: t.idxKey(t.schema.colIndex(idxCol), oldVal, pk), Delete: true})
+		}
+	}
+	batch, err := t.appendRow(batch, key, pk, r)
 	if err != nil {
 		return err
-	}
-	// Remove stale index entries.
-	if oldRow != nil {
-		for _, idxCol := range t.schema.Indexes {
-			ci := t.schema.colIndex(idxCol)
-			oldVal := oldRow[idxCol]
-			newVal := r[idxCol]
-			if !oldVal.Equal(newVal) {
-				if err := t.db.kv.Delete(t.idxKey(ci, oldVal, pk)); err != nil {
-					return err
-				}
-			}
-		}
 	}
 	return t.db.kv.PutBatch(batch)
 }
@@ -167,7 +161,8 @@ func (t *Table) Get(pk Value) (Row, bool, error) {
 	return r, true, nil
 }
 
-// Delete removes the row with primary key pk (no error when absent).
+// Delete removes the row with primary key pk and its index entries, as
+// one commit (no error when absent).
 func (t *Table) Delete(pk Value) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -180,13 +175,11 @@ func (t *Table) Delete(pk Value) error {
 	if err != nil {
 		return err
 	}
+	batch := make([]kvstore.KV, 0, 1+len(t.schema.Indexes))
 	for _, idxCol := range t.schema.Indexes {
-		ci := t.schema.colIndex(idxCol)
-		if err := t.db.kv.Delete(t.idxKey(ci, r[idxCol], pk)); err != nil {
-			return err
-		}
+		batch = append(batch, kvstore.KV{Key: t.idxKey(t.schema.colIndex(idxCol), r[idxCol], pk), Delete: true})
 	}
-	return t.db.kv.Delete(key)
+	return t.db.kv.PutBatch(append(batch, kvstore.KV{Key: key, Delete: true}))
 }
 
 // Count returns the number of rows (by scanning; tables are metadata-sized).

@@ -260,7 +260,6 @@ func writeEngineMetrics(w io.Writer, st core.Stats) {
 	c("memex_kv_checkpoints_total", "Kvstore checkpoints by this process: the only writes of data.db pages.", float64(st.KV.Checkpoints))
 	c("memex_kv_leaf_splits_total", "Full B+tree leaves that took a new page.", float64(st.KV.LeafSplits))
 	c("memex_kv_leaf_rebalances_total", "Full B+tree leaves that shed cells into a sibling instead of splitting.", float64(st.KV.LeafRebalances))
-	g("memex_graph_nodes", "Pages known to the link graph.", float64(st.GraphNodes))
 	g("memex_graph_edges", "Directed edges in the link graph.", float64(st.GraphEdges))
 	g("memex_dict_terms", "Terms in the durable term dictionary.", float64(st.Terms))
 }

@@ -333,11 +333,10 @@ func (c *coldTier) read(key string) ([]byte, bool, error) {
 	return val, true, nil
 }
 
-// get is Snapshot.Get's fallthrough: one point get per part, through the
-// read-only kvstore handle. A failed read counts as a miss (and in
-// Stats.Cold.ReadErrors) — the versioning layer has no error channel on
-// Get, and a miss degrades to a refetch upstream.
-func (c *coldTier) get(key string) ([]byte, bool) {
+// get is the snapshot reads' fallthrough: one point get per part, through
+// the read-only kvstore handle. A failed read counts in
+// Stats.Cold.ReadErrors and, as it finds nothing, in ReadMisses.
+func (c *coldTier) get(key string) ([]byte, bool, error) {
 	c.reads.Add(1)
 	val, ok, err := c.read(key)
 	if err != nil {
@@ -346,7 +345,7 @@ func (c *coldTier) get(key string) ([]byte, bool) {
 	if !ok {
 		c.readMisses.Add(1)
 	}
-	return val, ok
+	return val, ok, err
 }
 
 // scan walks the record keyspace yielding every key with its value, parts

@@ -705,3 +705,35 @@ func TestColdKeyTooLongPanics(t *testing.T) {
 	b := s.Begin()
 	b.Put(strings.Repeat("x", MaxColdKeyLen+1), []byte("v"))
 }
+
+// TestReadReportsColdError: a cold record that cannot be read is a miss to
+// Get and an error to Read, and both count it in ReadErrors. A producer
+// that rewrites a record from what it read needs the difference.
+func TestReadReportsColdError(t *testing.T) {
+	dir := t.TempDir()
+	kv := openKV(t, dir)
+	defer kv.Close()
+	s := openCold(t, kv, Options{})
+	publishKV(t, s, map[string]string{"k": "v"})
+	if _, err := s.Fold(); err != nil {
+		t.Fatal(err)
+	}
+	// Part 0 of the record with a part count of zero.
+	if err := kv.Put(s.cold.recordKey("k", 0), []byte{0}); err != nil {
+		t.Fatal(err)
+	}
+	sn := s.Acquire()
+	defer sn.Release()
+	if v, ok := sn.Get("k"); ok {
+		t.Fatalf("Get of an unreadable record = %q, want a miss", v)
+	}
+	if _, ok, err := sn.Read("k"); ok || err == nil {
+		t.Fatalf("Read of an unreadable record: ok %v, err %v; want the error", ok, err)
+	}
+	if v, ok, err := sn.Read("absent"); ok || err != nil {
+		t.Fatalf("Read of a key with no record = %q, %v, %v; want a plain miss", v, ok, err)
+	}
+	if got := s.StoreStats().Cold.ReadErrors; got != 2 {
+		t.Fatalf("ReadErrors = %d, want 2", got)
+	}
+}

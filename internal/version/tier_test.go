@@ -262,7 +262,10 @@ func TestTieredStoreMatchesModel(t *testing.T) {
 				t.Helper()
 				wm := s.ColdWatermark()
 				for k := range o {
-					got, ok := s.cold.get(k)
+					got, ok, err := s.cold.get(k)
+					if err != nil {
+						t.Fatalf("%s: read %q: %v", when, k, err)
+					}
 					if want, wantOK := o.lookup(k, wm); ok != wantOK || !bytes.Equal(got, want) {
 						t.Fatalf("%s: disk holds %q,%v for %q at the durable watermark %d; oracle says %q,%v", when, got, ok, k, wm, want, wantOK)
 					}

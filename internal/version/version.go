@@ -575,22 +575,35 @@ func (st *state) visible() *layer { return descendTo(st.head, st.watermark) }
 // is attached), whose records are all at or below every live snapshot's
 // epoch by the fold-floor rule, and none of which a round rewrites while a
 // snapshot that could miss it is pinned. The hot path stays lock-free; only a
-// genuine chain miss pays the disk read. It panics if the snapshot was
-// released.
+// genuine chain miss pays the disk read. A cold read that fails counts as a
+// miss (and in Stats.Cold.ReadErrors): a reader degrades to "unknown". It
+// panics if the snapshot was released.
 func (sn *Snapshot) Get(key string) ([]byte, bool) {
-	st := sn.view("Get")
+	v, ok, _ := sn.read("Get", key)
+	return v, ok
+}
+
+// Read is Get for a caller that must tell a failed cold read from a key with
+// no record — a producer about to rewrite the record from what it read. The
+// failure is counted as Get counts it, and returned.
+func (sn *Snapshot) Read(key string) ([]byte, bool, error) {
+	return sn.read("Read", key)
+}
+
+func (sn *Snapshot) read(op, key string) ([]byte, bool, error) {
+	st := sn.view(op)
 	for l := st.visible(); l != nil; l = l.next {
 		if e, ok := l.entries[key]; ok {
 			if e.deleted {
-				return nil, false
+				return nil, false, nil
 			}
-			return e.value, true
+			return e.value, true, nil
 		}
 	}
 	if c := sn.s.cold; c != nil {
 		return c.get(key)
 	}
-	return nil, false
+	return nil, false, nil
 }
 
 // Keys returns all live keys visible in the snapshot, sorted, across both
