@@ -41,10 +41,9 @@
 //	A page's derived state — tf/ term counts, lnk/ out-links, rin/
 //	in-links — must land in a single version-store Batch so a
 //	snapshot can never observe a page's text without its place in the
-//	link graph (the torn-publish hole the PR 2 out-of-order-publish fix
-//	and PR 4's same-batch adjacency publish closed). The analyzer flags
-//	derived records for one page split across two batches in a
-//	function, and staging into a batch after its Publish/Abort.
+//	link graph. The analyzer flags the two bugs the batch API can still
+//	express: one page's records split across two Publishes (two
+//	batches in a function), and staging into a batch after its Publish.
 //
 // detsched — a load schedule is a pure function of (scenario, seed).
 //

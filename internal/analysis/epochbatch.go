@@ -9,18 +9,18 @@ import (
 // EpochBatch enforces the torn-publish invariant: all derived records for
 // one page — term counts (tf/), out-links (lnk/), in-links (rin/) — must be
 // staged into a single version-store Batch, so one atomic Publish installs
-// them in one epoch. Split across batches, a snapshot taken between the
-// publishes observes a page's text without its place in the link graph (or
-// vice versa), the exact hole PR 2's out-of-order-publish fix and PR 4's
-// same-batch adjacency publish closed.
+// them in one epoch. Split across two Publishes, a snapshot taken between
+// them observes a page's text without its place in the link graph (or vice
+// versa). The batch API can still express that bug, and a Put after
+// Publish, which panics at run time, so the analyzer stays.
 //
 // Two shapes are flagged: derived records for the same page staged into
 // two different batch variables within one function, and staging into a
-// batch after its Publish or Abort.
+// batch after its Publish.
 var EpochBatch = &Analyzer{
 	Name: "epochbatch",
 	Doc: "check that a page's derived records (tf/, lnk/, rin/) are staged into one Batch " +
-		"and that no batch is used after Publish/Abort",
+		"and that no batch is used after Publish",
 	Run: runEpochBatch,
 }
 
@@ -83,20 +83,20 @@ func checkDerivedSplit(pass *Pass, body *ast.BlockStmt) {
 	}
 }
 
-// checkUseAfterFinish flags staging into a batch after Publish/Abort in
-// the same statement list. Deferred calls are excluded (defer b.Abort()
-// as a panic guard is the publish path's own idiom), as are goroutine
-// bodies; rebinding the variable to a fresh batch clears its state.
+// checkUseAfterFinish flags staging into a batch after Publish in the same
+// statement list. Deferred calls and goroutine bodies are excluded, as they
+// do not run where they are written; rebinding the variable to a fresh
+// batch clears its state.
 func checkUseAfterFinish(pass *Pass, body *ast.BlockStmt) {
 	for _, list := range stmtLists(body) {
-		finished := make(map[string]string) // batch expr → "Publish"/"Abort"
+		published := make(map[string]bool) // batch expr → published
 		for _, stmt := range list {
 			// A statement that rebinds the variable (b := s.Begin() inside
 			// a loop body) holds a fresh batch: forget the old fate first.
 			inspectLive(stmt, func(n ast.Node) bool {
 				if as, ok := n.(*ast.AssignStmt); ok {
 					for _, lhs := range as.Lhs {
-						delete(finished, types.ExprString(lhs))
+						delete(published, types.ExprString(lhs))
 					}
 				}
 				return true
@@ -109,12 +109,9 @@ func checkUseAfterFinish(pass *Pass, body *ast.BlockStmt) {
 					return true
 				}
 				key := types.ExprString(recv)
-				switch name {
-				case "Put", "Delete":
-					if how, done := finished[key]; done {
-						pass.Reportf(call.Pos(), "%s.%s after %s.%s: a finished batch must not be reused; begin a new batch",
-							key, name, key, how)
-					}
+				if (name == "Put" || name == "Delete") && published[key] {
+					pass.Reportf(call.Pos(), "%s.%s after %s.Publish: a published batch must not be reused; begin a new batch",
+						key, name, key)
 				}
 				return true
 			})
@@ -123,8 +120,8 @@ func checkUseAfterFinish(pass *Pass, body *ast.BlockStmt) {
 				if !ok || !isBatchExpr(pass, recv) {
 					return true
 				}
-				if name == "Publish" || name == "Abort" {
-					finished[types.ExprString(recv)] = name
+				if name == "Publish" {
+					published[types.ExprString(recv)] = true
 				}
 				return true
 			})

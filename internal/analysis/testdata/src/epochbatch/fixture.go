@@ -9,7 +9,6 @@ type Batch struct{}
 func (b *Batch) Put(k string, v []byte) {}
 func (b *Batch) Delete(k string)        {}
 func (b *Batch) Publish() error         { return nil }
-func (b *Batch) Abort()                 {}
 
 type Store struct{}
 
@@ -38,10 +37,9 @@ func reuseAfterPublish(s *Store, k string, v []byte) {
 }
 
 // The sanctioned shape (links.go publish): everything for the page in one
-// batch, with a deferred Abort as the panic guard.
+// batch.
 func good(s *Store, page int64, tf, lnk, rin []byte) {
 	b := s.Begin()
-	defer b.Abort()
 	b.Put(tfKey(page), tf)
 	b.Put(lnkKey(page), lnk)
 	b.Put(rinKey(page), rin)

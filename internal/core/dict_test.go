@@ -263,9 +263,9 @@ func TestMidCrawlCopyDecodesEveryRecord(t *testing.T) {
 }
 
 // TestPanicAfterStageLeavesNoGap: a publish that panics after staging the
-// dictionary records, with termsOut moved past the page's new ids, must
-// still publish them, or the next page's records would sit above a gap
-// and the next Open would refuse the archive.
+// dictionary records publishes nothing — no epoch, no dict/ record, no tf/
+// record — and leaves termsOut where it was, so the next page stages those
+// ids again and the next Open finds no gap.
 func TestPanicAfterStageLeavesNoGap(t *testing.T) {
 	c := webcorpus.Generate(webcorpus.Config{Seed: 5, TopTopics: 3, SubPerTopic: 2, PagesPerLeaf: 20})
 	cfg := Config{Dir: t.TempDir(), Source: corpusSource{c}, KV: kvstore.Options{Sync: kvstore.SyncGroup}, VersionGCInterval: -1}
@@ -283,6 +283,7 @@ func TestPanicAfterStageLeavesNoGap(t *testing.T) {
 		e.fetchAndIndexSlow(id, p.URL)
 	}
 
+	wm, carried := e.vs.Watermark(), e.links.termsOut
 	e.links.afterStage = func() { panic("encode failed") }
 	func() {
 		defer func() {
@@ -293,22 +294,28 @@ func TestPanicAfterStageLeavesNoGap(t *testing.T) {
 		fetch(first)
 	}()
 	e.links.afterStage = nil
-	carried := e.links.termsOut
-	if carried == 0 {
+	if got := e.vs.Watermark(); got != wm {
+		t.Fatalf("the panicked publish moved the watermark from %d to %d", wm, got)
+	}
+	if e.links.termsOut != carried {
+		t.Fatalf("the panicked publish moved termsOut from %d to %d", carried, e.links.termsOut)
+	}
+	named := int32(e.dict.Size())
+	if named <= carried {
 		t.Fatal("the first page named no new term")
 	}
 	e.withView(func(v *DerivedView) {
-		for id := int32(0); id < carried; id++ {
-			if _, ok := v.sn.Get(dictKey(id)); !ok {
-				t.Fatalf("the panicked batch dropped %s", dictKey(id))
+		for id := carried; id < named; id++ {
+			if _, ok := v.sn.Get(dictKey(id)); ok {
+				t.Fatalf("the panicked publish left %s visible", dictKey(id))
 			}
 		}
 		if _, ok := v.sn.Get(tfKey(e.idByURL[first.URL])); ok {
-			t.Fatal("the panicked batch published the page's tf/ record")
+			t.Fatal("the panicked publish left the page's tf/ record visible")
 		}
 	})
 	fetch(second)
-	if e.links.termsOut <= carried {
+	if e.links.termsOut <= named {
 		t.Fatal("the second page named no new term")
 	}
 	terms := e.Status().Terms

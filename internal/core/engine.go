@@ -265,7 +265,8 @@ func Open(cfg Config) (*Engine, error) {
 		kv.Close()
 		return nil, err
 	}
-	if err := e.reload(); err != nil {
+	refs, err := e.reload()
+	if err != nil {
 		kv.Close()
 		return nil, err
 	}
@@ -273,6 +274,10 @@ func Open(cfg Config) (*Engine, error) {
 	// (dictionary, inverted index) so queries work immediately after a
 	// restart and the fetch path skips every recovered page.
 	if err := e.reloadDerived(); err != nil {
+		kv.Close()
+		return nil, err
+	}
+	if err := e.republishReferrerEdges(refs); err != nil {
 		kv.Close()
 		return nil, err
 	}
@@ -339,16 +344,18 @@ func (e *Engine) createTables() error {
 }
 
 // reload rebuilds in-memory state (users, page metadata, folder trees,
-// visibility) from the persistent tables after a restart.
-func (e *Engine) reload() error {
+// visibility) from the persistent tables after a restart. It also returns
+// every visit's referrer→page transition, keyed by referrer, for
+// republishReferrerEdges.
+func (e *Engine) reload() (refs map[int64][]int64, err error) {
 	// Registered users: a user with visits but no bookmarks must still
 	// count in Status and stand as a Recommend peer.
-	err := e.usersTbl.Select().Each(func(r rdbms.Row) bool {
+	err = e.usersTbl.Select().Each(func(r rdbms.Row) bool {
 		e.treeLocked(r.MustInt("id"))
 		return true
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
 	// Page metadata.
 	err = e.pages.Select().Each(func(r rdbms.Row) bool {
@@ -358,7 +365,7 @@ func (e *Engine) reload() error {
 		return true
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
 	// Folder trees from bookmarks.
 	err = e.bookmarks.Select().Each(func(r rdbms.Row) bool {
@@ -373,13 +380,42 @@ func (e *Engine) reload() error {
 		return true
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
-	// Visibility from visits.
-	return e.visits.Select().Each(func(r rdbms.Row) bool {
-		e.markVisitedLocked(r.MustInt("user"), r.MustInt("page"), events.Privacy(r.MustInt("privacy")))
+	// Visibility and referrer transitions from visits.
+	refs = map[int64][]int64{}
+	err = e.visits.Select().Each(func(r rdbms.Row) bool {
+		page := r.MustInt("page")
+		e.markVisitedLocked(r.MustInt("user"), page, events.Privacy(r.MustInt("privacy")))
+		if ref := r.MustInt("ref"); ref != 0 {
+			refs[ref] = append(refs[ref], page)
+		}
 		return true
 	})
+	return refs, err
+}
+
+// republishReferrerEdges publishes every visit's referrer→page edge that
+// the latest lnk/ record of its referrer lacks, one publish per referrer in
+// id order. RecordVisit publishes the edge before it writes the visit row,
+// but the edge reaches disk only in a fold, so a crash can keep the row
+// and lose the edge; the row is the durable evidence, and this re-derives
+// the edge from it. publish's known-edge check skips every referrer whose
+// record a fold already covered, so after a clean Close it publishes
+// nothing. Runs during Open, after reloadDerived has counted the recovered
+// edges, before any demon starts.
+func (e *Engine) republishReferrerEdges(refs map[int64][]int64) error {
+	order := make([]int64, 0, len(refs))
+	for ref := range refs {
+		order = append(order, ref)
+	}
+	slices.Sort(order)
+	for _, ref := range order {
+		if err := e.links.publish(ref, refs[ref], nil); err != nil {
+			return fmt.Errorf("core: republish the referrer edges of page %d: %w", ref, err)
+		}
+	}
+	return nil
 }
 
 // requeueUnfetched queues a fetch for every visited or bookmarked page

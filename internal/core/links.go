@@ -48,11 +48,13 @@ import (
 // names its terms by id, and each id's string is its dict/<id> record,
 // written once: publish puts the records of every id the page's tf/ record
 // reaches that no batch has carried yet (termsOut upward) into the page's
-// own batch, in the critical section that allocates its epoch. Any later
-// batch naming those ids has a later epoch, and snapshots, the fold and
-// crash recovery all take a contiguous epoch prefix, so whatever holds a
-// tf/ record holds the dictionary records it names — with no commit and
-// no lock of their own.
+// own batch, and advances termsOut only once that batch has published. A
+// batch takes its epoch when it publishes, so any later batch naming those
+// ids has a later epoch, and snapshots, the fold and crash recovery all
+// take an epoch prefix, so whatever holds a tf/ record holds the
+// dictionary records it names — with no commit and no lock of their own.
+// A publish that fails or panics before its batch publishes leaves
+// termsOut alone, and the next page stages those ids again.
 
 // lnkKey names a page's out-adjacency record in the version store.
 func lnkKey(page int64) string { return "lnk/" + strconv.FormatInt(page, 10) }
@@ -79,8 +81,8 @@ type linkIndex struct {
 	// records' count headers at Open, then raised by each publish.
 	edges atomic.Int64
 	// afterStage, set only by tests, runs in publish right after the
-	// dictionary records are staged: the window where a panic must not
-	// leave the dictionary with a gap.
+	// dictionary records are staged: the window where a panic must publish
+	// nothing and leave termsOut where it was.
 	afterStage func()
 }
 
@@ -98,10 +100,12 @@ func newLinkIndex(vs *version.Store, dict *text.Dict, idx *textindex.Index) *lin
 // snapshot that sees the page.
 //
 // The critical section pins the latest publish, reads the records, stages
-// and publishes the batch, and only then releases the lock (see the file
-// comment). A store read that fails is returned, with nothing indexed,
-// staged or published and no epoch taken: publishing past it would replace
-// a record with a subset of its edges, for good. A link-only call whose
+// and publishes the batch, advances termsOut once the batch has published,
+// and only then releases the lock (see the file comment). A store read that
+// fails is returned, with nothing indexed, staged or published and no epoch
+// taken: publishing past it would replace a record with a subset of its
+// edges, for good. A panic before Publish returns leaves the watermark,
+// termsOut and every record as they were. A link-only call whose
 // every edge the latest lnk/ record already holds returns before taking
 // the lock; edges are never removed, so that read needs no lock.
 func (li *linkIndex) publish(from int64, targets []int64, tf map[string]int) error {
@@ -134,38 +138,27 @@ func (li *linkIndex) publish(from int64, targets []int64, tf map[string]int) err
 	if tf != nil {
 		li.idx.AddCounts(from, tf)
 	}
-	newTerms := max(int(top-li.termsOut+1), 0)
-	b := li.vs.BeginSized(2 + len(fresh) + newTerms)
-	// The batch publishes on every path, before the deferred unlock. Were
-	// encoding to panic, a leaked epoch would stall the watermark forever
-	// under the contiguity rule, and an aborted one would drop the
-	// dictionary records staged below after termsOut had moved past them,
-	// leaving a gap under every later record naming those ids. Every page
-	// record is encoded before the first is put, so on that path the batch
-	// holds the dictionary records alone.
-	defer b.Publish()
-	if newTerms > 0 {
+	b := li.vs.BeginSized(2 + len(fresh) + max(int(top-li.termsOut+1), 0))
+	if top >= li.termsOut {
 		terms := li.dict.Terms()
 		for id := li.termsOut; id <= top; id++ {
 			b.Put(dictKey(id), []byte(terms[id]))
 		}
-		li.termsOut = top + 1
 	}
 	if li.afterStage != nil {
 		li.afterStage()
 	}
-	lnk := encodeIDSet(append(outs, fresh...))
-	rins := make([][]byte, len(fresh))
-	for i := range fresh {
-		rins[i] = encodeIDSet(append(ins[i], from))
-	}
 	if tfBlob != nil {
 		b.Put(tfKey(from), tfBlob)
 	}
-	b.Put(lnkKey(from), lnk)
+	b.Put(lnkKey(from), encodeIDSet(append(outs, fresh...)))
 	for i, t := range fresh {
-		b.Put(rinKey(t), rins[i])
+		b.Put(rinKey(t), encodeIDSet(append(ins[i], from)))
 	}
+	if err := b.Publish(); err != nil {
+		return err
+	}
+	li.termsOut = max(li.termsOut, top+1)
 	li.edges.Add(int64(len(fresh)))
 	return nil
 }

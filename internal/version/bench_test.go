@@ -143,8 +143,8 @@ func BenchmarkAcquireRelease(b *testing.B) {
 
 // BenchmarkParallelPublishers measures aggregate publish throughput with
 // several concurrent producers (the paper's many-collection ingest mix):
-// staging and freezing a layer happen outside the store mutex, so producers
-// overlap everything but the install.
+// staging happens outside the store mutex, so producers overlap everything
+// but the epoch, the tier merge and the install.
 func BenchmarkParallelPublishers(b *testing.B) {
 	for _, producers := range []int{1, 4} {
 		b.Run(fmt.Sprintf("producers=%d", producers), func(b *testing.B) {

@@ -38,8 +38,8 @@ package version
 // keys the round tombstones; and m/wm, carrying the new watermark and the
 // exact key count. After a crash Open therefore finds the disk as it was
 // before some round or after it, never between: it reads m/wm and nothing
-// else, and resumes epoch allocation at watermark+1, so a recovered epoch
-// number is never reused. The watermark vouches for every batch at or below
+// else, and the next publish takes watermark+1, so a recovered epoch number
+// is never reused. The watermark vouches for every batch at or below
 // it, which is why a round's floor never falls inside a layer that tiering
 // merged across it (Store.foldFloorLocked): a fold moves whole layers or
 // none of one.
@@ -149,17 +149,12 @@ func Open(kv *kvstore.Store, prefix string, _ Options) (*Store, error) {
 	c.wm.Store(wm)
 	c.records.Store(records)
 
-	// Resume: new snapshots pin the recovered watermark, and epoch
-	// allocation restarts above it so no recovered record's epoch is ever
-	// reissued to a new batch.
-	s := NewStore()
-	s.cold = c
-	s.mu.Lock()
+	// Resume: new snapshots pin the recovered watermark, and the next
+	// publish takes the epoch above it, so no recovered record's epoch is
+	// ever reissued to a new batch.
 	st := &state{watermark: wm}
+	s := &Store{cold: c, history: []*state{st}}
 	s.current.Store(st)
-	s.history = []*state{st}
-	s.nextEpoch = wm + 1
-	s.mu.Unlock()
 	return s, nil
 }
 
@@ -495,10 +490,10 @@ func (s *Store) fold() (reclaimed int, err error) {
 	wm := max(floor, old)
 
 	// The sub-chain at or below the floor is immutable, and no new layer can
-	// appear below the floor (epochs still publishing are all above the
-	// watermark ≥ floor). Layers at or below the durable watermark are
-	// resident only after a round that failed past its commit; this round
-	// writes them again and finishes that one's work.
+	// appear below the floor (a publish takes the epoch above the watermark,
+	// which is at or above the floor). Layers at or below the durable
+	// watermark are resident only after a round that failed past its commit;
+	// this round writes them again and finishes that one's work.
 	sub := descendTo(cur.head, floor)
 	if wm == old && sub == nil {
 		return 0, nil // no new epoch to vouch for, and nothing to move
@@ -626,7 +621,7 @@ func (sn *Snapshot) Range(fn func(key string, value []byte) bool) error {
 func (sn *Snapshot) walk(op string, fn func(key string, value []byte) bool) error {
 	st := sn.view(op)
 	seen := make(map[string]bool)
-	for l := st.visible(); l != nil; l = l.next {
+	for l := st.head; l != nil; l = l.next {
 		for k, e := range l.entries {
 			if seen[k] {
 				continue

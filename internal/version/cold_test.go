@@ -40,11 +40,10 @@ func publishKV(t *testing.T, s *Store, kvs map[string]string) uint64 {
 	for k, v := range kvs {
 		b.Put(k, []byte(v))
 	}
-	e := b.Epoch()
 	if err := b.Publish(); err != nil {
 		t.Fatalf("Publish: %v", err)
 	}
-	return e
+	return b.Epoch()
 }
 
 func TestColdFoldAndFallthrough(t *testing.T) {
@@ -244,13 +243,8 @@ func TestCrashRecoveryMidFold(t *testing.T) {
 
 			// Life goes on: epochs resume above the watermark, publish and
 			// fold work, and a clean restart sees everything.
-			b := s2.Begin()
-			if b.Epoch() != wantWM+1 {
-				t.Fatalf("resumed epoch = %d, want %d", b.Epoch(), wantWM+1)
-			}
-			b.Put("post", []byte("crash"))
-			if err := b.Publish(); err != nil {
-				t.Fatal(err)
+			if e := publishKV(t, s2, map[string]string{"post": "crash"}); e != wantWM+1 {
+				t.Fatalf("resumed epoch = %d, want %d", e, wantWM+1)
 			}
 			if _, err := s2.Fold(); err != nil {
 				t.Fatalf("Fold after recovery: %v", err)

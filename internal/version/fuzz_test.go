@@ -15,12 +15,12 @@ import (
 )
 
 // This file is the ISSUE 3 property suite for the hot→cold fallthrough:
-// under arbitrary interleavings of Publish / Acquire / Fold (and
-// out-of-order, aborted, multi-batch publishes), a pinned snapshot must
-// always return the newest record at or below its epoch — whether that
-// record lives in an in-memory chain or on disk — and the same must hold
-// after a close/reopen. A history model (per key, every published version
-// with its epoch) is the oracle.
+// under arbitrary interleavings of Publish / Acquire / Fold (and batches
+// held open across other publishes, or dropped unpublished), a pinned
+// snapshot must always return the newest record at or below its epoch —
+// whether that record lives in an in-memory chain or on disk — and the
+// same must hold after a close/reopen. A history model (per key, every
+// published version with its epoch) is the oracle.
 
 // modelVer is one published version in the oracle.
 type modelVer struct {
@@ -82,18 +82,21 @@ func verifySnapshot(t *testing.T, sn *Snapshot, o oracle, when string) {
 }
 
 // FuzzHotColdFallthrough drives the store through an op-coded script of
-// staged writes, out-of-order publishes, aborts, folds and pinned
-// verifications, then restarts it and verifies the recovered keyspace.
+// staged writes, publishes, dropped batches, folds and pinned
+// verifications, then restarts it and verifies the recovered keyspace. A
+// batch takes its epoch when it publishes, so the model records each
+// version at the epoch Publish reports, and the watermark must equal the
+// number of non-empty publishes, before the restart and after it.
 // Run the checked-in seeds under -race via plain `go test`; CI adds a
 // `-fuzz` smoke on top.
 func FuzzHotColdFallthrough(f *testing.F) {
 	// Ops are (opcode, arg) byte pairs; opcode%8 selects put / delete /
-	// open-batch / publish / abort / fold / fold / verify (two opcodes fold,
+	// open-batch / publish / drop / fold / fold / verify (two opcodes fold,
 	// so the checked-in corpus keeps its scripts crossing hot→cold).
 	f.Add([]byte{0, 1, 0, 2, 3, 0, 7, 0, 5, 0, 7, 0})                               // put put publish verify fold verify
 	f.Add([]byte{0, 5, 1, 5, 3, 0, 5, 0, 0, 5, 3, 0, 6, 0, 7, 0})                   // tombstone over cold, republish, fold
-	f.Add([]byte{2, 0, 0, 3, 2, 0, 0, 7, 3, 1, 7, 0, 3, 0, 5, 0, 7, 0})             // out-of-order publish across the fold
-	f.Add([]byte{2, 0, 0, 4, 2, 0, 0, 8, 4, 0, 3, 0, 5, 0, 7, 0, 6, 0})             // abort leaves a watermark gap, then fold
+	f.Add([]byte{2, 0, 0, 3, 2, 0, 0, 7, 3, 1, 7, 0, 3, 0, 5, 0, 7, 0})             // the later-staged batch publishes first, across the fold
+	f.Add([]byte{2, 0, 0, 4, 2, 0, 0, 8, 4, 0, 3, 0, 5, 0, 7, 0, 6, 0})             // a dropped batch takes no epoch, then fold
 	f.Add([]byte{0, 9, 3, 0, 5, 0, 1, 9, 3, 0, 7, 0, 5, 0, 7, 0, 0, 9, 3, 0, 7, 0}) // delete-refill churn on one key
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) > 4096 {
@@ -112,28 +115,37 @@ func FuzzHotColdFallthrough(f *testing.F) {
 		o := oracle{}
 		type openBatch struct {
 			b       *Batch
+			serial  int
 			pending []modelVer
 			keys    []string
 		}
 		var open []*openBatch
+		begun, published := 0, uint64(0)
+		begin := func() {
+			begun++
+			open = append(open, &openBatch{b: s.Begin(), serial: begun})
+		}
 		key := func(arg byte) string { return fmt.Sprintf("k%02d", arg%16) }
 		ensure := func() *openBatch {
 			if len(open) == 0 {
-				open = append(open, &openBatch{b: s.Begin()})
+				begin()
 			}
 			return open[len(open)-1]
 		}
 		publish := func(i int) {
 			ob := open[i]
 			open = append(open[:i], open[i+1:]...)
-			// Record to the oracle before Publish: visibility is governed
-			// by snapshot epochs, and nothing pins this epoch until the
-			// watermark covers it — after Publish returns.
-			for j, k := range ob.keys {
-				o[k] = append(o[k], ob.pending[j])
-			}
 			if err := ob.b.Publish(); err != nil {
 				t.Fatalf("Publish: %v", err)
+			}
+			if len(ob.keys) == 0 {
+				return // empty: no epoch taken
+			}
+			published++
+			for j, k := range ob.keys {
+				v := ob.pending[j]
+				v.epoch = ob.b.Epoch()
+				o[k] = append(o[k], v)
 			}
 		}
 
@@ -143,28 +155,27 @@ func FuzzHotColdFallthrough(f *testing.F) {
 			case 0: // stage a put in the newest open batch
 				ob := ensure()
 				k := key(arg)
-				v := []byte(fmt.Sprintf("%s@%d.%d", k, ob.b.Epoch(), arg))
+				v := []byte(fmt.Sprintf("%s@%d.%d", k, ob.serial, arg))
 				ob.b.Put(k, v) //memexvet:ignore epochbatch the fuzz driver interleaves ops on whatever batch ensure() hands back; the model oracle checks the outcome
 				ob.keys = append(ob.keys, k)
-				ob.pending = append(ob.pending, modelVer{epoch: ob.b.Epoch(), val: v})
+				ob.pending = append(ob.pending, modelVer{val: v})
 			case 1: // stage a delete
 				ob := ensure()
 				k := key(arg)
 				ob.b.Delete(k) //memexvet:ignore epochbatch same driver shape: ensure() only returns still-open batches
 				ob.keys = append(ob.keys, k)
-				ob.pending = append(ob.pending, modelVer{epoch: ob.b.Epoch(), deleted: true})
-			case 2: // open another concurrent batch
+				ob.pending = append(ob.pending, modelVer{deleted: true})
+			case 2: // open another staging batch
 				if len(open) < 3 {
-					open = append(open, &openBatch{b: s.Begin()})
+					begin()
 				}
-			case 3: // publish some open batch (arg picks it → out of order)
+			case 3: // publish some open batch (arg picks it, not necessarily the oldest)
 				if len(open) > 0 {
 					publish(int(arg) % len(open))
 				}
-			case 4: // abort some open batch
+			case 4: // drop some open batch unpublished
 				if len(open) > 0 {
 					i := int(arg) % len(open)
-					open[i].b.Abort()
 					open = append(open[:i], open[i+1:]...)
 				}
 			case 5, 6: // fold to disk
@@ -178,11 +189,11 @@ func FuzzHotColdFallthrough(f *testing.F) {
 			}
 		}
 
-		// Drain: abort stragglers (publishing them would be fine too; an
-		// abort exercises the watermark-gap path more), verify, restart,
-		// verify again at the recovered watermark.
-		for _, ob := range open {
-			ob.b.Abort()
+		// Drain: drop the stragglers, check the watermark counts the
+		// non-empty publishes, verify, restart, verify again at the
+		// recovered watermark.
+		if got := s.Watermark(); got != published {
+			t.Fatalf("watermark = %d after %d non-empty publishes", got, published)
 		}
 		sn := s.Acquire()
 		verifySnapshot(t, sn, o, "final")
@@ -194,8 +205,8 @@ func FuzzHotColdFallthrough(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, want := s2.Watermark(), s.Watermark(); got != want {
-			t.Fatalf("restart watermark = %d, want %d", got, want)
+		if got := s2.Watermark(); got != published {
+			t.Fatalf("restart watermark = %d, want %d", got, published)
 		}
 		sn2 := s2.Acquire()
 		verifySnapshot(t, sn2, o, "after restart")
@@ -204,9 +215,13 @@ func FuzzHotColdFallthrough(f *testing.F) {
 }
 
 // TestPropertyConcurrentHotColdInterleavings runs real concurrency over
-// the same oracle: two publishers (racing epochs), a fold/GC loop, and
-// pinned readers verifying newest-at-or-below-epoch for every sampled
-// key, hot or cold. CI runs this under -race.
+// the same oracle: two publishers, a fold/GC loop, and pinned readers
+// verifying newest-at-or-below-epoch for every sampled key, hot or cold.
+// The publishers take turns under one lock held across stage, Publish and
+// the oracle update, as the engine's link-index lock serialises its one
+// producer; a reader that pinned an epoch waits on the same lock before
+// it asks the oracle, so the oracle already holds every version it can
+// see. CI runs this under -race.
 func TestPropertyConcurrentHotColdInterleavings(t *testing.T) {
 	kv, err := kvstore.Open(filepath.Join(t.TempDir(), "kv"), kvstore.Options{Sync: kvstore.SyncGroup})
 	if err != nil {
@@ -220,7 +235,7 @@ func TestPropertyConcurrentHotColdInterleavings(t *testing.T) {
 
 	const keys = 32
 	const rounds = 400
-	var mu sync.Mutex // guards the oracle and orders model-record vs Publish
+	var mu sync.Mutex // the producer lock; also guards the oracle
 	o := oracle{}
 
 	var wg sync.WaitGroup
@@ -241,6 +256,7 @@ func TestPropertyConcurrentHotColdInterleavings(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(100 + p)))
 			for i := 0; i < rounds; i++ {
+				mu.Lock()
 				b := s.Begin()
 				n := 1 + rng.Intn(4)
 				var pend []modelVer
@@ -249,19 +265,19 @@ func TestPropertyConcurrentHotColdInterleavings(t *testing.T) {
 					k := fmt.Sprintf("pk%02d", rng.Intn(keys))
 					if rng.Intn(8) == 0 {
 						b.Delete(k)
-						pend = append(pend, modelVer{epoch: b.Epoch(), deleted: true})
+						pend = append(pend, modelVer{deleted: true})
 					} else {
-						v := []byte(fmt.Sprintf("%s@%d", k, b.Epoch()))
+						v := []byte(fmt.Sprintf("%s@p%d.%d", k, p, i))
 						b.Put(k, v)
-						pend = append(pend, modelVer{epoch: b.Epoch(), val: v})
+						pend = append(pend, modelVer{val: v})
 					}
 					pkeys = append(pkeys, k)
 				}
-				mu.Lock()
+				err := b.Publish()
 				for j, k := range pkeys {
+					pend[j].epoch = b.Epoch()
 					o[k] = append(o[k], pend[j])
 				}
-				err := b.Publish()
 				mu.Unlock()
 				if err != nil {
 					report(fmt.Errorf("publish: %w", err))
@@ -327,8 +343,8 @@ func TestPropertyConcurrentHotColdInterleavings(t *testing.T) {
 		}(r)
 	}
 
-	// Publishers allocate exactly 2*rounds epochs and publish them all, so
-	// the watermark reaching that count means they are done; then stop the
+	// Publishers publish exactly 2*rounds non-empty batches, so the
+	// watermark reaching that count means they are done; then stop the
 	// churn and readers.
 	for s.Watermark() < uint64(2*rounds) && !failed.Load() {
 		time.Sleep(time.Millisecond)

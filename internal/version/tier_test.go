@@ -23,10 +23,10 @@ func depthBound(n int) int {
 	return (tierFanout - 1) * digits
 }
 
-// visibleDepth counts the layers a new snapshot would walk.
-func visibleDepth(s *Store) int {
+// chainDepth counts the layers a new snapshot would walk.
+func chainDepth(s *Store) int {
 	depth := 0
-	for l := s.current.Load().visible(); l != nil; l = l.next {
+	for l := s.current.Load().head; l != nil; l = l.next {
 		depth++
 	}
 	return depth
@@ -48,7 +48,7 @@ func fetchBatch(s *Store, page int) *Batch {
 }
 
 // TestPublishBoundsChainDepth: a store whose owner never calls GC keeps
-// its visible chain inside the counter's digit bound for the store's
+// its chain inside the counter's digit bound for the store's
 // publish count, at every power of the fanout and at the end of a
 // 10 000-page burst, and reads through it still find every record.
 func TestPublishBoundsChainDepth(t *testing.T) {
@@ -56,7 +56,7 @@ func TestPublishBoundsChainDepth(t *testing.T) {
 	const pages = 10000
 	check := func(publishes int) {
 		t.Helper()
-		if d, bound := visibleDepth(s), depthBound(publishes); d > bound {
+		if d, bound := chainDepth(s), depthBound(publishes); d > bound {
 			t.Fatalf("after %d publishes the chain is %d layers deep, bound %d", publishes, d, bound)
 		}
 	}
@@ -110,55 +110,6 @@ func TestTieringDropsSupersededVersions(t *testing.T) {
 	}
 }
 
-// TestWatermarkJumpStaysInsideBound: a stalled low epoch lets hundreds of
-// layers pile up invisible, and its completion uncovers them all in one
-// install. The chain must come out of that install inside the bound for
-// the store's publish count — whether the completing batch published or
-// aborted — and later publishes must not find layers stranded under a
-// higher level.
-func TestWatermarkJumpStaysInsideBound(t *testing.T) {
-	for _, abort := range []bool{false, true} {
-		s := NewStore()
-		stalled := s.Begin()
-		stalled.Put("stalled", []byte("x"))
-		const pile = 700
-		for p := 0; p < pile; p++ {
-			fetchBatch(s, p).Publish()
-		}
-		if wm := s.Watermark(); wm != 0 {
-			t.Fatalf("watermark %d moved past the stalled epoch", wm)
-		}
-		publishes := pile
-		if abort {
-			stalled.Abort()
-		} else {
-			stalled.Publish()
-			publishes++
-		}
-		if wm := s.Watermark(); wm != pile+1 {
-			t.Fatalf("watermark = %d after the gap closed, want %d", wm, pile+1)
-		}
-		if d, bound := visibleDepth(s), depthBound(publishes); d > bound {
-			t.Fatalf("abort=%v: the chain is %d layers deep right after the jump, bound %d", abort, d, bound)
-		}
-		for p := pile; p < pile+600; p++ {
-			fetchBatch(s, p).Publish()
-			publishes++
-			if d, bound := visibleDepth(s), depthBound(publishes); d > bound {
-				t.Fatalf("abort=%v: the chain is %d layers deep %d publishes after the jump, bound %d", abort, d, p-pile+1, bound)
-			}
-		}
-		sn := s.Acquire()
-		for p := 0; p < pile+600; p += 11 {
-			k := fmt.Sprintf("lnk/%d", p)
-			if v, ok := sn.Get(k); !ok || string(v) != k {
-				t.Fatalf("abort=%v: Get(%s) = %q, %v", abort, k, v, ok)
-			}
-		}
-		sn.Release()
-	}
-}
-
 // verifyRange checks Snapshot.Range against the oracle: every live key
 // exactly once, with the newest value at or below the snapshot's epoch.
 func verifyRange(t *testing.T, sn *Snapshot, o oracle, when string) {
@@ -189,10 +140,11 @@ func verifyRange(t *testing.T, sn *Snapshot, o oracle, when string) {
 }
 
 // TestTieredStoreMatchesModel is the differential test for the tiered
-// chain: a seeded script of puts, deletes, in- and out-of-order publishes
-// and aborts runs against the store and a naive model (key → every
-// version), with snapshots pinned across hundreds of publishes and folds
-// interleaved. Every live snapshot — however old, however often the chain
+// chain: a seeded script of puts, deletes, batches published as soon as
+// they are staged or held open across other publishes, and batches
+// dropped unpublished runs against the store and a naive model (key →
+// every version, at the epoch Publish gave it), with snapshots pinned
+// across hundreds of publishes and folds interleaved. Every live snapshot — however old, however often the chain
 // under it was merged — must answer Get, Keys and Range as the model does
 // at its epoch, and so must the store after Close → Open.
 func TestTieredStoreMatchesModel(t *testing.T) {
@@ -216,17 +168,19 @@ func TestTieredStoreMatchesModel(t *testing.T) {
 			}
 			var open []*pending
 			var pins []*Snapshot
+			begun := 0
 			begin := func() *pending {
 				p := &pending{b: s.Begin()}
+				begun++
 				for n := 1 + rng.Intn(3); n > 0; n-- {
 					k := fmt.Sprintf("k%02d", rng.Intn(40))
 					if rng.Intn(6) == 0 {
 						p.b.Delete(k)
-						p.vers = append(p.vers, modelVer{epoch: p.b.Epoch(), deleted: true})
+						p.vers = append(p.vers, modelVer{deleted: true})
 					} else {
-						v := []byte(fmt.Sprintf("%s@%d", k, p.b.Epoch()))
+						v := []byte(fmt.Sprintf("%s@batch%d", k, begun))
 						p.b.Put(k, v)
-						p.vers = append(p.vers, modelVer{epoch: p.b.Epoch(), val: v})
+						p.vers = append(p.vers, modelVer{val: v})
 					}
 					p.keys = append(p.keys, k)
 				}
@@ -234,14 +188,18 @@ func TestTieredStoreMatchesModel(t *testing.T) {
 			}
 			finish := func(p *pending) {
 				if rng.Intn(12) == 0 {
-					p.b.Abort()
-					return
-				}
-				for i, k := range p.keys {
-					o[k] = append(o[k], p.vers[i])
+					return // dropped unpublished: no epoch, no write
 				}
 				if err := p.b.Publish(); err != nil {
 					t.Fatal(err)
+				}
+				if p.b.Epoch() != s.Watermark() {
+					t.Fatalf("Publish took epoch %d, watermark %d", p.b.Epoch(), s.Watermark())
+				}
+				for i, k := range p.keys {
+					v := p.vers[i]
+					v.epoch = p.b.Epoch()
+					o[k] = append(o[k], v)
 				}
 			}
 			verifyAll := func(when string) {
@@ -276,9 +234,9 @@ func TestTieredStoreMatchesModel(t *testing.T) {
 				switch r := rng.Intn(100); {
 				case r < 70: // in-order publish
 					finish(begin())
-				case r < 80: // open a batch and leave it: the watermark stalls
+				case r < 80: // stage a batch and hold it open across later publishes
 					open = append(open, begin())
-				case r < 90: // complete a stalled batch, not necessarily the oldest
+				case r < 90: // publish or drop a held batch, not necessarily the oldest
 					if len(open) > 0 {
 						i := rng.Intn(len(open))
 						finish(open[i])
@@ -423,15 +381,16 @@ func TestCrashUnderPinRecoversWholeBatches(t *testing.T) {
 	var batches []batch
 	publish := func(parts ...int) {
 		b := s.Begin()
-		rec := batch{epoch: b.Epoch()}
+		var rec batch
 		for _, part := range parts {
-			k := fmt.Sprintf("e%d/%d", b.Epoch(), part)
+			k := fmt.Sprintf("b%d/%d", len(batches), part)
 			b.Put(k, []byte(k))
 			rec.keys = append(rec.keys, k)
 		}
 		if err := b.Publish(); err != nil {
 			t.Fatal(err)
 		}
+		rec.epoch = b.Epoch()
 		batches = append(batches, rec)
 	}
 	// One carry leaves a level-1 layer under an epoch the chain splits at;
@@ -560,8 +519,7 @@ var sinkGet []byte
 
 // BenchmarkGetAfterBurst is the read a mining pass makes right after an
 // ingest burst: 10 000 fetch-shaped publishes with no GC, then hits and
-// misses through one snapshot. (BenchmarkDeepChainGet measures the other
-// depth — the not-yet-visible prefix above the watermark.)
+// misses through one snapshot.
 func BenchmarkGetAfterBurst(b *testing.B) {
 	s := NewStore()
 	const pages = 10000

@@ -13,8 +13,7 @@
 //	current ──> state{watermark, head} ──> layer(e=9) ──> layer(e=8) ──> layer(e=5) ──> …
 //
 // Each Publish freezes the batch's writes into at most one immutable layer,
-// links it onto the chain (path-copying only the layers above it, whose maps
-// are shared, never copied), and installs the new state with one atomic
+// links it on top of the chain, and installs the new state with one atomic
 // store. Publish is therefore a single atomic commit — O(batch) work plus
 // the amortised tier merge, independent of how much data the store holds —
 // and a snapshot can never observe half of a batch.
@@ -25,9 +24,9 @@
 //   - Acquire is an atomic load of the current state, one atomic pin
 //     increment and a second load confirming the state is still current.
 //     The snapshot owns that state — and its chain — forever after.
-//   - Snapshot.Get walks the captured chain, skipping layers above the
-//     snapshot epoch. It never touches a store mutex, so reads scale
-//     linearly with reader count; tiering keeps the walk short.
+//   - Snapshot.Get walks the captured chain, every layer of which is at
+//     or below the snapshot epoch. It never touches a store mutex, so reads
+//     scale linearly with reader count; tiering keeps the walk short.
 //
 // Published epochs are immutable: no publish and no fold ever rewrites a
 // record under an installed state. Layers above the store
@@ -35,20 +34,19 @@
 // that — an entry cached under its (epoch, key) can only ever be dropped
 // (memory pressure, or its epoch falling below PinFloor), never
 // invalidated in place.
-//   - The producer-side mutex serialises Begin/Publish/Abort and state
+//   - The producer-side mutex serialises Publish and the fold's state
 //     installs against each other only; consumers never observe it.
 //
-// # Watermark contiguity
+// # The watermark is the last published epoch
 //
-// Epochs are allocated by Begin and may complete out of order. The
-// watermark — the epoch new snapshots pin — only advances over
-// *contiguously* completed epochs (published or aborted). A higher epoch
-// that publishes while a lower one is still open is linked into the chain
-// but stays invisible (snapshots skip layers above their epoch) until the
-// gap closes. This closes the consistency hole where a late low-epoch
-// publish would otherwise insert entries below an already-pinned snapshot
-// epoch and mutate a live snapshot: a pinned snapshot's chain is frozen,
-// and the watermark never ran ahead of the gap in the first place.
+// A batch takes its epoch when it publishes, not when it is begun: Publish
+// sets it to watermark+1 under the producer lock, links the layer on top of
+// the head and installs the state whose watermark is that epoch, in one
+// critical section. Staging a batch takes no lock and no epoch, so a batch
+// that is dropped unpublished costs nothing, and an empty one installs
+// nothing and takes no epoch. Every layer in an installed chain is therefore
+// at or below its state's watermark, and epochs are gapless by construction:
+// no publish can land below an epoch a snapshot has already pinned.
 //
 // # Tiering: a bounded hot chain in RAM, the archive on disk
 //
@@ -59,24 +57,19 @@
 // The hot chain is a counter. Every Publish, under the producer lock it
 // already holds, keeps the chain a base-k number (k is tierFanout): a
 // published layer is level 0, and once k layers of one level lead the
-// visible chain they merge, newest first, into one immutable layer of the
-// next level (see tier). A snapshot therefore walks at most
-// (k-1)·(⌊log_k publishes⌋+1) layers plus the not-yet-visible prefix — one
-// layer per batch published above a still open epoch, so no longer than
-// there are publishers running at once — each entry is copied at most
+// chain they merge, newest first, into one immutable layer of the next
+// level (see tier). A snapshot therefore walks at most
+// (k-1)·(⌊log_k publishes⌋+1) layers, each entry is copied at most
 // ⌊log_k publishes⌋ times, and none of it touches the disk: the merge builds
 // new layers beside the old ones and installs them behind the one atomic
 // pointer like any other state, so Get stays lock-free and a pinned
-// snapshot keeps the chain it captured.
+// snapshot keeps the chain it captured. A merged layer carries its newest
+// member's epoch, at most the watermark of the state being installed; that
+// state and every later one pin at or above it and would have read all the
+// members anyway.
 //
 // What a RAM merge must respect, and what it may leave to the fold:
 //
-//   - the watermark. A merged layer carries its newest member's epoch, so
-//     merging a layer above the watermark would hide the older members
-//     from every current snapshot (Get passes over what is above its epoch).
-//     At or below the watermark it is invisible: the state being
-//     installed and every later one pin at or above that epoch and would
-//     have read all the members anyway.
 //   - the tier fence: the watermark at which the newest fold started
 //     (Store.tierFence, set in the critical section in which the fold
 //     captures the chain). A fold writes the sub-chain at or below its
@@ -175,9 +168,7 @@ func relinked(l, next *layer) *layer {
 }
 
 // descendTo returns the first layer of the chain with epoch <= target, or
-// nil. A plain walk: above a watermark lies the not-yet-visible prefix (one
-// layer per batch published over a still open epoch), above a fold's floor
-// the tiered spine.
+// nil: a plain walk down the tiered spine above a fold's floor.
 func descendTo(head *layer, target uint64) *layer {
 	l := head
 	for l != nil && l.epoch > target {
@@ -212,14 +203,10 @@ type Store struct {
 	current atomic.Pointer[state]
 
 	// mu guards the producer/install side only: epoch allocation, the
-	// completed-epoch set, the pinned-state history, and state installs.
-	// Snapshot reads never acquire it, and a fold holds it only to capture
-	// the chain and for the final splice, not while it writes.
-	mu        sync.Mutex
-	nextEpoch uint64
-	// completed holds published/aborted epochs above the watermark,
-	// waiting for the gap below them to close.
-	completed map[uint64]bool
+	// pinned-state history, and state installs. Snapshot reads never
+	// acquire it, and a fold holds it only to capture the chain and for the
+	// final splice, not while it writes.
+	mu sync.Mutex
 	// history lists states that may still be pinned (plus the current
 	// one). Every install appends; a publish that merged, a fold and the
 	// maxHistory backstop prune unpinned entries.
@@ -245,50 +232,38 @@ type Store struct {
 // the backstop for stores that publish heavily without either).
 const maxHistory = 1024
 
-// tierFanout is k, the base of the layer counter tier keeps: a visible
-// chain is at most (k-1)·(⌊log_k(publishes)⌋+1) layers deep and each entry
-// is copied at most ⌊log_k(publishes)⌋ times. 16 keeps the post-burst read
+// tierFanout is k, the base of the layer counter tier keeps: a chain is at
+// most (k-1)·(⌊log_k(publishes)⌋+1) layers deep and each entry is copied
+// at most ⌊log_k(publishes)⌋ times. 16 keeps the post-burst read
 // walk near 20 layers at three copies per entry; 8 would halve the walk for
 // a fourth copy.
 const tierFanout = 16
 
 // NewStore returns an empty versioned store at watermark 0.
 func NewStore() *Store {
-	s := &Store{
-		nextEpoch: 1,
-		completed: make(map[uint64]bool),
-	}
+	s := &Store{}
 	st := &state{}
 	s.current.Store(st)
 	s.history = append(s.history, st)
 	return s
 }
 
-type batchStage uint8
-
-const (
-	batchActive batchStage = iota
-	batchPublished
-	batchAborted
-)
-
-// Batch stages writes for one epoch. Batches are created by the single
-// producer; creating a batch does not block consumers. A Batch is not safe
-// for concurrent use; distinct batches are.
+// Batch stages writes for the next epoch, which it takes when it publishes.
+// Staging takes no lock and no epoch, so it never blocks consumers or the
+// producer, and a batch dropped unpublished costs nothing. A Batch is not
+// safe for concurrent use; distinct batches are.
 type Batch struct {
-	s     *Store
+	s *Store
+	// epoch is the epoch Publish installed the batch at; 0 before that, and
+	// for an empty batch, which takes none.
 	epoch uint64
 	// writes holds the staged entries (nil until the first Put or Delete).
-	writes map[string]entry
-	hint   int
-	stage  batchStage
+	writes    map[string]entry
+	hint      int
+	published bool
 }
 
-// Begin opens a new batch at the next epoch. Only one producer may be
-// active; Begin enforces nothing about callers, matching the paper's
-// single-producer design, but concurrent batches are safe — they simply
-// publish in epoch order acquired here, and the watermark waits for the
-// slowest of them (see the contiguity rule in the package doc).
+// Begin opens a new staging batch.
 func (s *Store) Begin() *Batch {
 	return s.BeginSized(0)
 }
@@ -296,28 +271,15 @@ func (s *Store) Begin() *Batch {
 // BeginSized is Begin with a capacity hint for the number of staged
 // writes, sparing the producer incremental map growth on hot batches.
 func (s *Store) BeginSized(hint int) *Batch {
-	s.mu.Lock()
-	epoch := s.nextEpoch
-	s.nextEpoch++
-	s.mu.Unlock()
-	return &Batch{s: s, epoch: epoch, hint: hint}
+	return &Batch{s: s, hint: hint}
 }
 
-// mustActive panics when the batch has already been published or aborted.
-// Staging into a finished batch was previously either a nil-map panic
-// (after Abort) or a silent no-op whose writes never landed (after
-// Publish); both are programming errors and now fail loudly the same way.
-func (b *Batch) mustActive(op string) {
-	switch b.stage {
-	case batchPublished:
+// put records one write in the staging map. Staging into a published batch
+// is a programming error whose writes would never land, so it fails loudly.
+func (b *Batch) put(op, key string, e entry) {
+	if b.published {
 		panic("version: " + op + " on already-published batch")
-	case batchAborted:
-		panic("version: " + op + " on aborted batch")
 	}
-}
-
-// put records one write in the staging map.
-func (b *Batch) put(key string, e entry) {
 	if b.s.cold != nil && len(key) > MaxColdKeyLen {
 		// Fail at publish time, loudly, like other Batch misuse: an
 		// oversized key would otherwise poison every future fold.
@@ -330,134 +292,85 @@ func (b *Batch) put(key string, e entry) {
 }
 
 // Put stages key→value in the batch. It panics if the batch was already
-// published or aborted.
+// published.
 func (b *Batch) Put(key string, value []byte) {
-	b.mustActive("Put")
-	b.put(key, entry{value: value})
+	b.put("Put", key, entry{value: value})
 }
 
 // Delete stages a tombstone for key. It panics if the batch was already
-// published or aborted.
+// published.
 func (b *Batch) Delete(key string) {
-	b.mustActive("Delete")
-	b.put(key, entry{deleted: true})
+	b.put("Delete", key, entry{deleted: true})
 }
 
-// Epoch returns the epoch this batch will publish at.
+// Epoch returns the epoch Publish installed the batch at: 0 before Publish,
+// and for an empty batch, which takes no epoch.
 func (b *Batch) Epoch() uint64 { return b.epoch }
 
-// Publish freezes the batch into at most one immutable layer, links it into
-// the chain, and — when every lower epoch has completed — atomically
-// advances the watermark so new snapshots observe it. The install is one
-// atomic store, so the commit is all-or-nothing, and Publish never blocks or
-// invalidates concurrent snapshot reads.
+// Publish takes the next epoch — watermark+1 — for the batch, freezes it
+// into one immutable layer on top of the chain, and atomically installs the
+// state whose watermark is that epoch, so new snapshots observe it. The
+// install is one atomic store, so the commit is all-or-nothing, and Publish
+// never blocks or invalidates concurrent snapshot reads. An empty batch
+// installs nothing and takes no epoch. A second Publish is an error.
 func (b *Batch) Publish() error {
-	switch b.stage {
-	case batchPublished:
+	if b.published {
 		return fmt.Errorf("version: batch already published")
-	case batchAborted:
-		return fmt.Errorf("version: batch already aborted")
 	}
-	b.stage = batchPublished
-	// Freeze the layer outside the lock: the batch owns its staging map, and
-	// the layer owns it from here on (Put would panic anyway).
-	var l *layer // nil while the batch is empty
-	if len(b.writes) > 0 {
-		l = &layer{epoch: b.epoch, oldest: b.epoch, entries: b.writes}
+	b.published = true
+	if len(b.writes) == 0 {
+		return nil
 	}
-	b.writes = nil
-
 	s := b.s
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.completeLocked(b.epoch, l)
-	return nil
-}
-
-// Abort discards the batch. The epoch still counts as completed so an
-// abandoned batch cannot stall the watermark forever. Abort after Publish
-// is a no-op (supporting `defer b.Abort()` cleanup patterns).
-func (b *Batch) Abort() {
-	if b.stage != batchActive {
-		return
-	}
-	b.stage = batchAborted
-	b.writes = nil
-	s := b.s
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.completeLocked(b.epoch, nil)
-}
-
-// completeLocked marks epoch completed, links its frozen layer (nil for an
-// empty or aborted batch), advances the watermark over contiguously
-// completed epochs, re-tiers the chain when the watermark moved, and
-// installs the new state when anything changed. Caller holds mu.
-func (s *Store) completeLocked(epoch uint64, l *layer) {
 	cur := s.current.Load()
-	s.completed[epoch] = true
-	wm := cur.watermark
-	for s.completed[wm+1] {
-		delete(s.completed, wm+1)
-		wm++
-	}
-	if wm == cur.watermark && l == nil {
-		return
-	}
-	head := cur.head
-	if l != nil {
-		head = insertLayer(head, l)
-	}
-	merged := false
-	if wm > cur.watermark {
-		tiered, reclaimed := tier(head, s.tierFence, wm)
-		merged = tiered != head
-		head = tiered
-		s.gcReclaimed += uint64(reclaimed)
-	}
-	next := &state{watermark: wm, head: head}
+	b.epoch = cur.watermark + 1
+	// The layer owns the staging map from here on (Put would panic anyway).
+	l := &layer{epoch: b.epoch, oldest: b.epoch, entries: b.writes, next: cur.head}
+	b.writes = nil
+	head, reclaimed := tier(l, s.tierFence)
+	s.gcReclaimed += uint64(reclaimed)
+	next := &state{watermark: b.epoch, head: head}
 	s.current.Store(next)
 	s.history = append(s.history, next)
 	// A merge copied its members' entries into a new map; the superseded
 	// states are what still reaches the members, so they go now — unless
 	// pinned — rather than at the next fold, or RAM holds the run twice.
-	if merged || len(s.history) > maxHistory {
+	if head != l || len(s.history) > maxHistory {
 		s.pruneHistoryLocked(next)
 	}
+	return nil
 }
 
-// tier keeps the part of the chain that a snapshot at watermark wm reads
-// and that lies above the tier fence — epochs in (fence, wm] — a
-// base-tierFanout counter, and returns the new head with the number of
-// superseded versions the merge dropped. Levels never decrease down that
-// part (new layers arrive on top at level 0, and a merge always swallows
-// the whole run above its result). Adding layers on top is an increment:
-// once tierFanout layers of level ℓ or lower lead the part, they carry
-// into one layer of level ℓ+1 — all of them, not tierFanout of them, so a
-// watermark jump that uncovers hundreds of layers at once leaves none
-// stranded under a higher level — and the carry repeats one level up with
-// that layer counted in. So at rest each level holds fewer than tierFanout
-// layers, and a level-ℓ layer holds at least tierFanout^ℓ batches, which
-// together give the depth and copy bounds stated at tierFanout.
+// tier keeps the part of the chain above the tier fence a base-tierFanout
+// counter, and returns the new head with the number of superseded versions
+// the merge dropped. Levels never decrease down that part (new layers
+// arrive on top at level 0, and a merge always swallows the whole run above
+// its result). Adding a layer on top is an increment: once tierFanout
+// layers of level ℓ or lower lead the part, they carry into one layer of
+// level ℓ+1, and the carry repeats one level up with that layer counted
+// in. So at rest each level holds fewer than tierFanout layers, and a
+// level-ℓ layer holds at least tierFanout^ℓ batches, which together give
+// the depth and copy bounds stated at tierFanout.
 //
 // The cascade is planned on the levels alone and executed as one merge,
 // newest-first (first write wins), so an entry is copied once however many
 // levels the carry climbs. Tombstones stay: deeper layers or the cold tier
-// may hold what they shadow. The result carries its newest member's epoch.
-// That is sound for every reader because the part is at or below wm: the
-// state being installed, and every later one, pins at or above that epoch
-// and would have read all of the members anyway, while snapshots pinned
-// earlier keep the chains they captured. It is unsound at or below the
-// fence for a different reason: a fold recognises the sub-chain it wrote by
-// pointer, and leans on the fence as an epoch no layer spans.
-func tier(head *layer, fence, wm uint64) (*layer, int) {
-	top := descendTo(head, wm)
-	// Plan: the layers from top down to end (exclusive) merge into one
-	// layer of level lvl; nothing merges while end is still top.
-	lvl, end := uint8(0), top
+// may hold what they shadow. The result carries its newest member's epoch,
+// the watermark of the state being installed: that state, and every later
+// one, pins at or above that epoch and would have read all of the members
+// anyway, while snapshots pinned earlier keep the chains they captured. It
+// is unsound at or below the fence for a different reason: a fold
+// recognises the sub-chain it wrote by pointer, and leans on the fence as
+// an epoch no layer spans.
+func tier(head *layer, fence uint64) (*layer, int) {
+	// Plan: the layers from head down to end (exclusive) merge into one
+	// layer of level lvl; nothing merges while end is still head.
+	lvl, end := uint8(0), head
 	for {
 		e, run := end, 0
-		if end != top {
+		if end != head {
 			run = 1 // the planned layer itself sits at level lvl
 		}
 		for e != nil && e.epoch > fence && e.level <= lvl {
@@ -469,12 +382,12 @@ func tier(head *layer, fence, wm uint64) (*layer, int) {
 		}
 		lvl, end = lvl+1, e
 	}
-	if end == top {
+	if end == head {
 		return head, 0
 	}
-	merged, members := mergeRun(top, end, lvl)
+	merged, members := mergeRun(head, end, lvl)
 	merged.next = end
-	return spliceAbove(head, top, merged), members - len(merged.entries)
+	return merged, members - len(merged.entries)
 }
 
 // mergeRun merges the layers from top down to end (exclusive) into one
@@ -512,16 +425,6 @@ func (s *Store) pruneHistoryLocked(cur *state) {
 		s.history[i] = nil
 	}
 	s.history = live
-}
-
-// insertLayer links l into the newest-first chain, path-copying only the
-// spine nodes above it (their entry maps are shared). In the common
-// in-order case l becomes the new head in O(1); an out-of-order publish
-// copies one node per already-published higher epoch.
-func insertLayer(head *layer, l *layer) *layer {
-	below := descendTo(head, l.epoch)
-	l.next = below
-	return spliceAbove(head, below, l)
 }
 
 // Snapshot is a consistent read view pinned at one epoch. Get and Keys
@@ -564,12 +467,6 @@ func (sn *Snapshot) view(op string) *state {
 	return st
 }
 
-// visible returns the first layer of the pinned chain a read walks: the
-// not-yet-visible prefix (epochs published above a still open lower epoch)
-// skipped. The chain below is strictly epoch-descending, so no per-layer
-// epoch check is needed after.
-func (st *state) visible() *layer { return descendTo(st.head, st.watermark) }
-
 // Get returns the newest value for key with epoch <= the snapshot epoch.
 // It walks the chain; on a miss it falls through to the cold tier (when one
 // is attached), whose records are all at or below every live snapshot's
@@ -592,7 +489,7 @@ func (sn *Snapshot) Read(key string) ([]byte, bool, error) {
 
 func (sn *Snapshot) read(op, key string) ([]byte, bool, error) {
 	st := sn.view(op)
-	for l := st.visible(); l != nil; l = l.next {
+	for l := st.head; l != nil; l = l.next {
 		if e, ok := l.entries[key]; ok {
 			if e.deleted {
 				return nil, false, nil
@@ -729,18 +626,14 @@ func (s *Store) VersionCount() int {
 
 // Stats is a point-in-time summary of the store's shape.
 type Stats struct {
-	// Watermark is the highest contiguously published epoch.
+	// Watermark is the last published epoch.
 	Watermark uint64
-	// Layers is the chain's length — the tiered visible part plus any
-	// not-yet-visible prefix, the worst-case read walk.
+	// Layers is the chain's length, the worst-case read walk.
 	Layers int
 	// Entries is the total version count in the chain.
 	Entries int
 	// Pinned is the number of snapshots currently holding a state.
 	Pinned int
-	// PendingEpochs counts published/aborted epochs still waiting for a
-	// lower epoch to complete before the watermark can cover them.
-	PendingEpochs int
 	// GCReclaimed is the cumulative number of versions dropped from
 	// memory: superseded inside a tier merge, or folded to disk.
 	GCReclaimed uint64
@@ -756,10 +649,7 @@ func (s *Store) StoreStats() Stats {
 	// poll, so it happens off-lock. The two halves may straddle a concurrent
 	// publish; Stats is a point-in-time summary, not a consistent cut.
 	s.mu.Lock()
-	st := Stats{
-		PendingEpochs: len(s.completed),
-		GCReclaimed:   s.gcReclaimed,
-	}
+	st := Stats{GCReclaimed: s.gcReclaimed}
 	for _, h := range s.history {
 		st.Pinned += int(h.pins.Load())
 	}

@@ -98,18 +98,6 @@ func TestSnapshotRepeatableReads(t *testing.T) {
 	}
 }
 
-func TestAbort(t *testing.T) {
-	s := NewStore()
-	b := s.Begin()
-	b.Put("k", []byte("v"))
-	b.Abort()
-	snap := s.Acquire()
-	defer snap.Release()
-	if _, ok := snap.Get("k"); ok {
-		t.Fatal("aborted batch visible")
-	}
-}
-
 func TestKeysSorted(t *testing.T) {
 	s := NewStore()
 	b := s.Begin()
@@ -203,83 +191,6 @@ func TestConcurrentProducerConsumers(t *testing.T) {
 	}
 }
 
-// TestOutOfOrderPublishWatermark is the regression test for the watermark
-// contiguity hole: when a higher epoch publishes while a lower one is
-// still unpublished, the watermark must NOT advance past the gap — the
-// old implementation advanced it to the max epoch, so the late low-epoch
-// publish inserted entries below an already-pinned snapshot epoch and
-// mutated a live snapshot.
-func TestOutOfOrderPublishWatermark(t *testing.T) {
-	s := NewStore()
-	b1 := s.Begin() // epoch 1, published last
-	b2 := s.Begin() // epoch 2, published first
-	b2.Put("k", []byte("v2"))
-	if err := b2.Publish(); err != nil {
-		t.Fatal(err)
-	}
-	if wm := s.Watermark(); wm != 0 {
-		t.Fatalf("watermark %d advanced over unpublished epoch 1", wm)
-	}
-
-	// Snapshot acquired between the two out-of-order publishes.
-	snap := s.Acquire()
-	defer snap.Release()
-	if _, ok := snap.Get("k"); ok {
-		t.Fatal("snapshot below the gap observed epoch 2")
-	}
-
-	b1.Put("k", []byte("v1"))
-	b1.Put("other", []byte("o"))
-	if err := b1.Publish(); err != nil {
-		t.Fatal(err)
-	}
-	if wm := s.Watermark(); wm != 2 {
-		t.Fatalf("watermark %d after gap closed, want 2", wm)
-	}
-	// The pinned snapshot must stay immutable: the late publish must not
-	// leak into it.
-	if _, ok := snap.Get("k"); ok {
-		t.Fatal("late low-epoch publish mutated a pinned snapshot")
-	}
-	if _, ok := snap.Get("other"); ok {
-		t.Fatal("late low-epoch publish leaked a new key into a pinned snapshot")
-	}
-	if keys := snap.Keys(); len(keys) != 0 {
-		t.Fatalf("pinned snapshot Keys = %v, want empty", keys)
-	}
-	// A fresh snapshot sees the newest value for k and the late key.
-	snap2 := s.Acquire()
-	defer snap2.Release()
-	if v, ok := snap2.Get("k"); !ok || string(v) != "v2" {
-		t.Fatalf("fresh snapshot Get(k) = %q ok=%v, want v2", v, ok)
-	}
-	if v, ok := snap2.Get("other"); !ok || string(v) != "o" {
-		t.Fatalf("fresh snapshot Get(other) = %q ok=%v, want o", v, ok)
-	}
-}
-
-// TestAbortUnblocksWatermark: an abandoned batch must not stall the
-// watermark forever — Abort counts as completing its epoch.
-func TestAbortUnblocksWatermark(t *testing.T) {
-	s := NewStore()
-	b1 := s.Begin()
-	b2 := s.Begin()
-	b2.Put("k", []byte("v2"))
-	b2.Publish()
-	if wm := s.Watermark(); wm != 0 {
-		t.Fatalf("watermark %d, want 0 while epoch 1 open", wm)
-	}
-	b1.Abort()
-	if wm := s.Watermark(); wm != 2 {
-		t.Fatalf("watermark %d after abort closed the gap, want 2", wm)
-	}
-	snap := s.Acquire()
-	defer snap.Release()
-	if v, ok := snap.Get("k"); !ok || string(v) != "v2" {
-		t.Fatalf("Get(k) = %q ok=%v after abort unblocked epoch 2", v, ok)
-	}
-}
-
 func mustPanic(t *testing.T, want string, fn func()) {
 	t.Helper()
 	defer func() {
@@ -294,9 +205,8 @@ func mustPanic(t *testing.T, want string, fn func()) {
 	fn()
 }
 
-// TestBatchMisusePanics: staging into a finished batch used to be either
-// a bare nil-map panic (after Abort) or a silent no-op whose writes never
-// landed (after Publish). Both are now loud, consistent diagnostics.
+// TestBatchMisusePanics: staging into a published batch used to be a
+// silent no-op whose writes never landed. It is now a loud diagnostic.
 func TestBatchMisusePanics(t *testing.T) {
 	s := NewStore()
 	b := s.Begin()
@@ -307,36 +217,11 @@ func TestBatchMisusePanics(t *testing.T) {
 	mustPanic(t, "version: Put on already-published batch", func() { b.Put("k2", []byte("v2")) }) //memexvet:ignore epochbatch deliberately exercises the misuse diagnostic
 	mustPanic(t, "version: Delete on already-published batch", func() { b.Delete("k") })          //memexvet:ignore epochbatch deliberately exercises the misuse diagnostic
 
-	ab := s.Begin()
-	ab.Abort()
-	mustPanic(t, "version: Put on aborted batch", func() { ab.Put("k", []byte("v")) }) //memexvet:ignore epochbatch deliberately exercises the misuse diagnostic
-	mustPanic(t, "version: Delete on aborted batch", func() { ab.Delete("k") })        //memexvet:ignore epochbatch deliberately exercises the misuse diagnostic
-	if err := ab.Publish(); err == nil {
-		t.Fatal("Publish after Abort accepted")
-	}
-
 	// The silent-no-op hole: writes staged after Publish must never land.
 	snap := s.Acquire()
 	defer snap.Release()
 	if _, ok := snap.Get("k2"); ok {
 		t.Fatal("write staged after Publish landed")
-	}
-}
-
-// TestAbortAfterPublishIsNoop supports the `defer b.Abort()` cleanup
-// pattern: Abort on a published batch must not disturb it.
-func TestAbortAfterPublishIsNoop(t *testing.T) {
-	s := NewStore()
-	b := s.Begin()
-	b.Put("k", []byte("v"))
-	if err := b.Publish(); err != nil {
-		t.Fatal(err)
-	}
-	b.Abort()
-	snap := s.Acquire()
-	defer snap.Release()
-	if _, ok := snap.Get("k"); !ok {
-		t.Fatal("Abort after Publish dropped the published batch")
 	}
 }
 
@@ -356,112 +241,6 @@ func TestSnapshotUseAfterRelease(t *testing.T) {
 	}
 	mustPanic(t, "version: Get on released snapshot", func() { snap.Get("k") })
 	mustPanic(t, "version: Keys on released snapshot", func() { snap.Keys() })
-}
-
-// TestConcurrentOutOfOrderPublishersWithGC exercises the full producer
-// surface under the race detector: several concurrently-publishing
-// batches (which acquire epochs in order but publish out of order),
-// consumers verifying per-batch atomicity, and the store's reclamation —
-// tier merges at every publish, folds to disk — running throughout.
-func TestConcurrentOutOfOrderPublishersWithGC(t *testing.T) {
-	kv := openKV(t, t.TempDir())
-	defer kv.Close()
-	s := openCold(t, kv, Options{})
-	const keys = 4
-	const rounds = 100
-	seed := s.Begin()
-	for k := 0; k < keys; k++ {
-		seed.Put(fmt.Sprintf("key%d", k), []byte("seed"))
-	}
-	seed.Publish()
-
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	errCh := make(chan error, 8)
-	for c := 0; c < 3; c++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				snap := s.Acquire()
-				var first string
-				for k := 0; k < keys; k++ {
-					v, ok := snap.Get(fmt.Sprintf("key%d", k))
-					if !ok {
-						select {
-						case errCh <- fmt.Errorf("missing key%d at epoch %d", k, snap.Epoch()):
-						default:
-						}
-						break
-					}
-					if k == 0 {
-						first = string(v)
-					} else if string(v) != first {
-						select {
-						case errCh <- fmt.Errorf("torn snapshot at epoch %d: %q vs %q", snap.Epoch(), first, v):
-						default:
-						}
-						break
-					}
-				}
-				snap.Release()
-			}
-		}()
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 20; i++ {
-			if _, err := s.Fold(); err != nil {
-				select {
-				case errCh <- err:
-				default:
-				}
-			}
-		}
-	}()
-	// Publish pairs out of order: the higher epoch goes first.
-	for r := 0; r < rounds; r++ {
-		lo := s.Begin()
-		hi := s.Begin()
-		val := []byte(fmt.Sprintf("r%d-hi", r))
-		for k := 0; k < keys; k++ {
-			hi.Put(fmt.Sprintf("key%d", k), val)
-		}
-		loVal := []byte(fmt.Sprintf("r%d-lo", r))
-		for k := 0; k < keys; k++ {
-			lo.Put(fmt.Sprintf("key%d", k), loVal)
-		}
-		if err := hi.Publish(); err != nil {
-			t.Fatal(err)
-		}
-		if err := lo.Publish(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	close(stop)
-	wg.Wait()
-	select {
-	case err := <-errCh:
-		t.Fatal(err)
-	default:
-	}
-	// After all gaps close, the watermark covers every epoch and a fresh
-	// snapshot sees the final hi value (the higher epoch of the last pair).
-	if wm := s.Watermark(); wm != uint64(1+2*rounds) {
-		t.Fatalf("watermark %d, want %d", wm, 1+2*rounds)
-	}
-	snap := s.Acquire()
-	defer snap.Release()
-	want := fmt.Sprintf("r%d-hi", rounds-1)
-	if v, ok := snap.Get("key0"); !ok || string(v) != want {
-		t.Fatalf("final Get = %q ok=%v, want %q", v, ok, want)
-	}
 }
 
 // TestStoreStats sanity-checks the introspection surface.
@@ -492,8 +271,68 @@ func TestStoreStats(t *testing.T) {
 	if st.Layers != 1 || st.Entries != 1 || st.Pinned != 0 || st.GCReclaimed != tierFanout-1 {
 		t.Fatalf("StoreStats after the carry = %+v", st)
 	}
-	if st.PendingEpochs != 0 {
-		t.Fatalf("PendingEpochs = %d, want 0", st.PendingEpochs)
+}
+
+// TestDroppedBatchTakesNoEpoch: a batch takes its epoch when it publishes.
+// One staged and dropped, or published empty, takes none and leaves no
+// gap, so the next publish lands at watermark+1, and after a reopen the
+// watermark is the recovered one plus the number of non-empty publishes.
+func TestDroppedBatchTakesNoEpoch(t *testing.T) {
+	kv := openKV(t, t.TempDir())
+	defer kv.Close()
+	s := openCold(t, kv, Options{})
+	publishKV(t, s, map[string]string{"a": "1"})
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s = openCold(t, kv, Options{})
+	recovered := s.Watermark()
+	if recovered != 1 {
+		t.Fatalf("recovered watermark = %d, want 1", recovered)
+	}
+
+	dropped := s.Begin()
+	dropped.Put("dropped", []byte("x"))
+	empty := s.Begin()
+	if err := empty.Publish(); err != nil {
+		t.Fatal(err)
+	}
+	if empty.Epoch() != 0 || s.Watermark() != recovered {
+		t.Fatalf("an empty publish took epoch %d and moved the watermark to %d", empty.Epoch(), s.Watermark())
+	}
+	b := s.Begin()
+	b.Put("b", []byte("2"))
+	if b.Epoch() != 0 {
+		t.Fatalf("a staging batch reports epoch %d before it publishes", b.Epoch())
+	}
+	if err := b.Publish(); err != nil {
+		t.Fatal(err)
+	}
+	if b.Epoch() != recovered+1 || s.Watermark() != recovered+1 {
+		t.Fatalf("after dropping a batch the next publish took epoch %d, watermark %d; want %d", b.Epoch(), s.Watermark(), recovered+1)
+	}
+	const more = 20
+	for i := 0; i < more; i++ {
+		publishKV(t, s, map[string]string{fmt.Sprintf("k%02d", i): "v"})
+		s.Begin().Put("dropped", []byte("again"))
+	}
+	if got, want := s.Watermark(), recovered+1+more; got != want {
+		t.Fatalf("watermark = %d after %d non-empty publishes over %d, want %d", got, 1+more, recovered, want)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s = openCold(t, kv, Options{})
+	if got, want := s.Watermark(), recovered+1+more; got != want {
+		t.Fatalf("reopened watermark = %d, want %d", got, want)
+	}
+	sn := s.Acquire()
+	defer sn.Release()
+	if _, ok := sn.Get("dropped"); ok {
+		t.Fatal("a dropped batch's write is visible")
+	}
+	if v, ok := sn.Get("b"); !ok || string(v) != "2" {
+		t.Fatalf("Get(b) = %q, %v after reopen", v, ok)
 	}
 }
 
