@@ -5,6 +5,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"memex/internal/text"
 )
 
 func trainBasic(t *testing.T, opts Options) *Bayes {
@@ -61,7 +63,7 @@ func TestBayesBasic(t *testing.T) {
 
 func TestPosteriorsSumToOne(t *testing.T) {
 	m := trainBasic(t, Options{})
-	post := m.Posteriors(map[string]int{"violin": 2, "recipe": 1})
+	post := m.PosteriorsVector(text.VectorFromKnownCounts(m.dict, map[string]int{"violin": 2, "recipe": 1}))
 	var sum float64
 	for _, p := range post {
 		sum += p

@@ -10,12 +10,16 @@
 //     (experiment E1 regenerates this comparison).
 //
 // A trained Bayes model carries its scoring table: one row of per-class
-// log-probabilities per term that counts, keyed by the term string. Scoring
-// a page is one map lookup per term and a sum, over the counting terms in
-// sorted order, that is a pure function of (model, page).
+// log-probabilities per term that counts, indexed by the term's dictionary
+// id and ranked by the term's string. Scoring a page's raw-count vector is
+// one slice index per term, an integer sort of the matching rows' ranks and
+// a sum in that order — the terms' sorted-string order — so every score is
+// a pure function of (model, page) and the same bits whichever order the
+// dictionary interned its terms in.
 package classify
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -51,16 +55,24 @@ func (tr *Trainer) Add(class, content string) {
 	tr.AddCounts(class, text.TermCounts(content))
 }
 
-// AddCounts records one labelled document given as term counts.
+// AddCounts is AddVector for counts keyed by term string, interning each
+// term: the string entry point the bench ladder and experiments E1, E2 and
+// E10 train through.
 func (tr *Trainer) AddCounts(class string, tf map[string]int) {
+	tr.AddVector(class, text.VectorFromCounts(tr.dict, tf))
+}
+
+// AddVector records one labelled document given as its raw term counts,
+// ids from the trainer's dictionary.
+func (tr *Trainer) AddVector(class string, v text.Vector) {
 	acc := tr.classes[class]
 	if acc == nil {
 		acc = &classAcc{termCounts: map[int32]int{}}
 		tr.classes[class] = acc
 	}
 	acc.docs++
-	for term, n := range tf {
-		id := tr.dict.ID(term)
+	for i, id := range v.IDs {
+		n := int(v.Weights[i])
 		acc.termCounts[id] += n
 		acc.totalTerms += n
 	}
@@ -84,15 +96,23 @@ type Bayes struct {
 	// rows is the scoring table, prepared once by Train: for every term
 	// that counts — the selected features, or with no selection every term
 	// some class was trained on — log P(t|c) for each class c in Classes
-	// order, the smoothed default where the class never saw the term. It
-	// is keyed by the term string, so scoring a document costs one map
-	// lookup per term and never touches the shared dictionary's lock.
-	rows map[string][]float64
+	// order, the smoothed default where the class never saw the term. Row r
+	// is rows[r*len(Classes):][:len(Classes)], and the rows are ranked by
+	// term string, so summing matching rows in rank order is summing in
+	// sorted-term order.
+	rows []float64
+	// slot[id] is 1 + the rank of term id's row, 0 for a term without one
+	// (ids past the slice have none either): one int32 per dictionary id up
+	// to the largest id with a row, never a row per dictionary term.
+	slot []int32
+	// rowTerms holds the rows' terms in rank order, kept only without
+	// feature selection, where a term without a row still counts and must
+	// be summed in its string's place among them.
+	rowTerms []string
 	// defaultLog[c] is log P(t|c) for a term no class was trained on.
 	defaultLog []float64
 	// selected is false when training kept the whole vocabulary: a term
-	// absent from rows then still counts, at defaultLog, provided the
-	// dictionary knows it.
+	// without a row then still counts, at defaultLog.
 	selected bool
 }
 
@@ -142,17 +162,28 @@ func (tr *Trainer) Train(opts Options) (*Bayes, error) {
 			}
 		}
 	}
-	m.rows = make(map[string][]float64, len(counted))
-	table := make([]float64, 0, len(counted)*len(classes))
+	terms := tr.dict.Terms()
+	ranked := make([]int32, 0, len(counted))
 	for id := range counted {
+		ranked = append(ranked, id)
+	}
+	slices.SortFunc(ranked, func(a, b int32) int { return strings.Compare(terms[a], terms[b]) })
+	if len(ranked) > 0 {
+		m.slot = make([]int32, slices.Max(ranked)+1)
+	}
+	m.rows = make([]float64, 0, len(ranked)*len(classes))
+	for r, id := range ranked {
+		m.slot[id] = int32(r + 1)
 		for ci, c := range classes {
 			lp := m.defaultLog[ci]
 			if n, ok := tr.classes[c].termCounts[id]; ok {
 				lp = math.Log((float64(n) + opts.Smoothing) / denom[ci])
 			}
-			table = append(table, lp)
+			m.rows = append(m.rows, lp)
 		}
-		m.rows[tr.dict.Term(id)] = table[len(table)-len(classes):]
+		if !m.selected {
+			m.rowTerms = append(m.rowTerms, terms[id])
+		}
 	}
 	return m, nil
 }
@@ -224,49 +255,67 @@ func (tr *Trainer) selectFeatures(classes []string, k int) map[int32]bool {
 	return out
 }
 
-// LogScores returns per-class unnormalized log posteriors for the document.
-// Terms are accumulated in sorted order so the float sums — and therefore
-// every downstream posterior, classification and crawl-frontier priority —
-// are a pure function of (model, document), not of map iteration order.
-// Only the terms that count are sorted: the rest add nothing, in any order.
-func (m *Bayes) LogScores(tf map[string]int) []float64 {
+// LogScoresVector returns per-class unnormalized log posteriors for a
+// document's raw term counts, ids from the model's dictionary. The
+// matching terms are summed in sorted-term order, so the float sums — and
+// therefore every downstream posterior, classification and crawl-frontier
+// priority — are a pure function of (model, document), not of map or id
+// order. A term with a row sorts by its row's rank, an integer compare;
+// only without feature selection does a term without a row count too, at
+// defaultLog, placed among the rows by its string.
+func (m *Bayes) LogScoresVector(v text.Vector) []float64 {
 	type hit struct {
-		term string
+		key  int // 2·rank for a row; 2·(rows ranked before it)−1 for a term without one
 		n    float64
-		row  []float64
+		term string // set only for a term without a row
 	}
-	hits := make([]hit, 0, len(tf))
-	for term, n := range tf {
-		row, ok := m.rows[term]
-		if !ok {
-			if m.selected {
-				continue
-			}
-			if _, known := m.dict.Lookup(term); !known {
-				continue
-			}
-			row = m.defaultLog
+	nc := len(m.Classes)
+	hits := make([]hit, 0, len(v.IDs))
+	var terms []string
+	for i, id := range v.IDs {
+		if int(id) < len(m.slot) && m.slot[id] != 0 {
+			hits = append(hits, hit{key: 2 * int(m.slot[id]-1), n: v.Weights[i]})
+			continue
 		}
-		hits = append(hits, hit{term, float64(n), row})
+		if m.selected {
+			continue
+		}
+		if terms == nil {
+			terms = m.dict.Terms()
+		}
+		at, _ := slices.BinarySearch(m.rowTerms, terms[id])
+		hits = append(hits, hit{key: 2*at - 1, n: v.Weights[i], term: terms[id]})
 	}
-	slices.SortFunc(hits, func(a, b hit) int { return strings.Compare(a.term, b.term) })
+	slices.SortFunc(hits, func(a, b hit) int {
+		if a.key != b.key {
+			return cmp.Compare(a.key, b.key)
+		}
+		return strings.Compare(a.term, b.term) // two terms without rows, between the same two rows
+	})
 	scores := append([]float64(nil), m.logPrior...)
 	for _, h := range hits {
-		for ci, lp := range h.row {
+		row := m.defaultLog
+		if h.key >= 0 && h.key%2 == 0 {
+			r := h.key / 2
+			row = m.rows[r*nc : (r+1)*nc]
+		}
+		for ci, lp := range row {
 			scores[ci] += float64(h.n * lp)
 		}
 	}
 	return scores
 }
 
-// Posteriors returns normalized class probabilities for the document.
-func (m *Bayes) Posteriors(tf map[string]int) []float64 {
-	return softmax(m.LogScores(tf))
+// PosteriorsVector returns normalized class probabilities for a document's
+// raw term counts.
+func (m *Bayes) PosteriorsVector(v text.Vector) []float64 {
+	return softmax(m.LogScoresVector(v))
 }
 
-// Classify returns the most probable class and its posterior probability.
-func (m *Bayes) Classify(tf map[string]int) (string, float64) {
-	post := m.Posteriors(tf)
+// ClassifyVector returns the most probable class for a document's raw term
+// counts and its posterior probability.
+func (m *Bayes) ClassifyVector(v text.Vector) (string, float64) {
+	post := m.PosteriorsVector(v)
 	best := 0
 	for i, p := range post {
 		if p > post[best] {
@@ -274,6 +323,20 @@ func (m *Bayes) Classify(tf map[string]int) (string, float64) {
 		}
 	}
 	return m.Classes[best], post[best]
+}
+
+// LogScores is LogScoresVector for counts keyed by term string. A term the
+// dictionary does not hold counts for nothing and is not interned.
+// ClassifyGraph scores its documents through it (experiment E1).
+func (m *Bayes) LogScores(tf map[string]int) []float64 {
+	return m.LogScoresVector(text.VectorFromKnownCounts(m.dict, tf))
+}
+
+// Classify is ClassifyVector for counts keyed by term string, as
+// LogScores: the string entry point of the bench ladder, the ablation
+// benchmarks and experiments E2 and E10.
+func (m *Bayes) Classify(tf map[string]int) (string, float64) {
+	return m.ClassifyVector(text.VectorFromKnownCounts(m.dict, tf))
 }
 
 // ClassifyText is Classify over raw text.
@@ -294,7 +357,7 @@ func (m *Bayes) FeatureCount() int {
 	if !m.selected {
 		return 0
 	}
-	return len(m.rows)
+	return len(m.rows) / len(m.Classes)
 }
 
 // softmax converts log scores to a probability distribution, guarding

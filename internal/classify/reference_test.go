@@ -105,6 +105,11 @@ func trainerWorld(rng *rand.Rand, dict *text.Dict, classes, docs, terms int) *Tr
 	return tr
 }
 
+// TestLogScoresMatchReference: over the id form — the vector the engine
+// classifies — and through the string entry point, with and without
+// feature selection, every score is bit for bit the reference's sum in
+// sorted-term order, for pages that name terms no class was trained on,
+// terms the dictionary holds from other pages, and terms nobody knows.
 func TestLogScoresMatchReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	dict := text.NewDict()
@@ -137,13 +142,15 @@ func TestLogScoresMatchReference(t *testing.T) {
 					tf[fmt.Sprintf("c%dw%d", rng.Intn(5), rng.Intn(3000))] += 1 + rng.Intn(4)
 				}
 			}
-			got, want := m.LogScores(tf), ref.LogScores(tf)
-			if len(got) != len(want) {
-				t.Fatalf("%+v: %d scores, reference %d", opts, len(got), len(want))
-			}
-			for ci := range want {
-				if math.Float64bits(got[ci]) != math.Float64bits(want[ci]) {
-					t.Fatalf("%+v doc %d class %d: LogScores = %v, reference %v", opts, d, ci, got[ci], want[ci])
+			want := ref.LogScores(tf)
+			for _, got := range [][]float64{m.LogScoresVector(text.VectorFromKnownCounts(dict, tf)), m.LogScores(tf)} {
+				if len(got) != len(want) {
+					t.Fatalf("%+v: %d scores, reference %d", opts, len(got), len(want))
+				}
+				for ci := range want {
+					if math.Float64bits(got[ci]) != math.Float64bits(want[ci]) {
+						t.Fatalf("%+v doc %d class %d: LogScores = %v, reference %v", opts, d, ci, got[ci], want[ci])
+					}
 				}
 			}
 		}
@@ -152,7 +159,8 @@ func TestLogScoresMatchReference(t *testing.T) {
 
 // BenchmarkBayesClassify is one visit's classification at the engine's
 // settings: a user's model over six folders with 4 000 selected features,
-// an 80-term page, a dictionary shared with the rest of the archive.
+// an 80-term page's raw-count vector, a dictionary shared with the rest of
+// the archive.
 func BenchmarkBayesClassify(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	dict := text.NewDict()
@@ -160,7 +168,7 @@ func BenchmarkBayesClassify(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	pages := make([]map[string]int, 100)
+	pages := make([]text.Vector, 100)
 	for i := range pages {
 		tf := map[string]int{}
 		for len(tf) < 80 {
@@ -170,11 +178,11 @@ func BenchmarkBayesClassify(b *testing.B) {
 				tf[fmt.Sprintf("c%dw%d", i%6, rng.Intn(3000))]++
 			}
 		}
-		pages[i] = tf
+		pages[i] = text.VectorFromCounts(dict, tf)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.Classify(pages[i%len(pages)])
+		m.ClassifyVector(pages[i%len(pages)])
 	}
 }

@@ -22,10 +22,9 @@ import (
 // version store's pin floor (no live view can ever ask for them again;
 // the version-gc demon drives that sweep).
 //
-// Cached values (term-count maps, adjacency slices, term vectors) are
-// shared across views and goroutines and MUST be treated as immutable by
-// every reader — the same contract DerivedView's own memos already
-// carry.
+// Cached values (term-count vectors, adjacency slices) are shared across
+// views and goroutines and MUST be treated as immutable by every reader —
+// the same contract DerivedView's own memos already carry.
 
 // cacheKind distinguishes the decoded-record families sharing the cache.
 type cacheKind uint8
@@ -34,7 +33,6 @@ const (
 	kindTF cacheKind = iota + 1
 	kindOut
 	kindIn
-	kindVec
 )
 
 // cacheKey identifies one decoded record: the pinned epoch it was read
@@ -46,9 +44,9 @@ type cacheKey struct {
 }
 
 // cacheEntry is an intrusive LRU node. val holds the decoded value
-// (map[string]int, []int64 or text.Vector — possibly a typed nil, which
-// caches "no record at this epoch" so repeated lookups of unknown pages
-// skip the store too).
+// (text.Vector or []int64 — possibly nil IDs or a typed nil, which caches
+// "no record at this epoch" so repeated lookups of unknown pages skip the
+// store too).
 type cacheEntry struct {
 	key        cacheKey
 	val        any
@@ -241,13 +239,6 @@ func (c *recordCache) stats() CacheStats {
 // The bound is a decoded-footprint budget, not an exact accounting; the
 // estimates below charge the dominant terms (slice backing arrays, map
 // slots) the entry owns.
-
-// sizeofCounts charges a decoded term-count map its slots only: the keys
-// are the dictionary's own strings (decodeCounts), which the entry shares
-// and does not own.
-func sizeofCounts(tf map[string]int) int64 {
-	return 48 + 32*int64(len(tf))
-}
 
 func sizeofIDs(ids []int64) int64 {
 	return 24 + 8*int64(len(ids))

@@ -50,7 +50,7 @@ func miningPass(e *Engine, pages []int64) {
 		for _, p := range pages {
 			v.Out(p)
 			v.In(p)
-			v.Vector(p)
+			v.TermCounts(p)
 		}
 	})
 	e.Recommend(1, 5, true)

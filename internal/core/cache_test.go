@@ -3,7 +3,6 @@ package core
 import (
 	"strings"
 	"testing"
-	"unsafe"
 
 	"memex/internal/text"
 )
@@ -184,22 +183,22 @@ func TestRecordCacheDisabled(t *testing.T) {
 	}
 }
 
-// TestCountsChargeSlotsNotTerms: a decoded term-count map's keys are the
-// dictionary's own strings, so its cache charge counts map slots only —
-// the same for long terms as for short ones — and the budget does not pay
-// again for bytes the dictionary already holds.
+// TestCountsChargeSlotsNotTerms: a decoded term-count record holds ids,
+// not strings, so its cache charge counts slots only — the same for long
+// terms as for short ones — and the budget never pays for bytes the
+// dictionary already holds.
 func TestCountsChargeSlotsNotTerms(t *testing.T) {
 	d := text.NewDict()
 	long := strings.Repeat("x", 500)
-	blob, _ := encodeCounts(d, map[string]int{long: 2, "y": 1})
-	tf := decodeCounts(d, blob)
-	for term := range tf {
-		id, _ := d.Lookup(term)
-		if unsafe.StringData(term) != unsafe.StringData(d.Terms()[id]) {
-			t.Fatalf("decoded key %.10q… is a copy, not the dictionary's string", term)
+	charge := func(counts map[string]int) int64 {
+		blob, _ := encodeCounts(text.VectorFromCounts(d, counts))
+		tf, ok := decodeCounts(d, blob)
+		if !ok {
+			t.Fatalf("%v did not round-trip", counts)
 		}
+		return sizeofVec(tf)
 	}
-	if got, short := sizeofCounts(tf), sizeofCounts(map[string]int{"a": 2, "b": 1}); got != short || got >= int64(len(long)) {
-		t.Fatalf("a map of two terms is charged %d B with a 500-byte term and %d B without; want the same slot charge", got, short)
+	if got, short := charge(map[string]int{long: 2, "y": 1}), charge(map[string]int{"a": 2, "b": 1}); got != short || got >= int64(len(long)) {
+		t.Fatalf("a record of two terms is charged %d B with a 500-byte term and %d B without; want the same slot charge", got, short)
 	}
 }

@@ -30,8 +30,8 @@ func fuzzDict() *text.Dict {
 
 func FuzzDecodeCounts(f *testing.F) {
 	d := fuzzDict()
-	for _, tf := range []map[string]int{{"t000": 1, "t007": 2}, {}, {"t299": 1 << 40, "t128": 3}} {
-		blob, _ := encodeCounts(d, tf)
+	for _, tf := range []map[string]int{{"t000": 1, "t007": 2}, {}, {"t299": maxCount, "t128": 3}} {
+		blob, _ := encodeCounts(text.VectorFromCounts(d, tf))
 		f.Add(blob)
 	}
 	f.Add([]byte{})
@@ -47,14 +47,20 @@ func FuzzDecodeCounts(f *testing.F) {
 	f.Add([]byte{1, 0x81, 0x00, 1})
 	f.Add([]byte{1, 1, 1, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		tf := decodeCounts(d, data)
-		if tf == nil {
+		tf, ok := decodeCounts(d, data)
+		if !ok {
+			if tf.IDs != nil {
+				t.Fatal("failed decode returned non-nil ids")
+			}
 			return
 		}
-		if 2*len(tf) > len(data) {
-			t.Fatalf("decoded %d entries from %d bytes", len(tf), len(data))
+		if tf.IDs == nil {
+			t.Fatal("successful decode returned nil ids — breaks the no-record contract")
 		}
-		again, _ := encodeCounts(d, tf)
+		if 2*tf.Len() > len(data) {
+			t.Fatalf("decoded %d entries from %d bytes", tf.Len(), len(data))
+		}
+		again, _ := encodeCounts(tf)
 		if !bytes.Equal(again, data) {
 			t.Fatalf("%x decodes to %v, which encodes to %x", data, tf, again)
 		}

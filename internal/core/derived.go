@@ -3,7 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
-	"slices"
+	"math"
 	"strconv"
 	"strings"
 
@@ -22,14 +22,15 @@ import (
 // The derived records are the term-count record (tf/), which names its
 // terms by dictionary id, the dictionary records (dict/, one per term,
 // published with the first page that names the id — see links.go) and the
-// adjacency records (lnk/, rin/). A page's term vector is a pure function
-// of its counts and the dictionary, so DerivedView derives (and memoizes)
-// vectors instead of storing a second blob. On reopen reloadDerived
-// restores the dictionary with every term at its old id, then replays the
-// recovered tf/ records to rebuild the inverted index (and with it N and
-// DF), and the fetch path skips every recovered page instead of
-// re-crawling it. The adjacency records need no replay: they are read
-// where they are.
+// adjacency records (lnk/, rin/). A page's term counts have one form in
+// memory, a text.Vector of raw counts sorted by id: the fetch path makes it
+// once, and the tf/ blob, the index, the classifiers, the themes and the
+// record cache all take it as it is, with no string in between. On reopen
+// reloadDerived restores the dictionary with every term at its old id,
+// then replays the recovered tf/ records to rebuild the inverted index
+// (and with it N and DF), and the fetch path skips every recovered page
+// instead of re-crawling it. The adjacency records need no replay: they
+// are read where they are.
 
 // tfKey names a page's derived term-count record in the version store.
 func tfKey(page int64) string { return "tf/" + strconv.FormatInt(page, 10) }
@@ -123,11 +124,11 @@ func (e *Engine) reloadDerived() error {
 	for _, r := range tfs {
 		// An undecodable record leaves the page unclaimed, so its next
 		// visit re-fetches it and republishes over the bad blob.
-		tf := decodeCounts(e.dict, r.raw)
-		if tf == nil {
+		tf, ok := decodeCounts(e.dict, r.raw)
+		if !ok {
 			continue
 		}
-		e.idx.AddCounts(r.page, tf)
+		e.idx.AddVector(r.page, tf)
 		rec := e.meta[r.page]
 		rec.fetched = true
 		e.meta[r.page] = rec
@@ -180,7 +181,7 @@ func (e *Engine) derivedPublished(pageID int64) bool {
 // derived data, pinned at one version-store epoch for the duration of one
 // withView call. Reads are lock-free and repeatable for the lifetime of
 // the view: a page fetched after the view was pinned stays invisible to
-// it (its TermCounts stay nil for the whole pass), exactly like a page
+// it (its TermCounts stay absent for the whole pass), exactly like a page
 // that was never fetched.
 //
 // The view is also the pinned face of the link graph: Out, In and Has
@@ -200,14 +201,13 @@ func (e *Engine) derivedPublished(pageID int64) bool {
 // re-decoding blobs. Published epochs are immutable, so the cache is
 // never invalidated in place, only evicted (LRU pressure, or the epoch
 // falling below the pin floor). Everything that comes out of the memo
-// or the cache is shared: callers must treat returned maps, slices and
-// vectors as read-only.
+// or the cache is shared: callers must treat returned slices and vectors
+// as read-only.
 type DerivedView struct {
 	sn    *version.Snapshot
 	dict  *text.Dict
 	cache *recordCache // shared decoded-record cache; nil = uncached
-	tf    map[int64]map[string]int
-	vec   map[int64]text.Vector
+	tf    map[int64]text.Vector
 	out   map[int64][]int64
 	in    map[int64][]int64
 }
@@ -222,8 +222,7 @@ func (e *Engine) withView(fn func(*DerivedView)) {
 		sn:    sn,
 		dict:  e.dict,
 		cache: e.cache,
-		tf:    map[int64]map[string]int{},
-		vec:   map[int64]text.Vector{},
+		tf:    map[int64]text.Vector{},
 		out:   map[int64][]int64{},
 		in:    map[int64][]int64{},
 	}
@@ -248,31 +247,34 @@ func (v *DerivedView) pinned() *version.Snapshot {
 // Epoch returns the pinned version-store epoch.
 func (v *DerivedView) Epoch() uint64 { return v.pinned().Epoch() }
 
-// TermCounts returns the page's term counts as of the view's epoch (nil
-// when the page had no fetched text as of the pin). The result is shared
-// through the record cache: treat it as read-only.
-func (v *DerivedView) TermCounts(page int64) map[string]int {
+// TermCounts returns the page's raw term counts by id as of the view's
+// epoch, ok=false when the page had no decodable tf/ record as of the pin.
+// A page's vector for the mining passes is this one: its weights are the
+// counts, and its ids are the same in any later life of the archive,
+// because the dictionary is restored with every term at its old id. The
+// result is shared through the record cache: treat it as read-only.
+func (v *DerivedView) TermCounts(page int64) (text.Vector, bool) {
 	sn := v.pinned()
 	if tf, ok := v.tf[page]; ok {
-		return tf
+		return tf, tf.IDs != nil
 	}
 	ck := cacheKey{epoch: sn.Epoch(), page: page, kind: kindTF}
 	if v.cache != nil {
 		if val, ok := v.cache.get(ck); ok {
-			tf := val.(map[string]int)
+			tf := val.(text.Vector)
 			v.tf[page] = tf
-			return tf
+			return tf, tf.IDs != nil
 		}
 	}
-	var tf map[string]int
+	var tf text.Vector // nil IDs: no record, memoized and cached as such
 	if raw, ok := sn.Get(tfKey(page)); ok {
-		tf = decodeCounts(v.dict, raw)
+		tf, _ = decodeCounts(v.dict, raw)
 	}
 	v.tf[page] = tf
 	if v.cache != nil {
-		v.cache.put(ck, tf, sizeofCounts(tf))
+		v.cache.put(ck, tf, sizeofVec(tf))
 	}
-	return tf
+	return tf, tf.IDs != nil
 }
 
 // adj decodes one adjacency record through a memo map and the shared
@@ -333,35 +335,6 @@ func (v *DerivedView) Has(page int64) bool {
 	return v.Out(page) != nil || v.In(page) != nil
 }
 
-// Vector returns the page's raw term vector as of the view's epoch,
-// derived from the term-count record (weights are the counts, ids come
-// from the shared dictionary — identical to what the fetch path computed,
-// and to what any later life of the archive computes, because the
-// dictionary is restored with every term at its old id).
-func (v *DerivedView) Vector(page int64) (text.Vector, bool) {
-	sn := v.pinned()
-	if vec, ok := v.vec[page]; ok {
-		return vec, len(vec.IDs) > 0
-	}
-	ck := cacheKey{epoch: sn.Epoch(), page: page, kind: kindVec}
-	if v.cache != nil {
-		if val, ok := v.cache.get(ck); ok {
-			vec := val.(text.Vector)
-			v.vec[page] = vec
-			return vec, len(vec.IDs) > 0
-		}
-	}
-	var vec text.Vector
-	if tf := v.TermCounts(page); tf != nil {
-		vec = text.VectorFromCounts(v.dict, tf)
-	}
-	v.vec[page] = vec
-	if v.cache != nil {
-		v.cache.put(ck, vec, sizeofVec(vec))
-	}
-	return vec, len(vec.IDs) > 0
-}
-
 // --- codec ---
 //
 // A tf/ record names its terms by dictionary id: uvarint(n), then per term
@@ -370,81 +343,75 @@ func (v *DerivedView) Vector(page int64) (text.Vector, bool) {
 // its dict/<id> record, and ids are durable, so the blob decodes in any
 // later life of the archive.
 
-// encodeCounts serializes term counts by id, interning any term the
-// dictionary lacks, and returns the blob with the largest id it names (−1
-// when it names none) — linkIndex.publish stages the dictionary records up
-// to that id. Ids are sorted, so equal count maps always encode to
-// byte-identical blobs: map order here would break the record-level
-// determinism the restart tests pin and churn the cold tier with rewrites
-// of unchanged records.
-func encodeCounts(d *text.Dict, tf map[string]int) ([]byte, int32) {
-	// A word packs the term's id above its slot in counts, so one sort of
-	// plain integers orders the terms by id.
-	scratch := make([]uint64, 2*len(tf))
-	words, counts := scratch[:len(tf)], scratch[len(tf):]
-	i := 0
-	for term, c := range tf {
-		words[i] = uint64(d.ID(term))<<32 | uint64(i)
-		counts[i] = uint64(c)
-		i++
-	}
-	slices.Sort(words)
-	buf := make([]byte, 0, binary.MaxVarintLen64+4*len(words))
-	buf = binary.AppendUvarint(buf, uint64(len(words)))
-	prev := uint64(0)
-	for _, w := range words {
-		id := w >> 32
-		buf = binary.AppendUvarint(buf, id-prev)
-		buf = binary.AppendUvarint(buf, counts[uint32(w)])
+// encodeCounts serializes a page's raw term counts, ids sorted as a
+// text.Vector keeps them, and returns the blob with the largest id it
+// names (−1 when it names none) — linkIndex.publish stages the dictionary
+// records up to that id. Equal counts always encode to byte-identical
+// blobs, which the restart tests pin and which keeps the cold tier from
+// churning with rewrites of unchanged records.
+func encodeCounts(tf text.Vector) ([]byte, int32) {
+	buf := make([]byte, 0, binary.MaxVarintLen64+4*len(tf.IDs))
+	buf = binary.AppendUvarint(buf, uint64(len(tf.IDs)))
+	prev := int32(0)
+	for i, id := range tf.IDs {
+		buf = binary.AppendUvarint(buf, uint64(id-prev))
+		buf = binary.AppendUvarint(buf, uint64(tf.Weights[i]))
 		prev = id
 	}
 	top := int32(-1)
-	if len(words) > 0 {
-		top = int32(prev)
+	if len(tf.IDs) > 0 {
+		top = prev
 	}
 	return buf, top
 }
 
-// decodeCounts is the inverse of encodeCounts: nil on corrupt input and on
-// a record naming an id the dictionary does not hold. The map's keys are
-// the dictionary's own strings, read under one lock for the whole record,
-// so nothing is allocated per term. Every value has exactly one encoding
-// the decoder accepts (no padded varint, no repeated id, no trailing
-// bytes), so whatever decodes re-encodes to the same bytes.
-func decodeCounts(d *text.Dict, b []byte) map[string]int {
+// maxCount is the largest count decodeCounts accepts: no page holds 2^31
+// occurrences of a term, and postings keep counts as int32.
+const maxCount = math.MaxInt32
+
+// decodeCounts is the inverse of encodeCounts: ok=false (and nil IDs) on
+// corrupt input, on a count past maxCount and on a record naming an id the
+// dictionary does not hold. A decoded record's IDs are never nil, even for
+// a page with no terms, so a nil-IDs vector means "no record" wherever the
+// engine carries one. Every value has exactly one encoding the decoder
+// accepts (no padded varint, no repeated id, no trailing bytes), so
+// whatever decodes re-encodes to the same bytes.
+func decodeCounts(d *text.Dict, b []byte) (text.Vector, bool) {
 	n, w := uvarint(b)
 	if w <= 0 {
-		return nil
+		return text.Vector{}, false
 	}
 	b = b[w:]
 	// Every entry costs at least two bytes (delta and count), so a count
 	// above half the payload is corruption — reject it before sizing the
-	// map. A corrupt cold-tier record could otherwise demand a ~2^60-entry
-	// allocation and OOM the process instead of degrading to "unknown".
+	// slices. A corrupt cold-tier record could otherwise demand a
+	// ~2^60-entry allocation and OOM the process instead of degrading to
+	// "unknown".
 	if n > uint64(len(b))/2 {
-		return nil
+		return text.Vector{}, false
 	}
-	terms := d.Terms()
-	tf := make(map[string]int, n)
+	terms := uint64(d.Size())
+	tf := text.Vector{IDs: make([]int32, 0, n), Weights: make([]float64, 0, n)}
 	id := uint64(0)
 	for i := uint64(0); i < n; i++ {
 		delta, w := uvarint(b)
-		if w <= 0 || (i > 0 && delta == 0) || delta >= uint64(len(terms))-id {
-			return nil // torn, a repeated id, or an id past the dictionary
+		if w <= 0 || (i > 0 && delta == 0) || delta >= terms-id {
+			return text.Vector{}, false // torn, a repeated id, or an id past the dictionary
 		}
 		b = b[w:]
 		c, w := uvarint(b)
-		if w <= 0 {
-			return nil
+		if w <= 0 || c > maxCount {
+			return text.Vector{}, false
 		}
 		b = b[w:]
 		id += delta
-		tf[terms[id]] = int(c)
+		tf.IDs = append(tf.IDs, int32(id))
+		tf.Weights = append(tf.Weights, float64(c))
 	}
 	if len(b) != 0 {
-		return nil
+		return text.Vector{}, false
 	}
-	return tf
+	return tf, true
 }
 
 // uvarint is binary.Uvarint refusing a padded encoding (a final 0x00 group

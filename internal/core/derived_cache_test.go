@@ -1,7 +1,7 @@
 package core
 
 import (
-	"maps"
+	"reflect"
 	"slices"
 	"sync"
 	"testing"
@@ -20,11 +20,20 @@ func uncachedTwin(v *DerivedView) *DerivedView {
 	return &DerivedView{
 		sn:   v.sn,
 		dict: v.dict,
-		tf:   map[int64]map[string]int{},
-		vec:  map[int64]text.Vector{},
+		tf:   map[int64]text.Vector{},
 		out:  map[int64][]int64{},
 		in:   map[int64][]int64{},
 	}
+}
+
+// counts is TermCounts as one comparable value: the vector, and whether
+// the page had a record.
+func counts(v *DerivedView, page int64) any {
+	tf, ok := v.TermCounts(page)
+	return struct {
+		tf text.Vector
+		ok bool
+	}{tf, ok}
 }
 
 // fetchedPages snapshots the engine's claim set (the pages with derived
@@ -86,8 +95,7 @@ func TestCachedReadsMatchUncached(t *testing.T) {
 		truth := uncachedTwin(v)
 		warm := &DerivedView{
 			sn: v.sn, dict: v.dict, cache: v.cache,
-			tf:  map[int64]map[string]int{},
-			vec: map[int64]text.Vector{},
+			tf:  map[int64]text.Vector{},
 			out: map[int64][]int64{},
 			in:  map[int64][]int64{},
 		}
@@ -97,19 +105,14 @@ func TestCachedReadsMatchUncached(t *testing.T) {
 		}
 		for _, view := range []*DerivedView{v, warm} {
 			for _, p := range pages {
-				if got, want := view.TermCounts(p), truth.TermCounts(p); !maps.Equal(got, want) {
-					t.Fatalf("page %d: cached TermCounts diverged", p)
+				if got, want := counts(view, p), counts(truth, p); !reflect.DeepEqual(got, want) {
+					t.Fatalf("page %d: cached TermCounts = %v, want %v", p, got, want)
 				}
 				if got, want := view.Out(p), truth.Out(p); !slices.Equal(got, want) {
 					t.Fatalf("page %d: cached Out = %v, want %v", p, got, want)
 				}
 				if got, want := view.In(p), truth.In(p); !slices.Equal(got, want) {
 					t.Fatalf("page %d: cached In = %v, want %v", p, got, want)
-				}
-				gv, gok := view.Vector(p)
-				wv, wok := truth.Vector(p)
-				if gok != wok || !slices.Equal(gv.IDs, wv.IDs) {
-					t.Fatalf("page %d: cached Vector diverged", p)
 				}
 			}
 		}
@@ -145,7 +148,6 @@ func TestSecondPassDecodeCollapse(t *testing.T) {
 				v.TermCounts(p)
 				v.Out(p)
 				v.In(p)
-				v.Vector(p)
 			}
 		})
 	}
@@ -258,8 +260,7 @@ func TestCacheEvictionRespectsPinFloor(t *testing.T) {
 		h0 := e.cache.stats().Hits
 		warm := &DerivedView{
 			sn: v.sn, dict: v.dict, cache: v.cache,
-			tf:  map[int64]map[string]int{},
-			vec: map[int64]text.Vector{},
+			tf:  map[int64]text.Vector{},
 			out: map[int64][]int64{},
 			in:  map[int64][]int64{},
 		}
@@ -368,7 +369,7 @@ func TestDerivedCacheConcurrentMiningAndIngest(t *testing.T) {
 						if got, want := v.In(p), truth.In(p); !slices.Equal(got, want) {
 							t.Errorf("page %d: cached In %v != uncached %v at epoch %d", p, got, want, v.Epoch())
 						}
-						if got, want := v.TermCounts(p), truth.TermCounts(p); !maps.Equal(got, want) {
+						if got, want := counts(v, p), counts(truth, p); !reflect.DeepEqual(got, want) {
 							t.Errorf("page %d: cached TermCounts diverged at epoch %d", p, v.Epoch())
 						}
 						if first, again := v.Out(p), v.Out(p); !slices.Equal(first, again) {

@@ -24,29 +24,27 @@ func TestCountsCodecRoundTrip(t *testing.T) {
 		{"a": 1},
 		{"term": 3, "другой": 7, "": 12, "long-term-with-dashes": 1 << 30, "interned-before": 2},
 	}
-	for _, tf := range cases {
-		blob, top := encodeCounts(d, tf)
-		got := decodeCounts(d, blob)
-		if len(tf) == 0 {
-			if got == nil || len(got) != 0 || top != -1 {
-				t.Fatalf("roundtrip(%v) = %v, top %d", tf, got, top)
-			}
-			continue
+	for _, counts := range cases {
+		tf := text.VectorFromCounts(d, counts)
+		blob, top := encodeCounts(tf)
+		got, ok := decodeCounts(d, blob)
+		if !ok || got.IDs == nil {
+			t.Fatalf("roundtrip(%v) failed: %v", counts, got)
 		}
 		if !reflect.DeepEqual(got, tf) {
-			t.Fatalf("roundtrip(%v) = %v", tf, got)
+			t.Fatalf("roundtrip(%v) = %v, want %v", counts, got, tf)
 		}
 		want := int32(-1)
-		for term := range tf {
+		for term := range counts {
 			want = max(want, d.ID(term))
 		}
 		if top != want {
-			t.Fatalf("encodeCounts(%v) top = %d, want the largest id %d", tf, top, want)
+			t.Fatalf("encodeCounts(%v) top = %d, want the largest id %d", counts, top, want)
 		}
 	}
 	// The ids are the dictionary's: "interned-before" is id 0, and "term"
 	// follows at its own id, as a delta from 0.
-	blob, _ := encodeCounts(d, map[string]int{"interned-before": 4, "term": 1})
+	blob, _ := encodeCounts(text.VectorFromCounts(d, map[string]int{"interned-before": 4, "term": 1}))
 	if termID := d.ID("term"); !bytes.Equal(blob, []byte{2, 0, 4, byte(termID), 1}) {
 		t.Fatalf("blob % x, want n, then (id delta, count) pairs in id order", blob)
 	}
@@ -58,42 +56,44 @@ func TestCountsCodecRoundTrip(t *testing.T) {
 		"delta wraps past 2^64": {2, 1, 1, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 1},
 		"padded varint":         {1, 0x81, 0x00, 1},
 		"trailing byte":         {1, 1, 1, 0},
+		"count past maxCount":   binary.AppendUvarint([]byte{1, 0}, maxCount+1),
 	} {
-		if tf := decodeCounts(d, bad); tf != nil {
+		if tf, ok := decodeCounts(d, bad); ok || tf.IDs != nil {
 			t.Errorf("%s: % x decoded to %v", name, bad, tf)
 		}
 	}
 }
 
 // TestCountsDecodeBoundsAllocation: a corrupt record whose header claims
-// ~2^60 entries must decode to nil instead of sizing a map for it — every
-// entry takes at least two bytes, so n ≤ len(payload)/2 (a single flipped
-// cold-tier byte is enough to produce such a header).
+// ~2^60 entries must fail to decode instead of sizing slices for it —
+// every entry takes at least two bytes, so n ≤ len(payload)/2 (a single
+// flipped cold-tier byte is enough to produce such a header).
 func TestCountsDecodeBoundsAllocation(t *testing.T) {
 	d := text.NewDict()
 	d.ID("a")
 	d.ID("b")
 	huge := binary.AppendUvarint(nil, 1<<60)
-	if decodeCounts(d, huge) != nil {
+	if _, ok := decodeCounts(d, huge); ok {
 		t.Fatal("decoded a 2^60-entry claim")
 	}
 	// Same header followed by a plausible-looking entry.
-	if decodeCounts(d, append(huge, 0, 1)) != nil {
+	if _, ok := decodeCounts(d, append(huge, 0, 1)); ok {
 		t.Fatal("decoded an impossible count with payload")
 	}
 	// Two entries claimed, three bytes of payload: over the bound.
-	if decodeCounts(d, []byte{2, 0, 1, 1}) != nil {
+	if _, ok := decodeCounts(d, []byte{2, 0, 1, 1}); ok {
 		t.Fatal("decoded two entries from three bytes")
 	}
 	// The bound must not reject genuine records whose entries take exactly
 	// two bytes each.
-	if tf := decodeCounts(d, []byte{2, 0, 7, 1, 9}); tf["a"] != 7 || tf["b"] != 9 || len(tf) != 2 {
+	want := text.Vector{IDs: []int32{0, 1}, Weights: []float64{7, 9}}
+	if tf, ok := decodeCounts(d, []byte{2, 0, 7, 1, 9}); !ok || !reflect.DeepEqual(tf, want) {
 		t.Fatalf("rejected minimal valid record: %v", tf)
 	}
 }
 
-// TestCountsEncodeDeterministic: equal count maps must encode to
-// byte-identical blobs regardless of map iteration order — the
+// TestCountsEncodeDeterministic: equal counts must encode to
+// byte-identical blobs whatever order they were counted in — the
 // record-level half of the determinism guarantee (identical archives
 // produce identical cold tiers; re-publishing unchanged counts cannot
 // churn the store with spurious rewrites).
@@ -108,23 +108,23 @@ func TestCountsEncodeDeterministic(t *testing.T) {
 	for i := 199; i >= 0; i-- {
 		tf2[fmt.Sprintf("term-%03d", i)] = i + 1
 	}
-	want, _ := encodeCounts(d, tf)
+	want, _ := encodeCounts(text.VectorFromCounts(d, tf))
 	for i := 0; i < 20; i++ {
-		if got, _ := encodeCounts(d, tf); !bytes.Equal(got, want) {
-			t.Fatal("same map encoded differently across calls")
+		if got, _ := encodeCounts(text.VectorFromCounts(d, tf)); !bytes.Equal(got, want) {
+			t.Fatal("same counts encoded differently across calls")
 		}
-		if got, _ := encodeCounts(d, tf2); !bytes.Equal(got, want) {
-			t.Fatal("equal maps encoded differently")
+		if got, _ := encodeCounts(text.VectorFromCounts(d, tf2)); !bytes.Equal(got, want) {
+			t.Fatal("equal counts encoded differently")
 		}
 	}
-	if !reflect.DeepEqual(decodeCounts(d, want), tf) {
+	if got, _ := decodeCounts(d, want); !reflect.DeepEqual(got, text.VectorFromCounts(d, tf)) {
 		t.Fatal("sorted encoding broke the round trip")
 	}
 }
 
 // bench56 is a 56-term record over a 1 528-term vocabulary — the
 // benchmark world's average record (DESIGN.md §4, "terms by id").
-func bench56() (*text.Dict, map[string]int) {
+func bench56() (*text.Dict, text.Vector) {
 	d := text.NewDict()
 	for i := 0; i < 1528; i++ {
 		d.ID(fmt.Sprintf("vocab%04d", i))
@@ -133,39 +133,40 @@ func bench56() (*text.Dict, map[string]int) {
 	for i := 0; i < 56; i++ {
 		tf[fmt.Sprintf("vocab%04d", (i*173)%1528)] = 1 + i%5
 	}
-	return d, tf
+	return d, text.VectorFromCounts(d, tf)
 }
 
-// TestDecodeCountsAllocations: decoding a record allocates its map and
-// nothing per term — the keys are the dictionary's own strings.
+// TestDecodeCountsAllocations: decoding a record allocates its two slices
+// and nothing per term — no string is touched.
 func TestDecodeCountsAllocations(t *testing.T) {
 	d, tf := bench56()
-	blob, _ := encodeCounts(d, tf)
-	if allocs := testing.AllocsPerRun(100, func() { decodeCounts(d, blob) }); allocs > 4 {
-		t.Fatalf("decoding a 56-term record allocates %.0f times, want at most 4", allocs)
+	blob, _ := encodeCounts(tf)
+	if allocs := testing.AllocsPerRun(100, func() { decodeCounts(d, blob) }); allocs > 2 {
+		t.Fatalf("decoding a 56-term record allocates %.0f times, want at most 2", allocs)
 	}
 }
 
 func BenchmarkEncodeCounts(b *testing.B) {
-	d, tf := bench56()
+	_, tf := bench56()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		encodeCounts(d, tf)
+		encodeCounts(tf)
 	}
 }
 
 func BenchmarkDecodeCounts(b *testing.B) {
 	d, tf := bench56()
-	blob, _ := encodeCounts(d, tf)
+	blob, _ := encodeCounts(tf)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		decodeCounts(d, blob)
 	}
 }
 
-// TestVectorDerivedFromCounts: the term vector is not stored — it is a
-// pure function of the term-count record and the shared dictionary. The
-// derived vector must match what the fetch path computes directly.
+// TestVectorDerivedFromCounts: a page's term vector is its term-count
+// record, decoded: the ids the fetch path resolved and the counts as
+// weights, equal to counting the source text by string and resolving the
+// strings in the shared dictionary.
 func TestVectorDerivedFromCounts(t *testing.T) {
 	c, e := testWorld(t)
 	e.RegisterUser(1, "alice")
@@ -177,18 +178,18 @@ func TestVectorDerivedFromCounts(t *testing.T) {
 
 	e.withView(func(view *DerivedView) {
 		id := e.idByURL[p.URL]
-		got, ok := view.Vector(id)
+		got, ok := view.TermCounts(id)
 		if !ok {
-			t.Fatal("no derived vector for fetched page")
+			t.Fatal("no term counts for fetched page")
 		}
 		want := text.VectorFromCounts(e.dict, text.TermCounts(p.Title+" "+p.Text))
 		if !reflect.DeepEqual(got.IDs, want.IDs) || !reflect.DeepEqual(got.Weights, want.Weights) {
-			t.Fatal("derived vector diverges from fetch-path computation")
+			t.Fatal("decoded counts diverge from fetch-path computation")
 		}
 		// And it memoizes: a second read returns the identical value.
-		again, _ := view.Vector(id)
+		again, _ := view.TermCounts(id)
 		if !reflect.DeepEqual(again, got) {
-			t.Fatal("memoized vector changed between reads")
+			t.Fatal("memoized counts changed between reads")
 		}
 	})
 }
@@ -209,11 +210,8 @@ func TestDerivedViewConsistency(t *testing.T) {
 
 	e.withView(func(view *DerivedView) {
 		id0 := e.idByURL[p0.URL]
-		if tf := view.TermCounts(id0); len(tf) == 0 {
+		if tf, _ := view.TermCounts(id0); tf.Len() == 0 {
 			t.Fatal("view missing fetched page's term counts")
-		}
-		if _, ok := view.Vector(id0); !ok {
-			t.Fatal("view missing fetched page's vector")
 		}
 
 		// Fetch a second page after the view was pinned.
@@ -230,11 +228,8 @@ func TestDerivedViewConsistency(t *testing.T) {
 		if _, ok := view.sn.Get(tfKey(id1)); ok {
 			t.Fatal("pinned view's snapshot observed a later publish")
 		}
-		if tf := view.TermCounts(id1); tf != nil {
+		if _, ok := view.TermCounts(id1); ok {
 			t.Fatal("pinned view resolved a post-snapshot page")
-		}
-		if _, ok := view.Vector(id1); ok {
-			t.Fatal("pinned view resolved a post-snapshot vector")
 		}
 
 		e.withView(func(fresh *DerivedView) {
@@ -264,16 +259,14 @@ func TestViewDiesWithItsScope(t *testing.T) {
 
 	var escaped *DerivedView
 	e.withView(func(view *DerivedView) {
-		if view.TermCounts(id) == nil || !view.Has(id) {
+		if _, ok := view.TermCounts(id); !ok || !view.Has(id) {
 			t.Fatal("view missing the fetched page")
 		}
-		view.Vector(id)
 		view.In(id)
 		escaped = view
 	})
 	for name, read := range map[string]func(page int64){
 		"TermCounts": func(page int64) { escaped.TermCounts(page) },
-		"Vector":     func(page int64) { escaped.Vector(page) },
 		"Out":        func(page int64) { escaped.Out(page) },
 		"In":         func(page int64) { escaped.In(page) },
 		"Has":        func(page int64) { escaped.Has(page) },
@@ -301,8 +294,8 @@ func TestViewDiesWithItsScope(t *testing.T) {
 
 // TestDerivedPublishMatchesSource: the version store is the single home
 // of derived page data now, so the published records must decode to
-// exactly the term counts and vector the fetch path computes from the
-// source content. (Before the live pageTF/pageVec maps were retired this
+// exactly the term counts the source content counts to, resolved in the
+// shared dictionary. (Before the live pageTF/pageVec maps were retired this
 // compared against those; the source recomputation is the same oracle
 // without resurrecting a second copy.)
 func TestDerivedPublishMatchesSource(t *testing.T) {
@@ -327,16 +320,11 @@ func TestDerivedPublishMatchesSource(t *testing.T) {
 			if !ok {
 				t.Fatalf("page %q never registered", p.URL)
 			}
-			wantTF := text.TermCounts(p.Title + " " + p.Text)
-			if got := view.TermCounts(id); !reflect.DeepEqual(got, wantTF) {
-				t.Fatalf("page %d: snapshot tf diverges from source content", id)
-			}
 			// The dict already holds every term from the fetch, so the same
 			// ids come back deterministically.
-			wantVec := text.VectorFromCounts(e.dict, wantTF)
-			gotVec, ok := view.Vector(id)
-			if !ok || !reflect.DeepEqual(gotVec.IDs, wantVec.IDs) {
-				t.Fatalf("page %d: snapshot vector diverges from source content", id)
+			want := text.VectorFromKnownCounts(e.dict, text.TermCounts(p.Title+" "+p.Text))
+			if got, ok := view.TermCounts(id); !ok || !reflect.DeepEqual(got, want) {
+				t.Fatalf("page %d: snapshot tf diverges from source content", id)
 			}
 			checked++
 		}
@@ -406,7 +394,7 @@ func TestStatusReportsFailedFold(t *testing.T) {
 	}
 	e.withView(func(v *DerivedView) {
 		for _, pg := range fetchedPages(e) {
-			if len(v.TermCounts(pg)) == 0 {
+			if tf, _ := v.TermCounts(pg); tf.Len() == 0 {
 				t.Fatalf("page %d lost its term counts to the failed fold", pg)
 			}
 		}
@@ -571,10 +559,9 @@ func TestSnapshotConsistencyUnderLoad(t *testing.T) {
 		}
 	}()
 
-	// Snapshot checkers: repeatable raw reads, and the derived accessors
-	// (TermCounts and the dictionary-derived Vector) must agree with the
-	// raw record — a page is either fully visible to a view or fully
-	// absent, never half-derived.
+	// Snapshot checkers: repeatable raw reads, and the decoded term counts
+	// must agree with the raw record — a page is either fully visible to a
+	// view or fully absent, never half-derived.
 	for w := 0; w < 2; w++ {
 		wg.Add(1)
 		go func() {
@@ -593,12 +580,8 @@ func TestSnapshotConsistencyUnderLoad(t *testing.T) {
 							report(fmt.Errorf("page %d: non-repeatable read within pinned view at epoch %d",
 								id, view.Epoch()))
 						}
-						if (view.TermCounts(id) != nil) != okTF {
+						if _, ok := view.TermCounts(id); ok != okTF {
 							report(fmt.Errorf("page %d: TermCounts disagrees with snapshot at epoch %d", id, view.Epoch()))
-						}
-						if _, okVec := view.Vector(id); okVec != okTF {
-							report(fmt.Errorf("page %d: derived vector disagrees with term counts at epoch %d (tf=%v vec=%v)",
-								id, view.Epoch(), okTF, okVec))
 						}
 					}
 				})
@@ -620,11 +603,8 @@ func TestSnapshotConsistencyUnderLoad(t *testing.T) {
 	// After quiescence every ingested page's derived pair is visible.
 	e.withView(func(view *DerivedView) {
 		for _, id := range ids {
-			if view.TermCounts(id) == nil {
+			if _, ok := view.TermCounts(id); !ok {
 				t.Fatalf("page %d: derived stats missing after ingest", id)
-			}
-			if _, ok := view.Vector(id); !ok {
-				t.Fatalf("page %d: vector missing after ingest", id)
 			}
 		}
 	})

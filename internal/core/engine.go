@@ -108,10 +108,10 @@ type Config struct {
 	// DecodedCacheBytes bounds the shared decoded-record cache that sits
 	// between DerivedView and the version store (cache.go): 0 takes the
 	// default (32 MiB), negative disables caching. Sizing guidance: the
-	// cache holds decoded tf maps, adjacency slices and term vectors, so
-	// a working set of N hot pages costs very roughly N × (page term
-	// count × 40 B); at the default a second mining pass over ~100k
-	// modest pages stays fully warm.
+	// cache holds decoded term-count vectors and adjacency slices, so a
+	// working set of N hot pages costs very roughly N × (page term count ×
+	// 12 B + in- and out-degree × 8 B); at the default a second mining pass
+	// over ~100k modest pages stays fully warm.
 	DecodedCacheBytes int64
 	// Now injects a clock for tests (default time.Now).
 	Now func() time.Time
@@ -134,8 +134,9 @@ type Engine struct {
 	vs   *version.Store
 	dict *text.Dict
 	idx  *textindex.Index // full-text search, and the collection's N and DF
-	// stems memoises the stop list and stemmer per raw token for the fetch
-	// path's tokenizing; a bounded cache with no durable home.
+	// stems memoises the stop list, the stemmer and the dictionary per raw
+	// token for the fetch path, which resolves a page's terms to ids
+	// through it; a bounded cache with no durable home.
 	stems *text.StemMemo
 	// links is the derived-state producer: every edge write and every
 	// fetched page's tf/ record is a read-modify-write of the lnk/rin
@@ -250,7 +251,7 @@ func Open(cfg Config) (*Engine, error) {
 		vs:      vs,
 		dict:    dict,
 		idx:     idx,
-		stems:   text.NewStemMemo(stemMemoEntries),
+		stems:   text.NewStemMemo(dict, stemMemoEntries),
 		links:   newLinkIndex(vs, dict, idx),
 		cache:   newRecordCache(cfg.DecodedCacheBytes),
 		queue:   events.NewQueue(cfg.QueueSize),

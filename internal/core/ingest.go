@@ -9,6 +9,7 @@ import (
 	"memex/internal/events"
 	"memex/internal/folders"
 	"memex/internal/rdbms"
+	"memex/internal/text"
 )
 
 // RegisterUser creates (or refreshes) a user record.
@@ -268,30 +269,31 @@ func (e *Engine) process(ev events.Event) {
 	if err != nil {
 		return
 	}
-	tf := e.fetchAndIndex(pageID, ev.URL)
+	tf, fetched := e.fetchAndIndex(pageID, ev.URL)
 	if ev.Kind == events.VisitEvent {
-		e.classifyForUser(ev.User, pageID, tf)
+		e.classifyForUser(ev.User, pageID, tf, fetched)
 	}
 }
 
 // fetchAndIndex resolves content once per page, indexes it, and publishes
 // term stats plus out-link adjacency through the version store as one
-// batch. It returns the freshly computed term counts when this call
-// performed the fetch, nil otherwise (already fetched, or content
+// batch. It returns the freshly computed term counts and true when this
+// call performed the fetch, false otherwise (already fetched, or content
 // unavailable). The "already fetched" fast path is one brief read-lock
 // on the page's claim flag — no store read, no tokenizing.
-func (e *Engine) fetchAndIndex(pageID int64, url string) map[string]int {
+func (e *Engine) fetchAndIndex(pageID int64, url string) (text.Vector, bool) {
 	if e.derivedPublished(pageID) {
-		return nil
+		return text.Vector{}, false
 	}
 	return e.fetchAndIndexSlow(pageID, url)
 }
 
 // fetchAndIndexSlow is the publish half of the fetch path. Callers have
 // already decided the page looks unfetched; the claim set arbitrates
-// races authoritatively. It returns the page's term counts, nil when
-// content was unavailable or a row, or a record the publish rewrites,
-// could not be read or written. By the time it returns, the latest
+// races authoritatively. It returns the page's raw term counts by id —
+// resolved here, once, through the stem memo — and false when content was
+// unavailable or a row, or a record the publish rewrites, could not be
+// read or written. By the time it returns, the latest
 // published lnk/ adjacency record of the page holds its full out-link
 // union, on both sides of the claim race (each publishes synchronously).
 //
@@ -303,12 +305,12 @@ func (e *Engine) fetchAndIndex(pageID int64, url string) map[string]int {
 // fails the claim is released and nothing is indexed or published: the
 // page stays unfetched, and its next visit — or requeueUnfetched at the
 // next Open — tries again.
-func (e *Engine) fetchAndIndexSlow(pageID int64, url string) map[string]int {
+func (e *Engine) fetchAndIndexSlow(pageID int64, url string) (text.Vector, bool) {
 	content, ok := e.cfg.Source.Lookup(url)
 	if !ok {
-		return nil
+		return text.Vector{}, false
 	}
-	tf := e.stems.TermCounts(content.Title + " " + content.Text)
+	tf := e.stems.Counts(content.Title + " " + content.Text)
 
 	// Claim the page under the metadata lock before any side effects: two
 	// workers can race here on the same URL, so only the claim winner may
@@ -325,9 +327,9 @@ func (e *Engine) fetchAndIndexSlow(pageID int64, url string) map[string]int {
 		// read the page's lnk/ record the moment we return.
 		links, err := e.ensurePages(content.Links)
 		if err != nil || e.links.publish(pageID, links, nil) != nil {
-			return nil
+			return text.Vector{}, false
 		}
-		return tf
+		return tf, true
 	}
 	oldTitle := rec.title
 	rec.fetched, rec.title = true, content.Title
@@ -356,7 +358,7 @@ func (e *Engine) fetchAndIndexSlow(pageID int64, url string) map[string]int {
 		// Consumers see all of it or none of it, from memory while hot, from
 		// the kvstore cold tier once GC folds it, and again after a restart
 		// recovers the fold.
-		err = e.links.publish(pageID, links, tf)
+		err = e.links.publish(pageID, links, &tf)
 	}
 	if err != nil {
 		e.mu.Lock()
@@ -365,18 +367,18 @@ func (e *Engine) fetchAndIndexSlow(pageID int64, url string) map[string]int {
 		e.meta[pageID] = rec
 		e.mu.Unlock()
 		e.stats.FetchesFailed.Add(1)
-		return nil
+		return text.Vector{}, false
 	}
 	e.stats.PagesFetched.Add(1)
-	return tf
+	return tf, true
 }
 
 // classifyForUser places the page into the user's folder space as a guess
 // ('?' in the Figure 1 UI) when the user has a trained classifier. tf is
-// the page's term counts when the caller just fetched it; for pages
-// fetched earlier the counts come from a pinned snapshot of the version
-// store.
-func (e *Engine) classifyForUser(user, pageID int64, tf map[string]int) {
+// the page's term counts when the caller just fetched it (ok true); for
+// pages fetched earlier the counts come from a pinned snapshot of the
+// version store.
+func (e *Engine) classifyForUser(user, pageID int64, tf text.Vector, ok bool) {
 	e.mu.RLock()
 	model := e.models[user]
 	rec := e.meta[pageID]
@@ -384,13 +386,13 @@ func (e *Engine) classifyForUser(user, pageID int64, tf map[string]int) {
 	if model == nil {
 		return
 	}
-	if tf == nil {
-		e.withView(func(view *DerivedView) { tf = view.TermCounts(pageID) })
+	if !ok {
+		e.withView(func(view *DerivedView) { tf, ok = view.TermCounts(pageID) })
 	}
-	if tf == nil {
+	if !ok {
 		return
 	}
-	folder, conf := model.Classify(tf)
+	folder, conf := model.ClassifyVector(tf)
 	if conf < 0.4 {
 		return // too uncertain to bother the user with a guess
 	}
@@ -447,8 +449,8 @@ func (e *Engine) RetrainClassifiers() {
 			trainer := classify.NewTrainer(e.dict)
 			perClass := map[string]bool{}
 			for _, ex := range examples {
-				if tf := view.TermCounts(ex.page); tf != nil {
-					trainer.AddCounts(ex.path, tf)
+				if tf, ok := view.TermCounts(ex.page); ok {
+					trainer.AddVector(ex.path, tf)
 					perClass[ex.path] = true
 				}
 			}

@@ -65,7 +65,8 @@ func rinKey(page int64) string { return "rin/" + strconv.FormatInt(page, 10) }
 // linkIndex is the engine's derived-state producer: the mutex under which
 // every lnk/ and rin/ record is read and rewritten and every batch is
 // published, the dictionary's high-water mark, and the link graph's edge
-// count.
+// count. It only reads the dictionary: the fetch path resolved the page's
+// terms to ids before it came here.
 type linkIndex struct {
 	vs   *version.Store
 	dict *text.Dict
@@ -93,11 +94,11 @@ func newLinkIndex(vs *version.Store, dict *text.Dict, idx *textindex.Index) *lin
 // publish records the edges from→targets as one batch: the union of from's
 // lnk/ record with the targets, the rin/ record of each newly linked target
 // with from added, and the dictionary records the batch must carry. tf,
-// when non-nil, is the page's term counts: the index counts them and their
-// tf/ record rides in the same batch (the fetch path), making term and link
-// state snapshot-atomic per page; a tf-carrying call always publishes (even
-// with zero links) so "archived" implies "adjacency known" for every
-// snapshot that sees the page.
+// when non-nil, is the page's raw term counts by id: the index appends
+// them and their tf/ record rides in the same batch (the fetch path),
+// making term and link state snapshot-atomic per page; a tf-carrying call
+// always publishes (even with zero links) so "archived" implies "adjacency
+// known" for every snapshot that sees the page.
 //
 // The critical section pins the latest publish, reads the records, stages
 // and publishes the batch, advances termsOut once the batch has published,
@@ -108,14 +109,14 @@ func newLinkIndex(vs *version.Store, dict *text.Dict, idx *textindex.Index) *lin
 // termsOut and every record as they were. A link-only call whose
 // every edge the latest lnk/ record already holds returns before taking
 // the lock; edges are never removed, so that read needs no lock.
-func (li *linkIndex) publish(from int64, targets []int64, tf map[string]int) error {
+func (li *linkIndex) publish(from int64, targets []int64, tf *text.Vector) error {
 	if tf == nil && li.known(from, targets) {
 		return nil
 	}
 	var tfBlob []byte
 	top := int32(-1)
 	if tf != nil {
-		tfBlob, top = encodeCounts(li.dict, tf)
+		tfBlob, top = encodeCounts(*tf)
 	}
 	li.mu.Lock()
 	defer li.mu.Unlock()
@@ -136,7 +137,7 @@ func (li *linkIndex) publish(from int64, targets []int64, tf map[string]int) err
 		}
 	}
 	if tf != nil {
-		li.idx.AddCounts(from, tf)
+		li.idx.AddVector(from, *tf)
 	}
 	b := li.vs.BeginSized(2 + len(fresh) + max(int(top-li.termsOut+1), 0))
 	if top >= li.termsOut {

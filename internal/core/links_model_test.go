@@ -12,6 +12,7 @@ import (
 
 	"memex/internal/events"
 	"memex/internal/kvstore"
+	"memex/internal/text"
 )
 
 // linkGraph is every page's Out and In as one view reads them, for each
@@ -111,9 +112,10 @@ func FuzzLinkRecordsAgainstModel(f *testing.F) {
 						targets = append(targets, b+1)
 					}
 				}
-				var tf map[string]int
+				var tf *text.Vector
 				if ops[i]%4 == 1 {
-					tf = map[string]int{fmt.Sprint("term", mask%16): int(from)}
+					v := text.VectorFromCounts(e.dict, map[string]int{fmt.Sprint("term", mask%16): int(from)})
+					tf = &v
 				}
 				if err := e.links.publish(from, targets, tf); err != nil {
 					t.Fatal(err)
@@ -219,7 +221,7 @@ func TestLinkPublishReadErrorPublishesNothing(t *testing.T) {
 		}
 	})
 	t.Run("fetch", func(t *testing.T) {
-		if tf := e.fetchAndIndexSlow(okapi, page.URL); tf != nil {
+		if _, ok := e.fetchAndIndexSlow(okapi, page.URL); ok {
 			t.Fatal("the fetch reported success over an unreadable lnk/ record")
 		}
 		unchanged(t)

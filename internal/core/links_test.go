@@ -224,8 +224,7 @@ func testView(vs *version.Store) *DerivedView {
 	return &DerivedView{
 		sn:   vs.Acquire(),
 		dict: text.NewDict(),
-		tf:   map[int64]map[string]int{},
-		vec:  map[int64]text.Vector{},
+		tf:   map[int64]text.Vector{},
 		out:  map[int64][]int64{},
 		in:   map[int64][]int64{},
 	}

@@ -98,11 +98,11 @@ func referenceTrails(e *Engine, user int64, folder string, k int) (ctx TrailCont
 				of := t.FolderOfPage(page)
 				return of != nil && strings.HasPrefix(of.Path()+"/", folder+"/")
 			}
-			tf := view.TermCounts(page)
-			if tf == nil {
+			tf, ok := view.TermCounts(page)
+			if !ok {
 				return false
 			}
-			got, _ := model.Classify(tf)
+			got, _ := model.ClassifyVector(tf)
 			return got == folder || strings.HasPrefix(got+"/", folder+"/")
 		}
 		tg := trails.Replay(e.visitRows(user, true), trails.Filter{Topic: topicFilter}, 0, e.cfg.Now(), 0)
@@ -147,8 +147,8 @@ func referenceUsage(e *Engine, user int64, since time.Time) (out []UsageSlice) {
 			}
 			e.mu.RUnlock()
 			if model != nil {
-				if tf := view.TermCounts(page); tf != nil {
-					if folder, conf := model.Classify(tf); conf >= 0.4 {
+				if tf, ok := view.TermCounts(page); ok {
+					if folder, conf := model.ClassifyVector(tf); conf >= 0.4 {
 						return folder
 					}
 				}

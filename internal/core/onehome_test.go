@@ -25,10 +25,11 @@ func checkIndexStatistics(t *testing.T, e *Engine) {
 		ref := text.NewCorpus()
 		var pages []int64
 		view.sn.Range(func(key string, raw []byte) bool {
-			if page, ok := pageOfTFKey(key); ok && decodeCounts(e.dict, raw) != nil {
-				raw, _ := view.Vector(page)
-				ref.AddDoc(raw)
-				pages = append(pages, page)
+			if page, ok := pageOfTFKey(key); ok {
+				if tf, ok := decodeCounts(e.dict, raw); ok {
+					ref.AddDoc(tf)
+					pages = append(pages, page)
+				}
 			}
 			return true
 		})
@@ -43,7 +44,7 @@ func checkIndexStatistics(t *testing.T, e *Engine) {
 			t.Fatalf("claimed pages %v, tf/ records %v", claimed, pages)
 		}
 		for _, page := range pages {
-			raw, _ := view.Vector(page)
+			raw, _ := view.TermCounts(page)
 			if got, want := e.idx.TFIDF(raw), ref.TFIDF(raw); !reflect.DeepEqual(got, want) {
 				t.Fatalf("page %d: index weights %v, reference corpus weights %v", page, got, want)
 			}

@@ -13,7 +13,6 @@ import (
 	"memex/internal/profile"
 	"memex/internal/rdbms"
 	"memex/internal/recommend"
-	"memex/internal/text"
 	"memex/internal/textindex"
 	"memex/internal/themes"
 	"memex/internal/trails"
@@ -170,11 +169,11 @@ func (e *Engine) Trails(user int64, folder string, k int) TrailContext {
 				of := t.FolderOfPage(page)
 				return of != nil && strings.HasPrefix(of.Path()+"/", folder+"/")
 			}
-			tf := view.TermCounts(page)
-			if tf == nil {
+			tf, ok := view.TermCounts(page)
+			if !ok {
 				return false
 			}
-			got, _ := model.Classify(tf)
+			got, _ := model.ClassifyVector(tf)
 			return got == folder || strings.HasPrefix(got+"/", folder+"/")
 		}
 		// A page's topic is a function of the page, the model and the pinned
@@ -266,8 +265,8 @@ func (e *Engine) RebuildThemes() themes.Stats {
 		for _, sk := range skels {
 			uf := themes.UserFolder{User: sk.user, Path: sk.path}
 			for _, page := range sk.pages {
-				raw, ok := view.Vector(page)
-				if !ok {
+				raw, ok := view.TermCounts(page)
+				if !ok || raw.Len() == 0 {
 					continue
 				}
 				uf.Docs = append(uf.Docs, themes.DocVec{ID: page, Vec: e.idx.TFIDF(raw)})
@@ -353,7 +352,7 @@ func (e *Engine) userDocsInView(user int64, view *DerivedView) []themes.DocVec {
 	sort.Slice(pages, func(i, j int) bool { return pages[i] < pages[j] })
 	var docs []themes.DocVec
 	for _, page := range pages {
-		if raw, ok := view.Vector(page); ok {
+		if raw, ok := view.TermCounts(page); ok && raw.Len() > 0 {
 			docs = append(docs, themes.DocVec{ID: page, Vec: e.idx.TFIDF(raw)})
 		}
 	}
@@ -411,7 +410,7 @@ func (e *Engine) Recommend(user int64, k int, byProfile bool) []PageInfo {
 			for _, page := range pages {
 				ps, ok := assigned[page]
 				if !ok {
-					if raw, ok := view.Vector(page); ok {
+					if raw, ok := view.TermCounts(page); ok && raw.Len() > 0 {
 						ps = pageShares{true, assigner.Shares(e.idx.TFIDF(raw))}
 					}
 					assigned[page] = ps
@@ -507,17 +506,12 @@ func (e *Engine) Discover(user int64, folder string, budget, k int) []PageInfo {
 		return nil
 	}
 	rel := func(fr crawler.FetchResult) float64 {
-		// Posterior mass of the target folder per the user's model. The
-		// counts are either the page's recovered tf/ record or freshly
-		// tokenized content — byte-identical by construction, so the
-		// frontier priorities (and hence the crawl) don't depend on which
-		// tier served the page.
-		counts := fr.Counts
-		if counts == nil {
-			counts = text.TermCounts(fr.Text)
-		}
-		post := model.Posteriors(counts)
-		return post[ci]
+		// Posterior mass of the target folder per the user's model.
+		// engineFetcher always serves counts: the page's recovered tf/
+		// record or the ones the fetch path just published for it —
+		// identical by construction, so the frontier priorities (and hence
+		// the crawl) don't depend on which tier served the page.
+		return model.PosteriorsVector(fr.Counts)[ci]
 	}
 	// One pinned view covers the whole crawl: every "already archived"
 	// check — and every archived page's term counts and out-links — reads
@@ -570,7 +564,7 @@ type engineFetcher struct {
 // and therefore the crawl — identical no matter which tier serves a page.
 func (f *engineFetcher) Fetch(page int64) (crawler.FetchResult, bool) {
 	e := f.e
-	if tf := f.view.TermCounts(page); tf != nil {
+	if tf, ok := f.view.TermCounts(page); ok {
 		return crawler.FetchResult{Page: page, Counts: tf, Links: f.view.Out(page)}, true
 	}
 	// Archived after the view's pin (a concurrent visit or crawl): the
@@ -586,8 +580,8 @@ func (f *engineFetcher) Fetch(page int64) (crawler.FetchResult, bool) {
 	if url == "" {
 		return crawler.FetchResult{}, false
 	}
-	tf := e.fetchAndIndexSlow(page, url)
-	if tf == nil {
+	tf, ok := e.fetchAndIndexSlow(page, url)
+	if !ok {
 		return crawler.FetchResult{}, false
 	}
 	// Read the page's links from its latest lnk/ record, not from the raw

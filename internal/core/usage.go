@@ -62,8 +62,8 @@ func (e *Engine) UsageBreakdown(user int64, since time.Time) []UsageSlice {
 			}
 			e.mu.RUnlock()
 			if model != nil {
-				if tf := view.TermCounts(page); tf != nil {
-					folder, conf := model.Classify(tf)
+				if tf, ok := view.TermCounts(page); ok {
+					folder, conf := model.ClassifyVector(tf)
 					if conf >= 0.4 {
 						return folder
 					}

@@ -12,19 +12,21 @@ package crawler
 import (
 	"container/heap"
 	"sort"
+
+	"memex/internal/text"
 )
 
 // FetchResult is one fetched page: its content and out-links. Content
 // arrives either as raw text (a live or synthetic web fetch) or as
-// pre-computed term counts (a page served from the archive's versioned
-// derived records, where the raw text was never persisted) — whichever
-// the Fetcher has cheapest.
+// pre-computed term counts (a page the archive holds, whose raw text was
+// never persisted) — whichever the Fetcher has cheapest.
 type FetchResult struct {
 	Page int64
 	// Text is the page's raw content; empty when Counts is set.
 	Text string
-	// Counts is the page's term-count record; nil when Text is set.
-	Counts map[string]int
+	// Counts is the page's raw term counts by dictionary id (a text.Vector
+	// whose weights are counts); nil IDs when Text is set.
+	Counts text.Vector
 	Links  []int64
 }
 

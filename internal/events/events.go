@@ -52,12 +52,15 @@ type Event struct {
 
 // Queue is a bounded MPSC event queue with drop-oldest overflow semantics:
 // producers never block (the foreground ack path stays fast) and the
-// oldest unprocessed event is shed under overload.
+// oldest unprocessed event is shed under overload. The events sit in a
+// fixed ring, so a Push or a Pop is O(1) under the lock the visit path
+// shares, whatever the queue's depth.
 type Queue struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
-	buf     []Event
-	cap     int
+	ring    []Event // capacity slots, allocated once
+	head    int     // slot of the oldest queued event
+	n       int     // queued events
 	dropped uint64
 	closed  bool
 }
@@ -67,7 +70,7 @@ func NewQueue(capacity int) *Queue {
 	if capacity < 16 {
 		capacity = 16
 	}
-	q := &Queue{cap: capacity}
+	q := &Queue{ring: make([]Event, capacity)}
 	q.cond = sync.NewCond(&q.mu)
 	return q
 }
@@ -80,12 +83,13 @@ func (q *Queue) Push(e Event) {
 		q.mu.Unlock()
 		return
 	}
-	if len(q.buf) >= q.cap {
-		copy(q.buf, q.buf[1:])
-		q.buf = q.buf[:len(q.buf)-1]
+	if q.n == len(q.ring) {
+		q.head = (q.head + 1) % len(q.ring)
+		q.n--
 		q.dropped++
 	}
-	q.buf = append(q.buf, e)
+	q.ring[(q.head+q.n)%len(q.ring)] = e
+	q.n++
 	q.mu.Unlock()
 	q.cond.Signal()
 }
@@ -95,15 +99,16 @@ func (q *Queue) Push(e Event) {
 func (q *Queue) Pop() (Event, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	for len(q.buf) == 0 && !q.closed {
+	for q.n == 0 && !q.closed {
 		q.cond.Wait()
 	}
-	if len(q.buf) == 0 {
+	if q.n == 0 {
 		return Event{}, false
 	}
-	e := q.buf[0]
-	copy(q.buf, q.buf[1:])
-	q.buf = q.buf[:len(q.buf)-1]
+	e := q.ring[q.head]
+	q.ring[q.head] = Event{} // drop the URL string the slot still holds
+	q.head = (q.head + 1) % len(q.ring)
+	q.n--
 	return e, true
 }
 
@@ -111,14 +116,14 @@ func (q *Queue) Pop() (Event, bool) {
 func (q *Queue) Len() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return len(q.buf)
+	return q.n
 }
 
 // Cap returns the queue's capacity (after the constructor's minimum
 // clamp), so depth/capacity ratios computed by admission control match
 // the bound Push actually enforces.
 func (q *Queue) Cap() int {
-	return q.cap
+	return len(q.ring)
 }
 
 // Dropped returns the number of events shed under overload.

@@ -46,12 +46,14 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"strconv"
 	"time"
 
 	"memex/internal/core"
 	"memex/internal/events"
 	"memex/internal/kvstore"
+	"memex/internal/text"
 )
 
 // Server wraps an engine with the HTTP API.
@@ -289,12 +291,14 @@ func requireUser(r *http.Request) (int64, error) {
 	return user, err
 }
 
-// Caps on the count params, far above every caller (k ≤ 15, budget ≤ 400):
-// k sizes candidate sets and budget is pages crawled on the request's
+// Caps on the count params, far above every caller (k ≤ 15, budget ≤ 400,
+// 2–3 search terms): k sizes candidate sets, budget is pages crawled and
+// each distinct query term is a posting list walked, all on the request's
 // goroutine, so past the cap is a 400 naming it, not a silent clamp.
 const (
-	maxK      = 1000
-	maxBudget = 10000
+	maxK          = 1000
+	maxBudget     = 10000
+	maxQueryTerms = 64
 )
 
 // qint parses a count param; absent or ≤ 0 takes def, over limit is a 400.
@@ -411,6 +415,11 @@ func (s *Server) handleSearch(r *http.Request) (reply, error) {
 	q := r.URL.Query().Get("q")
 	if q == "" {
 		return reply{}, badRequestf("q required")
+	}
+	terms := text.Terms(q)
+	slices.Sort(terms)
+	if n := len(slices.Compact(terms)); n > maxQueryTerms {
+		return reply{}, badRequestf("q names %d distinct terms, which exceeds the cap of %d", n, maxQueryTerms)
 	}
 	// user is optional for search (anonymous queries see only community
 	// pages) but must still parse when present.

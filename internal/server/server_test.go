@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"runtime"
 	"strings"
 	"sync"
@@ -14,6 +15,7 @@ import (
 
 	"memex/internal/core"
 	"memex/internal/kvstore"
+	"memex/internal/text"
 	"memex/internal/version"
 )
 
@@ -601,4 +603,56 @@ func grepMetrics(body, substr string) string {
 		}
 	}
 	return strings.Join(out, "\n")
+}
+
+// TestQueryTermCap: a search names at most maxQueryTerms distinct terms.
+// Each one is a posting list walked on the request's goroutine, so a query
+// naming every term of the dictionary would walk every list; past the cap
+// is a 400 naming it. The count is of distinct index terms: a repeated
+// word, or one the stop list drops, costs no list.
+func TestQueryTermCap(t *testing.T) {
+	ts := httptest.NewServer(New(newTestEngine(t)))
+	defer ts.Close()
+	words := func(n int) []string {
+		out := make([]string, n)
+		for i := range out {
+			out[i] = fmt.Sprintf("zq%03d", i)
+		}
+		return out
+	}
+	cases := []struct {
+		name     string
+		words    []string
+		distinct int
+		wantErr  string
+	}{
+		{"at the cap", words(maxQueryTerms), maxQueryTerms, ""},
+		{"at the cap, one term repeated", append(words(maxQueryTerms), "zq000"), maxQueryTerms, ""},
+		{"at the cap, plus stop words", append(words(maxQueryTerms), "the", "and", "of"), maxQueryTerms, ""},
+		{"one past the cap", words(maxQueryTerms + 1), maxQueryTerms + 1, fmt.Sprintf("exceeds the cap of %d", maxQueryTerms)},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			q := strings.Join(tc.words, " ")
+			terms := map[string]bool{}
+			for _, term := range text.Terms(q) {
+				terms[term] = true
+			}
+			if len(terms) != tc.distinct {
+				t.Fatalf("fixture names %d distinct terms, want %d", len(terms), tc.distinct)
+			}
+			resp, err := http.Get(ts.URL + "/api/search?" + url.Values{"q": {q}}.Encode())
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			switch {
+			case tc.wantErr == "" && resp.StatusCode != http.StatusOK:
+				t.Fatalf("status %d, body %s; want 200", resp.StatusCode, body)
+			case tc.wantErr != "" && (resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), tc.wantErr)):
+				t.Fatalf("status %d, body %s; want a 400 saying %q", resp.StatusCode, body, tc.wantErr)
+			}
+		})
+	}
 }

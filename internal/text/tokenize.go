@@ -154,47 +154,55 @@ func TermCounts(s string) map[string]int {
 // entry cap it bounds the memo's bytes whatever the text holds.
 const maxMemoToken = 64
 
-// StemMemo remembers termOf per raw token, so text whose vocabulary
-// repeats — a crawl of one site, a community's pages — pays the stop list
-// and the Porter pass once per distinct token instead of once per
-// occurrence. It is a cache with no durable home: bounded (at the cap it is
-// emptied and refills from the text that follows), rebuilt on demand, and
-// its answers are termOf's, so TermCounts here and the package-level
-// TermCounts return equal maps. Safe for concurrent use.
+// StemMemo resolves raw tokens to term ids in one dictionary, remembering
+// termOf and the term's id per raw token, so text whose vocabulary repeats
+// — a crawl of one site, a community's pages — pays the stop list, the
+// Porter pass and the dictionary once per distinct token instead of once
+// per occurrence. It is a cache with no durable home: bounded (at the cap
+// it is emptied and refills from the text that follows), rebuilt on
+// demand, and its answers are termOf's interned in the dictionary — which
+// never renumbers a term — so Counts equals VectorFromCounts(d,
+// TermCounts(s)). Safe for concurrent use.
 type StemMemo struct {
-	mu    sync.RWMutex
-	terms map[string]string // raw token → term, "" = dropped
-	max   int
+	dict *Dict
+	mu   sync.RWMutex
+	ids  map[string]int32 // raw token → term id, -1 = dropped
+	max  int
 }
 
-// NewStemMemo returns an empty memo holding at most maxEntries tokens.
-func NewStemMemo(maxEntries int) *StemMemo {
-	return &StemMemo{terms: map[string]string{}, max: max(1, maxEntries)}
+// NewStemMemo returns an empty memo over d holding at most maxEntries
+// tokens.
+func NewStemMemo(d *Dict, maxEntries int) *StemMemo {
+	return &StemMemo{dict: d, ids: map[string]int32{}, max: max(1, maxEntries)}
 }
 
-// TermCounts is the package-level TermCounts through the memo: one shared
-// lock for the page's lookups, one exclusive lock to remember the tokens
-// it had not seen.
-func (m *StemMemo) TermCounts(s string) map[string]int {
-	tf := map[string]int{}
+// Counts returns the raw-count vector of s's terms, interning each term
+// the dictionary lacks: the fetch path's one resolution of a page's terms
+// to ids. One shared lock covers the page's lookups and one exclusive lock
+// remembers the tokens it had not seen; the counting itself is a sort of
+// the page's ids, with no map.
+func (m *StemMemo) Counts(s string) Vector {
+	var ids []int32
 	var unseen []string
 	m.mu.RLock()
 	eachToken(s, func(tok string) {
-		term, ok := m.terms[tok]
+		id, ok := m.ids[tok]
 		if !ok {
 			unseen = append(unseen, tok)
-		} else if term != "" {
-			tf[term]++
+		} else if id >= 0 {
+			ids = append(ids, id)
 		}
 	})
 	m.mu.RUnlock()
 	if len(unseen) == 0 {
-		return tf
+		return countIDs(ids)
 	}
-	terms := make([]string, len(unseen))
+	resolved := make([]int32, len(unseen))
 	for i, tok := range unseen {
-		if terms[i] = termOf(tok); terms[i] != "" {
-			tf[terms[i]]++
+		resolved[i] = -1
+		if term := termOf(tok); term != "" {
+			resolved[i] = m.dict.ID(term)
+			ids = append(ids, resolved[i])
 		}
 	}
 	m.mu.Lock()
@@ -202,14 +210,14 @@ func (m *StemMemo) TermCounts(s string) map[string]int {
 		if len(tok) > maxMemoToken {
 			continue
 		}
-		if _, known := m.terms[tok]; known { // twice on this page, or another goroutine's
+		if _, known := m.ids[tok]; known { // twice on this page, or another goroutine's
 			continue
 		}
-		if len(m.terms) >= m.max {
-			clear(m.terms)
+		if len(m.ids) >= m.max {
+			clear(m.ids)
 		}
-		m.terms[strings.Clone(tok)] = terms[i]
+		m.ids[strings.Clone(tok)] = resolved[i]
 	}
 	m.mu.Unlock()
-	return tf
+	return countIDs(ids)
 }

@@ -125,8 +125,9 @@ func corpusTexts(pagesPerLeaf int) []string {
 
 // TestStemMemoMatchesStem: over the corpus vocabulary — plus text the fast
 // path does not take and tokens too long to remember — the memo's counts
-// equal the reference's, with a memo so small that it is emptied and
-// refilled hundreds of times on the way, and never over its cap.
+// equal the reference's counts resolved in the same dictionary, with a
+// memo so small that it is emptied and refilled hundreds of times on the
+// way, and never over its cap.
 func TestStemMemoMatchesStem(t *testing.T) {
 	texts := append(corpusTexts(4),
 		"İstanbul GROẞE Straße 日本語 テスト running runs ran",
@@ -134,42 +135,45 @@ func TestStemMemoMatchesStem(t *testing.T) {
 		"short "+strings.Repeat("long", 40)+" and "+strings.Repeat("long", 40)+" twice",
 	)
 	for _, max := range []int{1, 7, 1 << 16} {
-		m := NewStemMemo(max)
+		d := NewDict()
+		m := NewStemMemo(d, max)
 		for round := 0; round < 2; round++ { // the second round is all hits at the big size
 			for _, s := range texts {
-				got, want := m.TermCounts(s), referenceTermCounts(s)
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("max=%d: StemMemo.TermCounts(%.60q…) = %v, reference says %v", max, s, got, want)
+				want := referenceTermCounts(s)
+				if got := m.Counts(s); !reflect.DeepEqual(got, VectorFromCounts(d, want)) {
+					t.Fatalf("max=%d: StemMemo.Counts(%.60q…) = %v, reference says %v", max, s, got, want)
 				}
 				if pure := TermCounts(s); !reflect.DeepEqual(pure, want) {
 					t.Fatalf("TermCounts(%.60q…) = %v, reference says %v", s, pure, want)
 				}
-				if len(m.terms) > max {
-					t.Fatalf("memo holds %d tokens, cap %d", len(m.terms), max)
+				if len(m.ids) > max {
+					t.Fatalf("memo holds %d tokens, cap %d", len(m.ids), max)
 				}
 			}
 		}
-		for tok, term := range m.terms {
+		for tok, id := range m.ids {
 			if len(tok) > maxMemoToken {
 				t.Fatalf("memo remembered a %d-byte token", len(tok))
 			}
-			if want := termOf(tok); term != want {
-				t.Fatalf("memo[%q] = %q, termOf says %q", tok, term, want)
+			want := termOf(tok)
+			if got := d.Term(id); (want == "" && id != -1) || (want != "" && got != want) {
+				t.Fatalf("memo[%q] = id %d (%q), termOf says %q", tok, id, got, want)
 			}
 		}
 	}
 }
 
 // TestStemMemoConcurrent hammers one small memo from 8 goroutines (run
-// under -race): lookups, inserts and the emptying at the cap interleave,
-// and every answer still equals the reference.
+// under -race): lookups, interning, inserts and the emptying at the cap
+// interleave, and every answer still equals the reference.
 func TestStemMemoConcurrent(t *testing.T) {
 	texts := corpusTexts(2)
-	want := make([]map[string]int, len(texts))
+	d := NewDict()
+	want := make([]Vector, len(texts))
 	for i, s := range texts {
-		want[i] = referenceTermCounts(s)
+		want[i] = VectorFromCounts(d, referenceTermCounts(s))
 	}
-	m := NewStemMemo(64)
+	m := NewStemMemo(d, 64)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -177,8 +181,8 @@ func TestStemMemoConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := range texts {
 				j := (i*7 + g*13) % len(texts)
-				if got := m.TermCounts(texts[j]); !reflect.DeepEqual(got, want[j]) {
-					t.Errorf("goroutine %d: TermCounts(page %d) = %v, want %v", g, j, got, want[j])
+				if got := m.Counts(texts[j]); !reflect.DeepEqual(got, want[j]) {
+					t.Errorf("goroutine %d: Counts(page %d) = %v, want %v", g, j, got, want[j])
 					return
 				}
 			}
@@ -187,11 +191,14 @@ func TestStemMemoConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-var sinkCounts map[string]int
+var (
+	sinkCounts map[string]int
+	sinkVector Vector
+)
 
 // BenchmarkTermCounts tokenizes generated corpus pages (≈136 tokens, ≈56
 // terms each): the pure function the bench ladder and the classifier call,
-// and the engine's path through a warm memo.
+// and the engine's path to term ids through a warm memo.
 func BenchmarkTermCounts(b *testing.B) {
 	texts := corpusTexts(10)
 	tokens, terms := 0, 0
@@ -207,14 +214,14 @@ func BenchmarkTermCounts(b *testing.B) {
 		}
 	})
 	b.Run("memo/"+shape, func(b *testing.B) {
-		m := NewStemMemo(1 << 16)
+		m := NewStemMemo(NewDict(), 1<<16)
 		for _, s := range texts {
-			m.TermCounts(s)
+			m.Counts(s)
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			sinkCounts = m.TermCounts(texts[i%len(texts)])
+			sinkVector = m.Counts(texts[i%len(texts)])
 		}
 	})
 }

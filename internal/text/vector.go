@@ -2,6 +2,7 @@ package text
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -74,29 +75,74 @@ func (d *Dict) Size() int {
 	return len(d.terms)
 }
 
-// Vector is a sparse term vector: parallel sorted-by-id slices.
+// Vector is a sparse term vector: parallel sorted-by-id slices. With raw
+// counts for weights it is also a page's term counts, the one form the
+// engine carries them in from the fetch to every consumer.
 type Vector struct {
 	IDs     []int32
 	Weights []float64
 }
 
-// VectorFromCounts builds a raw term-frequency vector, interning terms.
+// VectorFromCounts builds a raw term-frequency vector, interning terms: the
+// string adapter into the id form for callers that count by string — the
+// bench ladder, and the string entry points textindex.Index.AddCounts and
+// classify.Trainer.AddCounts that it and internal/experiments call. The
+// engine's fetch path counts by id through a StemMemo instead.
 func VectorFromCounts(d *Dict, tf map[string]int) Vector {
-	v := Vector{
-		IDs:     make([]int32, 0, len(tf)),
-		Weights: make([]float64, 0, len(tf)),
-	}
-	for term, n := range tf {
-		v.IDs = append(v.IDs, d.ID(term))
-		v.Weights = append(v.Weights, float64(n))
-	}
-	v.sortByID()
-	return v
+	return vectorFrom(tf, func(term string) (int32, bool) { return d.ID(term), true })
+}
+
+// VectorFromKnownCounts is VectorFromCounts for text that is not being
+// archived: a term the dictionary does not hold is dropped, never interned.
+// Scoring such text against a model (classify.Bayes's string entry points)
+// reads only the terms some archived page named. One read lock covers
+// every lookup.
+func VectorFromKnownCounts(d *Dict, tf map[string]int) Vector {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	return vectorFrom(tf, func(term string) (int32, bool) {
+		id, ok := d.ids[term]
+		return id, ok
+	})
 }
 
 // VectorFromText is shorthand for VectorFromCounts(d, TermCounts(s)).
 func VectorFromText(d *Dict, s string) Vector {
 	return VectorFromCounts(d, TermCounts(s))
+}
+
+// vectorFrom builds the raw-count vector of tf, each term's id from id; a
+// term id reports unknown is left out.
+func vectorFrom(tf map[string]int, id func(string) (int32, bool)) Vector {
+	v := Vector{
+		IDs:     make([]int32, 0, len(tf)),
+		Weights: make([]float64, 0, len(tf)),
+	}
+	for term, n := range tf {
+		if tid, ok := id(term); ok {
+			v.IDs = append(v.IDs, tid)
+			v.Weights = append(v.Weights, float64(n))
+		}
+	}
+	v.sortByID()
+	return v
+}
+
+// countIDs returns the raw-count vector of a bag of term ids, one id per
+// occurrence: sorted in place, then run-length counted. The IDs slice is
+// non-nil even for an empty bag.
+func countIDs(ids []int32) Vector {
+	slices.Sort(ids)
+	v := Vector{IDs: make([]int32, 0, len(ids)), Weights: make([]float64, 0, len(ids))}
+	for i, id := range ids {
+		if i > 0 && id == ids[i-1] {
+			v.Weights[len(v.Weights)-1]++
+			continue
+		}
+		v.IDs = append(v.IDs, id)
+		v.Weights = append(v.Weights, 1)
+	}
+	return v
 }
 
 func (v *Vector) sortByID() {

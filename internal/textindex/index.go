@@ -3,17 +3,19 @@
 // ranked retrieval under both classic TF-IDF cosine and BM25 scoring. It
 // is also the archive's one in-RAM home for collection statistics — the
 // document count and every term's document frequency are the sizes of its
-// own maps — so TFIDF weights vectors for the mining passes from the same
-// numbers Search ranks with. The index is never persisted: its durable
-// home is the per-page tf/ records of the version store, from which the
-// engine rebuilds it at open.
+// own maps and lists — so TFIDF weights vectors for the mining passes from
+// the same numbers Search ranks with. Postings are held dense by term id,
+// each list in the order its documents were added: Search sums a
+// document's scores in a map and never reads posting order, so indexing a
+// page is one append per term, in any document order. The index is never
+// persisted: its durable home is the per-page tf/ records of the version
+// store, from which the engine rebuilds it at open.
 package textindex
 
 import (
 	"container/heap"
 	"math"
 	"slices"
-	"sort"
 	"sync"
 
 	"memex/internal/text"
@@ -29,8 +31,9 @@ type Posting struct {
 type Index struct {
 	mu       sync.RWMutex
 	dict     *text.Dict
-	postings map[int32][]Posting // term id → postings sorted by Doc
-	docLen   map[int64]int       // doc → token count
+	postings [][]Posting   // term id → postings, in the order documents were added
+	terms    int           // non-empty posting lists
+	docLen   map[int64]int // doc → token count
 	totalLen int64
 }
 
@@ -40,38 +43,55 @@ func New(dict *text.Dict) *Index {
 	if dict == nil {
 		dict = text.NewDict()
 	}
-	return &Index{
-		dict:     dict,
-		postings: make(map[int32][]Posting),
-		docLen:   make(map[int64]int),
-	}
+	return &Index{dict: dict, docLen: make(map[int64]int)}
 }
 
-// Add indexes document content under id doc; see AddCounts.
+// Add indexes document content under id doc, interning its terms; see
+// AddVector. Experiment E8 and the tests index raw text through it.
 func (ix *Index) Add(doc int64, content string) {
 	ix.AddCounts(doc, text.TermCounts(content))
 }
 
-// AddCounts indexes a precomputed term-count map. A document is indexed
-// once: adding an id that is already present is a no-op (first write
-// wins), which is what lets a posting list's length be the term's
-// document frequency with no per-document bookkeeping.
+// AddCounts is AddVector for counts keyed by term string, interning each
+// term: the string entry point the bench ladder indexes through.
 func (ix *Index) AddCounts(doc int64, tf map[string]int) {
+	ix.AddVector(doc, text.VectorFromCounts(ix.dict, tf))
+}
+
+// AddVector indexes a document's raw term counts, ids from the index's
+// dictionary: one append per term, and no dictionary lock. A document is
+// indexed once: adding an id that is already present is a no-op (first
+// write wins), which is what lets a posting list's length be the term's
+// document frequency with no per-document bookkeeping.
+func (ix *Index) AddVector(doc int64, v text.Vector) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	if _, exists := ix.docLen[doc]; exists {
 		return
 	}
 	total := 0
-	for term, n := range tf {
-		id := ix.dict.ID(term)
-		pl := ix.postings[id]
-		i := sort.Search(len(pl), func(i int) bool { return pl[i].Doc >= doc })
-		ix.postings[id] = slices.Insert(pl, i, Posting{Doc: doc, TF: int32(n)})
+	for i, id := range v.IDs {
+		if int(id) >= len(ix.postings) {
+			ix.postings = append(ix.postings, make([][]Posting, int(id)+1-len(ix.postings))...)
+		}
+		n := int(v.Weights[i])
+		if len(ix.postings[id]) == 0 {
+			ix.terms++
+		}
+		ix.postings[id] = append(ix.postings[id], Posting{Doc: doc, TF: int32(n)})
 		total += n
 	}
 	ix.docLen[doc] = total
 	ix.totalLen += int64(total)
+}
+
+// list is term id's posting list, nil for a term no document has (mu
+// held). Its length is the term's document frequency.
+func (ix *Index) list(id int32) []Posting {
+	if int(id) < len(ix.postings) {
+		return ix.postings[id]
+	}
+	return nil
 }
 
 // TFIDF returns a copy of the raw term-frequency vector v (ids from the
@@ -82,7 +102,7 @@ func (ix *Index) AddCounts(doc int64, tf map[string]int) {
 func (ix *Index) TFIDF(v text.Vector) text.Vector {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	return text.TFIDF(v, len(ix.docLen), func(id int32) int { return len(ix.postings[id]) })
+	return text.TFIDF(v, len(ix.docLen), func(id int32) int { return len(ix.list(id)) })
 }
 
 // Docs returns the number of indexed documents.
@@ -96,7 +116,7 @@ func (ix *Index) Docs() int {
 func (ix *Index) Terms() int {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	return len(ix.postings)
+	return ix.terms
 }
 
 // Scoring selects the ranking function.
@@ -118,16 +138,15 @@ type Hit struct {
 
 // Search returns the top-k documents matching the free-text query, ranked
 // by the selected scoring function. Multi-term queries are disjunctive
-// (any term matches) as in the classic vector model.
+// (any term matches) as in the classic vector model. A document's score
+// adds its per-term scores in the query terms' sorted order, so a query
+// answers with the same bits on every call.
 func (ix *Index) Search(query string, k int, scoring Scoring) []Hit {
 	terms := text.Terms(query)
 	if len(terms) == 0 || k <= 0 {
 		return nil
 	}
-	qtf := map[string]int{}
-	for _, t := range terms {
-		qtf[t]++
-	}
+	slices.Sort(terms)
 
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
@@ -139,13 +158,17 @@ func (ix *Index) Search(query string, k int, scoring Scoring) []Hit {
 	avgLen := float64(ix.totalLen) / float64(nDocs)
 	scores := make(map[int64]float64)
 
-	//memexvet:ignore lockiter scoring needs one consistent posting set; the index mutates in place, and the walk is bounded by the query's terms, not the archive
-	for term, qn := range qtf {
+	//memexvet:ignore lockiter scoring needs one consistent posting set; the index appends in place, and the walk is bounded by the query's terms, not the archive
+	for i := 0; i < len(terms); {
+		term, qn := terms[i], 0
+		for ; i < len(terms) && terms[i] == term; i++ {
+			qn++
+		}
 		id, ok := ix.dict.Lookup(term)
 		if !ok {
 			continue
 		}
-		pl := ix.postings[id]
+		pl := ix.list(id)
 		df := len(pl)
 		if df == 0 {
 			continue

@@ -2,8 +2,12 @@ package textindex
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"slices"
+	"sort"
+	"strings"
 	"testing"
 
 	"memex/internal/text"
@@ -99,8 +103,8 @@ func TestEmptyAndStopwordQueries(t *testing.T) {
 // transpose to find the old postings.)
 func TestReAddFirstWriteWins(t *testing.T) {
 	ix := seedIndex()
-	postings := func() map[int32][]Posting {
-		out := map[int32][]Posting{}
+	postings := func() [][]Posting {
+		out := make([][]Posting, len(ix.postings))
 		for id, pl := range ix.postings {
 			out[id] = append([]Posting(nil), pl...)
 		}
@@ -220,5 +224,154 @@ func BenchmarkSearchBM25(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ix.Search("termaa termbb termcc", 10, BM25)
+	}
+}
+
+// TestSearchSumsInAFixedOrder: a document's score adds its per-term scores
+// in the query terms' sorted order. The fixture's document 2 is one where
+// the order shows in the last bits — (alpha+beta)+gamma and
+// (alpha+gamma)+beta differ — so summing in map order would answer the
+// same query with different scores from call to call, and could swap a
+// tie at rank k.
+func TestSearchSumsInAFixedOrder(t *testing.T) {
+	ix := New(nil)
+	for i, d := range []string{
+		"alpha beta gamma",
+		"alpha alpha beta gamma gamma gamma delta",
+		"beta delta epsilon",
+		"gamma epsilon zeta alpha",
+		"alpha beta beta gamma zeta zeta zeta",
+	} {
+		ix.Add(int64(i+1), d)
+	}
+	scoreOf := func(hits []Hit, doc int64) float64 {
+		for _, h := range hits {
+			if h.Doc == doc {
+				return h.Score
+			}
+		}
+		t.Fatalf("doc %d not in %v", doc, hits)
+		return 0
+	}
+	a := scoreOf(ix.Search("alpha", 10, BM25), 2)
+	b := scoreOf(ix.Search("beta", 10, BM25), 2)
+	c := scoreOf(ix.Search("gamma", 10, BM25), 2)
+	if (a+b)+c == (a+c)+b {
+		t.Fatalf("fixture lost its point: (a+b)+c = (a+c)+b = %v", (a+b)+c)
+	}
+	want := (a + b) + c
+	for i := 0; i < 200; i++ {
+		if got := scoreOf(ix.Search("gamma beta alpha", 10, BM25), 2); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("call %d: doc 2 scores %v, want the sorted-order sum %v", i, got, want)
+		}
+	}
+}
+
+// refIndex is the index as it stood with doc-sorted posting lists: each
+// insert a binary search and a slice insert, so a list's order is the
+// documents' order whatever order they arrived in. Kept as the reference
+// the append-only lists must answer equal to.
+type refIndex struct {
+	dict     *text.Dict
+	postings map[int32][]Posting
+	docLen   map[int64]int
+	totalLen int64
+}
+
+func (r *refIndex) add(doc int64, v text.Vector) {
+	total := 0
+	for i, id := range v.IDs {
+		n := int(v.Weights[i])
+		pl := r.postings[id]
+		at := sort.Search(len(pl), func(i int) bool { return pl[i].Doc >= doc })
+		r.postings[id] = slices.Insert(pl, at, Posting{Doc: doc, TF: int32(n)})
+		total += n
+	}
+	r.docLen[doc] = total
+	r.totalLen += int64(total)
+}
+
+func (r *refIndex) search(query string, k int, scoring Scoring) []Hit {
+	terms := text.Terms(query)
+	if len(terms) == 0 {
+		return nil
+	}
+	slices.Sort(terms)
+	nDocs := len(r.docLen)
+	avgLen := float64(r.totalLen) / float64(nDocs)
+	scores := map[int64]float64{}
+	for i := 0; i < len(terms); {
+		term, qn := terms[i], 0
+		for ; i < len(terms) && terms[i] == term; i++ {
+			qn++
+		}
+		id, ok := r.dict.Lookup(term)
+		if !ok {
+			continue
+		}
+		pl := r.postings[id]
+		df := float64(len(pl))
+		for _, p := range pl {
+			tf, dl := float64(p.TF), float64(r.docLen[p.Doc])
+			if scoring == BM25 {
+				idf := math.Log(1 + (float64(nDocs)-df+0.5)/(df+0.5))
+				scores[p.Doc] += float64(qn) * idf * (tf * 2.2 / (tf + 1.2*(0.25+0.75*dl/avgLen)))
+				continue
+			}
+			idf := math.Log(float64(1+nDocs) / (1 + df))
+			dw := (1 + math.Log(tf)) * idf
+			if dl > 0 {
+				dw /= math.Sqrt(dl)
+			}
+			scores[p.Doc] += (1 + math.Log(float64(qn))) * idf * dw
+		}
+	}
+	return topK(scores, k)
+}
+
+// TestAppendOnlyMatchesDocSortedReference: documents indexed in random
+// order — as reloadDerived replays tf/ records in key order, where tf/10
+// comes before tf/9 — leave posting lists out of document order, and
+// Search, TFIDF, Docs and Terms still answer bit for bit what a doc-sorted
+// index answers.
+func TestAppendOnlyMatchesDocSortedReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	dict := text.NewDict()
+	vocab := make([]string, 60)
+	for i := range vocab {
+		vocab[i] = fmt.Sprintf("w%c%c", 'a'+i%26, 'a'+i/26)
+	}
+	ix := New(dict)
+	ref := &refIndex{dict: dict, postings: map[int32][]Posting{}, docLen: map[int64]int{}}
+	var vecs []text.Vector
+	for _, doc := range rng.Perm(400) {
+		var content strings.Builder
+		for i := 0; i < 1+rng.Intn(30); i++ {
+			content.WriteString(vocab[int(float64(len(vocab))*rng.Float64()*rng.Float64())] + " ")
+		}
+		v := text.VectorFromText(dict, content.String())
+		ix.AddVector(int64(doc), v)
+		ref.add(int64(doc), v)
+		vecs = append(vecs, v)
+	}
+	if ix.Docs() != len(ref.docLen) || ix.Terms() != len(ref.postings) {
+		t.Fatalf("Docs/Terms = %d/%d, reference %d/%d", ix.Docs(), ix.Terms(), len(ref.docLen), len(ref.postings))
+	}
+	for q := 0; q < 300; q++ {
+		query := ""
+		for i := 0; i < 1+rng.Intn(4); i++ {
+			query += vocab[rng.Intn(len(vocab))] + " "
+		}
+		for _, scoring := range []Scoring{TFIDF, BM25} {
+			if got, want := ix.Search(query, 25, scoring), ref.search(query, 25, scoring); !reflect.DeepEqual(got, want) {
+				t.Fatalf("Search(%q, %v) = %v, reference %v", query, scoring, got, want)
+			}
+		}
+	}
+	for i, v := range vecs {
+		want := text.TFIDF(v, len(ref.docLen), func(id int32) int { return len(ref.postings[id]) })
+		if got := ix.TFIDF(v); !reflect.DeepEqual(got, want) {
+			t.Fatalf("doc %d: TFIDF = %v, reference %v", i, got, want)
+		}
 	}
 }
