@@ -47,15 +47,9 @@ func FuzzDecodeCounts(f *testing.F) {
 	f.Add([]byte{1, 0x81, 0x00, 1})
 	f.Add([]byte{1, 1, 1, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		tf, ok := decodeCounts(d, data)
-		if !ok {
-			if tf.IDs != nil {
-				t.Fatal("failed decode returned non-nil ids")
-			}
-			return
-		}
+		tf := decodeCounts(d, data)
 		if tf.IDs == nil {
-			t.Fatal("successful decode returned nil ids — breaks the no-record contract")
+			return // refused: reads as "no record"
 		}
 		if 2*tf.Len() > len(data) {
 			t.Fatalf("decoded %d entries from %d bytes", tf.Len(), len(data))

@@ -124,8 +124,8 @@ func (e *Engine) reloadDerived() error {
 	for _, r := range tfs {
 		// An undecodable record leaves the page unclaimed, so its next
 		// visit re-fetches it and republishes over the bad blob.
-		tf, ok := decodeCounts(e.dict, r.raw)
-		if !ok {
+		tf := decodeCounts(e.dict, r.raw)
+		if tf.IDs == nil {
 			continue
 		}
 		e.idx.AddVector(r.page, tf)
@@ -248,33 +248,34 @@ func (v *DerivedView) pinned() *version.Snapshot {
 func (v *DerivedView) Epoch() uint64 { return v.pinned().Epoch() }
 
 // TermCounts returns the page's raw term counts by id as of the view's
-// epoch, ok=false when the page had no decodable tf/ record as of the pin.
-// A page's vector for the mining passes is this one: its weights are the
-// counts, and its ids are the same in any later life of the archive,
-// because the dictionary is restored with every term at its old id. The
-// result is shared through the record cache: treat it as read-only.
-func (v *DerivedView) TermCounts(page int64) (text.Vector, bool) {
+// epoch, with nil IDs when the page had no decodable tf/ record as of the
+// pin (a record with no terms has empty, non-nil IDs). A page's vector for
+// the mining passes is this one: its weights are the counts, and its ids
+// are the same in any later life of the archive, because the dictionary is
+// restored with every term at its old id. The result is shared through the
+// record cache: treat it as read-only.
+func (v *DerivedView) TermCounts(page int64) text.Vector {
 	sn := v.pinned()
 	if tf, ok := v.tf[page]; ok {
-		return tf, tf.IDs != nil
+		return tf
 	}
 	ck := cacheKey{epoch: sn.Epoch(), page: page, kind: kindTF}
 	if v.cache != nil {
 		if val, ok := v.cache.get(ck); ok {
 			tf := val.(text.Vector)
 			v.tf[page] = tf
-			return tf, tf.IDs != nil
+			return tf
 		}
 	}
-	var tf text.Vector // nil IDs: no record, memoized and cached as such
+	var tf text.Vector
 	if raw, ok := sn.Get(tfKey(page)); ok {
-		tf, _ = decodeCounts(v.dict, raw)
+		tf = decodeCounts(v.dict, raw)
 	}
 	v.tf[page] = tf
 	if v.cache != nil {
 		v.cache.put(ck, tf, sizeofVec(tf))
 	}
-	return tf, tf.IDs != nil
+	return tf
 }
 
 // adj decodes one adjacency record through a memo map and the shared
@@ -369,17 +370,18 @@ func encodeCounts(tf text.Vector) ([]byte, int32) {
 // occurrences of a term, and postings keep counts as int32.
 const maxCount = math.MaxInt32
 
-// decodeCounts is the inverse of encodeCounts: ok=false (and nil IDs) on
+// decodeCounts is the inverse of encodeCounts. It returns nil IDs on
 // corrupt input, on a count past maxCount and on a record naming an id the
-// dictionary does not hold. A decoded record's IDs are never nil, even for
-// a page with no terms, so a nil-IDs vector means "no record" wherever the
-// engine carries one. Every value has exactly one encoding the decoder
-// accepts (no padded varint, no repeated id, no trailing bytes), so
-// whatever decodes re-encodes to the same bytes.
-func decodeCounts(d *text.Dict, b []byte) (text.Vector, bool) {
+// dictionary does not hold; a decoded record's IDs are never nil, even for
+// a page with no terms. So a nil-IDs vector means "no record" wherever the
+// engine carries a page's counts, from here to every consumer. Every value
+// has exactly one encoding the decoder accepts (no padded varint, no
+// repeated id, no trailing bytes), so whatever decodes re-encodes to the
+// same bytes.
+func decodeCounts(d *text.Dict, b []byte) text.Vector {
 	n, w := uvarint(b)
 	if w <= 0 {
-		return text.Vector{}, false
+		return text.Vector{}
 	}
 	b = b[w:]
 	// Every entry costs at least two bytes (delta and count), so a count
@@ -388,7 +390,7 @@ func decodeCounts(d *text.Dict, b []byte) (text.Vector, bool) {
 	// ~2^60-entry allocation and OOM the process instead of degrading to
 	// "unknown".
 	if n > uint64(len(b))/2 {
-		return text.Vector{}, false
+		return text.Vector{}
 	}
 	terms := uint64(d.Size())
 	tf := text.Vector{IDs: make([]int32, 0, n), Weights: make([]float64, 0, n)}
@@ -396,12 +398,12 @@ func decodeCounts(d *text.Dict, b []byte) (text.Vector, bool) {
 	for i := uint64(0); i < n; i++ {
 		delta, w := uvarint(b)
 		if w <= 0 || (i > 0 && delta == 0) || delta >= terms-id {
-			return text.Vector{}, false // torn, a repeated id, or an id past the dictionary
+			return text.Vector{} // torn, a repeated id, or an id past the dictionary
 		}
 		b = b[w:]
 		c, w := uvarint(b)
 		if w <= 0 || c > maxCount {
-			return text.Vector{}, false
+			return text.Vector{}
 		}
 		b = b[w:]
 		id += delta
@@ -409,9 +411,9 @@ func decodeCounts(d *text.Dict, b []byte) (text.Vector, bool) {
 		tf.Weights = append(tf.Weights, float64(c))
 	}
 	if len(b) != 0 {
-		return text.Vector{}, false
+		return text.Vector{}
 	}
-	return tf, true
+	return tf
 }
 
 // uvarint is binary.Uvarint refusing a padded encoding (a final 0x00 group

@@ -26,16 +26,6 @@ func uncachedTwin(v *DerivedView) *DerivedView {
 	}
 }
 
-// counts is TermCounts as one comparable value: the vector, and whether
-// the page had a record.
-func counts(v *DerivedView, page int64) any {
-	tf, ok := v.TermCounts(page)
-	return struct {
-		tf text.Vector
-		ok bool
-	}{tf, ok}
-}
-
 // fetchedPages snapshots the engine's claim set (the pages with derived
 // records to read).
 func fetchedPages(e *Engine) []int64 {
@@ -105,7 +95,7 @@ func TestCachedReadsMatchUncached(t *testing.T) {
 		}
 		for _, view := range []*DerivedView{v, warm} {
 			for _, p := range pages {
-				if got, want := counts(view, p), counts(truth, p); !reflect.DeepEqual(got, want) {
+				if got, want := view.TermCounts(p), truth.TermCounts(p); !reflect.DeepEqual(got, want) {
 					t.Fatalf("page %d: cached TermCounts = %v, want %v", p, got, want)
 				}
 				if got, want := view.Out(p), truth.Out(p); !slices.Equal(got, want) {
@@ -369,7 +359,7 @@ func TestDerivedCacheConcurrentMiningAndIngest(t *testing.T) {
 						if got, want := v.In(p), truth.In(p); !slices.Equal(got, want) {
 							t.Errorf("page %d: cached In %v != uncached %v at epoch %d", p, got, want, v.Epoch())
 						}
-						if got, want := counts(v, p), counts(truth, p); !reflect.DeepEqual(got, want) {
+						if got, want := v.TermCounts(p), truth.TermCounts(p); !reflect.DeepEqual(got, want) {
 							t.Errorf("page %d: cached TermCounts diverged at epoch %d", p, v.Epoch())
 						}
 						if first, again := v.Out(p), v.Out(p); !slices.Equal(first, again) {

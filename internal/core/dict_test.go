@@ -462,7 +462,7 @@ func TestTermIDsSurviveRestart(t *testing.T) {
 	vecs := map[int64]text.Vector{}
 	e.withView(func(v *DerivedView) {
 		for _, p := range pages {
-			vecs[p], _ = v.TermCounts(p)
+			vecs[p] = v.TermCounts(p)
 		}
 	})
 	if err := e.Close(); err != nil {
@@ -479,7 +479,7 @@ func TestTermIDsSurviveRestart(t *testing.T) {
 	}
 	e.withView(func(v *DerivedView) {
 		for _, p := range pages {
-			got, _ := v.TermCounts(p)
+			got := v.TermCounts(p)
 			if !reflect.DeepEqual(got.IDs, vecs[p].IDs) || !reflect.DeepEqual(got.Weights, vecs[p].Weights) {
 				t.Fatalf("page %d: vector changed across restart:\n before %v\n after  %v", p, vecs[p], got)
 			}

@@ -269,21 +269,21 @@ func (e *Engine) process(ev events.Event) {
 	if err != nil {
 		return
 	}
-	tf, fetched := e.fetchAndIndex(pageID, ev.URL)
+	tf := e.fetchAndIndex(pageID, ev.URL)
 	if ev.Kind == events.VisitEvent {
-		e.classifyForUser(ev.User, pageID, tf, fetched)
+		e.classifyForUser(ev.User, pageID, tf)
 	}
 }
 
 // fetchAndIndex resolves content once per page, indexes it, and publishes
 // term stats plus out-link adjacency through the version store as one
-// batch. It returns the freshly computed term counts and true when this
-// call performed the fetch, false otherwise (already fetched, or content
+// batch. It returns the freshly computed term counts when this call
+// performed the fetch, nil IDs otherwise (already fetched, or content
 // unavailable). The "already fetched" fast path is one brief read-lock
 // on the page's claim flag — no store read, no tokenizing.
-func (e *Engine) fetchAndIndex(pageID int64, url string) (text.Vector, bool) {
+func (e *Engine) fetchAndIndex(pageID int64, url string) text.Vector {
 	if e.derivedPublished(pageID) {
-		return text.Vector{}, false
+		return text.Vector{}
 	}
 	return e.fetchAndIndexSlow(pageID, url)
 }
@@ -291,8 +291,8 @@ func (e *Engine) fetchAndIndex(pageID int64, url string) (text.Vector, bool) {
 // fetchAndIndexSlow is the publish half of the fetch path. Callers have
 // already decided the page looks unfetched; the claim set arbitrates
 // races authoritatively. It returns the page's raw term counts by id —
-// resolved here, once, through the stem memo — and false when content was
-// unavailable or a row, or a record the publish rewrites, could not be
+// resolved here, once, through the stem memo — and nil IDs when content
+// was unavailable or a row, or a record the publish rewrites, could not be
 // read or written. By the time it returns, the latest
 // published lnk/ adjacency record of the page holds its full out-link
 // union, on both sides of the claim race (each publishes synchronously).
@@ -305,10 +305,10 @@ func (e *Engine) fetchAndIndex(pageID int64, url string) (text.Vector, bool) {
 // fails the claim is released and nothing is indexed or published: the
 // page stays unfetched, and its next visit — or requeueUnfetched at the
 // next Open — tries again.
-func (e *Engine) fetchAndIndexSlow(pageID int64, url string) (text.Vector, bool) {
+func (e *Engine) fetchAndIndexSlow(pageID int64, url string) text.Vector {
 	content, ok := e.cfg.Source.Lookup(url)
 	if !ok {
-		return text.Vector{}, false
+		return text.Vector{}
 	}
 	tf := e.stems.Counts(content.Title + " " + content.Text)
 
@@ -327,9 +327,9 @@ func (e *Engine) fetchAndIndexSlow(pageID int64, url string) (text.Vector, bool)
 		// read the page's lnk/ record the moment we return.
 		links, err := e.ensurePages(content.Links)
 		if err != nil || e.links.publish(pageID, links, nil) != nil {
-			return text.Vector{}, false
+			return text.Vector{}
 		}
-		return tf, true
+		return tf
 	}
 	oldTitle := rec.title
 	rec.fetched, rec.title = true, content.Title
@@ -367,18 +367,18 @@ func (e *Engine) fetchAndIndexSlow(pageID int64, url string) (text.Vector, bool)
 		e.meta[pageID] = rec
 		e.mu.Unlock()
 		e.stats.FetchesFailed.Add(1)
-		return text.Vector{}, false
+		return text.Vector{}
 	}
 	e.stats.PagesFetched.Add(1)
-	return tf, true
+	return tf
 }
 
 // classifyForUser places the page into the user's folder space as a guess
 // ('?' in the Figure 1 UI) when the user has a trained classifier. tf is
-// the page's term counts when the caller just fetched it (ok true); for
-// pages fetched earlier the counts come from a pinned snapshot of the
-// version store.
-func (e *Engine) classifyForUser(user, pageID int64, tf text.Vector, ok bool) {
+// the page's term counts when the caller just fetched it; for pages
+// fetched earlier (tf with nil IDs) the counts come from a pinned snapshot
+// of the version store.
+func (e *Engine) classifyForUser(user, pageID int64, tf text.Vector) {
 	e.mu.RLock()
 	model := e.models[user]
 	rec := e.meta[pageID]
@@ -386,10 +386,10 @@ func (e *Engine) classifyForUser(user, pageID int64, tf text.Vector, ok bool) {
 	if model == nil {
 		return
 	}
-	if !ok {
-		e.withView(func(view *DerivedView) { tf, ok = view.TermCounts(pageID) })
+	if tf.IDs == nil {
+		e.withView(func(view *DerivedView) { tf = view.TermCounts(pageID) })
 	}
-	if !ok {
+	if tf.IDs == nil {
 		return
 	}
 	folder, conf := model.ClassifyVector(tf)
@@ -449,7 +449,7 @@ func (e *Engine) RetrainClassifiers() {
 			trainer := classify.NewTrainer(e.dict)
 			perClass := map[string]bool{}
 			for _, ex := range examples {
-				if tf, ok := view.TermCounts(ex.page); ok {
+				if tf := view.TermCounts(ex.page); tf.IDs != nil {
 					trainer.AddVector(ex.path, tf)
 					perClass[ex.path] = true
 				}

@@ -221,7 +221,7 @@ func TestLinkPublishReadErrorPublishesNothing(t *testing.T) {
 		}
 	})
 	t.Run("fetch", func(t *testing.T) {
-		if _, ok := e.fetchAndIndexSlow(okapi, page.URL); ok {
+		if e.fetchAndIndexSlow(okapi, page.URL).IDs != nil {
 			t.Fatal("the fetch reported success over an unreadable lnk/ record")
 		}
 		unchanged(t)

@@ -98,8 +98,8 @@ func referenceTrails(e *Engine, user int64, folder string, k int) (ctx TrailCont
 				of := t.FolderOfPage(page)
 				return of != nil && strings.HasPrefix(of.Path()+"/", folder+"/")
 			}
-			tf, ok := view.TermCounts(page)
-			if !ok {
+			tf := view.TermCounts(page)
+			if tf.IDs == nil {
 				return false
 			}
 			got, _ := model.ClassifyVector(tf)
@@ -147,7 +147,7 @@ func referenceUsage(e *Engine, user int64, since time.Time) (out []UsageSlice) {
 			}
 			e.mu.RUnlock()
 			if model != nil {
-				if tf, ok := view.TermCounts(page); ok {
+				if tf := view.TermCounts(page); tf.IDs != nil {
 					if folder, conf := model.ClassifyVector(tf); conf >= 0.4 {
 						return folder
 					}

@@ -26,7 +26,7 @@ func checkIndexStatistics(t *testing.T, e *Engine) {
 		var pages []int64
 		view.sn.Range(func(key string, raw []byte) bool {
 			if page, ok := pageOfTFKey(key); ok {
-				if tf, ok := decodeCounts(e.dict, raw); ok {
+				if tf := decodeCounts(e.dict, raw); tf.IDs != nil {
 					ref.AddDoc(tf)
 					pages = append(pages, page)
 				}
@@ -44,7 +44,7 @@ func checkIndexStatistics(t *testing.T, e *Engine) {
 			t.Fatalf("claimed pages %v, tf/ records %v", claimed, pages)
 		}
 		for _, page := range pages {
-			raw, _ := view.TermCounts(page)
+			raw := view.TermCounts(page)
 			if got, want := e.idx.TFIDF(raw), ref.TFIDF(raw); !reflect.DeepEqual(got, want) {
 				t.Fatalf("page %d: index weights %v, reference corpus weights %v", page, got, want)
 			}

@@ -169,8 +169,8 @@ func (e *Engine) Trails(user int64, folder string, k int) TrailContext {
 				of := t.FolderOfPage(page)
 				return of != nil && strings.HasPrefix(of.Path()+"/", folder+"/")
 			}
-			tf, ok := view.TermCounts(page)
-			if !ok {
+			tf := view.TermCounts(page)
+			if tf.IDs == nil {
 				return false
 			}
 			got, _ := model.ClassifyVector(tf)
@@ -265,8 +265,8 @@ func (e *Engine) RebuildThemes() themes.Stats {
 		for _, sk := range skels {
 			uf := themes.UserFolder{User: sk.user, Path: sk.path}
 			for _, page := range sk.pages {
-				raw, ok := view.TermCounts(page)
-				if !ok || raw.Len() == 0 {
+				raw := view.TermCounts(page)
+				if raw.Len() == 0 {
 					continue
 				}
 				uf.Docs = append(uf.Docs, themes.DocVec{ID: page, Vec: e.idx.TFIDF(raw)})
@@ -352,7 +352,7 @@ func (e *Engine) userDocsInView(user int64, view *DerivedView) []themes.DocVec {
 	sort.Slice(pages, func(i, j int) bool { return pages[i] < pages[j] })
 	var docs []themes.DocVec
 	for _, page := range pages {
-		if raw, ok := view.TermCounts(page); ok && raw.Len() > 0 {
+		if raw := view.TermCounts(page); raw.Len() > 0 {
 			docs = append(docs, themes.DocVec{ID: page, Vec: e.idx.TFIDF(raw)})
 		}
 	}
@@ -410,7 +410,7 @@ func (e *Engine) Recommend(user int64, k int, byProfile bool) []PageInfo {
 			for _, page := range pages {
 				ps, ok := assigned[page]
 				if !ok {
-					if raw, ok := view.TermCounts(page); ok && raw.Len() > 0 {
+					if raw := view.TermCounts(page); raw.Len() > 0 {
 						ps = pageShares{true, assigner.Shares(e.idx.TFIDF(raw))}
 					}
 					assigned[page] = ps
@@ -564,7 +564,7 @@ type engineFetcher struct {
 // and therefore the crawl — identical no matter which tier serves a page.
 func (f *engineFetcher) Fetch(page int64) (crawler.FetchResult, bool) {
 	e := f.e
-	if tf, ok := f.view.TermCounts(page); ok {
+	if tf := f.view.TermCounts(page); tf.IDs != nil {
 		return crawler.FetchResult{Page: page, Counts: tf, Links: f.view.Out(page)}, true
 	}
 	// Archived after the view's pin (a concurrent visit or crawl): the
@@ -580,8 +580,8 @@ func (f *engineFetcher) Fetch(page int64) (crawler.FetchResult, bool) {
 	if url == "" {
 		return crawler.FetchResult{}, false
 	}
-	tf, ok := e.fetchAndIndexSlow(page, url)
-	if !ok {
+	tf := e.fetchAndIndexSlow(page, url)
+	if tf.IDs == nil {
 		return crawler.FetchResult{}, false
 	}
 	// Read the page's links from its latest lnk/ record, not from the raw

@@ -62,7 +62,7 @@ func (e *Engine) UsageBreakdown(user int64, since time.Time) []UsageSlice {
 			}
 			e.mu.RUnlock()
 			if model != nil {
-				if tf, ok := view.TermCounts(page); ok {
+				if tf := view.TermCounts(page); tf.IDs != nil {
 					folder, conf := model.ClassifyVector(tf)
 					if conf >= 0.4 {
 						return folder

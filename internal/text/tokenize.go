@@ -180,7 +180,8 @@ func NewStemMemo(d *Dict, maxEntries int) *StemMemo {
 // the dictionary lacks: the fetch path's one resolution of a page's terms
 // to ids. One shared lock covers the page's lookups and one exclusive lock
 // remembers the tokens it had not seen; the counting itself is a sort of
-// the page's ids, with no map.
+// the page's ids, with no map. The IDs are non-nil even for text with no
+// terms.
 func (m *StemMemo) Counts(s string) Vector {
 	var ids []int32
 	var unseen []string
