@@ -28,7 +28,7 @@ import (
 func main() {
 	var (
 		addr   = flag.String("addr", ":8600", "listen address")
-		dir    = flag.String("dir", "", "data directory (required; holds the kvstore with the RDBMS tables, WAL, and the version store's cold tier — restarting on the same directory recovers all archived derived state)")
+		dir    = flag.String("dir", "", "data directory (required; holds the kvstore with the table records, WAL, and the version store's cold tier — restarting on the same directory recovers all archived derived state)")
 		seed   = flag.Int64("seed", 7, "world seed")
 		replay = flag.Int("replay", 0, "pre-play this many simulated community visits (0 = none)")
 		themes = flag.Duration("themes", time.Minute, "theme-rebuild demon interval (0 = manual)")

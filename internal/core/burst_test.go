@@ -141,8 +141,8 @@ func TestEnsurePagesConcurrentOverlappingLists(t *testing.T) {
 	if len(distinct) != len(idOf) {
 		t.Fatalf("%d distinct ids for %d urls", len(distinct), len(idOf))
 	}
-	if rows, err := e.pages.Count(); err != nil || rows != len(idOf) {
-		t.Fatalf("pages table holds %d rows (err %v), want %d", rows, err, len(idOf))
+	if rows := tableLen(t, e, pagesPrefix); rows != len(idOf) {
+		t.Fatalf("pages table holds %d rows, want %d", rows, len(idOf))
 	}
 	// Ids are handed out in first-sight order with no gap.
 	for id := int64(1); id <= int64(len(idOf)); id++ {

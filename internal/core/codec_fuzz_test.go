@@ -7,6 +7,8 @@ import (
 	"slices"
 	"testing"
 
+	"memex/internal/events"
+	"memex/internal/kvstore"
 	"memex/internal/text"
 )
 
@@ -94,6 +96,78 @@ func FuzzDecodeIDSet(f *testing.F) {
 		}
 		if !bytes.Equal(encodeIDSet(ids2), canon) {
 			t.Fatal("canonical encoding not a fixed point")
+		}
+	})
+}
+
+// FuzzRowRecords holds the four table codecs to the same three invariants:
+// a record read back from the kvstore — torn, bit-rotted or hostile — never
+// panics its decoder; a length field cannot make the decoder allocate past
+// the record's own size (strings are the only allocation, and their bytes
+// are the record's); and whatever decodes re-encodes to the same key and
+// value. table picks the codec; key is the key after its table prefix.
+func FuzzRowRecords(f *testing.F) {
+	pair := func(k, v []byte) kvstore.KV { return kvstore.KV{Key: k, Value: v} }
+	for _, kv := range []kvstore.KV{
+		pair(pageRow{id: 3, url: "http://zoo.example/okapi", title: "Okapi"}.record()),
+		pair(pageRow{id: 1 << 40, url: "http://zoo.example/"}.record()),
+		pair(visitRow{user: 7, at: tBase.UnixNano(), id: 300, page: 3, ref: 2, privacy: events.Community}.record()),
+		pair(visitRow{user: -1, at: -5, id: 1, page: 1 << 50}.record()),
+		pair(bookmarkRow{id: 9, user: 7, page: 3, at: tBase.UnixNano(), folder: "/animals/rainforest"}.record()),
+		pair(userRecord(7)),
+		pair(userRecord(0)),
+	} {
+		prefix, _, _ := bytes.Cut(kv.Key, []byte("/"))
+		table := bytes.IndexByte([]byte("pvbu"), prefix[0])
+		f.Add(byte(table), kv.Key[len(prefix)+1:], kv.Value)
+	}
+	// A page whose url length claims 2^60 bytes, a padded varint, a key
+	// with a leading zero byte, a key length past 8, and trailing bytes.
+	f.Add(byte(0), []byte{1, 3}, append(binary.AppendUvarint(nil, 1<<60), 'x'))
+	f.Add(byte(0), []byte{1, 3}, []byte{0x81, 0x00})
+	f.Add(byte(0), []byte{2, 0, 3}, []byte{0})
+	f.Add(byte(3), []byte{9, 1, 1, 1, 1, 1, 1, 1, 1, 1}, []byte{})
+	f.Add(byte(1), append(append([]byte{1, 7}, make([]byte, 8)...), 1, 1), []byte{1, 0, 2, 0})
+	f.Add(byte(2), []byte{1, 9}, []byte{7, 3, 1, 2})
+	f.Fuzz(func(t *testing.T, table byte, key, value []byte) {
+		var prefix string
+		var againKey, againValue []byte
+		var strs int
+		switch table % 4 {
+		case 0:
+			r, err := decodePage(key, value)
+			if err != nil {
+				return
+			}
+			againKey, againValue = r.record()
+			prefix, strs = pagesPrefix, len(r.url)+len(r.title)
+		case 1:
+			r, err := decodeVisit(key, value)
+			if err != nil {
+				return
+			}
+			againKey, againValue = r.record()
+			prefix = visitsPrefix
+		case 2:
+			r, err := decodeBookmark(key, value)
+			if err != nil {
+				return
+			}
+			againKey, againValue = r.record()
+			prefix, strs = bookmarksPrefix, len(r.folder)
+		case 3:
+			id, err := decodeUser(key, value)
+			if err != nil {
+				return
+			}
+			againKey, againValue = userRecord(id)
+			prefix = usersPrefix
+		}
+		if strs > len(value) {
+			t.Fatalf("decoded %d bytes of strings from a %d-byte value", strs, len(value))
+		}
+		if !bytes.Equal(againKey, append([]byte(prefix), key...)) || !bytes.Equal(againValue, value) {
+			t.Fatalf("%s%x → %x decodes to a record that encodes to %x → %x", prefix, key, value, againKey, againValue)
 		}
 	})
 }

@@ -7,26 +7,30 @@ import (
 
 	"memex/internal/events"
 	"memex/internal/kvstore"
-	"memex/internal/rdbms"
 	"memex/internal/sim"
 	"memex/internal/webcorpus"
 )
 
-// tableRows renders every row of the engine's visits, bookmarks and pages
-// tables, sorted, per table.
+// tableRows renders every record of the engine's visits, bookmarks and
+// pages tables, decoded, sorted, per table.
 func tableRows(t *testing.T, e *Engine) map[string][]string {
 	t.Helper()
 	out := map[string][]string{}
-	for name, tbl := range map[string]*rdbms.Table{"visits": e.visits, "bookmarks": e.bookmarks, "pages": e.pages} {
-		var rows []string
-		if err := tbl.Select().Each(func(r rdbms.Row) bool {
-			rows = append(rows, fmt.Sprint(r))
-			return true
-		}); err != nil {
+	render := func(table string, r any) bool {
+		out[table] = append(out[table], fmt.Sprintf("%+v", r))
+		return true
+	}
+	for _, err := range []error{
+		visitsTable.scanAll(e.kv, func(r visitRow) bool { return render("visits", r) }),
+		bookmarksTable.scanAll(e.kv, func(r bookmarkRow) bool { return render("bookmarks", r) }),
+		pagesTable.scanAll(e.kv, func(r pageRow) bool { return render("pages", r) }),
+	} {
+		if err != nil {
 			t.Fatal(err)
 		}
+	}
+	for _, rows := range out {
 		sort.Strings(rows)
-		out[name] = rows
 	}
 	return out
 }

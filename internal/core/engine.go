@@ -1,10 +1,11 @@
 // Package core assembles every Memex subsystem into the server engine of
-// Figure 3: the RDBMS holds page/link/user/topic metadata, the kvstore
-// holds term-level statistics, the version store coordinates the single
-// producer (the fetch/index path) with its consumers (classifier and theme
-// demons), the event queue separates the guaranteed-immediate foreground
-// path from asynchronous analysis, and the demon pool keeps the background
-// mining running and restartable.
+// Figure 3: typed table records hold page/visit/bookmark/user metadata
+// (tables.go) and the version store's derived records term-level
+// statistics and the link graph, all on one kvstore; the version store
+// coordinates the single producer (the fetch/index path) with its
+// consumers (classifier and theme demons), the event queue separates the
+// guaranteed-immediate foreground path from asynchronous analysis, and the
+// demon pool keeps the background mining running and restartable.
 //
 // # Derived page state lives only in the version store
 //
@@ -62,7 +63,6 @@ import (
 	"memex/internal/events"
 	"memex/internal/folders"
 	"memex/internal/kvstore"
-	"memex/internal/rdbms"
 	"memex/internal/text"
 	"memex/internal/textindex"
 	"memex/internal/themes"
@@ -129,7 +129,6 @@ const stemMemoEntries = 1 << 16
 // Engine is an embedded Memex server core.
 type Engine struct {
 	cfg  Config
-	db   *rdbms.DB
 	kv   *kvstore.Store
 	vs   *version.Store
 	dict *text.Dict
@@ -152,10 +151,9 @@ type Engine struct {
 	queue *events.Queue
 	pool  *demon.Pool
 
-	pages     *rdbms.Table
-	visits    *rdbms.Table
-	bookmarks *rdbms.Table
-	usersTbl  *rdbms.Table
+	// lastVisit and lastBookmark are the last visit and bookmark ids handed
+	// out; reload recovers them from the records.
+	lastVisit, lastBookmark atomic.Int64
 
 	// mu guards page-metadata bookkeeping only (see the package doc);
 	// derived page data is read through pinned DerivedView snapshots, never
@@ -169,6 +167,8 @@ type Engine struct {
 	// visited is visibility, held per user: the pages each user has a
 	// visit row for (any privacy mode).
 	visited map[int64]map[int64]bool
+	// nextPage is the id the next new page row takes; reload recovers it.
+	nextPage int64
 
 	// pushed/processed (plus the queue's drop counter) account for
 	// background work precisely, so DrainBackground cannot return while an
@@ -228,15 +228,14 @@ func Open(cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	db, err := rdbms.NewOn(kv)
-	if err != nil {
+	if err := refuseRowLayer(kv); err != nil {
 		kv.Close()
 		return nil, err
 	}
 	// The version store shares the engine's kvstore: GC folds cold derived
-	// records into the "vc/" keyspace (beside the RDBMS's "tbl/"/"cat/"
-	// keyspaces) and recovers them here on reopen, so derived page state
-	// survives restarts on bounded memory.
+	// records into the "vc/" keyspace (beside the tables' keyspaces) and
+	// recovers them here on reopen, so derived page state survives restarts
+	// on bounded memory.
 	vs, err := version.Open(kv, "vc/", version.Options{})
 	if err != nil {
 		kv.Close()
@@ -246,7 +245,6 @@ func Open(cfg Config) (*Engine, error) {
 	idx := textindex.New(dict)
 	e := &Engine{
 		cfg:     cfg,
-		db:      db,
 		kv:      kv,
 		vs:      vs,
 		dict:    dict,
@@ -261,10 +259,6 @@ func Open(cfg Config) (*Engine, error) {
 		meta:    map[int64]pageRec{},
 		idByURL: map[string]int64{},
 		visited: map[int64]map[int64]bool{},
-	}
-	if err := e.createTables(); err != nil {
-		kv.Close()
-		return nil, err
 	}
 	refs, err := e.reload()
 	if err != nil {
@@ -287,109 +281,56 @@ func Open(cfg Config) (*Engine, error) {
 	return e, nil
 }
 
-// createTables declares the durable layout (DESIGN.md §1). EnsureTable
-// refuses a catalog that holds any other schema, and Open passes that on.
-func (e *Engine) createTables() error {
-	var err error
-	e.pages, err = e.db.EnsureTable(rdbms.Schema{
-		Name: "pages",
-		Columns: []rdbms.Column{
-			{Name: "id", Type: rdbms.TInt},
-			{Name: "url", Type: rdbms.TString},
-			{Name: "title", Type: rdbms.TString},
-		},
-		Key: "id",
-	})
-	if err != nil {
-		return err
-	}
-	e.visits, err = e.db.EnsureTable(rdbms.Schema{
-		Name: "visits",
-		Columns: []rdbms.Column{
-			{Name: "id", Type: rdbms.TInt},
-			{Name: "user", Type: rdbms.TInt},
-			{Name: "page", Type: rdbms.TInt},
-			{Name: "ref", Type: rdbms.TInt},
-			{Name: "time", Type: rdbms.TTime},
-			{Name: "privacy", Type: rdbms.TInt},
-		},
-		Key:     "id",
-		Indexes: []string{"user"}, // read by windowQuery
-	})
-	if err != nil {
-		return err
-	}
-	e.bookmarks, err = e.db.EnsureTable(rdbms.Schema{
-		Name: "bookmarks",
-		Columns: []rdbms.Column{
-			{Name: "id", Type: rdbms.TInt},
-			{Name: "user", Type: rdbms.TInt},
-			{Name: "page", Type: rdbms.TInt},
-			{Name: "folder", Type: rdbms.TString},
-			{Name: "time", Type: rdbms.TTime},
-		},
-		Key: "id",
-	})
-	if err != nil {
-		return err
-	}
-	e.usersTbl, err = e.db.EnsureTable(rdbms.Schema{
-		Name: "users",
-		Columns: []rdbms.Column{
-			{Name: "id", Type: rdbms.TInt},
-			{Name: "name", Type: rdbms.TString},
-		},
-		Key: "id",
-	})
-	return err
-}
-
 // reload rebuilds in-memory state (users, page metadata, folder trees,
-// visibility) from the persistent tables after a restart. It also returns
-// every visit's referrer→page transition, keyed by referrer, for
-// republishReferrerEdges.
+// visibility, the next ids) from the table records after a restart. It
+// also returns every visit's referrer→page transition, keyed by referrer,
+// for republishReferrerEdges.
 func (e *Engine) reload() (refs map[int64][]int64, err error) {
 	// Registered users: a user with visits but no bookmarks must still
 	// count in Status and stand as a Recommend peer.
-	err = e.usersTbl.Select().Each(func(r rdbms.Row) bool {
-		e.treeLocked(r.MustInt("id"))
+	err = usersTable.scanAll(e.kv, func(id int64) bool {
+		e.treeLocked(id)
 		return true
 	})
 	if err != nil {
 		return nil, err
 	}
-	// Page metadata.
-	err = e.pages.Select().Each(func(r rdbms.Row) bool {
-		id, url := r.MustInt("id"), r.MustString("url")
-		e.meta[id] = pageRec{url: url, title: r.MustString("title")}
-		e.idByURL[url] = id
+	// Page metadata; the scan is in id order, so the last id is the largest.
+	e.nextPage = 1
+	err = pagesTable.scanAll(e.kv, func(r pageRow) bool {
+		e.meta[r.id] = pageRec{url: r.url, title: r.title}
+		e.idByURL[r.url] = r.id
+		e.nextPage = r.id + 1
 		return true
 	})
 	if err != nil {
 		return nil, err
 	}
-	// Folder trees from bookmarks.
-	err = e.bookmarks.Select().Each(func(r rdbms.Row) bool {
-		page := r.MustInt("page")
-		rec := e.meta[page]
-		e.treeLocked(r.MustInt("user")).Add(r.MustString("folder"), folders.Entry{
-			Page:  page,
+	// Folder trees from bookmarks, in id order.
+	err = bookmarksTable.scanAll(e.kv, func(r bookmarkRow) bool {
+		rec := e.meta[r.page]
+		e.treeLocked(r.user).Add(r.folder, folders.Entry{
+			Page:  r.page,
 			URL:   rec.url,
 			Title: rec.title,
-			Added: r.MustTime("time"),
+			Added: time.Unix(0, r.at).UTC(),
 		})
+		e.lastBookmark.Store(r.id)
 		return true
 	})
 	if err != nil {
 		return nil, err
 	}
-	// Visibility and referrer transitions from visits.
+	// Visibility and referrer transitions from visits, which are keyed by
+	// user first: their ids are in key order only within a (user, time).
 	refs = map[int64][]int64{}
-	err = e.visits.Select().Each(func(r rdbms.Row) bool {
-		page := r.MustInt("page")
-		e.markVisitedLocked(r.MustInt("user"), page, events.Privacy(r.MustInt("privacy")))
-		if ref := r.MustInt("ref"); ref != 0 {
-			refs[ref] = append(refs[ref], page)
+	err = visitsTable.scanAll(e.kv, func(r visitRow) bool {
+		e.markVisitedLocked(r.user, r.page, r.privacy)
+		if r.ref != 0 {
+			refs[r.ref] = append(refs[r.ref], r.page)
+		}
+		if r.id > e.lastVisit.Load() {
+			e.lastVisit.Store(r.id)
 		}
 		return true
 	})
@@ -547,8 +488,8 @@ type Stats struct {
 	Themes        int
 	DiskBytes     int64
 	// KV reports the backing kvstore: buffer-pool counters, and the WAL
-	// commits and bytes this process has written — rows, sequence values
-	// and cold-tier folds alike.
+	// commits and bytes this process has written — rows and cold-tier folds
+	// alike.
 	KV kvstore.Stats
 	// Demons lists every demon that has panicked: how often the pool
 	// restarted it, and the last panic value and time.

@@ -8,16 +8,14 @@ import (
 	"memex/internal/classify"
 	"memex/internal/events"
 	"memex/internal/folders"
-	"memex/internal/rdbms"
+	"memex/internal/kvstore"
 	"memex/internal/text"
 )
 
-// RegisterUser creates (or refreshes) a user record.
+// RegisterUser creates (or refreshes) a user record. The record is the id
+// alone: nothing reads a user's name back, so it is not stored.
 func (e *Engine) RegisterUser(id int64, name string) error {
-	if err := e.usersTbl.Upsert(rdbms.Row{
-		"id":   rdbms.Int(id),
-		"name": rdbms.String(name),
-	}); err != nil {
+	if err := e.kv.Put(userRecord(id)); err != nil {
 		return err
 	}
 	e.mu.Lock()
@@ -55,13 +53,10 @@ func (e *Engine) RecordVisit(user int64, url, referrer string, at time.Time, pri
 			return err
 		}
 	}
-	if _, err := e.visits.InsertSeq(rdbms.Row{
-		"user":    rdbms.Int(user),
-		"page":    rdbms.Int(pageID),
-		"ref":     rdbms.Int(refID),
-		"time":    rdbms.Time(at),
-		"privacy": rdbms.Int(int64(privacy)),
-	}); err != nil {
+	// An id taken by a visit or bookmark whose write fails is not handed
+	// out again; nothing refers to those ids, so the gap is harmless.
+	visit := visitRow{user: user, at: at.UnixNano(), id: e.lastVisit.Add(1), page: pageID, ref: refID, privacy: privacy}
+	if err := e.kv.Put(visit.record()); err != nil {
 		return err
 	}
 	e.mu.Lock()
@@ -83,12 +78,7 @@ func (e *Engine) AddBookmark(user int64, url, folder string, at time.Time) error
 	if err != nil {
 		return err
 	}
-	if _, err := e.bookmarks.InsertSeq(rdbms.Row{
-		"user":   rdbms.Int(user),
-		"page":   rdbms.Int(pageID),
-		"folder": rdbms.String(folder),
-		"time":   rdbms.Time(at),
-	}); err != nil {
+	if err := e.putBookmark(user, pageID, folder, at); err != nil {
 		return err
 	}
 	e.mu.Lock()
@@ -120,15 +110,15 @@ func (e *Engine) CorrectPlacement(user int64, url, folder string) error {
 		err = nil
 	}
 	e.mu.Unlock()
-	if _, insErr := e.bookmarks.InsertSeq(rdbms.Row{
-		"user":   rdbms.Int(user),
-		"page":   rdbms.Int(pageID),
-		"folder": rdbms.String(folder),
-		"time":   rdbms.Time(e.cfg.Now()),
-	}); insErr != nil {
+	if insErr := e.putBookmark(user, pageID, folder, e.cfg.Now()); insErr != nil {
 		return insErr
 	}
 	return err
+}
+
+// putBookmark writes a bookmark row under the next bookmark id.
+func (e *Engine) putBookmark(user, page int64, folder string, at time.Time) error {
+	return e.kv.Put(bookmarkRow{id: e.lastBookmark.Add(1), user: user, page: page, at: at.UnixNano(), folder: folder}.record())
 }
 
 // ImportBookmarks ingests a Netscape bookmark file for the user.
@@ -186,7 +176,7 @@ func (e *Engine) ensurePage(url string) (int64, error) {
 // idByURL, then — only if something was missing — one write-locked pass
 // that re-checks (another goroutine may have created a URL in between),
 // drops repeats within the list, numbers the new pages in first-sight
-// order from one id range and writes their rows as one commit. A fetched
+// order from nextPage on and writes their rows as one commit. A fetched
 // page's out-links are the bulk caller: six never-seen links are one turn
 // under e.mu and one commit, not six of each.
 //
@@ -211,7 +201,7 @@ func (e *Engine) ensurePages(urls []string) ([]int64, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	var fresh []string
-	var rows []rdbms.Row
+	var rows []kvstore.KV
 	queued := make(map[string]bool, missing)
 	for i, url := range urls {
 		if ids[i] != 0 || queued[url] {
@@ -222,17 +212,18 @@ func (e *Engine) ensurePages(urls []string) ([]int64, error) {
 		}
 		queued[url] = true
 		fresh = append(fresh, url)
-		rows = append(rows, rdbms.Row{"url": rdbms.String(url), "title": rdbms.String("")})
+		k, v := pageRow{id: e.nextPage + int64(len(rows)), url: url}.record()
+		rows = append(rows, kvstore.KV{Key: k, Value: v})
 	}
 	if len(fresh) > 0 {
-		first, err := e.pages.InsertSeq(rows...)
-		if err != nil {
+		if err := e.kv.PutBatch(rows); err != nil {
 			return nil, err
 		}
 		for i, url := range fresh {
-			e.meta[first+int64(i)] = pageRec{url: url}
-			e.idByURL[url] = first + int64(i)
+			e.meta[e.nextPage+int64(i)] = pageRec{url: url}
+			e.idByURL[url] = e.nextPage + int64(i)
 		}
+		e.nextPage += int64(len(fresh))
 	}
 	for i, url := range urls {
 		if ids[i] == 0 {
@@ -342,10 +333,7 @@ func (e *Engine) fetchAndIndexSlow(pageID int64, url string) text.Vector {
 	title := oldTitle // the title the row holds
 	links, err := e.ensurePages(content.Links)
 	if err == nil {
-		_, err = e.pages.Update(rdbms.Int(pageID), func(r rdbms.Row) rdbms.Row {
-			r["title"] = rdbms.String(content.Title)
-			return r
-		})
+		err = e.kv.Put(pageRow{id: pageID, url: rec.url, title: content.Title}.record())
 	}
 	if err == nil {
 		title = content.Title

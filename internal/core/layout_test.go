@@ -1,9 +1,10 @@
 package core
 
 import (
-	"encoding/binary"
-	"encoding/json"
 	"fmt"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -13,10 +14,20 @@ import (
 	"memex/internal/rdbms"
 )
 
-// TestOpenRefusesForeignSchema: a directory whose catalog holds another
-// pages schema (here the one before the fetched column and the url index
-// were dropped) is refused at Open, by name, instead of failing every
-// page insert later.
+// tableLen counts one table's records.
+func tableLen(t *testing.T, e *Engine, prefix string) int {
+	t.Helper()
+	n := 0
+	if err := e.kv.ScanPrefix([]byte(prefix), func(_, _ []byte) bool { n++; return true }); err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
+// TestOpenRefusesForeignSchema: a directory whose generic-row-layer catalog
+// holds a pages schema (here the one before the fetched column and the url
+// index were dropped) is refused at Open, naming its catalog key, instead
+// of failing every page insert later.
 func TestOpenRefusesForeignSchema(t *testing.T) {
 	dir := t.TempDir()
 	opts := kvstore.Options{Sync: kvstore.SyncGroup}
@@ -47,10 +58,119 @@ func TestOpenRefusesForeignSchema(t *testing.T) {
 		e.Close()
 		t.Fatal("Open accepted an archive with a foreign pages schema")
 	}
-	for _, want := range []string{`"pages"`, "has column fetched", "has index url"} {
+	for _, want := range []string{`"cat/pages"`, "generic row layer"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("error %q does not mention %s", err, want)
 		}
+	}
+}
+
+// TestOpenRefusesRowLayerArchive: an archive the generic row layer wrote —
+// the four tables' catalog, a sequence, rows and the visits.user index —
+// is refused at Open with an error naming one of its keys, and its files
+// are byte for byte what they were. A key of any one of the layer's four
+// keyspaces alone is refused the same way.
+func TestOpenRefusesRowLayerArchive(t *testing.T) {
+	opts := kvstore.Options{Sync: kvstore.SyncGroup}
+	rowLayer := func(dir string) error {
+		db, err := rdbms.Open(dir, opts)
+		if err != nil {
+			return err
+		}
+		defer db.Close()
+		tables := []struct {
+			schema rdbms.Schema
+			row    rdbms.Row
+		}{
+			{rdbms.Schema{Name: "pages", Key: "id", Columns: []rdbms.Column{
+				{Name: "id", Type: rdbms.TInt}, {Name: "url", Type: rdbms.TString}, {Name: "title", Type: rdbms.TString},
+			}}, rdbms.Row{"id": rdbms.Int(1), "url": rdbms.String("http://zoo.example/okapi"), "title": rdbms.String("Okapi")}},
+			{rdbms.Schema{Name: "visits", Key: "id", Indexes: []string{"user"}, Columns: []rdbms.Column{
+				{Name: "id", Type: rdbms.TInt}, {Name: "user", Type: rdbms.TInt}, {Name: "page", Type: rdbms.TInt},
+				{Name: "ref", Type: rdbms.TInt}, {Name: "time", Type: rdbms.TTime}, {Name: "privacy", Type: rdbms.TInt},
+			}}, rdbms.Row{"user": rdbms.Int(1), "page": rdbms.Int(1), "ref": rdbms.Int(0), "time": rdbms.Time(tBase), "privacy": rdbms.Int(int64(events.Community))}},
+			{rdbms.Schema{Name: "bookmarks", Key: "id", Columns: []rdbms.Column{
+				{Name: "id", Type: rdbms.TInt}, {Name: "user", Type: rdbms.TInt}, {Name: "page", Type: rdbms.TInt},
+				{Name: "folder", Type: rdbms.TString}, {Name: "time", Type: rdbms.TTime},
+			}}, rdbms.Row{"id": rdbms.Int(1), "user": rdbms.Int(1), "page": rdbms.Int(1), "folder": rdbms.String("/animals"), "time": rdbms.Time(tBase)}},
+			{rdbms.Schema{Name: "users", Key: "id", Columns: []rdbms.Column{
+				{Name: "id", Type: rdbms.TInt}, {Name: "name", Type: rdbms.TString},
+			}}, rdbms.Row{"id": rdbms.Int(1), "name": rdbms.String("alice")}},
+		}
+		for _, tb := range tables {
+			tbl, err := db.CreateTable(tb.schema)
+			if err != nil {
+				return err
+			}
+			if _, numbered := tb.row["id"]; !numbered {
+				id, err := tbl.NextID() // writes seq/visits
+				if err != nil {
+					return err
+				}
+				tb.row["id"] = rdbms.Int(id)
+			}
+			if err := tbl.Insert(tb.row); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	oneKey := func(key string) func(string) error {
+		return func(dir string) error {
+			kv, err := kvstore.Open(dir, opts)
+			if err != nil {
+				return err
+			}
+			if err := kv.Put([]byte(key), []byte{1}); err != nil {
+				kv.Close()
+				return err
+			}
+			return kv.Close()
+		}
+	}
+	files := func(dir string) map[string][]byte {
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := map[string][]byte{}
+		for _, ent := range entries {
+			b, err := os.ReadFile(filepath.Join(dir, ent.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[ent.Name()] = b
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		name  string
+		build func(string) error
+		key   string
+	}{
+		{"row layer", rowLayer, "cat/bookmarks"},
+		{"sequence", oneKey("seq/visits"), "seq/visits"},
+		{"row", oneKey("tbl/\x00\x00\x00\x01/x"), `tbl/\x00\x00\x00\x01/x`},
+		{"index", oneKey("idx/\x00\x00\x00\x01/\x00\x01/x"), `idx/\x00\x00\x00\x01/\x00\x01/x`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			if err := tc.build(dir); err != nil {
+				t.Fatal(err)
+			}
+			before := files(dir)
+			e, err := Open(Config{Dir: dir, Source: oneSource{}, KV: opts})
+			if err == nil {
+				e.Close()
+				t.Fatal("Open accepted an archive of the generic row layer")
+			}
+			if msg := err.Error(); !strings.Contains(msg, `"`+tc.key+`"`) || !strings.Contains(msg, "generic row layer") {
+				t.Fatalf("Open's error %q does not name the key %q and the layer", msg, tc.key)
+			}
+			if after := files(dir); !reflect.DeepEqual(after, before) {
+				t.Fatal("the refused archive's files changed")
+			}
+		})
 	}
 }
 
@@ -93,14 +213,16 @@ func TestEnsurePageConcurrentFreshURLs(t *testing.T) {
 	if len(distinct) != urls {
 		t.Fatalf("%d distinct ids for %d urls", len(distinct), urls)
 	}
-	if rows, err := e.pages.Count(); err != nil || rows != urls {
-		t.Fatalf("pages table holds %d rows (err %v), want %d", rows, err, urls)
+	if rows := tableLen(t, e, pagesPrefix); rows != urls {
+		t.Fatalf("pages table holds %d rows, want %d", rows, urls)
 	}
 }
 
-// TestDurableLayoutHasNoUnreadIndex: the only index entries an archive
-// holds are the visits table's user index, one per visit — the index
-// windowQuery reads.
+// TestDurableLayoutHasNoUnreadIndex: an archive holds the four tables'
+// records and the version store's vc/ keyspace, and nothing else — no
+// index, catalog or sequence record: one visits record per visit, keyed
+// for the one reader that needs an order (visitsIn), one bookmarks record
+// per bookmark, one users record per user, one pages record per page.
 func TestDurableLayoutHasNoUnreadIndex(t *testing.T) {
 	c, e := testWorld(t)
 	e.RegisterUser(1, "alice")
@@ -115,6 +237,7 @@ func TestDurableLayoutHasNoUnreadIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.DrainBackground()
+	known := e.Status().Pages
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -124,46 +247,18 @@ func TestDurableLayoutHasNoUnreadIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer kv.Close()
-	// The keyspace is documented in rdbms/db.go: cat/<table> holds the
-	// table id and schema, idx/<tid>/<col#>/… the index entries.
-	raw, ok, err := kv.Get([]byte("cat/visits"))
-	if err != nil || !ok {
-		t.Fatalf("no catalog entry for visits (err %v)", err)
-	}
-	var ent struct {
-		ID     uint32
-		Schema rdbms.Schema
-	}
-	if err := json.Unmarshal(raw, &ent); err != nil {
-		t.Fatal(err)
-	}
-	userCol := -1
-	for i, col := range ent.Schema.Columns {
-		if col.Name == "user" {
-			userCol = i
-		}
-	}
-	want := []byte("idx/")
-	want = binary.BigEndian.AppendUint32(want, ent.ID)
-	want = append(want, '/')
-	want = binary.BigEndian.AppendUint16(want, uint16(userCol))
-	want = append(want, '/')
-	n, foreign := 0, 0
-	err = kv.ScanPrefix([]byte("idx/"), func(k, _ []byte) bool {
-		if !strings.HasPrefix(string(k), string(want)) {
-			if foreign == 0 {
-				t.Errorf("index entry %q is not under visits.user (%q)", k, want)
-			}
-			foreign++
-		}
-		n++
+	count := map[string]int{}
+	err = kv.Scan(nil, nil, func(k, _ []byte) bool {
+		family, _, _ := strings.Cut(string(k), "/")
+		count[family+"/"]++
 		return true
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if foreign != 0 || n != visits {
-		t.Fatalf("%d index entries, %d of them outside visits.user; want one per visit (%d)", n, foreign, visits)
+	want := map[string]int{visitsPrefix: visits, bookmarksPrefix: 1, usersPrefix: 1, pagesPrefix: known, "vc/": count["vc/"]}
+	if !reflect.DeepEqual(count, want) {
+		t.Fatalf("records by keyspace %v, want %v", count, want)
 	}
 }
 
@@ -189,18 +284,7 @@ func TestCorruptPageRowFailsOpen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The row key is tbl/<tid>/<pk-ordered> (rdbms/db.go): an int key is
-	// big-endian with its sign bit flipped.
-	raw, _, err := kv.Get([]byte("cat/pages"))
-	var ent struct{ ID uint32 }
-	if err == nil {
-		err = json.Unmarshal(raw, &ent)
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	key := binary.BigEndian.AppendUint32([]byte("tbl/"), ent.ID)
-	key = binary.BigEndian.AppendUint64(append(key, '/'), 3^(1<<63))
+	key, _ := pageRow{id: 3}.record()
 	if _, ok, err := kv.Get(key); !ok || err != nil {
 		t.Fatalf("no row at %q (err %v)", key, err)
 	}

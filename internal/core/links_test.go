@@ -617,7 +617,9 @@ func TestBenchWorldInDegrees(t *testing.T) {
 // split-only tree leaves them 0.60 full and the file at 1.86 bytes a user
 // byte; splitting last (DESIGN.md §4) brings it near 1.4. What is stored is
 // held too: a tf/ record names its terms by id, ≈116 B a record where
-// spelling them took ≈490 (DESIGN.md §4, "terms by id").
+// spelling them took ≈490 (DESIGN.md §4, "terms by id"), and a visit is one
+// typed record of ≈20 B of key and value, where a generic row, its user
+// index entry and its share of the sequence took 107 (DESIGN.md §1).
 func TestBenchWorldDiskPerUserByte(t *testing.T) {
 	if testing.Short() {
 		t.Skip("replays 8 000 visits")
@@ -651,10 +653,11 @@ func TestBenchWorldDiskPerUserByte(t *testing.T) {
 	}
 	defer kv.Close()
 	disk := kv.DiskBytes()
-	family := map[string]int64{}
+	family, records := map[string]int64{}, map[string]int64{}
 	var user int64
 	err = kv.Scan(nil, nil, func(k, v []byte) bool {
 		family[keyFamily(k)] += int64(len(k) + len(v))
+		records[keyFamily(k)]++
 		user += int64(len(k) + len(v))
 		return true
 	})
@@ -667,7 +670,13 @@ func TestBenchWorldDiskPerUserByte(t *testing.T) {
 	}
 	slices.Sort(names)
 	for _, name := range names {
-		t.Logf("%-12s %8d B", name, family[name])
+		t.Logf("%-12s %8d B in %6d records, %6.1f B a record", name, family[name], records[name], float64(family[name])/float64(records[name]))
+	}
+	if records["visits"] != 8000 {
+		t.Errorf("%d visits records for 8 000 visits", records["visits"])
+	}
+	if per := float64(family["visits"]) / float64(records["visits"]); per > 24 {
+		t.Errorf("a visits record averages %.1f B of key and value, want at most 24", per)
 	}
 	ratio := float64(disk) / float64(user)
 	t.Logf("%d B on disk for %d B of keys and values: %.2f B per user byte; %d leaf splits, %d rebalances",
@@ -680,21 +689,26 @@ func TestBenchWorldDiskPerUserByte(t *testing.T) {
 	}
 }
 
-// keyFamily names what a store key belongs to: a table's rows
-// (tbl/<table>), one of its indexes (idx/<table>/<column>), the cold
-// tier's records of one kind (vc/r/tf, vc/r/lnk, vc/r/rin, vc/r/dict), or
-// else the key's first path element.
+// keyFamily names what a store key belongs to: one of the four tables
+// (pages, visits, bookmarks, users), the cold tier's records of one kind
+// (vc/r/tf, vc/r/lnk, vc/r/rin, vc/r/dict), or else the key's first path
+// element.
 func keyFamily(k []byte) string {
-	switch s := string(k); {
-	case strings.HasPrefix(s, "tbl/") && len(k) >= 8:
-		return fmt.Sprintf("tbl/%d", binary.BigEndian.Uint32(k[4:]))
-	case strings.HasPrefix(s, "idx/") && len(k) >= 11:
-		return fmt.Sprintf("idx/%d/%d", binary.BigEndian.Uint32(k[4:]), binary.BigEndian.Uint16(k[9:]))
-	case strings.HasPrefix(s, "vc/r/"):
-		kind, _, _ := strings.Cut(s[5:], "/")
+	s := string(k)
+	if kind, ok := strings.CutPrefix(s, "vc/r/"); ok {
+		kind, _, _ = strings.Cut(kind, "/")
 		return "vc/r/" + kind
-	default:
-		first, _, _ := strings.Cut(s, "/")
-		return first
 	}
+	first, _, _ := strings.Cut(s, "/")
+	switch first + "/" {
+	case pagesPrefix:
+		return "pages"
+	case visitsPrefix:
+		return "visits"
+	case bookmarksPrefix:
+		return "bookmarks"
+	case usersPrefix:
+		return "users"
+	}
+	return first
 }

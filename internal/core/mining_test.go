@@ -11,7 +11,6 @@ import (
 	"memex/internal/events"
 	"memex/internal/kvstore"
 	"memex/internal/profile"
-	"memex/internal/rdbms"
 	"memex/internal/recommend"
 	"memex/internal/sim"
 	"memex/internal/trails"
@@ -128,8 +127,8 @@ func referenceUsage(e *Engine, user int64, since time.Time) (out []UsageSlice) {
 		at   time.Time
 	}
 	var visits []rec
-	windowQuery(e.visits, user, since, time.Time{}).Each(func(r rdbms.Row) bool {
-		visits = append(visits, rec{r.MustInt("page"), r.MustTime("time")})
+	e.visitsIn(user, since, time.Time{}, func(r visitRow) bool {
+		visits = append(visits, rec{r.page, r.time()})
 		return true
 	})
 	if len(visits) == 0 {

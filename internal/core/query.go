@@ -11,7 +11,6 @@ import (
 	"memex/internal/events"
 	"memex/internal/folders"
 	"memex/internal/profile"
-	"memex/internal/rdbms"
 	"memex/internal/recommend"
 	"memex/internal/textindex"
 	"memex/internal/themes"
@@ -58,13 +57,12 @@ func (e *Engine) Search(user int64, query string, k int) []PageInfo {
 // restricted to pages the user visited within [from, to). Zero bounds are
 // open-ended.
 func (e *Engine) SearchWhen(user int64, query string, k int, from, to time.Time) []PageInfo {
-	// Pages the user visited in the window, via the visits table's user
-	// index with the time bound pushed down as a predicate — the scan
-	// touches only this user's rows, never the whole visits table, no
-	// matter how long the archive history grows.
+	// Pages the user visited in the window: one key range of the visits
+	// table, which reads this user's records in the window and no other,
+	// no matter how long the archive history grows.
 	window := map[int64]bool{}
-	windowQuery(e.visits, user, from, to).Each(func(r rdbms.Row) bool {
-		window[r.MustInt("page")] = true
+	e.visitsIn(user, from, to, func(r visitRow) bool {
+		window[r.page] = true
 		return true
 	})
 	if len(window) == 0 {
@@ -86,50 +84,29 @@ func (e *Engine) SearchWhen(user int64, query string, k int, from, to time.Time)
 	return out
 }
 
-// windowQuery builds the index-driven visits query for one user and a
-// half-open [from, to) time window (zero bounds open-ended). The user
-// equality index always drives — at the many-user scale the ROADMAP
-// targets, one user's history is far more selective than a time window
-// shared by every user — and the time bound is pushed down as a residual
-// predicate, so the scan touches only the user's index rows and never
-// falls back to a full table scan. (A compound (user, time) index would
-// bound it by the intersection; see ROADMAP.)
-func windowQuery(visits *rdbms.Table, user int64, from, to time.Time) *rdbms.Query {
-	q := visits.Select().Where(rdbms.Eq("user", rdbms.Int(user)))
-	switch {
-	case !from.IsZero() && !to.IsZero():
-		return q.Where(rdbms.Between("time", rdbms.Time(from), rdbms.Time(to)))
-	case !from.IsZero():
-		return q.Where(rdbms.Ge("time", rdbms.Time(from)))
-	case !to.IsZero():
-		return q.Where(rdbms.Lt("time", rdbms.Time(to)))
-	default:
-		return q
-	}
-}
-
-// visitRows loads visits as trail events, filtered to what `user` may see
-// (their own visits plus community-public visits when includeCommunity).
-// A full scan sorted in memory by design: community visits belong to every
-// user, so no index narrows it, and rdbms never orders by an index.
+// visitRows loads visits as trail events in (time, id) order, filtered to
+// what `user` may see (their own visits plus community-public visits when
+// includeCommunity). Community visits belong to every user, so it reads
+// the whole table: one scan, whose per-user runs are each in (time, id)
+// order already and are merged, not sorted.
 func (e *Engine) visitRows(user int64, includeCommunity bool) []trails.Visit {
-	var out []trails.Visit
-	e.visits.Select().OrderBy("time", false).Each(func(r rdbms.Row) bool {
-		vUser := r.MustInt("user")
-		priv := events.Privacy(r.MustInt("privacy"))
-		if vUser != user {
-			if !includeCommunity || priv != events.Community {
-				return true
-			}
+	var runs runHeap
+	n := 0
+	visitsTable.scanAll(e.kv, func(r visitRow) bool {
+		if r.user != user && (!includeCommunity || r.privacy != events.Community) {
+			return true
 		}
-		out = append(out, trails.Visit{
-			User:     vUser,
-			Page:     r.MustInt("page"),
-			Referrer: r.MustInt("ref"),
-			Time:     r.MustTime("time"),
-		})
+		if len(runs) == 0 || runs[len(runs)-1][0].user != r.user {
+			runs = append(runs, nil)
+		}
+		runs[len(runs)-1] = append(runs[len(runs)-1], r)
+		n++
 		return true
 	})
+	out := make([]trails.Visit, 0, n)
+	for _, r := range mergeVisits(runs, n) {
+		out = append(out, trails.Visit{User: r.user, Page: r.page, Referrer: r.ref, Time: r.time()})
+	}
 	return out
 }
 

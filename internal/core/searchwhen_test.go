@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"memex/internal/events"
-	"memex/internal/rdbms"
 )
 
 // TestSearchWhen covers the §1 recall question: finding a page by topic
@@ -65,39 +64,64 @@ func TestSearchWhen(t *testing.T) {
 }
 
 // TestWindowQueryPlans pins the access path behind time-scoped recall:
-// every window shape drives off the visits table's user index (one
-// user's history is far more selective than a time window shared across
-// all users) with the time bound pushed down as a predicate — never a
-// full table scan.
+// every window shape is one key range of the visits table, and the range
+// holds exactly the user's visits in the window — counted here by decoding
+// every record the range holds — so the scan reads no other user's record
+// and none of this user's outside the window, however long the history.
 func TestWindowQueryPlans(t *testing.T) {
-	_, e := testWorld(t)
-	from := tBase
-	to := tBase.Add(time.Hour)
+	c, e := testWorld(t)
+	pages := c.LeafPages[c.Leaves()[0].ID]
+	// Three users, interleaved in time, each visiting every hour for a day.
+	for h := 0; h < 24; h++ {
+		for user := int64(1); user <= 3; user++ {
+			at := tBase.Add(time.Duration(h)*time.Hour + time.Duration(user)*time.Minute)
+			if err := e.RecordVisit(user, c.Page(pages[h%len(pages)]).URL, "", at, events.Community); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	e.DrainBackground()
 	cases := []struct {
 		name     string
 		from, to time.Time
-		want     string
+		want     int
 	}{
-		{"bounded", from, to, "user"},
-		{"from-only", from, time.Time{}, "user"},
-		{"to-only", time.Time{}, to, "user"},
-		{"unbounded", time.Time{}, time.Time{}, "user"},
+		{"bounded", tBase.Add(2 * time.Hour), tBase.Add(5 * time.Hour), 3},
+		{"from-only", tBase.Add(20 * time.Hour), time.Time{}, 4},
+		{"to-only", time.Time{}, tBase.Add(time.Hour), 1},
+		{"unbounded", time.Time{}, time.Time{}, 24},
+		{"empty", tBase.Add(48 * time.Hour), time.Time{}, 0},
 	}
-	for _, c := range cases {
-		plan := windowQuery(e.visits, 1, c.from, c.to).Explain()
-		if plan.Access != "index" || plan.Column != c.want {
-			t.Fatalf("%s: plan %+v, want index on %q", c.name, plan, c.want)
+	for _, tc := range cases {
+		lo, hi := visitWindow(2, tc.from, tc.to)
+		decoded := 0
+		err := e.kv.Scan(lo, hi, func(k, v []byte) bool {
+			r, err := decodeVisit(k[len(visitsPrefix):], v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			decoded++
+			if at := r.time(); r.user != 2 || at.Before(tc.from) || !tc.to.IsZero() && !at.Before(tc.to) {
+				t.Errorf("%s: the range holds user %d's visit at %v", tc.name, r.user, at)
+			}
+			return true
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if decoded != tc.want {
+			t.Errorf("%s: the range holds %d records, want the user's %d in the window", tc.name, decoded, tc.want)
 		}
 	}
 }
 
-// TestWindowQueryRows: the index-driven window query returns exactly the
-// rows the old scan-and-filter did.
+// TestWindowQueryRows: the window scan returns exactly the user's visits
+// in the window, in time order.
 func TestWindowQueryRows(t *testing.T) {
 	c, e := testWorld(t)
 	e.RegisterUser(1, "alice")
 	pages := c.LeafPages[c.Leaves()[0].ID]
-	times := []time.Time{tBase, tBase.Add(time.Hour), tBase.Add(48 * time.Hour)}
+	times := []time.Time{tBase.Add(48 * time.Hour), tBase, tBase.Add(time.Hour)}
 	for i, at := range times {
 		if err := e.RecordVisit(1, c.Page(pages[i]).URL, "", at, events.Community); err != nil {
 			t.Fatal(err)
@@ -112,13 +136,21 @@ func TestWindowQueryRows(t *testing.T) {
 
 	count := func(from, to time.Time) int {
 		n := 0
-		windowQuery(e.visits, 1, from, to).Each(func(r rdbms.Row) bool {
-			if r.MustInt("user") != 1 {
-				t.Fatalf("window leaked user %d", r.MustInt("user"))
+		var last time.Time
+		err := e.visitsIn(1, from, to, func(r visitRow) bool {
+			if r.user != 1 {
+				t.Fatalf("window leaked user %d", r.user)
 			}
+			if r.time().Before(last) {
+				t.Fatalf("visit at %v after one at %v", r.time(), last)
+			}
+			last = r.time()
 			n++
 			return true
 		})
+		if err != nil {
+			t.Fatal(err)
+		}
 		return n
 	}
 	if got := count(time.Time{}, time.Time{}); got != 3 {

@@ -3,8 +3,6 @@ package core
 import (
 	"sort"
 	"time"
-
-	"memex/internal/rdbms"
 )
 
 // UsageSlice is one topic's share of a user's browsing (§1: "How is my ISP
@@ -33,17 +31,14 @@ func (e *Engine) UsageBreakdown(user int64, since time.Time) []UsageSlice {
 		at   time.Time
 	}
 	var visits []rec
-	// The since bound is pushed into the query as a predicate (and the
-	// user index drives), instead of scanning the user's whole history
-	// and filtering here.
-	windowQuery(e.visits, user, since, time.Time{}).Each(func(r rdbms.Row) bool {
-		visits = append(visits, rec{r.MustInt("page"), r.MustTime("time")})
+	// One key range: the user's visits since the bound, in time order.
+	e.visitsIn(user, since, time.Time{}, func(r visitRow) bool {
+		visits = append(visits, rec{r.page, r.time()})
 		return true
 	})
 	if len(visits) == 0 {
 		return nil
 	}
-	sort.Slice(visits, func(i, j int) bool { return visits[i].at.Before(visits[j].at) })
 
 	agg := map[string]*UsageSlice{}
 	var total time.Duration

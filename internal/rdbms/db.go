@@ -22,7 +22,6 @@ import (
 type DB struct {
 	mu     sync.RWMutex
 	kv     *kvstore.Store
-	ownKV  bool
 	tables map[string]*Table
 	nextID uint32
 }
@@ -34,9 +33,8 @@ type Table struct {
 	schema Schema
 	keyIdx int
 	mu     sync.Mutex // serialises multi-key mutations for this table
-	// seq is the last id handed out, once seqRead says it was read from
-	// seq/<table>; mu serialises every id assignment, so the stored value
-	// is only ever written from here. Guarded by mu.
+	// seq is the last id NextID handed out, once seqRead says it was read
+	// from seq/<table>. Guarded by mu.
 	seq     int64
 	seqRead bool
 }
@@ -46,26 +44,15 @@ type catalogEntry struct {
 	Schema Schema `json:"schema"`
 }
 
-// Open opens a database stored under dir.
+// Open opens a database stored under dir, in a kvstore of its own.
 func Open(dir string, kvOpts kvstore.Options) (*DB, error) {
 	kv, err := kvstore.Open(dir, kvOpts)
 	if err != nil {
 		return nil, err
 	}
-	db, err := NewOn(kv)
-	if err != nil {
-		kv.Close()
-		return nil, err
-	}
-	db.ownKV = true
-	return db, nil
-}
-
-// NewOn builds a DB over an existing kvstore (shared with other subsystems).
-func NewOn(kv *kvstore.Store) (*DB, error) {
 	db := &DB{kv: kv, tables: map[string]*Table{}}
 	// Load catalog.
-	err := kv.ScanPrefix([]byte("cat/"), func(k, v []byte) bool {
+	err = kv.ScanPrefix([]byte("cat/"), func(k, v []byte) bool {
 		var ent catalogEntry
 		if err := json.Unmarshal(v, &ent); err != nil {
 			return true // skip corrupt entries; CreateTable will fail loudly
@@ -79,20 +66,16 @@ func NewOn(kv *kvstore.Store) (*DB, error) {
 		return true
 	})
 	if err != nil {
+		kv.Close()
 		return nil, err
 	}
 	return db, nil
 }
 
-// Close closes the database (and the kvstore if owned).
-func (db *DB) Close() error {
-	if db.ownKV {
-		return db.kv.Close()
-	}
-	return nil
-}
+// Close closes the database and its kvstore.
+func (db *DB) Close() error { return db.kv.Close() }
 
-// KV exposes the backing store (used by Stats and by tests).
+// KV exposes the backing store (E5 reads its size).
 func (db *DB) KV() *kvstore.Store { return db.kv }
 
 // CreateTable registers a new table. It is an error if the name exists.
@@ -119,17 +102,6 @@ func (db *DB) CreateTable(s Schema) (*Table, error) {
 	return t, nil
 }
 
-// Table returns a handle to an existing table, or an error.
-func (db *DB) Table(name string) (*Table, error) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	t, ok := db.tables[name]
-	if !ok {
-		return nil, fmt.Errorf("rdbms: no such table %q", name)
-	}
-	return t, nil
-}
-
 // EnsureTable returns the named table, creating it with schema s when
 // absent. A stored table whose schema differs from s is refused: code
 // written against s could neither encode its rows nor rely on its indexes.
@@ -147,7 +119,7 @@ func (db *DB) EnsureTable(s Schema) (*Table, error) {
 }
 
 // NextID returns an auto-incrementing int64 for the table, persisted so ids
-// survive restarts. It shares the sequence InsertSeq draws from.
+// survive restarts.
 func (t *Table) NextID() (int64, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()

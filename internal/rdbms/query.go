@@ -1,67 +1,30 @@
 package rdbms
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 )
 
-// Pred is a predicate over one column. Combine with Query.Where (conjunction).
+// Pred is an equality predicate over one column, col = Val. Combine with
+// Query.Where (conjunction).
 type Pred struct {
 	Col string
-	Op  Op
 	Val Value
-	// Hi is the upper bound for OpBetween.
-	Hi Value
 }
-
-// Op enumerates predicate operators.
-type Op int
-
-const (
-	OpEq Op = iota + 1
-	OpLt
-	OpGe
-	OpBetween // Val <= col < Hi
-)
 
 // Eq builds an equality predicate.
-func Eq(col string, v Value) Pred { return Pred{Col: col, Op: OpEq, Val: v} }
-
-// Ge / Lt build the one-sided range predicates col >= v and col < v.
-func Ge(col string, v Value) Pred { return Pred{Col: col, Op: OpGe, Val: v} }
-func Lt(col string, v Value) Pred { return Pred{Col: col, Op: OpLt, Val: v} }
-
-// Between builds a half-open range predicate lo <= col < hi.
-func Between(col string, lo, hi Value) Pred {
-	return Pred{Col: col, Op: OpBetween, Val: lo, Hi: hi}
-}
+func Eq(col string, v Value) Pred { return Pred{Col: col, Val: v} }
 
 func (p Pred) eval(r Row) bool {
 	v, ok := r[p.Col]
-	if !ok {
-		return false
-	}
-	switch p.Op {
-	case OpEq:
-		return v.Equal(p.Val)
-	case OpLt:
-		return v.Less(p.Val)
-	case OpGe:
-		return p.Val.Less(v) || p.Val.Equal(v)
-	case OpBetween:
-		geLo := p.Val.Less(v) || p.Val.Equal(v)
-		ltHi := v.Less(p.Hi)
-		return geLo && ltHi
-	}
-	return false
+	return ok && v.Equal(p.Val)
 }
 
 // Query is a fluent select over one table. The planner drives the scan
 // from the first predicate on the primary key, else the first on an
-// indexed column (every operator is an equality or a range); remaining
-// predicates are applied as filters.
+// indexed column; remaining predicates are applied as filters.
 type Query struct {
 	t       *Table
 	preds   []Pred
@@ -82,48 +45,20 @@ func (q *Query) OrderBy(col string, desc bool) *Query {
 	return q
 }
 
-// Plan describes how a query will execute (exposed for tests and E5).
-type Plan struct {
-	// Access is "pk", "index" or "scan".
-	Access string
-	// Column is the access column for pk/index plans.
-	Column string
-}
-
-// plan selects the access path: a primary-key point/range, a secondary
-// index point/range, or a full scan.
-func (q *Query) plan() (Plan, *Pred) {
+// plan selects the access path — "pk" (a primary-key point), "index" (a
+// secondary-index point) or "scan" — and the predicate it looks up by.
+func (q *Query) plan() (path string, by *Pred) {
 	for i := range q.preds {
-		p := &q.preds[i]
-		if p.Col == q.t.schema.Key {
-			return Plan{Access: "pk", Column: p.Col}, p
+		if p := &q.preds[i]; p.Col == q.t.schema.Key {
+			return "pk", p
 		}
 	}
 	for i := range q.preds {
-		p := &q.preds[i]
-		for _, idx := range q.t.schema.Indexes {
-			if p.Col == idx {
-				return Plan{Access: "index", Column: p.Col}, p
-			}
+		if p := &q.preds[i]; slices.Contains(q.t.schema.Indexes, p.Col) {
+			return "index", p
 		}
 	}
-	return Plan{Access: "scan"}, nil
-}
-
-// Explain returns the plan chosen for this query.
-func (q *Query) Explain() Plan {
-	p, _ := q.plan()
-	return p
-}
-
-// Rows executes the query and returns all matching rows.
-func (q *Query) Rows() ([]Row, error) {
-	var out []Row
-	err := q.Each(func(r Row) bool {
-		out = append(out, r)
-		return true
-	})
-	return out, err
+	return "scan", nil
 }
 
 // First returns the first matching row, with ok=false when none match.
@@ -136,13 +71,6 @@ func (q *Query) First() (Row, bool, error) {
 		return false
 	})
 	return row, found, err
-}
-
-// Count executes the query and returns the number of matches.
-func (q *Query) Count() (int, error) {
-	n := 0
-	err := q.Each(func(Row) bool { n++; return true })
-	return n, err
 }
 
 // Each streams matching rows to fn; fn returning false stops iteration.
@@ -181,7 +109,7 @@ func (q *Query) collect() ([]Row, error) {
 
 // each is the unordered row stream.
 func (q *Query) each(fn func(Row) bool) error {
-	plan, driver := q.plan()
+	plan, by := q.plan()
 	// The scan bounds already enforce the driving predicate; re-checking
 	// it with the rest is cheap.
 	filter := func(r Row) bool {
@@ -193,20 +121,16 @@ func (q *Query) each(fn func(Row) bool) error {
 		return true
 	}
 
-	switch plan.Access {
+	switch plan {
 	case "pk":
-		lo, hi := q.t.pkBounds(driver)
-		return q.t.scanRows(lo, hi, filter, fn)
+		lo := encodeOrdered(by.Val, q.t.rowPrefix())
+		return q.t.scanRows(lo, append(append([]byte(nil), lo...), 0x00), filter, fn)
 	case "index":
-		ci := q.t.schema.colIndex(plan.Column)
-		lo, hi := q.t.idxBounds(ci, driver)
-		// Collect PK encodings from the index, then fetch rows.
+		// Collect PK encodings from the index entries for the value, then
+		// fetch rows.
+		lo := encodeOrdered(by.Val, q.t.idxPrefix(q.t.schema.colIndex(by.Col)))
 		var pks [][]byte
-		prefix := q.t.idxPrefix(ci)
-		err := q.t.db.kv.Scan(lo, hi, func(k, v []byte) bool {
-			if !bytes.HasPrefix(k, prefix) {
-				return false
-			}
+		err := q.t.db.kv.Scan(lo, prefixEnd(lo), func(k, v []byte) bool {
 			pks = append(pks, v)
 			return true
 		})
@@ -249,53 +173,6 @@ func (t *Table) scanRows(lo, hi []byte, filter, fn func(Row) bool) error {
 		return err
 	}
 	return bad
-}
-
-// pkBounds converts the driving predicate into a [lo,hi) byte range over the
-// table's row keyspace.
-func (t *Table) pkBounds(p *Pred) (lo, hi []byte) {
-	prefix := t.rowPrefix()
-	switch p.Op {
-	case OpEq:
-		lo = encodeOrdered(p.Val, append([]byte(nil), prefix...))
-		hi = append(append([]byte(nil), lo...), 0x00)
-	case OpGe:
-		lo = encodeOrdered(p.Val, append([]byte(nil), prefix...))
-		hi = prefixEnd(prefix)
-	case OpLt:
-		lo = append([]byte(nil), prefix...)
-		hi = encodeOrdered(p.Val, append([]byte(nil), prefix...))
-	case OpBetween:
-		lo = encodeOrdered(p.Val, append([]byte(nil), prefix...))
-		hi = encodeOrdered(p.Hi, append([]byte(nil), prefix...))
-	default:
-		lo = append([]byte(nil), prefix...)
-		hi = prefixEnd(prefix)
-	}
-	return lo, hi
-}
-
-// idxBounds converts the driving predicate into a range over index keys.
-func (t *Table) idxBounds(ci int, p *Pred) (lo, hi []byte) {
-	prefix := t.idxPrefix(ci)
-	switch p.Op {
-	case OpEq:
-		lo = encodeOrdered(p.Val, append([]byte(nil), prefix...))
-		hi = prefixEnd(lo)
-	case OpGe:
-		lo = encodeOrdered(p.Val, append([]byte(nil), prefix...))
-		hi = prefixEnd(prefix)
-	case OpLt:
-		lo = append([]byte(nil), prefix...)
-		hi = encodeOrdered(p.Val, append([]byte(nil), prefix...))
-	case OpBetween:
-		lo = encodeOrdered(p.Val, append([]byte(nil), prefix...))
-		hi = encodeOrdered(p.Hi, append([]byte(nil), prefix...))
-	default:
-		lo = append([]byte(nil), prefix...)
-		hi = prefixEnd(prefix)
-	}
-	return lo, hi
 }
 
 // rowByPKEnc resolves an index entry's stored PK encoding back to its row.

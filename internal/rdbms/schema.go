@@ -1,14 +1,13 @@
 // Package rdbms implements a minimal relational engine in the role the
-// Memex paper assigns to Oracle/DB2: metadata about pages, links, users and
-// topics. Tables have typed columns, a primary key, and optional secondary
-// indexes; rows are stored in an underlying kvstore B+tree, so everything is
-// persistent and ordered.
+// Memex paper assigns to Oracle/DB2. Tables have typed columns, a primary
+// key, and optional secondary indexes; rows are stored in an underlying
+// kvstore B+tree, so everything is persistent and ordered. Queries are
+// conjunctions of equality predicates, driven by the key or an index.
 //
-// The engine deliberately stops short of SQL: Memex's servlets issue
-// programmatic point lookups, index scans, and predicate filters, which is
-// what this package provides. Experiment E5 contrasts this engine against
-// the kvstore for term-granularity statistics, reproducing the paper's
-// "overwhelming space and time overheads" claim.
+// The engine itself keeps its tables as typed records (core/tables.go); this
+// package stays as the comparison arm of experiment E5, which contrasts a
+// generic row store against the kvstore for term-granularity statistics,
+// reproducing the paper's "overwhelming space and time overheads" claim.
 package rdbms
 
 import (

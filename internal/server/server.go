@@ -214,18 +214,21 @@ const (
 	maxImportBody = 8 << 20
 )
 
-// Header-read and idle-connection timeouts for every http.Server this API
-// runs under: a client that trickles its request headers, or parks an idle
-// keep-alive connection, is cut off instead of holding it forever.
+// Header-read, write and idle-connection timeouts for every http.Server
+// this API runs under: a client that trickles its request headers, reads
+// its body or reply too slowly to finish within writeTimeout of its headers
+// (a bookmark import at the body cap included), or parks an idle keep-alive
+// connection, is cut off instead of holding it forever.
 const (
 	readHeaderTimeout = 10 * time.Second
+	writeTimeout      = 2 * time.Minute
 	idleTimeout       = 2 * time.Minute
 )
 
 // HTTPServer returns the http.Server that serves h on addr, with the
 // timeouts above.
 func HTTPServer(addr string, h http.Handler) *http.Server {
-	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: readHeaderTimeout, WriteTimeout: writeTimeout, IdleTimeout: idleTimeout}
 }
 
 // answer runs h and picks the status and body to commit.

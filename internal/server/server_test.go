@@ -198,6 +198,25 @@ func TestOversizeBodiesAreRefused(t *testing.T) {
 	}
 }
 
+// TestHTTPServerTimeouts: the one http.Server constructor sets every
+// timeout, so no server this API runs under waits on a client forever.
+func TestHTTPServerTimeouts(t *testing.T) {
+	srv := HTTPServer(":0", http.NotFoundHandler())
+	for name, got := range map[string]time.Duration{
+		"ReadHeaderTimeout": srv.ReadHeaderTimeout,
+		"WriteTimeout":      srv.WriteTimeout,
+		"IdleTimeout":       srv.IdleTimeout,
+	} {
+		if got <= 0 {
+			t.Errorf("%s is %v: a client can hold the connection forever", name, got)
+		}
+	}
+	if srv.ReadHeaderTimeout != readHeaderTimeout || srv.WriteTimeout != writeTimeout || srv.IdleTimeout != idleTimeout {
+		t.Fatalf("timeouts %v / %v / %v, want the constants %v / %v / %v",
+			srv.ReadHeaderTimeout, srv.WriteTimeout, srv.IdleTimeout, readHeaderTimeout, writeTimeout, idleTimeout)
+	}
+}
+
 // TestOversizeCountsAreRefused: every route that reads k or budget caps it.
 // At the cap is a 200; one past it, and 10^11 (an answer sized by that k
 // is beyond any heap), are 400s naming the cap, and the server goes on

@@ -12,8 +12,8 @@ package version
 // # On-disk layout
 //
 // Everything lives under the prefix the owner passed to Open (so the
-// cold tier coexists with other keyspaces — the engine's RDBMS tables,
-// the text index — in one kvstore):
+// cold tier coexists with other keyspaces — the engine's table records —
+// in one kvstore):
 //
 //	<prefix>r/<esc(key)>\x00\x00<part:2B> → [part count, part 0 only] ‖ payload
 //	<prefix>m/wm                        → watermark (8B BE) ‖ key count (8B BE)
