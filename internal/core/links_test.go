@@ -615,7 +615,9 @@ func TestBenchWorldInDegrees(t *testing.T) {
 // the engine, closed, and then the file against what is stored in it — key
 // and value bytes, by key family. The B+tree's leaves are the overhead: a
 // split-only tree leaves them 0.60 full and the file at 1.86 bytes a user
-// byte; splitting last (DESIGN.md §4) brings it near 1.4. What is stored is
+// byte; splitting last (DESIGN.md §4) brought it near 1.4, and leaves that
+// store their keys' common prefix once, each cell's key length in a byte,
+// near 1.2 (DESIGN.md §4, "prefix leaves"). What is stored is
 // held too: a tf/ record names its terms by id, ≈116 B a record where
 // spelling them took ≈490 (DESIGN.md §4, "terms by id"), and a visit is one
 // typed record of ≈20 B of key and value, where a generic row, its user
@@ -678,11 +680,15 @@ func TestBenchWorldDiskPerUserByte(t *testing.T) {
 	if per := float64(family["visits"]) / float64(records["visits"]); per > 24 {
 		t.Errorf("a visits record averages %.1f B of key and value, want at most 24", per)
 	}
+	shape, err := kv.Leaves()
+	if err != nil {
+		t.Fatal(err)
+	}
 	ratio := float64(disk) / float64(user)
-	t.Logf("%d B on disk for %d B of keys and values: %.2f B per user byte; %d leaf splits, %d rebalances",
-		disk, user, ratio, work.LeafSplits, work.LeafRebalances)
-	if ratio > 1.55 {
-		t.Errorf("%.2f bytes of disk per user byte, want at most 1.55", ratio)
+	t.Logf("%d B on disk for %d B of keys and values: %.2f B per user byte; %d leaves storing a %.1f-byte prefix on average; %d leaf splits, %d rebalances",
+		disk, user, ratio, shape.Leaves, float64(shape.PrefixBytes)/float64(shape.Leaves), work.LeafSplits, work.LeafRebalances)
+	if ratio > 1.30 {
+		t.Errorf("%.2f bytes of disk per user byte, want at most 1.30", ratio)
 	}
 	if work.LeafRebalances > 3*work.LeafSplits {
 		t.Errorf("%d rebalances for %d splits, want at most 3 a split", work.LeafRebalances, work.LeafSplits)

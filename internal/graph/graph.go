@@ -179,60 +179,78 @@ func (s Scores) Top(k int) []int64 {
 
 // HITSOver runs Kleinberg's algorithm on the subgraph induced by nodes for
 // the given iterations, returning hub and authority scores (L2-normalized).
-// The induced subgraph is materialised once up front (one Out/In read per node), so the power
-// iterations touch the source — which may be decoding versioned records —
-// exactly |nodes| times regardless of the iteration count.
+// The induced subgraph is materialised once up front (one Out/In read per
+// node), so the power iterations touch the source — which may be decoding
+// versioned records — exactly |nodes| times regardless of the iteration
+// count. It is held dense: each node gets an index in the order nodes lists
+// it (a repeat counts once), each direction is compressed sparse rows of
+// neighbour indices in the order the source lists them, and the scores are
+// slices. Every sum runs in those orders and normalisation in node order,
+// so two calls on one subgraph agree bit for bit, and a near-tie ranks the
+// same way each time.
 func HITSOver(src AdjacencySource, nodes []int64, iterations int) (hubs, auths Scores) {
 	if iterations <= 0 {
 		iterations = 20
 	}
-	in := map[int64]bool{}
+	idx := make(map[int64]int32, len(nodes))
+	order := make([]int64, 0, len(nodes))
 	for _, n := range nodes {
-		in[n] = true
-	}
-	outAdj := make(map[int64][]int64, len(nodes))
-	inAdj := make(map[int64][]int64, len(nodes))
-	for _, n := range nodes {
-		for _, v := range src.Out(n) {
-			if in[v] {
-				outAdj[n] = append(outAdj[n], v)
-			}
-		}
-		for _, u := range src.In(n) {
-			if in[u] {
-				inAdj[n] = append(inAdj[n], u)
-			}
+		if _, ok := idx[n]; !ok {
+			idx[n] = int32(len(order))
+			order = append(order, n)
 		}
 	}
-	hubs = make(Scores, len(nodes))
-	auths = make(Scores, len(nodes))
-	for _, n := range nodes {
-		hubs[n] = 1
-		auths[n] = 1
+	in, out := induced(order, idx, src.In), induced(order, idx, src.Out)
+	hub, auth := make([]float64, len(order)), make([]float64, len(order))
+	for i := range hub {
+		hub[i] = 1
 	}
 	for it := 0; it < iterations; it++ {
-		// auth = sum of hub scores of in-links.
-		for _, n := range nodes {
-			var s float64
-			for _, u := range inAdj[n] {
-				s += hubs[u]
-			}
-			auths[n] = s
-		}
-		normalizeScores(auths)
-		for _, n := range nodes {
-			var s float64
-			for _, v := range outAdj[n] {
-				s += auths[v]
-			}
-			hubs[n] = s
-		}
-		normalizeScores(hubs)
+		in.sum(auth, hub) // auth = sum of hub scores of in-links
+		normalize(auth)
+		out.sum(hub, auth)
+		normalize(hub)
+	}
+	hubs, auths = make(Scores, len(order)), make(Scores, len(order))
+	for i, n := range order {
+		hubs[n], auths[n] = hub[i], auth[i]
 	}
 	return hubs, auths
 }
 
-func normalizeScores(s Scores) {
+// csr is one direction of an induced subgraph as compressed sparse rows:
+// row i's neighbours are adj[start[i]:start[i+1]], as dense indices.
+type csr struct{ start, adj []int32 }
+
+// induced reads list once per node of order and keeps the neighbours that
+// idx numbers, in list's order.
+func induced(order []int64, idx map[int64]int32, list func(int64) []int64) csr {
+	c := csr{start: make([]int32, 1, len(order)+1)}
+	for _, n := range order {
+		for _, v := range list(n) {
+			if j, ok := idx[v]; ok {
+				c.adj = append(c.adj, j)
+			}
+		}
+		c.start = append(c.start, int32(len(c.adj)))
+	}
+	return c
+}
+
+// sum sets dst[i] to the sum of src over row i's neighbours, in row order.
+func (c csr) sum(dst, src []float64) {
+	for i := range dst {
+		var s float64
+		for _, j := range c.adj[c.start[i]:c.start[i+1]] {
+			s += src[j]
+		}
+		dst[i] = s
+	}
+}
+
+// normalize scales s to unit L2 norm, summing in index order; all zeros
+// stay zeros.
+func normalize(s []float64) {
 	var sum float64
 	for _, v := range s {
 		sum += v * v
@@ -241,7 +259,7 @@ func normalizeScores(s Scores) {
 		return
 	}
 	norm := math.Sqrt(sum)
-	for k := range s {
-		s[k] /= norm
+	for i := range s {
+		s[i] /= norm
 	}
 }

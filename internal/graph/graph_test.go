@@ -1,8 +1,12 @@
 package graph
 
 import (
+	"math"
 	"slices"
+	"sync"
 	"testing"
+
+	"memex/internal/webcorpus"
 )
 
 func TestAddEdgeBasics(t *testing.T) {
@@ -115,17 +119,139 @@ func TestScoresTopOrdering(t *testing.T) {
 	}
 }
 
-func BenchmarkHITS(b *testing.B) {
-	g := New()
-	nodes := make([]int64, 500)
-	for i := int64(0); i < 500; i++ {
-		nodes[i] = i
-		for j := 0; j < 4; j++ {
-			g.AddEdge(i, (i*13+int64(j)*37)%500)
+// hitsReference is HITSOver as it was before the dense subgraph: maps of
+// adjacency and scores, normalised in map order. Kept to check the dense
+// version against.
+func hitsReference(src AdjacencySource, nodes []int64, iterations int) (hubs, auths Scores) {
+	in := map[int64]bool{}
+	for _, n := range nodes {
+		in[n] = true
+	}
+	outAdj := make(map[int64][]int64, len(nodes))
+	inAdj := make(map[int64][]int64, len(nodes))
+	for _, n := range nodes {
+		for _, v := range src.Out(n) {
+			if in[v] {
+				outAdj[n] = append(outAdj[n], v)
+			}
+		}
+		for _, u := range src.In(n) {
+			if in[u] {
+				inAdj[n] = append(inAdj[n], u)
+			}
 		}
 	}
+	hubs = make(Scores, len(nodes))
+	auths = make(Scores, len(nodes))
+	for _, n := range nodes {
+		hubs[n] = 1
+		auths[n] = 1
+	}
+	normalize := func(s Scores) {
+		var sum float64
+		for _, v := range s {
+			sum += v * v
+		}
+		if sum == 0 {
+			return
+		}
+		norm := math.Sqrt(sum)
+		for k := range s {
+			s[k] /= norm
+		}
+	}
+	for it := 0; it < iterations; it++ {
+		for _, n := range nodes {
+			var s float64
+			for _, u := range inAdj[n] {
+				s += hubs[u]
+			}
+			auths[n] = s
+		}
+		normalize(auths)
+		for _, n := range nodes {
+			var s float64
+			for _, v := range outAdj[n] {
+				s += auths[v]
+			}
+			hubs[n] = s
+		}
+		normalize(hubs)
+	}
+	return hubs, auths
+}
+
+var world struct {
+	once  sync.Once
+	g     *Graph
+	nodes []int64
+}
+
+// worldNeighbourhood is the subgraph the benchmark world's first Trails
+// ranks, rebuilt from the same corpus (seed 1, 800 pages a leaf topic):
+// the out-links of every seventh page stand for the fetched pages' link
+// records (≈5 500 pages, ≈33 k edges, as the engine holds), and 3 560 of
+// those pages for the trail, expanded radius 1 under trails.Popular's cap
+// of four per trail node plus 64 — ≈14 k nodes.
+func worldNeighbourhood() (*Graph, []int64) {
+	world.once.Do(func() {
+		c := webcorpus.Generate(webcorpus.Config{Seed: 1, PagesPerLeaf: 800})
+		g := New()
+		var trail []int64
+		for i := 0; i < len(c.Pages); i += 7 {
+			p := c.Pages[i]
+			g.ApplyOut(p.ID, p.Links)
+			if len(trail) < 3560 {
+				trail = append(trail, p.ID)
+			}
+		}
+		world.g, world.nodes = g, ExpandFrom(g, trail, 1, 4*len(trail)+64)
+	})
+	return world.g, world.nodes
+}
+
+// TestHITSMatchesReference: the dense HITS gives the map version's scores
+// to within 1e-12 and its ranking, on the benchmark world's neighbourhood,
+// and two runs agree bit for bit.
+func TestHITSMatchesReference(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the benchmark world's link graph")
+	}
+	g, nodes := worldNeighbourhood()
+	hubs, auths := HITSOver(g, nodes, 20)
+	refHubs, refAuths := hitsReference(g, nodes, 20)
+	for _, c := range []struct {
+		name     string
+		got, ref Scores
+	}{{"hub", hubs, refHubs}, {"authority", auths, refAuths}} {
+		if len(c.got) != len(nodes) || len(c.ref) != len(nodes) {
+			t.Fatalf("%s scores for %d and %d nodes, want %d", c.name, len(c.got), len(c.ref), len(nodes))
+		}
+		for n, want := range c.ref {
+			if got := c.got[n]; math.Abs(got-want) > 1e-12*math.Abs(want) {
+				t.Fatalf("%s score of %d: %v, reference %v", c.name, n, got, want)
+			}
+		}
+		if got, want := c.got.Top(50), c.ref.Top(50); !slices.Equal(got, want) {
+			t.Fatalf("%s Top(50) = %v, reference %v", c.name, got, want)
+		}
+	}
+	againHubs, againAuths := HITSOver(g, nodes, 20)
+	for n := range hubs {
+		if math.Float64bits(hubs[n]) != math.Float64bits(againHubs[n]) || math.Float64bits(auths[n]) != math.Float64bits(againAuths[n]) {
+			t.Fatalf("node %d scores differ between two runs: hub %v/%v, authority %v/%v", n, hubs[n], againHubs[n], auths[n], againAuths[n])
+		}
+	}
+	t.Logf("%d nodes, authority top 3 %v", len(nodes), auths.Top(3))
+}
+
+// BenchmarkHITS ranks the benchmark world's neighbourhood (see
+// worldNeighbourhood), as Trails does: 20 iterations.
+func BenchmarkHITS(b *testing.B) {
+	g, nodes := worldNeighbourhood()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		HITSOver(g, nodes, 15)
+		HITSOver(g, nodes, 20)
 	}
+	b.ReportMetric(float64(len(nodes)), "nodes")
 }

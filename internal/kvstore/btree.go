@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"slices"
+	"sort"
 	"sync/atomic"
 )
 
@@ -16,6 +18,11 @@ type btree struct {
 	// (Stats.LeafSplits/.LeafRebalances); read without the lock, hence
 	// atomic.
 	splits, rebalances atomic.Uint64
+	// The write path's scratch: a leaf laid out again is staged as cells
+	// and built aside in img before it is copied over its page.
+	cells, pool []cell
+	img         [2]page
+	sep         []byte // a rebalance's new separator
 }
 
 // rebalanceMinFree is the room a sibling must have before a full leaf sheds
@@ -33,7 +40,10 @@ const (
 	metaFreeOff  = 28
 	metaLSNOff   = 32
 	metaCountOff = 40
-	metaMagic    = 0x4d454d4558 // "MEMEX"
+	metaMagic    = 0x324d454d4558 // "MEMEX2": leaves store a key prefix
+	// fullKeyMagic marks the retired layout, whose leaf cells were
+	// klen(2) vlen(4) key val with every key whole and no page prefix.
+	fullKeyMagic = 0x4d454d4558 // "MEMEX"
 )
 
 func (t *btree) loadMeta() (count uint64, lsn uint64, err error) {
@@ -42,8 +52,11 @@ func (t *btree) loadMeta() (count uint64, lsn uint64, err error) {
 		return 0, 0, err
 	}
 	defer t.pg.unpin(meta)
-	magic := binary.LittleEndian.Uint64(meta.buf[metaMagicOff:])
-	if magic != 0 && magic != metaMagic {
+	switch magic := binary.LittleEndian.Uint64(meta.buf[metaMagicOff:]); magic {
+	case 0, metaMagic:
+	case fullKeyMagic:
+		return 0, 0, fmt.Errorf("kvstore: data.db is in the retired full-key leaf layout (magic MEMEX: cells klen(2) vlen(4) key val, no page prefix); this build reads only prefix leaves (MEMEX2) and has no migration: remove the directory")
+	default:
 		return 0, 0, fmt.Errorf("kvstore: bad magic %#x", magic)
 	}
 	if free := binary.LittleEndian.Uint32(meta.buf[metaFreeOff:]); free != 0 {
@@ -71,12 +84,22 @@ func (t *btree) saveMeta(count, lsn uint64) error {
 }
 
 // leafSearch returns the slot index of the first key >= k, and whether an
-// exact match was found.
+// exact match was found. k meets the leaf's prefix once; the search then
+// compares suffixes.
 func leafSearch(p *page, k []byte) (int, bool) {
-	lo, hi := 0, p.nkeys()
+	pre, n := p.prefix(), p.nkeys()
+	if !bytes.HasPrefix(k, pre) {
+		// Every key begins with pre, so k sorts before them all or after.
+		if bytes.Compare(k, pre) < 0 {
+			return 0, false
+		}
+		return n, false
+	}
+	suffix := k[len(pre):]
+	lo, hi := 0, n
 	for lo < hi {
 		mid := (lo + hi) / 2
-		switch bytes.Compare(p.leafKey(mid), k) {
+		switch bytes.Compare(p.leafSuffix(mid), suffix) {
 		case -1:
 			lo = mid + 1
 		case 0:
@@ -143,7 +166,7 @@ func (t *btree) put(k, v []byte) (bool, error) {
 	}
 	if t.root == nilPage {
 		leaf := t.pg.allocate(pageLeaf)
-		leaf.insertLeafCell(0, k, v)
+		leaf.insertLeafCell(0, k, v) // under the empty prefix
 		t.root = leaf.id
 		t.pg.unpin(leaf)
 		return true, nil
@@ -180,17 +203,24 @@ func (t *btree) insert(id pageID, parent *page, slot int, k, v []byte) (added, s
 			// enlarged value can rebalance or split instead of overflowing.
 			p.removeCell(i)
 		}
-		if p.makeRoom(6 + len(k) + len(v)) {
-			p.insertLeafCell(i, k, v)
+		if pre := p.prefix(); bytes.HasPrefix(k, pre) && p.makeRoom(leafCellSize(len(k)-len(pre), len(v))) {
+			p.insertLeafCell(i, k[len(pre):], v)
+			return !ok, false, nil, 0, nil
+		}
+		// The key needs a shorter prefix than p has, or p more room than it
+		// has: lay p out again, under its cells' common prefix, if they fit.
+		t.cells = stage(t.cells[:0], p, i, k, v)
+		if leafSize(t.cells) <= PageSize {
+			t.relay(t.cells, len(t.cells), p, nil)
 			return !ok, false, nil, 0, nil
 		}
 		if parent != nil {
-			done, err := t.rebalanceInsert(parent, slot, p, i, k, v)
+			done, err := t.rebalanceInsert(parent, slot, p, t.cells)
 			if done || err != nil {
 				return !ok, false, nil, 0, err
 			}
 		}
-		rid, sep, err := t.splitLeafInsert(p, i, k, v)
+		rid, sep, err := t.splitLeaf(p, t.cells)
 		return !ok, err == nil, sep, rid, err
 	}
 
@@ -219,89 +249,170 @@ func (t *btree) insert(id pageID, parent *page, slot int, k, v []byte) (added, s
 	return added, true, mid, rid, nil
 }
 
-// A full leaf d and the incoming cell (k,v) that belongs at its slot pos are
-// handled as one sequence of d.nkeys()+1 "virtual" cells: index pos is the
-// incoming cell, and d's own cells keep their order around it.
+// cell is a leaf cell staged for a new layout: its key is head ‖ tail (the
+// prefix of the page it sits on and its suffix there, or nil and a whole
+// incoming key), its value val, and body its encoded body on that page
+// (nil for the incoming cell). All alias where the cell is, so a page is
+// rebuilt aside and copied over only once nothing staged from it is read
+// again (relay).
+type cell struct{ head, tail, val, body []byte }
 
-// virtualSlot returns d's slot for virtual cell j != pos.
-func virtualSlot(j, pos int) int {
-	if j > pos {
-		return j - 1
+func (c *cell) keyLen() int { return len(c.head) + len(c.tail) }
+
+// keyFrom returns the key from byte i on, in at most two parts.
+func (c *cell) keyFrom(i int) (a, b []byte) {
+	if i <= len(c.head) {
+		return c.head[i:], c.tail
 	}
-	return j
+	return c.tail[i-len(c.head):], nil
 }
 
-// planCut decides how a full leaf d shares its virtual cells with a
-// neighbour holding rBytes of cells (d's right sibling if toRight, else its
-// left), cutting the pooled cells by bytes at the half as a split does. inc
-// is the incoming cell's body and slot. The first c virtual cells go to the
-// left page of the pair and the rest to the right; arriving is how many
-// bytes the neighbour gains. ok is false when a side would not fit.
-func planCut(d *page, rBytes int, toRight bool, pos, inc int) (c, arriving int, ok bool) {
-	total := d.liveBytes() - pageHeaderSize + rBytes + inc
-	left := 0
-	if !toRight {
-		left = rBytes
-	}
-	// The right page keeps at least one virtual cell: its first key is the
-	// separator.
-	for n := d.nkeys(); c < n; {
-		cost := inc
-		if c != pos {
-			cost = d.slotLen(virtualSlot(c, pos)) + slotSize
-		}
-		left += cost
-		c++
-		if left >= total/2 {
-			break
-		}
-	}
-	right := total - left
-	arriving = left - rBytes
-	if toRight {
-		arriving = right - rBytes
-	}
-	return c, arriving, c > 0 && left <= pageRoom && right <= pageRoom
+// appendKey appends the whole key to buf.
+func (c *cell) appendKey(buf []byte) []byte { return append(append(buf, c.head...), c.tail...) }
+
+// stage lists the cells of leaf p, with the incoming (k,v) among them at
+// slot pos, onto cells.
+func stage(cells []cell, p *page, pos int, k, v []byte) []cell {
+	cells = appendCells(cells, p, 0, pos)
+	cells = append(cells, cell{tail: k, val: v})
+	return appendCells(cells, p, pos, p.nkeys())
 }
 
-// moveAcross carries out a planCut: the virtual cells on r's side of cut c
-// move to r, the incoming cell lands in whichever page the cut leaves it.
-// Only the cells that cross are copied, and r is compacted only if its gap
-// cannot take them.
-func moveAcross(d, r *page, toRight bool, pos, c, arriving int, k, v []byte) {
-	if r.gap() < arriving {
-		r.compact()
+// appendCells lists cells [from, to) of leaf p onto cells.
+func appendCells(cells []cell, p *page, from, to int) []cell {
+	pre, n := p.prefix(), len(cells)
+	cells = slices.Grow(cells, to-from)[:n+to-from]
+	for i := from; i < to; i++ {
+		off := p.slotOffset(i)
+		start, end := p.suffixAt(off)
+		c := &cells[n+i-from]
+		c.head, c.tail = pre, p.buf[start:end]
+		c.body = p.buf[off : off+p.slotLen(i)]
+		c.val = c.body[end-off:]
 	}
-	crosses := (pos >= c) == toRight // the incoming cell is on r's side
-	dst, at := d, pos
-	if toRight {
-		from := virtualSlot(c, pos)
-		if crosses {
-			from = c
-			dst, at = r, pos-c
+	return cells
+}
+
+// commonPrefix returns the length of the longest common prefix of two
+// cells' keys.
+func commonPrefix(x, y *cell) int {
+	n := 0
+	xa, xb, ya, yb := x.head, x.tail, y.head, y.tail
+	for {
+		if len(xa) == 0 {
+			xa, xb = xb, nil
 		}
-		r.takeCells(0, d, from, d.nkeys()-from)
+		if len(ya) == 0 {
+			ya, yb = yb, nil
+		}
+		m := min(len(xa), len(ya))
+		i := 0
+		for i < m && xa[i] == ya[i] {
+			i++
+		}
+		if n += i; i < m || m == 0 {
+			return n
+		}
+		xa, ya = xa[m:], ya[m:]
+	}
+}
+
+// leafSize returns the bytes a leaf laid out from cells (in key order, at
+// least one) takes, header included: the longest common prefix of all of
+// them is that of the first and the last, and is stored once.
+func leafSize(cells []cell) int {
+	plen := commonPrefix(&cells[0], &cells[len(cells)-1])
+	size := pageHeaderSize + plen
+	for i := range cells {
+		size += slotSize + leafCellSize(cells[i].keyLen()-plen, len(cells[i].val))
+	}
+	return size
+}
+
+// relay lays leaf left out again from cells [0, c) and, unless it is nil,
+// leaf right from the rest, each under its cells' common prefix. The
+// caller has checked leafSize. Each image is built aside, in t.img, and
+// copied over its page once both are built: the cells alias the pages.
+func (t *btree) relay(cells []cell, c int, left, right *page) {
+	build(&t.img[0], left, cells[:c])
+	if right != nil {
+		build(&t.img[1], right, cells[c:])
+		right.buf = t.img[1].buf
+		right.dirty = true
+	}
+	left.buf = t.img[0].buf
+	left.dirty = true
+}
+
+// build writes into img the image of leaf p holding cells: p's id and
+// right sibling, the cells' common prefix, then their suffixes in order.
+func build(img, p *page, cells []cell) {
+	plen := commonPrefix(&cells[0], &cells[len(cells)-1])
+	// Only the header is cleared: the gap's bytes are dead.
+	img.id, img.kind = p.id, pageLeaf
+	clear(img.buf[:pageHeaderSize])
+	img.buf[0] = pageLeaf
+	img.setRight(p.right())
+	first := &cells[0]
+	if plen <= len(first.head) {
+		img.setPrefix(first.head[:plen], nil)
 	} else {
-		m := c
-		if crosses {
-			m = c - 1
-			dst, at = r, r.nkeys()+pos
-		} else {
-			at = pos - c
-		}
-		r.takeCells(r.nkeys(), d, 0, m)
+		img.setPrefix(first.head, first.tail[:plen-len(first.head)])
 	}
-	dst.makeRoom(6 + len(k) + len(v))
-	dst.insertLeafCell(at, k, v)
+	end := img.freeEnd()
+	for i := range cells {
+		c := &cells[i]
+		if c.body != nil && len(c.head) == plen {
+			// Under the prefix it had: the body as it was.
+			end -= len(c.body)
+			copy(img.buf[end:], c.body)
+			img.setSlot(i, end, len(c.body))
+			continue
+		}
+		a, b := c.keyFrom(plen)
+		slen := len(a) + len(b)
+		body := leafCellSize(slen, len(c.val))
+		end -= body
+		n := binary.PutUvarint(img.buf[end:], uint64(slen))
+		n += copy(img.buf[end+n:], a)
+		n += copy(img.buf[end+n:], b)
+		copy(img.buf[end+n:], c.val)
+		img.setSlot(i, end, body)
+	}
+	img.setFreeEnd(end)
+	img.setNKeys(len(cells))
+}
+
+// cut decides where cells (in key order) part between two leaves: the cut,
+// in [1, len(cells)), whose fuller side is least full, each side laid out
+// under its own prefix. ok is false when that side does not fit a page.
+// A side only grows as the cut moves away from it (a key that shortens
+// its prefix lengthens every cell by what the prefix loses, and it is
+// stored once), so the best cut is one of the two around where the sides
+// cross.
+func cut(cells []cell) (c int, ok bool) {
+	n := len(cells)
+	cross := 1 + sort.Search(n-1, func(i int) bool { return leafSize(cells[:i+1]) >= leafSize(cells[i+1:]) })
+	fuller := PageSize + 1
+	for _, at := range [2]int{cross - 1, cross} {
+		if at < 1 || at >= n {
+			continue
+		}
+		if m := max(leafSize(cells[:at]), leafSize(cells[at:])); m < fuller {
+			c, fuller = at, m
+		}
+	}
+	return c, fuller <= PageSize
 }
 
 // rebalanceInsert is what a full leaf tries before it splits: p, the child
-// in slot of parent, cannot take (k,v) at pos, so look at its right sibling
-// under the same parent, then its left, and share cells with the first that
-// is a leaf with rebalanceMinFree to spare. No page is allocated. It
-// reports false, having touched nothing, when no sibling would do. Work is
-// bounded: at most two siblings read, at most one rebalanced.
-func (t *btree) rebalanceInsert(parent *page, slot int, p *page, pos int, k, v []byte) (bool, error) {
+// in slot of parent, cannot be laid out from cells (its own and the incoming
+// one), so look at its right sibling under the same parent, then its left,
+// and share cells with the first that is a leaf with rebalanceMinFree to
+// spare. No page is allocated. It reports false, having touched nothing,
+// when no sibling would do. Work is bounded: at most two siblings read, at
+// most one rebalanced.
+func (t *btree) rebalanceInsert(parent *page, slot int, p *page, cells []cell) (bool, error) {
 	for _, toRight := range [2]bool{true, false} {
 		sib, sepSlot := slot-1, slot
 		if toRight {
@@ -314,7 +425,7 @@ func (t *btree) rebalanceInsert(parent *page, slot int, p *page, pos int, k, v [
 		if err != nil {
 			return false, err
 		}
-		done := r.kind == pageLeaf && shareCells(parent, sepSlot, p, r, toRight, pos, k, v)
+		done := r.kind == pageLeaf && t.shareCells(parent, sepSlot, p, r, toRight, cells)
 		t.pg.unpin(r)
 		if done {
 			t.rebalances.Add(1)
@@ -324,49 +435,55 @@ func (t *btree) rebalanceInsert(parent *page, slot int, p *page, pos int, k, v [
 	return false, nil
 }
 
-// shareCells rebalances the full leaf p and its sibling leaf r around the
-// incoming cell and replaces the separator between them, cell sepSlot of
-// parent. It reports false, having touched nothing, when r has less than
-// rebalanceMinFree to spare, the cut would overfill a side, or parent
-// cannot hold a longer separator.
-func shareCells(parent *page, sepSlot int, p, r *page, toRight bool, pos int, k, v []byte) bool {
-	rLive := r.liveBytes()
-	if PageSize-rLive < rebalanceMinFree {
+// shareCells pools the cells of p (the full leaf's, with the incoming one)
+// and of its sibling leaf r, cuts them by bytes at the half as a split
+// does, lays both pages out again, and replaces the separator between
+// them, cell sepSlot of parent. It reports false, having touched nothing,
+// when r has less than rebalanceMinFree to spare, the cut would overfill a
+// side, or parent cannot hold a longer separator.
+func (t *btree) shareCells(parent *page, sepSlot int, p, r *page, toRight bool, cells []cell) bool {
+	if PageSize-r.liveBytes() < rebalanceMinFree {
 		return false
 	}
-	c, arriving, ok := planCut(p, rLive-pageHeaderSize, toRight, pos, 6+len(k)+len(v)+slotSize)
+	left, right := p, r
+	pool := t.pool[:0]
+	if toRight {
+		pool = appendCells(append(pool, cells...), r, 0, r.nkeys())
+	} else {
+		left, right = r, p
+		pool = append(appendCells(pool, r, 0, r.nkeys()), cells...)
+	}
+	t.pool = pool
+	c, ok := cut(pool)
 	if !ok {
 		return false
 	}
-	// The separator is the right page's first key, virtual cell c,
-	// whichever side p is on.
-	sep := k
-	if c != pos {
-		sep = p.leafKey(virtualSlot(c, pos))
-	}
-	if !parent.replaceIntKey(sepSlot, sep) {
+	// The separator is the right page's first key.
+	t.sep = pool[c].appendKey(t.sep[:0])
+	if !parent.replaceIntKey(sepSlot, t.sep) {
 		return false
 	}
-	moveAcross(p, r, toRight, pos, c, arriving, k, v)
+	t.relay(pool, c, left, right)
 	return true
 }
 
-// splitLeafInsert splits leaf p with the new cell (k,v) at slot position
-// pos logically included, redistributing by bytes so both halves fit: a
-// rebalance with a fresh, empty right sibling. Returns the right sibling's
-// id and the promoted separator (the right page's first key).
-func (t *btree) splitLeafInsert(p *page, pos int, k, v []byte) (pageID, []byte, error) {
-	right := t.pg.allocate(pageLeaf)
-	defer t.pg.unpin(right)
-	c, arriving, ok := planCut(p, 0, true, pos, 6+len(k)+len(v)+slotSize)
+// splitLeaf splits leaf p, laying it and a fresh right sibling out from
+// cells (its own and the incoming one) cut by bytes as a rebalance cuts
+// them. Returns the right sibling's id and the promoted separator (the
+// right page's first key).
+func (t *btree) splitLeaf(p *page, cells []cell) (pageID, []byte, error) {
+	c, ok := cut(cells)
 	if !ok {
 		return 0, nil, fmt.Errorf("kvstore: leaf %d does not split in two (cell over maxPayload?)", p.id)
 	}
-	moveAcross(p, right, true, pos, c, arriving, k, v)
+	right := t.pg.allocate(pageLeaf)
+	defer t.pg.unpin(right)
 	right.setRight(p.right())
 	p.setRight(right.id)
+	sep := cells[c].appendKey(nil)
+	t.relay(cells, c, p, right)
 	t.splits.Add(1)
-	return right.id, append([]byte(nil), right.leafKey(0)...), nil
+	return right.id, sep, nil
 }
 
 // intCell is a staged separator used during internal splits.

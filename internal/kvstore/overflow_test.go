@@ -200,3 +200,41 @@ func TestFreeListHeadRefused(t *testing.T) {
 		t.Fatalf("Open with a free-list head: %v, want an error naming it", err)
 	}
 }
+
+// TestFullKeyLayoutRefused: a data.db written by the build before prefix
+// leaves (testdata/fullkey-leaves.db: 40 keys v/000…v/039, closed cleanly)
+// is refused at Open, the error naming the retired layout, and Open writes
+// nothing: the file is byte for byte what it was and no log is created.
+func TestFullKeyLayoutRefused(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "fullkey-leaves.db"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, "data.db")
+	if err := os.WriteFile(path, want, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(dir, Options{})
+	if err == nil {
+		s.Close()
+		t.Fatal("Open of a full-key leaf layout succeeded")
+	}
+	if !strings.Contains(err.Error(), "retired full-key leaf layout") {
+		t.Fatalf("Open: %v, want an error naming the retired full-key leaf layout", err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("the refused Open changed data.db")
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 {
+		t.Fatalf("the refused Open left %d files, want data.db alone", len(entries))
+	}
+}

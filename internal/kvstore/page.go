@@ -12,14 +12,20 @@
 // onto the last checkpointed tree image, which is what data.db holds: a
 // page reaches the file only in a checkpoint (no steal; see Pager).
 //
-// Space: a leaf that cannot take a cell splits last. It first sheds cells
-// into a sibling under the same parent that has room (btree.rebalanceInsert)
+// Space: a leaf that cannot take a cell splits last. It first shares cells
+// with a sibling under the same parent that has room (btree.rebalanceInsert)
 // and only when neither has does it split, so leaves settle near 0.8 full
 // where a split-only tree sits at 0.5 (ascending keys) to 0.7 (random).
 // Deletes do not merge or free pages; the leaf they leave under-full is
 // refilled by its neighbours' overflow before any new page is allocated.
 // The log is logical redo, so neither a split nor a rebalance is logged:
 // both only dirty pages, which reach data.db at the next checkpoint.
+//
+// A leaf stores its keys' common prefix once and each cell only the rest of
+// its key, behind a one-byte length (see page): keys here come in families
+// (vc/r/tf/…, p/<id>, v/<user><time>) whose neighbours repeat all but their
+// last bytes. A write that changes a leaf's prefix lays the leaf out again
+// from its cells.
 package kvstore
 
 import (
@@ -40,18 +46,21 @@ const (
 )
 
 const (
-	pageHeaderSize = 16 // kind(1) pad(1) nkeys(2) next(4) right(4) pad(4)
-	slotSize       = 4  // offset(2) length(2) — length covers key+value
+	pageHeaderSize = 16 // kind(1) pad(1) nkeys(2) next(4) right(4) freeEnd(2) plen(2)
+	slotSize       = 4  // offset(2) length(2) — length covers the whole cell body
 	// maxPayload caps key+value size per cell. Keeping cells at no more
 	// than a quarter page guarantees that a byte-balanced split (which
 	// redistributes cells *including* the incoming one) always leaves both
 	// halves within page capacity: one page's cells plus one more, cut at
-	// the half, overshoot it by less than a cell. A rebalance has no such
-	// guarantee — it pools two pages' cells, up to 2⅛ pages' worth, and the
-	// half plus a cell can exceed a page — so planCut checks both sides and
-	// the caller falls back to the split.
+	// the half, overshoot it by less than a cell; and an incoming key that
+	// does not share the leaf's prefix sorts before or after all of it, so
+	// the cut beside it leaves the old cells together under their prefix.
+	// A rebalance has no such guarantee — it pools two pages' cells, up to
+	// 2⅛ pages' worth, and the half plus a cell can exceed a page — so cut
+	// checks both sides and the caller falls back to the split.
 	maxPayload = (PageSize - pageHeaderSize) / 4
-	// pageRoom is what one page holds of cell bodies and their slots.
+	// pageRoom is what one page holds of cell bodies, their slots and a
+	// leaf's prefix.
 	pageRoom = PageSize - pageHeaderSize
 )
 
@@ -64,9 +73,16 @@ const nilPage pageID = 0 // page 0 is the meta page, never a tree node
 // page: a slot directory grows from the header while cell bodies grow from
 // the end of the page.
 //
-// Leaf cell body:     klen(2) vlen(4) key val
-// Internal cell body: klen(2) child(4) key        (child holds keys >= key)
-// Internal pages additionally store a leftmost child pointer in hdr.next.
+// Leaf page: the longest common prefix of its keys when they were last laid
+// out, plen bytes (header bytes 14:16), fills the end of the page and the
+// bodies grow down from it. A cell holds what follows the prefix:
+//
+//	leaf cell body:     uvarint(slen) suffix val   (key = prefix ‖ suffix)
+//	internal cell body: klen(2) child(4) key        (child holds keys >= key)
+//
+// The value runs to the end of the body, whose length is the slot's; slen
+// is one byte for every suffix under 128 bytes. Internal pages hold no
+// prefix and store a leftmost child pointer in hdr.next.
 type page struct {
 	id    pageID
 	kind  byte
@@ -90,9 +106,7 @@ func (p *page) setRight(n pageID) {
 func (p *page) init(id pageID, kind byte) {
 	p.id = id
 	p.kind = kind
-	for i := range p.buf {
-		p.buf[i] = 0
-	}
+	clear(p.buf[:])
 	p.buf[0] = kind
 	p.setFreeEnd(PageSize)
 }
@@ -102,6 +116,21 @@ func (p *page) init(id pageID, kind byte) {
 func (p *page) freeEnd() int { return int(binary.LittleEndian.Uint16(p.buf[12:14])) }
 func (p *page) setFreeEnd(v int) {
 	binary.LittleEndian.PutUint16(p.buf[12:14], uint16(v))
+}
+
+// prefix returns the bytes every key of a leaf begins with (aliases the
+// buffer); empty on internal pages.
+func (p *page) prefix() []byte {
+	return p.buf[PageSize-int(binary.LittleEndian.Uint16(p.buf[14:16])):]
+}
+
+// setPrefix stores a ‖ b as the prefix of p, which holds no cells.
+func (p *page) setPrefix(a, b []byte) {
+	plen := len(a) + len(b)
+	binary.LittleEndian.PutUint16(p.buf[14:16], uint16(plen))
+	copy(p.buf[PageSize-plen:], a)
+	copy(p.buf[PageSize-len(b):], b)
+	p.setFreeEnd(PageSize - plen)
 }
 
 func (p *page) slotOffset(i int) int {
@@ -135,20 +164,49 @@ func (p *page) makeRoom(need int) bool {
 	return p.freeSpace() >= need
 }
 
-// leafKey returns the key of cell i on a leaf page. The returned slice
-// aliases the page buffer and must not be retained across writes.
+// uvarintLen is the length of x as a uvarint.
+func uvarintLen(x int) int {
+	n := 1
+	for ; x >= 0x80; x >>= 7 {
+		n++
+	}
+	return n
+}
+
+// leafCellSize is the body of a leaf cell holding a slen-byte key suffix
+// and a vlen-byte value.
+func leafCellSize(slen, vlen int) int { return uvarintLen(slen) + slen + vlen }
+
+// suffixAt returns where the key suffix of the leaf cell whose body is at
+// off lies.
+func (p *page) suffixAt(off int) (start, end int) {
+	slen, n := int(p.buf[off]), 1
+	if slen >= 0x80 {
+		v, m := binary.Uvarint(p.buf[off:])
+		slen, n = int(v), m
+	}
+	return off + n, off + n + slen
+}
+
+// leafSuffix returns the key suffix of cell i on a leaf page (aliases the
+// buffer).
+func (p *page) leafSuffix(i int) []byte {
+	start, end := p.suffixAt(p.slotOffset(i))
+	return p.buf[start:end]
+}
+
+// leafKey returns the key of cell i on a leaf page, prefix and suffix, in
+// a buffer of its own: unlike the suffix, the key is nowhere in the page.
 func (p *page) leafKey(i int) []byte {
-	off := p.slotOffset(i)
-	klen := int(binary.LittleEndian.Uint16(p.buf[off:]))
-	return p.buf[off+6 : off+6+klen]
+	pre, suffix := p.prefix(), p.leafSuffix(i)
+	return append(append(make([]byte, 0, len(pre)+len(suffix)), pre...), suffix...)
 }
 
 // leafVal returns the value of cell i on a leaf page (aliases the buffer).
 func (p *page) leafVal(i int) []byte {
 	off := p.slotOffset(i)
-	klen := int(binary.LittleEndian.Uint16(p.buf[off:]))
-	vlen := int(binary.LittleEndian.Uint32(p.buf[off+2:]))
-	return p.buf[off+6+klen : off+6+klen+vlen]
+	_, end := p.suffixAt(off)
+	return p.buf[end : off+p.slotLen(i)]
 }
 
 // intKey returns the separator key of cell i on an internal page.
@@ -195,15 +253,15 @@ func (p *page) replaceIntKey(i int, key []byte) bool {
 	return true
 }
 
-// insertLeafCell inserts key/val at slot position pos, shifting later slots.
-// The caller must have verified free space.
-func (p *page) insertLeafCell(pos int, key, val []byte) {
-	body := 6 + len(key) + len(val)
+// insertLeafCell inserts the cell for a key whose suffix past the page's
+// prefix is suffix at slot position pos, shifting later slots. The caller
+// must have verified free space.
+func (p *page) insertLeafCell(pos int, suffix, val []byte) {
+	body := leafCellSize(len(suffix), len(val))
 	off := p.freeEnd() - body
-	binary.LittleEndian.PutUint16(p.buf[off:], uint16(len(key)))
-	binary.LittleEndian.PutUint32(p.buf[off+2:], uint32(len(val)))
-	copy(p.buf[off+6:], key)
-	copy(p.buf[off+6+len(key):], val)
+	n := binary.PutUvarint(p.buf[off:], uint64(len(suffix)))
+	copy(p.buf[off+n:], suffix)
+	copy(p.buf[off+n+len(suffix):], val)
 	p.setFreeEnd(off)
 	p.shiftSlots(pos, 1)
 	p.setSlot(pos, off, body)
@@ -238,30 +296,10 @@ func (p *page) shiftSlots(pos, delta int) {
 }
 
 // removeCell deletes slot i. Body space is reclaimed only by compact.
-func (p *page) removeCell(i int) { p.removeCells(i, 1) }
-
-func (p *page) removeCells(i, n int) {
-	p.shiftSlots(i+n, -n)
-	p.setNKeys(p.nkeys() - n)
+func (p *page) removeCell(i int) {
+	p.shiftSlots(i+1, -1)
+	p.setNKeys(p.nkeys() - 1)
 	p.dirty = true
-}
-
-// takeCells moves cells [from, from+n) of src, in order, to slots [at, at+n)
-// of p, body bytes copied page to page. The caller has verified that p's
-// gap holds them.
-func (p *page) takeCells(at int, src *page, from, n int) {
-	p.shiftSlots(at, n)
-	end := p.freeEnd()
-	for j := 0; j < n; j++ {
-		off, ln := src.slotOffset(from+j), src.slotLen(from+j)
-		end -= ln
-		copy(p.buf[end:], src.buf[off:off+ln])
-		p.setSlot(at+j, end, ln)
-	}
-	p.setFreeEnd(end)
-	p.setNKeys(p.nkeys() + n)
-	p.dirty = true
-	src.removeCells(from, n)
 }
 
 // compact rewrites the page, squeezing out dead cell bodies. Needed when
@@ -271,6 +309,7 @@ func (p *page) compact() {
 	tmp.init(p.id, p.kind)
 	tmp.setNext(p.next())
 	tmp.setRight(p.right())
+	tmp.setPrefix(p.prefix(), nil)
 	n := p.nkeys()
 	for i := 0; i < n; i++ {
 		off := p.slotOffset(i)
@@ -285,16 +324,16 @@ func (p *page) compact() {
 	p.dirty = true
 }
 
-// liveBytes returns the total bytes of live slot bodies plus directory.
+// liveBytes returns the total bytes of live slot bodies plus directory,
+// header and prefix.
 func (p *page) liveBytes() int {
-	total := pageHeaderSize + p.nkeys()*slotSize
-	for i := 0; i < n(p); i++ {
+	n := p.nkeys()
+	total := pageHeaderSize + n*slotSize + len(p.prefix())
+	for i := 0; i < n; i++ {
 		total += p.slotLen(i)
 	}
 	return total
 }
-
-func n(p *page) int { return p.nkeys() }
 
 func (p *page) String() string {
 	return fmt.Sprintf("page{id=%d kind=%d nkeys=%d free=%d}", p.id, p.kind, p.nkeys(), p.freeSpace())

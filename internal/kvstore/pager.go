@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"sync"
+	"time"
 )
 
 // Pager manages the page file and an LRU buffer pool. Page 0 is the meta
@@ -215,6 +216,14 @@ type Stats struct {
 	// under the write lock, this life only.
 	LeafSplits     uint64
 	LeafRebalances uint64
+	// Sync is the policy the store runs under, which says what an
+	// acknowledged commit survives: under SyncAlways a power cut, under
+	// SyncGroup a process crash, and a power cut only once a checkpoint
+	// has fsynced it. LastFsync is when this life last made every commit
+	// before it durable that way — a SyncAlways commit's log fsync or a
+	// checkpoint's data.db fsync; zero before the first.
+	Sync      SyncPolicy
+	LastFsync time.Time
 }
 
 func (pg *Pager) stats() Stats {

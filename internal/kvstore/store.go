@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // SyncPolicy controls WAL durability on commit.
@@ -19,6 +20,16 @@ const (
 	// checkpoints: a commit survives a process crash, not a power cut.
 	SyncGroup
 )
+
+// String names the policy as /metrics labels it. A commit is fsynced
+// before it is acknowledged only under SyncAlways; any other value
+// behaves as SyncGroup.
+func (p SyncPolicy) String() string {
+	if p == SyncAlways {
+		return "always"
+	}
+	return "group"
+}
 
 // Options configures a Store.
 type Options struct {
@@ -47,6 +58,9 @@ type Store struct {
 	// commits and checkpoints count this life's (Stats.Commits,
 	// Stats.Checkpoints); read without the lock, hence atomic.
 	commits, checkpoints atomic.Uint64
+	// lastFsync is when this life last fsynced (Stats.LastFsync), in Unix
+	// nanoseconds; 0 before the first.
+	lastFsync atomic.Int64
 }
 
 // Open opens (creating if necessary) a store rooted at dir. The directory
@@ -200,7 +214,11 @@ func (s *Store) commitWAL() error {
 	}
 	s.commits.Add(1)
 	if s.opts.Sync == SyncAlways {
-		return s.wal.sync()
+		if err := s.wal.sync(); err != nil {
+			return err
+		}
+		s.lastFsync.Store(time.Now().UnixNano())
+		return nil
 	}
 	return s.wal.flush()
 }
@@ -236,6 +254,7 @@ func (s *Store) checkpointLocked() error {
 	if err := s.pager.flush(); err != nil {
 		return err
 	}
+	s.lastFsync.Store(time.Now().UnixNano())
 	if err := s.wal.truncate(); err != nil {
 		return err
 	}
@@ -250,7 +269,8 @@ func (s *Store) Len() int {
 	return int(s.count)
 }
 
-// Stats returns the buffer-pool counters plus this life's write counts.
+// Stats returns the buffer-pool counters plus this life's write counts,
+// the sync policy and when the store last fsynced.
 func (s *Store) Stats() Stats {
 	st := s.pager.stats()
 	st.Commits = s.commits.Load()
@@ -258,6 +278,10 @@ func (s *Store) Stats() Stats {
 	st.Checkpoints = s.checkpoints.Load()
 	st.LeafSplits = s.tree.splits.Load()
 	st.LeafRebalances = s.tree.rebalances.Load()
+	st.Sync = s.opts.Sync
+	if ns := s.lastFsync.Load(); ns != 0 {
+		st.LastFsync = time.Unix(0, ns)
+	}
 	return st
 }
 
@@ -321,12 +345,11 @@ func (s *Store) Scan(start, end []byte, fn func(key, value []byte) bool) error {
 		}
 		nk := p.nkeys()
 		for ; slot < nk; slot++ {
-			k := p.leafKey(slot)
-			if end != nil && bytes.Compare(k, end) >= 0 {
+			kc := p.leafKey(slot)
+			if end != nil && bytes.Compare(kc, end) >= 0 {
 				s.tree.pg.unpin(p)
 				return nil
 			}
-			kc := append([]byte(nil), k...)
 			vc := append([]byte(nil), p.leafVal(slot)...)
 			if !fn(kc, vc) {
 				s.tree.pg.unpin(p)
@@ -339,6 +362,35 @@ func (s *Store) Scan(start, end []byte, fn func(key, value []byte) bool) error {
 		slot = 0
 	}
 	return nil
+}
+
+// LeafShape describes a tree's leaves: how many there are, the bytes of
+// key prefix they store between them (each leaf's once), and the bytes
+// they fill — cell bodies, slots and prefixes; a leaf has pageRoom.
+type LeafShape struct {
+	Leaves, PrefixBytes, UsedBytes int
+}
+
+// Leaves walks the leaf chain and reports its shape.
+func (s *Store) Leaves() (LeafShape, error) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	var shape LeafShape
+	if s.closed {
+		return shape, fmt.Errorf("kvstore: store closed")
+	}
+	id, err := s.tree.leftmostLeaf()
+	for err == nil && id != nilPage {
+		var p *page
+		if p, err = s.tree.pg.get(id); err == nil {
+			shape.Leaves++
+			shape.PrefixBytes += len(p.prefix())
+			shape.UsedBytes += p.liveBytes() - pageHeaderSize
+			id = p.right()
+			s.tree.pg.unpin(p)
+		}
+	}
+	return shape, err
 }
 
 // ScanPrefix scans all keys beginning with prefix.

@@ -11,6 +11,7 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func openTemp(t testing.TB, opts Options) *Store {
@@ -676,6 +677,34 @@ func TestWriteCountersCountCommitsAndLogBytes(t *testing.T) {
 	}
 	if after := s.Stats(); after.Commits != 3 || after.WALBytes <= st.WALBytes {
 		t.Fatalf("after a checkpoint and a put: %+v, want 3 commits and more than %d bytes", after, st.WALBytes)
+	}
+}
+
+// TestStatsSyncPolicyAndLastFsync: Stats names the policy; a SyncGroup
+// store has no fsync to report until its first checkpoint, a SyncAlways
+// store one from its first commit.
+func TestStatsSyncPolicyAndLastFsync(t *testing.T) {
+	group := openTemp(t, Options{Sync: SyncGroup})
+	if err := group.Put([]byte("k"), []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	if st := group.Stats(); st.Sync != SyncGroup || !st.LastFsync.IsZero() {
+		t.Fatalf("SyncGroup store after a put: policy %v, last fsync %v; want group and none", st.Sync, st.LastFsync)
+	}
+	before := time.Now()
+	if err := group.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if st := group.Stats(); st.LastFsync.Before(before) {
+		t.Fatalf("last fsync %v, before the checkpoint at %v", st.LastFsync, before)
+	}
+	always := openTemp(t, Options{Sync: SyncAlways})
+	before = time.Now()
+	if err := always.Put([]byte("k"), []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	if st := always.Stats(); st.Sync != SyncAlways || st.LastFsync.Before(before) {
+		t.Fatalf("SyncAlways store after a put: policy %v, last fsync %v; want always and after %v", st.Sync, st.LastFsync, before)
 	}
 }
 

@@ -117,24 +117,33 @@ func (t *btree) check() (int, error) {
 }
 
 // checkSlots verifies one page's slot directory: bodies inside the body
-// area, none overlapping, each as long as its header says.
+// area, which a leaf's prefix ends, none overlapping, each as long as its
+// header says (a leaf cell's suffix inside its body).
 func checkSlots(p *page) error {
 	n := p.nkeys()
 	if p.gap() < 0 {
 		return fmt.Errorf("page %d: slot directory overlaps bodies (gap %d)", p.id, p.gap())
 	}
+	bodyEnd := PageSize - len(p.prefix())
+	if p.kind != pageLeaf && bodyEnd != PageSize {
+		return fmt.Errorf("page %d: internal page holds a %d-byte prefix", p.id, PageSize-bodyEnd)
+	}
+	if p.freeEnd() > bodyEnd {
+		return fmt.Errorf("page %d: body area starts at %d, inside the prefix at %d", p.id, p.freeEnd(), bodyEnd)
+	}
 	type span struct{ off, end int }
 	spans := make([]span, n)
 	for i := range spans {
 		off, ln := p.slotOffset(i), p.slotLen(i)
-		if off < p.freeEnd() || off+ln > PageSize || ln < 6 {
-			return fmt.Errorf("page %d slot %d: body [%d,%d) outside [%d,%d)", p.id, i, off, off+ln, p.freeEnd(), PageSize)
+		if off < p.freeEnd() || off+ln > bodyEnd || ln < 1 {
+			return fmt.Errorf("page %d slot %d: body [%d,%d) outside [%d,%d)", p.id, i, off, off+ln, p.freeEnd(), bodyEnd)
 		}
-		want := 6 + int(binary.LittleEndian.Uint16(p.buf[off:]))
 		if p.kind == pageLeaf {
-			want += int(binary.LittleEndian.Uint32(p.buf[off+2:]))
-		}
-		if ln != want {
+			slen, m := binary.Uvarint(p.buf[off : off+ln])
+			if m <= 0 || m+int(slen) > ln {
+				return fmt.Errorf("page %d slot %d: length %d, cell header says a %d-byte suffix", p.id, i, ln, slen)
+			}
+		} else if want := 6 + int(binary.LittleEndian.Uint16(p.buf[off:])); ln != want {
 			return fmt.Errorf("page %d slot %d: length %d, cell header says %d", p.id, i, ln, want)
 		}
 		spans[i] = span{off, off + ln}
@@ -164,28 +173,15 @@ func checkStore(t testing.TB, s *Store) {
 	}
 }
 
-// leafFill is live cell bytes (bodies and slots) over the room the leaves
-// have for them.
+// leafFill is what the leaves fill (cell bodies, slots and prefixes) over
+// the room they have.
 func leafFill(t testing.TB, s *Store) (fill float64, leaves int) {
 	t.Helper()
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	id, err := s.tree.leftmostLeaf()
+	shape, err := s.Leaves()
 	if err != nil {
 		t.Fatal(err)
 	}
-	live := 0
-	for id != nilPage {
-		p, err := s.pager.get(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		live += p.liveBytes() - pageHeaderSize
-		leaves++
-		id = p.right()
-		s.pager.unpin(p)
-	}
-	return float64(live) / float64(leaves*pageRoom), leaves
+	return float64(shape.UsedBytes) / float64(shape.Leaves*pageRoom), shape.Leaves
 }
 
 // fuzzKey maps an index to one of 512 keys. Two in three are short, so
@@ -280,7 +276,44 @@ func FuzzTreeAgainstMap(f *testing.F) {
 		evict = append(evict, [3]int{fuzzPut, rng.Intn(512), 200})
 	}
 	evict = append(evict, [3]int{fuzzCrash, 0, 0})
-	for _, seed := range [][][3]int{asc, desc, random, grow, refill, longSep, torn, evict} {
+	// Prefix leaves. edge: 100…199 fill leaves whose prefixes run from
+	// "k1" to "k19"; keys from either side of that family then land at the
+	// left edge of the first leaf and the right edge of the last, shorten
+	// their prefixes (growing every cell) and split or rebalance them.
+	// mixed: a k4 family thinned by deletes, then a k0 family arriving at
+	// the left edge of its first leaf, which sheds cells into k4 siblings
+	// under another prefix. reinsert: deletes that leave leaves under-full
+	// and one range empty, so later inserts meet stale prefixes, then the
+	// keys again with longer values, across a reopen.
+	var edge, mixed, reinsert [][3]int
+	for i := 100; i < 200; i++ {
+		edge = append(edge, [3]int{fuzzPut, i, 120})
+	}
+	for i := 0; i < 60; i++ {
+		edge = append(edge, [3]int{fuzzPut, 200 + i, 120}, [3]int{fuzzPut, 99 - i, 120})
+	}
+	for i := 0; i < 100; i++ {
+		mixed = append(mixed, [3]int{fuzzPut, 400 + i, 200})
+	}
+	for i := 0; i < 100; i += 2 {
+		mixed = append(mixed, [3]int{fuzzDelete, 400 + i, 0})
+	}
+	for i := 0; i < 100; i++ {
+		mixed = append(mixed, [3]int{fuzzPut, i, 160})
+	}
+	for i := 0; i < 300; i++ {
+		reinsert = append(reinsert, [3]int{fuzzPut, i, 100})
+	}
+	for i := 0; i < 300; i++ {
+		if i%3 != 0 || (i >= 100 && i < 200) {
+			reinsert = append(reinsert, [3]int{fuzzDelete, i, 0})
+		}
+	}
+	reinsert = append(reinsert, [3]int{fuzzReopen, 0, 0})
+	for i := 0; i < 300; i++ {
+		reinsert = append(reinsert, [3]int{fuzzPut, (i*7 + 150) % 300, 140})
+	}
+	for _, seed := range [][][3]int{asc, desc, random, grow, refill, longSep, torn, evict, edge, mixed, reinsert} {
 		f.Add(fuzzOps(seed...))
 	}
 

@@ -54,7 +54,9 @@ func ParseMetrics(r io.Reader) (*Scrape, error) {
 	return s, nil
 }
 
-// parseSample parses `name{k="v",...} value` (the label block optional).
+// parseSample parses `name{k="v",...} value [timestamp]`: the label block
+// optional, empty or closed after a trailing comma, and a sample
+// timestamp (integer milliseconds) accepted and ignored.
 func parseSample(line string) (Sample, error) {
 	s := Sample{Labels: map[string]string{}}
 	rest := line
@@ -62,21 +64,26 @@ func parseSample(line string) (Sample, error) {
 		s.Name = rest[:i]
 		rest = rest[i+1:]
 		for {
+			rest = strings.TrimLeft(rest, " \t")
+			if strings.HasPrefix(rest, "}") {
+				rest = rest[1:]
+				break
+			}
 			eq := strings.IndexByte(rest, '=')
 			if eq < 0 {
 				return s, fmt.Errorf("load: malformed label in %q", line)
 			}
-			key := strings.TrimSpace(strings.TrimPrefix(rest[:eq], ","))
+			key := strings.TrimSpace(rest[:eq])
 			val, n, err := scanQuoted(rest[eq+1:])
 			if err != nil {
 				return s, fmt.Errorf("load: %v in %q", err, line)
 			}
 			s.Labels[key] = val
-			rest = rest[eq+1+n:]
-			if strings.HasPrefix(rest, "}") {
-				rest = rest[1:]
-				break
+			rest = strings.TrimLeft(rest[eq+1+n:], " \t")
+			if !strings.HasPrefix(rest, ",") && !strings.HasPrefix(rest, "}") {
+				return s, fmt.Errorf("load: labels not separated by a comma in %q", line)
 			}
+			rest = strings.TrimPrefix(rest, ",")
 		}
 	} else if i := strings.IndexAny(rest, " \t"); i >= 0 {
 		s.Name = rest[:i]
@@ -84,9 +91,18 @@ func parseSample(line string) (Sample, error) {
 	} else {
 		return s, fmt.Errorf("load: no value in %q", line)
 	}
-	v, err := strconv.ParseFloat(strings.TrimSpace(rest), 64)
+	fields := strings.Fields(rest)
+	if len(fields) == 0 || len(fields) > 2 {
+		return s, fmt.Errorf("load: want a value and at most a timestamp in %q", line)
+	}
+	v, err := strconv.ParseFloat(fields[0], 64)
 	if err != nil {
 		return s, fmt.Errorf("load: bad value in %q", line)
+	}
+	if len(fields) == 2 {
+		if _, err := strconv.ParseInt(fields[1], 10, 64); err != nil {
+			return s, fmt.Errorf("load: bad timestamp in %q", line)
+		}
 	}
 	s.Value = v
 	return s, nil
@@ -181,7 +197,9 @@ type Histogram struct {
 // Histogram extracts the histogram for family base (e.g.
 // "memex_http_request_duration_seconds") restricted to the given label
 // subset. Buckets come back sorted by bound; ok=false when the scrape
-// has no such series.
+// has no such series. A bucket no latency histogram can hold — a bound
+// that is not a number ≥ 0, a count that is not finite and ≥ 0 — is
+// skipped, as an unparsable bound is.
 func (s *Scrape) Histogram(base string, labels map[string]string) (Histogram, bool) {
 	var h Histogram
 	for _, sm := range s.Samples {
@@ -191,7 +209,7 @@ func (s *Scrape) Histogram(base string, labels map[string]string) (Histogram, bo
 				continue
 			}
 			le, err := parseLE(sm.Labels["le"])
-			if err != nil {
+			if err != nil || !(le >= 0) || !(sm.Value >= 0) || math.IsInf(sm.Value, 1) {
 				continue
 			}
 			h.Buckets = append(h.Buckets, Bucket{LE: le, Cum: sm.Value})
@@ -248,7 +266,7 @@ func (h Histogram) Sub(prev Histogram) Histogram {
 // callers that care (the SLO gate does) must check Total themselves.
 func (h Histogram) Quantile(q float64) float64 {
 	total := h.Total()
-	if total == 0 || len(h.Buckets) == 0 {
+	if !(total > 0) || len(h.Buckets) == 0 {
 		return 0
 	}
 	rank := q * total
@@ -262,7 +280,9 @@ func (h Histogram) Quantile(q float64) float64 {
 			if in <= 0 {
 				return b.LE
 			}
-			return prevLE + (b.LE-prevLE)*(rank-prevCum)/in
+			// The fraction is at most 1 and the sum is capped at the
+			// bound, so rounding cannot step past it.
+			return math.Min(b.LE, prevLE+(b.LE-prevLE)*((rank-prevCum)/in))
 		}
 		if !math.IsInf(b.LE, 1) {
 			prevLE = b.LE

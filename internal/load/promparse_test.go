@@ -1,8 +1,10 @@
 package load
 
 import (
+	"bytes"
 	"math"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -178,13 +180,141 @@ memex_http_request_duration_seconds_count{endpoint="GET /api/status"} 7
 	}
 }
 
+// TestParseMetricsExpositionForms: a trailing comma in a label block, an
+// empty block and a sample timestamp are valid exposition lines; a label
+// block whose pairs run together, a non-integer timestamp and a third
+// field are not.
+func TestParseMetricsExpositionForms(t *testing.T) {
+	for _, c := range []struct {
+		line   string
+		labels map[string]string
+	}{
+		{`m{a="1",} 5`, map[string]string{"a": "1"}},
+		{`m{a="1", b="2" ,} 5`, map[string]string{"a": "1", "b": "2"}},
+		{`m{} 5`, map[string]string{}},
+		{`m 5 1700000000`, map[string]string{}},
+		{`m{a="1"} 5 -1700000000`, map[string]string{"a": "1"}},
+	} {
+		s, err := ParseMetrics(strings.NewReader(c.line + "\n"))
+		if err != nil {
+			t.Fatalf("%s: %v", c.line, err)
+		}
+		got := s.Samples[0]
+		if len(s.Samples) != 1 || got.Name != "m" || got.Value != 5 || len(got.Labels) != len(c.labels) {
+			t.Fatalf("%s parsed as %+v", c.line, s.Samples)
+		}
+		for k, v := range c.labels {
+			if got.Labels[k] != v {
+				t.Fatalf("%s: label %s = %q, want %q", c.line, k, got.Labels[k], v)
+			}
+		}
+	}
+	for _, line := range []string{`m{a="1"b="2"} 5`, `m 5 1.5`, `m 5 1700000000 7`, `m{a="1",,} 5`} {
+		if _, err := ParseMetrics(strings.NewReader(line + "\n")); err == nil {
+			t.Errorf("%s parsed", line)
+		}
+	}
+}
+
+// renderedMetrics is a /metrics page as internal/server renders it, after
+// a few requests, so every family and a latency histogram have samples.
+func renderedMetrics(tb testing.TB) string {
+	h := server.New(newTestEngine(tb))
+	for _, path := range []string{"/api/status", "/api/status", "/api/search?user=1&q=alpha", "/api/status?user=x"} {
+		h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", path, nil))
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	return rec.Body.String()
+}
+
+// FuzzParseMetrics: no input panics the parser. The page internal/server
+// renders parses back sample for sample: one a line, the name before the
+// label block, as many labels as the line has pairs, the value its last
+// field. And every histogram any input parses to answers each quantile
+// within [0, its highest finite bound], never less for a larger q.
+func FuzzParseMetrics(f *testing.F) {
+	page := renderedMetrics(f)
+	s, err := ParseMetrics(strings.NewReader(page))
+	if err != nil {
+		f.Fatalf("the rendered page does not parse: %v", err)
+	}
+	i := 0
+	for _, line := range strings.Split(page, "\n") {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		if i >= len(s.Samples) {
+			f.Fatalf("line %q has no sample", line)
+		}
+		got := s.Samples[i]
+		name, _, _ := strings.Cut(strings.Fields(line)[0], "{")
+		fields := strings.Fields(line)
+		value, err := strconv.ParseFloat(fields[len(fields)-1], 64)
+		sameValue := got.Value == value || math.IsNaN(got.Value) && math.IsNaN(value)
+		if err != nil || got.Name != name || !sameValue || len(got.Labels) != strings.Count(line, `="`) {
+			f.Fatalf("line %q parsed as %+v", line, got)
+		}
+		i++
+	}
+	if i != len(s.Samples) || i == 0 {
+		f.Fatalf("%d sample lines, %d samples", i, len(s.Samples))
+	}
+	f.Add([]byte(page))
+	for _, seed := range []string{
+		"m{a=\"1\",} 5\nm{} 5\nm 5 1700000000\n",
+		"h_bucket{le=\"0.1\"} 3\nh_bucket{le=\"0.2\"} 1\nh_bucket{le=\"+Inf\"} 9\n",
+		"h_bucket{le=\"-1\"} 3\nh_bucket{le=\"NaN\"} NaN\nh_bucket{le=\"+Inf\"} -4\n",
+		"m{a=\"\\\"} 1\n",
+	} {
+		f.Add([]byte(seed))
+	}
+	qs := []float64{0, 0.001, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999, 1}
+	f.Fuzz(func(t *testing.T, in []byte) {
+		s, err := ParseMetrics(bytes.NewReader(in))
+		if err != nil {
+			return
+		}
+		for _, sm := range s.Samples {
+			base, ok := strings.CutSuffix(sm.Name, "_bucket")
+			if !ok {
+				continue
+			}
+			labels := map[string]string{}
+			for k, v := range sm.Labels {
+				if k != "le" {
+					labels[k] = v
+				}
+			}
+			h, ok := s.Histogram(base, labels)
+			if !ok {
+				continue
+			}
+			hi := 0.0
+			for _, b := range h.Buckets {
+				if !math.IsInf(b.LE, 1) {
+					hi = math.Max(hi, b.LE)
+				}
+			}
+			prev := 0.0
+			for _, q := range qs {
+				v := h.Quantile(q)
+				if !(v >= prev && v <= hi) {
+					t.Fatalf("%s%v: Quantile(%v) = %v after %v, bounds [0, %v]; buckets %+v", base, labels, q, v, prev, hi, h.Buckets)
+				}
+				prev = v
+			}
+		}
+	})
+}
+
 type stubSource struct{}
 
 func (stubSource) Lookup(url string) (core.Content, bool) {
 	return core.Content{URL: url, Title: "t", Text: "alpha beta gamma delta"}, true
 }
 
-func newTestEngine(t *testing.T) *core.Engine {
+func newTestEngine(t testing.TB) *core.Engine {
 	t.Helper()
 	e, err := core.Open(core.Config{
 		Dir:    t.TempDir(),

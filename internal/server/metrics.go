@@ -16,6 +16,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"sort"
 	"strconv"
@@ -23,6 +24,7 @@ import (
 	"time"
 
 	"memex/internal/core"
+	"memex/internal/kvstore"
 )
 
 // latencyBuckets are the histogram's fixed upper bounds: log-spaced
@@ -259,6 +261,19 @@ func writeEngineMetrics(w io.Writer, st core.Stats) {
 	c("memex_kv_checkpoints_total", "Kvstore checkpoints by this process: the only writes of data.db pages.", float64(st.KV.Checkpoints))
 	c("memex_kv_leaf_splits_total", "Full B+tree leaves that took a new page.", float64(st.KV.LeafSplits))
 	c("memex_kv_leaf_rebalances_total", "Full B+tree leaves that shed cells into a sibling instead of splitting.", float64(st.KV.LeafRebalances))
+	promHeader(w, "memex_kv_sync_policy", "Kvstore WAL sync policy, 1 on the active one: always = a commit is fsynced before its ack, group = fsynced at the next checkpoint.", "gauge")
+	for _, p := range []kvstore.SyncPolicy{kvstore.SyncAlways, kvstore.SyncGroup} {
+		on := 0
+		if p == st.KV.Sync {
+			on = 1
+		}
+		fmt.Fprintf(w, "memex_kv_sync_policy{policy=%q} %d\n", p, on)
+	}
+	age := math.NaN() // no fsync yet in this life
+	if !st.KV.LastFsync.IsZero() {
+		age = time.Since(st.KV.LastFsync).Seconds()
+	}
+	g("memex_kv_last_fsync_age_seconds", "Seconds since the kvstore last fsynced (a SyncAlways commit or a checkpoint): every commit older than this survives a power cut. NaN before the first.", age)
 	g("memex_graph_edges", "Directed edges in the link graph.", float64(st.GraphEdges))
 	g("memex_dict_terms", "Terms in the durable term dictionary.", float64(st.Terms))
 }

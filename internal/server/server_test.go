@@ -513,6 +513,9 @@ func TestMetricsEndpointMovesWithTraffic(t *testing.T) {
 		"memex_kv_checkpoints_total ",
 		"memex_kv_leaf_splits_total ",
 		"memex_kv_leaf_rebalances_total ",
+		"memex_kv_sync_policy{policy=\"always\"} 0\n",
+		"memex_kv_sync_policy{policy=\"group\"} 1\n",
+		"memex_kv_last_fsync_age_seconds ",
 		fmt.Sprintf("memex_dict_terms %d\n", st.Terms),
 	} {
 		if !strings.Contains(body, want) {
