@@ -228,7 +228,7 @@ func Open(cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := refuseRowLayer(kv); err != nil {
+	if err := refuseRetiredLayouts(kv); err != nil {
 		kv.Close()
 		return nil, err
 	}
@@ -295,14 +295,25 @@ func (e *Engine) reload() (refs map[int64][]int64, err error) {
 	if err != nil {
 		return nil, err
 	}
-	// Page metadata; the scan is in id order, so the last id is the largest.
+	// Page metadata. The scan is in url order, so the next id is one past
+	// the largest seen. The key makes a url's record unique but not its id:
+	// two records naming one id fail Open, where keeping either would hand
+	// the other url's visits, links and terms to the wrong page.
 	e.nextPage = 1
+	var dup error
 	err = pagesTable.scanAll(e.kv, func(r pageRow) bool {
+		if prev, ok := e.meta[r.id]; ok {
+			dup = fmt.Errorf("core: table %q: page id %d is named by two records, %q and %q", pagesTable.name, r.id, prev.url, r.url)
+			return false
+		}
 		e.meta[r.id] = pageRec{url: r.url, title: r.title}
 		e.idByURL[r.url] = r.id
-		e.nextPage = r.id + 1
+		e.nextPage = max(e.nextPage, r.id+1)
 		return true
 	})
+	if err == nil {
+		err = dup
+	}
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -284,7 +285,7 @@ func TestCorruptPageRowFailsOpen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key, _ := pageRow{id: 3}.record()
+	key, _ := pageRow{url: "http://zoo.example/p3"}.record()
 	if _, ok, err := kv.Get(key); !ok || err != nil {
 		t.Fatalf("no row at %q (err %v)", key, err)
 	}
@@ -300,8 +301,94 @@ func TestCorruptPageRowFailsOpen(t *testing.T) {
 		e.Close()
 		t.Fatal("Open accepted an archive with a corrupt pages row")
 	}
-	if msg := err.Error(); !strings.Contains(msg, `"pages"`) || !strings.Contains(msg, "key 3") {
+	if msg := err.Error(); !strings.Contains(msg, `"pages"`) || !strings.Contains(msg, `key "http://zoo.example/p3"`) {
 		t.Fatalf("Open's error %q does not name the table and the key", msg)
+	}
+}
+
+// TestPageIDNamedTwiceFailsOpen: a pages record is keyed by its url, so
+// nothing but reload stops two records from naming one id. Open refuses
+// such an archive, naming the id and both urls, rather than keep whichever
+// record the scan met last; it refuses a record naming id 0 too, an id the
+// engine never hands out. The archive is written straight through the
+// kvstore, as no engine writes one.
+func TestPageIDNamedTwiceFailsOpen(t *testing.T) {
+	opts := kvstore.Options{Sync: kvstore.SyncGroup}
+	for _, tc := range []struct {
+		name  string
+		pages []pageRow
+		want  []string
+	}{
+		{"duplicate id", []pageRow{
+			{id: 1, url: "http://zoo.example/aardvark"},
+			{id: 2, url: "http://zoo.example/okapi", title: "Okapi"},
+			{id: 2, url: "http://zoo.example/tapir"},
+		}, []string{"page id 2", `"http://zoo.example/okapi"`, `"http://zoo.example/tapir"`}},
+		{"id 0", []pageRow{{id: 0, url: "http://zoo.example/zero"}}, []string{`"pages"`, `key "http://zoo.example/zero"`}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			kv, err := kvstore.Open(dir, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var rows []kvstore.KV
+			for _, r := range tc.pages {
+				k, v := r.record()
+				rows = append(rows, kvstore.KV{Key: k, Value: v})
+			}
+			if err := kv.PutBatch(rows); err != nil {
+				t.Fatal(err)
+			}
+			if err := kv.Close(); err != nil {
+				t.Fatal(err)
+			}
+			e, err := Open(Config{Dir: dir, Source: oneSource{}, KV: opts})
+			if err == nil {
+				e.Close()
+				t.Fatal("Open accepted the archive")
+			}
+			for _, want := range tc.want {
+				if !strings.Contains(err.Error(), want) {
+					t.Errorf("Open's error %q does not name %s", err, want)
+				}
+			}
+		})
+	}
+}
+
+// TestIDKeyedPagesRefused: an archive whose pages records are keyed by id
+// (p/<id> → url length ‖ url ‖ title, the layout before pages were keyed
+// by url) is refused at Open with an error naming its key and the retired
+// layout, and its files are byte for byte what they were. Opening it would
+// read no pages and hand every visited url a new id.
+func TestIDKeyedPagesRefused(t *testing.T) {
+	dir := t.TempDir()
+	opts := kvstore.Options{Sync: kvstore.SyncGroup}
+	kv, err := kvstore.Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const url = "http://zoo.example/okapi"
+	key := appendOrdered([]byte("p/"), 1)
+	if err := kv.Put(key, append(binary.AppendUvarint(nil, uint64(len(url))), url+"Okapi"...)); err != nil {
+		t.Fatal(err)
+	}
+	if err := kv.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	before := dirBytes(t, dir)
+	e, err := Open(Config{Dir: dir, Source: oneSource{}, KV: opts})
+	if err == nil {
+		e.Close()
+		t.Fatal("Open accepted an archive of id-keyed pages")
+	}
+	if msg := err.Error(); !strings.Contains(msg, fmt.Sprintf("%q", key)) || !strings.Contains(msg, "id-keyed pages layout") {
+		t.Fatalf("Open's error %q does not name the key %q and the layout", msg, key)
+	}
+	if after := dirBytes(t, dir); !reflect.DeepEqual(after, before) {
+		t.Fatal("the refused archive's files changed")
 	}
 }
 

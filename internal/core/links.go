@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/binary"
+	"math"
 	"slices"
 	"sort"
 	"strconv"
@@ -248,11 +249,11 @@ func canonIDs(ids []int64) []int64 {
 
 // decodeIDSet is the inverse of encodeIDSet (nil, false on corrupt input;
 // an empty set decodes to a non-nil empty slice so callers can tell
-// "known, no links" from "unknown"). Trailing bytes after the set are
-// ignored: rin/ records written while in-links were chunked carry a
-// start-seq suffix there.
+// "known, no links" from "unknown"). It accepts only what encodeIDSet
+// writes, as decodeCounts does: no padded varint, ids strictly increasing
+// from 1 (no zero delta), none past MaxInt64, and no trailing byte.
 func decodeIDSet(b []byte) ([]int64, bool) {
-	n, w := binary.Uvarint(b)
+	n, w := uvarint(b)
 	if w <= 0 {
 		return nil, false
 	}
@@ -266,13 +267,16 @@ func decodeIDSet(b []byte) ([]int64, bool) {
 	ids := make([]int64, 0, n)
 	prev := int64(0)
 	for i := uint64(0); i < n; i++ {
-		d, w := binary.Uvarint(b)
-		if w <= 0 {
+		d, w := uvarint(b)
+		if w <= 0 || d == 0 || d > uint64(math.MaxInt64-prev) {
 			return nil, false
 		}
 		b = b[w:]
 		prev += int64(d)
 		ids = append(ids, prev)
+	}
+	if len(b) != 0 {
+		return nil, false
 	}
 	return ids, true
 }

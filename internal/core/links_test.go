@@ -231,9 +231,10 @@ func testView(vs *version.Store) *DerivedView {
 }
 
 // TestInLinksMatchEdgeModel is the property check: for a random edge
-// stream, a view pinned after any publish reads, for every page, the
-// in-links a map of the edges published so far gives it — and goes on
-// reading them however many edges are published afterwards.
+// stream over pages 1…20 (ids start at 1), a view pinned after any publish
+// reads, for every page, the in-links a map of the edges published so far
+// gives it — and goes on reading them however many edges are published
+// afterwards.
 func TestInLinksMatchEdgeModel(t *testing.T) {
 	vs := version.NewStore()
 	li := newLinkIndex(vs, text.NewDict(), nil)
@@ -242,7 +243,7 @@ func TestInLinksMatchEdgeModel(t *testing.T) {
 	edges := map[[2]int64]bool{}
 	check := func(view *DerivedView, want [][]int64, when string) {
 		t.Helper()
-		for p := int64(0); p < pages; p++ {
+		for p := int64(1); p <= pages; p++ {
 			if got := view.In(p); !slices.Equal(got, want[p]) {
 				t.Fatalf("%s, page %d: view In = %v, model %v", when, p, got, want[p])
 			}
@@ -254,14 +255,14 @@ func TestInLinksMatchEdgeModel(t *testing.T) {
 	}
 	var kept []pinned
 	for i := 0; i < 400; i++ {
-		from, to := int64(rng.Intn(pages)), int64(rng.Intn(pages))
+		from, to := 1+int64(rng.Intn(pages)), 1+int64(rng.Intn(pages))
 		if err := li.publish(from, []int64{to}, nil); err != nil {
 			t.Fatal(err)
 		}
 		if from != to {
 			edges[[2]int64{from, to}] = true
 		}
-		want := make([][]int64, pages)
+		want := make([][]int64, pages+1)
 		for e := range edges {
 			want[e[1]] = append(want[e[1]], e[0])
 		}
@@ -360,10 +361,11 @@ func TestHubInLinksNeverOutrunOutLinks(t *testing.T) {
 	}
 }
 
-// TestRinMixedArchiveDecode reads rin/ records as every writer this
-// archive format has had left them — the plain id set, and the same with
-// the start-seq suffix a chunk consolidation appended — and one no writer
-// produced: an undecodable record reads as unknown, never a panic.
+// TestRinMixedArchiveDecode reads rin/ records as this archive format's
+// writer leaves them — the plain id set — and two it does not: the same
+// set with a start-seq suffix (what a chunk consolidation appended while
+// in-links were chunked) and a corrupt byte. A record that is not exactly
+// encodeIDSet's output reads as unknown, never a panic.
 func TestRinMixedArchiveDecode(t *testing.T) {
 	vs := version.NewStore()
 	b := vs.Begin()
@@ -379,11 +381,10 @@ func TestRinMixedArchiveDecode(t *testing.T) {
 	if got := view.In(7); !slices.Equal(got, []int64{1, 2, 3}) {
 		t.Fatalf("plain record In = %v, want [1 2 3]", got)
 	}
-	if got := view.In(8); !slices.Equal(got, []int64{4, 5}) {
-		t.Fatalf("suffixed record In = %v, want [4 5]", got)
-	}
-	if got := view.In(9); got != nil || view.Has(9) {
-		t.Fatalf("corrupt record In = %v, Has = %v; want unknown", got, view.Has(9))
+	for _, page := range []int64{8, 9} {
+		if got := view.In(page); got != nil || view.Has(page) {
+			t.Fatalf("page %d: non-canonical record In = %v, Has = %v; want unknown", page, got, view.Has(page))
+		}
 	}
 	if got := view.In(99); got != nil {
 		t.Fatalf("unknown page In = %v, want nil", got)
@@ -615,9 +616,11 @@ func TestBenchWorldInDegrees(t *testing.T) {
 // the engine, closed, and then the file against what is stored in it — key
 // and value bytes, by key family. The B+tree's leaves are the overhead: a
 // split-only tree leaves them 0.60 full and the file at 1.86 bytes a user
-// byte; splitting last (DESIGN.md §4) brought it near 1.4, and leaves that
+// byte; splitting last (DESIGN.md §4) brought it near 1.4, leaves that
 // store their keys' common prefix once, each cell's key length in a byte,
-// near 1.2 (DESIGN.md §4, "prefix leaves"). What is stored is
+// near 1.2 (DESIGN.md §4, "prefix leaves"), and pages keyed by URL, so a
+// leaf of one site's pages stores the site's URL prefix once, near 0.86
+// (DESIGN.md §1). What is stored is
 // held too: a tf/ record names its terms by id, ≈116 B a record where
 // spelling them took ≈490 (DESIGN.md §4, "terms by id"), and a visit is one
 // typed record of ≈20 B of key and value, where a generic row, its user
@@ -687,8 +690,8 @@ func TestBenchWorldDiskPerUserByte(t *testing.T) {
 	ratio := float64(disk) / float64(user)
 	t.Logf("%d B on disk for %d B of keys and values: %.2f B per user byte; %d leaves storing a %.1f-byte prefix on average; %d leaf splits, %d rebalances",
 		disk, user, ratio, shape.Leaves, float64(shape.PrefixBytes)/float64(shape.Leaves), work.LeafSplits, work.LeafRebalances)
-	if ratio > 1.30 {
-		t.Errorf("%.2f bytes of disk per user byte, want at most 1.30", ratio)
+	if ratio > 0.95 {
+		t.Errorf("%.2f bytes of disk per user byte, want at most 0.95", ratio)
 	}
 	if work.LeafRebalances > 3*work.LeafSplits {
 		t.Errorf("%d rebalances for %d splits, want at most 3 a split", work.LeafRebalances, work.LeafSplits)

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"math/bits"
 	"time"
 
@@ -15,7 +16,7 @@ import (
 // The four tables are typed records on the engine's kvstore, one small
 // record per row, each key shaped for the readers that exist:
 //
-//	p/<id>                → uvarint len(url) ‖ url ‖ title
+//	url/<url>             → uvarint id ‖ title
 //	v/<user><time><id>    → uvarint page ‖ uvarint ref ‖ uvarint privacy
 //	b/<id>                → uvarint user ‖ uvarint page ‖ time ‖ folder
 //	u/<id>                → empty
@@ -24,16 +25,19 @@ import (
 // bytes big-endian with no leading zero byte, so byte order is numeric
 // order and no encoding is a prefix of another. <time> is the Unix
 // nanosecond count, 8 bytes big-endian with the sign bit flipped. A page's
-// title and a bookmark's folder run to the end of the value. Every field
-// has one encoding the decoders accept (no padded varint, no leading zero,
-// no trailing byte), so whatever decodes re-encodes to the same bytes.
+// url runs to the end of its key, its title and a bookmark's folder to the
+// end of the value. Every field has one encoding the decoders accept (no
+// padded varint, no leading zero, no trailing byte), so whatever decodes
+// re-encodes to the same bytes.
 //
-// A visits key leads with the user, so one user's visits in a time window
+// A pages key is the url, so a URL has at most one record, and a site's
+// pages sort together: a leaf stores their shared URL prefix once. A
+// visits key leads with the user, so one user's visits in a time window
 // are one key range (visitWindow) and every user's are a run in (time, id)
 // order (visitRows merges the runs). Ids need no sequence record: reload's
 // scans find the largest of each table.
 const (
-	pagesPrefix     = "p/"
+	pagesPrefix     = "url/"
 	visitsPrefix    = "v/"
 	bookmarksPrefix = "b/"
 	usersPrefix     = "u/"
@@ -53,25 +57,33 @@ var (
 	usersTable     = table[int64]{"users", usersPrefix, decodeUser}
 )
 
-// rowLayerPrefixes are the keyspaces of the generic row layer that wrote
-// the tables before the typed records: its catalog, id sequences, rows and
-// index entries.
-var rowLayerPrefixes = []string{"cat/", "seq/", "tbl/", "idx/"}
+// retiredLayouts are the keyspaces of layouts the tables no longer use,
+// each with what wrote it: the generic row layer's catalog, id sequences,
+// rows and index entries, and the pages records keyed by id.
+var retiredLayouts = []struct {
+	prefixes []string
+	writer   string
+}{
+	{[]string{"cat/", "seq/", "tbl/", "idx/"}, "the generic row layer (cat/, seq/, tbl/, idx/ keys), which typed table records replaced"},
+	{[]string{"p/"}, "the id-keyed pages layout (p/ keys), which pages keyed by url replaced"},
+}
 
-// refuseRowLayer refuses an archive written by the generic row layer,
+// refuseRetiredLayouts refuses an archive written by a retired layout,
 // naming the first of its keys found. It reads, and writes nothing.
-func refuseRowLayer(kv *kvstore.Store) error {
-	for _, prefix := range rowLayerPrefixes {
-		var found []byte
-		err := kv.ScanPrefix([]byte(prefix), func(k, _ []byte) bool {
-			found = k
-			return false
-		})
-		if err != nil {
-			return err
-		}
-		if found != nil {
-			return fmt.Errorf("core: archive holds %q, written by the generic row layer (cat/, seq/, tbl/, idx/ keys), which typed table records replaced; there is no migration", found)
+func refuseRetiredLayouts(kv *kvstore.Store) error {
+	for _, layout := range retiredLayouts {
+		for _, prefix := range layout.prefixes {
+			var found []byte
+			err := kv.ScanPrefix([]byte(prefix), func(k, _ []byte) bool {
+				found = k
+				return false
+			})
+			if err != nil {
+				return err
+			}
+			if found != nil {
+				return fmt.Errorf("core: archive holds %q, written by %s; there is no migration", found, layout.writer)
+			}
 		}
 	}
 	return nil
@@ -96,9 +108,8 @@ type bookmarkRow struct {
 
 // record encodes the row as its table's key and value.
 func (r pageRow) record() (key, value []byte) {
-	v := binary.AppendUvarint(make([]byte, 0, 2+len(r.url)+len(r.title)), uint64(len(r.url)))
-	v = append(append(v, r.url...), r.title...)
-	return appendOrdered([]byte(pagesPrefix), uint64(r.id)), v
+	v := binary.AppendUvarint(make([]byte, 0, binary.MaxVarintLen64+len(r.title)), uint64(r.id))
+	return append([]byte(pagesPrefix), r.url...), append(v, r.title...)
 }
 
 func (r visitRow) record() (key, value []byte) {
@@ -126,18 +137,14 @@ var errRecord = errors.New("record does not decode")
 // decodePage, decodeVisit, decodeBookmark and decodeUser invert the
 // encoders above. k is the key after its table prefix. An error names the
 // key in the table's terms when the key decodes, else in hex. Lengths are
-// checked against the record before anything is sliced or allocated.
+// checked against the record before anything is sliced or allocated. A
+// page id is at least 1, as the engine hands them out.
 func decodePage(k, v []byte) (pageRow, error) {
-	id, rest, ok := readOrdered(k)
-	if !ok || len(rest) != 0 {
-		return pageRow{}, keyError(k)
+	id, w := uvarint(v)
+	if w <= 0 || id == 0 || id > math.MaxInt64 {
+		return pageRow{}, fmt.Errorf("key %q: %w", k, errRecord)
 	}
-	n, w := uvarint(v)
-	if w <= 0 || n > uint64(len(v)-w) {
-		return pageRow{}, fmt.Errorf("key %d: %w", int64(id), errRecord)
-	}
-	v = v[w:]
-	return pageRow{id: int64(id), url: string(v[:n]), title: string(v[n:])}, nil
+	return pageRow{id: int64(id), url: string(k), title: string(v[w:])}, nil
 }
 
 func decodeVisit(k, v []byte) (visitRow, error) {

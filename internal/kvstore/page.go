@@ -23,8 +23,8 @@
 //
 // A leaf stores its keys' common prefix once and each cell only the rest of
 // its key, behind a one-byte length (see page): keys here come in families
-// (vc/r/tf/…, p/<id>, v/<user><time>) whose neighbours repeat all but their
-// last bytes. A write that changes a leaf's prefix lays the leaf out again
+// (vc/r/tf/…, url/<url>, v/<user><time>) whose neighbours repeat all but
+// their last bytes. A write that changes a leaf's prefix lays the leaf out again
 // from its cells.
 package kvstore
 
