@@ -1,7 +1,9 @@
 // Command memexvet runs the repo's invariant analyzers (lockiter, detmap,
 // epochbatch, detsched, atomicban — all syntactic; see internal/analysis
 // for each contract and for the ones held by construction instead) over
-// Go packages.
+// Go packages. It accepts //memexvet:ignore reader directives but does not
+// run the module-wide reader check, which TestTreeClean in
+// internal/analysis runs.
 //
 // Standalone, as CI runs it:
 //

@@ -96,14 +96,16 @@ type suppression struct {
 // findings on the line directly below it. Each directive governs exactly
 // one line — it cannot blanket a region.
 func RunPackage(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	valid := make(map[string]bool, len(analyzers))
-	for _, a := range All() {
-		// Validate directives against the full suite, not just the
-		// analyzers being run, so a partial run never reports a
-		// legitimate directive as naming an unknown analyzer.
-		valid[a.Name] = true
+	diags, err := runAnalyzers(pkg, analyzers)
+	if err != nil {
+		return nil, err
 	}
+	out := suppress(pkg, diags, ranNames(analyzers))
+	sortDiagnostics(out)
+	return out, nil
+}
 
+func runAnalyzers(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	var diags []Diagnostic
 	for _, a := range analyzers {
 		pass := &Pass{
@@ -118,13 +120,29 @@ func RunPackage(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 			return nil, fmt.Errorf("%s: %w", a.Name, err)
 		}
 	}
+	return diags, nil
+}
 
-	sups := scanSuppressions(pkg.Fset, pkg.Files, valid)
-
+func ranNames(analyzers []*Analyzer) map[string]bool {
 	ran := make(map[string]bool, len(analyzers))
 	for _, a := range analyzers {
 		ran[a.Name] = true
 	}
+	return ran
+}
+
+// suppress drops the findings of pkg a directive silences and adds one
+// metaName diagnostic for every malformed directive, and for every unused
+// one whose check is in ran.
+func suppress(pkg *Package, diags []Diagnostic, ran map[string]bool) []Diagnostic {
+	// Validate directives against the full suite and the reader check,
+	// not just the checks being run, so a partial run never reports a
+	// legitimate directive as naming an unknown analyzer.
+	valid := map[string]bool{readerName: true}
+	for _, a := range All() {
+		valid[a.Name] = true
+	}
+	sups := scanSuppressions(pkg.Fset, pkg.Files, valid)
 
 	var out []Diagnostic
 	for _, d := range diags {
@@ -139,7 +157,7 @@ func RunPackage(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 		case s.problem != "":
 			out = append(out, Diagnostic{Pos: s.pos, Analyzer: metaName, Message: s.problem})
 		case !s.used && ran[s.analyzer]:
-			// Only declare a directive stale when its analyzer actually
+			// Only declare a directive stale when its check actually
 			// ran; a partial run proves nothing about the others.
 			out = append(out, Diagnostic{
 				Pos:      s.pos,
@@ -149,7 +167,10 @@ func RunPackage(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 			})
 		}
 	}
+	return out
+}
 
+func sortDiagnostics(out []Diagnostic) {
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i].Pos, out[j].Pos
 		if a.Filename != b.Filename {
@@ -163,7 +184,6 @@ func RunPackage(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 		}
 		return out[i].Analyzer < out[j].Analyzer
 	})
-	return out, nil
 }
 
 // scanSuppressions extracts every //memexvet:ignore directive (well-formed

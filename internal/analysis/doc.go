@@ -68,6 +68,27 @@
 //	atomic.Int64, atomic.Pointer[T], …) are the only spelling, and make
 //	plain access a compile error.
 //
+// reader — every export has a reader (module-wide; reader.go).
+//
+//	Unread code was found by hand, one package at a time, over and over:
+//	a version-store delete no product code staged, accessors recomputing
+//	numbers StoreStats already reported, a second batch constructor. The
+//	check lists every exported func, method, type, var and const declared
+//	in a non-test file under the module's internal/, and fails on each
+//	that no non-test file outside bench/ refers to: a test reading a name
+//	keeps nothing alive, and neither does the benchmark. Uses match
+//	across packages by (package path, receiver, name), since every
+//	package sees its imports through export data; a use inside the
+//	name's own declaration (recursion, a type named in its own methods)
+//	reads nothing, and a value of a type reads the type. Two kinds of
+//	method are read without a reference: one that satisfies an interface
+//	the module uses — one named in a signature, a variable, a field or an
+//	expression of a reader file, such as heap.Interface, http.Handler or
+//	graph.AdjacencySource — and String or Error. It needs the whole module
+//	at once, so it is not an Analyzer: TestTreeClean runs it with the
+//	suite (runModule), and the standalone memexvet and the vettool never
+//	do.
+//
 // # Held by construction
 //
 // Contracts that need no analyzer, because the code cannot express their
@@ -97,11 +118,16 @@
 // written either as a trailing comment on the flagged line or as a
 // standalone comment on the line immediately above it; each directive
 // governs exactly one line. The analyzer name must be one of lockiter,
-// detmap, epochbatch, detsched, atomicban; the reason is mandatory.
-// Suppressions are themselves checked: a malformed directive (unknown
-// analyzer, missing reason) and a stale one (its line no longer triggers
-// the named analyzer) are both errors, so dead suppressions cannot
-// accumulate and hide future regressions.
+// detmap, epochbatch, detsched, atomicban or reader; the reason is
+// mandatory, and a reader directive's reason names the reader the name
+// waits for (bench/layers.go until the benchmark moves off it, a test that
+// holds a kernel to it as the reference). Suppressions are themselves
+// checked: a malformed directive (unknown analyzer, missing reason) and a
+// stale one (its line no longer triggers the named analyzer) are both
+// errors, so dead suppressions cannot accumulate and hide future
+// regressions. A directive is judged stale only by a run of its check:
+// the standalone memexvet and the vettool accept reader directives and
+// leave them alone.
 //
 // # Running it
 //
@@ -116,6 +142,10 @@
 //
 //	go build -o /tmp/memexvet ./cmd/memexvet
 //	go vet -vettool=/tmp/memexvet ./...
+//
+// With the reader check, over the whole module (part of `go test ./...`):
+//
+//	go test -run TestTreeClean ./internal/analysis/
 //
 // The framework mirrors golang.org/x/tools/go/analysis (Analyzer, Pass,
 // analysistest-style golden tests) but is built on the standard library

@@ -109,7 +109,7 @@ func checkUseAfterFinish(pass *Pass, body *ast.BlockStmt) {
 					return true
 				}
 				key := types.ExprString(recv)
-				if (name == "Put" || name == "Delete") && published[key] {
+				if name == "Put" && published[key] {
 					pass.Reportf(call.Pos(), "%s.%s after %s.Publish: a published batch must not be reused; begin a new batch",
 						key, name, key)
 				}

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"fmt"
+	"go/ast"
 	"go/parser"
 	"go/token"
 	"path/filepath"
@@ -24,10 +25,10 @@ var wantRE = regexp.MustCompile("//\\s*want((?:\\s+(?:\"(?:[^\"\\\\]|\\\\.)*\"|`
 
 var wantArgRE = regexp.MustCompile("\"(?:[^\"\\\\]|\\\\.)*\"|`[^`]*`")
 
-// RunGolden type-checks the one-package fixture directory and verifies
+// runGolden type-checks the one-package fixture directory and verifies
 // that analyzer (plus the suppression meta-checks) produces exactly the
 // diagnostics its `// want` comments promise.
-func RunGolden(t *testing.T, analyzer *Analyzer, dir string) {
+func runGolden(t *testing.T, analyzer *Analyzer, dir string) {
 	t.Helper()
 
 	filenames, err := filepath.Glob(filepath.Join(dir, "*.go"))
@@ -51,20 +52,26 @@ func RunGolden(t *testing.T, analyzer *Analyzer, dir string) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkWants(t, pkg.Fset, pkg.Files, diags)
+}
 
+// checkWants verifies that diags are exactly what the files' `// want`
+// comments promise.
+func checkWants(t *testing.T, fset *token.FileSet, files []*ast.File, diags []Diagnostic) {
+	t.Helper()
 	type key struct {
 		file string
 		line int
 	}
 	wants := make(map[key][]*regexp.Regexp)
-	for _, f := range pkg.Files {
+	for _, f := range files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
 				m := wantRE.FindStringSubmatch(c.Text)
 				if m == nil {
 					continue
 				}
-				pos := pkg.Fset.Position(c.Pos())
+				pos := fset.Position(c.Pos())
 				k := key{pos.Filename, pos.Line}
 				for _, q := range wantArgRE.FindAllString(m[1], -1) {
 					pat, err := strconv.Unquote(q)

@@ -26,6 +26,7 @@ import (
 type Package struct {
 	ImportPath string
 	Dir        string
+	Module     string // the module's path; "" for a package checked alone
 	Fset       *token.FileSet
 	Files      []*ast.File
 	Types      *types.Package
@@ -44,6 +45,7 @@ type listedPackage struct {
 	Export     string
 	Standard   bool
 	DepOnly    bool
+	Module     *struct{ Path string }
 	Error      *struct{ Err string }
 }
 
@@ -88,6 +90,9 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 			return nil, err
 		}
 		pkg.Dir = lp.Dir
+		if lp.Module != nil {
+			pkg.Module = lp.Module.Path
+		}
 		pkgs = append(pkgs, pkg)
 	}
 	return pkgs, nil
@@ -96,7 +101,7 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 func goList(dir string, patterns []string) ([]*listedPackage, error) {
 	args := []string{
 		"list", "-e", "-deps", "-export",
-		"-json=ImportPath,Dir,GoFiles,Export,Standard,DepOnly,Error",
+		"-json=ImportPath,Dir,GoFiles,Export,Standard,DepOnly,Module,Error",
 	}
 	args = append(args, patterns...)
 	cmd := exec.Command("go", args...)

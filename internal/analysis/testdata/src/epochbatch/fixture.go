@@ -7,7 +7,6 @@ import "strconv"
 type Batch struct{}
 
 func (b *Batch) Put(k string, v []byte) {}
-func (b *Batch) Delete(k string)        {}
 func (b *Batch) Publish() error         { return nil }
 
 type Store struct{}

@@ -9,6 +9,14 @@ import (
 	"memex/internal/text"
 )
 
+// featureCount is the number of features training selected (0 = all).
+func featureCount(m *Bayes) int {
+	if !m.selected {
+		return 0
+	}
+	return len(m.rows) / len(m.Classes)
+}
+
 func trainBasic(t *testing.T, opts Options) *Bayes {
 	t.Helper()
 	tr := NewTrainer(nil)
@@ -28,13 +36,13 @@ func trainBasic(t *testing.T, opts Options) *Bayes {
 		"airline luggage passport hotel booking",
 	}
 	for _, d := range music {
-		tr.Add("music", d)
+		tr.AddCounts("music", text.TermCounts(d))
 	}
 	for _, d := range cooking {
-		tr.Add("cooking", d)
+		tr.AddCounts("cooking", text.TermCounts(d))
 	}
 	for _, d := range travel {
-		tr.Add("travel", d)
+		tr.AddCounts("travel", text.TermCounts(d))
 	}
 	m, err := tr.Train(opts)
 	if err != nil {
@@ -51,9 +59,9 @@ func TestBayesBasic(t *testing.T) {
 		"book a hotel and flight for the island":     "travel",
 	}
 	for doc, want := range cases {
-		got, conf := m.ClassifyText(doc)
+		got, conf := m.Classify(text.TermCounts(doc))
 		if got != want {
-			t.Errorf("ClassifyText(%q) = %q (conf %.3f), want %q", doc, got, conf, want)
+			t.Errorf("Classify(%q) = %q (conf %.3f), want %q", doc, got, conf, want)
 		}
 		if conf <= 1.0/3 {
 			t.Errorf("confidence %v not above uniform", conf)
@@ -75,7 +83,7 @@ func TestPosteriorsSumToOne(t *testing.T) {
 
 func TestTrainNeedsTwoClasses(t *testing.T) {
 	tr := NewTrainer(nil)
-	tr.Add("only", "some text here")
+	tr.AddCounts("only", text.TermCounts("some text here"))
 	if _, err := tr.Train(Options{}); err == nil {
 		t.Fatal("training with one class accepted")
 	}
@@ -92,16 +100,16 @@ func TestUnknownTermsIgnored(t *testing.T) {
 func TestFeatureSelectionKeepsAccuracy(t *testing.T) {
 	full := trainBasic(t, Options{})
 	sel := trainBasic(t, Options{MaxFeatures: 10})
-	if sel.FeatureCount() == 0 || sel.FeatureCount() > 10 {
-		t.Fatalf("FeatureCount = %d", sel.FeatureCount())
+	if featureCount(sel) == 0 || featureCount(sel) > 10 {
+		t.Fatalf("feature count = %d", featureCount(sel))
 	}
 	for _, doc := range []string{
 		"violin concerto orchestra",
 		"recipe garlic sauce",
 		"hotel flight visa",
 	} {
-		cf, _ := full.ClassifyText(doc)
-		cs, _ := sel.ClassifyText(doc)
+		cf, _ := full.Classify(text.TermCounts(doc))
+		cs, _ := sel.Classify(text.TermCounts(doc))
 		if cf != cs {
 			t.Errorf("feature selection changed %q: %q vs %q", doc, cf, cs)
 		}

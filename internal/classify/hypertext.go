@@ -21,30 +21,24 @@ type HypertextOptions struct {
 	// LinkWeight λ_L scales hyperlink neighbour evidence (default 2.0;
 	// ablation A3 sweeps this).
 	LinkWeight float64
-	// FolderWeight λ_F scales folder co-placement evidence (default 1.5).
-	FolderWeight float64
-	// Iterations bounds the relaxation-labelling rounds (default 8).
-	Iterations int
-	// Smoothing for folder priors (default 0.5).
-	Smoothing float64
 	// DisableLinks / DisableFolders turn off one evidence source; used by
 	// the E1 ablations (text+link, text+folder, full).
 	DisableLinks   bool
 	DisableFolders bool
 }
 
+const (
+	// folderWeight λ_F scales folder co-placement evidence.
+	folderWeight = 1.5
+	// relaxIterations bounds the relaxation-labelling rounds.
+	relaxIterations = 8
+	// folderSmoothing smooths the folder priors.
+	folderSmoothing = 0.5
+)
+
 func (o *HypertextOptions) defaults() {
 	if o.LinkWeight == 0 {
 		o.LinkWeight = 2.0
-	}
-	if o.FolderWeight == 0 {
-		o.FolderWeight = 1.5
-	}
-	if o.Iterations == 0 {
-		o.Iterations = 8
-	}
-	if o.Smoothing == 0 {
-		o.Smoothing = 0.5
 	}
 }
 
@@ -101,7 +95,7 @@ func (h *Hypertext) ClassifyGraph(docs []Doc) map[int64]string {
 				total += c
 			}
 			for ci := range cs {
-				lp[ci] = math.Log((cs[ci] + h.Opts.Smoothing) / (total + h.Opts.Smoothing*float64(nC)))
+				lp[ci] = math.Log((cs[ci] + folderSmoothing) / (total + folderSmoothing*float64(nC)))
 			}
 			h.folderPrior[f] = lp
 		}
@@ -129,7 +123,7 @@ func (h *Hypertext) ClassifyGraph(docs []Doc) map[int64]string {
 		if !h.Opts.DisableFolders && d.Folder != "" {
 			if fp, ok := h.folderPrior[d.Folder]; ok {
 				for ci := range logs {
-					logs[ci] += h.Opts.FolderWeight * fp[ci]
+					logs[ci] += folderWeight * fp[ci]
 				}
 			}
 		}
@@ -139,7 +133,7 @@ func (h *Hypertext) ClassifyGraph(docs []Doc) map[int64]string {
 
 	// Relaxation labelling.
 	if !h.Opts.DisableLinks {
-		for it := 0; it < h.Opts.Iterations; it++ {
+		for it := 0; it < relaxIterations; it++ {
 			next := make([][]float64, len(docs))
 			changed := false
 			for i := range docs {

@@ -50,11 +50,6 @@ func NewTrainer(dict *text.Dict) *Trainer {
 	return &Trainer{dict: dict, classes: map[string]*classAcc{}}
 }
 
-// Add records one labelled document given as raw text.
-func (tr *Trainer) Add(class, content string) {
-	tr.AddCounts(class, text.TermCounts(content))
-}
-
 // AddCounts is AddVector for counts keyed by term string, interning each
 // term: the string entry point the bench ladder and experiments E1, E2 and
 // E10 train through.
@@ -339,25 +334,12 @@ func (m *Bayes) Classify(tf map[string]int) (string, float64) {
 	return m.ClassifyVector(text.VectorFromKnownCounts(m.dict, tf))
 }
 
-// ClassifyText is Classify over raw text.
-func (m *Bayes) ClassifyText(content string) (string, float64) {
-	return m.Classify(text.TermCounts(content))
-}
-
 // ClassIndex returns the dense index of a class label, or -1.
 func (m *Bayes) ClassIndex(class string) int {
 	if i, ok := m.classIdx[class]; ok {
 		return i
 	}
 	return -1
-}
-
-// FeatureCount reports the number of selected features (0 = all).
-func (m *Bayes) FeatureCount() int {
-	if !m.selected {
-		return 0
-	}
-	return len(m.rows) / len(m.Classes)
 }
 
 // softmax converts log scores to a probability distribution, guarding

@@ -125,8 +125,8 @@ func TestLogScoresMatchReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		ref := referenceTrain(tr, opts)
-		if got, want := m.FeatureCount(), len(ref.features); got != want {
-			t.Fatalf("%+v: FeatureCount = %d, reference selected %d", opts, got, want)
+		if got, want := featureCount(m), len(ref.features); got != want {
+			t.Fatalf("%+v: feature count = %d, reference selected %d", opts, got, want)
 		}
 		for d := 0; d < 200; d++ {
 			tf := map[string]int{}

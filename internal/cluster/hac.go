@@ -58,16 +58,6 @@ func (c *Cluster) Dispersion() float64 {
 	return 1 - s/float64(len(c.Items))
 }
 
-// Digest returns the k strongest centroid terms as strings.
-func (c *Cluster) Digest(d *text.Dict, k int) []string {
-	ids, _ := c.Centroid.Top(k)
-	out := make([]string, len(ids))
-	for i, id := range ids {
-		out[i] = d.Term(id)
-	}
-	return out
-}
-
 // HAC performs group-average agglomerative clustering until k clusters
 // remain (k >= 1) or the best merge similarity falls below minSim
 // (minSim <= 0 disables the threshold). Returns the remaining clusters.
@@ -185,6 +175,8 @@ func weightedCentroid(a, b *Cluster) text.Vector {
 // Buckshot clusters a large collection in near-linear time, as in
 // scatter/gather: run HAC on a random sample of size sqrt(k·n) to get k
 // seed centroids, then assign every item to its nearest seed.
+//
+//memexvet:ignore reader read by the root BenchmarkAblationBuckshot, the scatter/gather ablation of DESIGN.md §3
 func Buckshot(items []Item, k int, rng *rand.Rand) []*Cluster {
 	n := len(items)
 	if n == 0 {
@@ -307,6 +299,8 @@ func KMeans2(items []Item, rng *rand.Rand, iterations int) []*Cluster {
 
 // Purity scores a clustering against ground-truth labels: the weighted
 // fraction of each cluster belonging to its majority label. 1.0 = perfect.
+//
+//memexvet:ignore reader read by the root BenchmarkAblationBuckshot, the scatter/gather ablation of DESIGN.md §3
 func Purity(clusters []*Cluster, labels map[int64]string) float64 {
 	total, agree := 0, 0
 	for _, c := range clusters {
@@ -327,20 +321,6 @@ func Purity(clusters []*Cluster, labels map[int64]string) float64 {
 		return 0
 	}
 	return float64(agree) / float64(total)
-}
-
-// Cut returns the dendrogram slice at similarity threshold: descending into
-// merges whose Sim < threshold yields the clusters that were formed at or
-// above it.
-func Cut(root *Cluster, threshold float64) []*Cluster {
-	if root == nil {
-		return nil
-	}
-	if root.Children[0] == nil || root.Sim >= threshold {
-		return []*Cluster{root}
-	}
-	out := Cut(root.Children[0], threshold)
-	return append(out, Cut(root.Children[1], threshold)...)
 }
 
 func (c *Cluster) String() string {

@@ -84,42 +84,6 @@ func TestHACEdgeCases(t *testing.T) {
 	}
 }
 
-func TestDendrogramCut(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	d := text.NewDict()
-	items, labels := makeTopicItems(rng, d, 3, 8)
-	root := HAC(items, 1, 0)[0]
-	// Cutting at a moderately high similarity should recover >= 3 groups
-	// with high purity.
-	parts := Cut(root, 0.35)
-	if len(parts) < 3 {
-		t.Fatalf("cut produced %d parts", len(parts))
-	}
-	if p := Purity(parts, labels); p < 0.9 {
-		t.Fatalf("cut purity = %v", p)
-	}
-	// Cut at 0 threshold returns the root itself.
-	if got := Cut(root, 0); len(got) != 1 || got[0] != root {
-		t.Fatal("threshold-0 cut should return root")
-	}
-	if Cut(nil, 0.5) != nil {
-		t.Fatal("Cut(nil) != nil")
-	}
-}
-
-func TestClusterDigest(t *testing.T) {
-	d := text.NewDict()
-	items := []Item{
-		{ID: 1, Vec: text.VectorFromCounts(d, map[string]int{"violin": 3, "opera": 1})},
-		{ID: 2, Vec: text.VectorFromCounts(d, map[string]int{"violin": 2, "concerto": 1})},
-	}
-	c := HAC(items, 1, 0)[0]
-	digest := c.Digest(d, 2)
-	if len(digest) != 2 || digest[0] != "violin" {
-		t.Fatalf("digest = %v", digest)
-	}
-}
-
 func TestDispersion(t *testing.T) {
 	d := text.NewDict()
 	same := []Item{

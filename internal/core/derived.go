@@ -38,22 +38,18 @@ func tfKey(page int64) string { return "tf/" + strconv.FormatInt(page, 10) }
 // dictKey names a term's dictionary record: its value is the term.
 func dictKey(id int32) string { return "dict/" + strconv.FormatInt(int64(id), 10) }
 
-// idOfDictKey is the inverse of dictKey (ok=false for foreign keys).
+// idOfDictKey is the inverse of dictKey: ok only for a key dictKey spells,
+// so dict/+3 and dict/03 are not a second spelling of dict/3.
 func idOfDictKey(key string) (int32, bool) {
-	if !strings.HasPrefix(key, "dict/") {
-		return 0, false
-	}
-	id, err := strconv.ParseInt(key[5:], 10, 32)
-	return int32(id), err == nil && id >= 0
+	id, err := strconv.ParseInt(strings.TrimPrefix(key, "dict/"), 10, 32)
+	return int32(id), err == nil && id >= 0 && key == dictKey(int32(id))
 }
 
-// pageOfTFKey is the inverse of tfKey (ok=false for foreign keys).
+// pageOfTFKey is the inverse of tfKey: ok only for a key tfKey spells with
+// a page id (≥ 1), so tf/05 is not a second record for page 5.
 func pageOfTFKey(key string) (int64, bool) {
-	if !strings.HasPrefix(key, "tf/") {
-		return 0, false
-	}
-	id, err := strconv.ParseInt(key[3:], 10, 64)
-	return id, err == nil
+	id, err := strconv.ParseInt(strings.TrimPrefix(key, "tf/"), 10, 64)
+	return id, err == nil && id >= 1 && key == tfKey(id)
 }
 
 // tfRecord is a recovered tf/ record held until the dictionary it names
@@ -77,8 +73,11 @@ type tfRecord struct {
 //
 // An archive that still holds a rinD/ in-link delta chunk — written while
 // in-links were chunked, and read by nothing now — is refused: opening it
-// would silently drop those edges from every In. So is one restoreDict
-// cannot restore. A failed scan is an error too, never a partial index.
+// would silently drop those edges from every In. So is a dict/ or tf/ key
+// that dictKey or tfKey does not spell (a second spelling of an id would
+// count a page twice in N and DF, or replace a term), and a dictionary
+// restoreDict cannot restore. A failed scan is an error too, never a
+// partial index.
 // Runs during Open, single-threaded, before any demon starts.
 func (e *Engine) reloadDerived() error {
 	var (
@@ -98,14 +97,17 @@ func (e *Engine) reloadDerived() error {
 				return false
 			}
 			terms[id] = string(raw)
+		case strings.HasPrefix(key, "tf/"):
+			page, ok := pageOfTFKey(key)
+			if !ok {
+				err = fmt.Errorf("core: archive holds term-count record %q, which names no page id", key)
+				return false
+			}
+			tfs = append(tfs, tfRecord{page, raw})
 		case strings.HasPrefix(key, "lnk/"):
 			// The id set's count header; each id takes at least a byte.
 			if n, w := binary.Uvarint(raw); w > 0 && n < uint64(len(raw)) {
 				e.links.edges.Add(int64(n))
-			}
-		default:
-			if page, ok := pageOfTFKey(key); ok {
-				tfs = append(tfs, tfRecord{page, raw})
 			}
 		}
 		return true
@@ -243,9 +245,6 @@ func (v *DerivedView) pinned() *version.Snapshot {
 	}
 	return v.sn
 }
-
-// Epoch returns the pinned version-store epoch.
-func (v *DerivedView) Epoch() uint64 { return v.pinned().Epoch() }
 
 // TermCounts returns the page's raw term counts by id as of the view's
 // epoch, with nil IDs when the page had no decodable tf/ record as of the

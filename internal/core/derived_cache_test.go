@@ -241,7 +241,7 @@ func TestCacheEvictionRespectsPinFloor(t *testing.T) {
 		for _, p := range pages {
 			want[p] = slices.Clone(v.In(p))
 		}
-		epoch = v.Epoch()
+		epoch = v.sn.Epoch()
 
 		// Publish past the pinned epoch, then sweep at the pin floor: the
 		// pinned epoch's entries must survive (floor ≤ pinned epoch).
@@ -357,10 +357,10 @@ func TestDerivedCacheConcurrentMiningAndIngest(t *testing.T) {
 					}
 					for _, p := range pages {
 						if got, want := v.In(p), truth.In(p); !slices.Equal(got, want) {
-							t.Errorf("page %d: cached In %v != uncached %v at epoch %d", p, got, want, v.Epoch())
+							t.Errorf("page %d: cached In %v != uncached %v at epoch %d", p, got, want, v.sn.Epoch())
 						}
 						if got, want := v.TermCounts(p), truth.TermCounts(p); !reflect.DeepEqual(got, want) {
-							t.Errorf("page %d: cached TermCounts diverged at epoch %d", p, v.Epoch())
+							t.Errorf("page %d: cached TermCounts diverged at epoch %d", p, v.sn.Epoch())
 						}
 						if first, again := v.Out(p), v.Out(p); !slices.Equal(first, again) {
 							t.Errorf("page %d: Out not repeatable within one view", p)

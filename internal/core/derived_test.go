@@ -236,8 +236,8 @@ func TestDerivedViewConsistency(t *testing.T) {
 			if _, ok := fresh.sn.Get(tfKey(id1)); !ok {
 				t.Fatal("fresh view missing the second page")
 			}
-			if fresh.Epoch() <= view.Epoch() {
-				t.Fatalf("epochs did not advance: %d then %d", view.Epoch(), fresh.Epoch())
+			if fresh.sn.Epoch() <= view.sn.Epoch() {
+				t.Fatalf("epochs did not advance: %d then %d", view.sn.Epoch(), fresh.sn.Epoch())
 			}
 		})
 	})
@@ -579,10 +579,10 @@ func TestSnapshotConsistencyUnderLoad(t *testing.T) {
 						rawTF2, okTF2 := view.sn.Get(tfKey(id))
 						if okTF != okTF2 || !bytes.Equal(rawTF, rawTF2) {
 							report(fmt.Errorf("page %d: non-repeatable read within pinned view at epoch %d",
-								id, view.Epoch()))
+								id, view.sn.Epoch()))
 						}
 						if got := view.TermCounts(id).IDs != nil; got != okTF {
-							report(fmt.Errorf("page %d: TermCounts disagrees with snapshot at epoch %d", id, view.Epoch()))
+							report(fmt.Errorf("page %d: TermCounts disagrees with snapshot at epoch %d", id, view.sn.Epoch()))
 						}
 					}
 				})

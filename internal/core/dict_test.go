@@ -11,6 +11,7 @@ import (
 	"reflect"
 	"runtime"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -121,7 +122,7 @@ func TestDictionaryRidesWithFirstPage(t *testing.T) {
 					records++
 					for _, id := range recordIDs(raw) {
 						if _, ok := v.sn.Get(dictKey(id)); !ok {
-							bad = fmt.Errorf("epoch %d: %s names id %d, and the view has no %s", v.Epoch(), key, id, dictKey(id))
+							bad = fmt.Errorf("epoch %d: %s names id %d, and the view has no %s", v.sn.Epoch(), key, id, dictKey(id))
 							return false
 						}
 					}
@@ -347,7 +348,7 @@ func TestOpenRefusesSpelledTermArchive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := e.vs.Begin()
+	b := e.vs.BeginSized(0)
 	b.Put(tfKey(id), spelledCounts(map[string]int{"zebra": 1, "quagga": 2, "savannah": 1}))
 	b.Put(lnkKey(id), encodeIDSet(nil))
 	if err := b.Publish(); err != nil {
@@ -374,7 +375,8 @@ func TestOpenRefusesSpelledTermArchive(t *testing.T) {
 }
 
 // TestOpenRefusesDictionaryGap: a dictionary missing an id below its size
-// is refused, and the error names the id.
+// is refused, and the error names the id. The gap is cut by a record one
+// past the next free id, since the store has no deletes.
 func TestOpenRefusesDictionaryGap(t *testing.T) {
 	c := webcorpus.Generate(webcorpus.Config{Seed: 7, TopTopics: 3, SubPerTopic: 2, PagesPerLeaf: 20})
 	cfg := Config{Dir: t.TempDir(), Source: corpusSource{c}, KV: kvstore.Options{Sync: kvstore.SyncGroup}, VersionGCInterval: -1}
@@ -383,11 +385,9 @@ func TestOpenRefusesDictionaryGap(t *testing.T) {
 		t.Fatal(err)
 	}
 	seedEngine(t, e, c, 8)
-	if e.Status().Terms <= 5 {
-		t.Fatal("too few terms to cut a gap")
-	}
-	b := e.vs.Begin()
-	b.Delete(dictKey(5))
+	terms := int32(e.Status().Terms)
+	b := e.vs.BeginSized(0)
+	b.Put(dictKey(terms+1), []byte("gap-beyond-the-dictionary"))
 	if err := b.Publish(); err != nil {
 		t.Fatal(err)
 	}
@@ -399,8 +399,40 @@ func TestOpenRefusesDictionaryGap(t *testing.T) {
 		e.Close()
 		t.Fatal("Open accepted a dictionary with a gap")
 	}
-	if !strings.Contains(err.Error(), `"dict/5"`) {
-		t.Fatalf("refusal does not name the missing id: %v", err)
+	if want := strconv.Quote(dictKey(terms)); !strings.Contains(err.Error(), want) {
+		t.Fatalf("refusal does not name the missing id %s: %v", want, err)
+	}
+}
+
+// TestOpenRefusesNonCanonicalKeys: a tf/ or dict/ key that tfKey or dictKey
+// does not spell is a second spelling of an id (tf/05 beside tf/5 would
+// index page 5 twice, dict/+0 would replace dict/0's term), so Open
+// refuses the archive and names the key.
+func TestOpenRefusesNonCanonicalKeys(t *testing.T) {
+	for _, key := range []string{"tf/05", "tf/+5", "tf/0", "dict/+0", "dict/03"} {
+		t.Run(key, func(t *testing.T) {
+			cfg := Config{Dir: t.TempDir(), Source: oneSource{}, KV: kvstore.Options{Sync: kvstore.SyncGroup}, VersionGCInterval: -1}
+			e, err := Open(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b := e.vs.BeginSized(0)
+			b.Put(key, []byte{0})
+			if err := b.Publish(); err != nil {
+				t.Fatal(err)
+			}
+			if err := e.Close(); err != nil {
+				t.Fatal(err)
+			}
+			e, err = Open(cfg)
+			if err == nil {
+				e.Close()
+				t.Fatalf("Open accepted an archive holding %q", key)
+			}
+			if !strings.Contains(err.Error(), strconv.Quote(key)) {
+				t.Fatalf("refusal does not name %q: %v", key, err)
+			}
+		})
 	}
 }
 
@@ -422,7 +454,7 @@ func TestRecordPastDictionaryIsRefetched(t *testing.T) {
 	e.DrainBackground()
 	id := e.idByURL[page.URL]
 	terms := e.Status().Terms
-	b := e.vs.Begin()
+	b := e.vs.BeginSized(0)
 	b.Put(tfKey(id), append(binary.AppendUvarint([]byte{1}, uint64(terms+3)), 1))
 	if err := b.Publish(); err != nil {
 		t.Fatal(err)

@@ -301,12 +301,12 @@ func TestHubInLinksNeverOutrunOutLinks(t *testing.T) {
 		defer view.sn.Release()
 		in := view.In(hub)
 		if !slices.IsSorted(in) {
-			return fmt.Errorf("epoch %d: In(hub) not sorted", view.Epoch())
+			return fmt.Errorf("epoch %d: In(hub) not sorted", view.sn.Epoch())
 		}
 		for src := int64(1); src <= sources; src++ {
 			_, listed := slices.BinarySearch(in, src)
 			if linked := slices.Contains(view.Out(src), hub); linked != listed {
-				return fmt.Errorf("epoch %d: source %d in rin/ = %v, hub in its lnk/ = %v", view.Epoch(), src, listed, linked)
+				return fmt.Errorf("epoch %d: source %d in rin/ = %v, hub in its lnk/ = %v", view.sn.Epoch(), src, listed, linked)
 			}
 		}
 		return nil
@@ -368,7 +368,7 @@ func TestHubInLinksNeverOutrunOutLinks(t *testing.T) {
 // encodeIDSet's output reads as unknown, never a panic.
 func TestRinMixedArchiveDecode(t *testing.T) {
 	vs := version.NewStore()
-	b := vs.Begin()
+	b := vs.BeginSized(0)
 	b.Put(rinKey(7), encodeIDSet([]int64{1, 2, 3}))
 	b.Put(rinKey(8), binary.AppendUvarint(encodeIDSet([]int64{5, 4}), 4))
 	b.Put(rinKey(9), []byte{0xff})
@@ -429,7 +429,7 @@ func TestLinkRestartChunkedArchive(t *testing.T) {
 	}
 	seedEngine(t, e1, c, 8)
 	const chunk = "rinD/3/0"
-	b := e1.vs.Begin()
+	b := e1.vs.BeginSized(0)
 	b.Put(chunk, encodeIDSet([]int64{1 << 40}))
 	if err := b.Publish(); err != nil {
 		t.Fatal(err)
@@ -538,11 +538,12 @@ func TestLinkRestartPreChunkArchive(t *testing.T) {
 		if got := view3.In(hub); !slices.Equal(got, want) {
 			t.Fatalf("In(%d) = %v, want %v", hub, got, want)
 		}
-		for _, key := range view3.sn.Keys() {
+		view3.sn.Range(func(key string, _ []byte) bool {
 			if strings.HasPrefix(key, "rinD/") {
 				t.Fatalf("second life wrote a delta chunk: %s", key)
 			}
-		}
+			return true
+		})
 	})
 }
 
@@ -683,13 +684,9 @@ func TestBenchWorldDiskPerUserByte(t *testing.T) {
 	if per := float64(family["visits"]) / float64(records["visits"]); per > 24 {
 		t.Errorf("a visits record averages %.1f B of key and value, want at most 24", per)
 	}
-	shape, err := kv.Leaves()
-	if err != nil {
-		t.Fatal(err)
-	}
 	ratio := float64(disk) / float64(user)
-	t.Logf("%d B on disk for %d B of keys and values: %.2f B per user byte; %d leaves storing a %.1f-byte prefix on average; %d leaf splits, %d rebalances",
-		disk, user, ratio, shape.Leaves, float64(shape.PrefixBytes)/float64(shape.Leaves), work.LeafSplits, work.LeafRebalances)
+	t.Logf("%d B on disk for %d B of keys and values: %.2f B per user byte; %d leaf splits, %d rebalances",
+		disk, user, ratio, work.LeafSplits, work.LeafRebalances)
 	if ratio > 0.95 {
 		t.Errorf("%.2f bytes of disk per user byte, want at most 0.95", ratio)
 	}

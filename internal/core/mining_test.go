@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"memex/internal/events"
+	"memex/internal/folders"
 	"memex/internal/kvstore"
 	"memex/internal/profile"
 	"memex/internal/recommend"
@@ -345,12 +346,12 @@ func TestMiningAnswersMatchPerVisitComputation(t *testing.T) {
 			}
 		}
 		e.mu.RLock()
-		folders := e.trees[u].Folders()
+		paths := folderPaths(e.trees[u])
 		if e.models[u] != nil {
 			trained++
 		}
 		e.mu.RUnlock()
-		for _, folder := range folders {
+		for _, folder := range paths {
 			got, want := e.Trails(u, folder, 10), referenceTrails(e, u, folder, 10)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("Trails(user %d, %s):\n got %+v\nwant %+v", u, folder, got, want)
@@ -426,7 +427,7 @@ func BenchmarkTrails(b *testing.B) {
 	}
 	var asks []ask
 	for _, u := range tr.Users {
-		for _, f := range e.trees[u.ID].Folders() {
+		for _, f := range folderPaths(e.trees[u.ID]) {
 			asks = append(asks, ask{u.ID, f})
 		}
 	}
@@ -447,4 +448,16 @@ func BenchmarkRecommend(b *testing.B) {
 			b.Fatalf("no recommendations for user %d", tr.Users[i%len(tr.Users)].ID)
 		}
 	}
+}
+
+// folderPaths returns every folder path of tree except the root's, sorted.
+func folderPaths(tree *folders.Tree) []string {
+	var out []string
+	tree.Walk(func(f *folders.Folder) {
+		if f.Parent != nil {
+			out = append(out, f.Path())
+		}
+	})
+	sort.Strings(out)
+	return out
 }

@@ -159,7 +159,7 @@ func TestCorruptTermRecordIsRefetched(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := e.vs.Begin()
+	b := e.vs.BeginSized(0)
 	b.Put(tfKey(id), []byte{0xff})
 	if err := b.Publish(); err != nil {
 		t.Fatal(err)

@@ -56,6 +56,8 @@ func (e *Engine) Search(user int64, query string, k int) []PageInfo {
 // the URL I visited about six months back regarding X?"): ranked search
 // restricted to pages the user visited within [from, to). Zero bounds are
 // open-ended.
+//
+//memexvet:ignore reader the paper's time-scoped recall, an answer kind ROADMAP item 18 lists; it waits for a route
 func (e *Engine) SearchWhen(user int64, query string, k int, from, to time.Time) []PageInfo {
 	// Pages the user visited in the window: one key range of the visits
 	// table, which reads this user's records in the window and no other,

@@ -143,37 +143,6 @@ func (t *Tree) RemovePage(page int64) int {
 	return removed
 }
 
-// Move relocates the folder at src (and its subtree) under dst.
-// It fails when src is missing, dst is inside src, or a sibling name
-// collides.
-func (t *Tree) Move(src, dst string) error {
-	sf := t.Find(src)
-	if sf == nil || sf.Parent == nil {
-		return fmt.Errorf("folders: no such folder %q", src)
-	}
-	if dst == src || strings.HasPrefix(dst+"/", src+"/") {
-		return fmt.Errorf("folders: cannot move %q into itself", src)
-	}
-	df := t.Ensure(dst)
-	for _, ch := range df.Children {
-		if ch.Name == sf.Name {
-			return fmt.Errorf("folders: %q already has a child %q", dst, sf.Name)
-		}
-	}
-	// Detach.
-	sib := sf.Parent.Children
-	for i, ch := range sib {
-		if ch == sf {
-			sf.Parent.Children = append(sib[:i], sib[i+1:]...)
-			break
-		}
-	}
-	sf.Parent = df
-	df.Children = append(df.Children, sf)
-	sort.Slice(df.Children, func(i, j int) bool { return df.Children[i].Name < df.Children[j].Name })
-	return nil
-}
-
 // MovePage is the cut/paste operation on a single bookmark: it reassigns
 // page to the folder at dst and clears its Guessed flag (the user has now
 // confirmed the placement) — this is the reinforcement signal the paper's
@@ -195,20 +164,6 @@ func (t *Tree) MovePage(page int64, dst string) error {
 	t.RemovePage(page)
 	t.Ensure(dst).Entries = append(t.Ensure(dst).Entries, e)
 	return nil
-}
-
-// Confirm marks a guessed entry as user-approved in place.
-func (t *Tree) Confirm(page int64) bool {
-	ok := false
-	t.Walk(func(f *Folder) {
-		for i := range f.Entries {
-			if f.Entries[i].Page == page && f.Entries[i].Guessed {
-				f.Entries[i].Guessed = false
-				ok = true
-			}
-		}
-	})
-	return ok
 }
 
 // FolderOfPage returns the folder currently holding page, or nil.
@@ -234,18 +189,6 @@ func (t *Tree) Walk(fn func(*Folder)) {
 		}
 	}
 	rec(t.Root)
-}
-
-// Folders returns all folder paths except the root, sorted.
-func (t *Tree) Folders() []string {
-	var out []string
-	t.Walk(func(f *Folder) {
-		if f.Parent != nil {
-			out = append(out, f.Path())
-		}
-	})
-	sort.Strings(out)
-	return out
 }
 
 // Entries returns all entries in the subtree rooted at path (including

@@ -2,6 +2,7 @@ package folders
 
 import (
 	"bytes"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -55,35 +56,6 @@ func TestAddAndGuessSemantics(t *testing.T) {
 	}
 }
 
-func TestMoveFolder(t *testing.T) {
-	tr := NewTree()
-	tr.Ensure("/A/B")
-	tr.Add("/A/B", entry(1, "http://x"))
-	if err := tr.Move("/A/B", "/C"); err != nil {
-		t.Fatalf("Move: %v", err)
-	}
-	if tr.Find("/A/B") != nil {
-		t.Fatal("source still present")
-	}
-	f := tr.Find("/C/B")
-	if f == nil || len(f.Entries) != 1 {
-		t.Fatal("moved folder lost its entries")
-	}
-	// Moving into one's own subtree must fail.
-	tr.Ensure("/X/Y")
-	if err := tr.Move("/X", "/X/Y"); err == nil {
-		t.Fatal("move into own subtree accepted")
-	}
-	if err := tr.Move("/missing", "/C"); err == nil {
-		t.Fatal("move of missing folder accepted")
-	}
-	// Name collision.
-	tr.Ensure("/D/B")
-	if err := tr.Move("/D/B", "/C"); err == nil {
-		t.Fatal("colliding move accepted")
-	}
-}
-
 func TestMovePageCutPaste(t *testing.T) {
 	tr := NewTree()
 	g := entry(5, "http://g")
@@ -106,20 +78,16 @@ func TestMovePageCutPaste(t *testing.T) {
 	}
 }
 
-func TestConfirm(t *testing.T) {
-	tr := NewTree()
-	g := entry(7, "http://g")
-	g.Guessed = true
-	tr.Add("/Music", g)
-	if !tr.Confirm(7) {
-		t.Fatal("Confirm failed")
-	}
-	if tr.Confirm(7) {
-		t.Fatal("Confirm of already-confirmed entry reported true")
-	}
-	if tr.FolderOfPage(7).Entries[0].Guessed {
-		t.Fatal("entry still guessed")
-	}
+// folderPaths returns every folder path except the root's, sorted.
+func folderPaths(tr *Tree) []string {
+	var out []string
+	tr.Walk(func(f *Folder) {
+		if f.Parent != nil {
+			out = append(out, f.Path())
+		}
+	})
+	sort.Strings(out)
+	return out
 }
 
 func TestFoldersAndEntries(t *testing.T) {
@@ -127,7 +95,7 @@ func TestFoldersAndEntries(t *testing.T) {
 	tr.Add("/Music/Classical", entry(1, "http://a"))
 	tr.Add("/Music/Jazz", entry(2, "http://b"))
 	tr.Add("/Travel", entry(3, "http://c"))
-	paths := tr.Folders()
+	paths := folderPaths(tr)
 	want := []string{"/Music", "/Music/Classical", "/Music/Jazz", "/Travel"}
 	if strings.Join(paths, ",") != strings.Join(want, ",") {
 		t.Fatalf("Folders = %v", paths)
@@ -179,8 +147,8 @@ func TestNetscapeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Import: %v", err)
 	}
-	wantFolders := tr.Folders()
-	gotFolders := got.Folders()
+	wantFolders := folderPaths(tr)
+	gotFolders := folderPaths(got)
 	if strings.Join(wantFolders, ",") != strings.Join(gotFolders, ",") {
 		t.Fatalf("folders: %v vs %v", wantFolders, gotFolders)
 	}
@@ -223,7 +191,7 @@ func TestImportRealWorldFragment(t *testing.T) {
 		t.Fatalf("Import: %v", err)
 	}
 	if tr.Find("/Research/Mining") == nil {
-		t.Fatalf("nested folder lost; folders = %v", tr.Folders())
+		t.Fatalf("nested folder lost; folders = %v", folderPaths(tr))
 	}
 	if len(tr.Find("/Research").Entries) != 1 {
 		t.Fatal("folder entry count wrong")

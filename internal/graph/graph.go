@@ -48,6 +48,8 @@ type Graph struct {
 }
 
 // New returns an empty graph.
+//
+//memexvet:ignore reader read only by bench/layers.go, the benchmark ladder, until ROADMAP item 21(b) moves it off graph.Graph
 func New() *Graph {
 	return &Graph{
 		out:   make(map[int64][]int64),
@@ -65,6 +67,8 @@ func (g *Graph) ensure(id int64) {
 
 // AddEdge inserts the directed edge from→to (idempotent; self-loops are
 // dropped entirely — unlike ApplyOut, a pure self-loop creates no node).
+//
+//memexvet:ignore reader read only by bench/layers.go, the benchmark ladder, until ROADMAP item 21(b) moves it off graph.Graph
 func (g *Graph) AddEdge(from, to int64) {
 	if from == to {
 		return

@@ -22,8 +22,8 @@ func TestPutBatchMixesPutsAndDeletes(t *testing.T) {
 	if err := s.PutBatch(pairs); err != nil {
 		t.Fatalf("PutBatch: %v", err)
 	}
-	if s.Len() != 1000 {
-		t.Fatalf("Len = %d, want 1000", s.Len())
+	if keyCount(s) != 1000 {
+		t.Fatalf("Len = %d, want 1000", keyCount(s))
 	}
 	commits := s.Stats().Commits
 	var mixed []KV
@@ -44,8 +44,8 @@ func TestPutBatchMixesPutsAndDeletes(t *testing.T) {
 	if got := s.Stats().Commits - commits; got != 1 {
 		t.Fatalf("a mixed batch took %d commits, want 1", got)
 	}
-	if s.Len() != 499 {
-		t.Fatalf("Len after deletes = %d, want 499", s.Len())
+	if keyCount(s) != 499 {
+		t.Fatalf("Len after deletes = %d, want 499", keyCount(s))
 	}
 	for i := 0; i < 1000; i++ {
 		v, ok, err := s.Get([]byte(fmt.Sprintf("bulk-%04d", i)))
@@ -72,9 +72,6 @@ func TestReadViewDelegates(t *testing.T) {
 	v := s.ReadView()
 	if got, ok, _ := v.Get([]byte("a")); !ok || string(got) != "1" {
 		t.Fatalf("view Get = %q,%v", got, ok)
-	}
-	if v.Len() != 2 {
-		t.Fatalf("view Len = %d", v.Len())
 	}
 	n := 0
 	v.ScanPrefix([]byte(""), func(k, _ []byte) bool { n++; return true })

@@ -59,8 +59,8 @@ func TestCrashAfterEvictionKeepsEveryKey(t *testing.T) {
 					missing++
 				}
 			}
-			if missing > 0 || s2.Len() != n {
-				t.Fatalf("after the crash %d of %d keys are missing, Len %d", missing, n, s2.Len())
+			if missing > 0 || keyCount(s2) != n {
+				t.Fatalf("after the crash %d of %d keys are missing, Len %d", missing, n, keyCount(s2))
 			}
 			checkStore(t, s2)
 		})

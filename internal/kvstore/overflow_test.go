@@ -33,8 +33,8 @@ func TestReplaceWithLargerValueOnFullPage(t *testing.T) {
 			t.Fatalf("grow %d: %v", i, err)
 		}
 	}
-	if s.Len() != 30 {
-		t.Fatalf("Len = %d, want 30", s.Len())
+	if keyCount(s) != 30 {
+		t.Fatalf("Len = %d, want 30", keyCount(s))
 	}
 	for i := 0; i < 30; i++ {
 		v, ok, err := s.Get([]byte(fmt.Sprintf("key-%04d", i)))
@@ -63,14 +63,14 @@ func TestRandomSizeChurn(t *testing.T) {
 			}
 			model[k] = v
 		case 3:
-			if err := s.Delete([]byte(k)); err != nil {
+			if err := s.PutBatch([]KV{{Key: []byte(k), Delete: true}}); err != nil {
 				t.Fatalf("Delete: %v", err)
 			}
 			delete(model, k)
 		}
 	}
-	if s.Len() != len(model) {
-		t.Fatalf("Len = %d, model %d", s.Len(), len(model))
+	if keyCount(s) != len(model) {
+		t.Fatalf("Len = %d, model %d", keyCount(s), len(model))
 	}
 	for k, want := range model {
 		got, ok, err := s.Get([]byte(k))
@@ -94,8 +94,8 @@ func TestLongKeysSplitInternalPages(t *testing.T) {
 			t.Fatalf("Put %d: %v", i, err)
 		}
 	}
-	if s.Len() != n {
-		t.Fatalf("Len = %d", s.Len())
+	if keyCount(s) != n {
+		t.Fatalf("Len = %d", keyCount(s))
 	}
 	// Order preserved.
 	prev := -1
@@ -171,8 +171,8 @@ func TestOversizeLeavesNoLogRecord(t *testing.T) {
 			t.Errorf("key %q of a refused write is in the store", k)
 		}
 	}
-	if s2.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", s2.Len())
+	if keyCount(s2) != 1 {
+		t.Fatalf("Len = %d, want 1", keyCount(s2))
 	}
 }
 

@@ -131,11 +131,6 @@ func (s *Store) Put(key, value []byte) error {
 	return s.PutBatch([]KV{{Key: key, Value: value}})
 }
 
-// Delete removes key; it is not an error if the key is absent.
-func (s *Store) Delete(key []byte) error {
-	return s.PutBatch([]KV{{Key: key, Delete: true}})
-}
-
 // KV is one write of a batch: Key→Value, or with Delete set the removal of
 // Key (Value unused; an absent key is not an error).
 type KV struct {
@@ -262,13 +257,6 @@ func (s *Store) checkpointLocked() error {
 	return nil
 }
 
-// Len returns the number of live keys.
-func (s *Store) Len() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return int(s.count)
-}
-
 // Stats returns the buffer-pool counters plus this life's write counts,
 // the sync policy and when the store last fsynced.
 func (s *Store) Stats() Stats {
@@ -364,35 +352,6 @@ func (s *Store) Scan(start, end []byte, fn func(key, value []byte) bool) error {
 	return nil
 }
 
-// LeafShape describes a tree's leaves: how many there are, the bytes of
-// key prefix they store between them (each leaf's once), and the bytes
-// they fill — cell bodies, slots and prefixes; a leaf has pageRoom.
-type LeafShape struct {
-	Leaves, PrefixBytes, UsedBytes int
-}
-
-// Leaves walks the leaf chain and reports its shape.
-func (s *Store) Leaves() (LeafShape, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var shape LeafShape
-	if s.closed {
-		return shape, fmt.Errorf("kvstore: store closed")
-	}
-	id, err := s.tree.leftmostLeaf()
-	for err == nil && id != nilPage {
-		var p *page
-		if p, err = s.tree.pg.get(id); err == nil {
-			shape.Leaves++
-			shape.PrefixBytes += len(p.prefix())
-			shape.UsedBytes += p.liveBytes() - pageHeaderSize
-			id = p.right()
-			s.tree.pg.unpin(p)
-		}
-	}
-	return shape, err
-}
-
 // ScanPrefix scans all keys beginning with prefix.
 func (s *Store) ScanPrefix(prefix []byte, fn func(key, value []byte) bool) error {
 	end := prefixEnd(prefix)
@@ -420,18 +379,10 @@ func (s *Store) ReadView() *ReadView { return &ReadView{s: s} }
 // Get returns a copy of the value for key, or ok=false.
 func (v *ReadView) Get(key []byte) ([]byte, bool, error) { return v.s.Get(key) }
 
-// Scan calls fn for every key in [start, end) in order (see Store.Scan).
-func (v *ReadView) Scan(start, end []byte, fn func(key, value []byte) bool) error {
-	return v.s.Scan(start, end, fn)
-}
-
 // ScanPrefix scans all keys beginning with prefix.
 func (v *ReadView) ScanPrefix(prefix []byte, fn func(key, value []byte) bool) error {
 	return v.s.ScanPrefix(prefix, fn)
 }
-
-// Len returns the number of live keys.
-func (v *ReadView) Len() int { return v.s.Len() }
 
 // prefixEnd returns the smallest key greater than every key with the given
 // prefix, or nil if no such key exists (prefix is all 0xff).

@@ -37,8 +37,8 @@ func TestPutGetRoundTrip(t *testing.T) {
 	if string(v) != "world" {
 		t.Fatalf("got %q, want %q", v, "world")
 	}
-	if s.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", s.Len())
+	if keyCount(s) != 1 {
+		t.Fatalf("Len = %d, want 1", keyCount(s))
 	}
 }
 
@@ -73,8 +73,8 @@ func TestOverwrite(t *testing.T) {
 	if !ok || string(v) != "value-9" {
 		t.Fatalf("got %q ok=%v, want value-9", v, ok)
 	}
-	if s.Len() != 1 {
-		t.Fatalf("Len = %d after overwrites, want 1", s.Len())
+	if keyCount(s) != 1 {
+		t.Fatalf("Len = %d after overwrites, want 1", keyCount(s))
 	}
 }
 
@@ -82,7 +82,7 @@ func TestDelete(t *testing.T) {
 	s := openTemp(t, Options{Sync: SyncGroup})
 	s.Put([]byte("a"), []byte("1"))
 	s.Put([]byte("b"), []byte("2"))
-	if err := s.Delete([]byte("a")); err != nil {
+	if err := s.PutBatch([]KV{{Key: []byte("a"), Delete: true}}); err != nil {
 		t.Fatalf("Delete: %v", err)
 	}
 	if _, ok, _ := s.Get([]byte("a")); ok {
@@ -91,11 +91,11 @@ func TestDelete(t *testing.T) {
 	if _, ok, _ := s.Get([]byte("b")); !ok {
 		t.Fatal("unrelated key lost after delete")
 	}
-	if s.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", s.Len())
+	if keyCount(s) != 1 {
+		t.Fatalf("Len = %d, want 1", keyCount(s))
 	}
 	// Deleting a missing key is not an error.
-	if err := s.Delete([]byte("zzz")); err != nil {
+	if err := s.PutBatch([]KV{{Key: []byte("zzz"), Delete: true}}); err != nil {
 		t.Fatalf("Delete missing: %v", err)
 	}
 }
@@ -121,8 +121,8 @@ func TestManyKeysSplitAndOrder(t *testing.T) {
 			t.Fatalf("Put %d: %v", i, err)
 		}
 	}
-	if s.Len() != n {
-		t.Fatalf("Len = %d, want %d", s.Len(), n)
+	if keyCount(s) != n {
+		t.Fatalf("Len = %d, want %d", keyCount(s), n)
 	}
 	// All retrievable.
 	for i := 0; i < n; i += 97 {
@@ -226,7 +226,7 @@ func TestPersistenceAcrossReopen(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		s.Put([]byte(fmt.Sprintf("key%04d", i)), []byte(fmt.Sprintf("val%04d", i)))
 	}
-	s.Delete([]byte("key0100"))
+	s.PutBatch([]KV{{Key: []byte("key0100"), Delete: true}})
 	if err := s.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
@@ -236,8 +236,8 @@ func TestPersistenceAcrossReopen(t *testing.T) {
 		t.Fatalf("reopen: %v", err)
 	}
 	defer s2.Close()
-	if s2.Len() != 499 {
-		t.Fatalf("Len after reopen = %d, want 499", s2.Len())
+	if keyCount(s2) != 499 {
+		t.Fatalf("Len after reopen = %d, want 499", keyCount(s2))
 	}
 	v, ok, _ := s2.Get([]byte("key0042"))
 	if !ok || string(v) != "val0042" {
@@ -262,7 +262,7 @@ func TestCrashRecoveryFromWAL(t *testing.T) {
 			t.Fatalf("Put: %v", err)
 		}
 	}
-	s.Delete([]byte("k007"))
+	s.PutBatch([]KV{{Key: []byte("k007"), Delete: true}})
 	crash(s)
 
 	s2, err := Open(dir, Options{})
@@ -270,8 +270,8 @@ func TestCrashRecoveryFromWAL(t *testing.T) {
 		t.Fatalf("recovery open: %v", err)
 	}
 	defer s2.Close()
-	if s2.Len() != 199 {
-		t.Fatalf("recovered Len = %d, want 199", s2.Len())
+	if keyCount(s2) != 199 {
+		t.Fatalf("recovered Len = %d, want 199", keyCount(s2))
 	}
 	v, ok, _ := s2.Get([]byte("k150"))
 	if !ok || string(v) != "v150" {
@@ -364,8 +364,8 @@ func TestUncommittedBatchIsDropped(t *testing.T) {
 	if err != nil {
 		t.Fatalf("recovery open: %v", err)
 	}
-	if s2.Len() != 0 {
-		t.Fatalf("recovered %d of the batch's 10 pairs, want none", s2.Len())
+	if keyCount(s2) != 0 {
+		t.Fatalf("recovered %d of the batch's 10 pairs, want none", keyCount(s2))
 	}
 	for _, kv := range pairs {
 		if _, ok, _ := s2.Get(kv.Key); ok {
@@ -381,8 +381,8 @@ func TestUncommittedBatchIsDropped(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s3.Close()
-	if v, ok, _ := s3.Get([]byte("after")); !ok || string(v) != "x" || s3.Len() != 1 {
-		t.Fatalf("after a second crash: Get = %q,%v, Len %d; want the one committed put", v, ok, s3.Len())
+	if v, ok, _ := s3.Get([]byte("after")); !ok || string(v) != "x" || keyCount(s3) != 1 {
+		t.Fatalf("after a second crash: Get = %q,%v, Len %d; want the one committed put", v, ok, keyCount(s3))
 	}
 }
 
@@ -445,8 +445,8 @@ func TestTornTailDoesNotHideLaterCommits(t *testing.T) {
 			t.Fatalf("crash image lost %q: %q,%v", k, v, ok)
 		}
 	}
-	if _, ok, _ := s3.Get([]byte("torn")); ok || s3.Len() != 2 {
-		t.Fatalf("crash image holds the torn record, or %d keys, want 2", s3.Len())
+	if _, ok, _ := s3.Get([]byte("torn")); ok || keyCount(s3) != 2 {
+		t.Fatalf("crash image holds the torn record, or %d keys, want 2", keyCount(s3))
 	}
 }
 
@@ -476,8 +476,8 @@ func TestCheckpointTruncatesWAL(t *testing.T) {
 		t.Fatalf("reopen: %v", err)
 	}
 	defer s2.Close()
-	if s2.Len() != 100 {
-		t.Fatalf("Len = %d, want 100", s2.Len())
+	if keyCount(s2) != 100 {
+		t.Fatalf("Len = %d, want 100", keyCount(s2))
 	}
 }
 
@@ -490,8 +490,8 @@ func TestBatchPut(t *testing.T) {
 	if err := s.PutBatch(batch); err != nil {
 		t.Fatalf("PutBatch: %v", err)
 	}
-	if s.Len() != 100 {
-		t.Fatalf("Len = %d, want 100", s.Len())
+	if keyCount(s) != 100 {
+		t.Fatalf("Len = %d, want 100", keyCount(s))
 	}
 }
 
@@ -552,14 +552,14 @@ func TestPropertyMatchesMapModel(t *testing.T) {
 			}
 			model[k] = v
 		case 2:
-			if err := s.Delete([]byte(k)); err != nil {
+			if err := s.PutBatch([]KV{{Key: []byte(k), Delete: true}}); err != nil {
 				t.Fatalf("Delete: %v", err)
 			}
 			delete(model, k)
 		}
 	}
-	if s.Len() != len(model) {
-		t.Fatalf("Len = %d, model has %d", s.Len(), len(model))
+	if keyCount(s) != len(model) {
+		t.Fatalf("Len = %d, model has %d", keyCount(s), len(model))
 	}
 	keys := make([]string, 0, len(model))
 	for k := range model {
@@ -655,7 +655,7 @@ func TestWriteCountersCountCommitsAndLogBytes(t *testing.T) {
 	if err := s.PutBatch(pairs); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Delete([]byte("k03")); err != nil {
+	if err := s.PutBatch([]KV{{Key: []byte("k03"), Delete: true}}); err != nil {
 		t.Fatal(err)
 	}
 	st := s.Stats()
@@ -730,4 +730,11 @@ func BenchmarkGet(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s.Get([]byte(fmt.Sprintf("bench-%09d", i%n)))
 	}
+}
+
+// keyCount is the number of live keys, as the store counts them.
+func keyCount(s *Store) int {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return int(s.count)
 }

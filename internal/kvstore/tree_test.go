@@ -177,11 +177,23 @@ func checkStore(t testing.TB, s *Store) {
 // the room they have.
 func leafFill(t testing.TB, s *Store) (fill float64, leaves int) {
 	t.Helper()
-	shape, err := s.Leaves()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	used := 0
+	id, err := s.tree.leftmostLeaf()
+	for err == nil && id != nilPage {
+		var p *page
+		if p, err = s.tree.pg.get(id); err == nil {
+			leaves++
+			used += p.liveBytes() - pageHeaderSize
+			id = p.right()
+			s.tree.pg.unpin(p)
+		}
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
-	return float64(shape.UsedBytes) / float64(shape.Leaves*pageRoom), shape.Leaves
+	return float64(used) / float64(leaves*pageRoom), leaves
 }
 
 // fuzzKey maps an index to one of 512 keys. Two in three are short, so
@@ -390,7 +402,7 @@ func FuzzTreeAgainstMap(f *testing.F) {
 				s = open()
 				compare(step)
 			case op >= fuzzDelete:
-				if err := s.Delete(key); err != nil {
+				if err := s.PutBatch([]KV{{Key: key, Delete: true}}); err != nil {
 					t.Fatalf("step %d Delete: %v", step, err)
 				}
 				delete(model, string(key))
@@ -409,8 +421,8 @@ func FuzzTreeAgainstMap(f *testing.F) {
 				model[string(key)] = val
 			}
 			checkStore(t, s)
-			if s.Len() != len(model) {
-				t.Fatalf("step %d: Len %d, model %d", step, s.Len(), len(model))
+			if keyCount(s) != len(model) {
+				t.Fatalf("step %d: Len %d, model %d", step, keyCount(s), len(model))
 			}
 			got, ok, err := s.Get(key)
 			if want, has := model[string(key)]; err != nil || ok != has || !bytes.Equal(got, want) {
@@ -467,7 +479,7 @@ var fillPatterns = []struct {
 			putN(tb, s, i, 50)
 		}
 		for _, i := range perm[:n/2] {
-			if err := s.Delete(keyN(i)); err != nil {
+			if err := s.PutBatch([]KV{{Key: keyN(i), Delete: true}}); err != nil {
 				tb.Fatal(err)
 			}
 		}

@@ -2,15 +2,14 @@ package load
 
 // The machine-readable half of the harness: one LOAD_<date>_<sha>.json
 // report per run — what the SLO gate judged, kept as a CI artifact when it
-// fails. ReadReport and WriteJSON round-trip a report byte-identically
-// (parse → validate → re-emit), which is what keeps any tool that reads
+// fails. WriteJSON's encoding is canonical: a report parsed back and
+// re-emitted is byte-identical, which is what keeps any tool that reads
 // them honest about the schema.
 
 import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 )
 
 // SchemaLoad identifies the LOAD_*.json schema version.
@@ -161,32 +160,6 @@ func (r *Report) Endpoint(name string) (EndpointReport, bool) {
 	return EndpointReport{}, false
 }
 
-// Validate checks the invariants the trajectory tooling relies on:
-// schema tag, sorted endpoint rows, ordered quantiles, sane counts.
-func (r *Report) Validate() error {
-	if r.Schema != SchemaLoad {
-		return fmt.Errorf("load: schema %q, want %q", r.Schema, SchemaLoad)
-	}
-	if r.Date == "" || r.Target == "" || r.Scenario == "" {
-		return fmt.Errorf("load: date, target and scenario are required")
-	}
-	if !sort.SliceIsSorted(r.Endpoints, func(i, j int) bool {
-		return r.Endpoints[i].Endpoint < r.Endpoints[j].Endpoint
-	}) {
-		return fmt.Errorf("load: endpoint rows not sorted")
-	}
-	for _, ep := range r.Endpoints {
-		if ep.P50Ms > ep.P99Ms || ep.P99Ms > ep.P999Ms {
-			return fmt.Errorf("load: %s quantiles out of order (p50 %.3f, p99 %.3f, p999 %.3f)",
-				ep.Endpoint, ep.P50Ms, ep.P99Ms, ep.P999Ms)
-		}
-		if ep.Count < 0 || ep.Err4xx < 0 || ep.Err5xx < 0 {
-			return fmt.Errorf("load: %s has negative counters", ep.Endpoint)
-		}
-	}
-	return nil
-}
-
 // WriteJSON emits the canonical JSON encoding (indented, sorted keys
 // per struct order, trailing newline). Canonical matters: the
 // round-trip contract is byte equality.
@@ -198,18 +171,4 @@ func (r *Report) WriteJSON(w io.Writer) error {
 	blob = append(blob, '\n')
 	_, err = w.Write(blob)
 	return err
-}
-
-// ReadReport parses and validates a LOAD_*.json stream.
-func ReadReport(rd io.Reader) (*Report, error) {
-	var r Report
-	dec := json.NewDecoder(rd)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&r); err != nil {
-		return nil, fmt.Errorf("load: parse report: %w", err)
-	}
-	if err := r.Validate(); err != nil {
-		return nil, err
-	}
-	return &r, nil
 }

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -65,7 +67,7 @@ func TestRunAgainstLiveServer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := rep.Validate(); err != nil {
+	if err := validateReport(rep); err != nil {
 		t.Fatal(err)
 	}
 
@@ -130,7 +132,7 @@ func TestRunAgainstLiveServer(t *testing.T) {
 	if err := rep.WriteJSON(&buf1); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadReport(bytes.NewReader(buf1.Bytes()))
+	back, err := readReport(bytes.NewReader(buf1.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,15 +142,15 @@ func TestRunAgainstLiveServer(t *testing.T) {
 	if !bytes.Equal(buf1.Bytes(), buf2.Bytes()) {
 		t.Fatal("report did not round-trip byte-identically")
 	}
-	// And the parser refuses what the schema forbids: unsorted endpoint
+	// And the checks refuse what the schema forbids: unsorted endpoint
 	// rows would break every reader that bisects by name.
 	back.Endpoints[0], back.Endpoints[1] = back.Endpoints[1], back.Endpoints[0]
 	buf2.Reset()
 	if err := back.WriteJSON(&buf2); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadReport(&buf2); err == nil {
-		t.Fatal("ReadReport accepted unsorted endpoint rows")
+	if _, err := readReport(&buf2); err == nil {
+		t.Fatal("readReport accepted unsorted endpoint rows")
 	}
 }
 
@@ -290,4 +292,45 @@ func TestRunRejectsUndersizedUniverse(t *testing.T) {
 	if _, err := Run(tiny, Options{Target: "http://127.0.0.1:1", URLs: nil, Queries: nil}); err == nil {
 		t.Fatal("undersized universe accepted")
 	}
+}
+
+// readReport parses a LOAD_*.json stream, refusing unknown fields, and
+// checks it with validateReport.
+func readReport(rd io.Reader) (*Report, error) {
+	var r Report
+	dec := json.NewDecoder(rd)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&r); err != nil {
+		return nil, fmt.Errorf("load: parse report: %w", err)
+	}
+	if err := validateReport(&r); err != nil {
+		return nil, err
+	}
+	return &r, nil
+}
+
+// validateReport checks the invariants the trajectory tooling relies on:
+// schema tag, sorted endpoint rows, ordered quantiles, sane counts.
+func validateReport(r *Report) error {
+	if r.Schema != SchemaLoad {
+		return fmt.Errorf("load: schema %q, want %q", r.Schema, SchemaLoad)
+	}
+	if r.Date == "" || r.Target == "" || r.Scenario == "" {
+		return fmt.Errorf("load: date, target and scenario are required")
+	}
+	if !sort.SliceIsSorted(r.Endpoints, func(i, j int) bool {
+		return r.Endpoints[i].Endpoint < r.Endpoints[j].Endpoint
+	}) {
+		return fmt.Errorf("load: endpoint rows not sorted")
+	}
+	for _, ep := range r.Endpoints {
+		if ep.P50Ms > ep.P99Ms || ep.P99Ms > ep.P999Ms {
+			return fmt.Errorf("load: %s quantiles out of order (p50 %.3f, p99 %.3f, p999 %.3f)",
+				ep.Endpoint, ep.P50Ms, ep.P99Ms, ep.P999Ms)
+		}
+		if ep.Count < 0 || ep.Err4xx < 0 || ep.Err5xx < 0 {
+			return fmt.Errorf("load: %s has negative counters", ep.Endpoint)
+		}
+	}
+	return nil
 }

@@ -193,13 +193,3 @@ func URLJaccard(a, b map[int64]bool) float64 {
 	}
 	return float64(inter) / float64(union)
 }
-
-// FromVectors is a convenience: build a profile straight from raw page
-// vectors (already TF-IDF normalized).
-func FromVectors(user int64, vecs []text.Vector, ids []int64, tax *themes.Taxonomy) Profile {
-	docs := make([]themes.DocVec, len(vecs))
-	for i := range vecs {
-		docs[i] = themes.DocVec{ID: ids[i], Vec: vecs[i]}
-	}
-	return Build(user, docs, tax)
-}

@@ -39,6 +39,8 @@ func (t *Table) Select() *Query { return &Query{t: t} }
 func (q *Query) Where(p Pred) *Query { q.preds = append(q.preds, p); return q }
 
 // OrderBy sorts results by the given column ascending (desc=false).
+//
+//memexvet:ignore reader read only by bench/layers.go, the benchmark ladder, until ROADMAP item 21(b) moves it off the generic row layer
 func (q *Query) OrderBy(col string, desc bool) *Query {
 	q.orderBy = col
 	q.desc = desc
@@ -62,6 +64,8 @@ func (q *Query) plan() (path string, by *Pred) {
 }
 
 // First returns the first matching row, with ok=false when none match.
+//
+//memexvet:ignore reader read only by bench/layers.go, the benchmark ladder, until ROADMAP item 21(b) moves it off the generic row layer
 func (q *Query) First() (Row, bool, error) {
 	var row Row
 	found := false

@@ -80,6 +80,11 @@ func samplePage(id int64) Row {
 	}
 }
 
+// getRow fetches the row with primary key pk.
+func getRow(tbl *Table, pk Value) (Row, bool, error) {
+	return tbl.rowByPKEnc(encodeOrdered(pk, nil))
+}
+
 func TestInsertGet(t *testing.T) {
 	db := openDB(t)
 	tbl, err := db.CreateTable(pagesSchema())
@@ -89,18 +94,18 @@ func TestInsertGet(t *testing.T) {
 	if err := tbl.Insert(samplePage(1)); err != nil {
 		t.Fatalf("Insert: %v", err)
 	}
-	r, ok, err := tbl.Get(Int(1))
+	r, ok, err := getRow(tbl, Int(1))
 	if err != nil || !ok {
 		t.Fatalf("Get: ok=%v err=%v", ok, err)
 	}
-	if r.MustString("url") != "http://example.com/p1" {
-		t.Fatalf("url = %q", r.MustString("url"))
+	if r["url"].Str != "http://example.com/p1" {
+		t.Fatalf("url = %q", r["url"].Str)
 	}
-	if r.MustFloat("score") != 0.1 {
-		t.Fatalf("score = %v", r.MustFloat("score"))
+	if r["score"].Float != 0.1 {
+		t.Fatalf("score = %v", r["score"].Float)
 	}
-	if !r.MustTime("fetched").Equal(time.Unix(1000001, 0)) {
-		t.Fatalf("fetched = %v", r.MustTime("fetched"))
+	if !r["fetched"].Time.Equal(time.Unix(1000001, 0)) {
+		t.Fatalf("fetched = %v", r["fetched"].Time)
 	}
 }
 
@@ -124,9 +129,9 @@ func TestUpdate(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("Update: ok=%v err=%v", ok, err)
 	}
-	r, _, _ := tbl.Get(Int(1))
-	if r.MustFloat("score") != 9.9 {
-		t.Fatalf("score = %v", r.MustFloat("score"))
+	r, _, _ := getRow(tbl, Int(1))
+	if r["score"].Float != 9.9 {
+		t.Fatalf("score = %v", r["score"].Float)
 	}
 
 	// Update of a missing row reports ok=false.
@@ -232,12 +237,12 @@ func TestQueryResultsAllPlans(t *testing.T) {
 	}
 	// PK equality.
 	got := rows(t, tbl.Select().Where(Eq("id", Int(7))))
-	if len(got) != 1 || got[0].MustInt("id") != 7 {
+	if len(got) != 1 || got[0]["id"].Int != 7 {
 		t.Fatalf("pk eq got %v", got)
 	}
 	// Secondary index equality.
 	got = rows(t, tbl.Select().Where(Eq("url", String("http://example.com/p33"))))
-	if len(got) != 1 || got[0].MustInt("id") != 33 {
+	if len(got) != 1 || got[0]["id"].Int != 33 {
 		t.Fatalf("index eq got %v", got)
 	}
 	// Full scan with filter.
@@ -246,7 +251,7 @@ func TestQueryResultsAllPlans(t *testing.T) {
 	}
 	// Conjunction: the index drives, the filter applies.
 	got = rows(t, tbl.Select().Where(Eq("score", Float(4.2))).Where(Eq("public", Bool(true))))
-	if len(got) != 1 || got[0].MustInt("id") != 42 {
+	if len(got) != 1 || got[0]["id"].Int != 42 {
 		t.Fatalf("conjunction got %v", got)
 	}
 	if got = rows(t, tbl.Select().Where(Eq("score", Float(4.1))).Where(Eq("public", Bool(true)))); len(got) != 0 {
@@ -267,16 +272,16 @@ func TestQueryOrderLimit(t *testing.T) {
 	if len(got) != 30 {
 		t.Fatalf("ordered query got %d rows", len(got))
 	}
-	if got[0].MustInt("id") != 29 || got[2].MustInt("id") != 27 {
-		t.Fatalf("order desc got ids %d,%d,%d", got[0].MustInt("id"), got[1].MustInt("id"), got[2].MustInt("id"))
+	if got[0]["id"].Int != 29 || got[2]["id"].Int != 27 {
+		t.Fatalf("order desc got ids %d,%d,%d", got[0]["id"].Int, got[1]["id"].Int, got[2]["id"].Int)
 	}
-	if top, ok, err := tbl.Select().OrderBy("score", true).First(); err != nil || !ok || top.MustInt("id") != 29 {
+	if top, ok, err := tbl.Select().OrderBy("score", true).First(); err != nil || !ok || top["id"].Int != 29 {
 		t.Fatalf("First of the descending order = %v, %v, %v; want id 29", top, ok, err)
 	}
 	// Ascending PK scan order is the natural B+tree order.
 	var ids []int64
 	tbl.Select().Each(func(r Row) bool {
-		ids = append(ids, r.MustInt("id"))
+		ids = append(ids, r["id"].Int)
 		return true
 	})
 	if !sort.SliceIsSorted(ids, func(i, j int) bool { return ids[i] < ids[j] }) {
@@ -296,7 +301,7 @@ func TestNegativeIntKeysSortCorrectly(t *testing.T) {
 	}
 	var got []int64
 	tbl.Select().Each(func(r Row) bool {
-		got = append(got, r.MustInt("k"))
+		got = append(got, r["k"].Int)
 		return true
 	})
 	want := []int64{-100, -3, 0, 5, 42}
@@ -305,7 +310,7 @@ func TestNegativeIntKeysSortCorrectly(t *testing.T) {
 			t.Fatalf("order got %v, want %v", got, want)
 		}
 	}
-	if got := rows(t, tbl.Select().Where(Eq("k", Int(-3)))); len(got) != 1 || got[0].MustInt("k") != -3 {
+	if got := rows(t, tbl.Select().Where(Eq("k", Int(-3)))); len(got) != 1 || got[0]["k"].Int != -3 {
 		t.Fatalf("negative key lookup got %v", got)
 	}
 }
@@ -321,8 +326,8 @@ func TestStringPrimaryKey(t *testing.T) {
 	for _, n := range []string{"carol", "alice", "bob"} {
 		tbl.Insert(Row{"name": String(n), "age": Int(int64(len(n)))})
 	}
-	r, ok, _ := tbl.Get(String("bob"))
-	if !ok || r.MustInt("age") != 3 {
+	r, ok, _ := getRow(tbl, String("bob"))
+	if !ok || r["age"].Int != 3 {
 		t.Fatalf("get bob: %v ok=%v", r, ok)
 	}
 	if got := rows(t, tbl.Select().Where(Eq("age", Int(5)))); len(got) != 2 {
@@ -505,6 +510,6 @@ func BenchmarkPointLookup(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tbl.Get(Int(int64(i % n)))
+		getRow(tbl, Int(int64(i%n)))
 	}
 }

@@ -231,15 +231,3 @@ func (v Value) String() string {
 
 // Row maps column names to values.
 type Row map[string]Value
-
-// MustInt returns the int64 in column col, or 0.
-func (r Row) MustInt(col string) int64 { return r[col].Int }
-
-// MustString returns the string in column col, or "".
-func (r Row) MustString(col string) string { return r[col].Str }
-
-// MustFloat returns the float64 in column col, or 0.
-func (r Row) MustFloat(col string) float64 { return r[col].Float }
-
-// MustTime returns the time in column col.
-func (r Row) MustTime(col string) time.Time { return r[col].Time }

@@ -25,6 +25,8 @@ func (t *Table) Insert(r Row) error {
 
 // Update applies fn to the row with primary key pk and writes the result.
 // Returns ok=false if the row does not exist.
+//
+//memexvet:ignore reader read only by bench/layers.go, the benchmark ladder, until ROADMAP item 21(b) moves it off the generic row layer
 func (t *Table) Update(pk Value, fn func(Row) Row) (bool, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -73,19 +75,6 @@ func (t *Table) writeRow(key []byte, pk Value, r Row, oldRow Row) error {
 		batch = append(batch, kvstore.KV{Key: t.idxKey(t.schema.colIndex(idxCol), r[idxCol], pk), Value: pkEnc})
 	}
 	return t.db.kv.PutBatch(batch)
-}
-
-// Get fetches the row with primary key pk.
-func (t *Table) Get(pk Value) (Row, bool, error) {
-	blob, ok, err := t.db.kv.Get(t.rowKey(pk))
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	r, err := decodeRow(&t.schema, blob)
-	if err != nil {
-		return nil, false, err
-	}
-	return r, true, nil
 }
 
 func (t *Table) pkOf(r Row) (Value, error) {

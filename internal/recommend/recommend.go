@@ -135,17 +135,3 @@ func PrecisionAtK(rec []int64, relevant map[int64]bool) float64 {
 	}
 	return float64(hit) / float64(len(rec))
 }
-
-// RecallAtK evaluates coverage of the held-out set.
-func RecallAtK(rec []int64, relevant map[int64]bool) float64 {
-	if len(relevant) == 0 {
-		return 0
-	}
-	hit := 0
-	for _, r := range rec {
-		if relevant[r] {
-			hit++
-		}
-	}
-	return float64(hit) / float64(len(relevant))
-}

@@ -301,17 +301,6 @@ func (tr *Trace) VisitsOf(user int64) []Visit {
 	return out
 }
 
-// BookmarksOf returns the bookmarks of one user.
-func (tr *Trace) BookmarksOf(user int64) []Bookmark {
-	var out []Bookmark
-	for _, b := range tr.Bookmarks {
-		if b.User == user {
-			out = append(out, b)
-		}
-	}
-	return out
-}
-
 func min(a, b int) int {
 	if a < b {
 		return a

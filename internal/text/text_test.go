@@ -19,18 +19,18 @@ func TestTokenize(t *testing.T) {
 		{"Ω≈ç√ mixed ASCII", []string{"ω", "mixed", "ascii"}[1:]},
 	}
 	for _, c := range cases {
-		got := Tokenize(c.in)
+		got := tokenize(c.in)
 		if !reflect.DeepEqual(got, c.want) {
-			t.Errorf("Tokenize(%q) = %v, want %v", c.in, got, c.want)
+			t.Errorf("tokenize(%q) = %v, want %v", c.in, got, c.want)
 		}
 	}
 }
 
 func TestStopwords(t *testing.T) {
-	if !IsStopword("the") || !IsStopword("www") {
+	if !stopwords["the"] || !stopwords["www"] {
 		t.Fatal("basic stopwords missing")
 	}
-	if IsStopword("music") {
+	if stopwords["music"] {
 		t.Fatal("'music' wrongly stopworded")
 	}
 }
@@ -211,15 +211,15 @@ func TestCorpusTFIDF(t *testing.T) {
 		c.AddDoc(VectorFromCounts(d, map[string]int{"common": 1}))
 	}
 	c.AddDoc(common)
-	if c.Docs() != 10 {
-		t.Fatalf("Docs = %d", c.Docs())
+	if c.docs != 10 {
+		t.Fatalf("Docs = %d", c.docs)
 	}
 	commonID, _ := d.Lookup("common")
 	rareID, _ := d.Lookup("rare")
-	if c.DF(commonID) != 10 || c.DF(rareID) != 1 {
-		t.Fatalf("DF: common=%d rare=%d", c.DF(commonID), c.DF(rareID))
+	if c.df[commonID] != 10 || c.df[rareID] != 1 {
+		t.Fatalf("DF: common=%d rare=%d", c.df[commonID], c.df[rareID])
 	}
-	if c.IDF(rareID) <= c.IDF(commonID) {
+	if idf(c.docs, c.df[rareID]) <= idf(c.docs, c.df[commonID]) {
 		t.Fatal("rare term does not get higher IDF")
 	}
 	w := c.TFIDF(common)

@@ -18,22 +18,15 @@ import (
 	"unicode"
 )
 
-// Tokenize splits raw page text into lowercase word tokens. Tokens are
-// maximal runs of letters/digits; pure numbers shorter than 2 runes and
-// single letters are dropped (they carry no topical signal). A token that
-// needed no lower-casing is a slice of s and keeps s reachable: clone it
-// before storing it anywhere long-lived.
-func Tokenize(s string) []string {
-	var tokens []string
-	eachToken(s, func(tok string) { tokens = append(tokens, tok) })
-	return tokens
-}
-
-// eachToken calls fn with each of s's tokens in order. Pure-ASCII input —
-// the common page — is cut by slicing s, and only a token that holds an
-// upper-case letter is copied to lower it; any byte >= 0x80 sends the whole
-// input down the rune loop, so the two paths cannot disagree on a token
-// that touches a non-ASCII rune.
+// eachToken splits raw page text into lowercase word tokens and calls fn
+// with each in order. Tokens are maximal runs of letters/digits; pure
+// numbers shorter than 2 runes and single letters are dropped (they carry
+// no topical signal). A token that needed no lower-casing is a slice of s
+// and keeps s reachable: clone it before storing it anywhere long-lived.
+// Pure-ASCII input — the common page — is cut by slicing s, and only a
+// token that holds an upper-case letter is copied to lower it; any byte
+// >= 0x80 sends the whole input down the rune loop, so the two paths
+// cannot disagree on a token that touches a non-ASCII rune.
 func eachToken(s string, fn func(tok string)) {
 	for i := 0; i < len(s); i++ {
 		if s[i] >= 0x80 {
@@ -105,9 +98,6 @@ www http https com org net html htm page home click here site web`) {
 		stopwords[w] = true
 	}
 }
-
-// IsStopword reports whether tok is on the stop list.
-func IsStopword(tok string) bool { return stopwords[tok] }
 
 // termOf runs one token through the stop list and the stemmer: the term
 // it is indexed under, or "" when it is dropped. The result never shares

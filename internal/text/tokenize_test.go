@@ -12,9 +12,16 @@ import (
 	"memex/internal/webcorpus"
 )
 
+// tokenize collects eachToken's tokens.
+func tokenize(s string) []string {
+	var tokens []string
+	eachToken(s, func(tok string) { tokens = append(tokens, tok) })
+	return tokens
+}
+
 // referenceTokenize is the tokenizer as it stood before the ASCII fast
 // path — one rune at a time through a strings.Builder — kept as the
-// reference Tokenize must equal token for token.
+// reference eachToken must equal token for token.
 func referenceTokenize(s string) []string {
 	var tokens []string
 	var b strings.Builder
@@ -88,8 +95,8 @@ func TestTokenizeMatchesRuneReference(t *testing.T) {
 		"ascii then \xf0\x9f\x99 cut emoji",
 	}
 	for _, in := range inputs {
-		if got, want := Tokenize(in), referenceTokenize(in); !reflect.DeepEqual(got, want) {
-			t.Errorf("Tokenize(%q) = %q, reference says %q", in, got, want)
+		if got, want := tokenize(in), referenceTokenize(in); !reflect.DeepEqual(got, want) {
+			t.Errorf("tokenize(%q) = %q, reference says %q", in, got, want)
 		}
 	}
 	// Seeded random strings: ASCII only (the fast path end to end), and a
@@ -107,8 +114,8 @@ func TestTokenizeMatchesRuneReference(t *testing.T) {
 			}
 		}
 		in := b.String()
-		if got, want := Tokenize(in), referenceTokenize(in); !reflect.DeepEqual(got, want) {
-			t.Fatalf("Tokenize(%q) = %q, reference says %q", in, got, want)
+		if got, want := tokenize(in), referenceTokenize(in); !reflect.DeepEqual(got, want) {
+			t.Fatalf("tokenize(%q) = %q, reference says %q", in, got, want)
 		}
 	}
 }
@@ -203,7 +210,7 @@ func BenchmarkTermCounts(b *testing.B) {
 	texts := corpusTexts(10)
 	tokens, terms := 0, 0
 	for _, s := range texts {
-		tokens += len(Tokenize(s))
+		tokens += len(tokenize(s))
 		terms += len(TermCounts(s))
 	}
 	shape := fmt.Sprintf("tokens=%d/terms=%d", tokens/len(texts), terms/len(texts))

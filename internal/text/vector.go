@@ -195,6 +195,8 @@ func Dot(a, b Vector) float64 {
 
 // Cosine returns the cosine similarity in [0,1] for nonnegative vectors;
 // zero when either vector is empty.
+//
+//memexvet:ignore reader the reference TestMatrixCosinesMatchCosine holds Matrix.Cosines to, bit for bit
 func Cosine(a, b Vector) float64 {
 	return CosineWithNorms(a, b, a.Norm(), b.Norm())
 }
@@ -327,27 +329,6 @@ func (c *Corpus) AddDoc(v Vector) {
 	for _, id := range v.IDs {
 		c.df[id]++
 	}
-}
-
-// Docs returns the number of documents added.
-func (c *Corpus) Docs() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.docs
-}
-
-// DF returns the document frequency of term id.
-func (c *Corpus) DF(id int32) int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.df[id]
-}
-
-// IDF returns the smoothed inverse document frequency of term id.
-func (c *Corpus) IDF(id int32) float64 {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return idf(c.docs, c.df[id])
 }
 
 // TFIDF returns a copy of v with weights tf·idf, unit-normalized.

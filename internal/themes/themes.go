@@ -59,13 +59,16 @@ type Options struct {
 	SplitDispersion float64
 	// MinSplitDocs is the minimum population for refinement (default 40).
 	MinSplitDocs int
-	// MaxDepth bounds recursive refinement (default 2 levels of children).
-	MaxDepth int
 	// Seed drives the split initialisation.
 	Seed int64
-	// SignatureTerms is the digest length per theme (default 8).
-	SignatureTerms int
 }
+
+const (
+	// maxDepth bounds recursive refinement: two levels of children.
+	maxDepth = 2
+	// signatureTerms is the digest length per theme.
+	signatureTerms = 8
+)
 
 func (o *Options) defaults() {
 	if o.MergeSim == 0 {
@@ -76,12 +79,6 @@ func (o *Options) defaults() {
 	}
 	if o.MinSplitDocs == 0 {
 		o.MinSplitDocs = 40
-	}
-	if o.MaxDepth == 0 {
-		o.MaxDepth = 2
-	}
-	if o.SignatureTerms == 0 {
-		o.SignatureTerms = 8
 	}
 }
 
@@ -198,7 +195,7 @@ func Discover(userFolders []UserFolder, dict *text.Dict, opts Options) *Taxonomy
 			vecs[i] = d.Vec
 		}
 		th.Centroid = text.Centroid(vecs).Normalize()
-		th.Signature = topTerms(dict, th.Centroid, opts.SignatureTerms)
+		th.Signature = topTerms(dict, th.Centroid, signatureTerms)
 		for _, d := range docs {
 			th.Docs = append(th.Docs, d.ID)
 			tax.DocTheme[d.ID] = id
@@ -218,7 +215,7 @@ func Discover(userFolders []UserFolder, dict *text.Dict, opts Options) *Taxonomy
 // refine splits theme id when its population is large and dispersed,
 // attaching children and moving documents down.
 func (tax *Taxonomy) refine(id int, docs []DocVec, dict *text.Dict, opts Options, rng *rand.Rand, depth int) {
-	if depth > opts.MaxDepth || len(docs) < opts.MinSplitDocs {
+	if depth > maxDepth || len(docs) < opts.MinSplitDocs {
 		return
 	}
 	items := make([]cluster.Item, len(docs))
@@ -253,7 +250,7 @@ func (tax *Taxonomy) refine(id int, docs []DocVec, dict *text.Dict, opts Options
 			Contributors: map[int64][]string{},
 			Centroid:     part.Centroid.Normalize(),
 		}
-		child.Signature = topTerms(dict, child.Centroid, opts.SignatureTerms)
+		child.Signature = topTerms(dict, child.Centroid, signatureTerms)
 		var childDocs []DocVec
 		for _, it := range part.Items {
 			child.Docs = append(child.Docs, it.ID)

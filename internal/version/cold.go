@@ -18,11 +18,12 @@ package version
 //	<prefix>r/<esc(key)>\x00\x00<part:2B> → [part count, part 0 only] ‖ payload
 //	<prefix>m/wm                        → watermark (8B BE) ‖ key count (8B BE)
 //
-// A key has one record on disk, its newest folded value, and a deleted key
-// has none. Keys escape 0x00 as 0x00 0xff and terminate with 0x00 0x00, so
-// one key's parts sort together and ahead of every longer key. Records
-// larger than one tree entry (kvstore.MaxKV) are split into parts; part 0
-// carries the part count, so a read is one point get per part.
+// A key has one record on disk, its newest folded value; the store has no
+// deletes, so a key once folded keeps its record. Keys escape 0x00 as
+// 0x00 0xff and terminate with 0x00 0x00, so one key's parts sort together
+// and ahead of every longer key. Records larger than one tree entry
+// (kvstore.MaxKV) are split into parts; part 0 carries the part count, so a
+// read is one point get per part.
 //
 // m/wm is the only meta record. A keyspace holding any other m/ record was
 // written by a retired layout — m/shards by the key-hash-sharded one, whose
@@ -34,12 +35,11 @@ package version
 //
 // A fold round is one kvstore commit, which recovery replays whole or not
 // at all. The commit holds every merged key's parts, written over the old
-// ones; deletes for the parts a shorter value no longer uses and for the
-// keys the round tombstones; and m/wm, carrying the new watermark and the
-// exact key count. After a crash Open therefore finds the disk as it was
-// before some round or after it, never between: it reads m/wm and nothing
-// else, and the next publish takes watermark+1, so a recovered epoch number
-// is never reused. The watermark vouches for every batch at or below
+// ones; deletes for the parts a shorter value no longer uses; and m/wm,
+// carrying the new watermark and the exact key count. After a crash Open
+// therefore finds the disk as it was before some round or after it, never
+// between: it reads m/wm and nothing else, and the next publish takes
+// watermark+1, so a recovered epoch number is never reused. The watermark vouches for every batch at or below
 // it, which is why a round's floor never falls inside a layer that tiering
 // merged across it (Store.foldFloorLocked): a fold moves whole layers or
 // none of one.
@@ -118,6 +118,8 @@ const (
 
 // SetFoldHook installs a failpoint for crash/recovery tests. A nil hook
 // removes it.
+//
+//memexvet:ignore reader the crash tests' failpoint: TestCrashRecoveryMidFold and TestFoldSplicesUnderPublishBurst here, TestStatusReportsFailedFold in internal/core
 func (s *Store) SetFoldHook(h func(FoldPoint) error) {
 	s.foldMu.Lock()
 	s.foldHook = h
@@ -415,13 +417,13 @@ func (s *Store) foldableEntries() int {
 // mergeForFold merges the sub-chain from sub down newest-first (first write
 // wins) and returns it with the number of in-memory entries the sub-chain
 // held.
-func mergeForFold(sub *layer) (merged map[string]entry, resident int) {
-	merged = make(map[string]entry)
+func mergeForFold(sub *layer) (merged map[string][]byte, resident int) {
+	merged = make(map[string][]byte)
 	for l := sub; l != nil; l = l.next {
 		resident += len(l.entries)
-		for k, e := range l.entries {
+		for k, v := range l.entries {
 			if _, ok := merged[k]; !ok {
-				merged[k] = e
+				merged[k] = v
 			}
 		}
 	}
@@ -429,29 +431,24 @@ func mergeForFold(sub *layer) (merged map[string]entry, resident int) {
 }
 
 // roundCommit builds a fold round's one kvstore commit from the merged
-// sub-chain: each key's parts written over its old ones (a tombstone
-// writes none), a delete for every old part beyond the new count, and m/wm
+// sub-chain: each key's parts written over its old ones, a delete for every
+// old part beyond the new count, and m/wm
 // with watermark wm and the key count the commit leaves on disk, which it
 // also returns. A point read of each key's part 0 gives the old part count.
-func (c *coldTier) roundCommit(merged map[string]entry, wm uint64) ([]kvstore.KV, int64, error) {
+func (c *coldTier) roundCommit(merged map[string][]byte, wm uint64) ([]kvstore.KV, int64, error) {
 	records := c.records.Load()
 	var batch []kvstore.KV
-	for k, e := range merged {
+	for k, v := range merged {
 		old, _, err := c.head(k)
 		if err != nil {
 			return nil, 0, fmt.Errorf("version: fold: read %q: %w", k, err)
 		}
-		n := 0
-		if !e.deleted {
-			if batch, n, err = c.appendRecord(batch, k, e.value); err != nil {
-				return nil, 0, err
-			}
+		var n int
+		if batch, n, err = c.appendRecord(batch, k, v); err != nil {
+			return nil, 0, err
 		}
-		switch {
-		case old == 0 && n > 0:
+		if old == 0 {
 			records++
-		case old > 0 && n == 0:
-			records--
 		}
 		for p := n; p < old; p++ {
 			batch = append(batch, kvstore.KV{Key: c.recordKey(k, uint16(p)), Delete: true})
@@ -584,15 +581,6 @@ func (c *coldTier) stats() *ColdStats {
 	return st
 }
 
-// ColdRecords reports the number of keys on disk (0 for a purely in-memory
-// store).
-func (s *Store) ColdRecords() int64 {
-	if s.cold == nil {
-		return 0
-	}
-	return s.cold.records.Load()
-}
-
 // ColdWatermark reports the durable fold watermark — the highest epoch
 // whose records are safely on disk — lock-free, for callers that poll it
 // on a hot path (admission control compares it against Watermark to
@@ -611,23 +599,19 @@ func (s *Store) ColdWatermark() uint64 {
 // fn returning false stops the walk. A cold-tier scan that fails ends the
 // walk with that error: what fn saw until then is part of the snapshot,
 // not all of it. It panics if the snapshot was released.
+//
+// The chain is walked first, then the cold tier, whose keys the chain's
+// entries shadow.
 func (sn *Snapshot) Range(fn func(key string, value []byte) bool) error {
-	return sn.walk("Range", fn)
-}
-
-// walk is Range under the name of the operation that asked (Range or Keys):
-// the chain first, then the cold tier, whose keys the chain's entries — live
-// or tombstone — shadow.
-func (sn *Snapshot) walk(op string, fn func(key string, value []byte) bool) error {
-	st := sn.view(op)
+	st := sn.view("Range")
 	seen := make(map[string]bool)
 	for l := st.head; l != nil; l = l.next {
-		for k, e := range l.entries {
+		for k, v := range l.entries {
 			if seen[k] {
 				continue
 			}
 			seen[k] = true
-			if !e.deleted && !fn(k, e.value) {
+			if !fn(k, v) {
 				return nil
 			}
 		}

@@ -53,7 +53,7 @@ func BenchmarkFoldBoundedMemory(b *testing.B) {
 				b.Fatal(err)
 			}
 			if j%threshold == threshold-1 {
-				if n := s.VersionCount(); n > memHigh {
+				if n := s.StoreStats().Entries; n > memHigh {
 					memHigh = n
 				}
 				s.GC()
@@ -68,7 +68,7 @@ func BenchmarkFoldBoundedMemory(b *testing.B) {
 		b.StopTimer()
 		b.ReportMetric(float64(heapHigh-base.HeapAlloc)/(1<<20), "heapMB-high")
 		b.ReportMetric(float64(memHigh), "hot-entries-high")
-		b.ReportMetric(float64(s.ColdRecords()), "cold-records")
+		b.ReportMetric(float64(s.StoreStats().Cold.Records), "cold-records")
 		if err := s.Close(); err != nil {
 			b.Fatal(err)
 		}

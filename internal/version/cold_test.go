@@ -36,14 +36,14 @@ func openCold(t *testing.T, kv *kvstore.Store, o Options) *Store {
 // publishKV publishes one batch of key→value pairs and returns its epoch.
 func publishKV(t *testing.T, s *Store, kvs map[string]string) uint64 {
 	t.Helper()
-	b := s.Begin()
+	b := s.BeginSized(0)
 	for k, v := range kvs {
 		b.Put(k, []byte(v))
 	}
 	if err := b.Publish(); err != nil {
 		t.Fatalf("Publish: %v", err)
 	}
-	return b.Epoch()
+	return s.Watermark()
 }
 
 func TestColdFoldAndFallthrough(t *testing.T) {
@@ -55,13 +55,8 @@ func TestColdFoldAndFallthrough(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		publishKV(t, s, map[string]string{fmt.Sprintf("k%03d", i): fmt.Sprintf("v%03d", i)})
 	}
-	// Overwrite a few and tombstone a few before folding.
+	// Overwrite one before folding.
 	publishKV(t, s, map[string]string{"k007": "v007-new"})
-	b := s.Begin()
-	b.Delete("k009")
-	if err := b.Publish(); err != nil {
-		t.Fatal(err)
-	}
 
 	n, err := s.Fold()
 	if err != nil {
@@ -70,10 +65,10 @@ func TestColdFoldAndFallthrough(t *testing.T) {
 	if n == 0 {
 		t.Fatal("Fold moved nothing")
 	}
-	if got := s.VersionCount(); got != 0 {
+	if got := s.StoreStats().Entries; got != 0 {
 		t.Fatalf("in-memory versions after full fold = %d, want 0", got)
 	}
-	if s.ColdRecords() == 0 {
+	if s.StoreStats().Cold.Records == 0 {
 		t.Fatal("no cold records after fold")
 	}
 
@@ -86,24 +81,18 @@ func TestColdFoldAndFallthrough(t *testing.T) {
 			want = "v007-new"
 		}
 		v, ok := sn.Get(key)
-		if i == 9 {
-			if ok {
-				t.Fatalf("tombstoned %s resurfaced from cold tier", key)
-			}
-			continue
-		}
 		if !ok || string(v) != want {
 			t.Fatalf("Get(%s) = %q,%v after fold, want %q", key, v, ok, want)
 		}
 	}
-	// One record per key on disk: 100 keys minus the tombstoned one.
-	if got, phys := s.ColdRecords(), physicalRecords(s, kv); got != 99 || phys != 99 {
-		t.Fatalf("ColdRecords = %d, %d on disk; want 99", got, phys)
+	// One record per key on disk, the overwritten one included.
+	if got, phys := s.StoreStats().Cold.Records, physicalRecords(s, kv); got != 100 || phys != 100 {
+		t.Fatalf("Cold.Records = %d, %d on disk; want 100", got, phys)
 	}
 }
 
-// TestColdHotShadowsCold: an in-memory write (including a tombstone) for
-// a key that already lives on disk must win for every new snapshot.
+// TestColdHotShadowsCold: an in-memory write for a key that already lives
+// on disk must win for every new snapshot.
 func TestColdHotShadowsCold(t *testing.T) {
 	dir := t.TempDir()
 	kv := openKV(t, dir)
@@ -115,36 +104,27 @@ func TestColdHotShadowsCold(t *testing.T) {
 		t.Fatal(err)
 	}
 	publishKV(t, s, map[string]string{"a": "new"})
-	b := s.Begin()
-	b.Delete("b")
-	if err := b.Publish(); err != nil {
-		t.Fatal(err)
-	}
 
 	sn := s.Acquire()
 	if v, ok := sn.Get("a"); !ok || string(v) != "new" {
 		t.Fatalf("Get(a) = %q,%v, want fresh in-memory value", v, ok)
 	}
-	if _, ok := sn.Get("b"); ok {
-		t.Fatal("in-memory tombstone failed to shadow cold record")
-	}
-	keys := sn.Keys()
-	if fmt.Sprint(keys) != "[a]" {
-		t.Fatalf("Keys = %v, want [a]", keys)
+	if got := rangeAll(t, sn); fmt.Sprint(got) != "map[a:new b:keep]" {
+		t.Fatalf("Range = %v, want a:new b:keep", got)
 	}
 	sn.Release()
 
 	// And the shadowing must survive the next fold + a restart. The fold
-	// deletes b's record and writes a's new version over its old one: only
-	// a's new version is left.
+	// writes a's new version over its old one: a's new version and b are
+	// left.
 	if _, err := s.Fold(); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.VersionCount(); got != 0 {
+	if got := s.StoreStats().Entries; got != 0 {
 		t.Fatalf("%d versions still resident after the fold", got)
 	}
-	if got, phys := s.ColdRecords(), physicalRecords(s, kv); got != 1 || phys != 1 {
-		t.Fatalf("ColdRecords = %d, %d on disk; want 1 (b's record went with its tombstone, a's old version under the new one)", got, phys)
+	if got, phys := s.StoreStats().Cold.Records, physicalRecords(s, kv); got != 2 || phys != 2 {
+		t.Fatalf("Cold.Records = %d, %d on disk; want 2 (a's old version under the new one)", got, phys)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -155,8 +135,8 @@ func TestColdHotShadowsCold(t *testing.T) {
 	if v, ok := sn2.Get("a"); !ok || string(v) != "new" {
 		t.Fatalf("after restart Get(a) = %q,%v", v, ok)
 	}
-	if _, ok := sn2.Get("b"); ok {
-		t.Fatal("tombstoned key resurrected by restart")
+	if v, ok := sn2.Get("b"); !ok || string(v) != "keep" {
+		t.Fatalf("after restart Get(b) = %q,%v", v, ok)
 	}
 }
 
@@ -220,8 +200,8 @@ func TestCrashRecoveryMidFold(t *testing.T) {
 			if got := s2.Watermark(); got != wantWM {
 				t.Fatalf("recovered watermark = %d, want %d", got, wantWM)
 			}
-			if got := s2.ColdRecords(); got != int64(len(model)) {
-				t.Fatalf("recovered ColdRecords = %d, want %d", got, len(model))
+			if got := s2.StoreStats().Cold.Records; got != int64(len(model)) {
+				t.Fatalf("recovered Cold.Records = %d, want %d", got, len(model))
 			}
 			sn := s2.Acquire()
 			for k, v := range model {
@@ -259,8 +239,35 @@ func TestCrashRecoveryMidFold(t *testing.T) {
 	}
 }
 
-// physicalRecords counts the part-0 records on disk: what ColdRecords claims
+// physicalRecords counts the part-0 records on disk: what Cold.Records claims
 // to know without looking.
+// rangeAll collects what the snapshot's Range yields, failing on a key
+// yielded twice.
+func rangeAll(t *testing.T, sn *Snapshot) map[string]string {
+	t.Helper()
+	got := make(map[string]string)
+	if err := sn.Range(func(k string, v []byte) bool {
+		if _, dup := got[k]; dup {
+			t.Fatalf("Range yielded %q twice", k)
+		}
+		got[k] = string(v)
+		return true
+	}); err != nil {
+		t.Fatalf("Range: %v", err)
+	}
+	return got
+}
+
+// kvKeys counts the keys in kv.
+func kvKeys(t *testing.T, kv *kvstore.Store) int {
+	t.Helper()
+	n := 0
+	if err := kv.Scan(nil, nil, func(_, _ []byte) bool { n++; return true }); err != nil {
+		t.Fatalf("Scan: %v", err)
+	}
+	return n
+}
+
 func physicalRecords(s *Store, kv *kvstore.Store) int64 {
 	n := int64(0)
 	kv.ScanPrefix([]byte("vc/r/"), func(k, _ []byte) bool {
@@ -280,7 +287,7 @@ func physicalRecords(s *Store, kv *kvstore.Store) int64 {
 // every later reopen. So: the failure is
 // counted where an operator sees it, every key reads its newest value
 // throughout, the next fold — with ingest idle or after republishes —
-// reclaims the memory, and ColdRecords equals a physical count, in process
+// reclaims the memory, and Cold.Records equals a physical count, in process
 // and after a reopen.
 func TestColdRecordsSurviveAbandonedSplice(t *testing.T) {
 	errInjected := errors.New("injected fold failure")
@@ -327,7 +334,7 @@ func TestColdRecordsSurviveAbandonedSplice(t *testing.T) {
 				if st := s.StoreStats().Cold; st.FoldErrors != 1 || st.LastFoldError != errInjected.Error() {
 					t.Fatalf("FoldErrors = %d, LastFoldError = %q after one failed round", st.FoldErrors, st.LastFoldError)
 				}
-				if s.VersionCount() == 0 {
+				if s.StoreStats().Entries == 0 {
 					t.Fatal("the failed round spliced its layers out")
 				}
 				check("after the failed round")
@@ -338,12 +345,12 @@ func TestColdRecordsSurviveAbandonedSplice(t *testing.T) {
 					if _, err := s.Fold(); err != nil {
 						t.Fatal(err)
 					}
-					if got := s.VersionCount(); got != 0 {
+					if got := s.StoreStats().Entries; got != 0 {
 						t.Fatalf("%d entries still resident after the idle-floor fold", got)
 					}
 					check("after the idle-floor fold")
-					if got, phys := s.ColdRecords(), physicalRecords(s, kv); got != phys {
-						t.Fatalf("ColdRecords = %d after the idle-floor fold, %d part-0 records on disk", got, phys)
+					if got, phys := s.StoreStats().Cold.Records, physicalRecords(s, kv); got != phys {
+						t.Fatalf("Cold.Records = %d after the idle-floor fold, %d part-0 records on disk", got, phys)
 					}
 				}
 				round("r3-")
@@ -351,8 +358,8 @@ func TestColdRecordsSurviveAbandonedSplice(t *testing.T) {
 					t.Fatal(err)
 				}
 				check("after the next round")
-				if got, phys := s.ColdRecords(), physicalRecords(s, kv); got != phys || phys != int64(len(model)) {
-					t.Fatalf("ColdRecords = %d, %d part-0 records on disk, %d live keys", got, phys, len(model))
+				if got, phys := s.StoreStats().Cold.Records, physicalRecords(s, kv); got != phys || phys != int64(len(model)) {
+					t.Fatalf("Cold.Records = %d, %d part-0 records on disk, %d live keys", got, phys, len(model))
 				}
 				if got := s.StoreStats().Cold.FoldErrors; got != 1 {
 					t.Fatalf("FoldErrors = %d at the end, want 1", got)
@@ -362,8 +369,8 @@ func TestColdRecordsSurviveAbandonedSplice(t *testing.T) {
 					t.Fatal(err)
 				}
 				s = openCold(t, kv, Options{})
-				if got, phys := s.ColdRecords(), physicalRecords(s, kv); got != phys {
-					t.Fatalf("after reopen ColdRecords = %d, %d part-0 records on disk: m/wm carried a wrong count", got, phys)
+				if got, phys := s.StoreStats().Cold.Records, physicalRecords(s, kv); got != phys {
+					t.Fatalf("after reopen Cold.Records = %d, %d part-0 records on disk: m/wm carried a wrong count", got, phys)
 				}
 				check("after reopen")
 			})
@@ -422,7 +429,7 @@ func TestColdMultiPartValues(t *testing.T) {
 			val[i] = byte(i * 31)
 		}
 		key := fmt.Sprintf("blob-%d", n)
-		b := s.Begin()
+		b := s.BeginSized(0)
 		b.Put(key, val)
 		if err := b.Publish(); err != nil {
 			t.Fatal(err)
@@ -450,7 +457,7 @@ func TestColdMultiPartValues(t *testing.T) {
 	for n, size := range map[int]int{5000: 5000, 40000: 900, 900: 20000} {
 		key := fmt.Sprintf("blob-%d", n)
 		val := bytes.Repeat([]byte("New"), size/3+1)[:size]
-		b := s.Begin()
+		b := s.BeginSized(0)
 		b.Put(key, val)
 		if err := b.Publish(); err != nil {
 			t.Fatal(err)
@@ -465,7 +472,7 @@ func TestColdMultiPartValues(t *testing.T) {
 	for k, v := range want {
 		parts += max(1, (len(v)+s.cold.partPayload(k)-1)/s.cold.partPayload(k))
 	}
-	if got := kv.Len(); got != parts+1 {
+	if got := kvKeys(t, kv); got != parts+1 {
 		t.Fatalf("kvstore holds %d keys, want %d parts and m/wm", got, parts)
 	}
 	if err := s.Close(); err != nil {
@@ -473,7 +480,7 @@ func TestColdMultiPartValues(t *testing.T) {
 	}
 	s2 := openCold(t, kv, Options{})
 	check(s2, "after restart")
-	if got, want := s2.ColdRecords(), int64(len(sizes)); got != want {
+	if got, want := s2.StoreStats().Cold.Records, int64(len(sizes)); got != want {
 		t.Fatalf("cold records = %d, want %d (one logical version per key)", got, want)
 	}
 }
@@ -519,7 +526,7 @@ func TestColdShardCountPinnedByKeyspace(t *testing.T) {
 	}
 }
 
-// TestColdRangeUnion: Range yields each live key exactly once across both
+// TestColdRangeUnion: Range yields each key exactly once across both
 // tiers, newest version winning, stopping early on demand.
 func TestColdRangeUnion(t *testing.T) {
 	dir := t.TempDir()
@@ -527,16 +534,11 @@ func TestColdRangeUnion(t *testing.T) {
 	defer kv.Close()
 	s := openCold(t, kv, Options{})
 
-	publishKV(t, s, map[string]string{"cold-only": "c", "both": "old", "dead": "x"})
+	publishKV(t, s, map[string]string{"cold-only": "c", "both": "old"})
 	if _, err := s.Fold(); err != nil {
 		t.Fatal(err)
 	}
 	publishKV(t, s, map[string]string{"both": "new", "hot-only": "h"})
-	b := s.Begin()
-	b.Delete("dead")
-	if err := b.Publish(); err != nil {
-		t.Fatal(err)
-	}
 
 	sn := s.Acquire()
 	defer sn.Release()
@@ -598,13 +600,13 @@ func TestFoldBoundsMemory(t *testing.T) {
 		}
 		if i%512 == 0 {
 			s.GC()
-			if n := s.VersionCount(); n > high {
+			if n := s.StoreStats().Entries; n > high {
 				high = n
 			}
 		}
 	}
 	s.GC()
-	if n := s.VersionCount(); n > high {
+	if n := s.StoreStats().Entries; n > high {
 		high = n
 	}
 	// The in-memory tier's high-water must track the fold threshold, not
@@ -612,7 +614,7 @@ func TestFoldBoundsMemory(t *testing.T) {
 	if high > 2*threshold {
 		t.Fatalf("in-memory high-water = %d entries for threshold %d (total %d): fold is not bounding memory", high, threshold, total)
 	}
-	if s.ColdRecords() == 0 {
+	if s.StoreStats().Cold.Records == 0 {
 		t.Fatal("nothing reached the cold tier")
 	}
 
@@ -637,7 +639,7 @@ func TestFoldBoundsMemory(t *testing.T) {
 	if got := s2.Watermark(); got != wm {
 		t.Fatalf("restart lost epochs: watermark %d, want %d", got, wm)
 	}
-	if got := int(s2.ColdRecords()); got != total {
+	if got := int(s2.StoreStats().Cold.Records); got != total {
 		t.Fatalf("restart recovered %d records, want %d", got, total)
 	}
 	verify(s2, "post-restart")
@@ -659,8 +661,8 @@ func TestGCFallsBackToInMemoryBelowThreshold(t *testing.T) {
 	if n := s.GC(); n != 0 {
 		t.Fatalf("GC below the threshold reclaimed %d entries", n)
 	}
-	if got := kv.Stats().Commits; got != commits || s.ColdRecords() != 0 {
-		t.Fatalf("GC below the threshold wrote to disk: %d commits, %d cold records", got-commits, s.ColdRecords())
+	if got := kv.Stats().Commits; got != commits || s.StoreStats().Cold.Records != 0 {
+		t.Fatalf("GC below the threshold wrote to disk: %d commits, %d cold records", got-commits, s.StoreStats().Cold.Records)
 	}
 	if st := s.StoreStats(); st.Layers > depthBound(50) || st.Entries == 0 {
 		t.Fatalf("after GC: %d layers (bound %d), %d entries resident", st.Layers, depthBound(50), st.Entries)
@@ -674,8 +676,8 @@ func TestGCFallsBackToInMemoryBelowThreshold(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if s.VersionCount() != 0 || s.ColdRecords() != 1 {
-		t.Fatalf("after Close: %d versions resident, %d cold records; want 0 and 1", s.VersionCount(), s.ColdRecords())
+	if s.StoreStats().Entries != 0 || s.StoreStats().Cold.Records != 1 {
+		t.Fatalf("after Close: %d versions resident, %d cold records; want 0 and 1", s.StoreStats().Entries, s.StoreStats().Cold.Records)
 	}
 	sn2 := openCold(t, kv, Options{}).Acquire()
 	defer sn2.Release()
@@ -696,7 +698,7 @@ func TestColdKeyTooLongPanics(t *testing.T) {
 			t.Fatal("oversized key accepted into a disk-backed store")
 		}
 	}()
-	b := s.Begin()
+	b := s.BeginSized(0)
 	b.Put(strings.Repeat("x", MaxColdKeyLen+1), []byte("v"))
 }
 

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -24,9 +23,8 @@ import (
 
 // modelVer is one published version in the oracle.
 type modelVer struct {
-	epoch   uint64
-	val     []byte
-	deleted bool
+	epoch uint64
+	val   []byte
 }
 
 type oracle map[string][]modelVer
@@ -42,31 +40,23 @@ func (o oracle) lookup(key string, epoch uint64) ([]byte, bool) {
 			best = &vs[i]
 		}
 	}
-	if best == nil || best.deleted {
+	if best == nil {
 		return nil, false
 	}
 	return best.val, true
 }
 
-// liveKeys returns the sorted live key set at epoch.
-func (o oracle) liveKeys(epoch uint64) []string {
-	var keys []string
-	for k := range o {
-		if _, ok := o.lookup(k, epoch); ok {
-			keys = append(keys, k)
-		}
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-// verifySnapshot checks every model key (hot or cold) plus the full Keys
+// verifySnapshot checks every model key (hot or cold) plus the full Range
 // enumeration against the oracle at the snapshot's epoch.
 func verifySnapshot(t *testing.T, sn *Snapshot, o oracle, when string) {
 	t.Helper()
 	e := sn.Epoch()
+	all := make(map[string]string)
 	for k := range o {
 		want, wantOK := o.lookup(k, e)
+		if wantOK {
+			all[k] = string(want)
+		}
 		got, ok := sn.Get(k)
 		if ok != wantOK || !bytes.Equal(got, want) {
 			t.Fatalf("%s: Get(%q) at epoch %d = %q,%v; oracle says %q,%v", when, k, e, got, ok, want, wantOK)
@@ -76,8 +66,8 @@ func verifySnapshot(t *testing.T, sn *Snapshot, o oracle, when string) {
 			t.Fatalf("%s: non-repeatable read of %q at epoch %d", when, k, e)
 		}
 	}
-	if want, got := o.liveKeys(e), sn.Keys(); fmt.Sprint(want) != fmt.Sprint(got) {
-		t.Fatalf("%s: Keys at epoch %d = %v, oracle says %v", when, e, got, want)
+	if got := rangeAll(t, sn); fmt.Sprint(got) != fmt.Sprint(all) {
+		t.Fatalf("%s: Range at epoch %d = %v, oracle says %v", when, e, got, all)
 	}
 }
 
@@ -85,19 +75,20 @@ func verifySnapshot(t *testing.T, sn *Snapshot, o oracle, when string) {
 // staged writes, publishes, dropped batches, folds and pinned
 // verifications, then restarts it and verifies the recovered keyspace. A
 // batch takes its epoch when it publishes, so the model records each
-// version at the epoch Publish reports, and the watermark must equal the
+// version at the epoch Publish took (the watermark after it), and the watermark must equal the
 // number of non-empty publishes, before the restart and after it.
 // Run the checked-in seeds under -race via plain `go test`; CI adds a
 // `-fuzz` smoke on top.
 func FuzzHotColdFallthrough(f *testing.F) {
-	// Ops are (opcode, arg) byte pairs; opcode%8 selects put / delete /
-	// open-batch / publish / drop / fold / fold / verify (two opcodes fold,
-	// so the checked-in corpus keeps its scripts crossing hot→cold).
+	// Ops are (opcode, arg) byte pairs; opcode%8 selects put / put /
+	// open-batch / publish / drop / fold / fold / verify (two opcodes put
+	// and two fold, so the checked-in corpus keeps its scripts writing and
+	// crossing hot→cold).
 	f.Add([]byte{0, 1, 0, 2, 3, 0, 7, 0, 5, 0, 7, 0})                               // put put publish verify fold verify
-	f.Add([]byte{0, 5, 1, 5, 3, 0, 5, 0, 0, 5, 3, 0, 6, 0, 7, 0})                   // tombstone over cold, republish, fold
+	f.Add([]byte{0, 5, 1, 5, 3, 0, 5, 0, 0, 5, 3, 0, 6, 0, 7, 0})                   // overwrite over cold, republish, fold
 	f.Add([]byte{2, 0, 0, 3, 2, 0, 0, 7, 3, 1, 7, 0, 3, 0, 5, 0, 7, 0})             // the later-staged batch publishes first, across the fold
 	f.Add([]byte{2, 0, 0, 4, 2, 0, 0, 8, 4, 0, 3, 0, 5, 0, 7, 0, 6, 0})             // a dropped batch takes no epoch, then fold
-	f.Add([]byte{0, 9, 3, 0, 5, 0, 1, 9, 3, 0, 7, 0, 5, 0, 7, 0, 0, 9, 3, 0, 7, 0}) // delete-refill churn on one key
+	f.Add([]byte{0, 9, 3, 0, 5, 0, 1, 9, 3, 0, 7, 0, 5, 0, 7, 0, 0, 9, 3, 0, 7, 0}) // rewrite churn on one key
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) > 4096 {
 			t.Skip("script cap: beyond this length adds interleavings, not coverage")
@@ -123,7 +114,7 @@ func FuzzHotColdFallthrough(f *testing.F) {
 		begun, published := 0, uint64(0)
 		begin := func() {
 			begun++
-			open = append(open, &openBatch{b: s.Begin(), serial: begun})
+			open = append(open, &openBatch{b: s.BeginSized(0), serial: begun})
 		}
 		key := func(arg byte) string { return fmt.Sprintf("k%02d", arg%16) }
 		ensure := func() *openBatch {
@@ -144,7 +135,7 @@ func FuzzHotColdFallthrough(f *testing.F) {
 			published++
 			for j, k := range ob.keys {
 				v := ob.pending[j]
-				v.epoch = ob.b.Epoch()
+				v.epoch = s.Watermark()
 				o[k] = append(o[k], v)
 			}
 		}
@@ -152,19 +143,13 @@ func FuzzHotColdFallthrough(f *testing.F) {
 		for pc := 0; pc+1 < len(ops); pc += 2 {
 			op, arg := ops[pc]%8, ops[pc+1]
 			switch op {
-			case 0: // stage a put in the newest open batch
+			case 0, 1: // stage a put in the newest open batch
 				ob := ensure()
 				k := key(arg)
 				v := []byte(fmt.Sprintf("%s@%d.%d", k, ob.serial, arg))
 				ob.b.Put(k, v) //memexvet:ignore epochbatch the fuzz driver interleaves ops on whatever batch ensure() hands back; the model oracle checks the outcome
 				ob.keys = append(ob.keys, k)
 				ob.pending = append(ob.pending, modelVer{val: v})
-			case 1: // stage a delete
-				ob := ensure()
-				k := key(arg)
-				ob.b.Delete(k) //memexvet:ignore epochbatch same driver shape: ensure() only returns still-open batches
-				ob.keys = append(ob.keys, k)
-				ob.pending = append(ob.pending, modelVer{deleted: true})
 			case 2: // open another staging batch
 				if len(open) < 3 {
 					begin()
@@ -257,25 +242,22 @@ func TestPropertyConcurrentHotColdInterleavings(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(100 + p)))
 			for i := 0; i < rounds; i++ {
 				mu.Lock()
-				b := s.Begin()
+				b := s.BeginSized(0)
 				n := 1 + rng.Intn(4)
 				var pend []modelVer
 				var pkeys []string
 				for j := 0; j < n; j++ {
 					k := fmt.Sprintf("pk%02d", rng.Intn(keys))
-					if rng.Intn(8) == 0 {
-						b.Delete(k)
-						pend = append(pend, modelVer{deleted: true})
-					} else {
-						v := []byte(fmt.Sprintf("%s@p%d.%d", k, p, i))
-						b.Put(k, v)
-						pend = append(pend, modelVer{val: v})
-					}
+					v := []byte(fmt.Sprintf("%s@p%d.%d", k, p, i))
+					b.Put(k, v)
+					pend = append(pend, modelVer{val: v})
 					pkeys = append(pkeys, k)
 				}
 				err := b.Publish()
 				for j, k := range pkeys {
-					pend[j].epoch = b.Epoch()
+					// Publish took the epoch now the watermark: the other
+					// publisher waits on mu, and folds move no watermark.
+					pend[j].epoch = s.Watermark()
 					o[k] = append(o[k], pend[j])
 				}
 				mu.Unlock()

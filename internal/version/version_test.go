@@ -11,7 +11,7 @@ func TestPublishVisibility(t *testing.T) {
 	snap0 := s.Acquire()
 	defer snap0.Release()
 
-	b := s.Begin()
+	b := s.BeginSized(0)
 	b.Put("k", []byte("v1"))
 	if err := b.Publish(); err != nil {
 		t.Fatalf("Publish: %v", err)
@@ -32,7 +32,7 @@ func TestPublishVisibility(t *testing.T) {
 
 func TestUnpublishedInvisible(t *testing.T) {
 	s := NewStore()
-	b := s.Begin()
+	b := s.BeginSized(0)
 	b.Put("k", []byte("v"))
 	snap := s.Acquire()
 	defer snap.Release()
@@ -47,7 +47,7 @@ func TestUnpublishedInvisible(t *testing.T) {
 
 func TestDoublePublishFails(t *testing.T) {
 	s := NewStore()
-	b := s.Begin()
+	b := s.BeginSized(0)
 	b.Put("k", []byte("v"))
 	if err := b.Publish(); err != nil {
 		t.Fatal(err)
@@ -57,30 +57,10 @@ func TestDoublePublishFails(t *testing.T) {
 	}
 }
 
-func TestTombstone(t *testing.T) {
-	s := NewStore()
-	b := s.Begin()
-	b.Put("k", []byte("v"))
-	b.Publish()
-
-	b2 := s.Begin()
-	b2.Delete("k")
-	b2.Publish()
-
-	snap := s.Acquire()
-	defer snap.Release()
-	if _, ok := snap.Get("k"); ok {
-		t.Fatal("deleted key visible")
-	}
-	if keys := snap.Keys(); len(keys) != 0 {
-		t.Fatalf("Keys = %v, want empty", keys)
-	}
-}
-
 func TestSnapshotRepeatableReads(t *testing.T) {
 	s := NewStore()
 	for i := 0; i < 5; i++ {
-		b := s.Begin()
+		b := s.BeginSized(0)
 		b.Put("k", []byte(fmt.Sprintf("v%d", i)))
 		b.Publish()
 	}
@@ -88,34 +68,13 @@ func TestSnapshotRepeatableReads(t *testing.T) {
 	defer snap.Release()
 	first, _ := snap.Get("k")
 	for i := 5; i < 10; i++ {
-		b := s.Begin()
+		b := s.BeginSized(0)
 		b.Put("k", []byte(fmt.Sprintf("v%d", i)))
 		b.Publish()
 	}
 	second, _ := snap.Get("k")
 	if string(first) != string(second) {
 		t.Fatalf("snapshot read changed: %q then %q", first, second)
-	}
-}
-
-func TestKeysSorted(t *testing.T) {
-	s := NewStore()
-	b := s.Begin()
-	b.Put("zebra", []byte("1"))
-	b.Put("apple", []byte("2"))
-	b.Put("mango", []byte("3"))
-	b.Publish()
-	snap := s.Acquire()
-	defer snap.Release()
-	keys := snap.Keys()
-	want := []string{"apple", "mango", "zebra"}
-	if len(keys) != 3 {
-		t.Fatalf("Keys = %v", keys)
-	}
-	for i := range want {
-		if keys[i] != want[i] {
-			t.Fatalf("Keys = %v, want %v", keys, want)
-		}
 	}
 }
 
@@ -128,7 +87,7 @@ func TestConcurrentProducerConsumers(t *testing.T) {
 	const rounds = 200
 
 	// Seed epoch 0 state.
-	b := s.Begin()
+	b := s.BeginSized(0)
 	for k := 0; k < keys; k++ {
 		b.Put(fmt.Sprintf("key%d", k), []byte("0"))
 	}
@@ -175,7 +134,7 @@ func TestConcurrentProducerConsumers(t *testing.T) {
 		}()
 	}
 	for r := 1; r <= rounds; r++ {
-		b := s.Begin()
+		b := s.BeginSized(0)
 		val := []byte(fmt.Sprintf("%d", r))
 		for k := 0; k < keys; k++ {
 			b.Put(fmt.Sprintf("key%d", k), val)
@@ -209,13 +168,12 @@ func mustPanic(t *testing.T, want string, fn func()) {
 // silent no-op whose writes never landed. It is now a loud diagnostic.
 func TestBatchMisusePanics(t *testing.T) {
 	s := NewStore()
-	b := s.Begin()
+	b := s.BeginSized(0)
 	b.Put("k", []byte("v"))
 	if err := b.Publish(); err != nil {
 		t.Fatal(err)
 	}
 	mustPanic(t, "version: Put on already-published batch", func() { b.Put("k2", []byte("v2")) }) //memexvet:ignore epochbatch deliberately exercises the misuse diagnostic
-	mustPanic(t, "version: Delete on already-published batch", func() { b.Delete("k") })          //memexvet:ignore epochbatch deliberately exercises the misuse diagnostic
 
 	// The silent-no-op hole: writes staged after Publish must never land.
 	snap := s.Acquire()
@@ -229,7 +187,7 @@ func TestBatchMisusePanics(t *testing.T) {
 // whatever state GC had left; now it fails loudly.
 func TestSnapshotUseAfterRelease(t *testing.T) {
 	s := NewStore()
-	b := s.Begin()
+	b := s.BeginSized(0)
 	b.Put("k", []byte("v"))
 	b.Publish()
 	snap := s.Acquire()
@@ -240,14 +198,14 @@ func TestSnapshotUseAfterRelease(t *testing.T) {
 		t.Fatal("Epoch changed after Release")
 	}
 	mustPanic(t, "version: Get on released snapshot", func() { snap.Get("k") })
-	mustPanic(t, "version: Keys on released snapshot", func() { snap.Keys() })
+	mustPanic(t, "version: Range on released snapshot", func() { snap.Range(func(string, []byte) bool { return true }) })
 }
 
 // TestStoreStats sanity-checks the introspection surface.
 func TestStoreStats(t *testing.T) {
 	s := NewStore()
 	for i := 0; i < 3; i++ {
-		b := s.Begin()
+		b := s.BeginSized(0)
 		b.Put("k", []byte{byte(i)})
 		b.Publish()
 	}
@@ -263,7 +221,7 @@ func TestStoreStats(t *testing.T) {
 		t.Fatalf("GC on an in-memory store reclaimed %d, want 0", n)
 	}
 	for i := 3; i < tierFanout; i++ {
-		b := s.Begin()
+		b := s.BeginSized(0)
 		b.Put("k", []byte{byte(i)})
 		b.Publish()
 	}
@@ -291,30 +249,30 @@ func TestDroppedBatchTakesNoEpoch(t *testing.T) {
 		t.Fatalf("recovered watermark = %d, want 1", recovered)
 	}
 
-	dropped := s.Begin()
+	dropped := s.BeginSized(0)
 	dropped.Put("dropped", []byte("x"))
-	empty := s.Begin()
+	empty := s.BeginSized(0)
 	if err := empty.Publish(); err != nil {
 		t.Fatal(err)
 	}
-	if empty.Epoch() != 0 || s.Watermark() != recovered {
-		t.Fatalf("an empty publish took epoch %d and moved the watermark to %d", empty.Epoch(), s.Watermark())
+	if s.Watermark() != recovered {
+		t.Fatalf("an empty publish moved the watermark to %d", s.Watermark())
 	}
-	b := s.Begin()
+	b := s.BeginSized(0)
 	b.Put("b", []byte("2"))
-	if b.Epoch() != 0 {
-		t.Fatalf("a staging batch reports epoch %d before it publishes", b.Epoch())
+	if s.Watermark() != recovered {
+		t.Fatalf("staging a batch moved the watermark to %d", s.Watermark())
 	}
 	if err := b.Publish(); err != nil {
 		t.Fatal(err)
 	}
-	if b.Epoch() != recovered+1 || s.Watermark() != recovered+1 {
-		t.Fatalf("after dropping a batch the next publish took epoch %d, watermark %d; want %d", b.Epoch(), s.Watermark(), recovered+1)
+	if s.Watermark() != recovered+1 {
+		t.Fatalf("after dropping a batch the next publish took watermark %d; want %d", s.Watermark(), recovered+1)
 	}
 	const more = 20
 	for i := 0; i < more; i++ {
 		publishKV(t, s, map[string]string{fmt.Sprintf("k%02d", i): "v"})
-		s.Begin().Put("dropped", []byte("again"))
+		s.BeginSized(0).Put("dropped", []byte("again"))
 	}
 	if got, want := s.Watermark(), recovered+1+more; got != want {
 		t.Fatalf("watermark = %d after %d non-empty publishes over %d, want %d", got, 1+more, recovered, want)
@@ -339,7 +297,7 @@ func TestDroppedBatchTakesNoEpoch(t *testing.T) {
 func BenchmarkPublish(b *testing.B) {
 	s := NewStore()
 	for i := 0; i < b.N; i++ {
-		batch := s.Begin()
+		batch := s.BeginSized(0)
 		batch.Put("k1", []byte("v"))
 		batch.Put("k2", []byte("v"))
 		batch.Publish()
@@ -348,7 +306,7 @@ func BenchmarkPublish(b *testing.B) {
 
 func BenchmarkSnapshotGet(b *testing.B) {
 	s := NewStore()
-	batch := s.Begin()
+	batch := s.BeginSized(0)
 	for i := 0; i < 1000; i++ {
 		batch.Put(fmt.Sprintf("key%d", i), []byte("v"))
 	}

@@ -304,16 +304,3 @@ func (c *Corpus) TopicPath(id int) string {
 	}
 	return c.Topics[id].Path
 }
-
-// OnTopic reports whether page id belongs to leaf topic (or any leaf under
-// a top-level topic) t.
-func (c *Corpus) OnTopic(pageID int64, topicID int) bool {
-	pg := c.Page(pageID)
-	if pg == nil || topicID < 0 || topicID >= len(c.Topics) {
-		return false
-	}
-	if pg.Topic == topicID {
-		return true
-	}
-	return c.Topics[pg.Topic].Parent == topicID
-}

@@ -158,21 +158,6 @@ func TestTopicalVocabularySeparates(t *testing.T) {
 	}
 }
 
-func TestOnTopic(t *testing.T) {
-	c := Generate(small())
-	p := c.Pages[0]
-	if !c.OnTopic(p.ID, p.Topic) {
-		t.Fatal("page not on its own topic")
-	}
-	parent := c.Topics[p.Topic].Parent
-	if !c.OnTopic(p.ID, parent) {
-		t.Fatal("page not on its parent topic")
-	}
-	if c.OnTopic(p.ID, 9999) || c.OnTopic(9999, p.Topic) {
-		t.Fatal("OnTopic accepted out-of-range args")
-	}
-}
-
 func TestNoSelfLinks(t *testing.T) {
 	c := Generate(small())
 	for _, p := range c.Pages {
