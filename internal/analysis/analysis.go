@@ -86,54 +86,54 @@ type suppression struct {
 	used     bool
 }
 
-// RunPackage applies analyzers to pkg and returns the surviving
-// diagnostics: findings not matched by a //memexvet:ignore directive, plus
-// one metaName diagnostic for every malformed or stale directive. The
-// result is sorted by position.
-//
-// A directive written as a trailing comment silences findings of the
-// named analyzer on its own line; a standalone directive comment silences
-// findings on the line directly below it. Each directive governs exactly
-// one line — it cannot blanket a region.
-func RunPackage(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	diags, err := runAnalyzers(pkg, analyzers)
-	if err != nil {
-		return nil, err
+// runModule runs analyzers over each of pkgs, and the reader check over
+// them all, and returns the surviving diagnostics sorted by position:
+// findings no //memexvet:ignore directive silences, plus one metaName
+// diagnostic for every malformed directive and for every stale one. The
+// reader check finds nothing in a package outside a module, such as a
+// golden fixture, so there the run is the analyzers' alone.
+func runModule(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
+	byFile := make(map[string][]Diagnostic)
+	for _, d := range checkReaders(pkgs) {
+		byFile[d.Pos.Filename] = append(byFile[d.Pos.Filename], d)
 	}
-	out := suppress(pkg, diags, ranNames(analyzers))
-	sortDiagnostics(out)
-	return out, nil
-}
-
-func runAnalyzers(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	var diags []Diagnostic
-	for _, a := range analyzers {
-		pass := &Pass{
-			Analyzer:  a,
-			Fset:      pkg.Fset,
-			Files:     pkg.Files,
-			Pkg:       pkg.Types,
-			TypesInfo: pkg.TypesInfo,
-			diags:     &diags,
-		}
-		if err := a.Run(pass); err != nil {
-			return nil, fmt.Errorf("%s: %w", a.Name, err)
-		}
-	}
-	return diags, nil
-}
-
-func ranNames(analyzers []*Analyzer) map[string]bool {
-	ran := make(map[string]bool, len(analyzers))
+	ran := map[string]bool{readerName: true}
 	for _, a := range analyzers {
 		ran[a.Name] = true
 	}
-	return ran
+	var out []Diagnostic
+	for _, pkg := range pkgs {
+		var diags []Diagnostic
+		for _, a := range analyzers {
+			pass := &Pass{
+				Analyzer:  a,
+				Fset:      pkg.Fset,
+				Files:     pkg.Files,
+				Pkg:       pkg.Types,
+				TypesInfo: pkg.TypesInfo,
+				diags:     &diags,
+			}
+			if err := a.Run(pass); err != nil {
+				return nil, fmt.Errorf("%s: %s: %w", pkg.ImportPath, a.Name, err)
+			}
+		}
+		for _, f := range pkg.Files {
+			diags = append(diags, byFile[pkg.Fset.Position(f.Pos()).Filename]...)
+		}
+		out = append(out, suppress(pkg, diags, ran)...)
+	}
+	sortDiagnostics(out)
+	return out, nil
 }
 
 // suppress drops the findings of pkg a directive silences and adds one
 // metaName diagnostic for every malformed directive, and for every unused
 // one whose check is in ran.
+//
+// A directive written as a trailing comment silences findings of the
+// named analyzer on its own line; a standalone directive comment silences
+// findings on the line directly below it. Each directive governs exactly
+// one line — it cannot blanket a region.
 func suppress(pkg *Package, diags []Diagnostic, ran map[string]bool) []Diagnostic {
 	// Validate directives against the full suite and the reader check,
 	// not just the checks being run, so a partial run never reports a

@@ -2,6 +2,10 @@ package analysis
 
 import (
 	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"path/filepath"
 	"testing"
 )
 
@@ -11,17 +15,17 @@ func TestEpochBatch(t *testing.T) { runGolden(t, EpochBatch, "testdata/src/epoch
 func TestDetSched(t *testing.T)   { runGolden(t, DetSched, "testdata/src/detsched") }
 func TestAtomicBan(t *testing.T)  { runGolden(t, AtomicBan, "testdata/src/atomicban") }
 
-// TestTreeClean is the merge gate in test form: the suite and the
-// module-wide reader check run over the whole repository must come back
-// empty. Reintroducing a PageRank-style lock-hold, an unsorted
-// encodeCounts, a torn batch, or an atomic.AddUint64 fails this test (and
-// the memexvet CI job) immediately; so does an export nothing reads, which
-// only this test checks.
+// TestTreeClean is the suite's one runner and the merge gate: the five
+// analyzers and the module-wide reader check, run over every file of the
+// repository, _test.go files included, must come back empty.
+// Reintroducing a PageRank-style lock-hold, an unsorted encodeCounts, a
+// torn batch, an atomic.AddUint64 or an export nothing reads fails it, and
+// so does a //memexvet:ignore directive that no longer silences anything.
 func TestTreeClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("invokes go list -export over the whole module")
 	}
-	pkgs, err := Load("../..", "./...")
+	pkgs, err := load("../..", "./...")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,24 +46,42 @@ func TestTreeClean(t *testing.T) {
 	}
 }
 
-// TestReader runs the module-wide reader check over a fixture module with
-// an internal/ package, a command that reads it, a bench/ package that
-// does not count, and a test file that does not either.
+// TestReader runs the suite and the module-wide reader check over a
+// fixture module with an internal/ package, a command that reads it, a
+// bench/ package that does not count, and test files that do not either.
+// The test files are analysed all the same: an analyzer finding and a
+// stale directive in one of them are reported. The wants are read from
+// every file of the fixture, so a file the loader drops fails the test.
 func TestReader(t *testing.T) {
-	pkgs, err := Load("testdata/src/reader", "./...")
+	dir, err := filepath.Abs("testdata/src/reader")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var files []*ast.File
+	pkgs, err := load(dir, "./...")
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, pkg := range pkgs {
 		for _, terr := range pkg.TypeErrors {
 			t.Fatalf("fixture does not type-check: %v", terr)
 		}
-		files = append(files, pkg.Files...)
 	}
-	diags, err := runModule(pkgs, nil)
+	diags, err := runModule(pkgs, All())
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkWants(t, pkgs[0].Fset, files, diags)
+	fset := token.NewFileSet()
+	var files []*ast.File
+	err = filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || filepath.Ext(path) != ".go" {
+			return err
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
+		files = append(files, f)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkWants(t, fset, files, diags)
 }

@@ -1,10 +1,10 @@
 // Package analysis is memexvet: a static-analysis suite that enforces,
 // at build time, the repo-specific invariants this codebase has broken —
 // and re-fixed — once per subsystem. Every analyzer encodes a bug class
-// that shipped in an earlier PR and that no off-the-shelf linter checks;
-// the suite runs in CI (the memexvet job) and via
-// `go run ./cmd/memexvet ./...`, so the next regression of one of these
-// contracts fails a merge instead of a production pass.
+// that shipped in an earlier PR and that no off-the-shelf linter checks.
+// The suite has one runner, TestTreeClean, part of `go test ./...` and of
+// CI's memexvet job, so the next regression of one of these contracts
+// fails a merge instead of a production pass.
 //
 // The suite is small on purpose. An invariant belongs here only while the
 // code can still express its violation; the ones an API can rule out are
@@ -85,9 +85,8 @@
 //	the module uses — one named in a signature, a variable, a field or an
 //	expression of a reader file, such as heap.Interface, http.Handler or
 //	graph.AdjacencySource — and String or Error. It needs the whole module
-//	at once, so it is not an Analyzer: TestTreeClean runs it with the
-//	suite (runModule), and the standalone memexvet and the vettool never
-//	do.
+//	at once, so it is not an Analyzer: runModule runs it beside the
+//	suite. What a _test.go file declares or reads counts for nothing.
 //
 // # Held by construction
 //
@@ -126,24 +125,14 @@
 // stale one (its line no longer triggers the named analyzer) are both
 // errors, so dead suppressions cannot accumulate and hide future
 // regressions. A directive is judged stale only by a run of its check:
-// the standalone memexvet and the vettool accept reader directives and
-// leave them alone.
+// a golden test that runs one analyzer leaves the others' directives
+// alone.
 //
 // # Running it
 //
-// Standalone (what CI runs; analyzes non-test sources of the named
-// packages; -json emits findings as a JSON array, -github as GitHub
-// Actions ::error annotations):
-//
-//	go run ./cmd/memexvet ./...
-//
-// As a vet tool (drives the same analyzers through `go vet`'s
-// unitchecker protocol, which includes _test.go files):
-//
-//	go build -o /tmp/memexvet ./cmd/memexvet
-//	go vet -vettool=/tmp/memexvet ./...
-//
-// With the reader check, over the whole module (part of `go test ./...`):
+// TestTreeClean is the suite's one runner. It loads every package of the
+// module with its _test.go files and its external test package, and runs
+// the five analyzers and the reader check over all of them:
 //
 //	go test -run TestTreeClean ./internal/analysis/
 //

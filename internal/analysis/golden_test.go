@@ -48,7 +48,7 @@ func runGolden(t *testing.T, analyzer *Analyzer, dir string) {
 		t.FailNow()
 	}
 
-	diags, err := RunPackage(pkg, []*Analyzer{analyzer})
+	diags, err := runModule([]*Package{pkg}, []*Analyzer{analyzer})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,5 +152,5 @@ func loadFixture(dir string, filenames []string) (*Package, error) {
 	}
 
 	fset = token.NewFileSet()
-	return TypeCheck(fset, "fixture", filenames, exportImporter(fset, exports))
+	return TypeCheck(fset, "fixture", filenames, exportImporter(fset, exports, nil))
 }

@@ -13,6 +13,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 )
 
 // Loading. The module has no dependency on golang.org/x/tools/go/packages,
@@ -25,7 +26,6 @@ import (
 // A Package is one loaded, type-checked target package.
 type Package struct {
 	ImportPath string
-	Dir        string
 	Module     string // the module's path; "" for a package checked alone
 	Fset       *token.FileSet
 	Files      []*ast.File
@@ -43,36 +43,54 @@ type listedPackage struct {
 	Dir        string
 	GoFiles    []string
 	Export     string
+	ForTest    string
+	ImportMap  map[string]string
 	Standard   bool
 	DepOnly    bool
 	Module     *struct{ Path string }
 	Error      *struct{ Err string }
 }
 
-// Load resolves patterns (as the go tool would, from dir) and returns the
-// matched packages, parsed and type-checked. Dependencies are imported
-// from export data; only matched packages get syntax. Test files are not
-// included (`go list`'s GoFiles excludes them), matching `go vet`'s
-// compilation-unit view of a package's library sources.
-func Load(dir string, patterns ...string) ([]*Package, error) {
-	listed, err := goList(dir, patterns)
+// load resolves patterns (as the go tool would, from dir) and returns the
+// matched packages with their _test.go files, parsed and type-checked;
+// TestTreeClean runs the suite over what it returns. Dependencies are
+// imported from export data; only matched packages get syntax.
+//
+// `go list -test` lists, beside a package p with tests, its test variant
+// "p [p.test]" (p's files and its in-package _test.go files), the external
+// test package "p_test [p.test]" and the generated main "p.test". The
+// variant replaces p, so each file is analysed once; the generated main is
+// not source and is skipped. Each package is type-checked under its plain
+// import path, resolving its imports through its ImportMap (an external
+// test imports the variant of the package it tests).
+func load(dir string, patterns ...string) ([]*Package, error) {
+	listed, err := goList(dir, append([]string{"-test"}, patterns...))
 	if err != nil {
 		return nil, err
 	}
 
 	exports := make(map[string]string)
+	replaced := make(map[string]bool) // packages a listed test variant replaces
+	testMain := make(map[string]bool) // the generated test mains
 	for _, p := range listed {
 		if p.Export != "" {
 			exports[p.ImportPath] = p.Export
 		}
+		if p.ForTest != "" {
+			testMain[p.ForTest+".test"] = true
+		}
+		if plainPath(p.ImportPath) == p.ForTest {
+			replaced[p.ForTest] = true
+		}
 	}
 
+	// Packages with no ImportMap share one importer, so each export file
+	// is read once.
 	fset := token.NewFileSet()
-	imp := exportImporter(fset, exports)
-
+	shared := exportImporter(fset, exports, nil)
 	var pkgs []*Package
 	for _, lp := range listed {
-		if lp.DepOnly || lp.Standard {
+		if lp.DepOnly || lp.Standard || replaced[lp.ImportPath] || testMain[lp.ImportPath] {
 			continue
 		}
 		if lp.Error != nil {
@@ -85,11 +103,14 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 		for _, f := range lp.GoFiles {
 			filenames = append(filenames, filepath.Join(lp.Dir, f))
 		}
-		pkg, err := TypeCheck(fset, lp.ImportPath, filenames, imp)
+		imp := shared
+		if len(lp.ImportMap) > 0 {
+			imp = exportImporter(fset, exports, lp.ImportMap)
+		}
+		pkg, err := TypeCheck(fset, plainPath(lp.ImportPath), filenames, imp)
 		if err != nil {
 			return nil, err
 		}
-		pkg.Dir = lp.Dir
 		if lp.Module != nil {
 			pkg.Module = lp.Module.Path
 		}
@@ -98,19 +119,26 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 	return pkgs, nil
 }
 
-func goList(dir string, patterns []string) ([]*listedPackage, error) {
-	args := []string{
+// plainPath strips a test variant's " [p.test]" suffix from a listed
+// import path.
+func plainPath(importPath string) string {
+	path, _, _ := strings.Cut(importPath, " ")
+	return path
+}
+
+// goList runs `go list -e -deps -export` with args (flags, then patterns)
+// from dir.
+func goList(dir string, args []string) ([]*listedPackage, error) {
+	cmd := exec.Command("go", append([]string{
 		"list", "-e", "-deps", "-export",
-		"-json=ImportPath,Dir,GoFiles,Export,Standard,DepOnly,Module,Error",
-	}
-	args = append(args, patterns...)
-	cmd := exec.Command("go", args...)
+		"-json=ImportPath,Dir,GoFiles,Export,ForTest,ImportMap,Standard,DepOnly,Module,Error",
+	}, args...)...)
 	cmd.Dir = dir
 	var stdout, stderr bytes.Buffer
 	cmd.Stdout = &stdout
 	cmd.Stderr = &stderr
 	if err := cmd.Run(); err != nil {
-		return nil, fmt.Errorf("go list %v: %v\n%s", patterns, err, stderr.Bytes())
+		return nil, fmt.Errorf("go list %v: %v\n%s", args, err, stderr.Bytes())
 	}
 	var listed []*listedPackage
 	dec := json.NewDecoder(&stdout)
@@ -127,9 +155,13 @@ func goList(dir string, patterns []string) ([]*listedPackage, error) {
 }
 
 // exportImporter returns a types.Importer that resolves imports through the
-// export files produced by `go list -export`.
-func exportImporter(fset *token.FileSet, exports map[string]string) types.Importer {
+// export files produced by `go list -export`, keyed by listed import path;
+// importMap maps an import to the listed package it resolves to.
+func exportImporter(fset *token.FileSet, exports, importMap map[string]string) types.Importer {
 	gc := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		if mapped, ok := importMap[path]; ok {
+			path = mapped
+		}
 		file, ok := exports[path]
 		if !ok {
 			return nil, fmt.Errorf("no export data for %q", path)

@@ -11,9 +11,7 @@ import (
 // method, type, var and const declared in a non-test file under the
 // module's internal/ must have a reader, a non-test file outside bench/
 // that refers to it. It needs every package at once, so it is not an
-// Analyzer: runModule runs it, and only TestTreeClean calls runModule. The
-// standalone memexvet and the vettool accept its directives and never
-// judge them stale.
+// Analyzer: runModule runs it beside the analyzers.
 const readerName = "reader"
 
 // objKey names a package-level object or a method independently of the
@@ -204,9 +202,13 @@ func declSelf(info *types.Info, node ast.Node) map[objKey]bool {
 }
 
 // eachDecl calls fn with every top-level func declaration and every spec
-// of the package's files.
+// of the package's non-test files: what a _test.go file declares or reads
+// counts for nothing.
 func eachDecl(pkg *Package, fn func(node ast.Node)) {
 	for _, f := range pkg.Files {
+		if strings.HasSuffix(pkg.Fset.Position(f.Pos()).Filename, "_test.go") {
+			continue
+		}
 		for _, decl := range f.Decls {
 			switch d := decl.(type) {
 			case *ast.FuncDecl:
@@ -289,29 +291,4 @@ func objKind(obj types.Object, k objKey) string {
 func underModule(pkg *Package, dir string) bool {
 	prefix := pkg.Module + "/" + dir
 	return pkg.Module != "" && (pkg.ImportPath == prefix || strings.HasPrefix(pkg.ImportPath, prefix+"/"))
-}
-
-// runModule is RunPackage over every package of one module, plus the
-// reader check; its findings go through the same suppressions, so a
-// reader directive that silences nothing is stale.
-func runModule(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	byFile := make(map[string][]Diagnostic)
-	for _, d := range checkReaders(pkgs) {
-		byFile[d.Pos.Filename] = append(byFile[d.Pos.Filename], d)
-	}
-	ran := ranNames(analyzers)
-	ran[readerName] = true
-	var out []Diagnostic
-	for _, pkg := range pkgs {
-		diags, err := runAnalyzers(pkg, analyzers)
-		if err != nil {
-			return nil, err
-		}
-		for _, f := range pkg.Files {
-			diags = append(diags, byFile[pkg.Fset.Position(f.Pos()).Filename]...)
-		}
-		out = append(out, suppress(pkg, diags, ran)...)
-	}
-	sortDiagnostics(out)
-	return out, nil
 }

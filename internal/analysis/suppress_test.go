@@ -12,7 +12,7 @@ import (
 // The suppression layer has its own failure modes — a typo'd analyzer
 // name, a reason-less directive, a directive outliving the finding it
 // silenced — and each must fail loud, as a metaName diagnostic that is
-// itself unsuppressible. These tests drive RunPackage over tiny in-memory
+// itself unsuppressible. These tests drive runModule over tiny in-memory
 // packages with a stub analyzer standing in for lockiter.
 
 // stubLockIter flags every call to a function literally named "leak".
@@ -52,7 +52,7 @@ func checkSource(t *testing.T, src string) []Diagnostic {
 	for _, terr := range pkg.TypeErrors {
 		t.Fatalf("test source does not type-check: %v", terr)
 	}
-	diags, err := RunPackage(pkg, []*Analyzer{stubLockIter})
+	diags, err := runModule([]*Package{pkg}, []*Analyzer{stubLockIter})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -142,6 +143,59 @@ func TestPrivacyModes(t *testing.T) {
 	}
 	if !seen(1, pages[1]) {
 		t.Fatal("private page invisible to its owner")
+	}
+}
+
+// intranetSource serves every URL as a page about the bluebird plan.
+type intranetSource struct{}
+
+func (intranetSource) Lookup(url string) (Content, bool) {
+	return Content{URL: url, Title: "plan", Text: "the bluebird plan"}, true
+}
+
+// TestAnonymousSearchSeesOnlyCommunityPages: a search with no user (user
+// 0) sees the community-visible pages and nobody's private ones.
+func TestAnonymousSearchSeesOnlyCommunityPages(t *testing.T) {
+	e, err := Open(Config{
+		Dir:    t.TempDir(),
+		Source: intranetSource{},
+		KV:     kvstore.Options{Sync: kvstore.SyncGroup},
+	})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	t.Cleanup(func() { e.Close() })
+	e.RegisterUser(1, "alice")
+	e.RegisterUser(2, "bob")
+	const secret = "http://intranet.example.org/alice/secret-plan"
+	const public = "http://www.example.org/bluebird"
+	if err := e.RecordVisit(1, secret, "", tBase, events.Private); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.RecordVisit(2, public, "", tBase, events.Community); err != nil {
+		t.Fatal(err)
+	}
+	e.DrainBackground()
+
+	urls := func(user int64) []string {
+		var out []string
+		for _, h := range e.Search(user, "bluebird", 10) {
+			out = append(out, h.URL)
+		}
+		slices.Sort(out)
+		return out
+	}
+	for _, tc := range []struct {
+		user int64
+		want []string
+	}{
+		{0, []string{public}},
+		{1, []string{secret, public}},
+		{2, []string{public}},
+	} {
+		if got := urls(tc.user); !slices.Equal(got, tc.want) {
+			t.Errorf("Search(%d, bluebird) = %q, want %q", tc.user, got, tc.want)
+		}
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"memex/internal/events"
 	"memex/internal/kvstore"
 	"memex/internal/rdbms"
+	"memex/internal/textindex"
 )
 
 // tableLen counts one table's records.
@@ -406,12 +407,23 @@ func TestUnfetchedVisitIsRefetchedAfterReopen(t *testing.T) {
 				t.Fatal(err)
 			}
 			e.RegisterUser(1, "alice")
-			searcher := int64(1)
+			search := func() []PageInfo { return e.Search(1, "okapi", 5) }
 			if how == "visited" {
 				err = e.RecordVisit(1, page.URL, "", tBase, events.Community)
 			} else {
 				err = e.AddBookmark(1, page.URL, "/animals", tBase)
-				searcher = 0 // a bookmark alone does not put a page in the user's search scope
+				// A bookmark alone puts the page in no user's search
+				// scope, so read the index itself.
+				search = func() []PageInfo {
+					hits := e.idx.Search("okapi", 5, textindex.BM25)
+					e.mu.RLock()
+					defer e.mu.RUnlock()
+					var out []PageInfo
+					for _, h := range hits {
+						out = append(out, e.pageInfoLocked(h.Doc, h.Score))
+					}
+					return out
+				}
 			}
 			if err != nil {
 				t.Fatal(err)
@@ -430,7 +442,7 @@ func TestUnfetchedVisitIsRefetchedAfterReopen(t *testing.T) {
 				t.Fatal(err)
 			}
 			e.DrainBackground()
-			if hits := e.Search(searcher, "okapi", 5); len(hits) != 1 || hits[0].URL != page.URL || hits[0].Title != page.Title {
+			if hits := search(); len(hits) != 1 || hits[0].URL != page.URL || hits[0].Title != page.Title {
 				t.Fatalf("page not searchable after reopen: %v", hits)
 			}
 			if got := e.Status().PagesFetched; got != 1 {
@@ -448,7 +460,7 @@ func TestUnfetchedVisitIsRefetchedAfterReopen(t *testing.T) {
 			if p := e.Pressure(); p.QueueDepth != 0 || e.pushed.Load() != 0 {
 				t.Fatalf("a complete archive re-queued work at open: depth %d, pushed %d", p.QueueDepth, e.pushed.Load())
 			}
-			if len(e.Search(searcher, "okapi", 5)) != 1 {
+			if len(search()) != 1 {
 				t.Fatal("refetched page did not survive the next restart")
 			}
 		})

@@ -33,15 +33,15 @@ func (e *Engine) pageInfoLocked(id int64, score float64) PageInfo {
 }
 
 // Search runs ranked full-text retrieval over pages the user may see:
-// their own archive plus all community-visible pages. Scope widens to the
-// whole archive when user is 0 (an administrative/community query).
+// their own archive plus all community-visible pages. User 0 is an
+// anonymous query and sees the community-visible pages only.
 func (e *Engine) Search(user int64, query string, k int) []PageInfo {
 	hits := e.idx.Search(query, k*4+16, textindex.BM25)
 	out := make([]PageInfo, 0, min(k, len(hits)))
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	for _, h := range hits {
-		if user != 0 && !e.meta[h.Doc].community && !e.visited[user][h.Doc] {
+		if !e.meta[h.Doc].community && (user == 0 || !e.visited[user][h.Doc]) {
 			continue
 		}
 		out = append(out, e.pageInfoLocked(h.Doc, h.Score))

@@ -329,6 +329,45 @@ func TestMalformedUserDistinctFromMissing(t *testing.T) {
 	}
 }
 
+// TestAnonymousSearchSeesOnlyCommunityPages: /api/search with no user
+// param answers from the community-visible pages, never from a private
+// visit; the visit's owner still finds it.
+func TestAnonymousSearchSeesOnlyCommunityPages(t *testing.T) {
+	e := newTestEngine(t)
+	ts := httptest.NewServer(New(e))
+	defer ts.Close()
+	const secret = "http://intranet.example.org/alice/secret-plan"
+	resp, err := http.Post(ts.URL+"/api/event", "application/json",
+		strings.NewReader(`{"user":1,"url":"`+secret+`","privacy":"private"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("POST /api/event: status %d", resp.StatusCode)
+	}
+	e.DrainBackground()
+
+	search := func(query string) string {
+		resp, err := http.Get(ts.URL + "/api/search?" + query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET /api/search?%s: status %d, body %s", query, resp.StatusCode, body)
+		}
+		return string(body)
+	}
+	if got := search("q=alpha"); strings.Contains(got, secret) {
+		t.Fatalf("anonymous search named a private page: %s", got)
+	}
+	if got := search("q=alpha&user=1"); !strings.Contains(got, secret) {
+		t.Fatalf("the owner's search misses their private page: %s", got)
+	}
+}
+
 func TestRateLimitAnswers429(t *testing.T) {
 	clk := &fakeClock{t: time.Unix(2000, 0)}
 	srv := NewWith(newTestEngine(t), Config{RatePerSec: 0.001, Burst: 2, Now: clk.now})

@@ -18,8 +18,8 @@
 // returns its reply instead of writing it — and enforces the rest — no
 // iteration under locks, deterministic codecs and schedules, atomic
 // derived-record publishes, typed atomics only — with a small syntactic
-// static-analysis suite run in CI; see internal/analysis and
-// `go run ./cmd/memexvet ./...`.
+// static-analysis suite over every file, test files included; see
+// internal/analysis and `go test ./internal/analysis/` (TestTreeClean).
 //
 // Quickstart:
 //
