@@ -29,15 +29,21 @@ import (
 	"memex/internal/text"
 )
 
-// Trainer accumulates labelled documents for naive Bayes training.
+// Trainer accumulates labelled documents for naive Bayes training. Its
+// term counts are dense: every term some class holds has a row, found
+// through a table indexed by term id, and each class counts by row.
 type Trainer struct {
 	dict    *text.Dict
 	classes map[string]*classAcc
+	// slot[id] is 1 + term id's row, 0 for a term no class holds (ids past
+	// the slice hold none either).
+	slot []int32
+	ids  []int32 // row → term id, in the order the terms were first added
 }
 
 type classAcc struct {
 	docs       int
-	termCounts map[int32]int
+	counts     []int // row → this class's count of the row's term; rows past the slice count 0
 	totalTerms int
 }
 
@@ -58,19 +64,42 @@ func (tr *Trainer) AddCounts(class string, tf map[string]int) {
 }
 
 // AddVector records one labelled document given as its raw term counts,
-// ids from the trainer's dictionary.
+// ids from the trainer's dictionary. A count is truncated to an integer,
+// and a term whose count is below one is not recorded.
 func (tr *Trainer) AddVector(class string, v text.Vector) {
 	acc := tr.classes[class]
 	if acc == nil {
-		acc = &classAcc{termCounts: map[int32]int{}}
+		acc = &classAcc{}
 		tr.classes[class] = acc
 	}
 	acc.docs++
 	for i, id := range v.IDs {
 		n := int(v.Weights[i])
-		acc.termCounts[id] += n
+		if n < 1 {
+			continue
+		}
+		if int(id) >= len(tr.slot) {
+			tr.slot = append(tr.slot, make([]int32, int(id)+1-len(tr.slot))...)
+		}
+		if tr.slot[id] == 0 {
+			tr.ids = append(tr.ids, id)
+			tr.slot[id] = int32(len(tr.ids))
+		}
+		row := int(tr.slot[id] - 1)
+		if row >= len(acc.counts) {
+			acc.counts = append(acc.counts, make([]int, row+1-len(acc.counts))...)
+		}
+		acc.counts[row] += n
 		acc.totalTerms += n
 	}
+}
+
+// count is acc's count of the term in row.
+func (acc *classAcc) count(row int) int {
+	if row < len(acc.counts) {
+		return acc.counts[row]
+	}
+	return 0
 }
 
 // Options tunes training.
@@ -125,9 +154,16 @@ func (tr *Trainer) Train(opts Options) (*Bayes, error) {
 	}
 	sort.Strings(classes)
 
-	var features map[int32]bool
+	accs := make([]*classAcc, len(classes))
+	for ci, c := range classes {
+		accs[ci] = tr.classes[c]
+	}
+	terms := tr.dict.Terms()
+	// keep[row] says whether the row's term gets a row in the model: with
+	// no selection every term some class was trained on does.
+	var keep []bool
 	if opts.MaxFeatures > 0 {
-		features = tr.selectFeatures(classes, opts.MaxFeatures)
+		keep = tr.selectFeatures(accs, terms, opts.MaxFeatures)
 	}
 
 	m := &Bayes{
@@ -136,31 +172,26 @@ func (tr *Trainer) Train(opts Options) (*Bayes, error) {
 		classIdx:   map[string]int{},
 		logPrior:   make([]float64, len(classes)),
 		defaultLog: make([]float64, len(classes)),
-		selected:   features != nil,
+		selected:   keep != nil,
 	}
 	totalDocs := 0
-	for _, acc := range tr.classes {
+	for _, acc := range accs {
 		totalDocs += acc.docs
 	}
 	vocabSize := tr.dict.Size()
 	denom := make([]float64, len(classes))
-	counted := map[int32]bool{} // every term that gets a row
 	for ci, c := range classes {
 		m.classIdx[c] = ci
-		acc := tr.classes[c]
+		acc := accs[ci]
 		m.logPrior[ci] = math.Log(float64(acc.docs) / float64(totalDocs))
 		denom[ci] = float64(acc.totalTerms) + opts.Smoothing*float64(vocabSize)
 		m.defaultLog[ci] = math.Log(opts.Smoothing / denom[ci])
-		for id := range acc.termCounts {
-			if features == nil || features[id] {
-				counted[id] = true
-			}
-		}
 	}
-	terms := tr.dict.Terms()
-	ranked := make([]int32, 0, len(counted))
-	for id := range counted {
-		ranked = append(ranked, id)
+	ranked := make([]int32, 0, len(tr.ids)) // every term that gets a row
+	for row, id := range tr.ids {
+		if keep == nil || keep[row] {
+			ranked = append(ranked, id)
+		}
 	}
 	slices.SortFunc(ranked, func(a, b int32) int { return strings.Compare(terms[a], terms[b]) })
 	if len(ranked) > 0 {
@@ -169,9 +200,9 @@ func (tr *Trainer) Train(opts Options) (*Bayes, error) {
 	m.rows = make([]float64, 0, len(ranked)*len(classes))
 	for r, id := range ranked {
 		m.slot[id] = int32(r + 1)
-		for ci, c := range classes {
+		for ci, acc := range accs {
 			lp := m.defaultLog[ci]
-			if n, ok := tr.classes[c].termCounts[id]; ok {
+			if n := acc.count(int(tr.slot[id] - 1)); n > 0 {
 				lp = math.Log((float64(n) + opts.Smoothing) / denom[ci])
 			}
 			m.rows = append(m.rows, lp)
@@ -185,69 +216,62 @@ func (tr *Trainer) Train(opts Options) (*Bayes, error) {
 
 // selectFeatures ranks terms by the Fisher discriminant: the ratio of
 // between-class variance of the term's per-class rate to its within-class
-// spread, as in the TAPER system the paper builds on.
-func (tr *Trainer) selectFeatures(classes []string, k int) map[int32]bool {
-	type scored struct {
-		id    int32
-		term  string
-		score float64
-	}
-	rates := make([]map[int32]float64, len(classes))
-	for i, c := range classes {
-		acc := tr.classes[c]
-		r := make(map[int32]float64, len(acc.termCounts))
-		if acc.totalTerms > 0 {
-			for id, n := range acc.termCounts {
-				r[id] = float64(n) / float64(acc.totalTerms)
-			}
+// spread, as in the TAPER system the paper builds on. It returns, by row,
+// whether the row's term is among the k best. accs are the classes in
+// sorted order and terms the dictionary's terms by id.
+func (tr *Trainer) selectFeatures(accs []*classAcc, terms []string, k int) []bool {
+	nc := len(accs)
+	// rates[row*nc+c] is class c's rate of the row's term: its count over
+	// the class's total, 0 for a class with no terms.
+	rates := make([]float64, len(tr.ids)*nc)
+	for c, acc := range accs {
+		if acc.totalTerms == 0 {
+			continue
 		}
-		rates[i] = r
-	}
-	ids := map[int32]bool{}
-	for _, r := range rates {
-		for id := range r {
-			ids[id] = true
+		for row, n := range acc.counts {
+			rates[row*nc+c] = float64(n) / float64(acc.totalTerms)
 		}
 	}
-	var all []scored
-	for id := range ids {
+	scores := make([]float64, len(tr.ids))
+	for row := range tr.ids {
+		r := rates[row*nc : (row+1)*nc]
 		var mean float64
-		for _, r := range rates {
-			mean += r[id]
+		for _, p := range r {
+			mean += p
 		}
-		mean /= float64(len(rates))
+		mean /= float64(nc)
 		var between, within float64
-		for _, r := range rates {
-			d := r[id] - mean
+		for _, p := range r {
+			d := p - mean
 			between += d * d
 			// Multinomial rate variance proxy: p(1-p).
-			within += r[id] * (1 - r[id])
+			within += p * (1 - p)
 		}
 		if within < 1e-12 {
 			within = 1e-12
 		}
-		all = append(all, scored{id, tr.dict.Term(id), between / within})
+		scores[row] = between / within
 	}
 	// Ties break on the term string, not the id: dictionary ids follow
 	// the order a dictionary happened to intern its terms, so an id
 	// tiebreak would select a different feature set from the same examples
 	// under a dictionary built in another order, and the model must be a
-	// function of the examples alone. (Terms are resolved once
-	// above — the comparator must not take the dict lock O(n log n) times.)
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].score != all[j].score {
-			return all[i].score > all[j].score
+	// function of the examples alone.
+	order := make([]int32, len(tr.ids))
+	for row := range order {
+		order[row] = int32(row)
+	}
+	slices.SortFunc(order, func(a, b int32) int {
+		if c := cmp.Compare(scores[b], scores[a]); c != 0 {
+			return c
 		}
-		return all[i].term < all[j].term
+		return strings.Compare(terms[tr.ids[a]], terms[tr.ids[b]])
 	})
-	if k > len(all) {
-		k = len(all)
+	keep := make([]bool, len(tr.ids))
+	for _, row := range order[:min(k, len(order))] {
+		keep[row] = true
 	}
-	out := make(map[int32]bool, k)
-	for _, s := range all[:k] {
-		out[s.id] = true
-	}
-	return out
+	return keep
 }
 
 // LogScoresVector returns per-class unnormalized log posteriors for a

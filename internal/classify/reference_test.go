@@ -4,11 +4,100 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"memex/internal/text"
 )
+
+// referenceTrainer is the trainer as it stood before its counts were
+// dense: one term-id → count map per class, and feature selection over
+// per-class rate maps, each term's string looked up in the dictionary on
+// its own. Kept as the reference the dense trainer's selection and model
+// must equal.
+type referenceTrainer struct {
+	dict    *text.Dict
+	classes map[string]*referenceAcc
+}
+
+type referenceAcc struct {
+	docs       int
+	termCounts map[int32]int
+	totalTerms int
+}
+
+func (tr *referenceTrainer) AddVector(class string, v text.Vector) {
+	acc := tr.classes[class]
+	if acc == nil {
+		acc = &referenceAcc{termCounts: map[int32]int{}}
+		tr.classes[class] = acc
+	}
+	acc.docs++
+	for i, id := range v.IDs {
+		n := int(v.Weights[i])
+		acc.termCounts[id] += n
+		acc.totalTerms += n
+	}
+}
+
+func (tr *referenceTrainer) selectFeatures(classes []string, k int) map[int32]bool {
+	type scored struct {
+		id    int32
+		term  string
+		score float64
+	}
+	rates := make([]map[int32]float64, len(classes))
+	for i, c := range classes {
+		acc := tr.classes[c]
+		r := make(map[int32]float64, len(acc.termCounts))
+		if acc.totalTerms > 0 {
+			for id, n := range acc.termCounts {
+				r[id] = float64(n) / float64(acc.totalTerms)
+			}
+		}
+		rates[i] = r
+	}
+	ids := map[int32]bool{}
+	for _, r := range rates {
+		for id := range r {
+			ids[id] = true
+		}
+	}
+	var all []scored
+	for id := range ids {
+		var mean float64
+		for _, r := range rates {
+			mean += r[id]
+		}
+		mean /= float64(len(rates))
+		var between, within float64
+		for _, r := range rates {
+			d := r[id] - mean
+			between += d * d
+			within += r[id] * (1 - r[id])
+		}
+		if within < 1e-12 {
+			within = 1e-12
+		}
+		all = append(all, scored{id, tr.dict.Term(id), between / within})
+	}
+	sort.Slice(all, func(i, j int) bool {
+		if all[i].score != all[j].score {
+			return all[i].score > all[j].score
+		}
+		return all[i].term < all[j].term
+	})
+	if k > len(all) {
+		k = len(all)
+	}
+	out := make(map[int32]bool, k)
+	for _, s := range all[:k] {
+		out[s.id] = true
+	}
+	return out
+}
 
 // referenceBayes is the model as Train built it before the scoring table:
 // one term-id → log-probability map per class and a feature set, scored by
@@ -16,13 +105,14 @@ import (
 // term. Kept as the reference the prepared rows must equal bit for bit.
 type referenceBayes struct {
 	dict       *text.Dict
+	classes    []string
 	logPrior   []float64
 	termLog    []map[int32]float64
 	defaultLog []float64
 	features   map[int32]bool
 }
 
-func referenceTrain(tr *Trainer, opts Options) *referenceBayes {
+func referenceTrain(tr *referenceTrainer, opts Options) *referenceBayes {
 	if opts.Smoothing <= 0 {
 		opts.Smoothing = 0.1
 	}
@@ -31,7 +121,7 @@ func referenceTrain(tr *Trainer, opts Options) *referenceBayes {
 		classes = append(classes, c)
 	}
 	sort.Strings(classes)
-	m := &referenceBayes{dict: tr.dict}
+	m := &referenceBayes{dict: tr.dict, classes: classes}
 	if opts.MaxFeatures > 0 {
 		m.features = tr.selectFeatures(classes, opts.MaxFeatures)
 	}
@@ -84,11 +174,13 @@ func (m *referenceBayes) LogScores(tf map[string]int) []float64 {
 	return scores
 }
 
-// trainerWorld fills a trainer over a shared dictionary with classes folders
-// of docs documents each, every class drawing most of its words from its own
-// vocabulary and the rest from one all classes share.
-func trainerWorld(rng *rand.Rand, dict *text.Dict, classes, docs, terms int) *Trainer {
+// trainerWorld fills a trainer, and the reference trainer beside it, over
+// a shared dictionary with classes folders of docs documents each, every
+// class drawing most of its words from its own vocabulary and the rest
+// from one all classes share.
+func trainerWorld(rng *rand.Rand, dict *text.Dict, classes, docs, terms int) (*Trainer, *referenceTrainer) {
 	tr := NewTrainer(dict)
+	ref := &referenceTrainer{dict: dict, classes: map[string]*referenceAcc{}}
 	for c := 0; c < classes; c++ {
 		for d := 0; d < docs; d++ {
 			tf := map[string]int{}
@@ -99,10 +191,12 @@ func trainerWorld(rng *rand.Rand, dict *text.Dict, classes, docs, terms int) *Tr
 					tf[fmt.Sprintf("c%dw%d", c, rng.Intn(3000))] += 1 + rng.Intn(3)
 				}
 			}
-			tr.AddCounts(fmt.Sprintf("/folder%d", c), tf)
+			v := text.VectorFromCounts(dict, tf)
+			tr.AddVector(fmt.Sprintf("/folder%d", c), v)
+			ref.AddVector(fmt.Sprintf("/folder%d", c), v)
 		}
 	}
-	return tr
+	return tr, ref
 }
 
 // TestLogScoresMatchReference: over the id form — the vector the engine
@@ -113,7 +207,7 @@ func trainerWorld(rng *rand.Rand, dict *text.Dict, classes, docs, terms int) *Tr
 func TestLogScoresMatchReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	dict := text.NewDict()
-	tr := trainerWorld(rng, dict, 5, 12, 40)
+	tr, refTr := trainerWorld(rng, dict, 5, 12, 40)
 	// The dictionary is the engine's, shared with every other page: it
 	// knows terms no class was trained on.
 	for i := 0; i < 50; i++ {
@@ -124,7 +218,7 @@ func TestLogScoresMatchReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref := referenceTrain(tr, opts)
+		ref := referenceTrain(refTr, opts)
 		if got, want := featureCount(m), len(ref.features); got != want {
 			t.Fatalf("%+v: feature count = %d, reference selected %d", opts, got, want)
 		}
@@ -164,7 +258,8 @@ func TestLogScoresMatchReference(t *testing.T) {
 func BenchmarkBayesClassify(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	dict := text.NewDict()
-	m, err := trainerWorld(rng, dict, 6, 30, 80).Train(Options{MaxFeatures: 4000})
+	tr, _ := trainerWorld(rng, dict, 6, 30, 80)
+	m, err := tr.Train(Options{MaxFeatures: 4000})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -184,5 +279,117 @@ func BenchmarkBayesClassify(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.ClassifyVector(pages[i%len(pages)])
+	}
+}
+
+// tiedWorld fills a trainer and the reference trainer with documents of
+// single occurrences drawn from small vocabularies, so that many terms
+// share one count pattern across the classes and tie on their Fisher
+// score. One class only ever names one term: its rate is 1 and its
+// within-class spread 0.
+func tiedWorld(rng *rand.Rand, dict *text.Dict) (*Trainer, *referenceTrainer) {
+	tr := NewTrainer(dict)
+	ref := &referenceTrainer{dict: dict, classes: map[string]*referenceAcc{}}
+	add := func(class string, tf map[string]int) {
+		v := text.VectorFromCounts(dict, tf)
+		tr.AddVector(class, v)
+		ref.AddVector(class, v)
+	}
+	for c := 0; c < 4; c++ {
+		for d := 0; d < 6; d++ {
+			tf := map[string]int{}
+			for i := 0; i < 8; i++ {
+				if rng.Intn(3) == 0 {
+					tf[fmt.Sprintf("both%d", rng.Intn(12))] = 1
+				} else {
+					tf[fmt.Sprintf("c%dt%d", c, rng.Intn(16))] = 1
+				}
+			}
+			add(fmt.Sprintf("/tied%d", c), tf)
+		}
+	}
+	add("/mono", map[string]int{"solo": 3})
+	return tr, ref
+}
+
+// TestTrainMatchesReference: the dense trainer selects the reference's
+// feature set — the same terms, ties at rank k broken by term string — and
+// prepares exactly the rows and slots the reference's per-class maps give,
+// bit for bit, on seeded worlds with and without tied scores, for k below,
+// inside and past the candidate count.
+func TestTrainMatchesReference(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		for _, world := range []func(*rand.Rand, *text.Dict) (*Trainer, *referenceTrainer){
+			func(rng *rand.Rand, d *text.Dict) (*Trainer, *referenceTrainer) {
+				return trainerWorld(rng, d, 4, 8, 30)
+			},
+			tiedWorld,
+		} {
+			dict := text.NewDict()
+			// Terms interned in an order unrelated to their strings.
+			for i := 0; i < 30; i++ {
+				dict.ID(fmt.Sprintf("c%dt%d", i%4, 15-i%16))
+			}
+			tr, refTr := world(rand.New(rand.NewSource(80+seed)), dict)
+			for _, opts := range []Options{{}, {MaxFeatures: 1}, {MaxFeatures: 7}, {MaxFeatures: 40}, {MaxFeatures: 500}, {MaxFeatures: 1 << 20}} {
+				m, err := tr.Train(opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ref := referenceTrain(refTr, opts)
+				what := fmt.Sprintf("seed %d, %d classes, %+v", seed, len(m.Classes), opts)
+				if !slices.Equal(m.Classes, ref.classes) {
+					t.Fatalf("%s: classes %v, reference %v", what, m.Classes, ref.classes)
+				}
+				// The rows the reference's maps give: every counted term,
+				// ranked by string.
+				counted := map[int32]bool{}
+				for _, tl := range ref.termLog {
+					for id := range tl {
+						counted[id] = true
+					}
+				}
+				if ref.features != nil && len(counted) != len(ref.features) {
+					t.Fatalf("%s: %d features selected, %d of them counted", what, len(ref.features), len(counted))
+				}
+				terms := dict.Terms()
+				var ranked []int32
+				for id := range counted {
+					ranked = append(ranked, id)
+				}
+				slices.SortFunc(ranked, func(a, b int32) int { return strings.Compare(terms[a], terms[b]) })
+				var wantSlot []int32
+				if len(ranked) > 0 {
+					wantSlot = make([]int32, slices.Max(ranked)+1)
+				}
+				var wantRows []float64
+				for r, id := range ranked {
+					wantSlot[id] = int32(r + 1)
+					for ci := range m.Classes {
+						lp, ok := ref.termLog[ci][id]
+						if !ok {
+							lp = ref.defaultLog[ci]
+						}
+						wantRows = append(wantRows, lp)
+					}
+				}
+				if len(m.slot) != len(wantSlot) {
+					t.Fatalf("%s: %d slots, reference %d", what, len(m.slot), len(wantSlot))
+				}
+				for id := range wantSlot {
+					if m.slot[id] != wantSlot[id] {
+						t.Fatalf("%s: term %q has slot %d, reference %d", what, terms[id], m.slot[id], wantSlot[id])
+					}
+				}
+				if len(m.rows) != len(wantRows) {
+					t.Fatalf("%s: %d row cells, reference %d", what, len(m.rows), len(wantRows))
+				}
+				for i := range wantRows {
+					if math.Float64bits(m.rows[i]) != math.Float64bits(wantRows[i]) {
+						t.Fatalf("%s: row cell %d = %v, reference %v", what, i, m.rows[i], wantRows[i])
+					}
+				}
+			}
+		}
 	}
 }

@@ -5,12 +5,15 @@
 // sampling trick that gives constant interaction time on large
 // collections, and cluster digests (top terms per cluster).
 //
-// Similarities are cosines, and a vector's norm is computed once per
-// vector, not once per comparison: HAC scores its initial all-pairs
-// candidates and Buckshot assigns items to seeds through a text.Matrix
-// (one pass per item against all rows), and the comparisons against
-// centroids that change — merges, k-means rounds, Dispersion — carry the
-// norms in. The scores are the bits text.Cosine would give.
+// Similarities are cosines, scored term-at-a-time into tables indexed by
+// term id, never by a merge-join per pair: HAC scores its initial
+// all-pairs candidates, Buckshot assigns items to seeds, KMeans2 assigns
+// items to its two centroids and Dispersion compares members with the
+// centroid through a text.Matrix (one pass per item against all rows),
+// and after each merge HAC spreads the new centroid over a dense table
+// once and scores every live centroid against it. Each sum still runs in
+// increasing term-id order, so the scores are the bits text.Cosine would
+// give.
 package cluster
 
 import (
@@ -51,9 +54,11 @@ func (c *Cluster) Dispersion() float64 {
 		return 0
 	}
 	var s float64
-	nc := c.Centroid.Norm()
+	centroid := text.NewMatrix([]text.Vector{c.Centroid})
+	var sims []float64
 	for _, it := range c.Items {
-		s += text.CosineWithNorms(it.Vec, c.Centroid, it.Vec.Norm(), nc)
+		sims = centroid.Cosines(it.Vec, sims)
+		s += sims[0]
 	}
 	return 1 - s/float64(len(c.Items))
 }
@@ -100,6 +105,17 @@ func HAC(items []Item, k int, minSim float64) []*Cluster {
 			heap.Push(pq, pair{i, j, ver[i], ver[j], sims[j]})
 		}
 	}
+	// A merged centroid is spread over dense, a table indexed by term id,
+	// for the one pass that scores it against every live centroid; the
+	// pass leaves dense all zeros again. Every centroid holds only the
+	// items' term ids.
+	span := 0
+	for _, v := range vecs {
+		if len(v.IDs) > 0 {
+			span = max(span, int(v.IDs[len(v.IDs)-1])+1)
+		}
+	}
+	dense := make([]float64, span)
 
 	for live > k && pq.Len() > 0 {
 		p := heap.Pop(pq).(pair)
@@ -122,16 +138,22 @@ func HAC(items []Item, k int, minSim float64) []*Cluster {
 		active[p.j] = false
 		ver[p.i]++
 		live--
+		for i, id := range merged.Centroid.IDs {
+			dense[id] = merged.Centroid.Weights[i]
+		}
 		for x := 0; x < n; x++ {
 			if x == p.i || !active[x] {
 				continue
 			}
-			s := text.CosineWithNorms(merged.Centroid, clusters[x].Centroid, norms[p.i], norms[x])
+			s := scatteredCosine(dense, clusters[x].Centroid, norms[p.i], norms[x])
 			a, b := p.i, x
 			if a > b {
 				a, b = b, a
 			}
 			heap.Push(pq, pair{a, b, ver[a], ver[b], s})
+		}
+		for _, id := range merged.Centroid.IDs {
+			dense[id] = 0
 		}
 	}
 	var out []*Cluster
@@ -142,6 +164,25 @@ func HAC(items []Item, k int, minSim float64) []*Cluster {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Size() > out[j].Size() })
 	return out
+}
+
+// scatteredCosine is the cosine of a and b for a spread over dense
+// (dense[id] is a's weight of term id, 0 for a term a lacks) with norms na
+// and nb. It visits b's terms in increasing id order, the order
+// text.Dot's merge visits the shared terms in, multiplies a's weight by
+// b's as Dot does, and skips the terms a lacks, which add nothing to
+// Dot's sum: the result is bit for bit text.Cosine(a, b).
+func scatteredCosine(dense []float64, b text.Vector, na, nb float64) float64 {
+	if na == 0 || nb == 0 {
+		return 0
+	}
+	var s float64
+	for i, id := range b.IDs {
+		if w := dense[id]; w != 0 {
+			s += float64(w * b.Weights[i])
+		}
+	}
+	return s / (na * nb)
 }
 
 type pair struct {
@@ -242,28 +283,27 @@ func KMeans2(items []Item, rng *rand.Rand, iterations int) []*Cluster {
 		iterations = 10
 	}
 	// Seed with two far-apart items: a random one and its least similar.
-	norms := make([]float64, len(items))
-	for i, it := range items {
-		norms[i] = it.Vec.Norm()
-	}
 	a := rng.Intn(len(items))
+	first := text.NewMatrix([]text.Vector{items[a].Vec})
+	var sims []float64
 	b, worst := -1, math.Inf(1)
 	for i, it := range items {
 		if i == a {
 			continue
 		}
-		if s := text.CosineWithNorms(it.Vec, items[a].Vec, norms[i], norms[a]); s < worst {
-			worst, b = s, i
+		if sims = first.Cosines(it.Vec, sims); sims[0] < worst {
+			worst, b = sims[0], i
 		}
 	}
 	cents := []text.Vector{items[a].Vec, items[b].Vec}
 	assign := make([]int, len(items))
 	for it := 0; it < iterations; it++ {
 		changed := false
-		n0, n1 := cents[0].Norm(), cents[1].Norm()
+		both := text.NewMatrix(cents)
 		for i, item := range items {
+			sims = both.Cosines(item.Vec, sims)
 			best := 0
-			if text.CosineWithNorms(item.Vec, cents[1], norms[i], n1) > text.CosineWithNorms(item.Vec, cents[0], norms[i], n0) {
+			if sims[1] > sims[0] {
 				best = 1
 			}
 			if assign[i] != best {

@@ -36,7 +36,7 @@ func tableRows(t *testing.T, e *Engine) map[string][]string {
 }
 
 // TestCrashCopyOfWorldLargerThanPoolKeepsEveryRow: a community archive
-// that outgrows its 16-page buffer pool, checkpointed half way through the
+// that outgrows its 8-page buffer pool, checkpointed half way through the
 // trace, is copied after the analyzers drain — a crash image, no Close —
 // and the copy reopens with every visits, bookmarks and pages row the
 // running engine acknowledged. The version-GC demon is off, so no fold
@@ -44,7 +44,7 @@ func tableRows(t *testing.T, e *Engine) map[string][]string {
 func TestCrashCopyOfWorldLargerThanPoolKeepsEveryRow(t *testing.T) {
 	c := webcorpus.Generate(webcorpus.Config{Seed: 16, TopTopics: 4, SubPerTopic: 3, PagesPerLeaf: 30})
 	tr := sim.Simulate(c, sim.Config{Seed: 17, Users: 30, Days: 10})
-	const pool = 16
+	const pool = 8
 	cfg := Config{
 		Dir: t.TempDir(), Source: corpusSource{c},
 		KV:                kvstore.Options{Sync: kvstore.SyncGroup, CacheSize: pool},

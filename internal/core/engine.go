@@ -177,6 +177,10 @@ type Engine struct {
 	processed atomic.Int64
 	stats     Counters
 	closed    bool
+
+	// trainHook, set only by tests, runs in a training goroutine of
+	// RetrainClassifiers before it trains user's model.
+	trainHook func(user int64)
 }
 
 // pageRec is everything the engine keeps in RAM about one page. Records
@@ -283,8 +287,8 @@ func Open(cfg Config) (*Engine, error) {
 
 // reload rebuilds in-memory state (users, page metadata, folder trees,
 // visibility, the next ids) from the table records after a restart. It
-// also returns every visit's referrer→page transition, keyed by referrer,
-// for republishReferrerEdges.
+// also returns every community visit's referrer→page transition, keyed by
+// referrer, for republishReferrerEdges.
 func (e *Engine) reload() (refs map[int64][]int64, err error) {
 	// Registered users: a user with visits but no bookmarks must still
 	// count in Status and stand as a Recommend peer.
@@ -332,12 +336,13 @@ func (e *Engine) reload() (refs map[int64][]int64, err error) {
 	if err != nil {
 		return nil, err
 	}
-	// Visibility and referrer transitions from visits, which are keyed by
-	// user first: their ids are in key order only within a (user, time).
+	// Visibility and the community visits' referrer transitions from
+	// visits, which are keyed by user first: their ids are in key order
+	// only within a (user, time).
 	refs = map[int64][]int64{}
 	err = visitsTable.scanAll(e.kv, func(r visitRow) bool {
 		e.markVisitedLocked(r.user, r.page, r.privacy)
-		if r.ref != 0 {
+		if r.ref != 0 && r.privacy == events.Community {
 			refs[r.ref] = append(refs[r.ref], r.page)
 		}
 		if r.id > e.lastVisit.Load() {
@@ -348,15 +353,15 @@ func (e *Engine) reload() (refs map[int64][]int64, err error) {
 	return refs, err
 }
 
-// republishReferrerEdges publishes every visit's referrer→page edge that
-// the latest lnk/ record of its referrer lacks, one publish per referrer in
-// id order. RecordVisit publishes the edge before it writes the visit row,
-// but the edge reaches disk only in a fold, so a crash can keep the row
-// and lose the edge; the row is the durable evidence, and this re-derives
-// the edge from it. publish's known-edge check skips every referrer whose
-// record a fold already covered, so after a clean Close it publishes
-// nothing. Runs during Open, after reloadDerived has counted the recovered
-// edges, before any demon starts.
+// republishReferrerEdges publishes every community visit's referrer→page
+// edge that the latest lnk/ record of its referrer lacks, one publish per
+// referrer in id order. RecordVisit publishes the edge before it writes
+// the visit row, but the edge reaches disk only in a fold, so a crash can
+// keep the row and lose the edge; the row is the durable evidence, and
+// this re-derives the edge from it. publish's known-edge check skips every
+// referrer whose record a fold already covered, so after a clean Close it
+// publishes nothing. Runs during Open, after reloadDerived has counted the
+// recovered edges, before any demon starts.
 func (e *Engine) republishReferrerEdges(refs map[int64][]int64) error {
 	order := make([]int64, 0, len(refs))
 	for ref := range refs {

@@ -3,6 +3,9 @@ package core
 import (
 	"fmt"
 	"io"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"memex/internal/classify"
@@ -44,13 +47,17 @@ func (e *Engine) RecordVisit(user int64, url, referrer string, at time.Time, pri
 		if refID, err = e.ensurePage(referrer); err != nil {
 			return err
 		}
-		// The referrer→page transition is link-graph evidence like any
-		// fetched out-link: publish it as adjacency records (one epoch,
-		// nothing when the edge is already known) so trail mining still
-		// sees it after a restart. It goes first so that an error leaves
-		// no visit row behind for a retry to duplicate.
-		if err := e.links.publish(refID, []int64{pageID}, nil); err != nil {
-			return err
+		// A community visit's referrer→page transition is link-graph
+		// evidence like any fetched out-link: publish it as adjacency
+		// records (one epoch, nothing when the edge is already known) so
+		// trail mining still sees it after a restart. It goes first so that
+		// an error leaves no visit row behind for a retry to duplicate. A
+		// private visit's edge is as private as the visit (DESIGN.md §1):
+		// it stays in the visit row, where only its owner's trails read it.
+		if privacy == events.Community {
+			if err := e.links.publish(refID, []int64{pageID}, nil); err != nil {
+				return err
+			}
 		}
 	}
 	// An id taken by a visit or bookmark whose write fails is not handed
@@ -396,8 +403,21 @@ func (e *Engine) classifyForUser(user, pageID int64, tf text.Vector) {
 // current (non-guessed) folder placements. Users need at least two folders
 // with content to get a model. One pinned snapshot supplies every training
 // example's term counts, so all users train against the same consistent
-// epoch no matter how much the fetch path publishes meanwhile.
+// epoch no matter how much the fetch path publishes meanwhile. A
+// DerivedView is single-goroutine, so this goroutine resolves every user's
+// examples in it; the users then train on runtime.GOMAXPROCS(0)
+// goroutines, and each model is stored under e.mu as it is done.
 func (e *Engine) RetrainClassifiers() {
+	e.retrain(runtime.GOMAXPROCS(0))
+}
+
+// retrain is RetrainClassifiers on the given number of training
+// goroutines. A model is a function of its user's examples alone, so the
+// models are the same for any number. A panic in a training goroutine is
+// raised again here once every goroutine has stopped, for the demon
+// supervisor to recover; the users other goroutines trained keep their new
+// models.
+func (e *Engine) retrain(workers int) {
 	e.mu.RLock()
 	users := make([]int64, 0, len(e.trees))
 	for u := range e.trees {
@@ -405,15 +425,20 @@ func (e *Engine) RetrainClassifiers() {
 	}
 	e.mu.RUnlock()
 
-	type example struct {
-		path string
-		page int64
+	// examples is one user's training set: each example's folder path and
+	// term counts.
+	type examples struct {
+		user  int64
+		paths []string
+		tfs   []text.Vector
 	}
+	var jobs []examples
 	e.withView(func(view *DerivedView) {
 		for _, u := range users {
 			// Collect (folder, page) pairs under the metadata lock, then
 			// resolve term counts from the snapshot with no lock held.
-			var examples []example
+			var paths []string
+			var pages []int64
 			e.mu.RLock()
 			tree := e.trees[u]
 			if tree == nil {
@@ -429,29 +454,67 @@ func (e *Engine) RetrainClassifiers() {
 					if entry.Guessed {
 						continue
 					}
-					examples = append(examples, example{path, entry.Page})
+					paths = append(paths, path)
+					pages = append(pages, entry.Page)
 				}
 			})
 			e.mu.RUnlock()
 
-			trainer := classify.NewTrainer(e.dict)
+			ex := examples{user: u}
 			perClass := map[string]bool{}
-			for _, ex := range examples {
-				if tf := view.TermCounts(ex.page); tf.IDs != nil {
-					trainer.AddVector(ex.path, tf)
-					perClass[ex.path] = true
+			for i, page := range pages {
+				if tf := view.TermCounts(page); tf.IDs != nil {
+					ex.paths = append(ex.paths, paths[i])
+					ex.tfs = append(ex.tfs, tf)
+					perClass[paths[i]] = true
 				}
 			}
-			if len(perClass) < 2 {
-				continue
+			if len(perClass) >= 2 {
+				jobs = append(jobs, ex)
 			}
-			model, err := trainer.Train(classify.Options{MaxFeatures: 4000})
-			if err != nil {
-				continue
-			}
-			e.mu.Lock()
-			e.models[u] = model
-			e.mu.Unlock()
 		}
 	})
+
+	var (
+		next     atomic.Int64
+		wg       sync.WaitGroup
+		panicMu  sync.Mutex
+		panicked any
+	)
+	for w := 0; w < min(workers, len(jobs)); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer func() {
+				if p := recover(); p != nil {
+					panicMu.Lock()
+					if panicked == nil {
+						panicked = p
+					}
+					panicMu.Unlock()
+				}
+			}()
+			for i := next.Add(1) - 1; i < int64(len(jobs)); i = next.Add(1) - 1 {
+				ex := jobs[i]
+				if e.trainHook != nil {
+					e.trainHook(ex.user)
+				}
+				trainer := classify.NewTrainer(e.dict)
+				for j, tf := range ex.tfs {
+					trainer.AddVector(ex.paths[j], tf)
+				}
+				model, err := trainer.Train(classify.Options{MaxFeatures: 4000})
+				if err != nil {
+					continue
+				}
+				e.mu.Lock()
+				e.models[ex.user] = model
+				e.mu.Unlock()
+			}
+		}()
+	}
+	wg.Wait()
+	if panicked != nil {
+		panic(panicked)
+	}
 }

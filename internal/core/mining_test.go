@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"math/rand"
 	"reflect"
 	"sort"
 	"strings"
@@ -417,6 +418,41 @@ var (
 func benchWorld(b *testing.B) (*Engine, *sim.Trace) {
 	e, _, tr := replayWorld(b, benchWeb, benchSurf, 8000)
 	return e, tr
+}
+
+// BenchmarkMiningPass is the demon pass the benchmark's set-up runs: every
+// user's classifier retrained and the community taxonomy rebuilt.
+func BenchmarkMiningPass(b *testing.B) {
+	e, _ := benchWorld(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.RetrainClassifiers()
+		e.RebuildThemes()
+	}
+}
+
+// BenchmarkSearch is the benchmark's search request over benchWorld's
+// index: two or three terms drawn from the vocabulary of a visited page's
+// topic, skewed toward its head, asked by one of the surfers.
+func BenchmarkSearch(b *testing.B) {
+	e, c, tr := replayWorld(b, benchWeb, benchSurf, 8000)
+	rng := rand.New(rand.NewSource(3))
+	queries := make([]string, 256)
+	for i := range queries {
+		vocab := c.Topics[c.Page(tr.Visits[rng.Intn(len(tr.Visits))].Page).Topic].Vocab
+		terms := make([]string, 2+rng.Intn(2))
+		for j := range terms {
+			u := rng.Float64()
+			terms[j] = vocab[int(u*u*float64(len(vocab)))]
+		}
+		queries[i] = strings.Join(terms, " ")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Search(tr.Users[i%len(tr.Users)].ID, queries[i%len(queries)], 10)
+	}
 }
 
 func BenchmarkTrails(b *testing.B) {

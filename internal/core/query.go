@@ -32,16 +32,30 @@ func (e *Engine) pageInfoLocked(id int64, score float64) PageInfo {
 	return PageInfo{ID: id, URL: rec.url, Title: rec.title, Score: score}
 }
 
+// visibleLocked reports whether an answer to user may name page (e.mu
+// held, either mode); DESIGN.md §1 states the rule. A page is visible when
+// some visit archived it for community use, when user visited it, or when
+// the archive holds no text of it: a page known only as a link target,
+// which the pages linking to it name already. A fetched page that no
+// community visit archived — one another user visited privately — is
+// named only to the users who visited it. User 0, the anonymous asker,
+// has visited nothing.
+func (e *Engine) visibleLocked(user, page int64) bool {
+	rec := e.meta[page]
+	return rec.community || !rec.fetched || e.visited[user][page]
+}
+
 // Search runs ranked full-text retrieval over pages the user may see:
-// their own archive plus all community-visible pages. User 0 is an
-// anonymous query and sees the community-visible pages only.
+// every indexed page is fetched, so that is their own archive plus all
+// community-visible pages. User 0 is an anonymous query and sees the
+// community-visible pages only.
 func (e *Engine) Search(user int64, query string, k int) []PageInfo {
 	hits := e.idx.Search(query, k*4+16, textindex.BM25)
 	out := make([]PageInfo, 0, min(k, len(hits)))
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	for _, h := range hits {
-		if !e.meta[h.Doc].community && (user == 0 || !e.visited[user][h.Doc]) {
+		if !e.visibleLocked(user, h.Doc) {
 			continue
 		}
 		out = append(out, e.pageInfoLocked(h.Doc, h.Score))
@@ -171,22 +185,33 @@ func (e *Engine) Trails(user int64, folder string, k int) TrailContext {
 		visits := e.visitRows(user, true)
 		tg := trails.Replay(visits, trails.Filter{Topic: topicFilter}, 0, e.cfg.Now(), 0)
 
+		// Resolve graph ranking before touching metadata, then filter and
+		// decorate the page lists under a single read lock — the per-element
+		// lock churn here used to cost one RLock/RUnlock round trip per
+		// popular page. The popularity ranking reads the same pinned view as
+		// the topic classification: HITS runs over the lnk/rin adjacency
+		// records at the view's epoch, so a concurrent fetch can't warp the
+		// neighbourhood mid-ranking, and a restarted server ranks from
+		// recovered records. Both rankings come whole, so that the k pages
+		// each list names are the best k the user may see.
 		ctx.Edges = tg.Transitions()
-		// Resolve graph ranking before touching metadata, then decorate both
-		// page lists under a single read lock — the per-element lock churn
-		// here used to cost one RLock/RUnlock round trip per popular page.
-		// The popularity ranking reads the same pinned view as the topic
-		// classification: HITS runs over the lnk/rin adjacency records at the
-		// view's epoch, so a concurrent fetch can't warp the neighbourhood
-		// mid-ranking, and a restarted server ranks from recovered records.
-		top := tg.Top(k)
-		popular := trails.Popular(tg, view, k)
+		popular := trails.Popular(tg, view, math.MaxInt)
 		e.mu.RLock()
-		for _, p := range top {
-			ctx.Pages = append(ctx.Pages, e.pageInfoLocked(p, tg.Weight[p]))
+		for _, p := range tg.Nodes {
+			if len(ctx.Pages) >= k {
+				break
+			}
+			if e.visibleLocked(user, p) {
+				ctx.Pages = append(ctx.Pages, e.pageInfoLocked(p, tg.Weight[p]))
+			}
 		}
 		for _, p := range popular {
-			ctx.Popular = append(ctx.Popular, e.pageInfoLocked(p, 0))
+			if len(ctx.Popular) >= k {
+				break
+			}
+			if e.visibleLocked(user, p) {
+				ctx.Popular = append(ctx.Popular, e.pageInfoLocked(p, 0))
+			}
 		}
 		e.mu.RUnlock()
 	})

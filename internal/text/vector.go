@@ -198,12 +198,7 @@ func Dot(a, b Vector) float64 {
 //
 //memexvet:ignore reader the reference TestMatrixCosinesMatchCosine holds Matrix.Cosines to, bit for bit
 func Cosine(a, b Vector) float64 {
-	return CosineWithNorms(a, b, a.Norm(), b.Norm())
-}
-
-// CosineWithNorms is Cosine for a caller that already holds a.Norm() and
-// b.Norm(): a loop comparing one vector with many computes its norm once.
-func CosineWithNorms(a, b Vector, na, nb float64) float64 {
+	na, nb := a.Norm(), b.Norm()
 	if na == 0 || nb == 0 {
 		return 0
 	}

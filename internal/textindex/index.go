@@ -3,13 +3,16 @@
 // ranked retrieval under both classic TF-IDF cosine and BM25 scoring. It
 // is also the archive's one in-RAM home for collection statistics — the
 // document count and every term's document frequency are the sizes of its
-// own maps and lists — so TFIDF weights vectors for the mining passes from
-// the same numbers Search ranks with. Postings are held dense by term id,
-// each list in the order its documents were added: Search sums a
-// document's scores in a map and never reads posting order, so indexing a
-// page is one append per term, in any document order. The index is never
-// persisted: its durable home is the per-page tf/ records of the version
-// store, from which the engine rebuilds it at open.
+// own lists — so TFIDF weights vectors for the mining passes from the same
+// numbers Search ranks with. Every document gets a dense ordinal, its place
+// in the order documents were added; a posting names its document by
+// ordinal, and the document ids and lengths are slices by ordinal.
+// Postings are held dense by term id, each list in the order its documents
+// were added: Search sums a document's scores in a slice indexed by
+// ordinal and never reads posting order, so indexing a page is one append
+// per term, in any document order. The index is never persisted: its
+// durable home is the per-page tf/ records of the version store, from
+// which the engine rebuilds it at open.
 package textindex
 
 import (
@@ -21,9 +24,10 @@ import (
 	"memex/internal/text"
 )
 
-// Posting is one document entry in a term's posting list.
+// Posting is one document entry in a term's posting list: the document's
+// ordinal and the term's count in it.
 type Posting struct {
-	Doc int64
+	Ord int32
 	TF  int32
 }
 
@@ -31,10 +35,14 @@ type Posting struct {
 type Index struct {
 	mu       sync.RWMutex
 	dict     *text.Dict
-	postings [][]Posting   // term id → postings, in the order documents were added
-	terms    int           // non-empty posting lists
-	docLen   map[int64]int // doc → token count
+	postings [][]Posting        // term id → postings, in the order documents were added
+	terms    int                // non-empty posting lists
+	indexed  map[int64]struct{} // every document added
+	docs     []int64            // ordinal → document id
+	lens     []int              // ordinal → token count
 	totalLen int64
+	// accs recycles Search's score accumulators.
+	accs sync.Pool
 }
 
 // New returns an empty index sharing the given dictionary (pass nil to
@@ -43,7 +51,7 @@ func New(dict *text.Dict) *Index {
 	if dict == nil {
 		dict = text.NewDict()
 	}
-	return &Index{dict: dict, docLen: make(map[int64]int)}
+	return &Index{dict: dict, indexed: make(map[int64]struct{})}
 }
 
 // Add indexes document content under id doc, interning its terms; see
@@ -66,9 +74,10 @@ func (ix *Index) AddCounts(doc int64, tf map[string]int) {
 func (ix *Index) AddVector(doc int64, v text.Vector) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	if _, exists := ix.docLen[doc]; exists {
+	if _, exists := ix.indexed[doc]; exists {
 		return
 	}
+	ord := int32(len(ix.docs))
 	total := 0
 	for i, id := range v.IDs {
 		if int(id) >= len(ix.postings) {
@@ -78,10 +87,12 @@ func (ix *Index) AddVector(doc int64, v text.Vector) {
 		if len(ix.postings[id]) == 0 {
 			ix.terms++
 		}
-		ix.postings[id] = append(ix.postings[id], Posting{Doc: doc, TF: int32(n)})
+		ix.postings[id] = append(ix.postings[id], Posting{Ord: ord, TF: int32(n)})
 		total += n
 	}
-	ix.docLen[doc] = total
+	ix.indexed[doc] = struct{}{}
+	ix.docs = append(ix.docs, doc)
+	ix.lens = append(ix.lens, total)
 	ix.totalLen += int64(total)
 }
 
@@ -102,14 +113,14 @@ func (ix *Index) list(id int32) []Posting {
 func (ix *Index) TFIDF(v text.Vector) text.Vector {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	return text.TFIDF(v, len(ix.docLen), func(id int32) int { return len(ix.list(id)) })
+	return text.TFIDF(v, len(ix.docs), func(id int32) int { return len(ix.list(id)) })
 }
 
 // Docs returns the number of indexed documents.
 func (ix *Index) Docs() int {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	return len(ix.docLen)
+	return len(ix.docs)
 }
 
 // Terms returns the number of distinct indexed terms.
@@ -140,7 +151,9 @@ type Hit struct {
 // by the selected scoring function. Multi-term queries are disjunctive
 // (any term matches) as in the classic vector model. A document's score
 // adds its per-term scores in the query terms' sorted order, so a query
-// answers with the same bits on every call.
+// answers with the same bits on every call. The scores accumulate in a
+// slice indexed by document ordinal, and the top k are taken over the
+// ordinals the query touched.
 func (ix *Index) Search(query string, k int, scoring Scoring) []Hit {
 	terms := text.Terms(query)
 	if len(terms) == 0 || k <= 0 {
@@ -151,12 +164,13 @@ func (ix *Index) Search(query string, k int, scoring Scoring) []Hit {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 
-	nDocs := len(ix.docLen)
+	nDocs := len(ix.docs)
 	if nDocs == 0 {
 		return nil
 	}
 	avgLen := float64(ix.totalLen) / float64(nDocs)
-	scores := make(map[int64]float64)
+	acc := ix.accumulator(nDocs)
+	defer ix.accs.Put(acc)
 
 	//memexvet:ignore lockiter scoring needs one consistent posting set; the index appends in place, and the walk is bounded by the query's terms, not the archive
 	for i := 0; i < len(terms); {
@@ -179,56 +193,104 @@ func (ix *Index) Search(query string, k int, scoring Scoring) []Hit {
 			const k1, b = 1.2, 0.75
 			for _, p := range pl {
 				tf := float64(p.TF)
-				dl := float64(ix.docLen[p.Doc])
+				dl := float64(ix.lens[p.Ord])
 				norm := tf * (k1 + 1) / (tf + k1*(1-b+b*dl/avgLen))
-				scores[p.Doc] += float64(qn) * idf * norm
+				acc.add(p.Ord, float64(qn)*idf*norm)
 			}
 		default: // TFIDF
 			idf := math.Log(float64(1+nDocs) / float64(1+df))
 			qw := (1 + math.Log(float64(qn))) * idf
 			for _, p := range pl {
 				dw := (1 + math.Log(float64(p.TF))) * idf
-				dl := float64(ix.docLen[p.Doc])
+				dl := float64(ix.lens[p.Ord])
 				if dl > 0 {
 					dw /= math.Sqrt(dl)
 				}
-				scores[p.Doc] += qw * dw
+				acc.add(p.Ord, qw*dw)
 			}
 		}
 	}
-	return topK(scores, k)
+	return acc.top(ix.docs, k)
 }
 
-// topK selects the k highest-scoring docs using a min-heap.
-func topK(scores map[int64]float64, k int) []Hit {
-	h := &hitHeap{}
-	heap.Init(h)
-	for doc, s := range scores {
-		if h.Len() < k {
-			heap.Push(h, Hit{doc, s})
-		} else if s > (*h)[0].Score || (s == (*h)[0].Score && doc < (*h)[0].Doc) {
-			(*h)[0] = Hit{doc, s}
-			heap.Fix(h, 0)
+// accumulator returns a cleared accumulator with room for n ordinals.
+func (ix *Index) accumulator(n int) *accumulator {
+	acc, _ := ix.accs.Get().(*accumulator)
+	if acc == nil {
+		acc = &accumulator{}
+	}
+	if len(acc.score) < n {
+		acc.score = make([]float64, n+n/4)
+		acc.hit = make([]bool, len(acc.score))
+	}
+	return acc
+}
+
+// accumulator is one search's scores by document ordinal. score[o] is
+// ordinal o's sum so far and hit[o] whether a posting touched it; touched
+// lists the touched ordinals. Between searches every score is 0 and every
+// hit false: top clears what the search set.
+type accumulator struct {
+	score   []float64
+	hit     []bool
+	touched []int32
+}
+
+// add adds s to ordinal o's score. A score starts at 0, as a missing map
+// entry does, so the sums are the bits a map of scores would hold.
+func (a *accumulator) add(o int32, s float64) {
+	if !a.hit[o] {
+		a.hit[o] = true
+		a.touched = append(a.touched, o)
+	}
+	a.score[o] += s
+}
+
+// top returns the k best touched ordinals as hits, docs naming each
+// ordinal's document, best first: by score descending, then by lower
+// document id. That order is total, so the hits are the same whatever
+// order the ordinals were touched in. It leaves a cleared.
+func (a *accumulator) top(docs []int64, k int) []Hit {
+	h := make(hitHeap, 0, min(k, len(a.touched)))
+	for _, o := range a.touched {
+		hit := Hit{docs[o], a.score[o]}
+		a.score[o], a.hit[o] = 0, false
+		switch {
+		case len(h) < k:
+			h = append(h, hit)
+			if len(h) == k {
+				heap.Init(&h)
+			}
+		case better(hit, h[0]):
+			h[0] = hit
+			heap.Fix(&h, 0)
 		}
 	}
-	out := make([]Hit, h.Len())
-	for i := len(out) - 1; i >= 0; i-- {
-		out[i] = heap.Pop(h).(Hit)
-	}
-	return out
+	a.touched = a.touched[:0]
+	slices.SortFunc(h, func(x, y Hit) int {
+		switch {
+		case better(x, y):
+			return -1
+		case better(y, x):
+			return 1
+		}
+		return 0
+	})
+	return h
 }
 
+// better reports whether hit a ranks above hit b.
+func better(a, b Hit) bool {
+	return a.Score > b.Score || (a.Score == b.Score && a.Doc < b.Doc)
+}
+
+// hitHeap is a min-heap of hits: its root is the worst of them.
 type hitHeap []Hit
 
-func (h hitHeap) Len() int { return len(h) }
-func (h hitHeap) Less(i, j int) bool {
-	if h[i].Score != h[j].Score {
-		return h[i].Score < h[j].Score
-	}
-	return h[i].Doc > h[j].Doc // stable: lower doc id wins ties
-}
-func (h hitHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *hitHeap) Push(x any)   { *h = append(*h, x.(Hit)) }
+func (h hitHeap) Len() int           { return len(h) }
+func (h hitHeap) Less(i, j int) bool { return better(h[j], h[i]) }
+func (h hitHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *hitHeap) Push(x any)        { *h = append(*h, x.(Hit)) }
 func (h *hitHeap) Pop() any {
 	old := *h
 	n := len(old)

@@ -1,6 +1,7 @@
 package textindex
 
 import (
+	"container/heap"
 	"fmt"
 	"math"
 	"math/rand"
@@ -8,6 +9,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"memex/internal/text"
@@ -273,9 +275,15 @@ func TestSearchSumsInAFixedOrder(t *testing.T) {
 // the append-only lists must answer equal to.
 type refIndex struct {
 	dict     *text.Dict
-	postings map[int32][]Posting
+	postings map[int32][]refPosting
 	docLen   map[int64]int
 	totalLen int64
+}
+
+// refPosting is a posting as it stood before ordinals: the document's id.
+type refPosting struct {
+	Doc int64
+	TF  int32
 }
 
 func (r *refIndex) add(doc int64, v text.Vector) {
@@ -284,7 +292,7 @@ func (r *refIndex) add(doc int64, v text.Vector) {
 		n := int(v.Weights[i])
 		pl := r.postings[id]
 		at := sort.Search(len(pl), func(i int) bool { return pl[i].Doc >= doc })
-		r.postings[id] = slices.Insert(pl, at, Posting{Doc: doc, TF: int32(n)})
+		r.postings[id] = slices.Insert(pl, at, refPosting{Doc: doc, TF: int32(n)})
 		total += n
 	}
 	r.docLen[doc] = total
@@ -342,7 +350,7 @@ func TestAppendOnlyMatchesDocSortedReference(t *testing.T) {
 		vocab[i] = fmt.Sprintf("w%c%c", 'a'+i%26, 'a'+i/26)
 	}
 	ix := New(dict)
-	ref := &refIndex{dict: dict, postings: map[int32][]Posting{}, docLen: map[int64]int{}}
+	ref := &refIndex{dict: dict, postings: map[int32][]refPosting{}, docLen: map[int64]int{}}
 	var vecs []text.Vector
 	for _, doc := range rng.Perm(400) {
 		var content strings.Builder
@@ -373,5 +381,219 @@ func TestAppendOnlyMatchesDocSortedReference(t *testing.T) {
 		if got := ix.TFIDF(v); !reflect.DeepEqual(got, want) {
 			t.Fatalf("doc %d: TFIDF = %v, reference %v", i, got, want)
 		}
+	}
+}
+
+// topK selects the k highest-scoring docs of a score map using a min-heap:
+// the top-k step as it stood when Search summed into a map, kept for the
+// references.
+func topK(scores map[int64]float64, k int) []Hit {
+	h := &hitHeap{}
+	heap.Init(h)
+	for doc, s := range scores {
+		if h.Len() < k {
+			heap.Push(h, Hit{doc, s})
+		} else if s > (*h)[0].Score || (s == (*h)[0].Score && doc < (*h)[0].Doc) {
+			(*h)[0] = Hit{doc, s}
+			heap.Fix(h, 0)
+		}
+	}
+	out := make([]Hit, h.Len())
+	for i := len(out) - 1; i >= 0; i-- {
+		out[i] = heap.Pop(h).(Hit)
+	}
+	return out
+}
+
+// mapSearch is Search as it stood before the ordinal accumulator, over the
+// same index: two map operations per posting, one to read the document's
+// length and one to add to its score. Kept as the reference Search's
+// scores must equal bit for bit.
+func mapSearch(ix *Index, query string, k int, scoring Scoring) []Hit {
+	terms := text.Terms(query)
+	if len(terms) == 0 || k <= 0 {
+		return nil
+	}
+	slices.Sort(terms)
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	docLen := map[int64]int{}
+	for o, doc := range ix.docs {
+		docLen[doc] = ix.lens[o]
+	}
+	nDocs := len(docLen)
+	if nDocs == 0 {
+		return nil
+	}
+	avgLen := float64(ix.totalLen) / float64(nDocs)
+	scores := make(map[int64]float64)
+	//memexvet:ignore lockiter the reference reads one consistent posting set under the lock, as Search does
+	for i := 0; i < len(terms); {
+		term, qn := terms[i], 0
+		for ; i < len(terms) && terms[i] == term; i++ {
+			qn++
+		}
+		id, ok := ix.dict.Lookup(term)
+		if !ok {
+			continue
+		}
+		pl := ix.list(id)
+		df := len(pl)
+		if df == 0 {
+			continue
+		}
+		switch scoring {
+		case BM25:
+			idf := math.Log(1 + (float64(nDocs)-float64(df)+0.5)/(float64(df)+0.5))
+			const k1, b = 1.2, 0.75
+			for _, p := range pl {
+				doc := ix.docs[p.Ord]
+				tf := float64(p.TF)
+				dl := float64(docLen[doc])
+				norm := tf * (k1 + 1) / (tf + k1*(1-b+b*dl/avgLen))
+				scores[doc] += float64(qn) * idf * norm
+			}
+		default:
+			idf := math.Log(float64(1+nDocs) / float64(1+df))
+			qw := (1 + math.Log(float64(qn))) * idf
+			for _, p := range pl {
+				doc := ix.docs[p.Ord]
+				dw := (1 + math.Log(float64(p.TF))) * idf
+				dl := float64(docLen[doc])
+				if dl > 0 {
+					dw /= math.Sqrt(dl)
+				}
+				scores[doc] += qw * dw
+			}
+		}
+	}
+	return topK(scores, k)
+}
+
+// TestSearchMatchesMapSearch: on seeded random indexes whose documents
+// arrive out of id order, many of them exact copies of another (so scores
+// tie, and ties decide rank k), Search answers the map reference's hits
+// with the same score bits, under both scorings, for every k. A term every
+// document holds scores 0 under TFIDF, so zero scores are touched too.
+func TestSearchMatchesMapSearch(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		rng := rand.New(rand.NewSource(70 + seed))
+		vocab := make([]string, 40)
+		for i := range vocab {
+			vocab[i] = fmt.Sprintf("w%c%c", 'a'+i%26, 'a'+i/26)
+		}
+		ix := New(nil)
+		var contents []string
+		for _, doc := range rng.Perm(300) {
+			var content strings.Builder
+			content.WriteString("everywhere ")
+			if len(contents) > 0 && rng.Intn(3) == 0 {
+				content.WriteString(contents[rng.Intn(len(contents))])
+			} else {
+				for i := 0; i < 1+rng.Intn(25); i++ {
+					content.WriteString(vocab[int(float64(len(vocab))*rng.Float64()*rng.Float64())] + " ")
+				}
+			}
+			contents = append(contents, content.String())
+			ix.Add(int64(doc)*7+3, content.String())
+		}
+		ties := 0
+		for q := 0; q < 200; q++ {
+			query := ""
+			for i := 0; i < 1+rng.Intn(4); i++ {
+				query += vocab[rng.Intn(len(vocab))] + " "
+			}
+			if q%10 == 0 {
+				query += "everywhere"
+			}
+			for _, scoring := range []Scoring{TFIDF, BM25} {
+				for _, k := range []int{1, 5, 40, 1000} {
+					got, want := ix.Search(query, k, scoring), mapSearch(ix, query, k, scoring)
+					if len(got) != len(want) {
+						t.Fatalf("seed %d: Search(%q, %d, %v) has %d hits, reference %d", seed, query, k, scoring, len(got), len(want))
+					}
+					for i := range want {
+						if got[i].Doc != want[i].Doc || math.Float64bits(got[i].Score) != math.Float64bits(want[i].Score) {
+							t.Fatalf("seed %d: Search(%q, %d, %v)[%d] = %v, reference %v", seed, query, k, scoring, i, got[i], want[i])
+						}
+						if i > 0 && want[i].Score == want[i-1].Score {
+							ties++
+						}
+					}
+				}
+			}
+		}
+		if ties == 0 {
+			t.Fatalf("seed %d: no tied scores: the fixture lost its point", seed)
+		}
+	}
+}
+
+// TestConcurrentSearches: searches on several goroutines at once, which
+// share the index's pool of accumulators, each answer what a search on its
+// own answers; and searches racing with documents being added read a
+// consistent index (the race detector's part).
+func TestConcurrentSearches(t *testing.T) {
+	rng := rand.New(rand.NewSource(91))
+	vocab := make([]string, 50)
+	for i := range vocab {
+		vocab[i] = fmt.Sprintf("w%c%c", 'a'+i%26, 'a'+i/26)
+	}
+	randomText := func() string {
+		var b strings.Builder
+		for i := 0; i < 1+rng.Intn(20); i++ {
+			b.WriteString(vocab[rng.Intn(len(vocab))] + " ")
+		}
+		return b.String()
+	}
+	ix := New(nil)
+	for d := int64(0); d < 500; d++ {
+		ix.Add(d, randomText())
+	}
+	queries := make([]string, 40)
+	want := make([][]Hit, len(queries))
+	for i := range queries {
+		queries[i] = randomText()
+		want[i] = ix.Search(queries[i], 10, BM25)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				q := (g + i) % len(queries)
+				if got := ix.Search(queries[q], 10, BM25); !reflect.DeepEqual(got, want[q]) {
+					t.Errorf("goroutine %d: Search(%q) = %v, alone %v", g, queries[q], got, want[q])
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+
+	more := make([]string, 200)
+	for i := range more {
+		more[i] = randomText()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i, content := range more {
+			ix.Add(int64(1000+i), content)
+		}
+	}()
+	for g := 0; g < 3; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				ix.Search(queries[(g+i)%len(queries)], 10, TFIDF)
+			}
+		}(g)
+	}
+	wg.Wait()
+	if ix.Docs() != 700 {
+		t.Fatalf("Docs = %d, want 700", ix.Docs())
 	}
 }
