@@ -34,7 +34,6 @@ func main() {
 		themes = flag.Duration("themes", time.Minute, "theme-rebuild demon interval (0 = manual)")
 		train  = flag.Duration("train", 30*time.Second, "classifier-retrain demon interval (0 = manual)")
 		gc     = flag.Duration("gc", 0, "version-store GC/fold demon interval (0 = engine default of 2s, negative = manual)")
-		cache  = flag.Int64("cache", 0, "decoded-record cache budget in bytes (0 = engine default of 32 MiB, negative = disabled)")
 
 		// Admission control (all default off; GET /metrics serves the
 		// per-endpoint histograms and shed counters either way).
@@ -57,13 +56,12 @@ func main() {
 		ThemeInterval: *themes,
 		TrainInterval: *train,
 		GCInterval:    *gc,
-		CacheBytes:    *cache,
 	})
 	if err != nil {
 		log.Fatalf("memexd: %v", err)
 	}
 	defer m.Close()
-	if st := m.Status(); st.Version.Cold != nil && st.Version.Cold.Records > 0 {
+	if st := m.Status(); st.Version.Cold.Records > 0 {
 		log.Printf("recovered %d cold derived records at watermark %d from %s (%d pages indexed, link graph %d edges, no re-crawl needed)",
 			st.Version.Cold.Records, st.Version.Cold.Watermark, *dir, st.PagesIndexed, st.GraphEdges)
 	}

@@ -314,7 +314,7 @@ func TestEndToEndRestartRecoversDerivedState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stPost.Version.Cold == nil || stPost.Version.Cold.Records == 0 || stPost.Version.Cold.Records != coldAtClose.Records {
+	if stPost.Version.Cold.Records == 0 || stPost.Version.Cold.Records != coldAtClose.Records {
 		t.Fatalf("/api/status cold tier after restart: %+v; %d records at close", stPost.Version.Cold, coldAtClose.Records)
 	}
 	// The recovered watermark can sit above the observed one only if an

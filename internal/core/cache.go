@@ -7,24 +7,21 @@ import (
 	"memex/internal/text"
 )
 
-// This file is the engine's shared decoded-record cache: the layer
-// between DerivedView and Snapshot.Get that keeps decode cost from
-// scaling with the number of passes instead of the number of pages.
-//
-// Per-view memoization (the maps inside DerivedView) dies with the view,
-// so before this cache a themes rebuild, a Trails HITS pass and a
-// Recommend call over the same epoch each re-decoded every tf/, lnk/ and
-// rin* record from scratch. The cache is keyed by (epoch, page, kind):
-// published epochs are immutable — no publish and no cold fold ever
-// rewrites a record under an installed state — so a decoded value
-// can never go stale. Invalidation is therefore evict-only: entries
-// leave under LRU memory pressure, or when their epoch falls below the
-// version store's pin floor (no live view can ever ask for them again;
-// the version-gc demon drives that sweep).
+// This file is the engine's shared decoded-record cache: the one in-RAM
+// home of decoded tf/, lnk/ and rin/ records, between DerivedView and
+// Snapshot.Get. It keeps decode cost scaling with the number of pages
+// rather than the number of reads: repeat reads within one view, and a
+// themes rebuild, a Trails HITS pass and a Recommend call over the same
+// epoch, decode each record once. The cache is keyed by (epoch, page,
+// kind): published epochs are immutable — no publish and no cold fold ever
+// rewrites a record under an installed state — so a decoded value can never
+// go stale, and a view reads the same value every time. Invalidation is
+// therefore evict-only: entries leave under LRU memory pressure, or when
+// their epoch falls below the version store's pin floor (no live view can
+// ever ask for them again; the version-gc demon drives that sweep).
 //
 // Cached values (term-count vectors, adjacency slices) are shared across
-// views and goroutines and MUST be treated as immutable by every reader —
-// the same contract DerivedView's own memos already carry.
+// views and goroutines and MUST be treated as immutable by every reader.
 
 // cacheKind distinguishes the decoded-record families sharing the cache.
 type cacheKind uint8
@@ -57,9 +54,8 @@ type cacheEntry struct {
 // CacheStats is the cache's observability surface, published through
 // engine Stats and /api/status.
 type CacheStats struct {
-	// Hits and Misses count lookups (a view consults its own memo first,
-	// so these measure cross-view reuse, exactly the repeated-pass cost
-	// the cache exists to collapse).
+	// Hits and Misses count lookups: every read a view makes, repeat reads
+	// within the view included, is one of the two.
 	Hits   uint64
 	Misses uint64
 	// EvictedLRU counts entries dropped for memory pressure; EvictedFloor
@@ -124,11 +120,8 @@ func maxEntrySize(max int64) int64 {
 }
 
 // newRecordCache builds a cache bounded at maxBytes of approximate
-// decoded footprint (maxBytes <= 0 disables caching; callers get nil).
+// decoded footprint.
 func newRecordCache(maxBytes int64) *recordCache {
-	if maxBytes <= 0 {
-		return nil
-	}
 	c := &recordCache{max: maxBytes, entries: make(map[cacheKey]*cacheEntry)}
 	c.head.next = &c.tail
 	c.tail.prev = &c.head

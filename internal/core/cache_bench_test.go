@@ -10,9 +10,8 @@ import (
 	"memex/internal/webcorpus"
 )
 
-// benchEngine builds a quiesced engine with a seeded archive and the
-// given decoded-record cache budget.
-func benchEngine(b *testing.B, cacheBytes int64) *Engine {
+// benchEngine builds a quiesced engine with a seeded archive.
+func benchEngine(b *testing.B) *Engine {
 	b.Helper()
 	c := webcorpus.Generate(webcorpus.Config{Seed: 21, TopTopics: 3, SubPerTopic: 2, PagesPerLeaf: 16})
 	e, err := Open(Config{
@@ -20,7 +19,6 @@ func benchEngine(b *testing.B, cacheBytes int64) *Engine {
 		Source:            corpusSource{c},
 		KV:                kvstore.Options{Sync: kvstore.SyncGroup},
 		VersionGCInterval: -1,
-		DecodedCacheBytes: cacheBytes,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -56,46 +54,35 @@ func miningPass(e *Engine, pages []int64) {
 	e.Recommend(1, 5, true)
 }
 
-// BenchmarkMiningPassColdVsWarm measures the tentpole's headline: the
-// same themes+HITS+recommend pass with the shared cache disabled (every
-// pass re-decodes every record) and enabled (passes after the first
-// serve decoded values). Reported decodes/op is the cache-miss count
-// per pass — the warm case should sit near zero.
+// BenchmarkMiningPassColdVsWarm measures the same themes+HITS+recommend
+// pass once the first (cold) pass has filled the shared cache: passes
+// after the first serve decoded values. Reported decodes/op is the
+// cache-miss count per pass, which should sit near zero.
 func BenchmarkMiningPassColdVsWarm(b *testing.B) {
-	b.Run("uncached", func(b *testing.B) {
-		e := benchEngine(b, -1)
-		pages := fetchedPages(e)
-		miningPass(e, pages) // warm the OS/page side, no cache to warm
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			miningPass(e, pages)
-		}
-	})
-	b.Run("cached", func(b *testing.B) {
-		e := benchEngine(b, 64<<20)
-		pages := fetchedPages(e)
-		miningPass(e, pages) // cold pass: populate the cache
-		m0 := e.cache.stats().Misses
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			miningPass(e, pages)
-		}
-		b.StopTimer()
-		st := e.cache.stats()
-		b.ReportMetric(float64(st.Misses-m0)/float64(b.N), "decodes/op")
-		if total := st.Hits + st.Misses; total > 0 {
-			b.ReportMetric(float64(st.Hits)/float64(total), "hit-ratio")
-		}
-	})
+	e := benchEngine(b)
+	pages := fetchedPages(e)
+	miningPass(e, pages) // cold pass: populate the cache
+	m0 := e.cache.stats().Misses
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		miningPass(e, pages)
+	}
+	b.StopTimer()
+	st := e.cache.stats()
+	b.ReportMetric(float64(st.Misses-m0)/float64(b.N), "decodes/op")
+	if total := st.Hits + st.Misses; total > 0 {
+		b.ReportMetric(float64(st.Hits)/float64(total), "hit-ratio")
+	}
 }
 
 // BenchmarkCacheHitRatioSweep sweeps the cache budget from starved to
 // ample over the same repeated pass, reporting the achieved hit ratio —
-// the sizing curve behind Config.DecodedCacheBytes' guidance.
+// the sizing curve behind decodedCacheBytes.
 func BenchmarkCacheHitRatioSweep(b *testing.B) {
 	for _, budget := range []int64{16 << 10, 64 << 10, 256 << 10, 4 << 20} {
 		b.Run(fmt.Sprintf("budget=%dKiB", budget>>10), func(b *testing.B) {
-			e := benchEngine(b, budget)
+			e := benchEngine(b)
+			e.cache = newRecordCache(budget)
 			pages := fetchedPages(e)
 			miningPass(e, pages)
 			b.ResetTimer()

@@ -174,15 +174,6 @@ func TestRecordCacheMaxEntrySize(t *testing.T) {
 	}
 }
 
-func TestRecordCacheDisabled(t *testing.T) {
-	if c := newRecordCache(0); c != nil {
-		t.Fatal("zero budget built a cache (caller defaults, not the cache)")
-	}
-	if c := newRecordCache(-1); c != nil {
-		t.Fatal("negative budget built a cache")
-	}
-}
-
 // TestCountsChargeSlotsNotTerms: a decoded term-count record holds ids,
 // not strings, so its cache charge counts slots only — the same for long
 // terms as for short ones — and the budget never pays for bytes the

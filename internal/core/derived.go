@@ -192,26 +192,20 @@ func (e *Engine) derivedPublished(pageID int64) bool {
 // trail ranking, link-proximity recommendation and crawl-frontier checks
 // all read the same frozen graph their term-stat reads come from.
 //
-// Decoded records are memoized per view — a usage or replay pass reads
-// the same few pages many times — so a DerivedView is for a single
-// goroutine, like the passes that hold one.
-//
-// Between the per-view memo and the store sits the engine's shared
-// decoded-record cache (cache.go), keyed by (epoch, page, kind): the
-// second pass over an unchanged epoch — or a concurrent pass over the
-// same one — reuses decoded values instead of re-walking chains and
-// re-decoding blobs. Published epochs are immutable, so the cache is
-// never invalidated in place, only evicted (LRU pressure, or the epoch
-// falling below the pin floor). Everything that comes out of the memo
-// or the cache is shared: callers must treat returned slices and vectors
-// as read-only.
+// A view keeps no decoded records of its own. Every read goes to the
+// engine's shared decoded-record cache (cache.go), keyed by (epoch, page,
+// kind), and on a miss to the pinned snapshot: a usage or replay pass that
+// reads the same few pages many times, a second pass over an unchanged
+// epoch and a concurrent pass over the same one all reuse decoded values
+// instead of re-walking chains and re-decoding blobs. Published epochs are
+// immutable, so the cache is never invalidated in place, only evicted (LRU
+// pressure, or the epoch falling below the pin floor), and a view reads the
+// same value every time. Everything that comes out of the cache is shared:
+// callers must treat returned slices and vectors as read-only.
 type DerivedView struct {
 	sn    *version.Snapshot
 	dict  *text.Dict
-	cache *recordCache // shared decoded-record cache; nil = uncached
-	tf    map[int64]text.Vector
-	out   map[int64][]int64
-	in    map[int64][]int64
+	cache *recordCache // the engine's shared decoded-record cache
 }
 
 // withView runs fn over the derived data pinned at the current epoch and
@@ -220,14 +214,7 @@ type DerivedView struct {
 // channel or goroutine hand-off) — a view used after its scope panics.
 func (e *Engine) withView(fn func(*DerivedView)) {
 	sn := e.vs.Acquire()
-	v := &DerivedView{
-		sn:    sn,
-		dict:  e.dict,
-		cache: e.cache,
-		tf:    map[int64]text.Vector{},
-		out:   map[int64][]int64{},
-		in:    map[int64][]int64{},
-	}
+	v := &DerivedView{sn: sn, dict: e.dict, cache: e.cache}
 	defer func() {
 		v.sn = nil
 		sn.Release()
@@ -236,9 +223,8 @@ func (e *Engine) withView(fn func(*DerivedView)) {
 }
 
 // pinned returns the view's snapshot, or panics once the pin's scope has
-// ended. Every accessor starts here, before its memo and the shared cache:
-// both could otherwise keep answering from an epoch the store is free to
-// fold away.
+// ended. Every accessor starts here, before the shared cache, which could
+// otherwise keep answering from an epoch the store is free to fold away.
 func (v *DerivedView) pinned() *version.Snapshot {
 	if v.sn == nil {
 		panic("core: DerivedView used after its withView scope ended")
@@ -255,44 +241,26 @@ func (v *DerivedView) pinned() *version.Snapshot {
 // record cache: treat it as read-only.
 func (v *DerivedView) TermCounts(page int64) text.Vector {
 	sn := v.pinned()
-	if tf, ok := v.tf[page]; ok {
-		return tf
-	}
 	ck := cacheKey{epoch: sn.Epoch(), page: page, kind: kindTF}
-	if v.cache != nil {
-		if val, ok := v.cache.get(ck); ok {
-			tf := val.(text.Vector)
-			v.tf[page] = tf
-			return tf
-		}
+	if val, ok := v.cache.get(ck); ok {
+		return val.(text.Vector)
 	}
 	var tf text.Vector
 	if raw, ok := sn.Get(tfKey(page)); ok {
 		tf = decodeCounts(v.dict, raw)
 	}
-	v.tf[page] = tf
-	if v.cache != nil {
-		v.cache.put(ck, tf, sizeofVec(tf))
-	}
+	v.cache.put(ck, tf, sizeofVec(tf))
 	return tf
 }
 
-// adj decodes one adjacency record through a memo map and the shared
-// cache. Memo and cache both store nil for "no record at this epoch" and
-// a non-nil (possibly empty) slice for a known page, mirroring
-// decodeIDSet's contract.
-func (v *DerivedView) adj(memo map[int64][]int64, kind cacheKind, key string, page int64) []int64 {
+// adj decodes one adjacency record through the shared cache. The cache
+// stores nil for "no record at this epoch" and a non-nil (possibly empty)
+// slice for a known page, mirroring decodeIDSet's contract.
+func (v *DerivedView) adj(kind cacheKind, key string, page int64) []int64 {
 	sn := v.pinned()
-	if ids, ok := memo[page]; ok {
-		return ids
-	}
 	ck := cacheKey{epoch: sn.Epoch(), page: page, kind: kind}
-	if v.cache != nil {
-		if val, ok := v.cache.get(ck); ok {
-			ids := val.([]int64)
-			memo[page] = ids
-			return ids
-		}
+	if val, ok := v.cache.get(ck); ok {
+		return val.([]int64)
 	}
 	var ids []int64
 	if raw, ok := sn.Get(key); ok {
@@ -300,10 +268,7 @@ func (v *DerivedView) adj(memo map[int64][]int64, kind cacheKind, key string, pa
 			ids = dec
 		}
 	}
-	memo[page] = ids
-	if v.cache != nil {
-		v.cache.put(ck, ids, sizeofIDs(ids))
-	}
+	v.cache.put(ck, ids, sizeofIDs(ids))
 	return ids
 }
 
@@ -311,7 +276,7 @@ func (v *DerivedView) adj(memo map[int64][]int64, kind cacheKind, key string, pa
 // when the page has no lnk/ record; callers must not mutate the slice).
 // Out implements part of graph.AdjacencySource.
 func (v *DerivedView) Out(page int64) []int64 {
-	return v.adj(v.out, kindOut, lnkKey(page), page)
+	return v.adj(kindOut, lnkKey(page), page)
 }
 
 // OutKnown is Out plus whether the page has an adjacency record at all —
@@ -325,7 +290,7 @@ func (v *DerivedView) OutKnown(page int64) ([]int64, bool) {
 // when the page has no decodable rin/ record; callers must not mutate the
 // slice). In implements part of graph.AdjacencySource.
 func (v *DerivedView) In(page int64) []int64 {
-	return v.adj(v.in, kindIn, rinKey(page), page)
+	return v.adj(kindIn, rinKey(page), page)
 }
 
 // Has reports whether the page is known to the link graph at the view's

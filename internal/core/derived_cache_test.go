@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"reflect"
 	"slices"
 	"sync"
@@ -10,21 +11,43 @@ import (
 	"memex/internal/events"
 	"memex/internal/kvstore"
 	"memex/internal/text"
+	"memex/internal/version"
 	"memex/internal/webcorpus"
 )
 
-// uncachedTwin wraps the same pinned snapshot in a view with no shared
-// cache: the ground-truth read path (decode every blob). Only the original
-// view may Release.
-func uncachedTwin(v *DerivedView) *DerivedView {
-	return &DerivedView{
-		sn:   v.sn,
-		dict: v.dict,
-		tf:   map[int64]text.Vector{},
-		out:  map[int64][]int64{},
-		in:   map[int64][]int64{},
-	}
+// twin is the ground-truth read path: every read decodes its record
+// straight from the pinned snapshot, with no cache in between.
+type twin struct {
+	sn   *version.Snapshot
+	dict *text.Dict
 }
+
+// uncachedTwin reads v's pinned snapshot through no cache. Only v's own
+// withView may Release the snapshot.
+func uncachedTwin(v *DerivedView) twin { return twin{v.sn, v.dict} }
+
+func (t twin) TermCounts(page int64) text.Vector {
+	raw, ok := t.sn.Get(tfKey(page))
+	if !ok {
+		return text.Vector{}
+	}
+	return decodeCounts(t.dict, raw)
+}
+
+func (t twin) ids(key string) []int64 {
+	raw, ok := t.sn.Get(key)
+	if !ok {
+		return nil
+	}
+	ids, ok := decodeIDSet(raw)
+	if !ok {
+		return nil
+	}
+	return ids
+}
+
+func (t twin) Out(page int64) []int64 { return t.ids(lnkKey(page)) }
+func (t twin) In(page int64) []int64  { return t.ids(rinKey(page)) }
 
 // fetchedPages snapshots the engine's claim set (the pages with derived
 // records to read).
@@ -79,16 +102,8 @@ func TestCachedReadsMatchUncached(t *testing.T) {
 	seedEngine(t, e, c, 20)
 
 	e.withView(func(v *DerivedView) {
-		if v.cache == nil {
-			t.Fatal("engine view lacks the shared cache")
-		}
 		truth := uncachedTwin(v)
-		warm := &DerivedView{
-			sn: v.sn, dict: v.dict, cache: v.cache,
-			tf:  map[int64]text.Vector{},
-			out: map[int64][]int64{},
-			in:  map[int64][]int64{},
-		}
+		warm := &DerivedView{v.sn, v.dict, v.cache}
 		pages := fetchedPages(e)
 		if len(pages) == 0 {
 			t.Fatal("no fetched pages")
@@ -192,9 +207,6 @@ func TestConsolidatedInZeroColdFallthrough(t *testing.T) {
 
 	coldStats := func() (reads, misses uint64) {
 		cs := e.vs.StoreStats().Cold
-		if cs == nil {
-			t.Fatal("engine store has no cold tier")
-		}
 		return cs.Reads, cs.ReadMisses
 	}
 	e.withView(func(v *DerivedView) {
@@ -214,6 +226,46 @@ func TestConsolidatedInZeroColdFallthrough(t *testing.T) {
 			t.Fatalf("In() paid %d cold-tier misses, want 0", miss1-miss0)
 		}
 	})
+}
+
+// TestOversizeRecordDecodesOnEveryRead: a record larger than the cache's
+// admission cap is refused every time, so each read through one view
+// decodes it from the pinned snapshot again — and each read still equals
+// the uncached twin's.
+func TestOversizeRecordDecodesOnEveryRead(t *testing.T) {
+	const terms = 6000
+	vs := newTestStore(t)
+	d := text.NewDict()
+	counts := make(map[string]int, terms)
+	for i := 0; i < terms; i++ {
+		counts[fmt.Sprintf("term%05d", i)] = i%7 + 1
+	}
+	blob, _ := encodeCounts(text.VectorFromCounts(d, counts))
+	b := vs.BeginSized(1)
+	b.Put(tfKey(1), blob)
+	if err := b.Publish(); err != nil {
+		t.Fatal(err)
+	}
+	sn := vs.Acquire()
+	defer sn.Release()
+
+	const budget = 256 << 10 // a test-sized budget: its cap is the 64 KiB floor
+	v := &DerivedView{sn, d, newRecordCache(budget)}
+	want := uncachedTwin(v).TermCounts(1)
+	if len(want.IDs) != terms {
+		t.Fatalf("twin decoded %d terms, want %d", len(want.IDs), terms)
+	}
+	if size := sizeofVec(want) + entryOverhead; size <= maxEntrySize(budget) {
+		t.Fatalf("test setup: a %d-byte entry fits the %d-byte admission cap", size, maxEntrySize(budget))
+	}
+	for read := 1; read <= 2; read++ {
+		if got := v.TermCounts(1); !reflect.DeepEqual(got, want) {
+			t.Fatalf("read %d: TermCounts differs from the uncached twin", read)
+		}
+	}
+	if got := v.cache.stats().SkippedOversize; got != 2 {
+		t.Fatalf("SkippedOversize = %d after two reads, want 2", got)
+	}
 }
 
 // TestCacheEvictionRespectsPinFloor drives the evict-only invalidation
@@ -248,12 +300,7 @@ func TestCacheEvictionRespectsPinFloor(t *testing.T) {
 		seedEngine(t, e, c, 24)
 		e.cache.evictBelow(e.vs.PinFloor())
 		h0 := e.cache.stats().Hits
-		warm := &DerivedView{
-			sn: v.sn, dict: v.dict, cache: v.cache,
-			tf:  map[int64]text.Vector{},
-			out: map[int64][]int64{},
-			in:  map[int64][]int64{},
-		}
+		warm := &DerivedView{v.sn, v.dict, v.cache}
 		for _, p := range pages {
 			if got := warm.In(p); !slices.Equal(got, want[p]) {
 				t.Fatalf("page %d: post-sweep cached In = %v, want %v", p, got, want[p])

@@ -186,10 +186,10 @@ func TestVectorDerivedFromCounts(t *testing.T) {
 		if !reflect.DeepEqual(got.IDs, want.IDs) || !reflect.DeepEqual(got.Weights, want.Weights) {
 			t.Fatal("decoded counts diverge from fetch-path computation")
 		}
-		// And it memoizes: a second read returns the identical value.
+		// And a second read, a cache hit, returns the identical value.
 		again := view.TermCounts(id)
 		if !reflect.DeepEqual(again, got) {
-			t.Fatal("memoized counts changed between reads")
+			t.Fatal("cached counts changed between reads")
 		}
 	})
 }
@@ -245,8 +245,8 @@ func TestDerivedViewConsistency(t *testing.T) {
 
 // TestViewDiesWithItsScope: the pin is a scope, not a value. A view
 // smuggled out of withView panics from every accessor — also for a page
-// it had memoised, where a released pin used to keep answering from the
-// memo and the shared cache — and a closure that panics leaves no pin.
+// it had read, which the shared cache still holds — and a closure that
+// panics leaves no pin.
 func TestViewDiesWithItsScope(t *testing.T) {
 	c, e := testWorld(t)
 	e.RegisterUser(1, "alice")
@@ -271,7 +271,7 @@ func TestViewDiesWithItsScope(t *testing.T) {
 		"In":         func(page int64) { escaped.In(page) },
 		"Has":        func(page int64) { escaped.Has(page) },
 	} {
-		for _, page := range []int64{id, id + 1000} { // memoised, never read
+		for _, page := range []int64{id, id + 1000} { // cached, never read
 			func() {
 				defer func() {
 					if recover() == nil {

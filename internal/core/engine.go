@@ -105,21 +105,17 @@ type Config struct {
 	// the cold tier off the hot path, once 4096 entries have gathered there
 	// (default 2s; negative disables the demon, and Close still folds).
 	VersionGCInterval time.Duration
-	// DecodedCacheBytes bounds the shared decoded-record cache that sits
-	// between DerivedView and the version store (cache.go): 0 takes the
-	// default (32 MiB), negative disables caching. Sizing guidance: the
-	// cache holds decoded term-count vectors and adjacency slices, so a
-	// working set of N hot pages costs very roughly N × (page term count ×
-	// 12 B + in- and out-degree × 8 B); at the default a second mining pass
-	// over ~100k modest pages stays fully warm.
-	DecodedCacheBytes int64
 	// Now injects a clock for tests (default time.Now).
 	Now func() time.Time
 }
 
-// defaultDecodedCacheBytes is the decoded-record cache budget when the
-// config leaves it zero.
-const defaultDecodedCacheBytes = 32 << 20
+// decodedCacheBytes bounds the shared decoded-record cache that sits
+// between DerivedView and the version store (cache.go). The cache holds
+// decoded term-count vectors and adjacency slices, so a working set of N hot
+// pages costs very roughly N × (page term count × 12 B + in- and out-degree
+// × 8 B); at this budget a second mining pass over ~100k modest pages stays
+// fully warm.
+const decodedCacheBytes = 32 << 20
 
 // stemMemoEntries caps the engine's stem memo: with tokens of at most
 // text's 64 remembered bytes, a few MiB at the very most — room for a
@@ -146,7 +142,7 @@ type Engine struct {
 	// cache is the shared decoded-record cache (cache.go): every
 	// DerivedView of this engine consults it before decoding a tf/, lnk/
 	// or rin/ record, so repeated passes over an unchanged epoch pay
-	// decode cost once. nil when DecodedCacheBytes < 0.
+	// decode cost once.
 	cache *recordCache
 	queue *events.Queue
 	pool  *demon.Pool
@@ -225,9 +221,6 @@ func Open(cfg Config) (*Engine, error) {
 	if cfg.VersionGCInterval == 0 {
 		cfg.VersionGCInterval = 2 * time.Second
 	}
-	if cfg.DecodedCacheBytes == 0 {
-		cfg.DecodedCacheBytes = defaultDecodedCacheBytes
-	}
 	kv, err := kvstore.Open(cfg.Dir, cfg.KV)
 	if err != nil {
 		return nil, err
@@ -255,7 +248,7 @@ func Open(cfg Config) (*Engine, error) {
 		idx:     idx,
 		stems:   text.NewStemMemo(dict, stemMemoEntries),
 		links:   newLinkIndex(vs, dict, idx),
-		cache:   newRecordCache(cfg.DecodedCacheBytes),
+		cache:   newRecordCache(decodedCacheBytes),
 		queue:   events.NewQueue(cfg.QueueSize),
 		pool:    demon.NewPool(),
 		trees:   map[int64]*folders.Tree{},
@@ -460,9 +453,7 @@ func (e *Engine) startDemons() {
 				// cache never needs write invalidation — but once the pin
 				// floor moves past an epoch no live or future view can ask
 				// for it again, so its entries are reclaimed here.
-				if e.cache != nil {
-					e.cache.evictBelow(e.vs.PinFloor())
-				}
+				e.cache.evictBelow(e.vs.PinFloor())
 			},
 		})
 	}
@@ -521,10 +512,9 @@ type Stats struct {
 	// Version reports the derived-data version store: watermark, layer
 	// count, pinned snapshots, and cumulative GC work.
 	Version version.Stats
-	// Cache reports the shared decoded-record cache: hit/miss counters
-	// (cross-view reuse), eviction counts split by cause, and the
-	// approximate decoded footprint against its bound. All zero when the
-	// cache is disabled.
+	// Cache reports the shared decoded-record cache: hit/miss counters,
+	// eviction counts split by cause, and the approximate decoded footprint
+	// against its bound.
 	Cache CacheStats
 }
 
@@ -539,12 +529,8 @@ func (e *Engine) Status() Stats {
 	pages := len(e.meta)
 	e.mu.RUnlock()
 	p := e.Pressure()
-	var cs CacheStats
-	if e.cache != nil {
-		cs = e.cache.stats()
-	}
 	return Stats{
-		Cache:         cs,
+		Cache:         e.cache.stats(),
 		GraphEdges:    int(e.links.edges.Load()),
 		Terms:         e.dict.Size(),
 		Users:         users,

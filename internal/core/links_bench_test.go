@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"memex/internal/kvstore"
 	"memex/internal/text"
 	"memex/internal/version"
 )
@@ -16,18 +17,28 @@ import (
 // op adds one in-link to a hub holding between d and 2d of them — a fresh
 // store is seeded with d, through publish and off the clock, whenever it
 // reaches 2d — and the hub's rin/ record it rewrote is read back through a
-// snapshot, off the clock too.
+// snapshot, off the clock too. Each fresh store takes its own keyspace of
+// one kvstore, which nothing is folded into.
 func BenchmarkInLinkWriteAmplification(b *testing.B) {
 	hub := int64(1 << 40)
 	for _, d := range []int{10, 100, 1_000} {
 		b.Run(fmt.Sprintf("indegree=%d", d), func(b *testing.B) {
+			kv, err := kvstore.Open(b.TempDir(), kvstore.Options{Sync: kvstore.SyncGroup})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer kv.Close()
 			var li *linkIndex
 			var rinBytes int64
 			indeg := 2 * d
 			for i := 0; i < b.N; i++ {
 				if indeg == 2*d {
 					b.StopTimer()
-					li = newLinkIndex(version.NewStore(), text.NewDict(), nil)
+					vs, err := version.Open(kv, fmt.Sprintf("vc%d/", i), version.Options{})
+					if err != nil {
+						b.Fatal(err)
+					}
+					li = newLinkIndex(vs, text.NewDict(), nil)
 					for src := 1; src <= d; src++ {
 						if err := li.publish(int64(src), []int64{hub}, nil); err != nil {
 							b.Fatal(err)

@@ -218,16 +218,27 @@ func TestLinkGraphSurvivesRestart(t *testing.T) {
 	})
 }
 
+// newTestStore opens a version store over a fresh kvstore in a temp dir,
+// the cold tier the engine's store has; the kvstore closes when the test
+// ends.
+func newTestStore(t testing.TB) *version.Store {
+	t.Helper()
+	kv, err := kvstore.Open(t.TempDir(), kvstore.Options{Sync: kvstore.SyncGroup})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { kv.Close() })
+	vs, err := version.Open(kv, "vc/", version.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return vs
+}
+
 // testView builds a DerivedView over a bare version store — the pinned
 // read face the link tests drive without a full engine.
 func testView(vs *version.Store) *DerivedView {
-	return &DerivedView{
-		sn:   vs.Acquire(),
-		dict: text.NewDict(),
-		tf:   map[int64]text.Vector{},
-		out:  map[int64][]int64{},
-		in:   map[int64][]int64{},
-	}
+	return &DerivedView{vs.Acquire(), text.NewDict(), newRecordCache(decodedCacheBytes)}
 }
 
 // TestInLinksMatchEdgeModel is the property check: for a random edge
@@ -236,7 +247,7 @@ func testView(vs *version.Store) *DerivedView {
 // gives it — and goes on reading them however many edges are published
 // afterwards.
 func TestInLinksMatchEdgeModel(t *testing.T) {
-	vs := version.NewStore()
+	vs := newTestStore(t)
 	li := newLinkIndex(vs, text.NewDict(), nil)
 	rng := rand.New(rand.NewSource(42))
 	const pages = 20
@@ -272,7 +283,7 @@ func TestInLinksMatchEdgeModel(t *testing.T) {
 		view := testView(vs)
 		check(view, want, "at its own epoch")
 		if i%50 == 0 {
-			// A second view of the epoch, its memo still empty at the end.
+			// A second view of the epoch, first read after later publishes.
 			kept = append(kept, pinned{testView(vs), want})
 		}
 		view.sn.Release()
@@ -292,7 +303,7 @@ func TestInLinksMatchEdgeModel(t *testing.T) {
 // exactly the sources whose lnk/ record that same view can read.
 func TestHubInLinksNeverOutrunOutLinks(t *testing.T) {
 	const publishers, sources, readers = 8, 2000, 3
-	vs := version.NewStore()
+	vs := newTestStore(t)
 	li := newLinkIndex(vs, text.NewDict(), nil)
 	hub := int64(1 << 40)
 
@@ -367,7 +378,7 @@ func TestHubInLinksNeverOutrunOutLinks(t *testing.T) {
 // in-links were chunked) and a corrupt byte. A record that is not exactly
 // encodeIDSet's output reads as unknown, never a panic.
 func TestRinMixedArchiveDecode(t *testing.T) {
-	vs := version.NewStore()
+	vs := newTestStore(t)
 	b := vs.BeginSized(0)
 	b.Put(rinKey(7), encodeIDSet([]int64{1, 2, 3}))
 	b.Put(rinKey(8), binary.AppendUvarint(encodeIDSet([]int64{5, 4}), 4))

@@ -231,17 +231,16 @@ func writeEngineMetrics(w io.Writer, st core.Stats) {
 	g("memex_version_entries", "Versions held in the chain.", float64(st.Version.Entries))
 	g("memex_version_pinned", "Snapshots currently pinning a state.", float64(st.Version.Pinned))
 	c("memex_version_gc_reclaimed_total", "Versions dropped from memory: superseded inside a tier merge, or folded to disk.", float64(st.Version.GCReclaimed))
-	if cold := st.Version.Cold; cold != nil {
-		g("memex_version_fold_lag_epochs", "Published watermark minus durable fold watermark.", float64(st.FoldLag))
-		g("memex_version_cold_records", "Keys on disk (one version each).", float64(cold.Records))
-		c("memex_version_folds_total", "Completed fold rounds.", float64(cold.Folds))
-		c("memex_version_fold_errors_total", "Fold rounds that failed; their layers stay resident (last error in /api/status).", float64(cold.FoldErrors))
-		c("memex_version_cold_reads_total", "Snapshot gets that fell through to disk.", float64(cold.Reads))
-	}
+	cold := st.Version.Cold
+	g("memex_version_fold_lag_epochs", "Published watermark minus durable fold watermark.", float64(st.FoldLag))
+	g("memex_version_cold_records", "Keys on disk (one version each).", float64(cold.Records))
+	c("memex_version_folds_total", "Completed fold rounds.", float64(cold.Folds))
+	c("memex_version_fold_errors_total", "Fold rounds that failed; their layers stay resident (last error in /api/status).", float64(cold.FoldErrors))
+	c("memex_version_cold_reads_total", "Snapshot gets that fell through to disk.", float64(cold.Reads))
 
 	// Decoded-record cache.
 	cache := st.Cache
-	c("memex_cache_hits_total", "Decoded-record cache hits (cross-view reuse).", float64(cache.Hits))
+	c("memex_cache_hits_total", "Decoded-record cache hits, repeat reads within a view included.", float64(cache.Hits))
 	c("memex_cache_misses_total", "Decoded-record cache misses.", float64(cache.Misses))
 	promHeader(w, "memex_cache_evicted_total", "Cache entries evicted, by cause (lru = memory pressure, floor = below pin floor).", "counter")
 	fmt.Fprintf(w, "memex_cache_evicted_total{cause=\"lru\"} %d\n", cache.EvictedLRU)
@@ -249,11 +248,7 @@ func writeEngineMetrics(w io.Writer, st core.Stats) {
 	c("memex_cache_skipped_oversize_total", "Whale records refused cache admission.", float64(cache.SkippedOversize))
 	g("memex_cache_bytes", "Approximate decoded cache footprint.", float64(cache.Bytes))
 	g("memex_cache_max_bytes", "Decoded cache budget.", float64(cache.MaxBytes))
-	if total := cache.Hits + cache.Misses; total > 0 {
-		g("memex_cache_hit_ratio", "Cache hits over lookups.", float64(cache.Hits)/float64(total))
-	} else {
-		g("memex_cache_hit_ratio", "Cache hits over lookups.", 0)
-	}
+	g("memex_cache_hit_ratio", "Cache hits over lookups.", float64(cache.Hits)/float64(max(1, cache.Hits+cache.Misses)))
 
 	g("memex_disk_bytes", "Backing kvstore size on disk.", float64(st.DiskBytes))
 	c("memex_kv_commits_total", "Kvstore WAL commits by this process (one write-lock turn and flush each).", float64(st.KV.Commits))

@@ -527,8 +527,8 @@ func (s *Server) handleUsage(r *http.Request) (reply, error) {
 // JSON. Beside the page/user/queue counters this includes two nested
 // observability blocks: Version (the derived-data version store —
 // watermark, layers, pins, GC and cold-tier activity)
-// and Cache (the shared decoded-record cache — Hits/Misses measure
-// cross-pass reuse, EvictedLRU/EvictedFloor split evictions by cause,
+// and Cache (the shared decoded-record cache — Hits/Misses count every
+// read, repeats within a view included, EvictedLRU/EvictedFloor split evictions by cause,
 // Bytes/MaxBytes/Entries size the decoded footprint against its bound).
 func (s *Server) handleStatus(*http.Request) (reply, error) {
 	return jsonReply(s.engine.Status())

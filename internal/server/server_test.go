@@ -571,7 +571,7 @@ func TestMetricsEndpointMovesWithTraffic(t *testing.T) {
 // only in /api/status (core's TestStatusReportsFailedFold puts it there).
 func TestMetricsShowFailedFolds(t *testing.T) {
 	var buf bytes.Buffer
-	writeEngineMetrics(&buf, core.Stats{Version: version.Stats{Cold: &version.ColdStats{Folds: 7, FoldErrors: 2}}})
+	writeEngineMetrics(&buf, core.Stats{Version: version.Stats{Cold: version.ColdStats{Folds: 7, FoldErrors: 2}}})
 	for _, want := range []string{"memex_version_folds_total 7\n", "memex_version_fold_errors_total 2\n"} {
 		if !strings.Contains(buf.String(), want) {
 			t.Errorf("metrics missing %q", want)

@@ -15,22 +15,22 @@ import (
 // what tiering adds to the producer's critical section (the merge happens
 // off the read path; only the producer side ever waits for it).
 
-func benchStore(keys int) (*Store, []string) {
-	s := NewStore()
+func benchStore(b *testing.B, keys int) (*Store, []string) {
+	s := newStore(b)
 	names := make([]string, keys)
-	b := s.BeginSized(keys)
+	batch := s.BeginSized(keys)
 	for i := range names {
 		names[i] = fmt.Sprintf("key%04d", i)
-		b.Put(names[i], []byte("value"))
+		batch.Put(names[i], []byte("value"))
 	}
-	b.Publish()
+	batch.Publish()
 	return s, names
 }
 
 // BenchmarkPublish128 measures producer throughput at the E9 batch shape
 // (128 keys per epoch), tier merges included.
 func BenchmarkPublish128(b *testing.B) {
-	s, names := benchStore(128)
+	s, names := benchStore(b, 128)
 	val := []byte("v")
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -49,7 +49,7 @@ func BenchmarkPublish128(b *testing.B) {
 func BenchmarkSnapshotReadScaling(b *testing.B) {
 	for _, readers := range []int{1, 4, 16} {
 		b.Run(fmt.Sprintf("readers=%d", readers), func(b *testing.B) {
-			s, names := benchStore(1024)
+			s, names := benchStore(b, 1024)
 			var next atomic.Int64
 			var wg sync.WaitGroup
 			b.ResetTimer()
@@ -79,7 +79,7 @@ func BenchmarkSnapshotReadScaling(b *testing.B) {
 func BenchmarkSnapshotReadUnderPublish(b *testing.B) {
 	for _, readers := range []int{1, 4, 16} {
 		b.Run(fmt.Sprintf("readers=%d", readers), func(b *testing.B) {
-			s, names := benchStore(1024)
+			s, names := benchStore(b, 1024)
 			stop := make(chan struct{})
 			var prodWG sync.WaitGroup
 			prodWG.Add(1)
@@ -133,7 +133,7 @@ func BenchmarkSnapshotReadUnderPublish(b *testing.B) {
 // BenchmarkAcquireRelease measures the snapshot pin cost: one atomic
 // load plus two atomic adds.
 func BenchmarkAcquireRelease(b *testing.B) {
-	s, _ := benchStore(128)
+	s, _ := benchStore(b, 128)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -148,7 +148,7 @@ func BenchmarkAcquireRelease(b *testing.B) {
 func BenchmarkParallelPublishers(b *testing.B) {
 	for _, producers := range []int{1, 4} {
 		b.Run(fmt.Sprintf("producers=%d", producers), func(b *testing.B) {
-			s, names := benchStore(128)
+			s, names := benchStore(b, 128)
 			var next atomic.Int64
 			var wg sync.WaitGroup
 			val := []byte("v")

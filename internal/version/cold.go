@@ -66,11 +66,10 @@ import (
 	"memex/internal/kvstore"
 )
 
-// MaxColdKeyLen caps key length for stores with a cold tier: the escaped
-// key plus framing must leave room in one kvstore entry for a useful
-// payload part. Batch.Put panics beyond it (loudly, like other Batch
-// misuse) so an oversized key surfaces at publish time, not as a fold
-// error every GC tick forever after.
+// MaxColdKeyLen caps key length: the escaped key plus framing must leave
+// room in one kvstore entry for a useful payload part. Batch.Put panics
+// beyond it (loudly, like other Batch misuse) so an oversized key surfaces
+// at publish time, not as a fold error every GC tick forever after.
 const MaxColdKeyLen = 256
 
 // foldMinEntries is the foldable-entry count below which a periodic GC
@@ -163,11 +162,7 @@ func Open(kv *kvstore.Store, prefix string, _ Options) (*Store, error) {
 // Close folds everything at or below the pin floor to the cold tier so a
 // graceful shutdown loses nothing (a crash loses only what was published
 // after the last fold). The kvstore stays open — the owner closes it.
-// No-op for purely in-memory stores.
 func (s *Store) Close() error {
-	if s.cold == nil {
-		return nil
-	}
 	_, err := s.Fold()
 	return err
 }
@@ -388,21 +383,6 @@ func (c *coldTier) scan(fn func(key string, value []byte) bool) error {
 
 // --- fold ---
 
-// Fold folds the layers at or below the fold floor into the cold tier and
-// splices them out of the in-memory chain, returning the number of
-// in-memory entries moved to disk. The floor is the pin floor when no
-// merged layer spans it, and otherwise the epoch just below that layer —
-// no lower than the watermark at which the previous round started. It is
-// safe to run concurrently with Publish and snapshot reads (pinned
-// snapshots keep their captured chains, and everything folded is at or
-// below every pin by construction). Concurrent folds serialise.
-func (s *Store) Fold() (int, error) {
-	if s.cold == nil {
-		return 0, fmt.Errorf("version: store has no cold tier")
-	}
-	return s.fold()
-}
-
 // foldableEntries counts the in-memory entries at or below the current pin
 // floor (GC's "is a fold worthwhile yet" check; the round itself may settle
 // for a lower floor, see foldFloorLocked).
@@ -459,7 +439,15 @@ func (c *coldTier) roundCommit(merged map[string][]byte, wm uint64) ([]kvstore.K
 	return append(batch, kvstore.KV{Key: c.metaKey("wm"), Value: meta}), records, nil
 }
 
-func (s *Store) fold() (reclaimed int, err error) {
+// Fold folds the layers at or below the fold floor into the cold tier and
+// splices them out of the in-memory chain, returning the number of
+// in-memory entries moved to disk. The floor is the pin floor when no
+// merged layer spans it, and otherwise the epoch just below that layer —
+// no lower than the watermark at which the previous round started. It is
+// safe to run concurrently with Publish and snapshot reads (pinned
+// snapshots keep their captured chains, and everything folded is at or
+// below every pin by construction). Concurrent folds serialise.
+func (s *Store) Fold() (reclaimed int, err error) {
 	c := s.cold
 	s.foldMu.Lock()
 	defer s.foldMu.Unlock()
@@ -564,8 +552,8 @@ type ColdStats struct {
 	ReadErrors uint64
 }
 
-func (c *coldTier) stats() *ColdStats {
-	st := &ColdStats{
+func (c *coldTier) stats() ColdStats {
+	st := ColdStats{
 		Watermark:     c.wm.Load(),
 		Records:       c.records.Load(),
 		Folds:         c.folds.Load(),
@@ -584,12 +572,8 @@ func (c *coldTier) stats() *ColdStats {
 // ColdWatermark reports the durable fold watermark — the highest epoch
 // whose records are safely on disk — lock-free, for callers that poll it
 // on a hot path (admission control compares it against Watermark to
-// measure how far the fold has fallen behind publishes). 0 for purely
-// in-memory stores.
+// measure how far the fold has fallen behind publishes).
 func (s *Store) ColdWatermark() uint64 {
-	if s.cold == nil {
-		return 0
-	}
 	return s.cold.wm.Load()
 }
 
@@ -616,11 +600,7 @@ func (sn *Snapshot) Range(fn func(key string, value []byte) bool) error {
 			}
 		}
 	}
-	c := sn.s.cold
-	if c == nil {
-		return nil
-	}
-	return c.scan(func(k string, v []byte) bool {
+	return sn.s.cold.scan(func(k string, v []byte) bool {
 		return seen[k] || fn(k, v)
 	})
 }

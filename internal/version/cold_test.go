@@ -15,7 +15,7 @@ import (
 // test is the version layer's fold contract, not fsync behaviour —
 // TestFoldCommitCutAtEveryRecord and kvstore's own WAL tests cover torn
 // files).
-func openKV(t *testing.T, dir string) *kvstore.Store {
+func openKV(t testing.TB, dir string) *kvstore.Store {
 	t.Helper()
 	kv, err := kvstore.Open(filepath.Join(dir, "kv"), kvstore.Options{Sync: kvstore.SyncGroup})
 	if err != nil {
@@ -24,13 +24,22 @@ func openKV(t *testing.T, dir string) *kvstore.Store {
 	return kv
 }
 
-func openCold(t *testing.T, kv *kvstore.Store, o Options) *Store {
+func openCold(t testing.TB, kv *kvstore.Store, o Options) *Store {
 	t.Helper()
 	s, err := Open(kv, "vc/", o)
 	if err != nil {
 		t.Fatalf("version.Open: %v", err)
 	}
 	return s
+}
+
+// newStore opens a store over a fresh kvstore in a temp dir for a test that
+// never reopens it; the kvstore closes when the test ends.
+func newStore(t testing.TB) *Store {
+	t.Helper()
+	kv := openKV(t, t.TempDir())
+	t.Cleanup(func() { kv.Close() })
+	return openCold(t, kv, Options{})
 }
 
 // publishKV publishes one batch of key→value pairs and returns its epoch.

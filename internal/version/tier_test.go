@@ -51,7 +51,7 @@ func fetchBatch(s *Store, page int) *Batch {
 // publish count, at every power of the fanout and at the end of a
 // 10 000-page burst, and reads through it still find every record.
 func TestPublishBoundsChainDepth(t *testing.T) {
-	s := NewStore()
+	s := newStore(t)
 	const pages = 10000
 	check := func(publishes int) {
 		t.Helper()
@@ -88,7 +88,7 @@ func TestPublishBoundsChainDepth(t *testing.T) {
 // TestTieringDropsSupersededVersions: the merge keeps the newest version
 // of a key and counts what it dropped, with no GC call.
 func TestTieringDropsSupersededVersions(t *testing.T) {
-	s := NewStore()
+	s := newStore(t)
 	const n = 3*tierFanout + 5
 	for i := 0; i < n; i++ {
 		b := s.BeginSized(0)
@@ -480,7 +480,7 @@ var sinkGet []byte
 // ingest burst: 10 000 fetch-shaped publishes with no GC, then hits and
 // misses through one snapshot.
 func BenchmarkGetAfterBurst(b *testing.B) {
-	s := NewStore()
+	s := newStore(b)
 	const pages = 10000
 	for p := 0; p < pages; p++ {
 		fetchBatch(s, p).Publish()

@@ -96,13 +96,12 @@
 // spans.
 //
 // The fold needs the pin floor as its ceiling, because it does what a RAM
-// merge never does: it removes data. A store opened with Open (as opposed
-// to NewStore) has a cold tier — the kvstore B+tree keyspace — below the
-// chain. GC folds everything at or below the fold floor to disk and
-// splices it out of the chain, so RAM holds only the data published
-// since the last fold — the archive grows on disk, not in the heap — and
-// the disk keeps one version of a key, the newest folded, written over the
-// one before. A snapshot pinned below the floor would read those keys from
+// merge never does: it removes data. Every store has a cold tier — the
+// kvstore B+tree keyspace Open is given — below the chain. GC folds
+// everything at or below the fold floor to disk and splices it out of the
+// chain, so RAM holds only the data published since the last fold — the
+// archive grows on disk, not in the heap — and the disk keeps one version
+// of a key, the newest folded, written over the one before. A snapshot pinned below the floor would read those keys from
 // disk and find versions newer than its epoch. Reads fall through a missed
 // chain walk to a read-only kvstore handle; because the fold floor never
 // exceeds the minimum pinned epoch, every cold record is at or below every
@@ -116,12 +115,11 @@
 // # Reclamation
 //
 // The store has two merges. tier, at Publish, bounds read depth and
-// drops the versions superseded inside a run; it is all the reclamation a
-// store without a cold tier (NewStore) has, and GC on such a store does
-// nothing. fold, at the GC tick, bounds memory: GC folds once foldMinEntries
-// entries sit at or below the pin floor, and Fold and Close fold whatever is
-// there. Snapshots pinned on older states keep their captured chains either
-// way, so neither merge is ever a data hazard.
+// drops the versions superseded inside a run. fold, at the GC tick, bounds
+// memory: GC folds once foldMinEntries entries sit at or below the pin
+// floor, and Fold and Close fold whatever is there. Snapshots pinned on
+// older states keep their captured chains either way, so neither merge is
+// ever a data hazard.
 //
 // Consistency guarantee (verified by experiment E9): a snapshot never
 // observes a partially published batch, and two reads of the same key from
@@ -190,9 +188,9 @@ type state struct {
 	pins      atomic.Int64
 }
 
-// Store is an in-memory multi-version key-value map with watermark
-// publication. The Memex demons keep derived statistics here; bulk data
-// lives in kvstore, keyed by epoch, with Store coordinating visibility.
+// Store is a multi-version key-value map with watermark publication: a hot
+// chain of epoch layers in RAM over a cold tier in a kvstore keyspace. The
+// Memex demons keep derived statistics here.
 type Store struct {
 	current atomic.Pointer[state]
 
@@ -213,9 +211,9 @@ type Store struct {
 	// how far the next fold's floor can fall (foldFloorLocked).
 	tierFence uint64
 
-	// cold is the disk tier (nil for purely in-memory stores). foldMu
-	// serialises fold rounds; foldHook is the crash-injection point for
-	// recovery tests. Lock order: foldMu before mu.
+	// cold is the disk tier. foldMu serialises fold rounds; foldHook is
+	// the crash-injection point for recovery tests. Lock order: foldMu
+	// before mu.
 	cold     *coldTier
 	foldMu   sync.Mutex
 	foldHook func(FoldPoint) error
@@ -232,15 +230,6 @@ const maxHistory = 1024
 // walk near 20 layers at three copies per entry; 8 would halve the walk for
 // a fourth copy.
 const tierFanout = 16
-
-// NewStore returns an empty versioned store at watermark 0.
-func NewStore() *Store {
-	s := &Store{}
-	st := &state{}
-	s.current.Store(st)
-	s.history = append(s.history, st)
-	return s
-}
 
 // Batch stages writes for the next epoch, which it takes when it publishes.
 // Staging takes no lock and no epoch, so it never blocks consumers or the
@@ -267,10 +256,10 @@ func (b *Batch) Put(key string, value []byte) {
 	if b.published {
 		panic("version: Put on already-published batch")
 	}
-	if b.s.cold != nil && len(key) > MaxColdKeyLen {
+	if len(key) > MaxColdKeyLen {
 		// Fail at publish time, loudly, like other Batch misuse: an
 		// oversized key would otherwise poison every future fold.
-		panic(fmt.Sprintf("version: key %d bytes long exceeds MaxColdKeyLen=%d for a disk-backed store", len(key), MaxColdKeyLen))
+		panic(fmt.Sprintf("version: key %d bytes long exceeds MaxColdKeyLen=%d", len(key), MaxColdKeyLen))
 	}
 	if b.writes == nil {
 		b.writes = make(map[string][]byte, b.hint)
@@ -438,8 +427,7 @@ func (sn *Snapshot) view(op string) *state {
 }
 
 // Get returns the newest value for key with epoch <= the snapshot epoch.
-// It walks the chain; on a miss it falls through to the cold tier (when one
-// is attached), whose records are all at or below every live snapshot's
+// It walks the chain; on a miss it falls through to the cold tier, whose records are all at or below every live snapshot's
 // epoch by the fold-floor rule, and none of which a round rewrites while a
 // snapshot that could miss it is pinned. The hot path stays lock-free; only a
 // genuine chain miss pays the disk read. A cold read that fails counts as a
@@ -464,10 +452,7 @@ func (sn *Snapshot) read(op, key string) ([]byte, bool, error) {
 			return v, true, nil
 		}
 	}
-	if c := sn.s.cold; c != nil {
-		return c.get(key)
-	}
-	return nil, false, nil
+	return sn.s.cold.get(key)
 }
 
 // Release unpins the snapshot, letting the fold move past its epoch and the
@@ -531,17 +516,16 @@ func (s *Store) foldFloorLocked(cur *state) uint64 {
 	return floor
 }
 
-// GC is the periodic reclamation tick. With a cold tier it folds to disk once
-// at least foldMinEntries entries sit at or below the pin floor, and returns
-// how many left memory; below that it writes nothing (Fold and Close ignore
-// the threshold). A failed fold keeps its layers resident and is counted in
-// ColdStats.FoldErrors. On a store without a cold tier GC does nothing:
-// Publish's tiering is all the reclamation such a store has.
+// GC is the periodic reclamation tick. It folds to disk once at least
+// foldMinEntries entries sit at or below the pin floor, and returns how many
+// left memory; below that it writes nothing (Fold and Close ignore the
+// threshold). A failed fold keeps its layers resident and is counted in
+// ColdStats.FoldErrors.
 func (s *Store) GC() int {
-	if s.cold == nil || s.foldableEntries() < foldMinEntries {
+	if s.foldableEntries() < foldMinEntries {
 		return 0
 	}
-	n, _ := s.fold()
+	n, _ := s.Fold()
 	return n
 }
 
@@ -585,8 +569,8 @@ type Stats struct {
 	// GCReclaimed is the cumulative number of versions dropped from
 	// memory: superseded inside a tier merge, or folded to disk.
 	GCReclaimed uint64
-	// Cold summarises the disk tier (nil for purely in-memory stores).
-	Cold *ColdStats
+	// Cold summarises the disk tier.
+	Cold ColdStats
 }
 
 // StoreStats returns current store statistics.
@@ -609,8 +593,6 @@ func (s *Store) StoreStats() Stats {
 		st.Layers++
 		st.Entries += len(l.entries)
 	}
-	if s.cold != nil {
-		st.Cold = s.cold.stats()
-	}
+	st.Cold = s.cold.stats()
 	return st
 }

@@ -7,7 +7,7 @@ import (
 )
 
 func TestPublishVisibility(t *testing.T) {
-	s := NewStore()
+	s := newStore(t)
 	snap0 := s.Acquire()
 	defer snap0.Release()
 
@@ -31,7 +31,7 @@ func TestPublishVisibility(t *testing.T) {
 }
 
 func TestUnpublishedInvisible(t *testing.T) {
-	s := NewStore()
+	s := newStore(t)
 	b := s.BeginSized(0)
 	b.Put("k", []byte("v"))
 	snap := s.Acquire()
@@ -46,7 +46,7 @@ func TestUnpublishedInvisible(t *testing.T) {
 }
 
 func TestDoublePublishFails(t *testing.T) {
-	s := NewStore()
+	s := newStore(t)
 	b := s.BeginSized(0)
 	b.Put("k", []byte("v"))
 	if err := b.Publish(); err != nil {
@@ -58,7 +58,7 @@ func TestDoublePublishFails(t *testing.T) {
 }
 
 func TestSnapshotRepeatableReads(t *testing.T) {
-	s := NewStore()
+	s := newStore(t)
 	for i := 0; i < 5; i++ {
 		b := s.BeginSized(0)
 		b.Put("k", []byte(fmt.Sprintf("v%d", i)))
@@ -82,7 +82,7 @@ func TestSnapshotRepeatableReads(t *testing.T) {
 // one producer publishes batches where all values in batch i equal i; every
 // consumer snapshot must read a consistent batch (all keys agree).
 func TestConcurrentProducerConsumers(t *testing.T) {
-	s := NewStore()
+	s := newStore(t)
 	const keys = 8
 	const rounds = 200
 
@@ -167,7 +167,7 @@ func mustPanic(t *testing.T, want string, fn func()) {
 // TestBatchMisusePanics: staging into a published batch used to be a
 // silent no-op whose writes never landed. It is now a loud diagnostic.
 func TestBatchMisusePanics(t *testing.T) {
-	s := NewStore()
+	s := newStore(t)
 	b := s.BeginSized(0)
 	b.Put("k", []byte("v"))
 	if err := b.Publish(); err != nil {
@@ -186,7 +186,7 @@ func TestBatchMisusePanics(t *testing.T) {
 // TestSnapshotUseAfterRelease: a released snapshot used to silently read
 // whatever state GC had left; now it fails loudly.
 func TestSnapshotUseAfterRelease(t *testing.T) {
-	s := NewStore()
+	s := newStore(t)
 	b := s.BeginSized(0)
 	b.Put("k", []byte("v"))
 	b.Publish()
@@ -203,7 +203,7 @@ func TestSnapshotUseAfterRelease(t *testing.T) {
 
 // TestStoreStats sanity-checks the introspection surface.
 func TestStoreStats(t *testing.T) {
-	s := NewStore()
+	s := newStore(t)
 	for i := 0; i < 3; i++ {
 		b := s.BeginSized(0)
 		b.Put("k", []byte{byte(i)})
@@ -215,10 +215,11 @@ func TestStoreStats(t *testing.T) {
 		t.Fatalf("StoreStats = %+v", st)
 	}
 	snap.Release()
-	// A store without a cold tier has nothing for GC to do; what reclaims
-	// the superseded versions is the carry at the tierFanout-th publish.
+	// Three entries are below foldMinEntries, so GC folds nothing; what
+	// reclaims the superseded versions is the carry at the tierFanout-th
+	// publish.
 	if n := s.GC(); n != 0 {
-		t.Fatalf("GC on an in-memory store reclaimed %d, want 0", n)
+		t.Fatalf("GC below foldMinEntries reclaimed %d, want 0", n)
 	}
 	for i := 3; i < tierFanout; i++ {
 		b := s.BeginSized(0)
@@ -295,7 +296,7 @@ func TestDroppedBatchTakesNoEpoch(t *testing.T) {
 }
 
 func BenchmarkPublish(b *testing.B) {
-	s := NewStore()
+	s := newStore(b)
 	for i := 0; i < b.N; i++ {
 		batch := s.BeginSized(0)
 		batch.Put("k1", []byte("v"))
@@ -305,7 +306,7 @@ func BenchmarkPublish(b *testing.B) {
 }
 
 func BenchmarkSnapshotGet(b *testing.B) {
-	s := NewStore()
+	s := newStore(b)
 	batch := s.BeginSized(0)
 	for i := 0; i < 1000; i++ {
 		batch.Put(fmt.Sprintf("key%d", i), []byte("v"))

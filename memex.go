@@ -65,8 +65,6 @@ type Config struct {
 	// use, writes each commit to the OS and fsyncs at checkpoints: an
 	// acknowledged write survives a process crash, not a power cut.
 	Durable bool
-	// Workers is the number of background analyzer demons (default 2).
-	Workers int
 	// ThemeInterval / TrainInterval run the periodic mining demons
 	// (0 = on demand only).
 	ThemeInterval time.Duration
@@ -75,11 +73,6 @@ type Config struct {
 	// derived-data layers no reader pins any more to disk
 	// (0 = engine default of 2s; negative disables the demon).
 	GCInterval time.Duration
-	// CacheBytes bounds the shared decoded-record cache that keeps the
-	// cost of repeated mining passes (themes, HITS, recommendation) from
-	// scaling with the number of passes (0 = engine default of 32 MiB;
-	// negative disables caching).
-	CacheBytes int64
 	// Now injects the engine clock — set it when replaying historical
 	// traces so recency decay is computed against the trace era, not the
 	// wall clock (default time.Now).
@@ -115,11 +108,9 @@ func Open(cfg Config) (*Memex, error) {
 		Dir:               cfg.Dir,
 		Source:            cfg.Source,
 		KV:                kvstore.Options{Sync: sync},
-		Workers:           cfg.Workers,
 		ThemeInterval:     cfg.ThemeInterval,
 		TrainInterval:     cfg.TrainInterval,
 		VersionGCInterval: cfg.GCInterval,
-		DecodedCacheBytes: cfg.CacheBytes,
 		Now:               cfg.Now,
 	})
 	if err != nil {
