@@ -4,11 +4,13 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
 	"memex/internal/events"
 	"memex/internal/kvstore"
+	"memex/internal/sim"
 	"memex/internal/webcorpus"
 )
 
@@ -33,15 +35,19 @@ func (s linkedSource) Lookup(url string) (Content, bool) {
 	return c, true
 }
 
-// TestFreshPageCommitCount pins what a burst pays the kvstore per page,
-// read from its own commit counter: a fresh visited page with L >= 1
-// never-seen links is four commits — its row, the visit row, one batch for
-// all L link rows, the title — three with no links, and a revisit is one.
-// (The parent paid 2L+5 and 2: an id commit before every row.)
+// TestFreshPageCommitCount pins what a burst pays the kvstore, read from
+// its own commit counter, as a relation that holds however the events fall
+// into analyzer groups. The foreground pays two commits for a fresh page —
+// its row and the visit row — and one for a revisit. The analyzers pay
+// one commit and one publish (a watermark step) per group that fetches
+// anything: the commit holds every never-seen link row and every title of
+// the group, the publish every derived record. So analyzer commits equal
+// analyzer publishes, at least one and at most one a page, and a revisit
+// burst pays the analyzers nothing.
 func TestFreshPageCommitCount(t *testing.T) {
-	for _, tc := range []struct{ links, perPage int }{{0, 3}, {1, 4}, {6, 4}, {40, 4}} {
-		t.Run(fmt.Sprint("links=", tc.links), func(t *testing.T) {
-			src := linkedSource{base: "http://burst.example", links: tc.links}
+	for _, links := range []int{0, 1, 6, 40} {
+		t.Run(fmt.Sprint("links=", links), func(t *testing.T) {
+			src := linkedSource{base: "http://burst.example", links: links}
 			e, err := Open(Config{
 				Dir: t.TempDir(), Source: src,
 				KV:                kvstore.Options{Sync: kvstore.SyncGroup},
@@ -53,26 +59,35 @@ func TestFreshPageCommitCount(t *testing.T) {
 			defer e.Close()
 			e.RegisterUser(1, "alice")
 			const pages = 25
-			visitAll := func() uint64 {
-				before := e.kv.Stats().Commits
+			// visitAll returns the burst's analyzer commits — its commits
+			// less foreground per page — and its publishes.
+			visitAll := func(foreground uint64) (commits, publishes uint64) {
+				before, wm := e.kv.Stats().Commits, e.vs.Watermark()
 				for i := 0; i < pages; i++ {
 					if err := e.RecordVisit(1, src.url(i), "", tBase, events.Community); err != nil {
 						t.Fatal(err)
 					}
 				}
 				e.DrainBackground()
-				return e.kv.Stats().Commits - before
+				commits = e.kv.Stats().Commits - before
+				if commits < pages*foreground {
+					t.Fatalf("%d visits cost %d commits, fewer than the foreground's %d each", pages, commits, foreground)
+				}
+				return commits - pages*foreground, e.vs.Watermark() - wm
 			}
-			if got, want := visitAll(), uint64(pages*tc.perPage); got != want {
-				t.Fatalf("%d fresh pages with %d links each cost %d commits, want %d (%d a page)", pages, tc.links, got, want, tc.perPage)
+			commits, publishes := visitAll(2)
+			if commits != publishes || publishes < 1 || publishes > pages {
+				t.Fatalf("%d fresh pages with %d links each: the analyzers made %d commits and %d publishes; want equal counts, 1 to %d",
+					pages, links, commits, publishes, pages)
 			}
-			if st := e.Status(); st.PagesFetched != pages || st.Pages != pages*(1+tc.links) || st.FetchesFailed != 0 {
+			if st := e.Status(); st.PagesFetched != pages || st.Pages != pages*(1+links) || st.FetchesFailed != 0 {
 				t.Fatalf("after the burst: %d fetched, %d pages known, %d failed; want %d, %d, 0",
-					st.PagesFetched, st.Pages, st.FetchesFailed, pages, pages*(1+tc.links))
+					st.PagesFetched, st.Pages, st.FetchesFailed, pages, pages*(1+links))
 			}
-			if got := visitAll(); got != pages {
-				t.Fatalf("%d revisits cost %d commits, want one each", pages, got)
+			if commits, publishes := visitAll(1); commits != 0 || publishes != 0 {
+				t.Fatalf("%d revisits cost the analyzers %d commits and %d publishes, want none", pages, commits, publishes)
 			}
+			t.Logf("%d fresh pages: %d analyzer groups", pages, publishes)
 		})
 	}
 }
@@ -107,7 +122,7 @@ func TestEnsurePagesConcurrentOverlappingLists(t *testing.T) {
 					urls = append(urls, src.url(start+i))
 				}
 				urls = append(urls, src.url(start+2), self) // repeats, and the page itself again
-				ids, err := e.ensurePages(urls)
+				ids, err := e.ensurePages(urls, nil)
 				if err != nil {
 					t.Error(err)
 					return
@@ -164,7 +179,7 @@ func TestEnsurePagesConcurrentOverlappingLists(t *testing.T) {
 		urls = append(urls, url)
 	}
 	slices.Sort(urls)
-	ids, err := e.ensurePages(urls)
+	ids, err := e.ensurePages(urls, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,4 +328,84 @@ func BenchmarkIngestBurst(b *testing.B) {
 		b.ReportMetric(float64(st.Version.Layers), "layers")
 		e.Close()
 	}
+}
+
+// BenchmarkPreload is the benchmark's preload on benchWorld's trace: 8 000
+// community visits with their referrers, then the bookmarks made by the
+// last of them, draining every 2 048 events as the preload does to stay
+// inside the event queue. It runs at one and at two analyzers and reports,
+// per preload, the kvstore commits, the version publishes (the watermark)
+// and the process CPU time, user and system.
+func BenchmarkPreload(b *testing.B) {
+	c := webcorpus.Generate(benchWeb)
+	tr := sim.Simulate(c, benchSurf)
+	tr.Visits = tr.Visits[:min(len(tr.Visits), 8000)]
+	last := tr.Visits[len(tr.Visits)-1].Time
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprint("workers=", workers), func(b *testing.B) {
+			var commits, publishes uint64
+			var cpu time.Duration
+			for n := 0; n < b.N; n++ {
+				b.StopTimer()
+				e, err := Open(Config{Dir: b.TempDir(), Source: corpusSource{c}, KV: kvstore.Options{Sync: kvstore.SyncGroup}, Workers: workers})
+				if err != nil {
+					b.Fatal(err)
+				}
+				for _, u := range tr.Users {
+					if err := e.RegisterUser(u.ID, u.Name); err != nil {
+						b.Fatal(err)
+					}
+				}
+				before, cpuBefore := e.kv.Stats().Commits, processCPU()
+				b.StartTimer()
+				queued := 0
+				step := func() {
+					if queued++; queued == 2048 {
+						e.DrainBackground()
+						queued = 0
+					}
+				}
+				for _, v := range tr.Visits {
+					ref := ""
+					if v.Referrer != 0 {
+						ref = c.Page(v.Referrer).URL
+					}
+					if err := e.RecordVisit(v.User, c.Page(v.Page).URL, ref, v.Time, events.Community); err != nil {
+						b.Fatal(err)
+					}
+					step()
+				}
+				for _, bm := range tr.Bookmarks {
+					if bm.Time.After(last) {
+						break
+					}
+					if err := e.AddBookmark(bm.User, c.Page(bm.Page).URL, bm.Folder, bm.Time); err != nil {
+						b.Fatal(err)
+					}
+					step()
+				}
+				e.DrainBackground()
+				b.StopTimer()
+				cpu += processCPU() - cpuBefore
+				commits += e.kv.Stats().Commits - before
+				publishes += e.vs.Watermark()
+				if st := e.Status(); st.EventsDropped != 0 || st.FetchesFailed != 0 {
+					b.Fatalf("%d events dropped, %d fetches failed", st.EventsDropped, st.FetchesFailed)
+				}
+				e.Close()
+			}
+			b.ReportMetric(float64(commits)/float64(b.N), "commits/op")
+			b.ReportMetric(float64(publishes)/float64(b.N), "publishes/op")
+			b.ReportMetric(cpu.Seconds()/float64(b.N), "cpu-s/op")
+		})
+	}
+}
+
+// processCPU is the process's user and system CPU time so far.
+func processCPU() time.Duration {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		return 0
+	}
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
 }

@@ -167,18 +167,6 @@ func (e *Engine) restoreDict(terms map[int32]string, tfs []tfRecord) error {
 	return nil
 }
 
-// derivedPublished reports whether the page's derived stats are (or are
-// being) archived — the reader-facing "already fetched" check, answered
-// from the page's claim flag alone: it covers every page this process
-// fetched and every tf/ record reloadDerived could decode, so there is
-// nothing further a store read could add. A caller that goes on to fetch
-// must still let the claim arbitrate under the full lock.
-func (e *Engine) derivedPublished(pageID int64) bool {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.meta[pageID].fetched
-}
-
 // DerivedView is a consistent read view over the engine's published
 // derived data, pinned at one version-store epoch for the duration of one
 // withView call. Reads are lock-free and repeatable for the lifetime of

@@ -281,7 +281,7 @@ func TestPanicAfterStageLeavesNoGap(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e.fetchAndIndexSlow(id, p.URL)
+		e.ingest([]int64{id}, nil)
 	}
 
 	wm, carried := e.vs.Watermark(), e.links.termsOut

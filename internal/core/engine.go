@@ -7,15 +7,28 @@
 // guaranteed-immediate foreground path from asynchronous analysis, and the
 // demon pool keeps the background mining running and restartable.
 //
+// # The foreground writes rows; the analyzers publish, in groups
+//
+// A visit, bookmark or import is acknowledged once its rows are
+// committed (ingest.go): the foreground writes nothing else and publishes
+// nothing, and queues one event. Each analyzer demon takes the queued
+// events in groups of up to groupMax (events.Queue.PopBatch) and ingests
+// a group in one pass — one e.mu section claims its pages, one kvstore
+// commit holds their out-link and title rows, one version publish holds
+// their derived records and its community visits' referrer edges — so
+// the analyzers' locks are taken per group, not per page. A single event
+// is a group of one; there is no per-event path beside it.
+//
 // # Derived page state lives only in the version store
 //
 // A page's derived data — its term-count record (tf/), from which term
 // vectors are derived on demand, and its link-adjacency records (lnk/
 // out-links, rin/ in-links) — has exactly one home: the epoch-layer
-// store in internal/version, published by the fetch path as
-// one batch per page (terms and links land in the same epoch, so a
-// snapshot can never see a page's text without its place in the link
-// graph), held in RAM while hot and folded to the engine's kvstore
+// store in internal/version, published by the fetch path as one batch per
+// analyzer group (every page the group fetched, and the referrer edges of
+// its community visits, land in the same epoch, so a snapshot can never
+// see a page's text without its place in the link graph), held in RAM
+// while hot and folded to the engine's kvstore
 // ("vc/" keyspace) by the version-gc demon, so the archive grows on disk
 // and survives restarts (Open restores the term dictionary from its dict/
 // records, every term at its old id, replays the recovered tf/ records
@@ -168,9 +181,12 @@ type Engine struct {
 
 	// pushed/processed (plus the queue's drop counter) account for
 	// background work precisely, so DrainBackground cannot return while an
-	// event is between Pop and completion.
+	// event is between PopBatch and completion. drained, on drainMu, is
+	// where DrainBackground waits for them to meet.
 	pushed    atomic.Int64
 	processed atomic.Int64
+	drainMu   sync.Mutex
+	drained   *sync.Cond
 	stats     Counters
 	closed    bool
 
@@ -257,6 +273,7 @@ func Open(cfg Config) (*Engine, error) {
 		idByURL: map[string]int64{},
 		visited: map[int64]map[int64]bool{},
 	}
+	e.drained = sync.NewCond(&e.drainMu)
 	refs, err := e.reload()
 	if err != nil {
 		kv.Close()
@@ -347,24 +364,22 @@ func (e *Engine) reload() (refs map[int64][]int64, err error) {
 }
 
 // republishReferrerEdges publishes every community visit's referrer→page
-// edge that the latest lnk/ record of its referrer lacks, one publish per
-// referrer in id order. RecordVisit publishes the edge before it writes
-// the visit row, but the edge reaches disk only in a fold, so a crash can
-// keep the row and lose the edge; the row is the durable evidence, and
-// this re-derives the edge from it. publish's known-edge check skips every
-// referrer whose record a fold already covered, so after a clean Close it
-// publishes nothing. Runs during Open, after reloadDerived has counted the
-// recovered edges, before any demon starts.
+// edge that the latest lnk/ record of its referrer lacks, as one batch.
+// The analyzers publish the edge after the visit row is written and
+// acknowledged, and the edge reaches disk only in a fold, so a crash — or
+// an event shed from a full queue — can keep the row and lose the edge;
+// the row is the durable evidence, and this re-derives the edge from it.
+// publish's known-edge check reads every referrer's record and publishes
+// nothing when a fold already covered them all, as after a clean Close.
+// Runs during Open, after reloadDerived has counted the recovered edges,
+// before any demon starts.
 func (e *Engine) republishReferrerEdges(refs map[int64][]int64) error {
-	order := make([]int64, 0, len(refs))
-	for ref := range refs {
-		order = append(order, ref)
+	updates := make([]linkUpdate, 0, len(refs))
+	for ref, pages := range refs {
+		updates = append(updates, linkUpdate{from: ref, targets: pages})
 	}
-	slices.Sort(order)
-	for _, ref := range order {
-		if err := e.links.publish(ref, refs[ref], nil); err != nil {
-			return fmt.Errorf("core: republish the referrer edges of page %d: %w", ref, err)
-		}
+	if err := e.links.publish(updates); err != nil {
+		return fmt.Errorf("core: republish the referrer edges of %d pages: %w", len(updates), err)
 	}
 	return nil
 }
@@ -482,9 +497,10 @@ type Stats struct {
 	// pages instead of re-crawling).
 	PagesFetched int64
 	// FetchesFailed counts fetches whose claim winner gave the claim back
-	// because a row could not be written (the one bump site is that revert).
-	// Such a page stays unfetched — nothing of it is indexed or published —
-	// and its next visit, or the next Open, retries.
+	// because its group's row commit, or a record its group's publish
+	// rewrites, failed: every page the group claimed counts (the one bump
+	// site is that revert). Such a page stays unfetched — nothing of it is
+	// indexed or published — and its next visit, or the next Open, retries.
 	FetchesFailed int64
 	Visits        int64
 	Bookmarks     int64
@@ -584,14 +600,31 @@ func (e *Engine) Pressure() Pressure {
 }
 
 // DrainBackground blocks until the background queue is empty and all
-// in-flight analysis has finished (tests and benchmarks).
+// in-flight analysis has finished (tests and benchmarks). It sleeps on
+// drained, which the analyzer that finishes the last outstanding group
+// wakes, so it returns as soon as the work is done.
 func (e *Engine) DrainBackground() {
-	for {
-		done := e.processed.Load() + int64(e.queue.Dropped())
-		if done >= e.pushed.Load() {
-			return
-		}
-		time.Sleep(2 * time.Millisecond)
+	e.drainMu.Lock()
+	for !e.caughtUp() {
+		e.drained.Wait()
+	}
+	e.drainMu.Unlock()
+}
+
+// caughtUp reports whether every pushed event is processed or shed.
+func (e *Engine) caughtUp() bool {
+	return e.processed.Load()+int64(e.queue.Dropped()) >= e.pushed.Load()
+}
+
+// finished counts n events processed and, once nothing is outstanding,
+// wakes the drain waiters. The broadcast is made under drainMu, so a
+// waiter that found work outstanding is already asleep by then.
+func (e *Engine) finished(n int) {
+	e.processed.Add(int64(n))
+	if e.caughtUp() {
+		e.drainMu.Lock()
+		e.drained.Broadcast()
+		e.drainMu.Unlock()
 	}
 }
 

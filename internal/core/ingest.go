@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -29,8 +30,9 @@ func (e *Engine) RegisterUser(id int64, name string) error {
 
 // RecordVisit is the guaranteed-immediate foreground path for a page-view
 // event: the visit row is written, visibility updated, and the heavy
-// analysis (fetch, index, classify) is queued for the background demons.
-// Privacy Off means the event is acknowledged and discarded.
+// analysis (fetch, index, classify, and a community visit's referrer
+// edge) is queued for the background demons. Privacy Off means the event
+// is acknowledged and discarded.
 func (e *Engine) RecordVisit(user int64, url, referrer string, at time.Time, privacy events.Privacy) error {
 	if privacy == events.Off {
 		return nil // user chose not to archive
@@ -38,27 +40,17 @@ func (e *Engine) RecordVisit(user int64, url, referrer string, at time.Time, pri
 	if at.IsZero() {
 		at = e.cfg.Now()
 	}
-	pageID, err := e.ensurePage(url)
+	urls := []string{url}
+	if referrer != "" {
+		urls = append(urls, referrer)
+	}
+	ids, err := e.ensurePages(urls, nil)
 	if err != nil {
 		return err
 	}
-	var refID int64
+	pageID, refID := ids[0], int64(0)
 	if referrer != "" {
-		if refID, err = e.ensurePage(referrer); err != nil {
-			return err
-		}
-		// A community visit's referrer→page transition is link-graph
-		// evidence like any fetched out-link: publish it as adjacency
-		// records (one epoch, nothing when the edge is already known) so
-		// trail mining still sees it after a restart. It goes first so that
-		// an error leaves no visit row behind for a retry to duplicate. A
-		// private visit's edge is as private as the visit (DESIGN.md §1):
-		// it stays in the visit row, where only its owner's trails read it.
-		if privacy == events.Community {
-			if err := e.links.publish(refID, []int64{pageID}, nil); err != nil {
-				return err
-			}
-		}
+		refID = ids[1]
 	}
 	// An id taken by a visit or bookmark whose write fails is not handed
 	// out again; nothing refers to those ids, so the gap is harmless.
@@ -71,7 +63,7 @@ func (e *Engine) RecordVisit(user int64, url, referrer string, at time.Time, pri
 	e.mu.Unlock()
 	e.stats.VisitsLogged.Add(1)
 	e.pushed.Add(1)
-	e.queue.Push(events.Event{Kind: events.VisitEvent, User: user, URL: url, Privacy: privacy})
+	e.queue.Push(events.Event{Kind: events.VisitEvent, User: user, URL: url, Referrer: referrer, Privacy: privacy})
 	return nil
 }
 
@@ -165,13 +157,7 @@ func (e *Engine) ExportBookmarks(user int64, w io.Writer) error {
 
 // ensurePage returns the stable page id for url, creating the row if new.
 func (e *Engine) ensurePage(url string) (int64, error) {
-	e.mu.RLock()
-	id, ok := e.idByURL[url]
-	e.mu.RUnlock()
-	if ok {
-		return id, nil
-	}
-	ids, err := e.ensurePages([]string{url})
+	ids, err := e.ensurePages([]string{url}, nil)
 	if err != nil {
 		return 0, err
 	}
@@ -180,18 +166,20 @@ func (e *Engine) ensurePage(url string) (int64, error) {
 
 // ensurePages returns the stable page id of every url, in order, creating
 // the rows of all the never-seen ones together: one read-locked pass over
-// idByURL, then — only if something was missing — one write-locked pass
-// that re-checks (another goroutine may have created a URL in between),
-// drops repeats within the list, numbers the new pages in first-sight
-// order from nextPage on and writes their rows as one commit. A fetched
-// page's out-links are the bulk caller: six never-seen links are one turn
-// under e.mu and one commit, not six of each.
+// idByURL, then — only if something was missing, or rows holds records to
+// write — one write-locked pass that re-checks (another goroutine may have
+// created a URL in between), drops repeats within the list, numbers the
+// new pages in first-sight order from nextPage on and writes their rows,
+// with the caller's rows, as one commit. An analyzer group is the bulk
+// caller: the never-seen out-links of every page it fetched and those
+// pages' title rows are one turn under e.mu and one commit, not one of
+// each per page.
 //
 // A map miss means no row: reload fills idByURL from every row, and the
 // rows and their map entries are written in the one critical section
 // below (DESIGN.md §1). On an error nothing was written and no id is
 // returned.
-func (e *Engine) ensurePages(urls []string) ([]int64, error) {
+func (e *Engine) ensurePages(urls []string, rows []kvstore.KV) ([]int64, error) {
 	ids := make([]int64, len(urls))
 	missing := 0
 	e.mu.RLock()
@@ -201,14 +189,14 @@ func (e *Engine) ensurePages(urls []string) ([]int64, error) {
 		}
 	}
 	e.mu.RUnlock()
-	if missing == 0 {
+	if missing == 0 && len(rows) == 0 {
 		return ids, nil
 	}
 
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	var fresh []string
-	var rows []kvstore.KV
+	rows = slices.Clip(rows) // the new page rows go after the caller's, never into its array
 	queued := make(map[string]bool, missing)
 	for i, url := range urls {
 		if ids[i] != 0 || queued[url] {
@@ -218,20 +206,20 @@ func (e *Engine) ensurePages(urls []string) ([]int64, error) {
 			continue
 		}
 		queued[url] = true
+		k, v := pageRow{id: e.nextPage + int64(len(fresh)), url: url}.record()
 		fresh = append(fresh, url)
-		k, v := pageRow{id: e.nextPage + int64(len(rows)), url: url}.record()
 		rows = append(rows, kvstore.KV{Key: k, Value: v})
 	}
-	if len(fresh) > 0 {
+	if len(rows) > 0 {
 		if err := e.kv.PutBatch(rows); err != nil {
 			return nil, err
 		}
-		for i, url := range fresh {
-			e.meta[e.nextPage+int64(i)] = pageRec{url: url}
-			e.idByURL[url] = e.nextPage + int64(i)
-		}
-		e.nextPage += int64(len(fresh))
 	}
+	for i, url := range fresh {
+		e.meta[e.nextPage+int64(i)] = pageRec{url: url}
+		e.idByURL[url] = e.nextPage + int64(i)
+	}
+	e.nextPage += int64(len(fresh))
 	for i, url := range urls {
 		if ids[i] == 0 {
 			ids[i] = e.idByURL[url]
@@ -240,132 +228,229 @@ func (e *Engine) ensurePages(urls []string) ([]int64, error) {
 	return ids, nil
 }
 
-// analyzerLoop is the background demon body: it drains the event queue and
-// performs fetch → index → graph → classify for each event.
+// groupMax bounds the events an analyzer takes from the queue at once. A
+// group pays one row commit and one version publish however many pages it
+// fetches, and rewrites a much-linked page's rin/ record once, so a larger
+// group amortises more. It also holds its pages' text and claims until
+// that publish, and a failed publish gives all its claims back. At 16, 64
+// and 256 the benchmark's preload, burst latency and set-up all measured
+// best at 256 (CHANGES.md has the sweep).
+const groupMax = 256
+
+// analyzerLoop is the background demon body: it takes the queued events
+// in groups and ingests each group in one pass.
 func (e *Engine) analyzerLoop(stop <-chan struct{}) {
+	buf := make([]events.Event, 0, groupMax)
 	for {
 		select {
 		case <-stop:
 			return
 		default:
 		}
-		ev, ok := e.queue.Pop()
+		group, ok := e.queue.PopBatch(buf[:0], groupMax)
 		if !ok {
 			return
 		}
-		e.process(ev)
+		e.process(group)
 	}
 }
 
-// process performs the per-event background analysis. The event counts as
-// processed even when its analysis panics, so a failure in one event can
-// neither wedge DrainBackground nor skew the demon supervisor's restart
-// accounting.
-func (e *Engine) process(ev events.Event) {
-	defer e.processed.Add(1)
-	pageID, err := e.ensurePage(ev.URL)
+// process performs the background analysis of one group of events: every
+// page fetched, indexed and published, with every community visit's
+// referrer edge, through one ingest, then each visit classified for its
+// user. The events count as processed even when their analysis panics, so
+// a failure can neither wedge DrainBackground nor skew the demon
+// supervisor's restart accounting. A panicking Lookup costs only its own
+// event: the rest of the group is ingested and classified first, and the
+// panic is raised again after, for the supervisor.
+func (e *Engine) process(group []events.Event) {
+	defer e.finished(len(group))
+	urls := make([]string, 0, 2*len(group))
+	for _, ev := range group {
+		urls = append(urls, ev.URL)
+		if hasEdge(ev) {
+			urls = append(urls, ev.Referrer)
+		}
+	}
+	ids, err := e.ensurePages(urls, nil)
 	if err != nil {
 		return
 	}
-	tf := e.fetchAndIndex(pageID, ev.URL)
-	if ev.Kind == events.VisitEvent {
-		e.classifyForUser(ev.User, pageID, tf)
-	}
-}
-
-// fetchAndIndex resolves content once per page, indexes it, and publishes
-// term stats plus out-link adjacency through the version store as one
-// batch. It returns the freshly computed term counts when this call
-// performed the fetch, nil IDs otherwise (already fetched, or content
-// unavailable). The "already fetched" fast path is one brief read-lock
-// on the page's claim flag — no store read, no tokenizing.
-func (e *Engine) fetchAndIndex(pageID int64, url string) text.Vector {
-	if e.derivedPublished(pageID) {
-		return text.Vector{}
-	}
-	return e.fetchAndIndexSlow(pageID, url)
-}
-
-// fetchAndIndexSlow is the publish half of the fetch path. Callers have
-// already decided the page looks unfetched; the claim set arbitrates
-// races authoritatively. It returns the page's raw term counts by id —
-// resolved here, once, through the stem memo — and nil IDs when content
-// was unavailable or a row, or a record the publish rewrites, could not be
-// read or written. By the time it returns, the latest
-// published lnk/ adjacency record of the page holds its full out-link
-// union, on both sides of the claim race (each publishes synchronously).
-//
-// The order is claim → row writes → index and publish. The rows come first
-// because they are the step that can fail: a page whose tf/ record exists
-// counts as fetched in every later life and is never fetched again, so
-// publishing ahead of a title write that then failed would leave the row
-// without its title for good. If a row write, or a read the publish needs,
-// fails the claim is released and nothing is indexed or published: the
-// page stays unfetched, and its next visit — or requeueUnfetched at the
-// next Open — tries again.
-func (e *Engine) fetchAndIndexSlow(pageID int64, url string) text.Vector {
-	content, ok := e.cfg.Source.Lookup(url)
-	if !ok {
-		return text.Vector{}
-	}
-	tf := e.stems.Counts(content.Title + " " + content.Text)
-
-	// Claim the page under the metadata lock before any side effects: two
-	// workers can race here on the same URL, so only the claim winner may
-	// publish or index it.
-	e.mu.Lock()
-	rec := e.meta[pageID]
-	if rec.fetched {
-		e.mu.Unlock()
-		// Lost the claim: the winner owns the tf publish, but may still
-		// be resolving link URLs ahead of its own adjacency publish.
-		// Publish the out-links this call already holds — idempotent and
-		// serialized with the winner under the link lock, so whichever
-		// side lands last leaves the full union — because our caller may
-		// read the page's lnk/ record the moment we return.
-		links, err := e.ensurePages(content.Links)
-		if err != nil || e.links.publish(pageID, links, nil) != nil {
-			return text.Vector{}
+	pages := make([]int64, len(group))
+	var edges []linkUpdate
+	next := 0
+	for i, ev := range group {
+		pages[i], next = ids[next], next+1
+		if hasEdge(ev) {
+			edges = append(edges, linkUpdate{from: ids[next], targets: pages[i : i+1]})
+			next++
 		}
-		return tf
 	}
-	oldTitle := rec.title
-	rec.fetched, rec.title = true, content.Title
-	e.meta[pageID] = rec
+	tfs, panicked := e.ingest(pages, edges)
+	for i, ev := range group {
+		if ev.Kind == events.VisitEvent {
+			e.classifyForUser(ev.User, pages[i], tfs[pages[i]])
+		}
+	}
+	if panicked != nil {
+		panic(panicked)
+	}
+}
+
+// hasEdge reports whether ev carries a referrer edge for the link graph: a
+// community visit's referrer→page transition is link evidence like any
+// fetched out-link. A private visit's edge is as private as the visit
+// (DESIGN.md §1): it stays in the visit row, where only its owner's trails
+// read it.
+func hasEdge(ev events.Event) bool {
+	return ev.Kind == events.VisitEvent && ev.Privacy == events.Community && ev.Referrer != ""
+}
+
+// ingest fetches a group of pages and publishes them, with edges, in one
+// pass: pages already fetched, and repeats, are skipped under one read
+// lock; the rest are resolved and tokenized with no lock held; the group
+// claims them in one e.mu section; their never-seen out-link rows and
+// their title rows are one commit; and their tf/, lnk/ and rin/ records,
+// the dict/ records they need and the edges are one version publish. It
+// returns the raw term counts by id of every page this call resolved and
+// published (a page another group claimed first publishes its out-links
+// here all the same), and the first panic value of a Lookup, for the
+// caller to raise again: such a page is skipped, and the rest of the
+// group goes on.
+//
+// The rows come before the publish because they are the step that can
+// fail: a page whose tf/ record exists counts as fetched in every later
+// life and is never fetched again, so publishing ahead of a title write
+// that then failed would leave the row without its title for good. If the
+// commit, or a read the publish needs, fails, every claim of the group is
+// released and nothing is indexed or published: the pages stay unfetched,
+// FetchesFailed counts them, and their next visit — or requeueUnfetched
+// at the next Open — tries again. By the time ingest returns, the latest
+// published lnk/ record of each page it resolved holds the page's full
+// out-link union, on both sides of a claim race.
+func (e *Engine) ingest(pages []int64, edges []linkUpdate) (tfs map[int64]text.Vector, panicked any) {
+	type fetch struct {
+		page     int64
+		url      string
+		content  Content
+		tf       text.Vector
+		claimed  bool
+		oldTitle string // the title the row held before the claim
+	}
+	var todo []fetch
+	seen := make(map[int64]bool, len(pages))
+	e.mu.RLock()
+	for _, page := range pages {
+		if rec := e.meta[page]; !rec.fetched && rec.url != "" && !seen[page] {
+			seen[page] = true
+			todo = append(todo, fetch{page: page, url: rec.url})
+		}
+	}
+	e.mu.RUnlock()
+
+	got := todo[:0]
+	for _, f := range todo {
+		content, ok, p := e.lookup(f.url)
+		if panicked == nil {
+			panicked = p
+		}
+		if ok {
+			f.content, f.tf = content, e.stems.Counts(content.Title+" "+content.Text)
+			got = append(got, f)
+		}
+	}
+	if len(got) == 0 && len(edges) == 0 {
+		return nil, panicked
+	}
+
+	// Claim the pages under the metadata lock before any side effects: two
+	// workers can race on one URL, so only the claim winner may index it or
+	// publish its tf/ record. A loser publishes the out-links it holds
+	// all the same — idempotent and serialized with the winner under the
+	// link lock, so whichever side lands last leaves the full union —
+	// because its caller may read the page's lnk/ record the moment it
+	// returns.
+	claimed := 0
+	e.mu.Lock()
+	for i := range got {
+		rec := e.meta[got[i].page]
+		if rec.fetched {
+			continue
+		}
+		got[i].claimed, got[i].oldTitle = true, rec.title
+		rec.fetched, rec.title = true, got[i].content.Title
+		e.meta[got[i].page] = rec
+		claimed++
+	}
 	e.mu.Unlock()
 
 	// Resolve out-link URLs to stable page ids (seen-but-unfetched targets
 	// get their pages-table row here — the durable half of the crawl
-	// frontier), then record the title.
-	title := oldTitle // the title the row holds
-	links, err := e.ensurePages(content.Links)
-	if err == nil {
-		err = e.kv.Put(pageRow{id: pageID, url: rec.url, title: content.Title}.record())
+	// frontier) in the commit that records the claimed pages' titles.
+	var links []string
+	titles := make([]kvstore.KV, 0, claimed)
+	for _, f := range got {
+		links = append(links, f.content.Links...)
+		if f.claimed {
+			k, v := pageRow{id: f.page, url: f.url, title: f.content.Title}.record()
+			titles = append(titles, kvstore.KV{Key: k, Value: v})
+		}
 	}
+	ids, err := e.ensurePages(links, titles)
+	committed := err == nil
 	if err == nil {
-		title = content.Title
-		// Index and publish the page's derived state as one batch: the tf/
-		// term record, the dict/ record of every term no page has named
-		// before, the lnk/ adjacency record, and the rin/ record of every
-		// newly linked target. The index counts the doc before the batch
-		// makes its vector visible to snapshot readers, or a TFIDF pass
-		// could weight the page against DF stats that don't include it yet.
-		// Consumers see all of it or none of it, from memory while hot, from
-		// the kvstore cold tier once GC folds it, and again after a restart
-		// recovers the fold.
-		err = e.links.publish(pageID, links, &tf)
+		// Index and publish the group's derived state as one batch. The
+		// index counts each claimed page before the batch makes its vector
+		// visible to snapshot readers, or a TFIDF pass could weight the page
+		// against DF stats that don't include it yet. Consumers see all of
+		// it or none of it, from memory while hot, from the kvstore cold
+		// tier once GC folds it, and again after a restart recovers the fold.
+		updates := append(make([]linkUpdate, 0, len(edges)+len(got)), edges...)
+		for i := range got {
+			f := &got[i]
+			u := linkUpdate{from: f.page, targets: ids[:len(f.content.Links)]}
+			ids = ids[len(f.content.Links):]
+			if f.claimed {
+				u.tf = &f.tf
+			}
+			updates = append(updates, u)
+		}
+		err = e.links.publish(updates)
 	}
 	if err != nil {
 		e.mu.Lock()
-		rec = e.meta[pageID]
-		rec.fetched, rec.title = false, title
-		e.meta[pageID] = rec
+		for _, f := range got {
+			if f.claimed {
+				rec := e.meta[f.page]
+				rec.fetched = false
+				if !committed {
+					rec.title = f.oldTitle
+				}
+				e.meta[f.page] = rec
+			}
+		}
 		e.mu.Unlock()
-		e.stats.FetchesFailed.Add(1)
-		return text.Vector{}
+		e.stats.FetchesFailed.Add(int64(claimed))
+		return nil, panicked
 	}
-	e.stats.PagesFetched.Add(1)
-	return tf
+	e.stats.PagesFetched.Add(int64(claimed))
+	tfs = make(map[int64]text.Vector, len(got))
+	for _, f := range got {
+		tfs[f.page] = f.tf
+	}
+	return tfs, panicked
+}
+
+// lookup resolves url through the source, returning a panic of Lookup as
+// a value instead of raising it, so that it costs only its own page.
+func (e *Engine) lookup(url string) (content Content, ok bool, panicked any) {
+	defer func() {
+		if p := recover(); p != nil {
+			panicked = p
+		}
+	}()
+	content, ok = e.cfg.Source.Lookup(url)
+	return content, ok, nil
 }
 
 // classifyForUser places the page into the user's folder space as a guess

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"encoding/binary"
 	"math"
 	"slices"
@@ -22,13 +23,14 @@ import (
 //	rin/<page>  the page's full in-link adjacency (sorted page ids)
 //
 // The records are the link graph's only home. Every edge write — a fetch's
-// discovered out-links, a visit's referrer→page transition — goes through
-// linkIndex.publish, a read-modify-write of the records under one lock: it
-// reads the source's lnk/ record and the rin/ record of every newly linked
-// target from the latest publish, and stages their unions into one
-// version-store batch (the fetch path adds the page's tf/ record to the
-// same batch, so a snapshot can never see a page's terms without its
-// links, nor an edge in rin/ without it in lnk/). linkIndex is the version
+// discovered out-links, a community visit's referrer→page transition —
+// goes through linkIndex.publish, a read-modify-write of the records under
+// one lock. It takes an analyzer's whole group at once: it reads each
+// source's lnk/ record and the rin/ record of every newly linked target
+// from the latest publish, once each, and stages their unions into one
+// version-store batch (the fetch path adds each fetched page's tf/ record
+// to the same batch, so a snapshot can never see a page's terms without
+// its links, nor an edge in rin/ without it in lnk/). linkIndex is the version
 // store's only producer and publishes its batch before it releases the
 // lock, so the snapshot read at the top of the critical section holds
 // every edge published before it: each record is the union of all edges
@@ -47,15 +49,15 @@ import (
 //
 // The same lock carries the term dictionary to the store. A tf/ record
 // names its terms by id, and each id's string is its dict/<id> record,
-// written once: publish puts the records of every id the page's tf/ record
-// reaches that no batch has carried yet (termsOut upward) into the page's
-// own batch, and advances termsOut only once that batch has published. A
+// written once: publish puts the records of every id the batch's tf/
+// records reach that no batch has carried yet (termsOut upward) into the
+// same batch, and advances termsOut only once that batch has published. A
 // batch takes its epoch when it publishes, so any later batch naming those
 // ids has a later epoch, and snapshots, the fold and crash recovery all
 // take an epoch prefix, so whatever holds a tf/ record holds the
 // dictionary records it names — with no commit and no lock of their own.
 // A publish that fails or panics before its batch publishes leaves
-// termsOut alone, and the next page stages those ids again.
+// termsOut alone, and the next batch stages those ids again.
 
 // lnkKey names a page's out-adjacency record in the version store.
 func lnkKey(page int64) string { return "lnk/" + strconv.FormatInt(page, 10) }
@@ -92,55 +94,124 @@ func newLinkIndex(vs *version.Store, dict *text.Dict, idx *textindex.Index) *lin
 	return &linkIndex{vs: vs, dict: dict, idx: idx}
 }
 
-// publish records the edges from→targets as one batch: the union of from's
-// lnk/ record with the targets, the rin/ record of each newly linked target
-// with from added, and the dictionary records the batch must carry. tf,
-// when non-nil, is the page's raw term counts by id: the index appends
-// them and their tf/ record rides in the same batch (the fetch path),
-// making term and link state snapshot-atomic per page; a tf-carrying call
-// always publishes (even with zero links) so "archived" implies "adjacency
-// known" for every snapshot that sees the page.
+// linkUpdate is one source's share of a publish: the edges from→targets
+// and, for a fetched page, its raw term counts by id.
+type linkUpdate struct {
+	from    int64
+	targets []int64
+	tf      *text.Vector
+}
+
+// linkPair is one edge of a publish: sources[src]→to.
+type linkPair struct {
+	src int
+	to  int64
+}
+
+// publish records a group's updates as one batch: each source's lnk/
+// record unioned with its targets, each newly linked target's rin/ record
+// with its new sources added, and the dictionary records the batch must
+// carry. A source may appear in several updates; each record is read and
+// rewritten once. An update's tf, when non-nil, is its page's raw term
+// counts by id: the index appends them and their tf/ record rides in the
+// same batch (the fetch path), making term and link state snapshot-atomic
+// per page; a tf-carrying update always writes its page's lnk/ record
+// (even with zero links) so "archived" implies "adjacency known" for
+// every snapshot that sees the page. The first tf a source carries counts,
+// as the index keeps the first vector of a page.
 //
-// The critical section pins the latest publish, reads the records, stages
-// and publishes the batch, advances termsOut once the batch has published,
-// and only then releases the lock (see the file comment). A store read that
-// fails is returned, with nothing indexed, staged or published and no epoch
-// taken: publishing past it would replace a record with a subset of its
-// edges, for good. A panic before Publish returns leaves the watermark,
-// termsOut and every record as they were. A link-only call whose
-// every edge the latest lnk/ record already holds returns before taking
-// the lock; edges are never removed, so that read needs no lock.
-func (li *linkIndex) publish(from int64, targets []int64, tf *text.Vector) error {
-	if tf == nil && li.known(from, targets) {
+// The edges are flattened to sorted (source, target) pairs before the
+// lock. The critical section pins the latest publish, reads the records,
+// stages and publishes the batch, advances termsOut once the batch has
+// published, and only then releases the lock (see the file comment). A
+// store read that fails is returned, with nothing indexed, staged or
+// published and no epoch taken: publishing past it would replace a record
+// with a subset of its edges, for good. A panic before Publish returns
+// leaves the watermark, termsOut and every record as they were. A
+// link-only group whose every edge the latest lnk/ records already hold
+// returns before taking the lock; edges are never removed, so that read
+// needs no lock.
+func (li *linkIndex) publish(updates []linkUpdate) error {
+	sources := make([]int64, 0, len(updates))
+	for _, u := range updates {
+		sources = append(sources, u.from)
+	}
+	sources = canonIDs(sources)
+	var pairs []linkPair
+	tfBlobs := make([][]byte, len(sources))
+	tfs := make([]*text.Vector, len(sources))
+	carriesTF := false
+	top := int32(-1)
+	for _, u := range updates {
+		src, _ := slices.BinarySearch(sources, u.from)
+		for _, t := range u.targets {
+			if t != u.from { // a page does not link to itself
+				pairs = append(pairs, linkPair{src, t})
+			}
+		}
+		if u.tf != nil && tfs[src] == nil {
+			var pageTop int32
+			tfs[src] = u.tf
+			tfBlobs[src], pageTop = encodeCounts(*u.tf)
+			top, carriesTF = max(top, pageTop), true
+		}
+	}
+	slices.SortFunc(pairs, func(a, b linkPair) int {
+		return cmp.Or(cmp.Compare(a.src, b.src), cmp.Compare(a.to, b.to))
+	})
+	pairs = slices.Compact(pairs)
+	if !carriesTF && li.known(sources, pairs) {
 		return nil
 	}
-	var tfBlob []byte
-	top := int32(-1)
-	if tf != nil {
-		tfBlob, top = encodeCounts(*tf)
-	}
+
 	li.mu.Lock()
 	defer li.mu.Unlock()
 	sn := li.vs.Acquire()
 	defer sn.Release()
-	outs, err := readIDs(sn, lnkKey(from))
-	if err != nil {
-		return err
-	}
-	fresh := newTargets(from, outs, targets)
-	if len(fresh) == 0 && tf == nil {
-		return nil // nothing new: no epoch, no record churn
-	}
-	ins := make([][]int64, len(fresh))
-	for i, t := range fresh {
-		if ins[i], err = readIDs(sn, rinKey(t)); err != nil {
+	outs := make([][]int64, len(sources))
+	for i, from := range sources {
+		var err error
+		if outs[i], err = readIDs(sn, lnkKey(from)); err != nil {
 			return err
 		}
 	}
-	if tf != nil {
-		li.idx.AddVector(from, *tf)
+	// fresh is the edges no lnk/ record holds yet, in (target, source)
+	// order, so each target's new sources are one run.
+	var fresh []linkPair
+	for _, p := range pairs {
+		if _, found := slices.BinarySearch(outs[p.src], p.to); !found {
+			fresh = append(fresh, p)
+		}
 	}
-	b := li.vs.BeginSized(2 + len(fresh) + max(int(top-li.termsOut+1), 0))
+	if len(fresh) == 0 && !carriesTF {
+		return nil // nothing new: no epoch, no record churn
+	}
+	grown := make([]bool, len(sources))
+	for _, p := range fresh {
+		outs[p.src] = append(outs[p.src], p.to)
+		grown[p.src] = true
+	}
+	slices.SortFunc(fresh, func(a, b linkPair) int {
+		return cmp.Or(cmp.Compare(a.to, b.to), cmp.Compare(a.src, b.src))
+	})
+	var targets []int64
+	var ins [][]int64
+	for i, p := range fresh {
+		if i == 0 || p.to != fresh[i-1].to {
+			in, err := readIDs(sn, rinKey(p.to))
+			if err != nil {
+				return err
+			}
+			targets, ins = append(targets, p.to), append(ins, in)
+		}
+		ins[len(ins)-1] = append(ins[len(ins)-1], sources[p.src])
+	}
+	for i, tf := range tfs {
+		if tf != nil {
+			li.idx.AddVector(sources[i], *tf)
+		}
+	}
+	b := li.vs.BeginSized(2*len(sources) + len(targets) + max(int(top-li.termsOut+1), 0))
 	if top >= li.termsOut {
 		terms := li.dict.Terms()
 		for id := li.termsOut; id <= top; id++ {
@@ -150,12 +221,16 @@ func (li *linkIndex) publish(from int64, targets []int64, tf *text.Vector) error
 	if li.afterStage != nil {
 		li.afterStage()
 	}
-	if tfBlob != nil {
-		b.Put(tfKey(from), tfBlob)
+	for i, from := range sources {
+		if tfBlobs[i] != nil {
+			b.Put(tfKey(from), tfBlobs[i])
+		}
+		if grown[i] || tfBlobs[i] != nil {
+			b.Put(lnkKey(from), encodeIDSet(outs[i]))
+		}
 	}
-	b.Put(lnkKey(from), encodeIDSet(append(outs, fresh...)))
-	for i, t := range fresh {
-		b.Put(rinKey(t), encodeIDSet(append(ins[i], from)))
+	for i, t := range targets {
+		b.Put(rinKey(t), encodeIDSet(ins[i]))
 	}
 	if err := b.Publish(); err != nil {
 		return err
@@ -165,26 +240,25 @@ func (li *linkIndex) publish(from int64, targets []int64, tf *text.Vector) error
 	return nil
 }
 
-// known reports whether the latest published lnk/ record of from already
-// holds every edge from→targets. A failed read answers false, leaving the
-// error to publish's own read.
-func (li *linkIndex) known(from int64, targets []int64) bool {
+// known reports whether the latest published lnk/ records already hold
+// every pair's edge. A failed read answers false, leaving the error to
+// publish's own read.
+func (li *linkIndex) known(sources []int64, pairs []linkPair) bool {
 	sn := li.vs.Acquire()
 	defer sn.Release()
-	outs, err := readIDs(sn, lnkKey(from))
-	return err == nil && len(newTargets(from, outs, targets)) == 0
-}
-
-// newTargets returns the targets outs (sorted) lacks, sorted, without
-// repeats and without from itself: a page does not link to itself.
-func newTargets(from int64, outs, targets []int64) []int64 {
-	fresh := make([]int64, 0, len(targets))
-	for _, t := range targets {
-		if _, found := slices.BinarySearch(outs, t); !found && t != from {
-			fresh = append(fresh, t)
+	var outs []int64
+	for i, p := range pairs {
+		if i == 0 || p.src != pairs[i-1].src {
+			var err error
+			if outs, err = readIDs(sn, lnkKey(sources[p.src])); err != nil {
+				return false
+			}
+		}
+		if _, found := slices.BinarySearch(outs, p.to); !found {
+			return false
 		}
 	}
-	return canonIDs(fresh)
+	return true
 }
 
 // readIDs reads one adjacency record through sn: nil when there is none,

@@ -40,7 +40,7 @@ func BenchmarkInLinkWriteAmplification(b *testing.B) {
 					}
 					li = newLinkIndex(vs, text.NewDict(), nil)
 					for src := 1; src <= d; src++ {
-						if err := li.publish(int64(src), []int64{hub}, nil); err != nil {
+						if err := li.publish([]linkUpdate{{from: int64(src), targets: []int64{hub}}}); err != nil {
 							b.Fatal(err)
 						}
 					}
@@ -48,7 +48,7 @@ func BenchmarkInLinkWriteAmplification(b *testing.B) {
 					b.StartTimer()
 				}
 				indeg++
-				if err := li.publish(int64(indeg), []int64{hub}, nil); err != nil {
+				if err := li.publish([]linkUpdate{{from: int64(indeg), targets: []int64{hub}}}); err != nil {
 					b.Fatal(err)
 				}
 				b.StopTimer()

@@ -108,7 +108,7 @@ func TestLinkPublishViewsAndIdempotence(t *testing.T) {
 		// Re-publishing a known edge must not open an epoch (idempotence: a
 		// hot revisit loop cannot churn the version store).
 		wm := e.vs.Watermark()
-		if err := e.links.publish(refID, []int64{dstID}, nil); err != nil {
+		if err := e.links.publish([]linkUpdate{{from: refID, targets: []int64{dstID}}}); err != nil {
 			t.Fatal(err)
 		}
 		if got := e.vs.Watermark(); got != wm {
@@ -267,7 +267,7 @@ func TestInLinksMatchEdgeModel(t *testing.T) {
 	var kept []pinned
 	for i := 0; i < 400; i++ {
 		from, to := 1+int64(rng.Intn(pages)), 1+int64(rng.Intn(pages))
-		if err := li.publish(from, []int64{to}, nil); err != nil {
+		if err := li.publish([]linkUpdate{{from: from, targets: []int64{to}}}); err != nil {
 			t.Fatal(err)
 		}
 		if from != to {
@@ -348,7 +348,7 @@ func TestHubInLinksNeverOutrunOutLinks(t *testing.T) {
 		go func(w int) {
 			defer pubs.Done()
 			for src := 1 + w; src <= sources; src += publishers {
-				if err := li.publish(int64(src), []int64{hub}, nil); err != nil {
+				if err := li.publish([]linkUpdate{{from: int64(src), targets: []int64{hub}}}); err != nil {
 					t.Error(err)
 					return
 				}
@@ -533,7 +533,7 @@ func TestLinkRestartPreChunkArchive(t *testing.T) {
 		t.Fatal("no page with in-links to probe")
 	}
 	const newSrc = int64(1 << 40)
-	if err := e2.links.publish(newSrc, []int64{hub}, nil); err != nil {
+	if err := e2.links.publish([]linkUpdate{{from: newSrc, targets: []int64{hub}}}); err != nil {
 		t.Fatal(err)
 	}
 	e2.withView(func(view3 *DerivedView) {

@@ -140,6 +140,15 @@ func TestVisitOnlyUserSurvivesRestart(t *testing.T) {
 	}
 }
 
+// derivedPublished reports whether the page holds the fetch claim: its
+// derived stats are (or are being) archived, by this process or recovered
+// at Open.
+func (e *Engine) derivedPublished(pageID int64) bool {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	return e.meta[pageID].fetched
+}
+
 // oneSource serves a single page.
 type oneSource struct{ page Content }
 

@@ -571,29 +571,24 @@ func (f *engineFetcher) Fetch(page int64) (crawler.FetchResult, bool) {
 	if tf := f.view.TermCounts(page); tf.IDs != nil {
 		return crawler.FetchResult{Page: page, Counts: tf, Links: f.view.Out(page)}, true
 	}
-	// Archived after the view's pin (a concurrent visit or crawl): the
-	// page is invisible at this crawl's epoch, and re-fetching it from
-	// the source would only lose the claim race after paying for network
-	// and tokenize work. Skip it; the next crawl's view will serve it.
-	if e.derivedPublished(page) {
-		return crawler.FetchResult{}, false
+	// A page archived after the view's pin (a concurrent visit or crawl) is
+	// invisible at this crawl's epoch, and ingest skips it rather than
+	// re-fetch it from the source only to lose the claim race; the next
+	// crawl's view will serve it.
+	tfs, panicked := e.ingest([]int64{page}, nil)
+	if panicked != nil {
+		panic(panicked)
 	}
-	e.mu.RLock()
-	url := e.meta[page].url
-	e.mu.RUnlock()
-	if url == "" {
-		return crawler.FetchResult{}, false
-	}
-	tf := e.fetchAndIndexSlow(page, url)
-	if tf.IDs == nil {
+	tf, ok := tfs[page]
+	if !ok {
 		return crawler.FetchResult{}, false
 	}
 	// Read the page's links from its latest lnk/ record, not from the raw
 	// content: the record is the union of content out-links and any
 	// earlier visit-referrer edges, sorted, which is exactly what a future
 	// life serving this page from the archive will see — the frontier must
-	// not depend on which tier served the page. (fetchAndIndexSlow
-	// publishes at least the content links before it returns, on both
-	// sides of the claim race.)
+	// not depend on which tier served the page. (ingest publishes at least
+	// the content links before it returns, on both sides of the claim
+	// race.)
 	return crawler.FetchResult{Page: page, Counts: tf, Links: e.links.Out(page)}, true
 }

@@ -44,17 +44,20 @@ const (
 // Event is one client action, reduced to what the analyzers read; the
 // foreground path has already written the rest to the tables.
 type Event struct {
-	Kind    Kind
-	User    int64
-	URL     string
-	Privacy Privacy
+	Kind Kind
+	User int64
+	URL  string
+	// Referrer is the page a visit came from ("" when the client named
+	// none).
+	Referrer string
+	Privacy  Privacy
 }
 
 // Queue is a bounded MPSC event queue with drop-oldest overflow semantics:
 // producers never block (the foreground ack path stays fast) and the
 // oldest unprocessed event is shed under overload. The events sit in a
 // fixed ring, so a Push or a Pop is O(1) under the lock the visit path
-// shares, whatever the queue's depth.
+// shares, whatever the queue's depth; a PopBatch is O(events taken).
 type Queue struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -94,22 +97,38 @@ func (q *Queue) Push(e Event) {
 	q.cond.Signal()
 }
 
-// Pop dequeues the next event, blocking until one is available or the
-// queue closes (ok=false).
-func (q *Queue) Pop() (Event, bool) {
+// PopBatch appends to dst the queued events, oldest first, up to limit of
+// them, blocking until at least one is available or the queue closes
+// (ok=false). A consumer takes a burst in one turn of the lock and can
+// then treat it as one group.
+func (q *Queue) PopBatch(dst []Event, limit int) ([]Event, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	for q.n == 0 && !q.closed {
 		q.cond.Wait()
 	}
 	if q.n == 0 {
+		return dst, false
+	}
+	for k := min(limit, q.n); k > 0; k-- {
+		dst = append(dst, q.ring[q.head])
+		q.ring[q.head] = Event{} // drop the strings the slot still holds
+		q.head = (q.head + 1) % len(q.ring)
+		q.n--
+	}
+	return dst, true
+}
+
+// Pop dequeues the next event: a PopBatch of one.
+//
+//memexvet:ignore reader read only by bench/layers.go, the benchmark ladder's events.pop_us rows, until the next benchmark change moves it to PopBatch
+func (q *Queue) Pop() (Event, bool) {
+	var one [1]Event
+	got, ok := q.PopBatch(one[:0], 1)
+	if !ok {
 		return Event{}, false
 	}
-	e := q.ring[q.head]
-	q.ring[q.head] = Event{} // drop the URL string the slot still holds
-	q.head = (q.head + 1) % len(q.ring)
-	q.n--
-	return e, true
+	return got[0], true
 }
 
 // Len returns the number of queued events.

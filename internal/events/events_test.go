@@ -3,6 +3,7 @@ package events
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strconv"
 	"sync"
 	"testing"
@@ -70,8 +71,8 @@ func TestQueueCloseWakesConsumers(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, ok := q.Pop(); ok {
-				t.Error("Pop returned ok after close")
+			if got, ok := q.PopBatch(nil, 8); ok || len(got) != 0 {
+				t.Error("PopBatch returned events after close")
 			}
 		}()
 	}
@@ -113,7 +114,7 @@ func TestPrivacyString(t *testing.T) {
 }
 
 // TestQueueMatchesSliceModel drives a queue and a plain slice with the
-// same seeded pushes and pops — bursts long enough to overflow and wrap
+// same seeded pushes, pops and group pops — bursts long enough to overflow and wrap
 // the ring many times over, drains that empty it — and checks after every
 // step that both hold the same events in the same order and agree on
 // Dropped.
@@ -131,6 +132,13 @@ func TestQueueMatchesSliceModel(t *testing.T) {
 					t.Fatalf("cap %d step %d: Pop = %v, %v; model says %v", capacity, step, got, ok, model[0])
 				}
 				model = model[1:]
+			} else if rng.Intn(3) == 0 && len(model) > 0 {
+				limit := 1 + rng.Intn(capacity)
+				got, ok := q.PopBatch(nil, limit)
+				if want := model[:min(limit, len(model))]; !ok || !slices.Equal(got, want) {
+					t.Fatalf("cap %d step %d: PopBatch(%d) = %v, %v; model says %v", capacity, step, limit, got, ok, want)
+				}
+				model = model[len(got):]
 			} else {
 				for burst := 1 + rng.Intn(2*capacity); burst > 0; burst-- {
 					e := Event{Kind: VisitEvent, User: next, URL: strconv.FormatInt(next, 10)}

@@ -221,7 +221,7 @@ func writeEngineMetrics(w io.Writer, st core.Stats) {
 	c("memex_engine_visits_total", "Visits logged.", float64(st.Visits))
 	c("memex_engine_bookmarks_total", "Bookmarks logged.", float64(st.Bookmarks))
 	c("memex_engine_pages_fetched_total", "Pages fetched from the source by this process.", float64(st.PagesFetched))
-	c("memex_engine_fetches_failed_total", "Background fetches given up on a failed row write; the page stays unfetched and is retried.", float64(st.FetchesFailed))
+	c("memex_engine_fetches_failed_total", "Background fetches given up when their group's row commit or publish failed; the page stays unfetched and is retried.", float64(st.FetchesFailed))
 	g("memex_engine_pages_indexed", "Pages in the inverted index.", float64(st.PagesIndexed))
 	g("memex_engine_users", "Registered users.", float64(st.Users))
 
