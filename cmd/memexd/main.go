@@ -37,8 +37,7 @@ func main() {
 
 		// Admission control (all default off; GET /metrics serves the
 		// per-endpoint histograms and shed counters either way).
-		rate     = flag.Float64("rate", 0, "per-client request rate limit in req/s, keyed by user param or remote host (0 = unlimited)")
-		burst    = flag.Int("burst", 0, "rate-limit burst size (0 = 2×rate, min 8)")
+		rate     = flag.Float64("rate", 0, "per-client request rate limit in req/s, keyed by user param or remote host, bursting to max(8, 2×rate) (0 = unlimited)")
 		inflight = flag.Int("inflight", 0, "global cap on concurrently served requests; excess get 503 (0 = unlimited)")
 		shedQ    = flag.Float64("shed-queue", 0.9, "shed write endpoints with 503 when the background event queue is this full (0 = never)")
 		shedLag  = flag.Uint64("shed-foldlag", 0, "shed write endpoints with 503 when the publish watermark runs this many epochs ahead of the durable fold watermark (0 = never)")
@@ -87,7 +86,6 @@ func main() {
 	// last GC fold (the crash contract in internal/version/cold.go).
 	srv := server.HTTPServer(*addr, m.HandlerWith(memex.ServeConfig{
 		RatePerSec:        *rate,
-		Burst:             *burst,
 		MaxInFlight:       *inflight,
 		ShedQueueFraction: *shedQ,
 		ShedFoldLag:       *shedLag,

@@ -1,9 +1,11 @@
 // Command memexload drives a synthetic mixed ingest+query workload —
 // Zipfian human sessions plus bursty robot crawls, per "Access Patterns
-// for Robots and Humans in Web Archives" — against a live memexd and
-// judges the run against SLO budgets read from the server's own
-// /metrics histograms. It is the tool behind CI's slo job; see the
-// internal/load package doc for the scenario format and budgets.
+// for Robots and Humans in Web Archives" — against a live memexd, times
+// every request it sends from send to reply, and judges the run against
+// SLO budgets on those client-side samples (p50/p99/p999 by nearest
+// rank, the rule bench's client.*_p99_ms figures use). It is the tool
+// behind CI's slo job; see the internal/load package doc for the
+// scenario format and budgets.
 //
 // Usage:
 //
@@ -36,11 +38,10 @@ func main() {
 		seed      = flag.Int64("seed", 1, "schedule seed; same scenario+seed = identical request schedule")
 		worldSeed = flag.Int64("world-seed", 7, "target server's world seed, for a URL/query universe its source resolves (0 = synthetic URLs the source will miss)")
 		out       = flag.String("out", "", "write the LOAD_*.json report here (\"\" = stdout)")
-		scrapeOut = flag.String("scrape-out", "", "save the raw final /metrics scrape here (CI's failure-triage artifact)")
 		commit    = flag.String("commit", "", "commit hash to record in the report")
 		printOnly = flag.Bool("print-schedule", false, "print the expanded schedule and exit without contacting the server")
 
-		p99Status = flag.Duration("slo-p99-status", 0, "budget for p99 GET /api/status latency (0 = ungated)")
+		p99Status = flag.Duration("slo-p99-status", 0, "budget for the client-timed p99 of GET /api/status (0 = ungated)")
 		maxLost   = flag.Int("slo-max-lost", 0, "budget for writes lost without a 429/503 answer")
 		max5xx    = flag.Int("slo-max-5xx", 0, "budget for non-shed 5xx responses")
 	)
@@ -62,24 +63,13 @@ func main() {
 	}
 
 	urls, queries := universe(sc, *worldSeed)
-	opt := load.Options{
+	rep, err := load.Run(sc, load.Options{
 		Target:  *target,
 		URLs:    urls,
 		Queries: queries,
 		Seed:    *seed,
 		Commit:  *commit,
-	}
-	if *scrapeOut != "" {
-		f, err := os.Create(*scrapeOut)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "memexload: %v\n", err)
-			os.Exit(2)
-		}
-		defer f.Close()
-		opt.ScrapeOut = f
-	}
-
-	rep, err := load.Run(sc, opt)
+	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "memexload: %v\n", err)
 		os.Exit(2)
@@ -110,9 +100,9 @@ func main() {
 	fmt.Fprintf(os.Stderr, "memexload: %s @ %s: %d requests in %.1fs; writes ok/shed/lost %d/%d/%d\n",
 		sc.Name, *target, rep.Requests, rep.DurationSec,
 		rep.Writes.OK, rep.Writes.Shed, rep.Writes.Lost())
-	if ep, ok := rep.Endpoint(load.StatusEndpoint); ok {
+	if row, ok := rep.Row(load.StatusRead); ok {
 		fmt.Fprintf(os.Stderr, "memexload: status reads p50/p99/p999 = %.2f/%.2f/%.2f ms over %d samples\n",
-			ep.P50Ms, ep.P99Ms, ep.P999Ms, int(ep.Count))
+			row.P50Ms, row.P99Ms, row.P999Ms, row.Count)
 	}
 	if !res.Pass {
 		for _, v := range res.Violations {

@@ -254,19 +254,3 @@ func (c *Client) Status() (core.Stats, error) {
 	err := c.get("/api/status", nil, &out)
 	return out, err
 }
-
-// Metrics fetches the server's Prometheus text-format metrics page
-// (per-endpoint latency histograms, admission-control shed counters,
-// engine gauges) raw — scraping tools and tests parse it themselves.
-func (c *Client) Metrics() (string, error) {
-	resp, err := c.hc.Get(c.base + "/metrics")
-	if err != nil {
-		return "", err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return "", fmt.Errorf("memex: HTTP %d", resp.StatusCode)
-	}
-	blob, err := io.ReadAll(resp.Body)
-	return string(blob), err
-}

@@ -1,9 +1,8 @@
 // Package load is the synthetic workload harness that turns the
 // ROADMAP's "production scale" slogan into a measured SLO: it drives a
 // live memexd over the real HTTP client with traffic modeled on "Access
-// Patterns for Robots and Humans in Web Archives" (PAPERS.md), and
-// reads the verdict straight out of the server's own /metrics
-// histograms.
+// Patterns for Robots and Humans in Web Archives" (PAPERS.md), times
+// every request it sends, and judges the run on those samples.
 //
 // # Scenario format
 //
@@ -32,16 +31,21 @@
 //
 // # SLO budgets
 //
-// Run executes the schedule with one goroutine per client, scrapes
-// /metrics before, during (the collector polls concurrently with the
-// traffic), and after, and distills a Report: per-endpoint p50/p99/p999
-// estimated from the cumulative `le` bucket deltas (quantile
-// interpolation in promparse.go), error/rejection deltas, and
-// harness-side write/read accounting. Evaluate applies a Budget:
+// Run executes the schedule with one goroutine per client, times each
+// request at the client from send to reply, and distills a Report: one
+// row per request kind, named by Kind.String() ("search", "status",
+// "visit"), with its count, its 4xx and 5xx answers, and p50/p99/p999
+// by nearest rank over every sample — the rule bench's
+// client.<kind>_p99_ms figures use, so both reports give one number one
+// definition. Client-side time includes the transport, so it is never
+// below what the server's own latency histograms see. Write/read
+// accounting classifies each answer from the typed client.APIError, and
+// the dropped-event count is the /api/status EventsDropped delta across
+// the run. Evaluate applies a Budget:
 //
-//   - P99StatusReadMs: the p99 of "GET /api/status" over the run must
-//     stay under budget (0 skips the check; a run with zero status
-//     samples fails it — an unmeasured SLO is a violated SLO).
+//   - P99StatusReadMs: the p99 of status reads over the run must stay
+//     under budget (0 skips the check; a run with zero status samples
+//     fails it — an unmeasured SLO is a violated SLO).
 //   - MaxLost: writes not answered 2xx and not politely shed with
 //     429/503 are lost; the default CI budget is zero.
 //   - Max5xx: 5xx responses that are not admission sheds (no
@@ -52,7 +56,8 @@
 // # Reproducing the CI slo job locally
 //
 //	go build -o /tmp/memexd ./cmd/memexd
-//	/tmp/memexd -addr :8600 -dir /tmp/memex-slo -seed 7 -rate 50 -inflight 128 &
+//	/tmp/memexd -addr :8600 -dir /tmp/memex-slo -seed 7 -rate 50 -inflight 128 \
+//	    -shed-queue 0.9 -shed-foldlag 4096 &
 //	go run ./cmd/memexload -target http://localhost:8600 -scenario ci-small \
 //	    -seed 1 -world-seed 7 -slo-p99-status 750ms -out LOAD_local.json
 //

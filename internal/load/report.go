@@ -13,22 +13,21 @@ import (
 )
 
 // SchemaLoad identifies the LOAD_*.json schema version.
-const SchemaLoad = "memex-load/1"
+const SchemaLoad = "memex-load/2"
 
-// EndpointReport is one endpoint's server-side view of the run: request
-// and error deltas from the counters, quantiles interpolated from the
-// latency-histogram bucket deltas.
-type EndpointReport struct {
-	Endpoint string  `json:"endpoint"`
-	Count    float64 `json:"count"`
-	P50Ms    float64 `json:"p50_ms"`
-	P99Ms    float64 `json:"p99_ms"`
-	P999Ms   float64 `json:"p999_ms"`
-	Err4xx   float64 `json:"err_4xx"`
-	Err5xx   float64 `json:"err_5xx"`
-	// Rejected splits admission refusals by reason (rate, inflight,
-	// queue, foldlag); zero reasons are omitted.
-	Rejected map[string]float64 `json:"rejected,omitempty"`
+// KindReport is one request kind's view of the run, timed at the client
+// from send to reply: how many were sent, their latency quantiles by
+// nearest rank over every sample, and how many the server answered 4xx
+// or 5xx. Kind is Kind.String(), the name bench's client.<kind>_*
+// figures use.
+type KindReport struct {
+	Kind   string  `json:"kind"`
+	Count  int     `json:"count"`
+	P50Ms  float64 `json:"p50_ms"`
+	P99Ms  float64 `json:"p99_ms"`
+	P999Ms float64 `json:"p999_ms"`
+	Err4xx int     `json:"err_4xx"`
+	Err5xx int     `json:"err_5xx"`
 }
 
 // WriteAccounting is the harness-side outcome tally for write requests
@@ -83,14 +82,12 @@ type Report struct {
 	Writes WriteAccounting `json:"writes"`
 	Reads  ReadAccounting  `json:"reads"`
 
-	Endpoints []EndpointReport `json:"endpoints"`
+	Kinds []KindReport `json:"kinds"`
 
-	// EngineDroppedEvents is the run's delta of the queue's silent
-	// drop-oldest counter: data loss admission control failed to prevent.
-	EngineDroppedEvents float64 `json:"engine_dropped_events"`
-
-	// ScrapeErrors counts collector polls that failed mid-run.
-	ScrapeErrors int `json:"scrape_errors"`
+	// EngineDroppedEvents is the run's delta of /api/status
+	// EventsDropped, the queue's silent drop-oldest counter: data loss
+	// admission control failed to prevent.
+	EngineDroppedEvents uint64 `json:"engine_dropped_events"`
 
 	SLO *SLOResult `json:"slo,omitempty"`
 }
@@ -99,7 +96,8 @@ type Report struct {
 // respective latency check; the loss/5xx budgets are absolute counts
 // (their useful value is 0).
 type Budget struct {
-	// P99StatusReadMs bounds the p99 of "GET /api/status" (0 = skip).
+	// P99StatusReadMs bounds the client-timed p99 of status reads
+	// (0 = skip).
 	P99StatusReadMs float64 `json:"p99_status_read_ms"`
 	// MaxLost bounds writes lost without a 429/503 answer.
 	MaxLost int `json:"max_lost"`
@@ -116,20 +114,17 @@ type SLOResult struct {
 	Pass       bool     `json:"pass"`
 }
 
-// StatusEndpoint is the mux pattern the status-read SLO anchors on.
-const StatusEndpoint = "GET /api/status"
-
 // Evaluate applies the budget and records the verdict on the report.
 // An empty violation list means the gate passes.
 func Evaluate(r *Report, b Budget) SLOResult {
 	var v []string
 	if b.P99StatusReadMs > 0 {
-		ep, ok := r.Endpoint(StatusEndpoint)
+		row, ok := r.Row(StatusRead)
 		switch {
-		case !ok || ep.Count == 0:
-			v = append(v, fmt.Sprintf("no %q samples in the run: the status-read SLO was not measured", StatusEndpoint))
-		case ep.P99Ms > b.P99StatusReadMs:
-			v = append(v, fmt.Sprintf("p99 status read %.2fms exceeds budget %.2fms", ep.P99Ms, b.P99StatusReadMs))
+		case !ok || row.Count == 0:
+			v = append(v, "no status samples in the run: the status-read SLO was not measured")
+		case row.P99Ms > b.P99StatusReadMs:
+			v = append(v, fmt.Sprintf("p99 status read %.2fms exceeds budget %.2fms", row.P99Ms, b.P99StatusReadMs))
 		}
 	}
 	if lost := r.Writes.Lost(); lost > b.MaxLost {
@@ -143,21 +138,21 @@ func Evaluate(r *Report, b Budget) SLOResult {
 		v = append(v, fmt.Sprintf("%d non-shed 5xx responses (budget %d)", fivexx, b.Max5xx))
 	}
 	if r.EngineDroppedEvents > 0 {
-		v = append(v, fmt.Sprintf("%.0f events silently dropped by the queue despite admission control", r.EngineDroppedEvents))
+		v = append(v, fmt.Sprintf("%d events silently dropped by the queue despite admission control", r.EngineDroppedEvents))
 	}
 	res := SLOResult{Budget: b, Violations: v, Pass: len(v) == 0}
 	r.SLO = &res
 	return res
 }
 
-// Endpoint finds one endpoint's row.
-func (r *Report) Endpoint(name string) (EndpointReport, bool) {
-	for _, ep := range r.Endpoints {
-		if ep.Endpoint == name {
-			return ep, true
+// Row finds one request kind's row.
+func (r *Report) Row(k Kind) (KindReport, bool) {
+	for _, row := range r.Kinds {
+		if row.Kind == k.String() {
+			return row, true
 		}
 	}
-	return EndpointReport{}, false
+	return KindReport{}, false
 }
 
 // WriteJSON emits the canonical JSON encoding (indented, sorted keys

@@ -3,20 +3,17 @@ package load
 import (
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"runtime"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
 	"memex/internal/client"
 )
 
-// Options binds a scenario to a concrete target: the server URL, the
-// page/query universes the schedule indices resolve against, and the
-// collector cadence.
+// Options binds a scenario to a concrete target: the server URL and the
+// page/query universes the schedule indices resolve against.
 type Options struct {
 	// Target is the server base URL, e.g. "http://localhost:8600".
 	Target string
@@ -28,24 +25,24 @@ type Options struct {
 	Seed int64
 	// HTTPClient overrides the transport (tests, timeouts).
 	HTTPClient *http.Client
-	// ScrapeEvery is the collector's /metrics poll cadence while traffic
-	// runs (default 500ms). The final scrape after traffic stops is what
-	// the report reads; the in-flight polls exist to prove the scrape
-	// path holds up under load (and run under -race in CI).
-	ScrapeEvery time.Duration
-	// ScrapeOut, when set, receives the raw final /metrics text — the
-	// triage artifact CI uploads when the gate fails.
-	ScrapeOut io.Writer
 	// Commit is recorded in the report (trajectory metadata).
 	Commit string
 }
 
-// accounting tallies harness-side request outcomes under one mutex;
-// request rates here are far below contention territory.
+// accounting tallies harness-side request outcomes and latency samples
+// under one mutex; request rates here are far below contention territory.
 type accounting struct {
 	mu     sync.Mutex
 	writes WriteAccounting
 	reads  ReadAccounting
+	kinds  [StatusRead + 1]kindTally // indexed by Kind
+}
+
+// kindTally is one request kind's send-to-reply latencies, one sample
+// per request sent whatever its answer, and its 4xx/5xx counts.
+type kindTally struct {
+	ms             []float64
+	err4xx, err5xx int
 }
 
 // outcome is the failure class of one request, derived from the typed
@@ -62,32 +59,42 @@ const (
 	outOther
 )
 
-func classifyErr(err error) outcome {
+// classifyErr returns the request's outcome and the HTTP status the
+// server answered with (0 for success and for transport errors).
+func classifyErr(err error) (outcome, int) {
 	if err == nil {
-		return outOK
+		return outOK, 0
 	}
 	var ae *client.APIError
 	if !errors.As(err, &ae) {
-		return outOther
+		return outOther, 0
 	}
 	switch {
 	case ae.Status == http.StatusTooManyRequests || ae.Status == http.StatusServiceUnavailable:
 		if ae.RetryAfter != "" {
-			return outShed
+			return outShed, ae.Status
 		}
-		return outShedNoRetryAfter
+		return outShedNoRetryAfter, ae.Status
 	case ae.Status >= 500:
-		return out5xx
+		return out5xx, ae.Status
 	default:
-		return outOther
+		return outOther, ae.Status
 	}
 }
 
-func (a *accounting) classify(isWrite bool, err error) {
-	o := classifyErr(err)
+func (a *accounting) record(k Kind, elapsed time.Duration, err error) {
+	o, status := classifyErr(err)
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if isWrite {
+	t := &a.kinds[k]
+	t.ms = append(t.ms, float64(elapsed)/float64(time.Millisecond))
+	switch {
+	case status >= 500:
+		t.err5xx++
+	case status >= 400:
+		t.err4xx++
+	}
+	if k == Visit {
 		a.writes.Sent++
 		switch o {
 		case outOK:
@@ -116,9 +123,46 @@ func (a *accounting) classify(isWrite bool, err error) {
 	}
 }
 
+// rows builds one row per kind that sent anything, sorted by name.
+func (a *accounting) rows() []KindReport {
+	var out []KindReport
+	for k := Visit; k <= StatusRead; k++ {
+		t := a.kinds[k]
+		if len(t.ms) == 0 {
+			continue
+		}
+		sort.Float64s(t.ms)
+		out = append(out, KindReport{
+			Kind:   k.String(),
+			Count:  len(t.ms),
+			P50Ms:  nearestRank(t.ms, 50),
+			P99Ms:  nearestRank(t.ms, 99),
+			P999Ms: nearestRank(t.ms, 99.9),
+			Err4xx: t.err4xx,
+			Err5xx: t.err5xx,
+		})
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Kind < out[j].Kind })
+	return out
+}
+
+// nearestRank is the p-th percentile (0 ≤ p ≤ 100) of ascending samples
+// by nearest rank: the ⌈n·p/100⌉-th smallest, clamped to [1, n], with
+// the rounding error of n·p/100 absorbed as bench's percentile absorbs
+// it, so a LOAD_*.json p99 and bench's client.*_p99_ms are one
+// definition. No samples give 0.
+func nearestRank(sorted []float64, p float64) float64 {
+	if len(sorted) == 0 {
+		return 0
+	}
+	rank := int(float64(len(sorted))*p/100 + 0.999999)
+	return sorted[min(max(rank, 1), len(sorted))-1]
+}
+
 // Run expands the scenario, replays it against the target with one
-// goroutine per client, and distills the /metrics delta into a Report.
-// The report carries no SLO verdict; apply Evaluate with a Budget.
+// goroutine per client, timing each request from send to reply, and
+// distills the samples into a Report. The report carries no SLO
+// verdict; apply Evaluate with a Budget.
 func Run(sc Scenario, opt Options) (*Report, error) {
 	if len(opt.URLs) < sc.Pages {
 		return nil, fmt.Errorf("load: %d URLs for a %d-page scenario", len(opt.URLs), sc.Pages)
@@ -126,31 +170,21 @@ func Run(sc Scenario, opt Options) (*Report, error) {
 	if len(opt.Queries) < sc.Queries {
 		return nil, fmt.Errorf("load: %d queries for a %d-query scenario", len(opt.Queries), sc.Queries)
 	}
-	if opt.ScrapeEvery <= 0 {
-		opt.ScrapeEvery = 500 * time.Millisecond
-	}
 	cl := client.New(opt.Target)
 	if opt.HTTPClient != nil {
 		cl = cl.WithHTTPClient(opt.HTTPClient)
 	}
 
-	// Setup phase, outside the measured window: health check, user
-	// registration, baseline scrape.
-	if _, err := cl.Status(); err != nil {
+	// Setup phase, outside the measured window: health check (whose
+	// EventsDropped is the baseline) and user registration.
+	before, err := cl.Status()
+	if err != nil {
 		return nil, fmt.Errorf("load: target %s unreachable: %w", opt.Target, err)
 	}
 	for _, id := range sc.Users() {
 		if err := cl.Register(id, fmt.Sprintf("load-%d", id)); err != nil {
 			return nil, fmt.Errorf("load: register user %d: %w", id, err)
 		}
-	}
-	baseText, err := cl.Metrics()
-	if err != nil {
-		return nil, fmt.Errorf("load: baseline scrape: %w", err)
-	}
-	base, err := ParseMetrics(strings.NewReader(baseText))
-	if err != nil {
-		return nil, fmt.Errorf("load: baseline scrape: %w", err)
 	}
 
 	schedule := sc.Schedule(opt.Seed)
@@ -164,32 +198,6 @@ func Run(sc Scenario, opt Options) (*Report, error) {
 	}
 	sort.Strings(names)
 
-	// Collector: poll /metrics concurrently with the traffic. Failed
-	// polls are counted, not fatal — a scrape path that folds under load
-	// is exactly what the report should say.
-	var scrapeErrs int
-	var scrapeMu sync.Mutex
-	stop := make(chan struct{})
-	var collectorDone sync.WaitGroup
-	collectorDone.Add(1)
-	go func() {
-		defer collectorDone.Done()
-		tick := time.NewTicker(opt.ScrapeEvery)
-		defer tick.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-tick.C:
-				if _, err := cl.Metrics(); err != nil {
-					scrapeMu.Lock()
-					scrapeErrs++
-					scrapeMu.Unlock()
-				}
-			}
-		}
-	}()
-
 	acct := &accounting{}
 	start := time.Now()
 	var wg sync.WaitGroup
@@ -202,118 +210,48 @@ func Run(sc Scenario, opt Options) (*Report, error) {
 				if d := time.Until(start.Add(r.At)); d > 0 {
 					time.Sleep(d)
 				}
+				sent := time.Now()
+				var err error
 				switch r.Kind {
 				case Visit:
 					ref := ""
 					if r.Ref >= 0 {
 						ref = opt.URLs[r.Ref]
 					}
-					err := cl.Visit(r.User, opt.URLs[r.Page], ref, time.Now(), "community")
-					acct.classify(true, err)
+					err = cl.Visit(r.User, opt.URLs[r.Page], ref, sent, "community")
 				case Search:
-					_, err := cl.Search(r.User, opt.Queries[r.Query], 10)
-					acct.classify(false, err)
+					_, err = cl.Search(r.User, opt.Queries[r.Query], 10)
 				case StatusRead:
-					_, err := cl.Status()
-					acct.classify(false, err)
+					_, err = cl.Status()
 				}
+				acct.record(r.Kind, time.Since(sent), err)
 			}
 		}()
 	}
 	wg.Wait()
 	wall := time.Since(start)
-	close(stop)
-	collectorDone.Wait()
 
-	finalText, err := cl.Metrics()
+	after, err := cl.Status()
 	if err != nil {
-		return nil, fmt.Errorf("load: final scrape: %w", err)
-	}
-	if opt.ScrapeOut != nil {
-		if _, err := io.WriteString(opt.ScrapeOut, finalText); err != nil {
-			return nil, fmt.Errorf("load: write scrape: %w", err)
-		}
-	}
-	final, err := ParseMetrics(strings.NewReader(finalText))
-	if err != nil {
-		return nil, fmt.Errorf("load: final scrape: %w", err)
+		return nil, fmt.Errorf("load: final status: %w", err)
 	}
 
-	rep := &Report{
-		Schema:      SchemaLoad,
-		Date:        time.Now().UTC().Format("2006-01-02"),
-		Commit:      opt.Commit,
-		Target:      opt.Target,
-		Scenario:    sc.Name,
-		Seed:        opt.Seed,
-		GoVersion:   runtime.Version(),
-		GOOS:        runtime.GOOS,
-		GOARCH:      runtime.GOARCH,
-		CPUs:        runtime.NumCPU(),
-		DurationSec: wall.Seconds(),
-		Requests:    len(schedule),
-		Writes:      acct.writes,
-		Reads:       acct.reads,
-		Endpoints:   endpointDeltas(base, final),
-	}
-	scrapeMu.Lock()
-	rep.ScrapeErrors = scrapeErrs
-	scrapeMu.Unlock()
-	prevDropped, _ := base.Value("memex_engine_events_dropped_total", nil)
-	nowDropped, _ := final.Value("memex_engine_events_dropped_total", nil)
-	rep.EngineDroppedEvents = nowDropped - prevDropped
-	return rep, nil
-}
-
-// endpointDeltas builds the per-endpoint rows from the run's counter
-// and bucket deltas. Endpoints with no traffic during the run are
-// omitted (a long-lived target carries history the run didn't make).
-func endpointDeltas(base, final *Scrape) []EndpointReport {
-	const (
-		durFam = "memex_http_request_duration_seconds"
-		reqFam = "memex_http_requests_total"
-		errFam = "memex_http_errors_total"
-		rejFam = "memex_http_rejected_total"
-	)
-	var out []EndpointReport
-	for _, ep := range final.LabelValues(reqFam, "endpoint") {
-		l := map[string]string{"endpoint": ep}
-		reqNow, _ := final.Value(reqFam, l)
-		reqBase, _ := base.Value(reqFam, l)
-		row := EndpointReport{Endpoint: ep, Count: reqNow - reqBase}
-		if row.Count <= 0 {
-			continue
-		}
-		if hNow, ok := final.Histogram(durFam, l); ok {
-			var h Histogram
-			if hBase, ok := base.Histogram(durFam, l); ok {
-				h = hNow.Sub(hBase)
-			} else {
-				h = hNow
-			}
-			row.P50Ms = h.Quantile(0.50) * 1000
-			row.P99Ms = h.Quantile(0.99) * 1000
-			row.P999Ms = h.Quantile(0.999) * 1000
-		}
-		errDelta := func(class string) float64 {
-			now, _ := final.Value(errFam, map[string]string{"endpoint": ep, "class": class})
-			was, _ := base.Value(errFam, map[string]string{"endpoint": ep, "class": class})
-			return now - was
-		}
-		row.Err4xx = errDelta("4xx")
-		row.Err5xx = errDelta("5xx")
-		for _, reason := range []string{"rate", "inflight", "queue", "foldlag"} {
-			now, _ := final.Value(rejFam, map[string]string{"endpoint": ep, "reason": reason})
-			was, _ := base.Value(rejFam, map[string]string{"endpoint": ep, "reason": reason})
-			if d := now - was; d > 0 {
-				if row.Rejected == nil {
-					row.Rejected = map[string]float64{}
-				}
-				row.Rejected[reason] = d
-			}
-		}
-		out = append(out, row)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Endpoint < out[j].Endpoint })
-	return out
+	return &Report{
+		Schema:              SchemaLoad,
+		Date:                time.Now().UTC().Format("2006-01-02"),
+		Commit:              opt.Commit,
+		Target:              opt.Target,
+		Scenario:            sc.Name,
+		Seed:                opt.Seed,
+		GoVersion:           runtime.Version(),
+		GOOS:                runtime.GOOS,
+		GOARCH:              runtime.GOARCH,
+		CPUs:                runtime.NumCPU(),
+		DurationSec:         wall.Seconds(),
+		Requests:            len(schedule),
+		Writes:              acct.writes,
+		Reads:               acct.reads,
+		Kinds:               acct.rows(),
+		EngineDroppedEvents: after.EventsDropped - before.EventsDropped,
+	}, nil
 }

@@ -12,8 +12,30 @@ import (
 	"testing"
 	"time"
 
+	"memex/internal/core"
+	"memex/internal/kvstore"
 	"memex/internal/server"
 )
+
+type stubSource struct{}
+
+func (stubSource) Lookup(url string) (core.Content, bool) {
+	return core.Content{URL: url, Title: "t", Text: "alpha beta gamma delta"}, true
+}
+
+func newTestEngine(t testing.TB) *core.Engine {
+	t.Helper()
+	e, err := core.Open(core.Config{
+		Dir:    t.TempDir(),
+		Source: stubSource{},
+		KV:     kvstore.Options{Sync: kvstore.SyncGroup},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { e.Close() })
+	return e
+}
 
 // tiny is a sub-second population for runner tests: every client kind
 // present, short enough to keep the suite fast.
@@ -45,10 +67,11 @@ func testUniverse(sc Scenario) (urls, queries []string) {
 }
 
 // TestRunAgainstLiveServer drives the unit scenario at a real engine
-// and checks the whole chain: every scheduled request lands, the
-// /metrics delta yields per-endpoint quantiles, a generous budget
-// passes, an absurd one demonstrably fails, and the report round-trips
-// byte-identically through the trajectory encoding.
+// and checks the whole chain: every scheduled request lands and is
+// timed, each kind's row holds one sample per scheduled request of that
+// kind, a generous budget passes, an absurd one demonstrably fails, and
+// the report round-trips byte-identically through the trajectory
+// encoding.
 func TestRunAgainstLiveServer(t *testing.T) {
 	e := newTestEngine(t)
 	ts := httptest.NewServer(server.New(e))
@@ -57,12 +80,11 @@ func TestRunAgainstLiveServer(t *testing.T) {
 	sc, _ := Lookup("unit")
 	urls, queries := testUniverse(sc)
 	rep, err := Run(sc, Options{
-		Target:      ts.URL,
-		URLs:        urls,
-		Queries:     queries,
-		Seed:        1,
-		ScrapeEvery: 50 * time.Millisecond,
-		Commit:      "deadbeef",
+		Target:  ts.URL,
+		URLs:    urls,
+		Queries: queries,
+		Seed:    1,
+		Commit:  "deadbeef",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -76,7 +98,9 @@ func TestRunAgainstLiveServer(t *testing.T) {
 		t.Fatalf("report says %d requests, schedule has %d", rep.Requests, len(sched))
 	}
 	var wantWrites, wantReads int
+	scheduled := map[Kind]int{}
 	for _, r := range sched {
+		scheduled[r.Kind]++
 		if r.Kind == Visit {
 			wantWrites++
 		} else {
@@ -98,15 +122,21 @@ func TestRunAgainstLiveServer(t *testing.T) {
 		t.Fatalf("%v events dropped in a tiny run", rep.EngineDroppedEvents)
 	}
 
-	// The endpoints the scenario exercises must have rows with measured
-	// latency mass.
-	for _, want := range []string{"POST /api/event", "GET /api/search", StatusEndpoint} {
-		ep, ok := rep.Endpoint(want)
-		if !ok || ep.Count == 0 {
-			t.Fatalf("no %q row in report (endpoints: %+v)", want, rep.Endpoints)
+	// Every kind the scenario schedules has a row with one sample per
+	// scheduled request, and ordered, measured quantiles.
+	if len(rep.Kinds) != len(scheduled) {
+		t.Fatalf("%d rows for %d scheduled kinds: %+v", len(rep.Kinds), len(scheduled), rep.Kinds)
+	}
+	for k, n := range scheduled {
+		row, ok := rep.Row(k)
+		if !ok || row.Count != n {
+			t.Fatalf("%s row %+v, want count %d (rows: %+v)", k, row, n, rep.Kinds)
 		}
-		if ep.P999Ms <= 0 {
-			t.Fatalf("%q has no latency mass: %+v", want, ep)
+		if !(0 < row.P50Ms && row.P50Ms <= row.P99Ms && row.P99Ms <= row.P999Ms) {
+			t.Fatalf("%s quantiles not 0 < p50 ≤ p99 ≤ p999: %+v", k, row)
+		}
+		if row.Err4xx != 0 || row.Err5xx != 0 {
+			t.Fatalf("%s errors on an unlimited server: %+v", k, row)
 		}
 	}
 
@@ -142,15 +172,15 @@ func TestRunAgainstLiveServer(t *testing.T) {
 	if !bytes.Equal(buf1.Bytes(), buf2.Bytes()) {
 		t.Fatal("report did not round-trip byte-identically")
 	}
-	// And the checks refuse what the schema forbids: unsorted endpoint
-	// rows would break every reader that bisects by name.
-	back.Endpoints[0], back.Endpoints[1] = back.Endpoints[1], back.Endpoints[0]
+	// And the checks refuse what the schema forbids: unsorted rows would
+	// break every reader that bisects by name.
+	back.Kinds[0], back.Kinds[1] = back.Kinds[1], back.Kinds[0]
 	buf2.Reset()
 	if err := back.WriteJSON(&buf2); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := readReport(&buf2); err == nil {
-		t.Fatal("readReport accepted unsorted endpoint rows")
+		t.Fatal("readReport accepted unsorted rows")
 	}
 }
 
@@ -160,24 +190,21 @@ func TestRunAgainstLiveServer(t *testing.T) {
 // fails on.
 func TestRunCountsPoliteSheds(t *testing.T) {
 	e := newTestEngine(t)
-	ts := httptest.NewServer(server.NewWith(e, server.Config{RatePerSec: 0.001, Burst: 4}))
+	ts := httptest.NewServer(server.NewWith(e, server.Config{RatePerSec: 0.001}))
 	defer ts.Close()
 
 	urls, queries := testUniverse(tiny)
-	var scrape bytes.Buffer
 	rep, err := Run(tiny, Options{
-		Target:      ts.URL,
-		URLs:        urls,
-		Queries:     queries,
-		Seed:        3,
-		ScrapeEvery: 50 * time.Millisecond,
-		ScrapeOut:   &scrape,
+		Target:  ts.URL,
+		URLs:    urls,
+		Queries: queries,
+		Seed:    3,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.Writes.Shed == 0 {
-		t.Fatalf("nothing shed under a 4-token bucket: %+v", rep.Writes)
+		t.Fatalf("nothing shed under an 8-token bucket: %+v", rep.Writes)
 	}
 	if rep.Writes.ShedNoRetryAfter != 0 || rep.Writes.Lost() != 0 {
 		t.Fatalf("sheds misclassified: %+v", rep.Writes)
@@ -186,19 +213,95 @@ func TestRunCountsPoliteSheds(t *testing.T) {
 	if res := Evaluate(rep, Budget{P99StatusReadMs: 60_000}); !res.Pass {
 		t.Fatalf("polite sheds failed the gate: %v", res.Violations)
 	}
-	// The server-side rejection counters must agree that the event
-	// endpoint refused for "rate".
-	if ep, ok := rep.Endpoint("POST /api/event"); !ok || ep.Rejected["rate"] == 0 {
-		t.Fatalf("no rate rejections recorded: %+v", rep.Endpoints)
+	// Each 429 is also a 4xx on the visit row.
+	if row, ok := rep.Row(Visit); !ok || row.Err4xx != rep.Writes.Shed {
+		t.Fatalf("visit row %+v, want %d 4xx", row, rep.Writes.Shed)
 	}
-	if !strings.Contains(scrape.String(), "memex_http_rejected_total") {
-		t.Fatal("ScrapeOut did not receive the raw final scrape")
+}
+
+// TestScrapeRoundTrip checks the harness's client-side tally against the
+// server's own /metrics after a run: for each kind, the server counted
+// and timed exactly the requests the report says were sent (plus the two
+// status reads Run makes outside the measured window), and answered none
+// of them with an error.
+func TestScrapeRoundTrip(t *testing.T) {
+	e := newTestEngine(t)
+	ts := httptest.NewServer(server.New(e))
+	defer ts.Close()
+
+	urls, queries := testUniverse(tiny)
+	rep, err := Run(tiny, Options{Target: ts.URL, URLs: urls, Queries: queries, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("scrape: status %d, err %v", resp.StatusCode, err)
+	}
+	body := string(raw)
+
+	endpoints := map[Kind]string{Visit: "POST /api/event", Search: "GET /api/search", StatusRead: "GET /api/status"}
+	for k, ep := range endpoints {
+		row, ok := rep.Row(k)
+		if !ok {
+			t.Fatalf("no %s row in %+v", k, rep.Kinds)
+		}
+		want := row.Count
+		if k == StatusRead {
+			want += 2 // Run's health check and final status read
+		}
+		for _, line := range []string{
+			fmt.Sprintf("memex_http_requests_total{endpoint=%q} %d\n", ep, want),
+			fmt.Sprintf("memex_http_request_duration_seconds_count{endpoint=%q} %d\n", ep, want),
+			fmt.Sprintf("memex_http_errors_total{endpoint=%q,class=\"4xx\"} 0\n", ep),
+			fmt.Sprintf("memex_http_errors_total{endpoint=%q,class=\"5xx\"} 0\n", ep),
+		} {
+			if !strings.Contains(body, line) {
+				t.Errorf("scrape missing %q (report row %+v)", line, row)
+			}
+		}
+	}
+}
+
+// TestNearestRank pins the percentile rule to bench's: the ⌈n·p/100⌉-th
+// smallest sample, clamped to the first and last.
+func TestNearestRank(t *testing.T) {
+	hundred := make([]float64, 100)
+	for i := range hundred {
+		hundred[i] = float64(i + 1)
+	}
+	cases := []struct {
+		name   string
+		sorted []float64
+		p      float64
+		want   float64
+	}{
+		{"no samples", nil, 99, 0},
+		{"one sample p50", []float64{7}, 50, 7},
+		{"one sample p99.9", []float64{7}, 99.9, 7},
+		{"p0 is the smallest", []float64{1, 2, 3}, 0, 1},
+		{"p100 is the largest", []float64{1, 2, 3}, 100, 3},
+		{"hundred p50", hundred, 50, 50},
+		{"hundred p99", hundred, 99, 99},
+		{"hundred p99.9", hundred, 99.9, 100},
+		{"hundred p1", hundred, 1, 1},
+		{"hundred p1.5", hundred, 1.5, 2},
+	}
+	for _, tc := range cases {
+		if got := nearestRank(tc.sorted, tc.p); got != tc.want {
+			t.Errorf("%s: nearestRank(p=%v) = %v, want %v", tc.name, tc.p, got, tc.want)
+		}
 	}
 }
 
 // stubTarget fakes just enough of the API for the runner: healthy
-// status/register/search/metrics, with the event endpoint's behavior
-// supplied by the test.
+// status/register/search, with the event endpoint's behavior supplied
+// by the test.
 func stubTarget(event http.HandlerFunc) *httptest.Server {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /api/status", func(w http.ResponseWriter, r *http.Request) {
@@ -209,9 +312,6 @@ func stubTarget(event http.HandlerFunc) *httptest.Server {
 	})
 	mux.HandleFunc("GET /api/search", func(w http.ResponseWriter, r *http.Request) {
 		json.NewEncoder(w).Encode([]any{})
-	})
-	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
-		fmt.Fprintln(w, "memex_http_in_flight 0")
 	})
 	mux.HandleFunc("POST /api/event", event)
 	return httptest.NewServer(mux)
@@ -310,7 +410,7 @@ func readReport(rd io.Reader) (*Report, error) {
 }
 
 // validateReport checks the invariants the trajectory tooling relies on:
-// schema tag, sorted endpoint rows, ordered quantiles, sane counts.
+// schema tag, sorted rows, ordered quantiles, sane counts.
 func validateReport(r *Report) error {
 	if r.Schema != SchemaLoad {
 		return fmt.Errorf("load: schema %q, want %q", r.Schema, SchemaLoad)
@@ -318,18 +418,16 @@ func validateReport(r *Report) error {
 	if r.Date == "" || r.Target == "" || r.Scenario == "" {
 		return fmt.Errorf("load: date, target and scenario are required")
 	}
-	if !sort.SliceIsSorted(r.Endpoints, func(i, j int) bool {
-		return r.Endpoints[i].Endpoint < r.Endpoints[j].Endpoint
-	}) {
-		return fmt.Errorf("load: endpoint rows not sorted")
+	if !sort.SliceIsSorted(r.Kinds, func(i, j int) bool { return r.Kinds[i].Kind < r.Kinds[j].Kind }) {
+		return fmt.Errorf("load: rows not sorted")
 	}
-	for _, ep := range r.Endpoints {
-		if ep.P50Ms > ep.P99Ms || ep.P99Ms > ep.P999Ms {
+	for _, row := range r.Kinds {
+		if row.P50Ms > row.P99Ms || row.P99Ms > row.P999Ms {
 			return fmt.Errorf("load: %s quantiles out of order (p50 %.3f, p99 %.3f, p999 %.3f)",
-				ep.Endpoint, ep.P50Ms, ep.P99Ms, ep.P999Ms)
+				row.Kind, row.P50Ms, row.P99Ms, row.P999Ms)
 		}
-		if ep.Count < 0 || ep.Err4xx < 0 || ep.Err5xx < 0 {
-			return fmt.Errorf("load: %s has negative counters", ep.Endpoint)
+		if row.Count < 0 || row.Err4xx < 0 || row.Err5xx < 0 {
+			return fmt.Errorf("load: %s has negative counters", row.Kind)
 		}
 	}
 	return nil

@@ -182,23 +182,17 @@ func TestShedReason(t *testing.T) {
 }
 
 func TestConfigDefaults(t *testing.T) {
-	c := Config{}.withDefaults()
-	if c.Now == nil {
+	if (Config{}).withDefaults().Now == nil {
 		t.Fatal("Now not defaulted")
 	}
-	if c.Burst != 0 {
-		t.Fatalf("Burst defaulted to %d with rate limiting off", c.Burst)
-	}
-	c = Config{RatePerSec: 2}.withDefaults()
-	if c.Burst != 8 {
-		t.Fatalf("Burst = %d, want floor of 8", c.Burst)
-	}
-	c = Config{RatePerSec: 100}.withDefaults()
-	if c.Burst != 200 {
-		t.Fatalf("Burst = %d, want 2×rate", c.Burst)
-	}
-	c = Config{RatePerSec: 100, Burst: 5}.withDefaults()
-	if c.Burst != 5 {
-		t.Fatalf("explicit Burst overridden to %d", c.Burst)
+	// The bucket depth is derived from the rate: 2×rate, floored at 8.
+	cases := []struct {
+		rate float64
+		want int
+	}{{0.001, 8}, {2, 8}, {4, 8}, {4.5, 9}, {100, 200}}
+	for _, tc := range cases {
+		if got := bucketDepth(tc.rate); got != tc.want {
+			t.Errorf("bucketDepth(%v) = %d, want %d", tc.rate, got, tc.want)
+		}
 	}
 }

@@ -42,9 +42,6 @@ type Config struct {
 	// rate limiting. Clients are keyed by the `user` query parameter when
 	// present, else by remote host.
 	RatePerSec float64
-	// Burst is the token-bucket depth (instantaneous excursion above
-	// RatePerSec). 0 takes max(8, 2×RatePerSec).
-	Burst int
 	// MaxInFlight caps concurrently served requests across all clients;
 	// 0 disables the cap. Ops endpoints are exempt.
 	MaxInFlight int
@@ -65,12 +62,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Now == nil {
 		c.Now = time.Now
-	}
-	if c.RatePerSec > 0 && c.Burst <= 0 {
-		c.Burst = int(2 * c.RatePerSec)
-		if c.Burst < 8 {
-			c.Burst = 8
-		}
 	}
 	return c
 }
@@ -108,6 +99,12 @@ type limiter struct {
 
 	mu      sync.Mutex
 	buckets map[string]*bucket
+}
+
+// bucketDepth is the token-bucket depth for a per-client rate, the
+// instantaneous excursion above it: two seconds' worth, at least 8.
+func bucketDepth(rate float64) int {
+	return max(8, int(2*rate))
 }
 
 func newLimiter(rate float64, burst int, now func() time.Time) *limiter {

@@ -108,16 +108,17 @@ func TestAdaptiveRetryAfterOverHTTP(t *testing.T) {
 	// Non-pressure rejections keep the flat 1s floor: the drain
 	// estimator knows nothing about token buckets.
 	clk2 := &fakeClock{t: time.Unix(4000, 0)}
-	srv2 := NewWith(newTestEngine(t), Config{RatePerSec: 0.001, Burst: 1, Now: clk2.now})
+	srv2 := NewWith(newTestEngine(t), Config{RatePerSec: 0.001, Now: clk2.now})
 	ts2 := httptest.NewServer(srv2)
 	defer ts2.Close()
-	for i := 0; i < 2; i++ {
+	depth := bucketDepth(0.001)
+	for i := 0; i <= depth; i++ {
 		resp, err := http.Get(ts2.URL + "/api/themes?user=9")
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
-		if i == 1 {
+		if i == depth {
 			if resp.StatusCode != http.StatusTooManyRequests {
 				t.Fatalf("status %d, want 429", resp.StatusCode)
 			}

@@ -24,12 +24,13 @@
 //     link-graph/disk gauges.
 //
 // Admission control is configured through Config (all knobs default
-// off): RatePerSec+Burst run a per-client token bucket (keyed by the
-// `user` param, else remote host) answering 429; MaxInFlight caps
-// global concurrency with 503; ShedQueueFraction and ShedFoldLag shed
-// write endpoints with 503 while the background event queue or the
-// fold watermark lag say the publish pipeline is backed up. /metrics
-// and /api/status are exempt so operators can always see in.
+// off): RatePerSec runs a per-client token bucket (keyed by the
+// `user` param, else remote host; max(8, 2×rate) deep) answering 429;
+// MaxInFlight caps global concurrency with 503; ShedQueueFraction and
+// ShedFoldLag shed write endpoints with 503 while the background event
+// queue or the fold watermark lag say the publish pipeline is backed
+// up. /metrics and /api/status are exempt so operators can always see
+// in.
 //
 // Routing gotcha: the mux below registers method-qualified patterns
 // ("POST /api/user", "GET /api/search", ...), which require the enhanced
@@ -90,7 +91,7 @@ func NewWith(e *core.Engine, cfg Config) *Server {
 		pressure: e.Pressure,
 	}
 	if s.cfg.RatePerSec > 0 {
-		s.limiter = newLimiter(s.cfg.RatePerSec, s.cfg.Burst, s.cfg.Now)
+		s.limiter = newLimiter(s.cfg.RatePerSec, bucketDepth(s.cfg.RatePerSec), s.cfg.Now)
 	}
 	s.handle("POST /api/user", writeRoute, s.handleUser)
 	s.handle("POST /api/event", writeRoute, s.handleEvent)

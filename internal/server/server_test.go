@@ -7,7 +7,9 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"regexp"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -370,12 +372,12 @@ func TestAnonymousSearchSeesOnlyCommunityPages(t *testing.T) {
 
 func TestRateLimitAnswers429(t *testing.T) {
 	clk := &fakeClock{t: time.Unix(2000, 0)}
-	srv := NewWith(newTestEngine(t), Config{RatePerSec: 0.001, Burst: 2, Now: clk.now})
+	srv := NewWith(newTestEngine(t), Config{RatePerSec: 0.001, Now: clk.now})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
 	var ok200, got429 int
-	for i := 0; i < 6; i++ {
+	for i := 0; i < 12; i++ {
 		resp, err := http.Get(ts.URL + "/api/themes?user=7")
 		if err != nil {
 			t.Fatal(err)
@@ -393,8 +395,8 @@ func TestRateLimitAnswers429(t *testing.T) {
 			t.Fatalf("unexpected status %d", resp.StatusCode)
 		}
 	}
-	if ok200 != 2 || got429 != 4 {
-		t.Fatalf("200/429 = %d/%d, want 2/4 (burst then dry)", ok200, got429)
+	if ok200 != 8 || got429 != 4 {
+		t.Fatalf("200/429 = %d/%d, want 8/4 (the derived 8-token bucket, then dry)", ok200, got429)
 	}
 	// A different user (different bucket) still gets in.
 	resp, err := http.Get(ts.URL + "/api/themes?user=8")
@@ -521,6 +523,14 @@ func TestMetricsEndpointMovesWithTraffic(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
+	const statusReads = 5
+	for i := 0; i < statusReads; i++ {
+		resp, err := http.Get(ts.URL + "/api/status")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+	}
 	e.DrainBackground()
 
 	// The engine gauges render the same Stats snapshot /api/status serves.
@@ -559,6 +569,33 @@ func TestMetricsEndpointMovesWithTraffic(t *testing.T) {
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics missing %q", want)
+		}
+	}
+	// The page as a whole is exposition format: every line but a comment
+	// is `name value` or `name{labels} value`, the value a float, and one
+	// endpoint's histogram +Inf bucket, _count and request counter agree.
+	label := `[a-zA-Z_][a-zA-Z0-9_]*="(?:[^"\\\n]|\\.)*"`
+	sample := regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*(?:\{` + label + `(?:,` + label + `)*\})? (\S+)$`)
+	for _, line := range strings.Split(strings.TrimSuffix(body, "\n"), "\n") {
+		if strings.HasPrefix(line, "# ") {
+			continue
+		}
+		m := sample.FindStringSubmatch(line)
+		if m == nil {
+			t.Errorf("not a sample line: %q", line)
+			continue
+		}
+		if _, err := strconv.ParseFloat(m[1], 64); err != nil {
+			t.Errorf("value of %q is not a float", line)
+		}
+	}
+	for _, series := range []string{
+		`memex_http_request_duration_seconds_bucket{endpoint="GET /api/status",le="+Inf"}`,
+		`memex_http_request_duration_seconds_count{endpoint="GET /api/status"}`,
+		`memex_http_requests_total{endpoint="GET /api/status"}`,
+	} {
+		if want := fmt.Sprintf("%s %d\n", series, statusReads); !strings.Contains(body, want) {
+			t.Errorf("metrics missing %q:\n%s", want, grepMetrics(body, "GET /api/status"))
 		}
 	}
 	// Three visits are at least three row commits; a fold may add more.
