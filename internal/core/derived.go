@@ -71,13 +71,10 @@ type tfRecord struct {
 // order, so the one scan holds the tf/ blobs (≈0.1 KB a page) until the
 // dictionary is complete and decodes them after restoreDict.
 //
-// An archive that still holds a rinD/ in-link delta chunk — written while
-// in-links were chunked, and read by nothing now — is refused: opening it
-// would silently drop those edges from every In. So is a dict/ or tf/ key
-// that dictKey or tfKey does not spell (a second spelling of an id would
-// count a page twice in N and DF, or replace a term), and a dictionary
-// restoreDict cannot restore. A failed scan is an error too, never a
-// partial index.
+// A dict/ or tf/ key that dictKey or tfKey does not spell is refused (a
+// second spelling of an id would count a page twice in N and DF, or
+// replace a term), and so is a dictionary restoreDict cannot restore. A
+// failed scan is an error too, never a partial index.
 // Runs during Open, single-threaded, before any demon starts.
 func (e *Engine) reloadDerived() error {
 	var (
@@ -87,9 +84,6 @@ func (e *Engine) reloadDerived() error {
 	)
 	visit := func(key string, raw []byte) bool {
 		switch {
-		case strings.HasPrefix(key, "rinD/"):
-			err = fmt.Errorf("core: archive holds in-link delta chunk %q, a record format this version does not read; there is no migration", key)
-			return false
 		case strings.HasPrefix(key, "dict/"):
 			id, ok := idOfDictKey(key)
 			if !ok {
@@ -120,7 +114,7 @@ func (e *Engine) reloadDerived() error {
 	if err != nil {
 		return err
 	}
-	if err := e.restoreDict(terms, tfs); err != nil {
+	if err := e.restoreDict(terms); err != nil {
 		return err
 	}
 	for _, r := range tfs {
@@ -141,19 +135,10 @@ func (e *Engine) reloadDerived() error {
 // restoreDict interns the recovered dictionary in id order and checks
 // that every term comes back as its own id, so a page keeps its ids — and
 // its vectors their bits — across a restart; the link index then carries
-// dictionary records from the first id past them. It refuses an archive
-// whose tf/ records name terms but which holds no dictionary (records
-// that spell their terms, the format before dict/ records existed) and a
-// dictionary with a gap, which no contiguous epoch prefix can leave (see
-// linkIndex.publish). There is no migration.
-func (e *Engine) restoreDict(terms map[int32]string, tfs []tfRecord) error {
-	if len(terms) == 0 {
-		for _, r := range tfs {
-			if n, w := binary.Uvarint(r.raw); w > 0 && n > 0 {
-				return fmt.Errorf("core: archive holds term-count record %q naming %d terms but no term dictionary (dict/ records): its records spell their terms, a format this version does not read; there is no migration", tfKey(r.page), n)
-			}
-		}
-	}
+// dictionary records from the first id past them. It refuses a dictionary
+// with a gap, which no contiguous epoch prefix can leave (see
+// linkIndex.publish).
+func (e *Engine) restoreDict(terms map[int32]string) error {
 	for id := int32(0); int(id) < len(terms); id++ {
 		term, ok := terms[id]
 		if !ok {

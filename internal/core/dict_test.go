@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
-	"maps"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -334,46 +333,6 @@ func TestPanicAfterStageLeavesNoGap(t *testing.T) {
 	}
 }
 
-// TestOpenRefusesSpelledTermArchive: an archive whose tf/ records spell
-// their terms (the format before dict/ records) holds no dictionary, and
-// Open refuses it by name, twice, leaving the directory as it found it.
-func TestOpenRefusesSpelledTermArchive(t *testing.T) {
-	page := Content{URL: "http://zoo.example/quagga", Title: "Quagga", Text: "zebra quagga savannah"}
-	cfg := Config{Dir: t.TempDir(), Source: oneSource{page}, KV: kvstore.Options{Sync: kvstore.SyncGroup}, VersionGCInterval: -1}
-	e, err := Open(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	id, err := e.ensurePage(page.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := e.vs.BeginSized(0)
-	b.Put(tfKey(id), spelledCounts(map[string]int{"zebra": 1, "quagga": 2, "savannah": 1}))
-	b.Put(lnkKey(id), encodeIDSet(nil))
-	if err := b.Publish(); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	before := dirBytes(t, cfg.Dir)
-	for life := 2; life <= 3; life++ {
-		e, err := Open(cfg)
-		if err == nil {
-			e.Close()
-			t.Fatalf("life %d: Open accepted tf/ records that spell their terms", life)
-		}
-		if !strings.Contains(err.Error(), fmt.Sprintf("%q", tfKey(id))) || !strings.Contains(err.Error(), "no term dictionary") {
-			t.Fatalf("life %d: refusal does not name the record and the missing dictionary: %v", life, err)
-		}
-		if after := dirBytes(t, cfg.Dir); !maps.Equal(before, after) {
-			t.Fatalf("life %d: the refused Open changed the archive on disk", life)
-		}
-	}
-}
-
 // TestOpenRefusesDictionaryGap: a dictionary missing an id below its size
 // is refused, and the error names the id. The gap is cut by a record one
 // past the next free id, since the store has no deletes.
@@ -439,42 +398,61 @@ func TestOpenRefusesNonCanonicalKeys(t *testing.T) {
 // TestRecordPastDictionaryIsRefetched: a tf/ record naming an id the
 // dictionary does not hold is undecodable, not a reason to refuse the
 // archive: Open succeeds, the page stays unclaimed, and the fetch requeued
-// for it republishes a good record.
+// for it republishes a good record. So is a record naming terms in an
+// archive with no dictionary at all, as one that spells its terms (the
+// codec before dict/ records) is: the first life's source lacked the page,
+// so nothing published a dict/ record.
 func TestRecordPastDictionaryIsRefetched(t *testing.T) {
 	page := Content{URL: "http://zoo.example/quagga", Title: "Quagga", Text: "zebra quagga savannah"}
-	cfg := Config{Dir: t.TempDir(), Source: oneSource{page}, KV: kvstore.Options{Sync: kvstore.SyncGroup}, VersionGCInterval: -1}
-	e, err := Open(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.RegisterUser(1, "alice")
-	if err := e.RecordVisit(1, page.URL, "", tBase, events.Community); err != nil {
-		t.Fatal(err)
-	}
-	e.DrainBackground()
-	id := e.idByURL[page.URL]
-	terms := e.Status().Terms
-	b := e.vs.BeginSized(0)
-	b.Put(tfKey(id), append(binary.AppendUvarint([]byte{1}, uint64(terms+3)), 1))
-	if err := b.Publish(); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Close(); err != nil {
-		t.Fatal(err)
-	}
+	const pageTerms = 3
+	for _, tc := range []struct {
+		name   string
+		first  PageSource
+		record func(terms int) []byte
+	}{
+		{"id past the dictionary", oneSource{page}, func(terms int) []byte {
+			return append(binary.AppendUvarint([]byte{1}, uint64(terms+3)), 1)
+		}},
+		{"no dictionary", oneSource{}, func(int) []byte {
+			return spelledCounts(map[string]int{"zebra": 1, "quagga": 2, "savannah": 1})
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := Config{Dir: t.TempDir(), Source: tc.first, KV: kvstore.Options{Sync: kvstore.SyncGroup}, VersionGCInterval: -1}
+			e, err := Open(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e.RegisterUser(1, "alice")
+			if err := e.RecordVisit(1, page.URL, "", tBase, events.Community); err != nil {
+				t.Fatal(err)
+			}
+			e.DrainBackground()
+			id := e.idByURL[page.URL]
+			b := e.vs.BeginSized(0)
+			b.Put(tfKey(id), tc.record(e.Status().Terms))
+			if err := b.Publish(); err != nil {
+				t.Fatal(err)
+			}
+			if err := e.Close(); err != nil {
+				t.Fatal(err)
+			}
 
-	e, err = Open(cfg)
-	if err != nil {
-		t.Fatalf("Open refused an archive with one undecodable tf/ record: %v", err)
-	}
-	defer e.Close()
-	e.DrainBackground()
-	st := e.Status()
-	if st.PagesFetched != 1 || st.PagesIndexed != 1 || st.Terms != terms {
-		t.Fatalf("after reopen: %d fetched, %d indexed, %d terms; want the page requeued and refetched, %d terms", st.PagesFetched, st.PagesIndexed, st.Terms, terms)
-	}
-	if hits := e.Search(1, "quagga", 5); len(hits) != 1 || hits[0].ID != id {
-		t.Fatalf("refetched page not searchable: %v", hits)
+			cfg.Source = oneSource{page}
+			e, err = Open(cfg)
+			if err != nil {
+				t.Fatalf("Open refused an archive with one undecodable tf/ record: %v", err)
+			}
+			defer e.Close()
+			e.DrainBackground()
+			st := e.Status()
+			if st.PagesFetched != 1 || st.PagesIndexed != 1 || st.Terms != pageTerms {
+				t.Fatalf("after reopen: %d fetched, %d indexed, %d terms; want the page requeued and refetched, %d terms", st.PagesFetched, st.PagesIndexed, st.Terms, pageTerms)
+			}
+			if hits := e.Search(1, "quagga", 5); len(hits) != 1 || hits[0].ID != id {
+				t.Fatalf("refetched page not searchable: %v", hits)
+			}
+		})
 	}
 }
 

@@ -241,7 +241,7 @@ func Open(cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := refuseRetiredLayouts(kv); err != nil {
+	if err := checkFormat(kv); err != nil {
 		kv.Close()
 		return nil, err
 	}
@@ -333,13 +333,7 @@ func (e *Engine) reload() (refs map[int64][]int64, err error) {
 	}
 	// Folder trees from bookmarks, in id order.
 	err = bookmarksTable.scanAll(e.kv, func(r bookmarkRow) bool {
-		rec := e.meta[r.page]
-		e.treeLocked(r.user).Add(r.folder, folders.Entry{
-			Page:  r.page,
-			URL:   rec.url,
-			Title: rec.title,
-			Added: time.Unix(0, r.at).UTC(),
-		})
+		e.fileLocked(r)
 		e.lastBookmark.Store(r.id)
 		return true
 	})
@@ -484,6 +478,20 @@ func (e *Engine) treeLocked(user int64) *folders.Tree {
 		e.trees[user] = t
 	}
 	return t
+}
+
+// fileLocked files a bookmark row into its user's folder tree. Every user
+// placement reaches a tree this way, live and in reload, so a tree after
+// Open is the tree before Close, classifier guesses aside. Caller must hold e.mu or be in
+// single-threaded setup.
+func (e *Engine) fileLocked(r bookmarkRow) {
+	rec := e.meta[r.page]
+	e.treeLocked(r.user).Add(r.folder, folders.Entry{
+		Page:  r.page,
+		URL:   rec.url,
+		Title: rec.title,
+		Added: time.Unix(0, r.at).UTC(),
+	})
 }
 
 // Stats is a point-in-time snapshot of engine counters.

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"memex/internal/events"
+	"memex/internal/folders"
 	"memex/internal/kvstore"
 	"memex/internal/webcorpus"
 )
@@ -426,6 +427,67 @@ func TestPersistenceAcrossRestart(t *testing.T) {
 	}
 	if tree.FolderOfPage(e2.idByURL[p.URL]) == nil {
 		t.Fatal("bookmark page lost")
+	}
+}
+
+// treeLines renders a user's folder tree, one line an entry, times
+// included.
+func treeLines(e *Engine, user int64) []string {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	var out []string
+	e.trees[user].Walk(func(f *folders.Folder) {
+		for _, en := range f.Entries {
+			out = append(out, fmt.Sprintf("%s %d %s %q %s %v", f.Path(), en.Page, en.URL, en.Title, en.Added.Format(time.RFC3339Nano), en.Guessed))
+		}
+	})
+	return out
+}
+
+// TestCorrectionSurvivesReopen: a correction is a bookmark row, filed into
+// the tree only once the row is written and as reload files it. So a
+// correction the store refuses (a folder too long for one record) leaves
+// the tree as it was, and the tree after Close → Open is the tree before
+// it, the correction's time included.
+func TestCorrectionSurvivesReopen(t *testing.T) {
+	page := Content{URL: "http://zoo.example/okapi", Title: "Okapi", Text: "okapi forest"}
+	tCorrect := tBase.Add(time.Hour)
+	cfg := Config{Dir: t.TempDir(), Source: oneSource{page}, KV: kvstore.Options{Sync: kvstore.SyncGroup}, Now: func() time.Time { return tCorrect }}
+	e, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.RegisterUser(1, "alice")
+	// Fetched first, so every entry carries the page's title.
+	if err := e.RecordVisit(1, page.URL, "", tBase, events.Community); err != nil {
+		t.Fatal(err)
+	}
+	e.DrainBackground()
+	if err := e.AddBookmark(1, page.URL, "/animals", tBase); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.CorrectPlacement(1, page.URL, "/animals/forest"); err != nil {
+		t.Fatal(err)
+	}
+	want := treeLines(e, 1)
+	long := "/" + strings.Repeat("x", kvstore.MaxKV)
+	if err := e.CorrectPlacement(1, page.URL, long); !kvstore.ErrTooLarge(err) {
+		t.Fatalf("correction into a %d-byte folder: %v, want the store's too-large error", len(long), err)
+	}
+	if got := treeLines(e, 1); !slices.Equal(got, want) {
+		t.Errorf("the refused correction changed the tree:\n%q\nwant\n%q", got, want)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	e, err = Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	if got := treeLines(e, 1); !slices.Equal(got, want) {
+		t.Errorf("tree after reopen:\n%q\nwant the tree before Close:\n%q", got, want)
 	}
 }
 

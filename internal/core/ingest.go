@@ -80,11 +80,6 @@ func (e *Engine) AddBookmark(user int64, url, folder string, at time.Time) error
 	if err := e.putBookmark(user, pageID, folder, at); err != nil {
 		return err
 	}
-	e.mu.Lock()
-	e.treeLocked(user).Add(folder, folders.Entry{
-		Page: pageID, URL: url, Title: e.meta[pageID].title, Added: at,
-	})
-	e.mu.Unlock()
 	e.stats.BookmarksLogged.Add(1)
 	// Ensure the page is fetched/indexed so training has text.
 	e.pushed.Add(1)
@@ -93,31 +88,30 @@ func (e *Engine) AddBookmark(user int64, url, folder string, at time.Time) error
 }
 
 // CorrectPlacement moves a page to the right folder (the cut/paste
-// reinforcement of Figure 1) and counts as a fresh training signal.
+// reinforcement of Figure 1) and counts as a fresh training signal. A
+// correction is a bookmark row, filed as AddBookmark files one.
 func (e *Engine) CorrectPlacement(user int64, url, folder string) error {
-	e.mu.Lock()
+	e.mu.RLock()
 	pageID, ok := e.idByURL[url]
+	e.mu.RUnlock()
 	if !ok {
-		e.mu.Unlock()
 		return fmt.Errorf("core: unknown page %q", url)
 	}
-	tree := e.treeLocked(user)
-	err := tree.MovePage(pageID, folder)
-	if err != nil {
-		// Not filed yet: treat as a fresh placement.
-		tree.Add(folder, folders.Entry{Page: pageID, URL: url, Title: e.meta[pageID].title, Added: e.cfg.Now()})
-		err = nil
-	}
-	e.mu.Unlock()
-	if insErr := e.putBookmark(user, pageID, folder, e.cfg.Now()); insErr != nil {
-		return insErr
-	}
-	return err
+	return e.putBookmark(user, pageID, folder, e.cfg.Now())
 }
 
-// putBookmark writes a bookmark row under the next bookmark id.
+// putBookmark writes a bookmark row under the next bookmark id and then
+// files it into the user's tree, so a refused write leaves the tree as it
+// was.
 func (e *Engine) putBookmark(user, page int64, folder string, at time.Time) error {
-	return e.kv.Put(bookmarkRow{id: e.lastBookmark.Add(1), user: user, page: page, at: at.UnixNano(), folder: folder}.record())
+	r := bookmarkRow{id: e.lastBookmark.Add(1), user: user, page: page, at: at.UnixNano(), folder: folder}
+	if err := e.kv.Put(r.record()); err != nil {
+		return err
+	}
+	e.mu.Lock()
+	e.fileLocked(r)
+	e.mu.Unlock()
+	return nil
 }
 
 // ImportBookmarks ingests a Netscape bookmark file for the user.

@@ -3,9 +3,11 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -14,6 +16,7 @@ import (
 	"memex/internal/kvstore"
 	"memex/internal/rdbms"
 	"memex/internal/textindex"
+	"memex/internal/version"
 )
 
 // tableLen counts one table's records.
@@ -26,153 +29,269 @@ func tableLen(t *testing.T, e *Engine, prefix string) int {
 	return n
 }
 
-// TestOpenRefusesForeignSchema: a directory whose generic-row-layer catalog
-// holds a pages schema (here the one before the fetched column and the url
-// index were dropped) is refused at Open, naming its catalog key, instead
-// of failing every page insert later.
-func TestOpenRefusesForeignSchema(t *testing.T) {
-	dir := t.TempDir()
-	opts := kvstore.Options{Sync: kvstore.SyncGroup}
-	db, err := rdbms.Open(dir, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = db.CreateTable(rdbms.Schema{
-		Name: "pages",
-		Columns: []rdbms.Column{
-			{Name: "id", Type: rdbms.TInt},
-			{Name: "url", Type: rdbms.TString},
-			{Name: "title", Type: rdbms.TString},
-			{Name: "fetched", Type: rdbms.TBool},
-		},
-		Key:     "id",
-		Indexes: []string{"url"},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
+// The writers below leave dir as an archive of another format would be,
+// one this build refuses, holding refusedPage where it holds a page.
+var (
+	refusedKV   = kvstore.Options{Sync: kvstore.SyncGroup}
+	refusedPage = Content{URL: "http://zoo.example/okapi", Title: "Okapi", Text: "okapi forest"}
+)
 
-	e, err := Open(Config{Dir: dir, Source: oneSource{}, KV: opts})
-	if err == nil {
-		e.Close()
-		t.Fatal("Open accepted an archive with a foreign pages schema")
+// withKV runs fn on the kvstore in dir and closes it.
+func withKV(dir string, fn func(*kvstore.Store) error) error {
+	kv, err := kvstore.Open(dir, refusedKV)
+	if err != nil {
+		return err
 	}
-	for _, want := range []string{`"cat/pages"`, "generic row layer"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("error %q does not mention %s", err, want)
+	if err := fn(kv); err != nil {
+		kv.Close()
+		return err
+	}
+	return kv.Close()
+}
+
+// then runs build, then fn on the kvstore build left.
+func then(build func(string) error, fn func(*kvstore.Store) error) func(string) error {
+	return func(dir string) error {
+		if err := build(dir); err != nil {
+			return err
 		}
+		return withKV(dir, fn)
 	}
 }
 
-// TestOpenRefusesRowLayerArchive: an archive the generic row layer wrote —
-// the four tables' catalog, a sequence, rows and the visits.user index —
-// is refused at Open with an error naming one of its keys, and its files
-// are byte for byte what they were. A key of any one of the layer's four
-// keyspaces alone is refused the same way.
-func TestOpenRefusesRowLayerArchive(t *testing.T) {
-	opts := kvstore.Options{Sync: kvstore.SyncGroup}
-	rowLayer := func(dir string) error {
-		db, err := rdbms.Open(dir, opts)
+// oneKey writes key alone, as a store holding one record of another
+// layout's keyspace.
+func oneKey(key string, value []byte) func(string) error {
+	return func(dir string) error {
+		return withKV(dir, func(kv *kvstore.Store) error { return kv.Put([]byte(key), value) })
+	}
+}
+
+// rowLayer writes the generic row layer's pages table (its catalog key
+// cat/pages, with the fetched column and url index of its last schema)
+// and, with a row, its sequence, row and index keys.
+func rowLayer(withRow bool) func(string) error {
+	return func(dir string) error {
+		db, err := rdbms.Open(dir, refusedKV)
 		if err != nil {
 			return err
 		}
 		defer db.Close()
-		tables := []struct {
-			schema rdbms.Schema
-			row    rdbms.Row
-		}{
-			{rdbms.Schema{Name: "pages", Key: "id", Columns: []rdbms.Column{
-				{Name: "id", Type: rdbms.TInt}, {Name: "url", Type: rdbms.TString}, {Name: "title", Type: rdbms.TString},
-			}}, rdbms.Row{"id": rdbms.Int(1), "url": rdbms.String("http://zoo.example/okapi"), "title": rdbms.String("Okapi")}},
-			{rdbms.Schema{Name: "visits", Key: "id", Indexes: []string{"user"}, Columns: []rdbms.Column{
-				{Name: "id", Type: rdbms.TInt}, {Name: "user", Type: rdbms.TInt}, {Name: "page", Type: rdbms.TInt},
-				{Name: "ref", Type: rdbms.TInt}, {Name: "time", Type: rdbms.TTime}, {Name: "privacy", Type: rdbms.TInt},
-			}}, rdbms.Row{"user": rdbms.Int(1), "page": rdbms.Int(1), "ref": rdbms.Int(0), "time": rdbms.Time(tBase), "privacy": rdbms.Int(int64(events.Community))}},
-			{rdbms.Schema{Name: "bookmarks", Key: "id", Columns: []rdbms.Column{
-				{Name: "id", Type: rdbms.TInt}, {Name: "user", Type: rdbms.TInt}, {Name: "page", Type: rdbms.TInt},
-				{Name: "folder", Type: rdbms.TString}, {Name: "time", Type: rdbms.TTime},
-			}}, rdbms.Row{"id": rdbms.Int(1), "user": rdbms.Int(1), "page": rdbms.Int(1), "folder": rdbms.String("/animals"), "time": rdbms.Time(tBase)}},
-			{rdbms.Schema{Name: "users", Key: "id", Columns: []rdbms.Column{
-				{Name: "id", Type: rdbms.TInt}, {Name: "name", Type: rdbms.TString},
-			}}, rdbms.Row{"id": rdbms.Int(1), "name": rdbms.String("alice")}},
+		tbl, err := db.CreateTable(rdbms.Schema{Name: "pages", Key: "id", Indexes: []string{"url"}, Columns: []rdbms.Column{
+			{Name: "id", Type: rdbms.TInt}, {Name: "url", Type: rdbms.TString},
+			{Name: "title", Type: rdbms.TString}, {Name: "fetched", Type: rdbms.TBool},
+		}})
+		if err != nil || !withRow {
+			return err
 		}
-		for _, tb := range tables {
-			tbl, err := db.CreateTable(tb.schema)
-			if err != nil {
-				return err
-			}
-			if _, numbered := tb.row["id"]; !numbered {
-				id, err := tbl.NextID() // writes seq/visits
-				if err != nil {
-					return err
-				}
-				tb.row["id"] = rdbms.Int(id)
-			}
-			if err := tbl.Insert(tb.row); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	oneKey := func(key string) func(string) error {
-		return func(dir string) error {
-			kv, err := kvstore.Open(dir, opts)
-			if err != nil {
-				return err
-			}
-			if err := kv.Put([]byte(key), []byte{1}); err != nil {
-				kv.Close()
-				return err
-			}
-			return kv.Close()
-		}
-	}
-	files := func(dir string) map[string][]byte {
-		entries, err := os.ReadDir(dir)
+		id, err := tbl.NextID()
 		if err != nil {
-			t.Fatal(err)
+			return err
 		}
-		out := map[string][]byte{}
-		for _, ent := range entries {
-			b, err := os.ReadFile(filepath.Join(dir, ent.Name()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			out[ent.Name()] = b
+		return tbl.Insert(rdbms.Row{"id": rdbms.Int(id), "url": rdbms.String(refusedPage.URL), "title": rdbms.String(refusedPage.Title), "fetched": rdbms.Bool(true)})
+	}
+}
+
+// engineArchive is an archive this build writes: one visited, fetched page.
+func engineArchive(dir string) error {
+	e, err := Open(Config{Dir: dir, Source: oneSource{refusedPage}, KV: refusedKV})
+	if err != nil {
+		return err
+	}
+	e.RegisterUser(1, "alice")
+	if err := e.RecordVisit(1, refusedPage.URL, "", tBase, events.Community); err != nil {
+		e.Close()
+		return err
+	}
+	e.DrainBackground()
+	return e.Close()
+}
+
+// publishCold publishes key → value through a bare version store over kv
+// and folds it into the cold tier.
+func publishCold(key string, value []byte) func(*kvstore.Store) error {
+	return func(kv *kvstore.Store) error {
+		vs, err := version.Open(kv, "vc/", version.Options{})
+		if err != nil {
+			return err
 		}
-		return out
+		b := vs.BeginSized(0)
+		b.Put(key, value)
+		if err := b.Publish(); err != nil {
+			return err
+		}
+		return vs.Close()
+	}
+}
+
+// unstamp deletes the format stamp, leaving the archive as a build from
+// before the stamp would have.
+func unstamp(kv *kvstore.Store) error {
+	return kv.PutBatch([]kvstore.KV{{Key: []byte(formatKey), Delete: true}})
+}
+
+// refusedIntact wants Open to refuse dir with an error naming each of want,
+// and dir's files byte for byte what they were.
+func refusedIntact(t *testing.T, dir string, want ...string) {
+	t.Helper()
+	before := dirBytes(t, dir)
+	e, err := Open(Config{Dir: dir, Source: oneSource{refusedPage}, KV: refusedKV})
+	if err == nil {
+		e.Close()
+		t.Fatal("Open accepted the archive")
+	}
+	for _, w := range want {
+		if !strings.Contains(err.Error(), w) {
+			t.Errorf("Open's error %q does not name %s", err, w)
+		}
+	}
+	if after := dirBytes(t, dir); !maps.Equal(after, before) {
+		t.Fatal("the refused archive's files changed")
+	}
+}
+
+// TestOpenRefusesOtherFormats: Open reads one format stamp before anything
+// else. A store holding keys but no stamp — rows the generic row layer
+// wrote, a cold tier a bare version store folded, an engine archive from
+// before the stamp — or one stamped with another format, or a data.db of
+// another page layout, is refused with an error naming what was found and
+// what this build reads, and its files are byte for byte what they were.
+// A fresh directory is stamped once and reopens.
+func TestOpenRefusesOtherFormats(t *testing.T) {
+	coldTier := func(dir string) error { return withKV(dir, publishCold(tfKey(1), []byte{0})) }
+	restamped := then(engineArchive, func(kv *kvstore.Store) error {
+		return kv.Put([]byte(formatKey), []byte("memex/0"))
+	})
+	// The kvstore's meta page keeps its page layout's magic, 8 bytes at
+	// offset 16; "MEMEX" is the full-key leaf layout's.
+	fullKeyLeaves := func(dir string) error {
+		if err := engineArchive(dir); err != nil {
+			return err
+		}
+		f, err := os.OpenFile(filepath.Join(dir, "data.db"), os.O_RDWR, 0)
+		if err != nil {
+			return err
+		}
+		defer f.Close()
+		_, err = f.WriteAt(binary.LittleEndian.AppendUint64(nil, 0x4d454d4558), 16)
+		return err
 	}
 	for _, tc := range []struct {
 		name  string
 		build func(string) error
-		key   string
+		want  []string
 	}{
-		{"row layer", rowLayer, "cat/bookmarks"},
-		{"sequence", oneKey("seq/visits"), "seq/visits"},
-		{"row", oneKey("tbl/\x00\x00\x00\x01/x"), `tbl/\x00\x00\x00\x01/x`},
-		{"index", oneKey("idx/\x00\x00\x00\x01/\x00\x01/x"), `idx/\x00\x00\x00\x01/\x00\x01/x`},
+		{"row layer", rowLayer(true), []string{`"cat/pages"`, "no format stamp", strconv.Quote(format)}},
+		{"cold tier only", coldTier, []string{`"vc/`, "no format stamp", strconv.Quote(format)}},
+		{"rows without a stamp", then(engineArchive, unstamp), []string{"no format stamp", strconv.Quote(format)}},
+		{"foreign stamp", restamped, []string{`"memex/0"`, strconv.Quote(format)}},
+		{"foreign magic", fullKeyLeaves, []string{"0x4d454d4558", "MEMEX2"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			if err := tc.build(dir); err != nil {
 				t.Fatal(err)
 			}
-			before := files(dir)
-			e, err := Open(Config{Dir: dir, Source: oneSource{}, KV: opts})
-			if err == nil {
-				e.Close()
-				t.Fatal("Open accepted an archive of the generic row layer")
-			}
-			if msg := err.Error(); !strings.Contains(msg, `"`+tc.key+`"`) || !strings.Contains(msg, "generic row layer") {
-				t.Fatalf("Open's error %q does not name the key %q and the layer", msg, tc.key)
-			}
-			if after := files(dir); !reflect.DeepEqual(after, before) {
-				t.Fatal("the refused archive's files changed")
-			}
+			refusedIntact(t, dir, tc.want...)
 		})
+	}
+
+	t.Run("fresh", func(t *testing.T) {
+		dir := t.TempDir()
+		for life := 1; life <= 3; life++ {
+			e, err := Open(Config{Dir: dir, Source: oneSource{refusedPage}, KV: refusedKV})
+			if err != nil {
+				t.Fatalf("life %d: %v", life, err)
+			}
+			commits := e.kv.Stats().Commits
+			stamp, ok, err := e.kv.Get([]byte(formatKey))
+			if err := e.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if err != nil || !ok || string(stamp) != format {
+				t.Fatalf("life %d: stamp %q (present %v, err %v), want %q", life, stamp, ok, err, format)
+			}
+			want := uint64(0)
+			if life == 1 {
+				want = 1 // the stamp
+			}
+			if commits != want {
+				t.Fatalf("life %d: Open made %d commits, want %d", life, commits, want)
+			}
+		}
+	})
+}
+
+// TestOpenRefusesForeignSchema: a directory whose generic-row-layer catalog
+// holds a pages schema (here the one before the fetched column and the url
+// index were dropped) carries no format stamp, and Open refuses it, naming
+// its catalog key, instead of failing every page insert later.
+func TestOpenRefusesForeignSchema(t *testing.T) {
+	dir := t.TempDir()
+	if err := rowLayer(false)(dir); err != nil {
+		t.Fatal(err)
+	}
+	refusedIntact(t, dir, `"cat/pages"`, "no format stamp")
+}
+
+// TestOpenRefusesRowLayerArchive: an archive the generic row layer wrote —
+// a catalog, a sequence, a row and an index entry — is refused at Open
+// with an error naming its first key, and its files are byte for byte
+// what they were. A key of any one of the layer's four keyspaces alone is
+// refused the same way: no store this build writes holds one unstamped.
+func TestOpenRefusesRowLayerArchive(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		build func(string) error
+		key   string
+	}{
+		{"row layer", rowLayer(true), "cat/pages"},
+		{"sequence", oneKey("seq/visits", []byte{1}), "seq/visits"},
+		{"row", oneKey("tbl/\x00\x00\x00\x01/x", []byte{1}), `tbl/\x00\x00\x00\x01/x`},
+		{"index", oneKey("idx/\x00\x00\x00\x01/\x00\x01/x", []byte{1}), `idx/\x00\x00\x00\x01/\x00\x01/x`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			if err := tc.build(dir); err != nil {
+				t.Fatal(err)
+			}
+			refusedIntact(t, dir, `"`+tc.key+`"`, "no format stamp")
+		})
+	}
+}
+
+// TestIDKeyedPagesRefused: an archive whose pages records are keyed by id
+// (p/<id> → url length ‖ url ‖ title, the layout before pages were keyed
+// by url, and before the stamp) is refused at Open with an error naming
+// its key, and its files are byte for byte what they were. Opening it
+// would read no pages and hand every visited url a new id.
+func TestIDKeyedPagesRefused(t *testing.T) {
+	dir := t.TempDir()
+	key := appendOrdered([]byte("p/"), 1)
+	if err := oneKey(string(key), append(binary.AppendUvarint(nil, uint64(len(refusedPage.URL))), refusedPage.URL+refusedPage.Title...))(dir); err != nil {
+		t.Fatal(err)
+	}
+	refusedIntact(t, dir, fmt.Sprintf("%q", key), "no format stamp")
+}
+
+// TestLinkRestartChunkedArchive: an archive that still holds an in-link
+// delta chunk (rinD/<page>/<seq>, the format before a page's in-links were
+// one record) was written before the format stamp, and Open refuses it,
+// twice, leaving the directory byte for byte as it found it. Opening it
+// anyway would drop the chunk's edges from every In without a word.
+func TestLinkRestartChunkedArchive(t *testing.T) {
+	dir := t.TempDir()
+	chunked := then(engineArchive, func(kv *kvstore.Store) error {
+		if err := publishCold("rinD/3/0", encodeIDSet([]int64{1 << 40}))(kv); err != nil {
+			return err
+		}
+		return unstamp(kv)
+	})
+	if err := chunked(dir); err != nil {
+		t.Fatal(err)
+	}
+	for life := 2; life <= 3; life++ {
+		refusedIntact(t, dir, "no format stamp", strconv.Quote(format))
 	}
 }
 
@@ -258,7 +377,7 @@ func TestDurableLayoutHasNoUnreadIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := map[string]int{visitsPrefix: visits, bookmarksPrefix: 1, usersPrefix: 1, pagesPrefix: known, "vc/": count["vc/"]}
+	want := map[string]int{formatKey + "/": 1, visitsPrefix: visits, bookmarksPrefix: 1, usersPrefix: 1, pagesPrefix: known, "vc/": count["vc/"]}
 	if !reflect.DeepEqual(count, want) {
 		t.Fatalf("records by keyspace %v, want %v", count, want)
 	}
@@ -312,7 +431,7 @@ func TestCorruptPageRowFailsOpen(t *testing.T) {
 // such an archive, naming the id and both urls, rather than keep whichever
 // record the scan met last; it refuses a record naming id 0 too, an id the
 // engine never hands out. The archive is written straight through the
-// kvstore, as no engine writes one.
+// kvstore, stamped with this build's format, as no engine writes one.
 func TestPageIDNamedTwiceFailsOpen(t *testing.T) {
 	opts := kvstore.Options{Sync: kvstore.SyncGroup}
 	for _, tc := range []struct {
@@ -333,7 +452,7 @@ func TestPageIDNamedTwiceFailsOpen(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var rows []kvstore.KV
+			rows := []kvstore.KV{{Key: []byte(formatKey), Value: []byte(format)}}
 			for _, r := range tc.pages {
 				k, v := r.record()
 				rows = append(rows, kvstore.KV{Key: k, Value: v})
@@ -355,41 +474,6 @@ func TestPageIDNamedTwiceFailsOpen(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestIDKeyedPagesRefused: an archive whose pages records are keyed by id
-// (p/<id> → url length ‖ url ‖ title, the layout before pages were keyed
-// by url) is refused at Open with an error naming its key and the retired
-// layout, and its files are byte for byte what they were. Opening it would
-// read no pages and hand every visited url a new id.
-func TestIDKeyedPagesRefused(t *testing.T) {
-	dir := t.TempDir()
-	opts := kvstore.Options{Sync: kvstore.SyncGroup}
-	kv, err := kvstore.Open(dir, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const url = "http://zoo.example/okapi"
-	key := appendOrdered([]byte("p/"), 1)
-	if err := kv.Put(key, append(binary.AppendUvarint(nil, uint64(len(url))), url+"Okapi"...)); err != nil {
-		t.Fatal(err)
-	}
-	if err := kv.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	before := dirBytes(t, dir)
-	e, err := Open(Config{Dir: dir, Source: oneSource{}, KV: opts})
-	if err == nil {
-		e.Close()
-		t.Fatal("Open accepted an archive of id-keyed pages")
-	}
-	if msg := err.Error(); !strings.Contains(msg, fmt.Sprintf("%q", key)) || !strings.Contains(msg, "id-keyed pages layout") {
-		t.Fatalf("Open's error %q does not name the key %q and the layout", msg, key)
-	}
-	if after := dirBytes(t, dir); !reflect.DeepEqual(after, before) {
-		t.Fatal("the refused archive's files changed")
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io/fs"
-	"maps"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -418,51 +417,6 @@ func dirBytes(t *testing.T, dir string) map[string]string {
 		t.Fatal(err)
 	}
 	return files
-}
-
-// TestLinkRestartChunkedArchive: an archive that still holds an in-link
-// delta chunk (rinD/<page>/<seq>, the format before a page's in-links were
-// one record) is refused at Open with an error naming the key, and the
-// refusal leaves the directory byte for byte as it found it. Opening it
-// anyway would drop the chunk's edges from every In without a word.
-func TestLinkRestartChunkedArchive(t *testing.T) {
-	c := webcorpus.Generate(webcorpus.Config{Seed: 7, TopTopics: 3, SubPerTopic: 2, PagesPerLeaf: 20})
-	dir := t.TempDir()
-	cfg := Config{
-		Dir:               dir,
-		Source:            corpusSource{c},
-		KV:                kvstore.Options{Sync: kvstore.SyncGroup},
-		VersionGCInterval: -1,
-	}
-	e1, err := Open(cfg)
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	seedEngine(t, e1, c, 8)
-	const chunk = "rinD/3/0"
-	b := e1.vs.BeginSized(0)
-	b.Put(chunk, encodeIDSet([]int64{1 << 40}))
-	if err := b.Publish(); err != nil {
-		t.Fatal(err)
-	}
-	if err := e1.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	before := dirBytes(t, dir)
-	for life := 2; life <= 3; life++ {
-		e, err := Open(cfg)
-		if err == nil {
-			e.Close()
-			t.Fatalf("life %d: Open accepted an archive holding %s", life, chunk)
-		}
-		if !strings.Contains(err.Error(), chunk) {
-			t.Fatalf("life %d: refusal does not name the key: %v", life, err)
-		}
-		if after := dirBytes(t, dir); !maps.Equal(before, after) {
-			t.Fatalf("life %d: the refused Open changed the archive on disk", life)
-		}
-	}
 }
 
 // TestLinkRestartPreChunkArchive closes an archive whose every in-list is

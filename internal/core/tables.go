@@ -57,34 +57,42 @@ var (
 	usersTable     = table[int64]{"users", usersPrefix, decodeUser}
 )
 
-// retiredLayouts are the keyspaces of layouts the tables no longer use,
-// each with what wrote it: the generic row layer's catalog, id sequences,
-// rows and index entries, and the pages records keyed by id.
-var retiredLayouts = []struct {
-	prefixes []string
-	writer   string
-}{
-	{[]string{"cat/", "seq/", "tbl/", "idx/"}, "the generic row layer (cat/, seq/, tbl/, idx/ keys), which typed table records replaced"},
-	{[]string{"p/"}, "the id-keyed pages layout (p/ keys), which pages keyed by url replaced"},
-}
+// formatKey is the archive's format stamp, a record outside every table
+// and the version store's keyspace. Its value is format, the one layout
+// this build reads: the tables above, the vc/ derived records and cold
+// tier (DESIGN.md §1), and the kvstore file under them. A change to any
+// of them changes format; there is no migration.
+const (
+	formatKey = "fmt"
+	format    = "memex/1"
+)
 
-// refuseRetiredLayouts refuses an archive written by a retired layout,
-// naming the first of its keys found. It reads, and writes nothing.
-func refuseRetiredLayouts(kv *kvstore.Store) error {
-	for _, layout := range retiredLayouts {
-		for _, prefix := range layout.prefixes {
-			var found []byte
-			err := kv.ScanPrefix([]byte(prefix), func(k, _ []byte) bool {
-				found = k
-				return false
-			})
-			if err != nil {
-				return err
-			}
-			if found != nil {
-				return fmt.Errorf("core: archive holds %q, written by %s; there is no migration", found, layout.writer)
-			}
+// checkFormat stamps a store that holds no key and refuses any store not
+// stamped with format: one of another format, or rows written before
+// there was a stamp. It writes nothing to a store it refuses.
+func checkFormat(kv *kvstore.Store) error {
+	stamp, ok, err := kv.Get([]byte(formatKey))
+	if err != nil {
+		return fmt.Errorf("core: read the format stamp: %w", err)
+	}
+	if ok {
+		if string(stamp) != format {
+			return fmt.Errorf("core: archive is stamped %q, and this build reads only %q; there is no migration", stamp, format)
 		}
+		return nil
+	}
+	var found []byte
+	if err := kv.Scan(nil, nil, func(k, _ []byte) bool {
+		found = k
+		return false
+	}); err != nil {
+		return fmt.Errorf("core: read the first key: %w", err)
+	}
+	if found != nil {
+		return fmt.Errorf("core: archive holds %q but no format stamp (%q), so another build wrote it, and this build reads only %q; there is no migration", found, formatKey, format)
+	}
+	if err := kv.Put([]byte(formatKey), []byte(format)); err != nil {
+		return fmt.Errorf("core: stamp the archive: %w", err)
 	}
 	return nil
 }

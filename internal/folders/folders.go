@@ -6,7 +6,6 @@
 package folders
 
 import (
-	"fmt"
 	"sort"
 	"strings"
 	"time"
@@ -141,29 +140,6 @@ func (t *Tree) RemovePage(page int64) int {
 		f.Entries = out
 	})
 	return removed
-}
-
-// MovePage is the cut/paste operation on a single bookmark: it reassigns
-// page to the folder at dst and clears its Guessed flag (the user has now
-// confirmed the placement) — this is the reinforcement signal the paper's
-// classifier learns from.
-func (t *Tree) MovePage(page int64, dst string) error {
-	var found *Entry
-	t.Walk(func(f *Folder) {
-		for i := range f.Entries {
-			if f.Entries[i].Page == page {
-				found = &f.Entries[i]
-			}
-		}
-	})
-	if found == nil {
-		return fmt.Errorf("folders: page %d not filed anywhere", page)
-	}
-	e := *found
-	e.Guessed = false
-	t.RemovePage(page)
-	t.Ensure(dst).Entries = append(t.Ensure(dst).Entries, e)
-	return nil
 }
 
 // FolderOfPage returns the folder currently holding page, or nil.

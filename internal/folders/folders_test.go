@@ -56,28 +56,6 @@ func TestAddAndGuessSemantics(t *testing.T) {
 	}
 }
 
-func TestMovePageCutPaste(t *testing.T) {
-	tr := NewTree()
-	g := entry(5, "http://g")
-	g.Guessed = true
-	tr.Add("/Music", g)
-	if err := tr.MovePage(5, "/Music/Opera"); err != nil {
-		t.Fatalf("MovePage: %v", err)
-	}
-	f := tr.FolderOfPage(5)
-	if f.Path() != "/Music/Opera" {
-		t.Fatalf("page in %q", f.Path())
-	}
-	// Cut/paste confirms the entry (clears Guessed) — the paper's
-	// reinforcement signal.
-	if f.Entries[0].Guessed {
-		t.Fatal("moved entry still marked as guess")
-	}
-	if err := tr.MovePage(99, "/Anywhere"); err == nil {
-		t.Fatal("MovePage of unfiled page accepted")
-	}
-}
-
 // folderPaths returns every folder path except the root's, sorted.
 func folderPaths(tr *Tree) []string {
 	var out []string

@@ -33,7 +33,9 @@ const rebalanceMinFree = PageSize / 8
 
 // metaRoot/metaFree/metaLSN offsets within the meta page payload.
 // metaFreeOff held the head of a free-page list that nothing ever fed; it
-// stays reserved, is written as 0 and must read 0.
+// stays reserved, is written as 0 and must read 0. metaMagic names the
+// page layout; Open refuses a file with any other (0 is a new file), and
+// a change to the layout changes it.
 const (
 	metaMagicOff = 16
 	metaRootOff  = 24
@@ -41,9 +43,6 @@ const (
 	metaLSNOff   = 32
 	metaCountOff = 40
 	metaMagic    = 0x324d454d4558 // "MEMEX2": leaves store a key prefix
-	// fullKeyMagic marks the retired layout, whose leaf cells were
-	// klen(2) vlen(4) key val with every key whole and no page prefix.
-	fullKeyMagic = 0x4d454d4558 // "MEMEX"
 )
 
 func (t *btree) loadMeta() (count uint64, lsn uint64, err error) {
@@ -52,12 +51,8 @@ func (t *btree) loadMeta() (count uint64, lsn uint64, err error) {
 		return 0, 0, err
 	}
 	defer t.pg.unpin(meta)
-	switch magic := binary.LittleEndian.Uint64(meta.buf[metaMagicOff:]); magic {
-	case 0, metaMagic:
-	case fullKeyMagic:
-		return 0, 0, fmt.Errorf("kvstore: data.db is in the retired full-key leaf layout (magic MEMEX: cells klen(2) vlen(4) key val, no page prefix); this build reads only prefix leaves (MEMEX2) and has no migration: remove the directory")
-	default:
-		return 0, 0, fmt.Errorf("kvstore: bad magic %#x", magic)
+	if magic := binary.LittleEndian.Uint64(meta.buf[metaMagicOff:]); magic != 0 && magic != metaMagic {
+		return 0, 0, fmt.Errorf("kvstore: data.db has magic %#x, and this build reads only %#x (MEMEX2, prefix leaves); there is no migration", magic, metaMagic)
 	}
 	if free := binary.LittleEndian.Uint32(meta.buf[metaFreeOff:]); free != 0 {
 		return 0, 0, fmt.Errorf("kvstore: meta page has free-list head %d; this version writes none and cannot reuse freed pages", free)

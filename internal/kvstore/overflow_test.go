@@ -2,7 +2,9 @@ package kvstore
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"maps"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -201,40 +203,52 @@ func TestFreeListHeadRefused(t *testing.T) {
 	}
 }
 
-// TestFullKeyLayoutRefused: a data.db written by the build before prefix
-// leaves (testdata/fullkey-leaves.db: 40 keys v/000…v/039, closed cleanly)
-// is refused at Open, the error naming the retired layout, and Open writes
-// nothing: the file is byte for byte what it was and no log is created.
-func TestFullKeyLayoutRefused(t *testing.T) {
-	want, err := os.ReadFile(filepath.Join("testdata", "fullkey-leaves.db"))
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestForeignMagicRefused: a data.db whose meta page holds another page
+// layout's magic (here "MEMEX", the full-key leaf layout before prefix
+// leaves) is refused at Open, the error naming the magic found and the one
+// this build reads, and Open writes nothing: every file of the directory
+// is byte for byte what it was, and no file is added.
+func TestForeignMagicRefused(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "data.db")
-	if err := os.WriteFile(path, want, 0o644); err != nil {
-		t.Fatal(err)
-	}
 	s, err := Open(dir, Options{})
-	if err == nil {
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Put([]byte("k"), []byte("v"))
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(filepath.Join(dir, "data.db"), os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt(binary.LittleEndian.AppendUint64(nil, 0x4d454d4558), metaMagicOff); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	files := func() map[string]string {
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := map[string]string{}
+		for _, ent := range entries {
+			raw, err := os.ReadFile(filepath.Join(dir, ent.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[ent.Name()] = string(raw)
+		}
+		return out
+	}
+	before := files()
+	if s, err := Open(dir, Options{}); err == nil {
 		s.Close()
-		t.Fatal("Open of a full-key leaf layout succeeded")
+		t.Fatal("Open of a foreign magic succeeded")
+	} else if !strings.Contains(err.Error(), "0x4d454d4558") || !strings.Contains(err.Error(), "MEMEX2") {
+		t.Fatalf("Open: %v, want an error naming the magic found and MEMEX2", err)
 	}
-	if !strings.Contains(err.Error(), "retired full-key leaf layout") {
-		t.Fatalf("Open: %v, want an error naming the retired full-key leaf layout", err)
-	}
-	got, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatal("the refused Open changed data.db")
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 1 {
-		t.Fatalf("the refused Open left %d files, want data.db alone", len(entries))
+	if after := files(); !maps.Equal(after, before) {
+		t.Fatal("the refused Open changed the directory")
 	}
 }

@@ -25,11 +25,9 @@ package version
 // (kvstore.MaxKV) are split into parts; part 0 carries the part count, so a
 // read is one point get per part.
 //
-// m/wm is the only meta record. A keyspace holding any other m/ record was
-// written by a retired layout — m/shards by the key-hash-sharded one, whose
-// record keys carried a shard number; m/gen and m/done by the one that kept
-// every version of a key under an epoch suffix — and Open refuses it by
-// name. There is no migration.
+// m/wm is the only meta record. The store does not tell its layout from
+// another's: the owner stamps the archive (core's format record) and
+// refuses one of another format before it opens this store.
 //
 // # Crash contract
 //
@@ -60,7 +58,6 @@ package version
 import (
 	"encoding/binary"
 	"fmt"
-	"strings"
 	"sync/atomic"
 
 	"memex/internal/kvstore"
@@ -137,10 +134,10 @@ func (s *Store) foldPoint(p FoldPoint) error {
 type Options struct{}
 
 // Open builds a store whose cold tier lives under prefix in kv: it reads
-// m/wm back and resumes publishing at watermark+1. A keyspace holding any
-// other m/ record, or an m/wm of the wrong length, is refused before
-// anything is written. The caller keeps ownership of kv and must close it
-// after the store (Close folds through it).
+// m/wm back and resumes publishing at watermark+1. An m/wm of the wrong
+// length is refused before anything is written. The caller keeps
+// ownership of kv and must close it after the store (Close folds through
+// it).
 func Open(kv *kvstore.Store, prefix string, _ Options) (*Store, error) {
 	c := &coldTier{kv: kv, rd: kv.ReadView(), prefix: []byte(prefix)}
 	wm, records, err := c.readMeta()
@@ -176,33 +173,19 @@ func (c *coldTier) metaKey(name string) []byte {
 	return append(k, name...)
 }
 
-// readMeta reads m/wm (absent in a keyspace that never folded). Every m/
-// record is looked at: any other name is a retired layout's, refused by
-// name, and so is an m/wm of the wrong length — there is no migration and
-// no safe guess.
+// readMeta reads m/wm (absent in a keyspace that never folded). An m/wm
+// of the wrong length is refused: a guessed watermark would reissue epochs
+// the archive already holds.
 func (c *coldTier) readMeta() (wm uint64, records int64, err error) {
-	wmKey := string(c.metaKey("wm"))
-	var raw []byte
-	var found bool
-	var foreign []string
-	err = c.rd.ScanPrefix(c.metaKey(""), func(k, v []byte) bool {
-		if string(k) == wmKey {
-			raw, found = v, true
-		} else {
-			foreign = append(foreign, fmt.Sprintf("%s (%d bytes)", k, len(v)))
-		}
-		return true
-	})
+	key := c.metaKey("wm")
+	raw, found, err := c.rd.Get(key)
 	switch {
 	case err != nil:
-		return 0, 0, fmt.Errorf("version: read %s: %w", c.metaKey(""), err)
-	case len(foreign) > 0:
-		return 0, 0, fmt.Errorf("version: keyspace holds %s, written by a retired layout (m/shards kept a shard number in every record key, m/gen and m/done every version of a key under an epoch suffix): refusing to open it (there is no migration)",
-			strings.Join(foreign, ", "))
+		return 0, 0, fmt.Errorf("version: read %s: %w", key, err)
 	case !found:
 		return 0, 0, nil
 	case len(raw) != 16:
-		return 0, 0, fmt.Errorf("version: meta record %s is %d bytes, want 16: refusing to open a malformed archive", wmKey, len(raw))
+		return 0, 0, fmt.Errorf("version: meta record %s is %d bytes, want 16: refusing to open a malformed archive", key, len(raw))
 	}
 	return binary.BigEndian.Uint64(raw), int64(binary.BigEndian.Uint64(raw[8:])), nil
 }

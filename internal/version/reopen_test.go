@@ -11,107 +11,6 @@ import (
 	"memex/internal/kvstore"
 )
 
-// TestMalformedMetaRefusedAtOpen: m/wm is the one meta record, so any other
-// m/ record — m/shards from the key-hash-sharded layout, m/gen and m/done
-// from the one that kept every version of a key — is refused by name, and
-// so is an m/wm of the wrong length (a guessed watermark would reissue
-// epochs the archive already holds). Open refuses before it writes anything,
-// so repairing the key recovers every record.
-func TestMalformedMetaRefusedAtOpen(t *testing.T) {
-	for _, tc := range []struct {
-		key    string
-		mangle func(good []byte) []byte // good is nil for a record the layout never writes
-	}{
-		{"wm", func(good []byte) []byte { return good[:7] }},
-		{"shards", func([]byte) []byte { return []byte{0, 0, 0, 8} }}, // a sharded layout's count
-		{"gen", func([]byte) []byte { return binary.BigEndian.AppendUint64(nil, 3) }},
-		{"done", func([]byte) []byte { return binary.AppendUvarint(binary.BigEndian.AppendUint64(nil, 3), 40) }},
-	} {
-		t.Run(tc.key, func(t *testing.T) {
-			kv := openKV(t, t.TempDir())
-			defer kv.Close()
-			s := openCold(t, kv, Options{})
-			for i := 0; i < 40; i++ {
-				publishKV(t, s, map[string]string{fmt.Sprintf("k%03d", i): fmt.Sprintf("v%03d", i)})
-			}
-			if err := s.Close(); err != nil {
-				t.Fatalf("Close: %v", err)
-			}
-
-			key := s.cold.metaKey(tc.key)
-			good, present, err := kv.Get(key)
-			if err != nil || present != (tc.key == "wm") {
-				t.Fatalf("read %s: %v present=%v", key, err, present)
-			}
-			bad := tc.mangle(good)
-			if err := kv.Put(key, bad); err != nil {
-				t.Fatal(err)
-			}
-			commits, keys := kv.Stats().Commits, kvKeys(t, kv)
-			_, err = Open(kv, "vc/", Options{})
-			if err == nil {
-				t.Fatalf("Open accepted a %d-byte %s", len(bad), key)
-			}
-			for _, want := range []string{string(key), fmt.Sprintf("%d bytes", len(bad))} {
-				if !strings.Contains(err.Error(), want) {
-					t.Errorf("error %q does not mention %q", err, want)
-				}
-			}
-			if kv.Stats().Commits != commits || kvKeys(t, kv) != keys {
-				t.Fatalf("the refused Open wrote to the keyspace")
-			}
-
-			repair := func() error { return kv.Put(key, good) }
-			if !present {
-				repair = func() error { return kv.PutBatch([]kvstore.KV{{Key: key, Delete: true}}) }
-			}
-			if err := repair(); err != nil {
-				t.Fatal(err)
-			}
-			s2 := openCold(t, kv, Options{})
-			defer s2.Close()
-			if cs := s2.StoreStats().Cold; cs.Records != 40 {
-				t.Fatalf("repaired reopen counted %d records, want 40", cs.Records)
-			}
-			sn := s2.Acquire()
-			defer sn.Release()
-			for i := 0; i < 40; i++ {
-				if v, ok := sn.Get(fmt.Sprintf("k%03d", i)); !ok || string(v) != fmt.Sprintf("v%03d", i) {
-					t.Fatalf("k%03d = %q ok=%v after the repaired reopen", i, v, ok)
-				}
-			}
-		})
-	}
-}
-
-// TestOpenRefusesShardedArchive: a keyspace written by the key-hash-sharded
-// layout — every fold of which wrote m/shards — keeps a shard number in
-// every record key, which this store would read as foreign keys and serve
-// as misses. Open refuses it, naming the key, before it writes anything,
-// even when m/shards is the only record there (no m/wm to read).
-func TestOpenRefusesShardedArchive(t *testing.T) {
-	kv := openKV(t, t.TempDir())
-	defer kv.Close()
-	key := (&coldTier{prefix: []byte("vc/")}).metaKey("shards")
-	if err := kv.Put(key, []byte{0, 0, 0, 8}); err != nil {
-		t.Fatal(err)
-	}
-	commits := kv.Stats().Commits
-	_, err := Open(kv, "vc/", Options{})
-	if err == nil {
-		t.Fatalf("Open accepted a keyspace holding %s", key)
-	}
-	if !strings.Contains(err.Error(), string(key)) {
-		t.Errorf("error %q does not name %s", err, key)
-	}
-	if got := kv.Stats().Commits; got != commits {
-		t.Fatalf("the refused Open wrote %d commits", got-commits)
-	}
-	if kvKeys(t, kv) != 1 {
-		t.Fatalf("the refused Open left %d keys, want only %s", kvKeys(t, kv), key)
-	}
-}
-
 // walRecordEnds returns the offset just past each record of a kvstore log
 // (lsn 8, op 1, klen 4, vlen 4, key, value, crc 4; little-endian).
 func walRecordEnds(log []byte) []int64 {
