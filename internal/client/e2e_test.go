@@ -46,7 +46,6 @@ func newTestServer(t *testing.T) (*webcorpus.Corpus, *core.Engine, *client.Clien
 	e, err := core.Open(core.Config{
 		Dir:    t.TempDir(),
 		Source: corpusSource{c},
-		KV:     kvstore.Options{Sync: kvstore.SyncGroup},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -192,7 +191,6 @@ func TestEndToEndRestartRecoversDerivedState(t *testing.T) {
 		e, err := core.Open(core.Config{
 			Dir:    dir,
 			Source: countingSource{corpusSource{c}, &lookups},
-			KV:     kvstore.Options{Sync: kvstore.SyncGroup},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -566,16 +564,11 @@ func (s gatedSource) Lookup(url string) (core.Content, bool) {
 func TestEndToEndShedUnderSaturatingBurst(t *testing.T) {
 	c := webcorpus.Generate(webcorpus.Config{Seed: 9, TopTopics: 3, SubPerTopic: 2, PagesPerLeaf: 15})
 	gate := make(chan struct{})
-	e, err := core.Open(core.Config{
-		Dir:       t.TempDir(),
-		Source:    gatedSource{corpusSource{c}, gate},
-		KV:        kvstore.Options{Sync: kvstore.SyncGroup},
-		QueueSize: 16,
-	})
+	e, err := core.Open(core.Config{Dir: t.TempDir(), Source: gatedSource{corpusSource{c}, gate}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(server.NewWith(e, server.Config{ShedQueueFraction: 0.5}))
+	ts := httptest.NewServer(server.NewWith(e, server.Config{ShedQueueFraction: 8.0 / 4096}))
 	released := false
 	release := func() {
 		if !released {
@@ -594,8 +587,8 @@ func TestEndToEndShedUnderSaturatingBurst(t *testing.T) {
 	}
 
 	// Saturating burst: the two analyzer workers are wedged in Lookup, so
-	// every accepted event stays queued; depth crosses 0.5×16 = 8 and the
-	// server must start refusing.
+	// every accepted event stays queued; depth crosses 8/4096 of the queue's
+	// 4096 = 8 and the server must start refusing.
 	var accepted, shed int
 	var pages []*webcorpus.Page
 	for _, pid := range c.LeafPages[c.Leaves()[0].ID] {
@@ -652,7 +645,6 @@ func TestEndToEndRateLimit429(t *testing.T) {
 	e, err := core.Open(core.Config{
 		Dir:    t.TempDir(),
 		Source: corpusSource{c},
-		KV:     kvstore.Options{Sync: kvstore.SyncGroup},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"memex/internal/events"
-	"memex/internal/kvstore"
 	"memex/internal/sim"
 	"memex/internal/webcorpus"
 )
@@ -50,8 +49,7 @@ func TestFreshPageCommitCount(t *testing.T) {
 			src := linkedSource{base: "http://burst.example", links: links}
 			e, err := Open(Config{
 				Dir: t.TempDir(), Source: src,
-				KV:                kvstore.Options{Sync: kvstore.SyncGroup},
-				VersionGCInterval: -1, // a fold would commit too
+				GCInterval: -1, // a fold would commit too
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -99,7 +97,7 @@ func TestFreshPageCommitCount(t *testing.T) {
 // same ids.
 func TestEnsurePagesConcurrentOverlappingLists(t *testing.T) {
 	src := linkedSource{base: "http://burst.example"}
-	cfg := Config{Dir: t.TempDir(), Source: src, KV: kvstore.Options{Sync: kvstore.SyncGroup}}
+	cfg := Config{Dir: t.TempDir(), Source: src}
 	e, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -217,7 +215,7 @@ func TestFailedRowWriteLeavesPageUnfetched(t *testing.T) {
 				page: Content{URL: "http://zoo.example/tapir", Title: "Tapir", Text: "tapir rainforest browsing", Links: links},
 				gate: make(chan struct{}),
 			}
-			e, err := Open(Config{Dir: t.TempDir(), Source: src, KV: kvstore.Options{Sync: kvstore.SyncGroup}, VersionGCInterval: -1})
+			e, err := Open(Config{Dir: t.TempDir(), Source: src, GCInterval: -1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -262,7 +260,7 @@ func TestFailedRowWriteLeavesPageUnfetched(t *testing.T) {
 // configures the benchmark's.
 func burstWorld(tb testing.TB, pagesPerLeaf int) (*webcorpus.Corpus, *Engine) {
 	c := webcorpus.Generate(webcorpus.Config{Seed: 3, PagesPerLeaf: pagesPerLeaf})
-	e, err := Open(Config{Dir: tb.TempDir(), Source: corpusSource{c}, KV: kvstore.Options{Sync: kvstore.SyncGroup}})
+	e, err := Open(Config{Dir: tb.TempDir(), Source: corpusSource{c}})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -347,7 +345,7 @@ func BenchmarkPreload(b *testing.B) {
 			var cpu time.Duration
 			for n := 0; n < b.N; n++ {
 				b.StopTimer()
-				e, err := Open(Config{Dir: b.TempDir(), Source: corpusSource{c}, KV: kvstore.Options{Sync: kvstore.SyncGroup}, Workers: workers})
+				e, err := Open(Config{Dir: b.TempDir(), Source: corpusSource{c}, workers: workers})
 				if err != nil {
 					b.Fatal(err)
 				}

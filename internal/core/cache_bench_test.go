@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"memex/internal/events"
-	"memex/internal/kvstore"
 	"memex/internal/webcorpus"
 )
 
@@ -15,10 +14,9 @@ func benchEngine(b *testing.B) *Engine {
 	b.Helper()
 	c := webcorpus.Generate(webcorpus.Config{Seed: 21, TopTopics: 3, SubPerTopic: 2, PagesPerLeaf: 16})
 	e, err := Open(Config{
-		Dir:               b.TempDir(),
-		Source:            corpusSource{c},
-		KV:                kvstore.Options{Sync: kvstore.SyncGroup},
-		VersionGCInterval: -1,
+		Dir:        b.TempDir(),
+		Source:     corpusSource{c},
+		GCInterval: -1,
 	})
 	if err != nil {
 		b.Fatal(err)

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"memex/internal/events"
-	"memex/internal/kvstore"
 	"memex/internal/sim"
 	"memex/internal/webcorpus"
 )
@@ -47,9 +46,9 @@ func TestCrashCopyOfWorldLargerThanPoolKeepsEveryRow(t *testing.T) {
 	const pool = 8
 	cfg := Config{
 		Dir: t.TempDir(), Source: corpusSource{c},
-		KV:                kvstore.Options{Sync: kvstore.SyncGroup, CacheSize: pool},
-		QueueSize:         2 * (len(tr.Visits) + len(tr.Bookmarks)),
-		VersionGCInterval: -1,
+		poolPages:  pool,
+		queueSize:  2 * (len(tr.Visits) + len(tr.Bookmarks)),
+		GCInterval: -1,
 	}
 	e, err := Open(cfg)
 	if err != nil {
@@ -138,9 +137,8 @@ func TestCrashCopyKeepsReferrerEdges(t *testing.T) {
 	tr := sim.Simulate(c, sim.Config{Seed: 17, Users: 10, Days: 4})
 	cfg := Config{
 		Dir: t.TempDir(), Source: loginSource{corpusSource{c}},
-		KV:                kvstore.Options{Sync: kvstore.SyncGroup},
-		QueueSize:         2 * len(tr.Visits),
-		VersionGCInterval: -1,
+		queueSize:  2 * len(tr.Visits),
+		GCInterval: -1,
 	}
 	e, err := Open(cfg)
 	if err != nil {

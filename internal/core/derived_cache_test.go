@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"memex/internal/events"
-	"memex/internal/kvstore"
 	"memex/internal/text"
 	"memex/internal/version"
 	"memex/internal/webcorpus"
@@ -90,10 +89,9 @@ func seedEngine(t testing.TB, e *Engine, c *webcorpus.Corpus, visits int) {
 func TestCachedReadsMatchUncached(t *testing.T) {
 	c := webcorpus.Generate(webcorpus.Config{Seed: 11, TopTopics: 3, SubPerTopic: 2, PagesPerLeaf: 12})
 	e, err := Open(Config{
-		Dir:               t.TempDir(),
-		Source:            corpusSource{c},
-		KV:                kvstore.Options{Sync: kvstore.SyncGroup},
-		VersionGCInterval: -1,
+		Dir:        t.TempDir(),
+		Source:     corpusSource{c},
+		GCInterval: -1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -135,10 +133,9 @@ func TestCachedReadsMatchUncached(t *testing.T) {
 func TestSecondPassDecodeCollapse(t *testing.T) {
 	c := webcorpus.Generate(webcorpus.Config{Seed: 12, TopTopics: 3, SubPerTopic: 2, PagesPerLeaf: 12})
 	e, err := Open(Config{
-		Dir:               t.TempDir(),
-		Source:            corpusSource{c},
-		KV:                kvstore.Options{Sync: kvstore.SyncGroup},
-		VersionGCInterval: -1,
+		Dir:        t.TempDir(),
+		Source:     corpusSource{c},
+		GCInterval: -1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -176,10 +173,9 @@ func TestSecondPassDecodeCollapse(t *testing.T) {
 func TestConsolidatedInZeroColdFallthrough(t *testing.T) {
 	c := webcorpus.Generate(webcorpus.Config{Seed: 13, TopTopics: 3, SubPerTopic: 2, PagesPerLeaf: 12})
 	e, err := Open(Config{
-		Dir:               t.TempDir(),
-		Source:            corpusSource{c},
-		KV:                kvstore.Options{Sync: kvstore.SyncGroup},
-		VersionGCInterval: -1,
+		Dir:        t.TempDir(),
+		Source:     corpusSource{c},
+		GCInterval: -1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -275,10 +271,9 @@ func TestOversizeRecordDecodesOnEveryRead(t *testing.T) {
 func TestCacheEvictionRespectsPinFloor(t *testing.T) {
 	c := webcorpus.Generate(webcorpus.Config{Seed: 14, TopTopics: 3, SubPerTopic: 2, PagesPerLeaf: 12})
 	e, err := Open(Config{
-		Dir:               t.TempDir(),
-		Source:            corpusSource{c},
-		KV:                kvstore.Options{Sync: kvstore.SyncGroup},
-		VersionGCInterval: -1,
+		Dir:        t.TempDir(),
+		Source:     corpusSource{c},
+		GCInterval: -1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -333,10 +328,9 @@ func TestCacheEvictionRespectsPinFloor(t *testing.T) {
 func TestDerivedCacheConcurrentMiningAndIngest(t *testing.T) {
 	c := webcorpus.Generate(webcorpus.Config{Seed: 15, TopTopics: 3, SubPerTopic: 2, PagesPerLeaf: 16})
 	e, err := Open(Config{
-		Dir:               t.TempDir(),
-		Source:            corpusSource{c},
-		KV:                kvstore.Options{Sync: kvstore.SyncGroup},
-		VersionGCInterval: 2 * time.Millisecond,
+		Dir:        t.TempDir(),
+		Source:     corpusSource{c},
+		GCInterval: 2 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"memex/internal/events"
-	"memex/internal/kvstore"
 	"memex/internal/text"
 	"memex/internal/webcorpus"
 )
@@ -89,9 +88,7 @@ func TestDictionaryRidesWithFirstPage(t *testing.T) {
 	src := pairSource{base: "http://dict.example"}
 	e, err := Open(Config{
 		Dir: t.TempDir(), Source: src,
-		KV:                kvstore.Options{Sync: kvstore.SyncGroup},
-		Workers:           2,
-		VersionGCInterval: -1,
+		GCInterval: -1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -181,9 +178,8 @@ func TestMidCrawlCopyDecodesEveryRecord(t *testing.T) {
 	const pages = 1500
 	e, err := Open(Config{
 		Dir: t.TempDir(), Source: src,
-		KV:                kvstore.Options{Sync: kvstore.SyncGroup},
-		QueueSize:         2 * pages,
-		VersionGCInterval: 10 * time.Millisecond,
+		queueSize:  2 * pages,
+		GCInterval: 10 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -234,7 +230,7 @@ func TestMidCrawlCopyDecodesEveryRecord(t *testing.T) {
 	for i, dir := range copies {
 		// A source that serves nothing: the fetches Open requeues for the
 		// copy's unfetched pages must not index anything under the count.
-		c, err := Open(Config{Dir: dir, Source: oneSource{}, VersionGCInterval: -1})
+		c, err := Open(Config{Dir: dir, Source: oneSource{}, GCInterval: -1})
 		if err != nil {
 			t.Fatalf("copy %d does not open: %v", i, err)
 		}
@@ -268,7 +264,7 @@ func TestMidCrawlCopyDecodesEveryRecord(t *testing.T) {
 // ids again and the next Open finds no gap.
 func TestPanicAfterStageLeavesNoGap(t *testing.T) {
 	c := webcorpus.Generate(webcorpus.Config{Seed: 5, TopTopics: 3, SubPerTopic: 2, PagesPerLeaf: 20})
-	cfg := Config{Dir: t.TempDir(), Source: corpusSource{c}, KV: kvstore.Options{Sync: kvstore.SyncGroup}, VersionGCInterval: -1}
+	cfg := Config{Dir: t.TempDir(), Source: corpusSource{c}, GCInterval: -1}
 	e, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -338,7 +334,7 @@ func TestPanicAfterStageLeavesNoGap(t *testing.T) {
 // past the next free id, since the store has no deletes.
 func TestOpenRefusesDictionaryGap(t *testing.T) {
 	c := webcorpus.Generate(webcorpus.Config{Seed: 7, TopTopics: 3, SubPerTopic: 2, PagesPerLeaf: 20})
-	cfg := Config{Dir: t.TempDir(), Source: corpusSource{c}, KV: kvstore.Options{Sync: kvstore.SyncGroup}, VersionGCInterval: -1}
+	cfg := Config{Dir: t.TempDir(), Source: corpusSource{c}, GCInterval: -1}
 	e, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -370,7 +366,7 @@ func TestOpenRefusesDictionaryGap(t *testing.T) {
 func TestOpenRefusesNonCanonicalKeys(t *testing.T) {
 	for _, key := range []string{"tf/05", "tf/+5", "tf/0", "dict/+0", "dict/03"} {
 		t.Run(key, func(t *testing.T) {
-			cfg := Config{Dir: t.TempDir(), Source: oneSource{}, KV: kvstore.Options{Sync: kvstore.SyncGroup}, VersionGCInterval: -1}
+			cfg := Config{Dir: t.TempDir(), Source: oneSource{}, GCInterval: -1}
 			e, err := Open(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -418,7 +414,7 @@ func TestRecordPastDictionaryIsRefetched(t *testing.T) {
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := Config{Dir: t.TempDir(), Source: tc.first, KV: kvstore.Options{Sync: kvstore.SyncGroup}, VersionGCInterval: -1}
+			cfg := Config{Dir: t.TempDir(), Source: tc.first, GCInterval: -1}
 			e, err := Open(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -461,7 +457,7 @@ func TestRecordPastDictionaryIsRefetched(t *testing.T) {
 // for bit — ids are durable, not assigned again in replay order.
 func TestTermIDsSurviveRestart(t *testing.T) {
 	c := webcorpus.Generate(webcorpus.Config{Seed: 5, TopTopics: 3, SubPerTopic: 2, PagesPerLeaf: 20})
-	cfg := Config{Dir: t.TempDir(), Source: corpusSource{c}, KV: kvstore.Options{Sync: kvstore.SyncGroup}}
+	cfg := Config{Dir: t.TempDir(), Source: corpusSource{c}}
 	e, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)

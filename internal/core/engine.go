@@ -96,30 +96,56 @@ type PageSource interface {
 	Lookup(url string) (Content, bool)
 }
 
-// Config tunes the engine.
+// Config configures an engine, and is the one configuration: the memex
+// facade's Config is an alias of it. A zero value of every field but Dir
+// and Source is what the product runs: group commit, an event queue of
+// eventQueueCap, analyzerCount analyzers and a version-gc tick every 2s.
 type Config struct {
 	// Dir is the storage directory (required).
 	Dir string
 	// Source resolves page content (required).
 	Source PageSource
-	// KV configures the backing kvstore.
-	KV kvstore.Options
-	// QueueSize bounds the background event queue (default 4096).
-	QueueSize int
-	// Workers is the number of analyzer demons (default 2).
-	Workers int
+	// Durable fsyncs the WAL at every commit (kvstore.SyncAlways), so an
+	// acknowledged write also survives a power cut. The default
+	// (kvstore.SyncGroup) writes each commit to the OS and fsyncs at
+	// checkpoints: an acknowledged write survives a process crash, not a
+	// power cut.
+	Durable bool
 	// ThemeInterval rebuilds the community taxonomy periodically
 	// (0 = only on demand via RebuildThemes).
 	ThemeInterval time.Duration
 	// TrainInterval retrains per-user classifiers periodically
 	// (0 = only on demand via RetrainClassifiers).
 	TrainInterval time.Duration
-	// VersionGCInterval folds version-store layers below the pin floor to
-	// the cold tier off the hot path, once 4096 entries have gathered there
-	// (default 2s; negative disables the demon, and Close still folds).
-	VersionGCInterval time.Duration
-	// Now injects a clock for tests (default time.Now).
+	// GCInterval folds version-store layers below the pin floor to the
+	// cold tier off the hot path, once 4096 entries have gathered there
+	// (0 = every 2s; negative disables the demon, and Close still folds).
+	GCInterval time.Duration
+	// Now injects the engine clock, for replaying historical traces and
+	// for tests (default time.Now).
 	Now func() time.Time
+
+	// Set only by this package's tests; Open reads each when non-zero.
+	queueSize int // event-queue capacity, instead of eventQueueCap
+	workers   int // analyzer demons, instead of analyzerCount
+	poolPages int // kvstore buffer pool in pages, instead of its default
+}
+
+// eventQueueCap bounds the background event queue: past it the oldest
+// event is shed (events.Queue).
+const eventQueueCap = 4096
+
+// analyzerCount is the number of analyzer demons taking groups off the
+// event queue.
+const analyzerCount = 2
+
+// kvOptions is the kvstore configuration cfg asks for.
+func (cfg Config) kvOptions() kvstore.Options {
+	sync := kvstore.SyncGroup
+	if cfg.Durable {
+		sync = kvstore.SyncAlways
+	}
+	return kvstore.Options{Sync: sync, CacheSize: cfg.poolPages}
 }
 
 // decodedCacheBytes bounds the shared decoded-record cache that sits
@@ -182,13 +208,13 @@ type Engine struct {
 	// pushed/processed (plus the queue's drop counter) account for
 	// background work precisely, so DrainBackground cannot return while an
 	// event is between PopBatch and completion. drained, on drainMu, is
-	// where DrainBackground waits for them to meet.
+	// where DrainBackground waits for them to meet, or for closed.
 	pushed    atomic.Int64
 	processed atomic.Int64
 	drainMu   sync.Mutex
 	drained   *sync.Cond
 	stats     Counters
-	closed    bool
+	closed    atomic.Bool
 
 	// trainHook, set only by tests, runs in a training goroutine of
 	// RetrainClassifiers before it trains user's model.
@@ -225,19 +251,19 @@ func Open(cfg Config) (*Engine, error) {
 	if cfg.Source == nil {
 		return nil, fmt.Errorf("core: Config.Source required")
 	}
-	if cfg.QueueSize == 0 {
-		cfg.QueueSize = 4096
+	if cfg.queueSize == 0 {
+		cfg.queueSize = eventQueueCap
 	}
-	if cfg.Workers == 0 {
-		cfg.Workers = 2
+	if cfg.workers == 0 {
+		cfg.workers = analyzerCount
 	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
-	if cfg.VersionGCInterval == 0 {
-		cfg.VersionGCInterval = 2 * time.Second
+	if cfg.GCInterval == 0 {
+		cfg.GCInterval = 2 * time.Second
 	}
-	kv, err := kvstore.Open(cfg.Dir, cfg.KV)
+	kv, err := kvstore.Open(cfg.Dir, cfg.kvOptions())
 	if err != nil {
 		return nil, err
 	}
@@ -265,7 +291,7 @@ func Open(cfg Config) (*Engine, error) {
 		stems:   text.NewStemMemo(dict, stemMemoEntries),
 		links:   newLinkIndex(vs, dict, idx),
 		cache:   newRecordCache(decodedCacheBytes),
-		queue:   events.NewQueue(cfg.QueueSize),
+		queue:   events.NewQueue(cfg.queueSize),
 		pool:    demon.NewPool(),
 		trees:   map[int64]*folders.Tree{},
 		models:  map[int64]*classify.Bayes{},
@@ -407,8 +433,16 @@ func (e *Engine) requeueUnfetched() {
 	for _, page := range slices.Compact(pages) {
 		// An event of no Kind is fetch-only: process fetches and indexes
 		// the page and classifies it for nobody.
+		e.enqueue(events.Event{URL: e.meta[page].url})
+	}
+}
+
+// enqueue queues ev for the analyzers and counts it for DrainBackground
+// where the queue takes it: a closed queue ignores a push, and an event
+// it never held is not waited for.
+func (e *Engine) enqueue(ev events.Event) {
+	if e.queue.Push(ev) {
 		e.pushed.Add(1)
-		e.queue.Push(events.Event{URL: e.meta[page].url})
 	}
 }
 
@@ -430,43 +464,27 @@ func (e *Engine) markVisitedLocked(user, page int64, privacy events.Privacy) {
 }
 
 func (e *Engine) startDemons() {
-	for w := 0; w < e.cfg.Workers; w++ {
-		e.pool.Add(&demon.Func{
-			TaskName: fmt.Sprintf("analyzer-%d", w),
-			Body:     e.analyzerLoop,
-		})
+	for w := 0; w < e.cfg.workers; w++ {
+		e.pool.Go(fmt.Sprintf("analyzer-%d", w), e.analyzerLoop)
 	}
 	if e.cfg.ThemeInterval > 0 {
-		e.pool.Add(&demon.Periodic{
-			TaskName: "themes",
-			Interval: e.cfg.ThemeInterval,
-			Tick:     func() { e.RebuildThemes() },
-		})
+		e.pool.Every("themes", e.cfg.ThemeInterval, func() { e.RebuildThemes() })
 	}
 	if e.cfg.TrainInterval > 0 {
-		e.pool.Add(&demon.Periodic{
-			TaskName: "trainer",
-			Interval: e.cfg.TrainInterval,
-			Tick:     func() { e.RetrainClassifiers() },
-		})
+		e.pool.Every("trainer", e.cfg.TrainInterval, e.RetrainClassifiers)
 	}
-	if e.cfg.VersionGCInterval > 0 {
+	if e.cfg.GCInterval > 0 {
 		// Folding version-store layers to the cold tier runs as its own
 		// demon so neither the publish path nor snapshot readers pay it.
-		e.pool.Add(&demon.Periodic{
-			TaskName: "version-gc",
-			Interval: e.cfg.VersionGCInterval,
-			Tick: func() {
-				e.vs.GC()
-				// Published epochs are immutable, so the decoded-record
-				// cache never needs write invalidation — but once the pin
-				// floor moves past an epoch no live or future view can ask
-				// for it again, so its entries are reclaimed here.
-				e.cache.evictBelow(e.vs.PinFloor())
-			},
+		e.pool.Every("version-gc", e.cfg.GCInterval, func() {
+			e.vs.GC()
+			// Published epochs are immutable, so the decoded-record cache
+			// never needs write invalidation — but once the pin floor moves
+			// past an epoch no live or future view can ask for it again, so
+			// its entries are reclaimed here.
+			e.cache.evictBelow(e.vs.PinFloor())
 		})
 	}
-	e.pool.Start()
 }
 
 // treeLocked returns (creating) the user's folder tree. Caller must hold
@@ -512,9 +530,7 @@ type Stats struct {
 	FetchesFailed int64
 	Visits        int64
 	Bookmarks     int64
-	QueueDepth    int    // Pressure.QueueDepth as of this snapshot
-	QueueCap      int    // Pressure.QueueCap
-	FoldLag       uint64 // Pressure.FoldLag as of this snapshot
+	Pressure      // as of this snapshot
 	EventsDropped uint64
 	Themes        int
 	DiskBytes     int64
@@ -552,7 +568,6 @@ func (e *Engine) Status() Stats {
 	}
 	pages := len(e.meta)
 	e.mu.RUnlock()
-	p := e.Pressure()
 	return Stats{
 		Cache:         e.cache.stats(),
 		GraphEdges:    int(e.links.edges.Load()),
@@ -564,9 +579,7 @@ func (e *Engine) Status() Stats {
 		FetchesFailed: e.stats.FetchesFailed.Load(),
 		Visits:        e.stats.VisitsLogged.Load(),
 		Bookmarks:     e.stats.BookmarksLogged.Load(),
-		QueueDepth:    p.QueueDepth,
-		QueueCap:      p.QueueCap,
-		FoldLag:       p.FoldLag,
+		Pressure:      e.Pressure(),
 		EventsDropped: e.queue.Dropped(),
 		Themes:        themesN,
 		DiskBytes:     e.kv.DiskBytes(),
@@ -608,12 +621,16 @@ func (e *Engine) Pressure() Pressure {
 }
 
 // DrainBackground blocks until the background queue is empty and all
-// in-flight analysis has finished (tests and benchmarks). It sleeps on
-// drained, which the analyzer that finishes the last outstanding group
-// wakes, so it returns as soon as the work is done.
+// in-flight analysis has finished, or until the engine is closed (tests
+// and benchmarks). It sleeps on drained, which the analyzer that finishes
+// the last outstanding group wakes, and which Close wakes, so it returns
+// as soon as either happens. Close stops the analyzers with events still
+// queued; their pages are not lost: the next Open queues a fetch for every
+// page still without a tf/ record (requeueUnfetched) and republishes every
+// community visit's referrer edge (republishReferrerEdges).
 func (e *Engine) DrainBackground() {
 	e.drainMu.Lock()
-	for !e.caughtUp() {
+	for !e.caughtUp() && !e.closed.Load() {
 		e.drained.Wait()
 	}
 	e.drainMu.Unlock()
@@ -636,21 +653,21 @@ func (e *Engine) finished(n int) {
 	}
 }
 
-// Close stops demons and releases storage. The version store folds its
-// remaining in-memory tier to the cold keyspace first (demons are already
-// stopped, so nothing pins a snapshot or publishes concurrently), which
-// is what makes a graceful restart lose zero derived epochs; only then
-// does the backing kvstore close.
+// Close stops demons, wakes every DrainBackground, and releases storage.
+// Events still queued are left for the next Open. The version store folds
+// its remaining in-memory tier to the cold keyspace first (demons are
+// already stopped, so nothing pins a snapshot or publishes concurrently),
+// which is what makes a graceful restart lose zero derived epochs; only
+// then does the backing kvstore close.
 func (e *Engine) Close() error {
-	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
+	if !e.closed.CompareAndSwap(false, true) {
 		return nil
 	}
-	e.closed = true
-	e.mu.Unlock()
 	e.queue.Close()
 	e.pool.Stop()
+	e.drainMu.Lock()
+	e.drained.Broadcast()
+	e.drainMu.Unlock()
 	if err := e.vs.Close(); err != nil {
 		e.kv.Close()
 		return err

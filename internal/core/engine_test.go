@@ -39,7 +39,6 @@ func testWorld(t testing.TB) (*webcorpus.Corpus, *Engine) {
 	e, err := Open(Config{
 		Dir:    t.TempDir(),
 		Source: corpusSource{c},
-		KV:     kvstore.Options{Sync: kvstore.SyncGroup},
 	})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
@@ -160,7 +159,6 @@ func TestAnonymousSearchSeesOnlyCommunityPages(t *testing.T) {
 	e, err := Open(Config{
 		Dir:    t.TempDir(),
 		Source: intranetSource{},
-		KV:     kvstore.Options{Sync: kvstore.SyncGroup},
 	})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
@@ -397,7 +395,7 @@ func TestThemesAndRecommend(t *testing.T) {
 func TestPersistenceAcrossRestart(t *testing.T) {
 	c := webcorpus.Generate(webcorpus.Config{Seed: 6, TopTopics: 2, SubPerTopic: 2, PagesPerLeaf: 10})
 	dir := t.TempDir()
-	e, err := Open(Config{Dir: dir, Source: corpusSource{c}, KV: kvstore.Options{Sync: kvstore.SyncAlways}})
+	e, err := Open(Config{Dir: dir, Source: corpusSource{c}, Durable: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -452,7 +450,7 @@ func treeLines(e *Engine, user int64) []string {
 func TestCorrectionSurvivesReopen(t *testing.T) {
 	page := Content{URL: "http://zoo.example/okapi", Title: "Okapi", Text: "okapi forest"}
 	tCorrect := tBase.Add(time.Hour)
-	cfg := Config{Dir: t.TempDir(), Source: oneSource{page}, KV: kvstore.Options{Sync: kvstore.SyncGroup}, Now: func() time.Time { return tCorrect }}
+	cfg := Config{Dir: t.TempDir(), Source: oneSource{page}, Now: func() time.Time { return tCorrect }}
 	e, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -498,7 +496,7 @@ func TestCorrectionSurvivesReopen(t *testing.T) {
 func TestOversizeURLDoesNotPoisonArchive(t *testing.T) {
 	c := webcorpus.Generate(webcorpus.Config{Seed: 6, TopTopics: 2, SubPerTopic: 2, PagesPerLeaf: 10})
 	dir := t.TempDir()
-	e, err := Open(Config{Dir: dir, Source: corpusSource{c}, KV: kvstore.Options{Sync: kvstore.SyncGroup}})
+	e, err := Open(Config{Dir: dir, Source: corpusSource{c}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"memex/internal/events"
-	"memex/internal/kvstore"
 )
 
 // pagesSource serves a fixed set of pages by URL.
@@ -72,7 +71,7 @@ func (s *pluggedSource) group(t *testing.T, e *Engine, visits func()) {
 func TestGroupFetchesRepeatedPageOnce(t *testing.T) {
 	page := Content{URL: "http://zoo.example/okapi", Title: "Okapi", Text: "okapi rainforest giraffid", Links: []string{"http://zoo.example/bongo"}}
 	src := newPluggedSource(oneSource{page})
-	e, err := Open(Config{Dir: t.TempDir(), Source: src, KV: kvstore.Options{Sync: kvstore.SyncGroup}, VersionGCInterval: -1, Workers: 1})
+	e, err := Open(Config{Dir: t.TempDir(), Source: src, GCInterval: -1, workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +115,7 @@ func TestGroupPublishReadErrorReleasesEveryClaim(t *testing.T) {
 	tapir := Content{URL: "http://zoo.example/tapir", Title: "Tapir", Text: "tapir rainforest browsing"}
 	pages := pagesSource{okapi.URL: okapi, tapir.URL: tapir}
 	src := newPluggedSource(pages)
-	cfg := Config{Dir: t.TempDir(), Source: src, KV: kvstore.Options{Sync: kvstore.SyncGroup}, VersionGCInterval: -1, Workers: 1}
+	cfg := Config{Dir: t.TempDir(), Source: src, GCInterval: -1, workers: 1}
 	e, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -203,7 +202,7 @@ func TestGroupPublishReadErrorReleasesEveryClaim(t *testing.T) {
 // at least one interval on each of the revisits below.
 func TestDrainWakesOnCompletion(t *testing.T) {
 	page := Content{URL: "http://zoo.example/okapi", Title: "Okapi", Text: "okapi rainforest giraffid"}
-	e, err := Open(Config{Dir: t.TempDir(), Source: oneSource{page}, KV: kvstore.Options{Sync: kvstore.SyncGroup}, VersionGCInterval: -1})
+	e, err := Open(Config{Dir: t.TempDir(), Source: oneSource{page}, GCInterval: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

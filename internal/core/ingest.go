@@ -62,8 +62,7 @@ func (e *Engine) RecordVisit(user int64, url, referrer string, at time.Time, pri
 	e.markVisitedLocked(user, pageID, privacy)
 	e.mu.Unlock()
 	e.stats.VisitsLogged.Add(1)
-	e.pushed.Add(1)
-	e.queue.Push(events.Event{Kind: events.VisitEvent, User: user, URL: url, Referrer: referrer, Privacy: privacy})
+	e.enqueue(events.Event{Kind: events.VisitEvent, User: user, URL: url, Referrer: referrer, Privacy: privacy})
 	return nil
 }
 
@@ -82,8 +81,7 @@ func (e *Engine) AddBookmark(user int64, url, folder string, at time.Time) error
 	}
 	e.stats.BookmarksLogged.Add(1)
 	// Ensure the page is fetched/indexed so training has text.
-	e.pushed.Add(1)
-	e.queue.Push(events.Event{Kind: events.BookmarkEvent, User: user, URL: url})
+	e.enqueue(events.Event{Kind: events.BookmarkEvent, User: user, URL: url})
 	return nil
 }
 

@@ -94,7 +94,7 @@ func rowLayer(withRow bool) func(string) error {
 
 // engineArchive is an archive this build writes: one visited, fetched page.
 func engineArchive(dir string) error {
-	e, err := Open(Config{Dir: dir, Source: oneSource{refusedPage}, KV: refusedKV})
+	e, err := Open(Config{Dir: dir, Source: oneSource{refusedPage}})
 	if err != nil {
 		return err
 	}
@@ -135,7 +135,7 @@ func unstamp(kv *kvstore.Store) error {
 func refusedIntact(t *testing.T, dir string, want ...string) {
 	t.Helper()
 	before := dirBytes(t, dir)
-	e, err := Open(Config{Dir: dir, Source: oneSource{refusedPage}, KV: refusedKV})
+	e, err := Open(Config{Dir: dir, Source: oneSource{refusedPage}})
 	if err == nil {
 		e.Close()
 		t.Fatal("Open accepted the archive")
@@ -199,7 +199,7 @@ func TestOpenRefusesOtherFormats(t *testing.T) {
 	t.Run("fresh", func(t *testing.T) {
 		dir := t.TempDir()
 		for life := 1; life <= 3; life++ {
-			e, err := Open(Config{Dir: dir, Source: oneSource{refusedPage}, KV: refusedKV})
+			e, err := Open(Config{Dir: dir, Source: oneSource{refusedPage}})
 			if err != nil {
 				t.Fatalf("life %d: %v", life, err)
 			}
@@ -363,7 +363,7 @@ func TestDurableLayoutHasNoUnreadIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	kv, err := kvstore.Open(e.cfg.Dir, e.cfg.KV)
+	kv, err := kvstore.Open(e.cfg.Dir, e.cfg.kvOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -387,7 +387,7 @@ func TestDurableLayoutHasNoUnreadIndex(t *testing.T) {
 // error naming the table and the key. A scan that skipped it forgot the
 // page, and the next visit gave its URL a new id.
 func TestCorruptPageRowFailsOpen(t *testing.T) {
-	cfg := Config{Dir: t.TempDir(), Source: oneSource{}, KV: kvstore.Options{Sync: kvstore.SyncGroup}, VersionGCInterval: -1}
+	cfg := Config{Dir: t.TempDir(), Source: oneSource{}, GCInterval: -1}
 	e, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -401,7 +401,7 @@ func TestCorruptPageRowFailsOpen(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	kv, err := kvstore.Open(cfg.Dir, cfg.KV)
+	kv, err := kvstore.Open(cfg.Dir, cfg.kvOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -433,7 +433,6 @@ func TestCorruptPageRowFailsOpen(t *testing.T) {
 // engine never hands out. The archive is written straight through the
 // kvstore, stamped with this build's format, as no engine writes one.
 func TestPageIDNamedTwiceFailsOpen(t *testing.T) {
-	opts := kvstore.Options{Sync: kvstore.SyncGroup}
 	for _, tc := range []struct {
 		name  string
 		pages []pageRow
@@ -448,7 +447,7 @@ func TestPageIDNamedTwiceFailsOpen(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
-			kv, err := kvstore.Open(dir, opts)
+			kv, err := kvstore.Open(dir, refusedKV)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -463,7 +462,7 @@ func TestPageIDNamedTwiceFailsOpen(t *testing.T) {
 			if err := kv.Close(); err != nil {
 				t.Fatal(err)
 			}
-			e, err := Open(Config{Dir: dir, Source: oneSource{}, KV: opts})
+			e, err := Open(Config{Dir: dir, Source: oneSource{}})
 			if err == nil {
 				e.Close()
 				t.Fatal("Open accepted the archive")
@@ -485,7 +484,7 @@ func TestUnfetchedVisitIsRefetchedAfterReopen(t *testing.T) {
 	page := Content{URL: "http://zoo.example/okapi", Title: "Okapi", Text: "okapi rainforest giraffid"}
 	for _, how := range []string{"visited", "bookmarked"} {
 		t.Run(how, func(t *testing.T) {
-			cfg := Config{Dir: t.TempDir(), Source: oneSource{}, KV: kvstore.Options{Sync: kvstore.SyncGroup}}
+			cfg := Config{Dir: t.TempDir(), Source: oneSource{}}
 			e, err := Open(cfg)
 			if err != nil {
 				t.Fatal(err)

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"memex/internal/events"
-	"memex/internal/kvstore"
 	"memex/internal/text"
 )
 
@@ -95,7 +94,7 @@ func FuzzLinkRecordsAgainstModel(f *testing.F) {
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		const pages, maxOps = 8, 48
 		ops = ops[:min(len(ops), 3*maxOps)]
-		cfg := Config{Dir: t.TempDir(), Source: oneSource{}, KV: kvstore.Options{Sync: kvstore.SyncGroup}, VersionGCInterval: -1, Workers: 1}
+		cfg := Config{Dir: t.TempDir(), Source: oneSource{}, GCInterval: -1, workers: 1}
 		e, err := Open(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -204,7 +203,7 @@ func checkModel(t *testing.T, e *Engine, op int, pages int64, edges map[[2]int64
 // released and the failure counted, as for a failed row write.
 func TestLinkPublishReadErrorPublishesNothing(t *testing.T) {
 	page := Content{URL: "http://zoo.example/okapi", Title: "Okapi", Text: "okapi rainforest giraffid", Links: []string{"http://zoo.example/bongo"}}
-	e, err := Open(Config{Dir: t.TempDir(), Source: oneSource{page}, KV: kvstore.Options{Sync: kvstore.SyncGroup}, VersionGCInterval: -1})
+	e, err := Open(Config{Dir: t.TempDir(), Source: oneSource{page}, GCInterval: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

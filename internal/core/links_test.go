@@ -131,7 +131,6 @@ func TestLinkGraphSurvivesRestart(t *testing.T) {
 		e, err := Open(Config{
 			Dir:    dir,
 			Source: corpusSource{c},
-			KV:     kvstore.Options{Sync: kvstore.SyncGroup},
 		})
 		if err != nil {
 			t.Fatalf("Open: %v", err)
@@ -428,10 +427,9 @@ func TestLinkRestartPreChunkArchive(t *testing.T) {
 	dir := t.TempDir()
 	open := func() *Engine {
 		e, err := Open(Config{
-			Dir:               dir,
-			Source:            corpusSource{c},
-			KV:                kvstore.Options{Sync: kvstore.SyncGroup},
-			VersionGCInterval: -1,
+			Dir:        dir,
+			Source:     corpusSource{c},
+			GCInterval: -1,
 		})
 		if err != nil {
 			t.Fatalf("Open: %v", err)
@@ -525,11 +523,10 @@ func TestBenchWorldInDegrees(t *testing.T) {
 	tr := sim.Simulate(c, benchSurf)
 	tr.Visits = tr.Visits[:8000]
 	e, err := Open(Config{
-		Dir:               t.TempDir(),
-		Source:            corpusSource{c},
-		KV:                kvstore.Options{Sync: kvstore.SyncGroup},
-		QueueSize:         2 * (len(tr.Visits) + len(tr.Bookmarks)),
-		VersionGCInterval: -1,
+		Dir:        t.TempDir(),
+		Source:     corpusSource{c},
+		queueSize:  2 * (len(tr.Visits) + len(tr.Bookmarks)),
+		GCInterval: -1,
 	})
 	if err != nil {
 		t.Fatalf("Open: %v", err)

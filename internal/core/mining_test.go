@@ -11,7 +11,6 @@ import (
 
 	"memex/internal/events"
 	"memex/internal/folders"
-	"memex/internal/kvstore"
 	"memex/internal/profile"
 	"memex/internal/recommend"
 	"memex/internal/sim"
@@ -33,8 +32,7 @@ func replayWorld(tb testing.TB, web webcorpus.Config, surf sim.Config, maxVisits
 	e, err := Open(Config{
 		Dir:       tb.TempDir(),
 		Source:    corpusSource{c},
-		KV:        kvstore.Options{Sync: kvstore.SyncGroup},
-		QueueSize: 2 * (len(tr.Visits) + len(tr.Bookmarks)), // nothing shed: the world is the whole trace
+		queueSize: 2 * (len(tr.Visits) + len(tr.Bookmarks)), // nothing shed: the world is the whole trace
 		Now:       func() time.Time { return tr.Visits[len(tr.Visits)-1].Time.Add(time.Hour) },
 	})
 	if err != nil {

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"memex/internal/events"
-	"memex/internal/kvstore"
 	"memex/internal/sim"
 	"memex/internal/text"
 	"memex/internal/webcorpus"
@@ -55,7 +54,7 @@ func checkIndexStatistics(t *testing.T, e *Engine) {
 func TestIndexStatisticsMatchRecords(t *testing.T) {
 	c := webcorpus.Generate(webcorpus.Config{Seed: 9, TopTopics: 3, SubPerTopic: 2, PagesPerLeaf: 15})
 	tr := sim.Simulate(c, sim.Config{Seed: 10, Users: 6, Days: 4})
-	cfg := Config{Dir: t.TempDir(), Source: corpusSource{c}, KV: kvstore.Options{Sync: kvstore.SyncGroup}}
+	cfg := Config{Dir: t.TempDir(), Source: corpusSource{c}}
 	e, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -96,7 +95,7 @@ func TestIndexStatisticsMatchRecords(t *testing.T) {
 // as a counted user and as a Recommend peer.
 func TestVisitOnlyUserSurvivesRestart(t *testing.T) {
 	c := webcorpus.Generate(webcorpus.Config{Seed: 5, TopTopics: 3, SubPerTopic: 2, PagesPerLeaf: 20})
-	cfg := Config{Dir: t.TempDir(), Source: corpusSource{c}, KV: kvstore.Options{Sync: kvstore.SyncGroup}}
+	cfg := Config{Dir: t.TempDir(), Source: corpusSource{c}}
 	e, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -159,7 +158,7 @@ func (s oneSource) Lookup(url string) (Content, bool) { return s.page, url == s.
 // republishes over the bad blob.
 func TestCorruptTermRecordIsRefetched(t *testing.T) {
 	page := Content{URL: "http://zoo.example/quagga", Title: "Quagga", Text: "zebra quagga savannah"}
-	cfg := Config{Dir: t.TempDir(), Source: oneSource{page}, KV: kvstore.Options{Sync: kvstore.SyncGroup}}
+	cfg := Config{Dir: t.TempDir(), Source: oneSource{page}}
 	e, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)

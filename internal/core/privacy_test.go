@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"memex/internal/events"
-	"memex/internal/kvstore"
 )
 
 // withPage serves one page beside what its base source serves.
@@ -37,7 +36,7 @@ func TestPrivateVisitsStayOutOfOtherUsersTrails(t *testing.T) {
 	first, second := c.Page(c.LeafPages[leaf.ID][0]), c.Page(c.LeafPages[leaf.ID][1])
 	const secret = "http://intranet.example.org/alice/secret-plan"
 	src := withPage{corpusSource{c}, Content{URL: secret, Title: "secret plan", Text: "the bluebird plan", Links: []string{first.URL}}}
-	cfg := Config{Dir: t.TempDir(), Source: src, KV: kvstore.Options{Sync: kvstore.SyncGroup}}
+	cfg := Config{Dir: t.TempDir(), Source: src}
 	e, err := Open(cfg)
 	if err != nil {
 		t.Fatalf("Open: %v", err)

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"memex/internal/events"
-	"memex/internal/kvstore"
 	"memex/internal/webcorpus"
 )
 
@@ -34,10 +33,8 @@ func (s *panickySource) Lookup(url string) (Content, bool) {
 func TestEngineSurvivesPanickingSource(t *testing.T) {
 	c := webcorpus.Generate(webcorpus.Config{Seed: 15, TopTopics: 2, SubPerTopic: 2, PagesPerLeaf: 20})
 	e, err := Open(Config{
-		Dir:     t.TempDir(),
-		Source:  &panickySource{inner: corpusSource{c}, every: 5},
-		KV:      kvstore.Options{Sync: kvstore.SyncGroup},
-		Workers: 2,
+		Dir:    t.TempDir(),
+		Source: &panickySource{inner: corpusSource{c}, every: 5},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -95,9 +92,8 @@ func TestQueueSheddingUnderOverload(t *testing.T) {
 	e, err := Open(Config{
 		Dir:       t.TempDir(),
 		Source:    slow,
-		KV:        kvstore.Options{Sync: kvstore.SyncGroup},
-		Workers:   1,
-		QueueSize: 16, // deliberately tiny
+		workers:   1,
+		queueSize: 16, // deliberately tiny
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -122,6 +118,48 @@ func TestQueueSheddingUnderOverload(t *testing.T) {
 	e.DrainBackground()
 	if e.Status().EventsDropped == 0 {
 		t.Fatal("expected overload to shed events")
+	}
+}
+
+// TestDrainReturnsAfterClose: Close stops the analyzers with events still
+// queued, and a DrainBackground after it returns instead of waiting for
+// work no analyzer will do. The next Open fetches the pages it left.
+func TestDrainReturnsAfterClose(t *testing.T) {
+	c := webcorpus.Generate(webcorpus.Config{Seed: 16, TopTopics: 2, SubPerTopic: 2, PagesPerLeaf: 30})
+	dir := t.TempDir()
+	e, err := Open(Config{Dir: dir, Source: &slowSource{inner: corpusSource{c}, delay: 20 * time.Millisecond}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.RegisterUser(1, "alice")
+	const visits = 50
+	for _, p := range c.Pages[:visits] {
+		if err := e.RecordVisit(1, p.URL, "", tBase, events.Community); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() {
+		e.DrainBackground()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(3 * time.Second):
+		t.Fatal("DrainBackground still blocked 3s after Close")
+	}
+
+	e, err = Open(Config{Dir: dir, Source: corpusSource{c}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	e.DrainBackground()
+	if got := e.Status().PagesIndexed; got != visits {
+		t.Fatalf("PagesIndexed = %d after a reopen, want all %d visited pages", got, visits)
 	}
 }
 

@@ -16,21 +16,14 @@ import (
 	"time"
 )
 
-// Demon is a unit of background work. Run should block until Stop's
-// channel closes; Tick-style demons can use RunPeriodic.
-type Demon interface {
-	Name() string
-	Run(stop <-chan struct{})
-}
-
-// Pool supervises a set of demons.
+// Pool supervises a set of demons. A demon starts when it is added, with
+// Go or Every, and runs until Stop.
 type Pool struct {
-	mu      sync.Mutex
-	demons  []Demon
-	stop    chan struct{}
-	wg      sync.WaitGroup
-	running bool
-	status  map[string]Status // demons that have panicked, by name
+	mu       sync.Mutex
+	stop     chan struct{}
+	stopOnce sync.Once
+	wg       sync.WaitGroup
+	status   map[string]Status // demons that have panicked, by name
 	// Logger receives supervision messages (defaults to log.Printf).
 	Logger func(format string, args ...any)
 }
@@ -66,49 +59,23 @@ func restartDelay(streak int) time.Duration {
 // NewPool returns an empty pool.
 func NewPool() *Pool {
 	return &Pool{
+		stop:   make(chan struct{}),
 		status: map[string]Status{},
 		Logger: log.Printf,
 	}
 }
 
-// Add registers a demon (before or after Start; late adds start at once if
-// the pool is running).
-func (p *Pool) Add(d Demon) {
-	p.mu.Lock()
-	p.demons = append(p.demons, d)
-	running := p.running
-	stop := p.stop
-	p.mu.Unlock()
-	if running {
-		p.launch(d, stop)
-	}
-}
-
-// Start launches every registered demon.
-func (p *Pool) Start() {
-	p.mu.Lock()
-	if p.running {
-		p.mu.Unlock()
-		return
-	}
-	p.running = true
-	p.stop = make(chan struct{})
-	demons := append([]Demon(nil), p.demons...)
-	stop := p.stop
-	p.mu.Unlock()
-	for _, d := range demons {
-		p.launch(d, stop)
-	}
-}
-
-func (p *Pool) launch(d Demon, stop <-chan struct{}) {
+// Go starts the demon name at once: body runs until the channel it is
+// handed closes, at Stop, and then returns. A body that panics is
+// restarted after the backoff.
+func (p *Pool) Go(name string, body func(stop <-chan struct{})) {
 	p.wg.Add(1)
 	go func() {
 		defer p.wg.Done()
 		streak := 0 // panics in a row
 		for {
 			started := time.Now()
-			if done := p.runOnce(d, stop); done {
+			if done := p.runOnce(name, body); done {
 				return
 			}
 			if time.Since(started) >= restartCap {
@@ -117,7 +84,7 @@ func (p *Pool) launch(d Demon, stop <-chan struct{}) {
 			streak++
 			delay := time.NewTimer(restartDelay(streak))
 			select {
-			case <-stop:
+			case <-p.stop:
 				delay.Stop()
 				return
 			case <-delay.C:
@@ -126,35 +93,46 @@ func (p *Pool) launch(d Demon, stop <-chan struct{}) {
 	}()
 }
 
-// runOnce executes d.Run, absorbing panics. Returns true when the demon
+// Every starts the demon name at once; it calls tick every interval
+// (which must be positive) until Stop.
+func (p *Pool) Every(name string, interval time.Duration, tick func()) {
+	p.Go(name, func(stop <-chan struct{}) {
+		t := time.NewTicker(interval)
+		defer t.Stop()
+		for {
+			select {
+			case <-stop:
+				return
+			case <-t.C:
+				tick()
+			}
+		}
+	})
+}
+
+// runOnce executes body, absorbing panics. Returns true when the demon
 // exited cleanly (stop closed), false when it should be restarted.
-func (p *Pool) runOnce(d Demon, stop <-chan struct{}) (done bool) {
+func (p *Pool) runOnce(name string, body func(stop <-chan struct{})) (done bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			p.mu.Lock()
-			st := p.status[d.Name()]
+			st := p.status[name]
 			st.Restarts++
 			st.LastPanic, st.LastPanicAt = fmt.Sprint(r), time.Now()
-			p.status[d.Name()] = st
+			p.status[name] = st
 			p.mu.Unlock()
-			p.Logger("demon %s panicked: %v (restarting)", d.Name(), r)
+			p.Logger("demon %s panicked: %v (restarting)", name, r)
 			done = false
 		}
 	}()
-	d.Run(stop)
+	body(p.stop)
 	return true
 }
 
-// Stop signals all demons and waits for them to exit.
+// Stop signals all demons and waits for them to exit. A second Stop
+// returns at once.
 func (p *Pool) Stop() {
-	p.mu.Lock()
-	if !p.running {
-		p.mu.Unlock()
-		return
-	}
-	p.running = false
-	close(p.stop)
-	p.mu.Unlock()
+	p.stopOnce.Do(func() { close(p.stop) })
 	p.wg.Wait()
 }
 
@@ -164,51 +142,4 @@ func (p *Pool) Status() map[string]Status {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return maps.Clone(p.status)
-}
-
-// Periodic adapts a tick function into a Demon running every interval.
-type Periodic struct {
-	TaskName string
-	Interval time.Duration
-	Tick     func()
-}
-
-// Name implements Demon.
-func (p *Periodic) Name() string { return p.TaskName }
-
-// Run implements Demon.
-func (p *Periodic) Run(stop <-chan struct{}) {
-	interval := p.Interval
-	if interval <= 0 {
-		interval = time.Second
-	}
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-t.C:
-			p.Tick()
-		}
-	}
-}
-
-// Func adapts a plain function into a Demon.
-type Func struct {
-	TaskName string
-	Body     func(stop <-chan struct{})
-}
-
-// Name implements Demon.
-func (f *Func) Name() string { return f.TaskName }
-
-// Run implements Demon.
-func (f *Func) Run(stop <-chan struct{}) { f.Body(stop) }
-
-// String aids debugging.
-func (p *Pool) String() string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return fmt.Sprintf("pool{demons=%d running=%v}", len(p.demons), p.running)
 }

@@ -12,12 +12,10 @@ func TestPoolStartStop(t *testing.T) {
 	p := NewPool()
 	p.Logger = func(string, ...any) {}
 	var ticks atomic.Int64
-	p.Add(&Periodic{TaskName: "ticker", Interval: 5 * time.Millisecond, Tick: func() {
-		ticks.Add(1)
-	}})
-	p.Start()
+	p.Every("ticker", 5*time.Millisecond, func() { ticks.Add(1) })
 	time.Sleep(60 * time.Millisecond)
 	p.Stop()
+	p.Stop() // a second Stop returns at once
 	n := ticks.Load()
 	if n < 3 {
 		t.Fatalf("ticks = %d, want several", n)
@@ -28,8 +26,8 @@ func TestPoolStartStop(t *testing.T) {
 	}
 }
 
-// TestPoolBacksOffAndRemembersPanic runs a demon that panics four times and
-// then stays up: the pause before each restart must double, and Status must
+// TestPoolBacksOffAndRemembersPanic runs a demon, which Go starts at once,
+// that panics four times and then stays up: the pause before each restart must double, and Status must
 // hold the count and the last panic, not the first.
 func TestPoolBacksOffAndRemembersPanic(t *testing.T) {
 	const panics = 4
@@ -38,7 +36,8 @@ func TestPoolBacksOffAndRemembersPanic(t *testing.T) {
 	var mu sync.Mutex
 	var starts []time.Time
 	up := make(chan struct{})
-	p.Add(&Func{TaskName: "flaky", Body: func(stop <-chan struct{}) {
+	before := time.Now()
+	p.Go("flaky", func(stop <-chan struct{}) {
 		mu.Lock()
 		starts = append(starts, time.Now())
 		n := len(starts)
@@ -48,9 +47,7 @@ func TestPoolBacksOffAndRemembersPanic(t *testing.T) {
 		}
 		close(up)
 		<-stop
-	}})
-	before := time.Now()
-	p.Start()
+	})
 	select {
 	case <-up:
 	case <-time.After(10 * time.Second):
@@ -86,32 +83,4 @@ func TestRestartDelayDoublesToACap(t *testing.T) {
 			t.Fatalf("delay after %d panics = %v, after %d = %v", streak-1, prev, streak, got)
 		}
 	}
-}
-
-func TestLateAddStartsImmediately(t *testing.T) {
-	p := NewPool()
-	p.Logger = func(string, ...any) {}
-	p.Start()
-	var ran atomic.Bool
-	p.Add(&Func{TaskName: "late", Body: func(stop <-chan struct{}) {
-		ran.Store(true)
-		<-stop
-	}})
-	deadline := time.Now().Add(time.Second)
-	for !ran.Load() && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	p.Stop()
-	if !ran.Load() {
-		t.Fatal("late-added demon never ran")
-	}
-}
-
-func TestDoubleStartStopSafe(t *testing.T) {
-	p := NewPool()
-	p.Logger = func(string, ...any) {}
-	p.Start()
-	p.Start()
-	p.Stop()
-	p.Stop()
 }

@@ -79,12 +79,13 @@ func NewQueue(capacity int) *Queue {
 }
 
 // Push enqueues without blocking; under overflow the oldest event is
-// dropped and counted.
-func (q *Queue) Push(e Event) {
+// dropped and counted. It reports whether the queue took e: a closed
+// queue ignores it.
+func (q *Queue) Push(e Event) bool {
 	q.mu.Lock()
 	if q.closed {
 		q.mu.Unlock()
-		return
+		return false
 	}
 	if q.n == len(q.ring) {
 		q.head = (q.head + 1) % len(q.ring)
@@ -95,6 +96,7 @@ func (q *Queue) Push(e Event) {
 	q.n++
 	q.mu.Unlock()
 	q.cond.Signal()
+	return true
 }
 
 // PopBatch appends to dst the queued events, oldest first, up to limit of

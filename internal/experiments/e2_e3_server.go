@@ -8,7 +8,6 @@ import (
 	"memex/internal/classify"
 	"memex/internal/core"
 	"memex/internal/events"
-	"memex/internal/kvstore"
 	"memex/internal/sim"
 	"memex/internal/text"
 	"memex/internal/trails"
@@ -144,12 +143,7 @@ func E3(seed int64) *Report {
 		return &Report{ID: "E3", Finding: err.Error()}
 	}
 	defer os.RemoveAll(dir)
-	eng, err := core.Open(core.Config{
-		Dir:     dir,
-		Source:  corpusSource{corpus},
-		KV:      kvstore.Options{Sync: kvstore.SyncGroup},
-		Workers: 2,
-	})
+	eng, err := core.Open(core.Config{Dir: dir, Source: corpusSource{corpus}})
 	if err != nil {
 		return &Report{ID: "E3", Finding: err.Error()}
 	}

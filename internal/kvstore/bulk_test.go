@@ -65,21 +65,6 @@ func TestPutBatchMixesPutsAndDeletes(t *testing.T) {
 	}
 }
 
-func TestReadViewDelegates(t *testing.T) {
-	s := openTemp(t, Options{Sync: SyncGroup})
-	s.Put([]byte("a"), []byte("1"))
-	s.Put([]byte("b"), []byte("2"))
-	v := s.ReadView()
-	if got, ok, _ := v.Get([]byte("a")); !ok || string(got) != "1" {
-		t.Fatalf("view Get = %q,%v", got, ok)
-	}
-	n := 0
-	v.ScanPrefix([]byte(""), func(k, _ []byte) bool { n++; return true })
-	if n != 2 {
-		t.Fatalf("view scan saw %d keys", n)
-	}
-}
-
 // BenchmarkGetDuringBulkWrite measures a reader's Get latency while
 // 8192-pair batches commit back to back: the worst case is one batch's
 // hold of the write lock, which is what a version-store fold round costs

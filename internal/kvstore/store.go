@@ -363,27 +363,6 @@ func (s *Store) ScanPrefix(prefix []byte, fn func(key, value []byte) bool) error
 // cold tier chunks records into parts for exactly this reason).
 const MaxKV = maxPayload
 
-// ReadView is a read-only handle over a store: the subset of the API that
-// can never mutate the tree, handed to reader subsystems (the version
-// store's cold-tier fallthrough) so a misrouted write is a compile error
-// rather than a latent corruption. Reads through a view take the same
-// shared lock as Store reads — they run concurrently with each other and
-// interleave with chunked bulk writes.
-type ReadView struct {
-	s *Store
-}
-
-// ReadView returns the store's read-only handle.
-func (s *Store) ReadView() *ReadView { return &ReadView{s: s} }
-
-// Get returns a copy of the value for key, or ok=false.
-func (v *ReadView) Get(key []byte) ([]byte, bool, error) { return v.s.Get(key) }
-
-// ScanPrefix scans all keys beginning with prefix.
-func (v *ReadView) ScanPrefix(prefix []byte, fn func(key, value []byte) bool) error {
-	return v.s.ScanPrefix(prefix, fn)
-}
-
 // prefixEnd returns the smallest key greater than every key with the given
 // prefix, or nil if no such key exists (prefix is all 0xff).
 func prefixEnd(prefix []byte) []byte {

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"memex/internal/core"
-	"memex/internal/kvstore"
 	"memex/internal/server"
 )
 
@@ -28,7 +27,6 @@ func newTestEngine(t testing.TB) *core.Engine {
 	e, err := core.Open(core.Config{
 		Dir:    t.TempDir(),
 		Source: stubSource{},
-		KV:     kvstore.Options{Sync: kvstore.SyncGroup},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -34,7 +34,6 @@ func newTestEngine(t *testing.T) *core.Engine {
 	e, err := core.Open(core.Config{
 		Dir:    t.TempDir(),
 		Source: stubSource{},
-		KV:     kvstore.Options{Sync: kvstore.SyncGroup},
 	})
 	if err != nil {
 		t.Fatal(err)

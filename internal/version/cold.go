@@ -76,8 +76,7 @@ const foldMinEntries = 4096
 
 // coldTier is the store's handle on its disk keyspace.
 type coldTier struct {
-	kv     *kvstore.Store    // write side: fold rounds
-	rd     *kvstore.ReadView // read side: snapshot fallthrough, the fold's point reads
+	kv     *kvstore.Store // snapshot fallthrough reads, and fold rounds
 	prefix []byte
 
 	// wm is the durable fold watermark: every record at or below it is on
@@ -139,7 +138,7 @@ type Options struct{}
 // ownership of kv and must close it after the store (Close folds through
 // it).
 func Open(kv *kvstore.Store, prefix string, _ Options) (*Store, error) {
-	c := &coldTier{kv: kv, rd: kv.ReadView(), prefix: []byte(prefix)}
+	c := &coldTier{kv: kv, prefix: []byte(prefix)}
 	wm, records, err := c.readMeta()
 	if err != nil {
 		return nil, err
@@ -178,7 +177,7 @@ func (c *coldTier) metaKey(name string) []byte {
 // the archive already holds.
 func (c *coldTier) readMeta() (wm uint64, records int64, err error) {
 	key := c.metaKey("wm")
-	raw, found, err := c.rd.Get(key)
+	raw, found, err := c.kv.Get(key)
 	switch {
 	case err != nil:
 		return 0, 0, fmt.Errorf("version: read %s: %w", key, err)
@@ -282,7 +281,7 @@ func splitHead(key string, v []byte) (int, []byte, error) {
 // head reads key's part 0: the record's part count (0 when the key has no
 // record) and its first payload part.
 func (c *coldTier) head(key string) (int, []byte, error) {
-	v, ok, err := c.rd.Get(c.recordKey(key, 0))
+	v, ok, err := c.kv.Get(c.recordKey(key, 0))
 	if !ok || err != nil {
 		return 0, nil, err
 	}
@@ -296,7 +295,7 @@ func (c *coldTier) read(key string) ([]byte, bool, error) {
 		return nil, false, err
 	}
 	for p := 1; p < n; p++ {
-		v, ok, err := c.rd.Get(c.recordKey(key, uint16(p)))
+		v, ok, err := c.kv.Get(c.recordKey(key, uint16(p)))
 		if err != nil {
 			return nil, false, err
 		}
@@ -333,7 +332,7 @@ func (c *coldTier) scan(fn func(key string, value []byte) bool) error {
 		need, have int
 		bad        error
 	)
-	err := c.rd.ScanPrefix(c.recPrefix(), func(k, v []byte) bool {
+	err := c.kv.ScanPrefix(c.recPrefix(), func(k, v []byte) bool {
 		key, part, ok := c.parseRecordKey(k)
 		switch {
 		case !ok:

@@ -87,7 +87,7 @@ func (noPages) Lookup(string) (core.Content, bool) { return core.Content{}, fals
 func refusedByCore(t *testing.T, dir string, want ...string) {
 	t.Helper()
 	before := dirFiles(t, dir)
-	e, err := core.Open(core.Config{Dir: dir, Source: noPages{}, KV: kvstore.Options{Sync: kvstore.SyncGroup}})
+	e, err := core.Open(core.Config{Dir: dir, Source: noPages{}})
 	if err == nil {
 		e.Close()
 		t.Fatal("core.Open accepted the archive")

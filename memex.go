@@ -8,10 +8,11 @@
 // resource discovery, and profile-based collaborative recommendation.
 //
 // The package is a thin facade: open an embedded engine with Open, or
-// serve it over HTTP with Serve and talk to it with NewClient. Everything
-// underneath (storage engines, mining algorithms, the synthetic Web used
-// for experiments) lives in internal/ packages and is documented in
-// DESIGN.md.
+// serve it over HTTP with Serve and talk to it with NewClient. Config is
+// the engine's one configuration, and its zero values are the product's.
+// Everything underneath (storage engines, mining algorithms, the synthetic
+// Web used for experiments) lives in internal/ packages and is documented
+// in DESIGN.md.
 //
 // The repo holds its cross-cutting invariants by construction where an
 // API can — a version-store pin is a closure scope, an HTTP handler
@@ -32,11 +33,8 @@
 package memex
 
 import (
-	"time"
-
 	"memex/internal/core"
 	"memex/internal/events"
-	"memex/internal/kvstore"
 	"memex/internal/sim"
 	"memex/internal/webcorpus"
 )
@@ -53,31 +51,15 @@ const (
 	Community = events.Community
 )
 
-// Config configures an embedded Memex engine.
-type Config struct {
-	// Dir is the persistent storage directory.
-	Dir string
-	// Source resolves URLs to page content (use World.Source() for the
-	// synthetic Web, or any implementation for live use).
-	Source PageSource
-	// Durable selects fsync-per-commit WAL durability, so an acknowledged
-	// write also survives a power cut. The default, which the benchmarks
-	// use, writes each commit to the OS and fsyncs at checkpoints: an
-	// acknowledged write survives a process crash, not a power cut.
-	Durable bool
-	// ThemeInterval / TrainInterval run the periodic mining demons
-	// (0 = on demand only).
-	ThemeInterval time.Duration
-	TrainInterval time.Duration
-	// GCInterval runs the version-store GC demon, which folds
-	// derived-data layers no reader pins any more to disk
-	// (0 = engine default of 2s; negative disables the demon).
-	GCInterval time.Duration
-	// Now injects the engine clock — set it when replaying historical
-	// traces so recency decay is computed against the trace era, not the
-	// wall clock (default time.Now).
-	Now func() time.Time
-}
+// Config configures an embedded Memex engine (alias of the engine type,
+// the one configuration). Dir and Source are required; every other field's
+// zero value is what the benchmarks run, and memexd too but for its mining
+// intervals: group commit (an acknowledged write survives a process crash,
+// not a power cut; Durable fsyncs every commit), the version-store GC
+// demon every 2s (GCInterval; negative turns it off), and mining demons
+// only on demand (ThemeInterval, TrainInterval). Now injects the engine
+// clock for replaying historical traces (default time.Now).
+type Config = core.Config
 
 // PageSource resolves URLs to content (alias of the engine interface).
 type PageSource = core.PageSource
@@ -100,19 +82,7 @@ type Memex struct {
 
 // Open starts an embedded Memex over the given directory.
 func Open(cfg Config) (*Memex, error) {
-	sync := kvstore.SyncGroup
-	if cfg.Durable {
-		sync = kvstore.SyncAlways
-	}
-	e, err := core.Open(core.Config{
-		Dir:               cfg.Dir,
-		Source:            cfg.Source,
-		KV:                kvstore.Options{Sync: sync},
-		ThemeInterval:     cfg.ThemeInterval,
-		TrainInterval:     cfg.TrainInterval,
-		VersionGCInterval: cfg.GCInterval,
-		Now:               cfg.Now,
-	})
+	e, err := core.Open(cfg)
 	if err != nil {
 		return nil, err
 	}

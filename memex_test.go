@@ -6,6 +6,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"memex/internal/core"
+	"memex/internal/kvstore"
 )
 
 // worldFor builds a small deterministic world and engine for API tests.
@@ -143,5 +146,32 @@ func TestBookmarkFlowThroughFacade(t *testing.T) {
 	out := buf.String()
 	if !strings.Contains(out, "Research") || !strings.Contains(out, content[0]) {
 		t.Fatal("exported bookmarks incomplete")
+	}
+}
+
+// TestZeroConfigIsTheProduct: core's zero Config and the facade open the
+// engine memexd runs, group commit over a 4096-event queue, and Durable
+// asks both for an fsync per commit.
+func TestZeroConfigIsTheProduct(t *testing.T) {
+	source := GenerateWorld(WorldConfig{Seed: 99}).Source()
+	for _, tc := range []struct {
+		durable bool
+		want    kvstore.SyncPolicy
+	}{{false, kvstore.SyncGroup}, {true, kvstore.SyncAlways}} {
+		e, err := core.Open(core.Config{Dir: t.TempDir(), Source: source, Durable: tc.durable})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := Open(Config{Dir: t.TempDir(), Source: source, Durable: tc.durable})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, eng := range []*core.Engine{e, m.Engine} {
+			if policy, qcap := eng.Status().KV.Sync, eng.Pressure().QueueCap; policy != tc.want || qcap != 4096 {
+				t.Errorf("Durable %v: sync policy %v, queue cap %d; want %v and 4096", tc.durable, policy, qcap, tc.want)
+			}
+		}
+		e.Close()
+		m.Close()
 	}
 }
