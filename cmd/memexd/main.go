@@ -35,12 +35,11 @@ func main() {
 		train  = flag.Duration("train", 30*time.Second, "classifier-retrain demon interval (0 = manual)")
 		gc     = flag.Duration("gc", 0, "version-store GC/fold demon interval (0 = engine default of 2s, negative = manual)")
 
-		// Admission control (all default off; GET /metrics serves the
-		// per-endpoint histograms and shed counters either way).
+		// Capacity settings, both default off. Write endpoints are shed
+		// with 503 at 90 % event-queue depth whatever these say, and GET
+		// /metrics serves the per-endpoint histograms and shed counters.
 		rate     = flag.Float64("rate", 0, "per-client request rate limit in req/s, keyed by user param or remote host, bursting to max(8, 2×rate) (0 = unlimited)")
 		inflight = flag.Int("inflight", 0, "global cap on concurrently served requests; excess get 503 (0 = unlimited)")
-		shedQ    = flag.Float64("shed-queue", 0.9, "shed write endpoints with 503 when the background event queue is this full (0 = never)")
-		shedLag  = flag.Uint64("shed-foldlag", 0, "shed write endpoints with 503 when the publish watermark runs this many epochs ahead of the durable fold watermark (0 = never)")
 	)
 	flag.Parse()
 	if *dir == "" {
@@ -85,10 +84,8 @@ func main() {
 	// re-crawling. A hard kill loses only what was published after the
 	// last GC fold (the crash contract in internal/version/cold.go).
 	srv := server.HTTPServer(*addr, m.HandlerWith(memex.ServeConfig{
-		RatePerSec:        *rate,
-		MaxInFlight:       *inflight,
-		ShedQueueFraction: *shedQ,
-		ShedFoldLag:       *shedLag,
+		RatePerSec:  *rate,
+		MaxInFlight: *inflight,
 	}))
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.ListenAndServe() }()

@@ -107,9 +107,10 @@ type Options struct {
 	// MaxFeatures keeps only the top-k terms by Fisher discriminant score;
 	// 0 keeps the whole vocabulary.
 	MaxFeatures int
-	// Smoothing is the Laplace/Lidstone constant (default 0.1).
-	Smoothing float64
 }
+
+// smoothing is the Laplace/Lidstone constant added to every term count.
+const smoothing = 0.1
 
 // Bayes is a trained multinomial naive Bayes model.
 type Bayes struct {
@@ -144,9 +145,6 @@ type Bayes struct {
 func (tr *Trainer) Train(opts Options) (*Bayes, error) {
 	if len(tr.classes) < 2 {
 		return nil, fmt.Errorf("classify: need at least 2 classes, have %d", len(tr.classes))
-	}
-	if opts.Smoothing <= 0 {
-		opts.Smoothing = 0.1
 	}
 	classes := make([]string, 0, len(tr.classes))
 	for c := range tr.classes {
@@ -184,8 +182,8 @@ func (tr *Trainer) Train(opts Options) (*Bayes, error) {
 		m.classIdx[c] = ci
 		acc := accs[ci]
 		m.logPrior[ci] = math.Log(float64(acc.docs) / float64(totalDocs))
-		denom[ci] = float64(acc.totalTerms) + opts.Smoothing*float64(vocabSize)
-		m.defaultLog[ci] = math.Log(opts.Smoothing / denom[ci])
+		denom[ci] = float64(acc.totalTerms) + smoothing*float64(vocabSize)
+		m.defaultLog[ci] = math.Log(smoothing / denom[ci])
 	}
 	ranked := make([]int32, 0, len(tr.ids)) // every term that gets a row
 	for row, id := range tr.ids {
@@ -203,7 +201,7 @@ func (tr *Trainer) Train(opts Options) (*Bayes, error) {
 		for ci, acc := range accs {
 			lp := m.defaultLog[ci]
 			if n := acc.count(int(tr.slot[id] - 1)); n > 0 {
-				lp = math.Log((float64(n) + opts.Smoothing) / denom[ci])
+				lp = math.Log((float64(n) + smoothing) / denom[ci])
 			}
 			m.rows = append(m.rows, lp)
 		}

@@ -113,9 +113,6 @@ type referenceBayes struct {
 }
 
 func referenceTrain(tr *referenceTrainer, opts Options) *referenceBayes {
-	if opts.Smoothing <= 0 {
-		opts.Smoothing = 0.1
-	}
 	classes := make([]string, 0, len(tr.classes))
 	for c := range tr.classes {
 		classes = append(classes, c)
@@ -134,15 +131,15 @@ func referenceTrain(tr *referenceTrainer, opts Options) *referenceBayes {
 		acc := tr.classes[c]
 		m.logPrior = append(m.logPrior, math.Log(float64(acc.docs)/float64(totalDocs)))
 		tl := map[int32]float64{}
-		denom := float64(acc.totalTerms) + opts.Smoothing*float64(vocabSize)
+		denom := float64(acc.totalTerms) + smoothing*float64(vocabSize)
 		for id, n := range acc.termCounts {
 			if m.features != nil && !m.features[id] {
 				continue
 			}
-			tl[id] = math.Log((float64(n) + opts.Smoothing) / denom)
+			tl[id] = math.Log((float64(n) + smoothing) / denom)
 		}
 		m.termLog = append(m.termLog, tl)
-		m.defaultLog = append(m.defaultLog, math.Log(opts.Smoothing/denom))
+		m.defaultLog = append(m.defaultLog, math.Log(smoothing/denom))
 	}
 	return m
 }
@@ -213,7 +210,7 @@ func TestLogScoresMatchReference(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		dict.ID(fmt.Sprintf("elsewhere%d", i))
 	}
-	for _, opts := range []Options{{}, {MaxFeatures: 300}, {MaxFeatures: 1 << 20}, {Smoothing: 1}} {
+	for _, opts := range []Options{{}, {MaxFeatures: 300}, {MaxFeatures: 1 << 20}} {
 		m, err := tr.Train(opts)
 		if err != nil {
 			t.Fatal(err)

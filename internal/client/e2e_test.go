@@ -50,7 +50,7 @@ func newTestServer(t *testing.T) (*webcorpus.Corpus, *core.Engine, *client.Clien
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(server.New(e))
+	ts := httptest.NewServer(server.New(e, server.Config{}))
 	t.Cleanup(func() {
 		ts.Close()
 		e.Close()
@@ -195,7 +195,7 @@ func TestEndToEndRestartRecoversDerivedState(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ts := httptest.NewServer(server.New(e))
+		ts := httptest.NewServer(server.New(e, server.Config{}))
 		return e, ts, client.New(ts.URL)
 	}
 
@@ -568,7 +568,7 @@ func TestEndToEndShedUnderSaturatingBurst(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(server.NewWith(e, server.Config{ShedQueueFraction: 8.0 / 4096}))
+	ts := httptest.NewServer(server.New(e, server.Config{}))
 	released := false
 	release := func() {
 		if !released {
@@ -587,14 +587,14 @@ func TestEndToEndShedUnderSaturatingBurst(t *testing.T) {
 	}
 
 	// Saturating burst: the two analyzer workers are wedged in Lookup, so
-	// every accepted event stays queued; depth crosses 8/4096 of the queue's
-	// 4096 = 8 and the server must start refusing.
+	// every accepted event stays queued; depth crosses 0.9 of the queue's
+	// 4096 = 3 687 and the server must start refusing.
 	var accepted, shed int
 	var pages []*webcorpus.Page
 	for _, pid := range c.LeafPages[c.Leaves()[0].ID] {
 		pages = append(pages, c.Page(pid))
 	}
-	for i := 0; i < 40; i++ {
+	for i := 0; i < 4000; i++ {
 		p := pages[i%len(pages)]
 		err := cl.Visit(1, p.URL, "", tBase.Add(time.Duration(i)*time.Second), "community")
 		switch {
@@ -649,7 +649,7 @@ func TestEndToEndRateLimit429(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(server.NewWith(e, server.Config{RatePerSec: 0.001}))
+	ts := httptest.NewServer(server.New(e, server.Config{RatePerSec: 0.001}))
 	t.Cleanup(func() {
 		ts.Close()
 		e.Close()

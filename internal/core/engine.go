@@ -590,20 +590,23 @@ func (e *Engine) Status() Stats {
 }
 
 // Pressure is the engine's cheap backpressure signal set, read by the
-// HTTP layer's admission control on every write request. Unlike Status
-// (which walks the version chain), each field costs one queue-mutex
-// acquisition or a lock-free atomic load, so polling it per-request is
-// free.
+// HTTP layer on every write request. Unlike Status (which walks the
+// version chain), each field costs one queue-mutex acquisition or a
+// lock-free atomic load, so polling it per-request is free.
 type Pressure struct {
 	// QueueDepth/QueueCap describe the background event queue. The queue
 	// itself never blocks producers — it sheds the *oldest* event under
 	// overflow — so a rising depth is the earliest sign that ingest is
 	// outrunning the analyzers and data is about to be dropped silently.
+	// It is the one admission input: the server sheds writes on it.
 	QueueDepth int
 	QueueCap   int
 	// FoldLag is the published watermark minus the durable fold
-	// watermark: how many epochs of derived state a crash would lose, and
-	// a proxy for how far the GC/fold demon has fallen behind publishes.
+	// watermark: how many publishes the GC/fold demon has yet to fold.
+	// It is for observability only (/api/status,
+	// memex_version_fold_lag_epochs): a publish is an analyzer group of
+	// 1–256 events, so the lag bounds neither memory nor what a crash
+	// costs, since Open re-derives every unfolded record from the rows.
 	FoldLag uint64
 }
 

@@ -339,7 +339,9 @@ func TestMiningAnswersMatchPerVisitComputation(t *testing.T) {
 				}
 			}
 		}
-		for _, since := range []time.Time{{}, tr.Cfg.Start.Add(72 * time.Hour)} {
+		// The second since is three days after the trace's first simulated
+		// instant, 2000-05-15 09:00 UTC.
+		for _, since := range []time.Time{{}, time.Date(2000, 5, 18, 9, 0, 0, 0, time.UTC)} {
 			if got, want := e.UsageBreakdown(u, since), referenceUsage(e, u, since); !reflect.DeepEqual(got, want) {
 				t.Fatalf("UsageBreakdown(user %d, since %v):\n got %v\nwant %v", u, since, got, want)
 			}

@@ -100,29 +100,19 @@ func (e *Engine) SearchWhen(user int64, query string, k int, from, to time.Time)
 	return out
 }
 
-// visitRows loads visits as trail events in (time, id) order, filtered to
-// what `user` may see (their own visits plus community-public visits when
-// includeCommunity). Community visits belong to every user, so it reads
-// the whole table: one scan, whose per-user runs are each in (time, id)
-// order already and are merged, not sorted.
+// visitRows loads visits as trail events, filtered to what `user` may see
+// (their own visits plus community-public visits when includeCommunity),
+// in key order: user by user, each user's visits in (time, id) order,
+// which is all trails.Segment needs. Community visits belong to every
+// user, so it reads the whole table in one scan.
 func (e *Engine) visitRows(user int64, includeCommunity bool) []trails.Visit {
-	var runs runHeap
-	n := 0
+	var out []trails.Visit
 	visitsTable.scanAll(e.kv, func(r visitRow) bool {
-		if r.user != user && (!includeCommunity || r.privacy != events.Community) {
-			return true
+		if r.user == user || includeCommunity && r.privacy == events.Community {
+			out = append(out, trails.Visit{User: r.user, Page: r.page, Referrer: r.ref, Time: r.time()})
 		}
-		if len(runs) == 0 || runs[len(runs)-1][0].user != r.user {
-			runs = append(runs, nil)
-		}
-		runs[len(runs)-1] = append(runs[len(runs)-1], r)
-		n++
 		return true
 	})
-	out := make([]trails.Visit, 0, n)
-	for _, r := range mergeVisits(runs, n) {
-		out = append(out, trails.Visit{User: r.user, Page: r.page, Referrer: r.ref, Time: r.time()})
-	}
 	return out
 }
 

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"container/heap"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -34,8 +33,8 @@ import (
 // pages sort together: a leaf stores their shared URL prefix once. A
 // visits key leads with the user, so one user's visits in a time window
 // are one key range (visitWindow) and every user's are a run in (time, id)
-// order (visitRows merges the runs). Ids need no sequence record: reload's
-// scans find the largest of each table.
+// order, which trail replay reads as it is (visitRows). Ids need no
+// sequence record: reload's scans find the largest of each table.
 const (
 	pagesPrefix     = "url/"
 	visitsPrefix    = "v/"
@@ -263,39 +262,6 @@ func visitWindow(user int64, from, to time.Time) (lo, hi []byte) {
 func (e *Engine) visitsIn(user int64, from, to time.Time, fn func(visitRow) bool) error {
 	lo, hi := visitWindow(user, from, to)
 	return visitsTable.scan(e.kv, lo, hi, fn)
-}
-
-// mergeVisits merges n visits in non-empty runs, each sorted by (time, id),
-// into one slice in (time, id) order.
-func mergeVisits(h runHeap, n int) []visitRow {
-	heap.Init(&h)
-	out := make([]visitRow, 0, n)
-	for len(h) > 0 {
-		out = append(out, h[0][0])
-		if h[0] = h[0][1:]; len(h[0]) == 0 {
-			heap.Pop(&h)
-		} else {
-			heap.Fix(&h, 0)
-		}
-	}
-	return out
-}
-
-// runHeap orders non-empty runs by their head's (time, id).
-type runHeap [][]visitRow
-
-func (h runHeap) Len() int { return len(h) }
-func (h runHeap) Less(i, j int) bool {
-	a, b := h[i][0], h[j][0]
-	return a.at < b.at || a.at == b.at && a.id < b.id
-}
-func (h runHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *runHeap) Push(x any)   { *h = append(*h, x.([]visitRow)) }
-func (h *runHeap) Pop() any {
-	old := *h
-	x := old[len(old)-1]
-	*h = old[:len(old)-1]
-	return x
 }
 
 // appendOrdered appends v as an ordered uint (see the layout above).

@@ -56,8 +56,7 @@
 // # Reproducing the CI slo job locally
 //
 //	go build -o /tmp/memexd ./cmd/memexd
-//	/tmp/memexd -addr :8600 -dir /tmp/memex-slo -seed 7 -rate 50 -inflight 128 \
-//	    -shed-queue 0.9 -shed-foldlag 4096 &
+//	/tmp/memexd -addr :8600 -dir /tmp/memex-slo -seed 7 -rate 50 -inflight 128 &
 //	go run ./cmd/memexload -target http://localhost:8600 -scenario ci-small \
 //	    -seed 1 -world-seed 7 -slo-p99-status 750ms -out LOAD_local.json
 //

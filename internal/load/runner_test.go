@@ -72,7 +72,7 @@ func testUniverse(sc Scenario) (urls, queries []string) {
 // encoding.
 func TestRunAgainstLiveServer(t *testing.T) {
 	e := newTestEngine(t)
-	ts := httptest.NewServer(server.New(e))
+	ts := httptest.NewServer(server.New(e, server.Config{}))
 	defer ts.Close()
 
 	sc, _ := Lookup("unit")
@@ -188,7 +188,7 @@ func TestRunAgainstLiveServer(t *testing.T) {
 // fails on.
 func TestRunCountsPoliteSheds(t *testing.T) {
 	e := newTestEngine(t)
-	ts := httptest.NewServer(server.NewWith(e, server.Config{RatePerSec: 0.001}))
+	ts := httptest.NewServer(server.New(e, server.Config{RatePerSec: 0.001}))
 	defer ts.Close()
 
 	urls, queries := testUniverse(tiny)
@@ -224,7 +224,7 @@ func TestRunCountsPoliteSheds(t *testing.T) {
 // of them with an error.
 func TestScrapeRoundTrip(t *testing.T) {
 	e := newTestEngine(t)
-	ts := httptest.NewServer(server.New(e))
+	ts := httptest.NewServer(server.New(e, server.Config{}))
 	defer ts.Close()
 
 	urls, queries := testUniverse(tiny)

@@ -68,8 +68,10 @@ const (
 	rejectRate     = "rate"
 	rejectInFlight = "inflight"
 	rejectQueue    = "queue"
-	rejectFoldLag  = "foldlag"
 )
+
+// rejectReasons lists every reason, in exposition order.
+var rejectReasons = []string{rejectRate, rejectInFlight, rejectQueue}
 
 // endpointMetrics holds one route's counters. All fields are atomics;
 // the struct is shared by every request to the route.
@@ -86,7 +88,7 @@ type endpointMetrics struct {
 
 func newEndpointMetrics(name string) *endpointMetrics {
 	em := &endpointMetrics{name: name, rejected: map[string]*atomic.Uint64{}}
-	for _, reason := range []string{rejectRate, rejectInFlight, rejectQueue, rejectFoldLag} {
+	for _, reason := range rejectReasons {
 		em.rejected[reason] = &atomic.Uint64{}
 	}
 	return em
@@ -166,7 +168,7 @@ func (m *metricsSet) writeHTTPMetrics(w io.Writer) {
 
 	promHeader(w, "memex_http_rejected_total", "Requests refused by admission control, by endpoint and reason.", "counter")
 	for _, em := range eps {
-		for _, reason := range []string{rejectRate, rejectInFlight, rejectQueue, rejectFoldLag} {
+		for _, reason := range rejectReasons {
 			fmt.Fprintf(w, "memex_http_rejected_total{endpoint=%q,reason=%q} %d\n", em.name, reason, em.rejected[reason].Load())
 		}
 	}

@@ -163,27 +163,23 @@ func TestShedReason(t *testing.T) {
 	cases := []struct {
 		name string
 		p    core.Pressure
-		cfg  Config
 		want string
 	}{
-		{"all disabled", core.Pressure{QueueDepth: 100, QueueCap: 100, FoldLag: 1e6}, Config{}, ""},
-		{"queue under threshold", core.Pressure{QueueDepth: 89, QueueCap: 100}, Config{ShedQueueFraction: 0.9}, ""},
-		{"queue at threshold", core.Pressure{QueueDepth: 90, QueueCap: 100}, Config{ShedQueueFraction: 0.9}, rejectQueue},
-		{"queue full", core.Pressure{QueueDepth: 100, QueueCap: 100}, Config{ShedQueueFraction: 0.9}, rejectQueue},
-		{"fold lag under", core.Pressure{FoldLag: 64}, Config{ShedFoldLag: 64}, ""},
-		{"fold lag over", core.Pressure{FoldLag: 65}, Config{ShedFoldLag: 64}, rejectFoldLag},
-		{"queue wins over lag", core.Pressure{QueueDepth: 10, QueueCap: 10, FoldLag: 100}, Config{ShedQueueFraction: 0.5, ShedFoldLag: 1}, rejectQueue},
+		{"zero config sheds at 0.9", core.Pressure{QueueDepth: 100, QueueCap: 100, FoldLag: 1e6}, rejectQueue},
+		{"queue under threshold", core.Pressure{QueueDepth: 89, QueueCap: 100}, ""},
+		{"queue at threshold", core.Pressure{QueueDepth: 90, QueueCap: 100}, rejectQueue},
+		{"queue full", core.Pressure{QueueDepth: 100, QueueCap: 100}, rejectQueue},
 	}
 	for _, tc := range cases {
-		if got := shedReason(tc.p, tc.cfg); got != tc.want {
+		if got := shedReason(tc.p); got != tc.want {
 			t.Errorf("%s: shedReason = %q, want %q", tc.name, got, tc.want)
 		}
 	}
 }
 
 func TestConfigDefaults(t *testing.T) {
-	if (Config{}).withDefaults().Now == nil {
-		t.Fatal("Now not defaulted")
+	if (Config{}).withDefaults().now == nil {
+		t.Fatal("now not defaulted")
 	}
 	// The bucket depth is derived from the rate: 2×rate, floored at 8.
 	cases := []struct {

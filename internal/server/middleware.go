@@ -13,10 +13,9 @@ package server
 //     429s while humans sail through;
 //  2. a global in-flight cap bounds concurrent request work regardless
 //     of who sends it (503);
-//  3. write endpoints are shed with 503 when the engine's backpressure
-//     signals — background queue depth, fold watermark lag — cross
-//     their configured thresholds, so the publish pipeline degrades by
-//     refusing new ingest rather than by dropping archived events.
+//  3. write endpoints are shed with 503 when the background event queue
+//     is 90 % full, so the publish pipeline degrades by refusing new
+//     ingest rather than by dropping archived events.
 //
 // Ops endpoints (/metrics, /api/status) bypass all three: an operator
 // must be able to see a melting server.
@@ -33,10 +32,11 @@ import (
 	"memex/internal/core"
 )
 
-// Config tunes the server's observability and admission-control
-// middleware. The zero value disables every limiter (pure
-// observability — exactly the pre-admission behavior), so existing
-// embedders opt in knob by knob.
+// Config holds a deployment's capacity settings. Everything else about
+// admission is one policy that every server applies, whatever its Config:
+// write endpoints are shed with 503 once the background event queue is
+// shedQueueFraction full. The zero value adds no rate limit and no
+// in-flight cap.
 type Config struct {
 	// RatePerSec is the per-client steady-state request rate; 0 disables
 	// rate limiting. Clients are keyed by the `user` query parameter when
@@ -45,23 +45,20 @@ type Config struct {
 	// MaxInFlight caps concurrently served requests across all clients;
 	// 0 disables the cap. Ops endpoints are exempt.
 	MaxInFlight int
-	// ShedQueueFraction sheds write endpoints when the background event
-	// queue is at least this full (e.g. 0.9); 0 disables queue shedding.
-	ShedQueueFraction float64
-	// ShedFoldLag sheds write endpoints when the published watermark runs
-	// more than this many epochs ahead of the durable fold watermark;
-	// 0 disables fold-lag shedding.
-	ShedFoldLag uint64
-	// Now injects the middleware clock (limiter refill, latency
-	// measurement) for tests. Default time.Now.
-	Now func() time.Time
+
+	// now is the limiter refill and latency clock, time.Now when nil; set
+	// only by this package's tests.
+	now func() time.Time
 }
 
-// withDefaults fills the derived defaults without mutating the caller's
-// copy semantics (Config is passed by value).
+// shedQueueFraction is the event-queue fill at which write endpoints are
+// shed: 3 687 queued events of the engine's 4 096.
+const shedQueueFraction = 0.9
+
+// withDefaults fills the unset test-only clock.
 func (c Config) withDefaults() Config {
-	if c.Now == nil {
-		c.Now = time.Now
+	if c.now == nil {
+		c.now = time.Now
 	}
 	return c
 }
@@ -243,23 +240,19 @@ func (d *drainEstimator) retryAfter(depth, target int) int {
 
 // shedTarget is the queue depth below which writes are admitted again —
 // the re-entry point a shed client should aim its retry at.
-func shedTarget(p core.Pressure, cfg Config) int {
-	if cfg.ShedQueueFraction <= 0 || p.QueueCap <= 0 {
+func shedTarget(p core.Pressure) int {
+	if p.QueueCap <= 0 {
 		return 0
 	}
-	return int(cfg.ShedQueueFraction * float64(p.QueueCap))
+	return int(shedQueueFraction * float64(p.QueueCap))
 }
 
 // shedReason decides whether a write request should be refused under
-// the current backpressure signals; "" admits. Pure function of its
-// inputs so the thresholds are unit-testable.
-func shedReason(p core.Pressure, cfg Config) string {
-	if cfg.ShedQueueFraction > 0 && p.QueueCap > 0 &&
-		float64(p.QueueDepth) >= cfg.ShedQueueFraction*float64(p.QueueCap) {
+// the current queue depth; "" admits. Pure function of its inputs so the
+// threshold is unit-testable.
+func shedReason(p core.Pressure) string {
+	if p.QueueCap > 0 && float64(p.QueueDepth) >= shedQueueFraction*float64(p.QueueCap) {
 		return rejectQueue
-	}
-	if cfg.ShedFoldLag > 0 && p.FoldLag > cfg.ShedFoldLag {
-		return rejectFoldLag
 	}
 	return ""
 }
@@ -271,7 +264,7 @@ func shedReason(p core.Pressure, cfg Config) string {
 func (s *Server) handle(pattern string, class routeClass, h handler) {
 	em := s.metrics.register(pattern)
 	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
-		start := s.cfg.Now()
+		start := s.cfg.now()
 		em.requests.Add(1)
 		n := s.metrics.inFlight.Add(1)
 		defer s.metrics.inFlight.Add(-1)
@@ -287,13 +280,8 @@ func (s *Server) handle(pattern string, class routeClass, h handler) {
 			} else if class == writeRoute {
 				p := s.pressure()
 				s.drain.observe(p.QueueDepth, start)
-				if reason := shedReason(p, s.cfg); reason != "" {
-					// Queue sheds get the drain-rate hint; fold-lag sheds
-					// reuse it when the queue is also backed up (the common
-					// correlated case) and fall back to the 1s floor when
-					// only the fold is behind — the queue estimator knows
-					// nothing about fold progress.
-					retry := s.drain.retryAfter(p.QueueDepth, shedTarget(p, s.cfg))
+				if reason := shedReason(p); reason != "" {
+					retry := s.drain.retryAfter(p.QueueDepth, shedTarget(p))
 					code, rep = s.reject(w, em, reason, retry,
 						fmt.Errorf("overloaded (%s): retry later", reason))
 				}
@@ -305,7 +293,7 @@ func (s *Server) handle(pattern string, class routeClass, h handler) {
 		w.Header().Set("Content-Type", rep.contentType)
 		w.WriteHeader(code)
 		w.Write(rep.body) // a failed write means the client is gone: nobody left to tell
-		em.observe(code, s.cfg.Now().Sub(start))
+		em.observe(code, s.cfg.now().Sub(start))
 	})
 }
 

@@ -72,12 +72,12 @@ func TestDrainEstimator(t *testing.T) {
 // instead of the old constant "1".
 func TestAdaptiveRetryAfterOverHTTP(t *testing.T) {
 	clk := &fakeClock{t: time.Unix(3000, 0)}
-	srv := NewWith(newTestEngine(t), Config{ShedQueueFraction: 0.5, Now: clk.now})
+	srv := New(newTestEngine(t), Config{now: clk.now})
 
-	depths := []int{90, 80, 78, 95}
+	depths := []int{930, 920, 918, 935}
 	var call int
 	srv.pressure = func() core.Pressure {
-		p := core.Pressure{QueueDepth: depths[call], QueueCap: 100}
+		p := core.Pressure{QueueDepth: depths[call], QueueCap: 1000}
 		call++
 		return p
 	}
@@ -85,11 +85,11 @@ func TestAdaptiveRetryAfterOverHTTP(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	// target = 0.5×100 = 50; every depth above sheds. Expected hints:
-	// first sample unseeded → "1"; 90→80 over 1s seeds 10/s, excess 30
-	// → "3"; 80→78 gives EWMA (2+10)/2 = 6/s, excess 28 → "5"; then the
+	// target = 0.9×1000 = 900; every depth above sheds. Expected hints:
+	// first sample unseeded → "1"; 930→920 over 1s seeds 10/s, excess 20
+	// → "2"; 920→918 gives EWMA (2+10)/2 = 6/s, excess 18 → "3"; then the
 	// queue grows → ceiling.
-	want := []string{"1", "3", "5", "60"}
+	want := []string{"1", "2", "3", "60"}
 	for i, w := range want {
 		resp, err := http.Post(ts.URL+"/api/event", "application/json", strings.NewReader("{}"))
 		if err != nil {
@@ -108,7 +108,7 @@ func TestAdaptiveRetryAfterOverHTTP(t *testing.T) {
 	// Non-pressure rejections keep the flat 1s floor: the drain
 	// estimator knows nothing about token buckets.
 	clk2 := &fakeClock{t: time.Unix(4000, 0)}
-	srv2 := NewWith(newTestEngine(t), Config{RatePerSec: 0.001, Now: clk2.now})
+	srv2 := New(newTestEngine(t), Config{RatePerSec: 0.001, now: clk2.now})
 	ts2 := httptest.NewServer(srv2)
 	defer ts2.Close()
 	depth := bucketDepth(0.001)

@@ -23,14 +23,14 @@
 //     memex_cache_hit_ratio / _bytes / evicted_total{cause}, and the
 //     link-graph/disk gauges.
 //
-// Admission control is configured through Config (all knobs default
-// off): RatePerSec runs a per-client token bucket (keyed by the
-// `user` param, else remote host; max(8, 2×rate) deep) answering 429;
-// MaxInFlight caps global concurrency with 503; ShedQueueFraction and
-// ShedFoldLag shed write endpoints with 503 while the background event
-// queue or the fold watermark lag say the publish pipeline is backed
-// up. /metrics and /api/status are exempt so operators can always see
-// in.
+// Admission control is one policy: write endpoints are shed with 503
+// while the background event queue is 90 % full, so the publish pipeline
+// refuses new ingest instead of dropping archived events. Config holds
+// only a deployment's capacity settings, both off by default: RatePerSec
+// runs a per-client token bucket (keyed by the `user` param, else remote
+// host; max(8, 2×rate) deep) answering 429, and MaxInFlight caps global
+// concurrency with 503. /metrics and /api/status are exempt so operators
+// can always see in.
 //
 // Routing gotcha: the mux below registers method-qualified patterns
 // ("POST /api/user", "GET /api/search", ...), which require the enhanced
@@ -74,15 +74,9 @@ type Server struct {
 	drain drainEstimator
 }
 
-// New builds the handler set over an engine with default middleware
-// settings: full /metrics observability, no admission limits.
-func New(e *core.Engine) *Server {
-	return NewWith(e, Config{})
-}
-
-// NewWith builds the handler set with explicit observability and
-// admission-control settings.
-func NewWith(e *core.Engine, cfg Config) *Server {
+// New builds the handler set over an engine, with full /metrics
+// observability, the queue shed, and cfg's capacity limits.
+func New(e *core.Engine, cfg Config) *Server {
 	s := &Server{
 		engine:   e,
 		mux:      http.NewServeMux(),
@@ -91,7 +85,7 @@ func NewWith(e *core.Engine, cfg Config) *Server {
 		pressure: e.Pressure,
 	}
 	if s.cfg.RatePerSec > 0 {
-		s.limiter = newLimiter(s.cfg.RatePerSec, bucketDepth(s.cfg.RatePerSec), s.cfg.Now)
+		s.limiter = newLimiter(s.cfg.RatePerSec, bucketDepth(s.cfg.RatePerSec), s.cfg.now)
 	}
 	s.handle("POST /api/user", writeRoute, s.handleUser)
 	s.handle("POST /api/event", writeRoute, s.handleEvent)
@@ -295,6 +289,20 @@ func requireUser(r *http.Request) (int64, error) {
 	return user, err
 }
 
+// sameUser refuses a write whose user param, which keys the rate limiter
+// (clientKey), names another user than its body, which names the user
+// archived: a write is throttled as the user it writes for.
+func sameUser(r *http.Request, body int64) error {
+	if r.URL.Query().Get("user") == "" {
+		return nil
+	}
+	user, err := qint64(r, "user")
+	if err == nil && user != body {
+		err = badRequestf("user param %d names another user than the body's %d", user, body)
+	}
+	return err
+}
+
 // Caps on the count params, far above every caller (k ≤ 15, budget ≤ 400,
 // 2–3 search terms): k sizes candidate sets, budget is pages crawled and
 // each distinct query term is a posting list walked, all on the request's
@@ -350,6 +358,9 @@ func (s *Server) handleEvent(r *http.Request) (reply, error) {
 	if req.User == 0 || req.URL == "" {
 		return reply{}, badRequestf("user and url required")
 	}
+	if err := sameUser(r, req.User); err != nil {
+		return reply{}, err
+	}
 	privacy, err := parsePrivacy(req.Privacy)
 	if err != nil {
 		return reply{}, err
@@ -368,6 +379,9 @@ func (s *Server) handleBookmark(r *http.Request) (reply, error) {
 	if req.User == 0 || req.URL == "" || req.Folder == "" {
 		return reply{}, badRequestf("user, url and folder required")
 	}
+	if err := sameUser(r, req.User); err != nil {
+		return reply{}, err
+	}
 	if err := s.engine.AddBookmark(req.User, req.URL, req.Folder, req.Time); err != nil {
 		return reply{}, err
 	}
@@ -378,6 +392,9 @@ func (s *Server) handleCorrect(r *http.Request) (reply, error) {
 	req, err := decode[CorrectReq](r)
 	if err != nil {
 		return reply{}, err
+	}
+	if req.User == 0 || req.URL == "" || req.Folder == "" {
+		return reply{}, badRequestf("user, url and folder required")
 	}
 	if err := s.engine.CorrectPlacement(req.User, req.URL, req.Folder); err != nil {
 		return reply{}, badRequest(err.Error())

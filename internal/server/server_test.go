@@ -46,11 +46,13 @@ func newTestEngine(t *testing.T) *core.Engine {
 // bugs, over all 16 routes: a malformed user must say "bad user" (not
 // masquerade as missing), a missing one must say "user required", a
 // malformed since, k or budget must be refused instead of quietly taking
-// a default, and an unknown privacy mode must not widen to community.
+// a default, an unknown privacy mode must not widen to community, a
+// correction must name its user and folder, and a write's user param,
+// which keys the rate limiter, must name the user its body archives.
 // Every refusal is a 400 with the JSON error envelope; a route that takes
 // no params ignores junk ones (wantErr "" wants a 200).
 func TestBadParamsReturn400(t *testing.T) {
-	srv := New(newTestEngine(t))
+	srv := New(newTestEngine(t), Config{})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
@@ -92,8 +94,11 @@ func TestBadParamsReturn400(t *testing.T) {
 		{"event private", "POST", "/api/event", visit + `"privacy":"private"}`, ""},
 		{"event url over the store's row limit", "POST", "/api/event", `{"user":1,"url":"http://x/` + strings.Repeat("x", 2000) + `"}`,
 			fmt.Sprintf("may take %d bytes", kvstore.MaxKV)},
+		{"event query user names another user", "POST", "/api/event?user=7", visit + `"privacy":"community"}`, "names another user"},
 		{"bookmark missing folder", "POST", "/api/bookmark", `{"user":1,"url":"http://x/"}`, "user, url and folder required"},
+		{"bookmark query user names another user", "POST", "/api/bookmark?user=7", `{"user":1,"url":"http://x/","folder":"/f"}`, "names another user"},
 		{"correct malformed body", "POST", "/api/correct", `{`, "bad request body"},
+		{"correct missing user and folder", "POST", "/api/correct", `{"url":"http://x/"}`, "user, url and folder required"},
 		{"correct unknown page", "POST", "/api/correct", `{"user":1,"url":"http://never-seen/","folder":"/f"}`, "unknown page"},
 		{"themes ignores params", "GET", "/api/themes?k=abc", "", ""},
 		{"rebuild ignores params", "POST", "/api/themes/rebuild?user=abc", "", ""},
@@ -151,7 +156,7 @@ func TestBadParamsReturn400(t *testing.T) {
 // bookmark is filed.
 func TestOversizeBodiesAreRefused(t *testing.T) {
 	e := newTestEngine(t)
-	srv := New(e)
+	srv := New(e, Config{})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
@@ -224,7 +229,7 @@ func TestHTTPServerTimeouts(t *testing.T) {
 // answering. Every other GET route reads neither param: the same oversize
 // query gets no cap error from it.
 func TestOversizeCountsAreRefused(t *testing.T) {
-	srv := New(newTestEngine(t))
+	srv := New(newTestEngine(t), Config{})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	get := func(path string) (int, string) {
@@ -282,7 +287,7 @@ func TestOversizeCountsAreRefused(t *testing.T) {
 // property of every route: whatever a handler had rendered when it
 // failed, the client gets a 500 and the JSON envelope, and none of it.
 func TestFailedHandlerCommitsOnlyTheError(t *testing.T) {
-	srv := New(newTestEngine(t))
+	srv := New(newTestEngine(t), Config{})
 	srv.handle("GET /half", readRoute, func(*http.Request) (reply, error) {
 		return reply{"text/html; charset=utf-8", []byte("<DL><DT>half a tree")}, fmt.Errorf("walk failed")
 	})
@@ -309,7 +314,7 @@ func TestFailedHandlerCommitsOnlyTheError(t *testing.T) {
 // qint64 fix exists for: ?user=abc used to parse to 0 and return the
 // misleading "user required".
 func TestMalformedUserDistinctFromMissing(t *testing.T) {
-	ts := httptest.NewServer(New(newTestEngine(t)))
+	ts := httptest.NewServer(New(newTestEngine(t), Config{}))
 	defer ts.Close()
 	get := func(path string) string {
 		resp, err := http.Get(ts.URL + path)
@@ -335,7 +340,7 @@ func TestMalformedUserDistinctFromMissing(t *testing.T) {
 // visit; the visit's owner still finds it.
 func TestAnonymousSearchSeesOnlyCommunityPages(t *testing.T) {
 	e := newTestEngine(t)
-	ts := httptest.NewServer(New(e))
+	ts := httptest.NewServer(New(e, Config{}))
 	defer ts.Close()
 	const secret = "http://intranet.example.org/alice/secret-plan"
 	resp, err := http.Post(ts.URL+"/api/event", "application/json",
@@ -371,7 +376,7 @@ func TestAnonymousSearchSeesOnlyCommunityPages(t *testing.T) {
 
 func TestRateLimitAnswers429(t *testing.T) {
 	clk := &fakeClock{t: time.Unix(2000, 0)}
-	srv := NewWith(newTestEngine(t), Config{RatePerSec: 0.001, Now: clk.now})
+	srv := New(newTestEngine(t), Config{RatePerSec: 0.001, now: clk.now})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
@@ -425,7 +430,7 @@ func TestRateLimitAnswers429(t *testing.T) {
 }
 
 func TestInFlightCapAnswers503(t *testing.T) {
-	srv := NewWith(newTestEngine(t), Config{MaxInFlight: 1})
+	srv := New(newTestEngine(t), Config{MaxInFlight: 1})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
@@ -465,8 +470,37 @@ func TestInFlightCapAnswers503(t *testing.T) {
 	}
 }
 
+// TestZeroConfigShedsAtNinetyPercent: a server built with no settings at
+// all sheds writes as memexd does, from 3 687 queued events of 4 096 on.
+func TestZeroConfigShedsAtNinetyPercent(t *testing.T) {
+	srv := New(newTestEngine(t), Config{})
+	var depth int
+	srv.pressure = func() core.Pressure {
+		return core.Pressure{QueueDepth: depth, QueueCap: 4096}
+	}
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	for _, tc := range []struct{ depth, want int }{{3686, http.StatusOK}, {3687, http.StatusServiceUnavailable}} {
+		depth = tc.depth
+		resp, err := http.Post(ts.URL+"/api/event", "application/json",
+			strings.NewReader(`{"user":1,"url":"http://x/"}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Fatalf("write at queue depth %d: status %d body %s, want %d", tc.depth, resp.StatusCode, body, tc.want)
+		}
+		if tc.want == http.StatusServiceUnavailable && resp.Header.Get("Retry-After") == "" {
+			t.Fatalf("shed at queue depth %d without Retry-After", tc.depth)
+		}
+	}
+}
+
 func TestWriteShedOnSyntheticPressure(t *testing.T) {
-	srv := NewWith(newTestEngine(t), Config{ShedQueueFraction: 0.9})
+	srv := New(newTestEngine(t), Config{})
 	// Inject a synthetic backed-up pipeline; reads must pass, writes 503.
 	srv.pressure = func() core.Pressure {
 		return core.Pressure{QueueDepth: 95, QueueCap: 100}
@@ -505,7 +539,7 @@ func TestWriteShedOnSyntheticPressure(t *testing.T) {
 // chain and checks the scrape reflects them.
 func TestMetricsEndpointMovesWithTraffic(t *testing.T) {
 	e := newTestEngine(t)
-	ts := httptest.NewServer(New(e))
+	ts := httptest.NewServer(New(e, Config{}))
 	defer ts.Close()
 
 	for i := 0; i < 3; i++ {
@@ -620,7 +654,7 @@ func TestMetricsShowFailedFolds(t *testing.T) {
 // scrape path takes no lock the request path misses.
 func TestMetricsConcurrentWithIngest(t *testing.T) {
 	e := newTestEngine(t)
-	ts := httptest.NewServer(New(e))
+	ts := httptest.NewServer(New(e, Config{}))
 	defer ts.Close()
 
 	const (
@@ -708,7 +742,7 @@ func grepMetrics(body, substr string) string {
 // is a 400 naming it. The count is of distinct index terms: a repeated
 // word, or one the stop list drops, costs no list.
 func TestQueryTermCap(t *testing.T) {
-	ts := httptest.NewServer(New(newTestEngine(t)))
+	ts := httptest.NewServer(New(newTestEngine(t), Config{}))
 	defer ts.Close()
 	words := func(n int) []string {
 		out := make([]string, n)

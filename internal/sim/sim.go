@@ -30,12 +30,14 @@ type Config struct {
 	CommunityFocus float64
 	HotTopics      int     // number of community hot topics (default 4)
 	BookmarkProb   float64 // chance a visited page is bookmarked (default 0.12)
-	CoarseUserFrac float64 // users with one folder per top topic (default 0.4)
 	FollowProb     float64 // continue walk via link vs jump (default 0.7)
-	// Start is the first simulated instant (defaults to 2000-05-15 09:00 UTC,
-	// the paper's era).
-	Start time.Time
 }
+
+// coarseUserFrac is the fraction of users with one folder per top topic.
+const coarseUserFrac = 0.4
+
+// simStart is the first simulated instant, in the paper's era.
+var simStart = time.Date(2000, 5, 15, 9, 0, 0, 0, time.UTC)
 
 func (c *Config) defaults() {
 	if c.Users == 0 {
@@ -62,14 +64,8 @@ func (c *Config) defaults() {
 	if c.BookmarkProb == 0 {
 		c.BookmarkProb = 0.12
 	}
-	if c.CoarseUserFrac == 0 {
-		c.CoarseUserFrac = 0.4
-	}
 	if c.FollowProb == 0 {
 		c.FollowProb = 0.7
-	}
-	if c.Start.IsZero() {
-		c.Start = time.Date(2000, 5, 15, 9, 0, 0, 0, time.UTC)
 	}
 }
 
@@ -126,7 +122,7 @@ func Simulate(c *webcorpus.Corpus, cfg Config) *Trace {
 			ID:        int64(u + 1),
 			Name:      fmt.Sprintf("user%02d", u+1),
 			Interests: map[int]float64{},
-			Coarse:    rng.Float64() < cfg.CoarseUserFrac,
+			Coarse:    rng.Float64() < coarseUserFrac,
 			FolderOf:  map[int]string{},
 		}
 		// Pick interest topics: hot with prob CommunityFocus, else uniform.
@@ -162,7 +158,7 @@ func Simulate(c *webcorpus.Corpus, cfg Config) *Trace {
 			user := &tr.Users[ui]
 			nSessions := poisson(rng, cfg.SessionsPerDay)
 			for s := 0; s < nSessions; s++ {
-				start := cfg.Start.
+				start := simStart.
 					Add(time.Duration(day) * 24 * time.Hour).
 					Add(time.Duration(rng.Intn(14*3600)) * time.Second)
 				simulateSession(c, cfg, rng, tr, user, start)

@@ -35,8 +35,10 @@ type Session struct {
 // DefaultGap is the classic 30-minute session-segmentation threshold.
 const DefaultGap = 30 * time.Minute
 
-// Segment splits time-ordered visits into per-user sessions using the gap
-// threshold (gap <= 0 takes DefaultGap). Input visits may interleave users.
+// Segment splits visits into per-user sessions using the gap threshold
+// (gap <= 0 takes DefaultGap). It needs each user's visits in time order;
+// users may come one after another or interleave. Sessions come back by
+// (start, user).
 func Segment(visits []Visit, gap time.Duration) []Session {
 	if gap <= 0 {
 		gap = DefaultGap

@@ -24,11 +24,7 @@ type Config struct {
 	TopTopics     int     // first-level topics (default 8)
 	SubPerTopic   int     // leaves per top topic (default 6)
 	PagesPerLeaf  int     // pages per leaf topic (default 40)
-	VocabPerLeaf  int     // topic-specific terms per leaf (default 40)
-	VocabPerTop   int     // terms shared within a top topic (default 30)
-	SharedVocab   int     // global background vocabulary (default 400)
 	FrontPageFrac float64 // fraction of sparse front pages (default 0.35)
-	ContentWords  int     // mean words on a content page (default 120)
 	FrontWords    int     // mean words on a front page (default 12)
 	// FrontTopicMix is the probability that a front-page word is topical
 	// rather than boilerplate (default 0.15). The paper's observation that
@@ -36,12 +32,20 @@ type Config struct {
 	// reason text-only classification collapses; lower values make the E1
 	// regime harsher.
 	FrontTopicMix float64
-	LinksPerPage  int     // mean out-links (default 6)
 	IntraLeafProb float64 // link stays in the same leaf (default 0.55)
 	IntraTopProb  float64 // else link stays in the same top topic (default 0.30)
-	TopicMix      float64 // fraction of content words drawn from leaf vocab (default 0.45)
-	ParentMix     float64 // fraction from the top-topic vocab (default 0.20)
 }
+
+// Generation constants: the shape of every page that no caller tunes.
+const (
+	vocabPerLeaf = 40   // topic-specific terms per leaf
+	vocabPerTop  = 30   // terms shared within a top topic
+	sharedVocab  = 400  // global background vocabulary
+	contentWords = 120  // mean words on a content page
+	linksPerPage = 6    // mean out-links
+	topicMix     = 0.45 // fraction of content words drawn from leaf vocab
+	parentMix    = 0.20 // fraction from the top-topic vocab
+)
 
 func (c *Config) defaults() {
 	if c.TopTopics == 0 {
@@ -53,38 +57,17 @@ func (c *Config) defaults() {
 	if c.PagesPerLeaf == 0 {
 		c.PagesPerLeaf = 40
 	}
-	if c.VocabPerLeaf == 0 {
-		c.VocabPerLeaf = 40
-	}
-	if c.VocabPerTop == 0 {
-		c.VocabPerTop = 30
-	}
-	if c.SharedVocab == 0 {
-		c.SharedVocab = 400
-	}
 	if c.FrontPageFrac == 0 {
 		c.FrontPageFrac = 0.35
 	}
-	if c.ContentWords == 0 {
-		c.ContentWords = 120
-	}
 	if c.FrontWords == 0 {
 		c.FrontWords = 12
-	}
-	if c.LinksPerPage == 0 {
-		c.LinksPerPage = 6
 	}
 	if c.IntraLeafProb == 0 {
 		c.IntraLeafProb = 0.55
 	}
 	if c.IntraTopProb == 0 {
 		c.IntraTopProb = 0.30
-	}
-	if c.TopicMix == 0 {
-		c.TopicMix = 0.45
-	}
-	if c.ParentMix == 0 {
-		c.ParentMix = 0.20
 	}
 	if c.FrontTopicMix == 0 {
 		c.FrontTopicMix = 0.15
@@ -145,7 +128,7 @@ func Generate(cfg Config) *Corpus {
 	}
 
 	// Shared background vocabulary with Zipfian draw order.
-	shared := make([]string, cfg.SharedVocab)
+	shared := make([]string, sharedVocab)
 	for i := range shared {
 		shared[i] = fmt.Sprintf("word%03d", i)
 	}
@@ -161,7 +144,7 @@ func Generate(cfg Config) *Corpus {
 		if t >= len(topNames) {
 			name = fmt.Sprintf("%s%d", name, t/len(topNames))
 		}
-		vocab := make([]string, cfg.VocabPerTop)
+		vocab := make([]string, vocabPerTop)
 		for i := range vocab {
 			vocab[i] = fmt.Sprintf("%s_gen%02d", name, i)
 		}
@@ -177,7 +160,7 @@ func Generate(cfg Config) *Corpus {
 				name = fmt.Sprintf("%s%d", name, s/len(subNames))
 			}
 			id := len(c.Topics)
-			vocab := make([]string, cfg.VocabPerLeaf)
+			vocab := make([]string, vocabPerLeaf)
 			for i := range vocab {
 				vocab[i] = fmt.Sprintf("%s_%s%02d", top.Name, name, i)
 			}
@@ -213,13 +196,13 @@ func Generate(cfg Config) *Corpus {
 					}
 				}
 			} else {
-				n := cfg.ContentWords/2 + rng.Intn(cfg.ContentWords)
+				n := contentWords/2 + rng.Intn(contentWords)
 				for i := 0; i < n; i++ {
 					r := rng.Float64()
 					switch {
-					case r < cfg.TopicMix:
+					case r < topicMix:
 						words = append(words, topic.Vocab[zipf(rng, len(topic.Vocab))])
-					case r < cfg.TopicMix+cfg.ParentMix:
+					case r < topicMix+parentMix:
 						words = append(words, parent.Vocab[zipf(rng, len(parent.Vocab))])
 					default:
 						words = append(words, shared[zipf(rng, len(shared))])
@@ -243,7 +226,7 @@ func Generate(cfg Config) *Corpus {
 	for i := range c.Pages {
 		pg := &c.Pages[i]
 		leaf := c.Topics[pg.Topic]
-		n := 1 + rng.Intn(cfg.LinksPerPage*2-1) // mean ≈ LinksPerPage
+		n := 1 + rng.Intn(linksPerPage*2-1) // mean ≈ linksPerPage
 		seen := map[int64]bool{pg.ID: true}
 		for l := 0; l < n; l++ {
 			var target int64

@@ -7,24 +7,25 @@ import (
 	"memex/internal/server"
 )
 
-// ServeConfig tunes the HTTP layer's observability and admission
-// middleware: per-client rate limiting, the global in-flight cap, and
-// the backpressure thresholds that shed write endpoints. The zero value
-// keeps every limiter off while still serving GET /metrics (see the
-// internal/server package doc for the metric families and knobs).
+// ServeConfig holds the HTTP layer's capacity settings: per-client rate
+// limiting and the global in-flight cap, both off in the zero value. Every
+// handler sheds write endpoints with 503 once the background event queue
+// is 90 % full, and serves GET /metrics (see the internal/server package
+// doc for the metric families).
 type ServeConfig = server.Config
 
 // Handler returns the HTTP API handler for an engine, mountable in any
-// http.Server (the paper's servlet container). Admission control is
-// disabled; use HandlerWith to enable it.
+// http.Server (the paper's servlet container), with the zero ServeConfig:
+// writes are shed at 90 % queue depth, and nothing is rate limited or
+// capped.
 func (m *Memex) Handler() http.Handler {
-	return server.New(m.Engine)
+	return server.New(m.Engine, ServeConfig{})
 }
 
-// HandlerWith returns the HTTP API handler with explicit admission
+// HandlerWith returns the HTTP API handler with a deployment's capacity
 // settings.
 func (m *Memex) HandlerWith(cfg ServeConfig) http.Handler {
-	return server.NewWith(m.Engine, cfg)
+	return server.New(m.Engine, cfg)
 }
 
 // Serve runs the HTTP API on addr until the server fails, with the
