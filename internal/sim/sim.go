@@ -80,6 +80,9 @@ type User struct {
 	// FolderOf maps leaf topic id → the folder path this user files that
 	// topic's bookmarks under.
 	FolderOf map[int]string
+	// topics holds Interests' keys in increasing order, the order in
+	// which weights are summed and drawn, so a seed gives the same bits.
+	topics []int
 }
 
 // Visit is one page view event.
@@ -135,12 +138,14 @@ func Simulate(c *webcorpus.Corpus, cfg Config) *Trace {
 			}
 			if _, ok := user.Interests[leaf.ID]; !ok {
 				user.Interests[leaf.ID] = 0.5 + rng.Float64()
+				user.topics = append(user.topics, leaf.ID)
 			}
 		}
-		normalizeInterests(user.Interests)
+		sort.Ints(user.topics)
+		normalizeInterests(&user)
 		// Folder layout: coarse users group by top topic; fine users get a
 		// folder per leaf, with a personal naming quirk.
-		for tid := range user.Interests {
+		for _, tid := range user.topics {
 			leaf := c.Topics[tid]
 			top := c.Topics[leaf.Parent]
 			if user.Coarse {
@@ -172,7 +177,7 @@ func Simulate(c *webcorpus.Corpus, cfg Config) *Trace {
 
 // simulateSession walks the link graph from a topical entry page.
 func simulateSession(c *webcorpus.Corpus, cfg Config, rng *rand.Rand, tr *Trace, user *User, start time.Time) {
-	topic := samplTopic(rng, user.Interests)
+	topic := samplTopic(rng, user)
 	pages := c.LeafPages[topic]
 	if len(pages) == 0 {
 		return
@@ -223,33 +228,29 @@ func simulateSession(c *webcorpus.Corpus, cfg Config, rng *rand.Rand, tr *Trace,
 }
 
 // samplTopic draws a topic id proportional to interest weight.
-func samplTopic(rng *rand.Rand, interests map[int]float64) int {
-	ids := make([]int, 0, len(interests))
-	for id := range interests {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
+func samplTopic(rng *rand.Rand, user *User) int {
 	r := rng.Float64()
 	var acc float64
-	for _, id := range ids {
-		acc += interests[id]
+	for _, id := range user.topics {
+		acc += user.Interests[id]
 		if r <= acc {
 			return id
 		}
 	}
-	return ids[len(ids)-1]
+	return user.topics[len(user.topics)-1]
 }
 
-func normalizeInterests(m map[int]float64) {
+// normalizeInterests scales a user's weights to sum to 1.
+func normalizeInterests(user *User) {
 	var sum float64
-	for _, v := range m {
-		sum += v
+	for _, id := range user.topics {
+		sum += user.Interests[id]
 	}
 	if sum == 0 {
 		return
 	}
-	for k := range m {
-		m[k] /= sum
+	for _, id := range user.topics {
+		user.Interests[id] /= sum
 	}
 }
 
@@ -295,11 +296,4 @@ func (tr *Trace) VisitsOf(user int64) []Visit {
 		}
 	}
 	return out
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -161,11 +162,36 @@ func TestEraTimestamps(t *testing.T) {
 	}
 }
 
+// TestInterestWeightsRepeat replays one simulation and wants every
+// interest weight bit-identical: a sum taken in map order differs in its
+// last bits from run to run.
+func TestInterestWeightsRepeat(t *testing.T) {
+	c := webcorpus.Generate(webcorpus.Config{Seed: 1, TopTopics: 4, SubPerTopic: 4, PagesPerLeaf: 5})
+	cfg := Config{Seed: 2, Users: 50, Days: 1}
+	first := Simulate(c, cfg)
+	for r := 1; r < 20; r++ {
+		tr := Simulate(c, cfg)
+		for i, u := range tr.Users {
+			for id, w := range u.Interests {
+				if want := first.Users[i].Interests[id]; math.Float64bits(w) != math.Float64bits(want) {
+					t.Fatalf("replay %d: user %d topic %d weight %v, first run %v", r, u.ID, id, w, want)
+				}
+			}
+		}
+	}
+}
+
+var traceSink *Trace
+
+// BenchmarkSimulate runs the benchmark's community (bench/workloads.go:
+// 50 users, 16 days, seed 2 as memex.GenerateWorld derives it from world
+// seed 1) over the benchmark's Web.
 func BenchmarkSimulate(b *testing.B) {
-	c := webcorpus.Generate(webcorpus.Config{Seed: 1})
-	cfg := Config{Seed: 2, Users: 50, Days: 10}
+	b.ReportAllocs()
+	c := webcorpus.Generate(webcorpus.Config{Seed: 1, PagesPerLeaf: 800})
+	cfg := Config{Seed: 2, Users: 50, Days: 16}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Simulate(c, cfg)
+		traceSink = Simulate(c, cfg)
 	}
 }

@@ -10,11 +10,19 @@
 // Links are predominantly intra-topic with tunable cross-topic noise,
 // preserving the link locality that the enhanced classifier and the
 // focused crawler exploit.
+//
+// The corpus is a pure function of its Config: the same Config gives the
+// same bytes on every build and every run, and nothing is cached across
+// calls. TestWorldFingerprints (package memex) pins it. Every benchmark
+// number is measured on a generated world, so a change to any generated
+// byte, or to the order of the random draws, is a benchmark change
+// (DESIGN.md §2).
 package webcorpus
 
 import (
-	"fmt"
 	"math/rand"
+	"slices"
+	"strconv"
 	"strings"
 )
 
@@ -121,16 +129,20 @@ var subNames = []string{
 func Generate(cfg Config) *Corpus {
 	cfg.defaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
+	leaves := cfg.TopTopics * cfg.SubPerTopic
+	pages := leaves * cfg.PagesPerLeaf
 	c := &Corpus{
 		Cfg:       cfg,
-		ByURL:     map[string]int64{},
-		LeafPages: map[int][]int64{},
+		Topics:    make([]Topic, 0, cfg.TopTopics+leaves),
+		Pages:     make([]Page, 0, pages),
+		ByURL:     make(map[string]int64, pages),
+		LeafPages: make(map[int][]int64, leaves),
 	}
 
 	// Shared background vocabulary with Zipfian draw order.
 	shared := make([]string, sharedVocab)
 	for i := range shared {
-		shared[i] = fmt.Sprintf("word%03d", i)
+		shared[i] = numbered("word", i, 3)
 	}
 	// Front-page boilerplate (drawn heavily on front pages).
 	boiler := []string{
@@ -142,11 +154,11 @@ func Generate(cfg Config) *Corpus {
 	for t := 0; t < cfg.TopTopics; t++ {
 		name := topNames[t%len(topNames)]
 		if t >= len(topNames) {
-			name = fmt.Sprintf("%s%d", name, t/len(topNames))
+			name += strconv.Itoa(t / len(topNames))
 		}
 		vocab := make([]string, vocabPerTop)
 		for i := range vocab {
-			vocab[i] = fmt.Sprintf("%s_gen%02d", name, i)
+			vocab[i] = numbered(name+"_gen", i, 2)
 		}
 		c.Topics = append(c.Topics, Topic{
 			ID: t, Parent: -1, Name: name, Path: "/" + name, Vocab: vocab,
@@ -157,12 +169,12 @@ func Generate(cfg Config) *Corpus {
 		for s := 0; s < cfg.SubPerTopic; s++ {
 			name := subNames[s%len(subNames)]
 			if s >= len(subNames) {
-				name = fmt.Sprintf("%s%d", name, s/len(subNames))
+				name += strconv.Itoa(s / len(subNames))
 			}
 			id := len(c.Topics)
 			vocab := make([]string, vocabPerLeaf)
 			for i := range vocab {
-				vocab[i] = fmt.Sprintf("%s_%s%02d", top.Name, name, i)
+				vocab[i] = numbered(top.Name+"_"+name, i, 2)
 			}
 			c.Topics = append(c.Topics, Topic{
 				ID: id, Parent: t, Name: name,
@@ -171,16 +183,25 @@ func Generate(cfg Config) *Corpus {
 		}
 	}
 
-	// Pages.
+	// Pages. Each page's words go into one reused buffer, so a page's
+	// text costs the one string the corpus keeps.
+	var text []byte
+	word := func(w string) {
+		if len(text) > 0 {
+			text = append(text, ' ')
+		}
+		text = append(text, w...)
+	}
 	for _, topic := range c.Topics {
 		if !topic.Leaf {
 			continue
 		}
 		parent := c.Topics[topic.Parent]
+		ids := make([]int64, 0, cfg.PagesPerLeaf)
 		for p := 0; p < cfg.PagesPerLeaf; p++ {
 			id := int64(len(c.Pages) + 1)
 			front := rng.Float64() < cfg.FrontPageFrac
-			var words []string
+			text = text[:0]
 			if front {
 				n := cfg.FrontWords/2 + rng.Intn(cfg.FrontWords)
 				for i := 0; i < n; i++ {
@@ -188,11 +209,11 @@ func Generate(cfg Config) *Corpus {
 					switch {
 					case r < cfg.FrontTopicMix:
 						// faint topical whisper
-						words = append(words, topic.Vocab[zipf(rng, len(topic.Vocab))])
+						word(topic.Vocab[zipf(rng, len(topic.Vocab))])
 					case r < cfg.FrontTopicMix+0.55:
-						words = append(words, boiler[rng.Intn(len(boiler))])
+						word(boiler[rng.Intn(len(boiler))])
 					default:
-						words = append(words, shared[zipf(rng, len(shared))])
+						word(shared[zipf(rng, len(shared))])
 					}
 				}
 			} else {
@@ -201,33 +222,34 @@ func Generate(cfg Config) *Corpus {
 					r := rng.Float64()
 					switch {
 					case r < topicMix:
-						words = append(words, topic.Vocab[zipf(rng, len(topic.Vocab))])
+						word(topic.Vocab[zipf(rng, len(topic.Vocab))])
 					case r < topicMix+parentMix:
-						words = append(words, parent.Vocab[zipf(rng, len(parent.Vocab))])
+						word(parent.Vocab[zipf(rng, len(parent.Vocab))])
 					default:
-						words = append(words, shared[zipf(rng, len(shared))])
+						word(shared[zipf(rng, len(shared))])
 					}
 				}
 			}
-			url := fmt.Sprintf("http://www%s.example.org/%s/p%d.html", parent.Name, topic.Name, p)
-			title := fmt.Sprintf("%s %s page %d", parent.Name, topic.Name, p)
-			pg := Page{
-				ID: id, URL: url, Title: title,
-				Text:  strings.Join(words, " "),
+			num := strconv.Itoa(p)
+			url := "http://www" + parent.Name + ".example.org/" + topic.Name + "/p" + num + ".html"
+			c.Pages = append(c.Pages, Page{
+				ID: id, URL: url, Title: parent.Name + " " + topic.Name + " page " + num,
+				Text:  string(text),
 				Topic: topic.ID, Front: front,
-			}
-			c.Pages = append(c.Pages, pg)
+			})
 			c.ByURL[url] = id
-			c.LeafPages[topic.ID] = append(c.LeafPages[topic.ID], id)
+			ids = append(ids, id)
 		}
+		c.LeafPages[topic.ID] = ids
 	}
 
-	// Links.
+	// Links. A page has at most linksPerPage*2-1 of them, so a scan of
+	// those chosen so far is the duplicate check.
 	for i := range c.Pages {
 		pg := &c.Pages[i]
 		leaf := c.Topics[pg.Topic]
 		n := 1 + rng.Intn(linksPerPage*2-1) // mean ≈ linksPerPage
-		seen := map[int64]bool{pg.ID: true}
+		pg.Links = make([]int64, 0, n)
 		for l := 0; l < n; l++ {
 			var target int64
 			r := rng.Float64()
@@ -243,13 +265,18 @@ func Generate(cfg Config) *Corpus {
 			default:
 				target = c.Pages[rng.Intn(len(c.Pages))].ID
 			}
-			if !seen[target] {
-				seen[target] = true
+			if target != pg.ID && !slices.Contains(pg.Links, target) {
 				pg.Links = append(pg.Links, target)
 			}
 		}
 	}
 	return c
+}
+
+// numbered is prefix followed by i zero-padded to width digits.
+func numbered(prefix string, i, width int) string {
+	digits := strconv.Itoa(i)
+	return prefix + strings.Repeat("0", max(0, width-len(digits))) + digits
 }
 
 // zipf draws an index in [0,n) with probability ∝ 1/(i+1): a light Zipf

@@ -11,19 +11,6 @@ func small() Config {
 	return Config{Seed: 42, TopTopics: 3, SubPerTopic: 2, PagesPerLeaf: 10}
 }
 
-func TestGenerateDeterministic(t *testing.T) {
-	a := Generate(small())
-	b := Generate(small())
-	if len(a.Pages) != len(b.Pages) {
-		t.Fatalf("page counts differ: %d vs %d", len(a.Pages), len(b.Pages))
-	}
-	for i := range a.Pages {
-		if a.Pages[i].Text != b.Pages[i].Text || a.Pages[i].URL != b.Pages[i].URL {
-			t.Fatalf("page %d differs across runs", i)
-		}
-	}
-}
-
 func TestGenerateStructure(t *testing.T) {
 	c := Generate(small())
 	if got := len(c.Topics); got != 3+3*2 {
@@ -174,9 +161,26 @@ func TestNoSelfLinks(t *testing.T) {
 	}
 }
 
+// TestGenerateAllocBudget bounds what one generation allocates: the
+// corpus itself (pages, texts, URLs, titles, links, the two indexes) and
+// little else. Counts repeat run to run where times do not.
+func TestGenerateAllocBudget(t *testing.T) {
+	const budget = 23300 // measured 22 257 on linux/amd64, go 1.24
+	cfg := Config{Seed: 1, PagesPerLeaf: 100}
+	got := testing.AllocsPerRun(3, func() { Generate(cfg) })
+	if got > budget {
+		t.Fatalf("Generate made %.0f allocations, budget %d", got, budget)
+	}
+}
+
+var corpusSink *Corpus
+
+// BenchmarkGenerate builds the benchmark's Web (bench/workloads.go:
+// seed 1, 800 pages a leaf, 38 400 pages).
 func BenchmarkGenerate(b *testing.B) {
-	cfg := Config{Seed: 1}
+	b.ReportAllocs()
+	cfg := Config{Seed: 1, PagesPerLeaf: 800}
 	for i := 0; i < b.N; i++ {
-		Generate(cfg)
+		corpusSink = Generate(cfg)
 	}
 }
