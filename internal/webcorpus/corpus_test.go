@@ -11,6 +11,19 @@ func small() Config {
 	return Config{Seed: 42, TopTopics: 3, SubPerTopic: 2, PagesPerLeaf: 10}
 }
 
+func TestGenerateDeterministic(t *testing.T) {
+	a := Generate(small())
+	b := Generate(small())
+	if len(a.Pages) != len(b.Pages) {
+		t.Fatalf("page counts differ: %d vs %d", len(a.Pages), len(b.Pages))
+	}
+	for i := range a.Pages {
+		if a.Pages[i].Text != b.Pages[i].Text || a.Pages[i].URL != b.Pages[i].URL {
+			t.Fatalf("page %d differs across runs", i)
+		}
+	}
+}
+
 func TestGenerateStructure(t *testing.T) {
 	c := Generate(small())
 	if got := len(c.Topics); got != 3+3*2 {

@@ -90,6 +90,17 @@ func TestPublicAPIOverHTTP(t *testing.T) {
 	}
 }
 
+func TestWorldDeterminism(t *testing.T) {
+	a := GenerateWorld(WorldConfig{Seed: 5})
+	b := GenerateWorld(WorldConfig{Seed: 5})
+	if len(a.Corpus.Pages) != len(b.Corpus.Pages) || len(a.Trace.Visits) != len(b.Trace.Visits) {
+		t.Fatal("GenerateWorld not deterministic")
+	}
+	if len(a.Trace.Visits) == 0 {
+		t.Fatal("empty trace")
+	}
+}
+
 func TestWorldSourceResolvesLinks(t *testing.T) {
 	world := GenerateWorld(WorldConfig{Seed: 6})
 	src := world.Source()
