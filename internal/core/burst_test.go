@@ -36,8 +36,8 @@ func (s linkedSource) Lookup(url string) (Content, bool) {
 
 // TestFreshPageCommitCount pins what a burst pays the kvstore, read from
 // its own commit counter, as a relation that holds however the events fall
-// into analyzer groups. The foreground pays two commits for a fresh page —
-// its row and the visit row — and one for a revisit. The analyzers pay
+// into analyzer groups. The foreground pays one commit for a fresh page —
+// its row and the visit row together — and one for a revisit. The analyzers pay
 // one commit and one publish (a watermark step) per group that fetches
 // anything: the commit holds every never-seen link row and every title of
 // the group, the publish every derived record. So analyzer commits equal
@@ -73,7 +73,7 @@ func TestFreshPageCommitCount(t *testing.T) {
 				}
 				return commits - pages*foreground, e.vs.Watermark() - wm
 			}
-			commits, publishes := visitAll(2)
+			commits, publishes := visitAll(1)
 			if commits != publishes || publishes < 1 || publishes > pages {
 				t.Fatalf("%d fresh pages with %d links each: the analyzers made %d commits and %d publishes; want equal counts, 1 to %d",
 					pages, links, commits, publishes, pages)
@@ -186,8 +186,8 @@ func TestEnsurePagesConcurrentOverlappingLists(t *testing.T) {
 			t.Fatalf("after reopen %s is page %d, was %d", url, ids[i], idOf[url])
 		}
 	}
-	if id, err := e.ensurePage("http://burst.example/brand-new"); err != nil || id != int64(len(idOf))+1 {
-		t.Fatalf("first new page after reopen got id %d (err %v), want %d", id, err, len(idOf)+1)
+	if id := pageID(t, e, "http://burst.example/brand-new"); id != int64(len(idOf))+1 {
+		t.Fatalf("first new page after reopen got id %d, want %d", id, len(idOf)+1)
 	}
 }
 
@@ -224,7 +224,7 @@ func TestFailedRowWriteLeavesPageUnfetched(t *testing.T) {
 			if err := e.RecordVisit(1, src.page.URL, "", tBase, events.Community); err != nil {
 				t.Fatal(err)
 			}
-			id, _ := e.ensurePage(src.page.URL)
+			id := pageID(t, e, src.page.URL)
 			before := e.Status()
 
 			e.kv.Close() // the event is queued and its analyzer is parked in Lookup

@@ -510,11 +510,7 @@ func TestSnapshotConsistencyUnderLoad(t *testing.T) {
 	for _, leaf := range leaves[:4] {
 		for _, pid := range c.LeafPages[leaf.ID] {
 			url := c.Page(pid).URL
-			id, err := e.ensurePage(url)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ids = append(ids, id)
+			ids = append(ids, pageID(t, e, url))
 			urls = append(urls, url)
 		}
 	}

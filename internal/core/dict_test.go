@@ -272,11 +272,7 @@ func TestPanicAfterStageLeavesNoGap(t *testing.T) {
 	leaves := c.Leaves()
 	first, second := c.Page(c.LeafPages[leaves[0].ID][0]), c.Page(c.LeafPages[leaves[len(leaves)-1].ID][0])
 	fetch := func(p *webcorpus.Page) {
-		id, err := e.ensurePage(p.URL)
-		if err != nil {
-			t.Fatal(err)
-		}
-		e.ingest([]int64{id}, nil)
+		e.ingest([]int64{pageID(t, e, p.URL)}, nil)
 	}
 
 	wm, carried := e.vs.Watermark(), e.links.termsOut

@@ -9,15 +9,17 @@
 //
 // # The foreground writes rows; the analyzers publish, in groups
 //
-// A visit, bookmark or import is acknowledged once its rows are
-// committed (ingest.go): the foreground writes nothing else and publishes
-// nothing, and queues one event. Each analyzer demon takes the queued
-// events in groups of up to groupMax (events.Queue.PopBatch) and ingests
-// a group in one pass — one e.mu section claims its pages, one kvstore
-// commit holds their out-link and title rows, one version publish holds
-// their derived records and its community visits' referrer edges — so
-// the analyzers' locks are taken per group, not per page. A single event
-// is a group of one; there is no per-event path beside it.
+// A visit, bookmark or whole import is acknowledged once its rows, and
+// those of every page it is the first to name, are one kvstore commit
+// (ensurePages, the one row writer), so it lands whole or not at all; the
+// foreground publishes nothing and queues its events. Each analyzer demon
+// takes the queued events in groups of up to groupMax
+// (events.Queue.PopBatch) and ingests a group in one pass — one e.mu
+// section claims its pages and commits their out-link and title rows, one
+// version publish holds their derived records and its community visits'
+// referrer edges — so the analyzers' locks are taken per group, not per
+// page. A single event is a group of one; there is no
+// per-event path beside it.
 //
 // # Derived page state lives only in the version store
 //
@@ -59,9 +61,10 @@
 // — N and each term's DF — are the inverted index's own map sizes, read
 // through idx.TFIDF; there is no separate corpus. Page metadata and the
 // fetch claim are one pageRec per page; visibility is a visited set per
-// user. e.mu guards exactly that bookkeeping — folder trees, models, the
-// taxonomy pointer, the page records and the visited sets — and is never
-// held across derived-data decoding, clustering, or training work.
+// user. e.mu guards that bookkeeping (folder trees, models, the taxonomy
+// pointer, page records, visited sets, next ids) and the row commits that
+// change it, and is never held across derived-data decoding, clustering,
+// or training work.
 package core
 
 import (
@@ -186,10 +189,6 @@ type Engine struct {
 	queue *events.Queue
 	pool  *demon.Pool
 
-	// lastVisit and lastBookmark are the last visit and bookmark ids handed
-	// out; reload recovers them from the records.
-	lastVisit, lastBookmark atomic.Int64
-
 	// mu guards page-metadata bookkeeping only (see the package doc);
 	// derived page data is read through pinned DerivedView snapshots, never
 	// under this lock.
@@ -202,8 +201,10 @@ type Engine struct {
 	// visited is visibility, held per user: the pages each user has a
 	// visit row for (any privacy mode).
 	visited map[int64]map[int64]bool
-	// nextPage is the id the next new page row takes; reload recovers it.
-	nextPage int64
+	// nextPage, nextVisit and nextBookmark are the ids the next page,
+	// visit and bookmark rows take: an id is taken only by a committed row
+	// (ensurePages), and reload recovers each from the records.
+	nextPage, nextVisit, nextBookmark int64
 
 	// pushed/processed (plus the queue's drop counter) account for
 	// background work precisely, so DrainBackground cannot return while an
@@ -335,11 +336,11 @@ func (e *Engine) reload() (refs map[int64][]int64, err error) {
 	if err != nil {
 		return nil, err
 	}
-	// Page metadata. The scan is in url order, so the next id is one past
-	// the largest seen. The key makes a url's record unique but not its id:
-	// two records naming one id fail Open, where keeping either would hand
-	// the other url's visits, links and terms to the wrong page.
-	e.nextPage = 1
+	// Page metadata, and the next ids: one past the largest each table
+	// holds. The key makes a url's record unique but not its id: two
+	// records naming one id fail Open, where keeping either would hand the
+	// other url's visits, links and terms to the wrong page.
+	e.nextPage, e.nextVisit, e.nextBookmark = 1, 1, 1
 	var dup error
 	err = pagesTable.scanAll(e.kv, func(r pageRow) bool {
 		if prev, ok := e.meta[r.id]; ok {
@@ -360,7 +361,7 @@ func (e *Engine) reload() (refs map[int64][]int64, err error) {
 	// Folder trees from bookmarks, in id order.
 	err = bookmarksTable.scanAll(e.kv, func(r bookmarkRow) bool {
 		e.fileLocked(r)
-		e.lastBookmark.Store(r.id)
+		e.nextBookmark = r.id + 1
 		return true
 	})
 	if err != nil {
@@ -375,9 +376,7 @@ func (e *Engine) reload() (refs map[int64][]int64, err error) {
 		if r.ref != 0 && r.privacy == events.Community {
 			refs[r.ref] = append(refs[r.ref], r.page)
 		}
-		if r.id > e.lastVisit.Load() {
-			e.lastVisit.Store(r.id)
-		}
+		e.nextVisit = max(e.nextVisit, r.id+1)
 		return true
 	})
 	return refs, err
@@ -522,11 +521,11 @@ type Stats struct {
 	// until a genuinely new page arrives (the fetch path skips recovered
 	// pages instead of re-crawling).
 	PagesFetched int64
-	// FetchesFailed counts fetches whose claim winner gave the claim back
-	// because its group's row commit, or a record its group's publish
-	// rewrites, failed: every page the group claimed counts (the one bump
-	// site is that revert). Such a page stays unfetched — nothing of it is
-	// indexed or published — and its next visit, or the next Open, retries.
+	// FetchesFailed counts the pages whose claim did not stand because
+	// their group's row commit, or a record their group's publish
+	// rewrites, failed: every page the group claimed counts. Such a page
+	// stays unfetched — nothing of it is indexed or published — and its
+	// next visit, or the next Open, retries.
 	FetchesFailed int64
 	Visits        int64
 	Bookmarks     int64

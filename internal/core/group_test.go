@@ -97,7 +97,7 @@ func TestGroupFetchesRepeatedPageOnce(t *testing.T) {
 	if got := e.vs.Watermark() - wm; got != 1 {
 		t.Fatalf("the group published %d times, want once", got)
 	}
-	okapi, _ := e.ensurePage(page.URL)
+	okapi := pageID(t, e, page.URL)
 	e.withView(func(v *DerivedView) {
 		if v.TermCounts(okapi).IDs == nil || len(v.Out(okapi)) != 1 {
 			t.Fatalf("okapi's records: terms %v, out-links %v", v.TermCounts(okapi), v.Out(okapi))
@@ -131,7 +131,7 @@ func TestGroupPublishReadErrorReleasesEveryClaim(t *testing.T) {
 	if _, err := e.vs.Fold(); err != nil {
 		t.Fatal(err)
 	}
-	okapiID, _ := e.ensurePage(okapi.URL)
+	okapiID := pageID(t, e, okapi.URL)
 	coldKey := []byte("vc/r/" + lnkKey(okapiID) + "\x00\x00\x00\x00")
 	good, ok, err := e.kv.Get(coldKey)
 	if !ok || err != nil {
@@ -155,7 +155,7 @@ func TestGroupPublishReadErrorReleasesEveryClaim(t *testing.T) {
 		t.Fatalf("something was published: watermark %d → %d, entries %d → %d, edges %d → %d",
 			before.Version.Watermark, st.Version.Watermark, before.Version.Entries, st.Version.Entries, before.GraphEdges, st.GraphEdges)
 	}
-	tapirID, _ := e.ensurePage(tapir.URL)
+	tapirID := pageID(t, e, tapir.URL)
 	for _, id := range []int64{okapiID, tapirID} {
 		if e.derivedPublished(id) {
 			t.Fatalf("page %d kept its claim after the failed group", id)
@@ -189,7 +189,7 @@ func TestGroupPublishReadErrorReleasesEveryClaim(t *testing.T) {
 		}
 	}
 	e.withView(func(v *DerivedView) {
-		duiker, _ := e.ensurePage("http://zoo.example/duiker")
+		duiker := pageID(t, e, "http://zoo.example/duiker")
 		if in := v.In(tapirID); len(in) != 1 || in[0] != duiker {
 			t.Fatalf("tapir's in-links after reopen: %v, want the visit's referrer %d", in, duiker)
 		}

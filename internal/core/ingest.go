@@ -1,10 +1,10 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -16,23 +16,26 @@ import (
 	"memex/internal/text"
 )
 
+// ErrInvalid marks a write error that is the caller's to fix: a correction
+// of an unknown page, a bookmark file that does not parse, a URL-less entry.
+var ErrInvalid = errors.New("invalid input")
+
 // RegisterUser creates (or refreshes) a user record. The record is the id
 // alone: nothing reads a user's name back, so it is not stored.
 func (e *Engine) RegisterUser(id int64, name string) error {
-	if err := e.kv.Put(userRecord(id)); err != nil {
-		return err
-	}
-	e.mu.Lock()
-	e.treeLocked(id)
-	e.mu.Unlock()
-	return nil
+	_, err := e.ensurePages(nil, func([]int64) ([]kvstore.KV, func()) {
+		k, v := userRecord(id)
+		return []kvstore.KV{{Key: k, Value: v}}, func() { e.treeLocked(id) }
+	})
+	return err
 }
 
 // RecordVisit is the guaranteed-immediate foreground path for a page-view
-// event: the visit row is written, visibility updated, and the heavy
-// analysis (fetch, index, classify, and a community visit's referrer
-// edge) is queued for the background demons. Privacy Off means the event
-// is acknowledged and discarded.
+// event: the visit row is written, with the rows of the pages it names
+// for the first time, visibility updated, and the heavy analysis (fetch,
+// index, classify, and a community visit's referrer edge) is queued for
+// the background demons. Privacy Off means the event is acknowledged and
+// discarded.
 func (e *Engine) RecordVisit(user int64, url, referrer string, at time.Time, privacy events.Privacy) error {
 	if privacy == events.Off {
 		return nil // user chose not to archive
@@ -44,26 +47,29 @@ func (e *Engine) RecordVisit(user int64, url, referrer string, at time.Time, pri
 	if referrer != "" {
 		urls = append(urls, referrer)
 	}
-	ids, err := e.ensurePages(urls, nil)
+	_, err := e.ensurePages(urls, func(ids []int64) ([]kvstore.KV, func()) {
+		r := visitRow{user: user, at: at.UnixNano(), id: e.nextVisit, page: ids[0], privacy: privacy}
+		if referrer != "" {
+			r.ref = ids[1]
+		}
+		k, v := r.record()
+		return []kvstore.KV{{Key: k, Value: v}}, func() {
+			e.nextVisit++
+			e.markVisitedLocked(user, r.page, privacy)
+		}
+	})
 	if err != nil {
 		return err
 	}
-	pageID, refID := ids[0], int64(0)
-	if referrer != "" {
-		refID = ids[1]
-	}
-	// An id taken by a visit or bookmark whose write fails is not handed
-	// out again; nothing refers to those ids, so the gap is harmless.
-	visit := visitRow{user: user, at: at.UnixNano(), id: e.lastVisit.Add(1), page: pageID, ref: refID, privacy: privacy}
-	if err := e.kv.Put(visit.record()); err != nil {
-		return err
-	}
-	e.mu.Lock()
-	e.markVisitedLocked(user, pageID, privacy)
-	e.mu.Unlock()
 	e.stats.VisitsLogged.Add(1)
 	e.enqueue(events.Event{Kind: events.VisitEvent, User: user, URL: url, Referrer: referrer, Privacy: privacy})
 	return nil
+}
+
+// placement is one bookmark to file: url into folder at a time.
+type placement struct {
+	url, folder string
+	at          time.Time
 }
 
 // AddBookmark files url into the user's folder (foreground path). The
@@ -72,17 +78,21 @@ func (e *Engine) AddBookmark(user int64, url, folder string, at time.Time) error
 	if at.IsZero() {
 		at = e.cfg.Now()
 	}
-	pageID, err := e.ensurePage(url)
-	if err != nil {
-		return err
+	_, err := e.addBookmarks(user, []placement{{url, folder, at}})
+	return err
+}
+
+// addBookmarks files every placement as one write, queues each page's
+// fetch so that training has text, and returns how many it filed.
+func (e *Engine) addBookmarks(user int64, ps []placement) (int, error) {
+	if err := e.fileBookmarks(user, ps); err != nil {
+		return 0, err
 	}
-	if err := e.putBookmark(user, pageID, folder, at); err != nil {
-		return err
+	e.stats.BookmarksLogged.Add(int64(len(ps)))
+	for _, p := range ps {
+		e.enqueue(events.Event{Kind: events.BookmarkEvent, User: user, URL: p.url})
 	}
-	e.stats.BookmarksLogged.Add(1)
-	// Ensure the page is fetched/indexed so training has text.
-	e.enqueue(events.Event{Kind: events.BookmarkEvent, User: user, URL: url})
-	return nil
+	return len(ps), nil
 }
 
 // CorrectPlacement moves a page to the right folder (the cut/paste
@@ -90,50 +100,60 @@ func (e *Engine) AddBookmark(user int64, url, folder string, at time.Time) error
 // correction is a bookmark row, filed as AddBookmark files one.
 func (e *Engine) CorrectPlacement(user int64, url, folder string) error {
 	e.mu.RLock()
-	pageID, ok := e.idByURL[url]
+	_, ok := e.idByURL[url]
 	e.mu.RUnlock()
-	if !ok {
-		return fmt.Errorf("core: unknown page %q", url)
+	if !ok { // a page row is never deleted, so a known page stays known
+		return fmt.Errorf("core: unknown page %q: %w", url, ErrInvalid)
 	}
-	return e.putBookmark(user, pageID, folder, e.cfg.Now())
+	return e.fileBookmarks(user, []placement{{url, folder, e.cfg.Now()}})
 }
 
-// putBookmark writes a bookmark row under the next bookmark id and then
-// files it into the user's tree, so a refused write leaves the tree as it
-// was.
-func (e *Engine) putBookmark(user, page int64, folder string, at time.Time) error {
-	r := bookmarkRow{id: e.lastBookmark.Add(1), user: user, page: page, at: at.UnixNano(), folder: folder}
-	if err := e.kv.Put(r.record()); err != nil {
-		return err
+// fileBookmarks writes one bookmark row per placement, in order, with the
+// rows of the pages they name for the first time, as one commit, and then
+// files them into the user's tree: a refused write leaves no row and the
+// tree as it was.
+func (e *Engine) fileBookmarks(user int64, ps []placement) error {
+	urls := make([]string, len(ps))
+	for i, p := range ps {
+		urls[i] = p.url
 	}
-	e.mu.Lock()
-	e.fileLocked(r)
-	e.mu.Unlock()
-	return nil
+	_, err := e.ensurePages(urls, func(ids []int64) ([]kvstore.KV, func()) {
+		rows := make([]bookmarkRow, len(ps))
+		kvs := make([]kvstore.KV, len(ps))
+		for i, p := range ps {
+			rows[i] = bookmarkRow{id: e.nextBookmark + int64(i), user: user, page: ids[i], at: p.at.UnixNano(), folder: p.folder}
+			kvs[i].Key, kvs[i].Value = rows[i].record()
+		}
+		return kvs, func() {
+			e.nextBookmark += int64(len(rows))
+			for _, r := range rows {
+				e.fileLocked(r)
+			}
+		}
+	})
+	return err
 }
 
-// ImportBookmarks ingests a Netscape bookmark file for the user.
+// ImportBookmarks ingests a Netscape bookmark file for the user as one
+// write: every entry is filed, in file order, or none is, and the count
+// is 0 on any error.
 func (e *Engine) ImportBookmarks(user int64, r io.Reader) (int, error) {
 	tree, err := folders.ImportNetscape(r)
 	if err != nil {
-		return 0, err
+		return 0, fmt.Errorf("core: import: %w (%w)", err, ErrInvalid)
 	}
-	n := 0
-	var walkErr error
+	var ps []placement // flat, so that ensurePages files them in one loop
 	tree.Walk(func(f *folders.Folder) {
 		for _, entry := range f.Entries {
-			if walkErr != nil {
-				return
-			}
-			path := f.Path()
-			if err := e.AddBookmark(user, entry.URL, path, entry.Added); err != nil {
-				walkErr = err
-				return
-			}
-			n++
+			ps = append(ps, placement{entry.URL, f.Path(), entry.Added})
 		}
 	})
-	return n, walkErr
+	for i, p := range ps {
+		if p.url == "" {
+			return 0, fmt.Errorf("core: import: entry %d, in %s, has no URL: %w", i+1, p.folder, ErrInvalid)
+		}
+	}
+	return e.addBookmarks(user, ps)
 }
 
 // ExportBookmarks writes the user's folder tree in Netscape format.
@@ -147,75 +167,63 @@ func (e *Engine) ExportBookmarks(user int64, w io.Writer) error {
 	return folders.ExportNetscape(tree, w)
 }
 
-// ensurePage returns the stable page id for url, creating the row if new.
-func (e *Engine) ensurePage(url string) (int64, error) {
-	ids, err := e.ensurePages([]string{url}, nil)
-	if err != nil {
-		return 0, err
-	}
-	return ids[0], nil
-}
-
-// ensurePages returns the stable page id of every url, in order, creating
-// the rows of all the never-seen ones together: one read-locked pass over
-// idByURL, then — only if something was missing, or rows holds records to
-// write — one write-locked pass that re-checks (another goroutine may have
-// created a URL in between), drops repeats within the list, numbers the
-// new pages in first-sight order from nextPage on and writes their rows,
-// with the caller's rows, as one commit. An analyzer group is the bulk
-// caller: the never-seen out-links of every page it fetched and those
-// pages' title rows are one turn under e.mu and one commit, not one of
-// each per page.
-//
-// A map miss means no row: reload fills idByURL from every row, and the
-// rows and their map entries are written in the one critical section
-// below (DESIGN.md §1). On an error nothing was written and no id is
-// returned.
-func (e *Engine) ensurePages(urls []string, rows []kvstore.KV) ([]int64, error) {
+// ensurePages is the engine's one row writer. It returns the page id of
+// every url, in order, numbering never-seen ones in first-sight order from
+// nextPage on; op, given those ids, returns the caller's rows and what to
+// apply to the RAM mirror once they are in. The new page rows and op's
+// rows are one commit, and the commit, the new meta and idByURL entries
+// and apply are one e.mu write section. So an acknowledged write is one
+// commit, a refused one changes nothing, an id is taken only by a
+// committed row, and a map miss means no row (DESIGN.md §1). op and apply
+// run under e.mu and must not block. Without op, urls that are all known
+// are resolved under the read lock alone.
+func (e *Engine) ensurePages(urls []string, op func(ids []int64) (rows []kvstore.KV, apply func())) ([]int64, error) {
 	ids := make([]int64, len(urls))
-	missing := 0
-	e.mu.RLock()
-	for i, url := range urls {
-		if ids[i] = e.idByURL[url]; ids[i] == 0 { // ids start at 1
-			missing++
+	if op == nil {
+		missing := false
+		e.mu.RLock()
+		for i, url := range urls {
+			ids[i] = e.idByURL[url]
+			missing = missing || ids[i] == 0 // ids start at 1
 		}
-	}
-	e.mu.RUnlock()
-	if missing == 0 && len(rows) == 0 {
-		return ids, nil
+		e.mu.RUnlock()
+		if !missing {
+			return ids, nil
+		}
 	}
 
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	var fresh []string
-	rows = slices.Clip(rows) // the new page rows go after the caller's, never into its array
-	queued := make(map[string]bool, missing)
+	var rows []kvstore.KV
+	fresh := map[string]int64{}
 	for i, url := range urls {
-		if ids[i] != 0 || queued[url] {
-			continue
+		if ids[i] = e.idByURL[url]; ids[i] == 0 {
+			if ids[i] = fresh[url]; ids[i] == 0 {
+				ids[i] = e.nextPage + int64(len(fresh))
+				fresh[url] = ids[i]
+				k, v := pageRow{id: ids[i], url: url}.record()
+				rows = append(rows, kvstore.KV{Key: k, Value: v})
+			}
 		}
-		if _, known := e.idByURL[url]; known {
-			continue
-		}
-		queued[url] = true
-		k, v := pageRow{id: e.nextPage + int64(len(fresh)), url: url}.record()
-		fresh = append(fresh, url)
-		rows = append(rows, kvstore.KV{Key: k, Value: v})
+	}
+	var apply func()
+	if op != nil {
+		var own []kvstore.KV
+		own, apply = op(ids)
+		rows = append(rows, own...)
 	}
 	if len(rows) > 0 {
 		if err := e.kv.PutBatch(rows); err != nil {
 			return nil, err
 		}
 	}
-	for i, url := range fresh {
-		e.meta[e.nextPage+int64(i)] = pageRec{url: url}
-		e.idByURL[url] = e.nextPage + int64(i)
+	for url, id := range fresh {
+		e.meta[id] = pageRec{url: url}
+		e.idByURL[url] = id
 	}
 	e.nextPage += int64(len(fresh))
-	for i, url := range urls {
-		if ids[i] == 0 {
-			ids[i] = e.idByURL[url]
-		}
+	if apply != nil {
+		apply()
 	}
 	return ids, nil
 }
@@ -279,9 +287,17 @@ func (e *Engine) process(group []events.Event) {
 		}
 	}
 	tfs, panicked := e.ingest(pages, edges)
+	// The group's models are read in one section, not one a visit: the
+	// foreground commits under e.mu, and every read-lock turn waits out one.
+	models := map[int64]*classify.Bayes{}
+	e.mu.RLock()
+	for _, ev := range group {
+		models[ev.User] = e.models[ev.User]
+	}
+	e.mu.RUnlock()
 	for i, ev := range group {
-		if ev.Kind == events.VisitEvent {
-			e.classifyForUser(ev.User, pages[i], tfs[pages[i]])
+		if model := models[ev.User]; model != nil && ev.Kind == events.VisitEvent {
+			e.classifyForUser(model, ev.User, pages[i], tfs[pages[i]])
 		}
 	}
 	if panicked != nil {
@@ -301,8 +317,8 @@ func hasEdge(ev events.Event) bool {
 // ingest fetches a group of pages and publishes them, with edges, in one
 // pass: pages already fetched, and repeats, are skipped under one read
 // lock; the rest are resolved and tokenized with no lock held; the group
-// claims them in one e.mu section; their never-seen out-link rows and
-// their title rows are one commit; and their tf/, lnk/ and rin/ records,
+// claims them and commits their never-seen out-link rows and their title
+// rows in one e.mu section; and their tf/, lnk/ and rin/ records,
 // the dict/ records they need and the edges are one version publish. It
 // returns the raw term counts by id of every page this call resolved and
 // published (a page another group claimed first publishes its out-links
@@ -314,20 +330,20 @@ func hasEdge(ev events.Event) bool {
 // fail: a page whose tf/ record exists counts as fetched in every later
 // life and is never fetched again, so publishing ahead of a title write
 // that then failed would leave the row without its title for good. If the
-// commit, or a read the publish needs, fails, every claim of the group is
-// released and nothing is indexed or published: the pages stay unfetched,
+// commit fails, no claim stands; if a read the publish needs fails, every
+// claim of the group is released. Either way nothing is indexed or
+// published: the pages stay unfetched,
 // FetchesFailed counts them, and their next visit — or requeueUnfetched
 // at the next Open — tries again. By the time ingest returns, the latest
 // published lnk/ record of each page it resolved holds the page's full
 // out-link union, on both sides of a claim race.
 func (e *Engine) ingest(pages []int64, edges []linkUpdate) (tfs map[int64]text.Vector, panicked any) {
 	type fetch struct {
-		page     int64
-		url      string
-		content  Content
-		tf       text.Vector
-		claimed  bool
-		oldTitle string // the title the row held before the claim
+		page    int64
+		url     string
+		content Content
+		tf      text.Vector
+		claimed bool
 	}
 	var todo []fetch
 	seen := make(map[int64]bool, len(pages))
@@ -355,41 +371,43 @@ func (e *Engine) ingest(pages []int64, edges []linkUpdate) (tfs map[int64]text.V
 		return nil, panicked
 	}
 
-	// Claim the pages under the metadata lock before any side effects: two
-	// workers can race on one URL, so only the claim winner may index it or
-	// publish its tf/ record. A loser publishes the out-links it holds
-	// all the same — idempotent and serialized with the winner under the
-	// link lock, so whichever side lands last leaves the full union —
-	// because its caller may read the page's lnk/ record the moment it
-	// returns.
-	claimed := 0
-	e.mu.Lock()
-	for i := range got {
-		rec := e.meta[got[i].page]
-		if rec.fetched {
-			continue
-		}
-		got[i].claimed, got[i].oldTitle = true, rec.title
-		rec.fetched, rec.title = true, got[i].content.Title
-		e.meta[got[i].page] = rec
-		claimed++
-	}
-	e.mu.Unlock()
-
-	// Resolve out-link URLs to stable page ids (seen-but-unfetched targets
-	// get their pages-table row here — the durable half of the crawl
-	// frontier) in the commit that records the claimed pages' titles.
+	// Claim the pages in the section that commits their rows: two workers
+	// can race on one URL, so only the claim winner may index it or
+	// publish its tf/ record, and a claim stands only once its title row is
+	// in. Out-link URLs resolve to stable page ids in the same commit
+	// (seen-but-unfetched targets get their pages-table row here — the
+	// durable half of the crawl frontier). A loser publishes the out-links
+	// it holds all the same — idempotent and serialized with the winner
+	// under the link lock, so whichever side lands last leaves the full
+	// union — because its caller may read the page's lnk/ record the
+	// moment it returns.
 	var links []string
-	titles := make([]kvstore.KV, 0, claimed)
 	for _, f := range got {
 		links = append(links, f.content.Links...)
-		if f.claimed {
-			k, v := pageRow{id: f.page, url: f.url, title: f.content.Title}.record()
-			titles = append(titles, kvstore.KV{Key: k, Value: v})
+	}
+	// mark sets every claimed page's fetched flag, and its title as its
+	// committed row holds it. Caller holds e.mu.
+	mark := func(fetched bool) {
+		for _, f := range got {
+			if rec := e.meta[f.page]; f.claimed {
+				rec.fetched, rec.title = fetched, f.content.Title
+				e.meta[f.page] = rec
+			}
 		}
 	}
-	ids, err := e.ensurePages(links, titles)
-	committed := err == nil
+	claimed := 0
+	ids, err := e.ensurePages(links, func([]int64) ([]kvstore.KV, func()) {
+		var titles []kvstore.KV
+		for i := range got {
+			if f := &got[i]; !e.meta[f.page].fetched {
+				f.claimed = true
+				k, v := pageRow{id: f.page, url: f.url, title: f.content.Title}.record()
+				titles = append(titles, kvstore.KV{Key: k, Value: v})
+			}
+		}
+		claimed = len(titles)
+		return titles, func() { mark(true) }
+	})
 	if err == nil {
 		// Index and publish the group's derived state as one batch. The
 		// index counts each claimed page before the batch makes its vector
@@ -407,21 +425,13 @@ func (e *Engine) ingest(pages []int64, edges []linkUpdate) (tfs map[int64]text.V
 			}
 			updates = append(updates, u)
 		}
-		err = e.links.publish(updates)
+		if err = e.links.publish(updates); err != nil {
+			e.mu.Lock()
+			mark(false)
+			e.mu.Unlock()
+		}
 	}
 	if err != nil {
-		e.mu.Lock()
-		for _, f := range got {
-			if f.claimed {
-				rec := e.meta[f.page]
-				rec.fetched = false
-				if !committed {
-					rec.title = f.oldTitle
-				}
-				e.meta[f.page] = rec
-			}
-		}
-		e.mu.Unlock()
 		e.stats.FetchesFailed.Add(int64(claimed))
 		return nil, panicked
 	}
@@ -446,18 +456,11 @@ func (e *Engine) lookup(url string) (content Content, ok bool, panicked any) {
 }
 
 // classifyForUser places the page into the user's folder space as a guess
-// ('?' in the Figure 1 UI) when the user has a trained classifier. tf is
-// the page's term counts when the caller just fetched it; for pages
-// fetched earlier (tf with nil IDs) the counts come from a pinned snapshot
-// of the version store.
-func (e *Engine) classifyForUser(user, pageID int64, tf text.Vector) {
-	e.mu.RLock()
-	model := e.models[user]
-	rec := e.meta[pageID]
-	e.mu.RUnlock()
-	if model == nil {
-		return
-	}
+// ('?' in the Figure 1 UI) by the user's trained classifier. tf is the
+// page's term counts when the caller just fetched it; for pages fetched
+// earlier (tf with nil IDs) the counts come from a pinned snapshot of the
+// version store.
+func (e *Engine) classifyForUser(model *classify.Bayes, user, pageID int64, tf text.Vector) {
 	if tf.IDs == nil {
 		e.withView(func(view *DerivedView) { tf = view.TermCounts(pageID) })
 	}
@@ -469,6 +472,7 @@ func (e *Engine) classifyForUser(user, pageID int64, tf text.Vector) {
 		return // too uncertain to bother the user with a guess
 	}
 	e.mu.Lock()
+	rec := e.meta[pageID]
 	e.treeLocked(user).Add(folder, folders.Entry{
 		Page: pageID, URL: rec.url, Title: rec.title,
 		Added: e.cfg.Now(), Guessed: true,

@@ -29,6 +29,16 @@ func tableLen(t *testing.T, e *Engine, prefix string) int {
 	return n
 }
 
+// pageID returns url's page id, writing its row if the page is new.
+func pageID(t testing.TB, e *Engine, url string) int64 {
+	t.Helper()
+	ids, err := e.ensurePages([]string{url}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ids[0]
+}
+
 // The writers below leave dir as an archive of another format would be,
 // one this build refuses, holding refusedPage where it holds a page.
 var (
@@ -312,12 +322,12 @@ func TestEnsurePageConcurrentFreshURLs(t *testing.T) {
 				// Each worker starts at its own offset so the races spread
 				// over the whole set.
 				u := (i + w*urls/workers) % urls
-				id, err := e.ensurePage(fmt.Sprintf("http://fresh.example/p%d", u))
+				id, err := e.ensurePages([]string{fmt.Sprintf("http://fresh.example/p%d", u)}, nil)
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				ids[w][u] = id
+				ids[w][u] = id[0]
 			}
 		}(w)
 	}
@@ -393,8 +403,8 @@ func TestCorruptPageRowFailsOpen(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 1; i <= 3; i++ {
-		if id, err := e.ensurePage(fmt.Sprintf("http://zoo.example/p%d", i)); err != nil || id != int64(i) {
-			t.Fatalf("page %d got id %d (err %v)", i, id, err)
+		if id := pageID(t, e, fmt.Sprintf("http://zoo.example/p%d", i)); id != int64(i) {
+			t.Fatalf("page %d got id %d", i, id)
 		}
 	}
 	if err := e.Close(); err != nil {

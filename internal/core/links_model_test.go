@@ -218,10 +218,7 @@ func TestLinkPublishReadErrorPublishesNothing(t *testing.T) {
 	if _, err := e.vs.Fold(); err != nil {
 		t.Fatal(err)
 	}
-	okapi, err := e.ensurePage(page.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
+	okapi := pageID(t, e, page.URL)
 	coldKey := []byte("vc/r/" + lnkKey(okapi) + "\x00\x00\x00\x00")
 	if _, ok, err := e.kv.Get(coldKey); !ok || err != nil {
 		t.Fatalf("no cold record %q (err %v)", coldKey, err)

@@ -163,10 +163,7 @@ func TestCorruptTermRecordIsRefetched(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	id, err := e.ensurePage(page.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
+	id := pageID(t, e, page.URL)
 	b := e.vs.BeginSized(0)
 	b.Put(tfKey(id), []byte{0xff})
 	if err := b.Publish(); err != nil {

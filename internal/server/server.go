@@ -179,12 +179,12 @@ type reply struct {
 }
 
 // A handler computes one route's answer from the request alone. A nil
-// error is a 200; a badRequest is a 400, and so is a row the store refuses
-// as too large (only the client can shorten its URL, title or folder); any
-// other error is a 500.
+// error is a 200; a badRequest is a 400, and so is an engine error marked
+// core.ErrInvalid and a row the store refuses as too large (only the
+// client can shorten its URL, title or folder); any other error is a 500.
 type handler func(r *http.Request) (reply, error)
 
-// badRequest marks an error as the client's to fix: the only way to a 400.
+// badRequest marks an error the handler finds to be the client's to fix.
 type badRequest string
 
 func (b badRequest) Error() string { return string(b) }
@@ -240,7 +240,7 @@ func answer(h handler, r *http.Request) (int, reply) {
 	case errors.As(err, &overCap):
 		err = badRequestf("request body exceeds the %d-byte cap", overCap.Limit)
 	}
-	if errors.As(err, new(badRequest)) {
+	if errors.As(err, new(badRequest)) || errors.Is(err, core.ErrInvalid) {
 		code = http.StatusBadRequest
 	}
 	return code, errorReply(err)
@@ -397,7 +397,7 @@ func (s *Server) handleCorrect(r *http.Request) (reply, error) {
 		return reply{}, badRequestf("user, url and folder required")
 	}
 	if err := s.engine.CorrectPlacement(req.User, req.URL, req.Folder); err != nil {
-		return reply{}, badRequest(err.Error())
+		return reply{}, err
 	}
 	return jsonReply(OK{true})
 }
@@ -408,11 +408,8 @@ func (s *Server) handleImport(r *http.Request) (reply, error) {
 		return reply{}, err
 	}
 	n, err := s.engine.ImportBookmarks(user, http.MaxBytesReader(nil, r.Body, maxImportBody))
-	switch {
-	case errors.As(err, new(*http.MaxBytesError)):
-		return reply{}, err // answer names the cap
-	case err != nil:
-		return reply{}, badRequest(err.Error())
+	if err != nil {
+		return reply{}, err
 	}
 	return jsonReply(map[string]int{"imported": n})
 }

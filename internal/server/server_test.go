@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"memex/internal/core"
+	"memex/internal/events"
 	"memex/internal/kvstore"
 	"memex/internal/text"
 	"memex/internal/version"
@@ -71,6 +72,8 @@ func TestBadParamsReturn400(t *testing.T) {
 		{"export bad user", "GET", "/api/folders/export?user=abc", "", "bad user"},
 		{"export missing user", "GET", "/api/folders/export", "", "user required"},
 		{"import bad user", "POST", "/api/folders/import?user=abc", "", "bad user"},
+		{"import entry with no url", "POST", "/api/folders/import?user=1",
+			"<!DOCTYPE NETSCAPE-Bookmark-file-1>\n<DL><p>\n<DT><A HREF=\"\">nowhere</A>\n</DL><p>\n", "entry 1, in /, has no URL"},
 		{"recommend bad user", "GET", "/api/recommend?user=abc", "", "bad user"},
 		{"profile bad user", "GET", "/api/profile?user=abc", "", "bad user"},
 		{"trails bad user", "GET", "/api/trails?user=abc&folder=f", "", "bad user"},
@@ -307,6 +310,47 @@ func TestFailedHandlerCommitsOnlyTheError(t *testing.T) {
 	}
 	if m := fetchMetrics(t, ts.URL); !strings.Contains(m, `memex_http_errors_total{endpoint="GET /half",class="5xx"} 1`) {
 		t.Fatalf("the 500 was not the code instrumented:\n%s", grepMetrics(m, "/half"))
+	}
+}
+
+// TestStorageFailureIsA500: once the engine's store is closed, every write
+// route answers 500, the engine's fault, never a 400 that tells the client
+// to change a request that was fine.
+func TestStorageFailureIsA500(t *testing.T) {
+	e := newTestEngine(t)
+	const page = "http://x/"
+	if err := e.RecordVisit(1, page, "", time.Time{}, events.Community); err != nil {
+		t.Fatal(err)
+	}
+	e.Close()
+	srv := New(e, Config{})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	cases := []struct{ path, body string }{
+		{"/api/user", `{"id":1,"name":"alice"}`},
+		{"/api/event", `{"user":1,"url":"` + page + `"}`},
+		{"/api/bookmark", `{"user":1,"url":"` + page + `","folder":"/f"}`},
+		{"/api/correct", `{"user":1,"url":"` + page + `","folder":"/f"}`},
+		{"/api/folders/import?user=1", "<!DOCTYPE NETSCAPE-Bookmark-file-1>\n<DL><p>\n<DT><A HREF=\"" + page + "\">x</A>\n</DL><p>\n"},
+	}
+	covered := map[string]bool{}
+	for _, tc := range cases {
+		route, _, _ := strings.Cut(tc.path, "?")
+		covered["POST "+route] = true
+		resp, err := http.Post(ts.URL+tc.path, "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusInternalServerError || !strings.Contains(string(body), "store closed") {
+			t.Errorf("POST %s: status %d, body %s; want a 500 naming the closed store", tc.path, resp.StatusCode, body)
+		}
+	}
+	for route := range srv.metrics.endpoints {
+		if strings.HasPrefix(route, "POST ") && route != "POST /api/themes/rebuild" && !covered[route] {
+			t.Errorf("write route %q has no case in the table", route)
+		}
 	}
 }
 
