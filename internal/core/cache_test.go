@@ -182,8 +182,8 @@ func TestCountsChargeSlotsNotTerms(t *testing.T) {
 	d := text.NewDict()
 	long := strings.Repeat("x", 500)
 	charge := func(counts map[string]int) int64 {
-		blob, _ := encodeCounts(text.VectorFromCounts(d, counts))
-		tf := decodeCounts(d, blob)
+		blob, _ := encodeTF("", text.VectorFromCounts(d, counts))
+		tf := countsOf(d, blob)
 		if tf.IDs == nil {
 			t.Fatalf("%v did not round-trip", counts)
 		}

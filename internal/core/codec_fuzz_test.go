@@ -29,35 +29,48 @@ func fuzzDict() *text.Dict {
 	return d
 }
 
+// FuzzDecodeCounts fuzzes the whole tf/ record: the title ahead of the
+// term counts, and the counts.
 func FuzzDecodeCounts(f *testing.F) {
 	d := fuzzDict()
-	for _, tf := range []map[string]int{{"t000": 1, "t007": 2}, {}, {"t299": maxCount, "t128": 3}} {
-		blob, _ := encodeCounts(text.VectorFromCounts(d, tf))
+	for _, r := range []struct {
+		title string
+		tf    map[string]int
+	}{{"Okapi", map[string]int{"t000": 1, "t007": 2}}, {"", map[string]int{}}, {"Tapir\x00\xff", map[string]int{"t299": maxCount, "t128": 3}}} {
+		blob, _ := encodeTF(r.title, text.VectorFromCounts(d, r.tf))
 		f.Add(blob)
 	}
 	f.Add([]byte{})
-	f.Add([]byte{0xff})
+	f.Add([]byte{0, 0xff})
 	// Header claiming ~2^60 entries: the allocation-bound regression seed.
-	f.Add(binary.AppendUvarint(nil, 1<<60))
-	f.Add(append(binary.AppendUvarint(nil, 1<<60), 1, 1, 1))
+	f.Add(binary.AppendUvarint([]byte{0}, 1<<60))
+	f.Add(append(binary.AppendUvarint([]byte{0}, 1<<60), 1, 1, 1))
 	// Truncated frames, a repeated id, an id past the dictionary, a padded
 	// varint and a trailing byte.
-	f.Add([]byte{2, 1, 1})
-	f.Add([]byte{2, 1, 1, 0, 1})
-	f.Add([]byte{1, 0xac, 0x02, 1})
-	f.Add([]byte{1, 0x81, 0x00, 1})
-	f.Add([]byte{1, 1, 1, 0})
+	f.Add([]byte{0, 2, 1, 1})
+	f.Add([]byte{0, 2, 1, 1, 0, 1})
+	f.Add([]byte{0, 1, 0xac, 0x02, 1})
+	f.Add([]byte{0, 1, 0x81, 0x00, 1})
+	f.Add([]byte{0, 1, 1, 1, 0})
+	// A title running past the record, a padded title length and a title
+	// length of 2^60.
+	f.Add([]byte{5, 'O', 'k', 'a', 'p'})
+	f.Add([]byte{0x80, 0x00, 0})
+	f.Add(append(binary.AppendUvarint(nil, 1<<60), 'O', 0))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		tf := decodeCounts(d, data)
+		title, tf := decodeTF(d, data)
 		if tf.IDs == nil {
+			if title != nil {
+				t.Fatalf("%x is refused but decodes the title %q", data, title)
+			}
 			return // refused: reads as "no record"
 		}
-		if 2*tf.Len() > len(data) {
-			t.Fatalf("decoded %d entries from %d bytes", tf.Len(), len(data))
+		if len(title)+2*tf.Len() > len(data) {
+			t.Fatalf("decoded a %d-byte title and %d entries from %d bytes", len(title), tf.Len(), len(data))
 		}
-		again, _ := encodeCounts(tf)
+		again, _ := encodeTF(string(title), tf)
 		if !bytes.Equal(again, data) {
-			t.Fatalf("%x decodes to %v, which encodes to %x", data, tf, again)
+			t.Fatalf("%x decodes to %q, %v, which encodes to %x", data, title, tf, again)
 		}
 	})
 }
@@ -109,17 +122,18 @@ func FuzzRowRecords(f *testing.F) {
 		table := slices.IndexFunc(prefixes, func(p string) bool { return bytes.HasPrefix(k, []byte(p)) })
 		f.Add(byte(table), k[len(prefixes[table]):], v)
 	}
-	seed(pageRow{id: 3, url: "http://zoo.example/okapi", title: "Okapi"}.record())
+	seed(pageRow{id: 3, url: "http://zoo.example/okapi"}.record())
 	seed(pageRow{id: 1 << 40, url: "http://zoo.example/"}.record())
 	seed(visitRow{user: 7, at: tBase.UnixNano(), id: 300, page: 3, ref: 2, privacy: events.Community}.record())
 	seed(visitRow{user: -1, at: -5, id: 1, page: 1 << 50}.record())
 	seed(bookmarkRow{id: 9, user: 7, page: 3, at: tBase.UnixNano(), folder: "/animals/rainforest"}.record())
 	seed(userRecord(7))
 	seed(userRecord(0))
-	// A page with id 0, with an id past MaxInt64 and with a padded varint
-	// id; a key with a leading zero byte, a key length past 8, and
-	// trailing bytes.
+	// A page with id 0, with an id past MaxInt64, with a padded varint id
+	// and with a title after its id; a key with a leading zero byte, a key
+	// length past 8, and trailing bytes.
 	f.Add(byte(0), []byte("http://zoo.example/"), []byte{0, 'x'})
+	f.Add(byte(0), []byte("http://zoo.example/okapi"), []byte{3, 'O', 'k', 'a', 'p', 'i'})
 	f.Add(byte(0), []byte{1, 3}, binary.AppendUvarint(nil, 1<<63))
 	f.Add(byte(0), []byte{}, []byte{0x81, 0x00})
 	f.Add(byte(3), []byte{2, 0, 7}, []byte{})
@@ -137,7 +151,7 @@ func FuzzRowRecords(f *testing.F) {
 				return
 			}
 			againKey, againValue = r.record()
-			prefix, strs = pagesPrefix, len(r.url)+len(r.title)
+			prefix, strs = pagesPrefix, len(r.url)
 		case 1:
 			r, err := decodeVisit(key, value)
 			if err != nil {

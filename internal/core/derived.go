@@ -19,18 +19,19 @@ import (
 // all-or-nothing, repeatable across the whole pass — while ingest keeps
 // publishing without ever blocking them.
 //
-// The derived records are the term-count record (tf/), which names its
-// terms by dictionary id, the dictionary records (dict/, one per term,
-// published with the first page that names the id — see links.go) and the
-// adjacency records (lnk/, rin/). A page's term counts have one form in
-// memory, a text.Vector of raw counts sorted by id: the fetch path makes it
-// once, and the tf/ blob, the index, the classifiers, the themes and the
-// record cache all take it as it is, with no string in between. On reopen
-// reloadDerived restores the dictionary with every term at its old id,
-// then replays the recovered tf/ records to rebuild the inverted index
-// (and with it N and DF), and the fetch path skips every recovered page
-// instead of re-crawling it. The adjacency records need no replay: they
-// are read where they are.
+// The derived records are the term-count record (tf/), which holds the
+// page's title and names its terms by dictionary id, the dictionary
+// records (dict/, one per term, published with the first page that names
+// the id — see links.go) and the adjacency records (lnk/, rin/). A page's
+// term counts have one form in memory, a text.Vector of raw counts sorted
+// by id: the fetch path makes it once, and the tf/ blob, the index, the
+// classifiers, the themes and the record cache all take it as it is, with
+// no string in between. On reopen reloadDerived restores the dictionary
+// with every term at its old id, then replays the recovered tf/ records to
+// rebuild the inverted index (and with it N and DF) and give each page its
+// title back, and the fetch path skips every recovered page instead of
+// re-crawling it. The adjacency records need no replay: they are read
+// where they are.
 
 // tfKey names a page's derived term-count record in the version store.
 func tfKey(page int64) string { return "tf/" + strconv.FormatInt(page, 10) }
@@ -61,15 +62,16 @@ type tfRecord struct {
 
 // reloadDerived rebuilds the in-memory text machinery — the dictionary
 // and the inverted index, whose map sizes are the collection's N and DF —
-// and the fetch claims from the derived records the version store
+// and the fetch claims and titles from the derived records the version store
 // recovered from its cold tier, so a restarted server answers
 // search/profile/theme/trail queries and never re-crawls a page whose
 // derived state survived. Of the adjacency records it reads only the lnk/
 // count headers, whose sum is the link graph's edge count; readers decode
 // the records where they are. Records arrive in key order, not id order
 // (dict/10 sorts before dict/9), and restoreDict interns ids in numeric
-// order, so the one scan holds the tf/ blobs (≈0.1 KB a page) until the
-// dictionary is complete and decodes them after restoreDict.
+// order, so the one scan holds the tf/ blobs (≈0.1 KB a page, and its
+// title) until the dictionary is complete and decodes them after
+// restoreDict.
 //
 // A dict/ or tf/ key that dictKey or tfKey does not spell is refused (a
 // second spelling of an id would count a page twice in N and DF, or
@@ -120,13 +122,13 @@ func (e *Engine) reloadDerived() error {
 	for _, r := range tfs {
 		// An undecodable record leaves the page unclaimed, so its next
 		// visit re-fetches it and republishes over the bad blob.
-		tf := decodeCounts(e.dict, r.raw)
+		title, tf := decodeTF(e.dict, r.raw)
 		if tf.IDs == nil {
 			continue
 		}
 		e.idx.AddVector(r.page, tf)
 		rec := e.meta[r.page]
-		rec.fetched = true
+		rec.fetched, rec.title = true, string(title)
 		e.meta[r.page] = rec
 	}
 	return nil
@@ -220,7 +222,7 @@ func (v *DerivedView) TermCounts(page int64) text.Vector {
 	}
 	var tf text.Vector
 	if raw, ok := sn.Get(tfKey(page)); ok {
-		tf = decodeCounts(v.dict, raw)
+		_, tf = decodeTF(v.dict, raw)
 	}
 	v.cache.put(ck, tf, sizeofVec(tf))
 	return tf
@@ -275,20 +277,23 @@ func (v *DerivedView) Has(page int64) bool {
 
 // --- codec ---
 //
-// A tf/ record names its terms by dictionary id: uvarint(n), then per term
-// uvarint(id − previous id) and uvarint(count), ids strictly increasing
-// (the first delta counts from 0). Each term's string is stored once, as
-// its dict/<id> record, and ids are durable, so the blob decodes in any
-// later life of the archive.
+// A tf/ record holds what a fetch learned of a page: its title, as
+// uvarint(len) ‖ the title's bytes, then its term counts by dictionary id:
+// uvarint(n), then per term uvarint(id − previous id) and uvarint(count),
+// ids strictly increasing (the first delta counts from 0). Each term's
+// string is stored once, as its dict/<id> record, and ids are durable, so
+// the blob decodes in any later life of the archive.
 
-// encodeCounts serializes a page's raw term counts, ids sorted as a
+// encodeTF serializes a page's title and raw term counts, ids sorted as a
 // text.Vector keeps them, and returns the blob with the largest id it
 // names (−1 when it names none) — linkIndex.publish stages the dictionary
-// records up to that id. Equal counts always encode to byte-identical
-// blobs, which the restart tests pin and which keeps the cold tier from
-// churning with rewrites of unchanged records.
-func encodeCounts(tf text.Vector) ([]byte, int32) {
-	buf := make([]byte, 0, binary.MaxVarintLen64+4*len(tf.IDs))
+// records up to that id. Equal titles and counts always encode to
+// byte-identical blobs, which the restart tests pin and which keeps the
+// cold tier from churning with rewrites of unchanged records.
+func encodeTF(title string, tf text.Vector) ([]byte, int32) {
+	buf := make([]byte, 0, 2*binary.MaxVarintLen64+len(title)+4*len(tf.IDs))
+	buf = binary.AppendUvarint(buf, uint64(len(title)))
+	buf = append(buf, title...)
 	buf = binary.AppendUvarint(buf, uint64(len(tf.IDs)))
 	prev := int32(0)
 	for i, id := range tf.IDs {
@@ -303,22 +308,27 @@ func encodeCounts(tf text.Vector) ([]byte, int32) {
 	return buf, top
 }
 
-// maxCount is the largest count decodeCounts accepts: no page holds 2^31
+// maxCount is the largest count decodeTF accepts: no page holds 2^31
 // occurrences of a term, and postings keep counts as int32.
 const maxCount = math.MaxInt32
 
-// decodeCounts is the inverse of encodeCounts. It returns nil IDs on
-// corrupt input, on a count past maxCount and on a record naming an id the
-// dictionary does not hold; a decoded record's IDs are never nil, even for
-// a page with no terms. So a nil-IDs vector means "no record" wherever the
-// engine carries a page's counts, from here to every consumer. Every value
-// has exactly one encoding the decoder accepts (no padded varint, no
-// repeated id, no trailing bytes), so whatever decodes re-encodes to the
-// same bytes.
-func decodeCounts(d *text.Dict, b []byte) text.Vector {
+// decodeTF is the inverse of encodeTF. The title it returns is a slice of
+// b. It returns a nil title and nil IDs on corrupt input, on a count past
+// maxCount and on a record naming an id the dictionary does not hold; a
+// decoded record's IDs are never nil, even for a page with no terms. So a
+// nil-IDs vector means "no record" wherever the engine carries a page's
+// counts, from here to every consumer. Every value has exactly one
+// encoding the decoder accepts (no padded varint, no repeated id, no
+// trailing bytes), so whatever decodes re-encodes to the same bytes.
+func decodeTF(d *text.Dict, b []byte) (title []byte, tf text.Vector) {
+	size, w := uvarint(b)
+	if w <= 0 || size > uint64(len(b)-w) {
+		return nil, text.Vector{}
+	}
+	title, b = b[w:w+int(size)], b[w+int(size):]
 	n, w := uvarint(b)
 	if w <= 0 {
-		return text.Vector{}
+		return nil, text.Vector{}
 	}
 	b = b[w:]
 	// Every entry costs at least two bytes (delta and count), so a count
@@ -327,20 +337,20 @@ func decodeCounts(d *text.Dict, b []byte) text.Vector {
 	// ~2^60-entry allocation and OOM the process instead of degrading to
 	// "unknown".
 	if n > uint64(len(b))/2 {
-		return text.Vector{}
+		return nil, text.Vector{}
 	}
 	terms := uint64(d.Size())
-	tf := text.Vector{IDs: make([]int32, 0, n), Weights: make([]float64, 0, n)}
+	tf = text.Vector{IDs: make([]int32, 0, n), Weights: make([]float64, 0, n)}
 	id := uint64(0)
 	for i := uint64(0); i < n; i++ {
 		delta, w := uvarint(b)
 		if w <= 0 || (i > 0 && delta == 0) || delta >= terms-id {
-			return text.Vector{} // torn, a repeated id, or an id past the dictionary
+			return nil, text.Vector{} // torn, a repeated id, or an id past the dictionary
 		}
 		b = b[w:]
 		c, w := uvarint(b)
 		if w <= 0 || c > maxCount {
-			return text.Vector{}
+			return nil, text.Vector{}
 		}
 		b = b[w:]
 		id += delta
@@ -348,9 +358,9 @@ func decodeCounts(d *text.Dict, b []byte) text.Vector {
 		tf.Weights = append(tf.Weights, float64(c))
 	}
 	if len(b) != 0 {
-		return text.Vector{}
+		return nil, text.Vector{}
 	}
-	return tf
+	return title, tf
 }
 
 // uvarint is binary.Uvarint refusing a padded encoding (a final 0x00 group

@@ -30,7 +30,7 @@ func (t twin) TermCounts(page int64) text.Vector {
 	if !ok {
 		return text.Vector{}
 	}
-	return decodeCounts(t.dict, raw)
+	return countsOf(t.dict, raw)
 }
 
 func (t twin) ids(key string) []int64 {
@@ -236,7 +236,7 @@ func TestOversizeRecordDecodesOnEveryRead(t *testing.T) {
 	for i := 0; i < terms; i++ {
 		counts[fmt.Sprintf("term%05d", i)] = i%7 + 1
 	}
-	blob, _ := encodeCounts(text.VectorFromCounts(d, counts))
+	blob, _ := encodeTF("", text.VectorFromCounts(d, counts))
 	b := vs.BeginSized(1)
 	b.Put(tfKey(1), blob)
 	if err := b.Publish(); err != nil {

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -15,51 +16,65 @@ import (
 	"memex/internal/version"
 )
 
+// countsOf decodes a tf/ record's term counts, dropping its title.
+func countsOf(d *text.Dict, b []byte) text.Vector {
+	_, tf := decodeTF(d, b)
+	return tf
+}
+
 func TestCountsCodecRoundTrip(t *testing.T) {
 	d := text.NewDict()
 	d.ID("interned-before")
-	cases := []map[string]int{
-		nil,
-		{},
-		{"a": 1},
-		{"term": 3, "другой": 7, "": 12, "long-term-with-dashes": 1 << 30, "interned-before": 2},
+	cases := []struct {
+		title  string
+		counts map[string]int
+	}{
+		{"", nil},
+		{"", map[string]int{}},
+		{"Okapi", map[string]int{"a": 1}},
+		{"Окапи — " + strings.Repeat("x", 1200), map[string]int{"term": 3, "другой": 7, "": 12, "long-term-with-dashes": 1 << 30, "interned-before": 2}},
 	}
-	for _, counts := range cases {
-		tf := text.VectorFromCounts(d, counts)
-		blob, top := encodeCounts(tf)
-		got := decodeCounts(d, blob)
+	for _, c := range cases {
+		tf := text.VectorFromCounts(d, c.counts)
+		blob, top := encodeTF(c.title, tf)
+		title, got := decodeTF(d, blob)
 		if got.IDs == nil {
-			t.Fatalf("roundtrip(%v) failed: %v", counts, got)
+			t.Fatalf("roundtrip(%q, %v) failed: %v", c.title, c.counts, got)
 		}
-		if !reflect.DeepEqual(got, tf) {
-			t.Fatalf("roundtrip(%v) = %v, want %v", counts, got, tf)
+		if !reflect.DeepEqual(got, tf) || string(title) != c.title {
+			t.Fatalf("roundtrip(%q, %v) = %q, %v", c.title, c.counts, title, got)
 		}
 		want := int32(-1)
-		for term := range counts {
+		for term := range c.counts {
 			want = max(want, d.ID(term))
 		}
 		if top != want {
-			t.Fatalf("encodeCounts(%v) top = %d, want the largest id %d", counts, top, want)
+			t.Fatalf("encodeTF(%v) top = %d, want the largest id %d", c.counts, top, want)
 		}
 	}
-	// The ids are the dictionary's: "interned-before" is id 0, and "term"
-	// follows at its own id, as a delta from 0.
-	blob, _ := encodeCounts(text.VectorFromCounts(d, map[string]int{"interned-before": 4, "term": 1}))
-	if termID := d.ID("term"); !bytes.Equal(blob, []byte{2, 0, 4, byte(termID), 1}) {
-		t.Fatalf("blob % x, want n, then (id delta, count) pairs in id order", blob)
+	// The title leads, as its length and bytes. The ids are the
+	// dictionary's: "interned-before" is id 0, and "term" follows at its
+	// own id, as a delta from 0.
+	blob, _ := encodeTF("Okapi", text.VectorFromCounts(d, map[string]int{"interned-before": 4, "term": 1}))
+	if termID := d.ID("term"); !bytes.Equal(blob, []byte{5, 'O', 'k', 'a', 'p', 'i', 2, 0, 4, byte(termID), 1}) {
+		t.Fatalf("blob % x, want the title's length and bytes, n, then (id delta, count) pairs in id order", blob)
 	}
 	for name, bad := range map[string][]byte{
-		"corrupt header":        {0xff},
-		"truncated":             {2, 1, 1},
-		"repeated id":           {2, 1, 1, 0, 1},
-		"id past dictionary":    append(binary.AppendUvarint([]byte{1}, uint64(d.Size())), 1),
-		"delta wraps past 2^64": {2, 1, 1, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 1},
-		"padded varint":         {1, 0x81, 0x00, 1},
-		"trailing byte":         {1, 1, 1, 0},
-		"count past maxCount":   binary.AppendUvarint([]byte{1, 0}, maxCount+1),
+		"empty":                 {},
+		"no counts":             {0},
+		"title past the record": {5, 'O', 'k', 'a', 'p'},
+		"padded title length":   {0x80, 0x00, 0},
+		"corrupt header":        {0, 0xff},
+		"truncated":             {0, 2, 1, 1},
+		"repeated id":           {0, 2, 1, 1, 0, 1},
+		"id past dictionary":    append(binary.AppendUvarint([]byte{0, 1}, uint64(d.Size())), 1),
+		"delta wraps past 2^64": {0, 2, 1, 1, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 1},
+		"padded varint":         {0, 1, 0x81, 0x00, 1},
+		"trailing byte":         {0, 1, 1, 1, 0},
+		"count past maxCount":   binary.AppendUvarint([]byte{0, 1, 0}, maxCount+1),
 	} {
-		if tf := decodeCounts(d, bad); tf.IDs != nil {
-			t.Errorf("%s: % x decoded to %v", name, bad, tf)
+		if title, tf := decodeTF(d, bad); tf.IDs != nil || title != nil {
+			t.Errorf("%s: % x decoded to %q, %v", name, bad, title, tf)
 		}
 	}
 }
@@ -73,21 +88,26 @@ func TestCountsDecodeBoundsAllocation(t *testing.T) {
 	d.ID("a")
 	d.ID("b")
 	huge := binary.AppendUvarint(nil, 1<<60)
-	if decodeCounts(d, huge).IDs != nil {
+	// A title length of 2^60, alone and with a count after it.
+	if countsOf(d, huge).IDs != nil || countsOf(d, append(huge, 0)).IDs != nil {
+		t.Fatal("decoded a 2^60-byte title claim")
+	}
+	huge = append([]byte{0}, huge...) // an empty title, then the claim
+	if countsOf(d, huge).IDs != nil {
 		t.Fatal("decoded a 2^60-entry claim")
 	}
 	// Same header followed by a plausible-looking entry.
-	if decodeCounts(d, append(huge, 0, 1)).IDs != nil {
+	if countsOf(d, append(huge, 0, 1)).IDs != nil {
 		t.Fatal("decoded an impossible count with payload")
 	}
 	// Two entries claimed, three bytes of payload: over the bound.
-	if decodeCounts(d, []byte{2, 0, 1, 1}).IDs != nil {
+	if countsOf(d, []byte{0, 2, 0, 1, 1}).IDs != nil {
 		t.Fatal("decoded two entries from three bytes")
 	}
 	// The bound must not reject genuine records whose entries take exactly
 	// two bytes each.
 	want := text.Vector{IDs: []int32{0, 1}, Weights: []float64{7, 9}}
-	if tf := decodeCounts(d, []byte{2, 0, 7, 1, 9}); !reflect.DeepEqual(tf, want) {
+	if tf := countsOf(d, []byte{0, 2, 0, 7, 1, 9}); !reflect.DeepEqual(tf, want) {
 		t.Fatalf("rejected minimal valid record: %v", tf)
 	}
 }
@@ -108,16 +128,16 @@ func TestCountsEncodeDeterministic(t *testing.T) {
 	for i := 199; i >= 0; i-- {
 		tf2[fmt.Sprintf("term-%03d", i)] = i + 1
 	}
-	want, _ := encodeCounts(text.VectorFromCounts(d, tf))
+	want, _ := encodeTF("", text.VectorFromCounts(d, tf))
 	for i := 0; i < 20; i++ {
-		if got, _ := encodeCounts(text.VectorFromCounts(d, tf)); !bytes.Equal(got, want) {
+		if got, _ := encodeTF("", text.VectorFromCounts(d, tf)); !bytes.Equal(got, want) {
 			t.Fatal("same counts encoded differently across calls")
 		}
-		if got, _ := encodeCounts(text.VectorFromCounts(d, tf2)); !bytes.Equal(got, want) {
+		if got, _ := encodeTF("", text.VectorFromCounts(d, tf2)); !bytes.Equal(got, want) {
 			t.Fatal("equal counts encoded differently")
 		}
 	}
-	if got := decodeCounts(d, want); !reflect.DeepEqual(got, text.VectorFromCounts(d, tf)) {
+	if got := countsOf(d, want); !reflect.DeepEqual(got, text.VectorFromCounts(d, tf)) {
 		t.Fatal("sorted encoding broke the round trip")
 	}
 }
@@ -137,11 +157,11 @@ func bench56() (*text.Dict, text.Vector) {
 }
 
 // TestDecodeCountsAllocations: decoding a record allocates its two slices
-// and nothing per term — no string is touched.
+// and nothing per term — no string is touched, the title included.
 func TestDecodeCountsAllocations(t *testing.T) {
 	d, tf := bench56()
-	blob, _ := encodeCounts(tf)
-	if allocs := testing.AllocsPerRun(100, func() { decodeCounts(d, blob) }); allocs > 2 {
+	blob, _ := encodeTF("A page of the benchmark world", tf)
+	if allocs := testing.AllocsPerRun(100, func() { countsOf(d, blob) }); allocs > 2 {
 		t.Fatalf("decoding a 56-term record allocates %.0f times, want at most 2", allocs)
 	}
 }
@@ -150,16 +170,16 @@ func BenchmarkEncodeCounts(b *testing.B) {
 	_, tf := bench56()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		encodeCounts(tf)
+		encodeTF("", tf)
 	}
 }
 
 func BenchmarkDecodeCounts(b *testing.B) {
 	d, tf := bench56()
-	blob, _ := encodeCounts(tf)
+	blob, _ := encodeTF("", tf)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		decodeCounts(d, blob)
+		countsOf(d, blob)
 	}
 }
 

@@ -27,8 +27,11 @@ import (
 // in an earlier one (linkIndex.publish). These tests hold that epoch rule,
 // what Open refuses, and that ids survive a restart.
 
-// recordIDs reads the ids a tf/ record names, without a dictionary.
+// recordIDs reads the ids a tf/ record names, without a dictionary: it
+// skips the title, then reads the (id delta, count) pairs.
 func recordIDs(raw []byte) []int32 {
+	size, w := binary.Uvarint(raw)
+	raw = raw[w+int(size):]
 	n, w := binary.Uvarint(raw)
 	raw = raw[w:]
 	var ids []int32
@@ -393,21 +396,29 @@ func TestOpenRefusesNonCanonicalKeys(t *testing.T) {
 // for it republishes a good record. So is a record naming terms in an
 // archive with no dictionary at all, as one that spells its terms (the
 // codec before dict/ records) is: the first life's source lacked the page,
-// so nothing published a dict/ record.
+// so nothing published a dict/ record. Both records carry an empty title,
+// so that the id check, not the title or the allocation bound, refuses
+// them; the same record with its id inside the dictionary must decode.
 func TestRecordPastDictionaryIsRefetched(t *testing.T) {
 	page := Content{URL: "http://zoo.example/quagga", Title: "Quagga", Text: "zebra quagga savannah"}
 	const pageTerms = 3
+	// record is an untitled tf/ record holding one term, id, counted once.
+	record := func(id int) []byte {
+		return append(binary.AppendUvarint([]byte{0, 1}, uint64(id)), 1)
+	}
 	for _, tc := range []struct {
-		name   string
-		first  PageSource
-		record func(terms int) []byte
+		name  string
+		first PageSource
+		// bad is the record to plant; good is bad with the id mended,
+		// nil where the archive has no dictionary to mend it with.
+		bad, good func(terms int) []byte
 	}{
-		{"id past the dictionary", oneSource{page}, func(terms int) []byte {
-			return append(binary.AppendUvarint([]byte{1}, uint64(terms+3)), 1)
-		}},
+		{"id past the dictionary", oneSource{page},
+			func(terms int) []byte { return record(terms + 3) },
+			func(terms int) []byte { return record(terms - 1) }},
 		{"no dictionary", oneSource{}, func(int) []byte {
-			return spelledCounts(map[string]int{"zebra": 1, "quagga": 2, "savannah": 1})
-		}},
+			return append([]byte{0}, spelledCounts(map[string]int{"zebra": 1, "quagga": 2, "savannah": 1})...)
+		}, nil},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := Config{Dir: t.TempDir(), Source: tc.first, GCInterval: -1}
@@ -421,8 +432,18 @@ func TestRecordPastDictionaryIsRefetched(t *testing.T) {
 			}
 			e.DrainBackground()
 			id := e.idByURL[page.URL]
+			terms := e.Status().Terms
+			bad := tc.bad(terms)
+			if _, tf := decodeTF(e.dict, bad); tf.IDs != nil {
+				t.Fatalf("planted record %x decodes: %v", bad, tf)
+			}
+			if tc.good != nil {
+				if _, tf := decodeTF(e.dict, tc.good(terms)); len(tf.IDs) != 1 {
+					t.Fatalf("record %x with its id mended does not decode, so the id is not what refuses %x", tc.good(terms), bad)
+				}
+			}
 			b := e.vs.BeginSized(0)
-			b.Put(tfKey(id), tc.record(e.Status().Terms))
+			b.Put(tfKey(id), bad)
 			if err := b.Publish(); err != nil {
 				t.Fatal(err)
 			}

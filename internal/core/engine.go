@@ -15,10 +15,11 @@
 // foreground publishes nothing and queues its events. Each analyzer demon
 // takes the queued events in groups of up to groupMax
 // (events.Queue.PopBatch) and ingests a group in one pass — one e.mu
-// section claims its pages and commits their out-link and title rows, one
-// version publish holds their derived records and its community visits'
-// referrer edges — so the analyzers' locks are taken per group, not per
-// page. A single event is a group of one; there is no
+// section claims its pages and commits the rows of their never-seen
+// out-link targets, one version publish holds their derived records,
+// titles included, and its community visits' referrer edges — so the
+// analyzers' locks are taken per group, not per page. A committed row is
+// never written again. A single event is a group of one; there is no
 // per-event path beside it.
 //
 // # Derived page state lives only in the version store
@@ -206,6 +207,12 @@ type Engine struct {
 	// (ensurePages), and reload recovers each from the records.
 	nextPage, nextVisit, nextBookmark int64
 
+	// refetch is the fetch backlog Open found (requeueUnfetched), which the
+	// analyzers take in groups before they turn to the queue; refetchNext
+	// is the index of its first event no analyzer has taken.
+	refetch     []events.Event
+	refetchNext atomic.Int64
+
 	// pushed/processed (plus the queue's drop counter) account for
 	// background work precisely, so DrainBackground cannot return while an
 	// event is between PopBatch and completion. drained, on drainMu, is
@@ -225,7 +232,10 @@ type Engine struct {
 // pageRec is everything the engine keeps in RAM about one page. Records
 // are map values: update one by writing the changed copy back under e.mu.
 type pageRec struct {
-	url   string
+	url string
+	// title is the fetched page's title, which its tf/ record holds: set
+	// with the claim, cleared if the claim's publish fails, and restored by
+	// reloadDerived. It is the one copy; folder entries carry none.
 	title string
 	// fetched is the fetch path's claim and the one answer to "is this
 	// page fetched?": the page's derived stats have been (or are being)
@@ -347,7 +357,7 @@ func (e *Engine) reload() (refs map[int64][]int64, err error) {
 			dup = fmt.Errorf("core: table %q: page id %d is named by two records, %q and %q", pagesTable.name, r.id, prev.url, r.url)
 			return false
 		}
-		e.meta[r.id] = pageRec{url: r.url, title: r.title}
+		e.meta[r.id] = pageRec{url: r.url}
 		e.idByURL[r.url] = r.id
 		e.nextPage = max(e.nextPage, r.id+1)
 		return true
@@ -403,12 +413,15 @@ func (e *Engine) republishReferrerEdges(refs map[int64][]int64) error {
 	return nil
 }
 
-// requeueUnfetched queues a fetch for every visited or bookmarked page
+// requeueUnfetched lists a fetch for every visited or bookmarked page
 // that came back without a tf/ record: the event queue is memory-only and
-// Close does not drain it, so a fetch still queued at shutdown, or one the
-// source could not serve that life, would otherwise wait for a revisit.
-// Sorted id order keeps the refetch order reproducible. Runs during Open,
-// single-threaded, after reloadDerived.
+// Close does not drain it, so a fetch still queued at shutdown, one lost
+// with the unfolded records in a crash, or one the source could not serve
+// that life, would otherwise wait for a revisit. The list is the refetch
+// backlog, not the queue, which past its capacity sheds the oldest event:
+// after a crash the list can run to thousands of pages. DrainBackground
+// counts it like pushed events. Sorted id order keeps the refetch order
+// reproducible. Runs during Open, single-threaded, after reloadDerived.
 func (e *Engine) requeueUnfetched() {
 	var pages []int64
 	note := func(page int64) {
@@ -432,8 +445,19 @@ func (e *Engine) requeueUnfetched() {
 	for _, page := range slices.Compact(pages) {
 		// An event of no Kind is fetch-only: process fetches and indexes
 		// the page and classifies it for nobody.
-		e.enqueue(events.Event{URL: e.meta[page].url})
+		e.refetch = append(e.refetch, events.Event{URL: e.meta[page].url})
 	}
+	e.pushed.Add(int64(len(e.refetch)))
+}
+
+// takeRefetch returns the next group of at most groupMax events of the
+// refetch backlog, or nil once every event of it is taken.
+func (e *Engine) takeRefetch() []events.Event {
+	end := e.refetchNext.Add(groupMax)
+	if start := end - groupMax; start < int64(len(e.refetch)) {
+		return e.refetch[start:min(end, int64(len(e.refetch)))]
+	}
+	return nil
 }
 
 // enqueue queues ev for the analyzers and counts it for DrainBackground
@@ -502,11 +526,9 @@ func (e *Engine) treeLocked(user int64) *folders.Tree {
 // Open is the tree before Close, classifier guesses aside. Caller must hold e.mu or be in
 // single-threaded setup.
 func (e *Engine) fileLocked(r bookmarkRow) {
-	rec := e.meta[r.page]
 	e.treeLocked(r.user).Add(r.folder, folders.Entry{
 		Page:  r.page,
-		URL:   rec.url,
-		Title: rec.title,
+		URL:   e.meta[r.page].url,
 		Added: time.Unix(0, r.at).UTC(),
 	})
 }
@@ -607,6 +629,13 @@ type Pressure struct {
 	// 1–256 events, so the lag bounds neither memory nor what a crash
 	// costs, since Open re-derives every unfolded record from the rows.
 	FoldLag uint64
+	// Backlog counts the background work not yet done: queued events,
+	// the groups the analyzers hold, and the refetches Open listed
+	// (requeueUnfetched) that no analyzer has taken yet. It reads 0
+	// exactly when DrainBackground would return. It is for observability
+	// only (/api/status, memex_engine_backlog): the refetches are no
+	// writer's doing, so admission does not read it.
+	Backlog int64
 }
 
 // Pressure returns the current backpressure signals.
@@ -614,6 +643,7 @@ func (e *Engine) Pressure() Pressure {
 	p := Pressure{
 		QueueDepth: e.queue.Len(),
 		QueueCap:   e.queue.Cap(),
+		Backlog:    e.backlog(),
 	}
 	wm, cold := e.vs.Watermark(), e.vs.ColdWatermark()
 	if wm > cold {
@@ -622,14 +652,15 @@ func (e *Engine) Pressure() Pressure {
 	return p
 }
 
-// DrainBackground blocks until the background queue is empty and all
-// in-flight analysis has finished, or until the engine is closed (tests
-// and benchmarks). It sleeps on drained, which the analyzer that finishes
-// the last outstanding group wakes, and which Close wakes, so it returns
-// as soon as either happens. Close stops the analyzers with events still
-// queued; their pages are not lost: the next Open queues a fetch for every
-// page still without a tf/ record (requeueUnfetched) and republishes every
-// community visit's referrer edge (republishReferrerEdges).
+// DrainBackground blocks until the background queue and the refetch
+// backlog are empty and all in-flight analysis has finished, or until the
+// engine is closed (tests and benchmarks). It sleeps on drained, which the
+// analyzer that finishes the last outstanding group wakes, and which Close
+// wakes, so it returns as soon as either happens. Close stops the
+// analyzers with events still queued; their pages are not lost: the next
+// Open lists a fetch for every page still without a tf/ record
+// (requeueUnfetched) and republishes every community visit's referrer
+// edge (republishReferrerEdges).
 func (e *Engine) DrainBackground() {
 	e.drainMu.Lock()
 	for !e.caughtUp() && !e.closed.Load() {
@@ -638,10 +669,17 @@ func (e *Engine) DrainBackground() {
 	e.drainMu.Unlock()
 }
 
-// caughtUp reports whether every pushed event is processed or shed.
-func (e *Engine) caughtUp() bool {
-	return e.processed.Load()+int64(e.queue.Dropped()) >= e.pushed.Load()
+// backlog counts the pushed events, refetches included, that are neither
+// processed nor shed. It reads pushed last, and an event is counted there
+// before it can be processed or shed, so the count is never below zero.
+func (e *Engine) backlog() int64 {
+	done := e.processed.Load() + int64(e.queue.Dropped())
+	return max(0, e.pushed.Load()-done)
 }
+
+// caughtUp reports whether every pushed event, and every refetch, is
+// processed or shed.
+func (e *Engine) caughtUp() bool { return e.backlog() == 0 }
 
 // finished counts n events processed and, once nothing is outstanding,
 // wakes the drain waiters. The broadcast is made under drainMu, so a

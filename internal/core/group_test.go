@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -108,8 +109,9 @@ func TestGroupFetchesRepeatedPageOnce(t *testing.T) {
 // TestGroupPublishReadErrorReleasesEveryClaim: a group whose publish meets
 // an unreadable record publishes nothing at all — not the innocent page's
 // records, not the community edge it carries — and releases every claim
-// it took. FetchesFailed counts both claimed pages; once the record reads
-// again, the next Open refetches them.
+// it took, with the titles it set. FetchesFailed counts both claimed
+// pages; once the record reads again, the next Open refetches them, titles
+// included.
 func TestGroupPublishReadErrorReleasesEveryClaim(t *testing.T) {
 	okapi := Content{URL: "http://zoo.example/okapi", Title: "Okapi", Text: "okapi rainforest giraffid", Links: []string{"http://zoo.example/bongo"}}
 	tapir := Content{URL: "http://zoo.example/tapir", Title: "Tapir", Text: "tapir rainforest browsing"}
@@ -157,8 +159,11 @@ func TestGroupPublishReadErrorReleasesEveryClaim(t *testing.T) {
 	}
 	tapirID := pageID(t, e, tapir.URL)
 	for _, id := range []int64{okapiID, tapirID} {
-		if e.derivedPublished(id) {
-			t.Fatalf("page %d kept its claim after the failed group", id)
+		e.mu.RLock()
+		title := e.meta[id].title
+		e.mu.RUnlock()
+		if e.derivedPublished(id) || title != "" {
+			t.Fatalf("page %d kept its claim, or its title %q, after the failed group", id, title)
 		}
 	}
 	if st.FetchesFailed != before.FetchesFailed+2 || st.PagesFetched != before.PagesFetched || st.PagesIndexed != before.PagesIndexed {
@@ -183,9 +188,9 @@ func TestGroupPublishReadErrorReleasesEveryClaim(t *testing.T) {
 	if st := e.Status(); st.PagesFetched != 2 || st.FetchesFailed != 0 {
 		t.Fatalf("after reopen: PagesFetched %d, FetchesFailed %d; want both pages refetched", st.PagesFetched, st.FetchesFailed)
 	}
-	for _, q := range []string{"okapi", "tapir"} {
-		if hits := e.Search(1, q, 5); len(hits) != 1 {
-			t.Fatalf("search %q after reopen: %v", q, hits)
+	for _, p := range []Content{okapi, tapir} {
+		if hits := e.Search(1, strings.ToLower(p.Title), 5); len(hits) != 1 || hits[0].Title != p.Title {
+			t.Fatalf("search %q after reopen: %v", p.Title, hits)
 		}
 	}
 	e.withView(func(v *DerivedView) {

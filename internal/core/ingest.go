@@ -1,10 +1,13 @@
 package core
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -156,15 +159,23 @@ func (e *Engine) ImportBookmarks(user int64, r io.Reader) (int, error) {
 	return e.addBookmarks(user, ps)
 }
 
-// ExportBookmarks writes the user's folder tree in Netscape format.
+// ExportBookmarks writes the user's folder tree in Netscape format, each
+// entry titled with its page's title. It renders under e.mu into a
+// buffer, which it writes to w once the lock is released.
 func (e *Engine) ExportBookmarks(user int64, w io.Writer) error {
+	var buf bytes.Buffer
 	e.mu.RLock()
 	tree := e.trees[user]
-	e.mu.RUnlock()
 	if tree == nil {
 		tree = folders.NewTree()
 	}
-	return folders.ExportNetscape(tree, w)
+	err := folders.ExportNetscape(tree, func(page int64) string { return e.meta[page].title }, &buf)
+	e.mu.RUnlock()
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(buf.Bytes())
+	return err
 }
 
 // ensurePages is the engine's one row writer. It returns the page id of
@@ -178,8 +189,8 @@ func (e *Engine) ExportBookmarks(user int64, w io.Writer) error {
 // run under e.mu and must not block. Without op, urls that are all known
 // are resolved under the read lock alone.
 func (e *Engine) ensurePages(urls []string, op func(ids []int64) (rows []kvstore.KV, apply func())) ([]int64, error) {
-	ids := make([]int64, len(urls))
 	if op == nil {
+		ids := make([]int64, len(urls))
 		missing := false
 		e.mu.RLock()
 		for i, url := range urls {
@@ -191,9 +202,15 @@ func (e *Engine) ensurePages(urls []string, op func(ids []int64) (rows []kvstore
 			return ids, nil
 		}
 	}
-
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	return e.ensurePagesLocked(urls, op)
+}
+
+// ensurePagesLocked is ensurePages for a caller that holds e.mu for
+// writing.
+func (e *Engine) ensurePagesLocked(urls []string, op func(ids []int64) (rows []kvstore.KV, apply func())) ([]int64, error) {
+	ids := make([]int64, len(urls))
 	var rows []kvstore.KV
 	fresh := map[string]int64{}
 	for i, url := range urls {
@@ -237,8 +254,9 @@ func (e *Engine) ensurePages(urls []string, op func(ids []int64) (rows []kvstore
 // best at 256 (CHANGES.md has the sweep).
 const groupMax = 256
 
-// analyzerLoop is the background demon body: it takes the queued events
-// in groups and ingests each group in one pass.
+// analyzerLoop is the background demon body: it takes the refetch
+// backlog, then the queued events, in groups and ingests each group in
+// one pass.
 func (e *Engine) analyzerLoop(stop <-chan struct{}) {
 	buf := make([]events.Event, 0, groupMax)
 	for {
@@ -247,9 +265,12 @@ func (e *Engine) analyzerLoop(stop <-chan struct{}) {
 			return
 		default:
 		}
-		group, ok := e.queue.PopBatch(buf[:0], groupMax)
-		if !ok {
-			return
+		group := e.takeRefetch()
+		if group == nil {
+			var ok bool
+			if group, ok = e.queue.PopBatch(buf[:0], groupMax); !ok {
+				return
+			}
 		}
 		e.process(group)
 	}
@@ -317,26 +338,25 @@ func hasEdge(ev events.Event) bool {
 // ingest fetches a group of pages and publishes them, with edges, in one
 // pass: pages already fetched, and repeats, are skipped under one read
 // lock; the rest are resolved and tokenized with no lock held; the group
-// claims them and commits their never-seen out-link rows and their title
-// rows in one e.mu section; and their tf/, lnk/ and rin/ records,
-// the dict/ records they need and the edges are one version publish. It
+// claims them and commits the rows of their never-seen out-link targets
+// in one e.mu section, which commits nothing when every target is known;
+// and their tf/ records (titles included), lnk/ and rin/ records, the
+// dict/ records they need and the edges are one version publish. It
 // returns the raw term counts by id of every page this call resolved and
 // published (a page another group claimed first publishes its out-links
 // here all the same), and the first panic value of a Lookup, for the
 // caller to raise again: such a page is skipped, and the rest of the
 // group goes on.
 //
-// The rows come before the publish because they are the step that can
-// fail: a page whose tf/ record exists counts as fetched in every later
-// life and is never fetched again, so publishing ahead of a title write
-// that then failed would leave the row without its title for good. If the
-// commit fails, no claim stands; if a read the publish needs fails, every
-// claim of the group is released. Either way nothing is indexed or
-// published: the pages stay unfetched,
-// FetchesFailed counts them, and their next visit — or requeueUnfetched
-// at the next Open — tries again. By the time ingest returns, the latest
-// published lnk/ record of each page it resolved holds the page's full
-// out-link union, on both sides of a claim race.
+// The out-link rows come before the publish because the lnk/ and rin/
+// records name their targets by id, and an id exists only once its row
+// is committed. If the commit fails, no claim stands; if a read the
+// publish needs fails, every claim of the group is released, with the
+// title it set in RAM. Either way nothing is indexed or published: the
+// pages stay unfetched, FetchesFailed counts them, and their next visit —
+// or requeueUnfetched at the next Open — tries again. By the time ingest
+// returns, the latest published lnk/ record of each page it resolved holds
+// the page's full out-link union, on both sides of a claim race.
 func (e *Engine) ingest(pages []int64, edges []linkUpdate) (tfs map[int64]text.Vector, panicked any) {
 	type fetch struct {
 		page    int64
@@ -371,43 +391,63 @@ func (e *Engine) ingest(pages []int64, edges []linkUpdate) (tfs map[int64]text.V
 		return nil, panicked
 	}
 
-	// Claim the pages in the section that commits their rows: two workers
-	// can race on one URL, so only the claim winner may index it or
-	// publish its tf/ record, and a claim stands only once its title row is
-	// in. Out-link URLs resolve to stable page ids in the same commit
-	// (seen-but-unfetched targets get their pages-table row here — the
-	// durable half of the crawl frontier). A loser publishes the out-links
-	// it holds all the same — idempotent and serialized with the winner
-	// under the link lock, so whichever side lands last leaves the full
-	// union — because its caller may read the page's lnk/ record the
+	// Claim the pages in the section that resolves their out-links: two
+	// workers can race on one URL, so only the claim winner may index it or
+	// publish its tf/ record. Out-link URLs resolve to stable page ids in
+	// the section's commit (seen-but-unfetched targets get their
+	// pages-table row here — the durable half of the crawl frontier), and a
+	// claim stands only once that commit is in. A loser publishes the
+	// out-links it holds all the same — idempotent and serialized with the
+	// winner under the link lock, so whichever side lands last leaves the
+	// full union — because its caller may read the page's lnk/ record the
 	// moment it returns.
-	var links []string
+	//
+	// A link whose URL has no id yet, and is too long for a pages row
+	// (kvstore.MaxKV) with the largest id this commit could give it, is
+	// dropped rather than fail the commit, so the row store never refuses
+	// a fetched fact. The check is made in the section that commits, where
+	// "no id yet" still holds.
+	e.mu.Lock()
+	n := 0
 	for _, f := range got {
+		n += len(f.content.Links)
+	}
+	idLen := len(binary.AppendUvarint(nil, uint64(e.nextPage)+uint64(n)))
+	rowless := func(url string) bool {
+		return e.idByURL[url] == 0 && len(pagesPrefix)+len(url)+idLen > kvstore.MaxKV
+	}
+	var links []string
+	for i := range got {
+		f := &got[i]
+		if slices.ContainsFunc(f.content.Links, rowless) {
+			f.content.Links = slices.DeleteFunc(slices.Clone(f.content.Links), rowless)
+		}
 		links = append(links, f.content.Links...)
 	}
-	// mark sets every claimed page's fetched flag, and its title as its
-	// committed row holds it. Caller holds e.mu.
+	// mark sets every claimed page's fetched flag and its title, which
+	// its tf/ record will hold, or clears both. Caller holds e.mu.
 	mark := func(fetched bool) {
 		for _, f := range got {
 			if rec := e.meta[f.page]; f.claimed {
-				rec.fetched, rec.title = fetched, f.content.Title
+				rec.fetched, rec.title = fetched, ""
+				if fetched {
+					rec.title = f.content.Title
+				}
 				e.meta[f.page] = rec
 			}
 		}
 	}
 	claimed := 0
-	ids, err := e.ensurePages(links, func([]int64) ([]kvstore.KV, func()) {
-		var titles []kvstore.KV
+	ids, err := e.ensurePagesLocked(links, func([]int64) ([]kvstore.KV, func()) {
 		for i := range got {
 			if f := &got[i]; !e.meta[f.page].fetched {
 				f.claimed = true
-				k, v := pageRow{id: f.page, url: f.url, title: f.content.Title}.record()
-				titles = append(titles, kvstore.KV{Key: k, Value: v})
+				claimed++
 			}
 		}
-		claimed = len(titles)
-		return titles, func() { mark(true) }
+		return nil, func() { mark(true) }
 	})
+	e.mu.Unlock()
 	if err == nil {
 		// Index and publish the group's derived state as one batch. The
 		// index counts each claimed page before the batch makes its vector
@@ -421,7 +461,7 @@ func (e *Engine) ingest(pages []int64, edges []linkUpdate) (tfs map[int64]text.V
 			u := linkUpdate{from: f.page, targets: ids[:len(f.content.Links)]}
 			ids = ids[len(f.content.Links):]
 			if f.claimed {
-				u.tf = &f.tf
+				u.title, u.tf = f.content.Title, &f.tf
 			}
 			updates = append(updates, u)
 		}
@@ -455,6 +495,11 @@ func (e *Engine) lookup(url string) (content Content, ok bool, panicked any) {
 	return content, ok, nil
 }
 
+// guessConfidence is the least posterior a classifier's folder needs to
+// stand as a guess, filed or counted in a usage breakdown: below it the
+// guess is too uncertain to bother the user with.
+const guessConfidence = 0.4
+
 // classifyForUser places the page into the user's folder space as a guess
 // ('?' in the Figure 1 UI) by the user's trained classifier. tf is the
 // page's term counts when the caller just fetched it; for pages fetched
@@ -468,13 +513,12 @@ func (e *Engine) classifyForUser(model *classify.Bayes, user, pageID int64, tf t
 		return
 	}
 	folder, conf := model.ClassifyVector(tf)
-	if conf < 0.4 {
-		return // too uncertain to bother the user with a guess
+	if conf < guessConfidence {
+		return
 	}
 	e.mu.Lock()
-	rec := e.meta[pageID]
 	e.treeLocked(user).Add(folder, folders.Entry{
-		Page: pageID, URL: rec.url, Title: rec.title,
+		Page: pageID, URL: e.meta[pageID].url,
 		Added: e.cfg.Now(), Guessed: true,
 	})
 	e.mu.Unlock()

@@ -172,6 +172,15 @@ func TestOpenRefusesOtherFormats(t *testing.T) {
 	restamped := then(engineArchive, func(kv *kvstore.Store) error {
 		return kv.Put([]byte(formatKey), []byte("memex/0"))
 	})
+	// memex/1, the format before titles moved into tf/ records: a pages
+	// row holds the page's id and then its title.
+	titledRows := then(engineArchive, func(kv *kvstore.Store) error {
+		k, v := pageRow{id: 1, url: refusedPage.URL}.record()
+		return kv.PutBatch([]kvstore.KV{
+			{Key: []byte(formatKey), Value: []byte("memex/1")},
+			{Key: k, Value: append(v, refusedPage.Title...)},
+		})
+	})
 	// The kvstore's meta page keeps its page layout's magic, 8 bytes at
 	// offset 16; "MEMEX" is the full-key leaf layout's.
 	fullKeyLeaves := func(dir string) error {
@@ -195,6 +204,7 @@ func TestOpenRefusesOtherFormats(t *testing.T) {
 		{"cold tier only", coldTier, []string{`"vc/`, "no format stamp", strconv.Quote(format)}},
 		{"rows without a stamp", then(engineArchive, unstamp), []string{"no format stamp", strconv.Quote(format)}},
 		{"foreign stamp", restamped, []string{`"memex/0"`, strconv.Quote(format)}},
+		{"titles in rows", titledRows, []string{`"memex/1"`, strconv.Quote(format)}},
 		{"foreign magic", fullKeyLeaves, []string{"0x4d454d4558", "MEMEX2"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -450,7 +460,7 @@ func TestPageIDNamedTwiceFailsOpen(t *testing.T) {
 	}{
 		{"duplicate id", []pageRow{
 			{id: 1, url: "http://zoo.example/aardvark"},
-			{id: 2, url: "http://zoo.example/okapi", title: "Okapi"},
+			{id: 2, url: "http://zoo.example/okapi"},
 			{id: 2, url: "http://zoo.example/tapir"},
 		}, []string{"page id 2", `"http://zoo.example/okapi"`, `"http://zoo.example/tapir"`}},
 		{"id 0", []pageRow{{id: 0, url: "http://zoo.example/zero"}}, []string{`"pages"`, `key "http://zoo.example/zero"`}},

@@ -95,10 +95,11 @@ func newLinkIndex(vs *version.Store, dict *text.Dict, idx *textindex.Index) *lin
 }
 
 // linkUpdate is one source's share of a publish: the edges from→targets
-// and, for a fetched page, its raw term counts by id.
+// and, for a fetched page, its title and raw term counts by id.
 type linkUpdate struct {
 	from    int64
 	targets []int64
+	title   string
 	tf      *text.Vector
 }
 
@@ -113,12 +114,13 @@ type linkPair struct {
 // with its new sources added, and the dictionary records the batch must
 // carry. A source may appear in several updates; each record is read and
 // rewritten once. An update's tf, when non-nil, is its page's raw term
-// counts by id: the index appends them and their tf/ record rides in the
-// same batch (the fetch path), making term and link state snapshot-atomic
-// per page; a tf-carrying update always writes its page's lnk/ record
-// (even with zero links) so "archived" implies "adjacency known" for
-// every snapshot that sees the page. The first tf a source carries counts,
-// as the index keeps the first vector of a page.
+// counts by id: the index appends them and their tf/ record, which holds
+// the update's title too, rides in the same batch (the fetch path), making
+// term and link state snapshot-atomic per page; a tf-carrying update
+// always writes its page's lnk/ record (even with zero links) so
+// "archived" implies "adjacency known" for every snapshot that sees the
+// page. The first tf a source carries counts, as the index keeps the
+// first vector of a page.
 //
 // The edges are flattened to sorted (source, target) pairs before the
 // lock. The critical section pins the latest publish, reads the records,
@@ -152,7 +154,7 @@ func (li *linkIndex) publish(updates []linkUpdate) error {
 		if u.tf != nil && tfs[src] == nil {
 			var pageTop int32
 			tfs[src] = u.tf
-			tfBlobs[src], pageTop = encodeCounts(*u.tf)
+			tfBlobs[src], pageTop = encodeTF(u.title, *u.tf)
 			top, carriesTF = max(top, pageTop), true
 		}
 	}

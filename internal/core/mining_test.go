@@ -147,7 +147,7 @@ func referenceUsage(e *Engine, user int64, since time.Time) (out []UsageSlice) {
 			e.mu.RUnlock()
 			if model != nil {
 				if tf := view.TermCounts(page); tf.IDs != nil {
-					if folder, conf := model.ClassifyVector(tf); conf >= 0.4 {
+					if folder, conf := model.ClassifyVector(tf); conf >= guessConfidence {
 						return folder
 					}
 				}

@@ -25,7 +25,7 @@ func checkIndexStatistics(t *testing.T, e *Engine) {
 		var pages []int64
 		view.sn.Range(func(key string, raw []byte) bool {
 			if page, ok := pageOfTFKey(key); ok {
-				if tf := decodeCounts(e.dict, raw); tf.IDs != nil {
+				if tf := countsOf(e.dict, raw); tf.IDs != nil {
 					ref.AddDoc(tf)
 					pages = append(pages, page)
 				}

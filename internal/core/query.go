@@ -480,19 +480,18 @@ func (e *Engine) Recommend(user int64, k int, byProfile bool) []PageInfo {
 // fresh authoritative resources for it (the resource-discovery demon's
 // on-demand form). Budget bounds fetches.
 func (e *Engine) Discover(user int64, folder string, budget, k int) []PageInfo {
+	// Seeds: the folder's own pages, read under the lock that guards the
+	// tree.
+	var seeds []int64
 	e.mu.RLock()
 	model := e.models[user]
-	tree := e.trees[user]
+	if tree := e.trees[user]; tree != nil {
+		for _, entry := range tree.Entries(folder) {
+			seeds = append(seeds, entry.Page)
+		}
+	}
 	e.mu.RUnlock()
-	if model == nil || tree == nil {
-		return nil
-	}
-	// Seeds: the folder's own pages.
-	var seeds []int64
-	for _, entry := range tree.Entries(folder) {
-		seeds = append(seeds, entry.Page)
-	}
-	if len(seeds) == 0 {
+	if model == nil || len(seeds) == 0 {
 		return nil
 	}
 	ci := model.ClassIndex(folder)

@@ -15,7 +15,7 @@ import (
 // The four tables are typed records on the engine's kvstore, one small
 // record per row, each key shaped for the readers that exist:
 //
-//	url/<url>             → uvarint id ‖ title
+//	url/<url>             → uvarint id
 //	v/<user><time><id>    → uvarint page ‖ uvarint ref ‖ uvarint privacy
 //	b/<id>                → uvarint user ‖ uvarint page ‖ time ‖ folder
 //	u/<id>                → empty
@@ -24,8 +24,10 @@ import (
 // bytes big-endian with no leading zero byte, so byte order is numeric
 // order and no encoding is a prefix of another. <time> is the Unix
 // nanosecond count, 8 bytes big-endian with the sign bit flipped. A page's
-// url runs to the end of its key, its title and a bookmark's folder to the
-// end of the value. Every field has one encoding the decoders accept (no
+// url runs to the end of its key, a bookmark's folder to the end of the
+// value. A page's title is fetched, not reported, so it lives with the
+// page's other fetched facts in its tf/ record (derived.go), and no row
+// is ever written twice. Every field has one encoding the decoders accept (no
 // padded varint, no leading zero, no trailing byte), so whatever decodes
 // re-encodes to the same bytes.
 //
@@ -63,7 +65,7 @@ var (
 // of them changes format; there is no migration.
 const (
 	formatKey = "fmt"
-	format    = "memex/1"
+	format    = "memex/2"
 )
 
 // checkFormat stamps a store that holds no key and refuses any store not
@@ -97,8 +99,8 @@ func checkFormat(kv *kvstore.Store) error {
 }
 
 type pageRow struct {
-	id         int64
-	url, title string
+	id  int64
+	url string
 }
 
 // visitRow is one visit; at is its time in Unix nanoseconds.
@@ -115,8 +117,7 @@ type bookmarkRow struct {
 
 // record encodes the row as its table's key and value.
 func (r pageRow) record() (key, value []byte) {
-	v := binary.AppendUvarint(make([]byte, 0, binary.MaxVarintLen64+len(r.title)), uint64(r.id))
-	return append([]byte(pagesPrefix), r.url...), append(v, r.title...)
+	return append([]byte(pagesPrefix), r.url...), binary.AppendUvarint(nil, uint64(r.id))
 }
 
 func (r visitRow) record() (key, value []byte) {
@@ -148,10 +149,10 @@ var errRecord = errors.New("record does not decode")
 // page id is at least 1, as the engine hands them out.
 func decodePage(k, v []byte) (pageRow, error) {
 	id, w := uvarint(v)
-	if w <= 0 || id == 0 || id > math.MaxInt64 {
+	if w <= 0 || w != len(v) || id == 0 || id > math.MaxInt64 {
 		return pageRow{}, fmt.Errorf("key %q: %w", k, errRecord)
 	}
-	return pageRow{id: int64(id), url: string(k), title: string(v[w:])}, nil
+	return pageRow{id: int64(id), url: string(k)}, nil
 }
 
 func decodeVisit(k, v []byte) (visitRow, error) {

@@ -59,7 +59,7 @@ func (e *Engine) UsageBreakdown(user int64, since time.Time) []UsageSlice {
 			if model != nil {
 				if tf := view.TermCounts(page); tf.IDs != nil {
 					folder, conf := model.ClassifyVector(tf)
-					if conf >= 0.4 {
+					if conf >= guessConfidence {
 						return folder
 					}
 				}

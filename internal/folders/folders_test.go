@@ -109,8 +109,9 @@ func TestNetscapeRoundTrip(t *testing.T) {
 	tr.Add("/Travel", entry(3, "http://travel.example.org/"))
 	tr.Ensure("/Empty")
 
+	titles := map[int64]string{1: "Classical", 2: "Music & <more>", 3: ""}
 	var buf bytes.Buffer
-	if err := ExportNetscape(tr, &buf); err != nil {
+	if err := ExportNetscape(tr, func(page int64) string { return titles[page] }, &buf); err != nil {
 		t.Fatalf("Export: %v", err)
 	}
 	out := buf.String()
@@ -140,6 +141,16 @@ func TestNetscapeRoundTrip(t *testing.T) {
 	}
 	if !urls["http://classical.example.org/"] || !urls["http://music.example.org/?a=b&c=d"] {
 		t.Fatalf("imported URLs wrong: %v", urls)
+	}
+	// Each entry carries the title the lookup gave its page, not its own.
+	for _, p := range []string{"/Music/Western Classical", "/Music", "/Travel"} {
+		for _, e := range got.Find(p).Entries {
+			for _, want := range tr.Find(p).Entries {
+				if want.URL == e.URL && e.Title != titles[want.Page] {
+					t.Fatalf("%s exported as %q, want %q", e.URL, e.Title, titles[want.Page])
+				}
+			}
+		}
 	}
 	// Timestamps survive.
 	for _, e := range es {

@@ -15,27 +15,28 @@ import (
 // <A HREF=... ADD_DATE=...> bookmark anchors. Memex imports existing
 // browser bookmarks through this format and can export its folder tree back.
 
-// ExportNetscape writes the tree in Netscape bookmark-file format.
-func ExportNetscape(t *Tree, w io.Writer) error {
+// ExportNetscape writes the tree in Netscape bookmark-file format, each
+// entry titled with title(entry.Page).
+func ExportNetscape(t *Tree, title func(page int64) string, w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprintln(bw, "<!DOCTYPE NETSCAPE-Bookmark-file-1>")
 	fmt.Fprintln(bw, "<!-- This is an automatically generated file. -->")
 	fmt.Fprintln(bw, "<TITLE>Bookmarks</TITLE>")
 	fmt.Fprintln(bw, "<H1>Bookmarks</H1>")
-	exportFolder(bw, t.Root, 0)
+	exportFolder(bw, t.Root, title, 0)
 	return bw.Flush()
 }
 
-func exportFolder(w *bufio.Writer, f *Folder, depth int) {
+func exportFolder(w *bufio.Writer, f *Folder, title func(int64) string, depth int) {
 	ind := strings.Repeat("    ", depth)
 	fmt.Fprintf(w, "%s<DL><p>\n", ind)
 	for _, e := range f.Entries {
 		fmt.Fprintf(w, "%s    <DT><A HREF=\"%s\" ADD_DATE=\"%d\">%s</A>\n",
-			ind, escapeHTML(e.URL), e.Added.Unix(), escapeHTML(e.Title))
+			ind, escapeHTML(e.URL), e.Added.Unix(), escapeHTML(title(e.Page)))
 	}
 	for _, ch := range f.Children {
 		fmt.Fprintf(w, "%s    <DT><H3>%s</H3>\n", ind, escapeHTML(ch.Name))
-		exportFolder(w, ch, depth+1)
+		exportFolder(w, ch, title, depth+1)
 	}
 	fmt.Fprintf(w, "%s</DL><p>\n", ind)
 }

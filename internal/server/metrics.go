@@ -219,6 +219,7 @@ func writeEngineMetrics(w io.Writer, st core.Stats) {
 	// Ingest / publish pipeline.
 	g("memex_engine_queue_depth", "Background event queue depth.", float64(st.QueueDepth))
 	g("memex_engine_queue_capacity", "Background event queue capacity.", float64(st.QueueCap))
+	g("memex_engine_backlog", "Background work not yet done: queued events, groups in analysis, and refetches listed at open.", float64(st.Backlog))
 	c("memex_engine_events_dropped_total", "Events shed by the queue's drop-oldest overflow.", float64(st.EventsDropped))
 	c("memex_engine_visits_total", "Visits logged.", float64(st.Visits))
 	c("memex_engine_bookmarks_total", "Bookmarks logged.", float64(st.Bookmarks))

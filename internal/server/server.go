@@ -17,7 +17,7 @@
 //     memex_http_request_duration_seconds{endpoint} with fixed
 //     log-spaced buckets (100µs ×2 … ~13s);
 //   - engine gauges wired from core.Stats: memex_engine_queue_depth /
-//     _capacity / events_dropped_total, memex_version_watermark /
+//     _capacity / _backlog / events_dropped_total, memex_version_watermark /
 //     _pinned / _fold_lag_epochs / gc_reclaimed_total /
 //     fold_errors_total,
 //     memex_cache_hit_ratio / _bytes / evicted_total{cause}, and the
@@ -344,6 +344,9 @@ func (s *Server) handleUser(r *http.Request) (reply, error) {
 	if req.ID == 0 || req.Name == "" {
 		return reply{}, badRequestf("id and name required")
 	}
+	if err := sameUser(r, req.ID); err != nil {
+		return reply{}, err
+	}
 	if err := s.engine.RegisterUser(req.ID, req.Name); err != nil {
 		return reply{}, err
 	}
@@ -395,6 +398,9 @@ func (s *Server) handleCorrect(r *http.Request) (reply, error) {
 	}
 	if req.User == 0 || req.URL == "" || req.Folder == "" {
 		return reply{}, badRequestf("user, url and folder required")
+	}
+	if err := sameUser(r, req.User); err != nil {
+		return reply{}, err
 	}
 	if err := s.engine.CorrectPlacement(req.User, req.URL, req.Folder); err != nil {
 		return reply{}, err

@@ -90,6 +90,7 @@ func TestBadParamsReturn400(t *testing.T) {
 		{"discover bad k", "GET", "/api/discover?user=1&folder=f&k=abc", "", "bad k"},
 		{"user missing name", "POST", "/api/user", `{"id":1}`, "id and name required"},
 		{"user unknown field", "POST", "/api/user", `{"id":1,"name":"a","extra":2}`, "bad request body"},
+		{"user query user names another user", "POST", "/api/user?user=7", `{"id":1,"name":"a"}`, "names another user"},
 		{"event privacy typo", "POST", "/api/event", visit + `"privacy":"privat"}`, `want \"off\", \"private\" or \"community\"`},
 		{"event privacy wrong case", "POST", "/api/event", visit + `"privacy":"Private"}`, "bad privacy"},
 		{"event missing url", "POST", "/api/event", `{"user":1}`, "user and url required"},
@@ -103,6 +104,7 @@ func TestBadParamsReturn400(t *testing.T) {
 		{"correct malformed body", "POST", "/api/correct", `{`, "bad request body"},
 		{"correct missing user and folder", "POST", "/api/correct", `{"url":"http://x/"}`, "user, url and folder required"},
 		{"correct unknown page", "POST", "/api/correct", `{"user":1,"url":"http://never-seen/","folder":"/f"}`, "unknown page"},
+		{"correct query user names another user", "POST", "/api/correct?user=7", `{"user":1,"url":"http://x/","folder":"/f"}`, "names another user"},
 		{"themes ignores params", "GET", "/api/themes?k=abc", "", ""},
 		{"rebuild ignores params", "POST", "/api/themes/rebuild?user=abc", "", ""},
 		{"status ignores params", "GET", "/api/status?user=abc", "", ""},
@@ -626,6 +628,7 @@ func TestMetricsEndpointMovesWithTraffic(t *testing.T) {
 	}
 	for _, want := range []string{
 		fmt.Sprintf("memex_engine_queue_capacity %d\n", st.QueueCap),
+		"memex_engine_backlog ",
 		`memex_http_requests_total{endpoint="POST /api/event"} 3`,
 		`memex_http_request_duration_seconds_count{endpoint="POST /api/event"} 3`,
 		`memex_http_errors_total{endpoint="GET /api/profile",class="4xx"} 1`,
