@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"slices"
 	"testing"
 
@@ -45,13 +46,17 @@ func FuzzDecodeCounts(f *testing.F) {
 	// Header claiming ~2^60 entries: the allocation-bound regression seed.
 	f.Add(binary.AppendUvarint([]byte{0}, 1<<60))
 	f.Add(append(binary.AppendUvarint([]byte{0}, 1<<60), 1, 1, 1))
-	// Truncated frames, a repeated id, an id past the dictionary, a padded
-	// varint and a trailing byte.
+	// A torn count, a zero delta after the first term (a repeated id), an
+	// id past the dictionary, a padded varint, a count of 1 written the
+	// long way, and a trailing byte.
+	f.Add([]byte{0, 2, 1, 4})
 	f.Add([]byte{0, 2, 1, 1})
-	f.Add([]byte{0, 2, 1, 1, 0, 1})
-	f.Add([]byte{0, 1, 0xac, 0x02, 1})
-	f.Add([]byte{0, 1, 0x81, 0x00, 1})
-	f.Add([]byte{0, 1, 1, 1, 0})
+	f.Add([]byte{0, 2, 1, 0, 2})
+	f.Add([]byte{0, 1, 0xd9, 0x04})
+	f.Add([]byte{0, 1, 0x81, 0x00})
+	f.Add([]byte{0, 1, 0, 1})
+	f.Add([]byte{0, 1, 2, 1})
+	f.Add([]byte{0, 1, 1, 0})
 	// A title running past the record, a padded title length and a title
 	// length of 2^60.
 	f.Add([]byte{5, 'O', 'k', 'a', 'p'})
@@ -65,8 +70,15 @@ func FuzzDecodeCounts(f *testing.F) {
 			}
 			return // refused: reads as "no record"
 		}
-		if len(title)+2*tf.Len() > len(data) {
-			t.Fatalf("decoded a %d-byte title and %d entries from %d bytes", len(title), tf.Len(), len(data))
+		// A term takes at least a byte, and one more unless its count is 1.
+		need := len(title) + tf.Len()
+		for _, c := range tf.Weights {
+			if c != 1 {
+				need++
+			}
+		}
+		if need > len(data) {
+			t.Fatalf("decoded a %d-byte title and %d entries (%d bytes at least) from %d bytes", len(title), tf.Len(), need, len(data))
 		}
 		again, _ := encodeTF(string(title), tf)
 		if !bytes.Equal(again, data) {
@@ -75,20 +87,23 @@ func FuzzDecodeCounts(f *testing.F) {
 	})
 }
 
+// FuzzDecodeIDSet fuzzes the adjacency record, which is its id deltas
+// alone: the empty value is the known-empty set.
 func FuzzDecodeIDSet(f *testing.F) {
 	f.Add(encodeIDSet([]int64{1, 5, 9000000000}))
-	f.Add(encodeIDSet(nil))
-	f.Add([]byte{})
+	f.Add([]byte{}) // known-empty: decodes to [] and encodes back to no byte
 	f.Add([]byte{0xff})
 	f.Add(binary.AppendUvarint(nil, 1<<60))
-	f.Add([]byte{3, 1}) // count 3, payload 1
-	// Id 0, a zero delta (a repeated id), a padded varint, a trailing
-	// byte, and a delta past MaxInt64.
+	// Id 0, a zero delta (a repeated id), a padded varint, a torn last
+	// varint, and a delta past MaxInt64.
+	f.Add([]byte{0})
 	f.Add([]byte{1, 0})
-	f.Add([]byte{2, 1, 0})
-	f.Add([]byte{1, 0x81, 0x00})
-	f.Add([]byte{1, 1, 4})
-	f.Add(binary.AppendUvarint([]byte{2, 1}, 1<<63))
+	f.Add([]byte{0x81, 0x00})
+	f.Add([]byte{1, 0x84})
+	f.Add(binary.AppendUvarint([]byte{1}, 1<<63))
+	// The largest id, and a varint past 2^64.
+	f.Add(binary.AppendUvarint(nil, math.MaxInt64))
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ids, ok := decodeIDSet(data)
 		if !ok {
@@ -99,6 +114,9 @@ func FuzzDecodeIDSet(f *testing.F) {
 		}
 		if ids == nil {
 			t.Fatal("successful decode returned nil — breaks the known-empty contract")
+		}
+		if len(ids) != idSetLen(data) {
+			t.Fatalf("%x decodes to %d ids, and idSetLen counts %d", data, len(ids), idSetLen(data))
 		}
 		if len(ids) > len(data) {
 			t.Fatalf("decoded %d ids from %d bytes", len(ids), len(data))
@@ -127,6 +145,7 @@ func FuzzRowRecords(f *testing.F) {
 	seed(visitRow{user: 7, at: tBase.UnixNano(), id: 300, page: 3, ref: 2, privacy: events.Community}.record())
 	seed(visitRow{user: -1, at: -5, id: 1, page: 1 << 50}.record())
 	seed(bookmarkRow{id: 9, user: 7, page: 3, at: tBase.UnixNano(), folder: "/animals/rainforest"}.record())
+	seed(bookmarkRow{id: 10, user: 7, page: 4, at: tBase.UnixNano(), title: "Team wiki", folder: "/work"}.record())
 	seed(userRecord(7))
 	seed(userRecord(0))
 	// A page with id 0, with an id past MaxInt64, with a padded varint id
@@ -140,6 +159,11 @@ func FuzzRowRecords(f *testing.F) {
 	f.Add(byte(3), []byte{9, 1, 1, 1, 1, 1, 1, 1, 1, 1}, []byte{})
 	f.Add(byte(1), append(append([]byte{1, 7}, make([]byte, 8)...), 1, 1), []byte{1, 0, 2, 0})
 	f.Add(byte(2), []byte{1, 9}, []byte{7, 3, 1, 2})
+	// A bookmark whose title runs past its value, with a padded title
+	// length, and with no title length at all.
+	f.Add(byte(2), []byte{1, 9}, append([]byte{7, 3, 0, 0, 0, 0, 0, 0, 0, 0}, 5, 'W', 'i'))
+	f.Add(byte(2), []byte{1, 9}, append([]byte{7, 3, 0, 0, 0, 0, 0, 0, 0, 0}, 0x80, 0x00, '/'))
+	f.Add(byte(2), []byte{1, 9}, []byte{7, 3, 0, 0, 0, 0, 0, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, table byte, key, value []byte) {
 		var prefix string
 		var againKey, againValue []byte
@@ -165,7 +189,7 @@ func FuzzRowRecords(f *testing.F) {
 				return
 			}
 			againKey, againValue = r.record()
-			prefix, strs = bookmarksPrefix, len(r.folder)
+			prefix, strs = bookmarksPrefix, len(r.title)+len(r.folder)
 		case 3:
 			id, err := decodeUser(key, value)
 			if err != nil {

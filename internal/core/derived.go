@@ -65,13 +65,13 @@ type tfRecord struct {
 // and the fetch claims and titles from the derived records the version store
 // recovered from its cold tier, so a restarted server answers
 // search/profile/theme/trail queries and never re-crawls a page whose
-// derived state survived. Of the adjacency records it reads only the lnk/
-// count headers, whose sum is the link graph's edge count; readers decode
-// the records where they are. Records arrive in key order, not id order
-// (dict/10 sorts before dict/9), and restoreDict interns ids in numeric
-// order, so the one scan holds the tf/ blobs (≈0.1 KB a page, and its
-// title) until the dictionary is complete and decodes them after
-// restoreDict.
+// derived state survived. Of the adjacency records it only counts the ids
+// of each lnk/ record (idSetLen, no decode), whose sum is the link graph's
+// edge count; readers decode the records where they are. Records arrive in
+// key order, not id order (dict/10 sorts before dict/9), and restoreDict
+// interns ids in numeric order, so the one scan holds the tf/ blobs (≈0.1
+// KB a page, and its title) until the dictionary is complete and decodes
+// them after restoreDict.
 //
 // A dict/ or tf/ key that dictKey or tfKey does not spell is refused (a
 // second spelling of an id would count a page twice in N and DF, or
@@ -101,10 +101,7 @@ func (e *Engine) reloadDerived() error {
 			}
 			tfs = append(tfs, tfRecord{page, raw})
 		case strings.HasPrefix(key, "lnk/"):
-			// The id set's count header; each id takes at least a byte.
-			if n, w := binary.Uvarint(raw); w > 0 && n < uint64(len(raw)) {
-				e.links.edges.Add(int64(n))
-			}
+			e.links.edges.Add(int64(idSetLen(raw)))
 		}
 		return true
 	}
@@ -279,10 +276,12 @@ func (v *DerivedView) Has(page int64) bool {
 //
 // A tf/ record holds what a fetch learned of a page: its title, as
 // uvarint(len) ‖ the title's bytes, then its term counts by dictionary id:
-// uvarint(n), then per term uvarint(id − previous id) and uvarint(count),
-// ids strictly increasing (the first delta counts from 0). Each term's
-// string is stored once, as its dict/<id> record, and ids are durable, so
-// the blob decodes in any later life of the archive.
+// uvarint(n), then per term, ids strictly increasing and each delta counted
+// from the previous id (the first from 0), uvarint(delta<<1 | 1) for a
+// term that occurs once, and otherwise uvarint(delta<<1) ‖ uvarint(count).
+// Most of a page's terms occur once, so most terms take one byte. Each
+// term's string is stored once, as its dict/<id> record, and ids are
+// durable, so the blob decodes in any later life of the archive.
 
 // encodeTF serializes a page's title and raw term counts, ids sorted as a
 // text.Vector keeps them, and returns the blob with the largest id it
@@ -291,14 +290,18 @@ func (v *DerivedView) Has(page int64) bool {
 // byte-identical blobs, which the restart tests pin and which keeps the
 // cold tier from churning with rewrites of unchanged records.
 func encodeTF(title string, tf text.Vector) ([]byte, int32) {
-	buf := make([]byte, 0, 2*binary.MaxVarintLen64+len(title)+4*len(tf.IDs))
+	buf := make([]byte, 0, 2*binary.MaxVarintLen64+len(title)+3*len(tf.IDs))
 	buf = binary.AppendUvarint(buf, uint64(len(title)))
 	buf = append(buf, title...)
 	buf = binary.AppendUvarint(buf, uint64(len(tf.IDs)))
 	prev := int32(0)
 	for i, id := range tf.IDs {
-		buf = binary.AppendUvarint(buf, uint64(id-prev))
-		buf = binary.AppendUvarint(buf, uint64(tf.Weights[i]))
+		delta := uint64(id-prev) << 1
+		if c := uint64(tf.Weights[i]); c == 1 {
+			buf = binary.AppendUvarint(buf, delta|1)
+		} else {
+			buf = binary.AppendUvarint(binary.AppendUvarint(buf, delta), c)
+		}
 		prev = id
 	}
 	top := int32(-1)
@@ -318,8 +321,9 @@ const maxCount = math.MaxInt32
 // decoded record's IDs are never nil, even for a page with no terms. So a
 // nil-IDs vector means "no record" wherever the engine carries a page's
 // counts, from here to every consumer. Every value has exactly one
-// encoding the decoder accepts (no padded varint, no repeated id, no
-// trailing bytes), so whatever decodes re-encodes to the same bytes.
+// encoding the decoder accepts (no padded varint, no repeated id, no count
+// of 1 written out, no trailing bytes), so whatever decodes re-encodes to
+// the same bytes.
 func decodeTF(d *text.Dict, b []byte) (title []byte, tf text.Vector) {
 	size, w := uvarint(b)
 	if w <= 0 || size > uint64(len(b)-w) {
@@ -331,28 +335,30 @@ func decodeTF(d *text.Dict, b []byte) (title []byte, tf text.Vector) {
 		return nil, text.Vector{}
 	}
 	b = b[w:]
-	// Every entry costs at least two bytes (delta and count), so a count
-	// above half the payload is corruption — reject it before sizing the
-	// slices. A corrupt cold-tier record could otherwise demand a
-	// ~2^60-entry allocation and OOM the process instead of degrading to
-	// "unknown".
-	if n > uint64(len(b))/2 {
+	// Every entry costs at least a byte, so a count above the payload is
+	// corruption — reject it before sizing the slices. A corrupt cold-tier
+	// record could otherwise demand a ~2^60-entry allocation and OOM the
+	// process instead of degrading to "unknown".
+	if n > uint64(len(b)) {
 		return nil, text.Vector{}
 	}
 	terms := uint64(d.Size())
 	tf = text.Vector{IDs: make([]int32, 0, n), Weights: make([]float64, 0, n)}
 	id := uint64(0)
 	for i := uint64(0); i < n; i++ {
-		delta, w := uvarint(b)
+		v, w := uvarint(b)
+		delta := v >> 1
 		if w <= 0 || (i > 0 && delta == 0) || delta >= terms-id {
 			return nil, text.Vector{} // torn, a repeated id, or an id past the dictionary
 		}
 		b = b[w:]
-		c, w := uvarint(b)
-		if w <= 0 || c > maxCount {
-			return nil, text.Vector{}
+		c := uint64(1)
+		if v&1 == 0 {
+			if c, w = uvarint(b); w <= 0 || c == 1 || c > maxCount {
+				return nil, text.Vector{} // torn, a count of 1 written out, or past maxCount
+			}
+			b = b[w:]
 		}
-		b = b[w:]
 		id += delta
 		tf.IDs = append(tf.IDs, int32(id))
 		tf.Weights = append(tf.Weights, float64(c))

@@ -53,25 +53,30 @@ func TestCountsCodecRoundTrip(t *testing.T) {
 		}
 	}
 	// The title leads, as its length and bytes. The ids are the
-	// dictionary's: "interned-before" is id 0, and "term" follows at its
-	// own id, as a delta from 0.
+	// dictionary's: "interned-before" is id 0, counted 4 times, so its
+	// delta from 0, shifted, is followed by its count; "term" follows at
+	// its own id, counted once, so the shifted delta's low bit says so and
+	// no count follows.
 	blob, _ := encodeTF("Okapi", text.VectorFromCounts(d, map[string]int{"interned-before": 4, "term": 1}))
-	if termID := d.ID("term"); !bytes.Equal(blob, []byte{5, 'O', 'k', 'a', 'p', 'i', 2, 0, 4, byte(termID), 1}) {
-		t.Fatalf("blob % x, want the title's length and bytes, n, then (id delta, count) pairs in id order", blob)
+	if termID := d.ID("term"); !bytes.Equal(blob, []byte{5, 'O', 'k', 'a', 'p', 'i', 2, 0, 4, byte(termID<<1 | 1)}) {
+		t.Fatalf("blob % x, want the title's length and bytes, n, then per term its shifted id delta, with the count unless it is 1", blob)
 	}
 	for name, bad := range map[string][]byte{
-		"empty":                 {},
-		"no counts":             {0},
-		"title past the record": {5, 'O', 'k', 'a', 'p'},
-		"padded title length":   {0x80, 0x00, 0},
-		"corrupt header":        {0, 0xff},
-		"truncated":             {0, 2, 1, 1},
-		"repeated id":           {0, 2, 1, 1, 0, 1},
-		"id past dictionary":    append(binary.AppendUvarint([]byte{0, 1}, uint64(d.Size())), 1),
-		"delta wraps past 2^64": {0, 2, 1, 1, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 1},
-		"padded varint":         {0, 1, 0x81, 0x00, 1},
-		"trailing byte":         {0, 1, 1, 1, 0},
-		"count past maxCount":   binary.AppendUvarint([]byte{0, 1, 0}, maxCount+1),
+		"empty":                   {},
+		"no counts":               {0},
+		"title past the record":   {5, 'O', 'k', 'a', 'p'},
+		"padded title length":     {0x80, 0x00, 0},
+		"corrupt header":          {0, 0xff},
+		"truncated":               {0, 2, 1, 4},
+		"repeated id":             {0, 2, 1, 1},
+		"id past dictionary":      binary.AppendUvarint([]byte{0, 1}, uint64(d.Size())<<1|1),
+		"delta wraps past 2^64":   {0, 2, 3, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01},
+		"padded varint":           {0, 1, 0x81, 0x00},
+		"count of 1 written out":  {0, 1, 0, 1},
+		"padded count":            {0, 1, 0, 0x82, 0x00},
+		"trailing byte":           {0, 1, 1, 0},
+		"count past maxCount":     binary.AppendUvarint([]byte{0, 1, 0}, maxCount+1),
+		"more terms than payload": {0, 3, 1, 3},
 	} {
 		if title, tf := decodeTF(d, bad); tf.IDs != nil || title != nil {
 			t.Errorf("%s: % x decoded to %q, %v", name, bad, title, tf)
@@ -81,8 +86,8 @@ func TestCountsCodecRoundTrip(t *testing.T) {
 
 // TestCountsDecodeBoundsAllocation: a corrupt record whose header claims
 // ~2^60 entries must fail to decode instead of sizing slices for it —
-// every entry takes at least two bytes, so n ≤ len(payload)/2 (a single
-// flipped cold-tier byte is enough to produce such a header).
+// every entry takes at least a byte, so n ≤ len(payload) (a single flipped
+// cold-tier byte is enough to produce such a header).
 func TestCountsDecodeBoundsAllocation(t *testing.T) {
 	d := text.NewDict()
 	d.ID("a")
@@ -100,14 +105,14 @@ func TestCountsDecodeBoundsAllocation(t *testing.T) {
 	if countsOf(d, append(huge, 0, 1)).IDs != nil {
 		t.Fatal("decoded an impossible count with payload")
 	}
-	// Two entries claimed, three bytes of payload: over the bound.
-	if countsOf(d, []byte{0, 2, 0, 1, 1}).IDs != nil {
-		t.Fatal("decoded two entries from three bytes")
+	// Three entries claimed, two bytes of payload: over the bound.
+	if countsOf(d, []byte{0, 3, 1, 3}).IDs != nil {
+		t.Fatal("decoded three entries from two bytes")
 	}
 	// The bound must not reject genuine records whose entries take exactly
-	// two bytes each.
-	want := text.Vector{IDs: []int32{0, 1}, Weights: []float64{7, 9}}
-	if tf := countsOf(d, []byte{0, 2, 0, 7, 1, 9}); !reflect.DeepEqual(tf, want) {
+	// a byte each: terms counted once.
+	want := text.Vector{IDs: []int32{0, 1}, Weights: []float64{1, 1}}
+	if tf := countsOf(d, []byte{0, 2, 1, 3}); !reflect.DeepEqual(tf, want) {
 		t.Fatalf("rejected minimal valid record: %v", tf)
 	}
 }

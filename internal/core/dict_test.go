@@ -28,7 +28,8 @@ import (
 // what Open refuses, and that ids survive a restart.
 
 // recordIDs reads the ids a tf/ record names, without a dictionary: it
-// skips the title, then reads the (id delta, count) pairs.
+// skips the title, then reads each term's shifted id delta, skipping the
+// count that follows one whose low bit is clear.
 func recordIDs(raw []byte) []int32 {
 	size, w := binary.Uvarint(raw)
 	raw = raw[w+int(size):]
@@ -37,11 +38,13 @@ func recordIDs(raw []byte) []int32 {
 	var ids []int32
 	id := uint64(0)
 	for i := uint64(0); i < n; i++ {
-		delta, w := binary.Uvarint(raw)
+		v, w := binary.Uvarint(raw)
 		raw = raw[w:]
-		_, w = binary.Uvarint(raw)
-		raw = raw[w:]
-		id += delta
+		if v&1 == 0 {
+			_, w = binary.Uvarint(raw)
+			raw = raw[w:]
+		}
+		id += v >> 1
 		ids = append(ids, int32(id))
 	}
 	return ids
@@ -404,7 +407,7 @@ func TestRecordPastDictionaryIsRefetched(t *testing.T) {
 	const pageTerms = 3
 	// record is an untitled tf/ record holding one term, id, counted once.
 	record := func(id int) []byte {
-		return append(binary.AppendUvarint([]byte{0, 1}, uint64(id)), 1)
+		return binary.AppendUvarint([]byte{0, 1}, uint64(id)<<1|1)
 	}
 	for _, tc := range []struct {
 		name  string

@@ -235,7 +235,8 @@ type pageRec struct {
 	url string
 	// title is the fetched page's title, which its tf/ record holds: set
 	// with the claim, cleared if the claim's publish fails, and restored by
-	// reloadDerived. It is the one copy; folder entries carry none.
+	// reloadDerived. It is the one copy: a folder entry carries only the
+	// title a bookmark file gave it, which its b/ row holds.
 	title string
 	// fetched is the fetch path's claim and the one answer to "is this
 	// page fetched?": the page's derived stats have been (or are being)
@@ -529,6 +530,7 @@ func (e *Engine) fileLocked(r bookmarkRow) {
 	e.treeLocked(r.user).Add(r.folder, folders.Entry{
 		Page:  r.page,
 		URL:   e.meta[r.page].url,
+		Title: r.title,
 		Added: time.Unix(0, r.at).UTC(),
 	})
 }
@@ -564,7 +566,7 @@ type Stats struct {
 	Demons map[string]demon.Status
 	// GraphEdges counts the link graph's directed edges: the ids in every
 	// lnk/ record. After a restart it is the same before any fetch: Open
-	// sums the recovered records' count headers.
+	// counts the ids of the recovered records.
 	GraphEdges int
 	// Terms is the term dictionary's size. Every term has its dict/ record
 	// from the batch of the first page that names it, so a restart gives

@@ -134,7 +134,7 @@ func TestGroupPublishReadErrorReleasesEveryClaim(t *testing.T) {
 		t.Fatal(err)
 	}
 	okapiID := pageID(t, e, okapi.URL)
-	coldKey := []byte("vc/r/" + lnkKey(okapiID) + "\x00\x00\x00\x00")
+	coldKey := []byte("vc/r/" + lnkKey(okapiID) + "\x00\x00")
 	good, ok, err := e.kv.Get(coldKey)
 	if !ok || err != nil {
 		t.Fatalf("no cold record %q (err %v)", coldKey, err)

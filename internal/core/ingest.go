@@ -69,10 +69,11 @@ func (e *Engine) RecordVisit(user int64, url, referrer string, at time.Time, pri
 	return nil
 }
 
-// placement is one bookmark to file: url into folder at a time.
+// placement is one bookmark to file: url into folder at a time, under the
+// title the user gave it (empty unless a bookmark file gave one).
 type placement struct {
-	url, folder string
-	at          time.Time
+	url, title, folder string
+	at                 time.Time
 }
 
 // AddBookmark files url into the user's folder (foreground path). The
@@ -81,7 +82,7 @@ func (e *Engine) AddBookmark(user int64, url, folder string, at time.Time) error
 	if at.IsZero() {
 		at = e.cfg.Now()
 	}
-	_, err := e.addBookmarks(user, []placement{{url, folder, at}})
+	_, err := e.addBookmarks(user, []placement{{url: url, folder: folder, at: at}})
 	return err
 }
 
@@ -108,7 +109,7 @@ func (e *Engine) CorrectPlacement(user int64, url, folder string) error {
 	if !ok { // a page row is never deleted, so a known page stays known
 		return fmt.Errorf("core: unknown page %q: %w", url, ErrInvalid)
 	}
-	return e.fileBookmarks(user, []placement{{url, folder, e.cfg.Now()}})
+	return e.fileBookmarks(user, []placement{{url: url, folder: folder, at: e.cfg.Now()}})
 }
 
 // fileBookmarks writes one bookmark row per placement, in order, with the
@@ -124,7 +125,7 @@ func (e *Engine) fileBookmarks(user int64, ps []placement) error {
 		rows := make([]bookmarkRow, len(ps))
 		kvs := make([]kvstore.KV, len(ps))
 		for i, p := range ps {
-			rows[i] = bookmarkRow{id: e.nextBookmark + int64(i), user: user, page: ids[i], at: p.at.UnixNano(), folder: p.folder}
+			rows[i] = bookmarkRow{id: e.nextBookmark + int64(i), user: user, page: ids[i], at: p.at.UnixNano(), title: p.title, folder: p.folder}
 			kvs[i].Key, kvs[i].Value = rows[i].record()
 		}
 		return kvs, func() {
@@ -138,8 +139,8 @@ func (e *Engine) fileBookmarks(user int64, ps []placement) error {
 }
 
 // ImportBookmarks ingests a Netscape bookmark file for the user as one
-// write: every entry is filed, in file order, or none is, and the count
-// is 0 on any error.
+// write: every entry is filed, in file order and under the file's title
+// for it, or none is, and the count is 0 on any error.
 func (e *Engine) ImportBookmarks(user int64, r io.Reader) (int, error) {
 	tree, err := folders.ImportNetscape(r)
 	if err != nil {
@@ -148,7 +149,7 @@ func (e *Engine) ImportBookmarks(user int64, r io.Reader) (int, error) {
 	var ps []placement // flat, so that ensurePages files them in one loop
 	tree.Walk(func(f *folders.Folder) {
 		for _, entry := range f.Entries {
-			ps = append(ps, placement{entry.URL, f.Path(), entry.Added})
+			ps = append(ps, placement{entry.URL, entry.Title, f.Path(), entry.Added})
 		}
 	})
 	for i, p := range ps {
@@ -160,8 +161,9 @@ func (e *Engine) ImportBookmarks(user int64, r io.Reader) (int, error) {
 }
 
 // ExportBookmarks writes the user's folder tree in Netscape format, each
-// entry titled with its page's title. It renders under e.mu into a
-// buffer, which it writes to w once the lock is released.
+// entry under the title its bookmark file gave it, or else its page's
+// fetched title. It renders under e.mu into a buffer, which it writes to
+// w once the lock is released.
 func (e *Engine) ExportBookmarks(user int64, w io.Writer) error {
 	var buf bytes.Buffer
 	e.mu.RLock()
@@ -169,7 +171,12 @@ func (e *Engine) ExportBookmarks(user int64, w io.Writer) error {
 	if tree == nil {
 		tree = folders.NewTree()
 	}
-	err := folders.ExportNetscape(tree, func(page int64) string { return e.meta[page].title }, &buf)
+	err := folders.ExportNetscape(tree, func(en folders.Entry) string {
+		if en.Title != "" {
+			return en.Title
+		}
+		return e.meta[en.Page].title
+	}, &buf)
 	e.mu.RUnlock()
 	if err != nil {
 		return err

@@ -181,6 +181,12 @@ func TestOpenRefusesOtherFormats(t *testing.T) {
 			{Key: k, Value: append(v, refusedPage.Title...)},
 		})
 	})
+	// memex/2, the format before derived records dropped what their
+	// decoders infer: every tf/ term carried its count, every lnk/ and
+	// rin/ record a count header, and every cold part 0 its part number.
+	lengthHeaders := then(engineArchive, func(kv *kvstore.Store) error {
+		return kv.Put([]byte(formatKey), []byte("memex/2"))
+	})
 	// The kvstore's meta page keeps its page layout's magic, 8 bytes at
 	// offset 16; "MEMEX" is the full-key leaf layout's.
 	fullKeyLeaves := func(dir string) error {
@@ -205,6 +211,7 @@ func TestOpenRefusesOtherFormats(t *testing.T) {
 		{"rows without a stamp", then(engineArchive, unstamp), []string{"no format stamp", strconv.Quote(format)}},
 		{"foreign stamp", restamped, []string{`"memex/0"`, strconv.Quote(format)}},
 		{"titles in rows", titledRows, []string{`"memex/1"`, strconv.Quote(format)}},
+		{"counts and part numbers stored", lengthHeaders, []string{`"memex/2"`, strconv.Quote(format)}},
 		{"foreign magic", fullKeyLeaves, []string{"0x4d454d4558", "MEMEX2"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -82,7 +82,7 @@ type linkIndex struct {
 	// by mu; restoreDict sets it at Open).
 	termsOut int32
 	// edges is the number of ids in every lnk/ record: summed from the
-	// records' count headers at Open, then raised by each publish.
+	// records' lengths (idSetLen) at Open, then raised by each publish.
 	edges atomic.Int64
 	// afterStage, set only by tests, runs in publish right after the
 	// dictionary records are staged: the window where a panic must publish
@@ -288,21 +288,35 @@ func (li *linkIndex) Out(page int64) []int64 {
 
 // --- adjacency codec ---
 //
-// Adjacency records store a sorted id set, delta-encoded: uvarint(n),
-// then per id uvarint(id - previous). Page ids are durable, so records
-// written by one life of the server decode in the next.
+// Adjacency records store a sorted id set, delta-encoded: per id
+// uvarint(id - previous), the first counted from 0, and nothing else. The
+// set's size is the number of bytes that end a varint (the ones below
+// 0x80), so the record stores no count, and the empty set ("known, no
+// links") is the empty value. Page ids are durable, so records written by
+// one life of the server decode in the next.
 
 // encodeIDSet canonicalises ids (sort, dedupe) and serialises them.
 func encodeIDSet(ids []int64) []byte {
 	set := canonIDs(append([]int64(nil), ids...))
-	buf := make([]byte, 0, binary.MaxVarintLen64*(len(set)+1))
-	buf = binary.AppendUvarint(buf, uint64(len(set)))
+	buf := make([]byte, 0, binary.MaxVarintLen64*len(set))
 	prev := int64(0)
 	for _, id := range set {
 		buf = binary.AppendUvarint(buf, uint64(id-prev))
 		prev = id
 	}
 	return buf
+}
+
+// idSetLen is the number of ids an adjacency record holds: the bytes that
+// end a varint. It is exact for every record decodeIDSet accepts.
+func idSetLen(b []byte) int {
+	n := 0
+	for _, c := range b {
+		if c < 0x80 {
+			n++
+		}
+	}
+	return n
 }
 
 // canonIDs sorts and dedupes ids in place, returning a non-nil slice even
@@ -326,23 +340,13 @@ func canonIDs(ids []int64) []int64 {
 // decodeIDSet is the inverse of encodeIDSet (nil, false on corrupt input;
 // an empty set decodes to a non-nil empty slice so callers can tell
 // "known, no links" from "unknown"). It accepts only what encodeIDSet
-// writes, as decodeCounts does: no padded varint, ids strictly increasing
-// from 1 (no zero delta), none past MaxInt64, and no trailing byte.
+// writes, as decodeTF does: no padded varint, ids strictly increasing
+// from 1 (no zero delta), none past MaxInt64, and no torn last varint. The
+// slice is sized by idSetLen, which no record can make larger than itself.
 func decodeIDSet(b []byte) ([]int64, bool) {
-	n, w := uvarint(b)
-	if w <= 0 {
-		return nil, false
-	}
-	b = b[w:]
-	// Every id costs at least one byte, so a count exceeding the payload
-	// is corruption — reject it before sizing the slice (a huge bogus
-	// count would otherwise panic in make instead of failing gracefully).
-	if n > uint64(len(b)) {
-		return nil, false
-	}
-	ids := make([]int64, 0, n)
+	ids := make([]int64, 0, idSetLen(b))
 	prev := int64(0)
-	for i := uint64(0); i < n; i++ {
+	for len(b) > 0 {
 		d, w := uvarint(b)
 		if w <= 0 || d == 0 || d > uint64(math.MaxInt64-prev) {
 			return nil, false
@@ -350,9 +354,6 @@ func decodeIDSet(b []byte) ([]int64, bool) {
 		b = b[w:]
 		prev += int64(d)
 		ids = append(ids, prev)
-	}
-	if len(b) != 0 {
-		return nil, false
 	}
 	return ids, true
 }

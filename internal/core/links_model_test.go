@@ -219,7 +219,7 @@ func TestLinkPublishReadErrorPublishesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	okapi := pageID(t, e, page.URL)
-	coldKey := []byte("vc/r/" + lnkKey(okapi) + "\x00\x00\x00\x00")
+	coldKey := []byte("vc/r/" + lnkKey(okapi) + "\x00\x00")
 	if _, ok, err := e.kv.Get(coldKey); !ok || err != nil {
 		t.Fatalf("no cold record %q (err %v)", coldKey, err)
 	}

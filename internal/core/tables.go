@@ -17,7 +17,7 @@ import (
 //
 //	url/<url>             → uvarint id
 //	v/<user><time><id>    → uvarint page ‖ uvarint ref ‖ uvarint privacy
-//	b/<id>                → uvarint user ‖ uvarint page ‖ time ‖ folder
+//	b/<id>                → uvarint user ‖ uvarint page ‖ time ‖ uvarint len ‖ title ‖ folder
 //	u/<id>                → empty
 //
 // <id> and <user> are ordered uints: one byte n (0…8), then the value's n
@@ -27,9 +27,10 @@ import (
 // url runs to the end of its key, a bookmark's folder to the end of the
 // value. A page's title is fetched, not reported, so it lives with the
 // page's other fetched facts in its tf/ record (derived.go), and no row
-// is ever written twice. Every field has one encoding the decoders accept (no
-// padded varint, no leading zero, no trailing byte), so whatever decodes
-// re-encodes to the same bytes.
+// is ever written twice. A bookmark's title is the one the user's bookmark
+// file gave it, empty for a bookmark filed any other way. Every field has
+// one encoding the decoders accept (no padded varint, no leading zero, no
+// trailing byte), so whatever decodes re-encodes to the same bytes.
 //
 // A pages key is the url, so a URL has at most one record, and a site's
 // pages sort together: a leaf stores their shared URL prefix once. A
@@ -65,7 +66,7 @@ var (
 // of them changes format; there is no migration.
 const (
 	formatKey = "fmt"
-	format    = "memex/2"
+	format    = "memex/3"
 )
 
 // checkFormat stamps a store that holds no key and refuses any store not
@@ -112,7 +113,7 @@ type visitRow struct {
 
 type bookmarkRow struct {
 	id, user, page, at int64
-	folder             string
+	title, folder      string
 }
 
 // record encodes the row as its table's key and value.
@@ -130,9 +131,10 @@ func (r visitRow) record() (key, value []byte) {
 }
 
 func (r bookmarkRow) record() (key, value []byte) {
-	v := binary.AppendUvarint(make([]byte, 0, 16+len(r.folder)), uint64(r.user))
+	v := binary.AppendUvarint(make([]byte, 0, 24+len(r.title)+len(r.folder)), uint64(r.user))
 	v = binary.AppendUvarint(v, uint64(r.page))
-	v = append(appendTime(v, r.at), r.folder...)
+	v = binary.AppendUvarint(appendTime(v, r.at), uint64(len(r.title)))
+	v = append(append(v, r.title...), r.folder...)
 	return appendOrdered([]byte(bookmarksPrefix), uint64(r.id)), v
 }
 
@@ -194,10 +196,14 @@ func decodeBookmark(k, v []byte) (bookmarkRow, error) {
 		page, w2 := uvarint(v[w1:])
 		if w2 > 0 && len(v) >= w1+w2+8 {
 			v = v[w1+w2:]
-			r.user, r.page = int64(user), int64(page)
-			r.at = int64(binary.BigEndian.Uint64(v) ^ 1<<63)
-			r.folder = string(v[8:])
-			return r, nil
+			at := binary.BigEndian.Uint64(v) ^ 1<<63
+			v = v[8:]
+			if size, w3 := uvarint(v); w3 > 0 && size <= uint64(len(v)-w3) {
+				v = v[w3:]
+				r.user, r.page, r.at = int64(user), int64(page), int64(at)
+				r.title, r.folder = string(v[:size]), string(v[size:])
+				return r, nil
+			}
 		}
 	}
 	return bookmarkRow{}, fmt.Errorf("key %d: %w", r.id, errRecord)

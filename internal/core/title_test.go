@@ -16,6 +16,8 @@ import (
 // tests hold that one copy against the readers that used to keep their
 // own — folder entries, the export — and against a crash, a long title, a
 // link no row can hold and a refetch backlog larger than the event queue.
+// A bookmark file's title for an entry is the user's, not a fetched fact:
+// it lives in the entry's bookmark row.
 
 // titledSource serves <base>/p<i> as a page titled "Title i" with a term
 // of its own, "unique<i>".
@@ -72,6 +74,51 @@ func TestExportSameAcrossReopen(t *testing.T) {
 	}
 	if !strings.Contains(after, ">Okapi</A>") {
 		t.Fatalf("the export does not title the page:\n%s", after)
+	}
+}
+
+// TestImportKeepsBookmarkTitles: an imported bookmark exports under the
+// title its file gave it — a page the source cannot serve as much as one
+// it can, whose fetched title does not replace the user's — and so does it
+// after a reopen, which reads the title back from the bookmark's row. A
+// bookmark filed without a file exports under its page's fetched title.
+func TestImportKeepsBookmarkTitles(t *testing.T) {
+	src := titledSource{"http://zoo.example"}
+	cfg := Config{Dir: t.TempDir(), Source: src}
+	e, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { e.Close() }()
+	file := fmt.Sprintf(`<!DOCTYPE NETSCAPE-Bookmark-file-1>
+<DL><p>
+<DT><A HREF="http://intranet.example/wiki">Team wiki</A>
+<DT><A HREF="%s">My favourite page</A>
+</DL><p>
+`, src.url(0))
+	if n, err := e.ImportBookmarks(1, strings.NewReader(file)); err != nil || n != 2 {
+		t.Fatalf("import: %d entries, %v", n, err)
+	}
+	if err := e.AddBookmark(1, src.url(1), "/animals", tBase); err != nil {
+		t.Fatal(err)
+	}
+	e.DrainBackground()
+	for life := 1; life <= 2; life++ {
+		out := exportOf(t, e, 1)
+		for _, want := range []string{">Team wiki</A>", ">My favourite page</A>", ">" + src.title(1) + "</A>"} {
+			if !strings.Contains(out, want) {
+				t.Fatalf("life %d: the export lacks %q:\n%s", life, want, out)
+			}
+		}
+		if strings.Contains(out, ">"+src.title(0)+"</A>") {
+			t.Fatalf("life %d: the fetched title replaced the user's:\n%s", life, out)
+		}
+		if err := e.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if e, err = Open(cfg); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -111,7 +111,7 @@ func TestNetscapeRoundTrip(t *testing.T) {
 
 	titles := map[int64]string{1: "Classical", 2: "Music & <more>", 3: ""}
 	var buf bytes.Buffer
-	if err := ExportNetscape(tr, func(page int64) string { return titles[page] }, &buf); err != nil {
+	if err := ExportNetscape(tr, func(e Entry) string { return titles[e.Page] }, &buf); err != nil {
 		t.Fatalf("Export: %v", err)
 	}
 	out := buf.String()

@@ -16,8 +16,8 @@ import (
 // browser bookmarks through this format and can export its folder tree back.
 
 // ExportNetscape writes the tree in Netscape bookmark-file format, each
-// entry titled with title(entry.Page).
-func ExportNetscape(t *Tree, title func(page int64) string, w io.Writer) error {
+// entry titled with title(entry).
+func ExportNetscape(t *Tree, title func(Entry) string, w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprintln(bw, "<!DOCTYPE NETSCAPE-Bookmark-file-1>")
 	fmt.Fprintln(bw, "<!-- This is an automatically generated file. -->")
@@ -27,12 +27,12 @@ func ExportNetscape(t *Tree, title func(page int64) string, w io.Writer) error {
 	return bw.Flush()
 }
 
-func exportFolder(w *bufio.Writer, f *Folder, title func(int64) string, depth int) {
+func exportFolder(w *bufio.Writer, f *Folder, title func(Entry) string, depth int) {
 	ind := strings.Repeat("    ", depth)
 	fmt.Fprintf(w, "%s<DL><p>\n", ind)
 	for _, e := range f.Entries {
 		fmt.Fprintf(w, "%s    <DT><A HREF=\"%s\" ADD_DATE=\"%d\">%s</A>\n",
-			ind, escapeHTML(e.URL), e.Added.Unix(), escapeHTML(title(e.Page)))
+			ind, escapeHTML(e.URL), e.Added.Unix(), escapeHTML(title(e)))
 	}
 	for _, ch := range f.Children {
 		fmt.Fprintf(w, "%s    <DT><H3>%s</H3>\n", ind, escapeHTML(ch.Name))

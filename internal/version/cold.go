@@ -15,15 +15,19 @@ package version
 // cold tier coexists with other keyspaces — the engine's table records —
 // in one kvstore):
 //
-//	<prefix>r/<esc(key)>\x00\x00<part:2B> → [part count, part 0 only] ‖ payload
-//	<prefix>m/wm                        → watermark (8B BE) ‖ key count (8B BE)
+//	<prefix>r/<esc(key)>\x00\x00           → part count ‖ payload (part 0)
+//	<prefix>r/<esc(key)>\x00\x00<part:2B>  → payload (parts 1 and up)
+//	<prefix>m/wm                           → watermark (8B BE) ‖ key count (8B BE)
 //
 // A key has one record on disk, its newest folded value; the store has no
 // deletes, so a key once folded keeps its record. Keys escape 0x00 as
 // 0x00 0xff and terminate with 0x00 0x00, so one key's parts sort together
 // and ahead of every longer key. Records larger than one tree entry
 // (kvstore.MaxKV) are split into parts; part 0 carries the part count, so a
-// read is one point get per part.
+// read is one point get per part. Nearly every record is part 0 alone, so
+// its key ends at the terminator: a part number that is always zero would
+// be two bytes of every record, and the bytes after the terminator (none,
+// or two naming a part from 1 up) tell the two kinds of key apart.
 //
 // m/wm is the only meta record. The store does not tell its layout from
 // another's: the owner stamps the archive (core's format record) and
@@ -196,10 +200,13 @@ func (c *coldTier) recPrefix() []byte {
 	return append(k, "r/"...)
 }
 
-// recordKey is one part's key.
+// recordKey is one part's key: part 0's ends at the terminator.
 func (c *coldTier) recordKey(key string, part uint16) []byte {
 	k := appendEscaped(c.recPrefix(), key)
 	k = append(k, 0x00, 0x00)
+	if part == 0 {
+		return k
+	}
 	return binary.BigEndian.AppendUint16(k, part)
 }
 
@@ -216,24 +223,32 @@ func appendEscaped(dst []byte, key string) []byte {
 	return dst
 }
 
-// parseRecordKey decodes a record key back into the key and the part.
+// parseRecordKey decodes a record key back into the key and the part. It
+// accepts only what recordKey writes: part 0 with no part number, so a
+// part number of zero written out is refused.
 func (c *coldTier) parseRecordKey(k []byte) (key string, part uint16, ok bool) {
 	rest := k[len(c.recPrefix()):]
-	n := len(rest) - 4 // the escaped key; the terminator and the part follow
-	if n < 0 || rest[n] != 0x00 || rest[n+1] != 0x00 {
-		return "", 0, false
-	}
-	buf := make([]byte, 0, n)
-	for i := 0; i < n; i++ {
-		buf = append(buf, rest[i])
-		if rest[i] == 0x00 {
-			if i+1 == n || rest[i+1] != 0xff {
-				return "", 0, false
-			}
+	buf := make([]byte, 0, len(rest))
+	for i := 0; i+1 < len(rest); i++ {
+		if rest[i] != 0x00 {
+			buf = append(buf, rest[i])
+			continue
+		}
+		switch tail := rest[i+2:]; {
+		case rest[i+1] == 0xff:
+			buf = append(buf, 0x00)
 			i++ // skip the 0xff escape byte
+		case rest[i+1] != 0x00:
+			return "", 0, false
+		case len(tail) == 0:
+			return string(buf), 0, true
+		case len(tail) == 2 && (tail[0] != 0 || tail[1] != 0):
+			return string(buf), binary.BigEndian.Uint16(tail), true
+		default:
+			return "", 0, false
 		}
 	}
-	return string(buf), binary.BigEndian.Uint16(rest[n+2:]), true
+	return "", 0, false
 }
 
 // partPayload returns how many payload bytes fit in one part of this

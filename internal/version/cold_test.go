@@ -2,6 +2,7 @@ package version
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"path/filepath"
@@ -491,6 +492,77 @@ func TestColdMultiPartValues(t *testing.T) {
 	check(s2, "after restart")
 	if got, want := s2.StoreStats().Cold.Records, int64(len(sizes)); got != want {
 		t.Fatalf("cold records = %d, want %d (one logical version per key)", got, want)
+	}
+}
+
+// TestColdPartZeroKeyIsShort: part 0 of a record — the whole of nearly
+// every record — is keyed by the escaped key and its terminator alone, and
+// parts 1 and up add their number. A record larger than one tree entry
+// (kvstore.MaxKV) folds, survives a reopen of the kvstore under it and
+// reads back whole through the short part-0 key; a part-0 key with its
+// number written out is not a record key.
+func TestColdPartZeroKeyIsShort(t *testing.T) {
+	dir := t.TempDir()
+	kv := openKV(t, dir)
+	s := openCold(t, kv, Options{})
+	big := make([]byte, 3*kvstore.MaxKV)
+	for i := range big {
+		big[i] = byte(i * 7)
+	}
+	want := map[string][]byte{"big": big, "small": []byte("v"), "nul\x00key": {}}
+	b := s.BeginSized(0)
+	for k, v := range want {
+		b.Put(k, v)
+	}
+	if err := b.Publish(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := kv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	kv = openKV(t, dir)
+	defer kv.Close()
+	s = openCold(t, kv, Options{})
+
+	nparts := (len(big) + s.cold.partPayload("big") - 1) / s.cold.partPayload("big")
+	for _, tc := range []struct {
+		key   string
+		found bool
+	}{
+		{"vc/r/big\x00\x00", true},
+		{"vc/r/big\x00\x00\x00\x00", false},
+		{"vc/r/big\x00\x00\x00\x01", true},
+		{fmt.Sprintf("vc/r/big\x00\x00\x00%c", nparts), false},
+		{"vc/r/small\x00\x00", true},
+		{"vc/r/nul\x00\xffkey\x00\x00", true},
+	} {
+		v, ok, err := kv.Get([]byte(tc.key))
+		if err != nil || ok != tc.found {
+			t.Fatalf("kvstore key %q: found %v (err %v), want %v", tc.key, ok, err, tc.found)
+		}
+		if ok && strings.HasSuffix(tc.key, "\x00\x00") {
+			if n, w := binary.Uvarint(v); w <= 0 || (tc.key == "vc/r/big\x00\x00") != (int(n) == nparts) {
+				t.Fatalf("part 0 of %q opens with part count %d, want %d for big and 1 else", tc.key, n, nparts)
+			}
+		}
+	}
+	for _, k := range []string{"vc/r/big\x00\x00\x00\x00", "vc/r/big\x00\x00\x00", "vc/r/big\x00\x01", "vc/r/big"} {
+		if key, part, ok := s.cold.parseRecordKey([]byte(k)); ok {
+			t.Errorf("parseRecordKey(%q) = %q, part %d: want it refused", k, key, part)
+		}
+	}
+	sn := s.Acquire()
+	defer sn.Release()
+	for k, v := range want {
+		if got, ok := sn.Get(k); !ok || !bytes.Equal(got, v) {
+			t.Fatalf("Get(%q) after reopen: %d bytes (ok %v), want %d", k, len(got), ok, len(v))
+		}
+	}
+	if got := rangeAll(t, sn); len(got) != len(want) || got["big"] != string(big) {
+		t.Fatalf("Range after reopen yields %d keys, want %d, big whole", len(got), len(want))
 	}
 }
 
