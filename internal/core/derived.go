@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"strconv"
 	"strings"
 
 	"memex/internal/text"
@@ -34,30 +33,36 @@ import (
 // where they are.
 
 // tfKey names a page's derived term-count record in the version store.
-func tfKey(page int64) string { return "tf/" + strconv.FormatInt(page, 10) }
+// Like every id in a derived key it is an ordered uint (tables.go), so a
+// family's records sort by id and a new page's lands after every older
+// one's.
+func tfKey(page int64) string { return string(appendOrdered([]byte("tf/"), uint64(page))) }
 
 // dictKey names a term's dictionary record: its value is the term.
-func dictKey(id int32) string { return "dict/" + strconv.FormatInt(int64(id), 10) }
+func dictKey(id int32) string { return string(appendOrdered([]byte("dict/"), uint64(id))) }
 
-// idOfDictKey is the inverse of dictKey: ok only for a key dictKey spells,
-// so dict/+3 and dict/03 are not a second spelling of dict/3.
+// idOfKey is the id a derived key of family prefix names: ok only for
+// prefix followed by one ordered uint of at most limit, so a padded or
+// trailing spelling is not a second key for the id.
+func idOfKey(key, prefix string, limit uint64) (uint64, bool) {
+	rest, ok := strings.CutPrefix(key, prefix)
+	if !ok {
+		return 0, false
+	}
+	id, tail, ok := readOrdered([]byte(rest))
+	return id, ok && len(tail) == 0 && id <= limit
+}
+
+// idOfDictKey is the inverse of dictKey.
 func idOfDictKey(key string) (int32, bool) {
-	id, err := strconv.ParseInt(strings.TrimPrefix(key, "dict/"), 10, 32)
-	return int32(id), err == nil && id >= 0 && key == dictKey(int32(id))
+	id, ok := idOfKey(key, "dict/", math.MaxInt32)
+	return int32(id), ok
 }
 
-// pageOfTFKey is the inverse of tfKey: ok only for a key tfKey spells with
-// a page id (≥ 1), so tf/05 is not a second record for page 5.
+// pageOfTFKey is the inverse of tfKey: ok only for a page id (≥ 1).
 func pageOfTFKey(key string) (int64, bool) {
-	id, err := strconv.ParseInt(strings.TrimPrefix(key, "tf/"), 10, 64)
-	return id, err == nil && id >= 1 && key == tfKey(id)
-}
-
-// tfRecord is a recovered tf/ record held until the dictionary it names
-// is restored.
-type tfRecord struct {
-	page int64
-	raw  []byte
+	id, ok := idOfKey(key, "tf/", math.MaxInt64)
+	return int64(id), ok && id >= 1
 }
 
 // reloadDerived rebuilds the in-memory text machinery — the dictionary
@@ -67,88 +72,70 @@ type tfRecord struct {
 // search/profile/theme/trail queries and never re-crawls a page whose
 // derived state survived. Of the adjacency records it only counts the ids
 // of each lnk/ record (idSetLen, no decode), whose sum is the link graph's
-// edge count; readers decode the records where they are. Records arrive in
-// key order, not id order (dict/10 sorts before dict/9), and restoreDict
-// interns ids in numeric order, so the one scan holds the tf/ blobs (≈0.1
-// KB a page, and its title) until the dictionary is complete and decodes
-// them after restoreDict.
+// edge count; readers decode the records where they are.
+//
+// Nothing has published yet, so the chain is empty and Range yields the
+// cold tier in key order: the dict/ records first, in id order (an id is
+// an ordered uint), then every tf/ record. Each term is interned as its
+// record arrives and must come back as its own id, so a page keeps its ids
+// — and its vectors their bits — across a restart; each tf/ record is
+// decoded as it arrives, against the whole dictionary. The link index then
+// carries dictionary records from the first id past them.
 //
 // A dict/ or tf/ key that dictKey or tfKey does not spell is refused (a
 // second spelling of an id would count a page twice in N and DF, or
-// replace a term), and so is a dictionary restoreDict cannot restore. A
+// replace a term), and so is a dictionary with a gap, which no contiguous
+// epoch prefix can leave (see linkIndex.publish), or with a term twice. A
 // failed scan is an error too, never a partial index.
 // Runs during Open, single-threaded, before any demon starts.
 func (e *Engine) reloadDerived() error {
 	var (
 		err   error
-		terms = map[int32]string{}
-		tfs   []tfRecord
+		terms int32 // dictionary records restored so far
 	)
 	visit := func(key string, raw []byte) bool {
 		switch {
 		case strings.HasPrefix(key, "dict/"):
 			id, ok := idOfDictKey(key)
-			if !ok {
+			switch {
+			case !ok:
 				err = fmt.Errorf("core: archive holds dictionary record %q, which names no term id", key)
-				return false
+			case id != terms:
+				err = fmt.Errorf("core: term dictionary is missing %q: after %d records the next is %q; there is no migration", dictKey(terms), terms, key)
+			default:
+				if got := e.dict.ID(string(raw)); got != id {
+					err = fmt.Errorf("core: term dictionary records %q and %q hold the same term %q", dictKey(got), key, raw)
+				}
+				terms++
 			}
-			terms[id] = string(raw)
 		case strings.HasPrefix(key, "tf/"):
 			page, ok := pageOfTFKey(key)
 			if !ok {
 				err = fmt.Errorf("core: archive holds term-count record %q, which names no page id", key)
-				return false
+				break
 			}
-			tfs = append(tfs, tfRecord{page, raw})
+			// An undecodable record leaves the page unclaimed, so its next
+			// visit re-fetches it and republishes over the bad blob.
+			title, tf := decodeTF(e.dict, raw)
+			if tf.IDs == nil {
+				break
+			}
+			e.idx.AddVector(page, tf)
+			rec := e.meta[page]
+			rec.fetched, rec.title = true, string(title)
+			e.meta[page] = rec
 		case strings.HasPrefix(key, "lnk/"):
 			e.links.edges.Add(int64(idSetLen(raw)))
 		}
-		return true
+		return err == nil
 	}
 	e.withView(func(view *DerivedView) {
 		if scanErr := view.sn.Range(visit); scanErr != nil {
 			err = scanErr
 		}
 	})
-	if err != nil {
-		return err
-	}
-	if err := e.restoreDict(terms); err != nil {
-		return err
-	}
-	for _, r := range tfs {
-		// An undecodable record leaves the page unclaimed, so its next
-		// visit re-fetches it and republishes over the bad blob.
-		title, tf := decodeTF(e.dict, r.raw)
-		if tf.IDs == nil {
-			continue
-		}
-		e.idx.AddVector(r.page, tf)
-		rec := e.meta[r.page]
-		rec.fetched, rec.title = true, string(title)
-		e.meta[r.page] = rec
-	}
-	return nil
-}
-
-// restoreDict interns the recovered dictionary in id order and checks
-// that every term comes back as its own id, so a page keeps its ids — and
-// its vectors their bits — across a restart; the link index then carries
-// dictionary records from the first id past them. It refuses a dictionary
-// with a gap, which no contiguous epoch prefix can leave (see
-// linkIndex.publish).
-func (e *Engine) restoreDict(terms map[int32]string) error {
-	for id := int32(0); int(id) < len(terms); id++ {
-		term, ok := terms[id]
-		if !ok {
-			return fmt.Errorf("core: term dictionary is missing %q: it holds %d records, so ids 0 to %d should all be present; there is no migration", dictKey(id), len(terms), len(terms)-1)
-		}
-		if got := e.dict.ID(term); got != id {
-			return fmt.Errorf("core: term dictionary records %q and %q hold the same term %q", dictKey(got), dictKey(id), term)
-		}
-	}
-	e.links.termsOut = int32(len(terms))
-	return nil
+	e.links.termsOut = terms
+	return err
 }
 
 // DerivedView is a consistent read view over the engine's published

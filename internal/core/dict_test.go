@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -362,12 +363,22 @@ func TestOpenRefusesDictionaryGap(t *testing.T) {
 }
 
 // TestOpenRefusesNonCanonicalKeys: a tf/ or dict/ key that tfKey or dictKey
-// does not spell is a second spelling of an id (tf/05 beside tf/5 would
-// index page 5 twice, dict/+0 would replace dict/0's term), so Open
-// refuses the archive and names the key.
+// does not spell is a second spelling of an id (a padded tf/ id beside the
+// canonical one would index the page twice, a padded dict/ id would replace
+// a term), so Open refuses the archive and names the key. The decimal
+// spellings of memex/3 (tf/5, dict/3) are among them.
 func TestOpenRefusesNonCanonicalKeys(t *testing.T) {
-	for _, key := range []string{"tf/05", "tf/+5", "tf/0", "dict/+0", "dict/03"} {
-		t.Run(key, func(t *testing.T) {
+	for _, tc := range []struct{ name, key string }{
+		{"tf/05", "tf/05"}, {"tf/+5", "tf/+5"}, {"tf/0", "tf/0"}, {"dict/+0", "dict/+0"}, {"dict/03", "dict/03"},
+		{"tf/padded", "tf/\x02\x00\x05"},
+		{"tf/page-0", "tf/\x00"},
+		{"tf/trailing", "tf/\x01\x05\x00"},
+		{"dict/padded", "dict/\x01\x00"},
+		{"dict/past-int32", "dict/\x05\x01\x00\x00\x00\x00"},
+		{"dict/long", "dict/\x09\x01\x02\x03\x04\x05\x06\x07\x08\x09"},
+	} {
+		key := tc.key
+		t.Run(tc.name, func(t *testing.T) {
 			cfg := Config{Dir: t.TempDir(), Source: oneSource{}, GCInterval: -1}
 			e, err := Open(cfg)
 			if err != nil {
@@ -390,6 +401,55 @@ func TestOpenRefusesNonCanonicalKeys(t *testing.T) {
 				t.Fatalf("refusal does not name %q: %v", key, err)
 			}
 		})
+	}
+}
+
+// TestDerivedKeyRoundTrip: tfKey, lnkKey, rinKey and dictKey spell an id
+// as an ordered uint, so a family's keys sort by id, and idOfKey reads back
+// exactly the ids they spell: a leading zero byte, a length over 8, a
+// short or a trailing byte, and an id past the family's range are refused.
+func TestDerivedKeyRoundTrip(t *testing.T) {
+	ids := []int64{1, 9, 10, 127, 128, 255, 256, 65535, 65536, math.MaxInt32, math.MaxInt64}
+	for i, id := range ids {
+		for _, c := range []struct {
+			prefix string
+			spell  func(int64) string
+		}{{"tf/", tfKey}, {"lnk/", lnkKey}, {"rin/", rinKey}} {
+			key := c.spell(id)
+			if got, ok := idOfKey(key, c.prefix, math.MaxInt64); !ok || int64(got) != id {
+				t.Fatalf("idOfKey(%q) = %d, %v; want %d", key, got, ok, id)
+			}
+			if i > 0 && c.spell(ids[i-1]) >= key {
+				t.Fatalf("%q sorts at or after %q", c.spell(ids[i-1]), key)
+			}
+		}
+		if id > math.MaxInt32 {
+			continue
+		}
+		if got, ok := idOfDictKey(dictKey(int32(id))); !ok || int64(got) != id {
+			t.Fatalf("idOfDictKey(%q) = %d, %v; want %d", dictKey(int32(id)), got, ok, id)
+		}
+	}
+	if got, ok := idOfDictKey(dictKey(0)); !ok || got != 0 || dictKey(0) != "dict/\x00" {
+		t.Fatalf("dict id 0 is %q, reads back %d, %v", dictKey(0), got, ok)
+	}
+	for _, key := range []string{
+		"tf/\x02\x00\x05", // leading zero byte
+		"tf/\x09\x01\x00\x00\x00\x00\x00\x00\x00\x00", // length over 8
+		"tf/\x02\x05",     // short
+		"tf/\x01\x05\x05", // trailing byte
+		"tf/\x00",         // page 0
+		"tf/\x08\x80\x00\x00\x00\x00\x00\x00\x00", // past MaxInt64
+		"tf/5", "tf/", "tf", "lnk/\x01\x05",
+	} {
+		if page, ok := pageOfTFKey(key); ok {
+			t.Errorf("pageOfTFKey(%q) = %d: want it refused", key, page)
+		}
+	}
+	for _, key := range []string{"dict/\x01\x00", "dict/\x05\x01\x00\x00\x00\x00", "dict/\x04\x80\x00\x00\x00", "dict/0", "dict/"} {
+		if id, ok := idOfDictKey(key); ok {
+			t.Errorf("idOfDictKey(%q) = %d: want it refused", key, id)
+		}
 	}
 }
 

@@ -134,7 +134,7 @@ func TestGroupPublishReadErrorReleasesEveryClaim(t *testing.T) {
 		t.Fatal(err)
 	}
 	okapiID := pageID(t, e, okapi.URL)
-	coldKey := []byte("vc/r/" + lnkKey(okapiID) + "\x00\x00")
+	coldKey := coldPart0Key(lnkKey(okapiID))
 	good, ok, err := e.kv.Get(coldKey)
 	if !ok || err != nil {
 		t.Fatalf("no cold record %q (err %v)", coldKey, err)
@@ -241,4 +241,10 @@ func TestDrainWakesOnCompletion(t *testing.T) {
 	if st := e.Status(); st.PagesFetched != 1 || st.Visits != rounds {
 		t.Fatalf("PagesFetched %d, Visits %d; want 1 and %d", st.PagesFetched, st.Visits, rounds)
 	}
+}
+
+// coldPart0Key is the kvstore key of a derived record's part 0 in the cold
+// tier: vc/r/ and the key, each 0x00 in it escaped as 0x00 0xff.
+func coldPart0Key(key string) []byte {
+	return []byte("vc/r/" + strings.ReplaceAll(key, "\x00", "\x00\xff"))
 }

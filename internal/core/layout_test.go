@@ -187,6 +187,15 @@ func TestOpenRefusesOtherFormats(t *testing.T) {
 	lengthHeaders := then(engineArchive, func(kv *kvstore.Store) error {
 		return kv.Put([]byte(formatKey), []byte("memex/2"))
 	})
+	// memex/3, the format before derived keys spelled their ids as ordered
+	// uints: tf/, lnk/, rin/ and dict/ keys held decimal ids, and every cold
+	// part 0's key ended with a 0x00 0x00 terminator.
+	decimalIDs := then(engineArchive, func(kv *kvstore.Store) error {
+		return kv.PutBatch([]kvstore.KV{
+			{Key: []byte(formatKey), Value: []byte("memex/3")},
+			{Key: []byte("vc/r/tf/1\x00\x00"), Value: []byte{1, 0, 0}},
+		})
+	})
 	// The kvstore's meta page keeps its page layout's magic, 8 bytes at
 	// offset 16; "MEMEX" is the full-key leaf layout's.
 	fullKeyLeaves := func(dir string) error {
@@ -212,6 +221,7 @@ func TestOpenRefusesOtherFormats(t *testing.T) {
 		{"foreign stamp", restamped, []string{`"memex/0"`, strconv.Quote(format)}},
 		{"titles in rows", titledRows, []string{`"memex/1"`, strconv.Quote(format)}},
 		{"counts and part numbers stored", lengthHeaders, []string{`"memex/2"`, strconv.Quote(format)}},
+		{"decimal ids", decimalIDs, []string{`"memex/3"`, strconv.Quote(format)}},
 		{"foreign magic", fullKeyLeaves, []string{"0x4d454d4558", "MEMEX2"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

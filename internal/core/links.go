@@ -5,8 +5,6 @@ import (
 	"encoding/binary"
 	"math"
 	"slices"
-	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -60,10 +58,10 @@ import (
 // termsOut alone, and the next batch stages those ids again.
 
 // lnkKey names a page's out-adjacency record in the version store.
-func lnkKey(page int64) string { return "lnk/" + strconv.FormatInt(page, 10) }
+func lnkKey(page int64) string { return string(appendOrdered([]byte("lnk/"), uint64(page))) }
 
 // rinKey names a page's reverse (in-link) adjacency record.
-func rinKey(page int64) string { return "rin/" + strconv.FormatInt(page, 10) }
+func rinKey(page int64) string { return string(appendOrdered([]byte("rin/"), uint64(page))) }
 
 // linkIndex is the engine's derived-state producer: the mutex under which
 // every lnk/ and rin/ record is read and rewritten and every batch is
@@ -79,7 +77,7 @@ type linkIndex struct {
 	idx *textindex.Index
 	mu  sync.Mutex
 	// termsOut is the first dictionary id no batch has carried yet (guarded
-	// by mu; restoreDict sets it at Open).
+	// by mu; reloadDerived sets it at Open).
 	termsOut int32
 	// edges is the number of ids in every lnk/ record: summed from the
 	// records' lengths (idSetLen) at Open, then raised by each publish.
@@ -325,16 +323,8 @@ func canonIDs(ids []int64) []int64 {
 	if ids == nil {
 		return []int64{}
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	n := 0
-	for i, id := range ids {
-		if i > 0 && id == ids[n-1] {
-			continue
-		}
-		ids[n] = id
-		n++
-	}
-	return ids[:n]
+	slices.Sort(ids)
+	return slices.Compact(ids)
 }
 
 // decodeIDSet is the inverse of encodeIDSet (nil, false on corrupt input;

@@ -4,9 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"maps"
+	"math"
 	"slices"
-	"strconv"
-	"strings"
 	"testing"
 	"time"
 
@@ -24,12 +23,12 @@ func linkGraphOf(t *testing.T, e *Engine) linkGraph {
 	e.withView(func(v *DerivedView) {
 		var pages []int64
 		err := v.sn.Range(func(key string, _ []byte) bool {
-			rest, ok := strings.CutPrefix(key, "lnk/")
+			page, ok := idOfKey(key, "lnk/", math.MaxInt64)
 			if !ok {
-				rest, ok = strings.CutPrefix(key, "rin/")
+				page, ok = idOfKey(key, "rin/", math.MaxInt64)
 			}
-			if page, err := strconv.ParseInt(rest, 10, 64); ok && err == nil {
-				pages = append(pages, page)
+			if ok {
+				pages = append(pages, int64(page))
 			}
 			return true
 		})
@@ -219,7 +218,7 @@ func TestLinkPublishReadErrorPublishesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	okapi := pageID(t, e, page.URL)
-	coldKey := []byte("vc/r/" + lnkKey(okapi) + "\x00\x00")
+	coldKey := coldPart0Key(lnkKey(okapi))
 	if _, ok, err := e.kv.Get(coldKey); !ok || err != nil {
 		t.Fatalf("no cold record %q (err %v)", coldKey, err)
 	}

@@ -527,25 +527,9 @@ func TestBenchWorldInDegrees(t *testing.T) {
 	if testing.Short() {
 		t.Skip("replays 8 000 visits")
 	}
-	c := webcorpus.Generate(benchWeb)
-	tr := sim.Simulate(c, benchSurf)
-	tr.Visits = tr.Visits[:8000]
-	e, err := Open(Config{
-		Dir:        t.TempDir(),
-		Source:     corpusSource{c},
-		queueSize:  2 * (len(tr.Visits) + len(tr.Bookmarks)),
-		GCInterval: -1,
-	})
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	defer e.Close()
-	replayTrace(t, e, c, tr)
-	if _, err := e.vs.Fold(); err != nil {
-		t.Fatal(err)
-	}
-
+	e := foldedBenchWorld(t)
 	var indeg []int
+	var err error
 	records, rinBytes := 0, 0
 	nodes := map[string]bool{}
 	e.withView(func(v *DerivedView) {
@@ -582,6 +566,34 @@ func TestBenchWorldInDegrees(t *testing.T) {
 	}
 }
 
+// foldedBenchWorld replays the benchmark's recall-query preload (8 000
+// visits of benchWorld's trace) into a fresh engine and folds it once. The
+// fold demon is off, so that one fold is the archive's only one however
+// long the replay takes, as in the benchmark's set-up: a fold tick during a
+// slow replay (under -race) would write the later rounds into leaves the
+// first one filled (DESIGN.md §4 "Split last").
+func foldedBenchWorld(t *testing.T) *Engine {
+	t.Helper()
+	c := webcorpus.Generate(benchWeb)
+	tr := sim.Simulate(c, benchSurf)
+	tr.Visits = tr.Visits[:8000]
+	e, err := Open(Config{
+		Dir:        t.TempDir(),
+		Source:     corpusSource{c},
+		queueSize:  2 * (len(tr.Visits) + len(tr.Bookmarks)),
+		GCInterval: -1,
+	})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	t.Cleanup(func() { e.Close() })
+	replayTrace(t, e, c, tr)
+	if _, err := e.vs.Fold(); err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
 // TestBenchWorldDiskPerUserByte holds the archive's size as a number: the
 // benchmark's recall-query preload (the world above, 8 000 visits) through
 // the engine, closed, and then the file against what is stored in it — key
@@ -591,11 +603,13 @@ func TestBenchWorldInDegrees(t *testing.T) {
 // store their keys' common prefix once, each cell's key length in a byte,
 // near 1.2 (DESIGN.md §4, "prefix leaves"), and pages keyed by URL, so a
 // leaf of one site's pages stores the site's URL prefix once, near 0.86
-// (DESIGN.md §1), and derived records that store nothing their decoders
-// can infer, near 0.81. What is stored is held too: a tf/ record names its
-// terms by id and spends no byte on a count of 1, ≈99 B a record where
-// spelling them took ≈490 (DESIGN.md §4, "terms by id"); an adjacency
-// record is its id deltas alone; and a visit is one typed record of ≈20 B
+// (DESIGN.md §1), derived records that store nothing their decoders can
+// infer, near 0.81, and families that only grow written in key order into
+// leaves that split at their end, near 0.71 (DESIGN.md §4, "split last").
+// What is stored is held too: a tf/ record names its terms by id and
+// spends no byte on a count of 1, ≈99 B a record where spelling them took
+// ≈490 (DESIGN.md §4, "terms by id"); an adjacency record is its id deltas
+// alone, under a key that spells its id as an ordered uint; and a visit is one typed record of ≈20 B
 // of key and value, where a generic row, its user index entry and its share
 // of the sequence took 107 (DESIGN.md §1). Each bound is the value measured
 // over ten runs (the analyzers' race moves the last digit) plus at most 5 %.
@@ -603,10 +617,7 @@ func TestBenchWorldDiskPerUserByte(t *testing.T) {
 	if testing.Short() {
 		t.Skip("replays 8 000 visits")
 	}
-	e, _, _ := replayWorld(t, benchWeb, benchSurf, 8000)
-	if _, err := e.vs.Fold(); err != nil {
-		t.Fatal(err)
-	}
+	e := foldedBenchWorld(t)
 	var tfRecords, tfBytes int
 	e.withView(func(v *DerivedView) {
 		v.sn.Range(func(key string, raw []byte) bool {
@@ -661,8 +672,8 @@ func TestBenchWorldDiskPerUserByte(t *testing.T) {
 		family string
 		bound  float64
 	}{
-		{"vc/r/lnk", 26.9}, // 25.6–25.7
-		{"vc/r/rin", 20.6}, // 19.7
+		{"vc/r/lnk", 23.7}, // 22.6
+		{"vc/r/rin", 17.1}, // 16.3
 	} {
 		if per := float64(family[c.family]) / float64(records[c.family]); per > c.bound {
 			t.Errorf("a %s record averages %.1f B of key and value, want at most %.1f", c.family, per, c.bound)
@@ -671,11 +682,11 @@ func TestBenchWorldDiskPerUserByte(t *testing.T) {
 	ratio := float64(disk) / float64(user)
 	t.Logf("%d B on disk for %d B of keys and values: %.2f B per user byte; %d leaf splits, %d rebalances",
 		disk, user, ratio, work.LeafSplits, work.LeafRebalances)
-	if ratio > 0.86 { // 0.80–0.82
-		t.Errorf("%.2f bytes of disk per user byte, want at most 0.86", ratio)
+	if ratio > 0.75 { // 0.70–0.72
+		t.Errorf("%.2f bytes of disk per user byte, want at most 0.75", ratio)
 	}
-	if work.LeafRebalances > 3*work.LeafSplits {
-		t.Errorf("%d rebalances for %d splits, want at most 3 a split", work.LeafRebalances, work.LeafSplits)
+	if 10*work.LeafRebalances > 13*work.LeafSplits { // 441–504 for 403–412, at most 1.24 a split
+		t.Errorf("%d rebalances for %d splits, want at most 1.3 a split", work.LeafRebalances, work.LeafSplits)
 	}
 }
 

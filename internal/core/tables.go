@@ -66,7 +66,7 @@ var (
 // of them changes format; there is no migration.
 const (
 	formatKey = "fmt"
-	format    = "memex/3"
+	format    = "memex/4"
 )
 
 // checkFormat stamps a store that holds no key and refuses any store not

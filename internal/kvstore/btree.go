@@ -18,6 +18,11 @@ type btree struct {
 	// (Stats.LeafSplits/.LeafRebalances); read without the lock, hence
 	// atomic.
 	splits, rebalances atomic.Uint64
+	// last is the leaf the latest insert appended to (a key past every key
+	// it held), or nilPage when the latest insert landed anywhere else: a
+	// full leaf that takes a second append in a row splits at its end
+	// (splitAtEnd).
+	last pageID
 	// The write path's scratch: a leaf laid out again is staged as cells
 	// and built aside in img before it is copied over its page.
 	cells, pool []cell
@@ -193,6 +198,12 @@ func (t *btree) insert(id pageID, parent *page, slot int, k, v []byte) (added, s
 
 	if p.kind == pageLeaf {
 		i, ok := leafSearch(p, k)
+		appends := !ok && i == p.nkeys()
+		run := appends && t.last == p.id
+		t.last = nilPage
+		if appends {
+			t.last = p.id
+		}
 		if ok {
 			// Replace: remove the old cell, then insert as if fresh so an
 			// enlarged value can rebalance or split instead of overflowing.
@@ -208,6 +219,10 @@ func (t *btree) insert(id pageID, parent *page, slot int, k, v []byte) (added, s
 		if leafSize(t.cells) <= PageSize {
 			t.relay(t.cells, len(t.cells), p, nil)
 			return !ok, false, nil, 0, nil
+		}
+		if run {
+			rid := t.splitAtEnd(p, k, v)
+			return true, true, append([]byte(nil), k...), rid, nil
 		}
 		if parent != nil {
 			done, err := t.rebalanceInsert(parent, slot, p, t.cells)
@@ -479,6 +494,24 @@ func (t *btree) splitLeaf(p *page, cells []cell) (pageID, []byte, error) {
 	t.relay(cells, c, p, right)
 	t.splits.Add(1)
 	return right.id, sep, nil
+}
+
+// splitAtEnd is what a full leaf p does with its second append in a row:
+// keys are arriving in ascending order, so p keeps its cells where they
+// are, full, and a fresh right sibling takes only the incoming cell (k, v)
+// and the appends that follow it. A split at the half would leave p half
+// empty for good, since no later key of the run lands in it. Returns the
+// sibling's id; its first key, k, is the separator.
+func (t *btree) splitAtEnd(p *page, k, v []byte) pageID {
+	right := t.pg.allocate(pageLeaf)
+	defer t.pg.unpin(right)
+	right.setRight(p.right())
+	p.setRight(right.id)
+	p.dirty = true
+	right.insertLeafCell(0, k, v) // under the empty prefix
+	t.last = right.id
+	t.splits.Add(1)
+	return right.id
 }
 
 // intCell is a staged separator used during internal splits.

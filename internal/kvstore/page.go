@@ -16,8 +16,12 @@
 // with a sibling under the same parent that has room (btree.rebalanceInsert)
 // and only when neither has does it split, so leaves settle near 0.8 full
 // where a split-only tree sits at 0.5 (ascending keys) to 0.7 (random).
-// Deletes do not merge or free pages; the leaf they leave under-full is
-// refilled by its neighbours' overflow before any new page is allocated.
+// Keys that arrive in ascending order fill their leaves whole: a full leaf
+// that takes its second append in a row keeps its cells and a fresh right
+// sibling takes the new one (btree.splitAtEnd), so an ascending load ends
+// 0.99 full. Deletes do not merge or free pages; the leaf they leave
+// under-full is refilled by its neighbours' overflow before any new page is
+// allocated.
 // The log is logical redo, so neither a split nor a rebalance is logged:
 // both only dirty pages, which reach data.db at the next checkpoint.
 //

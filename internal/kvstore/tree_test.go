@@ -433,17 +433,17 @@ func FuzzTreeAgainstMap(f *testing.F) {
 	})
 }
 
-// fillPatterns are the six ways of loading a tree whose leaf fill the issue
-// tabled: 20 000 keys (8-byte, so order is numeric) with 50-byte values
-// unless the pattern says otherwise.
+// fillPatterns are the eight ways of loading a tree whose leaf fill
+// DESIGN.md §4 "Split last" tables: 20 000 keys (8-byte, so order is
+// numeric) with 50-byte values unless the pattern says otherwise.
 var fillPatterns = []struct {
 	name string
 	// floor is the least leaf fill the pattern must reach; a split-only
-	// tree reaches none of them (0.52 0.57 0.70 0.66 0.50 0.67).
+	// tree reaches none of them (0.50 0.56 0.68 0.67 0.51 0.50 0.58 0.64).
 	floor float64
 	load  func(tb testing.TB, s *Store, n int)
 }{
-	{"ascending", 0.80, func(tb testing.TB, s *Store, n int) {
+	{"ascending", 0.97, func(tb testing.TB, s *Store, n int) { // 0.991: each leaf fills, then splits at its end
 		for i := 0; i < n; i++ {
 			putN(tb, s, i, 50)
 		}
@@ -470,6 +470,35 @@ var fillPatterns = []struct {
 	{"descending", 0.80, func(tb testing.TB, s *Store, n int) {
 		for i := n - 1; i >= 0; i-- {
 			putN(tb, s, i, 50)
+		}
+	}},
+	{"interleaved-runs", 0.80, func(tb testing.TB, s *Store, n int) {
+		// 40 users each append to their own run of keys, taking turns,
+		// as the visits table's per-user keys grow.
+		const users = 40
+		for i := 0; i < n; i++ {
+			putN(tb, s, (i%users)<<32|i/users, 50)
+		}
+	}},
+	{"sorted-batch-into-gap", 0.80, func(tb testing.TB, s *Store, n int) {
+		// Half the keys in random order, below and above a gap; then the
+		// gap's keys in ascending order, in batches, as a fold round
+		// writes a family's new records after its old ones.
+		for _, i := range rand.New(rand.NewSource(8)).Perm(n / 2) {
+			if i >= n/4 {
+				i += n / 2
+			}
+			putN(tb, s, i, 50)
+		}
+		batch := make([]KV, 0, 500)
+		for i := n / 4; i < 3*n/4; i++ {
+			batch = append(batch, KV{Key: keyN(i), Value: make([]byte, 50)})
+			if len(batch) == cap(batch) || i == 3*n/4-1 {
+				if err := s.PutBatch(batch); err != nil {
+					tb.Fatal(err)
+				}
+				batch = batch[:0]
+			}
 		}
 	}},
 	{"delete-half-refill", 0.75, func(tb testing.TB, s *Store, n int) {

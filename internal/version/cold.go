@@ -15,19 +15,20 @@ package version
 // cold tier coexists with other keyspaces — the engine's table records —
 // in one kvstore):
 //
-//	<prefix>r/<esc(key)>\x00\x00           → part count ‖ payload (part 0)
+//	<prefix>r/<esc(key)>                   → part count ‖ payload (part 0)
 //	<prefix>r/<esc(key)>\x00\x00<part:2B>  → payload (parts 1 and up)
 //	<prefix>m/wm                           → watermark (8B BE) ‖ key count (8B BE)
 //
 // A key has one record on disk, its newest folded value; the store has no
 // deletes, so a key once folded keeps its record. Keys escape 0x00 as
-// 0x00 0xff and terminate with 0x00 0x00, so one key's parts sort together
-// and ahead of every longer key. Records larger than one tree entry
-// (kvstore.MaxKV) are split into parts; part 0 carries the part count, so a
-// read is one point get per part. Nearly every record is part 0 alone, so
-// its key ends at the terminator: a part number that is always zero would
-// be two bytes of every record, and the bytes after the terminator (none,
-// or two naming a part from 1 up) tell the two kinds of key apart.
+// 0x00 0xff, which keeps their order, so 0x00 0x00 never occurs inside an
+// escaped key: the key's end means part 0, and 0x00 0x00 means a part
+// number follows. Records larger than one tree entry (kvstore.MaxKV) are
+// split into parts; part 0 carries the part count, so a read is one point
+// get per part. Nearly every record is part 0 alone, so its key is the
+// escaped key and nothing else. A key's parts sort right after its part 0
+// and ahead of every longer key (whose next byte is above 0x00, or is the
+// 0x00 0xff of an escaped zero).
 //
 // m/wm is the only meta record. The store does not tell its layout from
 // another's: the owner stamps the archive (core's format record) and
@@ -62,6 +63,7 @@ package version
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"memex/internal/kvstore"
@@ -200,18 +202,17 @@ func (c *coldTier) recPrefix() []byte {
 	return append(k, "r/"...)
 }
 
-// recordKey is one part's key: part 0's ends at the terminator.
+// recordKey is one part's key: part 0's ends with the escaped key.
 func (c *coldTier) recordKey(key string, part uint16) []byte {
 	k := appendEscaped(c.recPrefix(), key)
-	k = append(k, 0x00, 0x00)
 	if part == 0 {
 		return k
 	}
-	return binary.BigEndian.AppendUint16(k, part)
+	return binary.BigEndian.AppendUint16(append(k, 0x00, 0x00), part)
 }
 
 // appendEscaped appends key with 0x00 escaped as 0x00 0xff, so the
-// 0x00 0x00 terminator can never occur inside an escaped key.
+// 0x00 0x00 ahead of a part number can never occur inside an escaped key.
 func appendEscaped(dst []byte, key string) []byte {
 	for i := 0; i < len(key); i++ {
 		if key[i] == 0x00 {
@@ -225,38 +226,39 @@ func appendEscaped(dst []byte, key string) []byte {
 
 // parseRecordKey decodes a record key back into the key and the part. It
 // accepts only what recordKey writes: part 0 with no part number, so a
-// part number of zero written out is refused.
+// part number of zero written out is refused, and so is a lone 0x00.
 func (c *coldTier) parseRecordKey(k []byte) (key string, part uint16, ok bool) {
 	rest := k[len(c.recPrefix()):]
 	buf := make([]byte, 0, len(rest))
-	for i := 0; i+1 < len(rest); i++ {
+	for i := 0; i < len(rest); i++ {
 		if rest[i] != 0x00 {
 			buf = append(buf, rest[i])
 			continue
+		}
+		if i+1 == len(rest) {
+			return "", 0, false
 		}
 		switch tail := rest[i+2:]; {
 		case rest[i+1] == 0xff:
 			buf = append(buf, 0x00)
 			i++ // skip the 0xff escape byte
-		case rest[i+1] != 0x00:
-			return "", 0, false
-		case len(tail) == 0:
-			return string(buf), 0, true
-		case len(tail) == 2 && (tail[0] != 0 || tail[1] != 0):
+		case rest[i+1] == 0x00 && len(tail) == 2 && (tail[0] != 0 || tail[1] != 0):
 			return string(buf), binary.BigEndian.Uint16(tail), true
 		default:
 			return "", 0, false
 		}
 	}
-	return "", 0, false
+	return string(buf), 0, true
 }
 
 // partPayload returns how many payload bytes fit in one part of this
 // key's records (the kvstore caps key+value per entry).
 func (c *coldTier) partPayload(key string) int {
-	// Worst-case escaped key doubles; framing = prefix + r/ + terminator +
-	// part; value head = max uvarint part count.
-	overhead := len(c.prefix) + 2 + 2*len(key) + 2 + 2 + binary.MaxVarintLen32
+	// Worst-case escaped key doubles; framing = prefix + r/ + part number;
+	// value head = max uvarint part count. A part past 0 spends 4 bytes on
+	// 0x00 0x00 and its number and has no head, part 0 has only the head:
+	// 2 + MaxVarintLen32 covers either.
+	overhead := len(c.prefix) + 2 + 2*len(key) + 2 + binary.MaxVarintLen32
 	return kvstore.MaxKV - overhead
 }
 
@@ -412,10 +414,19 @@ func mergeForFold(sub *layer) (merged map[string][]byte, resident int) {
 // old part beyond the new count, and m/wm
 // with watermark wm and the key count the commit leaves on disk, which it
 // also returns. A point read of each key's part 0 gives the old part count.
+// The keys go in key order, so the reads and the writes each walk the tree
+// in order, and a family that only grows (new ids past every old one)
+// lands as an ascending run, which the B+tree packs into full leaves.
 func (c *coldTier) roundCommit(merged map[string][]byte, wm uint64) ([]kvstore.KV, int64, error) {
 	records := c.records.Load()
+	keys := make([]string, 0, len(merged))
+	for k := range merged {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
 	var batch []kvstore.KV
-	for k, v := range merged {
+	for _, k := range keys {
+		v := merged[k]
 		old, _, err := c.head(k)
 		if err != nil {
 			return nil, 0, fmt.Errorf("version: fold: read %q: %w", k, err)
@@ -575,14 +586,16 @@ func (s *Store) ColdWatermark() uint64 {
 }
 
 // Range calls fn for every live key visible in the snapshot with its
-// value, in-memory or cold, in unspecified order; each key is yielded
-// exactly once (the newest version at or below the snapshot epoch wins).
-// fn returning false stops the walk. A cold-tier scan that fails ends the
-// walk with that error: what fn saw until then is part of the snapshot,
-// not all of it. It panics if the snapshot was released.
+// value, in-memory or cold; each key is yielded exactly once (the newest
+// version at or below the snapshot epoch wins). fn returning false stops
+// the walk. A cold-tier scan that fails ends the walk with that error:
+// what fn saw until then is part of the snapshot, not all of it. It panics
+// if the snapshot was released.
 //
-// The chain is walked first, then the cold tier, whose keys the chain's
-// entries shadow.
+// The order is part of the contract: the chain's keys first, in no order,
+// then the cold tier's in key order, skipping those the chain shadows. A
+// store that has not published since Open has an empty chain, so there
+// Range yields every key in key order.
 func (sn *Snapshot) Range(fn func(key string, value []byte) bool) error {
 	st := sn.view("Range")
 	seen := make(map[string]bool)

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -268,6 +269,39 @@ func rangeAll(t *testing.T, sn *Snapshot) map[string]string {
 	return got
 }
 
+// TestRangeOrder holds Range's order, which a reopening owner reads its
+// records in: the chain's keys first, then the cold tier's in key order,
+// zero bytes and prefixes of one another included, and a folded key the
+// chain shadows only once, with its chain value.
+func TestRangeOrder(t *testing.T) {
+	kv := openKV(t, t.TempDir())
+	defer kv.Close()
+	s := openCold(t, kv, Options{})
+	cold := []string{"a", "a\x00", "a\x00\x00", "a\x01", "b/\x01\x09", "b/\x01\x0a", "b/\x02\x01\x00", "c"}
+	for _, i := range []int{5, 0, 7, 2, 6, 1, 4, 3} {
+		publishKV(t, s, map[string]string{cold[i]: "cold"})
+	}
+	if _, err := s.Fold(); err != nil {
+		t.Fatal(err)
+	}
+	publishKV(t, s, map[string]string{"c": "hot", "0": "hot"})
+	sn := s.Acquire()
+	defer sn.Release()
+	var keys, vals []string
+	if err := sn.Range(func(k string, v []byte) bool {
+		keys, vals = append(keys, k), append(vals, string(v))
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(keys) != 9 || !slices.Equal(vals[:2], []string{"hot", "hot"}) {
+		t.Fatalf("Range yielded %q = %q, want the two chain keys first", keys, vals)
+	}
+	if want := slices.DeleteFunc(slices.Clone(cold), func(k string) bool { return k == "c" }); !slices.Equal(keys[2:], want) {
+		t.Fatalf("Range yielded cold keys %q, want %q", keys[2:], want)
+	}
+}
+
 // kvKeys counts the keys in kv.
 func kvKeys(t *testing.T, kv *kvstore.Store) int {
 	t.Helper()
@@ -496,11 +530,11 @@ func TestColdMultiPartValues(t *testing.T) {
 }
 
 // TestColdPartZeroKeyIsShort: part 0 of a record — the whole of nearly
-// every record — is keyed by the escaped key and its terminator alone, and
-// parts 1 and up add their number. A record larger than one tree entry
+// every record — is keyed by the escaped key alone, and parts 1 and up add
+// 0x00 0x00 and their number. A record larger than one tree entry
 // (kvstore.MaxKV) folds, survives a reopen of the kvstore under it and
-// reads back whole through the short part-0 key; a part-0 key with its
-// number written out is not a record key.
+// reads back whole through the short part-0 key; a part-0 key with a
+// terminator or its number written out is not a record key.
 func TestColdPartZeroKeyIsShort(t *testing.T) {
 	dir := t.TempDir()
 	kv := openKV(t, dir)
@@ -529,27 +563,29 @@ func TestColdPartZeroKeyIsShort(t *testing.T) {
 
 	nparts := (len(big) + s.cold.partPayload("big") - 1) / s.cold.partPayload("big")
 	for _, tc := range []struct {
-		key   string
-		found bool
+		key          string
+		found, part0 bool
 	}{
-		{"vc/r/big\x00\x00", true},
-		{"vc/r/big\x00\x00\x00\x00", false},
-		{"vc/r/big\x00\x00\x00\x01", true},
-		{fmt.Sprintf("vc/r/big\x00\x00\x00%c", nparts), false},
-		{"vc/r/small\x00\x00", true},
-		{"vc/r/nul\x00\xffkey\x00\x00", true},
+		{"vc/r/big", true, true},
+		{"vc/r/big\x00\x00", false, false},
+		{"vc/r/big\x00\x00\x00\x00", false, false},
+		{"vc/r/big\x00\x00\x00\x01", true, false},
+		{fmt.Sprintf("vc/r/big\x00\x00\x00%c", nparts), false, false},
+		{"vc/r/small", true, true},
+		{"vc/r/small\x00\x00", false, false},
+		{"vc/r/nul\x00\xffkey", true, true},
 	} {
 		v, ok, err := kv.Get([]byte(tc.key))
 		if err != nil || ok != tc.found {
 			t.Fatalf("kvstore key %q: found %v (err %v), want %v", tc.key, ok, err, tc.found)
 		}
-		if ok && strings.HasSuffix(tc.key, "\x00\x00") {
-			if n, w := binary.Uvarint(v); w <= 0 || (tc.key == "vc/r/big\x00\x00") != (int(n) == nparts) {
+		if tc.part0 {
+			if n, w := binary.Uvarint(v); w <= 0 || (tc.key == "vc/r/big") != (int(n) == nparts) {
 				t.Fatalf("part 0 of %q opens with part count %d, want %d for big and 1 else", tc.key, n, nparts)
 			}
 		}
 	}
-	for _, k := range []string{"vc/r/big\x00\x00\x00\x00", "vc/r/big\x00\x00\x00", "vc/r/big\x00\x01", "vc/r/big"} {
+	for _, k := range []string{"vc/r/big\x00\x00", "vc/r/big\x00\x00\x00\x00", "vc/r/big\x00\x00\x00", "vc/r/big\x00\x01", "vc/r/big\x00"} {
 		if key, part, ok := s.cold.parseRecordKey([]byte(k)); ok {
 			t.Errorf("parseRecordKey(%q) = %q, part %d: want it refused", k, key, part)
 		}
@@ -564,6 +600,51 @@ func TestColdPartZeroKeyIsShort(t *testing.T) {
 	if got := rangeAll(t, sn); len(got) != len(want) || got["big"] != string(big) {
 		t.Fatalf("Range after reopen yields %d keys, want %d, big whole", len(got), len(want))
 	}
+}
+
+// FuzzColdRecordKey holds the record-key codec for a pair of keys: every
+// part's key parses back to its key and part, part 0 written out with a
+// number or a bare 0x00 0x00 is refused, a key's parts sort in part order
+// right after its part 0, and the records of two keys sort as the keys do,
+// every part of the lesser ahead of the greater's part 0.
+func FuzzColdRecordKey(f *testing.F) {
+	for _, seed := range [][2]string{
+		{"a", "b"}, {"a", "a\x00"}, {"a\x00", "a\x01"}, {"a\x00", "a\x00\x00"},
+		{"", "\x00"}, {"a\xff", "a\x00\xff"}, {"dict/\x00", "dict/\x01\x01"},
+		{"tf/\x01\xff", "tf/\x02\x01\x00"}, {"rin/\x02\x01\x00", "rin/\x02\x01\x01"},
+	} {
+		f.Add(seed[0], seed[1])
+	}
+	c := &coldTier{prefix: []byte("vc/")}
+	f.Fuzz(func(t *testing.T, a, b string) {
+		if a > b {
+			a, b = b, a
+		}
+		var keys [][]byte
+		for i, key := range []string{a, b} {
+			if i == 1 && a == b {
+				break
+			}
+			for _, part := range []uint16{0, 1, 2, 0x100, 0xffff} {
+				k := c.recordKey(key, part)
+				if got, gotPart, ok := c.parseRecordKey(k); !ok || got != key || gotPart != part {
+					t.Fatalf("recordKey(%q, %d) = %q parses to %q, part %d, ok %v", key, part, k, got, gotPart, ok)
+				}
+				keys = append(keys, k)
+			}
+			for _, tail := range []string{"\x00", "\x00\x00", "\x00\x00\x00\x00", "\x00\x00\x00\x01\x00"} {
+				k := append(c.recordKey(key, 0), tail...)
+				if got, part, ok := c.parseRecordKey(k); ok {
+					t.Fatalf("parseRecordKey(%q) = %q, part %d: want it refused", k, got, part)
+				}
+			}
+		}
+		for i := 1; i < len(keys); i++ {
+			if bytes.Compare(keys[i-1], keys[i]) >= 0 {
+				t.Fatalf("record keys out of order: %q before %q", keys[i-1], keys[i])
+			}
+		}
+	})
 }
 
 // TestColdShardCountPinnedByKeyspace: the on-disk keyspace pins its
