@@ -27,10 +27,13 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"sort"
 	"strconv"
 	"strings"
 	"time"
+	"unicode/utf8"
 
 	"memex"
 )
@@ -203,9 +206,7 @@ func run(c *memex.Client, args []string) error {
 		if err != nil {
 			return err
 		}
-		for theme, weight := range w {
-			fmt.Printf("theme %-4d %.4f\n", theme, weight)
-		}
+		printProfile(os.Stdout, w)
 		return nil
 	case "usage":
 		if len(rest) != 1 {
@@ -271,9 +272,24 @@ func run(c *memex.Client, args []string) error {
 	}
 }
 
+// printProfile writes a profile's theme weights one a line, in theme id
+// order, so two runs over one archive print the same lines.
+func printProfile(w io.Writer, weights map[int]float64) {
+	themes := make([]int, 0, len(weights))
+	for theme := range weights {
+		themes = append(themes, theme)
+	}
+	sort.Ints(themes)
+	for _, theme := range themes {
+		fmt.Fprintf(w, "theme %-4d %.4f\n", theme, weights[theme])
+	}
+}
+
+// trunc shortens s to at most n runes, the last of them an ellipsis when
+// it cuts; it never splits a rune.
 func trunc(s string, n int) string {
-	if len(s) <= n {
+	if utf8.RuneCountInString(s) <= n {
 		return s
 	}
-	return s[:n-1] + "…"
+	return string([]rune(s)[:n-1]) + "…"
 }

@@ -64,7 +64,7 @@ func (d Diagnostic) String() string {
 
 // All returns the full memexvet suite in stable order.
 func All() []*Analyzer {
-	return []*Analyzer{LockIter, DetMap, EpochBatch, DetSched, AtomicBan}
+	return []*Analyzer{LockIter, EpochBatch, AtomicBan}
 }
 
 // metaName is the pseudo-analyzer that owns diagnostics about the

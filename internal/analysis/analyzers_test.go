@@ -10,16 +10,14 @@ import (
 )
 
 func TestLockIter(t *testing.T)   { runGolden(t, LockIter, "testdata/src/lockiter") }
-func TestDetMap(t *testing.T)     { runGolden(t, DetMap, "testdata/src/detmap") }
 func TestEpochBatch(t *testing.T) { runGolden(t, EpochBatch, "testdata/src/epochbatch") }
-func TestDetSched(t *testing.T)   { runGolden(t, DetSched, "testdata/src/detsched") }
 func TestAtomicBan(t *testing.T)  { runGolden(t, AtomicBan, "testdata/src/atomicban") }
 
-// TestTreeClean is the suite's one runner and the merge gate: the five
+// TestTreeClean is the suite's one runner and the merge gate: the three
 // analyzers and the module-wide reader check, run over every file of the
 // repository, _test.go files included, must come back empty.
-// Reintroducing a PageRank-style lock-hold, an unsorted encodeCounts, a
-// torn batch, an atomic.AddUint64 or an export nothing reads fails it, and
+// Reintroducing a PageRank-style lock-hold, a torn batch, an
+// atomic.AddUint64 or an export nothing reads fails it, and
 // so does a //memexvet:ignore directive that no longer silences anything.
 func TestTreeClean(t *testing.T) {
 	if testing.Short() {

@@ -7,8 +7,9 @@
 // fails a merge instead of a production pass.
 //
 // The suite is small on purpose. An invariant belongs here only while the
-// code can still express its violation; the ones an API can rule out are
-// held by construction instead (listed below), and what is checked here is
+// code can still express its violation and no test fails on every run of
+// it; the ones an API can rule out are held by construction instead
+// (listed below), and what is checked here is
 // purely syntactic: AST walks over type-checked packages, no control-flow
 // graph, no dataflow.
 //
@@ -25,17 +26,6 @@
 //	copy what you need under the lock, release it, then iterate
 //	(StoreStats does; PageRank did until it was deleted unused).
 //
-// detmap — codec output must not depend on map iteration order.
-//
-//	PR 5 fixed encodeCounts ranging a map straight into the output
-//	buffer: equal count maps encoded to different bytes across runs,
-//	which broke the restart tests' record-determinism contract and
-//	churned the cold tier with spurious rewrites of unchanged records.
-//	In encode*/marshal* functions (and files named *codec*), the
-//	analyzer flags ranging over a map while bytes are written to the
-//	output, and map-key collection loops whose collected slice is never
-//	sorted before use. The sanctioned shape is collect → sort → encode.
-//
 // epochbatch — one page's derived records publish in one batch.
 //
 //	A page's derived state — tf/ term counts, lnk/ out-links, rin/
@@ -44,18 +34,6 @@
 //	link graph. The analyzer flags the two bugs the batch API can still
 //	express: one page's records split across two Publishes (two
 //	batches in a function), and staging into a batch after its Publish.
-//
-// detsched — a load schedule is a pure function of (scenario, seed).
-//
-//	The synthetic harness's whole contract is replayability: same
-//	scenario, same seed, byte-identical schedule (CI diffs two
-//	expansions on every run). In schedule-path code — methods on
-//	Scenario and functions whose name contains "Schedule" — the
-//	analyzer flags time.Now/Since/Until (wall-clock leak), draws from
-//	the global math/rand source (process-seeded state; rand.New,
-//	rand.NewSource, rand.NewZipf constructors and method draws on a
-//	local generator are the sanctioned pattern), and map iteration that
-//	reaches the emitted schedule without a sort in between.
 //
 // atomicban — sync/atomic's package-level functions are not called.
 //
@@ -107,6 +85,11 @@
 //   - A variable updated atomically is never accessed plainly: with
 //     atomicban, the typed wrappers are the only atomics there are.
 //
+// Two more need no analyzer because a test fails on every run of their bug
+// (DESIGN.md §4): map order reaching a codec's bytes fails the codecs'
+// round-trip tests and TestGoldenAnswers, and an impure load schedule
+// fails internal/load's TestScheduleDeterministic.
+//
 // # Suppressions
 //
 // A finding that is a true exception — audited, with a reason — is
@@ -117,7 +100,7 @@
 // written either as a trailing comment on the flagged line or as a
 // standalone comment on the line immediately above it; each directive
 // governs exactly one line. The analyzer name must be one of lockiter,
-// detmap, epochbatch, detsched, atomicban or reader; the reason is
+// epochbatch, atomicban or reader; the reason is
 // mandatory, and a reader directive's reason names the reader the name
 // waits for (bench/layers.go until the benchmark moves off it, a test that
 // holds a kernel to it as the reference). Suppressions are themselves
@@ -132,7 +115,7 @@
 //
 // TestTreeClean is the suite's one runner. It loads every package of the
 // module with its _test.go files and its external test package, and runs
-// the five analyzers and the reader check over all of them:
+// the three analyzers and the reader check over all of them:
 //
 //	go test -run TestTreeClean ./internal/analysis/
 //

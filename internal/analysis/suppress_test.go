@@ -162,10 +162,10 @@ func TestStaleSuppressionFailsLoud(t *testing.T) {
 }
 
 func TestStaleNotReportedWhenAnalyzerDidNotRun(t *testing.T) {
-	// A detmap directive cannot be judged stale by a run that only
+	// An epochbatch directive cannot be judged stale by a run that only
 	// included lockiter.
 	diags := checkSource(t, prologue+`func f() {
-	fine() //memexvet:ignore detmap sorted upstream by the caller
+	fine() //memexvet:ignore epochbatch one page's records, staged by the caller
 }
 `)
 	if len(diags) != 0 {

@@ -123,7 +123,7 @@ func (q *Queue) PopBatch(dst []Event, limit int) ([]Event, bool) {
 
 // Pop dequeues the next event: a PopBatch of one.
 //
-//memexvet:ignore reader read only by bench/layers.go, the benchmark ladder's events.pop_us rows, until the next benchmark change moves it to PopBatch
+//memexvet:ignore reader read only by bench/layers.go, the benchmark ladder's events.pop_us rows, until ROADMAP item 32 moves it to PopBatch
 func (q *Queue) Pop() (Event, bool) {
 	var one [1]Event
 	got, ok := q.PopBatch(one[:0], 1)

@@ -8,25 +8,39 @@ import (
 
 // TestScheduleDeterministic is the harness's own determinism gate: the
 // schedule must be a pure function of (scenario, seed) — same pair,
-// byte-identical expansion; different seed, a different one.
+// byte-identical expansion; different seed, a different one. Besides the
+// pinned scenarios it expands a crowd of 48 humans and 48 robots four
+// times over: ci-small has 2 robots and unit 1, and a map that small
+// often ranges in the same order twice, so a client loop in map order
+// would slip past them; over 48 clients and three repeats it does not.
 func TestScheduleDeterministic(t *testing.T) {
+	var scs []Scenario
 	for _, name := range []string{"ci-small", "unit"} {
 		sc, ok := Lookup(name)
 		if !ok {
 			t.Fatalf("scenario %q missing", name)
 		}
-		a, b := sc.Schedule(1), sc.Schedule(1)
-		if !reflect.DeepEqual(a, b) {
-			t.Fatalf("%s: same seed produced different schedules", name)
-		}
-		var fa, fb strings.Builder
+		scs = append(scs, sc)
+	}
+	crowd := scs[1]
+	crowd.Name, crowd.Humans, crowd.Robots = "crowd", 48, 48
+	for _, sc := range append(scs, crowd) {
+		a := sc.Schedule(1)
+		var fa strings.Builder
 		FormatSchedule(&fa, a)
-		FormatSchedule(&fb, b)
-		if fa.String() != fb.String() {
-			t.Fatalf("%s: same seed produced different printed schedules", name)
+		for i := 0; i < 3; i++ {
+			b := sc.Schedule(1)
+			if !reflect.DeepEqual(a, b) {
+				t.Fatalf("%s: same seed produced different schedules", sc.Name)
+			}
+			var fb strings.Builder
+			FormatSchedule(&fb, b)
+			if fa.String() != fb.String() {
+				t.Fatalf("%s: same seed produced different printed schedules", sc.Name)
+			}
 		}
 		if reflect.DeepEqual(a, sc.Schedule(2)) {
-			t.Fatalf("%s: seeds 1 and 2 produced identical schedules", name)
+			t.Fatalf("%s: seeds 1 and 2 produced identical schedules", sc.Name)
 		}
 	}
 }

@@ -106,7 +106,7 @@ func (db *DB) CreateTable(s Schema) (*Table, error) {
 // absent. A stored table whose schema differs from s is refused: code
 // written against s could neither encode its rows nor rely on its indexes.
 //
-//memexvet:ignore reader read only by bench/layers.go, the benchmark ladder, until ROADMAP item 21(b) moves it off the generic row layer
+//memexvet:ignore reader read only by bench/layers.go, the benchmark ladder, until ROADMAP item 32 moves it off the generic row layer
 func (db *DB) EnsureTable(s Schema) (*Table, error) {
 	db.mu.RLock()
 	t, ok := db.tables[s.Name]
@@ -123,7 +123,7 @@ func (db *DB) EnsureTable(s Schema) (*Table, error) {
 // NextID returns an auto-incrementing int64 for the table, persisted so ids
 // survive restarts.
 //
-//memexvet:ignore reader read only by bench/layers.go, the benchmark ladder, until ROADMAP item 21(b) moves it off the generic row layer
+//memexvet:ignore reader read only by bench/layers.go, the benchmark ladder, until ROADMAP item 32 moves it off the generic row layer
 func (t *Table) NextID() (int64, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()

@@ -26,7 +26,7 @@ func (t *Table) Insert(r Row) error {
 // Update applies fn to the row with primary key pk and writes the result.
 // Returns ok=false if the row does not exist.
 //
-//memexvet:ignore reader read only by bench/layers.go, the benchmark ladder, until ROADMAP item 21(b) moves it off the generic row layer
+//memexvet:ignore reader read only by bench/layers.go, the benchmark ladder, until ROADMAP item 32 moves it off the generic row layer
 func (t *Table) Update(pk Value, fn func(Row) Row) (bool, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()

@@ -491,8 +491,11 @@ func (s *Server) handleRecommend(r *http.Request) (reply, error) {
 	if err != nil {
 		return reply{}, err
 	}
-	byProfile := r.URL.Query().Get("method") != "url"
-	return jsonReply(s.engine.Recommend(user, k, byProfile))
+	m := r.URL.Query().Get("method")
+	if m != "" && m != "profile" && m != "url" {
+		return reply{}, badRequestf(`bad method %q: want "", "profile" or "url"`, m)
+	}
+	return jsonReply(s.engine.Recommend(user, k, m != "url"))
 }
 
 func (s *Server) handleDiscover(r *http.Request) (reply, error) {

@@ -86,6 +86,9 @@ func TestBadParamsReturn400(t *testing.T) {
 		{"search negative k takes the default", "GET", "/api/search?q=x&k=-1", "", ""},
 		{"trails bad k", "GET", "/api/trails?user=1&folder=f&k=abc", "", "bad k"},
 		{"recommend bad k", "GET", "/api/recommend?user=1&k=1.5", "", "bad k"},
+		{"recommend unknown method", "GET", "/api/recommend?user=1&method=urls", "", `bad method \"urls\": want \"\", \"profile\" or \"url\"`},
+		{"recommend by profile", "GET", "/api/recommend?user=1&method=profile", "", ""},
+		{"recommend by url", "GET", "/api/recommend?user=1&method=url", "", ""},
 		{"discover bad budget", "GET", "/api/discover?user=1&folder=f&budget=x", "", "bad budget"},
 		{"discover bad k", "GET", "/api/discover?user=1&folder=f&k=abc", "", "bad k"},
 		{"user missing name", "POST", "/api/user", `{"id":1}`, "id and name required"},
